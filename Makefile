@@ -11,8 +11,14 @@
 #                  routing tier with GOMAXPROCS=4 so the par fan-out
 #                  paths, the gather-round leader/follower protocol,
 #                  and the router's splice/health/membership
-#                  concurrency are exercised even on 1-core CI
+#                  concurrency are exercised even on 1-core CI; then
+#                  the serving and fabric suites 50 times over (their
+#                  counters must already hold every inference a client
+#                  has seen the reply to — the TestFabricFleet race)
+#                  and the concurrent first use of a decomposition's
+#                  hoisted NTT(c0) 10 times
 #   make debug   — tests with the chocodebug assertion layer compiled in
+#                  (ring, bfv, and the core operators that drive them)
 #   make purego  — tests with the vector kernels compiled out (the
 #                  scalar-only build every non-amd64 target gets)
 #   make bench   — paper-table benchmark generators; also regenerates
@@ -41,10 +47,13 @@
 
 #   make fuzz    — 30-second smoke run of each internal/protocol fuzz
 #                  target (frame parser and hello-frame round-trip)
+#   make bench-e2e — the repository's benchmark (benchmark/README.md):
+#                  four workloads end to end through real HE over the
+#                  real protocol, untraced then traced, ~4 min
 
 GO ?= go
 
-.PHONY: check build test lint race debug purego vet bench fuzz
+.PHONY: check build test lint race debug purego vet bench bench-e2e fuzz
 
 check: vet lint race debug purego
 
@@ -63,9 +72,11 @@ vet:
 race:
 	$(GO) test -race -shuffle=on ./...
 	GOMAXPROCS=4 $(GO) test -race -shuffle=on ./internal/par ./internal/ring ./internal/bfv ./internal/ckks ./internal/core ./internal/apps/distance ./internal/serve ./internal/fabric
+	$(GO) test -race -count=50 -timeout 60m ./internal/serve ./internal/fabric
+	$(GO) test -race -count=10 -run 'TestRotateRowsLazyNTTHoistedC0' ./internal/bfv
 
 debug:
-	$(GO) test -race -shuffle=on -tags chocodebug ./internal/ring ./internal/bfv
+	$(GO) test -race -shuffle=on -tags chocodebug ./internal/ring ./internal/bfv ./internal/core
 
 purego:
 	$(GO) build -tags purego ./...
@@ -74,6 +85,9 @@ purego:
 fuzz:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzHelloFrame$$' -fuzztime 30s
+
+bench-e2e:
+	$(GO) run ./benchmark
 
 bench:
 	$(GO) run ./cmd/chocobench -json BENCH_rotations.json rotations

@@ -17,11 +17,13 @@ const batchingDepth = 4
 
 // BatchingBench is one machine-readable record for the cross-request
 // batching trajectory (BENCH_batching.json). The serial entry is the
-// per-session path every shard ran before the batching executor; the
-// batched entry is the coalesced gather-round kernel with the shared
-// weight-plaintext cache warm. Speedup (on the batched record) is
-// serial/batched per-item time — the number the ≥1.2× shard-throughput
-// acceptance criterion is judged by.
+// per-session path — each item through Apply, a batch of one over the
+// operator's own warm weight plaintexts; the batched entry is the
+// coalesced gather-round kernel with the shared weight-plaintext cache
+// warm. Both run the same engine with prepared plaintexts, so Speedup
+// (on the batched record; serial/batched per-item time, the number the
+// ≥1.2× shard-throughput acceptance criterion is judged by) is what
+// fusing the items' work into flat dispatches buys.
 type BatchingBench struct {
 	Mode      string  `json:"mode"`
 	Preset    string  `json:"preset"`
@@ -32,10 +34,10 @@ type BatchingBench struct {
 
 // Batching measures the shard-side inference kernel for batchingDepth
 // same-preset concurrent sessions two ways: each session's FC matmul
-// executed serially through Apply (the unbatched per-session path),
-// and all of them coalesced into one FC.ApplyBatch gather round over
-// the shared plaintext cache — exactly the work the serve batching
-// executor runs per round. Sessions hold distinct secret keys and
+// executed on its own through Apply (the unbatched per-session path,
+// warm), and all of them coalesced into one FC.ApplyBatch gather round
+// over the shared plaintext cache — exactly the work the serve
+// batching executor runs per round. Sessions hold distinct secret keys and
 // inputs, as distinct clients landing on one shard do; client encrypt
 // and decrypt are excluded because batching does not change them.
 func Batching() (string, []BatchingBench, error) {

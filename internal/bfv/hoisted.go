@@ -2,6 +2,7 @@ package bfv
 
 import (
 	"fmt"
+	"sync"
 
 	"choco/internal/par"
 	"choco/internal/ring"
@@ -21,6 +22,27 @@ type DecomposedCiphertext struct {
 	ct     *Ciphertext
 	digits []*ring.Poly // one per data prime, over QP, NTT domain
 	ctx    *Context
+
+	// c0NTT is NTT(c0), the other half hoisted: lazy NTT-domain
+	// rotations gather it per Galois element instead of each paying an
+	// automorphism plus a forward NTT of c0. Built on the first such
+	// rotation (the materialized paths never need it), released with
+	// the digits.
+	c0Once sync.Once
+	c0NTT  *ring.Poly
+}
+
+// nttC0 returns NTT(c0), building it on first use. Safe for concurrent
+// callers; the result is read-only.
+func (dc *DecomposedCiphertext) nttC0() *ring.Poly {
+	dc.c0Once.Do(func() {
+		rQ := dc.ctx.RingQ
+		p := rQ.GetPoly()
+		rQ.Copy(p, dc.ct.Value[0])
+		rQ.NTT(p)
+		dc.c0NTT = p
+	})
+	return dc.c0NTT
 }
 
 // Decompose performs the per-residue embedding and forward NTTs of
@@ -53,13 +75,16 @@ func (ev *Evaluator) Decompose(ct *Ciphertext) (*DecomposedCiphertext, error) {
 	return &DecomposedCiphertext{ct: ct, digits: digits, ctx: ctx}, nil
 }
 
-// Release returns the digit buffers to the ring's scratch pool. The
+// Release returns the digit buffers (and the hoisted NTT(c0), if any
+// rotation built it) to the rings' scratch pools. The
 // DecomposedCiphertext must not be used afterwards.
 func (dc *DecomposedCiphertext) Release() {
 	for _, d := range dc.digits {
 		dc.ctx.RingQP.PutPoly(d)
 	}
 	dc.digits = nil
+	dc.ctx.RingQ.PutPoly(dc.c0NTT)
+	dc.c0NTT = nil
 }
 
 // embedDigit embeds the i-th residue row of a mod-Q polynomial (an
@@ -157,68 +182,4 @@ func (ev *Evaluator) applyGaloisDecomposed(dc *DecomposedCiphertext, g uint64) (
 	rQ.Add(c0, d0, c0)
 	rQ.PutPoly(d0)
 	return &Ciphertext{Value: []*ring.Poly{c0, d1}}, nil
-}
-
-// HoistedRotationSet is one item of a cross-request rotation batch: a
-// ciphertext, the evaluator holding its session's Galois keys, and the
-// rotation amounts it needs. Different sets may belong to different
-// sessions — each brings its own evaluator — as long as every evaluator
-// shares one parameter preset (one Context).
-type HoistedRotationSet struct {
-	Ev    *Evaluator
-	Ct    *Ciphertext
-	Steps []int
-}
-
-// RotateRowsHoistedBatch fuses the hoisted-rotation schedules of
-// several ciphertexts into one pass: each set pays its decomposition
-// (the per-residue embed + forward NTTs are inherently per-ciphertext —
-// they transform c1, which differs per request), then every (set, step)
-// key switch across the whole batch fans out over one flat worker-pool
-// dispatch instead of len(sets) sequential ones. Per-set outputs are in
-// step order and byte-identical to calling RotateRowsHoisted per set.
-func RotateRowsHoistedBatch(sets []HoistedRotationSet) ([][]*Ciphertext, error) {
-	outs := make([][]*Ciphertext, len(sets))
-	dcs := make([]*DecomposedCiphertext, len(sets))
-	defer func() {
-		for _, dc := range dcs {
-			if dc != nil {
-				dc.Release()
-			}
-		}
-	}()
-	// The decompositions run serially here: each one already fans its
-	// digit NTTs across the pool, so stacking them would only queue.
-	total := 0
-	for i, set := range sets {
-		dc, err := set.Ev.Decompose(set.Ct)
-		if err != nil {
-			return nil, err
-		}
-		dcs[i] = dc
-		outs[i] = make([]*Ciphertext, len(set.Steps))
-		total += len(set.Steps)
-	}
-	// Flatten the (set, step) pairs so the pool sees the whole batch at
-	// once: with more workers than any one set has steps, rotations from
-	// different requests overlap instead of serializing per request.
-	type job struct{ set, idx int }
-	jobs := make([]job, 0, total)
-	for i, set := range sets {
-		for j := range set.Steps {
-			jobs = append(jobs, job{i, j})
-		}
-	}
-	errs := make([]error, len(jobs))
-	par.For(len(jobs), func(k int) {
-		jb := jobs[k]
-		set := sets[jb.set]
-		outs[jb.set][jb.idx], errs[k] = set.Ev.RotateRowsDecomposed(dcs[jb.set], set.Steps[jb.idx])
-	})
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	return outs, nil
 }

@@ -257,70 +257,3 @@ func TestEmbedDigitCopyMatchesReduce(t *testing.T) {
 		rQP.PutPoly(want)
 	}
 }
-
-// TestHoistedBatchAcrossSessions pins the cross-request entry point:
-// fusing the hoisted schedules of ciphertexts from different sessions
-// (distinct secret keys, one shared preset) must produce exactly the
-// per-session RotateRowsHoisted outputs — byte-identical, per set, in
-// step order.
-func TestHoistedBatchAcrossSessions(t *testing.T) {
-	params := PresetTest()
-	ctx, err := NewContext(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := [][]int{{1, 2, 5}, {2, 3}, {0, 1}}
-	allSteps := []int{1, 2, 3, 5}
-	sets := make([]HoistedRotationSet, len(steps))
-	evs := make([]*Evaluator, len(steps))
-	for i := range steps {
-		kg := NewKeyGenerator(ctx, [32]byte{byte(10 + i)})
-		sk := kg.GenSecretKey()
-		enc := NewEncryptor(ctx, kg.GenPublicKey(sk), [32]byte{byte(20 + i)})
-		ev := NewEvaluator(ctx, nil, kg.GenRotationKeys(sk, allSteps...))
-		vals := make([]uint64, ctx.Params.N())
-		for j := range vals {
-			vals[j] = uint64(i*31+j) % ctx.T.Value
-		}
-		ct, err := enc.EncryptUints(vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sets[i] = HoistedRotationSet{Ev: ev, Ct: ct, Steps: steps[i]}
-		evs[i] = ev
-	}
-
-	batched, err := RotateRowsHoistedBatch(sets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, set := range sets {
-		serial, err := evs[i].RotateRowsHoisted(set.Ct, set.Steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batched[i]) != len(serial) {
-			t.Fatalf("set %d: %d outputs, want %d", i, len(batched[i]), len(serial))
-		}
-		for j := range serial {
-			if !ctsIdentical(ctx.RingQ, serial[j], batched[i][j]) {
-				t.Errorf("set %d step %d: batched ciphertext differs from per-session hoisted", i, set.Steps[j])
-			}
-		}
-	}
-
-	// A missing key anywhere in the batch fails the whole call, like the
-	// per-session path would.
-	bad := sets
-	bad[1].Steps = []int{7}
-	if _, err := RotateRowsHoistedBatch(bad); err == nil {
-		t.Fatal("expected missing-key error from fused batch")
-	} else if !strings.Contains(err.Error(), "missing Galois key") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-
-	// Empty batches and empty step lists are harmless no-ops.
-	if outs, err := RotateRowsHoistedBatch(nil); err != nil || len(outs) != 0 {
-		t.Fatalf("empty batch: (%v, %v)", outs, err)
-	}
-}

@@ -132,7 +132,9 @@ func (ev *Evaluator) RecycleNTT(nc *NTTCiphertext) { nc.Recycle(ev.ctx) }
 // happens per residue row in the evaluation domain (nttModDownByP),
 // paying one single-row INTT for the special prime and one forward NTT
 // per data row of the rounding correction instead of a full-poly INTT
-// plus a forward NTT of both output components.
+// plus a forward NTT of both output components. c0 joins as a gather of
+// the decomposition's hoisted NTT(c0): NTT(φ_g(c0)) and the evaluation-
+// domain permutation of NTT(c0) are the same residues.
 func (ev *Evaluator) RotateRowsLazyNTT(dc *DecomposedCiphertext, steps int) (*NTTCiphertext, error) {
 	if steps == 0 {
 		return ev.ToNTT(dc.ct), nil
@@ -159,11 +161,11 @@ func (ev *Evaluator) RotateRowsLazyNTT(dc *DecomposedCiphertext, steps int) (*NT
 	rQP.PutPoly(acc0)
 	rQP.PutPoly(acc1)
 
-	// c0's automorphism is the cheap table-driven coefficient gather;
-	// its forward NTT replaces the one ToNTT would have paid.
+	// c0's forward NTT is hoisted into dc; in the evaluation domain the
+	// automorphism is the same slot gather the digits take, so each
+	// element pays a permutation instead of a transform.
 	c0 := rQ.GetPoly()
-	rQ.Automorphism(dc.ct.Value[0], g, c0)
-	rQ.NTT(c0)
+	rQ.AutomorphismNTT(dc.nttC0(), g, c0)
 	rQ.Add(d0, c0, d0)
 	rQ.PutPoly(c0)
 	return &NTTCiphertext{Value: []*ring.Poly{d0, d1}}, nil

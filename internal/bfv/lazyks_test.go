@@ -2,6 +2,7 @@ package bfv
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"choco/internal/par"
@@ -110,6 +111,76 @@ func TestRotateRowsLazyNTTMatchesMaterialized(t *testing.T) {
 			t.Errorf("steps=%d: NTT-domain rotation differs from materialized path", s)
 		}
 		kit.ctx.RecycleCt(got)
+	}
+}
+
+// TestRotateRowsLazyNTTHoistedC0 pins the c0 half of the NTT-domain
+// rotation at the paper's presets: with NTT(c0) hoisted into the
+// decomposition and gathered per element, RotateRowsLazyNTT(dc, s)
+// still equals ToNTT(RotateRowsDecomposed(dc, s)) residue for residue,
+// for every rotation the evaluator holds a key for (every power-of-two
+// step in both directions, plus small odd ones). All rotations start at
+// once on a fresh decomposition, so the first use of the hoisted
+// NTT(c0) is concurrent — run under -race -count=10 by `make race`.
+func TestRotateRowsLazyNTTHoistedC0(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		params Parameters
+	}{
+		{"PresetA", PresetA()},
+		{"PresetB", PresetB()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			steps := []int{3, -3, 5, -7}
+			for s := 1; s < (1<<uint(tc.params.LogN))/2; s <<= 1 {
+				steps = append(steps, s, -s)
+			}
+			kit := newTestKit(t, tc.params, steps...)
+			rQ := kit.ctx.RingQ
+			ct, err := kit.enc.EncryptUints(rampUints(kit.ctx.Params.N(), kit.ctx.T.Value))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dc, err := kit.ev.Decompose(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dc.Release()
+
+			lazy := make([]*NTTCiphertext, len(steps))
+			errs := make([]error, len(steps))
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i, s := range steps {
+				wg.Add(1)
+				go func(i, s int) {
+					defer wg.Done()
+					<-start
+					lazy[i], errs[i] = kit.ev.RotateRowsLazyNTT(dc, s)
+				}(i, s)
+			}
+			close(start)
+			wg.Wait()
+
+			for i, s := range steps {
+				if errs[i] != nil {
+					t.Fatalf("steps=%d: %v", s, errs[i])
+				}
+				mat, err := kit.ev.RotateRowsDecomposed(dc, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := kit.ev.ToNTT(mat)
+				for h := range want.Value {
+					if !rQ.Equal(want.Value[h], lazy[i].Value[h]) {
+						t.Errorf("steps=%d: component %d differs from ToNTT(RotateRowsDecomposed)", s, h)
+					}
+				}
+				kit.ev.RecycleNTT(want)
+				kit.ev.RecycleNTT(lazy[i])
+				kit.ctx.RecycleCt(mat)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"choco/internal/bfv"
-	"choco/internal/par"
 	"choco/internal/rotred"
 )
 
@@ -43,6 +42,9 @@ type Conv2D struct {
 	rowSize int
 	// Weights[o][c][k] with k = ky*KW + kx, quantized.
 	Weights [][][]int64
+	// plains holds the operator's own prepared weight plaintexts, used
+	// when ApplyBatch is handed no shared cache.
+	plains *PlainCache
 }
 
 // NewConv2D validates the spec against the ring geometry (rowSize =
@@ -66,6 +68,7 @@ func NewConv2D(spec ConvSpec, weights [][][]int64, rowSize int) (*Conv2D, error)
 		return nil, err
 	}
 	conv.Weights = weights
+	conv.plains = NewPlainCache(0)
 	return conv, nil
 }
 
@@ -114,16 +117,22 @@ func (c *Conv2D) kernelOffsets() []int {
 	return out
 }
 
-// RotationSteps lists every rotation amount Apply may use; generate
-// Galois keys for exactly these.
+// step returns the row rotation that aligns block shift d with kernel
+// offset delta, reduced into [0, rowSize).
+func (c *Conv2D) step(d, delta int) int {
+	s := d*c.Layout.Stride + delta
+	return ((s % c.rowSize) + c.rowSize) % c.rowSize
+}
+
+// RotationSteps lists every rotation amount Apply may use, each once
+// (block-shift × kernel-offset pairs whose steps alias modulo the row
+// size share one rotation); generate Galois keys for exactly these.
 func (c *Conv2D) RotationSteps() []int {
 	seen := map[int]bool{}
 	var steps []int
 	for d := 0; d < c.Cb; d++ {
 		for _, delta := range c.kernelOffsets() {
-			s := d*c.Layout.Stride + delta
-			s = ((s % c.rowSize) + c.rowSize) % c.rowSize
-			if s != 0 && !seen[s] {
+			if s := c.step(d, delta); s != 0 && !seen[s] {
 				seen[s] = true
 				steps = append(steps, s)
 			}
@@ -171,91 +180,15 @@ func (c *Conv2D) PackInput(image [][]int64, slots int) ([]int64, error) {
 
 // Apply evaluates the convolution over an encrypted packed input,
 // returning one ciphertext per output group and the operation counts.
+// It is ApplyBatch over one item with the operator's own prepared
+// weight plaintexts, so a repeated Apply on one operator is the warm
+// path.
 func (c *Conv2D) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) ([]*bfv.Ciphertext, OpCounts, error) {
-	var ops OpCounts
-	if c.Weights == nil {
-		return nil, ops, fmt.Errorf("core: Apply on a spec-only convolution (no weights)")
-	}
-	offsets := c.kernelOffsets()
-	l := c.Layout
-
-	// Shared rotations: one per distinct rotation amount. Block-shift ×
-	// kernel-offset pairs whose steps alias modulo the row size share a
-	// single rotated ciphertext, and the independent rotations fan out
-	// across the worker pool.
-	type rotKey struct{ d, k int }
-	stepOf := make(map[rotKey]int)
-	seen := make(map[int]bool)
-	var uniq []int
-	for d := 0; d < c.Cb; d++ {
-		for ki, delta := range offsets {
-			steps := d*l.Stride + delta
-			steps = ((steps % c.rowSize) + c.rowSize) % c.rowSize
-			stepOf[rotKey{d, ki}] = steps
-			if steps != 0 && !seen[steps] {
-				seen[steps] = true
-				uniq = append(uniq, steps)
-			}
-		}
-	}
-	// All unique rotations share one hoisted decomposition of ct: the
-	// per-residue embed + forward NTTs are paid once, each element then
-	// costs only its NTT-domain digit permutation and key inner product
-	// (the batch still fans out across the worker pool internally).
-	rotCts, err := ev.RotateRowsHoisted(ct, uniq)
+	outs, ops, err := c.ApplyBatch(ecd, []BatchInput{{Ev: ev, Ct: ct}}, slots, nil)
 	if err != nil {
-		return nil, ops, err
+		return nil, OpCounts{}, err
 	}
-	rotByStep := make(map[int]*bfv.Ciphertext, len(uniq)+1)
-	rotByStep[0] = ct
-	for i, s := range uniq {
-		ops.Rotations++
-		rotByStep[s] = rotCts[i]
-	}
-
-	// Output groups are independent: each accumulates its own diagonal
-	// terms in the same (d, ki) order as the serial loop, so per-group
-	// results are bit-identical regardless of how groups are scheduled.
-	groups := c.Groups()
-	outs := make([]*bfv.Ciphertext, groups)
-	groupOps := make([]OpCounts, groups)
-	groupErrs := make([]error, groups)
-	par.For(groups, func(g int) {
-		var acc *bfv.Ciphertext
-		for d := 0; d < c.Cb; d++ {
-			for ki := range offsets {
-				diag := c.weightDiag(g, d, ki, slots)
-				if diag == nil {
-					continue
-				}
-				pt, err := ecd.EncodeInts(diag)
-				if err != nil {
-					groupErrs[g] = err
-					return
-				}
-				term := ev.MulPlain(rotByStep[stepOf[rotKey{d, ki}]], ev.PrepareMul(pt))
-				groupOps[g].PlainMults++
-				if acc == nil {
-					acc = term
-				} else {
-					acc = ev.Add(acc, term)
-					groupOps[g].Adds++
-				}
-			}
-		}
-		if acc == nil {
-			groupErrs[g] = fmt.Errorf("core: group %d has no contributing weights", g)
-			return
-		}
-		outs[g] = acc
-	})
-	for g := 0; g < groups; g++ {
-		if groupErrs[g] != nil {
-			return nil, ops, groupErrs[g]
-		}
-		ops.Add(groupOps[g])
-	}
-	return outs, ops, nil
+	return outs[0], ops[0], nil
 }
 
 // weightDiag builds the block-diagonal weight plaintext for output

@@ -1,0 +1,338 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"strings"
+	"testing"
+
+	"choco/internal/bfv"
+	"choco/internal/par"
+	"choco/internal/sampling"
+)
+
+// applyMaterialized is the convolution schedule the operator ran before
+// it became NTT-resident, kept as the byte-identity oracle: every
+// unique rotation materialized in the coefficient domain
+// (RotateRowsHoisted), every weight plaintext rebuilt, and each output
+// group folded as a MulPlain + Add chain in (d, ki) order. It shares
+// only the geometry (step, weightDiag) with the engine under test.
+func (c *Conv2D) applyMaterialized(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) ([]*bfv.Ciphertext, OpCounts, error) {
+	var ops OpCounts
+	offsets := c.kernelOffsets()
+	steps := c.RotationSteps()
+	rotCts, err := ev.RotateRowsHoisted(ct, steps)
+	if err != nil {
+		return nil, ops, err
+	}
+	rotByStep := map[int]*bfv.Ciphertext{0: ct}
+	for i, s := range steps {
+		rotByStep[s] = rotCts[i]
+	}
+	ops.Rotations = len(steps)
+
+	outs := make([]*bfv.Ciphertext, c.Groups())
+	for g := range outs {
+		var acc *bfv.Ciphertext
+		for d := 0; d < c.Cb; d++ {
+			for ki, delta := range offsets {
+				diag := c.weightDiag(g, d, ki, slots)
+				if diag == nil {
+					continue
+				}
+				pt, err := ecd.EncodeInts(diag)
+				if err != nil {
+					return nil, ops, err
+				}
+				term := ev.MulPlain(rotByStep[c.step(d, delta)], ev.PrepareMul(pt))
+				ops.PlainMults++
+				if acc == nil {
+					acc = term
+				} else {
+					acc = ev.Add(acc, term)
+					ops.Adds++
+				}
+			}
+		}
+		if acc == nil {
+			return nil, ops, fmt.Errorf("core: group %d has no contributing weights", g)
+		}
+		outs[g] = acc
+	}
+	return outs, ops, nil
+}
+
+// residentPresets sizes one convolution per BFV preset so the window
+// fills most of a row: few channel blocks, hence a few dozen rotation
+// keys per session instead of hundreds, and a last output group that is
+// only partly populated.
+var residentPresets = []struct {
+	name   string
+	params bfv.Parameters
+	spec   ConvSpec
+}{
+	{"PresetTest", bfv.PresetTest(), ConvSpec{InH: 14, InW: 14, InC: 2, KH: 3, KW: 3, OutC: 3}},
+	{"PresetA", bfv.PresetA(), ConvSpec{InH: 28, InW: 28, InC: 3, KH: 3, KW: 3, OutC: 5}},
+	{"PresetB", bfv.PresetB(), ConvSpec{InH: 20, InW: 20, InC: 2, KH: 3, KW: 3, OutC: 3}},
+}
+
+// TestConvResidentMatchesMaterialized is the tentpole property test:
+// on every BFV preset the NTT-resident convolution — lazy NTT-domain
+// rotations, one NTT-domain accumulation and one inverse NTT per output
+// group, weight plaintexts prepared once — produces ciphertexts
+// byte-identical to the materialized MulPlain + Add oracle with the
+// same logical op counts, for one worker and eight, a batch of one item
+// and of three under distinct keys, a cold and a warm plaintext store,
+// and a store too small to hold anything (every term rebuilt).
+func TestConvResidentMatchesMaterialized(t *testing.T) {
+	for _, tc := range residentPresets {
+		t.Run(tc.name, func(t *testing.T) {
+			src := sampling.NewSource([32]byte{31}, "conv-resident-"+tc.name)
+			ctxProbe, err := bfv.NewContext(tc.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rowSize, slots := ctxProbe.Params.N()/2, ctxProbe.Params.Slots()
+			weights := synthConvWeights(src, tc.spec.OutC, tc.spec.InC, tc.spec.KH*tc.spec.KW, 3)
+			// A zero kernel tap in every channel of one output exercises
+			// the skipped-term path without emptying a group.
+			for c := range weights[0] {
+				weights[0][c][0] = 0
+			}
+			newConv := func() *Conv2D {
+				conv, err := NewConv2D(tc.spec, weights, rowSize)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return conv
+			}
+			oracle := newConv()
+
+			const sessions = 3
+			kits := make([]*kit, sessions)
+			items := make([]BatchInput, sessions)
+			want := make([][]*bfv.Ciphertext, sessions)
+			wantOps := make([]OpCounts, sessions)
+			images := make([][][]int64, sessions)
+			for i := range kits {
+				kits[i] = newFCLevelKit(t, tc.params, byte(20+i), oracle.RotationSteps())
+				images[i] = synthImage(src, tc.spec.InC, tc.spec.InH*tc.spec.InW, 7)
+				packed, err := oracle.PackInput(images[i], slots)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ct, err := kits[i].enc.EncryptInts(packed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				items[i] = BatchInput{Ev: kits[i].ev, Ct: ct}
+				if want[i], wantOps[i], err = oracle.applyMaterialized(kits[i].ev, kits[i].ecd, ct, slots); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := oracle.plains.Stats(); st.Hits+st.Misses != 0 {
+				t.Fatalf("the oracle touched the operator's plaintext store: %+v", st)
+			}
+
+			check := func(label string, conv *Conv2D, batch []BatchInput, cache *PlainCache) {
+				t.Helper()
+				outs, ops, err := conv.ApplyBatch(kits[0].ecd, batch, slots, cache)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				for i := range batch {
+					if ops[i] != wantOps[i] {
+						t.Errorf("%s: item %d op counts %+v, oracle %+v", label, i, ops[i], wantOps[i])
+					}
+					if len(outs[i]) != len(want[i]) {
+						t.Fatalf("%s: item %d has %d groups, oracle %d", label, i, len(outs[i]), len(want[i]))
+					}
+					for g := range outs[i] {
+						if !ctEqual(kits[i].ctx.RingQ, outs[i][g], want[i][g]) {
+							t.Errorf("%s: item %d group %d differs from the materialized oracle", label, i, g)
+						}
+					}
+				}
+			}
+
+			old := par.Parallelism()
+			defer par.SetParallelism(old)
+			for _, workers := range []int{1, 8} {
+				par.SetParallelism(workers)
+				for _, n := range []int{1, sessions} {
+					label := fmt.Sprintf("workers=%d/batch=%d", workers, n)
+					conv := newConv()
+					check(label+"/cold", conv, items[:n], nil)
+					cold := conv.plains.Stats()
+					if cold.Entries == 0 || cold.Misses == 0 {
+						t.Fatalf("%s: cold apply filled nothing: %+v", label, cold)
+					}
+					check(label+"/warm", conv, items[:n], nil)
+					warm := conv.plains.Stats()
+					if warm.Entries != cold.Entries || warm.Misses != cold.Misses || warm.Hits <= cold.Hits {
+						t.Errorf("%s: warm apply rebuilt plaintexts: cold %+v, warm %+v", label, cold, warm)
+					}
+
+					tiny := NewPlainCache(8) // below one plaintext's footprint
+					check(label+"/over-budget", conv, items[:n], tiny)
+					// (All-zero diagonals are remembered as nil entries: 0 B.)
+					if st := tiny.Stats(); st.Bytes != 0 || st.Rejected == 0 {
+						t.Errorf("%s: over-budget store %+v, want no bytes held and rejected inserts", label, st)
+					}
+				}
+				// Serial Apply is the same engine over one item.
+				outs, ops, err := newConv().Apply(kits[0].ev, kits[0].ecd, items[0].Ct, slots)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ops != wantOps[0] {
+					t.Errorf("workers=%d: Apply op counts %+v, oracle %+v", workers, ops, wantOps[0])
+				}
+				for g := range outs {
+					if !ctEqual(kits[0].ctx.RingQ, outs[g], want[0][g]) {
+						t.Errorf("workers=%d: Apply group %d differs from the materialized oracle", workers, g)
+					}
+				}
+			}
+
+			// The oracle itself still computes the convolution.
+			plain := PlainConv2D(tc.spec, weights, images[0])
+			for o := 0; o < tc.spec.OutC; o++ {
+				got := oracle.ExtractOutput(kits[0].dec.DecryptInts(want[0][o/oracle.Cb]), o)
+				for i := range got {
+					if got[i] != plain[o][i] {
+						t.Fatalf("oracle output channel %d pixel %d: %d, plaintext conv %d", o, i, got[i], plain[o][i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// allocBytesPerRun reports the mean bytes allocated by one call of f,
+// with the collector held off so the ring scratch pools keep what f
+// returns to them.
+func allocBytesPerRun(runs int, f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f() // warm the pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestConvMissingGaloisKey drops one rotation key a convolution needs:
+// Apply must fail with the missing element named, not panic, and must
+// hand every polynomial it drew back to the ring scratch pools — the
+// rotations that did succeed, the decomposition and its hoisted
+// NTT(c0). The pools have no counters, so balance is read from the
+// allocator: a balanced failing Apply reuses the same buffers call
+// after call, a leaking one must allocate a fresh polynomial (64 KiB at
+// this preset) for each one it lost.
+func TestConvMissingGaloisKey(t *testing.T) {
+	tc := residentPresets[2] // PresetB
+	src := sampling.NewSource([32]byte{32}, "conv-missing-key")
+	ctxProbe, err := bfv.NewContext(tc.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := ctxProbe.Params.Slots()
+	conv, err := NewConv2D(tc.spec, synthConvWeights(src, tc.spec.OutC, tc.spec.InC, 9, 3), slots/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := conv.RotationSteps()
+	k := newFCLevelKit(t, tc.params, 30, steps[:len(steps)-1]) // a mid-layer step left out
+	packed, err := conv.PackInput(synthImage(src, tc.spec.InC, tc.spec.InH*tc.spec.InW, 7), slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := k.enc.EncryptInts(packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	old := par.Parallelism()
+	par.SetParallelism(1)
+	defer par.SetParallelism(old)
+	failing := func() {
+		outs, _, err := conv.Apply(k.ev, k.ecd, ct, slots)
+		if err == nil || !strings.Contains(err.Error(), "missing Galois key") {
+			t.Fatalf("Apply without a needed rotation key: outs=%v err=%v", outs, err)
+		}
+	}
+	failing()
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	polyBytes := float64(len(ct.Value[0].Coeffs) * ctxProbe.Params.N() * 8)
+	if got := allocBytesPerRun(16, failing); got > polyBytes/2 {
+		t.Errorf("a failing Apply allocates %.0f B/call, want < %.0f (half a polynomial): the scratch pools are not balanced", got, polyBytes/2)
+	}
+}
+
+// TestWarmApplyAllocs is the ceiling that keeps the per-term garbage
+// from coming back: a warm Conv2D.Apply or FC.Apply whose outputs are
+// recycled allocates bookkeeping only (slices, closures, ciphertext
+// headers), never a polynomial per term — the materialized schedule
+// left ≈ 350 KB per plaintext multiply, 211 MB per LeNet-Sm request.
+func TestWarmApplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	old := par.Parallelism()
+	par.SetParallelism(1)
+	defer par.SetParallelism(old)
+
+	tc := residentPresets[2] // PresetB
+	src := sampling.NewSource([32]byte{33}, "warm-apply-allocs")
+	ctxProbe, err := bfv.NewContext(tc.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := ctxProbe.Params.Slots()
+	conv, err := NewConv2D(tc.spec, synthConvWeights(src, tc.spec.OutC, tc.spec.InC, 9, 3), slots/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := synthFC(t, src, 64, 10, slots/2)
+	k := newFCLevelKit(t, tc.params, 31, append(conv.RotationSteps(), fc.RotationSteps()...))
+	vals := make([]int64, slots)
+	for i := range vals {
+		vals[i] = int64(src.Intn(15)) - 7
+	}
+	ct, err := k.enc.EncryptInts(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polyBytes := float64(len(ct.Value[0].Coeffs) * ctxProbe.Params.N() * 8)
+
+	convBytes := allocBytesPerRun(8, func() {
+		outs, _, err := conv.Apply(k.ev, k.ecd, ct, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range outs {
+			k.ev.RecycleCt(o)
+		}
+	})
+	fcBytes := allocBytesPerRun(8, func() {
+		out, _, err := fc.Apply(k.ev, k.ecd, ct, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.ev.RecycleCt(out)
+	})
+	t.Logf("warm Apply: conv %.0f B/op (%d terms), fc %.0f B/op (%d terms); one polynomial is %.0f B",
+		convBytes, conv.Cb*9*conv.Groups(), fcBytes, fc.P, polyBytes)
+	if convBytes > polyBytes {
+		t.Errorf("warm Conv2D.Apply allocates %.0f B/op, want < one polynomial (%.0f B)", convBytes, polyBytes)
+	}
+	if fcBytes > polyBytes {
+		t.Errorf("warm FC.Apply allocates %.0f B/op, want < one polynomial (%.0f B)", fcBytes, polyBytes)
+	}
+}

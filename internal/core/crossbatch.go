@@ -8,24 +8,32 @@ import (
 	"choco/internal/par"
 )
 
-// Cross-request batching: the serving tier coalesces same-layer work
-// items from different sessions and evaluates them through ApplyBatch
-// instead of per-session Apply calls. Two things amortize across the
-// batch:
+// The linear-layer engine. Conv2D and FC both evaluate a diagonal
+// linear transform: a set of rotations of one input, a fixed weight
+// plaintext per (rotation, output) term, and a sum per output. Both run
+// it NTT-resident over a batch of sessions' inputs, and serial Apply is
+// a batch of one:
 //
+//   - each item pays one hoisted decomposition of its input, and every
+//     rotation lands directly in the NTT domain (nttRotations) — the
+//     coefficient-domain rotation is never materialized;
+//   - each output accumulates its terms in the NTT domain and pays one
+//     inverse NTT for the whole sum (innerSum), byte-identical to a
+//     MulPlain + Add chain because the inverse NTT is linear
+//     (DESIGN.md §13);
 //   - the weight-side plaintext pipeline (EncodeInts of each diagonal +
-//     PrepareMul's lift and forward NTT pass) depends only on the
-//     layer's weights and the shared parameter preset, never on the
-//     session, so one prepared plaintext serves every item — a
-//     PlainCache carries it across items and across batches;
-//   - the rotation schedules fuse into one flat worker-pool dispatch
-//     (bfv.RotateRowsHoistedBatch), so key switches from different
-//     requests overlap instead of serializing per request.
+//     PrepareMul's lift and forward NTT) depends only on the layer's
+//     weights and the parameter preset, never on the session, so one
+//     prepared plaintext serves every item and every later request — a
+//     PlainCache carries it: the serving tier's shared one, or the
+//     operator's own when the caller passes none;
+//   - the (item, rotation) and (item, output) work of the whole batch
+//     fans out in flat worker-pool dispatches, so key switches from
+//     different requests overlap instead of serializing per request.
 //
-// Each item still pays its own hoisted decomposition — the decompose
-// transforms c1, which differs per request — and its own MulPlain/Add
-// chain, evaluated in exactly Apply's term order so per-item outputs
-// are byte-identical to the serial path.
+// Terms run in a fixed order per output, and every intermediate is
+// exact modular arithmetic, so per-item outputs are byte-identical for
+// any batch composition, worker count or cache state.
 
 // BatchInput is one session's work item in a cross-request batch: its
 // packed input ciphertext and the evaluator holding that session's
@@ -143,10 +151,130 @@ func (pc *PlainCache) getOrBuild(op any, idx int, build func() (*bfv.PlaintextMu
 	return pm, nil
 }
 
+// prepared returns the PrepareMul'd form of the weight vector diag()
+// for term (op, idx), built and cached on a miss; a nil vector (an
+// all-zero diagonal) yields a nil plaintext.
+func (pc *PlainCache) prepared(op any, idx int, ev *bfv.Evaluator, ecd *bfv.Encoder, diag func() []int64) (*bfv.PlaintextMul, error) {
+	return pc.getOrBuild(op, idx, func() (*bfv.PlaintextMul, error) {
+		v := diag()
+		if v == nil {
+			return nil, nil
+		}
+		pt, err := ecd.EncodeInts(v)
+		if err != nil {
+			return nil, err
+		}
+		return ev.PrepareMul(pt), nil
+	})
+}
+
+// nttRotations returns, per item, the input rotated by each of steps,
+// resident in the NTT domain (a zero step is the input itself). Each
+// item pays one hoisted decomposition; every (item, step) key switch of
+// the batch then runs in one flat dispatch. materialize selects the
+// level-2 schedule (rotate in the coefficient domain, then transform)
+// kept for the hoisting-level ladder. On error nothing is left
+// outstanding; on success the caller owns the result (recycleRotations).
+func nttRotations(items []BatchInput, steps []int, materialize bool) (rots [][]*bfv.NTTCiphertext, err error) {
+	rots = make([][]*bfv.NTTCiphertext, len(items))
+	dcs := make([]*bfv.DecomposedCiphertext, len(items))
+	defer func() {
+		for _, dc := range dcs {
+			if dc != nil {
+				dc.Release()
+			}
+		}
+		if err != nil {
+			recycleRotations(items, rots)
+			rots = nil
+		}
+	}()
+	// Decompositions run serially: each already fans its digit NTTs
+	// across the pool. They also reject malformed inputs before ToNTT
+	// (which panics on them) sees one.
+	for i, it := range items {
+		rots[i] = make([]*bfv.NTTCiphertext, len(steps))
+		if dcs[i], err = it.Ev.Decompose(it.Ct); err != nil {
+			return rots, err
+		}
+	}
+	n := len(steps)
+	errs := make([]error, len(items)*n)
+	par.For(len(items)*n, func(k int) {
+		item, j := k/n, k%n
+		ev, dc := items[item].Ev, dcs[item]
+		if !materialize || steps[j] == 0 {
+			rots[item][j], errs[k] = ev.RotateRowsLazyNTT(dc, steps[j])
+			return
+		}
+		r, err := ev.RotateRowsDecomposed(dc, steps[j])
+		if err != nil {
+			errs[k] = err
+			return
+		}
+		rots[item][j] = ev.ToNTT(r)
+		ev.RecycleCt(r)
+	})
+	for _, e := range errs {
+		if e != nil {
+			return rots, e
+		}
+	}
+	return rots, nil
+}
+
+// recycleRotations returns every rotation of nttRotations' result to
+// the scratch pool.
+func recycleRotations(items []BatchInput, rots [][]*bfv.NTTCiphertext) {
+	for i, rs := range rots {
+		for _, r := range rs {
+			if r != nil {
+				items[i].Ev.RecycleNTT(r)
+			}
+		}
+	}
+}
+
+// innerSum accumulates one output's n terms in order, in the NTT
+// domain, and pays a single inverse NTT for the sum. term(k) yields the
+// rotated input and prepared weight plaintext of term k; a nil
+// plaintext marks an all-zero diagonal, skipped without counting.
+// Returns a nil ciphertext when every term is zero.
+func innerSum(ev *bfv.Evaluator, n int, term func(k int) (*bfv.NTTCiphertext, *bfv.PlaintextMul, error)) (*bfv.Ciphertext, OpCounts, error) {
+	var ops OpCounts
+	var acc *bfv.NTTCiphertext
+	for k := 0; k < n; k++ {
+		x, pm, err := term(k)
+		if err != nil {
+			if acc != nil {
+				ev.RecycleNTT(acc)
+			}
+			return nil, ops, err
+		}
+		if pm == nil {
+			continue
+		}
+		if acc == nil {
+			acc = ev.NewNTTAccumulator()
+		} else {
+			ops.Adds++
+		}
+		ev.MulPlainAcc(acc, x, pm)
+		ops.PlainMults++
+	}
+	if acc == nil {
+		return nil, ops, nil
+	}
+	return ev.FromNTT(acc), ops, nil
+}
+
 // ApplyBatch evaluates the convolution over several sessions' packed
 // inputs at once, returning per-item output groups and op counts in
-// item order. Results are byte-identical to calling Apply per item;
-// cache may be nil (no plaintext sharing across batches).
+// item order: every unique rotation of every item lazily into the NTT
+// domain, then one NTT-domain accumulation and one inverse NTT per
+// (item, output group). Outputs are byte-identical to the materialized
+// MulPlain + Add chain for any batch composition. A nil cache selects
+// the operator's own plaintext store.
 func (c *Conv2D) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache) ([][]*bfv.Ciphertext, []OpCounts, error) {
 	if c.Weights == nil {
 		return nil, nil, fmt.Errorf("core: ApplyBatch on a spec-only convolution (no weights)")
@@ -154,52 +282,30 @@ func (c *Conv2D) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cac
 	if len(items) == 0 {
 		return nil, nil, nil
 	}
-	offsets := c.kernelOffsets()
-	l := c.Layout
-
+	if cache == nil {
+		cache = c.plains
+	}
 	// One rotation plan serves every item: the steps depend only on the
-	// layer geometry.
-	type rotKey struct{ d, k int }
-	stepOf := make(map[rotKey]int)
-	seen := make(map[int]bool)
-	var uniq []int
-	for d := 0; d < c.Cb; d++ {
-		for ki, delta := range offsets {
-			steps := d*l.Stride + delta
-			steps = ((steps % c.rowSize) + c.rowSize) % c.rowSize
-			stepOf[rotKey{d, ki}] = steps
-			if steps != 0 && !seen[steps] {
-				seen[steps] = true
-				uniq = append(uniq, steps)
-			}
-		}
+	// layer geometry. Slot 0 of the rotation table is the input itself.
+	offsets := c.kernelOffsets()
+	steps := append([]int{0}, c.RotationSteps()...)
+	slotOf := make(map[int]int, len(steps))
+	for i, s := range steps {
+		slotOf[s] = i
 	}
-	sets := make([]bfv.HoistedRotationSet, len(items))
-	for i, it := range items {
-		sets[i] = bfv.HoistedRotationSet{Ev: it.Ev, Ct: it.Ct, Steps: uniq}
+	nTerms := c.Cb * len(offsets)
+	termRot := make([]int, nTerms)
+	for k := range termRot {
+		termRot[k] = slotOf[c.step(k/len(offsets), offsets[k%len(offsets)])]
 	}
-	rotOuts, err := bfv.RotateRowsHoistedBatch(sets)
+	rots, err := nttRotations(items, steps, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	rotByStep := make([]map[int]*bfv.Ciphertext, len(items))
-	opsOut := make([]OpCounts, len(items))
-	for i, it := range items {
-		m := make(map[int]*bfv.Ciphertext, len(uniq)+1)
-		m[0] = it.Ct
-		for j, s := range uniq {
-			m[s] = rotOuts[i][j]
-		}
-		rotByStep[i] = m
-		opsOut[i].Rotations = len(uniq)
-	}
+	defer recycleRotations(items, rots)
 
 	// Accumulation fans out over (item, group) pairs; within a pair the
-	// terms run in Apply's (d, ki) order, so each item's group output is
-	// byte-identical to the serial path. The prepared weight plaintext
-	// of each term is fetched (or built once) from the shared cache —
-	// the cross-request saving: one encode+NTT pipeline per term per
-	// model, not per request.
+	// terms run in (d, ki) order.
 	groups := c.Groups()
 	outs := make([][]*bfv.Ciphertext, len(items))
 	for i := range outs {
@@ -210,65 +316,52 @@ func (c *Conv2D) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cac
 	par.For(len(items)*groups, func(p int) {
 		item, g := p/groups, p%groups
 		ev := items[item].Ev
-		var acc *bfv.Ciphertext
-		for d := 0; d < c.Cb; d++ {
-			for ki := range offsets {
-				pm, err := cache.getOrBuild(c, (g*c.Cb+d)*len(offsets)+ki, func() (*bfv.PlaintextMul, error) {
-					diag := c.weightDiag(g, d, ki, slots)
-					if diag == nil {
-						return nil, nil
-					}
-					pt, err := ecd.EncodeInts(diag)
-					if err != nil {
-						return nil, err
-					}
-					return ev.PrepareMul(pt), nil
-				})
-				if err != nil {
-					pairErrs[p] = err
-					return
-				}
-				if pm == nil {
-					continue
-				}
-				term := ev.MulPlain(rotByStep[item][stepOf[rotKey{d, ki}]], pm)
-				pairOps[p].PlainMults++
-				if acc == nil {
-					acc = term
-				} else {
-					acc = ev.Add(acc, term)
-					pairOps[p].Adds++
+		outs[item][g], pairOps[p], pairErrs[p] = innerSum(ev, nTerms, func(k int) (*bfv.NTTCiphertext, *bfv.PlaintextMul, error) {
+			pm, err := cache.prepared(c, g*nTerms+k, ev, ecd, func() []int64 {
+				return c.weightDiag(g, k/len(offsets), k%len(offsets), slots)
+			})
+			return rots[item][termRot[k]], pm, err
+		})
+		if pairErrs[p] == nil && outs[item][g] == nil {
+			pairErrs[p] = fmt.Errorf("core: group %d has no contributing weights", g)
+		}
+	})
+	opsOut := make([]OpCounts, len(items))
+	for p, e := range pairErrs {
+		if e != nil && err == nil {
+			err = e
+		}
+		opsOut[p/groups].Add(pairOps[p])
+	}
+	if err != nil {
+		for i, gs := range outs {
+			for _, o := range gs {
+				if o != nil {
+					items[i].Ev.RecycleCt(o)
 				}
 			}
 		}
-		if acc == nil {
-			pairErrs[p] = fmt.Errorf("core: group %d has no contributing weights", g)
-			return
-		}
-		outs[item][g] = acc
-	})
-	for p, err := range pairErrs {
-		if err != nil {
-			return nil, nil, err
-		}
-		opsOut[p/groups].Add(pairOps[p])
+		return nil, nil, err
+	}
+	for i := range opsOut {
+		opsOut[i].Rotations = len(steps) - 1
 	}
 	return outs, opsOut, nil
 }
 
 // ApplyBatch evaluates y = W·x for several sessions' inputs at once
 // (BSGS schedule) at the layer's default hoisting level, returning
-// per-item outputs and op counts in item order. Results are
-// byte-identical to calling Apply per item; cache may be nil.
+// per-item outputs and op counts in item order. Per-item outputs are
+// byte-identical for any batch composition; a nil cache selects the
+// operator's own plaintext store.
 func (f *FC) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache) ([]*bfv.Ciphertext, []OpCounts, error) {
 	return f.ApplyBatchAtLevel(ecd, items, slots, cache, f.HoistLevel())
 }
 
 // ApplyBatchAtLevel is ApplyBatch at an explicit hoisting level (the
 // ladder of FC.ApplyAtLevel). Per-item outputs are byte-identical
-// across levels and to the serial ApplyAtLevel; the batch fuses the
-// per-item rotation schedules into flat worker-pool dispatches and
-// shares the prepared weight plaintexts through cache.
+// across levels. Levels 2 and 3 are the batch engine; level 1 is the
+// Halevi–Shoup oracle run item by item, without the cache.
 func (f *FC) ApplyBatchAtLevel(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache, level int) ([]*bfv.Ciphertext, []OpCounts, error) {
 	if f.Weights == nil {
 		return nil, nil, fmt.Errorf("core: ApplyBatch on a spec-only FC layer (no weights)")
@@ -276,9 +369,20 @@ func (f *FC) ApplyBatchAtLevel(ecd *bfv.Encoder, items []BatchInput, slots int, 
 	if len(items) == 0 {
 		return nil, nil, nil
 	}
+	if cache == nil {
+		cache = f.plains
+	}
 	switch level {
 	case 1:
-		return f.applyBatchHoisted(ecd, items, slots, cache)
+		outs := make([]*bfv.Ciphertext, len(items))
+		ops := make([]OpCounts, len(items))
+		for i, it := range items {
+			var err error
+			if outs[i], ops[i], err = f.applyHoisted(it.Ev, ecd, it.Ct, slots); err != nil {
+				return nil, nil, err
+			}
+		}
+		return outs, ops, nil
 	case 2, 3:
 		return f.applyBatchLazy(ecd, items, slots, cache, level)
 	default:
@@ -286,198 +390,40 @@ func (f *FC) ApplyBatchAtLevel(ecd *bfv.Encoder, items []BatchInput, slots int, 
 	}
 }
 
-// applyBatchHoisted is the level-1 batch engine.
-func (f *FC) applyBatchHoisted(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache) ([]*bfv.Ciphertext, []OpCounts, error) {
-
-	// Baby rotations of every item fuse into one hoisted dispatch.
-	babies := make([][]*bfv.Ciphertext, len(items))
-	opsOut := make([]OpCounts, len(items))
-	for i, it := range items {
-		babies[i] = make([]*bfv.Ciphertext, f.B)
-		babies[i][0] = it.Ct
-	}
-	if f.B > 1 {
-		steps := make([]int, f.B-1)
-		for j := 1; j < f.B; j++ {
-			steps[j-1] = j
-		}
-		sets := make([]bfv.HoistedRotationSet, len(items))
-		for i, it := range items {
-			sets[i] = bfv.HoistedRotationSet{Ev: it.Ev, Ct: it.Ct, Steps: steps}
-		}
-		rotOuts, err := bfv.RotateRowsHoistedBatch(sets)
-		if err != nil {
-			return nil, nil, err
-		}
-		for i := range items {
-			copy(babies[i][1:], rotOuts[i])
-			opsOut[i].Rotations += f.B - 1
-		}
-	}
-
-	// Giant steps fan out over (item, i) pairs; the inner j order and
-	// the final fold order match Apply exactly.
-	inners := make([][]*bfv.Ciphertext, len(items))
-	for i := range inners {
-		inners[i] = make([]*bfv.Ciphertext, f.G)
-	}
-	pairOps := make([]OpCounts, len(items)*f.G)
-	pairErrs := make([]error, len(items)*f.G)
-	par.For(len(items)*f.G, func(p int) {
-		item, i := p/f.G, p%f.G
-		ev := items[item].Ev
-		var inner *bfv.Ciphertext
-		for j := 0; j < f.B; j++ {
-			d := i*f.B + j
-			pm, err := cache.getOrBuild(f, d, func() (*bfv.PlaintextMul, error) {
-				diag := f.diag(d, slots)
-				if diag == nil {
-					return nil, nil
-				}
-				// Pre-rotate the diagonal right by i·B so the outer
-				// giant rotation restores alignment (as in Apply).
-				pt, err := ecd.EncodeInts(f.rotatePlain(diag, -i*f.B))
-				if err != nil {
-					return nil, err
-				}
-				return ev.PrepareMul(pt), nil
-			})
-			if err != nil {
-				pairErrs[p] = err
-				return
-			}
-			if pm == nil {
-				continue
-			}
-			term := ev.MulPlain(babies[item][j], pm)
-			pairOps[p].PlainMults++
-			if inner == nil {
-				inner = term
-			} else {
-				inner = ev.Add(inner, term)
-				pairOps[p].Adds++
-			}
-		}
-		if inner == nil {
-			return
-		}
-		if i > 0 {
-			r, err := ev.RotateRows(inner, i*f.B)
-			if err != nil {
-				pairErrs[p] = err
-				return
-			}
-			pairOps[p].Rotations++
-			inner = r
-		}
-		inners[item][i] = inner
-	})
-	outs := make([]*bfv.Ciphertext, len(items))
-	for item := range items {
-		var total *bfv.Ciphertext
-		for i := 0; i < f.G; i++ {
-			p := item*f.G + i
-			if pairErrs[p] != nil {
-				return nil, nil, pairErrs[p]
-			}
-			opsOut[item].Add(pairOps[p])
-			if inners[item][i] == nil {
-				continue
-			}
-			if total == nil {
-				total = inners[item][i]
-			} else {
-				total = items[item].Ev.Add(total, inners[item][i])
-				opsOut[item].Adds++
-			}
-		}
-		if total == nil {
-			return nil, nil, fmt.Errorf("core: FC weight matrix is all zero")
-		}
-		outs[item] = total
-	}
-	return outs, opsOut, nil
-}
-
-// applyBatchLazy is the level-2/3 batch engine: the lazy schedule of
-// FC.applyLazy with the batch's (item, baby) and (item, giant) work
-// flattened into single worker-pool dispatches, and per-item QP
-// accumulators partitioned per worker so rotations from different
-// requests overlap. The per-item term order matches applyLazy exactly,
-// and every intermediate is exact modular arithmetic, so per-item
-// outputs are byte-identical to the serial path at any level.
+// applyBatchLazy is the level-2/3 engine. Babies share one
+// decomposition of each item's input (level 3 additionally skips their
+// materialization: each baby lands directly in the NTT domain the inner
+// products consume). Per (item, giant) the inner sum accumulates in the
+// NTT domain — one inverse NTT per giant instead of one per term — and
+// the giant-step key-switch products accumulate in the extended basis
+// QP, per-item accumulators partitioned per worker, so each
+// matrix-vector product pays a single full mod-down at the end. The
+// per-item term order matches applyHoisted exactly and every
+// intermediate is exact modular arithmetic, so per-item outputs are
+// byte-identical to the level-1 oracle at any level.
 func (f *FC) applyBatchLazy(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache, level int) ([]*bfv.Ciphertext, []OpCounts, error) {
 	opsOut := make([]OpCounts, len(items))
-
-	// Per-item decomposition of the input (inherently per-request — it
-	// transforms c1), run serially: each already fans its digit NTTs.
-	dcs := make([]*bfv.DecomposedCiphertext, len(items))
-	defer func() {
-		for _, dc := range dcs {
-			if dc != nil {
-				dc.Release()
-			}
-		}
-	}()
-	babies := make([][]*bfv.NTTCiphertext, len(items))
-	defer func() {
-		for i, bs := range babies {
-			for _, b := range bs {
-				if b != nil && b.Value != nil {
-					items[i].Ev.RecycleNTT(b)
-				}
-			}
-		}
-	}()
-	for i, it := range items {
-		babies[i] = make([]*bfv.NTTCiphertext, f.B)
-		babies[i][0] = it.Ev.ToNTT(it.Ct)
-		if f.B > 1 {
-			dc, err := it.Ev.Decompose(it.Ct)
-			if err != nil {
-				return nil, nil, err
-			}
-			dcs[i] = dc
-			opsOut[i].Rotations += f.B - 1
-		}
+	steps := make([]int, f.B) // baby j is the input rotated by j
+	for j := range steps {
+		steps[j] = j
 	}
-
-	// All (item, baby) rotations across the batch in one flat dispatch.
-	if f.B > 1 {
-		nJobs := len(items) * (f.B - 1)
-		babyErrs := make([]error, nJobs)
-		par.For(nJobs, func(k int) {
-			item, j := k/(f.B-1), k%(f.B-1)+1
-			ev := items[item].Ev
-			if level >= 3 {
-				babies[item][j], babyErrs[k] = ev.RotateRowsLazyNTT(dcs[item], j)
-				return
-			}
-			r, err := ev.RotateRowsDecomposed(dcs[item], j)
-			if err != nil {
-				babyErrs[k] = err
-				return
-			}
-			babies[item][j] = ev.ToNTT(r)
-			ev.RecycleCt(r)
-		})
-		for _, e := range babyErrs {
-			if e != nil {
-				return nil, nil, e
-			}
-		}
+	babies, err := nttRotations(items, steps, level < 3)
+	if err != nil {
+		return nil, nil, err
 	}
+	defer recycleRotations(items, babies)
 
-	// Per-(item, giant) inner sums, NTT-accumulated, weight plaintexts
-	// shared through the cache (same keys as every other level).
+	// Per-(item, giant) inner sums. The diagonal is pre-rotated right by
+	// i·B so the outer giant rotation restores alignment.
 	inners := make([][]*bfv.Ciphertext, len(items))
 	for i := range inners {
 		inners[i] = make([]*bfv.Ciphertext, f.G)
+		opsOut[i].Rotations = f.B - 1
 	}
 	defer func() {
 		for i, ins := range inners {
 			for _, in := range ins {
-				if in != nil && in.Value != nil {
+				if in != nil {
 					items[i].Ev.RecycleCt(in)
 				}
 			}
@@ -489,40 +435,17 @@ func (f *FC) applyBatchLazy(ecd *bfv.Encoder, items []BatchInput, slots int, cac
 	par.For(nPairs, func(p int) {
 		item, i := p/f.G, p%f.G
 		ev := items[item].Ev
-		var acc *bfv.NTTCiphertext
-		for j := 0; j < f.B; j++ {
+		inners[item][i], pairOps[p], pairErrs[p] = innerSum(ev, f.B, func(j int) (*bfv.NTTCiphertext, *bfv.PlaintextMul, error) {
 			d := i*f.B + j
-			pm, err := cache.getOrBuild(f, d, func() (*bfv.PlaintextMul, error) {
+			pm, err := cache.prepared(f, d, ev, ecd, func() []int64 {
 				diag := f.diag(d, slots)
 				if diag == nil {
-					return nil, nil
+					return nil
 				}
-				// Pre-rotate the diagonal right by i·B so the outer
-				// giant rotation restores alignment (as in Apply).
-				pt, err := ecd.EncodeInts(f.rotatePlain(diag, -i*f.B))
-				if err != nil {
-					return nil, err
-				}
-				return ev.PrepareMul(pt), nil
+				return f.rotatePlain(diag, -i*f.B)
 			})
-			if err != nil {
-				pairErrs[p] = err
-				return
-			}
-			if pm == nil {
-				continue
-			}
-			if acc == nil {
-				acc = ev.NewNTTAccumulator()
-			} else {
-				pairOps[p].Adds++
-			}
-			ev.MulPlainAcc(acc, babies[item][j], pm)
-			pairOps[p].PlainMults++
-		}
-		if acc != nil {
-			inners[item][i] = ev.FromNTT(acc)
-		}
+			return babies[item][j], pm, err
+		})
 	})
 
 	// Giant fold: per-(item, worker) QP accumulators, merged per item in

@@ -20,6 +20,9 @@ type FC struct {
 	rowSize int
 	// Weights[o][i], quantized.
 	Weights [][]int64
+	// plains holds the operator's own prepared weight plaintexts, used
+	// when ApplyBatch is handed no shared cache.
+	plains *PlainCache
 }
 
 // NewFC validates dimensions against the ciphertext row size.
@@ -37,6 +40,7 @@ func NewFC(in, out int, weights [][]int64, rowSize int) (*FC, error) {
 		return nil, err
 	}
 	fc.Weights = weights
+	fc.plains = NewPlainCache(0)
 	return fc, nil
 }
 
@@ -147,9 +151,8 @@ func (f *FC) HoistLevel() int {
 }
 
 // Apply evaluates y = W·x over the encrypted replicated packing using
-// BSGS at the layer's default hoisting level (HoistLevel). All levels
-// produce byte-identical ciphertexts; they differ only in how much of
-// the key-switching work is shared (see Plan).
+// BSGS at the layer's default hoisting level (HoistLevel): ApplyBatch
+// over one item with the operator's own prepared weight plaintexts.
 func (f *FC) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) (*bfv.Ciphertext, OpCounts, error) {
 	return f.ApplyAtLevel(ev, ecd, ct, slots, f.HoistLevel())
 }
@@ -157,7 +160,8 @@ func (f *FC) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slot
 // ApplyAtLevel evaluates y = W·x at an explicit hoisting level:
 //
 //	1 — Halevi–Shoup: baby rotations share one decomposition, each
-//	    giant step pays a full key switch of its partial sum.
+//	    giant step pays a full key switch of its partial sum. Kept as
+//	    the oracle the other levels are byte-compared against.
 //	2 — QP-lazy giants: giant-step key-switch products accumulate in
 //	    the extended basis QP, so the whole giant sum pays one shared
 //	    INTT + mod-down instead of G−1.
@@ -168,22 +172,17 @@ func (f *FC) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slot
 // Every level returns byte-identical ciphertexts and OpCounts; the
 // levels differ only in physical transform and mod-down counts (Plan).
 func (f *FC) ApplyAtLevel(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots, level int) (*bfv.Ciphertext, OpCounts, error) {
-	if f.Weights == nil {
-		return nil, OpCounts{}, fmt.Errorf("core: Apply on a spec-only FC layer (no weights)")
+	outs, ops, err := f.ApplyBatchAtLevel(ecd, []BatchInput{{Ev: ev, Ct: ct}}, slots, nil, level)
+	if err != nil {
+		return nil, OpCounts{}, err
 	}
-	switch level {
-	case 1:
-		return f.applyHoisted(ev, ecd, ct, slots)
-	case 2, 3:
-		return f.applyLazy(ev, ecd, ct, slots, level)
-	default:
-		return nil, OpCounts{}, fmt.Errorf("core: unknown hoisting level %d", level)
-	}
+	return outs[0], ops[0], nil
 }
 
-// applyHoisted is the level-1 engine: B-1 baby rotations of the
+// applyHoisted is the level-1 oracle: B-1 baby rotations of the
 // ciphertext sharing one hoisted decomposition, G-1 full giant
-// rotations of partial sums, P plaintext multiplies.
+// rotations of partial sums, P plaintext multiplies through the
+// materialized MulPlain + Add chain, every weight plaintext rebuilt.
 func (f *FC) applyHoisted(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) (*bfv.Ciphertext, OpCounts, error) {
 	var ops OpCounts
 
@@ -244,7 +243,7 @@ func (f *FC) applyHoisted(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertex
 			// Each giant step rotates its own partial sum — distinct
 			// operands, one Galois element apiece — so there is no
 			// decomposition to share at this level. What CAN be shared
-			// is the tail of each key switch: levels 2/3 (applyLazy)
+			// is the tail of each key switch: levels 2/3 (applyBatchLazy)
 			// keep the products in the extended basis QP and pay one
 			// mod-down for the whole giant sum.
 			r, err := ev.RotateRows(inner, i*f.B)
@@ -278,175 +277,6 @@ func (f *FC) applyHoisted(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertex
 		return nil, ops, fmt.Errorf("core: FC weight matrix is all zero")
 	}
 	return total, ops, nil
-}
-
-// applyLazy is the level-2/3 engine. Babies share one decomposition of
-// the input (level 3 additionally skips their materialization: each
-// baby lands directly in the NTT domain the inner products consume).
-// Per giant step the inner sum accumulates in the NTT domain — one
-// inverse NTT per giant instead of one per term — and the giant-step
-// key-switch products accumulate in the extended basis QP, so the
-// whole matrix-vector product pays a single full mod-down at the end.
-// Every intermediate is exact modular arithmetic, so the output is
-// byte-identical to applyHoisted's, term order and all.
-func (f *FC) applyLazy(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots, level int) (*bfv.Ciphertext, OpCounts, error) {
-	var ops OpCounts
-
-	babies := make([]*bfv.NTTCiphertext, f.B)
-	babies[0] = ev.ToNTT(ct)
-	defer func() {
-		for _, b := range babies {
-			if b != nil && b.Value != nil {
-				ev.RecycleNTT(b)
-			}
-		}
-	}()
-	if f.B > 1 {
-		dc, err := ev.Decompose(ct)
-		if err != nil {
-			return nil, ops, err
-		}
-		babyErrs := make([]error, f.B)
-		par.For(f.B-1, func(k int) {
-			j := k + 1
-			if level >= 3 {
-				babies[j], babyErrs[j] = ev.RotateRowsLazyNTT(dc, j)
-				return
-			}
-			r, err := ev.RotateRowsDecomposed(dc, j)
-			if err != nil {
-				babyErrs[j] = err
-				return
-			}
-			babies[j] = ev.ToNTT(r)
-			ev.RecycleCt(r)
-		})
-		dc.Release()
-		for _, e := range babyErrs {
-			if e != nil {
-				return nil, ops, e
-			}
-		}
-		ops.Rotations += f.B - 1
-	}
-
-	// Per-giant inner sums, NTT-accumulated: the j order matches
-	// applyHoisted, and the single inverse NTT of the sum equals the
-	// per-term inverse NTTs folded with Add (the transform is linear).
-	inners := make([]*bfv.Ciphertext, f.G)
-	innerOps := make([]OpCounts, f.G)
-	innerErrs := make([]error, f.G)
-	par.For(f.G, func(i int) {
-		var acc *bfv.NTTCiphertext
-		for j := 0; j < f.B; j++ {
-			d := i*f.B + j
-			diag := f.diag(d, slots)
-			if diag == nil {
-				continue
-			}
-			pt, err := ecd.EncodeInts(f.rotatePlain(diag, -i*f.B))
-			if err != nil {
-				innerErrs[i] = err
-				return
-			}
-			if acc == nil {
-				acc = ev.NewNTTAccumulator()
-			} else {
-				innerOps[i].Adds++
-			}
-			ev.MulPlainAcc(acc, babies[j], ev.PrepareMul(pt))
-			innerOps[i].PlainMults++
-		}
-		if acc != nil {
-			inners[i] = ev.FromNTT(acc)
-		}
-	})
-	defer func() {
-		for _, in := range inners {
-			if in != nil && in.Value != nil {
-				ev.RecycleCt(in)
-			}
-		}
-	}()
-
-	// Giant fold: each worker feeds its own QP accumulator; the partials
-	// merge to the same bytes as a serial accumulator because every
-	// field is a plain modular sum.
-	nw := par.MaxWorkers(f.G)
-	qas := make([]*bfv.QPAccumulator, nw)
-	wErrs := make([]error, nw)
-	par.ForWorker(f.G, func(w, i int) {
-		if wErrs[w] != nil || innerErrs[i] != nil || inners[i] == nil {
-			return
-		}
-		if qas[w] == nil {
-			qas[w] = ev.NewQPAccumulator()
-		}
-		if i == 0 {
-			wErrs[w] = ev.AddLazy(qas[w], inners[i])
-			return
-		}
-		dci, err := ev.Decompose(inners[i])
-		if err != nil {
-			wErrs[w] = err
-			return
-		}
-		wErrs[w] = ev.AccumulateQP(qas[w], dci, i*f.B)
-		dci.Release()
-	})
-
-	var firstErr error
-	for i := range innerErrs {
-		if innerErrs[i] != nil {
-			firstErr = innerErrs[i]
-			break
-		}
-	}
-	if firstErr == nil {
-		for w := range wErrs {
-			if wErrs[w] != nil {
-				firstErr = wErrs[w]
-				break
-			}
-		}
-	}
-	var qa *bfv.QPAccumulator
-	for w := 0; w < nw; w++ {
-		if qas[w] == nil {
-			continue
-		}
-		if firstErr != nil {
-			qas[w].Release()
-			continue
-		}
-		if qa == nil {
-			qa = qas[w]
-		} else {
-			qa.Merge(qas[w])
-		}
-	}
-	if firstErr != nil {
-		return nil, ops, firstErr
-	}
-
-	contributed := 0
-	for i := 0; i < f.G; i++ {
-		ops.Add(innerOps[i])
-		if inners[i] == nil {
-			continue
-		}
-		contributed++
-		if i > 0 {
-			ops.Rotations++
-		}
-		if contributed > 1 {
-			ops.Adds++
-		}
-	}
-	if qa == nil {
-		return nil, ops, fmt.Errorf("core: FC weight matrix is all zero")
-	}
-	return ev.FinalizeModDown(qa), ops, nil
 }
 
 // ApplyNaive evaluates the same product with the textbook diagonal

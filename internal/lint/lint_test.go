@@ -87,8 +87,11 @@ func TestNTTDomainFixture(t *testing.T) { runFixture(t, NTTDomain, "nttdomain") 
 func TestInsecureRandFixture(t *testing.T) {
 	runFixture(t, InsecureRand, "insecurerand/internal/sampling")
 }
-func TestPolyCopyFixture(t *testing.T)  { runFixture(t, PolyCopy, "polycopy") }
-func TestPolyPoolFixture(t *testing.T)  { runFixture(t, PolyPool, "polypool/internal/bfv") }
+func TestPolyCopyFixture(t *testing.T) { runFixture(t, PolyCopy, "polycopy") }
+func TestPolyPoolFixture(t *testing.T) { runFixture(t, PolyPool, "polypool/internal/bfv") }
+func TestPolyPoolNTTFixture(t *testing.T) {
+	runFixture(t, PolyPool, "polypool/internal/core")
+}
 func TestLockedNetFixture(t *testing.T) { runFixture(t, LockedNet, "lockednet/internal/serve") }
 func TestLockedNetFabricFixture(t *testing.T) {
 	runFixture(t, LockedNet, "lockednet/internal/fabric")

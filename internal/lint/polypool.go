@@ -17,27 +17,91 @@ var poolPackages = []string{
 }
 
 // PolyPool flags ring scratch polys taken with GetPoly that are not
-// returned with PutPoly on every exit path of the acquiring function.
+// returned with PutPoly on every exit path of the acquiring function,
+// and — the same discipline one level up — NTT-domain ciphertexts from
+// the bfv evaluator (ToNTT, RotateRowsLazyNTT, NewNTTAccumulator: two
+// pool polys each) that do not reach RecycleNTT or FromNTT.
 //
-// A GetPoly result has exactly two legal fates:
+// An acquired value has exactly two legal fates:
 //
-//  1. it is handed back with PutPoly (directly or via defer) before —
-//     in source order, on every path — the function can exit, or
+//  1. it is handed back (directly or via defer) before — in source
+//     order, on every path — the function can exit, or
 //  2. it escapes: it is returned, stored into a field/slice/map,
-//     captured by a closure, or passed to a non-ring function, any of
-//     which transfers ownership to code the analyzer cannot see
-//     (Release methods, output ciphertexts, and the like).
+//     captured by a closure, or passed to a function outside the
+//     owning package's borrow-only API, any of which transfers
+//     ownership to code the analyzer cannot see (Release methods,
+//     output ciphertexts, and the like).
 //
-// A poly that does neither is a pool leak; a poly whose PutPoly is
+// A value that does neither is a pool leak; one whose release is
 // skipped by an early return is the subtler variant the exit-path
-// check exists for. The analysis is lexical (no CFG): a put covers an
-// exit when it precedes it inside a block that also encloses the exit,
-// which matches the structured straight-line scratch usage of the hot
-// paths and never misfires on code that frees before any return.
+// check exists for. The analysis is lexical (no CFG): a release covers
+// an exit when it precedes it inside a block that also encloses the
+// exit, which matches the structured straight-line scratch usage of
+// the hot paths and never misfires on code that frees before any
+// return. The `if err != nil` block that directly follows a fallible
+// acquisition is not an exit the value must cover: it is nil there.
 var PolyPool = &Analyzer{
 	Name: "polypool",
-	Doc:  "flags GetPoly scratch not PutPoly'd on every exit path in the HE hot-path packages",
+	Doc:  "flags pool scratch (GetPoly polys, bfv NTT ciphertexts) not released on every exit path in the HE hot-path packages",
 	Run:  runPolyPool,
+}
+
+// poolRole is what one call does to pooled values of a given kind.
+type poolRole int
+
+const (
+	poolUnknown poolRole = iota // may retain its arguments: they escape
+	poolAcquire                 // first result is a fresh pooled value
+	poolRelease                 // first argument goes back to the pool
+	poolBorrow                  // uses its arguments without retaining them
+)
+
+// poolKind describes one pooled resource: how calls act on it and how
+// a leak is worded.
+type poolKind struct {
+	role     func(info *types.Info, call *ast.CallExpr) poolRole
+	never    string // "%s ..." when no release exists
+	leakyFmt string // "%s ... line %d" when an exit skips the release
+}
+
+var poolKinds = []poolKind{
+	{ // ring scratch polynomials
+		role: func(info *types.Info, call *ast.CallExpr) poolRole {
+			name, isRing := calleeIsRingMethod(info, call)
+			switch {
+			case !isRing:
+				return poolUnknown
+			case name == "GetPoly":
+				return poolAcquire
+			case name == "PutPoly":
+				return poolRelease
+			}
+			// Other ring operations (NTT, MulCoeffs*, Automorphism, Poly
+			// methods, …) borrow the poly without retaining it.
+			return poolBorrow
+		},
+		never:    "%s is taken from the poly pool but never returned with PutPoly (and never escapes)",
+		leakyFmt: "%s is not returned with PutPoly on every exit path (leaky exit at line %d)",
+	},
+	{ // bfv NTT-domain ciphertexts
+		role: func(info *types.Info, call *ast.CallExpr) poolRole {
+			fn := calleeFunc(info, call)
+			if fn == nil || fn.Pkg() == nil || !pkgPathHasSuffix(fn.Pkg().Path(), "internal/bfv") {
+				return poolUnknown
+			}
+			switch fn.Name() {
+			case "ToNTT", "RotateRowsLazyNTT", "NewNTTAccumulator":
+				return poolAcquire
+			case "RecycleNTT", "FromNTT":
+				return poolRelease
+			case "MulPlainAcc":
+				return poolBorrow
+			}
+			return poolUnknown
+		},
+		never:    "%s is an NTT ciphertext from the scratch pool that never reaches RecycleNTT or FromNTT (and never escapes)",
+		leakyFmt: "%s does not reach RecycleNTT or FromNTT on every exit path (leaky exit at line %d)",
+	},
 }
 
 func runPolyPool(pass *Pass) error {
@@ -55,13 +119,17 @@ func runPolyPool(pass *Pass) error {
 		ast.Inspect(file, func(n ast.Node) bool {
 			// Each function body — declarations and literals alike — is
 			// its own analysis unit: a closure owns the polys it gets.
+			var body *ast.BlockStmt
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
-				if fn.Body != nil {
-					analyzePoolUnit(pass, fn.Body)
-				}
+				body = fn.Body
 			case *ast.FuncLit:
-				analyzePoolUnit(pass, fn.Body)
+				body = fn.Body
+			}
+			if body != nil {
+				for _, kind := range poolKinds {
+					analyzePoolUnit(pass, body, kind)
+				}
 			}
 			return true
 		})
@@ -69,7 +137,10 @@ func runPolyPool(pass *Pass) error {
 	return nil
 }
 
-// poolGet tracks one v := r.GetPoly() acquisition inside a unit.
+// poolGet tracks one acquisition (v := r.GetPoly(), x, err :=
+// ev.RotateRowsLazyNTT(...)) inside a unit. end is where the value
+// starts to exist for the exit check: the end of the assignment, or of
+// the `if err != nil` block that directly follows a fallible one.
 type poolGet struct {
 	obj      types.Object
 	name     string
@@ -80,13 +151,13 @@ type poolGet struct {
 	puts     []poolPut
 }
 
-// poolPut is one r.PutPoly(v) (possibly deferred) for a tracked poly.
+// poolPut is one release (possibly deferred) of a tracked value.
 type poolPut struct {
 	end   token.Pos
 	block *ast.BlockStmt
 }
 
-func analyzePoolUnit(pass *Pass, body *ast.BlockStmt) {
+func analyzePoolUnit(pass *Pass, body *ast.BlockStmt, kind poolKind) {
 	info := pass.TypesInfo
 	gets := map[types.Object]*poolGet{}
 
@@ -98,18 +169,30 @@ func analyzePoolUnit(pass *Pass, body *ast.BlockStmt) {
 		case *ast.FuncLit:
 			return
 		case *ast.BlockStmt:
-			for _, s := range n.List {
+			for i, s := range n.List {
 				collect(s, n)
+				// x, err := acquire(); if err != nil { ... }: x is nil
+				// inside that block, so its exits owe no release.
+				as, ok := s.(*ast.AssignStmt)
+				if !ok || len(as.Lhs) != 2 || i+1 == len(n.List) {
+					continue
+				}
+				g := gets[objOf(info, identOf(as.Lhs[0]))]
+				if g == nil || g.end != as.End() {
+					continue
+				}
+				if ifs, ok := n.List[i+1].(*ast.IfStmt); ok && isNilCheckOf(info, ifs.Cond, identOf(as.Lhs[1])) {
+					g.end = ifs.End()
+				}
 			}
 			return
 		case *ast.AssignStmt:
-			if len(n.Lhs) == len(n.Rhs) {
+			// v := acquire() pairs each value with its call; a fallible
+			// acquisition yields (v, err) from a single call.
+			if len(n.Lhs) == len(n.Rhs) || len(n.Rhs) == 1 {
 				for i, rhs := range n.Rhs {
 					call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-					if !ok {
-						continue
-					}
-					if name, isRing := calleeIsRingMethod(info, call); !isRing || name != "GetPoly" {
+					if !ok || kind.role(info, call) != poolAcquire {
 						continue
 					}
 					id, ok := n.Lhs[i].(*ast.Ident)
@@ -170,27 +253,28 @@ func analyzePoolUnit(pass *Pass, body *ast.BlockStmt) {
 			}
 			return
 		case *ast.CallExpr:
-			name, isRing := calleeIsRingMethod(info, n)
-			if isRing && name == "PutPoly" && len(n.Args) == 1 {
-				if g := gets[objOf(info, identOf(n.Args[0]))]; g != nil {
-					g.puts = append(g.puts, poolPut{end: n.End(), block: blk})
-					return
+			switch kind.role(info, n) {
+			case poolRelease:
+				if len(n.Args) >= 1 {
+					if g := gets[objOf(info, identOf(n.Args[0]))]; g != nil {
+						g.puts = append(g.puts, poolPut{end: n.End(), block: blk})
+						return
+					}
 				}
-			}
-			if isRing {
-				// Other ring operations (NTT, MulCoeffs*, Automorphism,
-				// Poly methods, …) borrow the poly without retaining it.
-				break
-			}
-			// Unknown callee: assume it may retain its poly arguments.
-			for _, arg := range n.Args {
-				markEscapes(arg)
+			case poolUnknown:
+				// Assume the callee may retain its arguments.
+				for _, arg := range n.Args {
+					markEscapes(arg)
+				}
 			}
 		case *ast.AssignStmt:
 			// Storing a tracked poly anywhere (slice element, field,
 			// fresh alias) transfers ownership. The acquisition itself
 			// is immune: markEscapes ignores uses at or before it.
 			for _, rhs := range n.Rhs {
+				if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && kind.role(info, call) != poolUnknown {
+					continue // a release, a borrow or a fresh acquisition: the call case decides
+				}
 				markEscapes(rhs)
 			}
 		case *ast.CompositeLit:
@@ -223,8 +307,7 @@ func analyzePoolUnit(pass *Pass, body *ast.BlockStmt) {
 			continue
 		}
 		if len(g.puts) == 0 {
-			pass.Reportf(g.pos,
-				"%s is taken from the poly pool but never returned with PutPoly (and never escapes)", g.name)
+			pass.Reportf(g.pos, kind.never, g.name)
 			continue
 		}
 		if !g.topLevel {
@@ -244,13 +327,21 @@ func analyzePoolUnit(pass *Pass, body *ast.BlockStmt) {
 				}
 			}
 			if !covered {
-				pass.Reportf(g.pos,
-					"%s is not returned with PutPoly on every exit path (leaky exit at line %d)",
-					g.name, pass.Fset.Position(exit).Line)
+				pass.Reportf(g.pos, kind.leakyFmt, g.name, pass.Fset.Position(exit).Line)
 				break
 			}
 		}
 	}
+}
+
+// isNilCheckOf reports whether cond is `id != nil`.
+func isNilCheckOf(info *types.Info, cond ast.Expr, id *ast.Ident) bool {
+	b, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok || b.Op != token.NEQ || id == nil {
+		return false
+	}
+	x, y := identOf(b.X), identOf(b.Y)
+	return x != nil && y != nil && y.Name == "nil" && objOf(info, x) == objOf(info, id)
 }
 
 // walkChildren applies fn to every immediate child node of n, using

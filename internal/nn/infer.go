@@ -229,10 +229,7 @@ func (r *Runner) Infer(image [][]int64, clientEnd, serverEnd protocol.Transport)
 			if err != nil {
 				return nil, stats, err
 			}
-			// Kernel selection: the layer's geometry picks the hoisting
-			// level (level 3 — lazy babies + QP-lazy giants — whenever
-			// the layer rotates; all levels are byte-identical).
-			out, ops, err := fc.ApplyAtLevel(r.ev, r.ecd, srvIn, slots, fc.HoistLevel())
+			out, ops, err := fc.Apply(r.ev, r.ecd, srvIn, slots)
 			if err != nil {
 				return nil, stats, fmt.Errorf("nn: layer %d fc: %w", i, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"choco/internal/bfv"
+	"choco/internal/core"
 	"choco/internal/protocol"
 )
 
@@ -206,6 +207,61 @@ func TestClientAidedInferenceMatchesPlain(t *testing.T) {
 		t.Error("DNN inference must not use ciphertext multiplies")
 	}
 	t.Logf("client-aided stats: %+v", stats)
+}
+
+// TestLeNetSmServerOpCounts pins the logical work of one LeNet-Sm
+// request at bfv-B — the counts the benchmark reports as
+// core.*_per_request: 164 rotations, 603 plaintext multiplies, 596
+// additions. They are a property of the layer shapes (no weight is
+// zero, so no diagonal is skipped) and must not move when the engine
+// underneath changes schedule.
+func TestLeNetSmServerOpCounts(t *testing.T) {
+	net := LeNetSmall()
+	m := SynthesizeWeights(net, 4, [32]byte{6})
+	noZeros := func(ws []int64) {
+		for i, w := range ws {
+			if w == 0 {
+				ws[i] = 1
+			}
+		}
+	}
+	for _, layer := range m.ConvW {
+		for _, out := range layer {
+			for _, in := range out {
+				noZeros(in)
+			}
+		}
+	}
+	for _, layer := range m.FCW {
+		for _, row := range layer {
+			noZeros(row)
+		}
+	}
+	img := SynthesizeImage(net, 4, [32]byte{7})
+	want, err := PlainInference(m, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := NewRunner(m, [32]byte{8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientEnd, serverEnd := protocol.NewPipe()
+	defer clientEnd.Close()
+	for _, label := range []string{"cold", "warm"} {
+		got, stats, err := runner.Infer(img, clientEnd, serverEnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: logit %d: encrypted %d vs plain %d", label, i, got[i], want[i])
+			}
+		}
+		if wantOps := (core.OpCounts{Rotations: 164, PlainMults: 603, Adds: 596}); stats.Server != wantOps {
+			t.Errorf("%s: server ops %+v, want %+v", label, stats.Server, wantOps)
+		}
+	}
 }
 
 func TestActivationCountAndShapeK(t *testing.T) {

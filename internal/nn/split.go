@@ -484,62 +484,83 @@ func (s *InferenceServer) ServeOne(t protocol.Transport) (core.OpCounts, error) 
 // I/O timeout for the frames that follow. Returns the server-side
 // operation counts. Errors carry the failing layer and frame role.
 func (sess *ServerSession) ServeOne(t protocol.Transport) (core.OpCounts, error) {
+	return sess.ServeOneAccounted(t, nil)
+}
+
+// ServeOneAccounted is ServeOne for servers that publish per-request
+// counters: account, when non-nil, runs once with the request's
+// operation counts after the last layer is evaluated and before its
+// final output frame is sent. That frame is what lets the client see
+// the request as finished, so whatever account records is visible to
+// anyone who has seen the reply. It is not called if the request fails
+// before that point.
+func (sess *ServerSession) ServeOneAccounted(t protocol.Transport, account func(core.OpCounts)) (core.OpCounts, error) {
 	var ops core.OpCounts
 	s := sess.s
 	slots := s.ctx.Params.Slots()
-	for i, l := range s.Model.Net.Layers {
-		switch l.Kind {
-		case Conv:
-			raw, err := t.Recv()
-			if err != nil {
-				return ops, fmt.Errorf("nn: layer %d (conv) recv input: %w", i, err)
+	layers := s.Model.Net.Layers
+	last := -1
+	for i, l := range layers {
+		if l.Kind == Conv || l.Kind == FC {
+			last = i
+		}
+	}
+	for i, l := range layers {
+		if l.Kind != Conv && l.Kind != FC {
+			continue
+		}
+		kind := "conv"
+		if l.Kind == FC {
+			kind = "fc"
+		}
+		raw, err := t.Recv()
+		if err != nil {
+			return ops, fmt.Errorf("nn: layer %d (%s) recv input: %w", i, kind, err)
+		}
+		ct, err := protocol.UnmarshalAnyBFV(s.ctx, raw)
+		if err != nil {
+			return ops, fmt.Errorf("nn: layer %d (%s) decode input (%d B): %w", i, kind, len(raw), err)
+		}
+		outs, layerOps, err := sess.evalLayer(i, l.Kind, ct, slots)
+		if err != nil {
+			return ops, fmt.Errorf("nn: layer %d (%s) evaluate: %w", i, kind, err)
+		}
+		ops.Add(layerOps)
+		for g, o := range outs {
+			if account != nil && i == last && g == len(outs)-1 {
+				account(ops)
 			}
-			ct, err := protocol.UnmarshalAnyBFV(s.ctx, raw)
-			if err != nil {
-				return ops, fmt.Errorf("nn: layer %d (conv) decode input (%d B): %w", i, len(raw), err)
-			}
-			var outs []*bfv.Ciphertext
-			var layerOps core.OpCounts
-			if sess.exec != nil {
-				outs, layerOps, err = sess.exec.ExecConv(i, s.convs[i], sess.ev, ct, slots)
-			} else {
-				outs, layerOps, err = s.convs[i].Apply(sess.ev, s.ecd, ct, slots)
-			}
-			if err != nil {
-				return ops, fmt.Errorf("nn: layer %d (conv) evaluate: %w", i, err)
-			}
-			ops.Add(layerOps)
-			for g, o := range outs {
-				if err := t.Send(protocol.MarshalBFV(o)); err != nil {
-					return ops, fmt.Errorf("nn: layer %d (conv) send output group %d/%d: %w", i, g+1, len(outs), err)
-				}
-			}
-		case FC:
-			raw, err := t.Recv()
-			if err != nil {
-				return ops, fmt.Errorf("nn: layer %d (fc) recv input: %w", i, err)
-			}
-			ct, err := protocol.UnmarshalAnyBFV(s.ctx, raw)
-			if err != nil {
-				return ops, fmt.Errorf("nn: layer %d (fc) decode input (%d B): %w", i, len(raw), err)
-			}
-			var out *bfv.Ciphertext
-			var layerOps core.OpCounts
-			if sess.exec != nil {
-				out, layerOps, err = sess.exec.ExecFC(i, s.fcs[i], sess.ev, ct, slots)
-			} else {
-				out, layerOps, err = s.fcs[i].Apply(sess.ev, s.ecd, ct, slots)
-			}
-			if err != nil {
-				return ops, fmt.Errorf("nn: layer %d (fc) evaluate: %w", i, err)
-			}
-			ops.Add(layerOps)
-			if err := t.Send(protocol.MarshalBFV(out)); err != nil {
-				return ops, fmt.Errorf("nn: layer %d (fc) send output: %w", i, err)
+			if err := t.Send(protocol.MarshalBFV(o)); err != nil {
+				return ops, fmt.Errorf("nn: layer %d (%s) send output group %d/%d: %w", i, kind, g+1, len(outs), err)
 			}
 		}
 	}
 	return ops, nil
+}
+
+// evalLayer evaluates linear layer i over one input, through the
+// session's executor when one is installed; an FC layer's single output
+// comes back as a one-element group list.
+func (sess *ServerSession) evalLayer(i int, kind LayerKind, ct *bfv.Ciphertext, slots int) ([]*bfv.Ciphertext, core.OpCounts, error) {
+	s := sess.s
+	if kind == Conv {
+		if sess.exec != nil {
+			return sess.exec.ExecConv(i, s.convs[i], sess.ev, ct, slots)
+		}
+		return s.convs[i].Apply(sess.ev, s.ecd, ct, slots)
+	}
+	var out *bfv.Ciphertext
+	var ops core.OpCounts
+	var err error
+	if sess.exec != nil {
+		out, ops, err = sess.exec.ExecFC(i, s.fcs[i], sess.ev, ct, slots)
+	} else {
+		out, ops, err = s.fcs[i].Apply(sess.ev, s.ecd, ct, slots)
+	}
+	if err != nil {
+		return nil, ops, err
+	}
+	return []*bfv.Ciphertext{out}, ops, nil
 }
 
 // ServerOps aliases the operation-count type returned by ServeOne so

@@ -31,12 +31,12 @@ import (
 // item executes immediately as a one-item round, so the window (default
 // 2ms) is only ever waited out when there are peers worth waiting for.
 //
-// Correctness: core.ApplyBatch is byte-identical per item to Apply
-// (the serial oracle), so batched and serial connections may be mixed
-// freely. If a round's ApplyBatch fails, the leader falls back to
-// serial per-item Apply so one session's bad input (e.g. a missing
-// Galois key) cannot poison its batch-mates — error semantics stay
-// exactly those of the serial path.
+// Correctness: core.ApplyBatch is byte-identical per item for any
+// batch composition (serial Apply is a batch of one), so batched and
+// unbatched connections may be mixed freely. If a round's ApplyBatch
+// fails, the leader replays its items one by one so one session's bad
+// input (e.g. a missing Galois key) cannot poison its batch-mates —
+// error semantics stay exactly those of the serial path.
 
 type batchItem struct {
 	layer int
@@ -80,7 +80,7 @@ type batchExecutor struct {
 	rounds       atomic.Int64 // executed gather rounds
 	items        atomic.Int64 // work items that went through the executor
 	coalesced    atomic.Int64 // items that shared a round with at least one other
-	serialRescue atomic.Int64 // items replayed serially after a batch failure
+	serialRescue atomic.Int64 // items replayed one by one after a batch failure
 }
 
 func newBatchExecutor(ecd *bfv.Encoder, depth int, window time.Duration, cacheBytes int64) *batchExecutor {
@@ -180,6 +180,25 @@ func (x *batchExecutor) run(items []*batchItem) {
 }
 
 func (x *batchExecutor) runGroup(group []*batchItem) {
+	results := x.apply(group)
+	if results[0].err != nil && len(group) > 1 {
+		// One item poisoned the batch (bad ciphertext, missing rotation
+		// key): replay everyone as a batch of one, over the same warm
+		// plaintext cache, so only the guilty session fails.
+		x.serialRescue.Add(int64(len(group)))
+		for i, it := range group {
+			results[i] = x.apply([]*batchItem{it})[0]
+		}
+	}
+	for i, it := range group {
+		it.done <- results[i]
+	}
+}
+
+// apply evaluates same-layer items through one ApplyBatch call. A
+// failure is reported on every item: the kernel does not say whose
+// input caused it.
+func (x *batchExecutor) apply(group []*batchItem) []batchResult {
 	ins := make([]core.BatchInput, len(group))
 	for i, it := range group {
 		ins[i] = core.BatchInput{Ev: it.ev, Ct: it.ct}
@@ -193,41 +212,20 @@ func (x *batchExecutor) runGroup(group []*batchItem) {
 	} else {
 		var flat []*bfv.Ciphertext
 		flat, ops, err = first.fc.ApplyBatch(x.ecd, ins, first.slots, x.cache)
-		if err == nil {
-			outs = make([][]*bfv.Ciphertext, len(flat))
-			for i, ct := range flat {
-				outs[i] = []*bfv.Ciphertext{ct}
-			}
+		outs = make([][]*bfv.Ciphertext, len(flat))
+		for i, ct := range flat {
+			outs[i] = []*bfv.Ciphertext{ct}
 		}
 	}
-	if err == nil {
-		for i, it := range group {
-			it.done <- batchResult{outs: outs[i], ops: ops[i]}
+	results := make([]batchResult, len(group))
+	for i := range results {
+		if err != nil {
+			results[i].err = err
+			continue
 		}
-		return
+		results[i] = batchResult{outs: outs[i], ops: ops[i]}
 	}
-	if len(group) == 1 {
-		first.done <- batchResult{err: err}
-		return
-	}
-	// One item poisoned the batch (bad ciphertext, missing rotation
-	// key): replay everyone serially so only the guilty session fails.
-	x.serialRescue.Add(int64(len(group)))
-	for _, it := range group {
-		it.done <- x.runSerial(it)
-	}
-}
-
-func (x *batchExecutor) runSerial(it *batchItem) batchResult {
-	if it.conv != nil {
-		outs, ops, err := it.conv.Apply(it.ev, x.ecd, it.ct, it.slots)
-		return batchResult{outs: outs, ops: ops, err: err}
-	}
-	out, ops, err := it.fc.Apply(it.ev, x.ecd, it.ct, it.slots)
-	if err != nil {
-		return batchResult{err: err}
-	}
-	return batchResult{outs: []*bfv.Ciphertext{out}, ops: ops}
+	return results
 }
 
 // BatchStats is a point-in-time snapshot of the executor.
@@ -243,7 +241,7 @@ type BatchStats struct {
 	Rounds         int64
 	Items          int64
 	CoalescedItems int64
-	// SerialRescues counts items replayed serially after a failed batch.
+	// SerialRescues counts items replayed one by one after a failed batch.
 	SerialRescues int64
 	// PlainCache reports the shared prepared-weight-plaintext cache:
 	// every hit is one skipped encode+lift+NTT pipeline.

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -191,6 +192,104 @@ func TestBatchExecutorSoloBypass(t *testing.T) {
 	}
 	if st.PlainCache.Entries == 0 {
 		t.Error("solo bypass skipped the shared plaintext cache")
+	}
+}
+
+// TestBatchExecutorRescue poisons a two-item conv round with a session
+// that lacks one rotation key. The round's ApplyBatch fails as a whole;
+// the leader must replay both items as batches of one, so the healthy
+// session gets its byte-exact result, only the guilty one fails, and
+// the replay fills the executor's own plaintext cache rather than a
+// second copy behind the operator's Apply.
+func TestBatchExecutorRescue(t *testing.T) {
+	ctx, err := bfv.NewContext(bfv.PresetTest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := core.ConvSpec{InH: 14, InW: 14, InC: 2, KH: 3, KW: 3, OutC: 3}
+	src := sampling.NewSource([32]byte{35}, "serve-batch-rescue")
+	weights := make([][][]int64, spec.OutC)
+	for o := range weights {
+		weights[o] = make([][]int64, spec.InC)
+		for c := range weights[o] {
+			weights[o][c] = make([]int64, spec.KH*spec.KW)
+			for k := range weights[o][c] {
+				weights[o][c][k] = int64(src.Intn(7)) - 3
+			}
+		}
+	}
+	conv, err := core.NewConv2D(spec, weights, ctx.Params.N()/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecd := bfv.NewEncoder(ctx)
+	slots := ctx.Params.Slots()
+	steps := conv.RotationSteps()
+	evs := make([]*bfv.Evaluator, 2)
+	cts := make([]*bfv.Ciphertext, 2)
+	for i, keyed := range [][]int{steps, steps[:len(steps)-1]} {
+		kg := bfv.NewKeyGenerator(ctx, [32]byte{90 + byte(i)})
+		sk := kg.GenSecretKey()
+		evs[i] = bfv.NewEvaluator(ctx, nil, kg.GenRotationKeys(sk, keyed...))
+		image := make([][]int64, spec.InC)
+		for c := range image {
+			image[c] = make([]int64, spec.InH*spec.InW)
+			for j := range image[c] {
+				image[c][j] = int64(src.Intn(15)) - 7
+			}
+		}
+		packed, err := conv.PackInput(image, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := bfv.NewEncryptor(ctx, kg.GenPublicKey(sk), [32]byte{95 + byte(i)})
+		if cts[i], err = enc.EncryptInts(packed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, wantOps, err := conv.Apply(evs[0], ecd, cts[0], slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	x := newBatchExecutor(ecd, 2, 10*time.Second, 0) // depth-triggered, as above
+	outs := make([][]*bfv.Ciphertext, 2)
+	ops := make([]core.OpCounts, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range evs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i], ops[i], errs[i] = x.ExecConv(0, conv, evs[i], cts[i], slots)
+		}(i)
+	}
+	wg.Wait()
+
+	if errs[0] != nil {
+		t.Fatalf("healthy session failed with its batch-mate: %v", errs[0])
+	}
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), "missing Galois key") {
+		t.Fatalf("session without a rotation key: err = %v", errs[1])
+	}
+	if ops[0] != wantOps || len(outs[0]) != len(want) {
+		t.Fatalf("rescued session: ops %+v, %d groups; serial %+v, %d groups", ops[0], len(outs[0]), wantOps, len(want))
+	}
+	for g := range want {
+		for p := range want[g].Value {
+			if !ctx.RingQ.Equal(outs[0][g].Value[p], want[g].Value[p]) {
+				t.Errorf("rescued session group %d poly %d differs from serial Apply", g, p)
+			}
+		}
+	}
+	st := x.stats()
+	if st.Rounds != 1 || st.SerialRescues != 2 {
+		t.Errorf("executor stats %+v: want one round with both items rescued", st)
+	}
+	// The failed round and the guilty replay stop at the rotations; the
+	// healthy replay is what fills the executor's cache, once.
+	if pc := st.PlainCache; pc.Entries == 0 || int64(pc.Entries) != pc.Misses {
+		t.Errorf("the rescue did not fill the executor's plaintext cache exactly once: %+v", pc)
 	}
 }
 

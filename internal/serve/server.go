@@ -309,21 +309,26 @@ func (s *Server) ServeTransport(ctx context.Context, t protocol.Transport) error
 		if ctx.Err() != nil {
 			return nil // graceful drain: stop between requests
 		}
-		reqStart := time.Now()
-		ops, err := sess.ServeOne(t)
+		reqStart, n := time.Now(), inferences+1
+		// The request is accounted before its last reply frame leaves:
+		// a client that has its answer, or a /fleet poll it triggers,
+		// never finds counters that lack it. (The latency sample
+		// therefore ends at the hand-off to the final write.)
+		_, err := sess.ServeOneAccounted(t, func(ops nn.ServerOps) {
+			inferences++
+			s.acct.inferences.Add(1)
+			if tenant != "" {
+				s.tenants.addInference(tenant)
+			}
+			s.acct.addOps(ops)
+			s.acct.inferLat.observe(time.Since(reqStart))
+		})
 		if err != nil {
 			if s.sessionOver(t, err) {
 				return nil
 			}
-			return fmt.Errorf("inference %d failed: %w", inferences+1, err)
+			return fmt.Errorf("inference %d failed: %w", n, err)
 		}
-		inferences++
-		s.acct.inferences.Add(1)
-		if tenant != "" {
-			s.tenants.addInference(tenant)
-		}
-		s.acct.addOps(ops)
-		s.acct.inferLat.observe(time.Since(reqStart))
 	}
 }
 

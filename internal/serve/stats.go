@@ -167,7 +167,7 @@ type Stats struct {
 	ServerOps core.OpCounts
 
 	SetupLatency     LatencySummary // hello + key install (or cache hit)
-	InferenceLatency LatencySummary // one full ServeOne exchange
+	InferenceLatency LatencySummary // one ServeOne exchange, up to the hand-off of its last reply frame
 
 	// Batching reports the cross-request batching executor (gather
 	// rounds, coalesced items, and the shared weight-plaintext cache);
