@@ -18,7 +18,9 @@
 #                  and the concurrent first use of a decomposition's
 #                  hoisted NTT(c0) 10 times
 #   make debug   — tests with the chocodebug assertion layer compiled in
-#                  (ring, bfv, and the core operators that drive them)
+#                  (ring, bfv, and the core operators that drive them:
+#                  the QP accumulator invariants cover both the FC and
+#                  the conv giant fold)
 #   make purego  — tests with the vector kernels compiled out (the
 #                  scalar-only build every non-amd64 target gets)
 #   make bench   — paper-table benchmark generators; also regenerates
@@ -46,7 +48,10 @@
 #                  noise gate (3·MAD over the cached history)
 
 #   make fuzz    — 30-second smoke run of each internal/protocol fuzz
-#                  target (frame parser and hello-frame round-trip)
+#                  target (frame parser, hello-frame round-trip, and the
+#                  BFV and CKKS ciphertext decoders, whose 64 KB inputs
+#                  run with minimization off: the engine otherwise
+#                  spends the whole window shrinking one input)
 #   make bench-e2e — the repository's benchmark (benchmark/README.md):
 #                  four workloads end to end through real HE over the
 #                  real protocol, untraced then traced, ~4 min
@@ -85,6 +90,8 @@ purego:
 fuzz:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzHelloFrame$$' -fuzztime 30s
+	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalBFV$$' -fuzztime 30s -fuzzminimizetime 0
+	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalCKKS$$' -fuzztime 30s -fuzzminimizetime 0
 
 bench-e2e:
 	$(GO) run ./benchmark

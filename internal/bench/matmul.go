@@ -149,6 +149,136 @@ func Matmul() (string, []MatmulBench, error) {
 		}
 	}
 
+	// LeNet-Sm's conv2 at PresetB on the same BSGS executor: the plan's
+	// key-switching work priced from its unit costs, against the measured
+	// warm Apply — the cost sheet as a checked model.
+	{
+		ctx, err := bfv.NewContext(bfv.PresetB())
+		if err != nil {
+			return "", nil, err
+		}
+		spec := core.ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}
+		w := make([][][]int64, spec.OutC)
+		for o := range w {
+			w[o] = make([][]int64, spec.InC)
+			for c := range w[o] {
+				w[o][c] = make([]int64, spec.KH*spec.KW)
+				for k := range w[o][c] {
+					w[o][c][k] = int64((o*31+c*7+k*3)%15) - 7
+					if w[o][c][k] == 0 {
+						w[o][c][k] = 1
+					}
+				}
+			}
+		}
+		conv, err := core.NewConv2D(spec, w, ctx.Params.N()/2)
+		if err != nil {
+			return "", nil, err
+		}
+		kg := bfv.NewKeyGenerator(ctx, [32]byte{55})
+		sk := kg.GenSecretKey()
+		steps := conv.RotationSteps()
+		ev := bfv.NewEvaluator(ctx, nil, kg.GenRotationKeys(sk, steps...))
+		ecd := bfv.NewEncoder(ctx)
+		slots := ctx.Params.Slots()
+		image := make([][]int64, spec.InC)
+		for c := range image {
+			image[c] = make([]int64, spec.InH*spec.InW)
+			for i := range image[c] {
+				image[c][i] = int64((c*17+i*13)%15) - 7
+			}
+		}
+		packed, err := conv.PackInput(image, slots)
+		if err != nil {
+			return "", nil, err
+		}
+		ct, err := bfv.NewEncryptor(ctx, kg.GenPublicKey(sk), [32]byte{56}).EncryptInts(packed)
+		if err != nil {
+			return "", nil, err
+		}
+		apply := func() error {
+			outs, _, err := conv.Apply(ev, ecd, ct, slots)
+			for _, o := range outs {
+				ctx.RecycleCt(o)
+			}
+			return err
+		}
+		if err := apply(); err != nil { // fills the operator's plaintext store
+			return "", nil, err
+		}
+		plan := conv.Plan()
+		rec := measure("conv2-apply-lenetsm", "bfv-B", plan.Level, plan.String(), func(bb *testing.B) {
+			bb.ReportAllocs()
+			for i := 0; i < bb.N; i++ {
+				if err := apply(); err != nil {
+					bb.Fatal(err)
+				}
+			}
+		})
+
+		// Unit costs of the plan's four kinds of work (not recorded: the
+		// benchmark's bfv.* rows own them).
+		dc, err := ev.Decompose(ct)
+		if err != nil {
+			return "", nil, err
+		}
+		defer dc.Release()
+		unit := func(fn func() error) float64 {
+			var failed error
+			r := testing.Benchmark(func(bb *testing.B) {
+				for i := 0; i < bb.N && failed == nil; i++ {
+					failed = fn()
+				}
+			})
+			if failed != nil {
+				err = failed
+			}
+			return float64(r.NsPerOp()) / 1e6
+		}
+		decompose := unit(func() error {
+			d, err := ev.Decompose(ct)
+			if err == nil {
+				d.Release()
+			}
+			return err
+		})
+		baby := unit(func() error {
+			nc, err := ev.RotateRowsLazyNTT(dc, steps[0])
+			if err == nil {
+				ev.RecycleNTT(nc)
+			}
+			return err
+		})
+		giant := unit(func() error {
+			qa := ev.NewQPAccumulator()
+			defer qa.Release()
+			return ev.AccumulateQP(qa, dc, steps[len(steps)-1])
+		})
+		modDown := unit(func() error {
+			qa := ev.NewQPAccumulator()
+			if err := ev.AddLazy(qa, ct); err != nil {
+				qa.Release()
+				return err
+			}
+			ctx.RecycleCt(ev.FinalizeModDown(qa))
+			return nil
+		})
+		if err != nil {
+			return "", nil, err
+		}
+		predicted := float64(plan.Decompositions)*decompose + float64(plan.BabySteps)*baby +
+			float64(plan.GiantSteps)*giant + float64(plan.ModDowns)*modDown
+		measured := float64(rec.NsPerOp) / 1e6
+		fmt.Fprintf(&b, "bfv-B LeNet-Sm conv2 (14x14, 5x5, 4->6 channels, Cb=%d, %d groups): %d rotation keys\n",
+			conv.Cb, conv.Groups(), len(steps))
+		fmt.Fprintf(&b, "  plan: %s\n", plan)
+		fmt.Fprintf(&b, "  unit costs: decompose %.3f ms, lazy NTT baby %.3f ms, QP giant %.3f ms, mod-down %.3f ms\n",
+			decompose, baby, giant, modDown)
+		fmt.Fprintf(&b, "  key switching predicted %.2f ms; warm Apply measured %.2f ms (%d allocs/op); the other %.2f ms is its %d plaintext multiply-accumulates and %d inverse NTTs\n",
+			predicted, measured, rec.AllocsPerOp, measured-predicted,
+			conv.Groups()*conv.Cb*spec.KH*spec.KW, conv.Groups()*conv.Cb)
+	}
+
 	// CKKS at PresetC: the lazy rotation-sum primitive the approximate
 	// scheme's linear layers fold with, against the rotate-and-add
 	// serial fold it is byte-identical to.

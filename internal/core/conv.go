@@ -26,11 +26,15 @@ func (s ConvSpec) MACs() int64 {
 
 // Conv2D is an encrypted convolution operator. Input channels are
 // packed with rotational redundancy into power-of-two-strided blocks of
-// one ciphertext row; kernel-offset and channel-block alignments are
-// plain rotations shared across output groups; weights enter as
-// block-diagonal plaintexts, so the whole layer uses exactly one
-// multiplication per alignment — the paper's "optimal multiplication
-// efficiency".
+// one ciphertext row; weights enter as block-diagonal plaintexts, so the
+// whole layer uses exactly one multiplication per (output group,
+// channel-block shift, kernel offset) alignment — the paper's "optimal
+// multiplication efficiency". The alignment step(d, δ) = d·Stride + δ is
+// additive, so the layer runs on the BSGS schedule (applyBSGS): the
+// kernel offsets are baby rotations of the input shared by every output
+// group, and each group folds its shifted inner sums with one giant
+// rotation per block shift — KH·KW − 1 + Groups·(Cb − 1) key switches
+// where a rotation per alignment would pay Cb·KH·KW − 1.
 type Conv2D struct {
 	Spec   ConvSpec
 	Layout rotred.Layout
@@ -124,21 +128,56 @@ func (c *Conv2D) step(d, delta int) int {
 	return ((s % c.rowSize) + c.rowSize) % c.rowSize
 }
 
-// RotationSteps lists every rotation amount Apply may use, each once
-// (block-shift × kernel-offset pairs whose steps alias modulo the row
-// size share one rotation); generate Galois keys for exactly these.
-func (c *Conv2D) RotationSteps() []int {
-	seen := map[int]bool{}
-	var steps []int
+// shiftLive reports whether block shift d can carry a weight of output
+// group g: some block b holds an output channel of the group and reads
+// an input channel (b+d) mod Cb that exists.
+func (c *Conv2D) shiftLive(g, d int) bool {
+	for b := 0; b < c.Cb && g*c.Cb+b < c.Spec.OutC; b++ {
+		if (b+d)%c.Cb < c.Spec.InC {
+			return true
+		}
+	}
+	return false
+}
+
+// bsgs lays the layer out for applyBSGS: babies are the kernel offsets,
+// giants the block shifts some group can reach.
+func (c *Conv2D) bsgs(slots int) bsgsPlan {
+	pl := bsgsPlan{op: c, outputs: c.Groups()}
+	for _, delta := range c.kernelOffsets() {
+		pl.babies = append(pl.babies, c.step(0, delta))
+	}
+	var shifts []int
 	for d := 0; d < c.Cb; d++ {
-		for _, delta := range c.kernelOffsets() {
-			if s := c.step(d, delta); s != 0 && !seen[s] {
-				seen[s] = true
-				steps = append(steps, s)
+		for g := 0; g < pl.outputs; g++ {
+			if c.shiftLive(g, d) {
+				shifts = append(shifts, d)
+				pl.giants = append(pl.giants, c.step(d, 0))
+				break
 			}
 		}
 	}
-	return steps
+	pl.diag = func(g, gi, ki int) []int64 { return c.weightDiag(g, shifts[gi], ki, slots) }
+	return pl
+}
+
+// RotationSteps lists every rotation amount Apply uses, each once: the
+// kernel offsets and the reachable block shifts. Generate Galois keys
+// for exactly these.
+func (c *Conv2D) RotationSteps() []int { return c.bsgs(0).rotationSteps() }
+
+// Plan reports the physical key-switching work of one Apply on the same
+// sheet as FC.Plan (level 3 is the only conv schedule).
+func (c *Conv2D) Plan() RotationPlan {
+	giantSteps := 0
+	for g := 0; g < c.Groups(); g++ {
+		for d := 1; d < c.Cb; d++ {
+			if c.shiftLive(g, d) {
+				giantSteps++
+			}
+		}
+	}
+	return c.bsgs(0).sheet(3, giantSteps)
 }
 
 // PackInput lays the image (channel-major, InC×InH×InW, quantized
@@ -192,9 +231,12 @@ func (c *Conv2D) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, 
 }
 
 // weightDiag builds the block-diagonal weight plaintext for output
-// group g, block shift d, kernel index ki: block b receives weight
-// w[g·Cb+b][(b+d) mod Cb][ki] at the interior (valid output) positions.
-// Returns nil when every block is zero.
+// group g, block shift d, kernel index ki, already rotated by −d·Stride
+// for the BSGS schedule: the weight w[g·Cb+b][(b+d) mod Cb][ki] of
+// output block b sits at the interior (valid output) positions of the
+// input channel's block (b+d) mod Cb, and the giant rotation by
+// d·Stride carries the product to block b. Returns nil when every block
+// is zero.
 func (c *Conv2D) weightDiag(g, d, ki, slots int) []int64 {
 	l := c.Layout
 	diag := make([]int64, slots)
@@ -213,7 +255,7 @@ func (c *Conv2D) weightDiag(g, d, ki, slots int) []int64 {
 			continue
 		}
 		any = true
-		base := b * l.Stride
+		base := ch * l.Stride
 		for y := 0; y < c.Spec.InH; y++ {
 			rowBase := base + l.Pad + (y+c.ph)*c.Wp + c.pw
 			for x := 0; x < c.Spec.InW; x++ {

@@ -12,32 +12,40 @@ import (
 	"choco/internal/sampling"
 )
 
-// applyMaterialized is the convolution schedule the operator ran before
-// it became NTT-resident, kept as the byte-identity oracle: every
-// unique rotation materialized in the coefficient domain
-// (RotateRowsHoisted), every weight plaintext rebuilt, and each output
-// group folded as a MulPlain + Add chain in (d, ki) order. It shares
-// only the geometry (step, weightDiag) with the engine under test.
+// applyMaterialized is the byte-identity oracle of the convolution: the
+// same BSGS schedule on materialized ciphertexts. Every baby is rotated
+// into the coefficient domain off one decomposition
+// (RotateRowsDecomposed), every weight plaintext is rebuilt, each
+// (group, block shift) inner sum is a MulPlain + Add chain in kernel
+// order, each shifted inner sum pays its own full key switch
+// (RotateRows) and the group folds them with Add in shift order. It
+// shares only the geometry (bsgs) with the engine under test.
 func (c *Conv2D) applyMaterialized(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) ([]*bfv.Ciphertext, OpCounts, error) {
 	var ops OpCounts
-	offsets := c.kernelOffsets()
-	steps := c.RotationSteps()
-	rotCts, err := ev.RotateRowsHoisted(ct, steps)
+	pl := c.bsgs(slots)
+	dc, err := ev.Decompose(ct)
 	if err != nil {
 		return nil, ops, err
 	}
-	rotByStep := map[int]*bfv.Ciphertext{0: ct}
-	for i, s := range steps {
-		rotByStep[s] = rotCts[i]
+	defer dc.Release()
+	babies := make([]*bfv.Ciphertext, len(pl.babies))
+	for bi, s := range pl.babies {
+		if s == 0 {
+			babies[bi] = ct
+			continue
+		}
+		if babies[bi], err = ev.RotateRowsDecomposed(dc, s); err != nil {
+			return nil, ops, err
+		}
+		ops.Rotations++
 	}
-	ops.Rotations = len(steps)
 
-	outs := make([]*bfv.Ciphertext, c.Groups())
+	outs := make([]*bfv.Ciphertext, pl.outputs)
 	for g := range outs {
-		var acc *bfv.Ciphertext
-		for d := 0; d < c.Cb; d++ {
-			for ki, delta := range offsets {
-				diag := c.weightDiag(g, d, ki, slots)
+		for gi, giant := range pl.giants {
+			var inner *bfv.Ciphertext
+			for bi, baby := range babies {
+				diag := pl.diag(g, gi, bi)
 				if diag == nil {
 					continue
 				}
@@ -45,20 +53,34 @@ func (c *Conv2D) applyMaterialized(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.
 				if err != nil {
 					return nil, ops, err
 				}
-				term := ev.MulPlain(rotByStep[c.step(d, delta)], ev.PrepareMul(pt))
+				term := ev.MulPlain(baby, ev.PrepareMul(pt))
 				ops.PlainMults++
-				if acc == nil {
-					acc = term
+				if inner == nil {
+					inner = term
 				} else {
-					acc = ev.Add(acc, term)
+					inner = ev.Add(inner, term)
 					ops.Adds++
 				}
 			}
+			if inner == nil {
+				continue
+			}
+			if giant != 0 {
+				if inner, err = ev.RotateRows(inner, giant); err != nil {
+					return nil, ops, err
+				}
+				ops.Rotations++
+			}
+			if outs[g] == nil {
+				outs[g] = inner
+			} else {
+				outs[g] = ev.Add(outs[g], inner)
+				ops.Adds++
+			}
 		}
-		if acc == nil {
-			return nil, ops, fmt.Errorf("core: group %d has no contributing weights", g)
+		if outs[g] == nil {
+			return nil, ops, fmt.Errorf("core: output %d has no contributing weights", g)
 		}
-		outs[g] = acc
 	}
 	return outs, ops, nil
 }
@@ -79,9 +101,10 @@ var residentPresets = []struct {
 
 // TestConvResidentMatchesMaterialized is the tentpole property test:
 // on every BFV preset the NTT-resident convolution — lazy NTT-domain
-// rotations, one NTT-domain accumulation and one inverse NTT per output
-// group, weight plaintexts prepared once — produces ciphertexts
-// byte-identical to the materialized MulPlain + Add oracle with the
+// babies, one NTT-domain accumulation and one inverse NTT per (group,
+// block shift), the shifted sums folded in QP, weight plaintexts prepared
+// once — produces ciphertexts byte-identical to the materialized oracle
+// (the same BSGS schedule as MulPlain + Add + RotateRows) with the
 // same logical op counts, for one worker and eight, a batch of one item
 // and of three under distinct keys, a cold and a warm plaintext store,
 // and a store too small to hold anything (every term rebuilt).
@@ -334,5 +357,198 @@ func TestWarmApplyAllocs(t *testing.T) {
 	}
 	if fcBytes > polyBytes {
 		t.Errorf("warm FC.Apply allocates %.0f B/op, want < one polynomial (%.0f B)", fcBytes, polyBytes)
+	}
+}
+
+// TestConvBSGSEdgeGeometries decrypts the convolution against
+// PlainConv2D where the BSGS split degenerates: fewer input channels
+// than blocks (some block shifts are dead and get no key), an output
+// count that leaves the last group partly filled, and a single block
+// per row (no giants at all — the inner sum is the output). Each runs
+// under exactly RotationSteps() keys, byte-identical to the oracle, and
+// with no zero weight its key switches are the plan's.
+func TestConvBSGSEdgeGeometries(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		spec             ConvSpec
+		cb, keys, giants int
+	}{
+		// Stride 128 → 8 blocks; shift 3 reads only channels ≥ 3.
+		{"InC<Cb", ConvSpec{InH: 6, InW: 6, InC: 3, KH: 3, KW: 3, OutC: 5}, 8, 8 + 6, 6},
+		// Two groups, the second holding 3 of 8 blocks: every shift is
+		// live in both.
+		{"OutC%Cb!=0", ConvSpec{InH: 6, InW: 6, InC: 8, KH: 3, KW: 3, OutC: 11}, 8, 8 + 7, 14},
+		// Stride 1024 fills the row.
+		{"Cb=1", ConvSpec{InH: 28, InW: 28, InC: 1, KH: 3, KW: 3, OutC: 3}, 1, 8, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := sampling.NewSource([32]byte{34}, "conv-edge-"+tc.name)
+			weights := synthConvWeights(src, tc.spec.OutC, tc.spec.InC, 9, 3)
+			for _, out := range weights {
+				for _, in := range out {
+					for i, w := range in {
+						if w == 0 {
+							in[i] = 1
+						}
+					}
+				}
+			}
+			conv, err := NewConv2D(tc.spec, weights, 1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps, plan := conv.RotationSteps(), conv.Plan()
+			if conv.Cb != tc.cb || len(steps) != tc.keys || plan.GiantSteps != tc.giants {
+				t.Fatalf("Cb = %d, %d rotation steps, %d giant steps; want %d, %d, %d", conv.Cb, len(steps), plan.GiantSteps, tc.cb, tc.keys, tc.giants)
+			}
+			k := newKit(t, steps)
+			slots := k.ctx.Params.Slots()
+			image := synthImage(src, tc.spec.InC, tc.spec.InH*tc.spec.InW, 7)
+			packed, err := conv.PackInput(image, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct, err := k.enc.EncryptInts(packed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs, ops, err := conv.Apply(k.ev, k.ecd, ct, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantOps, err := conv.applyMaterialized(k.ev, k.ecd, ct, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ops != wantOps || ops.Rotations != plan.LazyProducts {
+				t.Errorf("op counts %+v, oracle %+v, plan %v", ops, wantOps, plan)
+			}
+			plain := PlainConv2D(tc.spec, weights, image)
+			for o := 0; o < tc.spec.OutC; o++ {
+				g := o / conv.Cb
+				if !ctEqual(k.ctx.RingQ, outs[g], want[g]) {
+					t.Fatalf("group %d differs from the materialized oracle", g)
+				}
+				got := conv.ExtractOutput(k.dec.DecryptInts(outs[g]), o)
+				for i := range got {
+					if got[i] != plain[o][i] {
+						t.Fatalf("channel %d pixel %d: got %d, plaintext conv %d", o, i, got[i], plain[o][i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// applyFlat is the schedule Conv2D ran before BSGS, kept only to price
+// the noise of the new one: the input rotated once per (block shift,
+// kernel offset) alignment, so every key switch happens before the
+// plaintext multiplies and none after.
+func (c *Conv2D) applyFlat(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) ([]*bfv.Ciphertext, error) {
+	outs := make([]*bfv.Ciphertext, c.Groups())
+	for g := range outs {
+		for d := 0; d < c.Cb; d++ {
+			for ki, delta := range c.kernelOffsets() {
+				diag := c.weightDiag(g, d, ki, slots)
+				if diag == nil {
+					continue
+				}
+				// Undo weightDiag's −d·Stride pre-rotation, per row.
+				flat := make([]int64, len(diag))
+				for i := range flat {
+					row, col := i/c.rowSize, i%c.rowSize
+					flat[i] = diag[row*c.rowSize+(col+d*c.Layout.Stride)%c.rowSize]
+				}
+				pt, err := ecd.EncodeInts(flat)
+				if err != nil {
+					return nil, err
+				}
+				x := ct
+				if s := c.step(d, delta); s != 0 {
+					if x, err = ev.RotateRows(ct, s); err != nil {
+						return nil, err
+					}
+				}
+				term := ev.MulPlain(x, ev.PrepareMul(pt))
+				if outs[g] == nil {
+					outs[g] = term
+				} else {
+					outs[g] = ev.Add(outs[g], term)
+				}
+			}
+		}
+	}
+	return outs, nil
+}
+
+// TestConvBSGSNoise checks the noise cost of the giants instead of
+// assuming it: they add one key-switch noise term after the plaintext
+// multiplies, where the flat schedule paid all of them before. On
+// LeNet-Sm's conv2 (14×14, 5×5 kernel, 4 → 6 channels, 4-bit weights
+// and activations) at bfv-B, and on the same window with the channel
+// counts a Test-preset row holds, every output group must keep its
+// budget to within 1 bit of the flat schedule's and at least 4 bits.
+// Both schedules decrypt to the same activations.
+func TestConvBSGSNoise(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		params bfv.Parameters
+		spec   ConvSpec
+	}{
+		{"bfv-B", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}},
+		{"Test", bfv.PresetTest(), ConvSpec{InH: 14, InW: 14, InC: 2, KH: 5, KW: 5, OutC: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := sampling.NewSource([32]byte{35}, "conv-noise-"+tc.name)
+			ctxProbe, err := bfv.NewContext(tc.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slots := ctxProbe.Params.Slots()
+			conv, err := NewConv2D(tc.spec, synthConvWeights(src, tc.spec.OutC, tc.spec.InC, 25, 7), slots/2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var flatSteps []int
+			for d := 0; d < conv.Cb; d++ {
+				for _, delta := range conv.kernelOffsets() {
+					flatSteps = append(flatSteps, conv.step(d, delta))
+				}
+			}
+			k := newFCLevelKit(t, tc.params, 40, flatSteps)
+			packed, err := conv.PackInput(synthImage(src, tc.spec.InC, tc.spec.InH*tc.spec.InW, 7), slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct, err := k.enc.EncryptInts(packed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := bfv.NoiseBudget(k.ctx, k.sk, ct)
+			flat, err := conv.applyFlat(k.ev, k.ecd, ct, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bsgs, _, err := conv.Apply(k.ev, k.ecd, ct, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g := range bsgs {
+				was, now := bfv.NoiseBudget(k.ctx, k.sk, flat[g]), bfv.NoiseBudget(k.ctx, k.sk, bsgs[g])
+				t.Logf("%s conv2 group %d: fresh input %d bits, flat schedule %d bits, BSGS schedule %d bits", tc.name, g, fresh, was, now)
+				if now < was-1 || now < 4 {
+					t.Errorf("group %d: BSGS leaves %d bits of noise budget, the flat schedule %d; want a loss of at most 1 bit and at least 4 left", g, now, was)
+				}
+				a, b := k.dec.DecryptInts(flat[g]), k.dec.DecryptInts(bsgs[g])
+				for o := g * conv.Cb; o < (g+1)*conv.Cb && o < tc.spec.OutC; o++ {
+					fa, fb := conv.ExtractOutput(a, o), conv.ExtractOutput(b, o)
+					for i := range fa {
+						if fa[i] != fb[i] {
+							t.Fatalf("channel %d pixel %d: flat %d, BSGS %d", o, i, fa[i], fb[i])
+						}
+					}
+				}
+			}
+		})
 	}
 }

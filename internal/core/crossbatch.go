@@ -9,18 +9,18 @@ import (
 )
 
 // The linear-layer engine. Conv2D and FC both evaluate a diagonal
-// linear transform: a set of rotations of one input, a fixed weight
-// plaintext per (rotation, output) term, and a sum per output. Both run
-// it NTT-resident over a batch of sessions' inputs, and serial Apply is
-// a batch of one:
+// linear transform on the baby-step/giant-step schedule (bsgsPlan): baby
+// rotations of one input, a fixed weight plaintext per term, an inner sum
+// per (output, giant) and a giant fold per output. Both run it
+// NTT-resident over a batch of sessions' inputs (applyBSGS), and serial
+// Apply is a batch of one:
 //
 //   - each item pays one hoisted decomposition of its input, and every
-//     rotation lands directly in the NTT domain (nttRotations) — the
+//     baby lands directly in the NTT domain (nttRotations) — the
 //     coefficient-domain rotation is never materialized;
-//   - each output accumulates its terms in the NTT domain and pays one
-//     inverse NTT for the whole sum (innerSum), byte-identical to a
-//     MulPlain + Add chain because the inverse NTT is linear
-//     (DESIGN.md §13);
+//   - each inner sum accumulates its terms in the NTT domain and pays one
+//     inverse NTT (innerSum), byte-identical to a MulPlain + Add chain
+//     because the inverse NTT is linear (DESIGN.md §13);
 //   - the weight-side plaintext pipeline (EncodeInts of each diagonal +
 //     PrepareMul's lift and forward NTT) depends only on the layer's
 //     weights and the parameter preset, never on the session, so one
@@ -268,74 +268,170 @@ func innerSum(ev *bfv.Evaluator, n int, term func(k int) (*bfv.NTTCiphertext, *b
 	return ev.FromNTT(acc), ops, nil
 }
 
-// ApplyBatch evaluates the convolution over several sessions' packed
-// inputs at once, returning per-item output groups and op counts in
-// item order: every unique rotation of every item lazily into the NTT
-// domain, then one NTT-domain accumulation and one inverse NTT per
-// (item, output group). Outputs are byte-identical to the materialized
-// MulPlain + Add chain for any batch composition. A nil cache selects
-// the operator's own plaintext store.
-func (c *Conv2D) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache) ([][]*bfv.Ciphertext, []OpCounts, error) {
-	if c.Weights == nil {
-		return nil, nil, fmt.Errorf("core: ApplyBatch on a spec-only convolution (no weights)")
+// bsgsPlan is a linear layer as the executor sees it: outputs × giants ×
+// babies. Output o is Σ_gi rot_giants[gi]( Σ_bi diag(o, gi, bi) ⊙
+// rot_babies[bi](x) ) — for FC one output with giants i·B over babies
+// 0..B−1, for Conv2D one output per group with the channel-block shifts
+// d·Stride as giants over the kernel offsets as babies.
+type bsgsPlan struct {
+	op      any // the layer: identity of its terms in a PlainCache
+	outputs int
+	// babies rotate the input (a zero step is the input itself); giants
+	// rotate inner sums, and giants[0] is always the unrotated one.
+	babies, giants []int
+	// diag returns the weight vector of one term, already rotated by
+	// −giants[gi] so the giant rotation restores its alignment; nil
+	// when it is all zero.
+	diag func(o, gi, bi int) []int64
+}
+
+// rotationSteps lists the non-zero steps of the plan: the Galois keys a
+// session must hold, and nothing else. The first babySteps of them are
+// the babies.
+func (pl bsgsPlan) rotationSteps() []int {
+	var steps []int
+	for _, s := range append(append([]int{}, pl.babies...), pl.giants...) {
+		if s != 0 {
+			steps = append(steps, s)
+		}
 	}
+	return steps
+}
+
+func (pl bsgsPlan) babySteps() int { return len(pl.rotationSteps()) - (len(pl.giants) - 1) }
+
+// applyBSGS is the one executor behind Conv2D.ApplyBatch and
+// FC.ApplyBatchAtLevel (levels 2 and 3). Babies share one decomposition
+// of each item's input and land directly in the NTT domain the inner
+// products consume (materialize selects the level-2 detour through the
+// coefficient domain). Per (item, output, giant) the inner sum
+// accumulates in the NTT domain — one inverse NTT per giant instead of
+// one per term — and the giant-step key-switch products of each output
+// accumulate in the extended basis QP, per-worker accumulators merged in
+// worker order, so each output pays a single full mod-down. A plan with
+// no rotated giant (Conv2D with one channel block) skips the fold: its
+// inner sum is the output. Terms run in (giant, baby) order and every
+// intermediate is exact modular arithmetic, so per-item outputs are
+// byte-identical to the materialized schedule (FC.applyHoisted) for any
+// batch composition, worker count or cache state.
+func applyBSGS(ecd *bfv.Encoder, items []BatchInput, cache *PlainCache, pl bsgsPlan, materialize bool) ([][]*bfv.Ciphertext, []OpCounts, error) {
 	if len(items) == 0 {
 		return nil, nil, nil
 	}
-	if cache == nil {
-		cache = c.plains
-	}
-	// One rotation plan serves every item: the steps depend only on the
-	// layer geometry. Slot 0 of the rotation table is the input itself.
-	offsets := c.kernelOffsets()
-	steps := append([]int{0}, c.RotationSteps()...)
-	slotOf := make(map[int]int, len(steps))
-	for i, s := range steps {
-		slotOf[s] = i
-	}
-	nTerms := c.Cb * len(offsets)
-	termRot := make([]int, nTerms)
-	for k := range termRot {
-		termRot[k] = slotOf[c.step(k/len(offsets), offsets[k%len(offsets)])]
-	}
-	rots, err := nttRotations(items, steps, false)
+	babies, err := nttRotations(items, pl.babies, materialize)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer recycleRotations(items, rots)
+	defer recycleRotations(items, babies)
 
-	// Accumulation fans out over (item, group) pairs; within a pair the
-	// terms run in (d, ki) order.
-	groups := c.Groups()
-	outs := make([][]*bfv.Ciphertext, len(items))
-	for i := range outs {
-		outs[i] = make([]*bfv.Ciphertext, groups)
-	}
-	pairOps := make([]OpCounts, len(items)*groups)
-	pairErrs := make([]error, len(items)*groups)
-	par.For(len(items)*groups, func(p int) {
-		item, g := p/groups, p%groups
+	// Inner sums, flat in (item, output, giant) order.
+	nB, nG := len(pl.babies), len(pl.giants)
+	perItem := pl.outputs * nG
+	n := len(items) * perItem
+	inners := make([]*bfv.Ciphertext, n)
+	defer func() {
+		for p, in := range inners {
+			if in != nil {
+				items[p/perItem].Ev.RecycleCt(in)
+			}
+		}
+	}()
+	innerOps := make([]OpCounts, n)
+	errs := make([]error, n)
+	par.For(n, func(p int) {
+		item, og := p/perItem, p%perItem
 		ev := items[item].Ev
-		outs[item][g], pairOps[p], pairErrs[p] = innerSum(ev, nTerms, func(k int) (*bfv.NTTCiphertext, *bfv.PlaintextMul, error) {
-			pm, err := cache.prepared(c, g*nTerms+k, ev, ecd, func() []int64 {
-				return c.weightDiag(g, k/len(offsets), k%len(offsets), slots)
-			})
-			return rots[item][termRot[k]], pm, err
+		inners[p], innerOps[p], errs[p] = innerSum(ev, nB, func(bi int) (*bfv.NTTCiphertext, *bfv.PlaintextMul, error) {
+			pm, err := cache.prepared(pl.op, og*nB+bi, ev, ecd, func() []int64 { return pl.diag(og/nG, og%nG, bi) })
+			return babies[item][bi], pm, err
 		})
-		if pairErrs[p] == nil && outs[item][g] == nil {
-			pairErrs[p] = fmt.Errorf("core: group %d has no contributing weights", g)
-		}
 	})
-	opsOut := make([]OpCounts, len(items))
-	for p, e := range pairErrs {
-		if e != nil && err == nil {
+
+	// Giant fold: per-(item, output, worker) QP accumulators, merged in
+	// worker order — bit-identical to a serial accumulator, any split.
+	nw := par.MaxWorkers(n)
+	qas := make([]*bfv.QPAccumulator, len(items)*pl.outputs*nw)
+	if nG > 1 {
+		wErrs := make([]error, nw)
+		par.ForWorker(n, func(w, p int) {
+			if wErrs[w] != nil || errs[p] != nil || inners[p] == nil {
+				return
+			}
+			ev := items[p/perItem].Ev
+			qa := &qas[p/nG*nw+w]
+			if *qa == nil {
+				*qa = ev.NewQPAccumulator()
+			}
+			if p%nG == 0 {
+				wErrs[w] = ev.AddLazy(*qa, inners[p])
+				return
+			}
+			dc, err := ev.Decompose(inners[p])
+			if err != nil {
+				wErrs[w] = err
+				return
+			}
+			wErrs[w] = ev.AccumulateQP(*qa, dc, pl.giants[p%nG])
+			dc.Release()
+		})
+		errs = append(errs, wErrs...)
+	}
+	for _, e := range errs {
+		if e != nil {
 			err = e
+			break
 		}
-		opsOut[p/groups].Add(pairOps[p])
+	}
+
+	outs := make([][]*bfv.Ciphertext, len(items))
+	opsOut := make([]OpCounts, len(items))
+	for io := 0; io < len(items)*pl.outputs; io++ {
+		item, o := io/pl.outputs, io%pl.outputs
+		var qa *bfv.QPAccumulator
+		for _, q := range qas[io*nw : (io+1)*nw] {
+			switch {
+			case q == nil:
+			case err != nil:
+				q.Release()
+			case qa == nil:
+				qa = q
+			default:
+				qa.Merge(q)
+			}
+		}
+		if err != nil {
+			continue
+		}
+		if o == 0 {
+			outs[item] = make([]*bfv.Ciphertext, pl.outputs)
+			opsOut[item].Rotations = pl.babySteps()
+		}
+		contributed := 0
+		for p := io * nG; p < (io+1)*nG; p++ {
+			opsOut[item].Add(innerOps[p])
+			if inners[p] == nil {
+				continue
+			}
+			contributed++
+			if p > io*nG {
+				opsOut[item].Rotations++
+			}
+			if contributed > 1 {
+				opsOut[item].Adds++
+			}
+		}
+		switch {
+		case contributed == 0:
+			err = fmt.Errorf("core: output %d has no contributing weights", o)
+		case nG == 1:
+			outs[item][o], inners[io] = inners[io], nil
+		default:
+			outs[item][o] = items[item].Ev.FinalizeModDown(qa)
+		}
 	}
 	if err != nil {
-		for i, gs := range outs {
-			for _, o := range gs {
+		for i, os := range outs {
+			for _, o := range os {
 				if o != nil {
 					items[i].Ev.RecycleCt(o)
 				}
@@ -343,10 +439,21 @@ func (c *Conv2D) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cac
 		}
 		return nil, nil, err
 	}
-	for i := range opsOut {
-		opsOut[i].Rotations = len(steps) - 1
-	}
 	return outs, opsOut, nil
+}
+
+// ApplyBatch evaluates the convolution over several sessions' packed
+// inputs at once, returning per-item output groups and op counts in
+// item order. Per-item outputs are byte-identical for any batch
+// composition; a nil cache selects the operator's own plaintext store.
+func (c *Conv2D) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache) ([][]*bfv.Ciphertext, []OpCounts, error) {
+	if c.Weights == nil {
+		return nil, nil, fmt.Errorf("core: ApplyBatch on a spec-only convolution (no weights)")
+	}
+	if cache == nil {
+		cache = c.plains
+	}
+	return applyBSGS(ecd, items, cache, c.bsgs(slots), false)
 }
 
 // ApplyBatch evaluates y = W·x for several sessions' inputs at once
@@ -360,21 +467,19 @@ func (f *FC) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cache *
 
 // ApplyBatchAtLevel is ApplyBatch at an explicit hoisting level (the
 // ladder of FC.ApplyAtLevel). Per-item outputs are byte-identical
-// across levels. Levels 2 and 3 are the batch engine; level 1 is the
-// Halevi–Shoup oracle run item by item, without the cache.
+// across levels. Levels 2 and 3 are the batch engine (applyBSGS);
+// level 1 is the Halevi–Shoup oracle run item by item, without the
+// cache.
 func (f *FC) ApplyBatchAtLevel(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache, level int) ([]*bfv.Ciphertext, []OpCounts, error) {
 	if f.Weights == nil {
 		return nil, nil, fmt.Errorf("core: ApplyBatch on a spec-only FC layer (no weights)")
 	}
-	if len(items) == 0 {
-		return nil, nil, nil
-	}
 	if cache == nil {
 		cache = f.plains
 	}
+	outs := make([]*bfv.Ciphertext, len(items))
 	switch level {
 	case 1:
-		outs := make([]*bfv.Ciphertext, len(items))
 		ops := make([]OpCounts, len(items))
 		for i, it := range items {
 			var err error
@@ -384,157 +489,15 @@ func (f *FC) ApplyBatchAtLevel(ecd *bfv.Encoder, items []BatchInput, slots int, 
 		}
 		return outs, ops, nil
 	case 2, 3:
-		return f.applyBatchLazy(ecd, items, slots, cache, level)
+		groups, ops, err := applyBSGS(ecd, items, cache, f.bsgs(slots), level < 3)
+		if err != nil {
+			return nil, nil, err
+		}
+		for i, g := range groups {
+			outs[i] = g[0]
+		}
+		return outs, ops, nil
 	default:
 		return nil, nil, fmt.Errorf("core: unknown hoisting level %d", level)
 	}
-}
-
-// applyBatchLazy is the level-2/3 engine. Babies share one
-// decomposition of each item's input (level 3 additionally skips their
-// materialization: each baby lands directly in the NTT domain the inner
-// products consume). Per (item, giant) the inner sum accumulates in the
-// NTT domain — one inverse NTT per giant instead of one per term — and
-// the giant-step key-switch products accumulate in the extended basis
-// QP, per-item accumulators partitioned per worker, so each
-// matrix-vector product pays a single full mod-down at the end. The
-// per-item term order matches applyHoisted exactly and every
-// intermediate is exact modular arithmetic, so per-item outputs are
-// byte-identical to the level-1 oracle at any level.
-func (f *FC) applyBatchLazy(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache, level int) ([]*bfv.Ciphertext, []OpCounts, error) {
-	opsOut := make([]OpCounts, len(items))
-	steps := make([]int, f.B) // baby j is the input rotated by j
-	for j := range steps {
-		steps[j] = j
-	}
-	babies, err := nttRotations(items, steps, level < 3)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer recycleRotations(items, babies)
-
-	// Per-(item, giant) inner sums. The diagonal is pre-rotated right by
-	// i·B so the outer giant rotation restores alignment.
-	inners := make([][]*bfv.Ciphertext, len(items))
-	for i := range inners {
-		inners[i] = make([]*bfv.Ciphertext, f.G)
-		opsOut[i].Rotations = f.B - 1
-	}
-	defer func() {
-		for i, ins := range inners {
-			for _, in := range ins {
-				if in != nil {
-					items[i].Ev.RecycleCt(in)
-				}
-			}
-		}
-	}()
-	nPairs := len(items) * f.G
-	pairOps := make([]OpCounts, nPairs)
-	pairErrs := make([]error, nPairs)
-	par.For(nPairs, func(p int) {
-		item, i := p/f.G, p%f.G
-		ev := items[item].Ev
-		inners[item][i], pairOps[p], pairErrs[p] = innerSum(ev, f.B, func(j int) (*bfv.NTTCiphertext, *bfv.PlaintextMul, error) {
-			d := i*f.B + j
-			pm, err := cache.prepared(f, d, ev, ecd, func() []int64 {
-				diag := f.diag(d, slots)
-				if diag == nil {
-					return nil
-				}
-				return f.rotatePlain(diag, -i*f.B)
-			})
-			return babies[item][j], pm, err
-		})
-	})
-
-	// Giant fold: per-(item, worker) QP accumulators, merged per item in
-	// worker order — bit-identical to a serial accumulator, any split.
-	nw := par.MaxWorkers(nPairs)
-	qas := make([][]*bfv.QPAccumulator, len(items))
-	for i := range qas {
-		qas[i] = make([]*bfv.QPAccumulator, nw)
-	}
-	wErrs := make([]error, nw)
-	par.ForWorker(nPairs, func(w, p int) {
-		item, i := p/f.G, p%f.G
-		if wErrs[w] != nil || pairErrs[p] != nil || inners[item][i] == nil {
-			return
-		}
-		ev := items[item].Ev
-		if qas[item][w] == nil {
-			qas[item][w] = ev.NewQPAccumulator()
-		}
-		if i == 0 {
-			wErrs[w] = ev.AddLazy(qas[item][w], inners[item][i])
-			return
-		}
-		dci, err := ev.Decompose(inners[item][i])
-		if err != nil {
-			wErrs[w] = err
-			return
-		}
-		wErrs[w] = ev.AccumulateQP(qas[item][w], dci, i*f.B)
-		dci.Release()
-	})
-
-	var firstErr error
-	for _, e := range pairErrs {
-		if e != nil {
-			firstErr = e
-			break
-		}
-	}
-	if firstErr == nil {
-		for _, e := range wErrs {
-			if e != nil {
-				firstErr = e
-				break
-			}
-		}
-	}
-	outs := make([]*bfv.Ciphertext, len(items))
-	for item := range items {
-		var qa *bfv.QPAccumulator
-		for w := 0; w < nw; w++ {
-			if qas[item][w] == nil {
-				continue
-			}
-			if firstErr != nil {
-				qas[item][w].Release()
-				continue
-			}
-			if qa == nil {
-				qa = qas[item][w]
-			} else {
-				qa.Merge(qas[item][w])
-			}
-		}
-		if firstErr != nil {
-			continue
-		}
-		contributed := 0
-		for i := 0; i < f.G; i++ {
-			opsOut[item].Add(pairOps[item*f.G+i])
-			if inners[item][i] == nil {
-				continue
-			}
-			contributed++
-			if i > 0 {
-				opsOut[item].Rotations++
-			}
-			if contributed > 1 {
-				opsOut[item].Adds++
-			}
-		}
-		if qa == nil {
-			firstErr = fmt.Errorf("core: FC weight matrix is all zero")
-			continue
-		}
-		outs[item] = items[item].Ev.FinalizeModDown(qa)
-	}
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	return outs, opsOut, nil
 }

@@ -65,18 +65,38 @@ func NewFCSpecOnly(in, out, rowSize int) (*FC, error) {
 	return &FC{In: in, Out: out, P: p, B: b, G: g, rowSize: rowSize}, nil
 }
 
-// RotationSteps lists the rotation amounts Apply uses (baby steps 1..B-1
-// and giant steps B, 2B, ...).
-func (f *FC) RotationSteps() []int {
-	var steps []int
+// bsgs lays the layer out for applyBSGS: one output, baby steps j < B,
+// giant steps i·B, keeping only the steps some diagonal i·B + j needs —
+// diagonal d can hold a weight iff some output row j < Out reads an
+// input column (j+d) mod P < In.
+func (f *FC) bsgs(slots int) bsgsPlan {
+	liveBaby, liveGiant := make([]bool, f.B), make([]bool, f.G)
+	for d := 0; d < f.P; d++ {
+		for j := 0; j < f.Out; j++ {
+			if (j+d)%f.P < f.In {
+				liveBaby[d%f.B], liveGiant[d/f.B] = true, true
+				break
+			}
+		}
+	}
+	babies, giants := []int{0}, []int{0}
 	for j := 1; j < f.B; j++ {
-		steps = append(steps, j)
+		if liveBaby[j] {
+			babies = append(babies, j)
+		}
 	}
 	for i := 1; i < f.G; i++ {
-		steps = append(steps, i*f.B)
+		if liveGiant[i] {
+			giants = append(giants, i*f.B)
+		}
 	}
-	return steps
+	return bsgsPlan{op: f, outputs: 1, babies: babies, giants: giants,
+		diag: func(_, gi, bi int) []int64 { return f.diag(giants[gi], babies[bi], slots) }}
 }
+
+// RotationSteps lists the rotation amounts Apply uses: the baby steps
+// below B and the giant steps i·B that some diagonal reaches.
+func (f *FC) RotationSteps() []int { return f.bsgs(0).rotationSteps() }
 
 // PackInput replicates the zero-padded input vector across both
 // batching rows so rotations by any amount < P act as windowed
@@ -96,43 +116,26 @@ func (f *FC) PackInput(x []int64, slots int) ([]int64, error) {
 	return out, nil
 }
 
-// diag returns diagonal d of the P×P padded weight matrix:
-// diag[j] = W[j][(j+d) mod P], replicated across the row.
-func (f *FC) diag(d, slots int) []int64 {
+// diag returns diagonal giant+baby of the P×P padded weight matrix,
+// rotated right by giant (the BSGS pre-rotation the giant step undoes;
+// free on the server: plaintext manipulation) and replicated across the
+// row: diag[j] = W[j−giant][(j+baby) mod P], rows taken mod P. Nil when
+// every entry is zero.
+func (f *FC) diag(giant, baby, slots int) []int64 {
 	out := make([]int64, slots)
 	any := false
 	for j := 0; j < f.P; j++ {
-		var w int64
-		if j < f.Out {
-			i := (j + d) % f.P
-			if i < f.In {
-				w = f.Weights[j][i]
-			}
+		r, c := ((j-giant)%f.P+f.P)%f.P, (j+baby)%f.P
+		if r >= f.Out || c >= f.In || f.Weights[r][c] == 0 {
+			continue
 		}
-		if w != 0 {
-			any = true
-		}
+		any = true
 		for rep := 0; rep < f.rowSize/f.P; rep++ {
-			out[rep*f.P+j] = w
+			out[rep*f.P+j] = f.Weights[r][c]
 		}
 	}
 	if !any {
 		return nil
-	}
-	copy(out[f.rowSize:2*f.rowSize], out[:f.rowSize])
-	return out
-}
-
-// rotatePlain rotates a replicated plaintext vector left by s within
-// each P-periodic block (free on the server: plaintext manipulation).
-func (f *FC) rotatePlain(v []int64, s int) []int64 {
-	out := make([]int64, len(v))
-	s = ((s % f.P) + f.P) % f.P
-	for rep := 0; rep < f.rowSize/f.P; rep++ {
-		base := rep * f.P
-		for j := 0; j < f.P; j++ {
-			out[base+j] = v[base+(j+s)%f.P]
-		}
 	}
 	copy(out[f.rowSize:2*f.rowSize], out[:f.rowSize])
 	return out
@@ -179,102 +182,92 @@ func (f *FC) ApplyAtLevel(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertex
 	return outs[0], ops[0], nil
 }
 
-// applyHoisted is the level-1 oracle: B-1 baby rotations of the
-// ciphertext sharing one hoisted decomposition, G-1 full giant
-// rotations of partial sums, P plaintext multiplies through the
-// materialized MulPlain + Add chain, every weight plaintext rebuilt.
+// applyHoisted is the level-1 oracle: the baby rotations of the
+// ciphertext share one hoisted decomposition, every rotated giant pays a
+// full key switch of its partial sum, and the plaintext multiplies run
+// through the materialized MulPlain + Add chain with every weight
+// plaintext rebuilt. It shares only the geometry (bsgs) with applyBSGS.
 func (f *FC) applyHoisted(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) (*bfv.Ciphertext, OpCounts, error) {
 	var ops OpCounts
+	pl := f.bsgs(slots)
 
 	// Baby rotations all act on the same input ciphertext, so they
-	// share one hoisted decomposition: B-1 rotations for the price of
-	// one embed + forward-NTT pass (the batch fans out internally).
-	babies := make([]*bfv.Ciphertext, f.B)
-	babies[0] = ct
-	if f.B > 1 {
-		steps := make([]int, f.B-1)
-		for j := 1; j < f.B; j++ {
-			steps[j-1] = j
-		}
-		rots, err := ev.RotateRowsHoisted(ct, steps)
+	// share one hoisted decomposition (the batch fans out internally).
+	babies := []*bfv.Ciphertext{ct}
+	if len(pl.babies) > 1 {
+		rots, err := ev.RotateRowsHoisted(ct, pl.babies[1:])
 		if err != nil {
 			return nil, ops, err
 		}
-		copy(babies[1:], rots)
-		ops.Rotations += f.B - 1
+		babies = append(babies, rots...)
+		ops.Rotations += len(rots)
 	}
 
 	// Giant steps are independent too: each accumulates its own inner
-	// sum in the serial j order and applies its own outer rotation; the
-	// final fold over i runs serially in index order, so the result is
-	// bit-identical to the serial schedule.
-	inners := make([]*bfv.Ciphertext, f.G)
-	innerOps := make([]OpCounts, f.G)
-	innerErrs := make([]error, f.G)
-	par.For(f.G, func(i int) {
+	// sum in baby order and applies its own outer rotation; the final
+	// fold runs serially in giant order, so the result is bit-identical
+	// to the serial schedule.
+	nG := len(pl.giants)
+	inners := make([]*bfv.Ciphertext, nG)
+	innerOps := make([]OpCounts, nG)
+	innerErrs := make([]error, nG)
+	par.For(nG, func(gi int) {
 		var inner *bfv.Ciphertext
-		for j := 0; j < f.B; j++ {
-			d := i*f.B + j
-			diag := f.diag(d, slots)
+		for bi, baby := range babies {
+			diag := pl.diag(0, gi, bi)
 			if diag == nil {
 				continue
 			}
-			// Pre-rotate the diagonal right by i·B so the outer giant
-			// rotation restores alignment.
-			shifted := f.rotatePlain(diag, -i*f.B)
-			pt, err := ecd.EncodeInts(shifted)
+			pt, err := ecd.EncodeInts(diag)
 			if err != nil {
-				innerErrs[i] = err
+				innerErrs[gi] = err
 				return
 			}
-			term := ev.MulPlain(babies[j], ev.PrepareMul(pt))
-			innerOps[i].PlainMults++
+			term := ev.MulPlain(baby, ev.PrepareMul(pt))
+			innerOps[gi].PlainMults++
 			if inner == nil {
 				inner = term
 			} else {
 				inner = ev.Add(inner, term)
-				innerOps[i].Adds++
+				innerOps[gi].Adds++
 			}
 		}
-		if inner == nil {
-			return
-		}
-		if i > 0 {
+		if inner != nil && gi > 0 {
 			// Each giant step rotates its own partial sum — distinct
 			// operands, one Galois element apiece — so there is no
 			// decomposition to share at this level. What CAN be shared
-			// is the tail of each key switch: levels 2/3 (applyBatchLazy)
+			// is the tail of each key switch: levels 2/3 (applyBSGS)
 			// keep the products in the extended basis QP and pay one
 			// mod-down for the whole giant sum.
-			r, err := ev.RotateRows(inner, i*f.B)
+			r, err := ev.RotateRows(inner, pl.giants[gi])
 			if err != nil {
-				innerErrs[i] = err
+				innerErrs[gi] = err
 				return
 			}
-			innerOps[i].Rotations++
+			innerOps[gi].Rotations++
 			inner = r
 		}
-		inners[i] = inner
+		inners[gi] = inner
 	})
 
 	var total *bfv.Ciphertext
-	for i := 0; i < f.G; i++ {
-		if innerErrs[i] != nil {
-			return nil, ops, innerErrs[i]
+	for gi := range inners {
+		if innerErrs[gi] != nil {
+			return nil, ops, innerErrs[gi]
 		}
-		ops.Add(innerOps[i])
-		if inners[i] == nil {
+		ops.Add(innerOps[gi])
+		if inners[gi] == nil {
 			continue
 		}
 		if total == nil {
-			total = inners[i]
+			total = inners[gi]
 		} else {
-			total = ev.Add(total, inners[i])
+			total = ev.Add(total, inners[gi])
 			ops.Adds++
 		}
 	}
 	if total == nil {
-		return nil, ops, fmt.Errorf("core: FC weight matrix is all zero")
+		return nil, ops, fmt.Errorf("core: output 0 has no contributing weights")
 	}
 	return total, ops, nil
 }
@@ -310,7 +303,7 @@ func (f *FC) ApplyNaive(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext,
 		if wErrs[w] != nil {
 			return
 		}
-		diag := f.diag(d, slots)
+		diag := f.diag(0, d, slots)
 		if diag == nil {
 			return
 		}
@@ -413,11 +406,11 @@ func BSGSRotations(p int) int {
 // comparison against BSGSRotations.
 func DiagonalRotations(p int) int { return p - 1 }
 
-// RotationPlan itemizes the physical key-switching work of one FC
-// apply at a given hoisting level, for the bench output and for
+// RotationPlan itemizes the physical key-switching work of one FC or
+// Conv2D apply at a given hoisting level, for the bench output and for
 // reasoning about where the transform passes go. Counts assume every
-// diagonal is non-zero (the worst case; zero diagonals only shrink
-// them).
+// diagonal the geometry reaches is non-zero (the worst case; zero
+// diagonals only shrink them).
 type RotationPlan struct {
 	Level int
 	// BabySteps and GiantSteps are the Galois applications
@@ -444,33 +437,35 @@ type RotationPlan struct {
 
 // Plan reports the physical work of ApplyAtLevel at the given level.
 func (f *FC) Plan(level int) RotationPlan {
-	pl := RotationPlan{
-		Level:      level,
-		BabySteps:  f.B - 1,
-		GiantSteps: f.G - 1,
+	pl := f.bsgs(0)
+	return pl.sheet(level, len(pl.giants)-1)
+}
+
+// sheet itemizes a plan whose outputs rotate giantSteps inner sums in
+// all.
+func (pl bsgsPlan) sheet(level, giantSteps int) RotationPlan {
+	nb, ng := pl.babySteps(), giantSteps
+	rp := RotationPlan{Level: level, BabySteps: nb, GiantSteps: ng}
+	if nb > 0 {
+		rp.Decompositions = 1 // shared by all babies
 	}
-	pl.Decompositions = 1 + (f.G - 1)
+	rp.Decompositions += ng
 	switch level {
 	case 1:
-		pl.FullKeySwitches = (f.B - 1) + (f.G - 1)
-		pl.ModDowns = pl.FullKeySwitches
+		rp.FullKeySwitches = nb + ng
+		rp.ModDowns = rp.FullKeySwitches
 	case 2:
-		pl.FullKeySwitches = f.B - 1
-		pl.LazyProducts = f.G - 1
-		pl.ModDowns = (f.B - 1) + 1
+		rp.FullKeySwitches = nb
+		rp.LazyProducts = ng
+		rp.ModDowns = nb
 	default: // level 3
-		pl.LazyProducts = (f.B - 1) + (f.G - 1)
-		pl.ModDowns = 1
-		pl.NTTModDowns = f.B - 1
+		rp.LazyProducts = nb + ng
+		rp.NTTModDowns = nb
 	}
-	if f.B == 1 {
-		pl.Decompositions = f.G - 1 // no baby decomposition to share
-		if f.G == 1 {
-			pl.Decompositions = 0
-			pl.ModDowns = 0
-		}
+	if level > 1 && ng > 0 {
+		rp.ModDowns += pl.outputs // each output's giant fold shares one mod-down
 	}
-	return pl
+	return rp
 }
 
 // String renders the plan the way the matmul bench prints it.

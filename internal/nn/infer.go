@@ -96,39 +96,11 @@ func NewRunner(m *QuantizedModel, seed [32]byte) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	rowSize := ctx.Params.N() / 2
-	r := &Runner{Model: m, ctx: ctx, convs: map[int]*core.Conv2D{}, fcs: map[int]*core.FC{}}
-
-	var rotSteps []int
-	net := m.Net
-	h, w := net.InH, net.InW
-	for i, l := range net.Layers {
-		switch l.Kind {
-		case Conv:
-			_, _, c := net.shapeAt(i)
-			spec := core.ConvSpec{InH: h, InW: w, InC: c, KH: l.KH, KW: l.KW, OutC: l.OutC}
-			conv, err := core.NewConv2D(spec, m.ConvW[i], rowSize)
-			if err != nil {
-				return nil, fmt.Errorf("nn: layer %d: %w", i, err)
-			}
-			r.convs[i] = conv
-			rotSteps = append(rotSteps, conv.RotationSteps()...)
-		case FC:
-			hh, ww, cc := net.shapeAt(i)
-			fc, err := core.NewFC(hh*ww*cc, l.FCOut, m.FCW[i], rowSize)
-			if err != nil {
-				return nil, fmt.Errorf("nn: layer %d: %w", i, err)
-			}
-			r.fcs[i] = fc
-			rotSteps = append(rotSteps, fc.RotationSteps()...)
-		case Pool:
-			h, w = h/2, w/2
-		case Act:
-		}
-		if l.Kind == FC {
-			h, w = 1, l.FCOut
-		}
+	rotSteps, convs, fcs, err := rotationStepsFor(m.Net, m, ctx.Params.N()/2)
+	if err != nil {
+		return nil, err
 	}
+	r := &Runner{Model: m, ctx: ctx, convs: convs, fcs: fcs}
 
 	kg := bfv.NewKeyGenerator(ctx, seed)
 	r.sk = kg.GenSecretKey()

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"choco/internal/bfv"
@@ -258,7 +259,7 @@ func TestLeNetSmServerOpCounts(t *testing.T) {
 				t.Fatalf("%s: logit %d: encrypted %d vs plain %d", label, i, got[i], want[i])
 			}
 		}
-		if wantOps := (core.OpCounts{Rotations: 164, PlainMults: 603, Adds: 596}); stats.Server != wantOps {
+		if wantOps := (core.OpCounts{Rotations: 95, PlainMults: 603, Adds: 596}); stats.Server != wantOps {
 			t.Errorf("%s: server ops %+v, want %+v", label, stats.Server, wantOps)
 		}
 	}
@@ -271,5 +272,105 @@ func TestActivationCountAndShapeK(t *testing.T) {
 	}
 	if n.HEShapeK() != 3 {
 		t.Errorf("preset B shape k = %d, want 3", n.HEShapeK())
+	}
+}
+
+// TestGaloisKeysGeneratedAreKeysUsed holds every conv and FC layer of
+// the two executable networks to "keys generated = keys used": Apply
+// succeeds under exactly RotationSteps() keys, each step is its own
+// Galois element, and with any one of them removed Apply names the
+// missing key — so no key a client generates, uploads and the server
+// keeps resident is dead weight.
+func TestGaloisKeysGeneratedAreKeysUsed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, net := range []*Network{LeNetSmall(), DemoNetwork()} {
+		ctx, err := bfv.NewContext(net.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots := ctx.Params.Slots()
+		_, convs, fcs, err := rotationStepsFor(net, SynthesizeWeights(net, 4, [32]byte{11}), slots/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kg := bfv.NewKeyGenerator(ctx, [32]byte{12})
+		sk := kg.GenSecretKey()
+		ecd := bfv.NewEncoder(ctx)
+		vals := make([]int64, slots)
+		for i := range vals {
+			vals[i] = int64(i%15) - 7
+		}
+		pt, err := ecd.EncodeInts(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := bfv.NewSymmetricEncryptor(ctx, sk, [32]byte{13}).EncryptSeeded(pt).Expand(ctx)
+
+		for i := range net.Layers {
+			var l struct {
+				steps []int
+				apply func(ev *bfv.Evaluator) error
+			}
+			if conv, ok := convs[i]; ok {
+				l.steps = conv.RotationSteps()
+				l.apply = func(ev *bfv.Evaluator) error {
+					_, _, err := conv.Apply(ev, ecd, ct, slots)
+					return err
+				}
+			} else if fc, ok := fcs[i]; ok {
+				l.steps = fc.RotationSteps()
+				l.apply = func(ev *bfv.Evaluator) error {
+					_, _, err := fc.Apply(ev, ecd, ct, slots)
+					return err
+				}
+			} else {
+				continue
+			}
+			keys := kg.GenRotationKeys(sk, l.steps...)
+			if len(keys) != len(l.steps)+1 { // + the row-swap key GenRotationKeys always adds
+				t.Errorf("%s layer %d: %d steps share %d Galois elements", net.Name, i, len(l.steps), len(keys)-1)
+			}
+			if err := l.apply(bfv.NewEvaluator(ctx, nil, keys)); err != nil {
+				t.Fatalf("%s layer %d: Apply with exactly RotationSteps() keys: %v", net.Name, i, err)
+			}
+			for _, s := range l.steps {
+				less := make(map[uint64]*bfv.GaloisKey, len(keys))
+				for g, k := range keys {
+					if g != ctx.RingQ.GaloisElementForRotation(s) {
+						less[g] = k
+					}
+				}
+				if err := l.apply(bfv.NewEvaluator(ctx, nil, less)); err == nil || !strings.Contains(err.Error(), "missing Galois key") {
+					t.Errorf("%s layer %d: Apply without the key for step %d: err = %v, want a missing Galois key", net.Name, i, s, err)
+				}
+			}
+		}
+	}
+}
+
+// TestLeNetSmKeyFootprint pins the Galois key count of a LeNet-Sm
+// session — what the client generates and uploads once and the server
+// keeps resident. It was 153 keys (60.7 MB) while Conv2D rotated once
+// per (block shift, kernel offset) pair; the BSGS schedule needs the
+// kernel offsets plus the block shifts.
+func TestLeNetSmKeyFootprint(t *testing.T) {
+	keys, bundleBytes, err := EvaluationKeyFootprint(LeNetSmall())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys != 76 || bundleBytes != 30408704 {
+		t.Errorf("LeNet-Sm footprint: %d Galois keys, %d B bundle; want 76 keys, 30408704 B", keys, bundleBytes)
+	}
+	client, err := NewInferenceClient(LeNetSmall(), [32]byte{9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(client.bundle.Galois); got != keys {
+		t.Errorf("the client generated %d Galois keys, the footprint says %d", got, keys)
+	}
+	if got := int64(len(protocol.MarshalKeyBundle(client.bundle))); got < bundleBytes || got > bundleBytes+bundleBytes/100 {
+		t.Errorf("the marshalled bundle is %d B, the footprint says %d", got, bundleBytes)
 	}
 }

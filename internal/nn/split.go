@@ -31,35 +31,46 @@ type InferenceClient struct {
 	fcs   map[int]*core.FC
 }
 
-// rotationStepsFor derives every rotation the network's linear layers
-// need — identical on both sides because it depends only on shapes.
-func rotationStepsFor(net *Network, rowSize int) ([]int, map[int]*core.Conv2D, map[int]*core.FC, error) {
+// rotationStepsFor compiles the network's linear layers against the
+// ring's row size and derives every rotation they need — identical on
+// both sides because it depends only on shapes. With a model the
+// operators carry its weights (the evaluating side); with nil they are
+// spec-only (the client's packing and key-generation half).
+func rotationStepsFor(net *Network, m *QuantizedModel, rowSize int) ([]int, map[int]*core.Conv2D, map[int]*core.FC, error) {
 	var steps []int
 	convs := map[int]*core.Conv2D{}
 	fcs := map[int]*core.FC{}
 	h, w := net.InH, net.InW
 	for i, l := range net.Layers {
+		var err error
 		switch l.Kind {
 		case Conv:
 			_, _, c := net.shapeAt(i)
 			spec := core.ConvSpec{InH: h, InW: w, InC: c, KH: l.KH, KW: l.KW, OutC: l.OutC}
-			conv, err := core.NewConv2DSpecOnly(spec, rowSize)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("nn: layer %d: %w", i, err)
+			if m != nil {
+				convs[i], err = core.NewConv2D(spec, m.ConvW[i], rowSize)
+			} else {
+				convs[i], err = core.NewConv2DSpecOnly(spec, rowSize)
 			}
-			convs[i] = conv
-			steps = append(steps, conv.RotationSteps()...)
+			if err == nil {
+				steps = append(steps, convs[i].RotationSteps()...)
+			}
 		case FC:
 			hh, ww, cc := net.shapeAt(i)
-			fc, err := core.NewFCSpecOnly(hh*ww*cc, l.FCOut, rowSize)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("nn: layer %d: %w", i, err)
+			if m != nil {
+				fcs[i], err = core.NewFC(hh*ww*cc, l.FCOut, m.FCW[i], rowSize)
+			} else {
+				fcs[i], err = core.NewFCSpecOnly(hh*ww*cc, l.FCOut, rowSize)
 			}
-			fcs[i] = fc
-			steps = append(steps, fc.RotationSteps()...)
+			if err == nil {
+				steps = append(steps, fcs[i].RotationSteps()...)
+			}
 			h, w = 1, l.FCOut
 		case Pool:
 			h, w = h/2, w/2
+		}
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("nn: layer %d: %w", i, err)
 		}
 	}
 	return steps, convs, fcs, nil
@@ -74,59 +85,40 @@ func rotationStepsFor(net *Network, rowSize int) ([]int, map[int]*core.Conv2D, m
 func EvaluationKeyFootprint(net *Network) (galoisKeys int, bundleBytes int64, err error) {
 	params := net.Params
 	rowSize := params.N() / 2
-	// Derive the rotation-step set per layer. Unlike the executable
-	// path, channel counts clamp to one ciphertext's block capacity —
-	// wide layers split across ciphertexts but reuse the same steps.
+	// The step set is the operators' own (RotationSteps). Unlike the
+	// executable path, channel and vector widths clamp to one
+	// ciphertext's capacity — wide layers split across ciphertexts but
+	// reuse the same steps.
 	set := map[int]bool{}
 	h, w := net.InH, net.InW
 	for i, l := range net.Layers {
+		var steps []int
 		switch l.Kind {
 		case Conv:
-			ph, pw := (l.KH-1)/2, (l.KW-1)/2
-			wp := w + 2*pw
-			window := (h + 2*ph) * wp
-			pad := ph*wp + pw
-			stride := 1
-			for stride < window+2*pad {
-				stride <<= 1
+			_, _, c := net.shapeAt(i)
+			spec := core.ConvSpec{InH: h, InW: w, InC: 1, KH: l.KH, KW: l.KW, OutC: l.OutC}
+			conv, err := core.NewConv2DSpecOnly(spec, rowSize)
+			if err == nil && c > 1 {
+				spec.InC = min(c, conv.Cb)
+				conv, err = core.NewConv2DSpecOnly(spec, rowSize)
 			}
-			if stride > rowSize {
-				return 0, 0, fmt.Errorf("nn: layer %d window exceeds the ring", i)
+			if err != nil {
+				return 0, 0, fmt.Errorf("nn: layer %d: %w", i, err)
 			}
-			cb := rowSize / stride
-			for d := 0; d < cb; d++ {
-				for ky := 0; ky < l.KH; ky++ {
-					for kx := 0; kx < l.KW; kx++ {
-						delta := (ky-ph)*wp + (kx - pw)
-						s := ((d*stride+delta)%rowSize + rowSize) % rowSize
-						if s != 0 {
-							set[s] = true
-						}
-					}
-				}
-			}
+			steps = conv.RotationSteps()
 		case FC:
 			hh, ww, cc := net.shapeAt(i)
-			p := 1
-			for p < hh*ww*cc || p < l.FCOut {
-				p <<= 1
+			fc, err := core.NewFCSpecOnly(min(hh*ww*cc, rowSize), min(l.FCOut, rowSize), rowSize)
+			if err != nil {
+				return 0, 0, fmt.Errorf("nn: layer %d: %w", i, err)
 			}
-			if p > rowSize {
-				p = rowSize
-			}
-			b := 1
-			for b*b < p {
-				b <<= 1
-			}
-			for j := 1; j < b; j++ {
-				set[j] = true
-			}
-			for g := 1; g < p/b; g++ {
-				set[g*b] = true
-			}
+			steps = fc.RotationSteps()
 			h, w = 1, l.FCOut
 		case Pool:
 			h, w = h/2, w/2
+		}
+		for _, s := range steps {
+			set[s] = true
 		}
 	}
 	// Distinct Galois elements plus the row-swap key.
@@ -151,7 +143,7 @@ func NewInferenceClient(net *Network, seed [32]byte) (*InferenceClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	steps, convs, fcs, err := rotationStepsFor(net, ctx.Params.N()/2)
+	steps, convs, fcs, err := rotationStepsFor(net, nil, ctx.Params.N()/2)
 	if err != nil {
 		return nil, err
 	}
@@ -267,6 +259,9 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 		raw, err := t.Recv()
 		if err != nil {
 			return nil, err
+		}
+		if msg, ok := protocol.ParseSessionError(raw); ok {
+			return nil, fmt.Errorf("nn: the server failed the session: %s", msg)
 		}
 		stats.Decryptions++
 		stats.DownCiphertexts++
@@ -427,33 +422,11 @@ func NewInferenceServer(m *QuantizedModel) (*InferenceServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	rowSize := ctx.Params.N() / 2
-	s := &InferenceServer{Model: m, ctx: ctx, ecd: bfv.NewEncoder(ctx), convs: map[int]*core.Conv2D{}, fcs: map[int]*core.FC{}}
-	net := m.Net
-	h, w := net.InH, net.InW
-	for i, l := range net.Layers {
-		switch l.Kind {
-		case Conv:
-			_, _, c := net.shapeAt(i)
-			spec := core.ConvSpec{InH: h, InW: w, InC: c, KH: l.KH, KW: l.KW, OutC: l.OutC}
-			conv, err := core.NewConv2D(spec, m.ConvW[i], rowSize)
-			if err != nil {
-				return nil, err
-			}
-			s.convs[i] = conv
-		case FC:
-			hh, ww, cc := net.shapeAt(i)
-			fc, err := core.NewFC(hh*ww*cc, l.FCOut, m.FCW[i], rowSize)
-			if err != nil {
-				return nil, err
-			}
-			s.fcs[i] = fc
-			h, w = 1, l.FCOut
-		case Pool:
-			h, w = h/2, w/2
-		}
+	_, convs, fcs, err := rotationStepsFor(m.Net, m, ctx.Params.N()/2)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &InferenceServer{Model: m, ctx: ctx, ecd: bfv.NewEncoder(ctx), convs: convs, fcs: fcs}, nil
 }
 
 // AcceptSetup receives the client's evaluation keys into the default

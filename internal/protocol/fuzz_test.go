@@ -107,6 +107,7 @@ func FuzzHelloFrame(f *testing.F) {
 	f.Add(MarshalPeerPong(PeerHealth{Draining: true, ActiveSessions: 3, MaxSessions: 8}))
 	f.Add(MarshalStatsFetch())
 	f.Add(MarshalStatsResp([]byte(`{"SessionsTotal":1}`)))
+	f.Add(MarshalSessionError("internal error during inference 2"))
 	f.Add([]byte("CHOKnotreallyakeybundle"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -161,6 +162,9 @@ func FuzzHelloFrame(f *testing.F) {
 		}
 		if body, err := UnmarshalStatsResp(data); err == nil && len(body) > len(data) {
 			t.Fatalf("stats body longer than frame")
+		}
+		if msg, ok := ParseSessionError(data); ok && (len(msg) > MaxSessionErrorLen || !bytes.Equal(MarshalSessionError(msg), data)) {
+			t.Fatalf("session error round trip mismatch (%d B message)", len(msg))
 		}
 	})
 }

@@ -213,3 +213,33 @@ func ParseHelloAck(data []byte) (HelloAckStatus, time.Duration, error) {
 	}
 	return st, retryAfter, nil
 }
+
+// sessionErrorMagic tags the frame a server sends in place of a reply it
+// cannot produce ("CERR" on the wire, little-endian).
+const sessionErrorMagic = uint32(0x52524543)
+
+// MaxSessionErrorLen bounds the message a session-error frame carries.
+const MaxSessionErrorLen = 256
+
+// MarshalSessionError builds a session-error frame: the server's last
+// word, best effort, when it has to fail a session mid-request, so the
+// client reads a reason instead of waiting out a reply that will not
+// come. The message is truncated to MaxSessionErrorLen.
+func MarshalSessionError(msg string) []byte {
+	if len(msg) > MaxSessionErrorLen {
+		msg = msg[:MaxSessionErrorLen]
+	}
+	buf := make([]byte, 4+len(msg))
+	binary.LittleEndian.PutUint32(buf, sessionErrorMagic)
+	copy(buf[4:], msg)
+	return buf
+}
+
+// ParseSessionError reports whether data is a session-error frame and,
+// if so, the message it carries.
+func ParseSessionError(data []byte) (string, bool) {
+	if len(data) < 4 || len(data) > 4+MaxSessionErrorLen || binary.LittleEndian.Uint32(data) != sessionErrorMagic {
+		return "", false
+	}
+	return string(data[4:]), true
+}

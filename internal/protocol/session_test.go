@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"choco/internal/bfv"
 )
 
 func TestHelloRoundTrip(t *testing.T) {
@@ -176,5 +178,30 @@ func TestHelloAckRetryAfter(t *testing.T) {
 	}
 	if _, _, err := ParseHelloAck(frame[:10]); err == nil {
 		t.Error("10-byte ack accepted")
+	}
+}
+
+func TestSessionErrorFrame(t *testing.T) {
+	frame := MarshalSessionError("internal error during inference 2")
+	if msg, ok := ParseSessionError(frame); !ok || msg != "internal error during inference 2" {
+		t.Errorf("round trip: %q, %v", msg, ok)
+	}
+	long := MarshalSessionError(strings.Repeat("x", 2*MaxSessionErrorLen))
+	if msg, ok := ParseSessionError(long); !ok || len(msg) != MaxSessionErrorLen {
+		t.Errorf("an over-long message came back %d B, ok=%v; want it truncated to %d", len(msg), ok, MaxSessionErrorLen)
+	}
+	// No other frame a client waits for parses as one, and an error
+	// frame is no ciphertext.
+	for _, other := range [][]byte{nil, {1, 2, 3}, MarshalHelloAck(AckBusy), append(MarshalSessionError(""), make([]byte, MaxSessionErrorLen+1)...)} {
+		if _, ok := ParseSessionError(other); ok {
+			t.Errorf("a %d-byte non-error frame parsed as a session error", len(other))
+		}
+	}
+	ctx, err := bfv.NewContext(bfv.PresetTest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalBFV(ctx, frame); err == nil {
+		t.Error("a session-error frame decoded as a ciphertext")
 	}
 }

@@ -27,6 +27,59 @@ const (
 	SchemeCKKS = uint32(2)
 )
 
+// readResidues fills p's rows from the little-endian words at
+// data[off:] and returns the offset past them. Frames arrive from
+// untrusted peers and the evaluators' lazy-reduction and vector kernels
+// assume canonical inputs, so a row holding a word that is not a residue
+// of its modulus is rejected here, in the one pass that copies it. The
+// check is branch-free — for q < 2^63, v < q exactly when v − q borrows
+// into the top bit and v's own top bit is clear — and the loop is
+// unrolled four words wide (N is a power of two) behind one bounds check,
+// which pays for the compare (EXPERIMENTS.md "Unmarshal range check").
+func readResidues(r *ring.Ring, p *ring.Poly, data []byte, off int) (int, error) {
+	for i, row := range p.Coeffs {
+		q := r.Moduli[i].Value
+		src := data[off : off+8*len(row)]
+		inRange := ^uint64(0)
+		j := 0
+		for ; j+4 <= len(row); j += 4 {
+			s, d := src[8*j:8*j+32:8*j+32], row[j:j+4:j+4]
+			v0, v1 := binary.LittleEndian.Uint64(s[0:]), binary.LittleEndian.Uint64(s[8:])
+			v2, v3 := binary.LittleEndian.Uint64(s[16:]), binary.LittleEndian.Uint64(s[24:])
+			inRange &= ((v0 - q) &^ v0) & ((v1 - q) &^ v1) & ((v2 - q) &^ v2) & ((v3 - q) &^ v3)
+			d[0], d[1], d[2], d[3] = v0, v1, v2, v3
+		}
+		for ; j < len(row); j++ {
+			v := binary.LittleEndian.Uint64(src[8*j:])
+			inRange &= (v - q) &^ v
+			row[j] = v
+		}
+		if inRange>>63 == 0 {
+			return 0, fmt.Errorf("protocol: residue row %d holds a word that is not reduced mod %d", i, q)
+		}
+		off += len(src)
+	}
+	return off, nil
+}
+
+// checkDegree rejects a component count no evaluator accepts: fresh and
+// relinearized ciphertexts have 2 polynomials, an unrelinearized product 3.
+func checkDegree(deg int) error {
+	if deg != 2 && deg != 3 {
+		return fmt.Errorf("protocol: ciphertext has %d components, want 2 or 3", deg)
+	}
+	return nil
+}
+
+// checkScale rejects a CKKS scale no encoder produces; every rescale and
+// decode divides by it.
+func checkScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("protocol: ciphertext scale %v is not a positive finite number", scale)
+	}
+	return nil
+}
+
 // MarshalBFV serializes a BFV ciphertext.
 func MarshalBFV(ct *bfv.Ciphertext) []byte {
 	polys := ct.Value
@@ -65,6 +118,9 @@ func UnmarshalBFV(ctx *bfv.Context, data []byte) (*bfv.Ciphertext, error) {
 		return nil, fmt.Errorf("protocol: ciphertext shape (N=%d,k=%d) does not match context (N=%d,k≤%d)",
 			n, k, ctx.Params.N(), full)
 	}
+	if err := checkDegree(deg); err != nil {
+		return nil, err
+	}
 	want := headerBytes + deg*n*k*8
 	if len(data) != want {
 		return nil, fmt.Errorf("protocol: ciphertext length %d, want %d", len(data), want)
@@ -73,15 +129,12 @@ func UnmarshalBFV(ctx *bfv.Context, data []byte) (*bfv.Ciphertext, error) {
 	r := ctx.RingAtDrop(drop)
 	ct := &bfv.Ciphertext{Value: make([]*ring.Poly, deg), Drop: drop}
 	off := headerBytes
-	for i := 0; i < deg; i++ {
-		p := r.NewPoly()
-		for _, row := range p.Coeffs {
-			for j := range row {
-				row[j] = binary.LittleEndian.Uint64(data[off:])
-				off += 8
-			}
+	for i := range ct.Value {
+		ct.Value[i] = r.NewPoly()
+		var err error
+		if off, err = readResidues(r, ct.Value[i], data, off); err != nil {
+			return nil, err
 		}
-		ct.Value[i] = p
 	}
 	return ct, nil
 }
@@ -122,7 +175,7 @@ func UnmarshalSeededBFV(ctx *bfv.Context, data []byte) (*bfv.Ciphertext, error) 
 	}
 	n := int(binary.LittleEndian.Uint32(data[8:]))
 	k := int(binary.LittleEndian.Uint32(data[12:]))
-	if n != ctx.Params.N() || k != len(ctx.RingQ.Moduli) {
+	if binary.LittleEndian.Uint32(data[4:]) != 1 || n != ctx.Params.N() || k != len(ctx.RingQ.Moduli) {
 		return nil, fmt.Errorf("protocol: seeded ciphertext shape mismatch")
 	}
 	if len(data) != headerBytes+32+n*k*8 {
@@ -130,12 +183,8 @@ func UnmarshalSeededBFV(ctx *bfv.Context, data []byte) (*bfv.Ciphertext, error) 
 	}
 	sct := &bfv.SeededCiphertext{C0: ctx.RingQ.NewPoly()}
 	copy(sct.Seed[:], data[headerBytes:])
-	off := headerBytes + 32
-	for _, row := range sct.C0.Coeffs {
-		for j := range row {
-			row[j] = binary.LittleEndian.Uint64(data[off:])
-			off += 8
-		}
+	if _, err := readResidues(ctx.RingQ, sct.C0, data, headerBytes+32); err != nil {
+		return nil, err
 	}
 	return sct.Expand(ctx), nil
 }
@@ -195,6 +244,12 @@ func UnmarshalCKKS(ctx *ckks.Context, data []byte) (*ckks.Ciphertext, error) {
 	if n != ctx.Params.N() || k > len(ctx.RingQ.Moduli) || k < 1 {
 		return nil, fmt.Errorf("protocol: ciphertext shape mismatch")
 	}
+	if err := checkDegree(deg); err != nil {
+		return nil, err
+	}
+	if err := checkScale(scale); err != nil {
+		return nil, err
+	}
 	want := headerBytes + deg*n*k*8
 	if len(data) != want {
 		return nil, fmt.Errorf("protocol: ciphertext length %d, want %d", len(data), want)
@@ -203,15 +258,12 @@ func UnmarshalCKKS(ctx *ckks.Context, data []byte) (*ckks.Ciphertext, error) {
 	r := ctx.RingAtLevel(level)
 	ct := &ckks.Ciphertext{Value: make([]*ring.Poly, deg), Level: level, Scale: scale}
 	off := headerBytes
-	for i := 0; i < deg; i++ {
-		p := r.NewPoly()
-		for _, row := range p.Coeffs {
-			for j := range row {
-				row[j] = binary.LittleEndian.Uint64(data[off:])
-				off += 8
-			}
+	for i := range ct.Value {
+		ct.Value[i] = r.NewPoly()
+		var err error
+		if off, err = readResidues(r, ct.Value[i], data, off); err != nil {
+			return nil, err
 		}
-		ct.Value[i] = p
 	}
 	return ct, nil
 }
@@ -254,21 +306,21 @@ func UnmarshalSeededCKKS(ctx *ckks.Context, data []byte) (*ckks.Ciphertext, erro
 	n := int(binary.LittleEndian.Uint32(data[8:]))
 	k := int(binary.LittleEndian.Uint32(data[12:]))
 	scale := math.Float64frombits(binary.LittleEndian.Uint64(data[16:]))
-	if n != ctx.Params.N() || k < 1 || k > len(ctx.RingQ.Moduli) {
+	if binary.LittleEndian.Uint32(data[4:]) != 1 || n != ctx.Params.N() || k < 1 || k > len(ctx.RingQ.Moduli) {
 		return nil, fmt.Errorf("protocol: seeded ciphertext shape mismatch")
+	}
+	if err := checkScale(scale); err != nil {
+		return nil, err
 	}
 	if len(data) != headerBytes+32+n*k*8 {
 		return nil, fmt.Errorf("protocol: seeded ciphertext length %d", len(data))
 	}
 	level := k - 1
-	sct := &ckks.SeededCiphertext{C0: ctx.RingAtLevel(level).NewPoly(), Level: level, Scale: scale}
+	r := ctx.RingAtLevel(level)
+	sct := &ckks.SeededCiphertext{C0: r.NewPoly(), Level: level, Scale: scale}
 	copy(sct.Seed[:], data[headerBytes:])
-	off := headerBytes + 32
-	for _, row := range sct.C0.Coeffs {
-		for j := range row {
-			row[j] = binary.LittleEndian.Uint64(data[off:])
-			off += 8
-		}
+	if _, err := readResidues(r, sct.C0, data, headerBytes+32); err != nil {
+		return nil, err
 	}
 	return sct.Expand(ctx), nil
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,7 +38,19 @@ import (
 // unbatched connections may be mixed freely. If a round's ApplyBatch
 // fails, the leader replays its items one by one so one session's bad
 // input (e.g. a missing Galois key) cannot poison its batch-mates —
-// error semantics stay exactly those of the serial path.
+// error semantics stay exactly those of the serial path. A panic in the
+// kernels is such a failure (panicError): the round runs on its leader's
+// goroutine, so left alone it would end the leader's session for another
+// session's input and strand the followers waiting on their results.
+
+// panicError is a panic recovered while serving a session, reported as
+// that session's error; stack is where it was raised.
+type panicError struct {
+	value any
+	stack []byte
+}
+
+func (e *panicError) Error() string { return fmt.Sprintf("serve: panic: %v", e.value) }
 
 type batchItem struct {
 	layer int
@@ -196,9 +210,18 @@ func (x *batchExecutor) runGroup(group []*batchItem) {
 }
 
 // apply evaluates same-layer items through one ApplyBatch call. A
-// failure is reported on every item: the kernel does not say whose
-// input caused it.
-func (x *batchExecutor) apply(group []*batchItem) []batchResult {
+// failure — an error or a panic — is reported on every item: the kernel
+// does not say whose input caused it.
+func (x *batchExecutor) apply(group []*batchItem) (results []batchResult) {
+	results = make([]batchResult, len(group))
+	defer func() {
+		if v := recover(); v != nil {
+			err := &panicError{value: v, stack: debug.Stack()}
+			for i := range results {
+				results[i] = batchResult{err: err}
+			}
+		}
+	}()
 	ins := make([]core.BatchInput, len(group))
 	for i, it := range group {
 		ins[i] = core.BatchInput{Ev: it.ev, Ct: it.ct}
@@ -217,7 +240,6 @@ func (x *batchExecutor) apply(group []*batchItem) []batchResult {
 			outs[i] = []*bfv.Ciphertext{ct}
 		}
 	}
-	results := make([]batchResult, len(group))
 	for i := range results {
 		if err != nil {
 			results[i].err = err

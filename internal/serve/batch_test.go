@@ -227,7 +227,9 @@ func TestBatchExecutorRescue(t *testing.T) {
 	steps := conv.RotationSteps()
 	evs := make([]*bfv.Evaluator, 2)
 	cts := make([]*bfv.Ciphertext, 2)
-	for i, keyed := range [][]int{steps, steps[:len(steps)-1]} {
+	// The second session lacks a kernel-offset (baby) key, so its rounds
+	// stop at the input rotations, before any plaintext is prepared.
+	for i, keyed := range [][]int{steps, steps[1:]} {
 		kg := bfv.NewKeyGenerator(ctx, [32]byte{90 + byte(i)})
 		sk := kg.GenSecretKey()
 		evs[i] = bfv.NewEvaluator(ctx, nil, kg.GenRotationKeys(sk, keyed...))
@@ -511,5 +513,81 @@ func TestEvictedKeysReplicateFromPeer(t *testing.T) {
 	// admitted twice without ever re-uploading.
 	if st.KeyCacheMisses != 1 {
 		t.Errorf("KeyCacheMisses = %d, want 1 (only evict-2's upload)", st.KeyCacheMisses)
+	}
+}
+
+// TestBatchExecutorContainsKernelPanic coalesces a healthy FC item with
+// one whose evaluator is nil, so the kernels panic mid-round on the
+// leader's goroutine — whichever session that is. The panic must come
+// back as the guilty item's error, with the stack; the healthy item is
+// replayed to its byte-exact result, and nobody is left waiting.
+func TestBatchExecutorContainsKernelPanic(t *testing.T) {
+	ctx, err := bfv.NewContext(bfv.PresetTest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const in, out = 16, 8
+	src := sampling.NewSource([32]byte{36}, "serve-batch-panic")
+	w := make([][]int64, out)
+	for r := range w {
+		w[r] = make([]int64, in)
+		for c := range w[r] {
+			w[r][c] = int64(src.Intn(9)) - 4
+		}
+	}
+	fc, err := core.NewFC(in, out, w, ctx.Params.N()/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecd := bfv.NewEncoder(ctx)
+	slots := ctx.Params.Slots()
+	kg := bfv.NewKeyGenerator(ctx, [32]byte{75})
+	sk := kg.GenSecretKey()
+	ev := bfv.NewEvaluator(ctx, nil, kg.GenRotationKeys(sk, fc.RotationSteps()...))
+	vec := make([]int64, slots)
+	for j := 0; j < in; j++ {
+		vec[j] = int64(src.Intn(15)) - 7
+	}
+	ct, err := bfv.NewEncryptor(ctx, kg.GenPublicKey(sk), [32]byte{85}).EncryptInts(vec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantOps, err := fc.Apply(ev, ecd, ct, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	x := newBatchExecutor(ecd, 2, 10*time.Second, 0) // depth-triggered
+	evs := []*bfv.Evaluator{ev, nil}
+	outs := make([]*bfv.Ciphertext, 2)
+	ops := make([]core.OpCounts, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range evs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i], ops[i], errs[i] = x.ExecFC(0, fc, evs[i], ct, slots)
+		}(i)
+	}
+	wg.Wait()
+
+	if errs[0] != nil {
+		t.Fatalf("healthy session failed with its batch-mate's panic: %v", errs[0])
+	}
+	var pe *panicError
+	if !errors.As(errs[1], &pe) || len(pe.stack) == 0 {
+		t.Fatalf("session with a nil evaluator: err = %v, want a recovered panic with its stack", errs[1])
+	}
+	if ops[0] != wantOps {
+		t.Errorf("rescued session ops %+v, serial %+v", ops[0], wantOps)
+	}
+	for p := range want.Value {
+		if !ctx.RingQ.Equal(outs[0].Value[p], want.Value[p]) {
+			t.Errorf("rescued session poly %d differs from serial Apply", p)
+		}
+	}
+	if st := x.stats(); st.Rounds != 1 || st.SerialRescues != 2 {
+		t.Errorf("executor stats %+v: want one round with both items replayed", st)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -379,4 +380,110 @@ func TestIdleTimeoutClosesSession(t *testing.T) {
 	}
 	cancel()
 	<-serveDone
+}
+
+// TestSessionPanicIsContained runs three concurrent sessions through a
+// batching server whose kernels panic on the second request of one of
+// them (its rotation keys are swapped for nil ones after the first
+// reply). That session alone fails — told so by an error frame, its
+// stack in the log under its session ID — while the other two finish
+// every request on a server whose counters still add up and whose
+// worker slots are all free again.
+func TestSessionPanicIsContained(t *testing.T) {
+	backend, model := testBackend(t, tinyNetwork)
+	var logMu sync.Mutex
+	var logged []string
+	srv := New(backend, Config{MaxSessions: 3, Logf: func(format string, args ...any) {
+		logMu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}})
+	ctx, err := bfv.NewContext(tinyNetwork().Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The hostile session is installed by hand, so the test keeps a
+	// handle on the key map its evaluator reads.
+	const hostileID, requests = "panic-hostile", 3
+	hostile, err := nn.NewInferenceClient(tinyNetwork(), [32]byte{50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyOut, keyIn := protocol.NewPipe()
+	if err := hostile.Setup(keyOut); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := keyIn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyOut.Close()
+	kb, err := protocol.UnmarshalKeyBundle(ctx, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.reg.store(hostileID, backend.NewSession(kb), raw)
+
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			runClientSession(t, srv, tinyNetwork, model, byte(51+w), fmt.Sprintf("panic-mate-%d", w), requests)
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		clientEnd, serverEnd := protocol.NewPipe()
+		defer clientEnd.Close()
+		done := make(chan error, 1)
+		go func() { done <- srv.ServeTransport(context.Background(), serverEnd) }()
+		if cached, err := hostile.SetupSession(clientEnd, hostileID); err != nil || !cached {
+			t.Errorf("hostile session open: cached=%v err=%v", cached, err)
+			return
+		}
+		img := nn.SynthesizeImage(tinyNetwork(), 4, [32]byte{50})
+		if _, _, err := hostile.Infer(img, clientEnd); err != nil {
+			t.Errorf("hostile session, first request: %v", err)
+			return
+		}
+		for g := range kb.Galois {
+			kb.Galois[g] = nil // the next rotation dereferences it
+		}
+		if _, _, err := hostile.Infer(img, clientEnd); err == nil || !strings.Contains(err.Error(), "the server failed the session") {
+			t.Errorf("hostile session, second request: err = %v, want the server's error frame", err)
+		}
+		var pe *panicError
+		if err := <-done; !errors.As(err, &pe) {
+			t.Errorf("hostile session ended with %v, want the recovered panic", err)
+		}
+	}()
+	wg.Wait()
+
+	st := srv.Stats()
+	if st.SessionsTotal != 3 || st.SessionsActive != 0 || st.SessionPanics != 1 || st.SessionsRejected != 0 {
+		t.Errorf("stats after the panic: %+v", st)
+	}
+	if want := int64(2*requests + 1); st.Inferences != want || st.InferenceLatency.Count != want {
+		t.Errorf("inferences %d (latency samples %d), want %d", st.Inferences, st.InferenceLatency.Count, want)
+	}
+	if len(srv.slots) != 0 {
+		t.Errorf("%d worker slots still held", len(srv.slots))
+	}
+	// The server still serves: a fourth session takes a freed slot.
+	runClientSession(t, srv, tinyNetwork, model, 53, "panic-after", 1)
+
+	logMu.Lock()
+	defer logMu.Unlock()
+	found := false
+	for _, line := range logged {
+		if strings.Contains(line, hostileID) && strings.Contains(line, "panic during inference 2") && strings.Contains(line, "goroutine ") {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no log line names session %q with the panic's stack: %q", hostileID, logged)
+	}
 }

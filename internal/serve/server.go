@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -290,7 +291,7 @@ func (s *Server) ServeTransport(ctx context.Context, t protocol.Transport) error
 			time.Since(start).Round(time.Millisecond), inferences, t.ReceivedBytes(), t.SentBytes())
 	}()
 
-	sess, tenant, err := s.handshake(t)
+	sess, id, tenant, err := s.handshake(t)
 	if err != nil {
 		return err
 	}
@@ -314,7 +315,7 @@ func (s *Server) ServeTransport(ctx context.Context, t protocol.Transport) error
 		// a client that has its answer, or a /fleet poll it triggers,
 		// never finds counters that lack it. (The latency sample
 		// therefore ends at the hand-off to the final write.)
-		_, err := sess.ServeOneAccounted(t, func(ops nn.ServerOps) {
+		err := serveOne(sess, t, func(ops nn.ServerOps) {
 			inferences++
 			s.acct.inferences.Add(1)
 			if tenant != "" {
@@ -327,9 +328,33 @@ func (s *Server) ServeTransport(ctx context.Context, t protocol.Transport) error
 			if s.sessionOver(t, err) {
 				return nil
 			}
+			var pe *panicError
+			if errors.As(err, &pe) {
+				// One session's panic ends that session only: it returns
+				// through the deferred releases above like any failed
+				// inference. The client is told, best effort, and the
+				// operator gets the stack.
+				s.acct.sessionPanics.Add(1)
+				s.cfg.Logf("serve: session %q: panic during inference %d: %v\n%s", id, n, pe.value, pe.stack)
+				_ = t.Send(protocol.MarshalSessionError(fmt.Sprintf("internal error during inference %d", n)))
+			}
 			return fmt.Errorf("inference %d failed: %w", n, err)
 		}
 	}
+}
+
+// serveOne serves one request, turning a panic on the session's own
+// goroutine (frame decode, the unbatched kernels, reply encode) into
+// that session's error; panics inside a gather round arrive as errors
+// already (batchExecutor.apply).
+func serveOne(sess *nn.ServerSession, t protocol.Transport, account func(nn.ServerOps)) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &panicError{value: v, stack: debug.Stack()}
+		}
+	}()
+	_, err = sess.ServeOneAccounted(t, account)
+	return err
 }
 
 // handshake admits the session: the hello exchange (with the eval-key
@@ -340,49 +365,48 @@ func (s *Server) ServeTransport(ctx context.Context, t protocol.Transport) error
 // exchange: an over-quota tenant gets a busy ack with a retry-after
 // hint, so its sessions back off instead of consuming worker slots
 // other tenants could use. On success with a non-empty tenant, the
-// caller owns releasing the tenant's session slot.
-func (s *Server) handshake(t protocol.Transport) (*nn.ServerSession, string, error) {
+// caller owns releasing the tenant's session slot. The session ID comes
+// back for the caller's diagnostics (empty for a legacy session).
+func (s *Server) handshake(t protocol.Transport) (sess *nn.ServerSession, id, tenant string, err error) {
 	raw, err := t.Recv()
 	if err != nil {
-		return nil, "", fmt.Errorf("session open: recv first frame: %w", err)
+		return nil, "", "", fmt.Errorf("session open: recv first frame: %w", err)
 	}
-	var id, hint, tenant string
+	var hint string
 	switch {
 	case protocol.IsHello(raw):
 		h, err := protocol.ParseHello(raw)
 		if err != nil {
-			return nil, "", fmt.Errorf("session open: %w", err)
+			return nil, "", "", fmt.Errorf("session open: %w", err)
 		}
 		id, tenant = h.SessionID, h.Tenant
 	case protocol.IsShardHello(raw):
 		h, err := protocol.ParseShardHello(raw)
 		if err != nil {
-			return nil, "", fmt.Errorf("session open: %w", err)
+			return nil, "", "", fmt.Errorf("session open: %w", err)
 		}
 		id, hint, tenant = h.SessionID, h.PrevOwnerPeer, h.Tenant
 	case protocol.IsKeyBundle(raw):
-		sess, err := s.backend.NewSessionFromFrame(raw)
-		if err != nil {
-			return nil, "", fmt.Errorf("legacy session open: %w", err)
+		if sess, err = s.backend.NewSessionFromFrame(raw); err != nil {
+			return nil, "", "", fmt.Errorf("legacy session open: %w", err)
 		}
 		s.cfg.Logf("serve: legacy session: evaluation keys installed (%d B, uncached)", len(raw))
-		return sess, "", nil
+		return sess, "", "", nil
 	default:
-		return nil, "", fmt.Errorf("session open: unrecognized first frame (%d B)", len(raw))
+		return nil, "", "", fmt.Errorf("session open: unrecognized first frame (%d B)", len(raw))
 	}
 	if tenant != "" && !s.tenants.admit(tenant, s.cfg.TenantMaxSessions) {
 		s.acct.sessionsRejected.Add(1)
 		_ = t.Send(protocol.MarshalHelloAckRetry(protocol.AckBusy, s.cfg.RetryAfter))
-		return nil, "", fmt.Errorf("session %q: tenant %q: %w", id, tenant, ErrTenantOverQuota)
+		return nil, "", "", fmt.Errorf("session %q: tenant %q: %w", id, tenant, ErrTenantOverQuota)
 	}
-	sess, err := s.admit(t, id, hint)
-	if err != nil {
+	if sess, err = s.admit(t, id, hint); err != nil {
 		if tenant != "" {
 			s.tenants.release(tenant, 0, 0)
 		}
-		return nil, "", err
+		return nil, "", "", err
 	}
-	return sess, tenant, nil
+	return sess, id, tenant, nil
 }
 
 // admit completes the hello exchange for session id. Key resolution

@@ -18,6 +18,7 @@ type accounting struct {
 	sessionsTotal    atomic.Int64
 	sessionsActive   atomic.Int64
 	sessionsRejected atomic.Int64
+	sessionPanics    atomic.Int64
 	inferences       atomic.Int64
 
 	keyCacheHits    atomic.Int64
@@ -134,7 +135,10 @@ type Stats struct {
 	SessionsTotal    int64 // sessions admitted (including still-active ones)
 	SessionsActive   int64
 	SessionsRejected int64
-	Inferences       int64
+	// SessionPanics counts sessions ended by a panic recovered while
+	// serving them (the stack is in the log); other sessions carry on.
+	SessionPanics int64
+	Inferences    int64
 
 	KeyCacheHits    int64 // reconnects that skipped the key upload
 	KeyCacheMisses  int64
@@ -188,6 +192,7 @@ func (s *Server) Stats() Stats {
 		SessionsTotal:     a.sessionsTotal.Load(),
 		SessionsActive:    a.sessionsActive.Load(),
 		SessionsRejected:  a.sessionsRejected.Load(),
+		SessionPanics:     a.sessionPanics.Load(),
 		Inferences:        a.inferences.Load(),
 		KeyCacheHits:      a.keyCacheHits.Load(),
 		KeyCacheMisses:    a.keyCacheMisses.Load(),
