@@ -144,22 +144,22 @@ func AblationBSGS() (string, error) {
 	// Both must produce the exact matrix-vector product.
 	want := core.PlainFC(w, x)
 	for i, wv := range want {
-		if g := fc.ExtractOutput(dec.DecryptInts(bsgsOut))[i]; g != wv {
+		if g := fc.ExtractOutput(dec.DecryptInts(bsgsOut), ctx.T.Value)[i]; g != wv {
 			return "", fmt.Errorf("bench: BSGS output %d = %d, want %d", i, g, wv)
 		}
-		if g := fc.ExtractOutput(dec.DecryptInts(naiveOut))[i]; g != wv {
+		if g := fc.ExtractOutput(dec.DecryptInts(naiveOut), ctx.T.Value)[i]; g != wv {
 			return "", fmt.Errorf("bench: naive output %d = %d, want %d", i, g, wv)
 		}
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation: BSGS vs naive diagonal matrix-vector (64×64, P=%d)\n", fc.P)
+	fmt.Fprintf(&b, "Ablation: BSGS vs naive diagonal matrix-vector (64×64, %d diagonals)\n", fc.Po)
 	fmt.Fprintf(&b, "%-10s %12s %10s %10s\n", "method", "server time", "rotations", "plainmuls")
 	fmt.Fprintf(&b, "%-10s %12v %10d %10d\n", "BSGS", bsgsTime, bsgsOps.Rotations, bsgsOps.PlainMults)
 	fmt.Fprintf(&b, "%-10s %12v %10d %10d\n", "naive", naiveTime, naiveOps.Rotations, naiveOps.PlainMults)
 	fmt.Fprintf(&b, "rotation reduction: %d → %d (theory: %d → %d)\n",
 		naiveOps.Rotations, bsgsOps.Rotations,
-		core.DiagonalRotations(fc.P), core.BSGSRotations(fc.P))
+		core.DiagonalRotations(fc.Po), core.BSGSRotations(fc.Po))
 	return b.String(), nil
 }
 
@@ -274,6 +274,21 @@ func SetupCosts() (string, error) {
 			n.Name, n.Params.N(), keys, float64(bytes)/1e6, float64(bytes)/float64(per))
 	}
 	fmt.Fprintf(&b, "*bundle bytes / per-inference communication; shipped once per key epoch.\n")
+
+	// What the executable path moves and computes per request, from the
+	// operators' own plans: a packing regression shows here, on the push
+	// that made it.
+	fmt.Fprintf(&b, "\nPer request on the executable path (operators' plans, no weight zero)\n")
+	fmt.Fprintf(&b, "%-9s %10s %10s %12s %12s %12s\n",
+		"Network", "uploads", "replies", "wire (B)", "rotations", "plain mults")
+	for _, n := range []*nn.Network{nn.LeNetSmall(), nn.DemoNetwork()} {
+		rc, err := nn.ExecutableRequestCost(n)
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(&b, "%-9s %10d %10d %12d %12d %12d\n",
+			n.Name, rc.UpCiphertexts, rc.DownCiphertexts, rc.WireBytes, rc.Server.Rotations, rc.Server.PlainMults)
+	}
 	return b.String(), nil
 }
 

@@ -57,7 +57,7 @@ func TestSetupCosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + out)
-	if !strings.Contains(out, "VGG16") {
+	if !strings.Contains(out, "VGG16") || !strings.Contains(out, "DemoNet") {
 		t.Error("missing networks")
 	}
 }

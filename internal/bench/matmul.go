@@ -26,6 +26,9 @@ type MatmulBench struct {
 	NsPerOp     int64  `json:"ns_per_op"`
 	AllocsPerOp int64  `json:"allocs_per_op"`
 	Plan        string `json:"plan,omitempty"`
+	// PlanPredictedNs prices the plan's key switching from measured unit
+	// costs (the LeNet-Sm layer records), to set against NsPerOp.
+	PlanPredictedNs int64 `json:"plan_predicted_ns,omitempty"`
 }
 
 // matmulDim is the square FC the acceptance numbers are measured on:
@@ -149,72 +152,68 @@ func Matmul() (string, []MatmulBench, error) {
 		}
 	}
 
-	// LeNet-Sm's conv2 at PresetB on the same BSGS executor: the plan's
-	// key-switching work priced from its unit costs, against the measured
-	// warm Apply — the cost sheet as a checked model.
+	// LeNet-Sm's three linear layers at PresetB on the same BSGS executor:
+	// each plan's key-switching work priced from the unit costs, against
+	// the measured warm Apply — the cost sheet as a checked model.
 	{
 		ctx, err := bfv.NewContext(bfv.PresetB())
 		if err != nil {
 			return "", nil, err
 		}
-		spec := core.ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}
-		w := make([][][]int64, spec.OutC)
-		for o := range w {
-			w[o] = make([][]int64, spec.InC)
-			for c := range w[o] {
-				w[o][c] = make([]int64, spec.KH*spec.KW)
-				for k := range w[o][c] {
-					w[o][c][k] = int64((o*31+c*7+k*3)%15) - 7
-					if w[o][c][k] == 0 {
-						w[o][c][k] = 1
+		rowSize, slots := ctx.Params.N()/2, ctx.Params.Slots()
+		weight := func(i int) int64 {
+			if w := int64(i%15) - 7; w != 0 {
+				return w
+			}
+			return 1
+		}
+		newConv := func(spec core.ConvSpec) (*core.Conv2D, error) {
+			w := make([][][]int64, spec.OutC)
+			for o := range w {
+				w[o] = make([][]int64, spec.InC)
+				for c := range w[o] {
+					w[o][c] = make([]int64, spec.KH*spec.KW)
+					for k := range w[o][c] {
+						w[o][c][k] = weight(o*31 + c*7 + k*3)
 					}
 				}
 			}
+			return core.NewConv2D(spec, w, rowSize)
 		}
-		conv, err := core.NewConv2D(spec, w, ctx.Params.N()/2)
+		conv1, err := newConv(core.ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4})
 		if err != nil {
 			return "", nil, err
 		}
+		conv2, err := newConv(core.ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6})
+		if err != nil {
+			return "", nil, err
+		}
+		fcW := make([][]int64, 10)
+		for r := range fcW {
+			fcW[r] = make([]int64, 294)
+			for c := range fcW[r] {
+				fcW[r][c] = weight(r*31 + c*7)
+			}
+		}
+		fc, err := core.NewFC(294, 10, fcW, rowSize)
+		if err != nil {
+			return "", nil, err
+		}
+
 		kg := bfv.NewKeyGenerator(ctx, [32]byte{55})
 		sk := kg.GenSecretKey()
-		steps := conv.RotationSteps()
-		ev := bfv.NewEvaluator(ctx, nil, kg.GenRotationKeys(sk, steps...))
+		steps := conv2.RotationSteps() // a kernel offset first, a block shift last
+		allSteps := append(append(append([]int{}, steps...), conv1.RotationSteps()...), fc.RotationSteps()...)
+		ev := bfv.NewEvaluator(ctx, nil, kg.GenRotationKeys(sk, allSteps...))
 		ecd := bfv.NewEncoder(ctx)
-		slots := ctx.Params.Slots()
-		image := make([][]int64, spec.InC)
-		for c := range image {
-			image[c] = make([]int64, spec.InH*spec.InW)
-			for i := range image[c] {
-				image[c][i] = int64((c*17+i*13)%15) - 7
-			}
+		vals := make([]int64, slots)
+		for i := range vals {
+			vals[i] = int64(i*13%15) - 7
 		}
-		packed, err := conv.PackInput(image, slots)
+		ct, err := bfv.NewEncryptor(ctx, kg.GenPublicKey(sk), [32]byte{56}).EncryptInts(vals)
 		if err != nil {
 			return "", nil, err
 		}
-		ct, err := bfv.NewEncryptor(ctx, kg.GenPublicKey(sk), [32]byte{56}).EncryptInts(packed)
-		if err != nil {
-			return "", nil, err
-		}
-		apply := func() error {
-			outs, _, err := conv.Apply(ev, ecd, ct, slots)
-			for _, o := range outs {
-				ctx.RecycleCt(o)
-			}
-			return err
-		}
-		if err := apply(); err != nil { // fills the operator's plaintext store
-			return "", nil, err
-		}
-		plan := conv.Plan()
-		rec := measure("conv2-apply-lenetsm", "bfv-B", plan.Level, plan.String(), func(bb *testing.B) {
-			bb.ReportAllocs()
-			for i := 0; i < bb.N; i++ {
-				if err := apply(); err != nil {
-					bb.Fatal(err)
-				}
-			}
-		})
 
 		// Unit costs of the plan's four kinds of work (not recorded: the
 		// benchmark's bfv.* rows own them).
@@ -266,17 +265,54 @@ func Matmul() (string, []MatmulBench, error) {
 		if err != nil {
 			return "", nil, err
 		}
-		predicted := float64(plan.Decompositions)*decompose + float64(plan.BabySteps)*baby +
-			float64(plan.GiantSteps)*giant + float64(plan.ModDowns)*modDown
-		measured := float64(rec.NsPerOp) / 1e6
-		fmt.Fprintf(&b, "bfv-B LeNet-Sm conv2 (14x14, 5x5, 4->6 channels, Cb=%d, %d groups): %d rotation keys\n",
-			conv.Cb, conv.Groups(), len(steps))
-		fmt.Fprintf(&b, "  plan: %s\n", plan)
-		fmt.Fprintf(&b, "  unit costs: decompose %.3f ms, lazy NTT baby %.3f ms, QP giant %.3f ms, mod-down %.3f ms\n",
+		fmt.Fprintf(&b, "bfv-B LeNet-Sm layers, warm Apply against the plan priced from unit costs: decompose %.3f ms, lazy NTT baby %.3f ms, QP giant %.3f ms, mod-down %.3f ms\n",
 			decompose, baby, giant, modDown)
-		fmt.Fprintf(&b, "  key switching predicted %.2f ms; warm Apply measured %.2f ms (%d allocs/op); the other %.2f ms is its %d plaintext multiply-accumulates and %d inverse NTTs\n",
-			predicted, measured, rec.AllocsPerOp, measured-predicted,
-			conv.Groups()*conv.Cb*spec.KH*spec.KW, conv.Groups()*conv.Cb)
+
+		convApply := func(conv *core.Conv2D) func() (core.OpCounts, error) {
+			return func() (core.OpCounts, error) {
+				outs, ops, err := conv.Apply(ev, ecd, ct, slots)
+				for _, o := range outs {
+					ctx.RecycleCt(o)
+				}
+				return ops, err
+			}
+		}
+		for _, l := range []struct {
+			op, desc string
+			plan     core.RotationPlan
+			outputs  int
+			apply    func() (core.OpCounts, error)
+		}{
+			{"conv1-apply-lenetsm", fmt.Sprintf("conv1 (28x28, 5x5, 1->4 channels, Cb=%d)", conv1.Cb), conv1.Plan(), conv1.Groups(), convApply(conv1)},
+			{"conv2-apply-lenetsm", fmt.Sprintf("conv2 (14x14, 5x5, 4->6 channels, Cb=%d)", conv2.Cb), conv2.Plan(), conv2.Groups(), convApply(conv2)},
+			{"fc-apply-lenetsm", fmt.Sprintf("fc (294x10, %d extended diagonals)", fc.Po), fc.Plan(fc.HoistLevel()), 1, func() (core.OpCounts, error) {
+				out, ops, err := fc.Apply(ev, ecd, ct, slots)
+				if err == nil {
+					ctx.RecycleCt(out)
+				}
+				return ops, err
+			}},
+		} {
+			ops, err := l.apply() // fills the operator's plaintext store
+			if err != nil {
+				return "", nil, err
+			}
+			rec := measure(l.op, "bfv-B", l.plan.Level, l.plan.String(), func(bb *testing.B) {
+				bb.ReportAllocs()
+				for i := 0; i < bb.N; i++ {
+					if _, err := l.apply(); err != nil {
+						bb.Fatal(err)
+					}
+				}
+			})
+			predicted := float64(l.plan.Decompositions)*decompose + float64(l.plan.BabySteps)*baby +
+				float64(l.plan.GiantSteps)*giant + float64(l.plan.ModDowns)*modDown
+			measured := float64(rec.NsPerOp) / 1e6
+			recs[len(recs)-1].PlanPredictedNs = int64(predicted * 1e6)
+			fmt.Fprintf(&b, "  %s, %d reply ciphertexts, %d key switches\n    plan: %s\n", l.desc, l.outputs, ops.Rotations, l.plan)
+			fmt.Fprintf(&b, "    key switching predicted %.2f ms; warm Apply measured %.2f ms (%d allocs/op); the other %.2f ms is its %d plaintext multiply-accumulates and %d inverse NTTs\n",
+				predicted, measured, rec.AllocsPerOp, measured-predicted, ops.PlainMults, l.plan.GiantSteps+l.outputs)
+		}
 	}
 
 	// CKKS at PresetC: the lazy rotation-sum primitive the approximate

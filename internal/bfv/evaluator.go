@@ -2,6 +2,7 @@ package bfv
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 
 	"choco/internal/ring"
@@ -460,7 +461,7 @@ func (ev *Evaluator) modDownByP(x *ring.Poly) *ring.Poly {
 	return out
 }
 
-// NoiseBudget returns the remaining invariant noise budget of ct in
+// NoiseBudgetBits returns the remaining invariant noise budget of ct in
 // bits, using SEAL's definition (the one the paper's Table 4
 // tabulates): v = [t·(c0 + c1·s + ...)]_q centered, budget =
 // log2(q / (2·‖v‖∞)). The t-multiplication folds the r_t(q)·m
@@ -468,23 +469,30 @@ func (ev *Evaluator) modDownByP(x *ring.Poly) *ring.Poly {
 // rotations — whose automorphism sign-flips would otherwise surface
 // that term — correctly register as nearly free. A budget of 0 means
 // the ciphertext is (about to become) undecryptable.
-func NoiseBudget(ctx *Context, sk *SecretKey, ct *Ciphertext) int {
+func NoiseBudgetBits(ctx *Context, sk *SecretKey, ct *Ciphertext) float64 {
 	dec := NewDecryptor(ctx, sk)
 	x := dec.phase(ct)
 	r := ctx.RingAtDrop(ct.Drop)
 	v := r.NewPoly()
 	r.MulScalar(x, ctx.T.Value, v)
 	norm := r.InfNormBig(v)
-
-	qBits := r.ModulusBig().BitLen()
 	if norm.Sign() == 0 {
-		return qBits - 1
+		norm.SetInt64(1)
 	}
-	budget := qBits - 1 - (norm.BitLen() + 1)
-	if budget < 0 {
-		budget = 0
-	}
-	return budget
+	return math.Max(0, log2Big(r.ModulusBig())-1-log2Big(norm))
+}
+
+// NoiseBudget is NoiseBudgetBits in whole bits, rounded down.
+func NoiseBudget(ctx *Context, sk *SecretKey, ct *Ciphertext) int {
+	return int(NoiseBudgetBits(ctx, sk, ct))
+}
+
+// log2Big returns log2 of a positive big integer.
+func log2Big(x *big.Int) float64 {
+	mant := new(big.Float)
+	exp := new(big.Float).SetInt(x).MantExp(mant)
+	m, _ := mant.Float64()
+	return float64(exp) + math.Log2(m)
 }
 
 func max(a, b int) int {

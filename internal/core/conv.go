@@ -26,10 +26,12 @@ func (s ConvSpec) MACs() int64 {
 
 // Conv2D is an encrypted convolution operator. Input channels are
 // packed with rotational redundancy into power-of-two-strided blocks of
-// one ciphertext row; weights enter as block-diagonal plaintexts, so the
-// whole layer uses exactly one multiplication per (output group,
-// channel-block shift, kernel offset) alignment — the paper's "optimal
-// multiplication efficiency". The alignment step(d, δ) = d·Stride + δ is
+// one ciphertext row, the same in both batching rows; weights enter as
+// block-diagonal plaintexts that give the two rows different output
+// channels, so the whole layer uses exactly one multiplication per
+// (output group, channel-block shift, kernel offset) alignment and every
+// one of them fills both rows — the paper's "optimal multiplication
+// efficiency". The alignment step(d, δ) = d·Stride + δ is
 // additive, so the layer runs on the BSGS schedule (applyBSGS): the
 // kernel offsets are baby rotations of the input shared by every output
 // group, and each group folds its shifted inner sums with one giant
@@ -40,8 +42,9 @@ type Conv2D struct {
 	Layout rotred.Layout
 	// Hp, Wp are the zero-padded spatial dimensions; ph, pw the halo.
 	Hp, Wp, ph, pw int
-	// Cb is the number of channel blocks per ciphertext row; output
-	// channels are produced in ceil(OutC/Cb) ciphertext groups.
+	// Cb is the number of channel blocks per ciphertext row. An output
+	// ciphertext (group) holds GroupSize() = 2·Cb channels: channel b of a
+	// group sits in row b/Cb, block b mod Cb.
 	Cb      int
 	rowSize int
 	// Weights[o][c][k] with k = ky*KW + kx, quantized.
@@ -106,8 +109,12 @@ func NewConv2DSpecOnly(spec ConvSpec, rowSize int) (*Conv2D, error) {
 	}, nil
 }
 
+// GroupSize returns the number of output channels one output ciphertext
+// holds: output channel o is in group o / GroupSize().
+func (c *Conv2D) GroupSize() int { return 2 * c.Cb }
+
 // Groups returns the number of output ciphertexts.
-func (c *Conv2D) Groups() int { return (c.Spec.OutC + c.Cb - 1) / c.Cb }
+func (c *Conv2D) Groups() int { return (c.Spec.OutC + c.GroupSize() - 1) / c.GroupSize() }
 
 // kernelOffsets returns the slot deltas for each kernel position.
 func (c *Conv2D) kernelOffsets() []int {
@@ -129,10 +136,10 @@ func (c *Conv2D) step(d, delta int) int {
 }
 
 // shiftLive reports whether block shift d can carry a weight of output
-// group g: some block b holds an output channel of the group and reads
-// an input channel (b+d) mod Cb that exists.
+// group g: some channel b of the group exists and reads an input channel
+// (b+d) mod Cb that exists.
 func (c *Conv2D) shiftLive(g, d int) bool {
-	for b := 0; b < c.Cb && g*c.Cb+b < c.Spec.OutC; b++ {
+	for b := 0; b < c.GroupSize() && g*c.GroupSize()+b < c.Spec.OutC; b++ {
 		if (b+d)%c.Cb < c.Spec.InC {
 			return true
 		}
@@ -177,7 +184,10 @@ func (c *Conv2D) Plan() RotationPlan {
 			}
 		}
 	}
-	return c.bsgs(0).sheet(3, giantSteps)
+	rp := c.bsgs(0).sheet(3, giantSteps)
+	// Shift 0 is live in every group: its first channel reads channel 0.
+	rp.PlainMults = (giantSteps + c.Groups()) * c.Spec.KH * c.Spec.KW
+	return rp
 }
 
 // PackInput lays the image (channel-major, InC×InH×InW, quantized
@@ -211,8 +221,8 @@ func (c *Conv2D) PackInput(image [][]int64, slots int) ([]int64, error) {
 			out[base+l.Pad+l.Window+i] = padded[i]
 		}
 	}
-	// Duplicate into the second batching row so row rotations behave
-	// uniformly.
+	// Duplicate into the second batching row: a row rotation moves both
+	// rows alike, and each row computes its own output channels.
 	copy(out[c.rowSize:2*c.rowSize], out[:c.rowSize])
 	return out, nil
 }
@@ -232,17 +242,17 @@ func (c *Conv2D) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, 
 
 // weightDiag builds the block-diagonal weight plaintext for output
 // group g, block shift d, kernel index ki, already rotated by −d·Stride
-// for the BSGS schedule: the weight w[g·Cb+b][(b+d) mod Cb][ki] of
-// output block b sits at the interior (valid output) positions of the
-// input channel's block (b+d) mod Cb, and the giant rotation by
-// d·Stride carries the product to block b. Returns nil when every block
-// is zero.
+// for the BSGS schedule: the weight w[g·2Cb+b][(b+d) mod Cb][ki] of the
+// group's channel b sits in row b/Cb at the interior (valid output)
+// positions of the input channel's block (b+d) mod Cb, and the giant
+// rotation by d·Stride carries the product to block b mod Cb of that
+// row. Returns nil when every block is zero.
 func (c *Conv2D) weightDiag(g, d, ki, slots int) []int64 {
 	l := c.Layout
 	diag := make([]int64, slots)
 	any := false
-	for b := 0; b < c.Cb; b++ {
-		o := g*c.Cb + b
+	for b := 0; b < c.GroupSize(); b++ {
+		o := g*c.GroupSize() + b
 		if o >= c.Spec.OutC {
 			continue
 		}
@@ -255,7 +265,7 @@ func (c *Conv2D) weightDiag(g, d, ki, slots int) []int64 {
 			continue
 		}
 		any = true
-		base := ch * l.Stride
+		base := b/c.Cb*c.rowSize + ch*l.Stride
 		for y := 0; y < c.Spec.InH; y++ {
 			rowBase := base + l.Pad + (y+c.ph)*c.Wp + c.pw
 			for x := 0; x < c.Spec.InW; x++ {
@@ -266,18 +276,15 @@ func (c *Conv2D) weightDiag(g, d, ki, slots int) []int64 {
 	if !any {
 		return nil
 	}
-	for i := 0; i < c.rowSize && c.rowSize*2 <= slots; i++ {
-		diag[c.rowSize+i] = diag[i]
-	}
 	return diag
 }
 
 // ExtractOutput pulls output channel o's InH×InW activation map from a
-// decoded slot vector of group o/Cb.
+// decoded slot vector of group o/GroupSize().
 func (c *Conv2D) ExtractOutput(decoded []int64, o int) []int64 {
-	b := o % c.Cb
+	b := o % c.GroupSize()
 	l := c.Layout
-	base := b*l.Stride + l.Pad
+	base := b/c.Cb*c.rowSize + b%c.Cb*l.Stride + l.Pad
 	out := make([]int64, c.Spec.InH*c.Spec.InW)
 	for y := 0; y < c.Spec.InH; y++ {
 		for x := 0; x < c.Spec.InW; x++ {

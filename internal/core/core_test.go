@@ -126,7 +126,7 @@ func TestEncryptedConvMatchesPlain(t *testing.T) {
 
 	want := PlainConv2D(spec, weights, image)
 	for o := 0; o < spec.OutC; o++ {
-		g := o / conv.Cb
+		g := o / conv.GroupSize()
 		decoded := k.dec.DecryptInts(outs[g])
 		got := conv.ExtractOutput(decoded, o)
 		for i := range got {
@@ -147,7 +147,7 @@ func TestConvRotationSharingAcrossGroups(t *testing.T) {
 	// With OutC spanning multiple groups the rotation count must not
 	// scale with groups (shared rotations are the point of the
 	// algorithm).
-	spec := ConvSpec{InH: 4, InW: 4, InC: 2, KH: 3, KW: 3, OutC: 8}
+	spec := ConvSpec{InH: 4, InW: 4, InC: 2, KH: 3, KW: 3, OutC: 12}
 	src := sampling.NewSource([32]byte{3}, "share")
 	weights := synthConvWeights(src, spec.OutC, spec.InC, 9, 2)
 	conv, err := NewConv2D(spec, weights, 256)
@@ -198,7 +198,7 @@ func TestEncryptedFCMatchesPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("fc ops: %+v (P=%d B=%d G=%d)", ops, fc.P, fc.B, fc.G)
-	got := fc.ExtractOutput(k.dec.DecryptInts(res))
+	got := fc.ExtractOutput(k.dec.DecryptInts(res), k.ctx.T.Value)
 	want := PlainFC(weights, x)
 	for i := range want {
 		if got[i] != want[i] {
@@ -208,6 +208,68 @@ func TestEncryptedFCMatchesPlain(t *testing.T) {
 	// BSGS keeps rotations near 2√P rather than P.
 	if ops.Rotations > 2*(fc.B+fc.G) {
 		t.Errorf("BSGS rotations %d too high for P=%d", ops.Rotations, fc.P)
+	}
+}
+
+// TestFCFoldWrapsModT drives the client fold where it has to do modular
+// work: every slot of a 64×4 layer holds a partial sum over 4 columns of
+// ±150·150 products, beyond t/2 at the test preset, so the decoded
+// partials are wrapped representatives; the signs alternate by column
+// window so each true output is small. The fold must still equal PlainFC.
+func TestFCFoldWrapsModT(t *testing.T) {
+	const in, out = 64, 4
+	src := sampling.NewSource([32]byte{5}, "fc-fold-wrap")
+	weights := make([][]int64, out)
+	for o := range weights {
+		weights[o] = make([]int64, in)
+		for i := range weights[o] {
+			weights[o][i] = 150 + int64(src.Intn(7)) - 3
+			if i/8%2 == 1 {
+				weights[o][i] = -weights[o][i]
+			}
+		}
+	}
+	x := make([]int64, in)
+	for i := range x {
+		x[i] = 150
+	}
+	ctxProbe, _ := bfv.NewContext(bfv.PresetTest())
+	fc, err := NewFC(in, out, weights, ctxProbe.Params.N()/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := newKit(t, fc.RotationSteps())
+	packed, err := fc.PackInput(x, k.ctx.Params.Slots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := k.enc.EncryptInts(packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := fc.Apply(k.ev, k.ecd, ct, k.ctx.Params.Slots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := k.dec.DecryptInts(res)
+	wrapped := 0
+	for j := 0; j < fc.P; j++ {
+		var partial int64
+		for d := 0; d < fc.Po; d++ {
+			partial += weights[j%fc.Po][(j+d)%fc.P] * x[(j+d)%fc.P]
+		}
+		if decoded[j] != partial {
+			wrapped++
+		}
+	}
+	if wrapped == 0 {
+		t.Fatalf("no partial sum wrapped mod t = %d: the case does not test the fold", k.ctx.T.Value)
+	}
+	got, want := fc.ExtractOutput(decoded, k.ctx.T.Value), PlainFC(weights, x)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("output %d: folded %d from %d wrapped partials, PlainFC %d", i, got[i], wrapped, want[i])
+		}
 	}
 }
 

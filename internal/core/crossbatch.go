@@ -309,8 +309,8 @@ func (pl bsgsPlan) babySteps() int { return len(pl.rotationSteps()) - (len(pl.gi
 // one per term — and the giant-step key-switch products of each output
 // accumulate in the extended basis QP, per-worker accumulators merged in
 // worker order, so each output pays a single full mod-down. A plan with
-// no rotated giant (Conv2D with one channel block) skips the fold: its
-// inner sum is the output. Terms run in (giant, baby) order and every
+// no rotated giant (Conv2D with one channel block, FC's flat plan) skips
+// the fold: its inner sum is the output. Terms run in (giant, baby) order and every
 // intermediate is exact modular arithmetic, so per-item outputs are
 // byte-identical to the materialized schedule (FC.applyHoisted) for any
 // batch composition, worker count or cache state.

@@ -14,10 +14,15 @@ import (
 // needs becomes a plain cyclic rotation, with zero masking multiplies.
 type FC struct {
 	In, Out int
-	// P is the padded square dimension (power of two ≥ max(In, Out)),
-	// split into G giant steps of B baby steps.
-	P, B, G int
-	rowSize int
+	// P is the padded input period (power of two ≥ max(In, Out)) and Po
+	// the output period (power of two ≥ Out): the layer walks the Po
+	// extended diagonals D_k[j] = W[j mod Po][(j+k) mod P], split into G
+	// giant steps of B baby steps, and leaves slot j holding the partial
+	// sum of output j mod Po over the columns j..j+Po−1 — the client adds
+	// the P/Po partials of each output (ExtractOutput). A square layer
+	// has Po = P: the classic diagonals, nothing to fold.
+	P, Po, B, G int
+	rowSize     int
 	// Weights[o][i], quantized.
 	Weights [][]int64
 	// plains holds the operator's own prepared weight plaintexts, used
@@ -57,27 +62,40 @@ func NewFCSpecOnly(in, out, rowSize int) (*FC, error) {
 	if p > rowSize {
 		return nil, fmt.Errorf("core: FC dimension %d exceeds row size %d", p, rowSize)
 	}
+	po := 1
+	for po < out {
+		po <<= 1
+	}
 	b := 1
-	for b*b < p {
+	for b*b < po {
 		b <<= 1
 	}
-	g := p / b
-	return &FC{In: in, Out: out, P: p, B: b, G: g, rowSize: rowSize}, nil
+	return &FC{In: in, Out: out, P: p, Po: po, B: b, G: po / b, rowSize: rowSize}, nil
 }
 
-// bsgs lays the layer out for applyBSGS: one output, baby steps j < B,
-// giant steps i·B, keeping only the steps some diagonal i·B + j needs —
-// diagonal d can hold a weight iff some output row j < Out reads an
-// input column (j+d) mod P < In.
-func (f *FC) bsgs(slots int) bsgsPlan {
-	liveBaby, liveGiant := make([]bool, f.B), make([]bool, f.G)
-	for d := 0; d < f.P; d++ {
-		for j := 0; j < f.Out; j++ {
-			if (j+d)%f.P < f.In {
-				liveBaby[d%f.B], liveGiant[d/f.B] = true, true
+// live lists the extended diagonals that can hold a weight, in order:
+// d is live iff some slot j < P carries an output row j mod Po < Out and
+// reads an input column (j+d) mod P < In. Diagonal 0 always is.
+func (f *FC) live() []int {
+	var ds []int
+	for d := 0; d < f.Po; d++ {
+		for j := 0; j < f.P; j++ {
+			if j%f.Po < f.Out && (j+d)%f.P < f.In {
+				ds = append(ds, d)
 				break
 			}
 		}
+	}
+	return ds
+}
+
+// bsgs lays the layer out for applyBSGS: one output, baby steps j < B,
+// giant steps i·B, keeping only the steps some live diagonal i·B + j < Po
+// needs.
+func (f *FC) bsgs(slots int) bsgsPlan {
+	liveBaby, liveGiant := make([]bool, f.B), make([]bool, f.G)
+	for _, d := range f.live() {
+		liveBaby[d%f.B], liveGiant[d/f.B] = true, true
 	}
 	babies, giants := []int{0}, []int{0}
 	for j := 1; j < f.B; j++ {
@@ -92,6 +110,14 @@ func (f *FC) bsgs(slots int) bsgsPlan {
 	}
 	return bsgsPlan{op: f, outputs: 1, babies: babies, giants: giants,
 		diag: func(_, gi, bi int) []int64 { return f.diag(giants[gi], babies[bi], slots) }}
+}
+
+// flat is the textbook diagonal method as a plan: every live diagonal a
+// baby rotation of the input, no giants.
+func (f *FC) flat(slots int) bsgsPlan {
+	babies := f.live()
+	return bsgsPlan{op: f, outputs: 1, babies: babies, giants: []int{0},
+		diag: func(_, _, bi int) []int64 { return f.diag(0, babies[bi], slots) }}
 }
 
 // RotationSteps lists the rotation amounts Apply uses: the baby steps
@@ -116,16 +142,16 @@ func (f *FC) PackInput(x []int64, slots int) ([]int64, error) {
 	return out, nil
 }
 
-// diag returns diagonal giant+baby of the P×P padded weight matrix,
+// diag returns extended diagonal giant+baby of the padded weight matrix,
 // rotated right by giant (the BSGS pre-rotation the giant step undoes;
 // free on the server: plaintext manipulation) and replicated across the
-// row: diag[j] = W[j−giant][(j+baby) mod P], rows taken mod P. Nil when
-// every entry is zero.
+// row: diag[j] = W[(j−giant) mod Po][(j+baby) mod P]. Nil when every
+// entry is zero.
 func (f *FC) diag(giant, baby, slots int) []int64 {
 	out := make([]int64, slots)
 	any := false
 	for j := 0; j < f.P; j++ {
-		r, c := ((j-giant)%f.P+f.P)%f.P, (j+baby)%f.P
+		r, c := ((j-giant)%f.Po+f.Po)%f.Po, (j+baby)%f.P
 		if r >= f.Out || c >= f.In || f.Weights[r][c] == 0 {
 			continue
 		}
@@ -143,11 +169,11 @@ func (f *FC) diag(giant, baby, slots int) []int64 {
 
 // HoistLevel selects the default hoisting level for this layer's
 // geometry: level 3 (lazy NTT-domain babies + QP-lazy giants) whenever
-// the layer rotates at all, level 1 otherwise — a 1×1 padded layer has
-// no rotations to hoist, so the extra machinery would only add
-// transform passes.
+// the layer rotates at all, level 1 otherwise — a single-output layer
+// has one diagonal and no rotations to hoist, so the extra machinery
+// would only add transform passes.
 func (f *FC) HoistLevel() int {
-	if f.P == 1 {
+	if f.Po == 1 {
 		return 1
 	}
 	return 3
@@ -273,99 +299,42 @@ func (f *FC) applyHoisted(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertex
 }
 
 // ApplyNaive evaluates the same product with the textbook diagonal
-// method — P-1 ciphertext rotations instead of BSGS's ~2√P. Kept as
+// method — the flat plan on the same executor: Po−1 rotations of the
+// input instead of BSGS's ~2√Po, every weight plaintext rebuilt. Kept as
 // the ablation baseline quantifying what the BSGS structure buys the
-// server (DESIGN.md per-experiment index; requires rotation keys for
-// every step in 1..P-1).
+// server (DESIGN.md per-experiment index; requires the rotation keys of
+// NaiveRotationSteps).
 func (f *FC) ApplyNaive(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) (*bfv.Ciphertext, OpCounts, error) {
-	var ops OpCounts
 	if f.Weights == nil {
-		return nil, ops, fmt.Errorf("core: Apply on a spec-only FC layer (no weights)")
+		return nil, OpCounts{}, fmt.Errorf("core: Apply on a spec-only FC layer (no weights)")
 	}
-	// Every diagonal term rotates the same input ciphertext, so all
-	// P-1 rotations share one hoisted decomposition, read concurrently
-	// by the workers (the digits are immutable once built).
-	dc, err := ev.Decompose(ct)
+	outs, ops, err := applyBSGS(ecd, []BatchInput{{Ev: ev, Ct: ct}}, nil, f.flat(slots), false)
 	if err != nil {
-		return nil, ops, err
+		return nil, OpCounts{}, err
 	}
-	defer dc.Release()
-	// Each worker accumulates a private partial sum; the partials are
-	// folded in worker order afterwards. Ciphertext addition is exact
-	// residue-wise modular arithmetic — associative and commutative — so
-	// any grouping of the same terms produces bit-identical polynomials,
-	// and the total Add count stays (terms - 1) regardless of partition.
-	nw := par.MaxWorkers(f.P)
-	accs := make([]*bfv.Ciphertext, nw)
-	wOps := make([]OpCounts, nw)
-	wErrs := make([]error, nw)
-	par.ForWorker(f.P, func(w, d int) {
-		if wErrs[w] != nil {
-			return
-		}
-		diag := f.diag(0, d, slots)
-		if diag == nil {
-			return
-		}
-		x := ct
-		if d != 0 {
-			r, err := ev.RotateRowsDecomposed(dc, d)
-			if err != nil {
-				wErrs[w] = err
-				return
-			}
-			wOps[w].Rotations++
-			x = r
-		}
-		pt, err := ecd.EncodeInts(diag)
-		if err != nil {
-			wErrs[w] = err
-			return
-		}
-		term := ev.MulPlain(x, ev.PrepareMul(pt))
-		wOps[w].PlainMults++
-		if accs[w] == nil {
-			accs[w] = term
-		} else {
-			accs[w] = ev.Add(accs[w], term)
-			wOps[w].Adds++
-		}
-	})
-	var total *bfv.Ciphertext
-	for w := 0; w < nw; w++ {
-		if wErrs[w] != nil {
-			return nil, ops, wErrs[w]
-		}
-		ops.Add(wOps[w])
-		if accs[w] == nil {
-			continue
-		}
-		if total == nil {
-			total = accs[w]
-		} else {
-			total = ev.Add(total, accs[w])
-			ops.Adds++
-		}
-	}
-	if total == nil {
-		return nil, ops, fmt.Errorf("core: FC weight matrix is all zero")
-	}
-	return total, ops, nil
+	return outs[0][0], ops[0], nil
 }
 
 // NaiveRotationSteps lists the rotation amounts ApplyNaive uses.
-func (f *FC) NaiveRotationSteps() []int {
-	steps := make([]int, 0, f.P-1)
-	for d := 1; d < f.P; d++ {
-		steps = append(steps, d)
-	}
-	return steps
-}
+func (f *FC) NaiveRotationSteps() []int { return f.flat(0).rotationSteps() }
 
-// ExtractOutput reads the Out result values from a decoded slot vector.
-func (f *FC) ExtractOutput(decoded []int64) []int64 {
-	out := make([]int64, f.Out)
-	copy(out, decoded[:f.Out])
+// ExtractOutput reads the Out result values from a decoded slot vector:
+// output r is the sum of its P/Po partial sums at slots r, r+Po, …,
+// reduced mod t into (−t/2, t/2] — the partials are only known mod t, so
+// the sum is exact whenever the true output fits that range, even where
+// a partial alone wrapped.
+func (f *FC) ExtractOutput(decoded []int64, t uint64) []int64 {
+	out, m := make([]int64, f.Out), int64(t)
+	for r := range out {
+		var acc int64
+		for j := r; j < f.P; j += f.Po {
+			acc += decoded[j]
+		}
+		if acc = (acc%m + m) % m; acc > m/2 {
+			acc -= m
+		}
+		out[r] = acc
+	}
 	return out
 }
 
@@ -414,8 +383,9 @@ func DiagonalRotations(p int) int { return p - 1 }
 type RotationPlan struct {
 	Level int
 	// BabySteps and GiantSteps are the Galois applications
-	// (BSGSRotations split into its two phases).
-	BabySteps, GiantSteps int
+	// (BSGSRotations split into its two phases); PlainMults the plaintext
+	// multiply-accumulates between them, one per reachable diagonal.
+	BabySteps, GiantSteps, PlainMults int
 	// Decompositions counts digit decompositions (per-residue embed +
 	// forward NTTs over QP): one shared by all babies, plus one per
 	// rotated giant partial sum — giant inputs differ, so their
@@ -438,7 +408,9 @@ type RotationPlan struct {
 // Plan reports the physical work of ApplyAtLevel at the given level.
 func (f *FC) Plan(level int) RotationPlan {
 	pl := f.bsgs(0)
-	return pl.sheet(level, len(pl.giants)-1)
+	rp := pl.sheet(level, len(pl.giants)-1)
+	rp.PlainMults = len(f.live())
+	return rp
 }
 
 // sheet itemizes a plan whose outputs rotate giantSteps inner sums in

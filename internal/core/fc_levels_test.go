@@ -1,11 +1,15 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"choco/internal/bfv"
 	"choco/internal/par"
+	"choco/internal/protocol"
 	"choco/internal/ring"
 	"choco/internal/sampling"
 )
@@ -53,27 +57,40 @@ func synthFC(t testing.TB, src *sampling.Source, in, out, rowSize int) *FC {
 // every BFV preset, the level-2 (QP-lazy giants) and level-3 (lazy
 // babies too) engines produce ciphertexts byte-identical to the
 // level-1 Halevi–Shoup path, with identical logical op counts — and
-// the result decodes to the plaintext matrix-vector product.
+// the result, folded by ExtractOutput, is the plaintext matrix-vector
+// product. The shapes cover a near-square layer with dead diagonals
+// (Out < In), LeNet-Sm's 294×10 and a full-row 2048×10 (many partial
+// sums per output), a single output (no rotation at all), Out > In, and
+// square layers, whose bytes are pinned to what the square-diagonal
+// schedule produced before the extended diagonals (golden hashes taken
+// at 47b6bf0).
 func TestFCApplyLevelsByteIdentical(t *testing.T) {
-	src := sampling.NewSource([32]byte{23}, "fc-levels")
 	for _, tc := range []struct {
-		name   string
-		params bfv.Parameters
+		name    string
+		params  bfv.Parameters
+		in, out int
+		golden  string // SHA-256 of the marshalled level-1 output
 	}{
-		{"PresetTest", bfv.PresetTest()},
-		{"PresetA", bfv.PresetA()},
-		{"PresetB", bfv.PresetB()},
+		{"PresetTest/20x13", bfv.PresetTest(), 20, 13, ""},
+		{"PresetA/20x13", bfv.PresetA(), 20, 13, ""},
+		{"PresetB/20x13", bfv.PresetB(), 20, 13, ""},
+		{"PresetB/294x10", bfv.PresetB(), 294, 10, ""},
+		{"PresetB/2048x10", bfv.PresetB(), 2048, 10, ""},
+		{"PresetTest/64x4", bfv.PresetTest(), 64, 4, ""},
+		{"PresetTest/24x1", bfv.PresetTest(), 24, 1, ""},
+		{"PresetTest/5x12", bfv.PresetTest(), 5, 12, ""},
+		{"PresetTest/64x64", bfv.PresetTest(), 64, 64, "5ef608b5be686143e448ffb10e23ded4a0fabbe777bcfa0ac6f23fb6b7d945e0"},
+		{"PresetB/64x64", bfv.PresetB(), 64, 64, "dc51d564ded76046ec57cd6d60e78d6d418c94d2e9932ccb6cb92fe52a5699e7"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			src := sampling.NewSource([32]byte{23}, "fc-levels/"+tc.name)
 			ctxProbe, err := bfv.NewContext(tc.params)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rowSize := ctxProbe.Params.N() / 2
 			slots := ctxProbe.Params.Slots()
-			// Out < In leaves whole diagonals zero, exercising the
-			// skipped-term paths at every level.
-			fc := synthFC(t, src, 20, 13, rowSize)
+			fc := synthFC(t, src, tc.in, tc.out, rowSize)
 			k := newFCLevelKit(t, tc.params, 1, fc.RotationSteps())
 
 			x := make([]int64, fc.In)
@@ -110,9 +127,14 @@ func TestFCApplyLevelsByteIdentical(t *testing.T) {
 			} else if !ctEqual(k.ctx.RingQ, ref, def) {
 				t.Error("default Apply differs from level 1")
 			}
+			if tc.golden != "" {
+				if sum := fmt.Sprintf("%x", sha256.Sum256(protocol.MarshalBFV(ref))); sum != tc.golden {
+					t.Errorf("square layer output hashes to %s, the square-diagonal schedule produced %s", sum, tc.golden)
+				}
+			}
 
 			want := PlainFC(fc.Weights, x)
-			decoded := fc.ExtractOutput(k.ecd.DecodeInts(k.dec.Decrypt(ref)))
+			decoded := fc.ExtractOutput(k.ecd.DecodeInts(k.dec.Decrypt(ref)), k.ctx.T.Value)
 			for i := range want {
 				if decoded[i] != want[i] {
 					t.Fatalf("output %d: decoded %d, plain reference %d", i, decoded[i], want[i])
@@ -318,14 +340,131 @@ func TestFCRotationPlan(t *testing.T) {
 		t.Errorf("level-3 plan %+v", p3)
 	}
 	for _, p := range []RotationPlan{p1, p2, p3} {
-		if p.BabySteps != 7 || p.GiantSteps != 7 {
+		if p.BabySteps != 7 || p.GiantSteps != 7 || p.PlainMults != 64 {
 			t.Errorf("plan step counts %+v", p)
 		}
 		if p.String() == "" {
 			t.Error("empty plan rendering")
 		}
 	}
+	// LeNet-Sm's layer: 16 extended diagonals of period 512, not 303 square ones.
+	lenet, err := NewFCSpecOnly(294, 10, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := lenet.Plan(3); lenet.P != 512 || lenet.Po != 16 || p.BabySteps != 3 || p.GiantSteps != 3 || p.PlainMults != 16 || p.ModDowns != 1 {
+		t.Errorf("294x10: P=%d Po=%d plan %+v", lenet.P, lenet.Po, p)
+	}
 	if BSGSRotations(64) != 14 || DiagonalRotations(64) != 63 {
 		t.Error("rotation-count helpers changed")
+	}
+}
+
+// squareFC is the schedule FC ran before the extended diagonals, kept
+// only to price the noise of the new one: the same weights walked as the
+// P diagonals of the P×P padding, every output complete in its own slot.
+func squareFC(f *FC) *FC {
+	sq := *f
+	sq.Po, sq.B = f.P, 1
+	for sq.B*sq.B < sq.Po {
+		sq.B <<= 1
+	}
+	sq.G, sq.plains = sq.Po/sq.B, NewPlainCache(0)
+	return &sq
+}
+
+// TestFCNoise measures what the extended diagonals do to the noise
+// budget at bfv-B, in fractions of a bit. LeNet-Sm's 294×10 layer sums 16
+// terms under encryption where the square schedule summed 303, so it
+// must come out at least 1 bit ahead and with at least 8 bits; a full-row
+// 2048×10 layer, which the square schedule left about 2 bits, must keep
+// at least 4. The fold the client does on decoded slots costs nothing;
+// the same fold done by the server — rotate-and-sum by Po, 2·Po, … P/2,
+// five more key switches at 294×10 — piles the partials' noise into
+// every slot and must come out below both.
+func TestFCNoise(t *testing.T) {
+	for _, tc := range []struct {
+		in, out   int
+		minBudget float64
+		// minGain over the square schedule; 0 skips it and the server fold
+		// (2048 square diagonals are not worth a test's time).
+		minGain float64
+	}{
+		{294, 10, 8, 1},
+		{2048, 10, 4, 0},
+	} {
+		t.Run(fmt.Sprintf("%dx%d", tc.in, tc.out), func(t *testing.T) {
+			src := sampling.NewSource([32]byte{27}, "fc-noise")
+			ctxProbe, err := bfv.NewContext(bfv.PresetB())
+			if err != nil {
+				t.Fatal(err)
+			}
+			slots := ctxProbe.Params.Slots()
+			fc := synthFC(t, src, tc.in, tc.out, slots/2)
+			steps := fc.RotationSteps()
+			var sq *FC
+			if tc.minGain > 0 {
+				sq = squareFC(fc)
+				steps = append(steps, sq.RotationSteps()...)
+				for s := fc.Po; s < fc.P; s <<= 1 {
+					steps = append(steps, s)
+				}
+			}
+			k := newFCLevelKit(t, bfv.PresetB(), 4, steps)
+			x := make([]int64, fc.In)
+			for i := range x {
+				x[i] = int64(src.Intn(16))
+			}
+			packed, err := fc.PackInput(x, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct, err := k.enc.EncryptInts(packed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _, err := fc.Apply(k.ev, k.ecd, ct, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now := bfv.NoiseBudgetBits(k.ctx, k.sk, out)
+			t.Logf("%dx%d at bfv-B: fresh input %.2f bits, %d extended diagonals leave %.2f", tc.in, tc.out, bfv.NoiseBudgetBits(k.ctx, k.sk, ct), fc.Po, now)
+			if now < tc.minBudget {
+				t.Errorf("%.2f bits of noise budget left, want at least %.1f", now, tc.minBudget)
+			}
+			want, got := PlainFC(fc.Weights, x), fc.ExtractOutput(k.dec.DecryptInts(out), k.ctx.T.Value)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("output %d: %d, plain reference %d", i, got[i], want[i])
+				}
+			}
+			if sq == nil {
+				return
+			}
+
+			old, _, err := sq.Apply(k.ev, k.ecd, ct, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			folded := out
+			for s := fc.Po; s < fc.P; s <<= 1 {
+				r, err := k.ev.RotateRows(folded, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				folded = k.ev.Add(folded, r)
+			}
+			was, server := bfv.NoiseBudgetBits(k.ctx, k.sk, old), bfv.NoiseBudgetBits(k.ctx, k.sk, folded)
+			t.Logf("the %d square diagonals left %.2f bits; folding on the server would leave %.2f", sq.Po, was, server)
+			if now < was+tc.minGain {
+				t.Errorf("%.2f bits left, the square schedule %.2f: want a gain of at least %.1f", now, was, tc.minGain)
+			}
+			if server >= was || server >= now {
+				t.Errorf("a server-side fold leaves %.2f bits, the client fold %.2f, the square schedule %.2f: the fold no longer costs noise, revisit where it runs", server, now, was)
+			}
+			if sqOut, srvOut := sq.ExtractOutput(k.dec.DecryptInts(old), k.ctx.T.Value), sq.ExtractOutput(k.dec.DecryptInts(folded), k.ctx.T.Value); !slices.Equal(sqOut, want) || !slices.Equal(srvOut, want) {
+				t.Errorf("square schedule %v, server fold %v, plain reference %v", sqOut, srvOut, want)
+			}
+		})
 	}
 }

@@ -146,12 +146,12 @@ func TestHoistedBatchParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestFCApplyNaiveParallelDeterminism pins the per-worker partial-sum
-// fold in ApplyNaive: modular ciphertext addition is exact, so any
-// partition of the diagonal terms must reproduce the serial result
-// bit-for-bit, including the operation counts.
+// TestFCApplyNaiveParallelDeterminism pins ApplyNaive — the flat plan on
+// the shared executor — to the same bytes and operation counts for one
+// worker and four, on a rectangular layer (8 extended diagonals, 4
+// partial sums per output) that decrypts to PlainFC.
 func TestFCApplyNaiveParallelDeterminism(t *testing.T) {
-	in, out := 32, 24
+	in, out := 32, 6
 	src := sampling.NewSource([32]byte{10}, "fc-par")
 	weights := make([][]int64, out)
 	for o := range weights {
@@ -200,7 +200,13 @@ func TestFCApplyNaiveParallelDeterminism(t *testing.T) {
 	if !bytes.Equal(protocol.MarshalBFV(serialCt), protocol.MarshalBFV(parCt)) {
 		t.Error("ApplyNaive parallel result is not byte-identical to serial")
 	}
-	if serialOps != parOps {
-		t.Errorf("op counts diverged: serial %+v parallel %+v", serialOps, parOps)
+	if want := (OpCounts{Rotations: 7, PlainMults: 8, Adds: 7}); serialOps != want || parOps != want {
+		t.Errorf("op counts: serial %+v, parallel %+v, want %+v", serialOps, parOps, want)
+	}
+	got, want := fc.ExtractOutput(k.dec.DecryptInts(parCt), k.ctx.T.Value), PlainFC(weights, x)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("output %d: naive %d, plain reference %d", i, got[i], want[i])
+		}
 	}
 }

@@ -181,7 +181,7 @@ func (r *Runner) Infer(image [][]int64, clientEnd, serverEnd protocol.Transport)
 				}
 				decoded := r.dec.DecryptInts(cliCt)
 				stats.Decryptions++
-				for o := g * conv.Cb; o < (g+1)*conv.Cb && o < l.OutC; o++ {
+				for o := g * conv.GroupSize(); o < (g+1)*conv.GroupSize() && o < l.OutC; o++ {
 					next[o] = conv.ExtractOutput(decoded, o)
 				}
 			}
@@ -212,7 +212,7 @@ func (r *Runner) Infer(image [][]int64, clientEnd, serverEnd protocol.Transport)
 			}
 			decoded := r.dec.DecryptInts(cliCt)
 			stats.Decryptions++
-			act = [][]int64{fc.ExtractOutput(decoded)}
+			act = [][]int64{fc.ExtractOutput(decoded, r.ctx.T.Value)}
 			h, w = 1, l.FCOut
 		case Act:
 			for c := range act {

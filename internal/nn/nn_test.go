@@ -212,10 +212,12 @@ func TestClientAidedInferenceMatchesPlain(t *testing.T) {
 
 // TestLeNetSmServerOpCounts pins the logical work of one LeNet-Sm
 // request at bfv-B — the counts the benchmark reports as
-// core.*_per_request: 164 rotations, 603 plaintext multiplies, 596
-// additions. They are a property of the layer shapes (no weight is
-// zero, so no diagonal is skipped) and must not move when the engine
-// underneath changes schedule.
+// core.*_per_request: 57 rotations, 166 plaintext multiplies, 162
+// additions (24 + 0, 24 + 3 and 3 + 3 key switches; 2·25, 4·25 and 16
+// multiplies; one add less than multiplies per reply ciphertext). They
+// are a property of the layer shapes and the packing (no weight is zero,
+// so no diagonal is skipped) and must not move when the engine underneath
+// changes schedule.
 func TestLeNetSmServerOpCounts(t *testing.T) {
 	net := LeNetSmall()
 	m := SynthesizeWeights(net, 4, [32]byte{6})
@@ -259,8 +261,62 @@ func TestLeNetSmServerOpCounts(t *testing.T) {
 				t.Fatalf("%s: logit %d: encrypted %d vs plain %d", label, i, got[i], want[i])
 			}
 		}
-		if wantOps := (core.OpCounts{Rotations: 95, PlainMults: 603, Adds: 596}); stats.Server != wantOps {
+		if wantOps := (core.OpCounts{Rotations: 57, PlainMults: 166, Adds: 162}); stats.Server != wantOps {
 			t.Errorf("%s: server ops %+v, want %+v", label, stats.Server, wantOps)
+		}
+	}
+	if rc, err := ExecutableRequestCost(net); err != nil || rc.Server != (core.OpCounts{Rotations: 57, PlainMults: 166, Adds: 162}) {
+		t.Errorf("the operators' plans predict %+v (err %v), not the counts executed", rc.Server, err)
+	}
+}
+
+// TestCommAccountMatchesWire holds the executable's traffic to its
+// operators' own plans and sets the analytic model beside it. One
+// inference of each executable network uploads one seeded ciphertext per
+// linear layer and downloads one ciphertext per conv output group plus
+// one per FC layer; the client's byte count is the transport's, and is
+// the wire_bytes_per_request the end-to-end benchmark reports. CommPlan —
+// Table 5's model, which assumes the server condenses every layer's
+// outputs densely — stays below it: 3 downloads where LeNet-Sm's conv1
+// (one channel per row) needs 2 of its own.
+func TestCommAccountMatchesWire(t *testing.T) {
+	for _, net := range []*Network{LeNetSmall(), DemoNetwork()} {
+		m := SynthesizeWeights(net, 4, [32]byte{14})
+		runner, err := NewRunner(m, [32]byte{15})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clientEnd, serverEnd := protocol.NewPipe()
+		_, stats, err := runner.Infer(SynthesizeImage(net, 4, [32]byte{16}), clientEnd, serverEnd)
+		clientEnd.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		down := len(runner.fcs)
+		for _, conv := range runner.convs {
+			down += conv.Groups()
+		}
+		if up := len(runner.convs) + len(runner.fcs); stats.UpCiphertexts != up || stats.DownCiphertexts != down {
+			t.Errorf("%s: %d up / %d down ciphertexts, the operators plan %d / %d", net.Name, stats.UpCiphertexts, stats.DownCiphertexts, up, down)
+		}
+		if wire := clientEnd.SentBytes() + serverEnd.SentBytes(); stats.TotalBytes() != wire || wire != 721188 {
+			t.Errorf("%s: the client counts %d B, the pipe carried %d B, want 721188 B (3 seeded uploads + 4 replies)", net.Name, stats.TotalBytes(), wire)
+		}
+		// chocobench setup-costs prints this plan; it must be the wire's.
+		rc, err := ExecutableRequestCost(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rc.UpCiphertexts != stats.UpCiphertexts || rc.DownCiphertexts != stats.DownCiphertexts || rc.WireBytes != stats.TotalBytes() {
+			t.Errorf("%s: ExecutableRequestCost plans %+v, the inference moved %+v", net.Name, rc, stats)
+		}
+		model, err := net.CommBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: executable %d B (%d down), CommPlan %d B", net.Name, stats.TotalBytes(), stats.DownCiphertexts, model)
+		if model != 589920 || model >= stats.TotalBytes() {
+			t.Errorf("%s: CommPlan says %d B, want 589920 B and below the executable's %d B", net.Name, model, stats.TotalBytes())
 		}
 	}
 }
@@ -352,16 +408,16 @@ func TestGaloisKeysGeneratedAreKeysUsed(t *testing.T) {
 
 // TestLeNetSmKeyFootprint pins the Galois key count of a LeNet-Sm
 // session — what the client generates and uploads once and the server
-// keeps resident. It was 153 keys (60.7 MB) while Conv2D rotated once
-// per (block shift, kernel offset) pair; the BSGS schedule needs the
-// kernel offsets plus the block shifts.
+// keeps resident: the kernel offsets of both convolutions, conv2's three
+// block shifts, and FC's 3 + 3 steps over its 16 extended diagonals (it
+// was 76 keys, 30.4 MB, while FC walked the 512 square ones).
 func TestLeNetSmKeyFootprint(t *testing.T) {
 	keys, bundleBytes, err := EvaluationKeyFootprint(LeNetSmall())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if keys != 76 || bundleBytes != 30408704 {
-		t.Errorf("LeNet-Sm footprint: %d Galois keys, %d B bundle; want 76 keys, 30408704 B", keys, bundleBytes)
+	if keys != 50 || bundleBytes != 20185088 {
+		t.Errorf("LeNet-Sm footprint: %d Galois keys, %d B bundle; want 50 keys, 20185088 B", keys, bundleBytes)
 	}
 	client, err := NewInferenceClient(LeNetSmall(), [32]byte{9})
 	if err != nil {

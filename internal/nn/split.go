@@ -136,6 +136,42 @@ func EvaluationKeyFootprint(net *Network) (galoisKeys int, bundleBytes int64, er
 	return galoisKeys, bundleBytes, nil
 }
 
+// RequestCost is what one inference costs on the executable path, read
+// from the compiled operators' own plans — no keys, no ciphertexts: what
+// the client moves, and the server's work when no weight is zero.
+type RequestCost struct {
+	UpCiphertexts, DownCiphertexts int
+	WireBytes                      int64
+	Server                         core.OpCounts
+}
+
+// ExecutableRequestCost plans one inference of a network the split
+// client/server can run. Unlike CommPlan — the analytic model, which
+// assumes densely condensed downloads — it counts the reply ciphertexts
+// the operators' packing produces.
+func ExecutableRequestCost(net *Network) (RequestCost, error) {
+	var rc RequestCost
+	_, convs, fcs, err := rotationStepsFor(net, nil, net.Params.N()/2)
+	if err != nil {
+		return rc, err
+	}
+	add := func(plan core.RotationPlan, outputs int) {
+		rc.UpCiphertexts++
+		rc.DownCiphertexts += outputs
+		rc.Server.Add(core.OpCounts{Rotations: plan.BabySteps + plan.GiantSteps,
+			PlainMults: plan.PlainMults, Adds: plan.PlainMults - outputs})
+	}
+	for _, conv := range convs {
+		add(conv.Plan(), conv.Groups())
+	}
+	for _, fc := range fcs {
+		add(fc.Plan(fc.HoistLevel()), 1)
+	}
+	rc.WireBytes = int64(rc.UpCiphertexts)*int64(net.UpCiphertextBytes()+protocol.FrameOverheadBytes) +
+		int64(rc.DownCiphertexts)*int64(net.DownCiphertextBytes()+protocol.FrameOverheadBytes)
+	return rc, nil
+}
+
 // NewInferenceClient generates the client's key material for the
 // network architecture.
 func NewInferenceClient(net *Network, seed [32]byte) (*InferenceClient, error) {
@@ -291,7 +327,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 					return nil, stats, err
 				}
 				decoded := c.dec.DecryptInts(outCt)
-				for o := g * conv.Cb; o < (g+1)*conv.Cb && o < l.OutC; o++ {
+				for o := g * conv.GroupSize(); o < (g+1)*conv.GroupSize() && o < l.OutC; o++ {
 					next[o] = conv.ExtractOutput(decoded, o)
 				}
 			}
@@ -313,7 +349,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 			if err != nil {
 				return nil, stats, err
 			}
-			act = [][]int64{fc.ExtractOutput(c.dec.DecryptInts(outCt))}
+			act = [][]int64{fc.ExtractOutput(c.dec.DecryptInts(outCt), c.ctx.T.Value)}
 			h, w = 1, l.FCOut
 		case Act:
 			for ci := range act {

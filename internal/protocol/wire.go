@@ -21,6 +21,11 @@ import (
 
 const headerBytes = 24
 
+// FrameOverheadBytes is what a ciphertext frame costs on the wire beyond
+// its polynomial (and seed) bytes: the header plus the transport's
+// length prefix, which SentBytes counts.
+const FrameOverheadBytes = headerBytes + 4
+
 // Scheme tags for the frame header.
 const (
 	SchemeBFV  = uint32(1)
