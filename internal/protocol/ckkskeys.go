@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"choco/internal/ckks"
 )
@@ -35,10 +37,12 @@ func MarshalCKKSKeyBundle(kb *CKKSKeyBundle) []byte {
 	} else {
 		b = appendUint32(b, 0)
 	}
+	// Ascending element order: the same keys serialise to the same bytes
+	// (a decoder accepts any order).
 	b = appendUint32(b, uint32(len(kb.Galois)))
-	for g, gk := range kb.Galois {
+	for _, g := range slices.Sorted(maps.Keys(kb.Galois)) {
 		b = appendUint64(b, g)
-		b = appendSwitching(b, gk.Key)
+		b = appendSwitching(b, kb.Galois[g].Key)
 	}
 	return b
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"choco/internal/bfv"
+	"choco/internal/ckks"
 )
 
 // Wire-format stability tests: the header layout is a compatibility
@@ -124,5 +125,90 @@ func TestBFVCiphertextGoldenHashes(t *testing.T) {
 	ct2 := enc.EncryptZero()
 	if got := fmt.Sprintf("%x", sha256.Sum256(MarshalBFV(ct2))); got != "5d613f67a909de05a62c0604788204da4901c776369212ca23f4def40d78a2ea" {
 		t.Errorf("second public encryption hash drifted: %s", got)
+	}
+}
+
+func sha(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
+
+// TestCKKSGoldenHashes is the CKKS twin of the BFV pins above, and goes
+// further down the stack: besides the two client encryptions it pins the
+// output bytes of one rotation, one multiply-relinearise-rescale and one
+// lazy rotation sum, so the key generator, the key-switch core at the top
+// level and one level below it, and the QP accumulator are all held to
+// the bytes they produced when these digests were taken.
+func TestCKKSGoldenHashes(t *testing.T) {
+	ctx, err := ckks.NewContext(ckks.PresetTest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := ckks.NewKeyGenerator(ctx, [32]byte{4, 5, 6})
+	sk := kg.GenSecretKey()
+	enc := ckks.NewEncryptor(ctx, kg.GenPublicKey(sk), [32]byte{10})
+	ev := ckks.NewEvaluator(ctx, kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, 1, 2, 4))
+	vals := make([]float64, ctx.Params.Slots())
+	for i := range vals {
+		vals[i] = float64(i%17)/8 - 1
+	}
+	ct, err := enc.EncryptFloats(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sct, err := ckks.NewSymmetricEncryptor(ctx, sk, [32]byte{72}).EncryptFloatsSeeded(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rot, err := ev.RotateLeft(ct, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sq, err := ev.MulRelin(ct, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sq, err = ev.Rescale(sq); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := ev.RotateSumLazy(sq, []int{0, 1, 2, 4}) // one level below the top
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, got, want string }{
+		{"public encryption", sha(MarshalCKKS(ct)), "14b5a75353b3c41dc3d37dfcfc9abf062062e90790b7860e6e69e2a14334579f"},
+		{"seeded encryption", sha(MarshalSeededCKKS(sct)), "2b7489c280b5634c18bd858f9d743c848c9d548259686997bda197ac7979c2ef"},
+		{"RotateLeft", sha(MarshalCKKS(rot)), "b36ae61825b188ef221594db1e379e4d9cee6ee402fed8e4a37d624e8c7c871a"},
+		{"MulRelin+Rescale", sha(MarshalCKKS(sq)), "0520beb0723b9da48f9589a7e4e78f0f1979695da3aa71cbc2dc01c29ffd6803"},
+		{"RotateSumLazy", sha(MarshalCKKS(sum)), "6ba864b189293334764ba4ae95d7c4e706d576a6d7f740a54e3920fc9cc3fb50"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s hash drifted: %s", c.name, c.got)
+		}
+	}
+}
+
+// TestKeyBundleGoldenHashes pins a whole evaluation-key bundle per scheme
+// (public key, relinearisation key, three Galois keys): every sampling
+// label, the gadget term and the bundle layout. Possible only because the
+// Galois keys are written in ascending element order.
+func TestKeyBundleGoldenHashes(t *testing.T) {
+	bctx, err := bfv.NewContext(bfv.PresetTest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bkg := bfv.NewKeyGenerator(bctx, [32]byte{7, 8, 9})
+	bsk := bkg.GenSecretKey()
+	bkb := &KeyBundle{PK: bkg.GenPublicKey(bsk), Relin: bkg.GenRelinearizationKey(bsk), Galois: bkg.GenRotationKeys(bsk, 1, -3)}
+	if got := sha(MarshalKeyBundle(bkb)); len(bkb.Galois) != 3 || got != "c2cbc2421b13258d8968d7b17a295c651844ba2b343c0d1eefe836a958839079" {
+		t.Errorf("BFV key bundle (%d Galois keys) hash drifted: %s", len(bkb.Galois), got)
+	}
+
+	cctx, err := ckks.NewContext(ckks.PresetTest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckg := ckks.NewKeyGenerator(cctx, [32]byte{7, 8, 9})
+	csk := ckg.GenSecretKey()
+	ckb := &CKKSKeyBundle{PK: ckg.GenPublicKey(csk), Relin: ckg.GenRelinearizationKey(csk), Galois: ckg.GenRotationKeys(csk, 1, -3)}
+	if got := sha(MarshalCKKSKeyBundle(ckb)); len(ckb.Galois) != 3 || got != "66588490a268fd47711223a01eba3284caf6be0a5d7d8573f2c36c7105944170" {
+		t.Errorf("CKKS key bundle (%d Galois keys) hash drifted: %s", len(ckb.Galois), got)
 	}
 }

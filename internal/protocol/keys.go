@@ -3,6 +3,8 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 
 	"choco/internal/bfv"
 	"choco/internal/ring"
@@ -127,10 +129,12 @@ func MarshalKeyBundle(kb *KeyBundle) []byte {
 	} else {
 		b = appendUint32(b, 0)
 	}
+	// Ascending element order: the same keys serialise to the same bytes
+	// (a decoder accepts any order).
 	b = appendUint32(b, uint32(len(kb.Galois)))
-	for g, gk := range kb.Galois {
+	for _, g := range slices.Sorted(maps.Keys(kb.Galois)) {
 		b = appendUint64(b, g)
-		b = appendSwitching(b, gk.Key)
+		b = appendSwitching(b, kb.Galois[g].Key)
 	}
 	return b
 }
