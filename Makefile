@@ -5,10 +5,11 @@
 #   make test    — tier-1 verify (build + tests, as in ROADMAP.md)
 #   make lint    — chocolint static analyzers only (see internal/lint)
 #   make race    — race-enabled, shuffled tests; reruns the parallel
-#                  execution-layer packages (including the bfv/ckks
-#                  hoisted-rotation fan-outs), the serving tier with
-#                  its cross-request batching executor, and the fabric
-#                  routing tier with GOMAXPROCS=4 so the par fan-out
+#                  execution-layer packages (including the rlwe key-switch
+#                  core and the bfv/ckks hoisted-rotation fan-outs), the
+#                  serving tier with its cross-request batching
+#                  executor, and the fabric routing tier with
+#                  GOMAXPROCS=4 so the par fan-out
 #                  paths, the gather-round leader/follower protocol,
 #                  and the router's splice/health/membership
 #                  concurrency are exercised even on 1-core CI; then
@@ -18,9 +19,10 @@
 #                  and the concurrent first use of a decomposition's
 #                  hoisted NTT(c0) 10 times
 #   make debug   — tests with the chocodebug assertion layer compiled in
-#                  (ring, bfv, and the core operators that drive them:
-#                  the QP accumulator invariants cover both the FC and
-#                  the conv giant fold)
+#                  (ring, the shared rlwe core with its QP accumulator
+#                  invariants, both schemes' entry-point checks, and the
+#                  core operators that drive them: the FC and the conv
+#                  giant fold)
 #   make purego  — tests with the vector kernels compiled out (the
 #                  scalar-only build every non-amd64 target gets)
 #   make bench   — paper-table benchmark generators; also regenerates
@@ -49,9 +51,10 @@
 
 #   make fuzz    — 30-second smoke run of each internal/protocol fuzz
 #                  target (frame parser, hello-frame round-trip, and the
-#                  BFV and CKKS ciphertext decoders, whose 64 KB inputs
-#                  run with minimization off: the engine otherwise
-#                  spends the whole window shrinking one input)
+#                  BFV and CKKS ciphertext decoders and the key-bundle
+#                  decoder, whose 64 KB–1 MB inputs run with minimization
+#                  off: the engine otherwise spends the whole window
+#                  shrinking one input)
 #   make bench-e2e — the repository's benchmark (benchmark/README.md):
 #                  four workloads end to end through real HE over the
 #                  real protocol, untraced then traced, ~4 min
@@ -76,12 +79,12 @@ vet:
 
 race:
 	$(GO) test -race -shuffle=on ./...
-	GOMAXPROCS=4 $(GO) test -race -shuffle=on ./internal/par ./internal/ring ./internal/bfv ./internal/ckks ./internal/core ./internal/apps/distance ./internal/serve ./internal/fabric
+	GOMAXPROCS=4 $(GO) test -race -shuffle=on ./internal/par ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core ./internal/apps/distance ./internal/serve ./internal/fabric
 	$(GO) test -race -count=50 -timeout 60m ./internal/serve ./internal/fabric
 	$(GO) test -race -count=10 -run 'TestRotateRowsLazyNTTHoistedC0' ./internal/bfv
 
 debug:
-	$(GO) test -race -shuffle=on -tags chocodebug ./internal/ring ./internal/bfv ./internal/core
+	$(GO) test -race -shuffle=on -tags chocodebug ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core
 
 purego:
 	$(GO) build -tags purego ./...
@@ -92,6 +95,7 @@ fuzz:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzHelloFrame$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalBFV$$' -fuzztime 30s -fuzzminimizetime 0
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalCKKS$$' -fuzztime 30s -fuzzminimizetime 0
+	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalKeyBundle$$' -fuzztime 30s -fuzzminimizetime 0
 
 bench-e2e:
 	$(GO) run ./benchmark

@@ -3,10 +3,9 @@ package bfv
 import (
 	"math/big"
 
-	"choco/internal/nt"
 	"choco/internal/par"
 	"choco/internal/ring"
-	"choco/internal/sampling"
+	"choco/internal/rlwe"
 )
 
 // Ciphertext is a BFV ciphertext of degree len(Value)-1 over the data
@@ -40,14 +39,8 @@ func (ctx *Context) CopyCt(ct *Ciphertext) *Ciphertext {
 // per-encryptor scratch buffers are stateful.
 type Encryptor struct {
 	ctx     *Context
-	pk      *PublicKey
+	zero    *rlwe.Encryptor
 	encoder *Encoder
-	src     *sampling.Source
-	// Per-encryptor sampling buffers, reused across calls so the
-	// steady-state encryption loop does not allocate.
-	uSigned  []int64
-	e1Signed []int64
-	e2Signed []int64
 	// OpCount tallies encryptions performed, used by the system-level
 	// client cost accounting.
 	OpCount int
@@ -55,16 +48,7 @@ type Encryptor struct {
 
 // NewEncryptor returns an encryptor drawing randomness from seed.
 func NewEncryptor(ctx *Context, pk *PublicKey, seed [32]byte) *Encryptor {
-	n := ctx.Params.N()
-	return &Encryptor{
-		ctx:      ctx,
-		pk:       pk,
-		encoder:  NewEncoder(ctx),
-		src:      sampling.NewSource(seed, "bfv-encryptor"),
-		uSigned:  make([]int64, n),
-		e1Signed: make([]int64, n),
-		e2Signed: make([]int64, n),
-	}
+	return &Encryptor{ctx: ctx, zero: rlwe.NewEncryptor(ctx.Context, pk, seed), encoder: NewEncoder(ctx)}
 }
 
 // Encrypt encrypts an encoded plaintext.
@@ -75,72 +59,28 @@ func (enc *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	return ct
 }
 
-// reduceSigned maps a signed coefficient into [0, q), matching
-// ring.SetCoeffsInt64 bit for bit.
-func reduceSigned(m nt.Modulus, v int64) uint64 {
-	if v >= 0 {
-		return m.Reduce(uint64(v))
+// addScaledRow adds Δ·m to residue row i of c0: the BFV message term,
+// applied inside the encrypt-zero row loop while the row is hot.
+func (ctx *Context) addScaledRow(i int, pt *Plaintext, c0 []uint64) {
+	m, d, ds := ctx.RingQ.Moduli[i], ctx.deltaRNS[i], ctx.deltaRNSShoup[i]
+	for j, v := range pt.Poly.Coeffs[0] {
+		c0[j] = m.Add(c0[j], m.MulShoup(m.Reduce(v), d, ds))
 	}
-	return m.Neg(m.Reduce(uint64(-v)))
 }
 
 // EncryptInto encrypts pt into ct, reusing ct's polynomials — the
 // zero-allocation path for steady-state client loops. ct must be a
 // degree-1 full-modulus ciphertext (as produced by Encrypt); its
-// previous contents are overwritten.
-//
-// The work is organized as a fused per-RNS-residue pipeline, the
-// software shape of CHOCO-TACO's per-residue replication: randomness
-// is drawn once up front (preserving the sampling stream order of the
-// serial implementation), then each residue row independently runs
-// reduce → NTT → dyadic mul → inverse NTT → error/message add for
-// both ciphertext halves. Rows fan out across internal/par; because
-// rows never share state, the result is byte-identical to serial
-// execution regardless of worker count.
+// previous contents are overwritten. The rows are the shared core's fused
+// encrypt-zero pipeline (rlwe.Encryptor), fanned across internal/par.
 func (enc *Encryptor) EncryptInto(pt *Plaintext, ct *Ciphertext) {
-	ctx := enc.ctx
-	r := ctx.RingQ
 	enc.OpCount++
-
-	// u ← ternary, e1, e2 ← χ, in the serial draw order.
-	enc.src.TernarySigned(enc.uSigned)
-	enc.src.GaussianSigned(enc.e1Signed, ctx.Params.Sigma)
-	enc.src.GaussianSigned(enc.e2Signed, ctx.Params.Sigma)
-
-	u := r.GetPoly()
+	enc.zero.Sample()
 	c0, c1 := ct.Value[0], ct.Value[1]
-	ptRow := pt.Poly.Coeffs[0]
-	par.ForWorker(r.Level(), func(_, i int) {
-		m := r.Moduli[i]
-		ur := u.Coeffs[i]
-		for j, v := range enc.uSigned {
-			ur[j] = reduceSigned(m, v)
-		}
-		r.NTTForwardRow(i, ur)
-
-		// c0 row = INTT(P0 ⊙ u) + e1 + Δm
-		p0r, c0r := enc.pk.P0.Coeffs[i], c0.Coeffs[i]
-		for j := range c0r {
-			c0r[j] = m.Mul(p0r[j], ur[j])
-		}
-		r.NTTInverseRow(i, c0r)
-		d, ds := ctx.deltaRNS[i], ctx.deltaRNSShoup[i]
-		for j := range c0r {
-			v := m.Add(c0r[j], reduceSigned(m, enc.e1Signed[j]))
-			c0r[j] = m.Add(v, m.MulShoup(m.Reduce(ptRow[j]), d, ds))
-		}
-
-		// c1 row = INTT(P1 ⊙ u) + e2
-		p1r, c1r := enc.pk.P1.Coeffs[i], c1.Coeffs[i]
-		for j := range c1r {
-			c1r[j] = m.Mul(p1r[j], ur[j])
-		}
-		r.NTTInverseRow(i, c1r)
-		for j := range c1r {
-			c1r[j] = m.Add(c1r[j], reduceSigned(m, enc.e2Signed[j]))
-		}
+	par.ForWorker(enc.ctx.RingQ.Level(), func(_, i int) {
+		enc.zero.ZeroRow(i, c0.Coeffs[i], c1.Coeffs[i])
+		enc.ctx.addScaledRow(i, pt, c0.Coeffs[i])
 	})
-	r.PutPoly(u)
 	c0.DeclareCoeff()
 	c1.DeclareCoeff()
 	ct.Drop = 0
@@ -177,86 +117,19 @@ type Decryptor struct {
 	ctx     *Context
 	sk      *SecretKey
 	encoder *Encoder
-	// skAtDrop[d] is a level-truncated NTT-domain view of the secret
-	// key for drop level d, cached so phase computation allocates
-	// nothing.
-	skAtDrop []ring.Poly
 	// OpCount tallies decryptions performed.
 	OpCount int
 }
 
 // NewDecryptor returns a decryptor for sk.
 func NewDecryptor(ctx *Context, sk *SecretKey) *Decryptor {
-	nData := len(ctx.RingQ.Moduli)
-	skAtDrop := make([]ring.Poly, nData)
-	for d := range skAtDrop {
-		skAtDrop[d] = ring.Poly{Coeffs: sk.ValueQ.Coeffs[:nData-d], IsNTT: true}
-	}
-	return &Decryptor{ctx: ctx, sk: sk, encoder: NewEncoder(ctx), skAtDrop: skAtDrop}
+	return &Decryptor{ctx: ctx, sk: sk, encoder: NewEncoder(ctx)}
 }
 
-// phaseInto computes [c0 + c1·s + c2·s² + ...]_q into acc
-// (coefficient domain), at the ciphertext's (possibly
-// modulus-switched) level. Temporaries come from the ring scratch pool
-// and are returned before exit, so steady-state calls do not allocate.
-//
-// The whole phase is a fused per-residue pipeline (the decryption twin
-// of EncryptInto): each row independently runs NTT(c_i) → ·s^i →
-// accumulate → inverse NTT → +c0, fanned across internal/par. c0
-// never pays a forward NTT (2 transforms per degree-1 decryption, not
-// 3), and rows share no state, so the result is byte-identical to
-// serial execution.
+// phaseInto computes [c0 + c1·s + c2·s² + ...]_q into acc (coefficient
+// domain), at the ciphertext's (possibly modulus-switched) level.
 func (dec *Decryptor) phaseInto(ct *Ciphertext, acc *ring.Poly) {
-	r := dec.ctx.RingAtDrop(ct.Drop)
-	if len(ct.Value) == 1 { // degree 0: phase is c0 itself
-		r.Copy(acc, ct.Value[0])
-		return
-	}
-	sk := &dec.skAtDrop[ct.Drop]
-	ci := r.GetPoly()
-	var sPow *ring.Poly // s^i rows, needed only for degree ≥ 2
-	if len(ct.Value) > 2 {
-		sPow = r.GetPoly()
-	}
-	par.ForWorker(r.Level(), func(_, i int) {
-		m := r.Moduli[i]
-		accr, cir, skr := acc.Coeffs[i], ci.Coeffs[i], sk.Coeffs[i]
-		copy(cir, ct.Value[1].Coeffs[i])
-		r.NTTForwardRow(i, cir)
-		for j := range accr {
-			accr[j] = m.Mul(cir[j], skr[j])
-		}
-		if sPow != nil {
-			spr := sPow.Coeffs[i]
-			copy(spr, skr)
-			for k := 2; k < len(ct.Value); k++ {
-				for j := range spr {
-					spr[j] = m.Mul(spr[j], skr[j]) // s^k
-				}
-				copy(cir, ct.Value[k].Coeffs[i])
-				r.NTTForwardRow(i, cir)
-				for j := range accr {
-					accr[j] = m.Add(accr[j], m.Mul(cir[j], spr[j]))
-				}
-			}
-		}
-		r.NTTInverseRow(i, accr)
-		c0r := ct.Value[0].Coeffs[i]
-		for j := range accr {
-			accr[j] = m.Add(accr[j], c0r[j])
-		}
-	})
-	r.PutPoly(ci)
-	r.PutPoly(sPow)
-	acc.DeclareCoeff()
-}
-
-// phase is the allocating form of phaseInto, for callers that keep the
-// result (NoiseBudget).
-func (dec *Decryptor) phase(ct *Ciphertext) *ring.Poly {
-	acc := dec.ctx.RingAtDrop(ct.Drop).NewPoly()
-	dec.phaseInto(ct, acc)
-	return acc
+	dec.ctx.PhaseInto(dec.sk, ct.Value, dec.ctx.MaxLevel()-ct.Drop, acc)
 }
 
 // Decrypt returns the plaintext underlying ct, scaling by the

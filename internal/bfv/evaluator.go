@@ -6,6 +6,7 @@ import (
 	"math/big"
 
 	"choco/internal/ring"
+	"choco/internal/rlwe"
 )
 
 // Evaluator applies homomorphic operations server-side. It is stateless
@@ -27,32 +28,18 @@ func NewEvaluator(ctx *Context, relin *RelinearizationKey, galois map[uint64]*Ga
 // Add returns a + b (ciphertext addition, small noise growth). The
 // operands must sit at the same modulus level.
 func (ev *Evaluator) Add(a, b *Ciphertext) *Ciphertext {
-	if debugEnabled {
+	if rlwe.DebugEnabled {
 		ev.ctx.debugCheckCt("Add", a, b)
 	}
 	if a.Drop != b.Drop {
 		panic("bfv: adding ciphertexts at different modulus levels")
 	}
-	r := ev.ctx.RingAtDrop(a.Drop)
-	deg := max(len(a.Value), len(b.Value))
-	out := &Ciphertext{Value: make([]*ring.Poly, deg), Drop: a.Drop}
-	for i := 0; i < deg; i++ {
-		out.Value[i] = r.NewPoly()
-		switch {
-		case i < len(a.Value) && i < len(b.Value):
-			r.Add(a.Value[i], b.Value[i], out.Value[i])
-		case i < len(a.Value):
-			r.Copy(out.Value[i], a.Value[i])
-		default:
-			r.Copy(out.Value[i], b.Value[i])
-		}
-	}
-	return out
+	return &Ciphertext{Value: rlwe.Add(ev.ctx.RingAtDrop(a.Drop), a.Value, b.Value), Drop: a.Drop}
 }
 
 // Sub returns a - b.
 func (ev *Evaluator) Sub(a, b *Ciphertext) *Ciphertext {
-	if debugEnabled {
+	if rlwe.DebugEnabled {
 		ev.ctx.debugCheckCt("Sub", a, b)
 	}
 	r := ev.ctx.RingAtDrop(b.Drop)
@@ -66,7 +53,7 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) *Ciphertext {
 
 // Neg returns -a.
 func (ev *Evaluator) Neg(a *Ciphertext) *Ciphertext {
-	if debugEnabled {
+	if rlwe.DebugEnabled {
 		ev.ctx.debugCheckCt("Neg", a)
 	}
 	r := ev.ctx.RingAtDrop(a.Drop)
@@ -80,7 +67,7 @@ func (ev *Evaluator) Neg(a *Ciphertext) *Ciphertext {
 
 // AddPlain returns ct + pt (plaintext addition: c0 += Δ·m).
 func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	if debugEnabled {
+	if rlwe.DebugEnabled {
 		ev.ctx.debugCheckCt("AddPlain", ct)
 	}
 	if ct.Drop != 0 {
@@ -95,7 +82,7 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 
 // SubPlain returns ct - pt.
 func (ev *Evaluator) SubPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	if debugEnabled {
+	if rlwe.DebugEnabled {
 		ev.ctx.debugCheckCt("SubPlain", ct)
 	}
 	if ct.Drop != 0 {
@@ -112,7 +99,7 @@ func (ev *Evaluator) SubPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 // cheaper than a full plaintext multiply (no NTT round trip) and with
 // scalar-sized noise growth.
 func (ev *Evaluator) MulScalar(ct *Ciphertext, c uint64) *Ciphertext {
-	if debugEnabled {
+	if rlwe.DebugEnabled {
 		ev.ctx.debugCheckCt("MulScalar", ct)
 	}
 	r := ev.ctx.RingAtDrop(ct.Drop)
@@ -162,7 +149,7 @@ func (ev *Evaluator) PrepareMul(pt *Plaintext) *PlaintextMul {
 // MulPlain returns ct ⊙ pt (slot-wise product with an unencrypted
 // vector; moderate noise growth, O(N log N · r) per Table 1).
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pm *PlaintextMul) *Ciphertext {
-	if debugEnabled {
+	if rlwe.DebugEnabled {
 		ev.ctx.debugCheckCt("MulPlain", ct)
 	}
 	if ct.Drop != 0 {
@@ -185,7 +172,7 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pm *PlaintextMul) *Ciphertext {
 // noise growth, O(N log N · r²) per Table 1). Call Relinearize to
 // return to degree 1.
 func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {
-	if debugEnabled {
+	if rlwe.DebugEnabled {
 		ev.ctx.debugCheckCt("Mul", a, b)
 	}
 	if len(a.Value) != 2 || len(b.Value) != 2 {
@@ -252,7 +239,7 @@ func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {
 // Relinearize reduces a degree-2 ciphertext to degree 1 using the
 // relinearization key.
 func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
-	if debugEnabled {
+	if rlwe.DebugEnabled {
 		ev.ctx.debugCheckCt("Relinearize", ct)
 	}
 	if len(ct.Value) != 3 {
@@ -261,7 +248,7 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 	if ev.relin == nil {
 		return nil, fmt.Errorf("bfv: no relinearization key")
 	}
-	d0, d1 := ev.keySwitch(ct.Value[2], ev.relin.Key)
+	d0, d1 := ev.ctx.KeySwitch(ct.Value[2], ev.relin.Key, ev.ctx.MaxLevel())
 	r := ev.ctx.RingQ
 	out := &Ciphertext{Value: []*ring.Poly{r.NewPoly(), r.NewPoly()}}
 	r.Add(ct.Value[0], d0, out.Value[0])
@@ -301,7 +288,7 @@ func (ev *Evaluator) RotateColumns(ct *Ciphertext) (*Ciphertext, error) {
 // serial RotateRows loop and a hoisted batch byte-identical by
 // construction.
 func (ev *Evaluator) applyGalois(ct *Ciphertext, g uint64) (*Ciphertext, error) {
-	if debugEnabled {
+	if rlwe.DebugEnabled {
 		ev.ctx.debugCheckCt("applyGalois", ct)
 	}
 	dc, err := ev.Decompose(ct)
@@ -319,45 +306,19 @@ func (ev *Evaluator) applyGalois(ct *Ciphertext, g uint64) (*Ciphertext, error) 
 // at full modulus, switch down, send small. Dropped ciphertexts
 // support addition and decryption only.
 func (ev *Evaluator) ModSwitchDown(ct *Ciphertext) (*Ciphertext, error) {
-	if debugEnabled {
+	if rlwe.DebugEnabled {
 		ev.ctx.debugCheckCt("ModSwitchDown", ct)
 	}
 	ctx := ev.ctx
 	if ct.Drop >= ctx.MaxDrop() {
 		return nil, fmt.Errorf("bfv: cannot modulus-switch below one residue")
 	}
-	rIn := ctx.RingAtDrop(ct.Drop)
-	rOut := ctx.RingAtDrop(ct.Drop + 1)
-	last := rIn.Level() - 1
-	qL := rIn.Moduli[last].Value
-	halfQL := qL >> 1
-
 	out := &Ciphertext{Value: make([]*ring.Poly, len(ct.Value)), Drop: ct.Drop + 1}
 	for vi, p := range ct.Value {
 		if p.IsNTT {
 			return nil, fmt.Errorf("bfv: modulus switch requires coefficient domain")
 		}
-		np := rOut.NewPoly()
-		xl := p.Coeffs[last]
-		for i, m := range rOut.Moduli {
-			qlInv, ok := m.Inv(m.Reduce(qL))
-			if !ok {
-				return nil, fmt.Errorf("bfv: dropped modulus not invertible")
-			}
-			qs := m.ShoupPrecomp(qlInv)
-			src := p.Coeffs[i]
-			dst := np.Coeffs[i]
-			for k := range dst {
-				var c uint64
-				if xl[k] <= halfQL {
-					c = m.Reduce(xl[k])
-				} else {
-					c = m.Neg(m.Reduce(qL - xl[k]))
-				}
-				dst[k] = m.MulShoup(m.Sub(src[k], c), qlInv, qs)
-			}
-		}
-		out.Value[vi] = np
+		out.Value[vi] = ctx.DivRoundByLastModulus(p, ctx.MaxLevel()-ct.Drop)
 	}
 	return out, nil
 }
@@ -390,77 +351,6 @@ func (ev *Evaluator) ModSwitchToSmallest(ct *Ciphertext, currentBudget int) (*Ci
 	return out, nil
 }
 
-// keySwitch converts a single polynomial d (coefficient domain, mod Q)
-// keyed under s' into a pair (δ0, δ1) mod Q keyed under s, using the
-// hybrid RNS method: decompose d per data prime, inner-product with the
-// switching key over QP, then divide by the special prime P with
-// rounding.
-func (ev *Evaluator) keySwitch(d *ring.Poly, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
-	ctx := ev.ctx
-	rQP := ctx.RingQP
-	rQ := ctx.RingQ
-	nData := len(rQ.Moduli)
-
-	acc0 := rQP.GetPoly()
-	acc1 := rQP.GetPoly()
-	acc0.DeclareNTT()
-	acc1.DeclareNTT()
-
-	di := rQP.GetPoly()
-	bShoup, aShoup := swk.shoup(rQP)
-	for i := 0; i < nData; i++ {
-		// d_i: the i-th residue row treated as an integer vector in
-		// [0, q_i), embedded into every residue of QP.
-		ev.embedDigit(d.Coeffs[i], i, di)
-		di.DeclareCoeff()
-		rQP.NTT(di)
-		rQP.MulCoeffsShoupAdd2(di, swk.B[i], bShoup[i], acc0, swk.A[i], aShoup[i], acc1)
-		di.DeclareCoeff() // reuse buffer next iteration
-	}
-	rQP.PutPoly(di)
-	acc0.DeclareNTT()
-	acc1.DeclareNTT()
-	rQP.INTT(acc0)
-	rQP.INTT(acc1)
-	d0, d1 := ev.modDownByP(acc0), ev.modDownByP(acc1)
-	rQP.PutPoly(acc0)
-	rQP.PutPoly(acc1)
-	return d0, d1
-}
-
-// modDownByP maps x mod QP to round(x/P) mod Q (coefficient domain).
-func (ev *Evaluator) modDownByP(x *ring.Poly) *ring.Poly {
-	ctx := ev.ctx
-	rQ := ctx.RingQ
-	nData := len(rQ.Moduli)
-	pMod := ctx.RingQP.Moduli[nData]
-	p := pMod.Value
-	halfP := p >> 1
-
-	out := rQ.GetPoly()
-	xp := x.Coeffs[nData]
-	for i, m := range rQ.Moduli {
-		pi := ctx.pInvQ[i]
-		pis := m.ShoupPrecomp(pi)
-		pModQ := m.Reduce(p)
-		dst := out.Coeffs[i]
-		src := x.Coeffs[i][:len(dst)]
-		xr := xp[:len(dst)]
-		for k := range dst {
-			// Centered representative of x mod P, reduced mod q_i:
-			// values above P/2 stand for t − P ≡ Reduce(t) − Reduce(P),
-			// which shares the canonical-form Reduce with the small case.
-			t := xr[k]
-			c := m.Reduce(t)
-			if t > halfP {
-				c = m.Sub(c, pModQ)
-			}
-			dst[k] = m.MulShoup(m.Sub(src[k], c), pi, pis)
-		}
-	}
-	return out
-}
-
 // NoiseBudgetBits returns the remaining invariant noise budget of ct in
 // bits, using SEAL's definition (the one the paper's Table 4
 // tabulates): v = [t·(c0 + c1·s + ...)]_q centered, budget =
@@ -470,10 +360,9 @@ func (ev *Evaluator) modDownByP(x *ring.Poly) *ring.Poly {
 // that term — correctly register as nearly free. A budget of 0 means
 // the ciphertext is (about to become) undecryptable.
 func NoiseBudgetBits(ctx *Context, sk *SecretKey, ct *Ciphertext) float64 {
-	dec := NewDecryptor(ctx, sk)
-	x := dec.phase(ct)
 	r := ctx.RingAtDrop(ct.Drop)
-	v := r.NewPoly()
+	x, v := r.NewPoly(), r.NewPoly()
+	ctx.PhaseInto(sk, ct.Value, ctx.MaxLevel()-ct.Drop, x)
 	r.MulScalar(x, ctx.T.Value, v)
 	norm := r.InfNormBig(v)
 	if norm.Sign() == 0 {
@@ -493,11 +382,4 @@ func log2Big(x *big.Int) float64 {
 	exp := new(big.Float).SetInt(x).MantExp(mant)
 	m, _ := mant.Float64()
 	return float64(exp) + math.Log2(m)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -200,7 +200,7 @@ func TestHoistedMatchesUnhoistedKeySwitchPath(t *testing.T) {
 	c1 := r.GetPoly()
 	r.Automorphism(ct.Value[0], g, c0)
 	r.Automorphism(ct.Value[1], g, c1)
-	d0, d1 := kit.ev.keySwitch(c1, gk.Key)
+	d0, d1 := kit.ctx.KeySwitch(c1, gk.Key, kit.ctx.MaxLevel())
 	old := &Ciphertext{Value: []*ring.Poly{r.NewPoly(), d1}}
 	r.Add(c0, d0, old.Value[0])
 	r.PutPoly(c0)
@@ -224,36 +224,5 @@ func TestHoistedMatchesUnhoistedKeySwitchPath(t *testing.T) {
 	}
 	if ob, nb := NoiseBudget(kit.ctx, kit.sk, old), NoiseBudget(kit.ctx, kit.sk, rotated); nb < ob-1 {
 		t.Fatalf("hoisted rotation noticeably noisier: %d vs %d bits", nb, ob)
-	}
-}
-
-// TestEmbedDigitCopyMatchesReduce pins the embedding micro-optimization:
-// when the source residue's modulus q_i does not exceed a target row's
-// modulus, copying the already-reduced values verbatim must equal the
-// old unconditional per-coefficient Reduce.
-func TestEmbedDigitCopyMatchesReduce(t *testing.T) {
-	kit := newTestKit(t, PresetTest())
-	rQP := kit.ctx.RingQP
-	rQ := kit.ctx.RingQ
-	ct, err := kit.enc.EncryptUints(rampUints(kit.ctx.Params.N(), kit.ctx.T.Value))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rQ.Moduli {
-		src := ct.Value[1].Coeffs[i]
-		got := rQP.GetPoly()
-		kit.ev.embedDigit(src, i, got)
-		want := rQP.GetPoly()
-		for j, m := range rQP.Moduli {
-			dst := want.Coeffs[j]
-			for k := range dst {
-				dst[k] = m.Reduce(src[k])
-			}
-		}
-		if !rQP.Equal(got, want) {
-			t.Fatalf("digit %d: copy-optimized embedding differs from Reduce reference", i)
-		}
-		rQP.PutPoly(got)
-		rQP.PutPoly(want)
 	}
 }

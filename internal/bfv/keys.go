@@ -1,225 +1,37 @@
 package bfv
 
-import (
-	"sync"
+import "choco/internal/rlwe"
 
-	"choco/internal/ring"
-	"choco/internal/sampling"
+// Key material is the shared RLWE core's (internal/rlwe): BFV adds only
+// the mapping from row-rotation steps to Galois elements.
+type (
+	SecretKey          = rlwe.SecretKey
+	PublicKey          = rlwe.PublicKey
+	SwitchingKey       = rlwe.SwitchingKey
+	RelinearizationKey = rlwe.RelinearizationKey
+	GaloisKey          = rlwe.GaloisKey
 )
-
-// SecretKey is a ternary RLWE secret. The signed coefficient form is
-// retained so the secret can be re-embedded in any modulus basis (data
-// ring, key ring, extended ring).
-type SecretKey struct {
-	signed []int64
-	// NTT-domain embeddings in the data and key rings.
-	ValueQ  *ring.Poly
-	ValueQP *ring.Poly
-}
-
-// PublicKey is an encryption of zero under the secret key:
-// P0 = -(a·s + e), P1 = a, both in NTT domain over the data ring.
-type PublicKey struct {
-	P0 *ring.Poly
-	P1 *ring.Poly
-}
-
-// SwitchingKey converts a ciphertext component keyed under some s' into
-// one keyed under s. One (b, a) pair per data prime, in NTT domain over
-// the key ring QP (GHS-style hybrid key switching with one special
-// prime).
-type SwitchingKey struct {
-	B []*ring.Poly
-	A []*ring.Poly
-
-	// Lazily-built Shoup companions of B and A for the key-switching
-	// inner product, where the key polynomials are the fixed operands.
-	// Computed on first use so keys built by any path (keygen,
-	// deserialization, tests) pick them up transparently.
-	shoupOnce sync.Once
-	bShoup    [][][]uint64
-	aShoup    [][][]uint64
-}
-
-// shoup returns the per-digit Shoup companions of the key polynomials,
-// computing them once against the key ring r.
-func (swk *SwitchingKey) shoup(r *ring.Ring) (b, a [][][]uint64) {
-	swk.shoupOnce.Do(func() {
-		swk.bShoup = make([][][]uint64, len(swk.B))
-		swk.aShoup = make([][][]uint64, len(swk.A))
-		for i := range swk.B {
-			swk.bShoup[i] = r.ShoupPolyPrecomp(swk.B[i])
-			swk.aShoup[i] = r.ShoupPolyPrecomp(swk.A[i])
-		}
-	})
-	return swk.bShoup, swk.aShoup
-}
-
-// RelinearizationKey switches s² → s after ciphertext multiplication.
-type RelinearizationKey struct {
-	Key *SwitchingKey
-}
-
-// GaloisKey switches φ_g(s) → s, enabling rotation by the automorphism
-// with Galois element g.
-type GaloisKey struct {
-	GaloisElement uint64
-	Key           *SwitchingKey
-}
 
 // KeyGenerator derives all key material deterministically from a seed.
 type KeyGenerator struct {
-	ctx  *Context
-	seed [32]byte
+	*rlwe.KeyGenerator
+	ctx *Context
 }
 
 // NewKeyGenerator returns a generator for the context using the seed
 // for all randomness (distinct keys use distinct derivation labels).
 func NewKeyGenerator(ctx *Context, seed [32]byte) *KeyGenerator {
-	return &KeyGenerator{ctx: ctx, seed: seed}
-}
-
-// GenSecretKey samples a ternary secret.
-func (kg *KeyGenerator) GenSecretKey() *SecretKey {
-	ctx := kg.ctx
-	src := sampling.NewSource(kg.seed, "bfv-secret-key")
-	sk := &SecretKey{signed: make([]int64, ctx.Params.N())}
-	src.TernarySigned(sk.signed)
-	sk.ValueQ = ctx.RingQ.NewPoly()
-	ctx.RingQ.SetCoeffsInt64(sk.signed, sk.ValueQ)
-	ctx.RingQ.NTT(sk.ValueQ)
-	sk.ValueQP = ctx.RingQP.NewPoly()
-	ctx.RingQP.SetCoeffsInt64(sk.signed, sk.ValueQP)
-	ctx.RingQP.NTT(sk.ValueQP)
-	return sk
-}
-
-// GenPublicKey creates the public encryption key for sk.
-func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
-	ctx := kg.ctx
-	r := ctx.RingQ
-	src := sampling.NewSource(kg.seed, "bfv-public-key")
-
-	a := r.NewPoly()
-	for i, m := range r.Moduli {
-		src.UniformMod(a.Coeffs[i], m.Value)
-	}
-	a.DeclareNTT() // uniform in either domain
-
-	e := r.NewPoly()
-	eSigned := make([]int64, ctx.Params.N())
-	src.GaussianSigned(eSigned, ctx.Params.Sigma)
-	r.SetCoeffsInt64(eSigned, e)
-	r.NTT(e)
-
-	p0 := r.NewPoly()
-	r.MulCoeffs(a, sk.ValueQ, p0) // a·s
-	r.Add(p0, e, p0)              // a·s + e
-	r.Neg(p0, p0)                 // -(a·s + e)
-	return &PublicKey{P0: p0, P1: a}
-}
-
-// genSwitchingKey builds a switching key for sPrime → s. sPrime is
-// given in NTT form over the key ring.
-func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, sPrime *ring.Poly, label string) *SwitchingKey {
-	ctx := kg.ctx
-	rQP := ctx.RingQP
-	nData := len(ctx.RingQ.Moduli)
-	src := sampling.NewSource(kg.seed, "bfv-switch-key-"+label)
-
-	swk := &SwitchingKey{
-		B: make([]*ring.Poly, nData),
-		A: make([]*ring.Poly, nData),
-	}
-	eSigned := make([]int64, ctx.Params.N())
-	//lint:ignore-choco bigintloop one-time key generation, not an online path
-	for i := 0; i < nData; i++ {
-		a := rQP.NewPoly()
-		for j, m := range rQP.Moduli {
-			src.UniformMod(a.Coeffs[j], m.Value)
-		}
-		a.DeclareNTT()
-
-		e := rQP.NewPoly()
-		src.GaussianSigned(eSigned, ctx.Params.Sigma)
-		rQP.SetCoeffsInt64(eSigned, e)
-		rQP.NTT(e)
-
-		b := rQP.NewPoly()
-		rQP.MulCoeffs(a, sk.ValueQP, b) // a·s
-		rQP.Add(b, e, b)                // + e
-		rQP.Neg(b, b)                   // -(a·s + e)
-
-		// + P·qTilde_i·s' (the gadget term). P·qTilde_i is a fixed
-		// integer; fold it in residue-wise.
-		gadget := rQP.NewPoly()
-		rQP.Copy(gadget, sPrime)
-		for j, m := range rQP.Moduli {
-			c := m.Mul(m.Reduce(ctx.qTildeQP[i][j]), m.Reduce(ctx.BigP.Uint64()))
-			cs := m.ShoupPrecomp(c)
-			row := gadget.Coeffs[j]
-			for k := range row {
-				row[k] = m.MulShoup(row[k], c, cs)
-			}
-		}
-		rQP.Add(b, gadget, b)
-		swk.B[i] = b
-		swk.A[i] = a
-	}
-	return swk
-}
-
-// GenRelinearizationKey creates the s² → s switching key.
-func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *RelinearizationKey {
-	ctx := kg.ctx
-	s2 := ctx.RingQP.NewPoly()
-	ctx.RingQP.MulCoeffs(sk.ValueQP, sk.ValueQP, s2)
-	return &RelinearizationKey{Key: kg.genSwitchingKey(sk, s2, "relin")}
-}
-
-// GenGaloisKey creates the φ_g(s) → s switching key for one Galois
-// element.
-func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, galEl uint64) *GaloisKey {
-	ctx := kg.ctx
-	// φ_g(s) computed in coefficient domain over QP.
-	sCoeff := ctx.RingQP.NewPoly()
-	ctx.RingQP.SetCoeffsInt64(sk.signed, sCoeff)
-	phi := ctx.RingQP.NewPoly()
-	ctx.RingQP.Automorphism(sCoeff, galEl, phi)
-	ctx.RingQP.NTT(phi)
-	return &GaloisKey{
-		GaloisElement: galEl,
-		Key:           kg.genSwitchingKey(sk, phi, "galois-"+itoa(galEl)),
-	}
+	return &KeyGenerator{KeyGenerator: rlwe.NewKeyGenerator(ctx.Context, seed), ctx: ctx}
 }
 
 // GenRotationKeys creates Galois keys for the given row-rotation step
 // counts (positive = left, negative = right) plus the row-swap key,
 // returned as a map keyed by Galois element.
 func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps ...int) map[uint64]*GaloisKey {
-	ctx := kg.ctx
-	keys := make(map[uint64]*GaloisKey)
+	r := kg.ctx.RingQ
+	elements := make([]uint64, 0, len(steps)+1)
 	for _, s := range steps {
-		g := ctx.RingQ.GaloisElementForRotation(s)
-		if _, ok := keys[g]; !ok {
-			keys[g] = kg.GenGaloisKey(sk, g)
-		}
+		elements = append(elements, r.GaloisElementForRotation(s))
 	}
-	gSwap := ctx.RingQ.GaloisElementRowSwap()
-	keys[gSwap] = kg.GenGaloisKey(sk, gSwap)
-	return keys
-}
-
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return kg.GenGaloisKeys(sk, append(elements, r.GaloisElementRowSwap()))
 }

@@ -296,7 +296,9 @@ func TestRotateRowsHoistedAllocs(t *testing.T) {
 	}
 	a := testing.AllocsPerRun(16, batch)
 	t.Logf("rotate-batch8-hoisted: %.1f allocs/op", a)
-	if a > 128 {
-		t.Errorf("hoisted batch-8 rotation allocates %.1f objects/op, want <= 128", a)
+	// 100 is what the batch allocated before the key-switch core moved to
+	// internal/rlwe; the shared core may not cost BFV an object.
+	if a > 100 {
+		t.Errorf("hoisted batch-8 rotation allocates %.1f objects/op, want <= 100", a)
 	}
 }

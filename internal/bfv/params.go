@@ -20,6 +20,7 @@ import (
 
 	"choco/internal/nt"
 	"choco/internal/ring"
+	"choco/internal/rlwe"
 )
 
 // Parameters defines a BFV parameter set: ring degree, RNS modulus
@@ -62,79 +63,56 @@ func (p Parameters) LogQ() int {
 
 // Validate performs a sanity check of the parameter set.
 func (p Parameters) Validate() error {
-	if p.LogN < 10 || p.LogN > 16 {
-		return fmt.Errorf("bfv: logN=%d outside supported range [10,16]", p.LogN)
-	}
-	if len(p.QBits) == 0 {
-		return fmt.Errorf("bfv: no data primes")
-	}
-	for _, b := range p.QBits {
-		if b < p.LogN+2 || b > nt.MaxModulusBits {
-			return fmt.Errorf("bfv: invalid data prime size %d", b)
-		}
-	}
-	if p.PBits != 0 && (p.PBits < p.LogN+2 || p.PBits > nt.MaxModulusBits) {
-		return fmt.Errorf("bfv: invalid special prime size %d", p.PBits)
+	if err := rlwe.ValidateChain("bfv", p.LogN, p.QBits, p.PBits, p.Sigma); err != nil {
+		return err
 	}
 	if p.TBits < p.LogN+2 || p.TBits >= p.LogQ() {
 		return fmt.Errorf("bfv: plaintext modulus size %d invalid for logQ=%d", p.TBits, p.LogQ())
-	}
-	if p.Sigma <= 0 {
-		return fmt.Errorf("bfv: sigma must be positive")
 	}
 	return nil
 }
 
 // Context carries all precomputation for a parameter set. It is
-// read-only after construction and safe for concurrent use.
+// read-only after construction and safe for concurrent use. The embedded
+// rlwe.Context holds what BFV shares with CKKS: the prime chain, RingQ
+// (the data-prime ring fresh ciphertexts live in), RingQP (with the
+// special prime, hosting key-switching keys), the per-level rings and
+// the key-switching constants.
 type Context struct {
+	*rlwe.Context
 	Params Parameters
 
-	// RingQ is the data-prime ring (fresh ciphertexts live here).
-	// RingQP appends the special prime and hosts key-switching keys.
-	// RingT is the one-modulus plaintext ring used by the encoder.
-	// RingE is the extended basis used for exact tensor products.
-	RingQ  *ring.Ring
-	RingQP *ring.Ring
-	RingT  *ring.Ring
-
+	// RingT is the one-modulus plaintext ring used by the encoder; ringE
+	// the extended basis used for exact tensor products.
+	RingT *ring.Ring
 	ringE *ring.Ring
 
 	// T is the plaintext modulus; Delta = floor(Q/t).
 	T             nt.Modulus
 	BigQ          *big.Int
-	BigP          *big.Int
 	Delta         *big.Int
 	deltaRNS      []uint64 // Delta mod q_i
 	deltaRNSShoup []uint64 // Shoup companions of deltaRNS
 
-	// Key-switch helpers: qTilde[i] = (Q/q_i)·[(Q/q_i)^-1 mod q_i]
-	// (the CRT basis element, ≡1 mod q_i, ≡0 mod q_j), reduced into
-	// the QP basis; pInv[i] = P^-1 mod q_i; pModQ[i] = P mod q_i.
-	qTildeQP [][]uint64
-	pInvQ    []uint64
-	pModQ    []uint64
-
 	// Batching index map: slot i lives at coefficient indexMap[i].
 	indexMap []int
-
-	// ringQDrop[d] is the data ring with d residues removed (for
-	// modulus-switched ciphertexts); ringQDrop[0] == RingQ.
-	ringQDrop []*ring.Ring
 
 	// scalers[d] holds the RNS decryption-scaling constants for drop
 	// level d (see decrypt_rns.go).
 	scalers []rnsScaler
 }
 
-// RingAtDrop returns the data ring with drop residues removed.
+// RingAtDrop returns the data ring with drop residues removed (for
+// modulus-switched ciphertexts); RingAtDrop(0) is RingQ. A drop of d is
+// level MaxLevel−d of the shared core, which BFV leaves only on the way
+// out: every homomorphic operation but Add runs at drop 0.
 func (ctx *Context) RingAtDrop(drop int) *ring.Ring {
-	return ctx.ringQDrop[drop]
+	return ctx.RingAtLevel(ctx.MaxLevel() - drop)
 }
 
 // MaxDrop returns how many residues modulus switching can remove while
 // leaving one.
-func (ctx *Context) MaxDrop() int { return len(ctx.RingQ.Moduli) - 1 }
+func (ctx *Context) MaxDrop() int { return ctx.MaxLevel() }
 
 // DroppedCiphertextBytes returns the wire payload of a degree-1
 // ciphertext with drop residues removed.
@@ -148,29 +126,15 @@ func NewContext(params Parameters) (*Context, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	// Generate the RNS chain: data primes, special prime, extended
-	// basis primes and the plaintext prime must all be distinct and
-	// NTT-friendly for degree N.
-	allBits := append([]int{}, params.QBits...)
-	if params.PBits != 0 {
-		allBits = append(allBits, params.PBits)
-	}
-	qpPrimes, err := nt.GenerateNTTPrimesVarBits(allBits, params.LogN)
+	// The RNS chain — data primes, special prime, extended basis primes
+	// and the plaintext prime — must all be distinct and NTT-friendly for
+	// degree N.
+	core, err := rlwe.NewContext("bfv", params.LogN, params.QBits, params.PBits, params.Sigma)
 	if err != nil {
 		return nil, err
 	}
+	ctx := &Context{Context: core, Params: params}
 	nData := len(params.QBits)
-
-	ctx := &Context{Params: params}
-	ctx.RingQP, err = ring.NewRing(params.LogN, qpPrimes)
-	if err != nil {
-		return nil, err
-	}
-	if params.PBits != 0 {
-		ctx.RingQ = ctx.RingQP.AtLevel(nData - 1)
-	} else {
-		ctx.RingQ = ctx.RingQP
-	}
 
 	// Plaintext modulus: a TBits prime ≡ 1 mod 2N distinct from the
 	// chain (bit sizes differ in practice; if equal, take extras).
@@ -182,8 +146,8 @@ func NewContext(params Parameters) (*Context, error) {
 		}
 		for _, cand := range tPrimes {
 			used := false
-			for _, q := range qpPrimes {
-				if q == cand {
+			for _, q := range ctx.RingQP.Moduli {
+				if q.Value == cand {
 					used = true
 					break
 				}
@@ -213,57 +177,16 @@ func NewContext(params Parameters) (*Context, error) {
 		ctx.deltaRNSShoup[i] = m.ShoupPrecomp(ctx.deltaRNS[i])
 	}
 
-	if params.PBits != 0 {
-		pMod := ctx.RingQP.Moduli[nData]
-		ctx.BigP = new(big.Int).SetUint64(pMod.Value)
-		ctx.pInvQ = make([]uint64, nData)
-		ctx.pModQ = make([]uint64, nData)
-		for i, m := range ctx.RingQ.Moduli {
-			pm := m.Reduce(pMod.Value)
-			ctx.pModQ[i] = pm
-			inv, ok := m.Inv(pm)
-			if !ok {
-				return nil, fmt.Errorf("bfv: special prime not invertible mod q_%d", i)
-			}
-			ctx.pInvQ[i] = inv
-		}
-		// qTilde_i over the QP basis.
-		ctx.qTildeQP = make([][]uint64, nData)
-		//lint:ignore-choco bigintloop one-time context setup precomputation
-		for i := range ctx.qTildeQP {
-			qi := new(big.Int).SetUint64(ctx.RingQ.Moduli[i].Value)
-			hat := new(big.Int).Div(ctx.BigQ, qi)
-			hatInv := new(big.Int).ModInverse(new(big.Int).Mod(hat, qi), qi)
-			tilde := new(big.Int).Mul(hat, hatInv) // ≡1 mod q_i, ≡0 mod q_j
-			row := make([]uint64, len(ctx.RingQP.Moduli))
-			for j, m := range ctx.RingQP.Moduli {
-				row[j] = new(big.Int).Mod(tilde, new(big.Int).SetUint64(m.Value)).Uint64()
-			}
-			ctx.qTildeQP[i] = row
-		}
-	}
-
 	// Extended basis for exact ciphertext-ciphertext multiplication:
 	// product must exceed N · Q² · 4.
 	needBits := 2*ctx.RingQ.ModulusBits() + params.LogN + 3
-	var eBits []int
-	gotBits := 0
-	for gotBits < needBits {
-		eBits = append(eBits, 55)
-		gotBits += 55
-	}
-	ePrimes, err := nt.GenerateNTTPrimes(55, params.LogN, len(eBits))
+	ePrimes, err := nt.GenerateNTTPrimes(55, params.LogN, (needBits+54)/55)
 	if err != nil {
 		return nil, err
 	}
 	ctx.ringE, err = ring.NewRing(params.LogN, ePrimes)
 	if err != nil {
 		return nil, err
-	}
-
-	ctx.ringQDrop = make([]*ring.Ring, nData)
-	for d := 0; d < nData; d++ {
-		ctx.ringQDrop[d] = ctx.RingQ.AtLevel(nData - 1 - d)
 	}
 
 	ctx.indexMap = buildIndexMap(params.LogN)

@@ -1,21 +1,14 @@
 package bfv
 
 import (
+	"choco/internal/par"
 	"choco/internal/ring"
-	"choco/internal/sampling"
+	"choco/internal/rlwe"
 )
 
-// Seeded symmetric encryption: when the encryptor holds the secret key
-// (always true for CHOCO's client), the second ciphertext component can
-// be a pseudorandom polynomial expanded from a 32-byte seed instead of
-// being transmitted:
-//
-//	a  ← PRG(seed),  c0 = [-(a·s + e) + Δm]_q,  send (c0, seed)
-//
-// The server expands a from the seed, reconstructing (c0, a). This
-// halves the client's upload — on top of everything CHOCO already does
-// — at zero security cost (a is uniform either way). An extension
-// beyond the paper; SEAL and Lattigo ship the same optimization.
+// Seeded symmetric encryption (see rlwe.SymmetricEncryptor): the client
+// holds the secret key, so it sends c0 = [-(a·s + e) + Δm]_q and the
+// 32-byte seed a expands from instead of a itself, halving its upload.
 
 // SeededCiphertext is the compressed wire form of a fresh symmetric
 // encryption.
@@ -25,72 +18,31 @@ type SeededCiphertext struct {
 }
 
 // SymmetricEncryptor encrypts under the secret key, producing seeded
-// ciphertexts.
+// ciphertexts. It is not safe for concurrent use.
 type SymmetricEncryptor struct {
 	ctx     *Context
-	sk      *SecretKey
+	zero    *rlwe.SymmetricEncryptor
 	encoder *Encoder
-	src     *sampling.Source
 	// OpCount tallies encryptions performed.
 	OpCount int
-	counter uint64
 }
 
 // NewSymmetricEncryptor returns a secret-key encryptor seeded by seed.
 func NewSymmetricEncryptor(ctx *Context, sk *SecretKey, seed [32]byte) *SymmetricEncryptor {
-	return &SymmetricEncryptor{
-		ctx:     ctx,
-		sk:      sk,
-		encoder: NewEncoder(ctx),
-		src:     sampling.NewSource(seed, "bfv-symmetric-encryptor"),
-	}
+	return &SymmetricEncryptor{ctx: ctx, zero: rlwe.NewSymmetricEncryptor(ctx.Context, sk, seed), encoder: NewEncoder(ctx)}
 }
 
-// expandA deterministically regenerates the uniform polynomial from a
-// seed (NTT domain, one row per data prime).
-func expandA(ctx *Context, seed [32]byte) *ring.Poly {
-	r := ctx.RingQ
-	src := sampling.NewSource(seed, "bfv-seeded-a")
-	a := r.NewPoly()
-	for i, m := range r.Moduli {
-		src.UniformMod(a.Coeffs[i], m.Value)
-	}
-	a.DeclareNTT()
-	return a
-}
-
-// EncryptSeeded encrypts a plaintext into the compressed form.
+// EncryptSeeded encrypts a plaintext into the compressed form, on the
+// same fused per-residue rows as the public-key path; the returned
+// ciphertext is its only allocation.
 func (enc *SymmetricEncryptor) EncryptSeeded(pt *Plaintext) *SeededCiphertext {
-	ctx := enc.ctx
-	r := ctx.RingQ
 	enc.OpCount++
-
-	// Derive a fresh per-ciphertext seed from the encryptor's stream.
-	var ctSeed [32]byte
-	for i := 0; i < 4; i++ {
-		v := enc.src.Uint64()
-		for j := 0; j < 8; j++ {
-			ctSeed[8*i+j] = byte(v >> (8 * j))
-		}
-	}
-	enc.counter++
-
-	a := expandA(ctx, ctSeed)
-
-	// c0 = -(a·s + e) + Δm, transmitted in the coefficient domain.
-	c0 := r.NewPoly()
-	r.MulCoeffs(a, enc.sk.ValueQ, c0)
-	r.INTT(c0)
-	eSigned := make([]int64, ctx.Params.N())
-	enc.src.GaussianSigned(eSigned, ctx.Params.Sigma)
-	e := r.NewPoly()
-	r.SetCoeffsInt64(eSigned, e)
-	r.Add(c0, e, c0)
-	r.Neg(c0, c0)
-	dm := enc.encoder.liftToQScaled(pt)
-	r.Add(c0, dm, c0)
-
-	return &SeededCiphertext{C0: c0, Seed: ctSeed}
+	sct := &SeededCiphertext{C0: enc.ctx.RingQ.NewPoly(), Seed: enc.zero.Sample(enc.ctx.MaxLevel())}
+	par.ForWorker(enc.ctx.RingQ.Level(), func(_, i int) {
+		enc.zero.ZeroRow(i, sct.C0.Coeffs[i])
+		enc.ctx.addScaledRow(i, pt, sct.C0.Coeffs[i])
+	})
+	return sct
 }
 
 // EncryptUintsSeeded encodes and encrypts in one step.
@@ -113,9 +65,7 @@ func (enc *SymmetricEncryptor) EncryptIntsSeeded(values []int64) (*SeededCiphert
 
 // Expand reconstructs the full two-component ciphertext (server side).
 func (sct *SeededCiphertext) Expand(ctx *Context) *Ciphertext {
-	a := expandA(ctx, sct.Seed)
-	ctx.RingQ.INTT(a) // ciphertexts live in the coefficient domain
-	return &Ciphertext{Value: []*ring.Poly{ctx.RingQ.CopyPoly(sct.C0), a}}
+	return &Ciphertext{Value: []*ring.Poly{ctx.RingQ.CopyPoly(sct.C0), ctx.ExpandA(sct.Seed, ctx.MaxLevel())}}
 }
 
 // WireBytes returns the serialized payload size: one polynomial plus

@@ -298,14 +298,24 @@ type XOF struct {
 	counter uint64
 	// sched caches the pre-permuted 7-round message schedule for the
 	// vector squeeze kernels; built lazily on first bulk fill (the root
-	// block never changes once the XOF exists). nil on scalar-only
-	// builds and until first use.
-	sched *[112]uint32
+	// block never changes until the next Reset). Unused on scalar-only
+	// builds.
+	sched   [112]uint32
+	schedOK bool
 }
 
 // NewXOF creates an XOF from a keyed hash over seed material. Identical
 // (key, seed) pairs yield identical streams.
 func NewXOF(key [32]byte, seed []byte) *XOF {
+	x := new(XOF)
+	x.Reset(key, seed)
+	return x
+}
+
+// Reset re-keys x in place: afterwards it yields the stream
+// NewXOF(key, seed) would, in x's own storage. A client that derives one
+// stream per ciphertext re-keys a single XOF instead of allocating each.
+func (x *XOF) Reset(key [32]byte, seed []byte) {
 	h := NewKeyed(key)
 	h.Write(seed)
 	o := h.chunk.output()
@@ -315,7 +325,7 @@ func NewXOF(key [32]byte, seed []byte) *XOF {
 		copy(right[:], words[:8])
 		o = parentOutput(h.cvStack[i], right, h.key, h.flags)
 	}
-	return &XOF{out: o, bufUsed: 64}
+	*x = XOF{out: o, bufUsed: 64}
 }
 
 // Read fills p with the next bytes of the output stream.

@@ -28,18 +28,17 @@ func blake3Fill8AVX2W(out *uint64, msched *uint32, cv *uint32, ctrs *uint32, blo
 // per XOF instead of once per compress call, and the kernel broadcasts
 // words straight from this table.
 func (x *XOF) schedule() *[112]uint32 {
-	if x.sched == nil {
-		var s [112]uint32
+	if !x.schedOK {
 		m := x.out.block
 		for r := 0; r < 7; r++ {
-			copy(s[16*r:16*r+16], m[:])
+			copy(x.sched[16*r:16*r+16], m[:])
 			if r < 6 {
 				permute(&m)
 			}
 		}
-		x.sched = &s
+		x.schedOK = true
 	}
-	return x.sched
+	return &x.sched
 }
 
 // lanes8 packs the per-lane 64-bit counters counter..counter+7 into

@@ -77,4 +77,17 @@ func TestEncryptDecryptIntoAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(16, func() { kit.dec.DecryptInto(ct, out) }); a > 1 {
 		t.Errorf("DecryptInto allocates %.1f objects/op, want ~0", a)
 	}
+
+	// The seeded upload path runs the same fused rows: beyond the
+	// ciphertext it returns (its struct and one polynomial) it may allocate
+	// what the Into kernels do, nothing per polynomial.
+	sym := NewSymmetricEncryptor(kit.ctx, kit.sk, [32]byte{72})
+	sym.EncryptSeeded(pt)
+	returned := testing.AllocsPerRun(16, func() { seededSink = &SeededCiphertext{C0: kit.ctx.RingQ.NewPoly()} })
+	if a := testing.AllocsPerRun(16, func() { seededSink = sym.EncryptSeeded(pt) }); a > returned+1 {
+		t.Errorf("EncryptSeeded allocates %.1f objects/op, the ciphertext it returns is %.1f", a, returned)
+	}
 }
+
+// seededSink keeps the measured allocations from being optimized away.
+var seededSink *SeededCiphertext

@@ -1,10 +1,9 @@
 package ckks
 
 import (
-	"choco/internal/nt"
 	"choco/internal/par"
 	"choco/internal/ring"
-	"choco/internal/sampling"
+	"choco/internal/rlwe"
 )
 
 // Ciphertext is a CKKS ciphertext at some level, carrying its scale.
@@ -34,30 +33,15 @@ func (ctx *Context) CopyCt(ct *Ciphertext) *Ciphertext {
 // buffers are stateful.
 type Encryptor struct {
 	ctx     *Context
-	pk      *PublicKey
+	zero    *rlwe.Encryptor
 	encoder *Encoder
-	src     *sampling.Source
-	// Per-encryptor sampling buffers, reused across calls so the
-	// steady-state encryption loop does not allocate.
-	uSigned  []int64
-	e1Signed []int64
-	e2Signed []int64
 	// OpCount tallies encryptions, for client cost accounting.
 	OpCount int
 }
 
 // NewEncryptor returns an encryptor drawing randomness from seed.
 func NewEncryptor(ctx *Context, pk *PublicKey, seed [32]byte) *Encryptor {
-	n := ctx.Params.N()
-	return &Encryptor{
-		ctx:      ctx,
-		pk:       pk,
-		encoder:  NewEncoder(ctx),
-		src:      sampling.NewSource(seed, "ckks-encryptor"),
-		uSigned:  make([]int64, n),
-		e1Signed: make([]int64, n),
-		e2Signed: make([]int64, n),
-	}
+	return &Encryptor{ctx: ctx, zero: rlwe.NewEncryptor(ctx.Context, pk, seed), encoder: NewEncoder(ctx)}
 }
 
 // Encrypt encrypts a plaintext at its level. Encryption happens at the
@@ -70,70 +54,30 @@ func (enc *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	return ct
 }
 
-// reduceSigned maps a signed coefficient into [0, q), matching
-// ring.SetCoeffsInt64 bit for bit.
-func reduceSigned(m nt.Modulus, v int64) uint64 {
-	if v >= 0 {
-		return m.Reduce(uint64(v))
+// addRow adds the message to residue row i of c0 — directly; no Δ in
+// CKKS, the scale lives in the encoding — inside the encrypt-zero row
+// loop while the row is hot.
+func (ctx *Context) addRow(i int, pt *Plaintext, c0 []uint64) {
+	m := ctx.RingQ.Moduli[i]
+	for j, v := range pt.Poly.Coeffs[i] {
+		c0[j] = m.Add(c0[j], v)
 	}
-	return m.Neg(m.Reduce(uint64(-v)))
 }
 
 // EncryptInto encrypts pt into ct, reusing ct's polynomials — the
 // zero-allocation path for steady-state client loops. ct's polynomials
 // must have at least pt.Level+1 residue rows (as produced by Encrypt
-// at the same level); previous contents are overwritten.
-//
-// Like the BFV twin, the work runs as a fused per-RNS-residue
-// pipeline: randomness is drawn once up front (preserving the serial
-// sampling stream order), then each residue row independently runs
-// reduce → NTT → dyadic mul → inverse NTT → error/message add for both
-// ciphertext halves, fanned across internal/par. Rows share no state,
-// so the output is byte-identical to serial execution.
+// at the same level); previous contents are overwritten. The rows are
+// the shared core's fused encrypt-zero pipeline (rlwe.Encryptor), fanned
+// across internal/par.
 func (enc *Encryptor) EncryptInto(pt *Plaintext, ct *Ciphertext) {
-	ctx := enc.ctx
-	r := ctx.RingAtLevel(pt.Level)
 	enc.OpCount++
-
-	// u ← ternary, e1, e2 ← χ, in the serial draw order.
-	enc.src.TernarySigned(enc.uSigned)
-	enc.src.GaussianSigned(enc.e1Signed, ctx.Params.Sigma)
-	enc.src.GaussianSigned(enc.e2Signed, ctx.Params.Sigma)
-
-	u := r.GetPoly()
+	enc.zero.Sample()
 	c0, c1 := ct.Value[0], ct.Value[1]
-	par.ForWorker(r.Level(), func(_, i int) {
-		m := r.Moduli[i]
-		ur := u.Coeffs[i]
-		for j, v := range enc.uSigned {
-			ur[j] = reduceSigned(m, v)
-		}
-		r.NTTForwardRow(i, ur)
-
-		// c0 row = INTT(P0 ⊙ u) + e1 + m (message added directly; no
-		// Δ in CKKS — the scale lives in the encoding).
-		p0r, c0r := enc.pk.P0.Coeffs[i], c0.Coeffs[i]
-		for j := range c0r {
-			c0r[j] = m.Mul(p0r[j], ur[j])
-		}
-		r.NTTInverseRow(i, c0r)
-		ptr := pt.Poly.Coeffs[i]
-		for j := range c0r {
-			v := m.Add(c0r[j], reduceSigned(m, enc.e1Signed[j]))
-			c0r[j] = m.Add(v, ptr[j])
-		}
-
-		// c1 row = INTT(P1 ⊙ u) + e2
-		p1r, c1r := enc.pk.P1.Coeffs[i], c1.Coeffs[i]
-		for j := range c1r {
-			c1r[j] = m.Mul(p1r[j], ur[j])
-		}
-		r.NTTInverseRow(i, c1r)
-		for j := range c1r {
-			c1r[j] = m.Add(c1r[j], reduceSigned(m, enc.e2Signed[j]))
-		}
+	par.ForWorker(pt.Level+1, func(_, i int) {
+		enc.zero.ZeroRow(i, c0.Coeffs[i], c1.Coeffs[i])
+		enc.ctx.addRow(i, pt, c0.Coeffs[i])
 	})
-	r.PutPoly(u)
 	c0.DeclareCoeff()
 	c1.DeclareCoeff()
 	ct.Level = pt.Level
@@ -155,20 +99,13 @@ type Decryptor struct {
 	ctx     *Context
 	sk      *SecretKey
 	encoder *Encoder
-	// skAtLevel[l] is a level-truncated NTT-domain view of the secret
-	// key, cached so phase computation allocates nothing.
-	skAtLevel []ring.Poly
 	// OpCount tallies decryptions.
 	OpCount int
 }
 
 // NewDecryptor returns a decryptor for sk.
 func NewDecryptor(ctx *Context, sk *SecretKey) *Decryptor {
-	skAtLevel := make([]ring.Poly, ctx.Params.MaxLevel()+1)
-	for l := range skAtLevel {
-		skAtLevel[l] = ring.Poly{Coeffs: sk.ValueQ.Coeffs[:l+1], IsNTT: true}
-	}
-	return &Decryptor{ctx: ctx, sk: sk, encoder: NewEncoder(ctx), skAtLevel: skAtLevel}
+	return &Decryptor{ctx: ctx, sk: sk, encoder: NewEncoder(ctx)}
 }
 
 // Decrypt computes [c0 + c1·s + c2·s² + ...]_q as a plaintext carrying
@@ -181,64 +118,12 @@ func (dec *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
 
 // DecryptInto decrypts ct into pt, reusing pt's polynomial — the
 // zero-allocation path for steady-state client loops. pt.Poly must
-// have at least ct.Level+1 residue rows; temporaries come from the
-// ring scratch pool and are returned before exit.
+// have at least ct.Level+1 residue rows (rows above ct.Level in a
+// higher-level pt are left untouched); the phase is the shared core's
+// fused per-residue pipeline (rlwe.Context.PhaseInto).
 func (dec *Decryptor) DecryptInto(ct *Ciphertext, pt *Plaintext) {
-	ctx := dec.ctx
-	r := ctx.RingAtLevel(ct.Level)
 	dec.OpCount++
-
-	if len(ct.Value) == 1 { // degree 0: the phase is c0 itself
-		for i := 0; i <= ct.Level; i++ {
-			copy(pt.Poly.Coeffs[i], ct.Value[0].Coeffs[i])
-		}
-		pt.Poly.DeclareCoeff()
-		pt.Level = ct.Level
-		pt.Scale = ct.Scale
-		return
-	}
-	sk := &dec.skAtLevel[ct.Level]
-	acc := pt.Poly
-	ci := r.GetPoly()
-	var sPow *ring.Poly // s^i rows, needed only for degree ≥ 2
-	if len(ct.Value) > 2 {
-		sPow = r.GetPoly()
-	}
-	// Fused per-residue pipeline, the decryption twin of EncryptInto:
-	// each row runs NTT(c_i) → ·s^i → accumulate → inverse NTT → +c0
-	// independently (c0 never pays a forward NTT). Rows above ct.Level
-	// in a higher-level pt are left untouched.
-	par.ForWorker(r.Level(), func(_, i int) {
-		m := r.Moduli[i]
-		accr, cir, skr := acc.Coeffs[i], ci.Coeffs[i], sk.Coeffs[i]
-		copy(cir, ct.Value[1].Coeffs[i])
-		r.NTTForwardRow(i, cir)
-		for j := range accr[:r.N] {
-			accr[j] = m.Mul(cir[j], skr[j])
-		}
-		if sPow != nil {
-			spr := sPow.Coeffs[i]
-			copy(spr, skr)
-			for k := 2; k < len(ct.Value); k++ {
-				for j := range spr {
-					spr[j] = m.Mul(spr[j], skr[j]) // s^k
-				}
-				copy(cir, ct.Value[k].Coeffs[i])
-				r.NTTForwardRow(i, cir)
-				for j := range accr[:r.N] {
-					accr[j] = m.Add(accr[j], m.Mul(cir[j], spr[j]))
-				}
-			}
-		}
-		r.NTTInverseRow(i, accr[:r.N])
-		c0r := ct.Value[0].Coeffs[i]
-		for j := range c0r {
-			accr[j] = m.Add(accr[j], c0r[j])
-		}
-	})
-	r.PutPoly(ci)
-	r.PutPoly(sPow)
-	pt.Poly.DeclareCoeff()
+	dec.ctx.PhaseInto(dec.sk, ct.Value, ct.Level, pt.Poly)
 	pt.Level = ct.Level
 	pt.Scale = ct.Scale
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"choco/internal/ring"
+	"choco/internal/rlwe"
 )
 
 // Evaluator applies homomorphic operations. Scales must match for
@@ -28,30 +29,16 @@ func scalesMatch(a, b float64) bool {
 
 // Add returns a + b; levels and scales must match.
 func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
+	if rlwe.DebugEnabled {
+		ev.ctx.debugCheckCt("Add", a, b)
+	}
 	if a.Level != b.Level {
 		return nil, fmt.Errorf("ckks: level mismatch %d vs %d", a.Level, b.Level)
 	}
 	if !scalesMatch(a.Scale, b.Scale) {
 		return nil, fmt.Errorf("ckks: scale mismatch %g vs %g", a.Scale, b.Scale)
 	}
-	r := ev.ctx.RingAtLevel(a.Level)
-	deg := len(a.Value)
-	if len(b.Value) > deg {
-		deg = len(b.Value)
-	}
-	out := &Ciphertext{Value: make([]*ring.Poly, deg), Level: a.Level, Scale: a.Scale}
-	for i := 0; i < deg; i++ {
-		out.Value[i] = r.NewPoly()
-		switch {
-		case i < len(a.Value) && i < len(b.Value):
-			r.Add(a.Value[i], b.Value[i], out.Value[i])
-		case i < len(a.Value):
-			r.Copy(out.Value[i], a.Value[i])
-		default:
-			r.Copy(out.Value[i], b.Value[i])
-		}
-	}
-	return out, nil
+	return &Ciphertext{Value: rlwe.Add(ev.ctx.RingAtLevel(a.Level), a.Value, b.Value), Level: a.Level, Scale: a.Scale}, nil
 }
 
 // Sub returns a - b.
@@ -66,6 +53,9 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 
 // AddPlain returns ct + pt; levels and scales must match.
 func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
+	if rlwe.DebugEnabled {
+		ev.ctx.debugCheckCt("AddPlain", ct)
+	}
 	if ct.Level != pt.Level {
 		return nil, fmt.Errorf("ckks: level mismatch %d vs %d", ct.Level, pt.Level)
 	}
@@ -80,6 +70,9 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 
 // SubPlain returns ct - pt; levels and scales must match.
 func (ev *Evaluator) SubPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
+	if rlwe.DebugEnabled {
+		ev.ctx.debugCheckCt("SubPlain", ct)
+	}
 	if ct.Level != pt.Level {
 		return nil, fmt.Errorf("ckks: level mismatch %d vs %d", ct.Level, pt.Level)
 	}
@@ -94,6 +87,9 @@ func (ev *Evaluator) SubPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 
 // Neg returns -ct.
 func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
+	if rlwe.DebugEnabled {
+		ev.ctx.debugCheckCt("Neg", ct)
+	}
 	r := ev.ctx.RingAtLevel(ct.Level)
 	out := ev.ctx.CopyCt(ct)
 	for _, p := range out.Value {
@@ -104,6 +100,9 @@ func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
 
 // MulPlain returns ct ⊙ pt; the result scale is the product of scales.
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
+	if rlwe.DebugEnabled {
+		ev.ctx.debugCheckCt("MulPlain", ct)
+	}
 	if ct.Level != pt.Level {
 		return nil, fmt.Errorf("ckks: level mismatch %d vs %d", ct.Level, pt.Level)
 	}
@@ -128,6 +127,9 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 // MulScalar multiplies every slot by a real constant, encoding the
 // constant at the default scale (result scale = ct.Scale · 2^LogScale).
 func (ev *Evaluator) MulScalar(ct *Ciphertext, c float64) (*Ciphertext, error) {
+	if rlwe.DebugEnabled {
+		ev.ctx.debugCheckCt("MulScalar", ct)
+	}
 	scale := ev.ctx.Params.DefaultScale()
 	r := ev.ctx.RingAtLevel(ct.Level)
 	// A constant is a degree-0 plaintext: all slots equal c means the
@@ -149,6 +151,9 @@ func (ev *Evaluator) MulScalar(ct *Ciphertext, c float64) (*Ciphertext, error) {
 // Mul returns the degree-2 tensor product; relinearize to return to
 // degree 1. The result scale is the product of scales.
 func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {
+	if rlwe.DebugEnabled {
+		ev.ctx.debugCheckCt("Mul", a, b)
+	}
 	if len(a.Value) != 2 || len(b.Value) != 2 {
 		return nil, fmt.Errorf("ckks: Mul requires degree-1 inputs")
 	}
@@ -187,13 +192,16 @@ func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {
 
 // Relinearize reduces a degree-2 ciphertext to degree 1.
 func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
+	if rlwe.DebugEnabled {
+		ev.ctx.debugCheckCt("Relinearize", ct)
+	}
 	if len(ct.Value) != 3 {
 		return nil, fmt.Errorf("ckks: Relinearize requires degree 2")
 	}
 	if ev.relin == nil {
 		return nil, fmt.Errorf("ckks: no relinearization key")
 	}
-	d0, d1 := ev.keySwitch(ct.Value[2], ev.relin.Key, ct.Level)
+	d0, d1 := ev.ctx.KeySwitch(ct.Value[2], ev.relin.Key, ct.Level)
 	r := ev.ctx.RingAtLevel(ct.Level)
 	out := &Ciphertext{
 		Value: []*ring.Poly{r.NewPoly(), r.NewPoly()},
@@ -219,43 +227,20 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 // Rescale drops the top prime of the ciphertext, dividing the
 // underlying values (and the scale) by that prime.
 func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
+	if rlwe.DebugEnabled {
+		ev.ctx.debugCheckCt("Rescale", ct)
+	}
 	if ct.Level == 0 {
 		return nil, fmt.Errorf("ckks: cannot rescale below level 0")
 	}
-	rIn := ev.ctx.RingAtLevel(ct.Level)
-	rOut := ev.ctx.RingAtLevel(ct.Level - 1)
-	last := ct.Level
-	qL := rIn.Moduli[last].Value
-	halfQL := qL >> 1
-
+	qL := ev.ctx.RingQ.Moduli[ct.Level].Value
 	out := &Ciphertext{
 		Value: make([]*ring.Poly, len(ct.Value)),
 		Level: ct.Level - 1,
 		Scale: ct.Scale / float64(qL),
 	}
 	for vi, p := range ct.Value {
-		np := rOut.NewPoly()
-		xl := p.Coeffs[last]
-		for i, m := range rOut.Moduli {
-			qlInv, ok := m.Inv(m.Reduce(qL))
-			if !ok {
-				return nil, fmt.Errorf("ckks: rescale modulus not invertible")
-			}
-			qs := m.ShoupPrecomp(qlInv)
-			src := p.Coeffs[i]
-			dst := np.Coeffs[i]
-			for k := range dst {
-				// Centered x mod qL, reduced mod q_i.
-				var c uint64
-				if xl[k] <= halfQL {
-					c = m.Reduce(xl[k])
-				} else {
-					c = m.Neg(m.Reduce(qL - xl[k]))
-				}
-				dst[k] = m.MulShoup(m.Sub(src[k], c), qlInv, qs)
-			}
-		}
-		out.Value[vi] = np
+		out.Value[vi] = ev.ctx.DivRoundByLastModulus(p, ct.Level)
 	}
 	return out, nil
 }
@@ -298,49 +283,4 @@ func (ev *Evaluator) applyGalois(ct *Ciphertext, g uint64) (*Ciphertext, error) 
 	}
 	defer dc.Release()
 	return ev.applyGaloisDecomposed(dc, g)
-}
-
-// keySwitch re-keys polynomial d (coefficient domain at the given
-// level) using swk, returning (δ0, δ1) at the same level. Works at any
-// level by projecting the full-chain switching key onto (q0..ql, p).
-func (ev *Evaluator) keySwitch(d *ring.Poly, swk *SwitchingKey, level int) (*ring.Poly, *ring.Poly) {
-	ctx := ev.ctx
-	rQlP := ctx.ringQlP[level]
-	nData := len(ctx.RingQ.Moduli)
-
-	// Project a full-QP polynomial onto the level's key ring by
-	// selecting rows q0..ql and p.
-	project := func(p *ring.Poly) *ring.Poly {
-		rows := make([][]uint64, 0, level+2)
-		rows = append(rows, p.Coeffs[:level+1]...)
-		rows = append(rows, p.Coeffs[nData])
-		return &ring.Poly{Coeffs: rows, IsNTT: p.IsNTT}
-	}
-	projectShoup := func(s [][]uint64) [][]uint64 {
-		rows := make([][]uint64, 0, level+2)
-		rows = append(rows, s[:level+1]...)
-		rows = append(rows, s[nData])
-		return rows
-	}
-
-	acc0 := rQlP.GetPoly()
-	acc1 := rQlP.GetPoly()
-	acc0.DeclareNTT()
-	acc1.DeclareNTT()
-
-	di := rQlP.GetPoly()
-	bShoup, aShoup := swk.shoup(ctx.RingQP)
-	for i := 0; i <= level; i++ {
-		ev.embedDigit(d.Coeffs[i], i, level, di)
-		di.DeclareCoeff()
-		rQlP.NTT(di)
-		rQlP.MulCoeffsShoupAdd2(di, project(swk.B[i]), projectShoup(bShoup[i]), acc0, project(swk.A[i]), projectShoup(aShoup[i]), acc1)
-	}
-	rQlP.PutPoly(di)
-	rQlP.INTT(acc0)
-	rQlP.INTT(acc1)
-	d0, d1 := ev.modDownByP(acc0, level), ev.modDownByP(acc1, level)
-	rQlP.PutPoly(acc0)
-	rQlP.PutPoly(acc1)
-	return d0, d1
 }

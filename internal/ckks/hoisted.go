@@ -5,102 +5,34 @@ import (
 
 	"choco/internal/par"
 	"choco/internal/ring"
+	"choco/internal/rlwe"
 )
 
 // DecomposedCiphertext is the hoisted (Halevi–Shoup) form of a degree-1
-// ciphertext at some level: the per-prime RNS digits of c1 embedded
-// into the (q0..ql, p) key-switching basis and forward-NTT-transformed
-// once. A batch of k rotations of the same ciphertext then pays one
-// decomposition instead of k — each Galois element only permutes the
-// digits in the NTT domain before its switching-key inner product.
-// Obtain with Evaluator.Decompose, rotate with RotateLeftDecomposed /
-// ConjugateDecomposed, and call Release when done.
+// ciphertext at some level: rlwe.Decomposed (the per-prime RNS digits of
+// c1 over (q0..ql, p), forward-NTT-transformed once) with the ciphertext
+// it came from. A batch of k rotations of the same ciphertext then pays
+// one decomposition instead of k. Obtain with Evaluator.Decompose, rotate
+// with RotateLeftDecomposed / ConjugateDecomposed, and call Release when
+// done.
 type DecomposedCiphertext struct {
-	ct     *Ciphertext
-	digits []*ring.Poly // one per prime q0..ql, over (Ql, p), NTT domain
-	level  int
-	ctx    *Context
+	rlwe.Decomposed
+	ct *Ciphertext
 }
 
 // Decompose performs the per-residue embedding and forward NTTs of
 // ct's c1 once at ct's level. The returned value references ct; it is
 // safe for concurrent use by multiple rotations once built.
 func (ev *Evaluator) Decompose(ct *Ciphertext) (*DecomposedCiphertext, error) {
+	if rlwe.DebugEnabled {
+		ev.ctx.debugCheckCt("Decompose", ct)
+	}
 	if len(ct.Value) != 2 {
 		return nil, fmt.Errorf("ckks: rotation requires degree 1")
 	}
-	level := ct.Level
-	rQlP := ev.ctx.ringQlP[level]
-	digits := make([]*ring.Poly, level+1)
-	par.For(level+1, func(i int) {
-		di := rQlP.GetPoly()
-		ev.embedDigit(ct.Value[1].Coeffs[i], i, level, di)
-		rQlP.NTT(di)
-		digits[i] = di
-	})
-	return &DecomposedCiphertext{ct: ct, digits: digits, level: level, ctx: ev.ctx}, nil
-}
-
-// Release returns the digit buffers to the level ring's scratch pool.
-// The DecomposedCiphertext must not be used afterwards.
-func (dc *DecomposedCiphertext) Release() {
-	rQlP := dc.ctx.ringQlP[dc.level]
-	for _, d := range dc.digits {
-		rQlP.PutPoly(d)
-	}
-	dc.digits = nil
-}
-
-// embedDigit embeds the i-th residue row of a mod-Ql polynomial (an
-// integer vector in [0, q_i)) into every residue of the (q0..ql, p)
-// basis. Rows whose modulus is at least q_i receive the values
-// verbatim — they are already reduced; only smaller moduli pay the
-// per-coefficient reduction.
-func (ev *Evaluator) embedDigit(src []uint64, i, level int, di *ring.Poly) {
-	rQlP := ev.ctx.ringQlP[level]
-	qi := ev.ctx.RingQ.Moduli[i].Value
-	for j, m := range rQlP.Moduli {
-		dst := di.Coeffs[j]
-		if qi <= m.Value {
-			copy(dst, src)
-			continue
-		}
-		for k := range dst {
-			dst[k] = m.Reduce(src[k])
-		}
-	}
-}
-
-// modDownByP maps x mod (Ql·P) to round(x/P) mod Ql (coefficient
-// domain), returning a poly from the level ring's pool.
-func (ev *Evaluator) modDownByP(x *ring.Poly, level int) *ring.Poly {
-	ctx := ev.ctx
-	rQlP := ctx.ringQlP[level]
-	rQl := ctx.RingAtLevel(level)
-	p := rQlP.Moduli[level+1].Value
-	halfP := p >> 1
-	out := rQl.GetPoly()
-	xp := x.Coeffs[level+1]
-	for i, m := range rQl.Moduli {
-		pi := ctx.pInvQ[i]
-		pis := m.ShoupPrecomp(pi)
-		pModQ := m.Reduce(p)
-		dst := out.Coeffs[i]
-		src := x.Coeffs[i][:len(dst)]
-		xr := xp[:len(dst)]
-		for k := range dst {
-			// Centered representative of x mod P, reduced mod q_i:
-			// values above P/2 stand for t − P ≡ Reduce(t) − Reduce(P),
-			// which shares the canonical-form Reduce with the small case.
-			t := xr[k]
-			c := m.Reduce(t)
-			if t > halfP {
-				c = m.Sub(c, pModQ)
-			}
-			dst[k] = m.MulShoup(m.Sub(src[k], c), pi, pis)
-		}
-	}
-	return out
+	dc := &DecomposedCiphertext{ct: ct}
+	ev.ctx.Decompose(&dc.Decomposed, ct.Value, ct.Level)
+	return dc, nil
 }
 
 // RotateLeftDecomposed rotates slots left by steps using the hoisted
@@ -142,61 +74,14 @@ func (ev *Evaluator) RotateLeftHoisted(ct *Ciphertext, steps []int) ([]*Cipherte
 	return outs, nil
 }
 
-// applyGaloisDecomposed runs one Galois element over the hoisted
-// digits: fused NTT-domain automorphism + inner product against the
-// level-projected switching key, shared INTT, divide by P, and the
-// table-driven coefficient-domain automorphism of c0. Safe for
-// concurrent calls on the same DecomposedCiphertext. The output
-// polynomials are drawn from the level ring's scratch pool.
+// applyGaloisDecomposed runs one Galois element over the hoisted digits
+// (rlwe.Decomposed.Rotate). The output polynomials are drawn from the
+// level ring's scratch pool.
 func (ev *Evaluator) applyGaloisDecomposed(dc *DecomposedCiphertext, g uint64) (*Ciphertext, error) {
-	gk, ok := ev.galois[g]
-	if !ok {
-		return nil, fmt.Errorf("ckks: missing Galois key for element %d", g)
+	gk, err := ev.ctx.GaloisKey(ev.galois, g)
+	if err != nil {
+		return nil, err
 	}
-	ctx := ev.ctx
-	level := dc.level
-	rQlP := ctx.ringQlP[level]
-	rQl := ctx.RingAtLevel(level)
-	nData := len(ctx.RingQ.Moduli)
-
-	// Project a full-QP key polynomial (and its companion rows) onto
-	// the level's ring by selecting rows q0..ql and p.
-	project := func(p *ring.Poly) *ring.Poly {
-		rows := make([][]uint64, 0, level+2)
-		rows = append(rows, p.Coeffs[:level+1]...)
-		rows = append(rows, p.Coeffs[nData])
-		return &ring.Poly{Coeffs: rows, IsNTT: p.IsNTT}
-	}
-	projectShoup := func(s [][]uint64) [][]uint64 {
-		rows := make([][]uint64, 0, level+2)
-		rows = append(rows, s[:level+1]...)
-		rows = append(rows, s[nData])
-		return rows
-	}
-
-	acc0 := rQlP.GetPoly()
-	acc1 := rQlP.GetPoly()
-	acc0.DeclareNTT()
-	acc1.DeclareNTT()
-	bShoup, aShoup := gk.Key.shoup(ctx.RingQP)
-	for i, d := range dc.digits {
-		rQlP.AutomorphismNTTMulShoupAdd2(d, g,
-			project(gk.Key.B[i]), projectShoup(bShoup[i]), acc0,
-			project(gk.Key.A[i]), projectShoup(aShoup[i]), acc1)
-	}
-	rQlP.INTT(acc0)
-	rQlP.INTT(acc1)
-	d0, d1 := ev.modDownByP(acc0, level), ev.modDownByP(acc1, level)
-	rQlP.PutPoly(acc0)
-	rQlP.PutPoly(acc1)
-
-	c0 := rQl.GetPoly()
-	rQl.Automorphism(dc.ct.Value[0], g, c0)
-	rQl.Add(c0, d0, c0)
-	rQl.PutPoly(d0)
-	return &Ciphertext{
-		Value: []*ring.Poly{c0, d1},
-		Level: level,
-		Scale: dc.ct.Scale,
-	}, nil
+	c0, c1 := dc.Rotate(gk)
+	return &Ciphertext{Value: []*ring.Poly{c0, c1}, Level: dc.ct.Level, Scale: dc.ct.Scale}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"choco/internal/par"
 	"choco/internal/ring"
 )
 
@@ -193,5 +194,51 @@ func TestHoistedZeroStepIsCopyCKKS(t *testing.T) {
 	}
 	if !ctsIdentical(kit.ctx.RingAtLevel(ct.Level), ct, outs[0]) {
 		t.Error("zero-step hoisted rotation is not a copy")
+	}
+}
+
+// TestRotateLeftHoistedAllocs is the CKKS twin of bfv's
+// TestRotateRowsHoistedAllocs, taken where CKKS differs from BFV: below
+// the top level, where the switching keys are consumed through their
+// level views. The views are built once per key beside the Shoup
+// companions, so a steady-state batch-8 hoisted rotation allocates only
+// bookkeeping — no more than the 100 objects BFV's top-level batch does,
+// where it used to build six row-slice headers per digit per rotation.
+func TestRotateLeftHoistedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	old := par.Parallelism()
+	par.SetParallelism(1) // serial fallback: no goroutine or closure overhead
+	defer par.SetParallelism(old)
+	steps := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	kit := newTestKit(t, PresetC(), steps...)
+	ct, err := kit.enc.EncryptFloats(rampFloats(kit.ctx.Params.Slots()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	low, err := kit.ev.DropLevel(ct, ct.Level-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := kit.ctx.RingAtLevel(low.Level)
+	batch := func() {
+		outs, err := kit.ev.RotateLeftHoisted(low, steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range outs {
+			for _, p := range o.Value {
+				r.PutPoly(p)
+			}
+		}
+	}
+	for i := 0; i < 4; i++ { // warm the ring scratch pools
+		batch()
+	}
+	a := testing.AllocsPerRun(16, batch)
+	t.Logf("rotate-batch8-hoisted below top level: %.1f allocs/op", a)
+	if a > 100 {
+		t.Errorf("hoisted batch-8 rotation allocates %.1f objects/op, want <= 100", a)
 	}
 }

@@ -1,207 +1,34 @@
 package ckks
 
-import (
-	"sync"
+import "choco/internal/rlwe"
 
-	"choco/internal/ring"
-	"choco/internal/sampling"
+// Key material is the shared RLWE core's (internal/rlwe): CKKS adds only
+// the mapping from slot-rotation steps to Galois elements.
+type (
+	SecretKey          = rlwe.SecretKey
+	PublicKey          = rlwe.PublicKey
+	SwitchingKey       = rlwe.SwitchingKey
+	RelinearizationKey = rlwe.RelinearizationKey
+	GaloisKey          = rlwe.GaloisKey
 )
-
-// SecretKey is a ternary RLWE secret with embeddings in the data and
-// key rings.
-type SecretKey struct {
-	signed  []int64
-	ValueQ  *ring.Poly
-	ValueQP *ring.Poly
-}
-
-// PublicKey is an encryption of zero: P0 = -(a·s + e), P1 = a (NTT).
-type PublicKey struct {
-	P0 *ring.Poly
-	P1 *ring.Poly
-}
-
-// SwitchingKey re-keys a ciphertext component from some s' to s; one
-// (b, a) pair per data prime over the key ring QP.
-type SwitchingKey struct {
-	B []*ring.Poly
-	A []*ring.Poly
-
-	// Lazily-built Shoup companions of B and A for the key-switching
-	// inner product (the key polynomials are the fixed operands).
-	// Row-aligned with the full-QP polynomials, so level projection can
-	// select companion rows exactly as it selects key rows.
-	shoupOnce sync.Once
-	bShoup    [][][]uint64
-	aShoup    [][][]uint64
-}
-
-// shoup returns the per-digit Shoup companions of the key polynomials,
-// computing them once against the full key ring r.
-func (swk *SwitchingKey) shoup(r *ring.Ring) (b, a [][][]uint64) {
-	swk.shoupOnce.Do(func() {
-		swk.bShoup = make([][][]uint64, len(swk.B))
-		swk.aShoup = make([][][]uint64, len(swk.A))
-		for i := range swk.B {
-			swk.bShoup[i] = r.ShoupPolyPrecomp(swk.B[i])
-			swk.aShoup[i] = r.ShoupPolyPrecomp(swk.A[i])
-		}
-	})
-	return swk.bShoup, swk.aShoup
-}
-
-// RelinearizationKey switches s² → s.
-type RelinearizationKey struct {
-	Key *SwitchingKey
-}
-
-// GaloisKey switches φ_g(s) → s.
-type GaloisKey struct {
-	GaloisElement uint64
-	Key           *SwitchingKey
-}
 
 // KeyGenerator derives key material deterministically from a seed.
 type KeyGenerator struct {
-	ctx  *Context
-	seed [32]byte
+	*rlwe.KeyGenerator
+	ctx *Context
 }
 
 // NewKeyGenerator returns a key generator over ctx seeded by seed.
 func NewKeyGenerator(ctx *Context, seed [32]byte) *KeyGenerator {
-	return &KeyGenerator{ctx: ctx, seed: seed}
-}
-
-// GenSecretKey samples a ternary secret.
-func (kg *KeyGenerator) GenSecretKey() *SecretKey {
-	ctx := kg.ctx
-	src := sampling.NewSource(kg.seed, "ckks-secret-key")
-	sk := &SecretKey{signed: make([]int64, ctx.Params.N())}
-	src.TernarySigned(sk.signed)
-	sk.ValueQ = ctx.RingQ.NewPoly()
-	ctx.RingQ.SetCoeffsInt64(sk.signed, sk.ValueQ)
-	ctx.RingQ.NTT(sk.ValueQ)
-	sk.ValueQP = ctx.RingQP.NewPoly()
-	ctx.RingQP.SetCoeffsInt64(sk.signed, sk.ValueQP)
-	ctx.RingQP.NTT(sk.ValueQP)
-	return sk
-}
-
-// GenPublicKey creates the public encryption key.
-func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
-	ctx := kg.ctx
-	r := ctx.RingQ
-	src := sampling.NewSource(kg.seed, "ckks-public-key")
-
-	a := r.NewPoly()
-	for i, m := range r.Moduli {
-		src.UniformMod(a.Coeffs[i], m.Value)
-	}
-	a.DeclareNTT()
-
-	e := r.NewPoly()
-	eSigned := make([]int64, ctx.Params.N())
-	src.GaussianSigned(eSigned, ctx.Params.Sigma)
-	r.SetCoeffsInt64(eSigned, e)
-	r.NTT(e)
-
-	p0 := r.NewPoly()
-	r.MulCoeffs(a, sk.ValueQ, p0)
-	r.Add(p0, e, p0)
-	r.Neg(p0, p0)
-	return &PublicKey{P0: p0, P1: a}
-}
-
-func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, sPrime *ring.Poly, label string) *SwitchingKey {
-	ctx := kg.ctx
-	rQP := ctx.RingQP
-	nData := len(ctx.RingQ.Moduli)
-	src := sampling.NewSource(kg.seed, "ckks-switch-key-"+label)
-
-	swk := &SwitchingKey{
-		B: make([]*ring.Poly, nData),
-		A: make([]*ring.Poly, nData),
-	}
-	eSigned := make([]int64, ctx.Params.N())
-	//lint:ignore-choco bigintloop one-time key generation, not an online path
-	for i := 0; i < nData; i++ {
-		a := rQP.NewPoly()
-		for j, m := range rQP.Moduli {
-			src.UniformMod(a.Coeffs[j], m.Value)
-		}
-		a.DeclareNTT()
-
-		e := rQP.NewPoly()
-		src.GaussianSigned(eSigned, ctx.Params.Sigma)
-		rQP.SetCoeffsInt64(eSigned, e)
-		rQP.NTT(e)
-
-		b := rQP.NewPoly()
-		rQP.MulCoeffs(a, sk.ValueQP, b)
-		rQP.Add(b, e, b)
-		rQP.Neg(b, b)
-
-		gadget := rQP.NewPoly()
-		rQP.Copy(gadget, sPrime)
-		pVal := ctx.BigP.Uint64()
-		for j, m := range rQP.Moduli {
-			c := m.Mul(m.Reduce(ctx.qTildeQP[i][j]), m.Reduce(pVal))
-			cs := m.ShoupPrecomp(c)
-			row := gadget.Coeffs[j]
-			for k := range row {
-				row[k] = m.MulShoup(row[k], c, cs)
-			}
-		}
-		rQP.Add(b, gadget, b)
-		swk.B[i] = b
-		swk.A[i] = a
-	}
-	return swk
-}
-
-// GenRelinearizationKey creates the s² → s switching key.
-func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *RelinearizationKey {
-	s2 := kg.ctx.RingQP.NewPoly()
-	kg.ctx.RingQP.MulCoeffs(sk.ValueQP, sk.ValueQP, s2)
-	return &RelinearizationKey{Key: kg.genSwitchingKey(sk, s2, "relin")}
-}
-
-// GenGaloisKey creates the φ_g(s) → s key.
-func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, galEl uint64) *GaloisKey {
-	ctx := kg.ctx
-	sCoeff := ctx.RingQP.NewPoly()
-	ctx.RingQP.SetCoeffsInt64(sk.signed, sCoeff)
-	phi := ctx.RingQP.NewPoly()
-	ctx.RingQP.Automorphism(sCoeff, galEl, phi)
-	ctx.RingQP.NTT(phi)
-	return &GaloisKey{GaloisElement: galEl, Key: kg.genSwitchingKey(sk, phi, galoisLabel(galEl))}
+	return &KeyGenerator{KeyGenerator: rlwe.NewKeyGenerator(ctx.Context, seed), ctx: ctx}
 }
 
 // GenRotationKeys creates Galois keys for the listed slot rotations and
 // the conjugation automorphism, keyed by Galois element.
 func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps ...int) map[uint64]*GaloisKey {
-	keys := make(map[uint64]*GaloisKey)
+	elements := make([]uint64, 0, len(steps)+1)
 	for _, s := range steps {
-		g := kg.ctx.GaloisElementForRotation(s)
-		if _, ok := keys[g]; !ok {
-			keys[g] = kg.GenGaloisKey(sk, g)
-		}
+		elements = append(elements, kg.ctx.GaloisElementForRotation(s))
 	}
-	gc := kg.ctx.GaloisElementConjugate()
-	keys[gc] = kg.GenGaloisKey(sk, gc)
-	return keys
-}
-
-func galoisLabel(v uint64) string {
-	if v == 0 {
-		return "galois-0"
-	}
-	var buf [24]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return "galois-" + string(buf[i:])
+	return kg.GenGaloisKeys(sk, append(elements, kg.ctx.GaloisElementConjugate()))
 }

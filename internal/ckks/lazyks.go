@@ -4,267 +4,112 @@ import (
 	"fmt"
 
 	"choco/internal/ring"
+	"choco/internal/rlwe"
 )
 
-// Triple-hoisted key switching, CKKS side (DESIGN.md §13): the same
-// QP-domain lazy accumulation as bfv/lazyks.go, carried out at a fixed
-// ciphertext level over the (q0..ql, p) key-switching basis. A batch
-// of rotations of one ciphertext — a slot-sum, an inner-product
-// collapse — shares a single decomposition (as with hoisting) and
-// additionally shares one inverse NTT and one divide-by-P across the
-// whole sum, instead of paying both per rotation. Exactness follows
-// the same argument: modDownByP's centered rounding is drained per
-// element from the special-prime row (one single-row INTT) into a
-// running correction polynomial, and
-//
-//	Σᵢ round(xᵢ/P) = (Σᵢ xᵢ^(Ql) − Σᵢ cᵢ) · P⁻¹ (mod q)
-//
-// holds coefficient for coefficient, so FinalizeModDown is
-// byte-identical to rotating each element and folding with Add.
+// The CKKS front of the triple-hoisted key-switching ladder (DESIGN.md
+// §13): rlwe.QPAccumulator, carried out at a fixed ciphertext level over
+// the (q0..ql, p) basis, plus the scale bookkeeping the core knows
+// nothing about. The exactness argument lives with the accumulator.
 
 // QPAccumulator sums the key-switch products of many Galois elements
-// of same-level ciphertexts in the (q0..ql, p) basis. Obtain with
-// NewQPAccumulator, feed with AccumulateQP / AddLazy, combine worker
-// partials with Merge, close with FinalizeModDown.
+// of same-level, same-scale ciphertexts. Obtain with NewQPAccumulator,
+// feed with AccumulateQP / AddLazy, combine worker partials with Merge,
+// close with FinalizeModDown.
 type QPAccumulator struct {
-	ctx   *Context
-	level int
-
-	// Σ inner products over (q0..ql, p), NTT domain; the special-prime
-	// row (index level+1) is per-element scratch drained by each
-	// AccumulateQP.
-	acc0, acc1 *ring.Poly
-	// Σ centered remainders of the special-prime rows, mod Ql,
-	// coefficient domain.
-	corr0, corr1 *ring.Poly
-	// Σ plain ciphertext parts (rotated c0 halves, AddLazy operands).
-	c0, c1 *ring.Poly
+	*rlwe.QPAccumulator
 
 	// scale of the accumulated terms: fixed by the first contribution,
-	// checked against every later one (as Add does).
+	// checked against every later one (as Add does); terms counts them.
 	scale float64
-
-	elements, adds int
+	terms int
 }
 
 // NewQPAccumulator returns an empty lazy accumulator for ciphertexts
 // at the given level, drawing its buffers from the level rings' pools.
 func (ev *Evaluator) NewQPAccumulator(level int) (*QPAccumulator, error) {
-	ctx := ev.ctx
-	if level < 0 || level >= len(ctx.ringQlP) {
+	if level < 0 || level > ev.ctx.MaxLevel() {
 		return nil, fmt.Errorf("ckks: accumulator level %d out of range", level)
 	}
-	rQlP := ctx.ringQlP[level]
-	acc0 := rQlP.GetPoly()
-	acc1 := rQlP.GetPoly()
-	acc0.DeclareNTT()
-	acc1.DeclareNTT()
-	rQl := ctx.RingAtLevel(level)
-	return &QPAccumulator{
-		ctx:   ctx,
-		level: level,
-		acc0:  acc0,
-		acc1:  acc1,
-		corr0: rQl.GetPoly(),
-		corr1: rQl.GetPoly(),
-		c0:    rQl.GetPoly(),
-		c1:    rQl.GetPoly(),
-	}, nil
+	return &QPAccumulator{QPAccumulator: ev.ctx.NewQPAccumulator(level)}, nil
 }
 
-// Release returns the buffers without finalizing.
-func (qa *QPAccumulator) Release() {
-	rQlP := qa.ctx.ringQlP[qa.level]
-	rQl := qa.ctx.RingAtLevel(qa.level)
-	rQlP.PutPoly(qa.acc0)
-	rQlP.PutPoly(qa.acc1)
-	rQl.PutPoly(qa.corr0)
-	rQl.PutPoly(qa.corr1)
-	rQl.PutPoly(qa.c0)
-	rQl.PutPoly(qa.c1)
-	qa.acc0, qa.acc1, qa.corr0, qa.corr1, qa.c0, qa.c1 = nil, nil, nil, nil, nil, nil
-}
-
-// noteScale fixes the accumulator's scale on first use and checks every
-// later contribution against it.
-func (qa *QPAccumulator) noteScale(s float64) error {
-	if qa.elements == 0 && qa.adds == 0 {
-		qa.scale = s
+// noteScale records terms more contributions of scale s: the first fixes
+// the accumulator's scale, every later one is checked against it.
+func (qa *QPAccumulator) noteScale(s float64, terms int) error {
+	switch {
+	case terms == 0:
 		return nil
-	}
-	if !scalesMatch(qa.scale, s) {
+	case qa.terms == 0:
+		qa.scale = s
+	case !scalesMatch(qa.scale, s):
 		return fmt.Errorf("ckks: scale mismatch %g vs %g in lazy accumulation", qa.scale, s)
 	}
+	qa.terms += terms
 	return nil
 }
 
 // AddLazy folds a degree-1 ciphertext at the accumulator's level into
 // the plain sum, no key switch.
 func (ev *Evaluator) AddLazy(qa *QPAccumulator, ct *Ciphertext) error {
+	if rlwe.DebugEnabled {
+		ev.ctx.debugCheckCt("AddLazy", ct)
+	}
 	if len(ct.Value) != 2 {
 		return fmt.Errorf("ckks: AddLazy requires a degree-1 ciphertext")
 	}
-	if ct.Level != qa.level {
-		return fmt.Errorf("ckks: level mismatch %d vs %d", ct.Level, qa.level)
+	if ct.Level != qa.Level() {
+		return fmt.Errorf("ckks: level mismatch %d vs %d", ct.Level, qa.Level())
 	}
-	if err := qa.noteScale(ct.Scale); err != nil {
+	if err := qa.noteScale(ct.Scale, 1); err != nil {
 		return err
 	}
-	rQl := ev.ctx.RingAtLevel(qa.level)
-	rQl.Add(qa.c0, ct.Value[0], qa.c0)
-	rQl.Add(qa.c1, ct.Value[1], qa.c1)
-	qa.adds++
+	qa.Add(ct.Value)
 	return nil
 }
 
-// AccumulateQP applies one lazy rotation of the decomposed ciphertext:
-// fused NTT-domain gather into the level-projected switching-key inner
-// product, per-element rounding correction drained from the
-// special-prime row, rotated c0 half into the plain sum. The full
-// inverse NTT and divide-by-P are deferred to FinalizeModDown.
+// AccumulateQP applies one lazy rotation of the decomposed ciphertext
+// (rlwe.QPAccumulator.Rotate). The full inverse NTT and divide-by-P are
+// deferred to FinalizeModDown.
 func (ev *Evaluator) AccumulateQP(qa *QPAccumulator, dc *DecomposedCiphertext, steps int) error {
 	if steps == 0 {
 		return ev.AddLazy(qa, dc.ct)
 	}
-	if dc.level != qa.level {
-		return fmt.Errorf("ckks: level mismatch %d vs %d", dc.level, qa.level)
+	if dc.Level() != qa.Level() {
+		return fmt.Errorf("ckks: level mismatch %d vs %d", dc.Level(), qa.Level())
 	}
-	g := ev.ctx.GaloisElementForRotation(steps)
-	gk, ok := ev.galois[g]
-	if !ok {
-		return fmt.Errorf("ckks: missing Galois key for element %d", g)
-	}
-	if err := qa.noteScale(dc.ct.Scale); err != nil {
+	gk, err := ev.ctx.GaloisKey(ev.galois, ev.ctx.GaloisElementForRotation(steps))
+	if err != nil {
 		return err
 	}
-	ctx := ev.ctx
-	level := qa.level
-	rQlP := ctx.ringQlP[level]
-	rQl := ctx.RingAtLevel(level)
-	nData := len(ctx.RingQ.Moduli)
-
-	// Level projection of the full-QP switching key: rows q0..ql and p.
-	project := func(p *ring.Poly) *ring.Poly {
-		rows := make([][]uint64, 0, level+2)
-		rows = append(rows, p.Coeffs[:level+1]...)
-		rows = append(rows, p.Coeffs[nData])
-		return &ring.Poly{Coeffs: rows, IsNTT: p.IsNTT}
+	if err := qa.noteScale(dc.ct.Scale, 1); err != nil {
+		return err
 	}
-	projectShoup := func(s [][]uint64) [][]uint64 {
-		rows := make([][]uint64, 0, level+2)
-		rows = append(rows, s[:level+1]...)
-		rows = append(rows, s[nData])
-		return rows
-	}
-
-	bShoup, aShoup := gk.Key.shoup(ctx.RingQP)
-	for i, d := range dc.digits {
-		rQlP.AutomorphismNTTMulShoupAdd2(d, g,
-			project(gk.Key.B[i]), projectShoup(bShoup[i]), qa.acc0,
-			project(gk.Key.A[i]), projectShoup(aShoup[i]), qa.acc1)
-	}
-	ev.drainSpecialRow(qa.acc0, qa.corr0, level)
-	ev.drainSpecialRow(qa.acc1, qa.corr1, level)
-
-	c0 := rQl.GetPoly()
-	rQl.Automorphism(dc.ct.Value[0], g, c0)
-	rQl.Add(qa.c0, c0, qa.c0)
-	rQl.PutPoly(c0)
-	qa.elements++
+	qa.Rotate(&dc.Decomposed, gk)
 	return nil
-}
-
-// drainSpecialRow folds the centered remainder of x's special-prime
-// row (index level+1, holding one element's contribution) into corr and
-// zeroes the row — the step that keeps the lazy sum exact under
-// modDownByP's nonlinear rounding.
-func (ev *Evaluator) drainSpecialRow(x, corr *ring.Poly, level int) {
-	ctx := ev.ctx
-	rQlP := ctx.ringQlP[level]
-	rQl := ctx.RingAtLevel(level)
-	p := rQlP.Moduli[level+1].Value
-	halfP := p >> 1
-
-	xp := x.Coeffs[level+1]
-	rQlP.NTTInverseRow(level+1, xp)
-	for i, m := range rQl.Moduli {
-		pModQ := m.Reduce(p)
-		dst := corr.Coeffs[i]
-		xr := xp[:len(dst)]
-		for k := range dst {
-			t := xr[k]
-			c := m.Reduce(t)
-			if t > halfP {
-				c = m.Sub(c, pModQ)
-			}
-			dst[k] = m.Add(dst[k], c)
-		}
-	}
-	for k := range xp {
-		xp[k] = 0
-	}
 }
 
 // Merge folds other (same level) into qa and releases other. Worker
 // partials over disjoint element subsets merge to the same bytes as a
 // serial accumulator — every field is a plain modular sum.
 func (qa *QPAccumulator) Merge(other *QPAccumulator) error {
-	if qa.level != other.level {
-		return fmt.Errorf("ckks: merging accumulators at levels %d and %d", qa.level, other.level)
+	if qa.Level() != other.Level() {
+		return fmt.Errorf("ckks: merging accumulators at levels %d and %d", qa.Level(), other.Level())
 	}
-	if other.elements+other.adds > 0 {
-		if err := qa.noteScale(other.scale); err != nil {
-			return err
-		}
+	if err := qa.noteScale(other.scale, other.terms); err != nil {
+		return err
 	}
-	rQlP := qa.ctx.ringQlP[qa.level]
-	rQl := qa.ctx.RingAtLevel(qa.level)
-	rQlP.Add(qa.acc0, other.acc0, qa.acc0)
-	rQlP.Add(qa.acc1, other.acc1, qa.acc1)
-	rQl.Add(qa.corr0, other.corr0, qa.corr0)
-	rQl.Add(qa.corr1, other.corr1, qa.corr1)
-	rQl.Add(qa.c0, other.c0, qa.c0)
-	rQl.Add(qa.c1, other.c1, qa.c1)
-	qa.elements += other.elements
-	qa.adds += other.adds
-	other.Release()
+	qa.QPAccumulator.Merge(other.QPAccumulator)
 	return nil
 }
 
-// FinalizeModDown closes the accumulator: one inverse NTT over the
-// accumulated data rows, one subtract-corrections-and-divide-by-P
-// sweep, plain sums folded in. Byte-identical to rotating every
-// element individually and Add-folding the outputs. Consumes the
-// accumulator.
+// FinalizeModDown closes the accumulator; the result is byte-identical
+// to rotating every element individually and Add-folding the outputs.
+// Consumes the accumulator.
 func (ev *Evaluator) FinalizeModDown(qa *QPAccumulator) *Ciphertext {
-	ctx := ev.ctx
-	level := qa.level
-	rQlP := ctx.ringQlP[level]
-	rQl := ctx.RingAtLevel(level)
-
-	out := &Ciphertext{Value: make([]*ring.Poly, 2), Level: level, Scale: qa.scale}
-	for vi, half := range [][3]*ring.Poly{
-		{qa.acc0, qa.corr0, qa.c0},
-		{qa.acc1, qa.corr1, qa.c1},
-	} {
-		acc, corr, plain := half[0], half[1], half[2]
-		dst := rQl.GetPoly()
-		for i, m := range rQl.Moduli {
-			pi := ctx.pInvQ[i]
-			pis := m.ShoupPrecomp(pi)
-			src := acc.Coeffs[i]
-			rQlP.NTTInverseRow(i, src)
-			d := dst.Coeffs[i]
-			cr := corr.Coeffs[i][:len(d)]
-			pl := plain.Coeffs[i][:len(d)]
-			for k := range d {
-				d[k] = m.Add(pl[k], m.MulShoup(m.Sub(src[k], cr[k]), pi, pis))
-			}
-		}
-		out.Value[vi] = dst
-	}
-	qa.Release()
-	return out
+	level := qa.Level()
+	c0, c1 := qa.QPAccumulator.FinalizeModDown()
+	return &Ciphertext{Value: []*ring.Poly{c0, c1}, Level: level, Scale: qa.scale}
 }
 
 // RotateSumLazy computes Σ_s rotate(ct, s) over the given steps with

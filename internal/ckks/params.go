@@ -10,10 +10,8 @@ package ckks
 import (
 	"fmt"
 	"math"
-	"math/big"
 
-	"choco/internal/nt"
-	"choco/internal/ring"
+	"choco/internal/rlwe"
 )
 
 // Parameters defines a CKKS parameter set. QBits lists the data primes
@@ -55,47 +53,22 @@ func (p Parameters) CiphertextBytesAtLevel(level int) int {
 
 // Validate checks the parameter set.
 func (p Parameters) Validate() error {
-	if p.LogN < 10 || p.LogN > 16 {
-		return fmt.Errorf("ckks: logN=%d outside supported range [10,16]", p.LogN)
-	}
-	if len(p.QBits) == 0 {
-		return fmt.Errorf("ckks: no data primes")
-	}
-	for _, b := range p.QBits {
-		if b < p.LogN+2 || b > nt.MaxModulusBits {
-			return fmt.Errorf("ckks: invalid data prime size %d", b)
-		}
-	}
-	if p.PBits != 0 && (p.PBits < p.LogN+2 || p.PBits > nt.MaxModulusBits) {
-		return fmt.Errorf("ckks: invalid special prime size %d", p.PBits)
+	if err := rlwe.ValidateChain("ckks", p.LogN, p.QBits, p.PBits, p.Sigma); err != nil {
+		return err
 	}
 	if p.LogScale < 10 || p.LogScale >= p.QBits[0] {
 		return fmt.Errorf("ckks: LogScale=%d must be in [10, q0 bits)", p.LogScale)
 	}
-	if p.Sigma <= 0 {
-		return fmt.Errorf("ckks: sigma must be positive")
-	}
 	return nil
 }
 
-// Context carries precomputation for a CKKS parameter set.
+// Context carries precomputation for a CKKS parameter set. The embedded
+// rlwe.Context holds what CKKS shares with BFV: RingQ over all data
+// primes, RingQP with the special prime appended, the per-level rings
+// (RingAtLevel) and the key-switching constants.
 type Context struct {
+	*rlwe.Context
 	Params Parameters
-
-	// RingQ covers all data primes; RingQP appends the special prime.
-	RingQ  *ring.Ring
-	RingQP *ring.Ring
-
-	// ringQl[l] is the data ring truncated to level l; ringQlP[l] is
-	// the level-l key-switching ring (q0..ql, p).
-	ringQl  []*ring.Ring
-	ringQlP []*ring.Ring
-
-	BigP *big.Int
-	// qTildeQP[i][j]: the CRT basis element for data prime i reduced
-	// into QP residue j (≡1 mod q_i, ≡0 mod other data primes).
-	qTildeQP [][]uint64
-	pInvQ    []uint64
 
 	// Embedding tables: rotGroup[i] = 5^i mod 2N; roots[k] = e^{2πik/2N}.
 	rotGroup []uint64
@@ -108,67 +81,11 @@ func NewContext(params Parameters) (*Context, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	allBits := append([]int{}, params.QBits...)
-	if params.PBits != 0 {
-		allBits = append(allBits, params.PBits)
-	}
-	primes, err := nt.GenerateNTTPrimesVarBits(allBits, params.LogN)
+	core, err := rlwe.NewContext("ckks", params.LogN, params.QBits, params.PBits, params.Sigma)
 	if err != nil {
 		return nil, err
 	}
-	nData := len(params.QBits)
-
-	ctx := &Context{Params: params}
-	ctx.RingQP, err = ring.NewRing(params.LogN, primes)
-	if err != nil {
-		return nil, err
-	}
-	if params.PBits != 0 {
-		ctx.RingQ = ctx.RingQP.AtLevel(nData - 1)
-	} else {
-		ctx.RingQ = ctx.RingQP
-	}
-
-	ctx.ringQl = make([]*ring.Ring, nData)
-	ctx.ringQlP = make([]*ring.Ring, nData)
-	for l := 0; l < nData; l++ {
-		ctx.ringQl[l] = ctx.RingQ.AtLevel(l)
-		if params.PBits != 0 {
-			mods := append(append([]uint64{}, primes[:l+1]...), primes[nData])
-			rl, err := ring.NewRing(params.LogN, mods)
-			if err != nil {
-				return nil, err
-			}
-			ctx.ringQlP[l] = rl
-		}
-	}
-
-	if params.PBits != 0 {
-		pVal := primes[nData]
-		ctx.BigP = new(big.Int).SetUint64(pVal)
-		ctx.pInvQ = make([]uint64, nData)
-		for i, m := range ctx.RingQ.Moduli {
-			inv, ok := m.Inv(m.Reduce(pVal))
-			if !ok {
-				return nil, fmt.Errorf("ckks: special prime not invertible mod q_%d", i)
-			}
-			ctx.pInvQ[i] = inv
-		}
-		bigQ := ctx.RingQ.ModulusBig()
-		ctx.qTildeQP = make([][]uint64, nData)
-		//lint:ignore-choco bigintloop one-time context setup precomputation
-		for i := range ctx.qTildeQP {
-			qi := new(big.Int).SetUint64(ctx.RingQ.Moduli[i].Value)
-			hat := new(big.Int).Div(bigQ, qi)
-			hatInv := new(big.Int).ModInverse(new(big.Int).Mod(hat, qi), qi)
-			tilde := new(big.Int).Mul(hat, hatInv)
-			row := make([]uint64, len(ctx.RingQP.Moduli))
-			for j, m := range ctx.RingQP.Moduli {
-				row[j] = new(big.Int).Mod(tilde, new(big.Int).SetUint64(m.Value)).Uint64()
-			}
-			ctx.qTildeQP[i] = row
-		}
-	}
+	ctx := &Context{Context: core, Params: params}
 
 	// Canonical embedding tables.
 	m := 2 * params.N()
@@ -186,9 +103,6 @@ func NewContext(params Parameters) (*Context, error) {
 	}
 	return ctx, nil
 }
-
-// RingAtLevel returns the data ring truncated to the given level.
-func (ctx *Context) RingAtLevel(level int) *ring.Ring { return ctx.ringQl[level] }
 
 // GaloisElementForRotation returns g = 5^steps mod 2N (inverse exponent
 // for negative steps), the automorphism that rotates CKKS slots left by

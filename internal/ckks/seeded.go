@@ -1,21 +1,14 @@
 package ckks
 
 import (
+	"choco/internal/par"
 	"choco/internal/ring"
-	"choco/internal/sampling"
+	"choco/internal/rlwe"
 )
 
-// Seeded symmetric encryption, the CKKS twin of bfv/seeded.go: when
-// the encryptor holds the secret key (always true for CHOCO's client),
-// the second ciphertext component is a pseudorandom polynomial
-// expanded from a 32-byte seed instead of being transmitted:
-//
-//	a ← PRG(seed),  c0 = [-(a·s + e) + m]_q,  send (c0, seed)
-//
-// The server expands a from the seed, reconstructing (c0, a). This
-// halves the client's upload at zero security cost (a is uniform
-// either way) — so the paper's Table 3 set C upload drops from
-// 262,144 bytes to 131,104.
+// Seeded symmetric encryption (see rlwe.SymmetricEncryptor): the client
+// holds the secret key, so it sends c0 = [-(a·s + e) + m]_q and the
+// 32-byte seed a expands from instead of a itself, halving its upload.
 
 // SeededCiphertext is the compressed wire form of a fresh symmetric
 // CKKS encryption, carrying the level and scale of the plaintext.
@@ -30,70 +23,33 @@ type SeededCiphertext struct {
 // ciphertexts. It is not safe for concurrent use.
 type SymmetricEncryptor struct {
 	ctx     *Context
-	sk      *SecretKey
+	zero    *rlwe.SymmetricEncryptor
 	encoder *Encoder
-	src     *sampling.Source
-	eSigned []int64
 	// OpCount tallies encryptions performed.
 	OpCount int
 }
 
 // NewSymmetricEncryptor returns a secret-key encryptor seeded by seed.
 func NewSymmetricEncryptor(ctx *Context, sk *SecretKey, seed [32]byte) *SymmetricEncryptor {
-	return &SymmetricEncryptor{
-		ctx:     ctx,
-		sk:      sk,
-		encoder: NewEncoder(ctx),
-		src:     sampling.NewSource(seed, "ckks-symmetric-encryptor"),
-		eSigned: make([]int64, ctx.Params.N()),
-	}
+	return &SymmetricEncryptor{ctx: ctx, zero: rlwe.NewSymmetricEncryptor(ctx.Context, sk, seed), encoder: NewEncoder(ctx)}
 }
 
-// expandA deterministically regenerates the uniform polynomial from a
-// seed (NTT domain, one row per residue of the level's ring).
-func expandA(ctx *Context, seed [32]byte, level int) *ring.Poly {
-	r := ctx.RingAtLevel(level)
-	src := sampling.NewSource(seed, "ckks-seeded-a")
-	a := r.NewPoly()
-	for i, m := range r.Moduli {
-		src.UniformMod(a.Coeffs[i], m.Value)
-	}
-	a.DeclareNTT()
-	return a
-}
-
-// EncryptSeeded encrypts a plaintext into the compressed form.
+// EncryptSeeded encrypts a plaintext into the compressed form at the
+// plaintext's level, on the same fused per-residue rows as the public-key
+// path; the returned ciphertext is its only allocation.
 func (enc *SymmetricEncryptor) EncryptSeeded(pt *Plaintext) *SeededCiphertext {
-	ctx := enc.ctx
-	r := ctx.RingAtLevel(pt.Level)
 	enc.OpCount++
-
-	// Derive a fresh per-ciphertext seed from the encryptor's stream.
-	var ctSeed [32]byte
-	for i := 0; i < 4; i++ {
-		v := enc.src.Uint64()
-		for j := 0; j < 8; j++ {
-			ctSeed[8*i+j] = byte(v >> (8 * j))
-		}
+	sct := &SeededCiphertext{
+		C0:    enc.ctx.RingAtLevel(pt.Level).NewPoly(),
+		Seed:  enc.zero.Sample(pt.Level),
+		Level: pt.Level,
+		Scale: pt.Scale,
 	}
-
-	a := expandA(ctx, ctSeed, pt.Level)
-
-	// c0 = -(a·s + e) + m, transmitted in the coefficient domain. The
-	// secret key is truncated to the plaintext's level.
-	skTrunc := &ring.Poly{Coeffs: enc.sk.ValueQ.Coeffs[:pt.Level+1], IsNTT: true}
-	c0 := r.NewPoly()
-	r.MulCoeffs(a, skTrunc, c0)
-	r.INTT(c0)
-	enc.src.GaussianSigned(enc.eSigned, ctx.Params.Sigma)
-	e := r.GetPoly()
-	r.SetCoeffsInt64(enc.eSigned, e)
-	r.Add(c0, e, c0)
-	r.PutPoly(e)
-	r.Neg(c0, c0)
-	r.Add(c0, pt.Poly, c0)
-
-	return &SeededCiphertext{C0: c0, Seed: ctSeed, Level: pt.Level, Scale: pt.Scale}
+	par.ForWorker(pt.Level+1, func(_, i int) {
+		enc.zero.ZeroRow(i, sct.C0.Coeffs[i])
+		enc.ctx.addRow(i, pt, sct.C0.Coeffs[i])
+	})
+	return sct
 }
 
 // EncryptFloatsSeeded encodes real values at the top level with the
@@ -108,11 +64,8 @@ func (enc *SymmetricEncryptor) EncryptFloatsSeeded(values []float64) (*SeededCip
 
 // Expand reconstructs the full two-component ciphertext (server side).
 func (sct *SeededCiphertext) Expand(ctx *Context) *Ciphertext {
-	r := ctx.RingAtLevel(sct.Level)
-	a := expandA(ctx, sct.Seed, sct.Level)
-	r.INTT(a) // ciphertexts live in the coefficient domain
 	return &Ciphertext{
-		Value: []*ring.Poly{r.CopyPoly(sct.C0), a},
+		Value: []*ring.Poly{ctx.RingAtLevel(sct.Level).CopyPoly(sct.C0), ctx.ExpandA(sct.Seed, sct.Level)},
 		Level: sct.Level,
 		Scale: sct.Scale,
 	}

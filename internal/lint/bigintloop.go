@@ -14,6 +14,7 @@ import (
 var hotPathPackages = []string{
 	"internal/nt",
 	"internal/ring",
+	"internal/rlwe",
 	"internal/bfv",
 	"internal/ckks",
 }

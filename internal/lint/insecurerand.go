@@ -11,6 +11,7 @@ import (
 // noise-generation bug waiting to happen.
 var cryptoPackages = []string{
 	"internal/ring",
+	"internal/rlwe",
 	"internal/bfv",
 	"internal/ckks",
 	"internal/sampling",

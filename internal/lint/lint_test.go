@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"regexp"
 	"strings"
 	"testing"
@@ -167,5 +168,68 @@ func TestSuiteCleanOnTree(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("chocolint finding on clean tree: %s", d)
+	}
+}
+
+// TestAnalyzersFollowSharedCore guards the analyzers' scopes against the
+// code moving under them. The key types of bfv and ckks are aliases of
+// internal/rlwe's, and an analyzer that asks "is this bfv.SecretKey?" by
+// package path goes quiet — without failing — the day the type moves. So
+// this test asks the real tree, not a fixture's stand-in: what
+// bfv.NewKeyGenerator(...).GenSecretKey() returns must be secret to
+// secretflow, the generator itself too, its public Gen* methods must stay
+// sanitizers, and a RotateRowsLazyNTT result leaked in a package named
+// internal/core must still be a polypool finding when the evaluator is the
+// real one.
+func TestAnalyzersFollowSharedCore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks internal/bfv and its dependencies from source")
+	}
+	l := NewLoader(".")
+	l.Overlay = "testdata/src"
+	leaky, err := l.LoadOverlay("polypool/internal/core")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bfvPkg := l.pkgs["choco/internal/bfv"]
+	if bfvPkg == nil || strings.Contains(l.Fset().Position(bfvPkg.Files[0].Pos()).Filename, "testdata") {
+		t.Fatal("the polypool/internal/core fixture no longer imports the real internal/bfv")
+	}
+
+	newKG := bfvPkg.Types.Scope().Lookup("NewKeyGenerator").(*types.Func)
+	kg := newKG.Type().(*types.Signature).Results().At(0).Type()
+	if !isSecretType(kg) {
+		t.Errorf("secretflow does not treat %s as secret", kg)
+	}
+	method := func(name string) *types.Func {
+		obj, _, _ := types.LookupFieldOrMethod(kg, true, bfvPkg.Types, name)
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			t.Fatalf("%s has no method %s", kg, name)
+		}
+		return fn
+	}
+	if sk := method("GenSecretKey").Type().(*types.Signature).Results().At(0).Type(); !isSecretType(sk) {
+		t.Errorf("secretflow does not treat %s, the result of GenSecretKey, as secret", sk)
+	}
+	if isSanitizer(method("GenSecretKey")) {
+		t.Error("secretflow treats GenSecretKey as a sanitizer")
+	}
+	for _, name := range []string{"GenPublicKey", "GenRelinearizationKey", "GenRotationKeys"} {
+		if !isSanitizer(method(name)) {
+			t.Errorf("secretflow no longer treats KeyGenerator.%s as a sanitizer", name)
+		}
+	}
+
+	diags, err := RunAnalyzers(l.Fset(), []*Package{leaky}, []*Analyzer{PolyPool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, d := range diags {
+		found = found || strings.Contains(d.Message, "x does not reach RecycleNTT or FromNTT")
+	}
+	if !found {
+		t.Errorf("polypool no longer reports the leaked RotateRowsLazyNTT result; got %v", diags)
 	}
 }

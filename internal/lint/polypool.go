@@ -11,6 +11,7 @@ import (
 // HE hot paths, where a leaked pool poly silently degrades the
 // GetPoly/PutPoly cache into per-call allocation.
 var poolPackages = []string{
+	"internal/rlwe",
 	"internal/bfv",
 	"internal/ckks",
 	"internal/core",

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -16,9 +17,9 @@ import (
 // may-join (union), so a leak on *any* path is reported.
 //
 // Sources — expressions are tainted when they are, or flow from:
-//   - bfv.SecretKey / ckks.SecretKey values (and anything selected
-//     from them, e.g. sk.ValueQ);
-//   - bfv.KeyGenerator / ckks.KeyGenerator values (they hold the key
+//   - rlwe.SecretKey values, under that name or as bfv.SecretKey /
+//     ckks.SecretKey (and anything selected from them, e.g. sk.ValueQ);
+//   - rlwe / bfv / ckks KeyGenerator values (they hold the key
 //     seed and can re-derive the secret key);
 //   - [32]byte identifiers whose name contains "seed" (the module's
 //     key/PRF seeds are all this shape);
@@ -28,8 +29,8 @@ import (
 // Sanitizers — calls whose results are public by construction:
 //   - KeyGenerator.Gen* except GenSecretKey (public, relinearization,
 //     Galois/rotation keys are published to the server by design);
-//   - Encrypt* / Decrypt* / Decode* methods in internal/bfv and
-//     internal/ckks (ciphertexts are semantically secure; decryption
+//   - Encrypt* / Decrypt* / Decode* methods in internal/rlwe,
+//     internal/bfv and internal/ckks (ciphertexts are semantically secure; decryption
 //     and decode outputs are the client's own application data, not
 //     key material).
 //
@@ -389,9 +390,15 @@ func isWirePkg(p string) bool {
 		pkgPathHasSuffix(p, "internal/fabric")
 }
 
+// schemePackages are the package-path suffixes that define secret key
+// material and the sanitizing client operations: the shared RLWE core,
+// whose SecretKey and KeyGenerator the two schemes alias and embed, and
+// the schemes themselves.
+var schemePackages = []string{"internal/rlwe", "internal/bfv", "internal/ckks"}
+
 // isSecretType reports types that are secret by construction.
 func isSecretType(t types.Type) bool {
-	for _, pkg := range []string{"internal/bfv", "internal/ckks"} {
+	for _, pkg := range schemePackages {
 		if namedFrom(t, pkg, "SecretKey") || namedFrom(t, pkg, "KeyGenerator") {
 			return true
 		}
@@ -423,7 +430,7 @@ func isSanitizer(fn *types.Func) bool {
 	if pkgPathHasSuffix(p, "internal/nn") && strings.HasPrefix(fn.Name(), "Synthesize") {
 		return true
 	}
-	if !pkgPathHasSuffix(p, "internal/bfv") && !pkgPathHasSuffix(p, "internal/ckks") {
+	if !slices.ContainsFunc(schemePackages, func(pkg string) bool { return pkgPathHasSuffix(p, pkg) }) {
 		return false
 	}
 	name := fn.Name()

@@ -14,12 +14,13 @@ func pkgPathHasSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
-// deref unwraps a pointer type.
+// deref unwraps a pointer type and any alias on either side of it, so
+// *bfv.SecretKey resolves to the rlwe.SecretKey it names.
 func deref(t types.Type) types.Type {
-	if p, ok := t.(*types.Pointer); ok {
-		return p.Elem()
+	if p, ok := types.Unalias(t).(*types.Pointer); ok {
+		t = p.Elem()
 	}
-	return t
+	return types.Unalias(t)
 }
 
 // namedFrom reports whether t (possibly behind a pointer) is the named

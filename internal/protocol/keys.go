@@ -7,27 +7,56 @@ import (
 	"slices"
 
 	"choco/internal/bfv"
+	"choco/internal/ckks"
 	"choco/internal/ring"
+	"choco/internal/rlwe"
 )
 
 // Evaluation-key serialization lets a real client ship its public,
 // relinearization, and Galois keys to an untrusted server once at
-// session setup, without the server ever holding secret material.
+// session setup, without the server ever holding secret material. Both
+// schemes' keys are the shared core's (internal/rlwe), so one codec
+// serves both; the bundles differ in their magic word.
 
-const keyBundleMagic = uint32(0x43484f4b) // "CHOK"
+const (
+	keyBundleMagic  = uint32(0x43484f4b) // "CHOK"
+	ckksBundleMagic = uint32(0x43484f43) // "CHOC"
+)
 
-func appendUint32(b []byte, v uint32) []byte {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	return append(b, tmp[:]...)
+// KeyBundle carries everything the server needs to evaluate on a
+// client's ciphertexts.
+type KeyBundle struct {
+	PK     *bfv.PublicKey
+	Relin  *bfv.RelinearizationKey
+	Galois map[uint64]*bfv.GaloisKey
 }
 
-func appendUint64(b []byte, v uint64) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	return append(b, tmp[:]...)
+// CKKSKeyBundle carries a CKKS client's evaluation keys to a server.
+type CKKSKeyBundle KeyBundle
+
+// MarshalKeyBundle serializes a bundle.
+func MarshalKeyBundle(kb *KeyBundle) []byte { return marshalBundle(keyBundleMagic, kb) }
+
+// UnmarshalKeyBundle reconstructs a bundle under ctx.
+func UnmarshalKeyBundle(ctx *bfv.Context, data []byte) (*KeyBundle, error) {
+	return unmarshalBundle(ctx.Context, keyBundleMagic, data)
 }
 
+// MarshalCKKSKeyBundle serializes a bundle.
+func MarshalCKKSKeyBundle(kb *CKKSKeyBundle) []byte {
+	return marshalBundle(ckksBundleMagic, (*KeyBundle)(kb))
+}
+
+// UnmarshalCKKSKeyBundle reconstructs a bundle under ctx.
+func UnmarshalCKKSKeyBundle(ctx *ckks.Context, data []byte) (*CKKSKeyBundle, error) {
+	kb, err := unmarshalBundle(ctx.Context, ckksBundleMagic, data)
+	return (*CKKSKeyBundle)(kb), err
+}
+
+func appendUint32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
+
+// appendPoly writes one key polynomial: residue count, N, the NTT flag,
+// then the residue words.
 func appendPoly(b []byte, p *ring.Poly) []byte {
 	b = appendUint32(b, uint32(len(p.Coeffs)))
 	b = appendUint32(b, uint32(len(p.Coeffs[0])))
@@ -38,91 +67,29 @@ func appendPoly(b []byte, p *ring.Poly) []byte {
 	}
 	for _, row := range p.Coeffs {
 		for _, v := range row {
-			b = appendUint64(b, v)
+			b = binary.LittleEndian.AppendUint64(b, v)
 		}
 	}
 	return b
 }
 
-type reader struct {
-	data []byte
-	off  int
+// appendSwitching writes a switching key: digit count, then (b, a) per
+// digit.
+func appendSwitching(b []byte, swk *rlwe.SwitchingKey) []byte {
+	b = appendUint32(b, uint32(len(swk.B)))
+	for i := range swk.B {
+		b = appendPoly(b, swk.B[i])
+		b = appendPoly(b, swk.A[i])
+	}
+	return b
 }
 
-func (r *reader) uint32() (uint32, error) {
-	if r.off+4 > len(r.data) {
-		return 0, fmt.Errorf("protocol: truncated key bundle")
-	}
-	v := binary.LittleEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *reader) uint64() (uint64, error) {
-	if r.off+8 > len(r.data) {
-		return 0, fmt.Errorf("protocol: truncated key bundle")
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *reader) poly(alloc func() *ring.Poly) (*ring.Poly, error) {
-	k, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	isNTT, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	p := alloc()
-	if int(k) != len(p.Coeffs) || int(n) != len(p.Coeffs[0]) {
-		return nil, fmt.Errorf("protocol: key poly shape (%d,%d) does not match context", k, n)
-	}
-	for _, row := range p.Coeffs {
-		for j := range row {
-			v, err := r.uint64()
-			if err != nil {
-				return nil, err
-			}
-			row[j] = v
-		}
-	}
-	if isNTT == 1 {
-		p.DeclareNTT()
-	} else {
-		p.DeclareCoeff()
-	}
-	return p, nil
-}
-
-// KeyBundle carries everything the server needs to evaluate on a
-// client's ciphertexts.
-type KeyBundle struct {
-	PK     *bfv.PublicKey
-	Relin  *bfv.RelinearizationKey
-	Galois map[uint64]*bfv.GaloisKey
-}
-
-// MarshalKeyBundle serializes a bundle.
-func MarshalKeyBundle(kb *KeyBundle) []byte {
-	b := appendUint32(nil, keyBundleMagic)
+// marshalBundle writes a key bundle: magic, the public key, a flag and
+// the relinearization key if there is one, then the Galois keys.
+func marshalBundle(magic uint32, kb *KeyBundle) []byte {
+	b := appendUint32(nil, magic)
 	b = appendPoly(b, kb.PK.P0)
 	b = appendPoly(b, kb.PK.P1)
-
-	appendSwitching := func(b []byte, swk *bfv.SwitchingKey) []byte {
-		b = appendUint32(b, uint32(len(swk.B)))
-		for i := range swk.B {
-			b = appendPoly(b, swk.B[i])
-			b = appendPoly(b, swk.A[i])
-		}
-		return b
-	}
 	if kb.Relin != nil {
 		b = appendUint32(b, 1)
 		b = appendSwitching(b, kb.Relin.Key)
@@ -133,67 +100,112 @@ func MarshalKeyBundle(kb *KeyBundle) []byte {
 	// (a decoder accepts any order).
 	b = appendUint32(b, uint32(len(kb.Galois)))
 	for _, g := range slices.Sorted(maps.Keys(kb.Galois)) {
-		b = appendUint64(b, g)
+		b = binary.LittleEndian.AppendUint64(b, g)
 		b = appendSwitching(b, kb.Galois[g].Key)
 	}
 	return b
 }
 
-// UnmarshalKeyBundle reconstructs a bundle under ctx.
-func UnmarshalKeyBundle(ctx *bfv.Context, data []byte) (*KeyBundle, error) {
-	r := &reader{data: data}
-	magic, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if magic != keyBundleMagic {
-		return nil, fmt.Errorf("protocol: not a key bundle")
-	}
-	allocQ := ctx.RingQ.NewPoly
-	allocQP := ctx.RingQP.NewPoly
+// bundleReader walks a key bundle. A bundle comes from whoever opens a
+// session, and its polynomials become the fixed operands of every key
+// switch the session runs, so nothing is taken on trust: every count is
+// checked against the context and every residue goes through
+// readResidues.
+type bundleReader struct {
+	ctx  *rlwe.Context
+	data []byte
+	off  int
+}
 
-	kb := &KeyBundle{PK: &bfv.PublicKey{}}
-	if kb.PK.P0, err = r.poly(allocQ); err != nil {
-		return nil, err
+func (r *bundleReader) uint32() (uint32, error) {
+	if r.off+4 > len(r.data) {
+		return 0, fmt.Errorf("protocol: truncated key bundle")
 	}
-	if kb.PK.P1, err = r.poly(allocQ); err != nil {
-		return nil, err
-	}
+	v := binary.LittleEndian.Uint32(r.data[r.off:])
+	r.off += 4
+	return v, nil
+}
 
-	readSwitching := func() (*bfv.SwitchingKey, error) {
-		n, err := r.uint32()
+// poly reads one key polynomial over rg: the shape must be the ring's,
+// the NTT flag set (keys live in the evaluation domain; nothing else is
+// ever written), every word a residue of its modulus.
+func (r *bundleReader) poly(rg *ring.Ring) (*ring.Poly, error) {
+	var hdr [3]uint32
+	for i := range hdr {
+		v, err := r.uint32()
 		if err != nil {
 			return nil, err
 		}
-		if n > 64 {
-			return nil, fmt.Errorf("protocol: implausible switching key size %d", n)
-		}
-		swk := &bfv.SwitchingKey{}
-		for i := 0; i < int(n); i++ {
-			bPoly, err := r.poly(allocQP)
-			if err != nil {
-				return nil, err
-			}
-			aPoly, err := r.poly(allocQP)
-			if err != nil {
-				return nil, err
-			}
-			swk.B = append(swk.B, bPoly)
-			swk.A = append(swk.A, aPoly)
-		}
-		return swk, nil
+		hdr[i] = v
 	}
+	if int(hdr[0]) != len(rg.Moduli) || int(hdr[1]) != rg.N {
+		return nil, fmt.Errorf("protocol: key poly shape (%d,%d) does not match context", hdr[0], hdr[1])
+	}
+	if hdr[2] != 1 {
+		return nil, fmt.Errorf("protocol: key poly is not flagged NTT-domain (flag %d)", hdr[2])
+	}
+	if r.off+8*rg.N*len(rg.Moduli) > len(r.data) {
+		return nil, fmt.Errorf("protocol: truncated key bundle")
+	}
+	p := rg.NewPoly()
+	p.DeclareNTT()
+	var err error
+	r.off, err = readResidues(rg, p, r.data, r.off)
+	return p, err
+}
 
-	hasRelin, err := r.uint32()
+// switching reads a switching key, which must have exactly one digit per
+// data prime: the inner product indexes the digits by prime.
+func (r *bundleReader) switching() (*rlwe.SwitchingKey, error) {
+	n, err := r.uint32()
 	if err != nil {
 		return nil, err
 	}
-	if hasRelin == 1 {
-		swk, err := readSwitching()
+	if int(n) != len(r.ctx.RingQ.Moduli) {
+		return nil, fmt.Errorf("protocol: switching key has %d digits, context has %d data primes", n, len(r.ctx.RingQ.Moduli))
+	}
+	swk := &rlwe.SwitchingKey{}
+	for i := 0; i < int(n); i++ {
+		b, err := r.poly(r.ctx.RingQP)
 		if err != nil {
 			return nil, err
 		}
-		kb.Relin = &bfv.RelinearizationKey{Key: swk}
+		a, err := r.poly(r.ctx.RingQP)
+		if err != nil {
+			return nil, err
+		}
+		swk.B, swk.A = append(swk.B, b), append(swk.A, a)
+	}
+	return swk, nil
+}
+
+// unmarshalBundle reads a key bundle with the given magic under ctx.
+func unmarshalBundle(ctx *rlwe.Context, magic uint32, data []byte) (*KeyBundle, error) {
+	r := &bundleReader{ctx: ctx, data: data}
+	if got, err := r.uint32(); err != nil {
+		return nil, err
+	} else if got != magic {
+		return nil, fmt.Errorf("protocol: not a key bundle of this scheme")
+	}
+	kb := &KeyBundle{PK: &rlwe.PublicKey{}}
+	var err error
+	if kb.PK.P0, err = r.poly(ctx.RingQ); err != nil {
+		return nil, err
+	}
+	if kb.PK.P1, err = r.poly(ctx.RingQ); err != nil {
+		return nil, err
+	}
+	switch hasRelin, err := r.uint32(); {
+	case err != nil:
+		return nil, err
+	case hasRelin == 1:
+		swk, err := r.switching()
+		if err != nil {
+			return nil, err
+		}
+		kb.Relin = &rlwe.RelinearizationKey{Key: swk}
+	case hasRelin != 0:
+		return nil, fmt.Errorf("protocol: relinearization flag %d is neither 0 nor 1", hasRelin)
 	}
 	nGal, err := r.uint32()
 	if err != nil {
@@ -202,17 +214,23 @@ func UnmarshalKeyBundle(ctx *bfv.Context, data []byte) (*KeyBundle, error) {
 	if nGal > 1<<16 {
 		return nil, fmt.Errorf("protocol: implausible Galois key count %d", nGal)
 	}
-	kb.Galois = make(map[uint64]*bfv.GaloisKey, nGal)
+	kb.Galois = make(map[uint64]*rlwe.GaloisKey, nGal)
 	for i := 0; i < int(nGal); i++ {
-		g, err := r.uint64()
+		if r.off+8 > len(data) {
+			return nil, fmt.Errorf("protocol: truncated key bundle")
+		}
+		g := binary.LittleEndian.Uint64(data[r.off:])
+		r.off += 8
+		// An automorphism X → X^g of the 2N-th cyclotomic ring has g odd
+		// and below 2N; the permutation tables index by it.
+		if g%2 == 0 || g >= uint64(2*ctx.RingQ.N) || kb.Galois[g] != nil {
+			return nil, fmt.Errorf("protocol: Galois element %d is even, not below 2N, or repeated", g)
+		}
+		swk, err := r.switching()
 		if err != nil {
 			return nil, err
 		}
-		swk, err := readSwitching()
-		if err != nil {
-			return nil, err
-		}
-		kb.Galois[g] = &bfv.GaloisKey{GaloisElement: g, Key: swk}
+		kb.Galois[g] = &rlwe.GaloisKey{GaloisElement: g, Key: swk}
 	}
 	if r.off != len(data) {
 		return nil, fmt.Errorf("protocol: %d trailing bytes in key bundle", len(data)-r.off)

@@ -17,6 +17,7 @@ import (
 	"choco/internal/bfv"
 	"choco/internal/ckks"
 	"choco/internal/ring"
+	"choco/internal/rlwe"
 )
 
 const headerBytes = 24
@@ -67,35 +68,39 @@ func readResidues(r *ring.Ring, p *ring.Poly, data []byte, off int) (int, error)
 	return off, nil
 }
 
-// checkDegree rejects a component count no evaluator accepts: fresh and
-// relinearized ciphertexts have 2 polynomials, an unrelinearized product 3.
-func checkDegree(deg int) error {
-	if deg != 2 && deg != 3 {
-		return fmt.Errorf("protocol: ciphertext has %d components, want 2 or 3", deg)
-	}
-	return nil
+// SchemeBFVSeeded and SchemeCKKSSeeded tag seed-compressed symmetric
+// ciphertexts: header, 32-byte seed, then the single c0 polynomial —
+// about half the bytes of a regular frame.
+const (
+	SchemeBFVSeeded  = uint32(3)
+	SchemeCKKSSeeded = uint32(4)
+)
+
+// frameShape says what a frame family carries besides its residues: a
+// seed in place of c1, and a CKKS scale in the header's spare field
+// (a BFV frame leaves that field zero).
+func frameShape(tag uint32) (seeded, scaled bool) {
+	return tag == SchemeBFVSeeded || tag == SchemeCKKSSeeded, tag == SchemeCKKS || tag == SchemeCKKSSeeded
 }
 
-// checkScale rejects a CKKS scale no encoder produces; every rescale and
-// decode divides by it.
-func checkScale(scale float64) error {
-	if !(scale > 0) || math.IsInf(scale, 1) {
-		return fmt.Errorf("protocol: ciphertext scale %v is not a positive finite number", scale)
+// marshalFrame writes every ciphertext frame: the 24-byte header (tag,
+// component count, N, residue count k, scale), the seed of a seeded
+// frame, then the polynomials' residue words. The level travels as k.
+func marshalFrame(tag uint32, scale float64, seed *[32]byte, polys ...*ring.Poly) []byte {
+	n, k := len(polys[0].Coeffs[0]), len(polys[0].Coeffs)
+	off := headerBytes
+	if seed != nil {
+		off += len(seed)
 	}
-	return nil
-}
-
-// MarshalBFV serializes a BFV ciphertext.
-func MarshalBFV(ct *bfv.Ciphertext) []byte {
-	polys := ct.Value
-	n := len(polys[0].Coeffs[0])
-	k := len(polys[0].Coeffs)
-	buf := make([]byte, headerBytes+len(polys)*n*k*8)
-	binary.LittleEndian.PutUint32(buf[0:], SchemeBFV)
+	buf := make([]byte, off+len(polys)*n*k*8)
+	binary.LittleEndian.PutUint32(buf[0:], tag)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(polys)))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(n))
 	binary.LittleEndian.PutUint32(buf[12:], uint32(k))
-	off := headerBytes
+	binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(scale))
+	if seed != nil {
+		copy(buf[headerBytes:], seed[:])
+	}
 	for _, p := range polys {
 		for _, row := range p.Coeffs {
 			for _, v := range row {
@@ -107,239 +112,150 @@ func MarshalBFV(ct *bfv.Ciphertext) []byte {
 	return buf
 }
 
-// UnmarshalBFV reconstructs a BFV ciphertext serialized by MarshalBFV.
-func UnmarshalBFV(ctx *bfv.Context, data []byte) (*bfv.Ciphertext, error) {
-	if len(data) < headerBytes {
-		return nil, fmt.Errorf("protocol: truncated ciphertext")
+// unmarshalFrame reads every ciphertext frame of the family tag under
+// ctx, validating all of it before arithmetic can see it: the tag, the
+// shape against the context (the level is k−1), a component count the
+// evaluators accept — 2 for fresh and relinearized ciphertexts, 3 for an
+// unrelinearized product, exactly 1 beside a seed — a CKKS scale some
+// encoder could have produced (every rescale and decode divides by it),
+// the exact length, and each residue through readResidues.
+func unmarshalFrame(ctx *rlwe.Context, tag uint32, data []byte) (value []*ring.Poly, scale float64, seed [32]byte, err error) {
+	seeded, scaled := frameShape(tag)
+	off := headerBytes
+	if seeded {
+		off += len(seed)
 	}
-	if binary.LittleEndian.Uint32(data[0:]) != SchemeBFV {
-		return nil, fmt.Errorf("protocol: not a BFV ciphertext")
+	if len(data) < off {
+		return nil, 0, seed, fmt.Errorf("protocol: truncated ciphertext")
+	}
+	if got := binary.LittleEndian.Uint32(data[0:]); got != tag {
+		return nil, 0, seed, fmt.Errorf("protocol: frame tag %d is not the expected ciphertext tag %d", got, tag)
 	}
 	deg := int(binary.LittleEndian.Uint32(data[4:]))
 	n := int(binary.LittleEndian.Uint32(data[8:]))
 	k := int(binary.LittleEndian.Uint32(data[12:]))
-	full := len(ctx.RingQ.Moduli)
-	if n != ctx.Params.N() || k < 1 || k > full {
-		return nil, fmt.Errorf("protocol: ciphertext shape (N=%d,k=%d) does not match context (N=%d,k≤%d)",
-			n, k, ctx.Params.N(), full)
+	scale = math.Float64frombits(binary.LittleEndian.Uint64(data[16:]))
+	if full := len(ctx.RingQ.Moduli); n != ctx.RingQ.N || k < 1 || k > full || seeded && deg != 1 {
+		return nil, 0, seed, fmt.Errorf("protocol: ciphertext shape (N=%d,k=%d, %d components) does not match context (N=%d,k≤%d)",
+			n, k, deg, ctx.RingQ.N, full)
 	}
-	if err := checkDegree(deg); err != nil {
-		return nil, err
+	if !seeded && deg != 2 && deg != 3 {
+		return nil, 0, seed, fmt.Errorf("protocol: ciphertext has %d components, want 2 or 3", deg)
 	}
-	want := headerBytes + deg*n*k*8
-	if len(data) != want {
-		return nil, fmt.Errorf("protocol: ciphertext length %d, want %d", len(data), want)
+	if scaled && (!(scale > 0) || math.IsInf(scale, 1)) {
+		return nil, 0, seed, fmt.Errorf("protocol: ciphertext scale %v is not a positive finite number", scale)
 	}
-	drop := full - k
-	r := ctx.RingAtDrop(drop)
-	ct := &bfv.Ciphertext{Value: make([]*ring.Poly, deg), Drop: drop}
-	off := headerBytes
-	for i := range ct.Value {
-		ct.Value[i] = r.NewPoly()
-		var err error
-		if off, err = readResidues(r, ct.Value[i], data, off); err != nil {
-			return nil, err
+	if want := off + deg*n*k*8; len(data) != want {
+		return nil, 0, seed, fmt.Errorf("protocol: ciphertext length %d, want %d", len(data), want)
+	}
+	copy(seed[:], data[headerBytes:off])
+	r := ctx.RingAtLevel(k - 1)
+	value = make([]*ring.Poly, deg)
+	for i := range value {
+		value[i] = r.NewPoly()
+		if off, err = readResidues(r, value[i], data, off); err != nil {
+			return nil, 0, seed, err
 		}
 	}
-	return ct, nil
+	return value, scale, seed, nil
 }
 
-// SchemeBFVSeeded tags a seed-compressed symmetric BFV ciphertext.
-const SchemeBFVSeeded = uint32(3)
-
-// MarshalSeededBFV serializes a seed-compressed ciphertext: header,
-// 32-byte seed, then the single c0 polynomial — about half the bytes
-// of MarshalBFV.
-func MarshalSeededBFV(sct *bfv.SeededCiphertext) []byte {
-	n := len(sct.C0.Coeffs[0])
-	k := len(sct.C0.Coeffs)
-	buf := make([]byte, headerBytes+32+n*k*8)
-	binary.LittleEndian.PutUint32(buf[0:], SchemeBFVSeeded)
-	binary.LittleEndian.PutUint32(buf[4:], 1)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(n))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(k))
-	copy(buf[headerBytes:], sct.Seed[:])
-	off := headerBytes + 32
-	for _, row := range sct.C0.Coeffs {
-		for _, v := range row {
-			binary.LittleEndian.PutUint64(buf[off:], v)
-			off += 8
-		}
+// frameTag returns a frame's scheme tag, for the Any decoders.
+func frameTag(data []byte) (uint32, error) {
+	if len(data) < 4 {
+		return 0, fmt.Errorf("protocol: truncated frame")
 	}
-	return buf
+	return binary.LittleEndian.Uint32(data), nil
+}
+
+// MarshalBFV serializes a BFV ciphertext.
+func MarshalBFV(ct *bfv.Ciphertext) []byte {
+	return marshalFrame(SchemeBFV, 0, nil, ct.Value...)
+}
+
+// UnmarshalBFV reconstructs a BFV ciphertext serialized by MarshalBFV.
+func UnmarshalBFV(ctx *bfv.Context, data []byte) (*bfv.Ciphertext, error) {
+	value, _, _, err := unmarshalFrame(ctx.Context, SchemeBFV, data)
+	if err != nil {
+		return nil, err
+	}
+	return &bfv.Ciphertext{Value: value, Drop: len(ctx.RingQ.Moduli) - len(value[0].Coeffs)}, nil
+}
+
+// MarshalSeededBFV serializes a seed-compressed ciphertext.
+func MarshalSeededBFV(sct *bfv.SeededCiphertext) []byte {
+	return marshalFrame(SchemeBFVSeeded, 0, &sct.Seed, sct.C0)
 }
 
 // UnmarshalSeededBFV reconstructs and expands a seed-compressed
 // ciphertext into a regular two-component one (the server-side step).
+// BFV encrypts at full modulus only.
 func UnmarshalSeededBFV(ctx *bfv.Context, data []byte) (*bfv.Ciphertext, error) {
-	if len(data) < headerBytes+32 {
-		return nil, fmt.Errorf("protocol: truncated seeded ciphertext")
-	}
-	if binary.LittleEndian.Uint32(data[0:]) != SchemeBFVSeeded {
-		return nil, fmt.Errorf("protocol: not a seeded BFV ciphertext")
-	}
-	n := int(binary.LittleEndian.Uint32(data[8:]))
-	k := int(binary.LittleEndian.Uint32(data[12:]))
-	if binary.LittleEndian.Uint32(data[4:]) != 1 || n != ctx.Params.N() || k != len(ctx.RingQ.Moduli) {
-		return nil, fmt.Errorf("protocol: seeded ciphertext shape mismatch")
-	}
-	if len(data) != headerBytes+32+n*k*8 {
-		return nil, fmt.Errorf("protocol: seeded ciphertext length %d", len(data))
-	}
-	sct := &bfv.SeededCiphertext{C0: ctx.RingQ.NewPoly()}
-	copy(sct.Seed[:], data[headerBytes:])
-	if _, err := readResidues(ctx.RingQ, sct.C0, data, headerBytes+32); err != nil {
+	value, _, seed, err := unmarshalFrame(ctx.Context, SchemeBFVSeeded, data)
+	if err != nil {
 		return nil, err
 	}
-	return sct.Expand(ctx), nil
+	if len(value[0].Coeffs) != len(ctx.RingQ.Moduli) {
+		return nil, fmt.Errorf("protocol: seeded ciphertext shape mismatch")
+	}
+	return (&bfv.SeededCiphertext{C0: value[0], Seed: seed}).Expand(ctx), nil
 }
 
 // UnmarshalAnyBFV dispatches on the scheme tag, accepting both regular
 // and seed-compressed BFV ciphertexts (servers sniff incoming frames
 // with this).
 func UnmarshalAnyBFV(ctx *bfv.Context, data []byte) (*bfv.Ciphertext, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("protocol: truncated frame")
-	}
-	switch binary.LittleEndian.Uint32(data[0:]) {
-	case SchemeBFV:
+	switch tag, err := frameTag(data); {
+	case err != nil:
+		return nil, err
+	case tag == SchemeBFV:
 		return UnmarshalBFV(ctx, data)
-	case SchemeBFVSeeded:
+	case tag == SchemeBFVSeeded:
 		return UnmarshalSeededBFV(ctx, data)
 	}
 	return nil, fmt.Errorf("protocol: unknown BFV frame tag")
 }
 
-// MarshalCKKS serializes a CKKS ciphertext (level and scale travel in
-// the header's spare fields).
+// MarshalCKKS serializes a CKKS ciphertext (the scale travels in the
+// header's spare field, the level as the residue count).
 func MarshalCKKS(ct *ckks.Ciphertext) []byte {
-	polys := ct.Value
-	n := len(polys[0].Coeffs[0])
-	k := len(polys[0].Coeffs)
-	buf := make([]byte, headerBytes+len(polys)*n*k*8)
-	binary.LittleEndian.PutUint32(buf[0:], SchemeCKKS)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(polys)))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(n))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(k))
-	binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(ct.Scale))
-	off := headerBytes
-	for _, p := range polys {
-		for _, row := range p.Coeffs {
-			for _, v := range row {
-				binary.LittleEndian.PutUint64(buf[off:], v)
-				off += 8
-			}
-		}
-	}
-	return buf
+	return marshalFrame(SchemeCKKS, ct.Scale, nil, ct.Value...)
 }
 
 // UnmarshalCKKS reconstructs a CKKS ciphertext.
 func UnmarshalCKKS(ctx *ckks.Context, data []byte) (*ckks.Ciphertext, error) {
-	if len(data) < headerBytes {
-		return nil, fmt.Errorf("protocol: truncated ciphertext")
-	}
-	if binary.LittleEndian.Uint32(data[0:]) != SchemeCKKS {
-		return nil, fmt.Errorf("protocol: not a CKKS ciphertext")
-	}
-	deg := int(binary.LittleEndian.Uint32(data[4:]))
-	n := int(binary.LittleEndian.Uint32(data[8:]))
-	k := int(binary.LittleEndian.Uint32(data[12:]))
-	scale := math.Float64frombits(binary.LittleEndian.Uint64(data[16:]))
-	if n != ctx.Params.N() || k > len(ctx.RingQ.Moduli) || k < 1 {
-		return nil, fmt.Errorf("protocol: ciphertext shape mismatch")
-	}
-	if err := checkDegree(deg); err != nil {
+	value, scale, _, err := unmarshalFrame(ctx.Context, SchemeCKKS, data)
+	if err != nil {
 		return nil, err
 	}
-	if err := checkScale(scale); err != nil {
-		return nil, err
-	}
-	want := headerBytes + deg*n*k*8
-	if len(data) != want {
-		return nil, fmt.Errorf("protocol: ciphertext length %d, want %d", len(data), want)
-	}
-	level := k - 1
-	r := ctx.RingAtLevel(level)
-	ct := &ckks.Ciphertext{Value: make([]*ring.Poly, deg), Level: level, Scale: scale}
-	off := headerBytes
-	for i := range ct.Value {
-		ct.Value[i] = r.NewPoly()
-		var err error
-		if off, err = readResidues(r, ct.Value[i], data, off); err != nil {
-			return nil, err
-		}
-	}
-	return ct, nil
+	return &ckks.Ciphertext{Value: value, Level: len(value[0].Coeffs) - 1, Scale: scale}, nil
 }
 
-// SchemeCKKSSeeded tags a seed-compressed symmetric CKKS ciphertext.
-const SchemeCKKSSeeded = uint32(4)
-
-// MarshalSeededCKKS serializes a seed-compressed CKKS ciphertext:
-// header (scale in the spare field), 32-byte seed, then the single c0
-// polynomial — about half the bytes of MarshalCKKS.
+// MarshalSeededCKKS serializes a seed-compressed CKKS ciphertext.
 func MarshalSeededCKKS(sct *ckks.SeededCiphertext) []byte {
-	n := len(sct.C0.Coeffs[0])
-	k := len(sct.C0.Coeffs)
-	buf := make([]byte, headerBytes+32+n*k*8)
-	binary.LittleEndian.PutUint32(buf[0:], SchemeCKKSSeeded)
-	binary.LittleEndian.PutUint32(buf[4:], 1)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(n))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(k))
-	binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(sct.Scale))
-	copy(buf[headerBytes:], sct.Seed[:])
-	off := headerBytes + 32
-	for _, row := range sct.C0.Coeffs {
-		for _, v := range row {
-			binary.LittleEndian.PutUint64(buf[off:], v)
-			off += 8
-		}
-	}
-	return buf
+	return marshalFrame(SchemeCKKSSeeded, sct.Scale, &sct.Seed, sct.C0)
 }
 
 // UnmarshalSeededCKKS reconstructs and expands a seed-compressed CKKS
 // ciphertext into a regular two-component one (the server-side step).
 func UnmarshalSeededCKKS(ctx *ckks.Context, data []byte) (*ckks.Ciphertext, error) {
-	if len(data) < headerBytes+32 {
-		return nil, fmt.Errorf("protocol: truncated seeded ciphertext")
-	}
-	if binary.LittleEndian.Uint32(data[0:]) != SchemeCKKSSeeded {
-		return nil, fmt.Errorf("protocol: not a seeded CKKS ciphertext")
-	}
-	n := int(binary.LittleEndian.Uint32(data[8:]))
-	k := int(binary.LittleEndian.Uint32(data[12:]))
-	scale := math.Float64frombits(binary.LittleEndian.Uint64(data[16:]))
-	if binary.LittleEndian.Uint32(data[4:]) != 1 || n != ctx.Params.N() || k < 1 || k > len(ctx.RingQ.Moduli) {
-		return nil, fmt.Errorf("protocol: seeded ciphertext shape mismatch")
-	}
-	if err := checkScale(scale); err != nil {
+	value, scale, seed, err := unmarshalFrame(ctx.Context, SchemeCKKSSeeded, data)
+	if err != nil {
 		return nil, err
 	}
-	if len(data) != headerBytes+32+n*k*8 {
-		return nil, fmt.Errorf("protocol: seeded ciphertext length %d", len(data))
-	}
-	level := k - 1
-	r := ctx.RingAtLevel(level)
-	sct := &ckks.SeededCiphertext{C0: r.NewPoly(), Level: level, Scale: scale}
-	copy(sct.Seed[:], data[headerBytes:])
-	if _, err := readResidues(r, sct.C0, data, headerBytes+32); err != nil {
-		return nil, err
-	}
+	sct := &ckks.SeededCiphertext{C0: value[0], Seed: seed, Level: len(value[0].Coeffs) - 1, Scale: scale}
 	return sct.Expand(ctx), nil
 }
 
 // UnmarshalAnyCKKS dispatches on the scheme tag, accepting both
 // regular and seed-compressed CKKS ciphertexts.
 func UnmarshalAnyCKKS(ctx *ckks.Context, data []byte) (*ckks.Ciphertext, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("protocol: truncated frame")
-	}
-	switch binary.LittleEndian.Uint32(data[0:]) {
-	case SchemeCKKS:
+	switch tag, err := frameTag(data); {
+	case err != nil:
+		return nil, err
+	case tag == SchemeCKKS:
 		return UnmarshalCKKS(ctx, data)
-	case SchemeCKKSSeeded:
+	case tag == SchemeCKKSSeeded:
 		return UnmarshalSeededCKKS(ctx, data)
 	}
 	return nil, fmt.Errorf("protocol: unknown CKKS frame tag")

@@ -49,7 +49,16 @@ type Source struct {
 // Distinct labels over the same seed give independent streams (e.g. one
 // for the secret key, one per encryption).
 func NewSource(seed [32]byte, label string) *Source {
-	return &Source{xof: blake3.NewXOF(seed, []byte(label)), pos: sourceBufWords}
+	s := &Source{xof: new(blake3.XOF)}
+	s.Reset(seed, label)
+	return s
+}
+
+// Reset re-derives s in place: afterwards it yields the stream
+// NewSource(seed, label) would, without allocating.
+func (s *Source) Reset(seed [32]byte, label string) {
+	s.xof.Reset(seed, []byte(label))
+	s.pos = sourceBufWords
 }
 
 // refill replenishes the prefetch buffer through the XOF bulk path.
