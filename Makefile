@@ -20,9 +20,10 @@
 #                  hoisted NTT(c0) 10 times
 #   make debug   — tests with the chocodebug assertion layer compiled in
 #                  (ring, the shared rlwe core with its QP accumulator
-#                  invariants, both schemes' entry-point checks, and the
+#                  invariants, both schemes' entry-point checks, the
 #                  core operators that drive them: the FC and the conv
-#                  giant fold)
+#                  giant fold, and nn, whose reply path runs the
+#                  ModSwitchDown entry check on real layer outputs)
 #   make purego  — tests with the vector kernels compiled out (the
 #                  scalar-only build every non-amd64 target gets)
 #   make bench   — paper-table benchmark generators; also regenerates
@@ -84,7 +85,7 @@ race:
 	$(GO) test -race -count=10 -run 'TestRotateRowsLazyNTTHoistedC0' ./internal/bfv
 
 debug:
-	$(GO) test -race -shuffle=on -tags chocodebug ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core
+	$(GO) test -race -shuffle=on -tags chocodebug ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core ./internal/nn
 
 purego:
 	$(GO) build -tags purego ./...

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"choco/internal/apps/distance"
+	"choco/internal/nn"
 )
 
 func TestTable1(t *testing.T) {
@@ -113,6 +114,15 @@ func TestFig12Headlines(t *testing.T) {
 	// Paper: partial hardware still ~14.5× slower than local.
 	if avg := sumPartial / n; avg < 5 || avg > 80 {
 		t.Errorf("partial-HW vs local %.1f× outside expectation (paper 14.5×)", avg)
+	}
+	// The executable row: one more decryption than the model condenses
+	// to, each at one residue, so the software client is cheaper.
+	exec, err := ExecutableBreakdown(nn.LeNetSmall())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exec.EncOps != 3 || exec.DecOps != 4 || exec.CHOCOSW >= rows[0].CHOCOSW || !strings.Contains(out, exec.Network) {
+		t.Errorf("executable LeNet-Sm row %+v against the model's %+v", exec, rows[0])
 	}
 }
 
@@ -228,6 +238,9 @@ func TestFig14EnergyShape(t *testing.T) {
 	if !(vgg.LocalGain > lg.LocalGain && lg.LocalGain > sqz.LocalGain) {
 		t.Errorf("MACs-per-MB ordering violated: VGG %.2f, LeNetLg %.2f, Sqz %.2f",
 			vgg.LocalGain, lg.LocalGain, sqz.LocalGain)
+	}
+	if !strings.Contains(out, "LeNetSm-exec") || !strings.Contains(out, "459044 B on the wire, replies at 1 of 2 residues") {
+		t.Error("no executable LeNet-Sm row at the reply level")
 	}
 	// Communication dominates end-to-end time.
 	for _, r := range rows {

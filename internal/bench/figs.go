@@ -39,10 +39,38 @@ type ClientBreakdown struct {
 // improve the software client 1.7× over the SEAL-default baseline.
 const chocoSWFactor = 1.7
 
-// ClientBreakdowns computes Fig 2/12's bars for all four networks.
-func ClientBreakdowns() ([]ClientBreakdown, error) {
+// clientBreakdown prices enc encryptions and dec decryptions under every
+// acceleration mode; uploads and downloads may differ in residue count.
+func clientBreakdown(name string, enc, dec int, encShape, decShape device.HEShape, app, local float64) ClientBreakdown {
 	client := device.DefaultClient()
 	cfg := accel.PaperConfig()
+	partial := func(covered float64) float64 {
+		return float64(enc)*client.PartialHWEncryptTime(encShape, covered) +
+			float64(dec)*client.PartialHWDecryptTime(decShape, covered)
+	}
+	swHE := float64(enc)*client.EncryptTime(encShape) + float64(dec)*client.DecryptTime(decShape)
+	tacoHE := float64(enc)*cfg.EncryptTime(encShape) + float64(dec)*cfg.DecryptTime(decShape)
+	return ClientBreakdown{
+		Network: name,
+		EncOps:  enc, DecOps: dec,
+		AppTime: app,
+		SEALSW:  chocoSWFactor*swHE + app,
+		CHOCOSW: swHE + app,
+		SIMDSW:  partial(device.SIMDCoveredSpeedup) + app,
+		HEAX:    partial(device.HEAXCoveredSpeedup) + app,
+		FPGA:    partial(device.FPGACoveredSpeedup) + app,
+		TACO:    tacoHE + app,
+		Local:   local,
+	}
+}
+
+// appTime is the client's plaintext work between the linear layers.
+func appTime(n *nn.Network) float64 {
+	return float64(n.ActivationCount()) * appCyclesPerValue / device.DefaultClient().ClockHz
+}
+
+// ClientBreakdowns computes Fig 2/12's bars for all four networks.
+func ClientBreakdowns() ([]ClientBreakdown, error) {
 	var out []ClientBreakdown
 	for _, n := range nn.Zoo() {
 		enc, dec, err := n.EncDecCounts()
@@ -50,31 +78,33 @@ func ClientBreakdowns() ([]ClientBreakdown, error) {
 			return nil, err
 		}
 		shape := device.HEShape{N: n.Params.N(), K: n.HEShapeK()}
-		app := float64(n.ActivationCount()) * appCyclesPerValue / client.ClockHz
-
-		swHE := float64(enc)*client.EncryptTime(shape) + float64(dec)*client.DecryptTime(shape)
-		simdHE := float64(enc)*client.PartialHWEncryptTime(shape, device.SIMDCoveredSpeedup) +
-			float64(dec)*client.PartialHWDecryptTime(shape, device.SIMDCoveredSpeedup)
-		heaxHE := float64(enc)*client.PartialHWEncryptTime(shape, device.HEAXCoveredSpeedup) +
-			float64(dec)*client.PartialHWDecryptTime(shape, device.HEAXCoveredSpeedup)
-		fpgaHE := float64(enc)*client.PartialHWEncryptTime(shape, device.FPGACoveredSpeedup) +
-			float64(dec)*client.PartialHWDecryptTime(shape, device.FPGACoveredSpeedup)
-		tacoHE := float64(enc)*cfg.EncryptTime(shape) + float64(dec)*cfg.DecryptTime(shape)
-
-		out = append(out, ClientBreakdown{
-			Network: n.Name,
-			EncOps:  enc, DecOps: dec,
-			AppTime: app,
-			SEALSW:  chocoSWFactor*swHE + app,
-			CHOCOSW: swHE + app,
-			SIMDSW:  simdHE + app,
-			HEAX:    heaxHE + app,
-			FPGA:    fpgaHE + app,
-			TACO:    tacoHE + app,
-			Local:   client.LocalInferenceTime(n.MACs()),
-		})
+		out = append(out, clientBreakdown(n.Name, enc, dec, shape, shape, appTime(n), device.DefaultClient().LocalInferenceTime(n.MACs())))
 	}
 	return out, nil
+}
+
+// executableShapes returns what the split client/server really moves for
+// n (nn.ExecutableRequestCost) with the shapes the client works at:
+// uploads at the paper's k, replies at the residues left after the
+// server's modulus switch.
+func executableShapes(n *nn.Network) (rc nn.RequestCost, up, down device.HEShape, err error) {
+	rc, err = nn.ExecutableRequestCost(n)
+	up = device.HEShape{N: n.Params.N(), K: n.HEShapeK()}
+	down = device.HEShape{N: n.Params.N(), K: len(n.Params.QBits) - n.Params.ReplyDrop()}
+	return rc, up, down, err
+}
+
+// ExecutableBreakdown is the Fig 12 row of a network the split
+// client/server can run, fed with the executable's own counts instead of
+// CommPlan's: one encryption per upload, one decryption per reply, each
+// reply decrypted at the residue count it arrives with.
+func ExecutableBreakdown(n *nn.Network) (ClientBreakdown, error) {
+	rc, up, down, err := executableShapes(n)
+	if err != nil {
+		return ClientBreakdown{}, err
+	}
+	return clientBreakdown(n.Name+"-exec", rc.UpCiphertexts, rc.DownCiphertexts, up, down,
+		appTime(n), device.DefaultClient().LocalInferenceTime(n.MACs())), nil
 }
 
 // Fig2 renders the motivation characterization: software client HE
@@ -118,6 +148,15 @@ func Fig12() (string, []ClientBreakdown, error) {
 		sumSpeedLocal += r.Local / r.TACO
 		sumPartialVsLocal += r.HEAX / r.Local
 	}
+	// The same bars from what the executable moves: 4 replies where the
+	// model condenses to 3, each decrypted at one residue (the model rows
+	// price every decryption at the paper's k = 3). Not in the averages.
+	exec, err := ExecutableBreakdown(nn.LeNetSmall())
+	if err != nil {
+		return "", nil, err
+	}
+	fmt.Fprintf(&b, "%-12s %9.4f %12.4f %12.4f %12.4f %12.6f %12.4f  (%d enc, %d dec at the reply level)\n",
+		exec.Network, exec.SEALSW, exec.CHOCOSW, exec.HEAX, exec.FPGA, exec.TACO, exec.Local, exec.EncOps, exec.DecOps)
 	n := float64(len(rows))
 	fmt.Fprintf(&b, "average TACO speedup over CHOCO-SW: %.1f× (paper: 121×)\n", sumSpeedSW/n)
 	fmt.Fprintf(&b, "average TACO vs local inference: %.2f× faster (paper: 2.2×)\n", sumSpeedLocal/n)
@@ -404,6 +443,17 @@ func Fig14() (string, []Fig14Row, error) {
 	server := device.DefaultServer()
 	cfg := accel.PaperConfig()
 
+	// offload prices one request: enc uploads and dec downloads on TACO at
+	// their shapes, the plaintext layers, the link and the server.
+	offload := func(n *nn.Network, enc, dec int, up, down device.HEShape, bytes int64, srvOps core.OpCounts) (time, energy float64) {
+		appT := appTime(n)
+		time = float64(enc)*cfg.EncryptTime(up) + float64(dec)*cfg.DecryptTime(down) +
+			appT + link.Time(bytes) + server.OpTime(up, srvOps)
+		energy = float64(enc)*cfg.EncryptEnergyJ(up) + float64(dec)*cfg.DecryptEnergyJ(down) +
+			client.Energy(appT) + link.Energy(bytes)
+		return time, energy
+	}
+
 	var rows []Fig14Row
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 14: end-to-end single-image inference, CHOCO-TACO vs local TFLite\n")
@@ -419,8 +469,6 @@ func Fig14() (string, []Fig14Row, error) {
 			return "", nil, err
 		}
 		shape := device.HEShape{N: n.Params.N(), K: n.HEShapeK()}
-		appT := float64(n.ActivationCount()) * appCyclesPerValue / client.ClockHz
-		hwT := float64(enc)*cfg.EncryptTime(shape) + float64(dec)*cfg.DecryptTime(shape)
 
 		// Server op counts from the analytic per-layer model.
 		var srvOps core.OpCounts
@@ -435,13 +483,8 @@ func Fig14() (string, []Fig14Row, error) {
 			srvOps.Adds += 64
 			_ = lc
 		}
-		srvT := server.OpTime(shape, srvOps)
-		commT := link.Time(comm)
-
-		chocoTime := hwT + appT + commT + srvT
-		clientHW := float64(enc)*cfg.EncryptEnergyJ(shape) + float64(dec)*cfg.DecryptEnergyJ(shape)
-		chocoEnergy := clientHW + client.Energy(appT) + link.Energy(comm)
-		paperCommEnergy := clientHW + client.Energy(appT) + link.Energy(int64(n.PaperCommMB*1e6))
+		chocoTime, chocoEnergy := offload(n, enc, dec, shape, shape, comm, srvOps)
+		paperCommEnergy := chocoEnergy - link.Energy(comm) + link.Energy(int64(n.PaperCommMB*1e6))
 		localTime := client.LocalInferenceTime(n.MACs())
 		localEnergy := client.Energy(localTime)
 		rows = append(rows, Fig14Row{
@@ -454,6 +497,19 @@ func Fig14() (string, []Fig14Row, error) {
 			n.Name, chocoTime, localTime, chocoEnergy*1e3, localEnergy*1e3,
 			(1-chocoEnergy/localEnergy)*100, (1-paperCommEnergy/localEnergy)*100)
 	}
+	// LeNet-Sm as the split client/server runs it: the wire's bytes (frame
+	// overhead included), decryptions at the reply level, the server's
+	// planned operation counts.
+	exec := nn.LeNetSmall()
+	rc, up, down, err := executableShapes(exec)
+	if err != nil {
+		return "", nil, err
+	}
+	execTime, execEnergy := offload(exec, rc.UpCiphertexts, rc.DownCiphertexts, up, down, rc.WireBytes, rc.Server)
+	localTime := client.LocalInferenceTime(exec.MACs())
+	fmt.Fprintf(&b, "%-12s %9.3f %12.4f %14.2f %14.2f %9.0f%% (executable: %d B on the wire, replies at %d of %d residues)\n",
+		exec.Name+"-exec", execTime, localTime, execEnergy*1e3, client.Energy(localTime)*1e3,
+		(1-execEnergy/client.Energy(localTime))*100, rc.WireBytes, down.K, len(exec.Params.QBits))
 	fmt.Fprintf(&b, "paper: VGG sees up to 37%% energy savings; SqueezeNet breaks even or loses;\n")
 	fmt.Fprintf(&b, "communication dominates time (~24× average overhead vs local compute).\n")
 	return b.String(), rows, nil

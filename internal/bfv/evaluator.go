@@ -301,10 +301,11 @@ func (ev *Evaluator) applyGalois(ct *Ciphertext, g uint64) (*Ciphertext, error) 
 
 // ModSwitchDown divides the ciphertext by its last data prime with
 // rounding, shrinking it by one residue (8·N·deg bytes on the wire) at
-// the cost of ~t·‖s‖₁/2 added noise. The paper's client-optimized
-// servers use it as the last step before transmitting results: compute
-// at full modulus, switch down, send small. Dropped ciphertexts
-// support addition and decryption only.
+// the cost of the rounding noise Parameters.ReplyDrop bounds. It is the
+// last step before a result is transmitted — compute at full modulus,
+// switch down ReplyDrop times, send small (nn.ServerSession does) — and
+// the result's polynomials come from the lower level's pool. Dropped
+// ciphertexts support addition and decryption only.
 func (ev *Evaluator) ModSwitchDown(ct *Ciphertext) (*Ciphertext, error) {
 	if rlwe.DebugEnabled {
 		ev.ctx.debugCheckCt("ModSwitchDown", ct)
@@ -319,34 +320,6 @@ func (ev *Evaluator) ModSwitchDown(ct *Ciphertext) (*Ciphertext, error) {
 			return nil, fmt.Errorf("bfv: modulus switch requires coefficient domain")
 		}
 		out.Value[vi] = ctx.DivRoundByLastModulus(p, ctx.MaxLevel()-ct.Drop)
-	}
-	return out, nil
-}
-
-// ModSwitchToSmallest switches down as far as decryption headroom
-// allows, keeping at least marginBits of noise budget (measured needs
-// the secret key, so the server uses the analytic bound: each drop
-// removes one residue's bits and adds ~log2(t·N/2) noise).
-func (ev *Evaluator) ModSwitchToSmallest(ct *Ciphertext, currentBudget int) (*Ciphertext, error) {
-	ctx := ev.ctx
-	out := ct
-	budget := currentBudget
-	//lint:ignore-choco bigintloop one BitLen per drop level on a handful of moduli, not per-coefficient work
-	for out.Drop < ctx.MaxDrop() {
-		r := ctx.RingAtDrop(out.Drop)
-		lastBits := r.Moduli[r.Level()-1].BitLen()
-		// Post-switch noise floor: t·(1+N)/2 in SEAL-noise units.
-		floorBits := ctx.T.BitLen() + ctx.Params.LogN
-		qBitsAfter := r.ModulusBig().BitLen() - lastBits
-		if qBitsAfter-floorBits < 4 || budget <= lastBits+4 {
-			break
-		}
-		next, err := ev.ModSwitchDown(out)
-		if err != nil {
-			return nil, err
-		}
-		out = next
-		budget -= lastBits
 	}
 	return out, nil
 }

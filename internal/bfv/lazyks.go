@@ -86,14 +86,14 @@ func (nc *NTTCiphertext) Recycle(ctx *Context) {
 	nc.Value = nil
 }
 
-// RecycleCt returns a full-modulus ciphertext's component buffers to
-// the data ring's scratch pool. Only for ciphertexts the caller owns
-// outright (kernel intermediates); the ciphertext must not be used
-// afterwards. Dropped-modulus components are silently skipped (PutPoly
-// rejects shape mismatches).
+// RecycleCt returns a ciphertext's component buffers to the scratch pool
+// of the data ring at its level. Only for ciphertexts the caller owns
+// outright (kernel intermediates, replies already marshalled); the
+// ciphertext must not be used afterwards.
 func (ctx *Context) RecycleCt(ct *Ciphertext) {
+	r := ctx.RingAtDrop(ct.Drop)
 	for _, p := range ct.Value {
-		ctx.RingQ.PutPoly(p)
+		r.PutPoly(p)
 	}
 	ct.Value = nil
 }

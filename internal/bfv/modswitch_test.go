@@ -121,27 +121,47 @@ func TestDroppedCiphertextOpsRestricted(t *testing.T) {
 	}
 }
 
-func TestModSwitchToSmallest(t *testing.T) {
-	// A three-residue chain can shed two residues when the budget is
-	// healthy.
-	params := Parameters{LogN: 11, QBits: []int{40, 40, 40}, PBits: 41, TBits: 16, Sigma: 3.2}
-	kit := newTestKit(t, params)
-	vals := []uint64{1, 2, 3, 4}
-	ct, _ := kit.enc.EncryptUints(vals)
-	budget := NoiseBudget(kit.ctx, kit.sk, ct)
-	small, err := kit.ev.ModSwitchToSmallest(ct, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Drop == 0 {
-		t.Error("expected at least one drop with a fresh budget")
-	}
-	got := kit.dec.DecryptUints(small)
-	for i, w := range vals {
-		if got[i] != w {
-			t.Fatalf("slot %d: got %d want %d", i, got[i], w)
+// TestReplyDrop holds Parameters.ReplyDrop to its stated rule — shed
+// trailing primes while the switch's own noise leaves replyFloorBits — and
+// the rule to the measurement: a fresh ciphertext, whose budget is far
+// above any ceiling, switched down ReplyDrop times keeps at least the
+// floor and decrypts.
+func TestReplyDrop(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		params Parameters
+		want   int
+	}{
+		{"bfv-A", PresetA(), 1},
+		{"bfv-B", PresetB(), 1}, // 35 − 18 − 6.8 = 10.2 bits at q0
+		{"test", PresetTest(), 1},
+		{"three primes, two to spare", Parameters{LogN: 11, QBits: []int{40, 40, 40}, PBits: 41, TBits: 16, Sigma: 3.2}, 2},
+		{"three primes, stops at the floor", Parameters{LogN: 11, QBits: []int{30, 30, 30}, PBits: 31, TBits: 18, Sigma: 3.2}, 1}, // 29 − 18 − 6.3 = 4.7 bits at q0
+		{"one data prime", Parameters{LogN: 11, QBits: []int{40}, PBits: 41, TBits: 17, Sigma: 3.2}, 0},
+	} {
+		if got := tc.params.ReplyDrop(); got != tc.want {
+			t.Errorf("%s: ReplyDrop = %d, want %d", tc.name, got, tc.want)
+			continue
+		}
+		if tc.params.LogN > 11 {
+			continue // the presets' layers are measured in nn.TestReplySwitchNoise
+		}
+		kit := newTestKit(t, tc.params)
+		vals := []uint64{1, 2, 3, 4}
+		ct, _ := kit.enc.EncryptUints(vals)
+		for d := 0; d < tc.want; d++ {
+			var err error
+			if ct, err = kit.ev.ModSwitchDown(ct); err != nil {
+				t.Fatal(err)
+			}
+		}
+		budget := NoiseBudgetBits(kit.ctx, kit.sk, ct)
+		t.Logf("%s: dropped %d of %d residues; budget left %.1f bits", tc.name, ct.Drop, len(tc.params.QBits), budget)
+		if tc.want > 0 && budget < replyFloorBits {
+			t.Errorf("%s: %.1f bits left after the switch, the rule promises %d", tc.name, budget, replyFloorBits)
+		}
+		if got := kit.dec.DecryptUints(ct); got[0] != 1 || got[1] != 2 || got[2] != 3 || got[3] != 4 {
+			t.Errorf("%s: switched ciphertext decrypts to %v", tc.name, got[:4])
 		}
 	}
-	t.Logf("dropped %d of %d residues; final budget %d",
-		small.Drop, len(params.QBits), NoiseBudget(kit.ctx, kit.sk, small))
 }

@@ -16,6 +16,7 @@ package bfv
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 
 	"choco/internal/nt"
@@ -50,6 +51,40 @@ func (p Parameters) Slots() int { return p.N() }
 // These are the numbers in the paper's Table 3.
 func (p Parameters) CiphertextBytes() int {
 	return 2 * p.N() * len(p.QBits) * 8
+}
+
+// replyFloorBits is the noise budget the modulus switch alone must leave
+// at the modulus a reply is sent at. The switch adds its rounding noise to
+// whatever the reply carries, so a reply holding b bits leaves with at
+// least b − log2(1+2^(b−floor)): with 8, one bit of budget keeps 0.99 of
+// it — nothing that decrypted before the switch fails after it — and a
+// reply holding more than the floor is cut down towards it, budget nobody
+// uses once the ciphertext is only ever decrypted.
+const replyFloorBits = 8
+
+// ReplyDrop returns how many trailing data primes a finished result sheds
+// (Evaluator.ModSwitchDown, once each) before it is sent: as many as leave
+// replyFloorBits of budget under the switch's own noise. Dividing by a
+// prime with rounding adds t·(ε₀ + ε₁·s) in noise-budget units, each ε
+// coefficient a rounding error uniform in [−½, ½]; a coefficient of the
+// sum has standard deviation at most σ = sqrt((N+1)/12) whatever the
+// ternary secret's weight, and 6σ bounds all N of them but for a
+// probability near 2⁻¹⁶ at N = 8192 (the worst case, (N+1)/2, would deny
+// bfv-B a drop that costs its replies 0.03 bit). What is left at k primes
+// is Σ QBits[:k] − 1 − TBits − log2(6σ): 10.2 bits at bfv-B's q₀ (one
+// drop), 26.7 at bfv-A's; a set with one data prime never switches. Both
+// ends compute it from the parameter set alone, so nothing on the wire
+// says so but the frame's residue count.
+func (p Parameters) ReplyDrop() int {
+	left := float64(p.LogQ()-1-p.TBits) - math.Log2(6*math.Sqrt(float64(p.N()+1)/12))
+	drop := 0
+	for k := len(p.QBits) - 1; k >= 1; k-- {
+		if left -= float64(p.QBits[k]); left < replyFloorBits {
+			break
+		}
+		drop++
+	}
+	return drop
 }
 
 // LogQ returns the total data-modulus width in bits.

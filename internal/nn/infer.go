@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 
-	"choco/internal/bfv"
 	"choco/internal/core"
 	"choco/internal/protocol"
 )
@@ -71,163 +70,58 @@ func avgPool2(chans [][]int64, h, w int) [][]int64 {
 	return out
 }
 
-// Runner executes client-aided encrypted inference: linear layers on
-// an (untrusted) evaluator reached through a transport, nonlinear
-// layers locally in plaintext, with full byte and operation
-// accounting.
+// Runner executes client-aided encrypted inference in one process: an
+// InferenceClient and a ServerSession holding its evaluation keys, joined
+// per request by whatever transports the caller hands Infer.
 type Runner struct {
 	Model *QuantizedModel
 
-	ctx    *bfv.Context
-	sk     *bfv.SecretKey
-	symEnc *bfv.SymmetricEncryptor
-	dec    *bfv.Decryptor
-	ecd    *bfv.Encoder
-	ev     *bfv.Evaluator
-
-	convs map[int]*core.Conv2D
-	fcs   map[int]*core.FC
+	client *InferenceClient
+	sess   *ServerSession
 }
 
 // NewRunner compiles the model's linear layers against the network's
 // BFV preset and generates exactly the Galois keys they need.
 func NewRunner(m *QuantizedModel, seed [32]byte) (*Runner, error) {
-	ctx, err := bfv.NewContext(m.Net.Params)
+	client, err := NewInferenceClient(m.Net, seed)
 	if err != nil {
 		return nil, err
 	}
-	rotSteps, convs, fcs, err := rotationStepsFor(m.Net, m, ctx.Params.N()/2)
+	srv, err := NewInferenceServer(m)
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{Model: m, ctx: ctx, convs: convs, fcs: fcs}
-
-	kg := bfv.NewKeyGenerator(ctx, seed)
-	r.sk = kg.GenSecretKey()
-	relin := kg.GenRelinearizationKey(r.sk)
-	galois := kg.GenRotationKeys(r.sk, rotSteps...)
-	r.symEnc = bfv.NewSymmetricEncryptor(ctx, r.sk, seed)
-	r.dec = bfv.NewDecryptor(ctx, r.sk)
-	r.ecd = bfv.NewEncoder(ctx)
-	r.ev = bfv.NewEvaluator(ctx, relin, galois)
-	return r, nil
+	return &Runner{Model: m, client: client, sess: srv.NewSession(client.bundle)}, nil
 }
 
-// Infer runs one image through the client-aided protocol. The client
-// and server halves exchange serialized ciphertexts through the given
-// transports (clientEnd ↔ serverEnd), so the returned stats reflect
-// real wire traffic.
+// Infer runs one image through the client-aided protocol: the server half
+// serves one request on serverEnd while the client half infers over
+// clientEnd, so the returned stats reflect real wire traffic and
+// stats.Server is what ServeOne counted. A half that fails tells the
+// other, which would otherwise wait for a frame that will not come: the
+// server with a session-error frame, the client with an empty frame the
+// server refuses to decode.
 func (r *Runner) Infer(image [][]int64, clientEnd, serverEnd protocol.Transport) ([]int64, core.Stats, error) {
-	var stats core.Stats
-	net := r.Model.Net
-	act := image
-	h, w := net.InH, net.InW
-	slots := r.ctx.Params.Slots()
-
-	sendToServer := func(ct *bfv.SeededCiphertext) (*bfv.Ciphertext, error) {
-		data := protocol.MarshalSeededBFV(ct)
-		if err := clientEnd.Send(data); err != nil {
-			return nil, err
-		}
-		stats.UpCiphertexts++
-		stats.UpBytes += int64(len(data)) + 4
-		raw, err := serverEnd.Recv()
+	type served struct {
+		ops core.OpCounts
+		err error
+	}
+	done := make(chan served, 1)
+	go func() {
+		ops, err := r.sess.ServeOne(serverEnd)
 		if err != nil {
-			return nil, err
+			_ = serverEnd.Send(protocol.MarshalSessionError(err.Error())) // the client reports it, or has already failed
 		}
-		return protocol.UnmarshalAnyBFV(r.ctx, raw)
+		done <- served{ops, err}
+	}()
+	logits, stats, err := r.client.Infer(image, clientEnd)
+	if err != nil {
+		_ = clientEnd.Send(nil) // the server is done, or fails on this frame
 	}
-	sendToClient := func(ct *bfv.Ciphertext) (*bfv.Ciphertext, error) {
-		data := protocol.MarshalBFV(ct)
-		if err := serverEnd.Send(data); err != nil {
-			return nil, err
-		}
-		stats.DownCiphertexts++
-		stats.DownBytes += int64(len(data)) + 4
-		raw, err := clientEnd.Recv()
-		if err != nil {
-			return nil, err
-		}
-		return protocol.UnmarshalBFV(r.ctx, raw)
+	s := <-done
+	stats.Server = s.ops
+	if err == nil {
+		err = s.err
 	}
-
-	for i, l := range net.Layers {
-		switch l.Kind {
-		case Conv:
-			conv := r.convs[i]
-			packed, err := conv.PackInput(act, slots)
-			if err != nil {
-				return nil, stats, fmt.Errorf("nn: layer %d pack: %w", i, err)
-			}
-			ct, err := r.symEnc.EncryptIntsSeeded(packed)
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.Encryptions++
-			srvIn, err := sendToServer(ct)
-			if err != nil {
-				return nil, stats, err
-			}
-			outs, ops, err := conv.Apply(r.ev, r.ecd, srvIn, slots)
-			if err != nil {
-				return nil, stats, fmt.Errorf("nn: layer %d conv: %w", i, err)
-			}
-			stats.Server.Add(ops)
-			next := make([][]int64, l.OutC)
-			for g, outCt := range outs {
-				cliCt, err := sendToClient(outCt)
-				if err != nil {
-					return nil, stats, err
-				}
-				decoded := r.dec.DecryptInts(cliCt)
-				stats.Decryptions++
-				for o := g * conv.GroupSize(); o < (g+1)*conv.GroupSize() && o < l.OutC; o++ {
-					next[o] = conv.ExtractOutput(decoded, o)
-				}
-			}
-			act = next
-		case FC:
-			fc := r.fcs[i]
-			packed, err := fc.PackInput(flatten(act), slots)
-			if err != nil {
-				return nil, stats, fmt.Errorf("nn: layer %d pack: %w", i, err)
-			}
-			ct, err := r.symEnc.EncryptIntsSeeded(packed)
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.Encryptions++
-			srvIn, err := sendToServer(ct)
-			if err != nil {
-				return nil, stats, err
-			}
-			out, ops, err := fc.Apply(r.ev, r.ecd, srvIn, slots)
-			if err != nil {
-				return nil, stats, fmt.Errorf("nn: layer %d fc: %w", i, err)
-			}
-			stats.Server.Add(ops)
-			cliCt, err := sendToClient(out)
-			if err != nil {
-				return nil, stats, err
-			}
-			decoded := r.dec.DecryptInts(cliCt)
-			stats.Decryptions++
-			act = [][]int64{fc.ExtractOutput(decoded, r.ctx.T.Value)}
-			h, w = 1, l.FCOut
-		case Act:
-			for c := range act {
-				for j := range act[c] {
-					v := act[c][j]
-					if v < 0 {
-						v = 0
-					}
-					act[c][j] = v >> l.RequantShift
-				}
-			}
-		case Pool:
-			act = avgPool2(act, h, w)
-			h, w = h/2, w/2
-		}
-	}
-	return flatten(act), stats, nil
+	return logits, stats, err
 }

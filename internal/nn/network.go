@@ -186,10 +186,19 @@ func (n *Network) UpCiphertextBytes() int {
 	return n.Params.N()*len(n.Params.QBits)*8 + 32
 }
 
-// DownCiphertextBytes returns the download size per ciphertext (full
-// two-component form; the server cannot seed-compress).
+// DownCiphertextBytes returns the download size per ciphertext in the
+// paper's model (full two-component form at every data prime; the server
+// cannot seed-compress). CommPlan and CommBytes keep it, so Table 5 and
+// Figs 10 and 15 stay the paper's; the executable sends less.
 func (n *Network) DownCiphertextBytes() int {
 	return n.Params.CiphertextBytes()
+}
+
+// ReplyCiphertextBytes returns what a download weighs on the executable
+// path, where the server modulus-switches every reply down by the
+// parameter set's ReplyDrop before sending it.
+func (n *Network) ReplyCiphertextBytes() int {
+	return 2 * n.Params.N() * (len(n.Params.QBits) - n.Params.ReplyDrop()) * 8
 }
 
 // CommBytes returns total protocol bytes for one inference: seeded

@@ -29,6 +29,10 @@ type InferenceClient struct {
 
 	convs map[int]*core.Conv2D
 	fcs   map[int]*core.FC
+
+	// replyDrop is the level every reply must arrive at
+	// (bfv.Parameters.ReplyDrop); Infer refuses any other.
+	replyDrop int
 }
 
 // rotationStepsFor compiles the network's linear layers against the
@@ -147,8 +151,8 @@ type RequestCost struct {
 
 // ExecutableRequestCost plans one inference of a network the split
 // client/server can run. Unlike CommPlan — the analytic model, which
-// assumes densely condensed downloads — it counts the reply ciphertexts
-// the operators' packing produces.
+// assumes densely condensed, full-size downloads — it counts the reply
+// ciphertexts the operators' packing produces, at the level they are sent.
 func ExecutableRequestCost(net *Network) (RequestCost, error) {
 	var rc RequestCost
 	_, convs, fcs, err := rotationStepsFor(net, nil, net.Params.N()/2)
@@ -168,7 +172,7 @@ func ExecutableRequestCost(net *Network) (RequestCost, error) {
 		add(fc.Plan(fc.HoistLevel()), 1)
 	}
 	rc.WireBytes = int64(rc.UpCiphertexts)*int64(net.UpCiphertextBytes()+protocol.FrameOverheadBytes) +
-		int64(rc.DownCiphertexts)*int64(net.DownCiphertextBytes()+protocol.FrameOverheadBytes)
+		int64(rc.DownCiphertexts)*int64(net.ReplyCiphertextBytes()+protocol.FrameOverheadBytes)
 	return rc, nil
 }
 
@@ -197,6 +201,8 @@ func NewInferenceClient(net *Network, seed [32]byte) (*InferenceClient, error) {
 		bundle: &protocol.KeyBundle{PK: pk, Relin: relin, Galois: galois},
 		convs:  convs,
 		fcs:    fcs,
+
+		replyDrop: net.Params.ReplyDrop(),
 	}, nil
 }
 
@@ -291,7 +297,10 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 		stats.UpBytes += int64(len(data)) + 4
 		return t.Send(data)
 	}
-	recv := func() (*bfv.Ciphertext, error) {
+	// recv takes output group g of layer i. A reply at any level but the
+	// parameter set's is refused: the plan's byte count is the wire's, and
+	// a server that stops switching fails the request.
+	recv := func(i, g int) (*bfv.Ciphertext, error) {
 		raw, err := t.Recv()
 		if err != nil {
 			return nil, err
@@ -302,7 +311,12 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 		stats.Decryptions++
 		stats.DownCiphertexts++
 		stats.DownBytes += int64(len(raw)) + 4
-		return protocol.UnmarshalBFV(c.ctx, raw)
+		ct, err := protocol.UnmarshalBFV(c.ctx, raw)
+		if err == nil && ct.Drop != c.replyDrop {
+			k := len(c.ctx.Params.QBits)
+			err = fmt.Errorf("nn: layer %d output group %d arrived at %d residues, the parameter set's replies have %d", i, g, k-ct.Drop, k-c.replyDrop)
+		}
+		return ct, err
 	}
 
 	for i, l := range net.Layers {
@@ -322,7 +336,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 			}
 			next := make([][]int64, l.OutC)
 			for g := 0; g < conv.Groups(); g++ {
-				outCt, err := recv()
+				outCt, err := recv(i, g)
 				if err != nil {
 					return nil, stats, err
 				}
@@ -345,7 +359,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 			if err := send(ct); err != nil {
 				return nil, stats, err
 			}
-			outCt, err := recv()
+			outCt, err := recv(i, 0)
 			if err != nil {
 				return nil, stats, err
 			}
@@ -386,6 +400,10 @@ type InferenceServer struct {
 	ecd   *bfv.Encoder
 	convs map[int]*core.Conv2D
 	fcs   map[int]*core.FC
+
+	// replyDrop is how many data primes every finished output sheds
+	// before it is sent (bfv.Parameters.ReplyDrop).
+	replyDrop int
 
 	// session backs the legacy AcceptSetup/ServeOne API.
 	session *ServerSession
@@ -462,7 +480,8 @@ func NewInferenceServer(m *QuantizedModel) (*InferenceServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &InferenceServer{Model: m, ctx: ctx, ecd: bfv.NewEncoder(ctx), convs: convs, fcs: fcs}, nil
+	return &InferenceServer{Model: m, ctx: ctx, ecd: bfv.NewEncoder(ctx), convs: convs, fcs: fcs,
+		replyDrop: ctx.Params.ReplyDrop()}, nil
 }
 
 // AcceptSetup receives the client's evaluation keys into the default
@@ -488,7 +507,8 @@ func (s *InferenceServer) ServeOne(t protocol.Transport) (core.OpCounts, error) 
 
 // ServeOne processes one inference request on this session: for each
 // linear layer it receives the packed input ciphertext, evaluates, and
-// returns the output group ciphertexts. The first Recv is the start of
+// returns the output group ciphertexts, each modulus-switched down to the
+// parameter set's reply level first. The first Recv is the start of
 // the request — a server may arm an idle timeout for it and a tighter
 // I/O timeout for the frames that follow. Returns the server-side
 // operation counts. Errors carry the failing layer and frame role.
@@ -536,10 +556,23 @@ func (sess *ServerSession) ServeOneAccounted(t protocol.Transport, account func(
 		}
 		ops.Add(layerOps)
 		for g, o := range outs {
+			// A finished output is this request's alone and is only ever
+			// decrypted: it sheds the primes decryption does not need, and
+			// both sizes go back to their rings' pools once marshalled.
+			for d := 0; d < s.replyDrop; d++ {
+				small, err := sess.ev.ModSwitchDown(o)
+				if err != nil {
+					return ops, fmt.Errorf("nn: layer %d (%s) switch output group %d/%d down: %w", i, kind, g+1, len(outs), err)
+				}
+				sess.ev.RecycleCt(o)
+				o = small
+			}
+			frame := protocol.MarshalBFV(o)
+			sess.ev.RecycleCt(o)
 			if account != nil && i == last && g == len(outs)-1 {
 				account(ops)
 			}
-			if err := t.Send(protocol.MarshalBFV(o)); err != nil {
+			if err := t.Send(frame); err != nil {
 				return ops, fmt.Errorf("nn: layer %d (%s) send output group %d/%d: %w", i, kind, g+1, len(outs), err)
 			}
 		}

@@ -157,14 +157,14 @@ func TestSplitDemoNetworkEndToEnd(t *testing.T) {
 		t.Error("demo network produced all-zero logits; requant shifts too aggressive")
 	}
 	// Preset B wire check: seeded uploads carry one polynomial plus a
-	// 32-byte seed (65536 B payload) while downloads are full 131072 B
-	// ciphertexts.
+	// 32-byte seed (65536 B payload); downloads are two polynomials at the
+	// one residue replies are switched down to (65536 B again).
 	perUp := stats.UpBytes / int64(stats.UpCiphertexts)
 	if perUp < 65536 || perUp > 65700 {
 		t.Errorf("per-ciphertext up bytes %d, want ~65568", perUp)
 	}
 	perDown := stats.DownBytes / int64(stats.DownCiphertexts)
-	if perDown < 131072 || perDown > 131200 {
-		t.Errorf("per-ciphertext down bytes %d, want ~131096", perDown)
+	if perDown < 65536 || perDown > 65700 {
+		t.Errorf("per-ciphertext down bytes %d, want ~65564", perDown)
 	}
 }

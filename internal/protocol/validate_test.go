@@ -48,9 +48,13 @@ func newWireFrames(t testing.TB) wireFrames {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropped, err := bfv.NewEvaluator(bctx, nil, nil).ModSwitchDown(bct)
-	if err != nil {
-		t.Fatal(err)
+	// The frame a reply leaves as: switched down to the parameter set's
+	// reply level, k = 1 at the Test preset.
+	dropped, bev := bct, bfv.NewEvaluator(bctx, nil, nil)
+	for d := 0; d < bctx.Params.ReplyDrop(); d++ {
+		if dropped, err = bev.ModSwitchDown(dropped); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	cctx, err := ckks.NewContext(ckks.PresetTest())
@@ -239,6 +243,9 @@ func FuzzUnmarshalBFV(f *testing.F) {
 	}
 	f.Add(mutated(w.bfvFull, withDegree(3)))
 	f.Add(mutated(w.bfvFull, setU32(4, math.MaxUint32)))
+	// A reply whose header and body disagree about the level, both ways.
+	f.Add(mutated(w.bfvDropped, setU32(12, 2)))
+	f.Add(mutated(w.bfvFull, setU32(12, 1)))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, decode := range []func(*bfv.Context, []byte) (*bfv.Ciphertext, error){UnmarshalBFV, UnmarshalSeededBFV, UnmarshalAnyBFV} {

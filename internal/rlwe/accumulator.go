@@ -155,8 +155,7 @@ func (qa *QPAccumulator) FinalizeModDown() (c0, c1 *ring.Poly) {
 	for h := range out {
 		out[h] = rQl.GetPoly()
 		for i, m := range rQl.Moduli {
-			pi := qa.ctx.pInvQ[i]
-			pis := m.ShoupPrecomp(pi)
+			pi, pis := qa.ctx.pInvQ[i], qa.ctx.pInvQShoup[i]
 			src := qa.acc[h].Coeffs[i]
 			rQlP.NTTInverseRow(i, src)
 			d := out[h].Coeffs[i]

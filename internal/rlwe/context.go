@@ -49,9 +49,25 @@ type Context struct {
 
 	// Key-switch helpers: qTildeQP[i] = (Q/q_i)·[(Q/q_i)^-1 mod q_i] (the
 	// CRT basis element, ≡1 mod q_i, ≡0 mod q_j) reduced into the QP
-	// basis; pInvQ[i] = P^-1 mod q_i.
-	qTildeQP [][]uint64
-	pInvQ    []uint64
+	// basis; pInvQ[i] = P^-1 mod q_i. qInvQ[l][i] = q_l^-1 mod q_i for
+	// i < l is the same constant for the divide-by-last-prime at level l.
+	// Each comes with its Shoup companions.
+	qTildeQP          [][]uint64
+	pInvQ, pInvQShoup []uint64
+	qInvQ, qInvQShoup [][]uint64
+}
+
+// invShoup returns p^-1 modulo each of moduli with its Shoup companions.
+func invShoup(label string, moduli []nt.Modulus, p uint64) (inv, shoup []uint64, err error) {
+	inv, shoup = make([]uint64, len(moduli)), make([]uint64, len(moduli))
+	for i, m := range moduli {
+		v, ok := m.Inv(m.Reduce(p))
+		if !ok {
+			return nil, nil, fmt.Errorf("%s: chain prime %d not invertible mod q_%d", label, p, i)
+		}
+		inv[i], shoup[i] = v, m.ShoupPrecomp(v)
+	}
+	return inv, shoup, nil
 }
 
 // ValidateChain sanity-checks the scheme-independent half of a parameter
@@ -111,19 +127,18 @@ func NewContext(label string, logN int, qBits []int, pBits int, sigma float64) (
 		}
 	}
 	ctx.ringQl[nData-1] = ctx.RingQ
+	ctx.qInvQ, ctx.qInvQShoup = make([][]uint64, nData), make([][]uint64, nData)
+	for l := 1; l < nData; l++ {
+		if ctx.qInvQ[l], ctx.qInvQShoup[l], err = invShoup(label, ctx.RingQ.Moduli[:l], primes[l]); err != nil {
+			return nil, err
+		}
+	}
 	if pBits == 0 {
 		return ctx, nil
 	}
 	ctx.ringQlP[nData-1] = ctx.RingQP
-
-	p := primes[nData]
-	ctx.pInvQ = make([]uint64, nData)
-	for i, m := range ctx.RingQ.Moduli {
-		inv, ok := m.Inv(m.Reduce(p))
-		if !ok {
-			return nil, fmt.Errorf("%s: special prime not invertible mod q_%d", label, i)
-		}
-		ctx.pInvQ[i] = inv
+	if ctx.pInvQ, ctx.pInvQShoup, err = invShoup(label, ctx.RingQ.Moduli, primes[nData]); err != nil {
+		return nil, err
 	}
 	bigQ := ctx.RingQ.ModulusBig()
 	ctx.qTildeQP = make([][]uint64, nData)

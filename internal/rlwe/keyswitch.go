@@ -75,14 +75,14 @@ func (ctx *Context) modDownPair(level int, acc0, acc1 *ring.Poly) (d0, d1 *ring.
 	return d0, d1
 }
 
-// subCentred is the one place a divide-by-a-prime rounds. xp is the row
-// of a coefficient-domain polynomial modulo the prime p being divided
-// out; for another prime m of the basis it computes dst[k] = src[k] − c[k]
-// mod q, where c is the centred representative of xp[k] mod p reduced
-// mod q: values above p/2 stand for t − p ≡ Reduce(t) − Reduce(p), which
-// shares the canonical-form Reduce with the small case. Subtracting c
-// leaves an exact multiple of p, so the callers only have to multiply by
-// p⁻¹; src and dst may be the same row.
+// subCentred is where a divide-by-a-prime rounds. xp is the row of a
+// coefficient-domain polynomial modulo the prime p being divided out; for
+// another prime m of the basis it computes dst[k] = src[k] − c[k] mod q,
+// where c is the centred representative of xp[k] mod p reduced mod q:
+// values above p/2 stand for t − p ≡ Reduce(t) − Reduce(p), which shares
+// the canonical-form Reduce with the small case. Subtracting c leaves an
+// exact multiple of p, so the callers only have to multiply by p⁻¹; src
+// and dst may be the same row.
 func subCentred(m nt.Modulus, p uint64, xp, src, dst []uint64) {
 	halfP, pModQ := p>>1, m.Reduce(p)
 	xp, src = xp[:len(dst)], src[:len(dst)]
@@ -93,6 +93,21 @@ func subCentred(m nt.Modulus, p uint64, xp, src, dst []uint64) {
 			c = m.Sub(c, pModQ)
 		}
 		dst[k] = m.Sub(src[k], c)
+	}
+}
+
+// divRoundRow is subCentred and the multiplication by p⁻¹ mod q (inv, with
+// its Shoup companion) in one pass over the row: dst = round(x/p) mod q.
+func divRoundRow(m nt.Modulus, p, inv, invShoup uint64, xp, src, dst []uint64) {
+	halfP, pModQ := p>>1, m.Reduce(p)
+	xp, src = xp[:len(dst)], src[:len(dst)]
+	for k := range dst {
+		t := xp[k]
+		c := m.Reduce(t)
+		if t > halfP {
+			c = m.Sub(c, pModQ)
+		}
+		dst[k] = m.MulShoup(m.Sub(src[k], c), inv, invShoup)
 	}
 }
 
@@ -110,25 +125,22 @@ func (ctx *Context) modDown(level int, x *ring.Poly) *ring.Poly {
 	rQl := ctx.ringQl[level]
 	out := rQl.GetPoly()
 	for i, m := range rQl.Moduli {
-		subCentred(m, ctx.special(), x.Coeffs[level+1], x.Coeffs[i], out.Coeffs[i])
-		scaleRow(m, ctx.pInvQ[i], out.Coeffs[i])
+		divRoundRow(m, ctx.special(), ctx.pInvQ[i], ctx.pInvQShoup[i], x.Coeffs[level+1], x.Coeffs[i], out.Coeffs[i])
 	}
 	return out
 }
 
 // DivRoundByLastModulus divides p (coefficient domain, at the given
 // level ≥ 1) by its last prime q_l with rounding and returns the result
-// one level down: the arithmetic under CKKS's Rescale and BFV's
-// ModSwitchDown, and the same step as the divide-by-P with q_l in P's
-// place.
+// one level down, from that level ring's pool: the arithmetic under
+// CKKS's Rescale and BFV's ModSwitchDown, and the same step as the
+// divide-by-P with q_l in P's place.
 func (ctx *Context) DivRoundByLastModulus(p *ring.Poly, level int) *ring.Poly {
 	rOut := ctx.ringQl[level-1]
 	qL := ctx.RingQ.Moduli[level].Value
-	out := rOut.NewPoly()
+	out := rOut.GetPoly()
 	for i, m := range rOut.Moduli {
-		inv, _ := m.Inv(m.Reduce(qL)) // the chain's primes are distinct
-		subCentred(m, qL, p.Coeffs[level], p.Coeffs[i], out.Coeffs[i])
-		scaleRow(m, inv, out.Coeffs[i])
+		divRoundRow(m, qL, ctx.qInvQ[level][i], ctx.qInvQShoup[level][i], p.Coeffs[level], p.Coeffs[i], out.Coeffs[i])
 	}
 	return out
 }
@@ -155,8 +167,7 @@ func (ctx *Context) nttModDown(level int, x *ring.Poly) *ring.Poly {
 		src := x.Coeffs[i][:len(dst)]
 		subCentred(m, ctx.special(), xp, dst, dst)
 		rQl.NTTForwardRow(i, dst)
-		pi := ctx.pInvQ[i]
-		pis := m.ShoupPrecomp(pi)
+		pi, pis := ctx.pInvQ[i], ctx.pInvQShoup[i]
 		for k := range dst {
 			dst[k] = m.MulShoup(m.Add(src[k], dst[k]), pi, pis)
 		}

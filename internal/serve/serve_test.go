@@ -74,7 +74,9 @@ func testBackend(t *testing.T, netFn func() *nn.Network) (*nn.InferenceServer, *
 }
 
 // runClientSession opens one in-memory session and runs n inferences,
-// verifying each against the plaintext reference.
+// verifying each against the plaintext reference and its traffic against
+// the plan — so every reply of every tier test, batched rounds included,
+// arrived switched down to the reply level and decrypted right.
 func runClientSession(t *testing.T, srv *Server, netFn func() *nn.Network, model *nn.QuantizedModel, keySeed byte, sessionID string, n int) (sentBytes int64, cached bool) {
 	t.Helper()
 	client, err := nn.NewInferenceClient(netFn(), [32]byte{keySeed})
@@ -91,13 +93,17 @@ func runClientSession(t *testing.T, srv *Server, netFn func() *nn.Network, model
 	if err != nil {
 		t.Fatalf("session open: %v", err)
 	}
+	plan, err := nn.ExecutableRequestCost(netFn())
+	if err != nil {
+		t.Fatalf("plan: %v", err)
+	}
 	for i := 0; i < n; i++ {
 		img := nn.SynthesizeImage(netFn(), 4, [32]byte{keySeed, byte(i)})
 		want, err := nn.PlainInference(model, img)
 		if err != nil {
 			t.Fatalf("plain: %v", err)
 		}
-		got, _, err := client.Infer(img, clientEnd)
+		got, stats, err := client.Infer(img, clientEnd)
 		if err != nil {
 			t.Fatalf("infer %d: %v", i, err)
 		}
@@ -105,6 +111,9 @@ func runClientSession(t *testing.T, srv *Server, netFn func() *nn.Network, model
 			if got[j] != want[j] {
 				t.Fatalf("session %s inference %d logit %d: got %d want %d", sessionID, i, j, got[j], want[j])
 			}
+		}
+		if stats.TotalBytes() != plan.WireBytes {
+			t.Fatalf("session %s inference %d moved %d B, the plan says %d B", sessionID, i, stats.TotalBytes(), plan.WireBytes)
 		}
 	}
 	sentBytes = clientEnd.SentBytes()
