@@ -17,7 +17,7 @@
 #                  counters must already hold every inference a client
 #                  has seen the reply to — the TestFabricFleet race)
 #                  and the concurrent first use of a decomposition's
-#                  hoisted NTT(c0) 10 times
+#                  hoisted lift of c0 10 times
 #   make debug   — tests with the chocodebug assertion layer compiled in
 #                  (ring, the shared rlwe core with its QP accumulator
 #                  invariants, both schemes' entry-point checks, the
@@ -31,8 +31,8 @@
 #                  BENCH_rotations.json (serial = before hoisting,
 #                  hoisted = after), the FC matrix-vector engine in
 #                  BENCH_matmul.json (level 1 = Halevi–Shoup, levels
-#                  2/3 = QP-lazy giants / lazy babies, plus the CKKS
-#                  lazy rotation-sum), the client encrypt/decrypt
+#                  2/3 = QP-lazy giants / QP-resident babies, plus the
+#                  CKKS lazy rotation-sum), the client encrypt/decrypt
 #                  kernels in BENCH_client.json (decrypt-bigint = the
 #                  seed's big.Int scaling, decrypt-rns = the RNS-native
 #                  rewrite), and the cross-request batching kernel in
@@ -82,7 +82,7 @@ race:
 	$(GO) test -race -shuffle=on ./...
 	GOMAXPROCS=4 $(GO) test -race -shuffle=on ./internal/par ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core ./internal/apps/distance ./internal/serve ./internal/fabric
 	$(GO) test -race -count=50 -timeout 60m ./internal/serve ./internal/fabric
-	$(GO) test -race -count=10 -run 'TestRotateRowsLazyNTTHoistedC0' ./internal/bfv
+	$(GO) test -race -count=10 -run 'TestRotateRowsLazyNTTMatchesMaterialized' ./internal/bfv
 
 debug:
 	$(GO) test -race -shuffle=on -tags chocodebug ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core ./internal/nn

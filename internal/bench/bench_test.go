@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"choco/internal/apps/distance"
 	"choco/internal/nn"
+	"choco/internal/par"
 )
 
 func TestTable1(t *testing.T) {
@@ -311,5 +313,42 @@ func TestFig11Live(t *testing.T) {
 	t.Log("\n" + out)
 	if !strings.Contains(out, "collapsed point-major") {
 		t.Error("missing variants")
+	}
+}
+
+// TestCostSheetPredictsApply holds the cost sheet to being a model: for
+// each of LeNet-Sm's linear layers at bfv-B, the RotationPlan priced from
+// unit costs measured in the same process lands within 15 % of the
+// measured warm Apply — nothing the executor does is left off the sheet,
+// and nothing on it is priced from a cache state the executor never sees.
+// Timing on a shared box: a miss is retried twice before it counts.
+func TestCostSheetPredictsApply(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("times seconds of homomorphic work; meaningless under -short or the race detector")
+	}
+	old := par.Parallelism()
+	par.SetParallelism(1)
+	defer par.SetParallelism(old)
+	var report strings.Builder
+	for attempt := 1; ; attempt++ {
+		report.Reset()
+		recs, err := lenetCostSheet(&report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		worst := 0.0
+		for _, r := range recs {
+			worst = max(worst, math.Abs(float64(r.PlanPredictedNs)/float64(r.NsPerOp)-1))
+		}
+		t.Logf("attempt %d:\n%s", attempt, report.String())
+		if len(recs) != 3 {
+			t.Fatalf("%d layer records, want conv1, conv2 and fc", len(recs))
+		}
+		if worst <= 0.15 {
+			return
+		}
+		if attempt == 3 {
+			t.Fatalf("the plan priced from unit costs is %.0f %% off the measured warm Apply on some layer, three times over; limit 15 %%", 100*worst)
+		}
 	}
 }

@@ -16,10 +16,13 @@ import (
 // (BENCH_kernels.json): a single hot kernel measured at 1 CPU through
 // the scalar oracle and through the vector dispatch, so the file
 // carries its own before/after pair. On hosts without vector support
-// only the scalar rows appear.
+// only the scalar rows appear. The dyadic-mac-lazy rows are a pair of
+// another kind, both scalar: one term of a multiply-accumulate chain
+// reduced as it is added ("reduced") against one summed unreduced into
+// 128 bits ("lazy").
 type KernelBench struct {
 	Kernel  string `json:"kernel"`
-	Impl    string `json:"impl"` // "scalar" or "vector"
+	Impl    string `json:"impl"` // "scalar" or "vector"; "reduced" or "lazy"
 	N       int    `json:"n"`    // elements per op (ring degree or bytes filled)
 	NsPerOp int64  `json:"ns_per_op"`
 }
@@ -128,6 +131,18 @@ func Kernels() (string, []KernelBench, error) {
 		}
 	}
 
+	// The inner sums' multiply-accumulate, per row and term, at both
+	// paper degrees over a 36-bit prime (bfv-B's): the per-term-reduced
+	// scalar loop against the unreduced 128-bit accumulator.
+	ring.SetVectorKernels(false)
+	for _, logN := range []int{12, 13} {
+		impls, err := dyadicMACLazy(logN)
+		if err != nil {
+			return "", nil, err
+		}
+		recs = append(recs, impls...)
+	}
+
 	var b strings.Builder
 	fmt.Fprintf(&b, "SIMD kernels, scalar vs vector dispatch at 1 CPU (N=%d, 60-bit modulus; fill=%d bytes)\n",
 		r.N, kernelFillBytes)
@@ -142,6 +157,11 @@ func Kernels() (string, []KernelBench, error) {
 			scalarNs[rec.Kernel] = rec.NsPerOp
 		}
 	}
+	for i := 1; i < len(recs); i++ {
+		if red, lazy := recs[i-1], recs[i]; red.Impl == "reduced" && lazy.Impl == "lazy" && lazy.NsPerOp > 0 {
+			fmt.Fprintf(&b, "%s N=%d speedup (reduced/lazy): %.2fx\n", lazy.Kernel, lazy.N, float64(red.NsPerOp)/float64(lazy.NsPerOp))
+		}
+	}
 	for _, rec := range recs {
 		if rec.Impl == "vector" && scalarNs[rec.Kernel] > 0 && rec.NsPerOp > 0 {
 			fmt.Fprintf(&b, "%s speedup (scalar/vector): %.2fx\n",
@@ -149,6 +169,44 @@ func Kernels() (string, []KernelBench, error) {
 		}
 	}
 	return b.String(), recs, nil
+}
+
+// dyadicMACLazy measures one row-term of a dyadic multiply-accumulate
+// chain at degree 2^logN both ways: MulCoeffsAdd's scalar loop (the vector
+// kernels must be off) and MulCoeffsAddWide.
+func dyadicMACLazy(logN int) ([]KernelBench, error) {
+	qs, err := nt.GenerateNTTPrimesVarBits([]int{36}, logN)
+	if err != nil {
+		return nil, err
+	}
+	r, err := ring.NewRing(logN, qs)
+	if err != nil {
+		return nil, err
+	}
+	x, w, sum := r.NewPoly(), r.NewPoly(), r.NewPoly()
+	src := blake3.NewXOF([32]byte{53}, []byte("bench/mac"))
+	for _, p := range []*ring.Poly{x, w} {
+		src.FillUint64(p.Coeffs[0])
+		for j, v := range p.Coeffs[0] {
+			p.Coeffs[0][j] = v % r.Moduli[0].Value
+		}
+		p.DeclareNTT()
+	}
+	sum.DeclareNTT()
+	acc := r.GetWideAcc()
+	defer r.PutWideAcc(acc)
+	return []KernelBench{
+		{Kernel: "dyadic-mac-lazy", Impl: "reduced", N: r.N, NsPerOp: testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r.MulCoeffsAdd(x, w, sum)
+			}
+		}).NsPerOp()},
+		{Kernel: "dyadic-mac-lazy", Impl: "lazy", N: r.N, NsPerOp: testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r.MulCoeffsAddWide(x, w, acc)
+			}
+		}).NsPerOp()},
+	}, nil
 }
 
 // KernelsJSON renders the records as the BENCH_kernels.json body.

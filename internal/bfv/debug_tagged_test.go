@@ -67,3 +67,39 @@ func TestChocodebugLevelMismatchPanics(t *testing.T) {
 		t.Fatalf("unexpected panic message: %q", msg)
 	}
 }
+
+// TestChocodebugMulPlainAccResidencyPanics mixes rings in an inner sum: a
+// ciphertext resident in Q (built by hand — every evaluator entry point
+// hands out QP-resident ones) against a QP plaintext, and a QP-resident
+// ciphertext against a plaintext with the data rows only. Both must fail
+// by name, not index past the shorter operand or silently use a prefix of
+// the longer.
+func TestChocodebugMulPlainAccResidencyPanics(t *testing.T) {
+	kit := newTestKit(t, PresetTest())
+	ct, err := kit.enc.EncryptUints([]uint64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := kit.ecd.EncodeUints([]uint64{4, 5, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm := kit.ev.PrepareMul(pt)
+	rQ := kit.ctx.RingQ
+
+	inQ := &NTTCiphertext{ring: rQ}
+	for _, p := range ct.Value {
+		c := rQ.CopyPoly(p)
+		rQ.NTT(c)
+		inQ.Value = append(inQ.Value, c)
+	}
+	msg := mustPanicBFV(t, func() { kit.ev.MulPlainAcc(kit.ev.NewNTTAccumulator(), inQ, pm) })
+	if !strings.Contains(msg, "chocodebug") || !strings.Contains(msg, "not resident in the key ring QP") {
+		t.Fatalf("unexpected panic message: %q", msg)
+	}
+
+	msg = mustPanicBFV(t, func() { kit.ev.MulPlainAcc(kit.ev.NewNTTAccumulator(), kit.ev.ToNTT(ct), &PlaintextMul{NTT: pm.q}) })
+	if !strings.Contains(msg, "chocodebug") || !strings.Contains(msg, "plaintext has 2 residue rows") {
+		t.Fatalf("unexpected panic message: %q", msg)
+	}
+}

@@ -87,11 +87,12 @@ func (e *Encoder) DecodeInts(pt *Plaintext) []int64 {
 	return out
 }
 
-// liftToQ embeds the plaintext coefficients (mod t) into the data ring
-// as values in [0, t), coefficient domain.
-func (e *Encoder) liftToQ(pt *Plaintext) *ring.Poly {
-	out := e.ctx.RingQ.NewPoly()
-	e.ctx.RingQ.SetCoeffsUint64(pt.Poly.Coeffs[0], out)
+// liftToQP embeds the plaintext coefficients (mod t) into the key ring —
+// the data primes and the special prime alike — as values in [0, t),
+// coefficient domain.
+func (e *Encoder) liftToQP(pt *Plaintext) *ring.Poly {
+	out := e.ctx.RingQP.NewPoly()
+	e.ctx.RingQP.SetCoeffsUint64(pt.Poly.Coeffs[0], out)
 	return out
 }
 

@@ -132,18 +132,20 @@ func (ev *Evaluator) AddMany(cts []*Ciphertext) (*Ciphertext, error) {
 	return layer[0], nil
 }
 
-// PlaintextMul is a plaintext operand pre-transformed to the NTT domain
-// of the data ring, ready for repeated MulPlain use (e.g. fixed model
-// weights).
+// PlaintextMul is a plaintext operand lifted to the key ring QP and
+// pre-transformed to the NTT domain, ready for repeated use (e.g. fixed
+// model weights): MulPlainAcc multiplies QP-resident ciphertexts by all of
+// its rows, MulPlain reads the data rows.
 type PlaintextMul struct {
 	NTT *ring.Poly
+	q   *ring.Poly // the data rows of NTT as a polynomial of RingQ
 }
 
 // PrepareMul lifts and NTT-transforms a plaintext for multiplication.
 func (ev *Evaluator) PrepareMul(pt *Plaintext) *PlaintextMul {
-	p := ev.encoder.liftToQ(pt)
-	ev.ctx.RingQ.NTT(p)
-	return &PlaintextMul{NTT: p}
+	p := ev.encoder.liftToQP(pt)
+	ev.ctx.RingQP.NTT(p)
+	return &PlaintextMul{NTT: p, q: &ring.Poly{Coeffs: p.Coeffs[:len(ev.ctx.RingQ.Moduli)], IsNTT: true}}
 }
 
 // MulPlain returns ct ⊙ pt (slot-wise product with an unencrypted
@@ -160,7 +162,7 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pm *PlaintextMul) *Ciphertext {
 	for i, p := range ct.Value {
 		tmp := r.CopyPoly(p)
 		r.NTT(tmp)
-		r.MulCoeffs(tmp, pm.NTT, tmp)
+		r.MulCoeffs(tmp, pm.q, tmp)
 		r.INTT(tmp)
 		out.Value[i] = tmp
 	}

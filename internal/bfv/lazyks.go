@@ -9,21 +9,26 @@ import (
 
 // The BFV front of the triple-hoisted key-switching ladder (DESIGN.md
 // §13), whose machinery — the QP accumulator with its drained rounding
-// corrections, the NTT-domain mod-down — and exactness argument live in
+// corrections, the QP-resident rotation — and exactness argument live in
 // internal/rlwe (accumulator.go, keyswitch.go). BFV runs all of it at the
-// top level and adds the NTT-resident ciphertext form its plaintext
-// multiply-accumulate chains consume.
+// top level and adds the resident ciphertext form and the lazy
+// accumulator its plaintext multiply-accumulate chains consume.
 
-// NTTCiphertext is a degree-1 ciphertext resident in the NTT domain of
-// the data ring, the operand form of an NTT-domain multiply-accumulate
-// chain (MulPlainAcc). Its polynomials come from the ring scratch pool;
-// FromNTT consumes them into a regular ciphertext.
+// NTTCiphertext is a degree-1 ciphertext resident in the key ring QP, in
+// the NTT domain, scaled by P: the operand form of a multiply-accumulate
+// chain (MulPlainAcc). A rotation arrives in it without having paid its
+// divide-by-P (RotateRowsLazyNTT); an unrotated ciphertext is lifted into
+// it with a zero special-prime row (ToNTT). Its polynomials come from the
+// scratch pool of the ring it records.
 type NTTCiphertext struct {
-	Value []*ring.Poly // len 2, NTT domain over Q
+	Value []*ring.Poly // len 2, NTT domain over QP
+	ring  *ring.Ring   // whose pool Value came from
 }
 
-// ToNTT lifts a full-modulus degree-1 ciphertext into the NTT domain
-// (copying — ct is not modified).
+// ToNTT lifts a full-modulus degree-1 ciphertext into the resident form
+// (copying — ct is not modified): P·NTT(c) over QP, which divides by P
+// exactly, so an inner sum made of lifted terms alone closes to the bytes
+// of the MulPlain + Add chain on the ciphertexts themselves.
 func (ev *Evaluator) ToNTT(ct *Ciphertext) *NTTCiphertext {
 	if rlwe.DebugEnabled {
 		ev.ctx.debugCheckCt("ToNTT", ct)
@@ -31,57 +36,68 @@ func (ev *Evaluator) ToNTT(ct *Ciphertext) *NTTCiphertext {
 	if len(ct.Value) != 2 || ct.Drop != 0 {
 		panic("bfv: ToNTT requires a degree-1 full-modulus ciphertext")
 	}
-	rQ := ev.ctx.RingQ
-	out := &NTTCiphertext{Value: make([]*ring.Poly, 2)}
+	out := &NTTCiphertext{Value: make([]*ring.Poly, 2), ring: ev.ctx.RingQP}
 	for i, p := range ct.Value {
-		c := rQ.GetPoly()
-		rQ.Copy(c, p)
-		rQ.NTT(c)
-		out.Value[i] = c
+		out.Value[i] = ev.ctx.LiftNTT(ev.ctx.MaxLevel(), p)
 	}
 	return out
 }
 
-// NewNTTAccumulator returns a zeroed NTT-domain ciphertext accumulator
-// for MulPlainAcc chains. Consume with FromNTT or discard with Recycle.
-func (ev *Evaluator) NewNTTAccumulator() *NTTCiphertext {
-	rQ := ev.ctx.RingQ
-	c0 := rQ.GetPoly()
-	c1 := rQ.GetPoly()
-	c0.DeclareNTT() // the all-zero polynomial is valid in either domain
-	c1.DeclareNTT()
-	return &NTTCiphertext{Value: []*ring.Poly{c0, c1}}
+// NTTAccumulator is the running sum of a MulPlainAcc chain: per component
+// and coefficient, the unreduced 128-bit sum of the products so far over
+// QP (ring.WideAcc, which reduces by itself before it could overflow).
+// Obtain with NewNTTAccumulator; close with FromNTT or discard with
+// RecycleNTTAccumulator.
+type NTTAccumulator struct {
+	acc [2]*ring.WideAcc
 }
 
-// MulPlainAcc accumulates acc += x ⊙ pm entirely in the NTT domain.
-// A chain of MulPlainAcc calls followed by FromNTT is byte-identical
-// to the same chain of MulPlain + Add on materialized ciphertexts: the
-// inverse NTT is linear, so transforming the sum once equals summing
-// the per-term transforms.
-func (ev *Evaluator) MulPlainAcc(acc, x *NTTCiphertext, pm *PlaintextMul) {
-	rQ := ev.ctx.RingQ
-	for i := range acc.Value {
-		rQ.MulCoeffsAdd(x.Value[i], pm.NTT, acc.Value[i])
+// NewNTTAccumulator returns an empty accumulator for MulPlainAcc chains,
+// its word planes drawn from the key ring's scratch pool.
+func (ev *Evaluator) NewNTTAccumulator() *NTTAccumulator {
+	rQP := ev.ctx.RingQP
+	return &NTTAccumulator{acc: [2]*ring.WideAcc{rQP.GetWideAcc(), rQP.GetWideAcc()}}
+}
+
+// MulPlainAcc accumulates acc += x ⊙ pm over QP without reducing.
+func (ev *Evaluator) MulPlainAcc(acc *NTTAccumulator, x *NTTCiphertext, pm *PlaintextMul) {
+	rQP := ev.ctx.RingQP
+	if rlwe.DebugEnabled {
+		if x.ring != rQP {
+			panic("bfv: chocodebug: MulPlainAcc ciphertext operand is not resident in the key ring QP")
+		}
+		if len(pm.NTT.Coeffs) != len(rQP.Moduli) {
+			panic(fmt.Sprintf("bfv: chocodebug: MulPlainAcc plaintext has %d residue rows, the key ring QP %d", len(pm.NTT.Coeffs), len(rQP.Moduli)))
+		}
+	}
+	for i, a := range acc.acc {
+		rQP.MulCoeffsAddWide(x.Value[i], pm.NTT, a)
 	}
 }
 
-// FromNTT transforms acc back to the coefficient domain and returns it
-// as a regular ciphertext, consuming acc (its polynomials move into
-// the result; acc must not be used afterwards).
-func (ev *Evaluator) FromNTT(acc *NTTCiphertext) *Ciphertext {
-	rQ := ev.ctx.RingQ
-	for _, p := range acc.Value {
-		rQ.INTT(p)
-	}
-	out := &Ciphertext{Value: acc.Value}
-	acc.Value = nil
-	return out
+// FromNTT closes the chain: one reduction of the accumulated sum, one
+// inverse NTT per row and one divide-by-P with rounding — the only
+// rounding the whole inner sum pays. The result is a regular
+// coefficient-domain ciphertext mod Q; acc is consumed.
+func (ev *Evaluator) FromNTT(acc *NTTAccumulator) *Ciphertext {
+	rQP := ev.ctx.RingQP
+	c0, c1 := ev.ctx.ModDownPair(ev.ctx.MaxLevel(), rQP.ReduceWideAcc(acc.acc[0]), rQP.ReduceWideAcc(acc.acc[1]))
+	return &Ciphertext{Value: []*ring.Poly{c0, c1}}
 }
 
-// Recycle returns an NTT ciphertext's buffers to the scratch pool.
-func (nc *NTTCiphertext) Recycle(ctx *Context) {
+// RecycleNTTAccumulator returns an accumulator's buffers to the scratch
+// pool without closing it.
+func (ev *Evaluator) RecycleNTTAccumulator(acc *NTTAccumulator) {
+	for _, a := range acc.acc {
+		ev.ctx.RingQP.PutWideAcc(a)
+	}
+}
+
+// Recycle returns an NTT ciphertext's buffers to the scratch pool they
+// came from.
+func (nc *NTTCiphertext) Recycle() {
 	for _, p := range nc.Value {
-		ctx.RingQ.PutPoly(p)
+		nc.ring.PutPoly(p)
 	}
 	nc.Value = nil
 }
@@ -103,13 +119,13 @@ func (ctx *Context) RecycleCt(ct *Ciphertext) {
 func (ev *Evaluator) RecycleCt(ct *Ciphertext) { ev.ctx.RecycleCt(ct) }
 
 // RecycleNTT returns an NTT ciphertext's buffers to the scratch pool.
-func (ev *Evaluator) RecycleNTT(nc *NTTCiphertext) { nc.Recycle(ev.ctx) }
+func (ev *Evaluator) RecycleNTT(nc *NTTCiphertext) { nc.Recycle() }
 
 // RotateRowsLazyNTT rotates the decomposed ciphertext by steps and
-// returns the result directly in the NTT domain of the data ring —
-// byte-identical to ToNTT(RotateRowsDecomposed(dc, steps)) but without
-// ever materializing the coefficient-domain rotation
-// (rlwe.Decomposed.RotateNTT).
+// returns the result resident in QP, its divide-by-P still owed
+// (rlwe.Decomposed.RotateNTT): closed on its own it is
+// RotateRowsDecomposed(dc, steps) byte for byte, and a MulPlainAcc chain
+// of such rotations pays one rounding for the whole sum.
 func (ev *Evaluator) RotateRowsLazyNTT(dc *DecomposedCiphertext, steps int) (*NTTCiphertext, error) {
 	if steps == 0 {
 		return ev.ToNTT(dc.ct), nil
@@ -119,7 +135,7 @@ func (ev *Evaluator) RotateRowsLazyNTT(dc *DecomposedCiphertext, steps int) (*NT
 		return nil, err
 	}
 	c0, c1 := dc.RotateNTT(gk)
-	return &NTTCiphertext{Value: []*ring.Poly{c0, c1}}, nil
+	return &NTTCiphertext{Value: []*ring.Poly{c0, c1}, ring: ev.ctx.RingQP}, nil
 }
 
 // QPAccumulator sums the key-switch products of many Galois elements in

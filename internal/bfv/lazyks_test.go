@@ -82,51 +82,37 @@ func TestQPAccumulatorMatchesSerialFold(t *testing.T) {
 	}
 }
 
-// TestRotateRowsLazyNTTMatchesMaterialized pins the NTT-domain rotation
-// used for lazy baby steps: FromNTT(RotateRowsLazyNTT(dc, s)) must equal
-// the materialized hoisted rotation byte for byte, including s = 0.
-func TestRotateRowsLazyNTTMatchesMaterialized(t *testing.T) {
-	steps := []int{0, 1, 2, 5, -1}
-	kit := newTestKit(t, PresetB(), 1, 2, 5, -1)
-	ct, err := kit.enc.EncryptUints(rampUints(kit.ctx.Params.N(), kit.ctx.T.Value))
+// closeNTT closes a lone resident ciphertext the way an inner sum closes
+// its terms: multiplied by the constant plaintext 1 into an accumulator
+// and divided by P once.
+func closeNTT(kit *testKit, x *NTTCiphertext) *Ciphertext {
+	ones := make([]uint64, kit.ctx.Params.N())
+	for i := range ones {
+		ones[i] = 1
+	}
+	pt, err := kit.ecd.EncodeUints(ones)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	dc, err := kit.ev.Decompose(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dc.Release()
-	for _, s := range steps {
-		lazy, err := kit.ev.RotateRowsLazyNTT(dc, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := kit.ev.FromNTT(lazy)
-		want, err := kit.ev.RotateRowsDecomposed(dc, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ctsIdentical(kit.ctx.RingQ, want, got) {
-			t.Errorf("steps=%d: NTT-domain rotation differs from materialized path", s)
-		}
-		kit.ctx.RecycleCt(got)
-	}
+	acc := kit.ev.NewNTTAccumulator()
+	kit.ev.MulPlainAcc(acc, x, kit.ev.PrepareMul(pt))
+	return kit.ev.FromNTT(acc)
 }
 
-// TestRotateRowsLazyNTTHoistedC0 pins the c0 half of the NTT-domain
-// rotation at the paper's presets: with NTT(c0) hoisted into the
-// decomposition and gathered per element, RotateRowsLazyNTT(dc, s)
-// still equals ToNTT(RotateRowsDecomposed(dc, s)) residue for residue,
-// for every rotation the evaluator holds a key for (every power-of-two
-// step in both directions, plus small odd ones). All rotations start at
-// once on a fresh decomposition, so the first use of the hoisted
-// NTT(c0) is concurrent — run under -race -count=10 by `make race`.
-func TestRotateRowsLazyNTTHoistedC0(t *testing.T) {
+// TestRotateRowsLazyNTTMatchesMaterialized pins the QP-resident rotation
+// used for lazy baby steps: it has not paid its divide-by-P, and paying it
+// alone (closeNTT) must give the materialized hoisted rotation byte for
+// byte, on every preset, for every rotation the evaluator holds a key for
+// (every power-of-two step in both directions, small odd ones, and zero:
+// the lift, which divides exactly). All rotations start at once on a
+// fresh decomposition, so the first use of the hoisted lift of c0 is
+// concurrent — run under -race -count=10 by `make race`.
+func TestRotateRowsLazyNTTMatchesMaterialized(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		params Parameters
 	}{
+		{"PresetTest", PresetTest()},
 		{"PresetA", PresetA()},
 		{"PresetB", PresetB()},
 	} {
@@ -136,7 +122,7 @@ func TestRotateRowsLazyNTTHoistedC0(t *testing.T) {
 				steps = append(steps, s, -s)
 			}
 			kit := newTestKit(t, tc.params, steps...)
-			rQ := kit.ctx.RingQ
+			steps = append(steps, 0)
 			ct, err := kit.enc.EncryptUints(rampUints(kit.ctx.Params.N(), kit.ctx.T.Value))
 			if err != nil {
 				t.Fatal(err)
@@ -166,72 +152,140 @@ func TestRotateRowsLazyNTTHoistedC0(t *testing.T) {
 				if errs[i] != nil {
 					t.Fatalf("steps=%d: %v", s, errs[i])
 				}
-				mat, err := kit.ev.RotateRowsDecomposed(dc, s)
+				want, err := kit.ev.RotateRowsDecomposed(dc, s)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := kit.ev.ToNTT(mat)
-				for h := range want.Value {
-					if !rQ.Equal(want.Value[h], lazy[i].Value[h]) {
-						t.Errorf("steps=%d: component %d differs from ToNTT(RotateRowsDecomposed)", s, h)
-					}
+				got := closeNTT(kit, lazy[i])
+				if !ctsIdentical(kit.ctx.RingQ, want, got) {
+					t.Errorf("steps=%d: the resident rotation, divided by P, differs from RotateRowsDecomposed", s)
 				}
-				kit.ev.RecycleNTT(want)
 				kit.ev.RecycleNTT(lazy[i])
-				kit.ctx.RecycleCt(mat)
+				kit.ctx.RecycleCt(want)
+				kit.ctx.RecycleCt(got)
 			}
 		})
 	}
 }
 
-// TestMulPlainAccMatchesMulPlainChain pins the NTT-domain inner sum:
-// accumulating plaintext products with MulPlainAcc and transforming once
-// equals the MulPlain + Add chain on materialized operands, because the
-// inverse NTT is linear.
+// TestMulPlainAccMatchesMulPlainChain pins the lazy inner sum on lifted
+// operands, on every preset: ToNTT's P·NTT(c) has a zero special-prime
+// row, so the divide-by-P that closes the chain is exact and the result is
+// the MulPlain + Add chain on the materialized operands, byte for byte.
+// That is the level-2 rung of the hoisting ladder.
 func TestMulPlainAccMatchesMulPlainChain(t *testing.T) {
-	kit := newTestKit(t, PresetTest(), 1, 2)
+	for _, tc := range []struct {
+		name   string
+		params Parameters
+	}{
+		{"PresetTest", PresetTest()},
+		{"PresetA", PresetA()},
+		{"PresetB", PresetB()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			kit := newTestKit(t, tc.params, 1, 2)
+			n := kit.ctx.Params.N()
+			ct, err := kit.enc.EncryptUints(rampUints(n, kit.ctx.T.Value))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rots, err := kit.ev.RotateRowsHoisted(ct, []int{1, 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			terms := []*Ciphertext{ct, rots[0], rots[1]}
+			pms := make([]*PlaintextMul, len(terms))
+			for i := range pms {
+				vals := make([]int64, n)
+				for j := range vals {
+					vals[j] = int64((i*37+j)%11) - 5
+				}
+				pt, err := kit.ecd.EncodeInts(vals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pms[i] = kit.ev.PrepareMul(pt)
+			}
+
+			var serial *Ciphertext
+			for i, x := range terms {
+				term := kit.ev.MulPlain(x, pms[i])
+				if serial == nil {
+					serial = term
+				} else {
+					serial = kit.ev.Add(serial, term)
+				}
+			}
+
+			acc := kit.ev.NewNTTAccumulator()
+			for i, x := range terms {
+				nx := kit.ev.ToNTT(x)
+				kit.ev.MulPlainAcc(acc, nx, pms[i])
+				nx.Recycle()
+			}
+			lazy := kit.ev.FromNTT(acc)
+			if !ctsIdentical(kit.ctx.RingQ, serial, lazy) {
+				t.Error("lazy multiply-accumulate over lifted operands differs from the MulPlain+Add chain")
+			}
+		})
+	}
+}
+
+// TestMulPlainAccOneRounding is the point of keeping the babies in QP: an
+// inner sum of resident rotations decrypts to what the same sum of
+// materialized rotations decrypts to, and has paid one rounding for the
+// whole sum where the materialized one paid one per rotation, each scaled
+// by its plaintext — so its noise budget is no smaller.
+func TestMulPlainAccOneRounding(t *testing.T) {
+	steps := []int{0, 1, 2, 5, -1, 3, -3, 7}
+	kit := newTestKit(t, PresetB(), steps[1:]...)
 	n := kit.ctx.Params.N()
 	ct, err := kit.enc.EncryptUints(rampUints(n, kit.ctx.T.Value))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rots, err := kit.ev.RotateRowsHoisted(ct, []int{1, 2})
+	dc, err := kit.ev.Decompose(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	terms := []*Ciphertext{ct, rots[0], rots[1]}
-	pms := make([]*PlaintextMul, len(terms))
-	for i := range pms {
+	defer dc.Release()
+	var serial *Ciphertext
+	acc := kit.ev.NewNTTAccumulator()
+	for i, s := range steps {
 		vals := make([]int64, n)
 		for j := range vals {
-			vals[j] = int64((i*37+j)%11) - 5
+			vals[j] = int64((i*37+j)%15) - 7
 		}
 		pt, err := kit.ecd.EncodeInts(vals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pms[i] = kit.ev.PrepareMul(pt)
-	}
-
-	var serial *Ciphertext
-	for i, x := range terms {
-		term := kit.ev.MulPlain(x, pms[i])
-		if serial == nil {
+		pm := kit.ev.PrepareMul(pt)
+		mat, err := kit.ev.RotateRowsDecomposed(dc, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if term := kit.ev.MulPlain(mat, pm); serial == nil {
 			serial = term
 		} else {
 			serial = kit.ev.Add(serial, term)
 		}
-	}
-
-	acc := kit.ev.NewNTTAccumulator()
-	for i, x := range terms {
-		nx := kit.ev.ToNTT(x)
-		kit.ev.MulPlainAcc(acc, nx, pms[i])
-		nx.Recycle(kit.ctx)
+		x, err := kit.ev.RotateRowsLazyNTT(dc, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kit.ev.MulPlainAcc(acc, x, pm)
+		kit.ev.RecycleNTT(x)
 	}
 	lazy := kit.ev.FromNTT(acc)
-	if !ctsIdentical(kit.ctx.RingQ, serial, lazy) {
-		t.Error("NTT-domain multiply-accumulate differs from MulPlain+Add chain")
+	want, got := kit.dec.Decrypt(serial), kit.dec.Decrypt(lazy)
+	if !kit.ctx.RingT.Equal(want.Poly, got.Poly) {
+		t.Fatal("the resident inner sum decrypts differently from the materialized one")
+	}
+	was, now := NoiseBudgetBits(kit.ctx, kit.sk, serial), NoiseBudgetBits(kit.ctx, kit.sk, lazy)
+	t.Logf("inner sum of %d rotations at bfv-B: a rounding per rotation leaves %.2f bits, one per sum %.2f", len(steps), was, now)
+	if now < was-0.05 {
+		t.Errorf("one rounding per inner sum leaves %.2f bits, one per rotation %.2f: the resident sum may not cost noise", now, was)
 	}
 }
 

@@ -9,77 +9,85 @@ import (
 
 	"choco/internal/bfv"
 	"choco/internal/par"
+	"choco/internal/ring"
 	"choco/internal/sampling"
 )
 
-// applyMaterialized is the byte-identity oracle of the convolution: the
-// same BSGS schedule on materialized ciphertexts. Every baby is rotated
-// into the coefficient domain off one decomposition
-// (RotateRowsDecomposed), every weight plaintext is rebuilt, each
-// (group, block shift) inner sum is a MulPlain + Add chain in kernel
-// order, each shifted inner sum pays its own full key switch
-// (RotateRows) and the group folds them with Add in shift order. It
-// shares only the geometry (bsgs) with the engine under test.
-func (c *Conv2D) applyMaterialized(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) ([]*bfv.Ciphertext, OpCounts, error) {
+// applyUnfused is the byte-identity oracle of the executor: the same BSGS
+// schedule with nothing hoisted and nothing fused. Every baby pays its own
+// decomposition and stays resident in QP; every weight plaintext is
+// rebuilt; each (output, giant) inner sum is one reduced multiply and one
+// modular add per term over QP (ring.MulCoeffsAdd) in baby order, closed by
+// one divide-by-P; each rotated inner sum pays its own full key switch
+// (RotateRows) and the output folds them with Add in giant order. It shares
+// only the geometry (the plan) with the engine under test.
+func applyUnfused(k *kit, pl bsgsPlan, ct *bfv.Ciphertext) ([]*bfv.Ciphertext, OpCounts, error) {
 	var ops OpCounts
-	pl := c.bsgs(slots)
-	dc, err := ev.Decompose(ct)
-	if err != nil {
-		return nil, ops, err
-	}
-	defer dc.Release()
-	babies := make([]*bfv.Ciphertext, len(pl.babies))
+	ev, rQP := k.ev, k.ctx.RingQP
+	babies := make([]*bfv.NTTCiphertext, len(pl.babies))
 	for bi, s := range pl.babies {
-		if s == 0 {
-			babies[bi] = ct
-			continue
-		}
-		if babies[bi], err = ev.RotateRowsDecomposed(dc, s); err != nil {
+		dc, err := ev.Decompose(ct)
+		if err != nil {
 			return nil, ops, err
 		}
-		ops.Rotations++
+		babies[bi], err = ev.RotateRowsLazyNTT(dc, s)
+		dc.Release()
+		if err != nil {
+			return nil, ops, err
+		}
+		if s != 0 {
+			ops.Rotations++
+		}
 	}
 
 	outs := make([]*bfv.Ciphertext, pl.outputs)
-	for g := range outs {
+	for o := range outs {
 		for gi, giant := range pl.giants {
-			var inner *bfv.Ciphertext
+			var acc [2]*ring.Poly
 			for bi, baby := range babies {
-				diag := pl.diag(g, gi, bi)
+				diag := pl.diag(o, gi, bi)
 				if diag == nil {
 					continue
 				}
-				pt, err := ecd.EncodeInts(diag)
+				pt, err := k.ecd.EncodeInts(diag)
 				if err != nil {
 					return nil, ops, err
 				}
-				term := ev.MulPlain(baby, ev.PrepareMul(pt))
+				pm := ev.PrepareMul(pt)
 				ops.PlainMults++
-				if inner == nil {
-					inner = term
+				if acc[0] == nil {
+					for h := range acc {
+						acc[h] = rQP.NewPoly()
+						acc[h].DeclareNTT()
+					}
 				} else {
-					inner = ev.Add(inner, term)
 					ops.Adds++
 				}
+				for h := range acc {
+					rQP.MulCoeffsAdd(baby.Value[h], pm.NTT, acc[h])
+				}
 			}
-			if inner == nil {
+			if acc[0] == nil {
 				continue
 			}
+			c0, c1 := k.ctx.ModDownPair(k.ctx.MaxLevel(), acc[0], acc[1])
+			inner := &bfv.Ciphertext{Value: []*ring.Poly{c0, c1}}
 			if giant != 0 {
+				var err error
 				if inner, err = ev.RotateRows(inner, giant); err != nil {
 					return nil, ops, err
 				}
 				ops.Rotations++
 			}
-			if outs[g] == nil {
-				outs[g] = inner
+			if outs[o] == nil {
+				outs[o] = inner
 			} else {
-				outs[g] = ev.Add(outs[g], inner)
+				outs[o] = ev.Add(outs[o], inner)
 				ops.Adds++
 			}
 		}
-		if outs[g] == nil {
-			return nil, ops, fmt.Errorf("core: output %d has no contributing weights", g)
+		if outs[o] == nil {
+			return nil, ops, fmt.Errorf("core: output %d has no contributing weights", o)
 		}
 	}
 	return outs, ops, nil
@@ -100,12 +108,14 @@ var residentPresets = []struct {
 }
 
 // TestConvResidentMatchesMaterialized is the tentpole property test:
-// on every BFV preset the NTT-resident convolution — lazy NTT-domain
-// babies, one NTT-domain accumulation and one inverse NTT per (group,
-// block shift), the shifted sums folded in QP, weight plaintexts prepared
-// once — produces ciphertexts byte-identical to the materialized oracle
-// (the same BSGS schedule as MulPlain + Add + RotateRows) with the
-// same logical op counts, for one worker and eight, a batch of one item
+// on every BFV preset the QP-resident convolution — babies off one
+// hoisted decomposition with no mod-down, one unreduced 128-bit
+// accumulation, one inverse NTT and one divide-by-P per (group, block
+// shift), the shifted sums folded in QP, weight plaintexts prepared once —
+// produces ciphertexts byte-identical to the unfused oracle (the same BSGS
+// schedule as per-term reduced multiplies and adds over QP, a divide-by-P
+// and RotateRows) with the same logical op counts, and the oracle decrypts
+// to the plaintext convolution; for one worker and eight, a batch of one item
 // and of three under distinct keys, a cold and a warm plaintext store,
 // and a store too small to hold anything (every term rebuilt).
 func TestConvResidentMatchesMaterialized(t *testing.T) {
@@ -150,7 +160,7 @@ func TestConvResidentMatchesMaterialized(t *testing.T) {
 					t.Fatal(err)
 				}
 				items[i] = BatchInput{Ev: kits[i].ev, Ct: ct}
-				if want[i], wantOps[i], err = oracle.applyMaterialized(kits[i].ev, kits[i].ecd, ct, slots); err != nil {
+				if want[i], wantOps[i], err = applyUnfused(kits[i], oracle.bsgs(slots), ct); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -173,7 +183,7 @@ func TestConvResidentMatchesMaterialized(t *testing.T) {
 					}
 					for g := range outs[i] {
 						if !ctEqual(kits[i].ctx.RingQ, outs[i][g], want[i][g]) {
-							t.Errorf("%s: item %d group %d differs from the materialized oracle", label, i, g)
+							t.Errorf("%s: item %d group %d differs from the unfused oracle", label, i, g)
 						}
 					}
 				}
@@ -214,7 +224,7 @@ func TestConvResidentMatchesMaterialized(t *testing.T) {
 				}
 				for g := range outs {
 					if !ctEqual(kits[0].ctx.RingQ, outs[g], want[0][g]) {
-						t.Errorf("workers=%d: Apply group %d differs from the materialized oracle", workers, g)
+						t.Errorf("workers=%d: Apply group %d differs from the unfused oracle", workers, g)
 					}
 				}
 			}
@@ -422,7 +432,7 @@ func TestConvBSGSEdgeGeometries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantOps, err := conv.applyMaterialized(k.ev, k.ecd, ct, slots)
+			want, wantOps, err := applyUnfused(k, conv.bsgs(slots), ct)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -433,7 +443,7 @@ func TestConvBSGSEdgeGeometries(t *testing.T) {
 			for o := 0; o < tc.spec.OutC; o++ {
 				g := o / conv.GroupSize()
 				if !ctEqual(k.ctx.RingQ, outs[g], want[g]) {
-					t.Fatalf("group %d differs from the materialized oracle", g)
+					t.Fatalf("group %d differs from the unfused oracle", g)
 				}
 				got := conv.ExtractOutput(k.dec.DecryptInts(outs[g]), o)
 				for i := range got {
@@ -500,17 +510,20 @@ func (c *Conv2D) applyFlat(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Cipherte
 // flat schedule's (measured: 1.7 on conv2, whose integer reading happened
 // to move by one) and 0.2 bit of the one-row layer's (0.5 at the Test
 // preset, where row 1 adds half as many channels again), with at least
-// 4.5 bits left. Both schedules decrypt to the same activations.
+// 4.5 bits left — and within 0.05 bit of what it kept when every baby paid
+// its own mod-down (the `was` field; one rounding per inner sum reads the
+// same to the hundredth). Both schedules decrypt to the same activations.
 func TestConvBSGSNoise(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		params  bfv.Parameters
 		spec    ConvSpec
-		rowCost float64 // bits the second row may cost
+		rowCost float64   // bits the second row may cost
+		was     []float64 // per group, the budget a mod-down per baby left
 	}{
-		{"bfv-B/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 0.2},
-		{"bfv-B/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0.2},
-		{"Test/conv2", bfv.PresetTest(), ConvSpec{InH: 14, InW: 14, InC: 2, KH: 5, KW: 5, OutC: 3}, 0.5},
+		{"bfv-B/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 0.2, []float64{5.99}},
+		{"bfv-B/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0.2, []float64{7.95, 7.97}},
+		{"Test/conv2", bfv.PresetTest(), ConvSpec{InH: 14, InW: 14, InC: 2, KH: 5, KW: 5, OutC: 3}, 0.5, []float64{17.58}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := sampling.NewSource([32]byte{35}, "conv-noise-"+tc.name)
@@ -562,6 +575,9 @@ func TestConvBSGSNoise(t *testing.T) {
 				}
 				was, one, now := bfv.NoiseBudgetBits(k.ctx, k.sk, flat[g]), bfv.NoiseBudgetBits(k.ctx, k.sk, row0[0]), bfv.NoiseBudgetBits(k.ctx, k.sk, bsgs[g])
 				t.Logf("%s group %d: fresh input %.2f bits, flat schedule %.2f, BSGS on row 0 alone %.2f, BSGS on both rows %.2f", tc.name, g, fresh, was, one, now)
+				if now < tc.was[g]-0.05 {
+					t.Errorf("group %d: %.2f bits of noise budget left, a mod-down per baby left %.2f", g, now, tc.was[g])
+				}
 				if now < was-2 || now < one-tc.rowCost || now < 4.5 {
 					t.Errorf("group %d: BSGS leaves %.2f bits of noise budget, the flat schedule %.2f, one row %.2f; want within 2 bits of flat, %.1f bit of one row, and at least 4.5 left", g, now, was, one, tc.rowCost)
 				}

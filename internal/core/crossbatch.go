@@ -16,11 +16,14 @@ import (
 // Apply is a batch of one:
 //
 //   - each item pays one hoisted decomposition of its input, and every
-//     baby lands directly in the NTT domain (nttRotations) — the
-//     coefficient-domain rotation is never materialized;
-//   - each inner sum accumulates its terms in the NTT domain and pays one
-//     inverse NTT (innerSum), byte-identical to a MulPlain + Add chain
-//     because the inverse NTT is linear (DESIGN.md §13);
+//     baby stays resident in the key ring QP, NTT domain, its divide-by-P
+//     still owed (nttRotations) — the coefficient-domain rotation is never
+//     materialized;
+//   - each inner sum accumulates its terms over QP as unreduced 128-bit
+//     sums and pays one reduction, one inverse NTT and one divide-by-P
+//     (innerSum): one rounding per inner sum where a mod-down per baby
+//     rounds once per term and scales each rounding by its weight
+//     (DESIGN.md §13);
 //   - the weight-side plaintext pipeline (EncodeInts of each diagonal +
 //     PrepareMul's lift and forward NTT) depends only on the layer's
 //     weights and the parameter preset, never on the session, so one
@@ -33,7 +36,9 @@ import (
 //
 // Terms run in a fixed order per output, and every intermediate is
 // exact modular arithmetic, so per-item outputs are byte-identical for
-// any batch composition, worker count or cache state.
+// any batch composition, worker count or cache state — and to the same
+// schedule run unfused, one reduced multiply and add per term
+// (TestConvResidentMatchesMaterialized).
 
 // BatchInput is one session's work item in a cross-request batch: its
 // packed input ciphertext and the evaluator holding that session's
@@ -169,12 +174,13 @@ func (pc *PlainCache) prepared(op any, idx int, ev *bfv.Evaluator, ecd *bfv.Enco
 }
 
 // nttRotations returns, per item, the input rotated by each of steps,
-// resident in the NTT domain (a zero step is the input itself). Each
-// item pays one hoisted decomposition; every (item, step) key switch of
-// the batch then runs in one flat dispatch. materialize selects the
-// level-2 schedule (rotate in the coefficient domain, then transform)
-// kept for the hoisting-level ladder. On error nothing is left
-// outstanding; on success the caller owns the result (recycleRotations).
+// resident in QP in the NTT domain (a zero step is the input itself,
+// lifted). Each item pays one hoisted decomposition; every (item, step)
+// key switch of the batch then runs in one flat dispatch. materialize
+// selects the level-2 schedule (rotate and mod-down in the coefficient
+// domain, then lift) kept for the hoisting-level ladder. On error
+// nothing is left outstanding; on success the caller owns the result
+// (recycleRotations).
 func nttRotations(items []BatchInput, steps []int, materialize bool) (rots [][]*bfv.NTTCiphertext, err error) {
 	rots = make([][]*bfv.NTTCiphertext, len(items))
 	dcs := make([]*bfv.DecomposedCiphertext, len(items))
@@ -235,19 +241,19 @@ func recycleRotations(items []BatchInput, rots [][]*bfv.NTTCiphertext) {
 	}
 }
 
-// innerSum accumulates one output's n terms in order, in the NTT
-// domain, and pays a single inverse NTT for the sum. term(k) yields the
-// rotated input and prepared weight plaintext of term k; a nil
-// plaintext marks an all-zero diagonal, skipped without counting.
-// Returns a nil ciphertext when every term is zero.
+// innerSum accumulates one output's n terms in order over QP, in the NTT
+// domain, and pays a single reduction, inverse NTT and divide-by-P for
+// the sum. term(k) yields the rotated input and prepared weight plaintext
+// of term k; a nil plaintext marks an all-zero diagonal, skipped without
+// counting. Returns a nil ciphertext when every term is zero.
 func innerSum(ev *bfv.Evaluator, n int, term func(k int) (*bfv.NTTCiphertext, *bfv.PlaintextMul, error)) (*bfv.Ciphertext, OpCounts, error) {
 	var ops OpCounts
-	var acc *bfv.NTTCiphertext
+	var acc *bfv.NTTAccumulator
 	for k := 0; k < n; k++ {
 		x, pm, err := term(k)
 		if err != nil {
 			if acc != nil {
-				ev.RecycleNTT(acc)
+				ev.RecycleNTTAccumulator(acc)
 			}
 			return nil, ops, err
 		}
@@ -302,18 +308,20 @@ func (pl bsgsPlan) babySteps() int { return len(pl.rotationSteps()) - (len(pl.gi
 
 // applyBSGS is the one executor behind Conv2D.ApplyBatch and
 // FC.ApplyBatchAtLevel (levels 2 and 3). Babies share one decomposition
-// of each item's input and land directly in the NTT domain the inner
-// products consume (materialize selects the level-2 detour through the
+// of each item's input and stay resident in QP, where the inner products
+// consume them (materialize selects the level-2 detour through the
 // coefficient domain). Per (item, output, giant) the inner sum
-// accumulates in the NTT domain — one inverse NTT per giant instead of
-// one per term — and the giant-step key-switch products of each output
-// accumulate in the extended basis QP, per-worker accumulators merged in
+// accumulates over QP — one divide-by-P and one inverse NTT per giant
+// instead of one per term — and the giant-step key-switch products of
+// each output accumulate in QP too, per-worker accumulators merged in
 // worker order, so each output pays a single full mod-down. A plan with
 // no rotated giant (Conv2D with one channel block, FC's flat plan) skips
-// the fold: its inner sum is the output. Terms run in (giant, baby) order and every
-// intermediate is exact modular arithmetic, so per-item outputs are
-// byte-identical to the materialized schedule (FC.applyHoisted) for any
-// batch composition, worker count or cache state.
+// the fold: its inner sum is the output. Terms run in (giant, baby) order
+// and every intermediate is exact modular arithmetic, so per-item outputs
+// are byte-identical for any batch composition, worker count or cache
+// state; with materialize they are the bytes of the materialized schedule
+// (FC.applyHoisted), without it they decrypt to the same values under
+// no more noise.
 func applyBSGS(ecd *bfv.Encoder, items []BatchInput, cache *PlainCache, pl bsgsPlan, materialize bool) ([][]*bfv.Ciphertext, []OpCounts, error) {
 	if len(items) == 0 {
 		return nil, nil, nil
@@ -466,10 +474,9 @@ func (f *FC) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cache *
 }
 
 // ApplyBatchAtLevel is ApplyBatch at an explicit hoisting level (the
-// ladder of FC.ApplyAtLevel). Per-item outputs are byte-identical
-// across levels. Levels 2 and 3 are the batch engine (applyBSGS);
-// level 1 is the Halevi–Shoup oracle run item by item, without the
-// cache.
+// ladder of FC.ApplyAtLevel). Levels 2 and 3 are the batch engine
+// (applyBSGS); level 1 is the Halevi–Shoup oracle run item by item,
+// without the cache.
 func (f *FC) ApplyBatchAtLevel(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache, level int) ([]*bfv.Ciphertext, []OpCounts, error) {
 	if f.Weights == nil {
 		return nil, nil, fmt.Errorf("core: ApplyBatch on a spec-only FC layer (no weights)")

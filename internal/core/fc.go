@@ -168,7 +168,7 @@ func (f *FC) diag(giant, baby, slots int) []int64 {
 }
 
 // HoistLevel selects the default hoisting level for this layer's
-// geometry: level 3 (lazy NTT-domain babies + QP-lazy giants) whenever
+// geometry: level 3 (QP-resident babies + QP-lazy giants) whenever
 // the layer rotates at all, level 1 otherwise — a single-output layer
 // has one diagonal and no rotations to hoist, so the extra machinery
 // would only add transform passes.
@@ -194,12 +194,15 @@ func (f *FC) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slot
 //	2 — QP-lazy giants: giant-step key-switch products accumulate in
 //	    the extended basis QP, so the whole giant sum pays one shared
 //	    INTT + mod-down instead of G−1.
-//	3 — lazy babies too: baby rotations are emitted directly in the
-//	    NTT domain (row-wise mod-down), skipping the materialize →
-//	    re-NTT round trip before the plaintext-multiply accumulation.
+//	3 — QP-resident babies too: baby rotations skip their mod-down and
+//	    stay in the key ring QP, where the inner sum multiplies them by
+//	    weight plaintexts lifted over QP and divides by P once.
 //
-// Every level returns byte-identical ciphertexts and OpCounts; the
-// levels differ only in physical transform and mod-down counts (Plan).
+// Levels 1 and 2 return byte-identical ciphertexts; level 3 rounds once
+// per inner sum where they round once per baby, so its bytes differ in
+// the low noise bits: it decrypts to the same plaintext under no more
+// noise. Every level returns the same OpCounts; the levels differ in
+// physical transform and mod-down counts (Plan).
 func (f *FC) ApplyAtLevel(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots, level int) (*bfv.Ciphertext, OpCounts, error) {
 	outs, ops, err := f.ApplyBatchAtLevel(ecd, []BatchInput{{Ev: ev, Ct: ct}}, slots, nil, level)
 	if err != nil {
@@ -398,10 +401,11 @@ type RotationPlan struct {
 	// LazyProducts counts Galois applications kept in the extended
 	// basis QP, sharing the batched mod-down.
 	LazyProducts int
-	// ModDowns counts full-poly divide-by-P passes; NTTModDowns counts
-	// the row-wise NTT-domain variant lazy babies use (one single-row
-	// inverse NTT + one forward NTT of the rounding correction per data
-	// row, instead of a full-poly round trip).
+	// ModDowns counts the divide-by-P passes of key switches: one per full
+	// key switch, one per output whose giant fold shares it. NTTModDowns
+	// counts the ones that close an inner sum held over QP in the NTT
+	// domain (one per inner sum, whatever its term count) — the only
+	// mod-downs the babies of levels 2 and 3 cost beyond their own.
 	ModDowns, NTTModDowns int
 }
 
@@ -432,16 +436,18 @@ func (pl bsgsPlan) sheet(level, giantSteps int) RotationPlan {
 		rp.ModDowns = nb
 	default: // level 3
 		rp.LazyProducts = nb + ng
-		rp.NTTModDowns = nb
 	}
-	if level > 1 && ng > 0 {
-		rp.ModDowns += pl.outputs // each output's giant fold shares one mod-down
+	if level > 1 {
+		rp.NTTModDowns = ng + pl.outputs // one per inner sum
+		if ng > 0 {
+			rp.ModDowns += pl.outputs // each output's giant fold shares one mod-down
+		}
 	}
 	return rp
 }
 
 // String renders the plan the way the matmul bench prints it.
 func (pl RotationPlan) String() string {
-	return fmt.Sprintf("L%d: %d baby + %d giant steps, %d decompositions, %d full key-switches, %d lazy products, %d mod-downs (+%d NTT-domain)",
+	return fmt.Sprintf("L%d: %d baby + %d giant steps, %d decompositions, %d full key-switches, %d lazy products, %d mod-downs (+%d closing inner sums)",
 		pl.Level, pl.BabySteps, pl.GiantSteps, pl.Decompositions, pl.FullKeySwitches, pl.LazyProducts, pl.ModDowns, pl.NTTModDowns)
 }

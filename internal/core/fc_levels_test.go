@@ -54,10 +54,14 @@ func synthFC(t testing.TB, src *sampling.Source, in, out, rowSize int) *FC {
 }
 
 // TestFCApplyLevelsByteIdentical is the tentpole property test: on
-// every BFV preset, the level-2 (QP-lazy giants) and level-3 (lazy
-// babies too) engines produce ciphertexts byte-identical to the
-// level-1 Halevi–Shoup path, with identical logical op counts — and
-// the result, folded by ExtractOutput, is the plaintext matrix-vector
+// every BFV preset, the level-2 engine (QP-lazy giants over lifted
+// babies) produces ciphertexts byte-identical to the level-1
+// Halevi–Shoup path; the level-3 engine (QP-resident babies, one
+// rounding per inner sum) is byte-identical to the unfused oracle of its
+// own schedule, decrypts to the plaintext level 1 decrypts to and keeps
+// level 1's noise budget to within 0.05 bit (it rounds less, so it
+// usually keeps more); all with identical logical op counts — and the
+// result, folded by ExtractOutput, is the plaintext matrix-vector
 // product. The shapes cover a near-square layer with dead diagonals
 // (Out < In), LeNet-Sm's 294×10 and a full-row 2048×10 (many partial
 // sums per output), a single output (no rotation at all), Out > In, and
@@ -110,22 +114,39 @@ func TestFCApplyLevelsByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := map[int]*bfv.Ciphertext{1: ref}
 			for _, level := range []int{2, 3} {
-				got, ops, err := fc.ApplyAtLevel(k.ev, k.ecd, ct, slots, level)
+				out, ops, err := fc.ApplyAtLevel(k.ev, k.ecd, ct, slots, level)
 				if err != nil {
 					t.Fatalf("level %d: %v", level, err)
-				}
-				if !ctEqual(k.ctx.RingQ, ref, got) {
-					t.Errorf("level %d output differs from level 1", level)
 				}
 				if ops != refOps {
 					t.Errorf("level %d op counts %+v, level 1 %+v", level, ops, refOps)
 				}
+				got[level] = out
+			}
+			if !ctEqual(k.ctx.RingQ, ref, got[2]) {
+				t.Error("level 2 output differs from level 1")
+			}
+			unfused, unfusedOps, err := applyUnfused(k, fc.bsgs(slots), ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ctEqual(k.ctx.RingQ, unfused[0], got[3]) || unfusedOps != refOps {
+				t.Errorf("level 3 output differs from the unfused oracle (op counts %+v, oracle %+v)", refOps, unfusedOps)
+			}
+			if !k.ctx.RingT.Equal(k.dec.Decrypt(ref).Poly, k.dec.Decrypt(got[3]).Poly) {
+				t.Error("level 3 decrypts differently from level 1")
+			}
+			was, now := bfv.NoiseBudgetBits(k.ctx, k.sk, ref), bfv.NoiseBudgetBits(k.ctx, k.sk, got[3])
+			t.Logf("noise budget: level 1 %.2f bits, level 3 %.2f", was, now)
+			if now < was-0.05 {
+				t.Errorf("level 3 leaves %.2f bits of noise budget, level 1 %.2f", now, was)
 			}
 			if def, _, err := fc.Apply(k.ev, k.ecd, ct, slots); err != nil {
 				t.Fatal(err)
-			} else if !ctEqual(k.ctx.RingQ, ref, def) {
-				t.Error("default Apply differs from level 1")
+			} else if !ctEqual(k.ctx.RingQ, got[fc.HoistLevel()], def) {
+				t.Errorf("default Apply differs from level %d", fc.HoistLevel())
 			}
 			if tc.golden != "" {
 				if sum := fmt.Sprintf("%x", sha256.Sum256(protocol.MarshalBFV(ref))); sum != tc.golden {
@@ -332,11 +353,11 @@ func TestFCRotationPlan(t *testing.T) {
 		t.Errorf("level-1 plan %+v", p1)
 	}
 	p2 := fc.Plan(2)
-	if p2.FullKeySwitches != 7 || p2.LazyProducts != 7 || p2.ModDowns != 8 {
+	if p2.FullKeySwitches != 7 || p2.LazyProducts != 7 || p2.ModDowns != 8 || p2.NTTModDowns != 8 {
 		t.Errorf("level-2 plan %+v", p2)
 	}
 	p3 := fc.Plan(3)
-	if p3.FullKeySwitches != 0 || p3.LazyProducts != 14 || p3.ModDowns != 1 || p3.NTTModDowns != 7 {
+	if p3.FullKeySwitches != 0 || p3.LazyProducts != 14 || p3.ModDowns != 1 || p3.NTTModDowns != 8 {
 		t.Errorf("level-3 plan %+v", p3)
 	}
 	for _, p := range []RotationPlan{p1, p2, p3} {
@@ -352,8 +373,25 @@ func TestFCRotationPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := lenet.Plan(3); lenet.P != 512 || lenet.Po != 16 || p.BabySteps != 3 || p.GiantSteps != 3 || p.PlainMults != 16 || p.ModDowns != 1 {
+	if p := lenet.Plan(3); lenet.P != 512 || lenet.Po != 16 || p.BabySteps != 3 || p.GiantSteps != 3 || p.PlainMults != 16 || p.ModDowns != 1 || p.NTTModDowns != 4 {
 		t.Errorf("294x10: P=%d Po=%d plan %+v", lenet.P, lenet.Po, p)
+	}
+	// LeNet-Sm's convolutions: one mod-down per inner sum — conv1's two
+	// groups are their own inner sums, conv2's one group folds four.
+	for _, tc := range []struct {
+		spec                ConvSpec
+		modDowns, innerSums int
+	}{
+		{ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 2},
+		{ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 1, 4},
+	} {
+		conv, err := NewConv2DSpecOnly(tc.spec, 2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := conv.Plan(); p.ModDowns != tc.modDowns || p.NTTModDowns != tc.innerSums || p.FullKeySwitches != 0 {
+			t.Errorf("conv %+v: plan %+v", tc.spec, p)
+		}
 	}
 	if BSGSRotations(64) != 14 || DiagonalRotations(64) != 63 {
 		t.Error("rotation-count helpers changed")
@@ -378,7 +416,9 @@ func squareFC(f *FC) *FC {
 // terms under encryption where the square schedule summed 303, so it
 // must come out at least 1 bit ahead and with at least 8 bits; a full-row
 // 2048×10 layer, which the square schedule left about 2 bits, must keep
-// at least 4. The fold the client does on decoded slots costs nothing;
+// at least 4. Both are pinned to what they kept when every baby rotation
+// paid its own mod-down (8.35 and 6.35 bits): one rounding per inner sum
+// may not cost 0.05 bit of it. The fold the client does on decoded slots costs nothing;
 // the same fold done by the server — rotate-and-sum by Po, 2·Po, … P/2,
 // five more key switches at 294×10 — piles the partials' noise into
 // every slot and must come out below both.
@@ -386,12 +426,13 @@ func TestFCNoise(t *testing.T) {
 	for _, tc := range []struct {
 		in, out   int
 		minBudget float64
+		was       float64 // the budget a mod-down per baby left
 		// minGain over the square schedule; 0 skips it and the server fold
 		// (2048 square diagonals are not worth a test's time).
 		minGain float64
 	}{
-		{294, 10, 8, 1},
-		{2048, 10, 4, 0},
+		{294, 10, 8, 8.35, 1},
+		{2048, 10, 4, 6.35, 0},
 	} {
 		t.Run(fmt.Sprintf("%dx%d", tc.in, tc.out), func(t *testing.T) {
 			src := sampling.NewSource([32]byte{27}, "fc-noise")
@@ -429,8 +470,8 @@ func TestFCNoise(t *testing.T) {
 			}
 			now := bfv.NoiseBudgetBits(k.ctx, k.sk, out)
 			t.Logf("%dx%d at bfv-B: fresh input %.2f bits, %d extended diagonals leave %.2f", tc.in, tc.out, bfv.NoiseBudgetBits(k.ctx, k.sk, ct), fc.Po, now)
-			if now < tc.minBudget {
-				t.Errorf("%.2f bits of noise budget left, want at least %.1f", now, tc.minBudget)
+			if now < tc.minBudget || now < tc.was-0.05 {
+				t.Errorf("%.2f bits of noise budget left, want at least %.1f and the %.2f a mod-down per baby left", now, tc.minBudget, tc.was)
 			}
 			want, got := PlainFC(fc.Weights, x), fc.ExtractOutput(k.dec.DecryptInts(out), k.ctx.T.Value)
 			for i := range want {

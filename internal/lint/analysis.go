@@ -10,8 +10,9 @@
 //   - nttdomain:    ring.Poly domain (IsNTT) discipline
 //   - insecurerand: math/rand banned from crypto packages
 //   - polycopy:     by-value ring.Poly copies and illegal aliasing
-//   - polypool:     GetPoly scratch returned with PutPoly, and bfv NTT
-//     ciphertexts to RecycleNTT/FromNTT, on every exit
+//   - polypool:     GetPoly scratch returned with PutPoly, wide
+//     accumulators reduced or put back, and bfv resident ciphertexts and
+//     accumulators recycled or closed with FromNTT, on every exit
 //   - lockednet:    mutexes held across network I/O or channel ops
 //   - uncheckederr: dropped protocol frame-write and Close errors
 //   - bigintloop:   per-iteration math/big arithmetic in hot-path loops

@@ -11,7 +11,7 @@ import (
 //     the flag must change through NTT/INTT (which transform) or the
 //     audited DeclareNTT/DeclareCoeff escape hatches.
 //  2. Within a function, calls to NTT-domain-only ops (MulCoeffs,
-//     MulCoeffsAdd) must not receive a value whose last known domain is
+//     MulCoeffsAdd, MulCoeffsAddWide) must not receive a value whose last known domain is
 //     the coefficient domain (freshly NewPoly'd, just INTT'd, or just
 //     set from integer coefficients), Automorphism must not receive a
 //     value that was just NTT'd, and AutomorphismNTT must not receive
@@ -168,7 +168,7 @@ func trackDomains(pass *Pass, body *ast.BlockStmt) {
 				set(recv(), domNTT)
 			case "DeclareCoeff":
 				set(recv(), domCoeff)
-			case "MulCoeffs", "MulCoeffsAdd":
+			case "MulCoeffs", "MulCoeffsAdd", "MulCoeffsAddWide":
 				reported := map[string]bool{}
 				for i := 0; i < 2; i++ {
 					if nm := exprName(arg(i)); get(arg(i)) == domCoeff && !reported[nm] {
@@ -246,6 +246,8 @@ func domainOfRHS(info *types.Info, state map[types.Object]domain, rhs ast.Expr) 
 	switch name {
 	case "NewPoly":
 		return domCoeff // NewPoly yields a zero coefficient-domain poly
+	case "ReduceWideAcc":
+		return domNTT // the reduced sum of NTT-domain products
 	case "CopyPoly":
 		if len(call.Args) == 1 {
 			if id := identOf(call.Args[0]); id != nil {

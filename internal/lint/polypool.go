@@ -17,11 +17,14 @@ var poolPackages = []string{
 	"internal/core",
 }
 
-// PolyPool flags ring scratch polys taken with GetPoly that are not
-// returned with PutPoly on every exit path of the acquiring function,
-// and — the same discipline one level up — NTT-domain ciphertexts from
-// the bfv evaluator (ToNTT, RotateRowsLazyNTT, NewNTTAccumulator: two
-// pool polys each) that do not reach RecycleNTT or FromNTT.
+// PolyPool flags ring scratch polys taken with GetPoly (or left by
+// ReduceWideAcc) that are not returned with PutPoly on every exit path of
+// the acquiring function; the ring's lazy multiply-accumulators
+// (GetWideAcc: two pool polys each) that reach neither ReduceWideAcc nor
+// PutWideAcc; and — the same discipline one level up — the resident
+// ciphertexts and accumulators of the bfv evaluator (ToNTT,
+// RotateRowsLazyNTT, NewNTTAccumulator) that do not reach RecycleNTT,
+// RecycleNTTAccumulator or FromNTT.
 //
 // An acquired value has exactly two legal fates:
 //
@@ -72,7 +75,9 @@ var poolKinds = []poolKind{
 			switch {
 			case !isRing:
 				return poolUnknown
-			case name == "GetPoly":
+			case name == "GetPoly", name == "ReduceWideAcc":
+				// ReduceWideAcc hands its accumulator's low plane on as
+				// an ordinary pool poly.
 				return poolAcquire
 			case name == "PutPoly":
 				return poolRelease
@@ -84,7 +89,23 @@ var poolKinds = []poolKind{
 		never:    "%s is taken from the poly pool but never returned with PutPoly (and never escapes)",
 		leakyFmt: "%s is not returned with PutPoly on every exit path (leaky exit at line %d)",
 	},
-	{ // bfv NTT-domain ciphertexts
+	{ // ring lazy multiply-accumulators
+		role: func(info *types.Info, call *ast.CallExpr) poolRole {
+			name, isRing := calleeIsRingMethod(info, call)
+			switch {
+			case !isRing:
+				return poolUnknown
+			case name == "GetWideAcc":
+				return poolAcquire
+			case name == "PutWideAcc", name == "ReduceWideAcc":
+				return poolRelease
+			}
+			return poolBorrow // MulCoeffsAddWide
+		},
+		never:    "%s is a wide accumulator from the poly pool that never reaches ReduceWideAcc or PutWideAcc (and never escapes)",
+		leakyFmt: "%s does not reach ReduceWideAcc or PutWideAcc on every exit path (leaky exit at line %d)",
+	},
+	{ // bfv resident ciphertexts and accumulators
 		role: func(info *types.Info, call *ast.CallExpr) poolRole {
 			fn := calleeFunc(info, call)
 			if fn == nil || fn.Pkg() == nil || !pkgPathHasSuffix(fn.Pkg().Path(), "internal/bfv") {
@@ -93,7 +114,7 @@ var poolKinds = []poolKind{
 			switch fn.Name() {
 			case "ToNTT", "RotateRowsLazyNTT", "NewNTTAccumulator":
 				return poolAcquire
-			case "RecycleNTT", "FromNTT":
+			case "RecycleNTT", "RecycleNTTAccumulator", "FromNTT":
 				return poolRelease
 			case "MulPlainAcc":
 				return poolBorrow

@@ -18,6 +18,25 @@ func mulCoeffsOnCoeff(r *ring.Ring) {
 	r.MulCoeffs(a, b, out) // want `MulCoeffs requires NTT-domain operands, but a is in the coefficient domain`
 }
 
+func mulCoeffsAddWideOnCoeff(r *ring.Ring, acc *ring.WideAcc) {
+	a := r.NewPoly()
+	b := r.NewPoly()
+	r.NTT(b)
+	r.MulCoeffsAddWide(a, b, acc) // want `MulCoeffsAddWide requires NTT-domain operands, but a is in the coefficient domain`
+}
+
+// The inner-sum shape: NTT-domain operands in, an NTT-domain sum out.
+func reducedSumIsNTT(r *ring.Ring, g uint64, out *ring.Poly) {
+	a := r.NewPoly()
+	b := r.NewPoly()
+	r.NTT(a)
+	r.NTT(b)
+	acc := r.GetWideAcc()
+	r.MulCoeffsAddWide(a, b, acc)
+	sum := r.ReduceWideAcc(acc)
+	r.Automorphism(sum, g, out) // want `Automorphism requires a coefficient-domain input, but sum is in the NTT domain`
+}
+
 func mulCoeffsFixed(r *ring.Ring) {
 	a := r.NewPoly()
 	b := r.NewPoly()

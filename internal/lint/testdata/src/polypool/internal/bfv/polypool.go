@@ -90,4 +90,36 @@ func escapesIntoClosure(r *ring.Ring) func() {
 	return func() { r.PutPoly(p) }
 }
 
+// Leak: the accumulator's two planes are abandoned when the sum is not
+// wanted; the reduced poly of the other path goes back as any pool poly.
+func wideAccDropped(r *ring.Ring, a, b *ring.Poly, want bool) {
+	acc := r.GetWideAcc() // want `does not reach ReduceWideAcc or PutWideAcc on every exit path`
+	r.MulCoeffsAddWide(a, b, acc)
+	if !want {
+		return
+	}
+	sum := r.ReduceWideAcc(acc)
+	r.PutPoly(sum)
+}
+
+// Leak: ReduceWideAcc consumed the accumulator, but what it returns is a
+// pool poly like any other.
+func reducedNeverReturned(r *ring.Ring, a, b *ring.Poly) {
+	acc := r.GetWideAcc()
+	r.MulCoeffsAddWide(a, b, acc)
+	sum := r.ReduceWideAcc(acc) // want `never returned with PutPoly`
+	r.INTT(sum)
+}
+
+// Either exit hands the planes back.
+func wideAccReleased(r *ring.Ring, a, b *ring.Poly, want bool) {
+	acc := r.GetWideAcc()
+	r.MulCoeffsAddWide(a, b, acc)
+	if !want {
+		r.PutWideAcc(acc)
+		return
+	}
+	r.PutPoly(r.ReduceWideAcc(acc))
+}
+
 func consume(*ring.Poly) {}

@@ -1,7 +1,7 @@
-// Fixture for the polypool analyzer's second resource: NTT-domain
-// ciphertexts handed out by the bfv evaluator hold two pool polys each
-// and must reach RecycleNTT or FromNTT on every exit path, or escape to
-// an owner the analyzer can't see.
+// Fixture for the polypool analyzer's bfv resource: the resident
+// ciphertexts and accumulators handed out by the evaluator hold pool polys
+// and must reach RecycleNTT, RecycleNTTAccumulator or FromNTT on every
+// exit path, or escape to an owner the analyzer can't see.
 package core
 
 import (
@@ -44,6 +44,19 @@ func accumulatorDropped(ev *bfv.Evaluator, ct *bfv.Ciphertext, pm *bfv.Plaintext
 	}
 	out := ev.FromNTT(acc)
 	return out
+}
+
+// The unwanted accumulator goes back unclosed.
+func accumulatorRecycled(ev *bfv.Evaluator, ct *bfv.Ciphertext, pm *bfv.PlaintextMul, want bool) *bfv.Ciphertext {
+	x := ev.ToNTT(ct)
+	defer ev.RecycleNTT(x)
+	acc := ev.NewNTTAccumulator()
+	ev.MulPlainAcc(acc, x, pm)
+	if !want {
+		ev.RecycleNTTAccumulator(acc)
+		return nil
+	}
+	return ev.FromNTT(acc)
 }
 
 // The failed acquisition's own error return owes nothing (x is nil

@@ -155,8 +155,12 @@ func switchLeavesBits(p bfv.Parameters, k int) float64 {
 // reply at bfv-A's 58-bit q₀) comes down to it, one below keeps what it
 // had. At bfv-B, where the replies hold 6 to 8.4 bits under a 10.2-bit
 // ceiling, none may lose more than 0.3 bit, and the request's minimum —
-// conv2, 5.98 bits — may lose 0.1 and must keep 5.5. Every switched
-// reply decrypts to the slots of the full-size one (replyProbe).
+// conv2, 5.98 bits — may lose 0.1 and must keep 5.5. What the layers hand
+// the switch is pinned too: 7.93, 7.93, 5.98 and 8.39 bits is what they
+// held when every baby rotation paid its own mod-down, and rounding once
+// per inner sum instead may not cost any of them 0.05 bit (it reads the
+// same to the hundredth). Every switched reply decrypts to the slots of
+// the full-size one (replyProbe).
 func TestReplySwitchNoise(t *testing.T) {
 	threePrimes := testNet()
 	threePrimes.Name = "TestNet-30-30-30"
@@ -203,9 +207,12 @@ func TestReplySwitchNoise(t *testing.T) {
 		if len(rows) != 4 {
 			t.Fatalf("LeNetSm has %d replies, want 4", len(rows))
 		}
-		for _, r := range rows {
+		for i, r := range rows {
 			if r.before-r.after > 0.3 {
 				t.Errorf("LeNetSm layer %d group %d: the switch costs %.2f bits, limit 0.3", r.layer, r.group, r.before-r.after)
+			}
+			if pin := []float64{7.93, 7.93, 5.98, 8.39}[i]; r.before < pin-0.05 {
+				t.Errorf("LeNetSm layer %d group %d holds %.2f bits before the switch, a mod-down per baby left %.2f", r.layer, r.group, r.before, pin)
 			}
 		}
 		if r := rows[min]; r.layer != 3 || r.before-r.after > 0.1 || r.after < 5.5 {

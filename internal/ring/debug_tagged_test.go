@@ -64,6 +64,32 @@ func TestChocodebugShapePanics(t *testing.T) {
 	}
 }
 
+// TestChocodebugWideAccOverflowPanics: callers cannot overflow a WideAcc,
+// it folds by its own count — so the tagged build asserts the bound where
+// it would show, the carry out of the high word, and a miscount panics
+// instead of wrapping (the untagged twin wraps silently).
+func TestChocodebugWideAccOverflowPanics(t *testing.T) {
+	msg := mustPanic(t, func() { overflowWideAcc(t) })
+	if !strings.Contains(msg, "chocodebug") || !strings.Contains(msg, "overflowed 128 bits") {
+		t.Fatalf("unexpected panic message: %q", msg)
+	}
+}
+
+// TestChocodebugWideAccRowMismatchPanics multiplies a polynomial of a
+// truncated ring into an accumulator of the full one: rejected by name
+// before the kernel indexes past the operand's rows.
+func TestChocodebugWideAccRowMismatchPanics(t *testing.T) {
+	r := testRing(t, 4, []int{30, 31, 31})
+	short := randomPoly(r.AtLevel(1), 5)
+	short.DeclareNTT()
+	full := randomPoly(r, 6)
+	full.DeclareNTT()
+	msg := mustPanic(t, func() { r.MulCoeffsAddWide(short, full, r.GetWideAcc()) })
+	if !strings.Contains(msg, "chocodebug") || !strings.Contains(msg, "residue rows") {
+		t.Fatalf("unexpected panic message: %q", msg)
+	}
+}
+
 // TestDomainMismatchStillPanics documents that the domain-consistency
 // invariant is enforced in every build, not only under chocodebug: the
 // runtime checks in MulCoeffs/Add are always on.

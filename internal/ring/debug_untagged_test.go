@@ -22,6 +22,15 @@ func TestOutOfRangeResidueSilentWithoutChocodebug(t *testing.T) {
 	r.Add(p, p, out) // computes a (wrong) sum, but must not panic
 }
 
+func TestWideAccOverflowSilentWithoutChocodebug(t *testing.T) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			t.Fatalf("untagged build panicked on a miscounted accumulator: %v", rec)
+		}
+	}()
+	overflowWideAcc(t) // the 65th product wraps past 2^128, silently
+}
+
 func TestDomainMismatchPanicsWithoutChocodebug(t *testing.T) {
 	// Domain consistency is a release-build invariant too: MulCoeffs
 	// panics on coefficient-domain operands with or without the tag.

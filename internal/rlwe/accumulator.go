@@ -11,12 +11,12 @@ import "choco/internal/ring"
 //     Galois elements summed in the extended basis, in the NTT domain, so
 //     a whole giant-step sum — a slot reduction, an inner-product
 //     collapse — pays one shared INTT and one mod-down at FinalizeModDown;
-//   - Decomposed.RotateNTT emits a rotation directly in the NTT domain of
-//     the data ring, skipping the full-poly INTT → modDown → NTT round
-//     trip a materialized rotation would pay before entering an NTT-
-//     domain plaintext-multiply accumulation.
+//   - Decomposed.RotateNTT stops a rotation before its mod-down and
+//     leaves it resident over (Ql, p) in the NTT domain, where an inner
+//     sum multiplies it by a plaintext lifted over the same ring and
+//     divides the whole sum by P once (ModDownPair).
 //
-// Everything is byte-identical to the materialized path. The one
+// The accumulator is byte-identical to the materialized path. The one
 // nonlinear step in key switching is the centred rounding inside the
 // mod-down; the accumulator keeps it exact by draining each element's
 // special-prime row immediately (one single-row INTT), folding the

@@ -51,7 +51,7 @@ func (ctx *Context) KeySwitch(d *ring.Poly, swk *SwitchingKey, level int) (d0, d
 		rQlP.MulCoeffsShoupAdd2(di, key.b[i], key.bShoup[i], acc0, key.a[i], key.aShoup[i], acc1)
 	}
 	rQlP.PutPoly(di)
-	return ctx.modDownPair(level, acc0, acc1)
+	return ctx.ModDownPair(level, acc0, acc1)
 }
 
 // newAccPair returns two zeroed inner-product accumulators over r,
@@ -63,9 +63,11 @@ func newAccPair(r *ring.Ring) (acc0, acc1 *ring.Poly) {
 	return acc0, acc1
 }
 
-// modDownPair closes a materialized key switch: inverse NTT of both
-// accumulators, divide by P, accumulators back to the pool.
-func (ctx *Context) modDownPair(level int, acc0, acc1 *ring.Poly) (d0, d1 *ring.Poly) {
+// ModDownPair closes a sum held over (q0..ql, p) in the NTT domain — a
+// materialized key switch, or an inner sum of QP-resident terms: inverse
+// NTT of both components, divide by P with rounding, the inputs back to
+// the key ring's pool. The results come from the level ring's pool.
+func (ctx *Context) ModDownPair(level int, acc0, acc1 *ring.Poly) (d0, d1 *ring.Poly) {
 	rQlP := ctx.ringQlP[level]
 	rQlP.INTT(acc0)
 	rQlP.INTT(acc1)
@@ -145,33 +147,20 @@ func (ctx *Context) DivRoundByLastModulus(p *ring.Poly, level int) *ring.Poly {
 	return out
 }
 
-// nttModDown maps x mod Ql·P (NTT domain) to round(x/P) mod Ql, still in
-// the NTT domain. Byte-identical, row for row, to NTT(modDown(INTT(x))):
-// per data row i the coefficient-domain identity dst = (src − c)·P⁻¹
-// becomes NTT(dst) = (NTT(src) − NTT(c))·P⁻¹ because the NTT is linear
-// and commutes with multiplication by the scalar P⁻¹. Only the rounding
-// correction c needs the coefficient domain — one single-row INTT of the
-// special-prime row to read the centred remainders, one single-row
-// forward NTT per data row to lift them back. x's special-prime row is
-// consumed (left in the coefficient domain); the caller is expected to
-// release x.
-func (ctx *Context) nttModDown(level int, x *ring.Poly) *ring.Poly {
+// LiftNTT returns P·NTT(p) over (q0..ql, p) for a coefficient-domain
+// polynomial p mod Ql, from the key ring's pool: the form in which a
+// polynomial that never went through a key switch sits beside the
+// QP-resident rotations of Decomposed.RotateNTT. Its special-prime row is
+// zero — P·p ≡ 0 mod P — so dividing it by P again is exact.
+func (ctx *Context) LiftNTT(level int, p *ring.Poly) *ring.Poly {
 	rQl := ctx.ringQl[level]
-	xp := x.Coeffs[level+1]
-	ctx.ringQlP[level].NTTInverseRow(level+1, xp)
-
-	out := rQl.GetPoly() // zeroed, so subCentred leaves −c
-	out.DeclareNTT()
+	out := ctx.ringQlP[level].GetPoly()
 	for i, m := range rQl.Moduli {
-		dst := out.Coeffs[i]
-		src := x.Coeffs[i][:len(dst)]
-		subCentred(m, ctx.special(), xp, dst, dst)
-		rQl.NTTForwardRow(i, dst)
-		pi, pis := ctx.pInvQ[i], ctx.pInvQShoup[i]
-		for k := range dst {
-			dst[k] = m.MulShoup(m.Add(src[k], dst[k]), pi, pis)
-		}
+		copy(out.Coeffs[i], p.Coeffs[i])
+		scaleRow(m, m.Reduce(ctx.special()), out.Coeffs[i])
+		rQl.NTTForwardRow(i, out.Coeffs[i])
 	}
+	out.DeclareNTT()
 	return out
 }
 
@@ -190,13 +179,13 @@ type Decomposed struct {
 	value  []*ring.Poly // the source (c0, c1), referenced, not copied
 	digits []*ring.Poly // one per prime q0..ql, over (Ql, p), NTT domain
 
-	// c0NTT is NTT(c0), the other half hoisted: lazy NTT-domain
+	// c0Lift is LiftNTT(c0), the other half hoisted: QP-resident
 	// rotations gather it per Galois element instead of each paying an
 	// automorphism plus a forward NTT of c0. Built on the first such
 	// rotation (the materialized paths never need it), released with
 	// the digits.
 	c0Once sync.Once
-	c0NTT  *ring.Poly
+	c0Lift *ring.Poly
 }
 
 // Decompose performs the per-residue embedding and forward NTTs of
@@ -222,29 +211,24 @@ func (ctx *Context) Decompose(dc *Decomposed, value []*ring.Poly, level int) {
 // Level returns the level the ciphertext was decomposed at.
 func (dc *Decomposed) Level() int { return dc.level }
 
-// Release returns the digit buffers (and the hoisted NTT(c0), if any
-// rotation built it) to the rings' scratch pools. The Decomposed must not
-// be used afterwards.
+// Release returns the digit buffers (and the hoisted lift of c0, if any
+// rotation built it) to the key ring's scratch pool. The Decomposed must
+// not be used afterwards.
 func (dc *Decomposed) Release() {
+	rQlP := dc.ctx.ringQlP[dc.level]
 	for _, d := range dc.digits {
-		dc.ctx.ringQlP[dc.level].PutPoly(d)
+		rQlP.PutPoly(d)
 	}
 	dc.digits = nil
-	dc.ctx.ringQl[dc.level].PutPoly(dc.c0NTT)
-	dc.c0NTT = nil
+	rQlP.PutPoly(dc.c0Lift)
+	dc.c0Lift = nil
 }
 
-// nttC0 returns NTT(c0), building it on first use. Safe for concurrent
-// callers; the result is read-only.
-func (dc *Decomposed) nttC0() *ring.Poly {
-	dc.c0Once.Do(func() {
-		rQl := dc.ctx.ringQl[dc.level]
-		p := rQl.GetPoly()
-		rQl.Copy(p, dc.value[0])
-		rQl.NTT(p)
-		dc.c0NTT = p
-	})
-	return dc.c0NTT
+// liftC0 returns LiftNTT(c0), building it on first use. Safe for
+// concurrent callers; the result is read-only.
+func (dc *Decomposed) liftC0() *ring.Poly {
+	dc.c0Once.Do(func() { dc.c0Lift = dc.ctx.LiftNTT(dc.level, dc.value[0]) })
+	return dc.c0Lift
 }
 
 // innerProduct adds the switching-key inner product of the digits under
@@ -273,7 +257,7 @@ func (dc *Decomposed) Rotate(gk *GaloisKey) (c0, c1 *ring.Poly) {
 	ctx, rQl := dc.ctx, dc.ctx.ringQl[dc.level]
 	acc0, acc1 := newAccPair(ctx.ringQlP[dc.level])
 	dc.innerProduct(gk, acc0, acc1)
-	d0, d1 := ctx.modDownPair(dc.level, acc0, acc1)
+	d0, d1 := ctx.ModDownPair(dc.level, acc0, acc1)
 
 	c0 = rQl.GetPoly()
 	rQl.Automorphism(dc.value[0], gk.GaloisElement, c0)
@@ -282,27 +266,24 @@ func (dc *Decomposed) Rotate(gk *GaloisKey) (c0, c1 *ring.Poly) {
 	return c0, d1
 }
 
-// RotateNTT is Rotate with the result left in the NTT domain of the data
-// ring — byte-identical to transforming Rotate's output, but without ever
-// materializing the coefficient-domain rotation: the divide-by-P happens
-// per residue row in the evaluation domain (nttModDown), paying one
-// single-row INTT for the special prime and one forward NTT per data row
-// of the rounding correction instead of a full-poly INTT plus a forward
-// NTT of both output components. c0 joins as a gather of the hoisted
-// NTT(c0): NTT(φ_g(c0)) and the evaluation-domain permutation of NTT(c0)
-// are the same residues, so each element pays a permutation instead of a
-// transform.
+// RotateNTT is Rotate stopped before its divide-by-P: the rotation stays
+// resident in the key ring (q0..ql, p), NTT domain, as
+//
+//	(ip₀ + P·φ_g(c₀), ip₁)
+//
+// — the switching-key inner product with the hoisted lift of c0 gathered
+// under the same Galois element (NTT(φ_g(c0)) and the evaluation-domain
+// permutation of NTT(c0) are the same residues). Its phase is P times the
+// rotated ciphertext's plus the key-switch error, so ModDownPair of it is
+// Rotate's output byte for byte, and ModDownPair of a sum of such
+// rotations, each multiplied by a plaintext lifted over the same ring,
+// rounds once where mod-downs per rotation would round once each and
+// scale every rounding error by its plaintext (DESIGN.md §13). The
+// results come from the key ring's pool.
 func (dc *Decomposed) RotateNTT(gk *GaloisKey) (c0, c1 *ring.Poly) {
-	ctx, rQl, rQlP := dc.ctx, dc.ctx.ringQl[dc.level], dc.ctx.ringQlP[dc.level]
-	acc0, acc1 := newAccPair(rQlP)
-	dc.innerProduct(gk, acc0, acc1)
-	d0, d1 := ctx.nttModDown(dc.level, acc0), ctx.nttModDown(dc.level, acc1)
-	rQlP.PutPoly(acc0)
-	rQlP.PutPoly(acc1)
-
-	g0 := rQl.GetPoly()
-	rQl.AutomorphismNTT(dc.nttC0(), gk.GaloisElement, g0)
-	rQl.Add(d0, g0, d0)
-	rQl.PutPoly(g0)
-	return d0, d1
+	rQlP := dc.ctx.ringQlP[dc.level]
+	c0, c1 = newAccPair(rQlP)
+	rQlP.AutomorphismNTT(dc.liftC0(), gk.GaloisElement, c0)
+	dc.innerProduct(gk, c0, c1)
+	return c0, c1
 }

@@ -77,3 +77,40 @@ func TestZeroEncryptionPhaseIsSmall(t *testing.T) {
 		}
 	}
 }
+
+// TestRotateNTTOwesOneModDown pins the QP-resident rotation at every level
+// (BFV rotates at the top one only; the core is level-aware): it is Rotate
+// stopped before its divide-by-P, so ModDownPair of it alone is Rotate's
+// output byte for byte, and so is ModDownPair of LiftNTT for a polynomial
+// that was never key-switched — its special-prime row is zero and P
+// divides it exactly.
+func TestRotateNTTOwesOneModDown(t *testing.T) {
+	ctx := testContext(t)
+	value, sk := encryptZero(ctx)
+	g := ctx.RingQ.GaloisElementForRotation(3)
+	gk := NewKeyGenerator(ctx, [32]byte{1, 2, 3}).GenGaloisKey(sk, g)
+	for level := ctx.MaxLevel(); level >= 0; level-- {
+		rQl := ctx.RingAtLevel(level)
+		low := make([]*ring.Poly, len(value))
+		for i, p := range value {
+			low[i] = &ring.Poly{Coeffs: p.Coeffs[:level+1]}
+		}
+		var dc Decomposed
+		ctx.Decompose(&dc, low, level)
+		want0, want1 := dc.Rotate(gk)
+		r0, r1 := dc.RotateNTT(gk)
+		if r0.Coeffs[level+1][0] == 0 && r0.Coeffs[level+1][1] == 0 {
+			t.Errorf("level %d: the resident rotation's special-prime row looks empty: did it pay a mod-down?", level)
+		}
+		got0, got1 := ctx.ModDownPair(level, r0, r1)
+		if !rQl.Equal(got0, want0) || !rQl.Equal(got1, want1) {
+			t.Errorf("level %d: RotateNTT divided by P differs from Rotate", level)
+		}
+		dc.Release()
+
+		back0, back1 := ctx.ModDownPair(level, ctx.LiftNTT(level, low[0]), ctx.LiftNTT(level, low[1]))
+		if !rQl.Equal(back0, low[0]) || !rQl.Equal(back1, low[1]) {
+			t.Errorf("level %d: a lifted polynomial divided by P is not the polynomial", level)
+		}
+	}
+}
