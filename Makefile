@@ -23,7 +23,11 @@
 #                  invariants, both schemes' entry-point checks, the
 #                  core operators that drive them: the FC and the conv
 #                  giant fold, and nn, whose reply path runs the
-#                  ModSwitchDown entry check on real layer outputs)
+#                  ModSwitchDown entry check on real layer outputs); then
+#                  the two schemes and rlwe once more without -race,
+#                  because the allocation-count tests skip themselves
+#                  under the race detector and the assertion layer must
+#                  not cost the hot paths an object
 #   make purego  — tests with the vector kernels compiled out (the
 #                  scalar-only build every non-amd64 target gets)
 #   make bench   — paper-table benchmark generators; also regenerates
@@ -50,12 +54,15 @@
 #                  with 8+ history points regresses beyond its
 #                  noise gate (3·MAD over the cached history)
 
-#   make fuzz    — 30-second smoke run of each internal/protocol fuzz
-#                  target (frame parser, hello-frame round-trip, and the
-#                  BFV and CKKS ciphertext decoders and the key-bundle
-#                  decoder, whose 64 KB–1 MB inputs run with minimization
-#                  off: the engine otherwise spends the whole window
-#                  shrinking one input)
+#   make fuzz    — 30-second smoke run of the packed-row codec's fuzz
+#                  target (internal/ring) and of each internal/protocol
+#                  one (frame parser, hello-frame round-trip, the shard
+#                  hello, key-fetch, peer-ping and stats-fetch frames of
+#                  the fleet's inner boundary, and the BFV and CKKS
+#                  ciphertext decoders and the key-bundle decoder, whose
+#                  40 KB–0.6 MB inputs run with minimization off: the
+#                  engine otherwise spends the whole window shrinking
+#                  one input)
 #   make bench-e2e — the repository's benchmark (benchmark/README.md):
 #                  four workloads end to end through real HE over the
 #                  real protocol, untraced then traced, ~4 min
@@ -86,14 +93,20 @@ race:
 
 debug:
 	$(GO) test -race -shuffle=on -tags chocodebug ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core ./internal/nn
+	$(GO) test -shuffle=on -tags chocodebug ./internal/bfv ./internal/ckks ./internal/rlwe
 
 purego:
 	$(GO) build -tags purego ./...
 	$(GO) test -shuffle=on -tags purego ./...
 
 fuzz:
+	$(GO) test ./internal/ring -run '^$$' -fuzz '^FuzzPackedRow$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzHelloFrame$$' -fuzztime 30s
+	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzShardHello$$' -fuzztime 30s
+	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzKeyFetch$$' -fuzztime 30s
+	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzPeerPing$$' -fuzztime 30s
+	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzStatsFetch$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalBFV$$' -fuzztime 30s -fuzzminimizetime 0
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalCKKS$$' -fuzztime 30s -fuzzminimizetime 0
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalKeyBundle$$' -fuzztime 30s -fuzzminimizetime 0

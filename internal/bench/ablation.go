@@ -273,7 +273,7 @@ func SetupCosts() (string, error) {
 		fmt.Fprintf(&b, "%-9s %8d %14d %16.1f %24.1f\n",
 			n.Name, n.Params.N(), keys, float64(bytes)/1e6, float64(bytes)/float64(per))
 	}
-	fmt.Fprintf(&b, "*bundle bytes / per-inference communication; shipped once per key epoch.\n")
+	fmt.Fprintf(&b, "*bundle bytes as marshalled (residues at their bit widths) / the model's per-inference\n communication (CommBytes, in the paper's 8-byte words); shipped once per key epoch.\n")
 
 	// What the executable path moves and computes per request, from the
 	// operators' own plans: a packing regression shows here, on the push
@@ -287,7 +287,7 @@ func SetupCosts() (string, error) {
 			return "", err
 		}
 		fmt.Fprintf(&b, "%-9s %10d %10d %10d %12d %12d %12d\n",
-			n.Name, rc.UpCiphertexts, rc.DownCiphertexts, n.ReplyCiphertextBytes(), rc.WireBytes, rc.Server.Rotations, rc.Server.PlainMults)
+			n.Name, rc.UpCiphertexts, rc.DownCiphertexts, rc.ReplyFrameBytes, rc.WireBytes, rc.Server.Rotations, rc.Server.PlainMults)
 	}
 	return b.String(), nil
 }

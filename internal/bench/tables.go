@@ -16,6 +16,7 @@ import (
 	"choco/internal/ckks"
 	"choco/internal/nn"
 	"choco/internal/protocol"
+	"choco/internal/ring"
 	"choco/internal/rotred"
 )
 
@@ -108,13 +109,16 @@ func Table1() (string, error) {
 	return b.String(), nil
 }
 
-// Table3 reports the parameter presets and their serialized ciphertext
-// sizes, checked against live serialization.
+// Table3 reports the parameter presets and their ciphertext sizes: the
+// paper's, which counts SEAL's in-memory 8-byte words, and beside it what
+// a fresh ciphertext weighs in a frame on this repository's wire, where a
+// residue travels at its modulus's bit width — checked against live
+// serialization.
 func Table3() (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 3: HE parameter selections (128-bit security)\n")
-	fmt.Fprintf(&b, "%-6s %-7s %6s %8s %-14s %7s %14s %10s\n",
-		"Label", "Scheme", "N", "log2 q", "{k}", "log2 t", "Size (bytes)", "paper")
+	fmt.Fprintf(&b, "%-6s %-7s %6s %8s %-14s %7s %14s %10s %14s\n",
+		"Label", "Scheme", "N", "log2 q", "{k}", "log2 t", "Size (bytes)", "paper", "on the wire")
 
 	type row struct {
 		label, scheme string
@@ -122,18 +126,20 @@ func Table3() (string, error) {
 		ks            string
 		logt          string
 		size, paper   int
+		qBits         []int
 	}
 	a := bfv.PresetA()
 	bp := bfv.PresetB()
 	c := ckks.PresetC()
 	rows := []row{
-		{"A", "BFV", a.N(), a.LogQ() + a.PBits, "{58,58,59}", "23", a.CiphertextBytes(), 262144},
-		{"B", "BFV", bp.N(), bp.LogQ() + bp.PBits, "{36,36,37}", "18", bp.CiphertextBytes(), 131072},
-		{"C", "CKKS", c.N(), 180, "{60,60,60}", "N/A", c.CiphertextBytes(), 262144},
+		{"A", "BFV", a.N(), a.LogQ() + a.PBits, "{58,58,59}", "23", a.CiphertextBytes(), 262144, a.QBits},
+		{"B", "BFV", bp.N(), bp.LogQ() + bp.PBits, "{36,36,37}", "18", bp.CiphertextBytes(), 131072, bp.QBits},
+		{"C", "CKKS", c.N(), 180, "{60,60,60}", "N/A", c.CiphertextBytes(), 262144, c.QBits},
 	}
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6s %-7s %6d %8d %-14s %7s %14d %10d\n",
-			r.label, r.scheme, r.n, r.logq, r.ks, r.logt, r.size, r.paper)
+		fmt.Fprintf(&b, "%-6s %-7s %6d %8d %-14s %7s %14d %10d %14d\n",
+			r.label, r.scheme, r.n, r.logq, r.ks, r.logt, r.size, r.paper,
+			protocol.FrameBytes(ring.PackedBytes(r.n, r.qBits...), 2, false))
 		if r.size != r.paper {
 			return "", fmt.Errorf("bench: preset %s size %d != paper %d", r.label, r.size, r.paper)
 		}
@@ -148,8 +154,11 @@ func Table3() (string, error) {
 	sk := kg.GenSecretKey()
 	enc := bfv.NewEncryptor(ctx, kg.GenPublicKey(sk), [32]byte{2})
 	wire := len(protocol.MarshalBFV(enc.EncryptZero()))
-	fmt.Fprintf(&b, "serialized preset-B ciphertext: %d bytes (payload %d + header)\n",
-		wire, bp.CiphertextBytes())
+	fmt.Fprintf(&b, "serialized preset-B ciphertext: %d bytes (2 polynomials of %d packed bytes + header; + the 4-byte length prefix on the wire)\n",
+		wire, ctx.RingQ.PackedBytes())
+	if onWire := protocol.FrameBytes(ctx.RingQ.PackedBytes(), 2, false); onWire != wire+4 {
+		return "", fmt.Errorf("bench: preset B serializes to %d bytes + 4, FrameBytes says %d", wire, onWire)
+	}
 	return b.String(), nil
 }
 

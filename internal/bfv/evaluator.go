@@ -145,7 +145,7 @@ type PlaintextMul struct {
 func (ev *Evaluator) PrepareMul(pt *Plaintext) *PlaintextMul {
 	p := ev.encoder.liftToQP(pt)
 	ev.ctx.RingQP.NTT(p)
-	return &PlaintextMul{NTT: p, q: &ring.Poly{Coeffs: p.Coeffs[:len(ev.ctx.RingQ.Moduli)], IsNTT: true}}
+	return &PlaintextMul{NTT: p, q: ev.ctx.RingQ.Prefix(p)}
 }
 
 // MulPlain returns ct ⊙ pt (slot-wise product with an unencrypted

@@ -1,6 +1,10 @@
 package bfv
 
-import "testing"
+import (
+	"testing"
+
+	"choco/internal/ring"
+)
 
 func TestModSwitchDownPreservesPlaintext(t *testing.T) {
 	kit := newTestKit(t, PresetTest())
@@ -67,10 +71,9 @@ func TestModSwitchWireShrinks(t *testing.T) {
 	if rows := len(small.Value[0].Coeffs); rows != 1 {
 		t.Errorf("dropped ciphertext has %d residue rows, want 1", rows)
 	}
-	fullBytes := kit.ctx.Params.CiphertextBytes()
-	smallBytes := kit.ctx.DroppedCiphertextBytes(1)
-	if smallBytes*2 != fullBytes {
-		t.Errorf("dropped size %d, full %d", smallBytes, fullBytes)
+	p := kit.ctx.Params
+	if got, want := small.Value[0].PackedBytes(), ring.PackedBytes(p.N(), p.QBits[0]); got != want || got >= ct.Value[0].PackedBytes() {
+		t.Errorf("dropped polynomial packs to %d B, want %d (one %d-bit row); the full one takes %d", got, want, p.QBits[0], ct.Value[0].PackedBytes())
 	}
 }
 

@@ -46,9 +46,12 @@ func (p Parameters) N() int { return 1 << uint(p.LogN) }
 // batching over a 2×(N/2) matrix).
 func (p Parameters) Slots() int { return p.N() }
 
-// CiphertextBytes returns the serialized size in bytes of a fresh
-// ciphertext: 2 polynomials × N coefficients × data residues × 8 bytes.
-// These are the numbers in the paper's Table 3.
+// CiphertextBytes returns the size in bytes of a fresh ciphertext as the
+// paper counts it: 2 polynomials × N coefficients × data residues × 8
+// bytes, SEAL's in-memory words. These are the numbers in the paper's
+// Table 3 and what the communication model (nn.CommPlan, params.Select)
+// is priced in; a frame on this repository's wire packs each residue
+// into its modulus's bits and is smaller (protocol.FrameBytes).
 func (p Parameters) CiphertextBytes() int {
 	return 2 * p.N() * len(p.QBits) * 8
 }
@@ -148,12 +151,6 @@ func (ctx *Context) RingAtDrop(drop int) *ring.Ring {
 // MaxDrop returns how many residues modulus switching can remove while
 // leaving one.
 func (ctx *Context) MaxDrop() int { return ctx.MaxLevel() }
-
-// DroppedCiphertextBytes returns the wire payload of a degree-1
-// ciphertext with drop residues removed.
-func (ctx *Context) DroppedCiphertextBytes(drop int) int {
-	return 2 * ctx.Params.N() * (len(ctx.Params.QBits) - drop) * 8
-}
 
 // NewContext generates primes and precomputes everything needed to
 // operate under params.

@@ -64,12 +64,8 @@ func (enc *SymmetricEncryptor) EncryptIntsSeeded(values []int64) (*SeededCiphert
 }
 
 // Expand reconstructs the full two-component ciphertext (server side).
+// The ciphertext takes C0 over, it does not copy it: the decoder that
+// calls this has just unpacked the polynomial and holds nothing else.
 func (sct *SeededCiphertext) Expand(ctx *Context) *Ciphertext {
-	return &Ciphertext{Value: []*ring.Poly{ctx.RingQ.CopyPoly(sct.C0), ctx.ExpandA(sct.Seed, ctx.MaxLevel())}}
-}
-
-// WireBytes returns the serialized payload size: one polynomial plus
-// the seed — about half a regular ciphertext.
-func (sct *SeededCiphertext) WireBytes(ctx *Context) int {
-	return ctx.Params.N()*len(ctx.RingQ.Moduli)*8 + 32
+	return &Ciphertext{Value: []*ring.Poly{sct.C0, ctx.ExpandA(sct.Seed, ctx.MaxLevel())}}
 }

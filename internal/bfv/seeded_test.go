@@ -49,17 +49,6 @@ func TestSeededCiphertextSupportsServerOps(t *testing.T) {
 	}
 }
 
-func TestSeededHalvesUpload(t *testing.T) {
-	kit := newTestKit(t, PresetTest())
-	symEnc := NewSymmetricEncryptor(kit.ctx, kit.sk, [32]byte{73})
-	sct, _ := symEnc.EncryptUintsSeeded([]uint64{1})
-	full := kit.ctx.Params.CiphertextBytes()
-	seeded := sct.WireBytes(kit.ctx)
-	if seeded >= full/2+64 {
-		t.Errorf("seeded %d bytes, full %d: expected ~half", seeded, full)
-	}
-}
-
 func TestSeededCiphertextsAreFresh(t *testing.T) {
 	// Distinct encryptions of the same message use distinct seeds and
 	// produce distinct ciphertexts.

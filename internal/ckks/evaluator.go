@@ -253,7 +253,7 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) (*Ciphertext, error) {
 	}
 	out := &Ciphertext{Value: make([]*ring.Poly, len(ct.Value)), Level: level, Scale: ct.Scale}
 	for i, p := range ct.Value {
-		out.Value[i] = &ring.Poly{Coeffs: p.Coeffs[:level+1], IsNTT: p.IsNTT}
+		out.Value[i] = ev.ctx.RingAtLevel(level).Prefix(p)
 	}
 	return out, nil
 }

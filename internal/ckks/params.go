@@ -39,8 +39,10 @@ func (p Parameters) DefaultScale() float64 {
 	return math.Ldexp(1, p.LogScale)
 }
 
-// CiphertextBytes returns the serialized size of a fresh (full-level)
-// ciphertext: 2 polynomials × N × data residues × 8 bytes.
+// CiphertextBytes returns the size of a fresh (full-level) ciphertext as
+// the paper counts it: 2 polynomials × N × data residues × 8 bytes,
+// SEAL's in-memory words (Table 3). The frame on the wire is smaller
+// (protocol.FrameBytes).
 func (p Parameters) CiphertextBytes() int {
 	return 2 * p.N() * len(p.QBits) * 8
 }

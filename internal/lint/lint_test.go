@@ -100,6 +100,9 @@ func TestLockedNetFabricFixture(t *testing.T) {
 func TestUncheckedErrFixture(t *testing.T) {
 	runFixture(t, UncheckedErr, "uncheckederr/internal/protocol")
 }
+func TestUncheckedErrUnpackFixture(t *testing.T) {
+	runFixture(t, UncheckedErr, "uncheckederr/internal/ring")
+}
 func TestBigIntLoopFixture(t *testing.T) {
 	runFixture(t, BigIntLoop, "bigintloop/internal/bfv")
 }

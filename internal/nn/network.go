@@ -178,30 +178,23 @@ func (n *Network) CommPlan() ([]LayerComm, error) {
 	return plan, nil
 }
 
-// UpCiphertextBytes returns the upload size per ciphertext: CHOCO's
-// client holds the secret key, so uploads use seeded symmetric
-// encryption — one polynomial plus a 32-byte PRG seed (half a regular
-// ciphertext).
-func (n *Network) UpCiphertextBytes() int {
-	return n.Params.N()*len(n.Params.QBits)*8 + 32
-}
+// UpCiphertextBytes returns the upload size per ciphertext in the
+// paper's model: CHOCO's client holds the secret key, so uploads use
+// seeded symmetric encryption — one polynomial of 8-byte words plus a
+// 32-byte PRG seed (half a regular ciphertext).
+func (n *Network) UpCiphertextBytes() int { return seededBytes(n.Params) }
 
 // DownCiphertextBytes returns the download size per ciphertext in the
-// paper's model (full two-component form at every data prime; the server
-// cannot seed-compress). CommPlan and CommBytes keep it, so Table 5 and
-// Figs 10 and 15 stay the paper's; the executable sends less.
+// paper's model (full two-component form at every data prime, 8-byte
+// words; the server cannot seed-compress). CommPlan and CommBytes keep
+// both, so Table 5 and Figs 10 and 15 stay the paper's; the executable
+// sends less (ExecutableRequestCost): replies leave at fewer primes and
+// every residue travels at its bit width.
 func (n *Network) DownCiphertextBytes() int {
 	return n.Params.CiphertextBytes()
 }
 
-// ReplyCiphertextBytes returns what a download weighs on the executable
-// path, where the server modulus-switches every reply down by the
-// parameter set's ReplyDrop before sending it.
-func (n *Network) ReplyCiphertextBytes() int {
-	return 2 * n.Params.N() * (len(n.Params.QBits) - n.Params.ReplyDrop()) * 8
-}
-
-// CommBytes returns total protocol bytes for one inference: seeded
+// CommBytes returns the model's total bytes for one inference: seeded
 // uploads plus full downloads.
 func (n *Network) CommBytes() (int64, error) {
 	plan, err := n.CommPlan()

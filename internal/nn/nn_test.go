@@ -300,8 +300,8 @@ func TestCommAccountMatchesWire(t *testing.T) {
 		if up := len(runner.client.convs) + len(runner.client.fcs); stats.UpCiphertexts != up || stats.DownCiphertexts != down {
 			t.Errorf("%s: %d up / %d down ciphertexts, the operators plan %d / %d", net.Name, stats.UpCiphertexts, stats.DownCiphertexts, up, down)
 		}
-		if wire := clientEnd.SentBytes() + serverEnd.SentBytes(); stats.TotalBytes() != wire || wire != 459044 {
-			t.Errorf("%s: the client counts %d B, the pipe carried %d B, want 459044 B (3 seeded uploads + 4 one-residue replies)", net.Name, stats.TotalBytes(), wire)
+		if wire := clientEnd.SentBytes() + serverEnd.SentBytes(); stats.TotalBytes() != wire || wire != 258340 {
+			t.Errorf("%s: the client counts %d B, the pipe carried %d B, want 258340 B (3 seeded uploads of two packed 36-bit rows + 4 one-residue replies)", net.Name, stats.TotalBytes(), wire)
 		}
 		// chocobench setup-costs prints this plan; it must be the wire's.
 		rc, err := ExecutableRequestCost(net)
@@ -417,8 +417,8 @@ func TestLeNetSmKeyFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if keys != 50 || bundleBytes != 20185088 {
-		t.Errorf("LeNet-Sm footprint: %d Galois keys, %d B bundle; want 50 keys, 20185088 B", keys, bundleBytes)
+	if keys != 50 || bundleBytes != 11461648 {
+		t.Errorf("LeNet-Sm footprint: %d Galois keys, %d B bundle; want 50 keys, 11461648 B", keys, bundleBytes)
 	}
 	client, err := NewInferenceClient(LeNetSmall(), [32]byte{9})
 	if err != nil {
@@ -427,7 +427,7 @@ func TestLeNetSmKeyFootprint(t *testing.T) {
 	if got := len(client.bundle.Galois); got != keys {
 		t.Errorf("the client generated %d Galois keys, the footprint says %d", got, keys)
 	}
-	if got := int64(len(protocol.MarshalKeyBundle(client.bundle))); got < bundleBytes || got > bundleBytes+bundleBytes/100 {
+	if got := int64(len(protocol.MarshalKeyBundle(client.bundle))); got != bundleBytes {
 		t.Errorf("the marshalled bundle is %d B, the footprint says %d", got, bundleBytes)
 	}
 }

@@ -134,9 +134,10 @@ func convComm(h, w, c int, l Layer, sel bfv.Parameters) (up, down int, err error
 	return up, down, nil
 }
 
-// seededBytes is the seeded-upload wire size under a parameter set.
+// seededBytes is the model's seeded-upload size under a parameter set:
+// half a ciphertext of 8-byte words, and the seed.
 func seededBytes(p bfv.Parameters) int {
-	return p.N()*len(p.QBits)*8 + 32
+	return p.CiphertextBytes()/2 + 32
 }
 
 func ceilLog2(v int) int {

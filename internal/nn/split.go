@@ -8,6 +8,7 @@ import (
 	"choco/internal/bfv"
 	"choco/internal/core"
 	"choco/internal/protocol"
+	"choco/internal/ring"
 )
 
 // The split client/server API deploys client-aided inference across a
@@ -128,15 +129,7 @@ func EvaluationKeyFootprint(net *Network) (galoisKeys int, bundleBytes int64, er
 	// Distinct Galois elements plus the row-swap key.
 	galoisKeys = len(set) + 1
 
-	kData := len(params.QBits)
-	kQP := kData
-	if params.PBits != 0 {
-		kQP++
-	}
-	polyBytes := int64(params.N()) * 8
-	pkBytes := 2 * int64(kData) * polyBytes
-	swkBytes := int64(kData) * 2 * int64(kQP) * polyBytes // (b,a) per data prime over QP
-	bundleBytes = pkBytes + swkBytes /*relin*/ + int64(galoisKeys)*swkBytes
+	bundleBytes = int64(protocol.KeyBundleBytes(params.N(), params.QBits, params.PBits, true, galoisKeys))
 	return galoisKeys, bundleBytes, nil
 }
 
@@ -145,8 +138,13 @@ func EvaluationKeyFootprint(net *Network) (galoisKeys int, bundleBytes int64, er
 // the client moves, and the server's work when no weight is zero.
 type RequestCost struct {
 	UpCiphertexts, DownCiphertexts int
-	WireBytes                      int64
-	Server                         core.OpCounts
+	// UpFrameBytes and ReplyFrameBytes are what one frame of each
+	// direction costs on the wire (protocol.FrameBytes): a seeded upload
+	// at every data prime, a two-component reply at the primes left after
+	// the parameter set's ReplyDrop. WireBytes is the request's total.
+	UpFrameBytes, ReplyFrameBytes int
+	WireBytes                     int64
+	Server                        core.OpCounts
 }
 
 // ExecutableRequestCost plans one inference of a network the split
@@ -171,8 +169,10 @@ func ExecutableRequestCost(net *Network) (RequestCost, error) {
 	for _, fc := range fcs {
 		add(fc.Plan(fc.HoistLevel()), 1)
 	}
-	rc.WireBytes = int64(rc.UpCiphertexts)*int64(net.UpCiphertextBytes()+protocol.FrameOverheadBytes) +
-		int64(rc.DownCiphertexts)*int64(net.ReplyCiphertextBytes()+protocol.FrameOverheadBytes)
+	n, qBits := net.Params.N(), net.Params.QBits
+	rc.UpFrameBytes = protocol.FrameBytes(ring.PackedBytes(n, qBits...), 1, true)
+	rc.ReplyFrameBytes = protocol.FrameBytes(ring.PackedBytes(n, qBits[:len(qBits)-net.Params.ReplyDrop()]...), 2, false)
+	rc.WireBytes = int64(rc.UpCiphertexts)*int64(rc.UpFrameBytes) + int64(rc.DownCiphertexts)*int64(rc.ReplyFrameBytes)
 	return rc, nil
 }
 

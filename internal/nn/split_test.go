@@ -156,15 +156,14 @@ func TestSplitDemoNetworkEndToEnd(t *testing.T) {
 	if !nonzero {
 		t.Error("demo network produced all-zero logits; requant shifts too aggressive")
 	}
-	// Preset B wire check: seeded uploads carry one polynomial plus a
-	// 32-byte seed (65536 B payload); downloads are two polynomials at the
-	// one residue replies are switched down to (65536 B again).
-	perUp := stats.UpBytes / int64(stats.UpCiphertexts)
-	if perUp < 65536 || perUp > 65700 {
-		t.Errorf("per-ciphertext up bytes %d, want ~65568", perUp)
+	// Preset B wire check: a seeded upload carries one polynomial of two
+	// packed 36-bit rows (2 · 18 432 B) plus a 32-byte seed; a download two
+	// polynomials at the one residue replies are switched down to (36 864 B
+	// again); each behind a 24-byte header and the 4-byte length prefix.
+	if perUp := stats.UpBytes / int64(stats.UpCiphertexts); perUp != 36924 {
+		t.Errorf("per-ciphertext up bytes %d, want 36924", perUp)
 	}
-	perDown := stats.DownBytes / int64(stats.DownCiphertexts)
-	if perDown < 65536 || perDown > 65700 {
-		t.Errorf("per-ciphertext down bytes %d, want ~65564", perDown)
+	if perDown := stats.DownBytes / int64(stats.DownCiphertexts); perDown != 36892 {
+		t.Errorf("per-ciphertext down bytes %d, want 36892", perDown)
 	}
 }

@@ -108,7 +108,7 @@ func FuzzHelloFrame(f *testing.F) {
 	f.Add(MarshalStatsFetch())
 	f.Add(MarshalStatsResp([]byte(`{"SessionsTotal":1}`)))
 	f.Add(MarshalSessionError("internal error during inference 2"))
-	f.Add([]byte("CHOKnotreallyakeybundle"))
+	f.Add([]byte("CHK2notreallyakeybundle"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if h, err := ParseHello(data); err == nil {
@@ -165,6 +165,124 @@ func FuzzHelloFrame(f *testing.F) {
 		}
 		if msg, ok := ParseSessionError(data); ok && (len(msg) > MaxSessionErrorLen || !bytes.Equal(MarshalSessionError(msg), data)) {
 			t.Fatalf("session error round trip mismatch (%d B message)", len(msg))
+		}
+	})
+}
+
+// The shard and peer frames cross the fleet's internal boundary: a router
+// authors ShardHello, shards answer one another's KeyFetch — a response
+// that carries a whole packed key bundle — and the router's PeerPing and
+// StatsFetch. A shard that has been taken over, or a peer port reachable
+// from outside, makes each of them outside input. The four targets below
+// hold every decoder to the same rule: an error, or a value that marshals
+// back to exactly the bytes it came from.
+
+// FuzzShardHello covers the router→shard opener, tenant trailer included.
+func FuzzShardHello(f *testing.F) {
+	for _, args := range [][3]string{
+		{"seed-session", "", ""},
+		{"seed-session", "127.0.0.1:7501", ""},
+		{"seed-session", "127.0.0.1:7501", "tenant-a"},
+		{"s", "", "t"},
+	} {
+		b, err := MarshalShardHelloTenant(args[0], args[1], args[2])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(b[:len(b)-1])
+		f.Add(append(b, 0))
+		f.Add(mutated(b, setU32(4, 1))) // a version-1 router
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := ParseShardHello(data)
+		if id, peer, err2 := UnmarshalShardHello(data); (err == nil) != (err2 == nil) || id != h.SessionID || peer != h.PrevOwnerPeer {
+			t.Fatalf("UnmarshalShardHello and ParseShardHello disagree: %v / %v", err, err2)
+		}
+		if err != nil {
+			return
+		}
+		if !IsShardHello(data) {
+			t.Fatal("decoded a frame IsShardHello does not recognize")
+		}
+		re, err := MarshalShardHelloTenant(h.SessionID, h.PrevOwnerPeer, h.Tenant)
+		if err != nil || !bytes.Equal(re, data) {
+			t.Fatalf("shard hello %+v does not marshal back to its frame (%v)", h, err)
+		}
+	})
+}
+
+// FuzzKeyFetch covers the shard→shard key request and its response.
+func FuzzKeyFetch(f *testing.F) {
+	if b, err := MarshalKeyFetch("seed-session"); err == nil {
+		f.Add(b)
+		f.Add(b[:6])
+		f.Add(append(b, 'x'))
+	}
+	for _, fx := range newBundleFixtures(f) {
+		f.Add(MarshalKeyFetchResp(true, fx.frame[:4096]))
+	}
+	f.Add(MarshalKeyFetchResp(true, nil))
+	f.Add(MarshalKeyFetchResp(false, nil))
+	f.Add(mutated(MarshalKeyFetchResp(true, []byte("bundle")), setU32(4, 0))) // a miss with a body
+	f.Add(mutated(MarshalKeyFetchResp(false, nil), setU32(8, 1<<31)))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if id, err := UnmarshalKeyFetch(data); err == nil {
+			if re, err := MarshalKeyFetch(id); err != nil || !bytes.Equal(re, data) || !IsKeyFetch(data) {
+				t.Fatalf("key fetch for %q does not marshal back to its frame (%v)", id, err)
+			}
+		}
+		if found, bundle, err := UnmarshalKeyFetchResp(data); err == nil {
+			if !bytes.Equal(MarshalKeyFetchResp(found, bundle), data) {
+				t.Fatalf("key fetch response (found %v, %d B) does not marshal back to its frame", found, len(bundle))
+			}
+		}
+	})
+}
+
+// FuzzPeerPing covers the router's health probe and the shard's answer.
+func FuzzPeerPing(f *testing.F) {
+	f.Add(MarshalPeerPing())
+	f.Add(append(MarshalPeerPing(), 1))
+	f.Add(mutated(MarshalPeerPing(), setU32(4, 1)))
+	pong := MarshalPeerPong(PeerHealth{Draining: true, ActiveSessions: 3, MaxSessions: 8})
+	f.Add(pong)
+	f.Add(pong[:12])
+	f.Add(mutated(pong, setU32(4, 3)))     // an unknown flag
+	f.Add(mutated(pong, setU32(8, 1<<31))) // a negative session count
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if IsPeerPing(data) && !bytes.Equal(MarshalPeerPing(), data) {
+			t.Fatal("a frame that is not MarshalPeerPing's passes for a ping")
+		}
+		if h, err := UnmarshalPeerPong(data); err == nil {
+			if h.ActiveSessions < 0 || h.MaxSessions < 0 || !bytes.Equal(MarshalPeerPong(h), data) {
+				t.Fatalf("peer pong %+v does not marshal back to its frame", h)
+			}
+		}
+	})
+}
+
+// FuzzStatsFetch covers the router's stats request and the shard's answer.
+func FuzzStatsFetch(f *testing.F) {
+	f.Add(MarshalStatsFetch())
+	f.Add(append(MarshalStatsFetch(), 0))
+	resp := MarshalStatsResp([]byte(`{"SessionsTotal":1}`))
+	f.Add(resp)
+	f.Add(resp[:len(resp)-1])
+	f.Add(mutated(resp, setU32(4, 1<<31)))
+	f.Add(MarshalStatsResp(nil))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if IsStatsFetch(data) && !bytes.Equal(MarshalStatsFetch(), data) {
+			t.Fatal("a frame that is not MarshalStatsFetch's passes for a stats request")
+		}
+		if body, err := UnmarshalStatsResp(data); err == nil {
+			if !bytes.Equal(MarshalStatsResp(body), data) {
+				t.Fatalf("stats response (%d B body) does not marshal back to its frame", len(body))
+			}
 		}
 	})
 }

@@ -18,9 +18,14 @@ import (
 // schemes' keys are the shared core's (internal/rlwe), so one codec
 // serves both; the bundles differ in their magic word.
 
+// The magics changed with the wire version (packed key rows), so a
+// version-1 bundle is refused as not a bundle, not as a bundle of the
+// wrong length.
 const (
-	keyBundleMagic  = uint32(0x43484f4b) // "CHOK"
-	ckksBundleMagic = uint32(0x43484f43) // "CHOC"
+	keyBundleMagic  = uint32(0x324b4843) // "CHK2" on the wire (little-endian)
+	ckksBundleMagic = uint32(0x32434843) // "CHC2"
+
+	polyHeaderBytes = 12
 )
 
 // KeyBundle carries everything the server needs to evaluate on a
@@ -56,7 +61,7 @@ func UnmarshalCKKSKeyBundle(ctx *ckks.Context, data []byte) (*CKKSKeyBundle, err
 func appendUint32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 
 // appendPoly writes one key polynomial: residue count, N, the NTT flag,
-// then the residue words.
+// then the packed rows.
 func appendPoly(b []byte, p *ring.Poly) []byte {
 	b = appendUint32(b, uint32(len(p.Coeffs)))
 	b = appendUint32(b, uint32(len(p.Coeffs[0])))
@@ -65,12 +70,7 @@ func appendPoly(b []byte, p *ring.Poly) []byte {
 	} else {
 		b = appendUint32(b, 0)
 	}
-	for _, row := range p.Coeffs {
-		for _, v := range row {
-			b = binary.LittleEndian.AppendUint64(b, v)
-		}
-	}
-	return b
+	return p.AppendPacked(b)
 }
 
 // appendSwitching writes a switching key: digit count, then (b, a) per
@@ -84,10 +84,46 @@ func appendSwitching(b []byte, swk *rlwe.SwitchingKey) []byte {
 	return b
 }
 
+// KeyBundleBytes returns the size of a marshalled bundle — a public key,
+// a relinearization key if relin, and galois Galois keys — at degree n
+// over data primes of qBits bits and a special prime of pBits (0 for
+// none).
+func KeyBundleBytes(n int, qBits []int, pBits int, relin bool, galois int) int {
+	qPoly := ring.PackedBytes(n, qBits...)
+	return bundleBytes(qPoly, qPoly+ring.PackedBytes(n, pBits), len(qBits), relin, galois)
+}
+
+// bundleBytes counts the layout marshalBundle writes, for polynomials
+// that pack to qPoly bytes over the data ring and qpPoly over the key
+// ring, and switching keys of digits digits.
+func bundleBytes(qPoly, qpPoly, digits int, relin bool, galois int) int {
+	swk := 4 + digits*2*(polyHeaderBytes+qpPoly)
+	total := 4 + 2*(polyHeaderBytes+qPoly) + 4 + 4 + galois*(8+swk)
+	if relin {
+		total += swk
+	}
+	return total
+}
+
 // marshalBundle writes a key bundle: magic, the public key, a flag and
-// the relinearization key if there is one, then the Galois keys.
+// the relinearization key if there is one, then the Galois keys. The
+// buffer is sized once from the keys themselves: a LeNet-Sm bundle is
+// 11 MB, and growing into it by appending copies five times that.
 func marshalBundle(magic uint32, kb *KeyBundle) []byte {
-	b := appendUint32(nil, magic)
+	var anyKey *rlwe.SwitchingKey
+	if kb.Relin != nil {
+		anyKey = kb.Relin.Key
+	}
+	for _, gk := range kb.Galois {
+		anyKey = gk.Key
+		break
+	}
+	qpPoly, digits := 0, 0
+	if anyKey != nil && len(anyKey.B) > 0 {
+		qpPoly, digits = anyKey.B[0].PackedBytes(), len(anyKey.B)
+	}
+	b := make([]byte, 0, bundleBytes(kb.PK.P0.PackedBytes(), qpPoly, digits, kb.Relin != nil, len(kb.Galois)))
+	b = appendUint32(b, magic)
 	b = appendPoly(b, kb.PK.P0)
 	b = appendPoly(b, kb.PK.P1)
 	if kb.Relin != nil {
@@ -110,7 +146,7 @@ func marshalBundle(magic uint32, kb *KeyBundle) []byte {
 // session, and its polynomials become the fixed operands of every key
 // switch the session runs, so nothing is taken on trust: every count is
 // checked against the context and every residue goes through
-// readResidues.
+// ring.Poly.Unpack.
 type bundleReader struct {
 	ctx  *rlwe.Context
 	data []byte
@@ -144,14 +180,17 @@ func (r *bundleReader) poly(rg *ring.Ring) (*ring.Poly, error) {
 	if hdr[2] != 1 {
 		return nil, fmt.Errorf("protocol: key poly is not flagged NTT-domain (flag %d)", hdr[2])
 	}
-	if r.off+8*rg.N*len(rg.Moduli) > len(r.data) {
+	end := r.off + rg.PackedBytes()
+	if end > len(r.data) {
 		return nil, fmt.Errorf("protocol: truncated key bundle")
 	}
 	p := rg.NewPoly()
 	p.DeclareNTT()
-	var err error
-	r.off, err = readResidues(rg, p, r.data, r.off)
-	return p, err
+	if err := p.Unpack(r.data[r.off:end]); err != nil {
+		return nil, fmt.Errorf("protocol: key polynomial: %w", err)
+	}
+	r.off = end
+	return p, nil
 }
 
 // switching reads a switching key, which must have exactly one digit per
@@ -185,7 +224,7 @@ func unmarshalBundle(ctx *rlwe.Context, magic uint32, data []byte) (*KeyBundle, 
 	if got, err := r.uint32(); err != nil {
 		return nil, err
 	} else if got != magic {
-		return nil, fmt.Errorf("protocol: not a key bundle of this scheme")
+		return nil, fmt.Errorf("protocol: magic %#x does not open a version-%d key bundle of this scheme", got, HelloVersion)
 	}
 	kb := &KeyBundle{PK: &rlwe.PublicKey{}}
 	var err error

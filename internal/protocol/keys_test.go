@@ -63,8 +63,8 @@ type bundleLayout struct {
 }
 
 func layoutOf(core *rlwe.Context) bundleLayout {
-	n, nData := core.RingQ.N, len(core.RingQ.Moduli)
-	l := bundleLayout{polyQ: 12 + 8*n*nData, polyQP: 12 + 8*n*(nData+1)}
+	nData := len(core.RingQ.Moduli)
+	l := bundleLayout{polyQ: polyHeaderBytes + core.RingQ.PackedBytes(), polyQP: polyHeaderBytes + core.RingQP.PackedBytes()}
 	l.swk = 4 + 2*nData*l.polyQP
 	l.relinFlag = 4 + 2*l.polyQ
 	l.relinKey = l.relinFlag + 4
@@ -78,7 +78,8 @@ func (l bundleLayout) galoisKey(i int) int { return l.galoisCount + 4 + i*(8+l.s
 func TestUnmarshalKeyBundleRejectsHostileBundles(t *testing.T) {
 	for _, f := range newBundleFixtures(t) {
 		l := layoutOf(f.core)
-		q := f.core.RingQP.Moduli
+		qp := f.core.RingQP
+		q := qp.Moduli
 		twoN := uint64(2 * f.core.RingQ.N)
 		firstElement := binary.LittleEndian.Uint64(f.frame[l.galoisKey(0):])
 		firstGaloisB := l.galoisKey(0) + 8 + 4 // first key poly of the first Galois key
@@ -89,11 +90,11 @@ func TestUnmarshalKeyBundleRejectsHostileBundles(t *testing.T) {
 			want  string // substring of the error; "" means the bundle is valid
 		}{
 			{"valid", f.frame, ""},
-			{"largest residue q-1", mutated(f.frame, setU64(firstGaloisB+12, q[0].Value-1)), ""},
-			{"wrong magic", mutated(f.frame, setU32(0, helloMagic)), "not a key bundle"},
-			{"public key word = q0", mutated(f.frame, setU64(4+12, q[0].Value)), "not reduced"},
-			{"relin key word = 2^64-1", mutated(f.frame, setU64(l.relinKey+4+12+8, ^uint64(0))), "not reduced"},
-			{"Galois key special-prime word = p", mutated(f.frame, setU64(firstGaloisB+l.polyQP-8, q[len(q)-1].Value)), "not reduced"},
+			{"largest residue q-1", mutated(f.frame, withResidue(qp, firstGaloisB+polyHeaderBytes, 0, 0, q[0].Value-1)), ""},
+			{"wrong magic", mutated(f.frame, setU32(0, helloMagic)), "key bundle"},
+			{"public key residue = q0", mutated(f.frame, withResidue(f.core.RingQ, 4+polyHeaderBytes, 0, 0, q[0].Value)), "not reduced"},
+			{"relin key field of all ones", mutated(f.frame, withResidue(qp, l.relinKey+4+polyHeaderBytes, 0, 1, allOnes(qp, 0))), "not reduced"},
+			{"Galois key special-prime residue = p", mutated(f.frame, withResidue(qp, firstGaloisB+polyHeaderBytes, len(q)-1, qp.N-1, q[len(q)-1].Value)), "not reduced"},
 			{"public key flagged coefficient-domain", mutated(f.frame, setU32(4+8, 0)), "NTT"},
 			{"Galois key poly NTT flag 2", mutated(f.frame, setU32(firstGaloisB+8, 2)), "NTT"},
 			{"key poly with one residue row too few", mutated(f.frame, setU32(firstGaloisB, uint32(len(q)-1))), "shape"},
@@ -111,6 +112,8 @@ func TestUnmarshalKeyBundleRejectsHostileBundles(t *testing.T) {
 			{"truncated inside a poly header", f.frame[:firstGaloisB+6], "truncated"},
 			{"truncated inside a Galois element", f.frame[:l.galoisKey(1)+3], "truncated"},
 			{"one trailing byte", append(append([]byte(nil), f.frame...), 0), "trailing"},
+			{"one word short", f.frame[:len(f.frame)-8], "truncated"},
+			{"one word long", append(append([]byte(nil), f.frame...), make([]byte, 8)...), "trailing"},
 		} {
 			kb, err := f.decode(tc.frame)
 			switch {
@@ -134,6 +137,37 @@ func TestUnmarshalKeyBundleRejectsHostileBundles(t *testing.T) {
 		if magic := binary.LittleEndian.Uint32(f.frame); !bytes.Equal(marshalBundle(magic, kb), f.frame) {
 			t.Errorf("%s: a decoded bundle does not re-marshal to the bytes it came from", f.name)
 		}
+	}
+}
+
+// TestKeyBundleBytesIsTheMarshalledSize holds the size function that
+// nn.EvaluationKeyFootprint reports from to the bundle that is sent, with
+// and without a relinearization key and a special prime.
+func TestKeyBundleBytesIsTheMarshalledSize(t *testing.T) {
+	for _, params := range []bfv.Parameters{bfv.PresetTest(), {LogN: 11, QBits: []int{36, 37}, TBits: 16, Sigma: 3.2}} {
+		ctx, err := bfv.NewContext(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kg := bfv.NewKeyGenerator(ctx, [32]byte{5})
+		sk := kg.GenSecretKey()
+		kb := &KeyBundle{PK: kg.GenPublicKey(sk), Galois: map[uint64]*bfv.GaloisKey{}}
+		check := func(relin bool) {
+			t.Helper()
+			want := KeyBundleBytes(params.N(), params.QBits, params.PBits, relin, len(kb.Galois))
+			data := MarshalKeyBundle(kb)
+			if len(data) != want || cap(data) != want {
+				t.Errorf("%v: bundle (relin %v, %d Galois keys) is %d B in a buffer of %d, KeyBundleBytes says %d", params.QBits, relin, len(kb.Galois), len(data), cap(data), want)
+			}
+		}
+		check(false)
+		if params.PBits == 0 {
+			continue // key switching needs the special prime
+		}
+		kb.Relin = kg.GenRelinearizationKey(sk)
+		check(true)
+		kb.Galois = kg.GenRotationKeys(sk, 1, -3)
+		check(true)
 	}
 }
 

@@ -20,8 +20,11 @@ const (
 	helloAckMagic = uint32(0x4b434148) // "HACK" on the wire (little-endian)
 )
 
-// HelloVersion is the current session-handshake version.
-const HelloVersion = 1
+// HelloVersion is the version of the session handshake and of everything
+// behind it: ciphertext frame tags and key-bundle magics carry it too.
+// Version 2 packs residue rows to their moduli's bit widths; version 1
+// sent them as 8-byte words and is refused by number, not decoded.
+const HelloVersion = 2
 
 // MaxSessionIDLen bounds client-chosen session identifiers.
 const MaxSessionIDLen = 128

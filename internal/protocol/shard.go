@@ -218,6 +218,9 @@ func UnmarshalKeyFetchResp(data []byte) (found bool, bundle []byte, err error) {
 		return false, nil, fmt.Errorf("protocol: key fetch response length %d, want %d", len(data), 12+n)
 	}
 	if status == 0 {
+		if n != 0 {
+			return false, nil, fmt.Errorf("protocol: key fetch miss carries %d bundle bytes", n)
+		}
 		return false, nil, nil
 	}
 	return true, data[12 : 12+n], nil
@@ -230,9 +233,10 @@ func MarshalPeerPing() []byte {
 	return buf
 }
 
-// IsPeerPing reports whether a frame is a health probe.
+// IsPeerPing reports whether a frame is a health probe: exactly the
+// frame MarshalPeerPing builds, nothing riding behind the magic.
 func IsPeerPing(data []byte) bool {
-	return len(data) >= 4 && binary.LittleEndian.Uint32(data) == peerPingMagic
+	return len(data) == 8 && binary.LittleEndian.Uint64(data) == uint64(peerPingMagic)
 }
 
 // PeerHealth is a shard's readiness as reported in a PeerPong: whether
@@ -266,11 +270,16 @@ func UnmarshalPeerPong(data []byte) (PeerHealth, error) {
 	if binary.LittleEndian.Uint32(data) != peerPongMagic {
 		return PeerHealth{}, fmt.Errorf("protocol: not a peer pong frame")
 	}
-	return PeerHealth{
-		Draining:       binary.LittleEndian.Uint32(data[4:])&1 != 0,
+	flags := binary.LittleEndian.Uint32(data[4:])
+	h := PeerHealth{
+		Draining:       flags&1 != 0,
 		ActiveSessions: int32(binary.LittleEndian.Uint32(data[8:])),
 		MaxSessions:    int32(binary.LittleEndian.Uint32(data[12:])),
-	}, nil
+	}
+	if flags&^1 != 0 || h.ActiveSessions < 0 || h.MaxSessions < 0 {
+		return PeerHealth{}, fmt.Errorf("protocol: peer pong with flags %#x and %d of %d sessions", flags, h.ActiveSessions, h.MaxSessions)
+	}
+	return h, nil
 }
 
 // MarshalStatsFetch builds the router's per-shard stats request.
@@ -280,9 +289,10 @@ func MarshalStatsFetch() []byte {
 	return buf
 }
 
-// IsStatsFetch reports whether a frame is a stats request.
+// IsStatsFetch reports whether a frame is a stats request: exactly the
+// frame MarshalStatsFetch builds.
 func IsStatsFetch(data []byte) bool {
-	return len(data) >= 4 && binary.LittleEndian.Uint32(data) == statsFetchMagic
+	return len(data) == 8 && binary.LittleEndian.Uint64(data) == uint64(statsFetchMagic)
 }
 
 // MarshalStatsResp wraps a JSON-encoded serve.Stats snapshot.

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"choco/internal/bfv"
 	"choco/internal/ckks"
 	"choco/internal/ring"
+	"choco/internal/rlwe"
 )
 
 // A ciphertext frame is the per-request half of the trust boundary: it
@@ -26,6 +28,7 @@ type wireFrames struct {
 	bfvFull, bfvSeeded   []byte
 	bfvDropped           []byte // one residue modulus-switched away
 	ckksFull, ckksSeeded []byte
+	bfvValue, ckksValue  []*ring.Poly // the polynomials inside bfvFull and ckksFull
 }
 
 func newWireFrames(t testing.TB) wireFrames {
@@ -76,6 +79,7 @@ func newWireFrames(t testing.TB) wireFrames {
 		bctx: bctx, cctx: cctx,
 		bfvFull: MarshalBFV(bct), bfvSeeded: MarshalSeededBFV(bsct), bfvDropped: MarshalBFV(dropped),
 		ckksFull: MarshalCKKS(cct), ckksSeeded: MarshalSeededCKKS(csct),
+		bfvValue: bct.Value, ckksValue: cct.Value,
 	}
 }
 
@@ -149,10 +153,15 @@ func withDegree(deg int) func([]byte) []byte {
 
 func TestUnmarshalRejectsHostileCiphertexts(t *testing.T) {
 	f := newWireFrames(t)
-	bq := f.bctx.RingQ.Moduli
-	cq := f.cctx.RingQ.Moduli
-	bRow := 8 * f.bctx.Params.N() // bytes per residue row
-	cRow := 8 * f.cctx.Params.N()
+	bR, cR := f.bctx.RingQ, f.cctx.RingQ
+	bq, cq := bR.Moduli, cR.Moduli
+	bN, cN := bR.N, cR.N
+	bLast, cLast := len(bq)-1, len(cq)-1
+	bDrop := f.bctx.RingAtDrop(f.bctx.Params.ReplyDrop()) // the ring f.bfvDropped arrives over
+	// Byte offsets of the polynomials: c0 behind the header (and the
+	// seed), c1 behind c0.
+	const c0, seededC0 = headerBytes, headerBytes + seedBytes
+	oneWordLong := func(b []byte) []byte { return append(b, make([]byte, 8)...) }
 
 	type decoder struct {
 		name string
@@ -183,38 +192,50 @@ func TestUnmarshalRejectsHostileCiphertexts(t *testing.T) {
 	}{
 		{"bfv/valid", bfvFull, f.bfvFull, ""},
 		{"bfv/valid dropped level", bfvFull, f.bfvDropped, ""},
-		{"bfv/largest residue q-1", bfvFull, mutated(f.bfvFull, setU64(headerBytes, bq[0].Value-1)), ""},
+		{"bfv/largest residue q-1", bfvFull, mutated(f.bfvFull, withResidue(bR, c0, 0, 0, bq[0].Value-1)), ""},
 		{"bfv/degree 0", bfvFull, mutated(f.bfvFull, withDegree(0)), "components"},
 		{"bfv/degree 1", bfvFull, mutated(f.bfvFull, withDegree(1)), "components"},
 		{"bfv/degree 4", bfvFull, mutated(f.bfvFull, withDegree(4)), "components"},
 		{"bfv/degree 2^31", bfvFull, mutated(f.bfvFull, setU32(4, 1<<31)), "components"},
-		{"bfv/first word = q0", bfvFull, mutated(f.bfvFull, setU64(headerBytes, bq[0].Value)), "not reduced"},
-		{"bfv/first word of row 1 = q1", bfvFull, mutated(f.bfvFull, setU64(headerBytes+bRow, bq[1].Value)), "not reduced"},
-		{"bfv/word = 2^64-1", bfvFull, mutated(f.bfvFull, setU64(headerBytes+16, math.MaxUint64)), "not reduced"},
-		{"bfv/word = 2^63+1 (borrow aliases a small value)", bfvFull, mutated(f.bfvFull, setU64(headerBytes+24, 1<<63+1)), "not reduced"},
-		{"bfv/last word of c1 = q1", bfvFull, mutated(f.bfvFull, setU64(len(f.bfvFull)-8, bq[1].Value)), "not reduced"},
-		{"bfv/dropped level, word = q0", bfvFull, mutated(f.bfvDropped, setU64(len(f.bfvDropped)-8, bq[0].Value)), "not reduced"},
+		{"bfv/first residue = q0", bfvFull, mutated(f.bfvFull, withResidue(bR, c0, 0, 0, bq[0].Value)), "not reduced"},
+		{"bfv/first residue of row 1 = q1", bfvFull, mutated(f.bfvFull, withResidue(bR, c0, 1, 0, bq[1].Value)), "not reduced"},
+		{"bfv/residue = q0+1", bfvFull, mutated(f.bfvFull, withResidue(bR, c0, 0, 2, bq[0].Value+1)), "not reduced"},
+		{"bfv/field of all ones", bfvFull, mutated(f.bfvFull, withResidue(bR, c0, 0, 3, allOnes(bR, 0))), "not reduced"},
+		{"bfv/last residue of c1 = q", bfvFull, mutated(f.bfvFull, withResidue(bR, c0+bR.PackedBytes(), bLast, bN-1, bq[bLast].Value)), "not reduced"},
+		{"bfv/dropped level, last residue of c1 = q", bfvFull, mutated(f.bfvDropped, withResidue(bDrop, c0+bDrop.PackedBytes(), len(bDrop.Moduli)-1, bN-1, bDrop.Moduli[len(bDrop.Moduli)-1].Value)), "not reduced"},
+		{"bfv/scale field set", bfvFull, mutated(f.bfvFull, setU64(16, math.Float64bits(1))), "scale"},
+		{"bfv/truncated in the header", bfvFull, f.bfvFull[:20], "truncated"},
+		{"bfv/one word short", bfvFull, f.bfvFull[:len(f.bfvFull)-8], "length"},
+		{"bfv/one word long", bfvFull, mutated(f.bfvFull, oneWordLong), "length"},
+		{"bfv/k says one residue, body has them all", bfvFull, mutated(f.bfvFull, setU32(12, 1)), "length"},
 
 		{"bfv-seeded/valid", bfvSeeded, f.bfvSeeded, ""},
 		{"bfv-seeded/component field 2", bfvSeeded, mutated(f.bfvSeeded, setU32(4, 2)), "shape"},
-		{"bfv-seeded/first word = q0", bfvSeeded, mutated(f.bfvSeeded, setU64(headerBytes+32, bq[0].Value)), "not reduced"},
-		{"bfv-seeded/last word = 2^64-1", bfvSeeded, mutated(f.bfvSeeded, setU64(len(f.bfvSeeded)-8, math.MaxUint64)), "not reduced"},
+		{"bfv-seeded/first residue = q0", bfvSeeded, mutated(f.bfvSeeded, withResidue(bR, seededC0, 0, 0, bq[0].Value)), "not reduced"},
+		{"bfv-seeded/last field of all ones", bfvSeeded, mutated(f.bfvSeeded, withResidue(bR, seededC0, bLast, bN-1, allOnes(bR, bLast))), "not reduced"},
+		{"bfv-seeded/truncated in the seed", bfvSeeded, f.bfvSeeded[:headerBytes+10], "truncated"},
+		{"bfv-seeded/one word short", bfvSeeded, f.bfvSeeded[:len(f.bfvSeeded)-8], "length"},
+		{"bfv-seeded/one word long", bfvSeeded, mutated(f.bfvSeeded, oneWordLong), "length"},
 
 		{"ckks/valid", ckksFull, f.ckksFull, ""},
 		{"ckks/degree 1", ckksFull, mutated(f.ckksFull, withDegree(1)), "components"},
 		{"ckks/degree 4", ckksFull, mutated(f.ckksFull, withDegree(4)), "components"},
-		{"ckks/first word = q0", ckksFull, mutated(f.ckksFull, setU64(headerBytes, cq[0].Value)), "not reduced"},
-		{"ckks/first word of row 1 = q1", ckksFull, mutated(f.ckksFull, setU64(headerBytes+cRow, cq[1].Value)), "not reduced"},
-		{"ckks/last word = 2^64-1", ckksFull, mutated(f.ckksFull, setU64(len(f.ckksFull)-8, math.MaxUint64)), "not reduced"},
+		{"ckks/first residue = q0", ckksFull, mutated(f.ckksFull, withResidue(cR, c0, 0, 0, cq[0].Value)), "not reduced"},
+		{"ckks/first residue of row 1 = q1", ckksFull, mutated(f.ckksFull, withResidue(cR, c0, 1, 0, cq[1].Value)), "not reduced"},
+		{"ckks/last field of all ones", ckksFull, mutated(f.ckksFull, withResidue(cR, c0+cR.PackedBytes(), cLast, cN-1, allOnes(cR, cLast))), "not reduced"},
 		{"ckks/scale NaN", ckksFull, mutated(f.ckksFull, setU64(16, math.Float64bits(math.NaN()))), "scale"},
 		{"ckks/scale 0", ckksFull, mutated(f.ckksFull, setU64(16, 0)), "scale"},
 		{"ckks/scale -1", ckksFull, mutated(f.ckksFull, setU64(16, math.Float64bits(-1))), "scale"},
 		{"ckks/scale +Inf", ckksFull, mutated(f.ckksFull, setU64(16, math.Float64bits(math.Inf(1)))), "scale"},
+		{"ckks/one word short", ckksFull, f.ckksFull[:len(f.ckksFull)-8], "length"},
+		{"ckks/one word long", ckksFull, mutated(f.ckksFull, oneWordLong), "length"},
 
 		{"ckks-seeded/valid", ckksSeeded, f.ckksSeeded, ""},
 		{"ckks-seeded/component field 3", ckksSeeded, mutated(f.ckksSeeded, setU32(4, 3)), "shape"},
-		{"ckks-seeded/first word = q0", ckksSeeded, mutated(f.ckksSeeded, setU64(headerBytes+32, cq[0].Value)), "not reduced"},
+		{"ckks-seeded/first residue = q0", ckksSeeded, mutated(f.ckksSeeded, withResidue(cR, seededC0, 0, 0, cq[0].Value)), "not reduced"},
 		{"ckks-seeded/scale NaN", ckksSeeded, mutated(f.ckksSeeded, setU64(16, math.Float64bits(math.NaN()))), "scale"},
+		{"ckks-seeded/one word short", ckksSeeded, f.ckksSeeded[:len(f.ckksSeeded)-8], "length"},
+		{"ckks-seeded/one word long", ckksSeeded, mutated(f.ckksSeeded, oneWordLong), "length"},
 	} {
 		for _, d := range tc.decoders {
 			err := d.fn(tc.frame)
@@ -229,6 +250,72 @@ func TestUnmarshalRejectsHostileCiphertexts(t *testing.T) {
 		}
 	}
 }
+
+// checkOneEncoding asserts that a frame any of the tags' decoders accepts
+// marshals back to exactly the bytes it came from: the decoder's checks are
+// all equalities, a packed row has no spare bits, so one ciphertext has one
+// encoding and nothing rides along in a frame that decodes.
+func checkOneEncoding(t *testing.T, ctx *rlwe.Context, data []byte, tags ...uint32) {
+	t.Helper()
+	for _, tag := range tags {
+		value, scale, seed, err := unmarshalFrame(ctx, tag, data)
+		if err != nil {
+			continue
+		}
+		if !bytes.Equal(marshalFrame(tag, scale, seedFor(tag, &seed), value...), data) {
+			t.Fatalf("a frame accepted under tag %#x marshals back to different bytes", tag)
+		}
+	}
+}
+
+// TestVersion1PeerIsRefusedByName: a version-1 hello, every version-1
+// ciphertext frame and both version-1 key bundles — bytes a peer from
+// before the packed wire would send — fail on their version, not on a
+// length that happens not to fit.
+func TestVersion1PeerIsRefusedByName(t *testing.T) {
+	f := newWireFrames(t)
+	hello, err := MarshalHelloTenant("old-client", "tenant-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseHello(mutated(hello, setU32(4, 1))); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version-1 hello: %v", err)
+	}
+	shard, err := MarshalShardHello("old-client", "127.0.0.1:7501")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseShardHello(mutated(shard, setU32(4, 1))); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version-1 shard hello: %v", err)
+	}
+
+	seed := [seedBytes]byte{1}
+	for name, err := range map[string]error{
+		"bfv":         second(UnmarshalBFV(f.bctx, wordFrame(SchemeBFV, 0, nil, f.bfvValue...))),
+		"bfv any":     second(UnmarshalAnyBFV(f.bctx, wordFrame(SchemeBFV, 0, nil, f.bfvValue...))),
+		"bfv seeded":  second(UnmarshalAnyBFV(f.bctx, wordFrame(SchemeBFVSeeded, 0, &seed, f.bfvValue[0]))),
+		"ckks":        second(UnmarshalCKKS(f.cctx, wordFrame(SchemeCKKS, 1<<30, nil, f.ckksValue...))),
+		"ckks seeded": second(UnmarshalAnyCKKS(f.cctx, wordFrame(SchemeCKKSSeeded, 1<<30, &seed, f.ckksValue[0]))),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "wire version 1") {
+			t.Errorf("version-1 %s frame: %v", name, err)
+		}
+	}
+
+	for _, fx := range newBundleFixtures(t) {
+		kb, err := fx.decode(fx.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, magic := range []uint32{v1KeyBundleMagic, v1CKKSBundleMagic} {
+			if _, err := fx.decode(wordBundle(magic, kb)); err == nil || !strings.Contains(err.Error(), "version-2 key bundle") {
+				t.Errorf("%s: version-1 bundle %#x: %v", fx.name, magic, err)
+			}
+		}
+	}
+}
+
+func second[T any](_ T, err error) error { return err }
 
 // FuzzUnmarshalBFV throws arbitrary bytes, seeded from the golden
 // frames, at every BFV ciphertext decoder: the outcome is an error or a
@@ -247,12 +334,14 @@ func FuzzUnmarshalBFV(f *testing.F) {
 	f.Add(mutated(w.bfvDropped, setU32(12, 2)))
 	f.Add(mutated(w.bfvFull, setU32(12, 1)))
 	f.Add([]byte{})
+	f.Add(wordFrame(SchemeBFV, 0, nil, w.bfvValue...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, decode := range []func(*bfv.Context, []byte) (*bfv.Ciphertext, error){UnmarshalBFV, UnmarshalSeededBFV, UnmarshalAnyBFV} {
 			if ct, err := decode(w.bctx, data); err == nil {
 				checkBFV(t, w.bctx, ct)
 			}
 		}
+		checkOneEncoding(t, w.bctx.Context, data, SchemeBFV, SchemeBFVSeeded)
 	})
 }
 
@@ -274,5 +363,6 @@ func FuzzUnmarshalCKKS(f *testing.F) {
 				checkCKKS(t, w.cctx, ct)
 			}
 		}
+		checkOneEncoding(t, w.cctx.Context, data, SchemeCKKS, SchemeCKKSSeeded)
 	})
 }

@@ -1,8 +1,14 @@
-// Package protocol serializes ciphertexts and frames them over
-// transports. Serialized sizes are what the paper's communication
-// numbers count (Table 3, Figs 10/11/13/14), so the encoding is a flat
-// little-endian dump of the RNS residue words: 2 polynomials × N
-// coefficients × k residues × 8 bytes, plus a fixed 24-byte header.
+// Package protocol serializes ciphertexts and key bundles and frames
+// them over transports. What it writes is what the client's radio pays
+// for, so residues travel at their bit width: a ciphertext frame is a
+// fixed 24-byte header, the 32-byte seed of a seeded frame, then each
+// polynomial's residue rows packed by internal/ring (row i takes
+// N·⌈log₂ qᵢ⌉ bits, whole words, no padding). FrameBytes is the one size
+// function; the pipe's byte counters, nn.ExecutableRequestCost and the
+// radio-energy rows of Figs 12/14 follow from it. The paper's model —
+// Parameters.CiphertextBytes, nn.CommPlan, Tables 3/5, Figs 10/15 —
+// counts SEAL's in-memory 8-byte words instead and says so where it
+// does; a frame here is smaller than that.
 package protocol
 
 import (
@@ -20,60 +26,25 @@ import (
 	"choco/internal/rlwe"
 )
 
-const headerBytes = 24
-
-// FrameOverheadBytes is what a ciphertext frame costs on the wire beyond
-// its polynomial (and seed) bytes: the header plus the transport's
-// length prefix, which SentBytes counts.
-const FrameOverheadBytes = headerBytes + 4
-
-// Scheme tags for the frame header.
 const (
-	SchemeBFV  = uint32(1)
-	SchemeCKKS = uint32(2)
+	headerBytes = 24
+	seedBytes   = 32
+	// lengthPrefixBytes is what a transport adds to every message, and
+	// SentBytes counts.
+	lengthPrefixBytes = 4
 )
 
-// readResidues fills p's rows from the little-endian words at
-// data[off:] and returns the offset past them. Frames arrive from
-// untrusted peers and the evaluators' lazy-reduction and vector kernels
-// assume canonical inputs, so a row holding a word that is not a residue
-// of its modulus is rejected here, in the one pass that copies it. The
-// check is branch-free — for q < 2^63, v < q exactly when v − q borrows
-// into the top bit and v's own top bit is clear — and the loop is
-// unrolled four words wide (N is a power of two) behind one bounds check,
-// which pays for the compare (EXPERIMENTS.md "Unmarshal range check").
-func readResidues(r *ring.Ring, p *ring.Poly, data []byte, off int) (int, error) {
-	for i, row := range p.Coeffs {
-		q := r.Moduli[i].Value
-		src := data[off : off+8*len(row)]
-		inRange := ^uint64(0)
-		j := 0
-		for ; j+4 <= len(row); j += 4 {
-			s, d := src[8*j:8*j+32:8*j+32], row[j:j+4:j+4]
-			v0, v1 := binary.LittleEndian.Uint64(s[0:]), binary.LittleEndian.Uint64(s[8:])
-			v2, v3 := binary.LittleEndian.Uint64(s[16:]), binary.LittleEndian.Uint64(s[24:])
-			inRange &= ((v0 - q) &^ v0) & ((v1 - q) &^ v1) & ((v2 - q) &^ v2) & ((v3 - q) &^ v3)
-			d[0], d[1], d[2], d[3] = v0, v1, v2, v3
-		}
-		for ; j < len(row); j++ {
-			v := binary.LittleEndian.Uint64(src[8*j:])
-			inRange &= (v - q) &^ v
-			row[j] = v
-		}
-		if inRange>>63 == 0 {
-			return 0, fmt.Errorf("protocol: residue row %d holds a word that is not reduced mod %d", i, q)
-		}
-		off += len(src)
-	}
-	return off, nil
-}
-
-// SchemeBFVSeeded and SchemeCKKSSeeded tag seed-compressed symmetric
-// ciphertexts: header, 32-byte seed, then the single c0 polynomial —
-// about half the bytes of a regular frame.
+// Frame tags: the wire version in the high half, the family in the low
+// one. A tag without the version is what a version-1 peer sent, residues
+// in 8-byte words, and is refused by that name (checkTag).
 const (
-	SchemeBFVSeeded  = uint32(3)
-	SchemeCKKSSeeded = uint32(4)
+	SchemeBFV  = HelloVersion<<16 | uint32(1)
+	SchemeCKKS = HelloVersion<<16 | uint32(2)
+	// SchemeBFVSeeded and SchemeCKKSSeeded tag seed-compressed symmetric
+	// ciphertexts: header, 32-byte seed, then the single c0 polynomial —
+	// about half the bytes of a regular frame.
+	SchemeBFVSeeded  = HelloVersion<<16 | uint32(3)
+	SchemeCKKSSeeded = HelloVersion<<16 | uint32(4)
 )
 
 // frameShape says what a frame family carries besides its residues: a
@@ -83,58 +54,88 @@ func frameShape(tag uint32) (seeded, scaled bool) {
 	return tag == SchemeBFVSeeded || tag == SchemeCKKSSeeded, tag == SchemeCKKS || tag == SchemeCKKSSeeded
 }
 
+// FrameBytes returns what one ciphertext frame costs on the wire, the
+// transport's length prefix included: polys polynomials of polyBytes
+// packed bytes each (ring.PackedBytes) behind the header, and the seed
+// when there is one.
+func FrameBytes(polyBytes, polys int, seeded bool) int {
+	n := lengthPrefixBytes + headerBytes + polys*polyBytes
+	if seeded {
+		n += seedBytes
+	}
+	return n
+}
+
 // marshalFrame writes every ciphertext frame: the 24-byte header (tag,
 // component count, N, residue count k, scale), the seed of a seeded
-// frame, then the polynomials' residue words. The level travels as k.
-func marshalFrame(tag uint32, scale float64, seed *[32]byte, polys ...*ring.Poly) []byte {
+// frame, then the polynomials' packed rows. The level travels as k.
+func marshalFrame(tag uint32, scale float64, seed *[seedBytes]byte, polys ...*ring.Poly) []byte {
 	n, k := len(polys[0].Coeffs[0]), len(polys[0].Coeffs)
-	off := headerBytes
-	if seed != nil {
-		off += len(seed)
-	}
-	buf := make([]byte, off+len(polys)*n*k*8)
+	buf := make([]byte, headerBytes, FrameBytes(polys[0].PackedBytes(), len(polys), seed != nil)-lengthPrefixBytes)
 	binary.LittleEndian.PutUint32(buf[0:], tag)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(polys)))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(n))
 	binary.LittleEndian.PutUint32(buf[12:], uint32(k))
 	binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(scale))
 	if seed != nil {
-		copy(buf[headerBytes:], seed[:])
+		buf = append(buf, seed[:]...)
 	}
 	for _, p := range polys {
-		for _, row := range p.Coeffs {
-			for _, v := range row {
-				binary.LittleEndian.PutUint64(buf[off:], v)
-				off += 8
-			}
-		}
+		buf = p.AppendPacked(buf)
 	}
 	return buf
 }
 
+// hasTag reports whether data opens with tag.
+func hasTag(data []byte, tag uint32) bool {
+	return len(data) >= 4 && binary.LittleEndian.Uint32(data) == tag
+}
+
+// checkTag is hasTag with the reason: it tells a ciphertext frame of
+// another wire version from a frame of another kind.
+func checkTag(data []byte, tag uint32) error {
+	switch {
+	case hasTag(data, tag):
+		return nil
+	case len(data) < 4:
+		return fmt.Errorf("protocol: truncated ciphertext")
+	}
+	got := binary.LittleEndian.Uint32(data)
+	if family := got & 0xffff; got>>16 != HelloVersion && family >= SchemeBFV&0xffff && family <= SchemeCKKSSeeded&0xffff {
+		// Version 1 wrote the bare family, before tags carried a version.
+		return fmt.Errorf("protocol: ciphertext frame is wire version %d, this peer speaks version %d (packed residue rows)",
+			max(got>>16, 1), HelloVersion)
+	}
+	return fmt.Errorf("protocol: frame tag %#x is not the expected ciphertext tag %#x", got, tag)
+}
+
 // unmarshalFrame reads every ciphertext frame of the family tag under
-// ctx, validating all of it before arithmetic can see it: the tag, the
-// shape against the context (the level is k−1), a component count the
-// evaluators accept — 2 for fresh and relinearized ciphertexts, 3 for an
-// unrelinearized product, exactly 1 beside a seed — a CKKS scale some
-// encoder could have produced (every rescale and decode divides by it),
-// the exact length, and each residue through readResidues.
-func unmarshalFrame(ctx *rlwe.Context, tag uint32, data []byte) (value []*ring.Poly, scale float64, seed [32]byte, err error) {
+// ctx, validating all of it before arithmetic can see it: the tag and its
+// wire version, the shape against the context (the level is k−1), a
+// component count the evaluators accept — 2 for fresh and relinearized
+// ciphertexts, 3 for an unrelinearized product, exactly 1 beside a seed —
+// a CKKS scale some encoder could have produced (every rescale and
+// decode divides by it) and a zero in its place otherwise, the exact
+// length, and each residue through ring.Poly.Unpack. Every check is an
+// equality or the packing's own, so an accepted frame is the one
+// encoding of its ciphertext.
+func unmarshalFrame(ctx *rlwe.Context, tag uint32, data []byte) (value []*ring.Poly, scale float64, seed [seedBytes]byte, err error) {
+	if err := checkTag(data, tag); err != nil {
+		return nil, 0, seed, err
+	}
 	seeded, scaled := frameShape(tag)
 	off := headerBytes
 	if seeded {
-		off += len(seed)
+		off += seedBytes
 	}
 	if len(data) < off {
 		return nil, 0, seed, fmt.Errorf("protocol: truncated ciphertext")
 	}
-	if got := binary.LittleEndian.Uint32(data[0:]); got != tag {
-		return nil, 0, seed, fmt.Errorf("protocol: frame tag %d is not the expected ciphertext tag %d", got, tag)
-	}
 	deg := int(binary.LittleEndian.Uint32(data[4:]))
 	n := int(binary.LittleEndian.Uint32(data[8:]))
 	k := int(binary.LittleEndian.Uint32(data[12:]))
-	scale = math.Float64frombits(binary.LittleEndian.Uint64(data[16:]))
+	scaleBits := binary.LittleEndian.Uint64(data[16:])
+	scale = math.Float64frombits(scaleBits)
 	if full := len(ctx.RingQ.Moduli); n != ctx.RingQ.N || k < 1 || k > full || seeded && deg != 1 {
 		return nil, 0, seed, fmt.Errorf("protocol: ciphertext shape (N=%d,k=%d, %d components) does not match context (N=%d,k≤%d)",
 			n, k, deg, ctx.RingQ.N, full)
@@ -142,30 +143,24 @@ func unmarshalFrame(ctx *rlwe.Context, tag uint32, data []byte) (value []*ring.P
 	if !seeded && deg != 2 && deg != 3 {
 		return nil, 0, seed, fmt.Errorf("protocol: ciphertext has %d components, want 2 or 3", deg)
 	}
-	if scaled && (!(scale > 0) || math.IsInf(scale, 1)) {
-		return nil, 0, seed, fmt.Errorf("protocol: ciphertext scale %v is not a positive finite number", scale)
+	if scaled && (!(scale > 0) || math.IsInf(scale, 1)) || !scaled && scaleBits != 0 {
+		return nil, 0, seed, fmt.Errorf("protocol: ciphertext scale %v is not a positive finite number (zero bits where the scheme has no scale)", scale)
 	}
-	if want := off + deg*n*k*8; len(data) != want {
+	r := ctx.RingAtLevel(k - 1)
+	polyBytes := r.PackedBytes()
+	if want := FrameBytes(polyBytes, deg, seeded) - lengthPrefixBytes; len(data) != want {
 		return nil, 0, seed, fmt.Errorf("protocol: ciphertext length %d, want %d", len(data), want)
 	}
 	copy(seed[:], data[headerBytes:off])
-	r := ctx.RingAtLevel(k - 1)
 	value = make([]*ring.Poly, deg)
 	for i := range value {
 		value[i] = r.NewPoly()
-		if off, err = readResidues(r, value[i], data, off); err != nil {
-			return nil, 0, seed, err
+		if err := value[i].Unpack(data[off : off+polyBytes]); err != nil {
+			return nil, 0, seed, fmt.Errorf("protocol: ciphertext component %d: %w", i, err)
 		}
+		off += polyBytes
 	}
 	return value, scale, seed, nil
-}
-
-// frameTag returns a frame's scheme tag, for the Any decoders.
-func frameTag(data []byte) (uint32, error) {
-	if len(data) < 4 {
-		return 0, fmt.Errorf("protocol: truncated frame")
-	}
-	return binary.LittleEndian.Uint32(data), nil
 }
 
 // MarshalBFV serializes a BFV ciphertext.
@@ -205,15 +200,10 @@ func UnmarshalSeededBFV(ctx *bfv.Context, data []byte) (*bfv.Ciphertext, error) 
 // and seed-compressed BFV ciphertexts (servers sniff incoming frames
 // with this).
 func UnmarshalAnyBFV(ctx *bfv.Context, data []byte) (*bfv.Ciphertext, error) {
-	switch tag, err := frameTag(data); {
-	case err != nil:
-		return nil, err
-	case tag == SchemeBFV:
-		return UnmarshalBFV(ctx, data)
-	case tag == SchemeBFVSeeded:
+	if hasTag(data, SchemeBFVSeeded) {
 		return UnmarshalSeededBFV(ctx, data)
 	}
-	return nil, fmt.Errorf("protocol: unknown BFV frame tag")
+	return UnmarshalBFV(ctx, data)
 }
 
 // MarshalCKKS serializes a CKKS ciphertext (the scale travels in the
@@ -250,15 +240,10 @@ func UnmarshalSeededCKKS(ctx *ckks.Context, data []byte) (*ckks.Ciphertext, erro
 // UnmarshalAnyCKKS dispatches on the scheme tag, accepting both
 // regular and seed-compressed CKKS ciphertexts.
 func UnmarshalAnyCKKS(ctx *ckks.Context, data []byte) (*ckks.Ciphertext, error) {
-	switch tag, err := frameTag(data); {
-	case err != nil:
-		return nil, err
-	case tag == SchemeCKKS:
-		return UnmarshalCKKS(ctx, data)
-	case tag == SchemeCKKSSeeded:
+	if hasTag(data, SchemeCKKSSeeded) {
 		return UnmarshalSeededCKKS(ctx, data)
 	}
-	return nil, fmt.Errorf("protocol: unknown CKKS frame tag")
+	return UnmarshalCKKS(ctx, data)
 }
 
 // Transport moves framed messages between the client and the offload

@@ -6,6 +6,7 @@ import (
 
 	"choco/internal/bfv"
 	"choco/internal/ckks"
+	"choco/internal/ring"
 )
 
 func TestBFVMarshalRoundTrip(t *testing.T) {
@@ -21,7 +22,7 @@ func TestBFVMarshalRoundTrip(t *testing.T) {
 
 	ct, _ := enc.EncryptUints([]uint64{1, 2, 3, 4, 5})
 	data := MarshalBFV(ct)
-	wantPayload := ctx.Params.CiphertextBytes()
+	wantPayload := 2 * ctx.RingQ.PackedBytes()
 	if len(data) != wantPayload+headerBytes {
 		t.Errorf("serialized %d bytes, want %d payload + %d header", len(data), wantPayload, headerBytes)
 	}
@@ -56,19 +57,27 @@ func TestBFVUnmarshalErrors(t *testing.T) {
 }
 
 func TestTable3SerializedSizes(t *testing.T) {
-	// Table 3 of the paper: serialized ciphertext payloads.
-	cases := []struct {
-		name  string
-		bytes int
-		want  int
+	// Table 3 of the paper counts a ciphertext in 8-byte words; beside it,
+	// what the same ciphertext and its seeded form weigh in a frame here,
+	// length prefix included: rows of 58, 36 and 60 bits.
+	a, b, c := bfv.PresetA(), bfv.PresetB(), ckks.PresetC()
+	for _, tc := range []struct {
+		name               string
+		paper, wantPaper   int
+		n                  int
+		qBits              []int
+		wantFull, wantSeed int
 	}{
-		{"A", bfv.PresetA().CiphertextBytes(), 262144},
-		{"B", bfv.PresetB().CiphertextBytes(), 131072},
-		{"C", ckks.PresetC().CiphertextBytes(), 262144},
-	}
-	for _, c := range cases {
-		if c.bytes != c.want {
-			t.Errorf("preset %s: %d bytes, want %d", c.name, c.bytes, c.want)
+		{"A", a.CiphertextBytes(), 262144, a.N(), a.QBits, 2*118784 + 28, 118784 + 32 + 28},
+		{"B", b.CiphertextBytes(), 131072, b.N(), b.QBits, 2*36864 + 28, 36864 + 32 + 28},
+		{"C", c.CiphertextBytes(), 262144, c.N(), c.QBits, 2*122880 + 28, 122880 + 32 + 28},
+	} {
+		if tc.paper != tc.wantPaper {
+			t.Errorf("preset %s: %d bytes in the paper's words, want %d", tc.name, tc.paper, tc.wantPaper)
+		}
+		poly := ring.PackedBytes(tc.n, tc.qBits...)
+		if full, seeded := FrameBytes(poly, 2, false), FrameBytes(poly, 1, true); full != tc.wantFull || seeded != tc.wantSeed {
+			t.Errorf("preset %s: frames of %d and %d B (seeded), want %d and %d", tc.name, full, seeded, tc.wantFull, tc.wantSeed)
 		}
 	}
 }
@@ -86,7 +95,7 @@ func TestCKKSMarshalRoundTrip(t *testing.T) {
 
 	ct, _ := enc.EncryptFloats([]float64{1.5, -2.25, 3})
 	data := MarshalCKKS(ct)
-	if len(data) != ctx.Params.CiphertextBytes()+headerBytes {
+	if len(data)+lengthPrefixBytes != FrameBytes(ctx.RingQ.PackedBytes(), 2, false) {
 		t.Errorf("serialized %d bytes", len(data))
 	}
 	back, err := UnmarshalCKKS(ctx, data)
@@ -206,9 +215,8 @@ func TestSeededBFVWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := MarshalSeededBFV(sct)
-	// Roughly half a full ciphertext on the wire.
-	full := ctx.Params.CiphertextBytes()
-	if len(data) > full/2+128 {
+	// One polynomial and a seed where a full ciphertext has two.
+	if full := FrameBytes(ctx.RingQ.PackedBytes(), 2, false); FrameBytes(sct.C0.PackedBytes(), 1, true) != len(data)+lengthPrefixBytes || len(data) > full/2+64 {
 		t.Errorf("seeded wire %d bytes vs full %d", len(data), full)
 	}
 	ct, err := UnmarshalSeededBFV(ctx, data)
@@ -246,9 +254,8 @@ func TestSeededCKKSWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := MarshalSeededCKKS(sct)
-	// Roughly half a full ciphertext on the wire.
-	full := ctx.Params.CiphertextBytes()
-	if len(data) > full/2+128 {
+	// One polynomial and a seed where a full ciphertext has two.
+	if full := FrameBytes(ctx.RingQ.PackedBytes(), 2, false); FrameBytes(sct.C0.PackedBytes(), 1, true) != len(data)+lengthPrefixBytes || len(data) > full/2+64 {
 		t.Errorf("seeded wire %d bytes vs full %d", len(data), full)
 	}
 	ct, err := UnmarshalSeededCKKS(ctx, data)

@@ -307,6 +307,12 @@ func (r *Ring) AtLevel(level int) *Ring {
 type Poly struct {
 	Coeffs [][]uint64
 	IsNTT  bool
+
+	// ring is the ring whose moduli p's rows are residues of. Arithmetic
+	// never reads it — every operation is a method of the ring it runs
+	// under — but the packed wire form (packed.go) sizes each row by its
+	// modulus, and a marshaller is handed polynomials, not rings.
+	ring *Ring
 }
 
 // DeclareNTT marks p as NTT-domain without transforming it. It is the
@@ -329,7 +335,14 @@ func (r *Ring) NewPoly() *Poly {
 	for i := range coeffs {
 		coeffs[i], backing = backing[:r.N], backing[r.N:]
 	}
-	return &Poly{Coeffs: coeffs}
+	return &Poly{Coeffs: coeffs, ring: r}
+}
+
+// Prefix returns a view of p's first len(r.Moduli) rows as a polynomial
+// of r, which must be a truncation of the chain p lives over (AtLevel, or
+// the data primes under a key ring). The view shares p's storage.
+func (r *Ring) Prefix(p *Poly) *Poly {
+	return &Poly{Coeffs: p.Coeffs[:len(r.Moduli)], IsNTT: p.IsNTT, ring: r}
 }
 
 // GetPoly returns a zeroed coefficient-domain polynomial from the
@@ -348,7 +361,7 @@ func (r *Ring) GetPoly() *Poly {
 				row[j] = 0
 			}
 		}
-		p.IsNTT = false
+		p.IsNTT, p.ring = false, r
 		return p
 	}
 	return r.NewPoly()

@@ -28,24 +28,30 @@ func (ctx *Context) DebugCheck(op string, ci int, value []*ring.Poly, level int)
 			panic(fmt.Sprintf("%s: chocodebug: %s operand %d component %d has %d residue rows, level %d implies %d",
 				ctx.label, op, ci, pi, len(p.Coeffs), level, level+1))
 		}
-		debugCheckRows(ctx.label, fmt.Sprintf("%s operand %d component %d", op, ci, pi), ctx.ringQl[level], p)
+		if bad := debugCheckRows(ctx.ringQl[level], p); bad != "" {
+			panic(fmt.Sprintf("%s: chocodebug: %s operand %d component %d %s", ctx.label, op, ci, pi, bad))
+		}
 	}
 }
 
-// debugCheckRows panics unless every row of p has N canonical residues of
-// r's matching modulus.
-func debugCheckRows(label, what string, r *ring.Ring, p *ring.Poly) {
+// debugCheckRows returns "" when every row of p has N canonical residues
+// of r's matching modulus, and otherwise what is wrong with the first row
+// that does not. The caller names the polynomial, and only once there is
+// something to report: a label formatted per check cost the hot paths
+// four objects a call that the untagged build never allocated.
+func debugCheckRows(r *ring.Ring, p *ring.Poly) string {
 	for i, row := range p.Coeffs {
 		if len(row) != r.N {
-			panic(fmt.Sprintf("%s: chocodebug: %s row %d has %d coefficients, want N=%d", label, what, i, len(row), r.N))
+			return fmt.Sprintf("row %d has %d coefficients, want N=%d", i, len(row), r.N)
 		}
 		q := r.Moduli[i].Value
 		for j, v := range row {
 			if v >= q {
-				panic(fmt.Sprintf("%s: chocodebug: %s residue [%d][%d] = %d out of range mod %d", label, what, i, j, v, q))
+				return fmt.Sprintf("residue [%d][%d] = %d out of range mod %d", i, j, v, q)
 			}
 		}
 	}
+	return ""
 }
 
 // debugCheck asserts that the accumulator holds canonical residues and
@@ -53,14 +59,19 @@ func debugCheckRows(label, what string, r *ring.Ring, p *ring.Poly) {
 // invariant between Rotate calls).
 func (qa *QPAccumulator) debugCheck(op string) {
 	ctx := qa.ctx
+	check := func(what string, h int, r *ring.Ring, p *ring.Poly) {
+		if bad := debugCheckRows(r, p); bad != "" {
+			panic(fmt.Sprintf("%s: chocodebug: %s %s %d %s", ctx.label, op, what, h, bad))
+		}
+	}
 	for h := range qa.acc {
-		debugCheckRows(ctx.label, fmt.Sprintf("%s accumulator %d", op, h), ctx.ringQlP[qa.level], qa.acc[h])
+		check("accumulator", h, ctx.ringQlP[qa.level], qa.acc[h])
 		for k, v := range qa.acc[h].Coeffs[qa.level+1] {
 			if v != 0 {
 				panic(fmt.Sprintf("%s: chocodebug: %s accumulator %d special-prime row not drained at [%d]", ctx.label, op, h, k))
 			}
 		}
-		debugCheckRows(ctx.label, fmt.Sprintf("%s correction %d", op, h), ctx.ringQl[qa.level], qa.corr[h])
-		debugCheckRows(ctx.label, fmt.Sprintf("%s plain sum %d", op, h), ctx.ringQl[qa.level], qa.plain[h])
+		check("correction", h, ctx.ringQl[qa.level], qa.corr[h])
+		check("plain sum", h, ctx.ringQl[qa.level], qa.plain[h])
 	}
 }
