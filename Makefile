@@ -30,30 +30,9 @@
 #                  not cost the hot paths an object
 #   make purego  — tests with the vector kernels compiled out (the
 #                  scalar-only build every non-amd64 target gets)
-#   make bench   — paper-table benchmark generators; also regenerates
-#                  the machine-readable perf trajectories: rotations in
-#                  BENCH_rotations.json (serial = before hoisting,
-#                  hoisted = after), the FC matrix-vector engine in
-#                  BENCH_matmul.json (level 1 = Halevi–Shoup, levels
-#                  2/3 = QP-lazy giants / QP-resident babies, plus the
-#                  CKKS lazy rotation-sum), the client encrypt/decrypt
-#                  kernels in BENCH_client.json (decrypt-bigint = the
-#                  seed's big.Int scaling, decrypt-rns = the RNS-native
-#                  rewrite), and the cross-request batching kernel in
-#                  BENCH_batching.json (serial = per-session execution,
-#                  batched = the coalesced gather round), the SIMD
-#                  kernel layer in BENCH_kernels.json (scalar = the
-#                  byte-exactness oracle, vector = the AVX2 dispatch;
-#                  NTT rows, fused dyadic multiplies, BLAKE3 bulk fill
-#                  at 1 CPU), and appends the commit-stamped pinned
-#                  series (client encrypt, hoisted rotation batch,
-#                  serve p99, forward NTT row) to
-#                  BENCH_trajectory.jsonl, warning when a series
-#                  regressed >10% against the rolling median of its
-#                  last five entries and failing hard when a series
-#                  with 8+ history points regresses beyond its
-#                  noise gate (3·MAD over the cached history)
-
+#   make bench   — the repository's benchmark (see bench-e2e), its
+#                  report recorded under the commit in
+#                  BENCH_trajectory.json, then the Go benchmarks
 #   make fuzz    — 30-second smoke run of the packed-row codec's fuzz
 #                  target (internal/ring) and of each internal/protocol
 #                  one (frame parser, hello-frame round-trip, the shard
@@ -115,10 +94,7 @@ bench-e2e:
 	$(GO) run ./benchmark
 
 bench:
-	$(GO) run ./cmd/chocobench -json BENCH_rotations.json rotations
-	$(GO) run ./cmd/chocobench -json BENCH_matmul.json matmul
-	$(GO) run ./cmd/chocobench -json BENCH_client.json client
-	$(GO) run ./cmd/chocobench -json BENCH_batching.json batching
-	$(GO) run ./cmd/chocobench -json BENCH_kernels.json kernels
-	$(GO) run ./cmd/chocobench -trajectory BENCH_trajectory.jsonl -commit "$$(git rev-parse --short HEAD)" trajectory
+	mkdir -p benchmark/out
+	$(GO) run ./benchmark | tee benchmark/out/suite.txt
+	$(GO) run ./cmd/chocobench -trajectory BENCH_trajectory.json trajectory < benchmark/out/suite.txt
 	$(GO) test -bench=. -benchmem ./...

@@ -7,23 +7,20 @@
 //	chocobench table4 fig12    # run selected experiments
 //	chocobench -list           # list experiment names
 //
-// The trajectory experiment measures the pinned perf series (client
-// encrypt, hoisted rotation batch, serve p99) and, with -trajectory,
-// appends commit-stamped JSONL entries to the named file, warning when
-// a series regressed more than 10% against the rolling median of its
-// last five entries. Once a series has at least eight history points,
-// a regression beyond its noise gate — max(10%, 3·MAD/median over the
-// cached history) — is a hard failure (exit 1), so CI blocks the
-// slowdown instead of just annotating it:
+// The trajectory entry measures nothing: it reads a `go run ./benchmark`
+// report on stdin and records the six end-to-end metrics of every
+// workload in it, under the commit the report's header names, in the
+// file -trajectory names (github-action-benchmark's data.js shape). It
+// refuses a report with a failed or incorrect run, gates nothing, and
+// runs only when named:
 //
-//	chocobench -trajectory BENCH_trajectory.jsonl -commit "$(git rev-parse --short HEAD)" trajectory
+//	go run ./benchmark | chocobench -trajectory BENCH_trajectory.json trajectory
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"choco/internal/bench"
@@ -35,67 +32,8 @@ type experiment struct {
 	run  func() (string, error)
 }
 
-// jsonBodies collects the machine-readable side of experiments that
-// produce one (keyed by experiment name) for the -json flag.
-var jsonBodies = map[string][]byte{}
-
-func experiments() []experiment {
+func experiments(trajectoryPath string) []experiment {
 	return []experiment{
-		{"rotations", "serial vs hoisted rotation batches (perf trajectory)", func() (string, error) {
-			out, recs, err := bench.Rotations()
-			if err == nil {
-				body, jerr := bench.RotationsJSON(recs)
-				if jerr != nil {
-					return "", jerr
-				}
-				jsonBodies["rotations"] = body
-			}
-			return out, err
-		}},
-		{"matmul", "FC matmul across hoisting levels L1/L2/L3 (perf trajectory)", func() (string, error) {
-			out, recs, err := bench.Matmul()
-			if err == nil {
-				body, jerr := bench.MatmulJSON(recs)
-				if jerr != nil {
-					return "", jerr
-				}
-				jsonBodies["matmul"] = body
-			}
-			return out, err
-		}},
-		{"client", "client encrypt/decrypt kernels: RNS-native vs big.Int oracle", func() (string, error) {
-			out, recs, err := bench.Client()
-			if err == nil {
-				body, jerr := bench.ClientJSON(recs)
-				if jerr != nil {
-					return "", jerr
-				}
-				jsonBodies["client"] = body
-			}
-			return out, err
-		}},
-		{"kernels", "SIMD kernel layer: scalar vs vector NTT/dyadic/BLAKE3 at 1 CPU", func() (string, error) {
-			out, recs, err := bench.Kernels()
-			if err == nil {
-				body, jerr := bench.KernelsJSON(recs)
-				if jerr != nil {
-					return "", jerr
-				}
-				jsonBodies["kernels"] = body
-			}
-			return out, err
-		}},
-		{"batching", "cross-request batching: coalesced vs per-session shard kernel", func() (string, error) {
-			out, recs, err := bench.Batching()
-			if err == nil {
-				body, jerr := bench.BatchingJSON(recs)
-				if jerr != nil {
-					return "", jerr
-				}
-				jsonBodies["batching"] = body
-			}
-			return out, err
-		}},
 		{"table1", "HE operation complexity (measured)", bench.Table1},
 		{"table3", "parameter presets and ciphertext sizes", bench.Table3},
 		{"table4", "noise budgets: rotate vs masked permute", func() (string, error) {
@@ -136,44 +74,22 @@ func experiments() []experiment {
 		{"ablation-params", "parameter minimization vs SEAL defaults", bench.AblationParamMinimization},
 		{"ablation-batch", "packed (latency) vs batched (throughput) packing", bench.AblationPackedVsBatched},
 		{"setup-costs", "one-time evaluation-key shipment per network", bench.SetupCosts},
+		{"cost-sheet", "LeNet-Sm layer plans priced from unit costs vs measured warm Apply", func() (string, error) {
+			out, _, err := bench.CostSheet()
+			return out, err
+		}},
+		{"trajectory", "record a `go run ./benchmark` report from stdin in the -trajectory history", func() (string, error) {
+			return bench.AppendTrajectory(trajectoryPath, os.Stdin, time.Now().UnixMilli())
+		}},
 	}
 }
 
 func main() {
 	list := flag.Bool("list", false, "list experiment names and exit")
-	jsonPath := flag.String("json", "", "write the selected record-producing experiment's records to this path as JSON")
-	trajectoryPath := flag.String("trajectory", "", "append the trajectory experiment's points to this JSONL file (warns on >10% regression vs each series' rolling median; fails hard past a series' noise gate once it has 8+ history points)")
-	commit := flag.String("commit", "local", "commit hash to stamp trajectory points with")
+	trajectoryPath := flag.String("trajectory", "", "history file the trajectory entry records its report in (BENCH_trajectory.json)")
 	flag.Parse()
 
-	exps := append(experiments(), experiment{
-		"trajectory", "pinned perf series: client encrypt, hoisted rotation batch, serve p99, ntt row",
-		func() (string, error) {
-			out, pts, err := bench.Trajectory(*commit, time.Now().Unix())
-			if err != nil || *trajectoryPath == "" {
-				return out, err
-			}
-			warnings, failures, err := bench.AppendTrajectory(*trajectoryPath, pts)
-			if err != nil {
-				return "", fmt.Errorf("appending %s: %w", *trajectoryPath, err)
-			}
-			for _, w := range warnings {
-				fmt.Fprintf(os.Stderr, "trajectory warning: %s\n", w)
-			}
-			for _, f := range failures {
-				fmt.Fprintf(os.Stderr, "trajectory FAILURE: %s\n", f)
-			}
-			out += fmt.Sprintf("appended %d point(s) to %s (%d regression warning(s), %d failure(s))\n",
-				len(pts), *trajectoryPath, len(warnings), len(failures))
-			if len(failures) > 0 {
-				// The points are already appended — the history records
-				// the regression — but the run itself is a hard failure.
-				return out, fmt.Errorf("%d pinned series regressed beyond their noise gates: %s",
-					len(failures), strings.Join(failures, "; "))
-			}
-			return out, nil
-		},
-	})
+	exps := experiments(*trajectoryPath)
 	if *list {
 		for _, e := range exps {
 			fmt.Printf("%-10s %s\n", e.name, e.desc)
@@ -187,8 +103,8 @@ func main() {
 	}
 	ranAny := false
 	for _, e := range exps {
-		if len(selected) > 0 && !selected[e.name] {
-			continue
+		if !selected[e.name] && (len(selected) > 0 || e.name == "trajectory") {
+			continue // trajectory reads stdin: only when named
 		}
 		ranAny = true
 		start := time.Now()
@@ -202,22 +118,5 @@ func main() {
 	if !ranAny {
 		fmt.Fprintf(os.Stderr, "no matching experiments; use -list\n")
 		os.Exit(1)
-	}
-	if *jsonPath != "" {
-		if len(jsonBodies) == 0 {
-			fmt.Fprintf(os.Stderr, "-json set but no record-producing experiment ran (rotations, matmul, client, batching, kernels)\n")
-			os.Exit(1)
-		}
-		if len(jsonBodies) > 1 {
-			fmt.Fprintf(os.Stderr, "-json set but several record-producing experiments ran; select one\n")
-			os.Exit(1)
-		}
-		for name, body := range jsonBodies {
-			if err := os.WriteFile(*jsonPath, body, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (%s records)\n", *jsonPath, name)
-		}
 	}
 }

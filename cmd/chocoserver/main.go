@@ -290,7 +290,7 @@ func runRouter(ctx context.Context, addr, shardsFlag, statsAddr string, healthEv
 		log.Fatalf("router: %v", err)
 	}
 	rs := router.Stats()
-	log.Printf("chocoserver[router]: done: %d connection(s), %d session(s) routed (%d legacy), %d replication hint(s), %d route failure(s), %d ejection(s), %.1f MB up / %.1f MB down",
-		rs.Connections, rs.RoutedSessions, rs.LegacyRouted, rs.ReplicationHints, rs.RouteFailures, rs.Ejections,
+	log.Printf("chocoserver[router]: done: %d connection(s), %d session(s) routed, %d replication hint(s), %d route failure(s), %d ejection(s), %.1f MB up / %.1f MB down",
+		rs.Connections, rs.RoutedSessions, rs.ReplicationHints, rs.RouteFailures, rs.Ejections,
 		float64(rs.BytesUp)/(1<<20), float64(rs.BytesDown)/(1<<20))
 }

@@ -36,10 +36,11 @@ func main() {
 	defer clientEnd.Close()
 	serverOps := make(chan nn.ServerOps, 1)
 	go func() {
-		if err := server.AcceptSetup(serverEnd); err != nil {
+		sess, err := server.ReadSession(serverEnd)
+		if err != nil {
 			log.Fatal(err)
 		}
-		ops, err := server.ServeOne(serverEnd)
+		ops, err := sess.ServeOne(serverEnd)
 		if err != nil {
 			log.Fatal(err)
 		}

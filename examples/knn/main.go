@@ -28,21 +28,37 @@ func main() {
 		labels = append(labels, label)
 	}
 
-	kernel, err := distance.NewKernel(distance.PresetDistance(), points, [32]byte{10})
+	// The two halves of the deployment, joined in this process by a pipe:
+	// the server holds the points and, after Setup, the client's
+	// evaluation keys; the client holds the secret key and the labels.
+	server, err := distance.NewServer(distance.PresetDistance(), points)
 	if err != nil {
 		log.Fatal(err)
 	}
-	knn, err := distance.NewKNN(kernel, labels)
+	m, _, dims := server.Geometry()
+	client, err := distance.NewClient(distance.PresetDistance(), m, dims, [32]byte{10})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("server holds %d labeled points (CKKS, N=%d)\n", kernel.M(), distance.PresetDistance().N())
+	knn, err := distance.NewKNN(client, labels)
+	if err != nil {
+		log.Fatal(err)
+	}
+	clientEnd, serverEnd := protocol.NewPipe()
+	served := make(chan error, 1)
+	go func() { served <- server.Serve(serverEnd) }() // a failure reaches the client as a session error
+	defer func() {
+		clientEnd.Close() // ends the session; then wait for the server half
+		<-served
+	}()
+	if err := client.Setup(clientEnd); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("server holds %d labeled points (CKKS, N=%d)\n", m, distance.PresetDistance().N())
 
 	queries := [][]float64{{1.8, 2.3}, {-1.5, -2.2}, {0.4, 0.3}}
 	for _, q := range queries {
-		clientEnd, serverEnd := protocol.NewPipe()
-		label, stats, err := knn.Classify(q, 5, distance.CollapsedPointMajor, clientEnd, serverEnd)
-		clientEnd.Close()
+		label, stats, err := knn.Classify(q, 5, distance.CollapsedPointMajor, clientEnd)
 		if err != nil {
 			log.Fatal(err)
 		}

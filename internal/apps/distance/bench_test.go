@@ -1,30 +1,16 @@
 package distance
 
-import (
-	"testing"
-
-	"choco/internal/protocol"
-)
-
-func benchKernel(b *testing.B, m, d int) *Kernel {
-	b.Helper()
-	k, err := NewKernel(PresetDistanceTest(), synthPoints(m, d, 1), [32]byte{2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return k
-}
+import "testing"
 
 func benchVariant(b *testing.B, v Variant) {
-	kernel := benchKernel(b, 8, 4)
+	client, server, _ := testPair(b, 8, 4)
+	conn := serving(b, client, server)
 	q := []float64{0.5, -1.25, 1.0, 0.25}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clientEnd, serverEnd := protocol.NewPipe()
-		if _, _, err := kernel.Distances(q, v, clientEnd, serverEnd); err != nil {
+		if _, _, err := client.Query(q, v, conn); err != nil {
 			b.Fatal(err)
 		}
-		clientEnd.Close()
 	}
 }
 
@@ -33,18 +19,17 @@ func BenchmarkDistanceCollapsed(b *testing.B)         { benchVariant(b, Collapse
 func BenchmarkDistanceStackedPointMajor(b *testing.B) { benchVariant(b, StackedPointMajor) }
 
 func BenchmarkKNNClassify(b *testing.B) {
-	kernel := benchKernel(b, 8, 4)
-	knn, err := NewKNN(kernel, []int{0, 1, 0, 1, 0, 1, 0, 1})
+	client, server, _ := testPair(b, 8, 4)
+	knn, err := NewKNN(client, []int{0, 1, 0, 1, 0, 1, 0, 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	conn := serving(b, client, server)
 	q := []float64{0.1, 0.2, 0.3, 0.4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clientEnd, serverEnd := protocol.NewPipe()
-		if _, _, err := knn.Classify(q, 3, CollapsedPointMajor, clientEnd, serverEnd); err != nil {
+		if _, _, err := knn.Classify(q, 3, CollapsedPointMajor, conn); err != nil {
 			b.Fatal(err)
 		}
-		clientEnd.Close()
 	}
 }

@@ -6,16 +6,18 @@
 // query (or centroids) stay encrypted; the server holds the aggregated
 // point set. The square root of the Euclidean distance is dropped —
 // monotone, so the client's min() is unaffected (§5.1).
+//
+// There is one implementation, split the way it is deployed: Server is
+// the untrusted side (the points and the client's evaluation keys),
+// Client the trusted one (the secret key and the query). A process that
+// wants both joins them with a protocol.Pipe and runs Server.Serve in a
+// goroutine.
 package distance
 
 import (
 	"fmt"
-	"math"
 
 	"choco/internal/ckks"
-	"choco/internal/core"
-	"choco/internal/par"
-	"choco/internal/protocol"
 )
 
 // Variant selects the Fig 9 packing.
@@ -51,81 +53,10 @@ func Variants() []Variant {
 	return []Variant{PointMajor, DimensionMajor, StackedPointMajor, StackedDimMajor, CollapsedPointMajor}
 }
 
-// Kernel evaluates encrypted distance queries against a server-side
-// point set.
-type Kernel struct {
-	ctx    *ckks.Context
-	enc    *ckks.Encryptor
-	dec    *ckks.Decryptor
-	ecd    *ckks.Encoder
-	ev     *ckks.Evaluator
-	points [][]float64
-	m      int // point count
-	d      int // dimensionality padded to a power of two
-	rawD   int
-	// maskScale is the low encoding scale of collapse masks, keeping
-	// the masked product within the level-0 modulus.
-	maskScale float64
-}
-
-// NewKernel builds a kernel over the point set, generating exactly the
-// rotation keys the five variants need.
-func NewKernel(params ckks.Parameters, points [][]float64, seed [32]byte) (*Kernel, error) {
-	if len(points) == 0 || len(points[0]) == 0 {
-		return nil, fmt.Errorf("distance: empty point set")
-	}
-	ctx, err := ckks.NewContext(params)
-	if err != nil {
-		return nil, err
-	}
-	m := len(points)
-	rawD := len(points[0])
-	d := nextPow2(rawD)
-	slots := ctx.Params.Slots()
-	if m*d > slots {
-		return nil, fmt.Errorf("distance: %d points × %d dims exceed %d slots", m, d, slots)
-	}
-	for _, p := range points {
-		if len(p) != rawD {
-			return nil, fmt.Errorf("distance: ragged point set")
-		}
-	}
-	kg := ckks.NewKeyGenerator(ctx, seed)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	relin := kg.GenRelinearizationKey(sk)
-
-	stepSet := map[int]bool{}
-	for s := 1; s < slots; s <<= 1 {
-		stepSet[s] = true // in-block and cross-block reductions
-	}
-	perCt := slots / d
-	for i := 0; i < m; i++ {
-		blockSlot := (i % perCt) * d
-		s := ((blockSlot-i)%slots + slots) % slots
-		if s != 0 {
-			stepSet[s] = true // collapse repositioning
-		}
-	}
-	steps := make([]int, 0, len(stepSet))
-	for s := range stepSet {
-		steps = append(steps, s)
-	}
-	galois := kg.GenRotationKeys(sk, steps...)
-
-	return &Kernel{
-		ctx:       ctx,
-		enc:       ckks.NewEncryptor(ctx, pk, seed),
-		dec:       ckks.NewDecryptor(ctx, sk),
-		ecd:       ckks.NewEncoder(ctx),
-		ev:        ckks.NewEvaluator(ctx, relin, galois),
-		points:    points,
-		m:         m,
-		d:         d,
-		rawD:      rawD,
-		maskScale: math.Ldexp(1, 30),
-	}, nil
-}
+// dense reports whether a reply carries point i's distance in slot i.
+// Point-major replies that are not collapsed keep it at the head of the
+// point's block instead.
+func (v Variant) dense() bool { return v != PointMajor && v != StackedPointMajor }
 
 // PresetDistance returns the production parameter set for the distance
 // kernels: a three-prime data chain so the collapsed variant's masking
@@ -141,12 +72,6 @@ func PresetDistanceTest() ckks.Parameters {
 	return ckks.Parameters{LogN: 11, QBits: []int{50, 40, 40}, PBits: 51, LogScale: 40, Sigma: 3.2}
 }
 
-// M returns the server point count.
-func (k *Kernel) M() int { return k.m }
-
-// D returns the padded dimensionality.
-func (k *Kernel) D() int { return k.d }
-
 func nextPow2(v int) int {
 	p := 1
 	for p < v {
@@ -155,392 +80,106 @@ func nextPow2(v int) int {
 	return p
 }
 
-type hop func(*ckks.Ciphertext) (*ckks.Ciphertext, error)
+// geometry is what both halves derive a packing from: the point count,
+// the dimensionality as given and padded to a power of two, and the
+// slot count of the parameter set.
+type geometry struct {
+	m, d, rawD, slots int
+}
 
-// Distances runs one encrypted distance query end-to-end over the
-// transports, returning squared distances to every server point plus
-// client-cost statistics.
-func (k *Kernel) Distances(q []float64, variant Variant, clientEnd, serverEnd protocol.Transport) ([]float64, core.Stats, error) {
-	if len(q) != k.rawD {
-		return nil, core.Stats{}, fmt.Errorf("distance: query has %d dims, want %d", len(q), k.rawD)
+func newGeometry(slots, m, rawD int) (geometry, error) {
+	g := geometry{m: m, d: nextPow2(rawD), rawD: rawD, slots: slots}
+	if m == 0 || rawD == 0 {
+		return g, fmt.Errorf("distance: empty point set")
 	}
-	var stats core.Stats
-	upload := func(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-		data := protocol.MarshalCKKS(ct)
-		if err := clientEnd.Send(data); err != nil {
-			return nil, err
-		}
-		stats.Encryptions++
-		stats.UpCiphertexts++
-		stats.UpBytes += int64(len(data)) + 4
-		raw, err := serverEnd.Recv()
-		if err != nil {
-			return nil, err
-		}
-		return protocol.UnmarshalCKKS(k.ctx, raw)
+	if g.m*g.d > slots {
+		return g, fmt.Errorf("distance: %d points × %d dims exceed %d slots", g.m, g.d, slots)
 	}
-	download := func(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-		data := protocol.MarshalCKKS(ct)
-		if err := serverEnd.Send(data); err != nil {
-			return nil, err
-		}
-		stats.Decryptions++
-		stats.DownCiphertexts++
-		stats.DownBytes += int64(len(data)) + 4
-		raw, err := clientEnd.Recv()
-		if err != nil {
-			return nil, err
-		}
-		return protocol.UnmarshalCKKS(k.ctx, raw)
-	}
+	return g, nil
+}
 
-	var out []float64
-	var err error
-	switch variant {
-	case PointMajor:
-		out, err = k.pointMajor(q, upload, download, &stats, 1, false)
-	case StackedPointMajor:
-		out, err = k.pointMajor(q, upload, download, &stats, k.ctx.Params.Slots()/k.d, false)
-	case CollapsedPointMajor:
-		out, err = k.pointMajor(q, upload, download, &stats, k.ctx.Params.Slots()/k.d, true)
+// cost is AnalyzeCost at this geometry — where both halves read how many
+// frames a variant moves each way — or an error for a variant this
+// geometry cannot pack. Only dimension-major sees the unpadded
+// dimension count: it spends a ciphertext per dimension, and a padding
+// dimension is zero on both sides.
+func (g geometry) cost(v Variant) (Cost, error) {
+	d := g.d
+	switch {
+	case v < PointMajor || v > CollapsedPointMajor:
+		return Cost{}, fmt.Errorf("distance: unknown variant %d", int(v))
+	case v == StackedDimMajor && nextPow2(g.m)*g.d > g.slots:
+		return Cost{}, fmt.Errorf("distance: stacked dim-major needs %d slots", nextPow2(g.m)*g.d)
+	case v == DimensionMajor:
+		d = g.rawD
+	}
+	return AnalyzeCost(v, g.m, d, g.slots), nil
+}
+
+// perCt is how many points, one D-strided block each, a point-major
+// variant packs into a ciphertext.
+func (g geometry) perCt(v Variant) int {
+	if v == PointMajor {
+		return 1
+	}
+	return g.slots / g.d
+}
+
+// layout fills ciphertext j of a variant: the coordinates at(i) of point
+// i go where that packing keeps them. The server lays out its points;
+// the client lays out its query with at ≡ q, the query beside every
+// point. Dimension-major ciphertext j holds dimension j across the point
+// slots, stacked dimension-major holds every dimension as
+// nextPow2(M)-strided blocks of one ciphertext, and the point-major
+// family holds group j's points as D-strided blocks.
+func (g geometry) layout(v Variant, j int, at func(i int) []float64) []float64 {
+	vec := make([]float64, g.slots)
+	switch v {
 	case DimensionMajor:
-		out, err = k.dimensionMajor(q, upload, download, &stats, false)
+		for i := 0; i < g.m; i++ {
+			vec[i] = at(i)[j]
+		}
 	case StackedDimMajor:
-		out, err = k.dimensionMajor(q, upload, download, &stats, true)
+		bm := nextPow2(g.m)
+		for i := 0; i < g.m; i++ {
+			for d, x := range at(i) {
+				vec[d*bm+i] = x
+			}
+		}
 	default:
-		err = fmt.Errorf("distance: unknown variant %v", variant)
+		perCt := g.perCt(v)
+		for b := 0; b < perCt && j*perCt+b < g.m; b++ {
+			copy(vec[b*g.d:], at(j*perCt+b))
+		}
 	}
-	return out, stats, err
+	return vec
 }
 
-// subPlain computes ct - values.
-func (k *Kernel) subPlain(ct *ckks.Ciphertext, values []float64) (*ckks.Ciphertext, error) {
-	pt, err := k.ecd.EncodeFloats(values, ct.Level, ct.Scale)
-	if err != nil {
-		return nil, err
-	}
-	return k.ev.SubPlain(ct, pt)
+// collapseStep is the left rotation that carries point i's distance from
+// the head of its block to slot i of the dense reply.
+func (g geometry) collapseStep(i int) int {
+	b := i % (g.slots / g.d)
+	return ((b*g.d-i)%g.slots + g.slots) % g.slots
 }
 
-// reduceBlocks sums groups of `span` adjacent slots via rotate-and-add;
-// slot b·span of each block ends up holding its block's sum. stride is
-// the rotation unit (1 for contiguous, block size for dim blocks). The
-// tree stays serial on purpose: every rotation acts on the freshly
-// accumulated sum, so there is never more than one rotation per operand
-// to hoist — and flattening to span-1 hoisted rotations of the input
-// loses to the log₂(span)-deep tree for every realistic span.
-// RotateLeft itself is the k=1 case of the hoisted path, so the tree
-// still benefits from the cached automorphism tables.
-func (k *Kernel) reduceBlocks(ct *ckks.Ciphertext, span, stride int, ops *core.OpCounts) (*ckks.Ciphertext, error) {
-	acc := ct
-	for s := span / 2; s >= 1; s /= 2 {
-		rot, err := k.ev.RotateLeft(acc, s*stride)
-		if err != nil {
-			return nil, err
-		}
-		ops.Rotations++
-		acc, err = k.ev.Add(acc, rot)
-		if err != nil {
-			return nil, err
-		}
-		ops.Adds++
+// rotationSteps lists the rotations the five variants need keys for:
+// every power of two (in-block and cross-block reductions) and the
+// collapse repositionings.
+func (g geometry) rotationSteps() []int {
+	stepSet := map[int]bool{}
+	for s := 1; s < g.slots; s <<= 1 {
+		stepSet[s] = true
 	}
-	return acc, nil
-}
-
-// pointMajor packs perCt points (D-strided blocks) per ciphertext.
-// With perCt == 1 this is the plain point-major variant (one point per
-// ciphertext, M result ciphertexts); with perCt == slots/D it is
-// stacked; with collapse it additionally condenses all results into a
-// single dense ciphertext at extra server cost (§5.4's client-optimal
-// choice).
-func (k *Kernel) pointMajor(q []float64, upload, download hop, stats *core.Stats, perCt int, collapse bool) ([]float64, error) {
-	slots := k.ctx.Params.Slots()
-	groups := (k.m + perCt - 1) / perCt
-
-	// Client: one upload — the query replicated into every block
-	// serves all groups.
-	qVec := make([]float64, slots)
-	for b := 0; b < perCt; b++ {
-		copy(qVec[b*k.d:], q)
-	}
-	qCt, err := k.enc.EncryptFloats(qVec)
-	if err != nil {
-		return nil, err
-	}
-	srvQ, err := upload(qCt)
-	if err != nil {
-		return nil, err
-	}
-
-	// Server compute per group is transport-free and independent across
-	// groups — fan it out. Downloads stay serial in group order below so
-	// the wire protocol sees the same frame sequence as the serial code.
-	results := make([]float64, k.m)
-	reds := make([]*ckks.Ciphertext, groups)
-	groupOps := make([]core.OpCounts, groups)
-	groupErrs := make([]error, groups)
-	par.For(groups, func(g int) {
-		pVec := make([]float64, slots)
-		for b := 0; b < perCt; b++ {
-			i := g*perCt + b
-			if i >= k.m {
-				break
-			}
-			copy(pVec[b*k.d:], k.points[i])
-		}
-		diff, err := k.subPlain(srvQ, pVec)
-		if err != nil {
-			groupErrs[g] = err
-			return
-		}
-		sq, err := k.ev.MulRelin(diff, diff)
-		if err != nil {
-			groupErrs[g] = err
-			return
-		}
-		groupOps[g].CtMults++
-		reds[g], groupErrs[g] = k.reduceBlocks(sq, k.d, 1, &groupOps[g])
-	})
-	for g := 0; g < groups; g++ {
-		if groupErrs[g] != nil {
-			return nil, groupErrs[g]
-		}
-		stats.Server.Add(groupOps[g])
-	}
-
-	if !collapse {
-		for g := 0; g < groups; g++ {
-			cli, err := download(reds[g])
-			if err != nil {
-				return nil, err
-			}
-			decoded := k.dec.DecryptFloats(cli)
-			for b := 0; b < perCt; b++ {
-				i := g*perCt + b
-				if i >= k.m {
-					break
-				}
-				results[i] = decoded[b*k.d]
-			}
-		}
-		return results, nil
-	}
-
-	// Collapse: reposition each block's distance slot into the dense
-	// output ciphertext — extra masking multiplies and rotations on the
-	// server buy a single downloaded ciphertext. Rotation commutes with
-	// masking (φ_g(mask ⊙ x) = φ_g(mask) ⊙ φ_g(x), and a one-hot mask
-	// encodes identically at either slot position), so the server
-	// rotates first: every repositioning rotation of group g then acts
-	// on the same reduced ciphertext reds[g], and the group's whole
-	// rotation set shares one hoisted decomposition. Groups fan out
-	// across the worker pool; the final fold runs serially in group
-	// order (ciphertext addition is exact modular arithmetic, so any
-	// schedule of the same adds is bit-identical).
-	type cell struct{ b, i, steps int }
-	cellsByGroup := make([][]cell, groups)
-	for g := 0; g < groups; g++ {
-		for b := 0; b < perCt; b++ {
-			i := g*perCt + b
-			if i >= k.m {
-				break
-			}
-			steps := ((b*k.d-i)%slots + slots) % slots
-			cellsByGroup[g] = append(cellsByGroup[g], cell{b, i, steps})
+	for i := 0; i < g.m; i++ {
+		if s := g.collapseStep(i); s != 0 {
+			stepSet[s] = true
 		}
 	}
-	gAccs := make([]*ckks.Ciphertext, groups)
-	gOps := make([]core.OpCounts, groups)
-	gErrs := make([]error, groups)
-	par.For(groups, func(g int) {
-		cs := cellsByGroup[g]
-		if len(cs) == 0 {
-			return
-		}
-		red := reds[g]
-		seen := map[int]bool{0: true}
-		var uniq []int
-		for _, c := range cs {
-			if !seen[c.steps] {
-				seen[c.steps] = true
-				uniq = append(uniq, c.steps)
-			}
-		}
-		rots, err := k.ev.RotateLeftHoisted(red, uniq)
-		if err != nil {
-			gErrs[g] = err
-			return
-		}
-		gOps[g].Rotations += len(uniq)
-		rotByStep := make(map[int]*ckks.Ciphertext, len(uniq)+1)
-		rotByStep[0] = red
-		for ui, s := range uniq {
-			rotByStep[s] = rots[ui]
-		}
-		var acc *ckks.Ciphertext
-		for _, c := range cs {
-			pos := rotByStep[c.steps]
-			mask := make([]float64, slots)
-			mask[c.i] = 1
-			mpt, err := k.ecd.EncodeFloats(mask, pos.Level, k.maskScale)
-			if err != nil {
-				gErrs[g] = err
-				return
-			}
-			masked, err := k.ev.MulPlain(pos, mpt)
-			if err != nil {
-				gErrs[g] = err
-				return
-			}
-			gOps[g].PlainMults++
-			if acc == nil {
-				acc = masked
-			} else {
-				acc, err = k.ev.Add(acc, masked)
-				if err != nil {
-					gErrs[g] = err
-					return
-				}
-				gOps[g].Adds++
-			}
-		}
-		gAccs[g] = acc
-	})
-	var collapseAcc *ckks.Ciphertext
-	for g := 0; g < groups; g++ {
-		if gErrs[g] != nil {
-			return nil, gErrs[g]
-		}
-		stats.Server.Add(gOps[g])
-		if gAccs[g] == nil {
-			continue
-		}
-		if collapseAcc == nil {
-			collapseAcc = gAccs[g]
-		} else {
-			var err error
-			collapseAcc, err = k.ev.Add(collapseAcc, gAccs[g])
-			if err != nil {
-				return nil, err
-			}
-			stats.Server.Adds++
-		}
+	steps := make([]int, 0, len(stepSet))
+	for s := range stepSet {
+		steps = append(steps, s)
 	}
-
-	final, err := k.ev.Rescale(collapseAcc)
-	if err != nil {
-		return nil, err
-	}
-	cli, err := download(final)
-	if err != nil {
-		return nil, err
-	}
-	decoded := k.dec.DecryptFloats(cli)
-	copy(results, decoded[:k.m])
-	return results, nil
-}
-
-// dimensionMajor packs one dimension per ciphertext (query value
-// replicated across point slots); stacked packs all dimensions as
-// M-strided blocks of a single ciphertext and reduces across blocks.
-// Both produce one dense result ciphertext ("dimension-major inputs
-// produce point-major outputs"). The per-dimension loop stays serial:
-// every iteration performs an upload hop, and the wire protocol's frame
-// order (and the client's matching send/recv sequence) must be
-// preserved — only transport-free compute may fan out.
-func (k *Kernel) dimensionMajor(q []float64, upload, download hop, stats *core.Stats, stacked bool) ([]float64, error) {
-	slots := k.ctx.Params.Slots()
-	bm := nextPow2(k.m)
-
-	if stacked {
-		if bm*k.d > slots {
-			return nil, fmt.Errorf("distance: stacked dim-major needs %d slots", bm*k.d)
-		}
-		qVec := make([]float64, slots)
-		pVec := make([]float64, slots)
-		for d := 0; d < k.rawD; d++ {
-			for i := 0; i < k.m; i++ {
-				qVec[d*bm+i] = q[d]
-				pVec[d*bm+i] = k.points[i][d]
-			}
-		}
-		qCt, err := k.enc.EncryptFloats(qVec)
-		if err != nil {
-			return nil, err
-		}
-		srvQ, err := upload(qCt)
-		if err != nil {
-			return nil, err
-		}
-		diff, err := k.subPlain(srvQ, pVec)
-		if err != nil {
-			return nil, err
-		}
-		sq, err := k.ev.MulRelin(diff, diff)
-		if err != nil {
-			return nil, err
-		}
-		stats.Server.CtMults++
-		red, err := k.reduceBlocks(sq, k.d, bm, &stats.Server)
-		if err != nil {
-			return nil, err
-		}
-		cli, err := download(red)
-		if err != nil {
-			return nil, err
-		}
-		decoded := k.dec.DecryptFloats(cli)
-		out := make([]float64, k.m)
-		copy(out, decoded[:k.m])
-		return out, nil
-	}
-
-	// One ciphertext per dimension; the server accumulates squared
-	// differences with zero rotations.
-	var acc *ckks.Ciphertext
-	for d := 0; d < k.rawD; d++ {
-		qVec := make([]float64, slots)
-		pVec := make([]float64, slots)
-		for i := 0; i < k.m; i++ {
-			qVec[i] = q[d]
-			pVec[i] = k.points[i][d]
-		}
-		qCt, err := k.enc.EncryptFloats(qVec)
-		if err != nil {
-			return nil, err
-		}
-		srvQ, err := upload(qCt)
-		if err != nil {
-			return nil, err
-		}
-		diff, err := k.subPlain(srvQ, pVec)
-		if err != nil {
-			return nil, err
-		}
-		sq, err := k.ev.MulRelin(diff, diff)
-		if err != nil {
-			return nil, err
-		}
-		stats.Server.CtMults++
-		if acc == nil {
-			acc = sq
-		} else {
-			acc, err = k.ev.Add(acc, sq)
-			if err != nil {
-				return nil, err
-			}
-			stats.Server.Adds++
-		}
-	}
-	cli, err := download(acc)
-	if err != nil {
-		return nil, err
-	}
-	decoded := k.dec.DecryptFloats(cli)
-	out := make([]float64, k.m)
-	copy(out, decoded[:k.m])
-	return out, nil
+	return steps
 }
 
 // PlainDistances is the cleartext reference.

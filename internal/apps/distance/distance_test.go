@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"choco/internal/core"
 	"choco/internal/protocol"
 	"choco/internal/sampling"
 )
@@ -21,54 +22,119 @@ func synthPoints(m, d int, seed byte) [][]float64 {
 	return pts
 }
 
-func testKernel(t *testing.T, m, d int) *Kernel {
+// testPair builds both halves over synthPoints(m, d, 1) and carries the
+// client's keys across a pipe.
+func testPair(t testing.TB, m, d int) (*Client, *Server, [][]float64) {
 	t.Helper()
-	k, err := NewKernel(PresetDistanceTest(), synthPoints(m, d, 1), [32]byte{2})
+	return pairOver(t, synthPoints(m, d, 1), [32]byte{2})
+}
+
+func pairOver(t testing.TB, pts [][]float64, seed [32]byte) (*Client, *Server, [][]float64) {
+	t.Helper()
+	server, err := NewServer(PresetDistanceTest(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return k
+	m, _, rawD := server.Geometry()
+	client, err := NewClient(PresetDistanceTest(), m, rawD, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := protocol.NewPipe()
+	defer a.Close()
+	if err := client.Setup(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := server.AcceptSetup(b); err != nil {
+		t.Fatal(err)
+	}
+	return client, server, pts
 }
 
-func TestKernelValidation(t *testing.T) {
-	if _, err := NewKernel(PresetDistanceTest(), nil, [32]byte{1}); err == nil {
+// queryOnce runs one query over a fresh pipe, the server half in a
+// goroutine, and returns the client's statistics with the server's
+// operation counts filled in.
+func queryOnce(t testing.TB, client *Client, server *Server, q []float64, v Variant) ([]float64, core.Stats) {
+	t.Helper()
+	clientEnd, serverEnd := protocol.NewPipe()
+	defer clientEnd.Close()
+	type served struct {
+		ops core.OpCounts
+		err error
+	}
+	done := make(chan served, 1)
+	go func() {
+		ops, err := server.ServeOne(serverEnd)
+		done <- served{ops, err}
+	}()
+	got, stats, err := client.Query(q, v, clientEnd)
+	if err != nil {
+		t.Fatalf("%v: %v", v, err)
+	}
+	s := <-done
+	if s.err != nil {
+		t.Fatalf("%v server: %v", v, s.err)
+	}
+	stats.Server = s.ops
+	return got, stats
+}
+
+// serving connects a client to a goroutine running server.Serve and
+// returns the client's end; the server's verdict is checked at cleanup.
+func serving(t testing.TB, client *Client, server *Server) protocol.Transport {
+	t.Helper()
+	clientEnd, serverEnd := protocol.NewPipe()
+	done := make(chan error, 1)
+	go func() { done <- server.Serve(serverEnd) }()
+	if err := client.Setup(clientEnd); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		clientEnd.Close()
+		if err := <-done; err != nil {
+			t.Errorf("server: %v", err)
+		}
+	})
+	return clientEnd
+}
+
+func TestServerValidation(t *testing.T) {
+	if _, err := NewServer(PresetDistanceTest(), nil); err == nil {
 		t.Error("expected error for empty point set")
 	}
-	if _, err := NewKernel(PresetDistanceTest(), synthPoints(2048, 4, 1), [32]byte{1}); err == nil {
+	if _, err := NewServer(PresetDistanceTest(), synthPoints(2048, 4, 1)); err == nil {
 		t.Error("expected error for slot overflow")
 	}
 	ragged := [][]float64{{1, 2}, {1}}
-	if _, err := NewKernel(PresetDistanceTest(), ragged, [32]byte{1}); err == nil {
+	if _, err := NewServer(PresetDistanceTest(), ragged); err == nil {
 		t.Error("expected error for ragged points")
 	}
 }
 
 func TestAllVariantsMatchPlainDistances(t *testing.T) {
-	m, d := 8, 4
-	kernel := testKernel(t, m, d)
-	q := []float64{0.5, -1.25, 1.0, 0.25}
-	want := PlainDistances(kernel.points, q)
+	// The second geometry pads both ways: 5 points in blocks of 8, 3
+	// dimensions in blocks of 4.
+	for _, geom := range []struct{ m, d int }{{8, 4}, {5, 3}} {
+		client, server, pts := testPair(t, geom.m, geom.d)
+		q := []float64{0.5, -1.25, 1.0, 0.25}[:geom.d]
+		want := PlainDistances(pts, q)
 
-	for _, v := range Variants() {
-		clientEnd, serverEnd := protocol.NewPipe()
-		got, stats, err := kernel.Distances(q, v, clientEnd, serverEnd)
-		clientEnd.Close()
-		if err != nil {
-			t.Fatalf("%v: %v", v, err)
-		}
-		if len(got) != m {
-			t.Fatalf("%v: %d results", v, len(got))
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 0.05 {
-				t.Errorf("%v point %d: got %v want %v", v, i, got[i], want[i])
+		for _, v := range Variants() {
+			got, stats := queryOnce(t, client, server, q, v)
+			if len(got) != geom.m {
+				t.Fatalf("%v: %d results", v, len(got))
 			}
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > 0.05 {
+					t.Errorf("%v point %d: got %v want %v", v, i, got[i], want[i])
+				}
+			}
+			if stats.UpCiphertexts == 0 || stats.DownCiphertexts == 0 {
+				t.Errorf("%v: no traffic recorded: %+v", v, stats)
+			}
+			t.Logf("%d×%d %v: up=%d down=%d upB=%d downB=%d server=%+v", geom.m, geom.d,
+				v, stats.UpCiphertexts, stats.DownCiphertexts, stats.UpBytes, stats.DownBytes, stats.Server)
 		}
-		if stats.UpCiphertexts == 0 || stats.DownCiphertexts == 0 {
-			t.Errorf("%v: no traffic recorded: %+v", v, stats)
-		}
-		t.Logf("%v: up=%d down=%d upB=%d downB=%d server=%+v",
-			v, stats.UpCiphertexts, stats.DownCiphertexts, stats.UpBytes, stats.DownBytes, stats.Server)
 	}
 }
 
@@ -77,17 +143,12 @@ func TestVariantTrafficShape(t *testing.T) {
 	// point; collapsed downloads exactly one; dimension-major uploads
 	// one per dimension.
 	m, d := 8, 4
-	kernel := testKernel(t, m, d)
+	client, server, _ := testPair(t, m, d)
 	q := []float64{0, 0, 0, 0}
 
 	traffic := map[Variant][2]int{}
 	for _, v := range Variants() {
-		clientEnd, serverEnd := protocol.NewPipe()
-		_, stats, err := kernel.Distances(q, v, clientEnd, serverEnd)
-		clientEnd.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, stats := queryOnce(t, client, server, q, v)
 		traffic[v] = [2]int{stats.UpCiphertexts, stats.DownCiphertexts}
 	}
 	if traffic[PointMajor][1] != m {
@@ -115,19 +176,13 @@ func TestVariantTrafficShape(t *testing.T) {
 
 func TestAnalyzeCostAgainstMeasured(t *testing.T) {
 	// The analytic model must reproduce the measured ciphertext counts
-	// on a live kernel.
+	// and multiplication counts on the live split form.
 	m, d := 8, 4
-	kernel := testKernel(t, m, d)
-	slots := kernel.ctx.Params.Slots()
+	client, server, _ := testPair(t, m, d)
 	q := []float64{0.1, 0.2, 0.3, 0.4}
 	for _, v := range Variants() {
-		clientEnd, serverEnd := protocol.NewPipe()
-		_, stats, err := kernel.Distances(q, v, clientEnd, serverEnd)
-		clientEnd.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := AnalyzeCost(v, m, d, slots)
+		_, stats := queryOnce(t, client, server, q, v)
+		c := AnalyzeCost(v, m, d, client.slots)
 		if c.UpCts != stats.UpCiphertexts || c.DownCts != stats.DownCiphertexts {
 			t.Errorf("%v: model (%d,%d) vs measured (%d,%d)",
 				v, c.UpCts, c.DownCts, stats.UpCiphertexts, stats.DownCiphertexts)
@@ -135,26 +190,28 @@ func TestAnalyzeCostAgainstMeasured(t *testing.T) {
 		if c.Server.CtMults != stats.Server.CtMults {
 			t.Errorf("%v: model ctmults %d vs measured %d", v, c.Server.CtMults, stats.Server.CtMults)
 		}
+		if c.Server.PlainMults != stats.Server.PlainMults {
+			t.Errorf("%v: model plainmults %d vs measured %d", v, c.Server.PlainMults, stats.Server.PlainMults)
+		}
 	}
 }
 
 func TestKNNMatchesPlain(t *testing.T) {
 	m, d := 8, 4
-	kernel := testKernel(t, m, d)
+	client, server, pts := testPair(t, m, d)
 	labels := []int{0, 1, 0, 1, 0, 1, 0, 1}
-	knn, err := NewKNN(kernel, labels)
+	knn, err := NewKNN(client, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
+	conn := serving(t, client, server)
 	for _, q := range [][]float64{
 		{0.5, -1.25, 1.0, 0.25},
 		{-1, -1, -1, -1},
 		{1.5, 0, 0.5, -0.5},
 	} {
-		want := PlainKNN(kernel.points, labels, q, 3)
-		clientEnd, serverEnd := protocol.NewPipe()
-		got, stats, err := knn.Classify(q, 3, CollapsedPointMajor, clientEnd, serverEnd)
-		clientEnd.Close()
+		want := PlainKNN(pts, labels, q, 3)
+		got, stats, err := knn.Classify(q, 3, CollapsedPointMajor, conn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +224,7 @@ func TestKNNMatchesPlain(t *testing.T) {
 			t.Errorf("KNN traffic %+v, want single round trip", stats)
 		}
 	}
-	if _, err := NewKNN(kernel, []int{1}); err == nil {
+	if _, err := NewKNN(client, []int{1}); err == nil {
 		t.Error("expected label-count error")
 	}
 }
@@ -178,17 +235,12 @@ func TestKMeansConvergesLikePlain(t *testing.T) {
 		{2, 2}, {2.2, 1.9}, {1.8, 2.1}, {2.1, 2.2},
 		{-2, -2}, {-2.1, -1.8}, {-1.9, -2.2}, {-2.2, -2},
 	}
-	kernel, err := NewKernel(PresetDistanceTest(), pts, [32]byte{5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	client, server, _ := pairOver(t, pts, [32]byte{5})
 	init := [][]float64{{1, 1}, {-1, -1}}
 	wantCentroids, wantAssign := PlainKMeans(pts, init, 10)
 
-	km := NewKMeans(kernel)
-	clientEnd, serverEnd := protocol.NewPipe()
-	defer clientEnd.Close()
-	got, stats, err := km.Run(init, 10, StackedDimMajor, clientEnd, serverEnd)
+	km := NewKMeans(client)
+	got, stats, err := km.Run(pts, init, 10, StackedDimMajor, serving(t, client, server))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +266,15 @@ func TestKMeansConvergesLikePlain(t *testing.T) {
 }
 
 func TestKMeansEmptyInit(t *testing.T) {
-	kernel := testKernel(t, 4, 2)
-	km := NewKMeans(kernel)
-	a, b := protocol.NewPipe()
+	client, _, pts := testPair(t, 4, 2)
+	km := NewKMeans(client)
+	a, _ := protocol.NewPipe()
 	defer a.Close()
-	if _, _, err := km.Run(nil, 5, StackedDimMajor, a, b); err == nil {
+	if _, _, err := km.Run(pts, nil, 5, StackedDimMajor, a); err == nil {
 		t.Error("expected error for empty init")
+	}
+	if _, _, err := km.Run(pts[:3], [][]float64{{0, 0}}, 5, StackedDimMajor, a); err == nil {
+		t.Error("expected error for a point set that is not the server's")
 	}
 }
 

@@ -17,154 +17,106 @@ import (
 //
 // Centroid recomputation needs the coordinates of assigned points; the
 // server reveals its (non-sensitive, per the §3.1 threat model) point
-// set to the client for that step, while the client's evolving
-// centroids — derived from its private initialization — stay encrypted
-// in transit.
+// set to the client for that step — Run takes it as an argument — while
+// the client's evolving centroids, derived from its private
+// initialization, stay encrypted in transit.
 type KMeans struct {
-	kernel *Kernel
+	client *Client
 	// Assignments after the last iteration.
 	Assignments []int
 	// Iterations actually executed.
 	Iterations int
 }
 
-// NewKMeans wraps a kernel.
-func NewKMeans(kernel *Kernel) *KMeans {
-	return &KMeans{kernel: kernel}
+// NewKMeans wraps a client.
+func NewKMeans(client *Client) *KMeans {
+	return &KMeans{client: client}
 }
 
-// Run clusters with the given initial centroids until assignments
-// stabilize or maxIters is reached, returning final centroids and the
+// Run clusters points with the given initial centroids until assignments
+// stabilize or maxIters is reached, one encrypted distance query per
+// centroid and iteration over t, returning final centroids and the
 // aggregate client statistics.
-func (km *KMeans) Run(init [][]float64, maxIters int, variant Variant, clientEnd, serverEnd protocol.Transport) ([][]float64, core.Stats, error) {
-	if len(init) == 0 {
-		return nil, core.Stats{}, fmt.Errorf("distance: no initial centroids")
-	}
-	kClusters := len(init)
-	centroids := make([][]float64, kClusters)
-	for i := range init {
-		centroids[i] = append([]float64(nil), init[i]...)
-	}
+func (km *KMeans) Run(points, init [][]float64, maxIters int, variant Variant, t protocol.Transport) ([][]float64, core.Stats, error) {
 	var stats core.Stats
-	m := km.kernel.M()
-	km.Assignments = make([]int, m)
-	prev := make([]int, m)
-	for i := range prev {
-		prev[i] = -1
+	if len(init) == 0 {
+		return nil, stats, fmt.Errorf("distance: no initial centroids")
 	}
-
-	for iter := 0; iter < maxIters; iter++ {
-		km.Iterations = iter + 1
-		// One encrypted distance query per centroid.
-		dists := make([][]float64, kClusters)
-		for c := 0; c < kClusters; c++ {
-			d, s, err := km.kernel.Distances(centroids[c], variant, clientEnd, serverEnd)
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.Merge(s)
-			dists[c] = d
-		}
-		// Client: argmin assignment (plaintext non-linear step).
-		changed := false
-		for i := 0; i < m; i++ {
-			best, bestD := 0, math.Inf(1)
-			for c := 0; c < kClusters; c++ {
-				if dists[c][i] < bestD {
-					best, bestD = c, dists[c][i]
-				}
-			}
-			km.Assignments[i] = best
-			if best != prev[i] {
-				changed = true
-			}
-		}
-		copy(prev, km.Assignments)
-		// Client: centroid update.
-		dim := len(centroids[0])
-		sums := make([][]float64, kClusters)
-		counts := make([]int, kClusters)
-		for c := range sums {
-			sums[c] = make([]float64, dim)
-		}
-		for i := 0; i < m; i++ {
-			c := km.Assignments[i]
-			counts[c]++
-			for d := 0; d < dim && d < len(km.kernel.points[i]); d++ {
-				sums[c][d] += km.kernel.points[i][d]
-			}
-		}
-		for c := 0; c < kClusters; c++ {
-			if counts[c] == 0 {
-				continue // keep an empty cluster's centroid in place
-			}
-			for d := 0; d < dim; d++ {
-				centroids[c][d] = sums[c][d] / float64(counts[c])
-			}
-		}
-		if !changed && iter > 0 {
-			break
-		}
+	if len(points) != km.client.m {
+		return nil, stats, fmt.Errorf("distance: %d points to average, the server holds %d", len(points), km.client.m)
 	}
-	return centroids, stats, nil
+	var centroids [][]float64
+	var err error
+	centroids, km.Assignments, km.Iterations, err = lloyd(points, init, maxIters, func(c []float64) ([]float64, error) {
+		d, s, err := km.client.Query(c, variant, t)
+		stats.Merge(s)
+		return d, err
+	})
+	return centroids, stats, err
 }
 
 // PlainKMeans is the cleartext reference (identical update rule).
 func PlainKMeans(points [][]float64, init [][]float64, maxIters int) ([][]float64, []int) {
-	k := len(init)
-	centroids := make([][]float64, k)
-	for i := range init {
-		centroids[i] = append([]float64(nil), init[i]...)
+	centroids, assign, _, _ := lloyd(points, init, maxIters, func(c []float64) ([]float64, error) {
+		return PlainDistances(points, c), nil
+	})
+	return centroids, assign
+}
+
+// lloyd is the iteration both share: distances from every centroid,
+// argmin assignment, centroid update (an empty cluster's centroid stays
+// in place), until no assignment changes. It returns the centroids, the
+// assignments and the iterations run.
+func lloyd(points, init [][]float64, maxIters int, dist func(centroid []float64) ([]float64, error)) ([][]float64, []int, int, error) {
+	centroids := make([][]float64, len(init))
+	for c := range init {
+		centroids[c] = append([]float64(nil), init[c]...)
 	}
-	m := len(points)
-	assign := make([]int, m)
-	prev := make([]int, m)
-	for i := range prev {
-		prev[i] = -1
+	assign := make([]int, len(points))
+	for i := range assign {
+		assign[i] = -1
 	}
-	for iter := 0; iter < maxIters; iter++ {
+	iters := 0
+	for iters < maxIters {
+		iters++
+		dists := make([][]float64, len(centroids))
+		for c := range centroids {
+			var err error
+			if dists[c], err = dist(centroids[c]); err != nil {
+				return nil, nil, iters, err
+			}
+		}
 		changed := false
+		sums := make([][]float64, len(centroids))
+		counts := make([]int, len(centroids))
+		for c := range sums {
+			sums[c] = make([]float64, len(centroids[c]))
+		}
 		for i, p := range points {
 			best, bestD := 0, math.Inf(1)
 			for c := range centroids {
-				var s float64
-				for d := range p {
-					diff := p[d] - centroids[c][d]
-					s += diff * diff
-				}
-				if s < bestD {
-					best, bestD = c, s
+				if dists[c][i] < bestD {
+					best, bestD = c, dists[c][i]
 				}
 			}
+			changed = changed || best != assign[i]
 			assign[i] = best
-			if best != prev[i] {
-				changed = true
+			counts[best]++
+			for d := range sums[best] {
+				sums[best][d] += p[d]
 			}
 		}
-		copy(prev, assign)
-		dim := len(points[0])
-		sums := make([][]float64, k)
-		counts := make([]int, k)
-		for c := range sums {
-			sums[c] = make([]float64, dim)
-		}
-		for i, p := range points {
-			counts[assign[i]]++
-			for d := range p {
-				sums[assign[i]][d] += p[d]
-			}
-		}
-		for c := 0; c < k; c++ {
+		for c := range centroids {
 			if counts[c] == 0 {
 				continue
 			}
-			for d := 0; d < dim; d++ {
+			for d := range centroids[c] {
 				centroids[c][d] = sums[c][d] / float64(counts[c])
 			}
 		}
-		if !changed && iter > 0 {
+		if !changed && iters > 1 {
 			break
 		}
 	}
-	return centroids, assign
+	return centroids, assign, iters, nil
 }

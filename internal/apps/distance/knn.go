@@ -9,70 +9,56 @@ import (
 )
 
 // KNN is an encrypted K-Nearest-Neighbors classifier: the server holds
-// the labeled point set (aggregated across clients — the centralized
-// advantage of §5.1); classifying a client's new point takes a single
-// encrypted interaction. The client decrypts the distances and applies
-// the non-linear min()/vote locally.
+// the point set (aggregated across clients — the centralized advantage
+// of §5.1); classifying a client's new point takes a single encrypted
+// interaction. The client decrypts the distances and applies the
+// non-linear min()/vote locally, against the labels it holds.
 type KNN struct {
-	kernel *Kernel
+	client *Client
 	labels []int
 }
 
-// NewKNN builds a classifier over labeled points.
-func NewKNN(kernel *Kernel, labels []int) (*KNN, error) {
-	if len(labels) != kernel.M() {
-		return nil, fmt.Errorf("distance: %d labels for %d points", len(labels), kernel.M())
+// NewKNN builds a classifier over a client and the labels of the
+// server's points.
+func NewKNN(client *Client, labels []int) (*KNN, error) {
+	if len(labels) != client.m {
+		return nil, fmt.Errorf("distance: %d labels for %d points", len(labels), client.m)
 	}
-	return &KNN{kernel: kernel, labels: labels}, nil
+	return &KNN{client: client, labels: labels}, nil
 }
 
-// Classify returns the majority label of the k nearest neighbors of q.
-func (c *KNN) Classify(q []float64, k int, variant Variant, clientEnd, serverEnd protocol.Transport) (int, core.Stats, error) {
-	if k <= 0 || k > c.kernel.M() {
+// Classify returns the majority label of the k nearest neighbors of q,
+// queried over t.
+func (c *KNN) Classify(q []float64, k int, variant Variant, t protocol.Transport) (int, core.Stats, error) {
+	if k <= 0 || k > len(c.labels) {
 		return 0, core.Stats{}, fmt.Errorf("distance: invalid k=%d", k)
 	}
-	dists, stats, err := c.kernel.Distances(q, variant, clientEnd, serverEnd)
+	dists, stats, err := c.client.Query(q, variant, t)
 	if err != nil {
 		return 0, stats, err
 	}
-	type cand struct {
-		dist  float64
-		label int
-	}
-	cands := make([]cand, len(dists))
-	for i, d := range dists {
-		cands[i] = cand{d, c.labels[i]}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].dist < cands[j].dist })
-	votes := map[int]int{}
-	best, bestVotes := cands[0].label, 0
-	for i := 0; i < k; i++ {
-		votes[cands[i].label]++
-		if votes[cands[i].label] > bestVotes {
-			best, bestVotes = cands[i].label, votes[cands[i].label]
-		}
-	}
-	return best, stats, nil
+	return vote(dists, c.labels, k), stats, nil
 }
 
 // PlainKNN is the cleartext reference classifier.
 func PlainKNN(points [][]float64, labels []int, q []float64, k int) int {
-	dists := PlainDistances(points, q)
-	type cand struct {
-		dist  float64
-		label int
+	return vote(PlainDistances(points, q), labels, k)
+}
+
+// vote returns the label most common among the k smallest distances; of
+// two labels with as many votes, the one that got there first.
+func vote(dists []float64, labels []int, k int) int {
+	order := make([]int, len(dists))
+	for i := range order {
+		order[i] = i
 	}
-	cands := make([]cand, len(dists))
-	for i, d := range dists {
-		cands[i] = cand{d, labels[i]}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].dist < cands[j].dist })
+	sort.SliceStable(order, func(a, b int) bool { return dists[order[a]] < dists[order[b]] })
 	votes := map[int]int{}
-	best, bestVotes := cands[0].label, 0
-	for i := 0; i < k; i++ {
-		votes[cands[i].label]++
-		if votes[cands[i].label] > bestVotes {
-			best, bestVotes = cands[i].label, votes[cands[i].label]
+	best, bestVotes := labels[order[0]], 0
+	for _, i := range order[:k] {
+		votes[labels[i]]++
+		if votes[labels[i]] > bestVotes {
+			best, bestVotes = labels[i], votes[labels[i]]
 		}
 	}
 	return best

@@ -1,80 +1,85 @@
 package distance
 
 import (
+	"errors"
+	"io"
 	"math"
 	"testing"
+	"time"
 
 	"choco/internal/protocol"
 )
 
-func TestSplitDeploymentMatchesPlain(t *testing.T) {
-	pts := synthPoints(8, 4, 51)
-	server, err := NewServer(PresetDistanceTest(), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _, rawD := server.Geometry()
-	client, err := NewClient(PresetDistanceTest(), m, rawD, [32]byte{52})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	q := []float64{0.5, -0.75, 1.25, 0}
-	want := PlainDistances(pts, q)
-
-	for _, v := range []Variant{StackedDimMajor, CollapsedPointMajor} {
+// TestSplitServerRejectsMalformedRequests: a variant number past the
+// five and a request frame that is not four bytes both fail the request,
+// and a session run by Serve tells the client why.
+func TestSplitServerRejectsMalformedRequests(t *testing.T) {
+	client, server, _ := testPair(t, 4, 2)
+	for _, req := range [][]byte{requestFrame(Variant(5)), {0, 0, 0}, {0, 0, 0, 0, 0}} {
 		clientEnd, serverEnd := protocol.NewPipe()
-		errCh := make(chan error, 1)
-		go func() {
-			if err := server.AcceptSetup(serverEnd); err != nil {
-				errCh <- err
-				return
-			}
-			_, err := server.ServeOne(serverEnd)
-			errCh <- err
-		}()
+		done := make(chan error, 1)
+		go func() { done <- server.Serve(serverEnd) }()
 		if err := client.Setup(clientEnd); err != nil {
 			t.Fatal(err)
 		}
-		got, stats, err := client.Query(q, v, clientEnd)
-		if err != nil {
-			t.Fatalf("%v: %v", v, err)
+		if err := clientEnd.Send(req); err != nil {
+			t.Fatal(err)
 		}
-		if err := <-errCh; err != nil {
-			t.Fatalf("%v server: %v", v, err)
+		if err := <-done; err == nil {
+			t.Errorf("request frame %v: served", req)
+		}
+		raw, err := clientEnd.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg, ok := protocol.ParseSessionError(raw); !ok || msg == "" {
+			t.Errorf("request frame %v: the client read %d B, not a session error", req, len(raw))
 		}
 		clientEnd.Close()
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 0.05 {
-				t.Errorf("%v point %d: got %v want %v", v, i, got[i], want[i])
-			}
-		}
-		if stats.UpCiphertexts != 1 || stats.DownCiphertexts != 1 {
-			t.Errorf("%v: traffic %+v, want single round trip", v, stats)
-		}
+	}
+	a, _ := protocol.NewPipe()
+	defer a.Close()
+	if _, _, err := client.Query([]float64{1, 2}, Variant(5), a); err == nil || a.SentBytes() != 0 {
+		t.Errorf("the client sent %d B of a variant-5 query (err %v)", a.SentBytes(), err)
 	}
 }
 
-func TestSplitServerRejectsUnsupportedVariant(t *testing.T) {
-	pts := synthPoints(4, 2, 53)
-	server, err := NewServer(PresetDistanceTest(), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _, rawD := server.Geometry()
-	client, err := NewClient(PresetDistanceTest(), m, rawD, [32]byte{54})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestSplitClientHangsUpMidUpload: a dimension-major query is D uploads;
+// a client that closes after the first fails that ServeOne — it neither
+// hangs nor reads as a clean end of session — and the server's next
+// session works.
+func TestSplitClientHangsUpMidUpload(t *testing.T) {
+	client, server, pts := testPair(t, 8, 4)
+	q := []float64{0.5, -0.75, 1.25, 0}
+
 	clientEnd, serverEnd := protocol.NewPipe()
-	defer clientEnd.Close()
+	ct, err := client.enc.EncryptFloats(client.layout(DimensionMajor, 0, func(int) []float64 { return q }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
 	go func() {
-		server.AcceptSetup(serverEnd)
-		server.ServeOne(serverEnd)
+		_, err := server.ServeOne(serverEnd)
+		done <- err
 	}()
-	client.Setup(clientEnd)
-	if _, _, err := client.Query([]float64{1, 2}, PointMajor, clientEnd); err == nil {
-		t.Error("expected unsupported-variant error on the client side")
+	clientEnd.Send(requestFrame(DimensionMajor))
+	clientEnd.Send(protocol.MarshalCKKS(ct))
+	for serverEnd.ReceivedBytes() < clientEnd.SentBytes() {
+		time.Sleep(time.Millisecond) // a closed pipe may drop what it still holds
+	}
+	clientEnd.Close()
+	if err := <-done; err == nil || errors.Is(err, io.EOF) {
+		t.Fatalf("ServeOne after one of four uploads: %v, want an error that is not a clean end of session", err)
+	}
+
+	got, stats := queryOnce(t, client, server, q, DimensionMajor)
+	for i, want := range PlainDistances(pts, q) {
+		if math.Abs(got[i]-want) > 0.05 {
+			t.Errorf("point %d after the aborted session: got %v want %v", i, got[i], want)
+		}
+	}
+	if stats.UpCiphertexts != 4 || stats.DownCiphertexts != 1 {
+		t.Errorf("dimension-major traffic %+v, want 4 up and 1 down", stats)
 	}
 }
 
@@ -93,5 +98,64 @@ func TestSplitServerRequiresSetup(t *testing.T) {
 func TestSplitClientGeometryValidation(t *testing.T) {
 	if _, err := NewClient(PresetDistanceTest(), 4096, 64, [32]byte{56}); err == nil {
 		t.Error("expected slot-capacity error")
+	}
+}
+
+// TestSplitWireGolden pins what one query costs the wire at the benchmark's
+// shape (PresetDistance, 64 points × 16 dims): the frames each way and the
+// bytes the client accounts for them, for the two client-optimal packings.
+func TestSplitWireGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates production-size CKKS keys")
+	}
+	pts := synthPoints(64, 16, 57)
+	server, err := NewServer(PresetDistance(), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, rawD := server.Geometry()
+	client, err := NewClient(PresetDistance(), m, rawD, [32]byte{58})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientEnd, serverEnd := protocol.NewPipe()
+	defer clientEnd.Close()
+	if err := client.Setup(clientEnd); err != nil {
+		t.Fatal(err)
+	}
+	if err := server.AcceptSetup(serverEnd); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		v                  Variant
+		upBytes, downBytes int64
+	}{
+		{StackedDimMajor, 266272, 266268}, // + 4 = 532 544 B on the wire
+		{CollapsedPointMajor, 266272, 184348},
+	} {
+		sent, received := clientEnd.SentBytes(), clientEnd.ReceivedBytes()
+		errCh := make(chan error, 1)
+		go func() {
+			_, err := server.ServeOne(serverEnd)
+			errCh <- err
+		}()
+		_, stats, err := client.Query(pts[3], want.v, clientEnd)
+		if err != nil {
+			t.Fatalf("%v: %v", want.v, err)
+		}
+		if err := <-errCh; err != nil {
+			t.Fatalf("%v server: %v", want.v, err)
+		}
+		if stats.UpCiphertexts != 1 || stats.DownCiphertexts != 1 {
+			t.Errorf("%v: %d ciphertexts up, %d down, want 1 and 1", want.v, stats.UpCiphertexts, stats.DownCiphertexts)
+		}
+		if stats.UpBytes != want.upBytes || stats.DownBytes != want.downBytes {
+			t.Errorf("%v: UpBytes %d DownBytes %d, want %d and %d", want.v, stats.UpBytes, stats.DownBytes, want.upBytes, want.downBytes)
+		}
+		// Query leaves the request frame's own length prefix out of UpBytes.
+		wire := clientEnd.SentBytes() - sent + clientEnd.ReceivedBytes() - received
+		if wire != stats.TotalBytes()+4 {
+			t.Errorf("%v: %d B crossed the pipe, the client accounts for %d", want.v, wire, stats.TotalBytes())
+		}
 	}
 }

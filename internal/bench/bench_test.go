@@ -7,7 +7,6 @@ import (
 
 	"choco/internal/apps/distance"
 	"choco/internal/nn"
-	"choco/internal/par"
 )
 
 func TestTable1(t *testing.T) {
@@ -326,21 +325,16 @@ func TestCostSheetPredictsApply(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("times seconds of homomorphic work; meaningless under -short or the race detector")
 	}
-	old := par.Parallelism()
-	par.SetParallelism(1)
-	defer par.SetParallelism(old)
-	var report strings.Builder
 	for attempt := 1; ; attempt++ {
-		report.Reset()
-		recs, err := lenetCostSheet(&report)
+		report, recs, err := CostSheet()
 		if err != nil {
 			t.Fatal(err)
 		}
 		worst := 0.0
 		for _, r := range recs {
-			worst = max(worst, math.Abs(float64(r.PlanPredictedNs)/float64(r.NsPerOp)-1))
+			worst = max(worst, math.Abs(r.PredictedMs/r.MeasuredMs-1))
 		}
-		t.Logf("attempt %d:\n%s", attempt, report.String())
+		t.Logf("attempt %d:\n%s", attempt, report)
 		if len(recs) != 3 {
 			t.Fatalf("%d layer records, want conv1, conv2 and fc", len(recs))
 		}

@@ -336,9 +336,10 @@ func Fig11() (string, []Fig11Row, error) {
 	return b.String(), rows, nil
 }
 
-// Fig11Live runs every packing variant on the live CKKS kernel at a
-// small geometry, measuring wall time and wire traffic (the analytic
-// Fig11 covers paper-scale geometries; this grounds it in reality).
+// Fig11Live runs every packing variant through the split deployment —
+// distance.Client and distance.Server joined by a pipe — at a small
+// geometry, measuring wall time and wire traffic (the analytic Fig11
+// covers paper-scale geometries; this grounds it in reality).
 func Fig11Live() (string, error) {
 	const m, d = 16, 8
 	points := make([][]float64, m)
@@ -348,8 +349,22 @@ func Fig11Live() (string, error) {
 			points[i][j] = float64((i*7+j*3)%11)/5 - 1
 		}
 	}
-	kernel, err := distance.NewKernel(distance.PresetDistanceTest(), points, [32]byte{61})
+	server, err := distance.NewServer(distance.PresetDistanceTest(), points)
 	if err != nil {
+		return "", err
+	}
+	client, err := distance.NewClient(distance.PresetDistanceTest(), m, d, [32]byte{61})
+	if err != nil {
+		return "", err
+	}
+	clientEnd, serverEnd := protocol.NewPipe()
+	served := make(chan error, 1)
+	go func() { served <- server.Serve(serverEnd) }() // a failure reaches the client as a session error
+	defer func() {
+		clientEnd.Close() // ends the session; then wait for the server half
+		<-served
+	}()
+	if err := client.Setup(clientEnd); err != nil {
 		return "", err
 	}
 	q := make([]float64, d)
@@ -362,11 +377,9 @@ func Fig11Live() (string, error) {
 	fmt.Fprintf(&b, "Fig 11 (live): measured distance-kernel variants, %d points × %d dims\n", m, d)
 	fmt.Fprintf(&b, "%-26s %12s %8s %8s %12s %10s\n", "Variant", "wall time", "up cts", "dn cts", "comm (KB)", "max err")
 	for _, v := range distance.Variants() {
-		clientEnd, serverEnd := protocol.NewPipe()
 		start := time.Now()
-		got, stats, err := kernel.Distances(q, v, clientEnd, serverEnd)
+		got, stats, err := client.Query(q, v, clientEnd)
 		elapsed := time.Since(start).Round(time.Millisecond)
-		clientEnd.Close()
 		if err != nil {
 			return "", err
 		}

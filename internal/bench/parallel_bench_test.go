@@ -92,8 +92,22 @@ func BenchmarkParallelScaling(b *testing.B) {
 			points[i][d] = float64((i*31+d*17)%23) / 23
 		}
 	}
-	kern, err := distance.NewKernel(distance.PresetDistance(), points, [32]byte{3})
+	server, err := distance.NewServer(distance.PresetDistance(), points)
 	if err != nil {
+		b.Fatal(err)
+	}
+	client, err := distance.NewClient(distance.PresetDistance(), 32, 16, [32]byte{3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	clientEnd, serverEnd := protocol.NewPipe()
+	served := make(chan error, 1)
+	go func() { served <- server.Serve(serverEnd) }() // a failure reaches the client as a session error
+	defer func() {
+		clientEnd.Close() // ends the session; then wait for the server half
+		<-served
+	}()
+	if err := client.Setup(clientEnd); err != nil {
 		b.Fatal(err)
 	}
 	q := make([]float64, 16)
@@ -101,8 +115,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 		q[d] = float64(d) / 16
 	}
 	dist := func() {
-		clientEnd, serverEnd := protocol.NewPipe()
-		if _, _, err := kern.Distances(q, distance.CollapsedPointMajor, clientEnd, serverEnd); err != nil {
+		if _, _, err := client.Query(q, distance.CollapsedPointMajor, clientEnd); err != nil {
 			b.Fatal(err)
 		}
 	}

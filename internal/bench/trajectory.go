@@ -2,378 +2,145 @@ package bench
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"strconv"
 	"strings"
-	"testing"
-
-	"choco/internal/bfv"
-	"choco/internal/ckks"
-	"choco/internal/nn"
-	"choco/internal/nt"
-	"choco/internal/par"
-	"choco/internal/protocol"
-	"choco/internal/ring"
-	"choco/internal/serve"
 )
 
-// TrajectoryPoint is one commit-stamped sample of a pinned benchmark
-// series, a line of BENCH_trajectory.jsonl. The file accumulates one
-// point per series per commit, so the perf history of the hot paths is
-// a queryable artifact instead of a pile of one-off bench logs.
-type TrajectoryPoint struct {
-	Commit  string `json:"commit"`
-	Series  string `json:"series"`
-	NsPerOp int64  `json:"ns_per_op"`
-	UnixSec int64  `json:"unix_sec"`
+// The perf history is what `go run ./benchmark` measured, commit by
+// commit, in the shape github-action-benchmark keeps in its data.js
+// (minus the `window.BENCHMARK_DATA =` prefix), so its chart page reads
+// BENCH_trajectory.json as it is. Nothing here measures and nothing
+// gates: BENCHMARK.json's bounds over alternating parent/change runs are
+// the gate, and one run on a shared box cannot resolve them.
+
+// trajectoryBench is one end-to-end metric of one workload, named
+// "<workload>/<metric>".
+type trajectoryBench struct {
+	Name  string  `json:"name"`
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
 }
 
-// regressionTolerance is how much a series may slow down versus its
-// rolling baseline before AppendTrajectory warns.
-const regressionTolerance = 1.10
-
-// trajectoryBaselineWindow is how many trailing points per series form
-// the regression baseline. Comparing against the median of the window
-// instead of the single previous entry keeps one noisy sample from
-// poisoning the comparison in either direction: a one-off spike cannot
-// mask the regression that follows it (the next point would have looked
-// like an "improvement" against the spike alone), and a one-off fast
-// run cannot flag a phantom regression on the next normal run.
-const trajectoryBaselineWindow = 5
-
-// baselineFor returns a series' rolling baseline: the median ns/op of
-// its last trajectoryBaselineWindow points, plus the commit of the most
-// recent one. ok is false when the series has no usable history, in
-// which case the new point is accepted without comparison.
-func baselineFor(prior []TrajectoryPoint, series string) (ns int64, commit string, ok bool) {
-	var window []int64
-	for _, p := range prior {
-		if p.Series != series || p.NsPerOp <= 0 {
-			continue
-		}
-		window = append(window, p.NsPerOp)
-		commit = p.Commit
-	}
-	if len(window) == 0 {
-		return 0, "", false
-	}
-	if len(window) > trajectoryBaselineWindow {
-		window = window[len(window)-trajectoryBaselineWindow:]
-	}
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	mid := len(window) / 2
-	if len(window)%2 == 1 {
-		return window[mid], commit, true
-	}
-	return (window[mid-1] + window[mid]) / 2, commit, true
+// trajectoryEntry is one commit's report.
+type trajectoryEntry struct {
+	Commit struct {
+		ID string `json:"id"`
+	} `json:"commit"`
+	Date    int64             `json:"date"` // Unix milliseconds
+	Tool    string            `json:"tool"`
+	Benches []trajectoryBench `json:"benches"`
 }
 
-// The pinned series. Each is one number a PR is judged by: the client
-// encrypt kernel the paper optimizes (§4), the hoisted rotation batch
-// (§4.3 / Halevi-Shoup), the served inference tail latency, and the
-// single-row forward NTT — the innermost kernel everything above sits
-// on, measured through whatever dispatch (vector or scalar) production
-// code would take on the host.
-const (
-	SeriesClientEncrypt = "client-encrypt-ckks-C"
-	SeriesHoistedBatch  = "rotate-batch8-hoisted-bfv-B"
-	SeriesServeP99      = "serve-infer-p99"
-	SeriesKernelNTTRow  = "kernels-ntt-row"
-)
+// trajectorySuite is the one key under "entries".
+const trajectorySuite = "choco benchmark"
 
-// Trajectory measures the pinned series once and returns a text report
-// plus the commit-stamped points for BENCH_trajectory.jsonl. The
-// caller supplies the commit and timestamp so the measurement itself
-// stays deterministic and environment-free.
-func Trajectory(commit string, unixSec int64) (string, []TrajectoryPoint, error) {
-	var pts []TrajectoryPoint
-	add := func(series string, ns int64) {
-		pts = append(pts, TrajectoryPoint{Commit: commit, Series: series, NsPerOp: ns, UnixSec: unixSec})
-	}
+type trajectoryFile struct {
+	LastUpdate int64                        `json:"lastUpdate"`
+	Entries    map[string][]trajectoryEntry `json:"entries"`
+}
 
-	// Series 1: CKKS encrypt at Table 3 set C, single worker — the
-	// kernel CHOCO-TACO's 0.66 ms ASIC figure is compared against.
-	{
-		params := ckks.PresetC()
-		ctx, err := ckks.NewContext(params)
-		if err != nil {
-			return "", nil, err
-		}
-		kg := ckks.NewKeyGenerator(ctx, [32]byte{41})
-		sk := kg.GenSecretKey()
-		pk := kg.GenPublicKey(sk)
-		enc := ckks.NewEncryptor(ctx, pk, [32]byte{42})
-		ecd := ckks.NewEncoder(ctx)
-		vals := make([]float64, ctx.Params.Slots())
-		for i := range vals {
-			vals[i] = float64(i%100)/25 - 2
-		}
-		pt, err := ecd.EncodeFloats(vals, params.MaxLevel(), params.DefaultScale())
-		if err != nil {
-			return "", nil, err
-		}
-		ct := enc.Encrypt(pt)
-
-		old := par.Parallelism()
-		par.SetParallelism(1)
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				enc.EncryptInto(pt, ct)
-			}
-		})
-		par.SetParallelism(old)
-		add(SeriesClientEncrypt, r.NsPerOp())
-	}
-
-	// Series 2: the hoisted 8-rotation batch at BFV set B — the
-	// decompose-once-rotate-many path serving matmuls lean on.
-	{
-		params := bfv.PresetB()
-		ctx, err := bfv.NewContext(params)
-		if err != nil {
-			return "", nil, err
-		}
-		kg := bfv.NewKeyGenerator(ctx, [32]byte{43})
-		sk := kg.GenSecretKey()
-		pk := kg.GenPublicKey(sk)
-		galois := kg.GenRotationKeys(sk, rotationBatch()...)
-		enc := bfv.NewEncryptor(ctx, pk, [32]byte{44})
-		ecd := bfv.NewEncoder(ctx)
-		ev := bfv.NewEvaluator(ctx, nil, galois)
-		vals := make([]uint64, ctx.Params.N())
-		for i := range vals {
-			vals[i] = uint64(i) % ctx.T.Value
-		}
-		pt, err := ecd.EncodeUints(vals)
-		if err != nil {
-			return "", nil, err
-		}
-		ct := enc.Encrypt(pt)
-		if _, err := ev.RotateRowsHoisted(ct, rotationBatch()); err != nil {
-			return "", nil, err
-		}
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ev.RotateRowsHoisted(ct, rotationBatch()); err != nil {
-					b.Fatal(err)
+// parseReport reads the text `go run ./benchmark` prints — the
+// suite or a single -workload run — and returns the commit from its
+// header and the gated end-to-end metrics (the rows that carry a bound)
+// of every untraced run in it. A report with a failed or incorrect run
+// is refused: `correct=false` or a non-zero `failed=` after a suite's
+// run, the same two in a single run's closing JSON line, or a FAIL line.
+func parseReport(r io.Reader) (trajectoryEntry, error) {
+	entry := trajectoryEntry{Tool: "customSmallerIsBetter"}
+	workload := "" // of the untraced run being read, else empty
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 0:
+		case strings.HasPrefix(line, "# choco benchmark "):
+			for _, kv := range f {
+				if id, ok := strings.CutPrefix(kv, "commit="); ok {
+					entry.Commit.ID = id
 				}
 			}
-		})
-		add(SeriesHoistedBatch, r.NsPerOp())
-	}
-
-	// Series 3: served inference tail latency — a real client session
-	// against a serve.Server over an in-memory pipe, p99 from the
-	// server's own histogram (the number the serving tier alarms on).
-	{
-		net0 := &nn.Network{
-			Name: "TrajectoryNet", InH: 4, InW: 4, InC: 1,
-			Layers: []nn.Layer{{Kind: nn.FC, FCOut: 8}},
-			Params: bfv.PresetTest(),
-		}
-		model := nn.SynthesizeWeights(net0, 4, [32]byte{45})
-		backend, err := nn.NewInferenceServer(model)
-		if err != nil {
-			return "", nil, err
-		}
-		srv := serve.New(backend, serve.Config{MaxSessions: 1})
-		client, err := nn.NewInferenceClient(net0, [32]byte{46})
-		if err != nil {
-			return "", nil, err
-		}
-		clientEnd, serverEnd := protocol.NewPipe()
-		done := make(chan error, 1)
-		go func() { done <- srv.ServeTransport(context.Background(), serverEnd) }()
-		if _, err := client.SetupSession(clientEnd, "trajectory"); err != nil {
-			return "", nil, err
-		}
-		img := nn.SynthesizeImage(net0, 4, [32]byte{47})
-		const samples = 24
-		for i := 0; i < samples; i++ {
-			if _, _, err := client.Infer(img, clientEnd); err != nil {
-				return "", nil, err
+		case f[0] == "workload" && len(f) >= 3:
+			workload = ""
+			if f[2] == "trace=0" {
+				workload = f[1]
 			}
-		}
-		clientEnd.Close()
-		if err := <-done; err != nil {
-			return "", nil, err
-		}
-		add(SeriesServeP99, srv.Stats().InferenceLatency.P99.Nanoseconds())
-	}
-
-	// Series 4: the forward NTT on a single residue row at N=8192 with a
-	// 60-bit modulus — the kernel the SIMD layer accelerates, measured
-	// through the production dispatch at one worker.
-	{
-		qs, err := nt.GenerateNTTPrimesVarBits([]int{60}, 13)
-		if err != nil {
-			return "", nil, err
-		}
-		r, err := ring.NewRing(13, qs)
-		if err != nil {
-			return "", nil, err
-		}
-		row := make([]uint64, r.N)
-		for j := range row {
-			row[j] = (uint64(j) * 2654435761) % r.Moduli[0].Value
-		}
-		old := par.Parallelism()
-		par.SetParallelism(1)
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r.NTTForwardRow(0, row)
+		case strings.HasPrefix(line, "FAIL"):
+			return entry, fmt.Errorf("the report says %q", line)
+		case strings.HasPrefix(f[0], "correct="):
+			if f[0] != "correct=true" || len(f) < 3 || f[2] != "failed=0" {
+				return entry, fmt.Errorf("the report has a failed or incorrect run: %q", strings.TrimSpace(line))
 			}
-		})
-		par.SetParallelism(old)
-		add(SeriesKernelNTTRow, res.NsPerOp())
+		case line[0] == '{':
+			var res struct {
+				Correct bool `json:"correct"`
+				Failed  int  `json:"failed"`
+			}
+			if err := json.Unmarshal([]byte(line), &res); err != nil {
+				return entry, fmt.Errorf("result line: %w", err)
+			}
+			if !res.Correct || res.Failed != 0 {
+				return entry, fmt.Errorf("the report's run was not clean: correct=%v failed=%d", res.Correct, res.Failed)
+			}
+		case workload != "" && len(f) >= 4 && strings.Contains(line, ", bound "):
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				return entry, fmt.Errorf("metric row %q: %w", strings.TrimSpace(line), err)
+			}
+			entry.Benches = append(entry.Benches, trajectoryBench{Name: workload + "/" + f[0], Value: v, Unit: f[2]})
+		}
 	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "Perf trajectory @ %s\n", commit)
-	fmt.Fprintf(&b, "%-28s %14s\n", "series", "ns/op")
-	for _, p := range pts {
-		fmt.Fprintf(&b, "%-28s %14d\n", p.Series, p.NsPerOp)
+	if err := sc.Err(); err != nil {
+		return entry, err
 	}
-	return b.String(), pts, nil
+	if entry.Commit.ID == "" || len(entry.Benches) == 0 {
+		return entry, fmt.Errorf("not a benchmark report: commit %q, %d end-to-end metrics", entry.Commit.ID, len(entry.Benches))
+	}
+	return entry, nil
 }
 
-// ReadTrajectory parses a BENCH_trajectory.jsonl file, skipping blank
-// lines. A missing file is an empty trajectory, not an error.
-func ReadTrajectory(path string) ([]TrajectoryPoint, error) {
-	f, err := os.Open(path)
+// AppendTrajectory parses the report and records it in the history file
+// at path (created when missing) as its commit's entry, replacing an
+// earlier entry for the same commit. A refused report leaves the file
+// untouched. With an empty path it only parses. It returns a line saying
+// what it did.
+func AppendTrajectory(path string, report io.Reader, unixMilli int64) (string, error) {
+	entry, err := parseReport(report)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
+		return "", err
 	}
-	defer f.Close()
-	var pts []TrajectoryPoint
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var p TrajectoryPoint
-		if err := json.Unmarshal([]byte(line), &p); err != nil {
-			return nil, fmt.Errorf("trajectory %s: bad line %q: %w", path, line, err)
-		}
-		pts = append(pts, p)
+	entry.Date = unixMilli
+	if path == "" {
+		return fmt.Sprintf("commit %s: %d end-to-end metrics (no -trajectory file named, nothing written)\n", entry.Commit.ID, len(entry.Benches)), nil
 	}
-	return pts, sc.Err()
-}
-
-// The failure gate: once a series has accumulated enough history for
-// its noise level to be measurable, a regression beyond that noise is
-// a hard CI failure, not just a warning. The threshold is per-series
-// and self-calibrating — three median-absolute-deviations of the
-// cached history relative to its median, floored at 10% so a
-// perfectly quiet series doesn't start failing on scheduler jitter.
-const (
-	trajectoryFailureMinHistory = 8
-	trajectoryFailureFloor      = 0.10
-	trajectoryFailureMADs       = 3
-)
-
-// medianInt64 returns the median of xs without reordering the caller's
-// slice. xs must be non-empty.
-func medianInt64(xs []int64) int64 {
-	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
+	hist := trajectoryFile{Entries: map[string][]trajectoryEntry{}}
+	if raw, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(raw, &hist); err != nil {
+			return "", fmt.Errorf("%s: %w", path, err)
+		}
+	} else if !os.IsNotExist(err) {
+		return "", err
 	}
-	return (s[mid-1] + s[mid]) / 2
-}
-
-// noiseGateFor derives a series' hard-failure gate from its full
-// cached history: the history median plus a tolerance of
-// max(trajectoryFailureFloor, 3·MAD/median). ok is false until the
-// series has trajectoryFailureMinHistory usable points — before that,
-// the noise estimate is too flimsy to fail a build on.
-func noiseGateFor(prior []TrajectoryPoint, series string) (base int64, tol float64, n int, ok bool) {
-	var hist []int64
-	for _, p := range prior {
-		if p.Series == series && p.NsPerOp > 0 {
-			hist = append(hist, p.NsPerOp)
+	var kept []trajectoryEntry
+	for _, e := range hist.Entries[trajectorySuite] {
+		if e.Commit.ID != entry.Commit.ID {
+			kept = append(kept, e)
 		}
 	}
-	if len(hist) < trajectoryFailureMinHistory {
-		return 0, 0, len(hist), false
-	}
-	base = medianInt64(hist)
-	devs := make([]int64, len(hist))
-	for i, v := range hist {
-		d := v - base
-		if d < 0 {
-			d = -d
-		}
-		devs[i] = d
-	}
-	mad := medianInt64(devs)
-	tol = trajectoryFailureFloor
-	if base > 0 {
-		if t := trajectoryFailureMADs * float64(mad) / float64(base); t > tol {
-			tol = t
-		}
-	}
-	return base, tol, len(hist), true
-}
-
-// AppendTrajectory appends the points to the JSONL file and compares
-// each against its series' history twice over. Warnings compare
-// against the rolling baseline — the median of the last
-// trajectoryBaselineWindow entries — and fire past the fixed 10%
-// tolerance; a sustained slowdown re-baselines itself once it
-// dominates the window, so warnings only last while the level shift
-// is news. Failures compare against the median of the series' whole
-// cached history with a noise-aware tolerance (noiseGateFor) and only
-// arm once the series has trajectoryFailureMinHistory points; CI
-// treats any failure as a hard stop. Neither blocks the append: the
-// trajectory records what happened; the caller decides what to do
-// about it.
-func AppendTrajectory(path string, pts []TrajectoryPoint) (warnings, failures []string, err error) {
-	prior, err := ReadTrajectory(path)
+	hist.Entries[trajectorySuite] = append(kept, entry)
+	hist.LastUpdate = unixMilli
+	out, err := json.MarshalIndent(hist, "", "  ")
 	if err != nil {
-		return nil, nil, err
+		return "", err
 	}
-
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, err
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+		return "", err
 	}
-	for _, p := range pts {
-		if base, commit, ok := baselineFor(prior, p.Series); ok &&
-			float64(p.NsPerOp) > float64(base)*regressionTolerance {
-			warnings = append(warnings, fmt.Sprintf(
-				"%s regressed %.1f%% vs rolling median: %d → %d ns/op (median of last %d point(s), through commit %s)",
-				p.Series, 100*(float64(p.NsPerOp)/float64(base)-1),
-				base, p.NsPerOp, trajectoryBaselineWindow, commit))
-		}
-		if base, tol, n, ok := noiseGateFor(prior, p.Series); ok &&
-			float64(p.NsPerOp) > float64(base)*(1+tol) {
-			failures = append(failures, fmt.Sprintf(
-				"%s regressed %.1f%% vs history median %d ns/op, beyond its noise gate of %.1f%% (3·MAD over %d point(s))",
-				p.Series, 100*(float64(p.NsPerOp)/float64(base)-1), base, 100*tol, n))
-		}
-		line, err := json.Marshal(p)
-		if err != nil {
-			_ = f.Close() // the marshal error is the one that matters
-			return nil, nil, err
-		}
-		if _, err := f.Write(append(line, '\n')); err != nil {
-			_ = f.Close() // the write error is the one that matters
-			return nil, nil, err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return nil, nil, err
-	}
-	return warnings, failures, nil
+	return fmt.Sprintf("commit %s: %d end-to-end metrics recorded in %s (%d commits)\n",
+		entry.Commit.ID, len(entry.Benches), path, len(kept)+1), nil
 }

@@ -1,245 +1,125 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestTrajectoryAppendAndRegress drives the JSONL trajectory with
-// synthetic points: append, re-read, and regression detection against
-// the rolling-median baseline per series.
-func TestTrajectoryAppendAndRegress(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_trajectory.jsonl")
+// The fixtures are what the benchmark printed, verbatim: the suite under
+// -smoke and a single `-workload lenetsm-pipe` run.
+func fixture(t *testing.T, name string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
 
-	warn, fail, err := AppendTrajectory(path, []TrajectoryPoint{
-		{Commit: "aaaa", Series: SeriesClientEncrypt, NsPerOp: 1000, UnixSec: 1},
-		{Commit: "aaaa", Series: SeriesServeP99, NsPerOp: 5000, UnixSec: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warn) != 0 {
-		t.Fatalf("first append warned: %v", warn)
-	}
-	if len(fail) != 0 {
-		t.Fatalf("first append failed the noise gate: %v", fail)
-	}
+var endToEndUnits = map[string]string{
+	"request_ms_p05": "ms", "client_ms_p05": "ms", "wire_bytes_per_request": "B",
+	"alloc_kb_per_request": "KiB", "peak_rss_mb": "MiB", "setup_s": "s",
+}
 
-	// Within tolerance (+5%) and an improvement: no warnings.
-	warn, fail, err = AppendTrajectory(path, []TrajectoryPoint{
-		{Commit: "bbbb", Series: SeriesClientEncrypt, NsPerOp: 1050, UnixSec: 2},
-		{Commit: "bbbb", Series: SeriesServeP99, NsPerOp: 4000, UnixSec: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warn) != 0 {
-		t.Fatalf("within-tolerance append warned: %v", warn)
-	}
-
-	// A clear regression on one series: exactly one warning, against the
-	// rolling median (1025 across [1000, 1050], latest commit bbbb), and
-	// the append still lands.
-	warn, fail, err = AppendTrajectory(path, []TrajectoryPoint{
-		{Commit: "cccc", Series: SeriesClientEncrypt, NsPerOp: 1260, UnixSec: 3},
-		{Commit: "cccc", Series: SeriesServeP99, NsPerOp: 4100, UnixSec: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warn) != 1 {
-		t.Fatalf("warnings = %v, want exactly one", warn)
-	}
-	if !strings.Contains(warn[0], SeriesClientEncrypt) || !strings.Contains(warn[0], "bbbb") {
-		t.Errorf("warning %q does not name the series and prior commit", warn[0])
-	}
-	// No series has the 8-point history the hard failure gate needs.
-	if len(fail) != 0 {
-		t.Fatalf("short-history regression tripped the noise gate: %v", fail)
-	}
-
-	pts, err := ReadTrajectory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 6 {
-		t.Fatalf("trajectory has %d points, want 6", len(pts))
-	}
-	if pts[5].Commit != "cccc" || pts[5].Series != SeriesServeP99 {
-		t.Errorf("last point %+v", pts[5])
-	}
-
-	// A series' first-ever point never warns, whatever its value.
-	warn, fail, err = AppendTrajectory(path, []TrajectoryPoint{
-		{Commit: "cccc", Series: SeriesHoistedBatch, NsPerOp: 1 << 40, UnixSec: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warn) != 0 {
-		t.Fatalf("first point of a new series warned: %v", warn)
-	}
-
-	// A one-off spike cannot mask the regression behind it. History for
-	// the series is now [1000, 1050, 1260]; the 2000 spike warns, and the
-	// 1400 that follows — an "improvement" versus the spike alone, which
-	// the old previous-entry comparison would have waved through — still
-	// warns against the rolling median (1155 across the last 4 points).
-	warn, fail, err = AppendTrajectory(path, []TrajectoryPoint{
-		{Commit: "dddd", Series: SeriesClientEncrypt, NsPerOp: 2000, UnixSec: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warn) != 1 {
-		t.Fatalf("spike warnings = %v, want exactly one", warn)
-	}
-	warn, fail, err = AppendTrajectory(path, []TrajectoryPoint{
-		{Commit: "eeee", Series: SeriesClientEncrypt, NsPerOp: 1400, UnixSec: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warn) != 1 {
-		t.Fatalf("post-spike regression warnings = %v, want exactly one", warn)
+func TestTrajectoryReadsBothReportForms(t *testing.T) {
+	for _, tc := range []struct {
+		file      string
+		workloads []string
+	}{
+		{"report_suite_smoke.txt", []string{"lenetsm-pipe", "lenetsm-serve-tcp2", "knn-ckks-pipe", "client-cycle"}},
+		{"report_single_lenetsm_pipe.txt", []string{"lenetsm-pipe"}},
+	} {
+		entry, err := parseReport(strings.NewReader(fixture(t, tc.file)))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		if entry.Commit.ID != "016a3fa" {
+			t.Errorf("%s: commit %q, the header says 016a3fa", tc.file, entry.Commit.ID)
+		}
+		if len(entry.Benches) != 6*len(tc.workloads) {
+			t.Fatalf("%s: %d benches, want six per workload of %v", tc.file, len(entry.Benches), tc.workloads)
+		}
+		got := map[string]trajectoryBench{}
+		for _, b := range entry.Benches {
+			got[b.Name] = b
+		}
+		for _, w := range tc.workloads {
+			for metric, unit := range endToEndUnits {
+				b, ok := got[w+"/"+metric]
+				if !ok || b.Unit != unit || b.Value <= 0 {
+					t.Errorf("%s: %s/%s = %+v (present %v), want a positive value in %s", tc.file, w, metric, b, ok, unit)
+				}
+			}
+		}
+		if b := got["lenetsm-pipe/wire_bytes_per_request"]; b.Value != 258340 {
+			t.Errorf("%s: lenetsm-pipe/wire_bytes_per_request = %v, the report says 258340", tc.file, b.Value)
+		}
 	}
 }
 
-// TestTrajectoryRollingMedianWindow pins the two baselines' different
-// memories under a sustained 2× level shift. The warning baseline is
-// the median of the last five points only, so the shift warns until it
-// dominates the window, then becomes the new normal. The failure gate
-// is the median of the whole cached history, so once armed (8 points)
-// it keeps failing the shifted level until the history itself is half
-// new-level — a sustained regression stays red in CI well after the
-// warnings have re-baselined, instead of quietly becoming the new
-// baseline after three runs.
-func TestTrajectoryRollingMedianWindow(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_trajectory.jsonl")
-	app := func(ns int64) (warn, fail []string) {
-		warn, fail, err := AppendTrajectory(path, []TrajectoryPoint{
-			{Commit: "wwww", Series: "window-series", NsPerOp: ns, UnixSec: 1},
-		})
-		if err != nil {
+func TestTrajectoryReplacesACommitsEntry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_trajectory.json")
+	single := fixture(t, "report_single_lenetsm_pipe.txt")
+	other := strings.Replace(single, "commit=016a3fa", "commit=0000000", 1)
+	for i, report := range []string{single, other, strings.Replace(single, "258340.0000 B", "258341.0000 B", 1)} {
+		if _, err := AppendTrajectory(path, strings.NewReader(report), int64(1000+i)); err != nil {
 			t.Fatal(err)
 		}
-		return warn, fail
 	}
-
-	for i := 0; i < 5; i++ {
-		if w, f := app(1000); len(w) != 0 || len(f) != 0 {
-			t.Fatalf("steady point %d: warn=%v fail=%v", i, w, f)
-		}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A 2× level shift: warns while the old level still holds the median
-	// of the five-point window (three appends: the window is [1000×5],
-	// then [1000×4, 2000], then [1000×3, 2000×2] — median 1000 each
-	// time). The failure gate stays silent: the history is still under
-	// 8 points.
-	for i := 0; i < 3; i++ {
-		w, f := app(2000)
-		if len(w) != 1 {
-			t.Fatalf("shifted point %d warnings = %v, want exactly one", i, w)
-		}
-		if len(f) != 0 {
-			t.Fatalf("shifted point %d failed before the gate armed: %v", i, f)
-		}
+	var hist trajectoryFile
+	if err := json.Unmarshal(raw, &hist); err != nil {
+		t.Fatal(err)
 	}
-	// Now the warning window is [1000×2, 2000×3]: median 2000, the shift
-	// has re-baselined and no longer warns. But the gate just armed —
-	// history [1000×5, 2000×3] has median 1000 and MAD 0 — so the same
-	// level is now a hard failure, and stays one while the old level
-	// holds the history median ([1000×5, 2000×4] still has median 1000).
-	for i := 0; i < 2; i++ {
-		w, f := app(2000)
-		if len(w) != 0 {
-			t.Fatalf("re-baselined level still warns: %v", w)
-		}
-		if len(f) != 1 {
-			t.Fatalf("sustained shift point %d failures = %v, want exactly one", i, f)
-		}
+	entries := hist.Entries[trajectorySuite]
+	if len(entries) != 2 || entries[0].Commit.ID != "0000000" || entries[1].Commit.ID != "016a3fa" {
+		t.Fatalf("history holds %d entries %+v, want 0000000 then the re-recorded 016a3fa", len(entries), entries)
 	}
-	// With [1000×5, 2000×5] the history median moves to 1500 and the MAD
-	// to 500, so the gate widens to 3000 and the shifted level clears:
-	// the regression has been absorbed as the series' new normal.
-	if w, f := app(2000); len(w) != 0 || len(f) != 0 {
-		t.Fatalf("absorbed shift: warn=%v fail=%v, want none", w, f)
+	newest := entries[1]
+	if hist.LastUpdate != 1002 || newest.Date != 1002 || len(newest.Benches) != 6 {
+		t.Errorf("lastUpdate %d, newest entry dated %d with %d benches; want 1002, 1002, 6", hist.LastUpdate, newest.Date, len(newest.Benches))
+	}
+	for _, b := range newest.Benches {
+		if b.Name == "lenetsm-pipe/wire_bytes_per_request" && b.Value != 258341 {
+			t.Errorf("the second report for 016a3fa did not replace the first: %+v", b)
+		}
 	}
 }
 
-// TestTrajectoryNoiseGate pins the hard-failure gate: it arms only
-// once a series has eight history points, and its tolerance adapts to
-// the series' own noise — 10% for a quiet series, 3·MAD/median for a
-// jittery one — so quiet series fail tight and noisy series don't
-// flap.
-func TestTrajectoryNoiseGate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_trajectory.jsonl")
-	app := func(series string, ns int64) (warn, fail []string) {
-		warn, fail, err := AppendTrajectory(path, []TrajectoryPoint{
-			{Commit: "gggg", Series: series, NsPerOp: ns, UnixSec: 1},
-		})
-		if err != nil {
-			t.Fatal(err)
+func TestTrajectoryRefusesUncleanReports(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_trajectory.json")
+	suite, single := fixture(t, "report_suite_smoke.txt"), fixture(t, "report_single_lenetsm_pipe.txt")
+	if _, err := AppendTrajectory(path, strings.NewReader(suite), 1); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, report := range map[string]string{
+		"suite run incorrect":  strings.Replace(suite, "correct=true attempted=4 failed=0", "correct=false attempted=4 failed=0", 1),
+		"suite run failed":     strings.Replace(suite, "correct=true attempted=4 failed=0", "correct=true attempted=4 failed=1", 1),
+		"FAIL line":            suite + "FAIL: see above\n",
+		"single run incorrect": strings.Replace(single, `{"correct":true,`, `{"correct":false,`, 1),
+		"single run failed":    strings.Replace(single, `"failed":0`, `"failed":3`, 1),
+		"no header":            strings.SplitN(single, "\n", 2)[1],
+		"not a report":         "hello\n",
+	} {
+		if report == suite || report == single {
+			t.Fatalf("%s: the fixture has nothing to corrupt", name)
 		}
-		return warn, fail
-	}
-
-	// Quiet series: eight identical points → MAD 0, tolerance floors at
-	// 10%, gate at 1100 ns/op.
-	for i := 0; i < 8; i++ {
-		if _, fail := app("quiet", 1000); len(fail) != 0 {
-			t.Fatalf("quiet history point %d failed: %v", i, fail)
+		if _, err := AppendTrajectory(path, strings.NewReader(report), 2); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
-	}
-	if _, fail := app("quiet", 1050); len(fail) != 0 {
-		t.Fatalf("quiet +5%% point failed: %v", fail)
-	}
-	if warn, fail := app("quiet", 1150); len(fail) != 1 {
-		t.Fatalf("quiet +15%% point: failures = %v, want exactly one", fail)
-	} else if !strings.Contains(fail[0], "quiet") || !strings.Contains(fail[0], "noise gate") {
-		t.Errorf("failure %q does not name the series and gate", fail[0])
-	} else if len(warn) != 1 {
-		t.Fatalf("quiet +15%% point: warnings = %v, want the rolling-median warning too", warn)
-	}
-
-	// Seven points of history: even a 10× regression only warns — the
-	// gate is not armed yet.
-	for i := 0; i < 7; i++ {
-		app("young", 1000)
-	}
-	if warn, fail := app("young", 10000); len(fail) != 0 {
-		t.Fatalf("7-point history tripped the gate: %v", fail)
-	} else if len(warn) != 1 {
-		t.Fatalf("7-point 10x regression warnings = %v, want exactly one", warn)
-	}
-
-	// Noisy series alternating 1000/2000: history median 1500, MAD 500,
-	// tolerance 3·500/1500 = 100%, gate at 3000 ns/op. A 2900 point
-	// warns against the rolling median but does NOT fail. Once appended
-	// it widens its own gate (median 2000, MAD 900 → gate 4700), so the
-	// next probe must clear that to fail.
-	for i := 0; i < 8; i++ {
-		ns := int64(1000)
-		if i%2 == 1 {
-			ns = 2000
+		if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
+			t.Fatalf("%s: the refused report changed the history file", name)
 		}
-		app("noisy", ns)
-	}
-	if warn, fail := app("noisy", 2900); len(fail) != 0 {
-		t.Fatalf("in-noise point tripped the gate: %v", fail)
-	} else if len(warn) != 1 {
-		t.Fatalf("in-noise point warnings = %v, want the rolling-median warning", warn)
-	}
-	if _, fail := app("noisy", 5000); len(fail) != 1 {
-		t.Fatalf("beyond-noise point failures = %v, want exactly one", fail)
-	}
-}
-
-// TestTrajectoryMissingFile checks the empty-trajectory case.
-func TestTrajectoryMissingFile(t *testing.T) {
-	pts, err := ReadTrajectory(filepath.Join(t.TempDir(), "absent.jsonl"))
-	if err != nil || pts != nil {
-		t.Fatalf("missing file: pts=%v err=%v, want nil/nil", pts, err)
 	}
 }

@@ -100,16 +100,6 @@ func (r *Ring) Remove(shard string) {
 // Len reports the number of shards on the ring.
 func (r *Ring) Len() int { return len(r.shards) }
 
-// Shards returns the member shards in sorted order.
-func (r *Ring) Shards() []string {
-	out := make([]string, 0, len(r.shards))
-	for s := range r.shards {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Owner returns the shard owning key, or "" on an empty ring.
 func (r *Ring) Owner(key string) string {
 	seq := r.Sequence(key)

@@ -128,7 +128,6 @@ type Router struct {
 type routerAcct struct {
 	connections      atomic.Int64
 	routedSessions   atomic.Int64
-	legacyRouted     atomic.Int64
 	replicationHints atomic.Int64
 	routeFailures    atomic.Int64
 	ejections        atomic.Int64
@@ -272,15 +271,15 @@ func (r *Router) handleConn(ctx context.Context, conn net.Conn) {
 	if err != nil {
 		return // never sent a frame; nothing to route
 	}
-	var sessionID, tenant string
-	if protocol.IsHello(first) {
-		h, err := protocol.ParseHello(first)
-		if err != nil {
-			r.cfg.Logf("fabric: router: %s: bad hello: %v", conn.RemoteAddr(), err)
-			return
-		}
-		sessionID, tenant = h.SessionID, h.Tenant
+	// Only a hello opens a session: it carries the ID the ring places
+	// and the tenant the shard meters. Anything else — a raw key bundle
+	// included — is refused here, before a shard is dialled.
+	h, err := protocol.ParseHello(first)
+	if err != nil {
+		r.cfg.Logf("fabric: router: %s: session open: unrecognized first frame (%d B): %v", conn.RemoteAddr(), len(first), err)
+		return
 	}
+	sessionID, tenant := h.SessionID, h.Tenant
 
 	target, sconn := r.connectShard(sessionID)
 	if sconn == nil {
@@ -292,29 +291,23 @@ func (r *Router) handleConn(ctx context.Context, conn net.Conn) {
 	}
 	defer sconn.Close()
 
-	// Build the shard-side opening frame. Hello frames are rewritten to
-	// ShardHello carrying the replication hint; anything else (legacy
-	// key bundle) is forwarded verbatim.
-	opening := first
-	if sessionID != "" {
-		hint := r.adoptSession(sessionID, target)
-		opening, err = protocol.MarshalShardHelloTenant(sessionID, hint, tenant)
-		if err != nil {
-			r.cfg.Logf("fabric: router: session %q: %v", sessionID, err)
-			return
-		}
-		if hint != "" {
-			r.acct.replicationHints.Add(1)
-			r.cfg.Logf("fabric: router: session %q moved to %s (keys replicate from %s)", sessionID, target.m.ID, hint)
-		}
-		r.acct.routedSessions.Add(1)
-		if tenant != "" {
-			r.mu.Lock()
-			r.tenants[tenant]++
-			r.mu.Unlock()
-		}
-	} else {
-		r.acct.legacyRouted.Add(1)
+	// The shard-side opening frame is the hello rewritten to a ShardHello
+	// carrying the replication hint.
+	hint := r.adoptSession(sessionID, target)
+	opening, err := protocol.MarshalShardHelloTenant(sessionID, hint, tenant)
+	if err != nil {
+		r.cfg.Logf("fabric: router: session %q: %v", sessionID, err)
+		return
+	}
+	if hint != "" {
+		r.acct.replicationHints.Add(1)
+		r.cfg.Logf("fabric: router: session %q moved to %s (keys replicate from %s)", sessionID, target.m.ID, hint)
+	}
+	r.acct.routedSessions.Add(1)
+	if tenant != "" {
+		r.mu.Lock()
+		r.tenants[tenant]++
+		r.mu.Unlock()
 	}
 
 	// The shard side gets the generous idle budget in both states: gaps
@@ -391,18 +384,12 @@ func (r *Router) connectShard(sessionID string) (*memberState, net.Conn) {
 
 // candidates orders the routable members for a session: the ring walk
 // from its hash point, under-bound members first (bounded-load), then
-// overloaded ones as a last resort. Legacy sessions without an ID get
-// the healthy members by ascending load.
+// overloaded ones as a last resort.
 func (r *Router) candidates(sessionID string) []*memberState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	var walk []string
-	if sessionID != "" {
-		walk = r.ring.Sequence(sessionID)
-	} else {
-		walk = r.ring.Shards()
-	}
+	walk := r.ring.Sequence(sessionID)
 	alive := make([]*memberState, 0, len(walk))
 	var totalActive int64
 	for _, id := range walk {
@@ -415,15 +402,6 @@ func (r *Router) candidates(sessionID string) []*memberState {
 	}
 	if len(alive) == 0 {
 		return nil
-	}
-	if sessionID == "" {
-		// Least-loaded first for sessions with no ring position.
-		for i := 1; i < len(alive); i++ {
-			for j := i; j > 0 && alive[j].active.Load() < alive[j-1].active.Load(); j-- {
-				alive[j], alive[j-1] = alive[j-1], alive[j]
-			}
-		}
-		return alive
 	}
 	bound := int64(math.Ceil(r.cfg.LoadFactor * float64(totalActive+1) / float64(len(alive))))
 	under := make([]*memberState, 0, len(alive))

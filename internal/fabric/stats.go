@@ -16,7 +16,6 @@ import (
 type RouterStats struct {
 	Connections      int64 `json:"connections"`
 	RoutedSessions   int64 `json:"routed_sessions"`
-	LegacyRouted     int64 `json:"legacy_routed"`
 	ReplicationHints int64 `json:"replication_hints"`
 	RouteFailures    int64 `json:"route_failures"`
 	Ejections        int64 `json:"ejections"`
@@ -95,7 +94,6 @@ func (r *Router) Stats() RouterStats {
 	st := RouterStats{
 		Connections:      r.acct.connections.Load(),
 		RoutedSessions:   r.acct.routedSessions.Load(),
-		LegacyRouted:     r.acct.legacyRouted.Load(),
 		ReplicationHints: r.acct.replicationHints.Load(),
 		RouteFailures:    r.acct.routeFailures.Load(),
 		Ejections:        r.acct.ejections.Load(),

@@ -238,3 +238,43 @@ func TestTenantQuotaThroughFabric(t *testing.T) {
 		t.Errorf("shard acme stats %+v, want 1 admitted / 1 rejected", acme)
 	}
 }
+
+// TestRawKeyBundleOpenerRefused, through the router: a connection whose
+// first frame is a key bundle is closed where it arrives — no shard is
+// dialled, nothing is routed — and the same client is served once it
+// says hello.
+func TestRawKeyBundleOpenerRefused(t *testing.T) {
+	sh := startShard(t, "refuse-shard")
+	router, routerAddr := startRouter(t, RouterConfig{
+		Members:        []Member{sh.member("refuse-shard")},
+		HealthInterval: -1,
+		Logf:           t.Logf,
+	})
+	client, err := nn.NewInferenceClient(fabricNet(), [32]byte{47})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", routerAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	c := protocol.NewConn(conn)
+	c.SetReadTimeout(30 * time.Second)
+	c.SetWriteTimeout(30 * time.Second)
+	if err := client.Setup(c); err != nil { // the bare bundle
+		t.Fatal(err)
+	}
+	if raw, err := c.Recv(); err == nil {
+		t.Fatalf("the router answered a bundle-first connection with a %d B frame, want a hangup", len(raw))
+	}
+	rs, ss := router.Stats(), sh.shard.Server.Stats()
+	if rs.Connections != 1 || rs.RoutedSessions != 0 || rs.RouteFailures != 0 || ss.SessionsTotal != 0 || ss.SessionsActive != 0 {
+		t.Errorf("router %d connection(s), %d routed, %d route failure(s); shard %d session(s), %d active — want 1, 0, 0, 0, 0",
+			rs.Connections, rs.RoutedSessions, rs.RouteFailures, ss.SessionsTotal, ss.SessionsActive)
+	}
+	session(t, routerAddr, 47, "after-refusal", 1)
+	if rs := router.Stats(); rs.RoutedSessions != 1 {
+		t.Errorf("%d session(s) routed after the hello, want 1", rs.RoutedSessions)
+	}
+}

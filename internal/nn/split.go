@@ -206,10 +206,11 @@ func NewInferenceClient(net *Network, seed [32]byte) (*InferenceClient, error) {
 	}, nil
 }
 
-// Setup ships the evaluation keys to the server (once per session).
-// This is the legacy opener: the keys travel unconditionally. Prefer
-// SetupSession, which lets a server-side key registry skip the upload
-// on reconnect.
+// Setup ships the evaluation keys, unconditionally, to a peer that reads
+// them with InferenceServer.ReadSession — two halves joined directly, as
+// in the examples and the benchmark's pipe. A serve.Server refuses a
+// bundle as first frame: open a session there with SetupSession, which
+// also lets its key registry skip the upload on reconnect.
 func (c *InferenceClient) Setup(t protocol.Transport) error {
 	return t.Send(protocol.MarshalKeyBundle(c.bundle))
 }
@@ -389,10 +390,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 // layer operators, weights) is immutable afterwards, so one
 // InferenceServer may be shared by any number of concurrent sessions;
 // all per-client mutable state (the evaluator holding that client's
-// evaluation keys) lives in ServerSession. The legacy single-session
-// AcceptSetup/ServeOne entry points mutate the embedded default
-// session and are NOT safe for concurrent use — concurrent servers
-// (internal/serve) must go through NewSession.
+// evaluation keys) lives in ServerSession.
 type InferenceServer struct {
 	Model *QuantizedModel
 
@@ -404,9 +402,6 @@ type InferenceServer struct {
 	// replyDrop is how many data primes every finished output sheds
 	// before it is sent (bfv.Parameters.ReplyDrop).
 	replyDrop int
-
-	// session backs the legacy AcceptSetup/ServeOne API.
-	session *ServerSession
 }
 
 // ServerSession binds one client's evaluation keys to the shared
@@ -470,7 +465,7 @@ func (s *InferenceServer) ReadSession(t protocol.Transport) (*ServerSession, err
 }
 
 // NewInferenceServer compiles the weighted model; evaluation keys
-// arrive from the client via AcceptSetup.
+// arrive from the client as sessions (ReadSession, NewSession).
 func NewInferenceServer(m *QuantizedModel) (*InferenceServer, error) {
 	ctx, err := bfv.NewContext(m.Net.Params)
 	if err != nil {
@@ -482,27 +477,6 @@ func NewInferenceServer(m *QuantizedModel) (*InferenceServer, error) {
 	}
 	return &InferenceServer{Model: m, ctx: ctx, ecd: bfv.NewEncoder(ctx), convs: convs, fcs: fcs,
 		replyDrop: ctx.Params.ReplyDrop()}, nil
-}
-
-// AcceptSetup receives the client's evaluation keys into the default
-// session (legacy single-session API; see the concurrency note on
-// InferenceServer).
-func (s *InferenceServer) AcceptSetup(t protocol.Transport) error {
-	sess, err := s.ReadSession(t)
-	if err != nil {
-		return err
-	}
-	s.session = sess
-	return nil
-}
-
-// ServeOne serves one inference on the default session installed by
-// AcceptSetup (legacy single-session API).
-func (s *InferenceServer) ServeOne(t protocol.Transport) (core.OpCounts, error) {
-	if s.session == nil {
-		return core.OpCounts{}, fmt.Errorf("nn: server has no evaluation keys; call AcceptSetup first")
-	}
-	return s.session.ServeOne(t)
 }
 
 // ServeOne processes one inference request on this session: for each

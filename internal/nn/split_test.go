@@ -32,11 +32,12 @@ func TestSplitClientServerInference(t *testing.T) {
 
 	errCh := make(chan error, 1)
 	go func() {
-		if err := server.AcceptSetup(serverEnd); err != nil {
+		sess, err := server.ReadSession(serverEnd)
+		if err != nil {
 			errCh <- err
 			return
 		}
-		_, err := server.ServeOne(serverEnd)
+		_, err = sess.ServeOne(serverEnd)
 		errCh <- err
 	}()
 
@@ -59,20 +60,6 @@ func TestSplitClientServerInference(t *testing.T) {
 		t.Errorf("stats %+v", stats)
 	}
 	t.Logf("split inference stats: %+v", stats)
-}
-
-func TestServerRequiresSetup(t *testing.T) {
-	net := testNet()
-	model := SynthesizeWeights(net, 4, [32]byte{21})
-	server, err := NewInferenceServer(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := protocol.NewPipe()
-	defer a.Close()
-	if _, err := server.ServeOne(a); err == nil {
-		t.Error("expected error before AcceptSetup")
-	}
 }
 
 func TestKeyBundleRoundTrip(t *testing.T) {
@@ -127,11 +114,12 @@ func TestSplitDemoNetworkEndToEnd(t *testing.T) {
 	defer clientEnd.Close()
 	errCh := make(chan error, 1)
 	go func() {
-		if err := server.AcceptSetup(serverEnd); err != nil {
+		sess, err := server.ReadSession(serverEnd)
+		if err != nil {
 			errCh <- err
 			return
 		}
-		_, err := server.ServeOne(serverEnd)
+		_, err = sess.ServeOne(serverEnd)
 		errCh <- err
 	}()
 	if err := client.Setup(clientEnd); err != nil {

@@ -94,12 +94,6 @@ func IsHello(data []byte) bool {
 	return len(data) >= 4 && binary.LittleEndian.Uint32(data) == helloMagic
 }
 
-// IsKeyBundle reports whether a frame is a serialized evaluation-key
-// bundle (the legacy session opener).
-func IsKeyBundle(data []byte) bool {
-	return len(data) >= 4 && binary.LittleEndian.Uint32(data) == keyBundleMagic
-}
-
 // UnmarshalHello decodes a Hello frame and returns the session ID,
 // accepting both tenantless and tenant-tagged frames.
 func UnmarshalHello(data []byte) (string, error) {

@@ -16,9 +16,6 @@ func TestHelloRoundTrip(t *testing.T) {
 	if !IsHello(frame) {
 		t.Fatal("IsHello rejected a hello frame")
 	}
-	if IsKeyBundle(frame) {
-		t.Fatal("hello frame sniffed as key bundle")
-	}
 	id, err := UnmarshalHello(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -73,15 +70,15 @@ func TestHelloAckRoundTrip(t *testing.T) {
 // exclusive.
 func TestFirstFrameSniffing(t *testing.T) {
 	hello, _ := MarshalHello("s")
-	if IsKeyBundle(hello) || !IsHello(hello) {
+	if !IsHello(hello) {
 		t.Error("hello frame misclassified")
 	}
 	bundleHeader := appendUint32(nil, keyBundleMagic)
-	if !IsKeyBundle(bundleHeader) || IsHello(bundleHeader) {
+	if IsHello(bundleHeader) || IsShardHello(bundleHeader) {
 		t.Error("key bundle header misclassified")
 	}
 	ack := MarshalHelloAck(AckBusy)
-	if IsHello(ack) || IsKeyBundle(ack) {
+	if IsHello(ack) || IsShardHello(ack) {
 		t.Error("ack frame misclassified")
 	}
 }

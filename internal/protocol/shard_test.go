@@ -20,7 +20,7 @@ func TestShardHelloRoundTrip(t *testing.T) {
 		if !IsShardHello(raw) {
 			t.Fatalf("IsShardHello false for marshaled frame")
 		}
-		if IsHello(raw) || IsKeyBundle(raw) || IsKeyFetch(raw) {
+		if IsHello(raw) || IsKeyFetch(raw) {
 			t.Fatalf("shard hello misidentified as another frame family")
 		}
 		id, hint, err := UnmarshalShardHello(raw)

@@ -496,3 +496,33 @@ func TestSessionPanicIsContained(t *testing.T) {
 		t.Errorf("no log line names session %q with the panic's stack: %q", hostileID, logged)
 	}
 }
+
+// TestRawKeyBundleOpenerRefused: a key bundle as first frame — the opener
+// that skipped tenant quota, the registry and the session ID — is an
+// unrecognized first frame like any other. The refusal holds no worker
+// slot and no tenant count, and the same client is served once it says
+// hello.
+func TestRawKeyBundleOpenerRefused(t *testing.T) {
+	backend, model := testBackend(t, tinyNetwork)
+	srv := New(backend, Config{MaxSessions: 1, TenantMaxSessions: 1})
+	client, err := nn.NewInferenceClient(tinyNetwork(), [32]byte{61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientEnd, serverEnd := protocol.NewPipe()
+	defer clientEnd.Close()
+	if err := client.Setup(clientEnd); err != nil { // the bare bundle
+		t.Fatal(err)
+	}
+	err = srv.ServeTransport(context.Background(), serverEnd)
+	if err == nil || !strings.Contains(err.Error(), "unrecognized first frame") {
+		t.Fatalf("bundle-first session: %v, want the unrecognized-first-frame error", err)
+	}
+	st := srv.Stats()
+	if len(srv.slots) != 0 || st.SessionsActive != 0 || len(st.Tenants) != 0 || st.KeyCacheMisses != 0 || srv.reg.len() != 0 {
+		t.Errorf("the refusal left %d slot(s) held, %d active session(s), tenants %+v, %d key-cache miss(es), %d registry entries",
+			len(srv.slots), st.SessionsActive, st.Tenants, st.KeyCacheMisses, srv.reg.len())
+	}
+	// The one slot is free again.
+	runClientSession(t, srv, tinyNetwork, model, 61, "after-refusal", 1)
+}

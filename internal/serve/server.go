@@ -265,7 +265,7 @@ func (s *Server) interruptIdle() {
 // ServeTransport runs one complete session over any transport — the
 // in-memory protocol.Pipe in tests, a framed TCP connection in
 // production. It performs admission control, the session handshake
-// (hello + key install or cache hit, or a legacy raw key bundle), then
+// (hello + key install or cache hit), then
 // serves inference requests until the client disconnects, the idle
 // timeout fires, or ctx is cancelled (draining the in-flight request
 // first).
@@ -360,13 +360,15 @@ func serveOne(sess *nn.ServerSession, t protocol.Transport, account func(nn.Serv
 // handshake admits the session: the hello exchange (with the eval-key
 // registry short-circuiting re-uploads), a router-authored shard hello
 // (same exchange, plus a replication hint consulted before asking the
-// client for keys), or a legacy raw key bundle as the first frame.
+// client for keys). Nothing else opens a session: a raw key bundle as
+// first frame would skip tenant quota, the registry and the session ID,
+// and is refused like any other unrecognized frame.
 // Sessions declaring a tenant pass quota admission before any key
 // exchange: an over-quota tenant gets a busy ack with a retry-after
 // hint, so its sessions back off instead of consuming worker slots
 // other tenants could use. On success with a non-empty tenant, the
 // caller owns releasing the tenant's session slot. The session ID comes
-// back for the caller's diagnostics (empty for a legacy session).
+// back for the caller's diagnostics.
 func (s *Server) handshake(t protocol.Transport) (sess *nn.ServerSession, id, tenant string, err error) {
 	raw, err := t.Recv()
 	if err != nil {
@@ -386,12 +388,6 @@ func (s *Server) handshake(t protocol.Transport) (sess *nn.ServerSession, id, te
 			return nil, "", "", fmt.Errorf("session open: %w", err)
 		}
 		id, hint, tenant = h.SessionID, h.PrevOwnerPeer, h.Tenant
-	case protocol.IsKeyBundle(raw):
-		if sess, err = s.backend.NewSessionFromFrame(raw); err != nil {
-			return nil, "", "", fmt.Errorf("legacy session open: %w", err)
-		}
-		s.cfg.Logf("serve: legacy session: evaluation keys installed (%d B, uncached)", len(raw))
-		return sess, "", "", nil
 	default:
 		return nil, "", "", fmt.Errorf("session open: unrecognized first frame (%d B)", len(raw))
 	}

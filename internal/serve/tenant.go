@@ -12,8 +12,7 @@ import (
 // concurrent-session quota with a busy ack carrying a retry-after hint
 // — so one greedy tenant queues behind its own quota instead of
 // head-of-line blocking everyone else in the worker pool. Tenantless
-// (legacy) sessions bypass quota and are accounted under the pool
-// alone.
+// sessions bypass quota and are accounted under the pool alone.
 
 // ErrTenantOverQuota reports a session rejected because its tenant
 // already runs its full quota of concurrent sessions.
