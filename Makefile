@@ -7,10 +7,11 @@
 #   make race    — race-enabled, shuffled tests; reruns the parallel
 #                  execution-layer packages (including the rlwe key-switch
 #                  core and the bfv/ckks hoisted-rotation fan-outs), the
-#                  serving tier with its cross-request batching
-#                  executor, and the fabric routing tier with
+#                  serving tier with its shared weight-plaintext
+#                  cache, and the fabric routing tier with
 #                  GOMAXPROCS=4 so the par fan-out
-#                  paths, the gather-round leader/follower protocol,
+#                  paths, sessions running their layers side by side
+#                  over the one plaintext cache,
 #                  and the router's splice/health/membership
 #                  concurrency are exercised even on 1-core CI; then
 #                  the serving and fabric suites 50 times over (their
@@ -45,10 +46,24 @@
 #   make bench-e2e — the repository's benchmark (benchmark/README.md):
 #                  four workloads end to end through real HE over the
 #                  real protocol, untraced then traced, ~4 min
+#   make pairs PARENT=<rev> WORKLOAD=<name> [N=10] [SEED=1]
+#                — the protocol a claimed gain is measured by: the
+#                  parent's tree (git archive of PARENT, unpacked under
+#                  PAIRS_DIR, outside this one) and this tree each
+#                  build ./benchmark once; N pairs of 20 s runs of the
+#                  one workload, a fresh process per run, odd pairs
+#                  parent first; then `chocobench pairs` prints the
+#                  tables EXPERIMENTS.md records (medians, the parent's
+#                  quartile distance, better/worse of N, the bounds of
+#                  BENCHMARK.json). ~45 s a pair a workload; run nothing
+#                  else meanwhile. The log stays in PAIRS_DIR.
 
 GO ?= go
+N ?= 10
+SEED ?= 1
+PAIRS_DIR ?= /tmp/choco-pairs
 
-.PHONY: check build test lint race debug purego vet bench bench-e2e fuzz
+.PHONY: check build test lint race debug purego vet bench bench-e2e fuzz pairs
 
 check: vet lint race debug purego
 
@@ -98,3 +113,20 @@ bench:
 	$(GO) run ./benchmark | tee benchmark/out/suite.txt
 	$(GO) run ./cmd/chocobench -trajectory BENCH_trajectory.json trajectory < benchmark/out/suite.txt
 	$(GO) test -bench=. -benchmem ./...
+
+pairs:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make pairs PARENT=<rev> WORKLOAD=<name> [N=10] [SEED=1] [PAIRS_DIR=/tmp/choco-pairs]"; exit 2; }
+	rm -rf $(PAIRS_DIR)/parent
+	mkdir -p $(PAIRS_DIR)/parent $(PAIRS_DIR)/out
+	git archive $(PARENT) | tar -x -C $(PAIRS_DIR)/parent
+	cd $(PAIRS_DIR)/parent && $(GO) build -o $(PAIRS_DIR)/bench_parent ./benchmark
+	$(GO) build -o $(PAIRS_DIR)/bench_change ./benchmark
+	: > $(PAIRS_DIR)/$(WORKLOAD).log
+	for i in $$(seq 1 $(N)); do \
+		order="parent change"; [ $$((i % 2)) -eq 1 ] || order="change parent"; \
+		for side in $$order; do \
+			echo "# pair $$i $$side" >> $(PAIRS_DIR)/$(WORKLOAD).log; \
+			$(PAIRS_DIR)/bench_$$side -workload $(WORKLOAD) -seed $(SEED) -out $(PAIRS_DIR)/out >> $(PAIRS_DIR)/$(WORKLOAD).log || exit 1; \
+		done; \
+	done
+	$(GO) run ./cmd/chocobench pairs < $(PAIRS_DIR)/$(WORKLOAD).log

@@ -15,6 +15,11 @@
 // runs only when named:
 //
 //	go run ./benchmark | chocobench -trajectory BENCH_trajectory.json trajectory
+//
+// The pairs entry is a reader too: `make pairs` runs the parent's and the
+// change's benchmark alternately and pipes the log in; out come the
+// tables EXPERIMENTS.md records for a PR (medians, the parent's quartile
+// distance, better/worse of N, the bound -benchmark's file fixes).
 package main
 
 import (
@@ -32,7 +37,7 @@ type experiment struct {
 	run  func() (string, error)
 }
 
-func experiments(trajectoryPath string) []experiment {
+func experiments(trajectoryPath, benchmarkPath string) []experiment {
 	return []experiment{
 		{"table1", "HE operation complexity (measured)", bench.Table1},
 		{"table3", "parameter presets and ciphertext sizes", bench.Table3},
@@ -81,15 +86,24 @@ func experiments(trajectoryPath string) []experiment {
 		{"trajectory", "record a `go run ./benchmark` report from stdin in the -trajectory history", func() (string, error) {
 			return bench.AppendTrajectory(trajectoryPath, os.Stdin, time.Now().UnixMilli())
 		}},
+		{"pairs", "turn a `make pairs` log from stdin into the parent/change tables of EXPERIMENTS.md", func() (string, error) {
+			decl, err := os.Open(benchmarkPath)
+			if err != nil {
+				return "", err
+			}
+			defer decl.Close()
+			return bench.PairsReport(os.Stdin, decl)
+		}},
 	}
 }
 
 func main() {
 	list := flag.Bool("list", false, "list experiment names and exit")
 	trajectoryPath := flag.String("trajectory", "", "history file the trajectory entry records its report in (BENCH_trajectory.json)")
+	benchmarkPath := flag.String("benchmark", "BENCHMARK.json", "the benchmark declaration the pairs entry reads its bounds from")
 	flag.Parse()
 
-	exps := experiments(*trajectoryPath)
+	exps := experiments(*trajectoryPath, *benchmarkPath)
 	if *list {
 		for _, e := range exps {
 			fmt.Printf("%-10s %s\n", e.name, e.desc)
@@ -103,8 +117,8 @@ func main() {
 	}
 	ranAny := false
 	for _, e := range exps {
-		if !selected[e.name] && (len(selected) > 0 || e.name == "trajectory") {
-			continue // trajectory reads stdin: only when named
+		if !selected[e.name] && (len(selected) > 0 || e.name == "trajectory" || e.name == "pairs") {
+			continue // the two readers of stdin run only when named
 		}
 		ranAny = true
 		start := time.Now()

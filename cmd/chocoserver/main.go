@@ -7,12 +7,12 @@
 //   - serve (default): a single standalone session server built on
 //     internal/serve — bounded worker pool with admission control, an
 //     evaluation-key cache so reconnecting clients skip the key
-//     re-upload, idle and per-frame I/O deadlines. Rotation-bearing
-//     layer work from concurrent same-preset sessions is coalesced by
-//     the cross-request batching executor (-batch-depth/-batch-window),
-//     and clients that declare a tenant are subject to the per-tenant
-//     session quota (-tenant-max-sessions), rejected over quota with a
-//     busy ack carrying the -retry-after hint.
+//     re-upload, idle and per-frame I/O deadlines. A session's layer
+//     runs when its input arrives; all sessions share one cache of
+//     prepared weight plaintexts (-plain-cache-bytes), and clients
+//     that declare a tenant are subject to the per-tenant session
+//     quota (-tenant-max-sessions), rejected over quota with a busy
+//     ack carrying the -retry-after hint.
 //   - shard: the same server plus the fabric peer listener
 //     (-peer-addr), which answers key-fetch, health-probe, and stats
 //     requests from the router and sibling shards. Run N of these
@@ -67,9 +67,7 @@ func main() {
 	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "per-frame read/write deadline during an exchange")
 	keyCache := flag.Int("key-cache", 64, "evaluation-key registry capacity (cached sessions for reconnects)")
 	keyCacheBytes := flag.Int64("key-cache-bytes", 1<<30, "evaluation-key registry byte budget (bundles are multi-MB each)")
-	batchDepth := flag.Int("batch-depth", 8, "max requests coalesced per cross-request batching round (1 disables batching)")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long a batching round gathers for co-batchable requests before executing short")
-	batchCacheBytes := flag.Int64("batch-cache-bytes", 256<<20, "byte budget of the shared weight-plaintext cache backing batched execution")
+	plainCacheBytes := flag.Int64("plain-cache-bytes", 256<<20, "byte budget of the prepared weight-plaintext cache all sessions share")
 	tenantMaxSessions := flag.Int("tenant-max-sessions", 0, "max concurrent sessions per declared tenant (0 = no per-tenant quota)")
 	retryAfter := flag.Duration("retry-after", 250*time.Millisecond, "retry-after hint sent with the busy ack when a tenant is over quota")
 	statsAddr := flag.String("stats-addr", "", "serve accounting over HTTP on this address; empty disables")
@@ -103,9 +101,7 @@ func main() {
 				IOTimeout:         *ioTimeout,
 				KeyCacheCap:       *keyCache,
 				KeyCacheBytes:     *keyCacheBytes,
-				BatchDepth:        *batchDepth,
-				BatchWindow:       *batchWindow,
-				BatchCacheBytes:   *batchCacheBytes,
+				PlainCacheBytes:   *plainCacheBytes,
 				TenantMaxSessions: *tenantMaxSessions,
 				RetryAfter:        *retryAfter,
 				Logf:              log.Printf,
@@ -215,11 +211,8 @@ func runServe(ctx context.Context, cancel context.CancelFunc, o serveOpts) {
 		st.KeyCacheHits, st.KeyCacheMisses, st.KeyReplications)
 	log.Printf("chocoserver: inference latency p50 %v p99 %v max %v over %d request(s)",
 		st.InferenceLatency.P50, st.InferenceLatency.P99, st.InferenceLatency.Max, st.InferenceLatency.Count)
-	if st.Batching.Enabled {
-		log.Printf("chocoserver: batching: %d round(s), %d item(s) (%d coalesced, %d serial rescue(s)), plaintext cache %d hit(s) / %d miss(es)",
-			st.Batching.Rounds, st.Batching.Items, st.Batching.CoalescedItems, st.Batching.SerialRescues,
-			st.Batching.PlainCache.Hits, st.Batching.PlainCache.Misses)
-	}
+	log.Printf("chocoserver: %d layer call(s), weight-plaintext cache %d hit(s) / %d miss(es)",
+		st.Batching.Items, st.Batching.PlainCache.Hits, st.Batching.PlainCache.Misses)
 	for _, ts := range st.Tenants {
 		log.Printf("chocoserver: tenant %q: %d session(s) (%d rejected), %d inference(s), %.1f MB up / %.1f MB down",
 			ts.Tenant, ts.SessionsTotal, ts.SessionsRejected, ts.Inferences,

@@ -28,6 +28,11 @@ type Server struct {
 	ecd    *ckks.Encoder
 	ev     *ckks.Evaluator
 	points [][]float64
+	// pointPts[v][j] is ciphertext j of variant v's point layout, encoded
+	// at a fresh upload's level and the preset's default scale on first
+	// use (pointPlain). A server runs one session at a time and a query
+	// touches each (v, j) from one goroutine, so the slots need no lock.
+	pointPts [][]*ckks.Plaintext
 	// maskScale is the low encoding scale of collapse masks, keeping
 	// the masked product within the level-0 modulus.
 	maskScale float64
@@ -51,13 +56,20 @@ func NewServer(params ckks.Parameters, points [][]float64) (*Server, error) {
 			return nil, fmt.Errorf("distance: ragged point set")
 		}
 	}
-	return &Server{
+	s := &Server{
 		geometry:  g,
 		ctx:       ctx,
 		ecd:       ckks.NewEncoder(ctx),
 		points:    points,
+		pointPts:  make([][]*ckks.Plaintext, len(Variants())),
 		maskScale: math.Ldexp(1, 30),
-	}, nil
+	}
+	// No variant lays its points out over more ciphertexts than one per
+	// point (point-major) or one per dimension (dimension-major).
+	for v := range s.pointPts {
+		s.pointPts[v] = make([]*ckks.Plaintext, max(g.m, g.rawD))
+	}
+	return s, nil
 }
 
 // Geometry returns (points, padded dims, dims) — published to clients so
@@ -150,9 +162,27 @@ func (s *Server) ServeOne(t protocol.Transport) (core.OpCounts, error) {
 	return ops, nil
 }
 
+// pointPlain is ciphertext j of the variant's point layout as a plaintext
+// at (level, scale). The points are the server's own constants, so the
+// encoding an honest client's fresh upload needs is kept; the client
+// chooses its uploads' level and scale, and any other pair is encoded for
+// that query alone — no client can make the server hold more than its
+// point set once per variant.
+func (s *Server) pointPlain(v Variant, j, level int, scale float64) (*ckks.Plaintext, error) {
+	keep := level == s.ctx.Params.MaxLevel() && scale == s.ctx.Params.DefaultScale()
+	if keep && s.pointPts[v][j] != nil {
+		return s.pointPts[v][j], nil
+	}
+	pt, err := s.ecd.EncodeFloats(s.layout(v, j, func(i int) []float64 { return s.points[i] }), level, scale)
+	if err == nil && keep {
+		s.pointPts[v][j] = pt
+	}
+	return pt, err
+}
+
 // squaredDiff is (q − ciphertext j of the variant's point layout)².
 func (s *Server) squaredDiff(q *ckks.Ciphertext, v Variant, j int, ops *core.OpCounts) (*ckks.Ciphertext, error) {
-	pt, err := s.ecd.EncodeFloats(s.layout(v, j, func(i int) []float64 { return s.points[i] }), q.Level, q.Scale)
+	pt, err := s.pointPlain(v, j, q.Level, q.Scale)
 	if err != nil {
 		return nil, err
 	}

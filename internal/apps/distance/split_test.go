@@ -1,12 +1,14 @@
 package distance
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"math"
 	"testing"
 	"time"
 
+	"choco/internal/ckks"
 	"choco/internal/protocol"
 )
 
@@ -156,6 +158,102 @@ func TestSplitWireGolden(t *testing.T) {
 		wire := clientEnd.SentBytes() - sent + clientEnd.ReceivedBytes() - received
 		if wire != stats.TotalBytes()+4 {
 			t.Errorf("%v: %d B crossed the pipe, the client accounts for %d", want.v, wire, stats.TotalBytes())
+		}
+	}
+}
+
+// exchange sends one hand-built query — the request frame and its upload
+// frames — and returns the reply frames.
+func exchange(t *testing.T, server *Server, v Variant, uploads [][]byte, downs int) [][]byte {
+	t.Helper()
+	clientEnd, serverEnd := protocol.NewPipe()
+	defer clientEnd.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := server.ServeOne(serverEnd)
+		done <- err
+	}()
+	for _, frame := range append([][]byte{requestFrame(v)}, uploads...) {
+		if err := clientEnd.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replies := make([][]byte, downs)
+	for i := range replies {
+		var err error
+		if replies[i], err = clientEnd.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("%v server: %v", v, err)
+	}
+	return replies
+}
+
+// TestServerKeepsPointPlaintexts: the server encodes its points once per
+// (variant, ciphertext index) for the level and scale of a fresh upload —
+// the second query reuses the first one's plaintexts and answers with the
+// bytes a server that has never seen a query sends — and a query at any
+// other scale, which the client is free to send, is answered and leaves
+// nothing behind.
+func TestServerKeepsPointPlaintexts(t *testing.T) {
+	client, server, pts := testPair(t, 8, 4)
+	q := []float64{0.5, -0.75, 1.25, 0}
+	got, _ := queryOnce(t, client, server, q, DimensionMajor)
+	for i, want := range PlainDistances(pts, q) {
+		if math.Abs(got[i]-want) > 0.05 {
+			t.Errorf("point %d: got %v want %v", i, got[i], want)
+		}
+	}
+	kept := append([]*ckks.Plaintext(nil), server.pointPts[DimensionMajor][:len(q)]...) // one per dimension
+	for j, pt := range kept {
+		if pt == nil {
+			t.Fatalf("the first query left no plaintext for dimension %d", j)
+		}
+	}
+
+	cold, err := NewServer(PresetDistanceTest(), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := protocol.NewPipe()
+	defer a.Close()
+	if err := client.Setup(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.AcceptSetup(b); err != nil {
+		t.Fatal(err)
+	}
+	uploads := make([][]byte, len(kept))
+	for j := range uploads {
+		ct, err := client.enc.EncryptFloats(client.layout(DimensionMajor, j, func(int) []float64 { return q }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		uploads[j] = protocol.MarshalCKKS(ct)
+	}
+	warmReply, coldReply := exchange(t, server, DimensionMajor, uploads, 1), exchange(t, cold, DimensionMajor, uploads, 1)
+	if !bytes.Equal(warmReply[0], coldReply[0]) {
+		t.Error("the reply over kept plaintexts differs from a cold server's")
+	}
+	for j, pt := range server.pointPts[DimensionMajor][:len(q)] {
+		if pt != kept[j] {
+			t.Errorf("the second query encoded dimension %d again", j)
+		}
+	}
+
+	ct, err := client.enc.EncryptFloats(client.layout(PointMajor, 0, func(int) []float64 { return q }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct.Scale *= 2
+	exchange(t, server, PointMajor, [][]byte{protocol.MarshalCKKS(ct)}, len(pts))
+	for v, row := range server.pointPts {
+		for j, pt := range row {
+			if want := Variant(v) == DimensionMajor && j < len(q); (pt != nil) != want {
+				t.Errorf("after the off-scale query: %v plaintext %d kept = %v", Variant(v), j, pt != nil)
+			}
 		}
 	}
 }

@@ -62,7 +62,7 @@ type PlainCache struct {
 
 	mu    sync.Mutex
 	bytes int64
-	m     map[plainKey]*bfv.PlaintextMul
+	m     map[plainKey]*plainEntry
 
 	hits, misses, rejected int64
 }
@@ -70,6 +70,13 @@ type PlainCache struct {
 type plainKey struct {
 	op  any
 	idx int
+}
+
+// plainEntry is one key's plaintext, or the build of it in flight.
+type plainEntry struct {
+	pm    *bfv.PlaintextMul
+	done  bool          // pm is built and stays; guarded by PlainCache.mu
+	ready chan struct{} // closed when the build is over, whichever way
 }
 
 // DefaultPlainCacheBytes bounds a PlainCache built with budget <= 0.
@@ -81,7 +88,7 @@ func NewPlainCache(budgetBytes int64) *PlainCache {
 	if budgetBytes <= 0 {
 		budgetBytes = DefaultPlainCacheBytes
 	}
-	return &PlainCache{budget: budgetBytes, m: map[plainKey]*bfv.PlaintextMul{}}
+	return &PlainCache{budget: budgetBytes, m: map[plainKey]*plainEntry{}}
 }
 
 // PlainCacheStats is a point-in-time snapshot of cache effectiveness:
@@ -108,6 +115,9 @@ func (pc *PlainCache) Stats() PlainCacheStats {
 }
 
 func pmBytes(pm *bfv.PlaintextMul) int64 {
+	if pm == nil {
+		return 0
+	}
 	var n int64
 	for _, row := range pm.NTT.Coeffs {
 		n += int64(len(row)) * 8
@@ -115,45 +125,61 @@ func pmBytes(pm *bfv.PlaintextMul) int64 {
 	return n
 }
 
-// getOrBuild returns the prepared plaintext for (op, idx), building it
-// outside the lock on a miss. A nil value is cached too: it records an
-// all-zero diagonal whose term Apply skips, so the zero check is not
-// repaid every batch. Concurrent builders of the same key may duplicate
-// work; the values are deterministic, so whichever insert lands is
-// correct.
+// getOrBuild returns the prepared plaintext for (op, idx). On a miss the
+// first caller builds it outside the lock and everyone else who asks for
+// that key meanwhile waits for that one build: sessions that hit a cold
+// server together prepare each weight plaintext once between them, not
+// once each. A nil value is cached too: it records an all-zero diagonal
+// whose term Apply skips, so the zero check is not repaid every batch. A
+// build that fails, panics or finds the budget spent caches nothing, and
+// its waiters build for themselves.
 func (pc *PlainCache) getOrBuild(op any, idx int, build func() (*bfv.PlaintextMul, error)) (*bfv.PlaintextMul, error) {
 	if pc == nil {
 		return build()
 	}
 	k := plainKey{op: op, idx: idx}
-	pc.mu.Lock()
-	if pm, ok := pc.m[k]; ok {
-		pc.hits++
-		pc.mu.Unlock()
-		return pm, nil
-	}
-	pc.misses++
-	pc.mu.Unlock()
-
-	pm, err := build()
-	if err != nil {
-		return nil, err
-	}
-	var size int64
-	if pm != nil {
-		size = pmBytes(pm)
-	}
-	pc.mu.Lock()
-	if _, ok := pc.m[k]; !ok {
-		if pc.bytes+size <= pc.budget {
-			pc.m[k] = pm
-			pc.bytes += size
-		} else {
-			pc.rejected++
+	for {
+		pc.mu.Lock()
+		e := pc.m[k]
+		if e == nil {
+			e = &plainEntry{ready: make(chan struct{})}
+			pc.m[k] = e
+			pc.misses++
+			pc.mu.Unlock()
+			return pc.fill(k, e, build)
 		}
+		if e.done {
+			pc.hits++
+			pc.mu.Unlock()
+			return e.pm, nil
+		}
+		pc.mu.Unlock()
+		<-e.ready
 	}
-	pc.mu.Unlock()
-	return pm, nil
+}
+
+// fill runs the one build of entry e, which its caller has just put in
+// the map under k, and takes it out again unless the value is to stay.
+func (pc *PlainCache) fill(k plainKey, e *plainEntry, build func() (*bfv.PlaintextMul, error)) (pm *bfv.PlaintextMul, err error) {
+	built := false
+	defer func() {
+		pc.mu.Lock()
+		switch size := pmBytes(pm); {
+		case !built:
+			delete(pc.m, k)
+		case pc.bytes+size > pc.budget:
+			delete(pc.m, k)
+			pc.rejected++
+		default:
+			e.pm, e.done = pm, true
+			pc.bytes += size
+		}
+		pc.mu.Unlock()
+		close(e.ready)
+	}()
+	pm, err = build()
+	built = err == nil
+	return pm, err
 }
 
 // prepared returns the PrepareMul'd form of the weight vector diag()

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"choco/internal/bfv"
@@ -223,5 +227,119 @@ func TestPlainCacheBudget(t *testing.T) {
 	st := cache.Stats()
 	if st.Entries != 0 || st.Bytes != 0 || st.Rejected != 3 {
 		t.Errorf("over-budget cache stats %+v, want 0 entries, 0 bytes, 3 rejections", st)
+	}
+}
+
+// TestPlainCacheSingleFlight: eight sessions reach a cold cache together
+// and each weight plaintext is built once between them — every caller
+// gets the one pointer, an all-zero diagonal's nil included. A build
+// that fails or panics caches nothing and strands nobody: its waiters
+// build for themselves.
+func TestPlainCacheSingleFlight(t *testing.T) {
+	k := newKit(t, nil)
+	pt, err := k.ecd.EncodeInts([]int64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers, keys, zeroKey = 8, 6, 4
+	cache := NewPlainCache(0)
+	var builds atomic.Int64
+	got := make([][]*bfv.PlaintextMul, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := range got {
+		got[c] = make([]*bfv.PlaintextMul, keys)
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			<-start
+			for idx := 0; idx < keys; idx++ {
+				pm, err := cache.getOrBuild("op", idx, func() (*bfv.PlaintextMul, error) {
+					builds.Add(1)
+					runtime.Gosched() // let the other callers reach the key mid-build
+					if idx == zeroKey {
+						return nil, nil
+					}
+					return k.ev.PrepareMul(pt), nil
+				})
+				if err != nil {
+					t.Errorf("caller %d key %d: %v", c, idx, err)
+				}
+				got[c][idx] = pm
+			}
+		}(c)
+	}
+	close(start)
+	wg.Wait()
+	st := cache.Stats()
+	if builds.Load() != keys || st.Misses != keys || st.Entries != keys || st.Hits != (callers-1)*keys {
+		t.Errorf("%d builds, stats %+v: want %d builds, misses and entries, %d hits", builds.Load(), st, keys, (callers-1)*keys)
+	}
+	for c := range got {
+		for idx, pm := range got[c] {
+			if pm != got[0][idx] || (pm == nil) != (idx == zeroKey) {
+				t.Errorf("caller %d key %d: %p, caller 0 has %p", c, idx, pm, got[0][idx])
+			}
+		}
+	}
+
+	// The first build of a key fails: that caller alone sees the error,
+	// one of the others builds it again, everyone else shares that.
+	cache, boom := NewPlainCache(0), errors.New("boom")
+	builds.Store(0)
+	var failed atomic.Int64
+	shared := make([]*bfv.PlaintextMul, callers)
+	start = make(chan struct{})
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			<-start
+			pm, err := cache.getOrBuild("op", 0, func() (*bfv.PlaintextMul, error) {
+				runtime.Gosched()
+				if builds.Add(1) == 1 {
+					return nil, boom
+				}
+				return k.ev.PrepareMul(pt), nil
+			})
+			if err != nil {
+				failed.Add(1)
+			}
+			shared[c] = pm
+		}(c)
+	}
+	close(start)
+	wg.Wait()
+	st = cache.Stats()
+	if failed.Load() != 1 || builds.Load() != 2 || st.Misses != 2 || st.Entries != 1 {
+		t.Errorf("%d callers failed, %d builds, stats %+v: want 1 failure, 2 builds, 2 misses, 1 entry", failed.Load(), builds.Load(), st)
+	}
+	var one *bfv.PlaintextMul
+	for c, pm := range shared {
+		if pm == nil {
+			continue // the caller whose build failed
+		}
+		if one == nil {
+			one = pm
+		}
+		if pm != one {
+			t.Errorf("caller %d holds its own plaintext after the failed build", c)
+		}
+	}
+
+	// A panicking build takes its entry with it.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the build's panic did not reach its caller")
+			}
+		}()
+		_, _ = cache.getOrBuild("op", 1, func() (*bfv.PlaintextMul, error) { panic("kernel") })
+	}()
+	if pm, err := cache.getOrBuild("op", 1, func() (*bfv.PlaintextMul, error) { return k.ev.PrepareMul(pt), nil }); err != nil || pm == nil {
+		t.Errorf("after a panicked build: pm=%v err=%v", pm, err)
+	}
+	if st := cache.Stats(); st.Entries != 2 {
+		t.Errorf("after a panicked build and its retry: %+v, want 2 entries", st)
 	}
 }

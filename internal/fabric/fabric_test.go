@@ -298,6 +298,16 @@ func TestFabricFleet(t *testing.T) {
 	if fs.Fleet.KeyReplications != 1 {
 		t.Errorf("fleet replications = %d, want 1", fs.Fleet.KeyReplications)
 	}
+	// Every client here has its reply, so every layer call of every
+	// inference is already in the per-layer rows: one FC per request.
+	if ls := fs.Fleet.Layers; len(ls) != 1 || ls[0].Kind != "fc" || ls[0].Calls != fs.Fleet.Inferences || fs.Fleet.BatchedItems != fs.Fleet.Inferences {
+		t.Errorf("fleet layer rows %+v, %d layer call(s): want one fc row with the fleet's %d inference(s)", ls, fs.Fleet.BatchedItems, fs.Fleet.Inferences)
+	}
+	for id, snap := range fs.Shards {
+		if snap.Stats.Kernels == "" || snap.Stats.Parallelism < 1 {
+			t.Errorf("shard %s reports kernel tier %q at par width %d", id, snap.Stats.Kernels, snap.Stats.Parallelism)
+		}
+	}
 	rec := httptest.NewRecorder()
 	router.FleetStatsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 200 {

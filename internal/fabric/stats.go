@@ -69,15 +69,25 @@ type FleetTotals struct {
 	BytesDown         int64         `json:"bytes_down"`
 	InferenceP99Max   time.Duration `json:"inference_p99_max_ns"`
 
-	// BatchedItems / BatchCoalesced sum the shards' cross-request
-	// batching executors: items that flowed through them, and those
-	// that shared a gather round with another request.
-	BatchedItems   int64 `json:"batched_items"`
-	BatchCoalesced int64 `json:"batch_coalesced"`
+	// BatchedItems sums the layer calls the shards' executors ran;
+	// Layers splits them by layer of the model (the shards of a fleet
+	// serve one model), sorted by layer index.
+	BatchedItems int64        `json:"batched_items"`
+	Layers       []FleetLayer `json:"layers,omitempty"`
 
 	// Tenants aggregates per-tenant counters across every reachable
 	// shard, sorted by tenant ID.
 	Tenants []serve.TenantStats `json:"tenants,omitempty"`
+}
+
+// FleetLayer is one linear layer's compute time across the fleet. Like
+// InferenceP99Max, ComputeP99Max is the worst per-shard p99.
+type FleetLayer struct {
+	Layer         int           `json:"layer"`
+	Kind          string        `json:"kind"`
+	Calls         int64         `json:"calls"`
+	ComputeMean   time.Duration `json:"compute_mean_ns"`
+	ComputeP99Max time.Duration `json:"compute_p99_max_ns"`
 }
 
 // FleetStats is the full aggregated view the router serves over HTTP:
@@ -159,6 +169,7 @@ func (r *Router) FleetStats() FleetStats {
 	f.BytesUp = rs.BytesUp
 	f.BytesDown = rs.BytesDown
 	tenantAgg := map[string]*serve.TenantStats{}
+	layerAgg := map[int]*FleetLayer{}
 	for res := range results {
 		out.Shards[res.id] = res.snap
 		if !res.snap.Reachable {
@@ -180,7 +191,19 @@ func (r *Router) FleetStats() FleetStats {
 			f.InferenceP99Max = p99
 		}
 		f.BatchedItems += st.Batching.Items
-		f.BatchCoalesced += st.Batching.CoalescedItems
+		for _, ls := range st.Layers {
+			agg := layerAgg[ls.Layer]
+			if agg == nil {
+				agg = &FleetLayer{Layer: ls.Layer, Kind: ls.Kind}
+				layerAgg[ls.Layer] = agg
+			}
+			// ComputeMean holds the summed time until every shard is in.
+			agg.Calls += ls.Compute.Count
+			agg.ComputeMean += ls.Compute.Mean * time.Duration(ls.Compute.Count)
+			if p99 := ls.Compute.P99; p99 > agg.ComputeP99Max {
+				agg.ComputeP99Max = p99
+			}
+		}
 		for _, ts := range st.Tenants {
 			agg := tenantAgg[ts.Tenant]
 			if agg == nil {
@@ -199,6 +222,13 @@ func (r *Router) FleetStats() FleetStats {
 		f.Tenants = append(f.Tenants, *agg)
 	}
 	sort.Slice(f.Tenants, func(i, j int) bool { return f.Tenants[i].Tenant < f.Tenants[j].Tenant })
+	for _, agg := range layerAgg {
+		if agg.Calls > 0 {
+			agg.ComputeMean /= time.Duration(agg.Calls)
+		}
+		f.Layers = append(f.Layers, *agg)
+	}
+	sort.Slice(f.Layers, func(i, j int) bool { return f.Layers[i].Layer < f.Layers[j].Layer })
 	return out
 }
 

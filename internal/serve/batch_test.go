@@ -1,331 +1,147 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"strings"
+	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
 
-	"choco/internal/bfv"
-	"choco/internal/core"
 	"choco/internal/nn"
 	"choco/internal/protocol"
-	"choco/internal/sampling"
 )
 
-// TestBatchExecutorCoalesces drives the gather protocol directly and
-// deterministically: three sessions submit the same FC layer into an
-// executor with depth 3, so the round fills exactly when the third
-// item lands (no window timing involved) and all three coalesce into
-// one ApplyBatch round. Every output must be byte-identical to the
-// session's serial Apply result.
-func TestBatchExecutorCoalesces(t *testing.T) {
-	ctx, err := bfv.NewContext(bfv.PresetTest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const in, out = 16, 8
-	src := sampling.NewSource([32]byte{31}, "serve-batch")
-	w := make([][]int64, out)
-	for r := range w {
-		w[r] = make([]int64, in)
-		for c := range w[r] {
-			w[r][c] = int64(src.Intn(9)) - 4
-		}
-	}
-	fc, err := core.NewFC(in, out, w, ctx.Params.N()/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const sessions = 3
-	ecd := bfv.NewEncoder(ctx)
-	slots := ctx.Params.Slots()
-	evs := make([]*bfv.Evaluator, sessions)
-	cts := make([]*bfv.Ciphertext, sessions)
-	serial := make([]*bfv.Ciphertext, sessions)
-	for i := 0; i < sessions; i++ {
-		kg := bfv.NewKeyGenerator(ctx, [32]byte{70 + byte(i)})
-		sk := kg.GenSecretKey()
-		evs[i] = bfv.NewEvaluator(ctx, kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, fc.RotationSteps()...))
-		enc := bfv.NewEncryptor(ctx, kg.GenPublicKey(sk), [32]byte{80 + byte(i)})
-		vec := make([]int64, slots)
-		for j := 0; j < in; j++ {
-			vec[j] = int64(src.Intn(15)) - 7
-		}
-		cts[i], err = enc.EncryptInts(vec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial[i], _, err = fc.Apply(evs[i], ecd, cts[i], slots)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// A window long enough that only the depth trigger can fire the
-	// round: if the three submissions failed to coalesce, the test would
-	// hang on the window rather than silently pass unbatched.
-	x := newBatchExecutor(ecd, sessions, 10*time.Second, 0)
-	got := make([]*bfv.Ciphertext, sessions)
-	var wg sync.WaitGroup
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ct, _, err := x.ExecFC(0, fc, evs[i], cts[i], slots)
-			if err != nil {
-				t.Errorf("session %d: %v", i, err)
-				return
-			}
-			got[i] = ct
-		}(i)
-	}
-	wg.Wait()
-
-	for i := 0; i < sessions; i++ {
-		if got[i] == nil {
-			continue
-		}
-		if len(got[i].Value) != len(serial[i].Value) || got[i].Drop != serial[i].Drop {
-			t.Fatalf("session %d: batched output shape differs from serial", i)
-		}
-		for p := range got[i].Value {
-			if !ctx.RingQ.Equal(got[i].Value[p], serial[i].Value[p]) {
-				t.Errorf("session %d: batched output poly %d differs from serial Apply", i, p)
-			}
-		}
-	}
-	st := x.stats()
-	if st.Rounds != 1 || st.Items != sessions || st.CoalescedItems != sessions {
-		t.Errorf("executor stats %+v: want 1 round, %d items, all coalesced", st, sessions)
-	}
-	if st.PlainCache.Entries == 0 {
-		t.Error("shared plaintext cache stayed empty")
-	}
-
-	// A second round over the same layer runs entirely off the warm
-	// cache: zero new entries, all weight plaintexts served as hits.
-	// (Again depth-triggered, so the long window never runs.)
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, _, err := x.ExecFC(0, fc, evs[i], cts[i], slots); err != nil {
-				t.Errorf("warm round session %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	warm := x.stats()
-	if warm.PlainCache.Hits == st.PlainCache.Hits {
-		t.Error("warm round recorded no cache hits")
-	}
-	if warm.PlainCache.Entries != st.PlainCache.Entries {
-		t.Error("warm round grew the cache")
-	}
-}
-
-// TestBatchExecutorSoloBypass pins the idle-shard latency guarantee:
-// with the solo hook reporting at most one active session, a submitted
-// item must execute immediately as a one-item round — not wait out the
-// gather window (10s here, so a regression hangs visibly) — and still
-// run through ApplyBatch with the shared cache, byte-identical to
-// serial Apply.
-func TestBatchExecutorSoloBypass(t *testing.T) {
-	ctx, err := bfv.NewContext(bfv.PresetTest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const in, out = 16, 8
-	src := sampling.NewSource([32]byte{33}, "serve-batch-solo")
-	w := make([][]int64, out)
-	for r := range w {
-		w[r] = make([]int64, in)
-		for c := range w[r] {
-			w[r][c] = int64(src.Intn(9)) - 4
-		}
-	}
-	fc, err := core.NewFC(in, out, w, ctx.Params.N()/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ecd := bfv.NewEncoder(ctx)
-	slots := ctx.Params.Slots()
-	kg := bfv.NewKeyGenerator(ctx, [32]byte{75})
-	sk := kg.GenSecretKey()
-	ev := bfv.NewEvaluator(ctx, kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, fc.RotationSteps()...))
-	enc := bfv.NewEncryptor(ctx, kg.GenPublicKey(sk), [32]byte{85})
-	vec := make([]int64, slots)
-	for j := 0; j < in; j++ {
-		vec[j] = int64(src.Intn(15)) - 7
-	}
-	ct, err := enc.EncryptInts(vec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, _, err := fc.Apply(ev, ecd, ct, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	x := newBatchExecutor(ecd, 3, 10*time.Second, 0)
-	x.solo = func() bool { return true }
-	start := time.Now()
-	got, _, err := x.ExecFC(0, fc, ev, ct, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("solo submit took %v: waited out the gather window", elapsed)
-	}
-	for p := range got.Value {
-		if !ctx.RingQ.Equal(got.Value[p], serial.Value[p]) {
-			t.Fatalf("solo bypass output poly %d differs from serial Apply", p)
-		}
-	}
-	st := x.stats()
-	if st.Rounds != 1 || st.Items != 1 || st.CoalescedItems != 0 {
-		t.Errorf("executor stats %+v: want one uncoalesced one-item round", st)
-	}
-	if st.PlainCache.Entries == 0 {
-		t.Error("solo bypass skipped the shared plaintext cache")
-	}
-}
-
-// TestBatchExecutorRescue poisons a two-item conv round with a session
-// that lacks one rotation key. The round's ApplyBatch fails as a whole;
-// the leader must replay both items as batches of one, so the healthy
-// session gets its byte-exact result, only the guilty one fails, and
-// the replay fills the executor's own plaintext cache rather than a
-// second copy behind the operator's Apply.
-func TestBatchExecutorRescue(t *testing.T) {
-	ctx, err := bfv.NewContext(bfv.PresetTest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := core.ConvSpec{InH: 14, InW: 14, InC: 2, KH: 3, KW: 3, OutC: 3}
-	src := sampling.NewSource([32]byte{35}, "serve-batch-rescue")
-	weights := make([][][]int64, spec.OutC)
-	for o := range weights {
-		weights[o] = make([][]int64, spec.InC)
-		for c := range weights[o] {
-			weights[o][c] = make([]int64, spec.KH*spec.KW)
-			for k := range weights[o][c] {
-				weights[o][c][k] = int64(src.Intn(7)) - 3
-			}
-		}
-	}
-	conv, err := core.NewConv2D(spec, weights, ctx.Params.N()/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ecd := bfv.NewEncoder(ctx)
-	slots := ctx.Params.Slots()
-	steps := conv.RotationSteps()
-	evs := make([]*bfv.Evaluator, 2)
-	cts := make([]*bfv.Ciphertext, 2)
-	// The second session lacks a kernel-offset (baby) key, so its rounds
-	// stop at the input rotations, before any plaintext is prepared.
-	for i, keyed := range [][]int{steps, steps[1:]} {
-		kg := bfv.NewKeyGenerator(ctx, [32]byte{90 + byte(i)})
-		sk := kg.GenSecretKey()
-		evs[i] = bfv.NewEvaluator(ctx, nil, kg.GenRotationKeys(sk, keyed...))
-		image := make([][]int64, spec.InC)
-		for c := range image {
-			image[c] = make([]int64, spec.InH*spec.InW)
-			for j := range image[c] {
-				image[c][j] = int64(src.Intn(15)) - 7
-			}
-		}
-		packed, err := conv.PackInput(image, slots)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc := bfv.NewEncryptor(ctx, kg.GenPublicKey(sk), [32]byte{95 + byte(i)})
-		if cts[i], err = enc.EncryptInts(packed); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, wantOps, err := conv.Apply(evs[0], ecd, cts[0], slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	x := newBatchExecutor(ecd, 2, 10*time.Second, 0) // depth-triggered, as above
-	outs := make([][]*bfv.Ciphertext, 2)
-	ops := make([]core.OpCounts, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := range evs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i], ops[i], errs[i] = x.ExecConv(0, conv, evs[i], cts[i], slots)
-		}(i)
-	}
-	wg.Wait()
-
-	if errs[0] != nil {
-		t.Fatalf("healthy session failed with its batch-mate: %v", errs[0])
-	}
-	if errs[1] == nil || !strings.Contains(errs[1].Error(), "missing Galois key") {
-		t.Fatalf("session without a rotation key: err = %v", errs[1])
-	}
-	if ops[0] != wantOps || len(outs[0]) != len(want) {
-		t.Fatalf("rescued session: ops %+v, %d groups; serial %+v, %d groups", ops[0], len(outs[0]), wantOps, len(want))
-	}
-	for g := range want {
-		for p := range want[g].Value {
-			if !ctx.RingQ.Equal(outs[0][g].Value[p], want[g].Value[p]) {
-				t.Errorf("rescued session group %d poly %d differs from serial Apply", g, p)
-			}
-		}
-	}
-	st := x.stats()
-	if st.Rounds != 1 || st.SerialRescues != 2 {
-		t.Errorf("executor stats %+v: want one round with both items rescued", st)
-	}
-	// The failed round and the guilty replay stop at the rotations; the
-	// healthy replay is what fills the executor's cache, once.
-	if pc := st.PlainCache; pc.Entries == 0 || int64(pc.Entries) != pc.Misses {
-		t.Errorf("the rescue did not fill the executor's plaintext cache exactly once: %+v", pc)
-	}
-}
-
-// TestBatchedConcurrentSessionsExactLogits runs three concurrent
-// end-to-end sessions through a batching server and verifies every
-// logit against the plaintext reference — the serial path's oracle —
-// so batched execution is exact across sessions regardless of how the
-// gather windows happened to slice the work.
-func TestBatchedConcurrentSessionsExactLogits(t *testing.T) {
+// TestLayerRunsOnArrival: two sessions are admitted and one of them never
+// sends a request. The other's whole inference — three layers — completes
+// all the same: a layer runs when its input arrives, and nothing on the
+// way waits for a second session to show up.
+func TestLayerRunsOnArrival(t *testing.T) {
 	backend, model := testBackend(t, testNetwork)
-	srv := New(backend, Config{
-		MaxSessions: 4,
-		BatchDepth:  3,
-		BatchWindow: 20 * time.Millisecond,
-	})
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			runClientSession(t, srv, testNetwork, model, byte(90+i), "batch-"+string(rune('a'+i)), 2)
-		}(i)
+	srv := New(backend, Config{MaxSessions: 2})
+
+	silent, err := nn.NewInferenceClient(testNetwork(), [32]byte{88})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
+	silentEnd, serverEnd := protocol.NewPipe()
+	silentDone := make(chan error, 1)
+	go func() { silentDone <- srv.ServeTransport(context.Background(), serverEnd) }()
+	if _, err := silent.SetupSession(silentEnd, "arrival-silent"); err != nil {
+		t.Fatal(err)
+	}
+
+	runClientSession(t, srv, testNetwork, model, 89, "arrival-busy", 1)
 
 	st := srv.Stats()
-	if !st.Batching.Enabled || st.Batching.Items == 0 {
-		t.Errorf("batching executor saw no work: %+v", st.Batching)
+	if st.SessionsActive != 1 || st.Inferences != 1 {
+		t.Errorf("%d active session(s), %d inference(s): want the silent session still open beside one finished inference", st.SessionsActive, st.Inferences)
 	}
-	if st.Batching.SerialRescues != 0 {
-		t.Errorf("%d serial rescues on healthy sessions", st.Batching.SerialRescues)
+	if b := st.Batching; b.Items != 3 || b.Rounds != 3 || b.CoalescedItems != 0 || b.SerialRescues != 0 {
+		t.Errorf("executor stats %+v: want three layer calls, one per layer", b)
 	}
-	if st.Batching.PlainCache.Hits == 0 {
-		t.Error("no cross-request plaintext cache hits across 6 inferences")
+	silentEnd.Close()
+	if err := <-silentDone; err != nil {
+		t.Errorf("silent session: %v", err)
+	}
+}
+
+// replay is a server-side transport that feeds recorded request frames to
+// a session and keeps what it sends back.
+type replay struct {
+	in, out [][]byte
+}
+
+func (r *replay) Send(msg []byte) error {
+	r.out = append(r.out, append([]byte(nil), msg...))
+	return nil
+}
+
+func (r *replay) Recv() ([]byte, error) {
+	if len(r.in) == 0 {
+		return nil, io.EOF
+	}
+	msg := r.in[0]
+	r.in = r.in[1:]
+	return msg, nil
+}
+
+func (r *replay) SentBytes() int64     { return 0 }
+func (r *replay) ReceivedBytes() int64 { return 0 }
+
+// TestConcurrentSessionsExactLogits runs one, two and three concurrent
+// end-to-end sessions through the server. Every logit equals the
+// plaintext reference, and every reply frame is the bytes the serial path
+// — the same session with no executor, its layers through the operators'
+// own Apply — sends for the same request frames: the shared cache and
+// whatever overlap the sessions had change nothing a client can see.
+func TestConcurrentSessionsExactLogits(t *testing.T) {
+	backend, model := testBackend(t, testNetwork)
+	const maxSessions, requests, layers = 3, 2, 3
+	clients := make([]*nn.InferenceClient, maxSessions)
+	for i := range clients {
+		var err error
+		if clients[i], err = nn.NewInferenceClient(testNetwork(), [32]byte{byte(90 + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for sessions := 1; sessions <= maxSessions; sessions++ {
+		srv := New(backend, Config{MaxSessions: maxSessions})
+		tapes := make([]*tape, sessions)
+		var wg sync.WaitGroup
+		for i := 0; i < sessions; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				tapes[i], _ = runTapedSession(t, srv, clients[i], model, byte(90+i), fmt.Sprintf("exact-%d", i), requests, nil)
+			}(i)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+
+		st := srv.Stats()
+		if b, want := st.Batching, int64(sessions*requests*layers); b.Items != want || b.Rounds != b.Items {
+			t.Errorf("%d session(s): executor stats %+v, want %d layer calls", sessions, b, want)
+		}
+		if pc := st.Batching.PlainCache; pc.Hits == 0 || pc.Misses != int64(pc.Entries) {
+			t.Errorf("%d session(s): plaintext cache %+v: want hits, and each entry built once", sessions, pc)
+		}
+		for _, ls := range st.Layers {
+			if ls.Compute.Count != int64(sessions*requests) {
+				t.Errorf("%d session(s): layer %d (%s) timed %d call(s), want %d", sessions, ls.Layer, ls.Kind, ls.Compute.Count, sessions*requests)
+			}
+		}
+		if len(st.Layers) != layers {
+			t.Errorf("%d session(s): %d layer rows, want %d", sessions, len(st.Layers), layers)
+		}
+
+		// up: hello, key bundle, then the requests; down: hello ack, then
+		// the replies.
+		for i, tp := range tapes {
+			serial, err := backend.NewSessionFromFrame(tp.up[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			rp := &replay{in: tp.up[2:]}
+			for r := 0; r < requests; r++ {
+				if _, err := serial.ServeOne(rp); err != nil {
+					t.Fatalf("serial replay of session %d request %d: %v", i, r, err)
+				}
+			}
+			replies := tp.down[1:]
+			if len(rp.out) != len(replies) {
+				t.Fatalf("%d session(s), session %d: %d reply frames, the serial path sends %d", sessions, i, len(replies), len(rp.out))
+			}
+			for f := range replies {
+				if !bytes.Equal(replies[f], rp.out[f]) {
+					t.Errorf("%d session(s), session %d: reply frame %d differs from the serial path's", sessions, i, f)
+				}
+			}
+		}
 	}
 }
 
@@ -513,81 +329,5 @@ func TestEvictedKeysReplicateFromPeer(t *testing.T) {
 	// admitted twice without ever re-uploading.
 	if st.KeyCacheMisses != 1 {
 		t.Errorf("KeyCacheMisses = %d, want 1 (only evict-2's upload)", st.KeyCacheMisses)
-	}
-}
-
-// TestBatchExecutorContainsKernelPanic coalesces a healthy FC item with
-// one whose evaluator is nil, so the kernels panic mid-round on the
-// leader's goroutine — whichever session that is. The panic must come
-// back as the guilty item's error, with the stack; the healthy item is
-// replayed to its byte-exact result, and nobody is left waiting.
-func TestBatchExecutorContainsKernelPanic(t *testing.T) {
-	ctx, err := bfv.NewContext(bfv.PresetTest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const in, out = 16, 8
-	src := sampling.NewSource([32]byte{36}, "serve-batch-panic")
-	w := make([][]int64, out)
-	for r := range w {
-		w[r] = make([]int64, in)
-		for c := range w[r] {
-			w[r][c] = int64(src.Intn(9)) - 4
-		}
-	}
-	fc, err := core.NewFC(in, out, w, ctx.Params.N()/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ecd := bfv.NewEncoder(ctx)
-	slots := ctx.Params.Slots()
-	kg := bfv.NewKeyGenerator(ctx, [32]byte{75})
-	sk := kg.GenSecretKey()
-	ev := bfv.NewEvaluator(ctx, nil, kg.GenRotationKeys(sk, fc.RotationSteps()...))
-	vec := make([]int64, slots)
-	for j := 0; j < in; j++ {
-		vec[j] = int64(src.Intn(15)) - 7
-	}
-	ct, err := bfv.NewEncryptor(ctx, kg.GenPublicKey(sk), [32]byte{85}).EncryptInts(vec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, wantOps, err := fc.Apply(ev, ecd, ct, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	x := newBatchExecutor(ecd, 2, 10*time.Second, 0) // depth-triggered
-	evs := []*bfv.Evaluator{ev, nil}
-	outs := make([]*bfv.Ciphertext, 2)
-	ops := make([]core.OpCounts, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := range evs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i], ops[i], errs[i] = x.ExecFC(0, fc, evs[i], ct, slots)
-		}(i)
-	}
-	wg.Wait()
-
-	if errs[0] != nil {
-		t.Fatalf("healthy session failed with its batch-mate's panic: %v", errs[0])
-	}
-	var pe *panicError
-	if !errors.As(errs[1], &pe) || len(pe.stack) == 0 {
-		t.Fatalf("session with a nil evaluator: err = %v, want a recovered panic with its stack", errs[1])
-	}
-	if ops[0] != wantOps {
-		t.Errorf("rescued session ops %+v, serial %+v", ops[0], wantOps)
-	}
-	for p := range want.Value {
-		if !ctx.RingQ.Equal(outs[0].Value[p], want.Value[p]) {
-			t.Errorf("rescued session poly %d differs from serial Apply", p)
-		}
-	}
-	if st := x.stats(); st.Rounds != 1 || st.SerialRescues != 2 {
-		t.Errorf("executor stats %+v: want one round with both items replayed", st)
 	}
 }

@@ -75,35 +75,67 @@ func testBackend(t *testing.T, netFn func() *nn.Network) (*nn.InferenceServer, *
 
 // runClientSession opens one in-memory session and runs n inferences,
 // verifying each against the plaintext reference and its traffic against
-// the plan — so every reply of every tier test, batched rounds included,
-// arrived switched down to the reply level and decrypted right.
+// the plan — so every reply of every tier test arrived switched down to
+// the reply level and decrypted right.
 func runClientSession(t *testing.T, srv *Server, netFn func() *nn.Network, model *nn.QuantizedModel, keySeed byte, sessionID string, n int) (sentBytes int64, cached bool) {
 	t.Helper()
 	client, err := nn.NewInferenceClient(netFn(), [32]byte{keySeed})
 	if err != nil {
 		t.Fatalf("client: %v", err)
 	}
+	tp, cached := runTapedSession(t, srv, client, model, keySeed, sessionID, n, nil)
+	return tp.SentBytes(), cached
+}
+
+// tape is a client transport that keeps a copy of every frame it moves.
+type tape struct {
+	protocol.Transport
+	up, down [][]byte
+}
+
+func (tp *tape) Send(msg []byte) error {
+	tp.up = append(tp.up, append([]byte(nil), msg...))
+	return tp.Transport.Send(msg)
+}
+
+func (tp *tape) Recv() ([]byte, error) {
+	msg, err := tp.Transport.Recv()
+	if err == nil {
+		tp.down = append(tp.down, append([]byte(nil), msg...))
+	}
+	return msg, err
+}
+
+// runTapedSession is runClientSession for a client the caller built,
+// returning the session's frames; before, when set, runs ahead of
+// inference i.
+func runTapedSession(t *testing.T, srv *Server, client *nn.InferenceClient, model *nn.QuantizedModel, imgSeed byte, sessionID string, n int, before func(i int)) (*tape, bool) {
+	t.Helper()
 	clientEnd, serverEnd := protocol.NewPipe()
 	defer clientEnd.Close()
+	tp := &tape{Transport: clientEnd}
 
 	done := make(chan error, 1)
 	go func() { done <- srv.ServeTransport(context.Background(), serverEnd) }()
 
-	cached, err = client.SetupSession(clientEnd, sessionID)
+	cached, err := client.SetupSession(tp, sessionID)
 	if err != nil {
 		t.Fatalf("session open: %v", err)
 	}
-	plan, err := nn.ExecutableRequestCost(netFn())
+	plan, err := nn.ExecutableRequestCost(client.Net)
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
 	for i := 0; i < n; i++ {
-		img := nn.SynthesizeImage(netFn(), 4, [32]byte{keySeed, byte(i)})
+		if before != nil {
+			before(i)
+		}
+		img := nn.SynthesizeImage(client.Net, 4, [32]byte{imgSeed, byte(i)})
 		want, err := nn.PlainInference(model, img)
 		if err != nil {
 			t.Fatalf("plain: %v", err)
 		}
-		got, stats, err := client.Infer(img, clientEnd)
+		got, stats, err := client.Infer(img, tp)
 		if err != nil {
 			t.Fatalf("infer %d: %v", i, err)
 		}
@@ -116,12 +148,11 @@ func runClientSession(t *testing.T, srv *Server, netFn func() *nn.Network, model
 			t.Fatalf("session %s inference %d moved %d B, the plan says %d B", sessionID, i, stats.TotalBytes(), plan.WireBytes)
 		}
 	}
-	sentBytes = clientEnd.SentBytes()
 	clientEnd.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("server session: %v", err)
 	}
-	return sentBytes, cached
+	return tp, cached
 }
 
 // TestConcurrentSessions drives 8 simultaneous in-memory sessions —
@@ -392,12 +423,14 @@ func TestIdleTimeoutClosesSession(t *testing.T) {
 }
 
 // TestSessionPanicIsContained runs three concurrent sessions through a
-// batching server whose kernels panic on the second request of one of
-// them (its rotation keys are swapped for nil ones after the first
-// reply). That session alone fails — told so by an error frame, its
-// stack in the log under its session ID — while the other two finish
-// every request on a server whose counters still add up and whose
-// worker slots are all free again.
+// server whose kernels panic on the second request of one of them (its
+// rotation keys are swapped for nil ones after the first reply, and not
+// before both other sessions have had a layer run: the panicking session
+// is not the first to submit). That session alone fails — told so by an
+// error frame, its stack in the log under its session ID — while the
+// other two, which send their last request only after the panic, finish
+// every request on a server whose counters still add up and whose worker
+// slots are all free again.
 func TestSessionPanicIsContained(t *testing.T) {
 	backend, model := testBackend(t, tinyNetwork)
 	var logMu sync.Mutex
@@ -434,17 +467,34 @@ func TestSessionPanicIsContained(t *testing.T) {
 	}
 	srv.reg.store(hostileID, backend.NewSession(kb), raw)
 
+	// A mate reports its first reply (and its exit, so the hostile session
+	// never waits for a mate that has already failed the test).
+	mateReplied, hostileOver := make(chan struct{}, 4), make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			runClientSession(t, srv, tinyNetwork, model, byte(51+w), fmt.Sprintf("panic-mate-%d", w), requests)
+			defer func() { mateReplied <- struct{}{} }()
+			client, err := nn.NewInferenceClient(tinyNetwork(), [32]byte{byte(51 + w)})
+			if err != nil {
+				t.Errorf("client: %v", err)
+				return
+			}
+			runTapedSession(t, srv, client, model, byte(51+w), fmt.Sprintf("panic-mate-%d", w), requests, func(i int) {
+				switch i {
+				case 1:
+					mateReplied <- struct{}{}
+				case requests - 1:
+					<-hostileOver
+				}
+			})
 		}(w)
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(hostileOver)
 		clientEnd, serverEnd := protocol.NewPipe()
 		defer clientEnd.Close()
 		done := make(chan error, 1)
@@ -458,6 +508,8 @@ func TestSessionPanicIsContained(t *testing.T) {
 			t.Errorf("hostile session, first request: %v", err)
 			return
 		}
+		<-mateReplied
+		<-mateReplied
 		for g := range kb.Galois {
 			kb.Galois[g] = nil // the next rotation dereferences it
 		}

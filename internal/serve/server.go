@@ -60,18 +60,9 @@ type Config struct {
 	// alone is not a memory bound). LRU entries are evicted beyond it;
 	// the newest entry is always kept. Default 1 GiB.
 	KeyCacheBytes int64
-	// BatchDepth caps how many work items one cross-request gather
-	// round coalesces (the batching executor; see batch.go). Default 8;
-	// 1 disables batching entirely (every layer runs the serial Apply
-	// path, the byte-identical oracle).
-	BatchDepth int
-	// BatchWindow is how long the first work item of a round waits for
-	// batch-mates before executing. Default 2ms; negative means execute
-	// immediately (coalescing only simultaneous arrivals).
-	BatchWindow time.Duration
-	// BatchCacheBytes bounds the shared prepared-weight-plaintext cache
-	// the executor amortizes encode+NTT work with. Default 256 MiB.
-	BatchCacheBytes int64
+	// PlainCacheBytes bounds the prepared-weight-plaintext cache all
+	// sessions share (see batch.go). Default 256 MiB.
+	PlainCacheBytes int64
 	// TenantMaxSessions caps concurrently running sessions per declared
 	// tenant; a tenant at its cap gets a busy ack with a retry-after
 	// hint instead of consuming worker slots. Default 0: no per-tenant
@@ -107,15 +98,6 @@ func (c Config) withDefaults() Config {
 	if c.KeyCacheBytes <= 0 {
 		c.KeyCacheBytes = 1 << 30
 	}
-	if c.BatchDepth <= 0 {
-		c.BatchDepth = 8
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.BatchCacheBytes <= 0 {
-		c.BatchCacheBytes = 256 << 20
-	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 250 * time.Millisecond
 	}
@@ -137,7 +119,7 @@ type Server struct {
 	reg     *registry
 	acct    accounting
 	slots   chan struct{}
-	exec    *batchExecutor
+	exec    *executor
 	tenants tenantTable
 
 	draining atomic.Bool
@@ -149,18 +131,14 @@ type Server struct {
 // New builds a server around a compiled inference backend.
 func New(backend *nn.InferenceServer, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
+	return &Server{
 		backend: backend,
 		cfg:     cfg,
 		reg:     newRegistry(cfg.KeyCacheCap, cfg.KeyCacheBytes),
 		slots:   make(chan struct{}, cfg.MaxSessions),
+		exec:    newExecutor(backend, cfg.PlainCacheBytes),
 		conns:   map[*TimedTransport]struct{}{},
 	}
-	if cfg.BatchDepth > 1 {
-		s.exec = newBatchExecutor(backend.Encoder(), cfg.BatchDepth, cfg.BatchWindow, cfg.BatchCacheBytes)
-		s.exec.solo = func() bool { return s.acct.sessionsActive.Load() <= 1 }
-	}
-	return s
 }
 
 // MaxSessions reports the effective worker-pool size, after Config
@@ -298,9 +276,7 @@ func (s *Server) ServeTransport(ctx context.Context, t protocol.Transport) error
 	if tenant != "" {
 		defer func() { s.tenants.release(tenant, t.ReceivedBytes(), t.SentBytes()) }()
 	}
-	if s.exec != nil {
-		sess = sess.WithExecutor(s.exec)
-	}
+	sess = sess.WithExecutor(s.exec)
 	s.acct.setupLat.observe(time.Since(start))
 
 	for {
@@ -344,9 +320,8 @@ func (s *Server) ServeTransport(ctx context.Context, t protocol.Transport) error
 }
 
 // serveOne serves one request, turning a panic on the session's own
-// goroutine (frame decode, the unbatched kernels, reply encode) into
-// that session's error; panics inside a gather round arrive as errors
-// already (batchExecutor.apply).
+// goroutine (frame decode, the kernels, reply encode) into that
+// session's error.
 func serveOne(sess *nn.ServerSession, t protocol.Transport, account func(nn.ServerOps)) (err error) {
 	defer func() {
 		if v := recover(); v != nil {

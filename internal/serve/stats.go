@@ -10,6 +10,7 @@ import (
 
 	"choco/internal/core"
 	"choco/internal/par"
+	"choco/internal/ring"
 )
 
 // accounting is the server-wide counter set. Everything is atomic so
@@ -165,18 +166,22 @@ type Stats struct {
 
 	// Parallelism is the width of the process-wide par worker pool the
 	// HE hot paths fan out over (shared by all sessions; see
-	// internal/par).
+	// internal/par). Kernels is the tier the ring kernels run at in this
+	// process: "avx2" or "scalar".
 	Parallelism int
+	Kernels     string
 
 	ServerOps core.OpCounts
 
 	SetupLatency     LatencySummary // hello + key install (or cache hit)
 	InferenceLatency LatencySummary // one ServeOne exchange, up to the hand-off of its last reply frame
 
-	// Batching reports the cross-request batching executor (gather
-	// rounds, coalesced items, and the shared weight-plaintext cache);
-	// zero-valued with Enabled=false when BatchDepth is 1.
+	// Batching reports the layer executor: calls and the shared
+	// weight-plaintext cache. Layers is its compute time per linear
+	// layer; every request adds one observation to each before its last
+	// reply frame leaves.
 	Batching BatchStats
+	Layers   []LayerStats
 	// Tenants lists per-tenant counters for sessions that declared a
 	// tenant identity, sorted by tenant ID; nil when no tagged session
 	// was ever seen. Quota rejections count here and in
@@ -204,6 +209,7 @@ func (s *Server) Stats() Stats {
 		BytesUp:           a.bytesUp.Load(),
 		BytesDown:         a.bytesDown.Load(),
 		Parallelism:       par.Parallelism(),
+		Kernels:           kernelTier(),
 		ServerOps: core.OpCounts{
 			Rotations:  int(a.rotations.Load()),
 			PlainMults: int(a.plainMults.Load()),
@@ -213,8 +219,16 @@ func (s *Server) Stats() Stats {
 		SetupLatency:     a.setupLat.summary(),
 		InferenceLatency: a.inferLat.summary(),
 		Batching:         s.exec.stats(),
+		Layers:           s.exec.layerStats(s.backend.Model.Net),
 		Tenants:          s.tenants.snapshot(),
 	}
+}
+
+func kernelTier() string {
+	if ring.VectorKernelsEnabled() {
+		return "avx2"
+	}
+	return "scalar"
 }
 
 // StatsHandler serves the snapshot as JSON (mount it on the -stats-addr
