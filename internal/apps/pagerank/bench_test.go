@@ -3,8 +3,6 @@ package pagerank
 import (
 	"testing"
 
-	"choco/internal/bfv"
-	"choco/internal/ckks"
 	"choco/internal/protocol"
 )
 
@@ -13,8 +11,7 @@ func BenchmarkBFVIterationSet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	params := bfv.Parameters{LogN: 11, QBits: []int{58, 58}, PBits: 59, TBits: 26, Sigma: 3.2}
-	runner, err := NewBFVRunner(g, params, 8, 8, [32]byte{2})
+	runner, err := NewBFVRunner(g, testBFVParams, 8, 8, [32]byte{2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -33,8 +30,7 @@ func BenchmarkCKKSIterationSet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	params := ckks.Parameters{LogN: 11, QBits: []int{50, 40, 40}, PBits: 51, LogScale: 40, Sigma: 3.2}
-	runner, err := NewCKKSRunner(g, params, [32]byte{3})
+	runner, err := NewCKKSRunner(g, testCKKSParams, [32]byte{3})
 	if err != nil {
 		b.Fatal(err)
 	}
