@@ -57,13 +57,18 @@
 #                  quartile distance, better/worse of N, the bounds of
 #                  BENCHMARK.json). ~45 s a pair a workload; run nothing
 #                  else meanwhile. The log stays in PAIRS_DIR.
+#   make loc     — Go lines (wc -l) per directory outside benchmark/,
+#                  non-test and _test.go apart, and their totals: the
+#                  count simplicity PRs and re-anchors quote (analyzer
+#                  fixtures count as non-test lines, one row per
+#                  testdata tree)
 
 GO ?= go
 N ?= 10
 SEED ?= 1
 PAIRS_DIR ?= /tmp/choco-pairs
 
-.PHONY: check build test lint race debug purego vet bench bench-e2e fuzz pairs
+.PHONY: check build test lint race debug purego vet bench bench-e2e fuzz pairs loc
 
 check: vet lint race debug purego
 
@@ -130,3 +135,12 @@ pairs:
 		done; \
 	done
 	$(GO) run ./cmd/chocobench pairs < $(PAIRS_DIR)/$(WORKLOAD).log
+
+loc:
+	@find . -name '*.go' -not -path './benchmark/*' -print0 | xargs -0 wc -l | awk '\
+		$$2 == "total" { next } \
+		{ dir = $$2; sub(/^\.\//, "", dir); if (!sub(/\/[^\/]*$$/, "", dir)) dir = "."; sub(/\/testdata\/.*/, "/testdata", dir); seen[dir] = 1; \
+		  if ($$2 ~ /_test\.go$$/) { test[dir] += $$1; tests += $$1 } else { code[dir] += $$1; codes += $$1 } } \
+		END { printf "%-28s %9s %9s\n", "directory", "non-test", "test"; \
+		  for (d in seen) printf "%-28s %9d %9d\n", d, code[d], test[d] | "sort"; close("sort"); \
+		  printf "%-28s %9d %9d\n", "total", codes, tests }'

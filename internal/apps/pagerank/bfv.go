@@ -1,8 +1,6 @@
 package pagerank
 
 import (
-	"fmt"
-
 	"choco/internal/bfv"
 	"choco/internal/core"
 	"choco/internal/protocol"
@@ -77,90 +75,55 @@ func (r *BFVRunner) MaxSetSize() int {
 // a client refresh between sets, streaming ciphertexts through the
 // transports. Returns the final normalized ranks and the client stats.
 func (r *BFVRunner) Run(totalIters, setSize int, clientEnd, serverEnd protocol.Transport) ([]float64, core.Stats, error) {
-	if setSize < 1 || totalIters < 1 {
-		return nil, core.Stats{}, fmt.Errorf("pagerank: invalid schedule (%d, %d)", totalIters, setSize)
-	}
-	if setSize > r.MaxSetSize() {
-		return nil, core.Stats{}, fmt.Errorf("pagerank: set size %d exceeds plaintext capacity (max %d)", setSize, r.MaxSetSize())
-	}
-	var stats core.Stats
-	n := r.Graph.N
-	slots := r.ctx.Params.Slots()
+	return run(r, r.Graph.N, totalIters, setSize, r.MaxSetSize(), "plaintext capacity", clientEnd, serverEnd)
+}
 
-	rank := make([]float64, n)
+// upload quantizes the rank vector, packs it replicated and encrypts it.
+func (r *BFVRunner) upload(rank []float64) ([]byte, error) {
+	q := make([]int64, len(rank))
+	for i := range q {
+		q[i] = int64(rank[i]*float64(int64(1)<<r.RankBits) + 0.5)
+	}
+	packed, err := r.fc.PackInput(q, r.ctx.Params.Slots())
+	if err != nil {
+		return nil, err
+	}
+	ct, err := r.enc.EncryptInts(packed)
+	if err != nil {
+		return nil, err
+	}
+	return protocol.MarshalBFV(ct), nil
+}
+
+// iterations runs set consecutive encrypted iterations on an upload. The
+// FC output is replicated exactly like its input, so iterations compose.
+func (r *BFVRunner) iterations(upload []byte, set int, ops *core.OpCounts) ([]byte, error) {
+	ct, err := protocol.UnmarshalBFV(r.ctx, upload)
+	if err != nil {
+		return nil, err
+	}
+	for it := 0; it < set; it++ {
+		out, o, err := r.fc.Apply(r.ev, r.ecd, ct, r.ctx.Params.Slots())
+		if err != nil {
+			return nil, err
+		}
+		ops.Add(o)
+		ct = out
+	}
+	return protocol.MarshalBFV(ct), nil
+}
+
+// refresh decrypts a reply set iterations deep and dequantizes it into
+// rank.
+func (r *BFVRunner) refresh(reply []byte, set int, rank []float64) error {
+	ct, err := protocol.UnmarshalBFV(r.ctx, reply)
+	if err != nil {
+		return err
+	}
+	decoded := r.dec.DecryptInts(ct)
+	scale := float64(int64(1) << (r.RankBits + uint(set)*r.MatBits))
 	for i := range rank {
-		rank[i] = 1 / float64(n)
+		rank[i] = float64(decoded[i]) / scale
 	}
-
-	remaining := totalIters
-	for remaining > 0 {
-		set := setSize
-		if set > remaining {
-			set = remaining
-		}
-		// Client: quantize, pack (replicated), encrypt, upload.
-		q := make([]int64, n)
-		for i := range q {
-			q[i] = int64(rank[i]*float64(int64(1)<<r.RankBits) + 0.5)
-		}
-		packed, err := r.fc.PackInput(q, slots)
-		if err != nil {
-			return nil, stats, err
-		}
-		ct, err := r.enc.EncryptInts(packed)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Encryptions++
-		data := protocol.MarshalBFV(ct)
-		if err := clientEnd.Send(data); err != nil {
-			return nil, stats, err
-		}
-		stats.UpCiphertexts++
-		stats.UpBytes += int64(len(data)) + 4
-		raw, err := serverEnd.Recv()
-		if err != nil {
-			return nil, stats, err
-		}
-		srvCt, err := protocol.UnmarshalBFV(r.ctx, raw)
-		if err != nil {
-			return nil, stats, err
-		}
-
-		// Server: set consecutive encrypted iterations. The FC output
-		// is replicated exactly like its input, so iterations compose.
-		for it := 0; it < set; it++ {
-			out, ops, err := r.fc.Apply(r.ev, r.ecd, srvCt, slots)
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.Server.Add(ops)
-			srvCt = out
-		}
-
-		// Download, decrypt, dequantize, renormalize (client refresh).
-		data = protocol.MarshalBFV(srvCt)
-		if err := serverEnd.Send(data); err != nil {
-			return nil, stats, err
-		}
-		stats.DownCiphertexts++
-		stats.DownBytes += int64(len(data)) + 4
-		raw, err = clientEnd.Recv()
-		if err != nil {
-			return nil, stats, err
-		}
-		cliCt, err := protocol.UnmarshalBFV(r.ctx, raw)
-		if err != nil {
-			return nil, stats, err
-		}
-		decoded := r.dec.DecryptInts(cliCt)
-		stats.Decryptions++
-		scale := float64(int64(1) << (r.RankBits + uint(set)*r.MatBits))
-		for i := 0; i < n; i++ {
-			rank[i] = float64(decoded[i]) / scale
-		}
-		Normalize(rank)
-		remaining -= set
-	}
-	return rank, stats, nil
+	return nil
 }

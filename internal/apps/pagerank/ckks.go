@@ -62,7 +62,8 @@ func NewCKKSRunner(g *Graph, params ckks.Parameters, seed [32]byte) (*CKKSRunner
 // per iteration.
 func (r *CKKSRunner) MaxSetSize() int { return r.ctx.Params.MaxLevel() }
 
-// replicate packs v P-periodically across all slots.
+// replicate packs v (at most P long, zero-padded) P-periodically across
+// all slots.
 func (r *CKKSRunner) replicate(v []float64) []float64 {
 	slots := r.ctx.Params.Slots()
 	out := make([]float64, slots)
@@ -135,74 +136,39 @@ func (r *CKKSRunner) iterate(ct *ckks.Ciphertext, ops *core.OpCounts) (*ckks.Cip
 // Run executes totalIters iterations in encrypted sets of setSize with
 // client refreshes between sets.
 func (r *CKKSRunner) Run(totalIters, setSize int, clientEnd, serverEnd protocol.Transport) ([]float64, core.Stats, error) {
-	if setSize < 1 || totalIters < 1 {
-		return nil, core.Stats{}, fmt.Errorf("pagerank: invalid schedule (%d, %d)", totalIters, setSize)
-	}
-	if setSize > r.MaxSetSize() {
-		return nil, core.Stats{}, fmt.Errorf("pagerank: set size %d exceeds level budget (max %d)", setSize, r.MaxSetSize())
-	}
-	var stats core.Stats
-	n := r.Graph.N
+	return run(r, r.Graph.N, totalIters, setSize, r.MaxSetSize(), "level budget", clientEnd, serverEnd)
+}
 
-	rank := make([]float64, n)
-	for i := range rank {
-		rank[i] = 1 / float64(n)
+// upload encrypts the rank vector packed P-periodically.
+func (r *CKKSRunner) upload(rank []float64) ([]byte, error) {
+	ct, err := r.enc.EncryptFloats(r.replicate(rank))
+	if err != nil {
+		return nil, err
 	}
+	return protocol.MarshalCKKS(ct), nil
+}
 
-	remaining := totalIters
-	for remaining > 0 {
-		set := setSize
-		if set > remaining {
-			set = remaining
-		}
-		padded := make([]float64, r.p)
-		copy(padded, rank)
-		ct, err := r.enc.EncryptFloats(r.replicate(padded))
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Encryptions++
-		data := protocol.MarshalCKKS(ct)
-		if err := clientEnd.Send(data); err != nil {
-			return nil, stats, err
-		}
-		stats.UpCiphertexts++
-		stats.UpBytes += int64(len(data)) + 4
-		raw, err := serverEnd.Recv()
-		if err != nil {
-			return nil, stats, err
-		}
-		srvCt, err := protocol.UnmarshalCKKS(r.ctx, raw)
-		if err != nil {
-			return nil, stats, err
-		}
-
-		for it := 0; it < set; it++ {
-			srvCt, err = r.iterate(srvCt, &stats.Server)
-			if err != nil {
-				return nil, stats, err
-			}
-		}
-
-		data = protocol.MarshalCKKS(srvCt)
-		if err := serverEnd.Send(data); err != nil {
-			return nil, stats, err
-		}
-		stats.DownCiphertexts++
-		stats.DownBytes += int64(len(data)) + 4
-		raw, err = clientEnd.Recv()
-		if err != nil {
-			return nil, stats, err
-		}
-		cliCt, err := protocol.UnmarshalCKKS(r.ctx, raw)
-		if err != nil {
-			return nil, stats, err
-		}
-		decoded := r.dec.DecryptFloats(cliCt)
-		stats.Decryptions++
-		copy(rank, decoded[:n])
-		Normalize(rank)
-		remaining -= set
+// iterations runs set consecutive encrypted iterations on an upload, one
+// level each.
+func (r *CKKSRunner) iterations(upload []byte, set int, ops *core.OpCounts) ([]byte, error) {
+	ct, err := protocol.UnmarshalCKKS(r.ctx, upload)
+	if err != nil {
+		return nil, err
 	}
-	return rank, stats, nil
+	for it := 0; it < set; it++ {
+		if ct, err = r.iterate(ct, ops); err != nil {
+			return nil, err
+		}
+	}
+	return protocol.MarshalCKKS(ct), nil
+}
+
+// refresh decrypts a reply into rank.
+func (r *CKKSRunner) refresh(reply []byte, _ int, rank []float64) error {
+	ct, err := protocol.UnmarshalCKKS(r.ctx, reply)
+	if err != nil {
+		return err
+	}
+	copy(rank, r.dec.DecryptFloats(ct))
+	return nil
 }

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 
+	"choco/internal/core"
+	"choco/internal/protocol"
 	"choco/internal/sampling"
 )
 
@@ -112,4 +114,71 @@ func L1Distance(a, b []float64) float64 {
 		s += math.Abs(a[i] - b[i])
 	}
 	return s
+}
+
+// halves is one scheme's part of the refresh loop (run): the client's
+// upload of the rank vector, the server's encrypted iterations and the
+// client's refresh — the parts a separate server and client would each
+// wrap.
+type halves interface {
+	upload(rank []float64) ([]byte, error)
+	iterations(upload []byte, set int, ops *core.OpCounts) ([]byte, error)
+	refresh(reply []byte, set int, rank []float64) error
+}
+
+// run executes totalIters iterations of an n-node graph in encrypted sets
+// of setSize (at most maxSet, the scheme's capacity) from the uniform
+// vector, the client renormalizing between sets, and returns the final
+// ranks and the client's stats.
+func run(h halves, n, totalIters, setSize, maxSet int, capacity string, clientEnd, serverEnd protocol.Transport) ([]float64, core.Stats, error) {
+	if setSize < 1 || totalIters < 1 {
+		return nil, core.Stats{}, fmt.Errorf("pagerank: invalid schedule (%d, %d)", totalIters, setSize)
+	}
+	if setSize > maxSet {
+		return nil, core.Stats{}, fmt.Errorf("pagerank: set size %d exceeds %s (max %d)", setSize, capacity, maxSet)
+	}
+	var stats core.Stats
+	rank := make([]float64, n)
+	for i := range rank {
+		rank[i] = 1 / float64(n)
+	}
+	for remaining := totalIters; remaining > 0; remaining -= setSize {
+		set := min(setSize, remaining)
+		// Client: encrypt and upload (+4: the frame's length prefix).
+		up, err := h.upload(rank)
+		if err != nil {
+			return nil, stats, err
+		}
+		stats.Encryptions++
+		if err := clientEnd.Send(up); err != nil {
+			return nil, stats, err
+		}
+		stats.UpCiphertexts++
+		stats.UpBytes += int64(len(up)) + 4
+
+		// Server: set consecutive encrypted iterations, then reply.
+		if up, err = serverEnd.Recv(); err != nil {
+			return nil, stats, err
+		}
+		down, err := h.iterations(up, set, &stats.Server)
+		if err != nil {
+			return nil, stats, err
+		}
+		if err := serverEnd.Send(down); err != nil {
+			return nil, stats, err
+		}
+		stats.DownCiphertexts++
+		stats.DownBytes += int64(len(down)) + 4
+
+		// Client: download, decrypt, renormalize (the refresh).
+		if down, err = clientEnd.Recv(); err != nil {
+			return nil, stats, err
+		}
+		if err := h.refresh(down, set, rank); err != nil {
+			return nil, stats, err
+		}
+		stats.Decryptions++
+		Normalize(rank)
+	}
+	return rank, stats, nil
 }

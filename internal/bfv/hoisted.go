@@ -11,8 +11,8 @@ import (
 // DecomposedCiphertext is the hoisted (Halevi–Shoup) form of a degree-1
 // full-modulus ciphertext: rlwe.Decomposed (the per-data-prime RNS digits
 // of c1 over QP, forward-NTT-transformed once) with the ciphertext it came
-// from. Obtain with Evaluator.Decompose, rotate with RotateRowsDecomposed /
-// RotateColumnsDecomposed, and call Release when done.
+// from. Obtain with Evaluator.Decompose, rotate with RotateRowsDecomposed
+// or RotateRowsLazyNTT, and call Release when done.
 type DecomposedCiphertext struct {
 	rlwe.Decomposed
 	ct *Ciphertext
@@ -46,12 +46,6 @@ func (ev *Evaluator) RotateRowsDecomposed(dc *DecomposedCiphertext, steps int) (
 		return ev.ctx.CopyCt(dc.ct), nil
 	}
 	return ev.applyGaloisDecomposed(dc, ev.ctx.RingQ.GaloisElementForRotation(steps))
-}
-
-// RotateColumnsDecomposed swaps the two rows of the batching matrix
-// using the hoisted decomposition.
-func (ev *Evaluator) RotateColumnsDecomposed(dc *DecomposedCiphertext) (*Ciphertext, error) {
-	return ev.applyGaloisDecomposed(dc, ev.ctx.RingQ.GaloisElementRowSwap())
 }
 
 // RotateRowsHoisted rotates one ciphertext by every step in steps,

@@ -84,32 +84,6 @@ func TestHoistedMatchesSerialAllPresets(t *testing.T) {
 	}
 }
 
-// TestHoistedRowSwapMatchesRotateColumns covers the dedicated row-swap
-// entry point.
-func TestHoistedRowSwapMatchesRotateColumns(t *testing.T) {
-	kit := newTestKit(t, PresetTest(), 1)
-	ct, err := kit.enc.EncryptUints(rampUints(kit.ctx.Params.N(), kit.ctx.T.Value))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc, err := kit.ev.Decompose(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dc.Release()
-	a, err := kit.ev.RotateColumnsDecomposed(dc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := kit.ev.RotateColumns(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ctsIdentical(kit.ctx.RingQ, a, b) {
-		t.Error("hoisted row swap differs from RotateColumns")
-	}
-}
-
 // TestHoistedZeroStepIsCopy pins the steps==0 shortcut of the
 // decomposed path against the serial one.
 func TestHoistedZeroStepIsCopy(t *testing.T) {

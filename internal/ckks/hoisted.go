@@ -13,8 +13,7 @@ import (
 // c1 over (q0..ql, p), forward-NTT-transformed once) with the ciphertext
 // it came from. A batch of k rotations of the same ciphertext then pays
 // one decomposition instead of k. Obtain with Evaluator.Decompose, rotate
-// with RotateLeftDecomposed / ConjugateDecomposed, and call Release when
-// done.
+// with RotateLeftDecomposed, and call Release when done.
 type DecomposedCiphertext struct {
 	rlwe.Decomposed
 	ct *Ciphertext
@@ -43,12 +42,6 @@ func (ev *Evaluator) RotateLeftDecomposed(dc *DecomposedCiphertext, steps int) (
 		return ev.ctx.CopyCt(dc.ct), nil
 	}
 	return ev.applyGaloisDecomposed(dc, ev.ctx.GaloisElementForRotation(steps))
-}
-
-// ConjugateDecomposed conjugates every slot using the hoisted
-// decomposition.
-func (ev *Evaluator) ConjugateDecomposed(dc *DecomposedCiphertext) (*Ciphertext, error) {
-	return ev.applyGaloisDecomposed(dc, ev.ctx.GaloisElementConjugate())
 }
 
 // RotateLeftHoisted rotates one ciphertext by every step in steps,

@@ -124,31 +124,6 @@ func TestHoistedAtLowerLevel(t *testing.T) {
 	}
 }
 
-// TestHoistedConjugate covers the conjugation entry point.
-func TestHoistedConjugate(t *testing.T) {
-	kit := newTestKit(t, PresetTest(), 1)
-	ct, err := kit.enc.EncryptFloats(rampFloats(kit.ctx.Params.Slots()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc, err := kit.ev.Decompose(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dc.Release()
-	a, err := kit.ev.ConjugateDecomposed(dc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := kit.ev.Conjugate(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ctsIdentical(kit.ctx.RingAtLevel(ct.Level), a, b) {
-		t.Error("hoisted conjugation differs from Conjugate")
-	}
-}
-
 // TestHoistedMissingGaloisKeyCKKS pins the error path at batch and
 // per-element level.
 func TestHoistedMissingGaloisKeyCKKS(t *testing.T) {

@@ -202,12 +202,10 @@ func (pc *PlainCache) prepared(op any, idx int, ev *bfv.Evaluator, ecd *bfv.Enco
 // nttRotations returns, per item, the input rotated by each of steps,
 // resident in QP in the NTT domain (a zero step is the input itself,
 // lifted). Each item pays one hoisted decomposition; every (item, step)
-// key switch of the batch then runs in one flat dispatch. materialize
-// selects the level-2 schedule (rotate and mod-down in the coefficient
-// domain, then lift) kept for the hoisting-level ladder. On error
+// key switch of the batch then runs in one flat dispatch. On error
 // nothing is left outstanding; on success the caller owns the result
 // (recycleRotations).
-func nttRotations(items []BatchInput, steps []int, materialize bool) (rots [][]*bfv.NTTCiphertext, err error) {
+func nttRotations(items []BatchInput, steps []int) (rots [][]*bfv.NTTCiphertext, err error) {
 	rots = make([][]*bfv.NTTCiphertext, len(items))
 	dcs := make([]*bfv.DecomposedCiphertext, len(items))
 	defer func() {
@@ -234,18 +232,7 @@ func nttRotations(items []BatchInput, steps []int, materialize bool) (rots [][]*
 	errs := make([]error, len(items)*n)
 	par.For(len(items)*n, func(k int) {
 		item, j := k/n, k%n
-		ev, dc := items[item].Ev, dcs[item]
-		if !materialize || steps[j] == 0 {
-			rots[item][j], errs[k] = ev.RotateRowsLazyNTT(dc, steps[j])
-			return
-		}
-		r, err := ev.RotateRowsDecomposed(dc, steps[j])
-		if err != nil {
-			errs[k] = err
-			return
-		}
-		rots[item][j] = ev.ToNTT(r)
-		ev.RecycleCt(r)
+		rots[item][j], errs[k] = items[item].Ev.RotateRowsLazyNTT(dcs[item], steps[j])
 	})
 	for _, e := range errs {
 		if e != nil {
@@ -333,26 +320,22 @@ func (pl bsgsPlan) rotationSteps() []int {
 func (pl bsgsPlan) babySteps() int { return len(pl.rotationSteps()) - (len(pl.giants) - 1) }
 
 // applyBSGS is the one executor behind Conv2D.ApplyBatch and
-// FC.ApplyBatchAtLevel (levels 2 and 3). Babies share one decomposition
-// of each item's input and stay resident in QP, where the inner products
-// consume them (materialize selects the level-2 detour through the
-// coefficient domain). Per (item, output, giant) the inner sum
-// accumulates over QP — one divide-by-P and one inverse NTT per giant
-// instead of one per term — and the giant-step key-switch products of
-// each output accumulate in QP too, per-worker accumulators merged in
-// worker order, so each output pays a single full mod-down. A plan with
-// no rotated giant (Conv2D with one channel block, FC's flat plan) skips
-// the fold: its inner sum is the output. Terms run in (giant, baby) order
-// and every intermediate is exact modular arithmetic, so per-item outputs
-// are byte-identical for any batch composition, worker count or cache
-// state; with materialize they are the bytes of the materialized schedule
-// (FC.applyHoisted), without it they decrypt to the same values under
-// no more noise.
-func applyBSGS(ecd *bfv.Encoder, items []BatchInput, cache *PlainCache, pl bsgsPlan, materialize bool) ([][]*bfv.Ciphertext, []OpCounts, error) {
+// FC.ApplyBatch. Babies share one decomposition of each item's input and
+// stay resident in QP, where the inner products consume them. Per (item,
+// output, giant) the inner sum accumulates over QP — one divide-by-P and
+// one inverse NTT per giant instead of one per term — and the giant-step
+// key-switch products of each output accumulate in QP too, per-worker
+// accumulators merged in worker order, so each output pays a single full
+// mod-down. A plan with no rotated giant (Conv2D with one channel block,
+// FC with one output, FC's flat plan) skips the fold: its inner sum is
+// the output. Terms run in (giant, baby) order and every intermediate is
+// exact modular arithmetic, so per-item outputs are byte-identical for
+// any batch composition, worker count or cache state.
+func applyBSGS(ecd *bfv.Encoder, items []BatchInput, cache *PlainCache, pl bsgsPlan) ([][]*bfv.Ciphertext, []OpCounts, error) {
 	if len(items) == 0 {
 		return nil, nil, nil
 	}
-	babies, err := nttRotations(items, pl.babies, materialize)
+	babies, err := nttRotations(items, pl.babies)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -487,50 +470,27 @@ func (c *Conv2D) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cac
 	if cache == nil {
 		cache = c.plains
 	}
-	return applyBSGS(ecd, items, cache, c.bsgs(slots), false)
+	return applyBSGS(ecd, items, cache, c.bsgs(slots))
 }
 
-// ApplyBatch evaluates y = W·x for several sessions' inputs at once
-// (BSGS schedule) at the layer's default hoisting level, returning
-// per-item outputs and op counts in item order. Per-item outputs are
-// byte-identical for any batch composition; a nil cache selects the
-// operator's own plaintext store.
+// ApplyBatch evaluates y = W·x for several sessions' inputs at once,
+// returning per-item outputs and op counts in item order. Per-item
+// outputs are byte-identical for any batch composition; a nil cache
+// selects the operator's own plaintext store.
 func (f *FC) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache) ([]*bfv.Ciphertext, []OpCounts, error) {
-	return f.ApplyBatchAtLevel(ecd, items, slots, cache, f.HoistLevel())
-}
-
-// ApplyBatchAtLevel is ApplyBatch at an explicit hoisting level (the
-// ladder of FC.ApplyAtLevel). Levels 2 and 3 are the batch engine
-// (applyBSGS); level 1 is the Halevi–Shoup oracle run item by item,
-// without the cache.
-func (f *FC) ApplyBatchAtLevel(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache, level int) ([]*bfv.Ciphertext, []OpCounts, error) {
 	if f.Weights == nil {
 		return nil, nil, fmt.Errorf("core: ApplyBatch on a spec-only FC layer (no weights)")
 	}
 	if cache == nil {
 		cache = f.plains
 	}
-	outs := make([]*bfv.Ciphertext, len(items))
-	switch level {
-	case 1:
-		ops := make([]OpCounts, len(items))
-		for i, it := range items {
-			var err error
-			if outs[i], ops[i], err = f.applyHoisted(it.Ev, ecd, it.Ct, slots); err != nil {
-				return nil, nil, err
-			}
-		}
-		return outs, ops, nil
-	case 2, 3:
-		groups, ops, err := applyBSGS(ecd, items, cache, f.bsgs(slots), level < 3)
-		if err != nil {
-			return nil, nil, err
-		}
-		for i, g := range groups {
-			outs[i] = g[0]
-		}
-		return outs, ops, nil
-	default:
-		return nil, nil, fmt.Errorf("core: unknown hoisting level %d", level)
+	groups, ops, err := applyBSGS(ecd, items, cache, f.bsgs(slots))
+	if err != nil {
+		return nil, nil, err
 	}
+	outs := make([]*bfv.Ciphertext, len(groups))
+	for i, g := range groups {
+		outs[i] = g[0]
+	}
+	return outs, ops, nil
 }

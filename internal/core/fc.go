@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"choco/internal/bfv"
-	"choco/internal/par"
 )
 
 // FC is an encrypted fully-connected layer evaluated with the
@@ -167,138 +166,22 @@ func (f *FC) diag(giant, baby, slots int) []int64 {
 	return out
 }
 
-// HoistLevel selects the default hoisting level for this layer's
-// geometry: level 3 (QP-resident babies + QP-lazy giants) whenever
-// the layer rotates at all, level 1 otherwise — a single-output layer
-// has one diagonal and no rotations to hoist, so the extra machinery
-// would only add transform passes.
-func (f *FC) HoistLevel() int {
-	if f.Po == 1 {
-		return 1
-	}
-	return 3
-}
+// HoistLevel is the hoisting level Apply runs — 3: babies resident in QP
+// off one shared decomposition, one rounding per inner sum, giants
+// folded lazily in QP under one mod-down (DESIGN.md §13). It is the
+// level to price with Plan; level 1, the Halevi–Shoup schedule, lives in
+// the tests as the oracle Apply is measured against.
+func (f *FC) HoistLevel() int { return 3 }
 
-// Apply evaluates y = W·x over the encrypted replicated packing using
-// BSGS at the layer's default hoisting level (HoistLevel): ApplyBatch
-// over one item with the operator's own prepared weight plaintexts.
+// Apply evaluates y = W·x over the encrypted replicated packing on the
+// BSGS schedule: ApplyBatch over one item with the operator's own
+// prepared weight plaintexts.
 func (f *FC) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) (*bfv.Ciphertext, OpCounts, error) {
-	return f.ApplyAtLevel(ev, ecd, ct, slots, f.HoistLevel())
-}
-
-// ApplyAtLevel evaluates y = W·x at an explicit hoisting level:
-//
-//	1 — Halevi–Shoup: baby rotations share one decomposition, each
-//	    giant step pays a full key switch of its partial sum. Kept as
-//	    the oracle the other levels are byte-compared against.
-//	2 — QP-lazy giants: giant-step key-switch products accumulate in
-//	    the extended basis QP, so the whole giant sum pays one shared
-//	    INTT + mod-down instead of G−1.
-//	3 — QP-resident babies too: baby rotations skip their mod-down and
-//	    stay in the key ring QP, where the inner sum multiplies them by
-//	    weight plaintexts lifted over QP and divides by P once.
-//
-// Levels 1 and 2 return byte-identical ciphertexts; level 3 rounds once
-// per inner sum where they round once per baby, so its bytes differ in
-// the low noise bits: it decrypts to the same plaintext under no more
-// noise. Every level returns the same OpCounts; the levels differ in
-// physical transform and mod-down counts (Plan).
-func (f *FC) ApplyAtLevel(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots, level int) (*bfv.Ciphertext, OpCounts, error) {
-	outs, ops, err := f.ApplyBatchAtLevel(ecd, []BatchInput{{Ev: ev, Ct: ct}}, slots, nil, level)
+	outs, ops, err := f.ApplyBatch(ecd, []BatchInput{{Ev: ev, Ct: ct}}, slots, nil)
 	if err != nil {
 		return nil, OpCounts{}, err
 	}
 	return outs[0], ops[0], nil
-}
-
-// applyHoisted is the level-1 oracle: the baby rotations of the
-// ciphertext share one hoisted decomposition, every rotated giant pays a
-// full key switch of its partial sum, and the plaintext multiplies run
-// through the materialized MulPlain + Add chain with every weight
-// plaintext rebuilt. It shares only the geometry (bsgs) with applyBSGS.
-func (f *FC) applyHoisted(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) (*bfv.Ciphertext, OpCounts, error) {
-	var ops OpCounts
-	pl := f.bsgs(slots)
-
-	// Baby rotations all act on the same input ciphertext, so they
-	// share one hoisted decomposition (the batch fans out internally).
-	babies := []*bfv.Ciphertext{ct}
-	if len(pl.babies) > 1 {
-		rots, err := ev.RotateRowsHoisted(ct, pl.babies[1:])
-		if err != nil {
-			return nil, ops, err
-		}
-		babies = append(babies, rots...)
-		ops.Rotations += len(rots)
-	}
-
-	// Giant steps are independent too: each accumulates its own inner
-	// sum in baby order and applies its own outer rotation; the final
-	// fold runs serially in giant order, so the result is bit-identical
-	// to the serial schedule.
-	nG := len(pl.giants)
-	inners := make([]*bfv.Ciphertext, nG)
-	innerOps := make([]OpCounts, nG)
-	innerErrs := make([]error, nG)
-	par.For(nG, func(gi int) {
-		var inner *bfv.Ciphertext
-		for bi, baby := range babies {
-			diag := pl.diag(0, gi, bi)
-			if diag == nil {
-				continue
-			}
-			pt, err := ecd.EncodeInts(diag)
-			if err != nil {
-				innerErrs[gi] = err
-				return
-			}
-			term := ev.MulPlain(baby, ev.PrepareMul(pt))
-			innerOps[gi].PlainMults++
-			if inner == nil {
-				inner = term
-			} else {
-				inner = ev.Add(inner, term)
-				innerOps[gi].Adds++
-			}
-		}
-		if inner != nil && gi > 0 {
-			// Each giant step rotates its own partial sum — distinct
-			// operands, one Galois element apiece — so there is no
-			// decomposition to share at this level. What CAN be shared
-			// is the tail of each key switch: levels 2/3 (applyBSGS)
-			// keep the products in the extended basis QP and pay one
-			// mod-down for the whole giant sum.
-			r, err := ev.RotateRows(inner, pl.giants[gi])
-			if err != nil {
-				innerErrs[gi] = err
-				return
-			}
-			innerOps[gi].Rotations++
-			inner = r
-		}
-		inners[gi] = inner
-	})
-
-	var total *bfv.Ciphertext
-	for gi := range inners {
-		if innerErrs[gi] != nil {
-			return nil, ops, innerErrs[gi]
-		}
-		ops.Add(innerOps[gi])
-		if inners[gi] == nil {
-			continue
-		}
-		if total == nil {
-			total = inners[gi]
-		} else {
-			total = ev.Add(total, inners[gi])
-			ops.Adds++
-		}
-	}
-	if total == nil {
-		return nil, ops, fmt.Errorf("core: output 0 has no contributing weights")
-	}
-	return total, ops, nil
 }
 
 // ApplyNaive evaluates the same product with the textbook diagonal
@@ -311,7 +194,7 @@ func (f *FC) ApplyNaive(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext,
 	if f.Weights == nil {
 		return nil, OpCounts{}, fmt.Errorf("core: Apply on a spec-only FC layer (no weights)")
 	}
-	outs, ops, err := applyBSGS(ecd, []BatchInput{{Ev: ev, Ct: ct}}, nil, f.flat(slots), false)
+	outs, ops, err := applyBSGS(ecd, []BatchInput{{Ev: ev, Ct: ct}}, nil, f.flat(slots))
 	if err != nil {
 		return nil, OpCounts{}, err
 	}
@@ -356,13 +239,10 @@ func PlainFC(weights [][]int64, x []int64) []int64 {
 
 // BSGSRotations returns the number of Galois applications (rotation
 // key-switch products) one BSGS apply performs for padded dimension p:
-// (B−1) baby steps plus (G−1) giant steps. What each application
-// *costs* depends on the hoisting level — under level 1 every one is a
-// full key switch (its own inverse NTT + mod-down) after a shared baby
-// decomposition; under level 3 all B−1+G−1 of them are QP-domain lazy
-// products and the whole apply pays a single full mod-down. See
-// (*FC).Plan for the itemized physical work. The cost model prices
-// rotations uniformly, so this count is what it consumes.
+// (B−1) baby steps plus (G−1) giant steps. Apply keeps all of them in QP
+// as lazy products under a single full mod-down; (*FC).Plan itemizes the
+// physical work. The cost model prices rotations uniformly, so this
+// count is what it consumes.
 func BSGSRotations(p int) int {
 	b := 1
 	for b*b < p {
@@ -372,14 +252,12 @@ func BSGSRotations(p int) int {
 }
 
 // DiagonalRotations returns the Galois-application count of the naive
-// diagonal method: p−1 rotations of one ciphertext, all sharing a
-// single hoisted decomposition in ApplyNaive but each still paying a
-// full key switch (inverse NTT + mod-down). Kept for the ablation
-// comparison against BSGSRotations.
+// diagonal method (ApplyNaive): p−1 rotations of one ciphertext. Kept for
+// the ablation comparison against BSGSRotations.
 func DiagonalRotations(p int) int { return p - 1 }
 
 // RotationPlan itemizes the physical key-switching work of one FC or
-// Conv2D apply at a given hoisting level, for the bench output and for
+// Conv2D apply at a given hoisting level, for the cost sheet and for
 // reasoning about where the transform passes go. Counts assume every
 // diagonal the geometry reaches is non-zero (the worst case; zero
 // diagonals only shrink them).
@@ -390,10 +268,9 @@ type RotationPlan struct {
 	// multiply-accumulates between them, one per reachable diagonal.
 	BabySteps, GiantSteps, PlainMults int
 	// Decompositions counts digit decompositions (per-residue embed +
-	// forward NTTs over QP): one shared by all babies, plus one per
-	// rotated giant partial sum — giant inputs differ, so their
-	// decompositions cannot be shared at any level without breaking
-	// byte-exactness.
+	// forward NTTs over QP): one of the input, plus one per rotated giant
+	// partial sum — giant inputs differ, so their decompositions cannot be
+	// shared without breaking byte-exactness.
 	Decompositions int
 	// FullKeySwitches counts Galois applications that pay their own
 	// full-poly inverse NTT + mod-down.
@@ -405,11 +282,13 @@ type RotationPlan struct {
 	// key switch, one per output whose giant fold shares it. NTTModDowns
 	// counts the ones that close an inner sum held over QP in the NTT
 	// domain (one per inner sum, whatever its term count) — the only
-	// mod-downs the babies of levels 2 and 3 cost beyond their own.
+	// mod-downs QP-resident babies cost.
 	ModDowns, NTTModDowns int
 }
 
-// Plan reports the physical work of ApplyAtLevel at the given level.
+// Plan reports the physical work of one FC apply: at HoistLevel (3) the
+// schedule Apply runs, at level 1 the Halevi–Shoup schedule the tests
+// compare it against.
 func (f *FC) Plan(level int) RotationPlan {
 	pl := f.bsgs(0)
 	rp := pl.sheet(level, len(pl.giants)-1)
@@ -418,35 +297,30 @@ func (f *FC) Plan(level int) RotationPlan {
 }
 
 // sheet itemizes a plan whose outputs rotate giantSteps inner sums in
-// all.
+// all, at level 1 (every Galois application a full key switch, babies
+// sharing a decomposition when there are any) or on the executor's
+// schedule (any other level).
 func (pl bsgsPlan) sheet(level, giantSteps int) RotationPlan {
 	nb, ng := pl.babySteps(), giantSteps
-	rp := RotationPlan{Level: level, BabySteps: nb, GiantSteps: ng}
-	if nb > 0 {
-		rp.Decompositions = 1 // shared by all babies
-	}
-	rp.Decompositions += ng
-	switch level {
-	case 1:
+	rp := RotationPlan{Level: level, BabySteps: nb, GiantSteps: ng, Decompositions: ng}
+	if level == 1 {
+		if nb > 0 {
+			rp.Decompositions++
+		}
 		rp.FullKeySwitches = nb + ng
 		rp.ModDowns = rp.FullKeySwitches
-	case 2:
-		rp.FullKeySwitches = nb
-		rp.LazyProducts = ng
-		rp.ModDowns = nb
-	default: // level 3
-		rp.LazyProducts = nb + ng
+		return rp
 	}
-	if level > 1 {
-		rp.NTTModDowns = ng + pl.outputs // one per inner sum
-		if ng > 0 {
-			rp.ModDowns += pl.outputs // each output's giant fold shares one mod-down
-		}
+	rp.Decompositions++ // the executor decomposes every input
+	rp.LazyProducts = nb + ng
+	rp.NTTModDowns = ng + pl.outputs // one per inner sum
+	if ng > 0 {
+		rp.ModDowns = pl.outputs // each output's giant fold shares one mod-down
 	}
 	return rp
 }
 
-// String renders the plan the way the matmul bench prints it.
+// String renders the plan the way the cost sheet prints it.
 func (pl RotationPlan) String() string {
 	return fmt.Sprintf("L%d: %d baby + %d giant steps, %d decompositions, %d full key-switches, %d lazy products, %d mod-downs (+%d closing inner sums)",
 		pl.Level, pl.BabySteps, pl.GiantSteps, pl.Decompositions, pl.FullKeySwitches, pl.LazyProducts, pl.ModDowns, pl.NTTModDowns)

@@ -119,21 +119,6 @@ func (l Layout) WindowedRotate(ev *bfv.Evaluator, ct *bfv.Ciphertext, steps int)
 	return ev.RotateRows(ct, steps)
 }
 
-// WindowedRotateBatch performs the windowed rotation of every channel
-// by each requested step, sharing one hoisted decomposition of ct
-// across the whole set (the fast path's cost for k rotations is one
-// RNS decomposition plus k cheap key switches). Every |step| must be
-// within the layout's Pad. Outputs are in step order and byte-identical
-// to calling WindowedRotate once per step.
-func (l Layout) WindowedRotateBatch(ev *bfv.Evaluator, ct *bfv.Ciphertext, steps []int) ([]*bfv.Ciphertext, error) {
-	for _, s := range steps {
-		if s > l.Pad || -s > l.Pad {
-			return nil, fmt.Errorf("rotred: rotation %d exceeds redundancy %d", s, l.Pad)
-		}
-	}
-	return ev.RotateRowsHoisted(ct, steps)
-}
-
 // MaskedWindowedRotate performs the same windowed rotation using the
 // arbitrary-permutation baseline (Fig 4A): two full rotations, two
 // masking multiplies, and an addition. It needs no redundancy but
