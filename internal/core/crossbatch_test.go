@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -197,6 +198,66 @@ func TestFCApplyBatchMatchesSerial(t *testing.T) {
 		}
 		if pass == 1 && cache.Stats().Hits == 0 {
 			t.Error("warm FC batch recorded no cache hits")
+		}
+	}
+}
+
+// TestBatchedLinearMatchesPlainPerItem checks core's batched linear
+// entry point, FC.ApplyBatch, against the plaintext matrix-vector
+// product for every item of a batch — the oracle the serial-equality
+// test above does not reach. (The position-major BatchedLinear this name
+// once covered now lives in bench.AblationPackedVsBatched, which checks
+// every batch item against PlainFC itself.)
+func TestBatchedLinearMatchesPlainPerItem(t *testing.T) {
+	const in, out, batch = 12, 5, 9
+	src := sampling.NewSource([32]byte{31}, "batched")
+	w := make([][]int64, out)
+	for o := range w {
+		w[o] = make([]int64, in)
+		for i := range w[o] {
+			w[o][i] = int64(src.Intn(15)) - 7
+		}
+	}
+	ctxProbe, err := bfv.NewContext(bfv.PresetTest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := NewFC(in, out, w, ctxProbe.Params.N()/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := newKit(t, fc.RotationSteps())
+	slots := k.ctx.Params.Slots()
+
+	xs := make([][]int64, batch)
+	items := make([]BatchInput, batch)
+	for b := range xs {
+		xs[b] = make([]int64, in)
+		for i := range xs[b] {
+			xs[b][i] = int64(src.Intn(31)) - 15
+		}
+		packed, err := fc.PackInput(xs[b], slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := k.enc.EncryptInts(packed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items[b] = BatchInput{Ev: k.ev, Ct: ct}
+	}
+
+	outs, _, err := fc.ApplyBatch(k.ecd, items, slots, NewPlainCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != batch {
+		t.Fatalf("got %d outputs for a batch of %d", len(outs), batch)
+	}
+	for b, x := range xs {
+		got := fc.ExtractOutput(k.dec.DecryptInts(outs[b]), k.ctx.T.Value)
+		if want := PlainFC(w, x); !slices.Equal(got, want) {
+			t.Errorf("item %d: got %v, want %v", b, got, want)
 		}
 	}
 }
