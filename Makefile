@@ -35,7 +35,10 @@
 #                  report recorded under the commit in
 #                  BENCH_trajectory.json, then the Go benchmarks
 #   make fuzz    — 30-second smoke run of the packed-row codec's fuzz
-#                  target (internal/ring) and of each internal/protocol
+#                  target (internal/ring), of the CKKS encoder against
+#                  its big-integer oracle (internal/ckks: any float64
+#                  bits as slot and scale, same bytes or both refuse),
+#                  and of each internal/protocol
 #                  one (frame parser, hello-frame round-trip, the shard
 #                  hello, key-fetch, peer-ping and stats-fetch frames of
 #                  the fleet's inner boundary, and the BFV and CKKS
@@ -100,6 +103,7 @@ purego:
 
 fuzz:
 	$(GO) test ./internal/ring -run '^$$' -fuzz '^FuzzPackedRow$$' -fuzztime 30s
+	$(GO) test ./internal/ckks -run '^$$' -fuzz '^FuzzEncodeCKKS$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzHelloFrame$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzShardHello$$' -fuzztime 30s

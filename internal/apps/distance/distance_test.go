@@ -2,6 +2,7 @@ package distance
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -108,6 +109,13 @@ func TestServerValidation(t *testing.T) {
 	ragged := [][]float64{{1, 2}, {1}}
 	if _, err := NewServer(PresetDistanceTest(), ragged); err == nil {
 		t.Error("expected error for ragged points")
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		pts := synthPoints(4, 3, 1)
+		pts[2][1] = x
+		if _, err := NewServer(PresetDistanceTest(), pts); err == nil || !strings.Contains(err.Error(), "point 2 coordinate 1") {
+			t.Errorf("point coordinate %v: error %v, want one naming point 2 coordinate 1", x, err)
+		}
 	}
 }
 

@@ -51,9 +51,16 @@ func NewServer(params ckks.Parameters, points [][]float64) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range points {
+	// A non-finite coordinate would fail every query's encoding inside
+	// ServeOne; refuse it here, where the caller can still act on it.
+	for i, p := range points {
 		if len(p) != g.rawD {
 			return nil, fmt.Errorf("distance: ragged point set")
+		}
+		for k, x := range p {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("distance: point %d coordinate %d is %v", i, k, x)
+			}
 		}
 	}
 	s := &Server{

@@ -100,6 +100,7 @@ func (ctx *Context) scaleCenteredInto(x *ring.Poly, drop int, out []uint64) {
 	r := ctx.RingAtDrop(drop)
 	L := len(x.Coeffs)
 	if L > maxScaleResidues {
+		//lint:ignore-choco bigintloop the fixed-point bounds need L ≤ 7; a wider ring (no preset has one) takes the exact oracle
 		ctx.scaleOracleInto(r, x, out)
 		return
 	}
@@ -141,6 +142,7 @@ func (ctx *Context) scaleCenteredInto(x *ring.Poly, drop int, out []uint64) {
 // ~2^-64-probability ambiguity band of the fixed-point fast path.
 func (ctx *Context) roundCoeffOracle(r *ring.Ring, x *ring.Poly, j int) uint64 {
 	v := new(big.Int)
+	//lint:ignore-choco bigintloop one coefficient's L-term composition, only for the ~2^-64 ambiguity band of the fast path
 	r.CoeffBigintCentered(x, j, v)
 	bigT := new(big.Int).SetUint64(ctx.T.Value)
 	v.Mul(v, bigT)
@@ -155,6 +157,7 @@ func (ctx *Context) roundCoeffOracle(r *ring.Ring, x *ring.Poly, j int) uint64 {
 // fast path and the fallback for rings wider than maxScaleResidues.
 func (ctx *Context) scaleOracleInto(r *ring.Ring, x *ring.Poly, out []uint64) {
 	vals := make([]*big.Int, r.N)
+	//lint:ignore-choco bigintloop this is the exact oracle: DecryptOracle and the wider-than-7-residue fallback
 	r.PolyToBigintCentered(x, vals)
 	bigQ := r.ModulusBig()
 	bt := new(big.Int).SetUint64(ctx.T.Value)

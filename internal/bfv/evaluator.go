@@ -193,8 +193,10 @@ func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {
 	// is exact over E).
 	lift := func(p *ring.Poly) *ring.Poly {
 		vals := make([]*big.Int, n)
+		//lint:ignore-choco bigintloop exact centred lift of a Mul operand; no request path multiplies BFV ciphertexts
 		rQ.PolyToBigintCentered(p, vals)
 		out := rE.GetPoly()
+		//lint:ignore-choco bigintloop the same lift's reduction into the extended basis
 		rE.SetCoeffsBigint(vals, out)
 		rE.NTT(out)
 		return out
@@ -262,6 +264,7 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 
 // MulRelin multiplies and relinearizes.
 func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
+	//lint:ignore-choco bigintloop BFV ciphertext multiplication is exact through big integers; no request path runs it
 	c, err := ev.Mul(a, b)
 	if err != nil {
 		return nil, err
@@ -339,6 +342,7 @@ func NoiseBudgetBits(ctx *Context, sk *SecretKey, ct *Ciphertext) float64 {
 	x, v := r.NewPoly(), r.NewPoly()
 	ctx.PhaseInto(sk, ct.Value, ctx.MaxLevel()-ct.Drop, x)
 	r.MulScalar(x, ctx.T.Value, v)
+	//lint:ignore-choco bigintloop noise measurement for experiments and tests; no request path reads the budget
 	norm := r.InfNormBig(v)
 	if norm.Sign() == 0 {
 		norm.SetInt64(1)

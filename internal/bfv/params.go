@@ -161,6 +161,7 @@ func NewContext(params Parameters) (*Context, error) {
 	// The RNS chain — data primes, special prime, extended basis primes
 	// and the plaintext prime — must all be distinct and NTT-friendly for
 	// degree N.
+	//lint:ignore-choco bigintloop one-time context setup
 	core, err := rlwe.NewContext("bfv", params.LogN, params.QBits, params.PBits, params.Sigma)
 	if err != nil {
 		return nil, err
@@ -222,7 +223,7 @@ func NewContext(params Parameters) (*Context, error) {
 	}
 
 	ctx.indexMap = buildIndexMap(params.LogN)
-	ctx.scalers = buildRNSScalers(ctx)
+	ctx.scalers = buildRNSScalers(ctx) //lint:ignore-choco bigintloop one-time context setup
 	return ctx, nil
 }
 

@@ -20,9 +20,10 @@ func BenchmarkEncryptPresetC(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodePresetC(b *testing.B) {
-	kit := newTestKit(b, PresetC())
+func benchEncode(b *testing.B, params Parameters) {
+	kit := newTestKit(b, params)
 	vals := benchFloats(kit.ctx.Params.Slots())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := kit.ecd.EncodeFloats(vals, kit.ctx.Params.MaxLevel(), kit.ctx.Params.DefaultScale()); err != nil {
@@ -31,14 +32,20 @@ func BenchmarkEncodePresetC(b *testing.B) {
 	}
 }
 
-func BenchmarkDecryptDecodePresetC(b *testing.B) {
-	kit := newTestKit(b, PresetC())
+func benchDecryptDecode(b *testing.B, params Parameters) {
+	kit := newTestKit(b, params)
 	ct, _ := kit.enc.EncryptFloats(benchFloats(kit.ctx.Params.Slots()))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		kit.dec.DecryptFloats(ct)
 	}
 }
+
+func BenchmarkEncodePresetC(b *testing.B)               { benchEncode(b, PresetC()) }
+func BenchmarkDecryptDecodePresetC(b *testing.B)        { benchDecryptDecode(b, PresetC()) }
+func BenchmarkEncodePresetDistance(b *testing.B)        { benchEncode(b, presetDistance()) }
+func BenchmarkDecryptDecodePresetDistance(b *testing.B) { benchDecryptDecode(b, presetDistance()) }
 
 func BenchmarkMulRelinRescaleTest(b *testing.B) {
 	kit := newTestKit(b, PresetTest())

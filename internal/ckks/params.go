@@ -72,9 +72,8 @@ type Context struct {
 	*rlwe.Context
 	Params Parameters
 
-	// Embedding tables: rotGroup[i] = 5^i mod 2N; roots[k] = e^{2πik/2N}.
-	rotGroup []uint64
-	roots    []complex128
+	// codec holds the encoder's embedding and word tables.
+	codec *codec
 }
 
 // NewContext generates primes and precomputes embedding and
@@ -83,27 +82,12 @@ func NewContext(params Parameters) (*Context, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
+	//lint:ignore-choco bigintloop one-time context setup
 	core, err := rlwe.NewContext("ckks", params.LogN, params.QBits, params.PBits, params.Sigma)
 	if err != nil {
 		return nil, err
 	}
-	ctx := &Context{Context: core, Params: params}
-
-	// Canonical embedding tables.
-	m := 2 * params.N()
-	nh := params.N() / 2
-	ctx.rotGroup = make([]uint64, nh)
-	g := uint64(1)
-	for i := 0; i < nh; i++ {
-		ctx.rotGroup[i] = g
-		g = g * 5 % uint64(m)
-	}
-	ctx.roots = make([]complex128, m+1)
-	for k := 0; k <= m; k++ {
-		angle := 2 * math.Pi * float64(k) / float64(m)
-		ctx.roots[k] = complex(math.Cos(angle), math.Sin(angle))
-	}
-	return ctx, nil
+	return &Context{Context: core, Params: params, codec: newCodec(params.N(), core.RingQ.Moduli)}, nil
 }
 
 // GaloisElementForRotation returns g = 5^steps mod 2N (inverse exponent

@@ -15,7 +15,8 @@
 //     accumulators recycled or closed with FromNTT, on every exit
 //   - lockednet:    mutexes held across network I/O or channel ops
 //   - uncheckederr: dropped protocol frame-write and Close errors
-//   - bigintloop:   per-iteration math/big arithmetic in hot-path loops
+//   - bigintloop:   per-iteration math/big arithmetic in hot-path loops,
+//     and hot-path calls into functions that hold such loops
 //
 // Findings can be suppressed, one line at a time, with a trailing or
 // preceding comment of the form
@@ -54,7 +55,10 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	diags []Diagnostic
+	// loader resolves callees in other loaded packages to their
+	// declarations, for analyzers that look one call level deep.
+	loader *Loader
+	diags  []Diagnostic
 }
 
 // Reportf records a finding at pos.

@@ -37,6 +37,7 @@ func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) (
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
+				loader:    pkg.loader,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, err

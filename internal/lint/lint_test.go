@@ -106,6 +106,12 @@ func TestUncheckedErrUnpackFixture(t *testing.T) {
 func TestBigIntLoopFixture(t *testing.T) {
 	runFixture(t, BigIntLoop, "bigintloop/internal/bfv")
 }
+
+// The parent's CKKS encoder shape: calls into suppressed big-integer
+// loops one package away.
+func TestBigIntLoopCallFixture(t *testing.T) {
+	runFixture(t, BigIntLoop, "bigintloop/internal/ckks")
+}
 func TestSuppressionFixture(t *testing.T) { runFixture(t, UncheckedErr, "suppress") }
 func TestSecretFlowFixture(t *testing.T)  { runFixture(t, SecretFlow, "secretflow") }
 func TestGoroLeakFixture(t *testing.T) {

@@ -23,6 +23,39 @@ type Package struct {
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
+
+	// loader is the loader that type-checked the package: it resolves a
+	// callee in any package it loaded to its declaration (funcDecl).
+	loader *Loader
+	// decls indexes the package's function declarations, built on first
+	// use by funcDecl.
+	decls map[*types.Func]*ast.FuncDecl
+}
+
+// funcDecl returns the declaration of fn and the package declaring it,
+// when l type-checked that package from source (nil otherwise: an
+// interface method, a package l never loaded).
+func (l *Loader) funcDecl(fn *types.Func) (*ast.FuncDecl, *Package) {
+	if l == nil || fn.Pkg() == nil {
+		return nil, nil
+	}
+	pkg := l.pkgs[fn.Pkg().Path()]
+	if pkg == nil {
+		return nil, nil
+	}
+	if pkg.decls == nil {
+		pkg.decls = map[*types.Func]*ast.FuncDecl{}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					if obj, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+						pkg.decls[obj] = fd
+					}
+				}
+			}
+		}
+	}
+	return pkg.decls[fn.Origin()], pkg
 }
 
 // listedPackage is the subset of `go list -json` output the loader
@@ -260,7 +293,7 @@ func (l *Loader) importPath(path string) (*Package, error) {
 			return nil, fmt.Errorf("lint: type-checking %q: %v", path, softErrs[0])
 		}
 	}
-	pkg := &Package{Path: path, Files: syntax, Types: tpkg, TypesInfo: info}
+	pkg := &Package{Path: path, Files: syntax, Types: tpkg, TypesInfo: info, loader: l}
 	l.pkgs[path] = pkg
 	return pkg, nil
 }

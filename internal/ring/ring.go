@@ -211,6 +211,7 @@ func NewRing(logN int, moduli []uint64) (*Ring, error) {
 		}
 		r.tables = append(r.tables, tbl)
 	}
+	//lint:ignore-choco bigintloop ring construction: once per ring, at context setup
 	r.precomputeCRT()
 	r.autos = &autoCache{tables: map[uint64]*autoTable{}}
 	return r, nil
@@ -298,6 +299,7 @@ func (r *Ring) AtLevel(level int) *Ring {
 		tables: r.tables[:level+1],
 		autos:  r.autos,
 	}
+	//lint:ignore-choco bigintloop ring construction: rlwe.NewContext builds each level's ring once
 	sub.precomputeCRT()
 	return sub
 }
@@ -894,7 +896,7 @@ func (r *Ring) PolyToBigintCentered(p *Poly, out []*big.Int) {
 		r.debugCheck("PolyToBigintCentered", p)
 	}
 	tmp := new(big.Int)
-	//lint:ignore-choco bigintloop full CRT composition is the correctness oracle, not the decrypt fast path
+	//lint:ignore-choco bigintloop exact CRT composition for BFV's tensor lift, the BFV decrypt oracle and noise norms; each caller states its own reason
 	for j := 0; j < r.N; j++ {
 		acc := out[j]
 		if acc == nil {
@@ -947,7 +949,7 @@ func (r *Ring) CoeffBigintCentered(p *Poly, j int, acc *big.Int) {
 // into the RNS residues of p (coefficient domain).
 func (r *Ring) SetCoeffsBigint(values []*big.Int, p *Poly) {
 	tmp := new(big.Int)
-	//lint:ignore-choco bigintloop arbitrary-precision input decomposition, a test/setup entry point
+	//lint:ignore-choco bigintloop arbitrary-precision decomposition for BFV's tensor product (into and out of the extended basis) and tests; each caller states its own reason
 	for i := range p.Coeffs {
 		m := r.Moduli[i]
 		bq := new(big.Int).SetUint64(m.Value)
@@ -1005,6 +1007,7 @@ func (r *Ring) SetCoeffsInt64(values []int64, p *Poly) {
 // InfNormBig returns the centered infinity norm of p as a big integer.
 func (r *Ring) InfNormBig(p *Poly) *big.Int {
 	vals := make([]*big.Int, r.N)
+	//lint:ignore-choco bigintloop an exact norm needs the exact composition; noise measurement, never a request path
 	r.PolyToBigintCentered(p, vals)
 	max := new(big.Int)
 	abs := new(big.Int)
