@@ -8,13 +8,14 @@
 //	chocobench -list           # list experiment names
 //
 // The trajectory entry measures nothing: it reads a `go run ./benchmark`
-// report on stdin and records the six end-to-end metrics of every
-// workload in it, under the commit the report's header names, in the
-// file -trajectory names (github-action-benchmark's data.js shape). It
-// refuses a report with a failed or incorrect run, gates nothing, and
-// runs only when named:
+// report on stdin — or several of one commit, concatenated — and records
+// the six end-to-end metrics of every workload in it, under the commit
+// the report's header names, in the file -trajectory names
+// (github-action-benchmark's data.js shape). It refuses a report with a
+// failed or incorrect run, gates nothing, and runs only when named:
 //
 //	go run ./benchmark | chocobench -trajectory BENCH_trajectory.json trajectory
+//	cat lenetsm-pipe.txt knn-ckks-pipe.txt | chocobench -trajectory BENCH_trajectory.json trajectory
 //
 // The pairs entry is a reader too: `make pairs` runs the parent's and the
 // change's benchmark alternately and pipes the log in; out come the

@@ -9,10 +9,12 @@ import (
 )
 
 // Client is the trusted side: it holds the secret key and its query, and
-// ships the server only evaluation keys.
+// ships the server only evaluation keys. Holding the key, it uploads
+// seeded symmetric ciphertexts — c0 and the 32-byte seed c1 expands from,
+// half a public-key frame — as nn's client does.
 type Client struct {
 	geometry
-	enc    *ckks.Encryptor
+	enc    *ckks.SymmetricEncryptor
 	dec    *ckks.Decryptor
 	ctx    *ckks.Context
 	bundle *protocol.CKKSKeyBundle
@@ -32,13 +34,14 @@ func NewClient(params ckks.Parameters, m, rawD int, seed [32]byte) (*Client, err
 	}
 	kg := ckks.NewKeyGenerator(ctx, seed)
 	sk := kg.GenSecretKey()
+	// CKKSKeyBundle's format carries a public key; the server never uses it.
 	pk := kg.GenPublicKey(sk)
 	relin := kg.GenRelinearizationKey(sk)
 	galois := kg.GenRotationKeys(sk, g.rotationSteps()...)
 	return &Client{
 		geometry: g,
 		ctx:      ctx,
-		enc:      ckks.NewEncryptor(ctx, pk, seed),
+		enc:      ckks.NewSymmetricEncryptor(ctx, sk, seed),
 		dec:      ckks.NewDecryptor(ctx, sk),
 		bundle:   &protocol.CKKSKeyBundle{PK: pk, Relin: relin, Galois: galois},
 	}, nil
@@ -66,12 +69,12 @@ func (c *Client) Query(q []float64, variant Variant, t protocol.Transport) ([]fl
 	}
 	uploads := make([][]byte, cost.UpCts)
 	for j := range uploads {
-		ct, err := c.enc.EncryptFloats(c.layout(variant, j, func(int) []float64 { return q }))
+		sct, err := c.enc.EncryptFloatsSeeded(c.layout(variant, j, func(int) []float64 { return q }))
 		if err != nil {
 			return nil, stats, err
 		}
 		stats.Encryptions++
-		uploads[j] = protocol.MarshalCKKS(ct)
+		uploads[j] = protocol.MarshalSeededCKKS(sct)
 	}
 	if err := t.Send(requestFrame(variant)); err != nil {
 		return nil, stats, err
@@ -91,6 +94,7 @@ func (c *Client) Query(q []float64, variant Variant, t protocol.Transport) ([]fl
 
 	out := make([]float64, c.m)
 	perCt := c.perCt(variant)
+	level := variant.replyLevel(c.ctx.Params.MaxLevel())
 	for g := 0; g < cost.DownCts; g++ {
 		raw, err := t.Recv()
 		if err != nil {
@@ -102,6 +106,9 @@ func (c *Client) Query(q []float64, variant Variant, t protocol.Transport) ([]fl
 		stats.DownCiphertexts++
 		stats.DownBytes += int64(len(raw)) + 4
 		res, err := protocol.UnmarshalCKKS(c.ctx, raw)
+		if err == nil && res.Level != level {
+			err = fmt.Errorf("distance: %v reply %d arrived at level %d, the variant's replies leave at level %d", variant, g, res.Level, level)
+		}
 		if err != nil {
 			return nil, stats, err
 		}

@@ -58,10 +58,25 @@ func Variants() []Variant {
 // point's block instead.
 func (v Variant) dense() bool { return v != PointMajor && v != StackedPointMajor }
 
+// replyLevel is the level the variant's replies leave the server at, on a
+// chain whose top level is maxLevel: the server rescales every squared
+// distance once, before it rotates it, and a collapsed reply once more
+// after its masks. The client refuses a reply at any other level.
+func (v Variant) replyLevel(maxLevel int) int {
+	if v == CollapsedPointMajor {
+		return maxLevel - 2
+	}
+	return maxLevel - 1
+}
+
 // PresetDistance returns the production parameter set for the distance
-// kernels: a three-prime data chain so the collapsed variant's masking
-// multiplies keep full precision (the masks encode at 2^30), within
-// 128-bit security at N = 8192.
+// kernels, within 128-bit security at N = 8192: a three-prime data chain
+// whose top 40-bit prime the server spends rescaling each squared
+// distance before it rotates it, and whose second the collapsed variant
+// spends rescaling its masked product (the masks encode at 2^30). The
+// other variants' replies stay at two primes: at scale 2^40 the 50-bit q0
+// alone would leave 2^9 of headroom, and a larger distance would wrap
+// silently.
 func PresetDistance() ckks.Parameters {
 	return ckks.Parameters{LogN: 13, QBits: []int{50, 40, 40}, PBits: 51, LogScale: 40, Sigma: 3.2}
 }

@@ -33,8 +33,11 @@ type Server struct {
 	// use (pointPlain). A server runs one session at a time and a query
 	// touches each (v, j) from one goroutine, so the slots need no lock.
 	pointPts [][]*ckks.Plaintext
-	// maskScale is the low encoding scale of collapse masks, keeping
-	// the masked product within the level-0 modulus.
+	// maskScale is the low encoding scale of collapse masks. A mask
+	// multiplies a squared distance already rescaled to level 1 at
+	// scale ≈ 2^40, so the masked product, at ≈ 2^70, fits q0·q1 ≈ 2^90
+	// for any distance under 2^19, and the final rescale leaves it at
+	// ≈ 2^30 on the 50-bit q0 alone.
 	maskScale float64
 }
 
@@ -145,7 +148,7 @@ func (s *Server) ServeOne(t protocol.Transport) (core.OpCounts, error) {
 		if err != nil {
 			return ops, fmt.Errorf("distance: %v upload %d of %d: %w", variant, j+1, len(ups), err)
 		}
-		if ups[j], err = protocol.UnmarshalCKKS(s.ctx, raw); err != nil {
+		if ups[j], err = protocol.UnmarshalAnyCKKS(s.ctx, raw); err != nil {
 			return ops, err
 		}
 	}
@@ -203,10 +206,12 @@ func (s *Server) squaredDiff(q *ckks.Ciphertext, v Variant, j int, ops *core.OpC
 
 // reduce sums groups of span slots that lie stride apart via
 // rotate-and-add; the first slot of each group ends up holding its sum.
-// The tree stays serial on purpose: every rotation acts on the freshly
-// accumulated sum, so there is never more than one rotation per operand
-// to hoist — and flattening to span-1 hoisted rotations of the input
-// loses to the log₂(span)-deep tree for every realistic span.
+// Its callers rescale first, so on PresetDistance every rotation
+// key-switches at level 1: two digits over three rows, where the top
+// level would take three over four. The tree stays serial on purpose: every rotation acts on the
+// freshly accumulated sum, so there is never more than one rotation per
+// operand to hoist — and flattening to span-1 hoisted rotations of the
+// input loses to the log₂(span)-deep tree for every realistic span.
 func (s *Server) reduce(ct *ckks.Ciphertext, span, stride int, ops *core.OpCounts) (*ckks.Ciphertext, error) {
 	acc := ct
 	for step := span / 2; step >= 1; step /= 2 {
@@ -226,8 +231,9 @@ func (s *Server) reduce(ct *ckks.Ciphertext, span, stride int, ops *core.OpCount
 // dimensionMajor sums the squared differences of the uploads — one per
 // dimension, which takes no rotation at all, or, stacked, a single one
 // holding every dimension as a block, which is then reduced across
-// blocks. Both leave one dense result ciphertext ("dimension-major
-// inputs produce point-major outputs").
+// blocks. The sum is rescaled once, whatever the dimension count, before
+// any rotation. Both leave one dense result ciphertext a level below the
+// uploads ("dimension-major inputs produce point-major outputs").
 func (s *Server) dimensionMajor(qs []*ckks.Ciphertext, v Variant, ops *core.OpCounts) (*ckks.Ciphertext, error) {
 	var acc *ckks.Ciphertext
 	for j, q := range qs {
@@ -244,10 +250,11 @@ func (s *Server) dimensionMajor(qs []*ckks.Ciphertext, v Variant, ops *core.OpCo
 		}
 		ops.Adds++
 	}
-	if v == StackedDimMajor {
-		return s.reduce(acc, s.d, nextPow2(s.m), ops)
+	acc, err := s.ev.Rescale(acc)
+	if err != nil || v != StackedDimMajor {
+		return acc, err
 	}
-	return acc, nil
+	return s.reduce(acc, s.d, nextPow2(s.m), ops)
 }
 
 // pointMajor answers the one uploaded query — replicated into every
@@ -288,8 +295,9 @@ func (s *Server) pointMajor(q *ckks.Ciphertext, v Variant, ops *core.OpCounts) (
 }
 
 // group computes group g's squared distances, each at the head of its
-// point's block. Collapsed, it then moves point i's to slot i and masks
-// everything else away. Rotation commutes with masking (φ(mask ⊙ x) =
+// point's block; they are rescaled before the in-block reduction rotates
+// them. Collapsed, it then moves point i's to slot i and masks everything
+// else away. Rotation commutes with masking (φ(mask ⊙ x) =
 // φ(mask) ⊙ φ(x), and a one-hot mask encodes identically at either slot
 // position), so the server rotates first: every repositioning then acts
 // on the same reduced ciphertext, and the group's whole rotation set
@@ -297,6 +305,9 @@ func (s *Server) pointMajor(q *ckks.Ciphertext, v Variant, ops *core.OpCounts) (
 func (s *Server) group(q *ckks.Ciphertext, v Variant, g int, ops *core.OpCounts) (*ckks.Ciphertext, error) {
 	sq, err := s.squaredDiff(q, v, g, ops)
 	if err != nil {
+		return nil, err
+	}
+	if sq, err = s.ev.Rescale(sq); err != nil {
 		return nil, err
 	}
 	red, err := s.reduce(sq, s.d, 1, ops)

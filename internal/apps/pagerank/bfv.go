@@ -18,7 +18,7 @@ type BFVRunner struct {
 	MatBits  uint
 
 	ctx *bfv.Context
-	enc *bfv.Encryptor
+	enc *bfv.SymmetricEncryptor
 	dec *bfv.Decryptor
 	ecd *bfv.Encoder
 	ev  *bfv.Evaluator
@@ -45,13 +45,12 @@ func NewBFVRunner(g *Graph, params bfv.Parameters, rankBits, matBits uint, seed 
 	}
 	kg := bfv.NewKeyGenerator(ctx, seed)
 	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
 	relin := kg.GenRelinearizationKey(sk)
 	galois := kg.GenRotationKeys(sk, fc.RotationSteps()...)
 	return &BFVRunner{
 		Graph: g, RankBits: rankBits, MatBits: matBits,
 		ctx: ctx,
-		enc: bfv.NewEncryptor(ctx, pk, seed),
+		enc: bfv.NewSymmetricEncryptor(ctx, sk, seed),
 		dec: bfv.NewDecryptor(ctx, sk),
 		ecd: bfv.NewEncoder(ctx),
 		ev:  bfv.NewEvaluator(ctx, relin, galois),
@@ -78,7 +77,8 @@ func (r *BFVRunner) Run(totalIters, setSize int, clientEnd, serverEnd protocol.T
 	return run(r, r.Graph.N, totalIters, setSize, r.MaxSetSize(), "plaintext capacity", clientEnd, serverEnd)
 }
 
-// upload quantizes the rank vector, packs it replicated and encrypts it.
+// upload quantizes the rank vector, packs it replicated and encrypts it
+// under the client's secret key, seeded: half a public-key frame.
 func (r *BFVRunner) upload(rank []float64) ([]byte, error) {
 	q := make([]int64, len(rank))
 	for i := range q {
@@ -88,17 +88,17 @@ func (r *BFVRunner) upload(rank []float64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	ct, err := r.enc.EncryptInts(packed)
+	sct, err := r.enc.EncryptIntsSeeded(packed)
 	if err != nil {
 		return nil, err
 	}
-	return protocol.MarshalBFV(ct), nil
+	return protocol.MarshalSeededBFV(sct), nil
 }
 
 // iterations runs set consecutive encrypted iterations on an upload. The
 // FC output is replicated exactly like its input, so iterations compose.
 func (r *BFVRunner) iterations(upload []byte, set int, ops *core.OpCounts) ([]byte, error) {
-	ct, err := protocol.UnmarshalBFV(r.ctx, upload)
+	ct, err := protocol.UnmarshalAnyBFV(r.ctx, upload)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ type CKKSRunner struct {
 	Graph *Graph
 
 	ctx *ckks.Context
-	enc *ckks.Encryptor
+	enc *ckks.SymmetricEncryptor
 	dec *ckks.Decryptor
 	ecd *ckks.Encoder
 	ev  *ckks.Evaluator
@@ -40,7 +40,6 @@ func NewCKKSRunner(g *Graph, params ckks.Parameters, seed [32]byte) (*CKKSRunner
 	}
 	kg := ckks.NewKeyGenerator(ctx, seed)
 	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
 	relin := kg.GenRelinearizationKey(sk)
 	steps := make([]int, 0, p-1)
 	for d := 1; d < p; d++ {
@@ -50,7 +49,7 @@ func NewCKKSRunner(g *Graph, params ckks.Parameters, seed [32]byte) (*CKKSRunner
 	return &CKKSRunner{
 		Graph: g,
 		ctx:   ctx,
-		enc:   ckks.NewEncryptor(ctx, pk, seed),
+		enc:   ckks.NewSymmetricEncryptor(ctx, sk, seed),
 		dec:   ckks.NewDecryptor(ctx, sk),
 		ecd:   ckks.NewEncoder(ctx),
 		ev:    ckks.NewEvaluator(ctx, relin, galois),
@@ -139,19 +138,20 @@ func (r *CKKSRunner) Run(totalIters, setSize int, clientEnd, serverEnd protocol.
 	return run(r, r.Graph.N, totalIters, setSize, r.MaxSetSize(), "level budget", clientEnd, serverEnd)
 }
 
-// upload encrypts the rank vector packed P-periodically.
+// upload encrypts the rank vector packed P-periodically under the
+// client's secret key, seeded: half a public-key frame.
 func (r *CKKSRunner) upload(rank []float64) ([]byte, error) {
-	ct, err := r.enc.EncryptFloats(r.replicate(rank))
+	sct, err := r.enc.EncryptFloatsSeeded(r.replicate(rank))
 	if err != nil {
 		return nil, err
 	}
-	return protocol.MarshalCKKS(ct), nil
+	return protocol.MarshalSeededCKKS(sct), nil
 }
 
 // iterations runs set consecutive encrypted iterations on an upload, one
 // level each.
 func (r *CKKSRunner) iterations(upload []byte, set int, ops *core.OpCounts) ([]byte, error) {
-	ct, err := protocol.UnmarshalCKKS(r.ctx, upload)
+	ct, err := protocol.UnmarshalAnyCKKS(r.ctx, upload)
 	if err != nil {
 		return nil, err
 	}

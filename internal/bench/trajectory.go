@@ -44,11 +44,13 @@ type trajectoryFile struct {
 }
 
 // parseReport reads the text `go run ./benchmark` prints — the
-// suite or a single -workload run — and returns the commit from its
-// header and the gated end-to-end metrics (the rows that carry a bound)
-// of every untraced run in it. A report with a failed or incorrect run
-// is refused: `correct=false` or a non-zero `failed=` after a suite's
-// run, the same two in a single run's closing JSON line, or a FAIL line.
+// suite, a single -workload run, or several such reports one after the
+// other, all of one commit — and returns the commit from its header and
+// the gated end-to-end metrics (the rows that carry a bound) of every
+// untraced run in it. A report with a failed or incorrect run is
+// refused: `correct=false` or a non-zero `failed=` after a suite's run,
+// the same two in a single run's closing JSON line, or a FAIL line; so
+// is a header naming a second commit.
 func parseReport(r io.Reader) (trajectoryEntry, error) {
 	entry := trajectoryEntry{Tool: "customSmallerIsBetter"}
 	workload := "" // of the untraced run being read, else empty
@@ -61,9 +63,14 @@ func parseReport(r io.Reader) (trajectoryEntry, error) {
 		case len(f) == 0:
 		case strings.HasPrefix(line, "# choco benchmark "):
 			for _, kv := range f {
-				if id, ok := strings.CutPrefix(kv, "commit="); ok {
-					entry.Commit.ID = id
+				id, ok := strings.CutPrefix(kv, "commit=")
+				if !ok {
+					continue
 				}
+				if entry.Commit.ID != "" && entry.Commit.ID != id {
+					return entry, fmt.Errorf("the reports are of two commits, %s and %s", entry.Commit.ID, id)
+				}
+				entry.Commit.ID = id
 			}
 		case f[0] == "workload" && len(f) >= 3:
 			workload = ""

@@ -10,7 +10,8 @@ import (
 )
 
 // The fixtures are what the benchmark printed, verbatim: the suite under
-// -smoke and a single `-workload lenetsm-pipe` run.
+// -smoke and single `-workload lenetsm-pipe` and `-workload knn-ckks-pipe`
+// runs.
 func fixture(t *testing.T, name string) string {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", name))
@@ -58,6 +59,50 @@ func TestTrajectoryReadsBothReportForms(t *testing.T) {
 		if b := got["lenetsm-pipe/wire_bytes_per_request"]; b.Value != 258340 {
 			t.Errorf("%s: lenetsm-pipe/wire_bytes_per_request = %v, the report says 258340", tc.file, b.Value)
 		}
+	}
+}
+
+// TestTrajectoryReadsTwoReportsAsOneEntry: two single-workload reports of
+// one commit, read in one call, make one entry of twelve benches; two of
+// different commits are refused.
+func TestTrajectoryReadsTwoReportsAsOneEntry(t *testing.T) {
+	lenet, knn := fixture(t, "report_single_lenetsm_pipe.txt"), fixture(t, "report_single_knn_ckks_pipe.txt")
+	sameCommit := strings.Replace(knn, "commit=d22fa78", "commit=016a3fa", 1)
+	if sameCommit == knn {
+		t.Fatal("the knn-ckks-pipe fixture's header does not name commit d22fa78")
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_trajectory.json")
+	if _, err := AppendTrajectory(path, strings.NewReader(lenet+sameCommit), 1); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hist trajectoryFile
+	if err := json.Unmarshal(raw, &hist); err != nil {
+		t.Fatal(err)
+	}
+	entries := hist.Entries[trajectorySuite]
+	if len(entries) != 1 || entries[0].Commit.ID != "016a3fa" || len(entries[0].Benches) != 12 {
+		t.Fatalf("history holds %+v, want one 016a3fa entry of 12 benches", entries)
+	}
+	got := map[string]float64{}
+	for _, b := range entries[0].Benches {
+		got[b.Name] = b.Value
+	}
+	for _, w := range []string{"lenetsm-pipe", "knn-ckks-pipe"} {
+		for metric := range endToEndUnits {
+			if got[w+"/"+metric] <= 0 {
+				t.Errorf("%s/%s = %v, want a positive value", w, metric, got[w+"/"+metric])
+			}
+		}
+	}
+	if got["knn-ckks-pipe/wire_bytes_per_request"] != 317536 {
+		t.Errorf("knn-ckks-pipe/wire_bytes_per_request = %v, the report says 317536", got["knn-ckks-pipe/wire_bytes_per_request"])
+	}
+	if _, err := AppendTrajectory("", strings.NewReader(lenet+knn), 2); err == nil || !strings.Contains(err.Error(), "two commits") {
+		t.Errorf("reports of 016a3fa and d22fa78 read as one: error %v", err)
 	}
 }
 
