@@ -16,9 +16,12 @@
 #                  concurrency are exercised even on 1-core CI; then
 #                  the serving and fabric suites 50 times over (their
 #                  counters must already hold every inference a client
-#                  has seen the reply to — the TestFabricFleet race)
-#                  and the concurrent first use of a decomposition's
-#                  hoisted lift of c0 10 times
+#                  has seen the reply to — the TestFabricFleet race),
+#                  the concurrent first use of a decomposition's
+#                  hoisted lift of c0 10 times, and the layer executor's
+#                  byte-identity tests 3 times at GOMAXPROCS=4 (its one
+#                  pass merges per-worker giant-fold accumulators, and
+#                  which worker folds which inner sum varies run to run)
 #   make debug   — tests with the chocodebug assertion layer compiled in
 #                  (ring, the shared rlwe core with its QP accumulator
 #                  invariants, both schemes' entry-point checks, the
@@ -92,6 +95,7 @@ race:
 	GOMAXPROCS=4 $(GO) test -race -shuffle=on ./internal/par ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core ./internal/apps/distance ./internal/serve ./internal/fabric
 	$(GO) test -race -count=50 -timeout 60m ./internal/serve ./internal/fabric
 	$(GO) test -race -count=10 -run 'TestRotateRowsLazyNTTMatchesMaterialized' ./internal/bfv
+	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestConvResidentMatchesMaterialized|TestParallelPipelineDeterminism|TestRequestPathGolden' ./internal/core
 
 debug:
 	$(GO) test -race -shuffle=on -tags chocodebug ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core ./internal/nn

@@ -80,21 +80,6 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	return out
 }
 
-// SubPlain returns ct - pt.
-func (ev *Evaluator) SubPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	if rlwe.DebugEnabled {
-		ev.ctx.debugCheckCt("SubPlain", ct)
-	}
-	if ct.Drop != 0 {
-		panic("bfv: plaintext operations require a full-modulus ciphertext")
-	}
-	r := ev.ctx.RingQ
-	out := ev.ctx.CopyCt(ct)
-	dm := ev.encoder.liftToQScaled(pt)
-	r.Sub(out.Value[0], dm, out.Value[0])
-	return out
-}
-
 // MulScalar multiplies every slot by an unsigned integer constant —
 // cheaper than a full plaintext multiply (no NTT round trip) and with
 // scalar-sized noise growth.

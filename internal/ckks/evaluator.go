@@ -51,23 +51,6 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 	return ev.Add(a, nb)
 }
 
-// AddPlain returns ct + pt; levels and scales must match.
-func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
-	if rlwe.DebugEnabled {
-		ev.ctx.debugCheckCt("AddPlain", ct)
-	}
-	if ct.Level != pt.Level {
-		return nil, fmt.Errorf("ckks: level mismatch %d vs %d", ct.Level, pt.Level)
-	}
-	if !scalesMatch(ct.Scale, pt.Scale) {
-		return nil, fmt.Errorf("ckks: scale mismatch %g vs %g", ct.Scale, pt.Scale)
-	}
-	r := ev.ctx.RingAtLevel(ct.Level)
-	out := ev.ctx.CopyCt(ct)
-	r.Add(out.Value[0], pt.Poly, out.Value[0])
-	return out, nil
-}
-
 // SubPlain returns ct - pt; levels and scales must match.
 func (ev *Evaluator) SubPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
 	if rlwe.DebugEnabled {

@@ -229,15 +229,13 @@ func (c *Conv2D) PackInput(image [][]int64, slots int) ([]int64, error) {
 
 // Apply evaluates the convolution over an encrypted packed input,
 // returning one ciphertext per output group and the operation counts.
-// It is ApplyBatch over one item with the operator's own prepared
-// weight plaintexts, so a repeated Apply on one operator is the warm
-// path.
+// It runs over the operator's own prepared weight plaintexts, so a
+// repeated Apply on one operator is the warm path.
 func (c *Conv2D) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) ([]*bfv.Ciphertext, OpCounts, error) {
-	outs, ops, err := c.ApplyBatch(ecd, []BatchInput{{Ev: ev, Ct: ct}}, slots, nil)
-	if err != nil {
-		return nil, OpCounts{}, err
+	if c.Weights == nil {
+		return nil, OpCounts{}, fmt.Errorf("core: Apply on a spec-only convolution (no weights)")
 	}
-	return outs[0], ops[0], nil
+	return applyBSGS(ev, ecd, ct, c.plains, c.bsgs(slots))
 }
 
 // weightDiag builds the block-diagonal weight plaintext for output

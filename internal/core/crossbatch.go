@@ -12,12 +12,11 @@ import (
 // linear transform on the baby-step/giant-step schedule (bsgsPlan): baby
 // rotations of one input, a fixed weight plaintext per term, an inner sum
 // per (output, giant) and a giant fold per output. Both run it
-// NTT-resident over a batch of sessions' inputs (applyBSGS), and serial
-// Apply is a batch of one:
+// NTT-resident over one input ciphertext (applyBSGS):
 //
-//   - each item pays one hoisted decomposition of its input, and every
-//     baby stays resident in the key ring QP, NTT domain, its divide-by-P
-//     still owed (nttRotations) — the coefficient-domain rotation is never
+//   - the input pays one hoisted decomposition, and every baby stays
+//     resident in the key ring QP, NTT domain, its divide-by-P still owed
+//     (nttRotations) — the coefficient-domain rotation is never
 //     materialized;
 //   - each inner sum accumulates its terms over QP as unreduced 128-bit
 //     sums and pays one reduction, one inverse NTT and one divide-by-P
@@ -27,23 +26,19 @@ import (
 //   - the weight-side plaintext pipeline (EncodeInts of each diagonal +
 //     PrepareMul's lift and forward NTT) depends only on the layer's
 //     weights and the parameter preset, never on the session, so one
-//     prepared plaintext serves every item and every later request — a
+//     prepared plaintext serves every session and every later request — a
 //     PlainCache carries it: the serving tier's shared one, or the
-//     operator's own when the caller passes none;
-//   - the (item, rotation) and (item, output) work of the whole batch
-//     fans out in flat worker-pool dispatches, so key switches from
-//     different requests overlap instead of serializing per request.
+//     operator's own when the caller passes none.
 //
 // Terms run in a fixed order per output, and every intermediate is
-// exact modular arithmetic, so per-item outputs are byte-identical for
-// any batch composition, worker count or cache state — and to the same
-// schedule run unfused, one reduced multiply and add per term
-// (TestConvResidentMatchesMaterialized).
+// exact modular arithmetic, so outputs are byte-identical for any worker
+// count or cache state — and to the same schedule run unfused, one
+// reduced multiply and add per term (TestConvResidentMatchesMaterialized).
 
-// BatchInput is one session's work item in a cross-request batch: its
-// packed input ciphertext and the evaluator holding that session's
-// evaluation keys. All items of a batch must share one parameter
-// preset (one bfv.Context).
+// BatchInput is one session's input to ApplyBatch, the form the
+// benchmark replay prices two items in: its packed input ciphertext and
+// the evaluator holding that session's evaluation keys. All items of one
+// call must share one parameter preset (one bfv.Context).
 type BatchInput struct {
 	Ev *bfv.Evaluator
 	Ct *bfv.Ciphertext
@@ -199,44 +194,28 @@ func (pc *PlainCache) prepared(op any, idx int, ev *bfv.Evaluator, ecd *bfv.Enco
 	})
 }
 
-// nttRotations returns, per item, the input rotated by each of steps,
-// resident in QP in the NTT domain (a zero step is the input itself,
-// lifted). Each item pays one hoisted decomposition; every (item, step)
-// key switch of the batch then runs in one flat dispatch. On error
+// nttRotations returns the input rotated by each of steps, resident in
+// QP in the NTT domain (a zero step is the input itself, lifted), off
+// one hoisted decomposition, the key switches in one dispatch. On error
 // nothing is left outstanding; on success the caller owns the result
 // (recycleRotations).
-func nttRotations(items []BatchInput, steps []int) (rots [][]*bfv.NTTCiphertext, err error) {
-	rots = make([][]*bfv.NTTCiphertext, len(items))
-	dcs := make([]*bfv.DecomposedCiphertext, len(items))
-	defer func() {
-		for _, dc := range dcs {
-			if dc != nil {
-				dc.Release()
-			}
-		}
-		if err != nil {
-			recycleRotations(items, rots)
-			rots = nil
-		}
-	}()
-	// Decompositions run serially: each already fans its digit NTTs
-	// across the pool. They also reject malformed inputs before ToNTT
-	// (which panics on them) sees one.
-	for i, it := range items {
-		rots[i] = make([]*bfv.NTTCiphertext, len(steps))
-		if dcs[i], err = it.Ev.Decompose(it.Ct); err != nil {
-			return rots, err
-		}
+func nttRotations(ev *bfv.Evaluator, ct *bfv.Ciphertext, steps []int) ([]*bfv.NTTCiphertext, error) {
+	// The decomposition also rejects a malformed input before ToNTT
+	// (which panics on one) sees it.
+	dc, err := ev.Decompose(ct)
+	if err != nil {
+		return nil, err
 	}
-	n := len(steps)
-	errs := make([]error, len(items)*n)
-	par.For(len(items)*n, func(k int) {
-		item, j := k/n, k%n
-		rots[item][j], errs[k] = items[item].Ev.RotateRowsLazyNTT(dcs[item], steps[j])
+	defer dc.Release()
+	rots := make([]*bfv.NTTCiphertext, len(steps))
+	errs := make([]error, len(steps))
+	par.For(len(steps), func(j int) {
+		rots[j], errs[j] = ev.RotateRowsLazyNTT(dc, steps[j])
 	})
 	for _, e := range errs {
 		if e != nil {
-			return rots, e
+			recycleRotations(rots)
+			return nil, e
 		}
 	}
 	return rots, nil
@@ -244,12 +223,10 @@ func nttRotations(items []BatchInput, steps []int) (rots [][]*bfv.NTTCiphertext,
 
 // recycleRotations returns every rotation of nttRotations' result to
 // the scratch pool.
-func recycleRotations(items []BatchInput, rots [][]*bfv.NTTCiphertext) {
-	for i, rs := range rots {
-		for _, r := range rs {
-			if r != nil {
-				items[i].Ev.RecycleNTT(r)
-			}
+func recycleRotations(rots []*bfv.NTTCiphertext) {
+	for _, r := range rots {
+		if r != nil {
+			r.Recycle()
 		}
 	}
 }
@@ -319,80 +296,61 @@ func (pl bsgsPlan) rotationSteps() []int {
 
 func (pl bsgsPlan) babySteps() int { return len(pl.rotationSteps()) - (len(pl.giants) - 1) }
 
-// applyBSGS is the one executor behind Conv2D.ApplyBatch and
-// FC.ApplyBatch. Babies share one decomposition of each item's input and
-// stay resident in QP, where the inner products consume them. Per (item,
-// output, giant) the inner sum accumulates over QP — one divide-by-P and
-// one inverse NTT per giant instead of one per term — and the giant-step
-// key-switch products of each output accumulate in QP too, per-worker
-// accumulators merged in worker order, so each output pays a single full
-// mod-down. A plan with no rotated giant (Conv2D with one channel block,
-// FC with one output, FC's flat plan) skips the fold: its inner sum is
-// the output. Terms run in (giant, baby) order and every intermediate is
-// exact modular arithmetic, so per-item outputs are byte-identical for
-// any batch composition, worker count or cache state.
-func applyBSGS(ecd *bfv.Encoder, items []BatchInput, cache *PlainCache, pl bsgsPlan) ([][]*bfv.Ciphertext, []OpCounts, error) {
-	if len(items) == 0 {
-		return nil, nil, nil
-	}
-	babies, err := nttRotations(items, pl.babies)
+// applyBSGS is the one executor behind Conv2D and FC. Babies share one
+// decomposition of the input and stay resident in QP, where the inner
+// products consume them. One task per (output, giant) accumulates its
+// inner sum over QP — one divide-by-P and one inverse NTT per giant
+// instead of one per term — and, when the plan has rotated giants, folds
+// it at once into its worker's QP accumulator for that output; the
+// per-worker accumulators merge in worker order, so each output pays a
+// single full mod-down. A plan with no rotated giant (Conv2D with one
+// channel block, FC with one output, FC's flat plan) skips the fold: its
+// inner sum is the output. Terms run in (giant, baby) order and every
+// accumulator field is a plain modular sum, so the outputs are
+// byte-identical for any worker count, split or cache state. The error
+// returned is the first in (output, giant) order.
+func applyBSGS(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, cache *PlainCache, pl bsgsPlan) ([]*bfv.Ciphertext, OpCounts, error) {
+	babies, err := nttRotations(ev, ct, pl.babies)
 	if err != nil {
-		return nil, nil, err
+		return nil, OpCounts{}, err
 	}
-	defer recycleRotations(items, babies)
+	defer recycleRotations(babies)
 
-	// Inner sums, flat in (item, output, giant) order.
 	nB, nG := len(pl.babies), len(pl.giants)
-	perItem := pl.outputs * nG
-	n := len(items) * perItem
-	inners := make([]*bfv.Ciphertext, n)
-	defer func() {
-		for p, in := range inners {
-			if in != nil {
-				items[p/perItem].Ev.RecycleCt(in)
-			}
-		}
-	}()
+	n := pl.outputs * nG
+	nw := par.MaxWorkers(n)
+	outs := make([]*bfv.Ciphertext, pl.outputs) // the inner sums, when nG == 1
+	qas := make([]*bfv.QPAccumulator, pl.outputs*nw)
 	innerOps := make([]OpCounts, n)
 	errs := make([]error, n)
-	par.For(n, func(p int) {
-		item, og := p/perItem, p%perItem
-		ev := items[item].Ev
-		inners[p], innerOps[p], errs[p] = innerSum(ev, nB, func(bi int) (*bfv.NTTCiphertext, *bfv.PlaintextMul, error) {
-			pm, err := cache.prepared(pl.op, og*nB+bi, ev, ecd, func() []int64 { return pl.diag(og/nG, og%nG, bi) })
-			return babies[item][bi], pm, err
+	par.ForWorker(n, func(w, p int) {
+		o, gi := p/nG, p%nG
+		in, ops, err := innerSum(ev, nB, func(bi int) (*bfv.NTTCiphertext, *bfv.PlaintextMul, error) {
+			pm, err := cache.prepared(pl.op, p*nB+bi, ev, ecd, func() []int64 { return pl.diag(o, gi, bi) })
+			return babies[bi], pm, err
 		})
-	})
-
-	// Giant fold: per-(item, output, worker) QP accumulators, merged in
-	// worker order — bit-identical to a serial accumulator, any split.
-	nw := par.MaxWorkers(n)
-	qas := make([]*bfv.QPAccumulator, len(items)*pl.outputs*nw)
-	if nG > 1 {
-		wErrs := make([]error, nw)
-		par.ForWorker(n, func(w, p int) {
-			if wErrs[w] != nil || errs[p] != nil || inners[p] == nil {
-				return
-			}
-			ev := items[p/perItem].Ev
-			qa := &qas[p/nG*nw+w]
-			if *qa == nil {
-				*qa = ev.NewQPAccumulator()
-			}
-			if p%nG == 0 {
-				wErrs[w] = ev.AddLazy(*qa, inners[p])
-				return
-			}
-			dc, err := ev.Decompose(inners[p])
-			if err != nil {
-				wErrs[w] = err
-				return
-			}
-			wErrs[w] = ev.AccumulateQP(*qa, dc, pl.giants[p%nG])
+		innerOps[p], errs[p] = ops, err
+		if in == nil {
+			return
+		}
+		if nG == 1 {
+			outs[o] = in
+			return
+		}
+		qa := &qas[o*nw+w]
+		if *qa == nil {
+			*qa = ev.NewQPAccumulator()
+		}
+		if gi == 0 {
+			errs[p] = ev.AddLazy(*qa, in)
+		} else if dc, err := ev.Decompose(in); err != nil {
+			errs[p] = err
+		} else {
+			errs[p] = ev.AccumulateQP(*qa, dc, pl.giants[gi])
 			dc.Release()
-		})
-		errs = append(errs, wErrs...)
-	}
+		}
+		ev.RecycleCt(in)
+	})
 	for _, e := range errs {
 		if e != nil {
 			err = e
@@ -400,12 +358,10 @@ func applyBSGS(ecd *bfv.Encoder, items []BatchInput, cache *PlainCache, pl bsgsP
 		}
 	}
 
-	outs := make([][]*bfv.Ciphertext, len(items))
-	opsOut := make([]OpCounts, len(items))
-	for io := 0; io < len(items)*pl.outputs; io++ {
-		item, o := io/pl.outputs, io%pl.outputs
+	ops := OpCounts{Rotations: pl.babySteps()}
+	for o := range outs {
 		var qa *bfv.QPAccumulator
-		for _, q := range qas[io*nw : (io+1)*nw] {
+		for _, q := range qas[o*nw : (o+1)*nw] {
 			switch {
 			case q == nil:
 			case err != nil:
@@ -419,50 +375,44 @@ func applyBSGS(ecd *bfv.Encoder, items []BatchInput, cache *PlainCache, pl bsgsP
 		if err != nil {
 			continue
 		}
-		if o == 0 {
-			outs[item] = make([]*bfv.Ciphertext, pl.outputs)
-			opsOut[item].Rotations = pl.babySteps()
-		}
 		contributed := 0
-		for p := io * nG; p < (io+1)*nG; p++ {
-			opsOut[item].Add(innerOps[p])
-			if inners[p] == nil {
-				continue
+		for gi, iops := range innerOps[o*nG : (o+1)*nG] {
+			ops.Add(iops)
+			if iops.PlainMults == 0 {
+				continue // an all-zero inner sum
 			}
 			contributed++
-			if p > io*nG {
-				opsOut[item].Rotations++
+			if gi > 0 {
+				ops.Rotations++
 			}
 			if contributed > 1 {
-				opsOut[item].Adds++
+				ops.Adds++
 			}
 		}
 		switch {
 		case contributed == 0:
 			err = fmt.Errorf("core: output %d has no contributing weights", o)
-		case nG == 1:
-			outs[item][o], inners[io] = inners[io], nil
-		default:
-			outs[item][o] = items[item].Ev.FinalizeModDown(qa)
+		case nG > 1:
+			outs[o] = ev.FinalizeModDown(qa)
 		}
 	}
 	if err != nil {
-		for i, os := range outs {
-			for _, o := range os {
-				if o != nil {
-					items[i].Ev.RecycleCt(o)
-				}
+		for _, out := range outs {
+			if out != nil {
+				ev.RecycleCt(out)
 			}
 		}
-		return nil, nil, err
+		return nil, OpCounts{}, err
 	}
-	return outs, opsOut, nil
+	return outs, ops, nil
 }
 
 // ApplyBatch evaluates the convolution over several sessions' packed
-// inputs at once, returning per-item output groups and op counts in
-// item order. Per-item outputs are byte-identical for any batch
-// composition; a nil cache selects the operator's own plaintext store.
+// inputs, one after another on one plan, returning per-item output
+// groups and op counts in item order; a nil cache selects the operator's
+// own plaintext store. It stays for two callers: the benchmark replay
+// prices two items in one call, and the serving tier passes its shared
+// PlainCache through it.
 func (c *Conv2D) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache) ([][]*bfv.Ciphertext, []OpCounts, error) {
 	if c.Weights == nil {
 		return nil, nil, fmt.Errorf("core: ApplyBatch on a spec-only convolution (no weights)")
@@ -470,27 +420,35 @@ func (c *Conv2D) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cac
 	if cache == nil {
 		cache = c.plains
 	}
-	return applyBSGS(ecd, items, cache, c.bsgs(slots))
+	pl := c.bsgs(slots)
+	outs := make([][]*bfv.Ciphertext, len(items))
+	ops := make([]OpCounts, len(items))
+	for i, it := range items {
+		var err error
+		if outs[i], ops[i], err = applyBSGS(it.Ev, ecd, it.Ct, cache, pl); err != nil {
+			return nil, nil, err
+		}
+	}
+	return outs, ops, nil
 }
 
-// ApplyBatch evaluates y = W·x for several sessions' inputs at once,
-// returning per-item outputs and op counts in item order. Per-item
-// outputs are byte-identical for any batch composition; a nil cache
-// selects the operator's own plaintext store.
+// ApplyBatch evaluates y = W·x for several sessions' inputs, one after
+// another on one plan, returning per-item outputs and op counts in item
+// order; a nil cache selects the operator's own plaintext store. It stays
+// for two callers: the benchmark replay prices two items in one call, and
+// the serving tier passes its shared PlainCache through it.
 func (f *FC) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache) ([]*bfv.Ciphertext, []OpCounts, error) {
-	if f.Weights == nil {
-		return nil, nil, fmt.Errorf("core: ApplyBatch on a spec-only FC layer (no weights)")
-	}
 	if cache == nil {
 		cache = f.plains
 	}
-	groups, ops, err := applyBSGS(ecd, items, cache, f.bsgs(slots))
-	if err != nil {
-		return nil, nil, err
-	}
-	outs := make([]*bfv.Ciphertext, len(groups))
-	for i, g := range groups {
-		outs[i] = g[0]
+	pl := f.bsgs(slots)
+	outs := make([]*bfv.Ciphertext, len(items))
+	ops := make([]OpCounts, len(items))
+	for i, it := range items {
+		var err error
+		if outs[i], ops[i], err = f.apply(it.Ev, ecd, it.Ct, cache, pl); err != nil {
+			return nil, nil, err
+		}
 	}
 	return outs, ops, nil
 }

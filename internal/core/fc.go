@@ -174,14 +174,21 @@ func (f *FC) diag(giant, baby, slots int) []int64 {
 func (f *FC) HoistLevel() int { return 3 }
 
 // Apply evaluates y = W·x over the encrypted replicated packing on the
-// BSGS schedule: ApplyBatch over one item with the operator's own
-// prepared weight plaintexts.
+// BSGS schedule, over the operator's own prepared weight plaintexts.
 func (f *FC) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) (*bfv.Ciphertext, OpCounts, error) {
-	outs, ops, err := f.ApplyBatch(ecd, []BatchInput{{Ev: ev, Ct: ct}}, slots, nil)
+	return f.apply(ev, ecd, ct, f.plains, f.bsgs(slots))
+}
+
+// apply runs plan pl, whose one output is y, over cache.
+func (f *FC) apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, cache *PlainCache, pl bsgsPlan) (*bfv.Ciphertext, OpCounts, error) {
+	if f.Weights == nil {
+		return nil, OpCounts{}, fmt.Errorf("core: Apply on a spec-only FC layer (no weights)")
+	}
+	outs, ops, err := applyBSGS(ev, ecd, ct, cache, pl)
 	if err != nil {
 		return nil, OpCounts{}, err
 	}
-	return outs[0], ops[0], nil
+	return outs[0], ops, nil
 }
 
 // ApplyNaive evaluates the same product with the textbook diagonal
@@ -191,14 +198,7 @@ func (f *FC) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slot
 // server (DESIGN.md per-experiment index; requires the rotation keys of
 // NaiveRotationSteps).
 func (f *FC) ApplyNaive(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) (*bfv.Ciphertext, OpCounts, error) {
-	if f.Weights == nil {
-		return nil, OpCounts{}, fmt.Errorf("core: Apply on a spec-only FC layer (no weights)")
-	}
-	outs, ops, err := applyBSGS(ecd, []BatchInput{{Ev: ev, Ct: ct}}, nil, f.flat(slots))
-	if err != nil {
-		return nil, OpCounts{}, err
-	}
-	return outs[0][0], ops[0], nil
+	return f.apply(ev, ecd, ct, nil, f.flat(slots))
 }
 
 // NaiveRotationSteps lists the rotation amounts ApplyNaive uses.

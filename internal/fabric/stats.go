@@ -69,11 +69,10 @@ type FleetTotals struct {
 	BytesDown         int64         `json:"bytes_down"`
 	InferenceP99Max   time.Duration `json:"inference_p99_max_ns"`
 
-	// BatchedItems sums the layer calls the shards' executors ran;
-	// Layers splits them by layer of the model (the shards of a fleet
-	// serve one model), sorted by layer index.
-	BatchedItems int64        `json:"batched_items"`
-	Layers       []FleetLayer `json:"layers,omitempty"`
+	// Layers counts and times the layer calls the shards' executors ran,
+	// by layer of the model (the shards of a fleet serve one model),
+	// sorted by layer index.
+	Layers []FleetLayer `json:"layers,omitempty"`
 
 	// Tenants aggregates per-tenant counters across every reachable
 	// shard, sorted by tenant ID.
@@ -190,7 +189,6 @@ func (r *Router) FleetStats() FleetStats {
 		if p99 := st.InferenceLatency.P99; p99 > f.InferenceP99Max {
 			f.InferenceP99Max = p99
 		}
-		f.BatchedItems += st.Batching.Items
 		for _, ls := range st.Layers {
 			agg := layerAgg[ls.Layer]
 			if agg == nil {

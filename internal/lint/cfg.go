@@ -12,9 +12,9 @@ import (
 // this package deliberately track evidence linearly and forget it at
 // the first join — which is the right trade for domain discipline, but
 // cannot answer path questions like "does secret material reach this
-// Send on *some* path" (secretflow) or "is a deadline armed on *every*
-// path to this Read" (deadlinecheck). Those analyzers solve a forward
-// fixpoint over this CFG instead.
+// Send on *some* path" (secretflow) or "is this channel buffered on
+// *every* path to this go statement" (goroleak). Those analyzers solve a
+// forward fixpoint over this CFG instead.
 //
 // Granularity: a Block holds a sequence of *atoms* — simple statements
 // and bare expressions that execute straight-line. Compound statements

@@ -7,8 +7,8 @@ package lint
 //
 // Termination argument: Join must be monotone — once information is in
 // a fact it stays (may-analyses like secretflow use set union; must-
-// analyses like deadlinecheck use intersection, where "information" is
-// the *removal* of members, which is equally monotone). Each lattice
+// analyses like goroleak use intersection, where "information" is the
+// *removal* of members, which is equally monotone). Each lattice
 // here has finite height (bounded by the identifiers in one function),
 // so every block re-enters the worklist at most height-many times.
 

@@ -117,9 +117,6 @@ func TestSecretFlowFixture(t *testing.T)  { runFixture(t, SecretFlow, "secretflo
 func TestGoroLeakFixture(t *testing.T) {
 	runFixture(t, GoroLeak, "goroleak/internal/fabric")
 }
-func TestDeadlineCheckFixture(t *testing.T) {
-	runFixture(t, DeadlineCheck, "deadlinecheck/internal/serve")
-}
 
 // TestMalformedSuppressions exercises the suppression parser directly:
 // an unknown analyzer name or a missing reason turns the suppression

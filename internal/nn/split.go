@@ -417,20 +417,21 @@ type ServerSession struct {
 }
 
 // KernelExecutor intercepts a session's linear-layer evaluations. The
-// serving tier installs one (via WithExecutor) to coalesce same-layer
-// work from concurrent sessions into cross-request batches
-// (core.ApplyBatch); a nil executor means the direct serial Apply
-// path. Implementations must return results byte-identical to the
-// serial path — ServeOne treats the two as interchangeable.
+// serving tier installs one (via WithExecutor) to time each layer call
+// and to run every session's layers over one shared weight-plaintext
+// cache (core.ApplyBatch with its PlainCache); a nil executor means the
+// direct Apply path over the operator's own plaintexts. Implementations
+// must return results byte-identical to Apply — ServeOne treats the two
+// as interchangeable.
 type KernelExecutor interface {
 	ExecConv(layer int, conv *core.Conv2D, ev *bfv.Evaluator, ct *bfv.Ciphertext, slots int) ([]*bfv.Ciphertext, core.OpCounts, error)
 	ExecFC(layer int, fc *core.FC, ev *bfv.Evaluator, ct *bfv.Ciphertext, slots int) (*bfv.Ciphertext, core.OpCounts, error)
 }
 
 // WithExecutor returns a view of the session whose linear layers are
-// evaluated through x instead of the direct serial path. The receiver
-// is not modified, so one registry-cached session can serve batched
-// and unbatched connections simultaneously.
+// evaluated through x instead of the direct Apply path. The receiver is
+// not modified, so one registry-cached session can serve connections
+// with and without an executor simultaneously.
 func (sess *ServerSession) WithExecutor(x KernelExecutor) *ServerSession {
 	return &ServerSession{s: sess.s, ev: sess.ev, exec: x}
 }
