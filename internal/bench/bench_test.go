@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"choco/internal/apps/distance"
+	"choco/internal/bfv"
+	"choco/internal/core"
 	"choco/internal/nn"
 )
 
@@ -116,13 +118,13 @@ func TestFig12Headlines(t *testing.T) {
 	if avg := sumPartial / n; avg < 5 || avg > 80 {
 		t.Errorf("partial-HW vs local %.1f× outside expectation (paper 14.5×)", avg)
 	}
-	// The executable row: one more decryption than the model condenses
-	// to, each at one residue, so the software client is cheaper.
+	// The executable row: as many decryptions as the model condenses to,
+	// each at one residue, so the software client is strictly cheaper.
 	exec, err := ExecutableBreakdown(nn.LeNetSmall())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exec.EncOps != 3 || exec.DecOps != 4 || exec.CHOCOSW >= rows[0].CHOCOSW || !strings.Contains(out, exec.Network) {
+	if exec.EncOps != 3 || exec.DecOps != 3 || exec.CHOCOSW >= rows[0].CHOCOSW || !strings.Contains(out, exec.Network) {
 		t.Errorf("executable LeNet-Sm row %+v against the model's %+v", exec, rows[0])
 	}
 }
@@ -240,7 +242,7 @@ func TestFig14EnergyShape(t *testing.T) {
 		t.Errorf("MACs-per-MB ordering violated: VGG %.2f, LeNetLg %.2f, Sqz %.2f",
 			vgg.LocalGain, lg.LocalGain, sqz.LocalGain)
 	}
-	if !strings.Contains(out, "LeNetSm-exec") || !strings.Contains(out, "258340 B on the wire, replies at 1 of 2 residues") {
+	if !strings.Contains(out, "LeNetSm-exec") || !strings.Contains(out, "221448 B on the wire, replies at 1 of 2 residues") {
 		t.Error("no executable LeNet-Sm row at the reply level")
 	}
 	// Communication dominates end-to-end time.
@@ -312,6 +314,69 @@ func TestFig11Live(t *testing.T) {
 	t.Log("\n" + out)
 	if !strings.Contains(out, "collapsed point-major") {
 		t.Error("missing variants")
+	}
+}
+
+// TestCostSheetResidentBytes holds the cost sheet's resident_bytes column
+// to the store it prices: one Apply of each LeNet-Sm layer at bfv-B into
+// an empty PlainCache leaves residentBytes of its plan in it — conv1's 25
+// weight plaintexts (one group), conv2's 100 and the FC's 16, of
+// 98 304 B each.
+func TestCostSheetResidentBytes(t *testing.T) {
+	ctx, err := bfv.NewContext(bfv.PresetB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowSize, slots := ctx.Params.N()/2, ctx.Params.Slots()
+	conv1, conv2, fc, err := lenetLayers(rowSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := bfv.NewKeyGenerator(ctx, [32]byte{57})
+	sk := kg.GenSecretKey()
+	steps := append(append(conv1.RotationSteps(), conv2.RotationSteps()...), fc.RotationSteps()...)
+	ev := bfv.NewEvaluator(ctx, nil, kg.GenRotationKeys(sk, steps...))
+	ecd := bfv.NewEncoder(ctx)
+	ct, err := bfv.NewEncryptor(ctx, kg.GenPublicKey(sk), [32]byte{58}).EncryptInts(make([]int64, slots))
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := []core.BatchInput{{Ev: ev, Ct: ct}}
+	convApply := func(conv *core.Conv2D) func(*core.PlainCache) error {
+		return func(cache *core.PlainCache) error {
+			outs, _, err := conv.ApplyBatch(ecd, items, slots, cache)
+			for _, group := range outs {
+				for _, o := range group {
+					ctx.RecycleCt(o)
+				}
+			}
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name       string
+		plan       core.RotationPlan
+		plaintexts int
+		apply      func(*core.PlainCache) error
+	}{
+		{"conv1", conv1.Plan(), 25, convApply(conv1)},
+		{"conv2", conv2.Plan(), 100, convApply(conv2)},
+		{"fc", fc.Plan(fc.HoistLevel()), 16, func(cache *core.PlainCache) error {
+			outs, _, err := fc.ApplyBatch(ecd, items, slots, cache)
+			for _, o := range outs {
+				ctx.RecycleCt(o)
+			}
+			return err
+		}},
+	} {
+		cache := core.NewPlainCache(0)
+		if err := tc.apply(cache); err != nil {
+			t.Fatal(err)
+		}
+		held, want := cache.Stats().Bytes, residentBytes(ctx, tc.plan)
+		if held != want || want != int64(tc.plaintexts)*98304 {
+			t.Errorf("%s: the sheet says resident_bytes %d, the store holds %d B after one Apply; want %d plaintexts of 98304 B", tc.name, want, held, tc.plaintexts)
+		}
 	}
 }
 

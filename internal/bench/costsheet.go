@@ -20,25 +20,17 @@ type LayerCost struct {
 	PredictedMs float64
 }
 
-// CostSheet is the cost sheet as a checked model: LeNet-Sm's three
-// linear layers at PresetB, each RotationPlan priced from the unit costs
-// of everything the executor does — decompositions, QP-resident babies,
-// the lifts of the unrotated input and of the hoisted c0, one
-// multiply-accumulate per term, one close per inner sum, QP giants and the
-// fold's mod-down — all measured in this process on one worker (the width
-// the end-to-end benchmark is pinned to), next to the measured warm Apply.
-// It returns the report and one record per layer
-// (TestCostSheetPredictsApply holds the two within 15 %).
-func CostSheet() (string, []LayerCost, error) {
-	old := par.Parallelism()
-	par.SetParallelism(1)
-	defer par.SetParallelism(old)
-	var b strings.Builder
-	ctx, err := bfv.NewContext(bfv.PresetB())
-	if err != nil {
-		return "", nil, err
-	}
-	rowSize, slots := ctx.Params.N()/2, ctx.Params.Slots()
+// residentBytes is what a layer's weight store holds once an Apply has
+// filled it: one prepared plaintext per plaintext multiply of its plan
+// (the cost sheet's weights have no zero), each lifted over QP — N words
+// per data prime and per special prime, 98 304 B at bfv-B.
+func residentBytes(ctx *bfv.Context, plan core.RotationPlan) int64 {
+	return int64(plan.PlainMults) * int64(ctx.Params.N()*(len(ctx.Params.QBits)+1)*8)
+}
+
+// lenetLayers builds LeNet-Sm's three linear layers for the given row
+// size with the cost sheet's synthetic weights, none of them zero.
+func lenetLayers(rowSize int) (conv1, conv2 *core.Conv2D, fc *core.FC, err error) {
 	weight := func(i int) int64 {
 		if w := int64(i%15) - 7; w != 0 {
 			return w
@@ -58,13 +50,11 @@ func CostSheet() (string, []LayerCost, error) {
 		}
 		return core.NewConv2D(spec, w, rowSize)
 	}
-	conv1, err := newConv(core.ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4})
-	if err != nil {
-		return "", nil, err
+	if conv1, err = newConv(core.ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}); err != nil {
+		return nil, nil, nil, err
 	}
-	conv2, err := newConv(core.ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6})
-	if err != nil {
-		return "", nil, err
+	if conv2, err = newConv(core.ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}); err != nil {
+		return nil, nil, nil, err
 	}
 	fcW := make([][]int64, 10)
 	for r := range fcW {
@@ -73,7 +63,33 @@ func CostSheet() (string, []LayerCost, error) {
 			fcW[r][c] = weight(r*31 + c*7)
 		}
 	}
-	fc, err := core.NewFC(294, 10, fcW, rowSize)
+	if fc, err = core.NewFC(294, 10, fcW, rowSize); err != nil {
+		return nil, nil, nil, err
+	}
+	return conv1, conv2, fc, nil
+}
+
+// CostSheet is the cost sheet as a checked model: LeNet-Sm's three
+// linear layers at PresetB, each RotationPlan priced from the unit costs
+// of everything the executor does — decompositions, QP-resident babies,
+// the lifts of the unrotated input and of the hoisted c0, one
+// multiply-accumulate per term, one close per inner sum, QP giants and the
+// fold's mod-down — all measured in this process on one worker (the width
+// the end-to-end benchmark is pinned to), next to the measured warm Apply
+// and the bytes of its resident weight plaintexts. It returns the report
+// and one record per layer (TestCostSheetPredictsApply holds the two
+// timings within 15 %, TestCostSheetResidentBytes the bytes to the store).
+func CostSheet() (string, []LayerCost, error) {
+	old := par.Parallelism()
+	par.SetParallelism(1)
+	defer par.SetParallelism(old)
+	var b strings.Builder
+	ctx, err := bfv.NewContext(bfv.PresetB())
+	if err != nil {
+		return "", nil, err
+	}
+	rowSize, slots := ctx.Params.N()/2, ctx.Params.Slots()
+	conv1, conv2, fc, err := lenetLayers(rowSize)
 	if err != nil {
 		return "", nil, err
 	}
@@ -106,7 +122,7 @@ func CostSheet() (string, []LayerCost, error) {
 	defer dc.Release()
 	// The babies and the multiply-accumulates cycle over as many distinct
 	// switching keys and operands as a request does: its 54 rotation keys
-	// are 41 MB, 24 babies and 166 weight plaintexts 20 MB, so a loop over
+	// are 41 MB, 24 babies and 141 weight plaintexts 19 MB, so a loop over
 	// one of each would time a cache the executor never has.
 	turn := 0
 	rotate := func(steps []int) func() error {
@@ -124,7 +140,8 @@ func CostSheet() (string, []LayerCost, error) {
 	// rotations (a lift's empty special-prime row would flatter the
 	// close's rounding branches): the difference prices a
 	// multiply-accumulate, the rest of the short one the close.
-	xs, pms := make([]*bfv.NTTCiphertext, len(babySteps)), make([]*bfv.PlaintextMul, 166)
+	plaintexts := conv1.Plan().PlainMults + conv2.Plan().PlainMults + fc.Plan(fc.HoistLevel()).PlainMults
+	xs, pms := make([]*bfv.NTTCiphertext, len(babySteps)), make([]*bfv.PlaintextMul, plaintexts)
 	for k := range xs {
 		if xs[k], err = ev.RotateRowsLazyNTT(dc, babySteps[k]); err != nil {
 			return "", nil, err
@@ -218,8 +235,10 @@ func CostSheet() (string, []LayerCost, error) {
 		keySwitching := float64(l.plan.Decompositions)*decompose + float64(l.plan.BabySteps)*baby + 2*lift +
 			float64(l.plan.GiantSteps)*giant + float64(l.plan.ModDowns)*modDown
 		innerSums := float64(l.plan.PlainMults)*mac + float64(l.plan.NTTModDowns)*closeSum
+		resident := residentBytes(ctx, l.plan)
 		recs = append(recs, LayerCost{Layer: l.name, MeasuredMs: measured, PredictedMs: keySwitching + innerSums})
-		fmt.Fprintf(&b, "  %s, %d reply ciphertexts, %d key switches\n    plan: %s\n", l.desc, l.outputs, l.plan.BabySteps+l.plan.GiantSteps, l.plan)
+		fmt.Fprintf(&b, "  %s, %d reply ciphertexts, %d key switches, resident_bytes %d (%d weight plaintexts)\n    plan: %s\n",
+			l.desc, l.outputs, l.plan.BabySteps+l.plan.GiantSteps, resident, l.plan.PlainMults, l.plan)
 		fmt.Fprintf(&b, "    predicted %.2f ms = key switching %.2f + %d multiply-accumulates and %d inner-sum closes %.2f; warm Apply measured %.2f ms (%d allocs/op), %+.1f %% off the sheet\n",
 			keySwitching+innerSums, keySwitching, l.plan.PlainMults, l.plan.NTTModDowns, innerSums, measured, allocs, 100*(measured/(keySwitching+innerSums)-1))
 	}

@@ -148,9 +148,9 @@ func Fig12() (string, []ClientBreakdown, error) {
 		sumSpeedLocal += r.Local / r.TACO
 		sumPartialVsLocal += r.HEAX / r.Local
 	}
-	// The same bars from what the executable moves: 4 replies where the
-	// model condenses to 3, each decrypted at one residue (the model rows
-	// price every decryption at the paper's k = 3). Not in the averages.
+	// The same bars from what the executable moves: the model's 3 replies,
+	// each decrypted at one residue (the model rows price every
+	// decryption at the paper's k = 3). Not in the averages.
 	exec, err := ExecutableBreakdown(nn.LeNetSmall())
 	if err != nil {
 		return "", nil, err

@@ -25,8 +25,13 @@ func (s ConvSpec) MACs() int64 {
 }
 
 // Conv2D is an encrypted convolution operator. Input channels are
-// packed with rotational redundancy into power-of-two-strided blocks of
-// one ciphertext row, the same in both batching rows; weights enter as
+// packed into power-of-two-strided blocks of one ciphertext row, the
+// same in both batching rows, each block holding one zero-haloed window
+// and nothing else: the halo is the rotational redundancy, since no
+// kernel offset of an interior output reads past it, so a block costs
+// nextPow2(Hp·Wp) slots. When InC divides the block count the channels
+// repeat to fill every block, so each output block finds all of them
+// within InC block shifts. Weights enter as
 // block-diagonal plaintexts that give the two rows different output
 // channels, so the whole layer uses exactly one multiplication per
 // (output group, channel-block shift, kernel offset) alignment and every
@@ -35,8 +40,8 @@ func (s ConvSpec) MACs() int64 {
 // additive, so the layer runs on the BSGS schedule (applyBSGS): the
 // kernel offsets are baby rotations of the input shared by every output
 // group, and each group folds its shifted inner sums with one giant
-// rotation per block shift — KH·KW − 1 + Groups·(Cb − 1) key switches
-// where a rotation per alignment would pay Cb·KH·KW − 1.
+// rotation per block shift — KH·KW − 1 + Groups·(shifts − 1) key
+// switches where a rotation per alignment would pay shifts·KH·KW − 1.
 type Conv2D struct {
 	Spec   ConvSpec
 	Layout rotred.Layout
@@ -55,7 +60,7 @@ type Conv2D struct {
 }
 
 // NewConv2D validates the spec against the ring geometry (rowSize =
-// N/2 slots per batching row) and computes the redundant layout.
+// N/2 slots per batching row) and computes the block layout.
 func NewConv2D(spec ConvSpec, weights [][][]int64, rowSize int) (*Conv2D, error) {
 	if len(weights) != spec.OutC {
 		return nil, fmt.Errorf("core: weights have %d output channels, spec %d", len(weights), spec.OutC)
@@ -89,9 +94,7 @@ func NewConv2DSpecOnly(spec ConvSpec, rowSize int) (*Conv2D, error) {
 	}
 	ph, pw := (spec.KH-1)/2, (spec.KW-1)/2
 	hp, wp := spec.InH+2*ph, spec.InW+2*pw
-	window := hp * wp
-	pad := ph*wp + pw
-	layout, err := rotred.NewLayout(window, pad, spec.InC, rowSize)
+	layout, err := rotred.NewLayout(hp*wp, 0, spec.InC, rowSize)
 	if err != nil {
 		return nil, fmt.Errorf("core: conv layout: %w", err)
 	}
@@ -135,12 +138,35 @@ func (c *Conv2D) step(d, delta int) int {
 	return ((s % c.rowSize) + c.rowSize) % c.rowSize
 }
 
+// blockChannel returns the input channel block k of a row holds, or −1
+// when it holds none: channel k mod InC when InC divides Cb (the
+// channels repeat to fill the row), else channel k in the first InC
+// blocks only.
+func (c *Conv2D) blockChannel(k int) int {
+	if c.Cb%c.Spec.InC == 0 {
+		return k % c.Spec.InC
+	}
+	if k < c.Spec.InC {
+		return k
+	}
+	return -1
+}
+
+// shifts returns the number of block shifts that bring every input
+// channel to every output block: InC when the channels repeat, else Cb.
+func (c *Conv2D) shifts() int {
+	if c.Cb%c.Spec.InC == 0 {
+		return c.Spec.InC
+	}
+	return c.Cb
+}
+
 // shiftLive reports whether block shift d can carry a weight of output
-// group g: some channel b of the group exists and reads an input channel
-// (b+d) mod Cb that exists.
+// group g: some channel b of the group exists and its block b + d holds
+// an input channel.
 func (c *Conv2D) shiftLive(g, d int) bool {
 	for b := 0; b < c.GroupSize() && g*c.GroupSize()+b < c.Spec.OutC; b++ {
-		if (b+d)%c.Cb < c.Spec.InC {
+		if c.blockChannel((b+d)%c.Cb) >= 0 {
 			return true
 		}
 	}
@@ -155,7 +181,7 @@ func (c *Conv2D) bsgs(slots int) bsgsPlan {
 		pl.babies = append(pl.babies, c.step(0, delta))
 	}
 	var shifts []int
-	for d := 0; d < c.Cb; d++ {
+	for d := 0; d < c.shifts(); d++ {
 		for g := 0; g < pl.outputs; g++ {
 			if c.shiftLive(g, d) {
 				shifts = append(shifts, d)
@@ -178,21 +204,22 @@ func (c *Conv2D) RotationSteps() []int { return c.bsgs(0).rotationSteps() }
 func (c *Conv2D) Plan() RotationPlan {
 	giantSteps := 0
 	for g := 0; g < c.Groups(); g++ {
-		for d := 1; d < c.Cb; d++ {
+		for d := 1; d < c.shifts(); d++ {
 			if c.shiftLive(g, d) {
 				giantSteps++
 			}
 		}
 	}
 	rp := c.bsgs(0).sheet(3, giantSteps)
-	// Shift 0 is live in every group: its first channel reads channel 0.
+	// Shift 0 is live in every group: its first channel reads block 0.
 	rp.PlainMults = (giantSteps + c.Groups()) * c.Spec.KH * c.Spec.KW
 	return rp
 }
 
 // PackInput lays the image (channel-major, InC×InH×InW, quantized
-// signed values) into a slot vector with zero halo and rotational
-// redundancy, duplicated across both batching rows.
+// signed values) into a slot vector, each channel's window with its
+// zero halo in every block that holds the channel (blockChannel),
+// duplicated across both batching rows.
 func (c *Conv2D) PackInput(image [][]int64, slots int) ([]int64, error) {
 	if len(image) != c.Spec.InC {
 		return nil, fmt.Errorf("core: image has %d channels, spec %d", len(image), c.Spec.InC)
@@ -200,25 +227,20 @@ func (c *Conv2D) PackInput(image [][]int64, slots int) ([]int64, error) {
 	if slots < 2*c.rowSize {
 		return nil, fmt.Errorf("core: need %d slots, have %d", 2*c.rowSize, slots)
 	}
-	out := make([]int64, slots)
-	l := c.Layout
 	for ch, img := range image {
 		if len(img) != c.Spec.InH*c.Spec.InW {
 			return nil, fmt.Errorf("core: channel %d has %d pixels", ch, len(img))
 		}
-		padded := make([]int64, l.Window)
+	}
+	out := make([]int64, slots)
+	for k := 0; k < c.Cb; k++ {
+		ch := c.blockChannel(k)
+		if ch < 0 {
+			continue
+		}
+		base := k*c.Layout.Stride + c.ph*c.Wp + c.pw
 		for y := 0; y < c.Spec.InH; y++ {
-			for x := 0; x < c.Spec.InW; x++ {
-				padded[(y+c.ph)*c.Wp+(x+c.pw)] = img[y*c.Spec.InW+x]
-			}
-		}
-		base := ch * l.Stride
-		for i := 0; i < l.Pad; i++ {
-			out[base+i] = padded[l.Window-l.Pad+i]
-		}
-		copy(out[base+l.Pad:base+l.Pad+l.Window], padded)
-		for i := 0; i < l.Pad; i++ {
-			out[base+l.Pad+l.Window+i] = padded[i]
+			copy(out[base+y*c.Wp:], image[ch][y*c.Spec.InW:(y+1)*c.Spec.InW])
 		}
 	}
 	// Duplicate into the second batching row: a row rotation moves both
@@ -240,13 +262,12 @@ func (c *Conv2D) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, 
 
 // weightDiag builds the block-diagonal weight plaintext for output
 // group g, block shift d, kernel index ki, already rotated by −d·Stride
-// for the BSGS schedule: the weight w[g·2Cb+b][(b+d) mod Cb][ki] of the
-// group's channel b sits in row b/Cb at the interior (valid output)
-// positions of the input channel's block (b+d) mod Cb, and the giant
-// rotation by d·Stride carries the product to block b mod Cb of that
-// row. Returns nil when every block is zero.
+// for the BSGS schedule: with k = (b+d) mod Cb, the weight
+// w[g·2Cb+b][blockChannel(k)][ki] of the group's channel b sits in row
+// b/Cb at the interior (valid output) positions of block k, and the
+// giant rotation by d·Stride carries the product to block b mod Cb of
+// that row. Returns nil when every block is zero.
 func (c *Conv2D) weightDiag(g, d, ki, slots int) []int64 {
-	l := c.Layout
 	diag := make([]int64, slots)
 	any := false
 	for b := 0; b < c.GroupSize(); b++ {
@@ -254,8 +275,9 @@ func (c *Conv2D) weightDiag(g, d, ki, slots int) []int64 {
 		if o >= c.Spec.OutC {
 			continue
 		}
-		ch := (b + d) % c.Cb
-		if ch >= c.Spec.InC {
+		k := (b + d) % c.Cb
+		ch := c.blockChannel(k)
+		if ch < 0 {
 			continue
 		}
 		w := c.Weights[o][ch][ki]
@@ -263,9 +285,9 @@ func (c *Conv2D) weightDiag(g, d, ki, slots int) []int64 {
 			continue
 		}
 		any = true
-		base := b/c.Cb*c.rowSize + ch*l.Stride
+		base := b/c.Cb*c.rowSize + k*c.Layout.Stride
 		for y := 0; y < c.Spec.InH; y++ {
-			rowBase := base + l.Pad + (y+c.ph)*c.Wp + c.pw
+			rowBase := base + (y+c.ph)*c.Wp + c.pw
 			for x := 0; x < c.Spec.InW; x++ {
 				diag[rowBase+x] = w
 			}
@@ -281,8 +303,7 @@ func (c *Conv2D) weightDiag(g, d, ki, slots int) []int64 {
 // decoded slot vector of group o/GroupSize().
 func (c *Conv2D) ExtractOutput(decoded []int64, o int) []int64 {
 	b := o % c.GroupSize()
-	l := c.Layout
-	base := b/c.Cb*c.rowSize + b%c.Cb*l.Stride + l.Pad
+	base := b/c.Cb*c.rowSize + b%c.Cb*c.Layout.Stride
 	out := make([]int64, c.Spec.InH*c.Spec.InW)
 	for y := 0; y < c.Spec.InH; y++ {
 		for x := 0; x < c.Spec.InW; x++ {

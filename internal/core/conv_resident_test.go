@@ -371,28 +371,42 @@ func TestWarmApplyAllocs(t *testing.T) {
 }
 
 // TestConvBSGSEdgeGeometries decrypts the convolution against
-// PlainConv2D where the BSGS split or the two-row layout degenerates:
-// fewer input channels than blocks (some block shifts are dead and get
-// no key) with so few outputs that row 1 stays empty, an output count
-// that fills row 1 only partly, one that leaves the last of two groups
-// partly filled, and a single block per row (no giants at all — the
-// inner sum is the output, and a group is one channel per row). Each
-// runs under exactly RotationSteps() keys, byte-identical to the oracle,
-// and with no zero weight its key switches are the plan's.
+// PlainConv2D where the BSGS split, the two-row layout or the channel
+// replication degenerates: input channels that do not divide the blocks
+// (packed once, so some block shifts are dead and get no key) with so
+// few outputs that row 1 stays empty, or with every shift live; channels
+// repeated across the blocks, where InC shifts reach them all, with an
+// output count that fills row 1 only partly, one that leaves the last of
+// two groups partly filled, and one channel in two blocks (one group,
+// no giants); and a single block per row (no giants at all — the inner
+// sum is the output, and a group is one channel per row). Each runs
+// under exactly RotationSteps() keys, byte-identical to the oracle, and
+// with no zero weight its key switches are the plan's.
 func TestConvBSGSEdgeGeometries(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
 		spec             ConvSpec
 		cb, keys, giants int
 	}{
-		// Stride 128 → 8 blocks, one group of 16 with 5 channels, all in
-		// row 0; shift 3 reads only channels ≥ 3.
-		{"InC<Cb,OutC<=Cb", ConvSpec{InH: 6, InW: 6, InC: 3, KH: 3, KW: 3, OutC: 5}, 8, 8 + 6, 6},
-		// One group, row 1 holding 3 of 8 blocks.
-		{"Cb<OutC<2Cb", ConvSpec{InH: 6, InW: 6, InC: 8, KH: 3, KW: 3, OutC: 11}, 8, 8 + 7, 7},
-		// Two groups, the second holding 3 of 16 channels: every shift is
+		// Stride 64 → 16 blocks, 3 ∤ 16 so channels 0–2 sit in blocks
+		// 0–2 alone; one group of 32 with 5 channels, all in row 0, so
+		// shifts 3–11 read no channel.
+		{"InC<Cb,OutC<=Cb", ConvSpec{InH: 6, InW: 6, InC: 3, KH: 3, KW: 3, OutC: 5}, 16, 8 + 6, 6},
+		// 8 channels repeat twice over 16 blocks: 8 shifts. One group,
+		// row 1 holding 3 of 16 blocks.
+		{"Cb<OutC<2Cb", ConvSpec{InH: 6, InW: 6, InC: 8, KH: 3, KW: 3, OutC: 19}, 16, 8 + 7, 7},
+		// Two groups, the second holding 3 of 32 channels: every shift is
 		// live in both.
-		{"OutC%2Cb!=0", ConvSpec{InH: 6, InW: 6, InC: 8, KH: 3, KW: 3, OutC: 19}, 8, 8 + 7, 14},
+		{"OutC%2Cb!=0", ConvSpec{InH: 6, InW: 6, InC: 8, KH: 3, KW: 3, OutC: 35}, 16, 8 + 7, 14},
+		// Stride 512 → 2 blocks, both holding the one channel: one group
+		// of 4, no giants.
+		{"InC=1,Cb=2", ConvSpec{InH: 16, InW: 16, InC: 1, KH: 3, KW: 3, OutC: 4}, 2, 8, 0},
+		// Stride 128 → 8 blocks holding channels 0,1,0,1,…: shifts 0 and
+		// 1 reach both, one giant.
+		{"InC=2,Cb=8", ConvSpec{InH: 8, InW: 8, InC: 2, KH: 3, KW: 3, OutC: 10}, 8, 8 + 1, 1},
+		// 3 ∤ 8: blocks 3–7 stay empty and all 8 shifts are live for a
+		// group that fills row 0.
+		{"InC=3,Cb=8", ConvSpec{InH: 8, InW: 8, InC: 3, KH: 3, KW: 3, OutC: 12}, 8, 8 + 7, 7},
 		// Stride 1024 fills the row: two groups of one channel per row,
 		// the second with row 1 empty.
 		{"Cb=1", ConvSpec{InH: 28, InW: 28, InC: 1, KH: 3, KW: 3, OutC: 3}, 1, 8, 0},
@@ -463,7 +477,7 @@ func TestConvBSGSEdgeGeometries(t *testing.T) {
 func (c *Conv2D) applyFlat(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) ([]*bfv.Ciphertext, error) {
 	outs := make([]*bfv.Ciphertext, c.Groups())
 	for g := range outs {
-		for d := 0; d < c.Cb; d++ {
+		for d := 0; d < c.shifts(); d++ {
 			for ki, delta := range c.kernelOffsets() {
 				diag := c.weightDiag(g, d, ki, slots)
 				if diag == nil {
@@ -519,10 +533,10 @@ func TestConvBSGSNoise(t *testing.T) {
 		params  bfv.Parameters
 		spec    ConvSpec
 		rowCost float64   // bits the second row may cost
-		was     []float64 // per group, the budget a mod-down per baby left
+		was     []float64 // per group, the budget a mod-down per baby left (conv1: its one group's reading)
 	}{
 		{"bfv-B/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 0.2, []float64{5.99}},
-		{"bfv-B/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0.2, []float64{7.95, 7.97}},
+		{"bfv-B/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0.2, []float64{8.91}},
 		{"Test/conv2", bfv.PresetTest(), ConvSpec{InH: 14, InW: 14, InC: 2, KH: 5, KW: 5, OutC: 3}, 0.5, []float64{17.58}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -538,7 +552,7 @@ func TestConvBSGSNoise(t *testing.T) {
 				t.Fatal(err)
 			}
 			var flatSteps []int
-			for d := 0; d < conv.Cb; d++ {
+			for d := 0; d < conv.shifts(); d++ {
 				for _, delta := range conv.kernelOffsets() {
 					flatSteps = append(flatSteps, conv.step(d, delta))
 				}

@@ -469,13 +469,13 @@ func TestFCRotationPlan(t *testing.T) {
 	if p := lenet.Plan(3); lenet.P != 512 || lenet.Po != 16 || p.BabySteps != 3 || p.GiantSteps != 3 || p.PlainMults != 16 || p.ModDowns != 1 || p.NTTModDowns != 4 || p.Decompositions != 4 {
 		t.Errorf("294x10: P=%d Po=%d plan %+v", lenet.P, lenet.Po, p)
 	}
-	// LeNet-Sm's convolutions: one mod-down per inner sum — conv1's two
-	// groups are their own inner sums, conv2's one group folds four.
+	// LeNet-Sm's convolutions: one mod-down per inner sum — conv1's one
+	// group is its own inner sum, conv2's one group folds four.
 	for _, tc := range []struct {
 		spec                ConvSpec
 		modDowns, innerSums int
 	}{
-		{ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 2},
+		{ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 1},
 		{ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 1, 4},
 	} {
 		conv, err := NewConv2DSpecOnly(tc.spec, 2048)

@@ -9,12 +9,11 @@ import (
 
 // TestRequestPathGolden pins the bytes and op counts of what a request
 // runs — Conv2D.Apply and FC.Apply at their one schedule — on LeNet-Sm's
-// three layer shapes at bfv-B (conv1 with both its groups) and on FC's
-// one-output and square shapes at the Test preset, each under its own
-// keys, synthesized weights and one encrypted input. The digests are the
-// hashV1Frame of every output ciphertext, taken before FC's hoisting
-// ladder left core: a change to the executor that moves one bit of a
-// reply fails here.
+// three layer shapes at bfv-B and on FC's one-output and square shapes
+// at the Test preset, each under its own keys, synthesized weights and
+// one encrypted input. The digests are the hashV1Frame of every output
+// ciphertext: a change to the executor or to the conv packing that moves
+// one bit of a reply fails here.
 func TestRequestPathGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -25,11 +24,10 @@ func TestRequestPathGolden(t *testing.T) {
 		ops     OpCounts
 	}{
 		{"bfv-B/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 0, []string{
-			"1a523096696e13065d27173637b63a14d9b68e3a3e1be9b4eb1e9062dd6ec7d3",
-			"9cdfa2a7b050cae3c4393f870520b8eb91bd2c9a2166f695b0a6cffb9f7b0dbc",
-		}, OpCounts{Rotations: 24, PlainMults: 50, Adds: 48}},
+			"1868ffd618b1d0c93526af1f4604f5ab0fcdd3bc9cc6cc2e38eed63a2a06b627",
+		}, OpCounts{Rotations: 24, PlainMults: 25, Adds: 24}},
 		{"bfv-B/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 0, 0, []string{
-			"9353eb1583bbc75d739ddfaa1414acac0bb09ac1b91c6cf21662cac339a33542",
+			"bd7748d973d467dd171d0977ca3364dea5a9c2b081c3eaa56a540a3bec65f955",
 		}, OpCounts{Rotations: 27, PlainMults: 100, Adds: 99}},
 		{"bfv-B/fc294x10", bfv.PresetB(), ConvSpec{}, 294, 10, []string{
 			"82a8b344ff30cd71be4886786494e82072f87a59067bd303a3103ecdaf093dde",

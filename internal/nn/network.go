@@ -151,6 +151,7 @@ func (n *Network) CommPlan() ([]LayerComm, error) {
 		case Conv:
 			ph, pw := (l.KH-1)/2, (l.KW-1)/2
 			window := (h + 2*ph) * (w + 2*pw)
+			// The paper's padded layout; core.Conv2D packs without pad slots.
 			layout, err := rotred.NewLayout(window, ph*(w+2*pw)+pw, 1, rowSlots)
 			if err != nil {
 				return nil, fmt.Errorf("nn: layer %d does not fit the ring: %w", i, err)

@@ -212,8 +212,8 @@ func TestClientAidedInferenceMatchesPlain(t *testing.T) {
 
 // TestLeNetSmServerOpCounts pins the logical work of one LeNet-Sm
 // request at bfv-B — the counts the benchmark reports as
-// core.*_per_request: 57 rotations, 166 plaintext multiplies, 162
-// additions (24 + 0, 24 + 3 and 3 + 3 key switches; 2·25, 4·25 and 16
+// core.*_per_request: 57 rotations, 141 plaintext multiplies, 138
+// additions (24 + 0, 24 + 3 and 3 + 3 key switches; 25, 4·25 and 16
 // multiplies; one add less than multiplies per reply ciphertext). They
 // are a property of the layer shapes and the packing (no weight is zero,
 // so no diagonal is skipped) and must not move when the engine underneath
@@ -261,11 +261,11 @@ func TestLeNetSmServerOpCounts(t *testing.T) {
 				t.Fatalf("%s: logit %d: encrypted %d vs plain %d", label, i, got[i], want[i])
 			}
 		}
-		if wantOps := (core.OpCounts{Rotations: 57, PlainMults: 166, Adds: 162}); stats.Server != wantOps {
+		if wantOps := (core.OpCounts{Rotations: 57, PlainMults: 141, Adds: 138}); stats.Server != wantOps {
 			t.Errorf("%s: server ops %+v, want %+v", label, stats.Server, wantOps)
 		}
 	}
-	if rc, err := ExecutableRequestCost(net); err != nil || rc.Server != (core.OpCounts{Rotations: 57, PlainMults: 166, Adds: 162}) {
+	if rc, err := ExecutableRequestCost(net); err != nil || rc.Server != (core.OpCounts{Rotations: 57, PlainMults: 141, Adds: 138}) {
 		t.Errorf("the operators' plans predict %+v (err %v), not the counts executed", rc.Server, err)
 	}
 }
@@ -278,8 +278,9 @@ func TestLeNetSmServerOpCounts(t *testing.T) {
 // down to; the client's byte count is the transport's, and is the
 // wire_bytes_per_request the end-to-end benchmark reports. CommPlan —
 // Table 5's model, which has the server condense every layer's outputs
-// densely (3 downloads where LeNet-Sm's conv1, one channel per row, needs
-// 2 of its own) but send them full-size — is now above it.
+// densely but send them full-size — is above it, and counts the same
+// replies: since conv1's four channels fill one group, the operators'
+// packing is as condensed as the model's.
 func TestCommAccountMatchesWire(t *testing.T) {
 	for _, net := range []*Network{LeNetSmall(), DemoNetwork()} {
 		m := SynthesizeWeights(net, 4, [32]byte{14})
@@ -300,8 +301,8 @@ func TestCommAccountMatchesWire(t *testing.T) {
 		if up := len(runner.client.convs) + len(runner.client.fcs); stats.UpCiphertexts != up || stats.DownCiphertexts != down {
 			t.Errorf("%s: %d up / %d down ciphertexts, the operators plan %d / %d", net.Name, stats.UpCiphertexts, stats.DownCiphertexts, up, down)
 		}
-		if wire := clientEnd.SentBytes() + serverEnd.SentBytes(); stats.TotalBytes() != wire || wire != 258340 {
-			t.Errorf("%s: the client counts %d B, the pipe carried %d B, want 258340 B (3 seeded uploads of two packed 36-bit rows + 4 one-residue replies)", net.Name, stats.TotalBytes(), wire)
+		if wire := clientEnd.SentBytes() + serverEnd.SentBytes(); stats.TotalBytes() != wire || wire != 221448 {
+			t.Errorf("%s: the client counts %d B, the pipe carried %d B, want 221448 B (3 seeded uploads of two packed 36-bit rows + 3 one-residue replies)", net.Name, stats.TotalBytes(), wire)
 		}
 		// chocobench setup-costs prints this plan; it must be the wire's.
 		rc, err := ExecutableRequestCost(net)
@@ -314,6 +315,17 @@ func TestCommAccountMatchesWire(t *testing.T) {
 		model, err := net.CommBytes()
 		if err != nil {
 			t.Fatal(err)
+		}
+		plan, err := net.CommPlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		condensed := 0
+		for _, l := range plan {
+			condensed += l.DownCts
+		}
+		if rc.DownCiphertexts != condensed {
+			t.Errorf("%s: the operators reply with %d ciphertexts, the model condenses to %d", net.Name, rc.DownCiphertexts, condensed)
 		}
 		t.Logf("%s: executable %d B (%d down), CommPlan %d B", net.Name, stats.TotalBytes(), stats.DownCiphertexts, model)
 		if model != 589920 || model <= stats.TotalBytes() {

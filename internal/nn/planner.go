@@ -103,7 +103,8 @@ func PlanLayers(n *Network, actBits, weightBits int) (*NetworkPlan, error) {
 	return plan, nil
 }
 
-// minSlotsConv returns the slot demand of the redundant conv packing.
+// minSlotsConv returns the slot demand of the redundant conv packing
+// (the paper's padded layout; core.Conv2D packs without pad slots).
 func minSlotsConv(h, w, kh, kw, c int) int {
 	ph, pw := (kh-1)/2, (kw-1)/2
 	window := (h + 2*ph) * (w + 2*pw)

@@ -151,6 +151,8 @@ type RequestCost struct {
 // client/server can run. Unlike CommPlan — the analytic model, which
 // assumes densely condensed, full-size downloads — it counts the reply
 // ciphertexts the operators' packing produces, at the level they are sent.
+// On LeNet-Sm the two reply counts agree (3): conv blocks carry no pad
+// slots, so conv1's four channels fill one group.
 func ExecutableRequestCost(net *Network) (RequestCost, error) {
 	var rc RequestCost
 	_, convs, fcs, err := rotationStepsFor(net, nil, net.Params.N()/2)
