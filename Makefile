@@ -46,7 +46,7 @@
 #                  hello, key-fetch, peer-ping and stats-fetch frames of
 #                  the fleet's inner boundary, and the BFV and CKKS
 #                  ciphertext decoders and the key-bundle decoder, whose
-#                  40 KB–0.6 MB inputs run with minimization off: the
+#                  40 KB–0.3 MB inputs run with minimization off: the
 #                  engine otherwise spends the whole window shrinking
 #                  one input)
 #   make bench-e2e — the repository's benchmark (benchmark/README.md):

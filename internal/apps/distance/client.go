@@ -14,10 +14,12 @@ import (
 // half a public-key frame — as nn's client does.
 type Client struct {
 	geometry
-	enc    *ckks.SymmetricEncryptor
-	dec    *ckks.Decryptor
-	ctx    *ckks.Context
-	bundle *protocol.CKKSKeyBundle
+	enc *ckks.SymmetricEncryptor
+	dec *ckks.Decryptor
+	ctx *ckks.Context
+	// keyFrame is the evaluation-key bundle, marshalled once: the client
+	// keeps the bytes it sends, not the unpacked keys.
+	keyFrame []byte
 }
 
 // NewClient generates key material for querying a server with the
@@ -35,21 +37,23 @@ func NewClient(params ckks.Parameters, m, rawD int, seed [32]byte) (*Client, err
 	kg := ckks.NewKeyGenerator(ctx, seed)
 	sk := kg.GenSecretKey()
 	// CKKSKeyBundle's format carries a public key; the server never uses it.
-	pk := kg.GenPublicKey(sk)
-	relin := kg.GenRelinearizationKey(sk)
-	galois := kg.GenRotationKeys(sk, g.rotationSteps()...)
+	kb := &protocol.CKKSKeyBundle{
+		PK:     kg.GenPublicKey(sk),
+		Relin:  kg.GenRelinearizationKey(sk),
+		Galois: kg.GenRotationKeys(sk, g.rotationSteps()...),
+	}
 	return &Client{
 		geometry: g,
 		ctx:      ctx,
 		enc:      ckks.NewSymmetricEncryptor(ctx, sk, seed),
 		dec:      ckks.NewDecryptor(ctx, sk),
-		bundle:   &protocol.CKKSKeyBundle{PK: pk, Relin: relin, Galois: galois},
+		keyFrame: protocol.MarshalCKKSKeyBundle(kb),
 	}, nil
 }
 
 // Setup ships evaluation keys to the server.
 func (c *Client) Setup(t protocol.Transport) error {
-	return t.Send(protocol.MarshalCKKSKeyBundle(c.bundle))
+	return t.Send(c.keyFrame)
 }
 
 // Query computes squared distances from q to every server point: the

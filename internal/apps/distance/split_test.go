@@ -199,7 +199,7 @@ func TestClientRefusesUnplannedReplyLevel(t *testing.T) {
 	client, _, _ := testPair(t, 8, 4)
 	q := []float64{0.5, -0.75, 1.25, 0}
 	top := client.ctx.Params.MaxLevel()
-	pkEnc := ckks.NewEncryptor(client.ctx, client.bundle.PK, [32]byte{59})
+	pkEnc := ckks.NewEncryptor(client.ctx, publicKey(t, client), [32]byte{59})
 	ct, err := pkEnc.EncryptFloats(make([]float64, client.slots))
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func TestServerKeepsPointPlaintexts(t *testing.T) {
 	if err := cold.AcceptSetup(b); err != nil {
 		t.Fatal(err)
 	}
-	pkEnc := ckks.NewEncryptor(client.ctx, client.bundle.PK, [32]byte{60})
+	pkEnc := ckks.NewEncryptor(client.ctx, publicKey(t, client), [32]byte{60})
 	uploads := make([][]byte, len(kept))
 	for j := range uploads {
 		values := client.layout(DimensionMajor, j, func(int) []float64 { return q })
@@ -344,4 +344,16 @@ func TestServerKeepsPointPlaintexts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// publicKey decodes the public key the client's bundle carries; no
+// client encrypts under it, so only tests that forge a server's frame
+// need it.
+func publicKey(t *testing.T, c *Client) *ckks.PublicKey {
+	t.Helper()
+	kb, err := protocol.UnmarshalCKKSKeyBundle(c.ctx, c.keyFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kb.PK
 }

@@ -160,7 +160,9 @@ func (f *FC) applyHoisted(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertex
 // output), a single output (no rotation at all), Out > In, and square
 // layers, whose oracle bytes are pinned to what the square-diagonal
 // schedule produced before the extended diagonals (golden hashes taken
-// at 47b6bf0).
+// at 47b6bf0). Every digest of a layer that rotates was re-pinned once,
+// when switching keys became seeded: their A halves now expand from a
+// per-key seed, so the keys — and every key-switched output — changed.
 func TestFCApplyLevelsByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -170,25 +172,25 @@ func TestFCApplyLevelsByteIdentical(t *testing.T) {
 		apply   string // hashV1Frame of Apply's output
 	}{
 		{"PresetTest/20x13", bfv.PresetTest(), 20, 13, "",
-			"a754a32c0b5223559954b64dd632d0530b8efb751282acd68dabfb1d0395a7d6"},
+			"a9e54a91cef869ed8120edc6289db44cbceb10ba211195de9ba54910aa2cdcb4"},
 		{"PresetA/20x13", bfv.PresetA(), 20, 13, "",
-			"0ae4b9ca57826037968a54153856ee835348f039b862e72433b17fcbfe60e640"},
+			"f834a82f3dc704703ea8e19f7f4450365968f618b2d46d01d6e1b766a1d22717"},
 		{"PresetB/20x13", bfv.PresetB(), 20, 13, "",
-			"916661e73ec8a9e1da36c123f9830d26c66850bfe89a26676201cd3d32a265b0"},
+			"01911b30265a76b9de925e871dbece2008453f295c491e71a0c4089c188b176e"},
 		{"PresetB/294x10", bfv.PresetB(), 294, 10, "",
-			"7da17854f1545c5df163fc6e6160b99fa0c276df14210e81ca0522a3105b5245"},
+			"e35bb6d149fd8db6c0bfd39b763a053a529d006f7cca7bb900e1f294c6be9f06"},
 		{"PresetB/2048x10", bfv.PresetB(), 2048, 10, "",
-			"a8beb6a6d199ae7130a7e55e0e1cd0f8db827864479a6add5df13b21c424840c"},
+			"bca63f2c8c149570871e9900a9641e5f7f72a8134a135e07188f4197ab22fc1d"},
 		{"PresetTest/64x4", bfv.PresetTest(), 64, 4, "",
-			"1396897013895ab46c6ec655837e994a317321091054c66214d4cd88213fa599"},
+			"ecb209f01adff414b3fa0c3479048a76e2e2f064ffaf4032766e5faefbd978b3"},
 		{"PresetTest/24x1", bfv.PresetTest(), 24, 1, "",
 			"f64b800c6001fafde034c2f070e2add134378fa49f3d038eac7149a27d8a9251"},
 		{"PresetTest/5x12", bfv.PresetTest(), 5, 12, "",
-			"b04bfe9e92332c7e2aa3e32f86f004aa4e0ce03f0357fe5acfd7c98d0e506883"},
-		{"PresetTest/64x64", bfv.PresetTest(), 64, 64, "5ef608b5be686143e448ffb10e23ded4a0fabbe777bcfa0ac6f23fb6b7d945e0",
-			"702d955755a4113e14e28827dd09bcc925bdb274e0d36764634c869aa5772001"},
-		{"PresetB/64x64", bfv.PresetB(), 64, 64, "dc51d564ded76046ec57cd6d60e78d6d418c94d2e9932ccb6cb92fe52a5699e7",
-			"d6ad33225889a0d11f01b45c76f2435d1cf053674dcae76f88eedb155a580bbb"},
+			"a1b2af8b705f6d1a1cb09490bc3a8d3eb48a21ef4b8892d936c0b0d382b8da8b"},
+		{"PresetTest/64x64", bfv.PresetTest(), 64, 64, "21dd42bc029d58abdfca5732f269eaff06a8e83a7f06571bb99495e7d5b05742",
+			"b2ec76c4ea3c8c63ef9bf24d70d261efa307b8c989ef485622a9613ab449a21b"},
+		{"PresetB/64x64", bfv.PresetB(), 64, 64, "2648ab882d3f1c1c7ea6a49c91495da49dd548c1af8f4cfe0ad215e9b6f70cc0",
+			"476a5cc1fcbe45c5e0310f5fa9b18b3bc00b628687ac968801cadea88d4b14a2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := sampling.NewSource([32]byte{23}, "fc-levels/"+tc.name)

@@ -91,7 +91,11 @@ func NewRunner(m *QuantizedModel, seed [32]byte) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{Model: m, client: client, sess: srv.NewSession(client.bundle)}, nil
+	sess, err := srv.NewSessionFromFrame(client.keyFrame)
+	if err != nil {
+		return nil, err
+	}
+	return &Runner{Model: m, client: client, sess: sess}, nil
 }
 
 // Infer runs one image through the client-aided protocol: the server half

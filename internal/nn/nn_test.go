@@ -423,23 +423,30 @@ func TestGaloisKeysGeneratedAreKeysUsed(t *testing.T) {
 // session — what the client generates and uploads once and the server
 // keeps resident: the kernel offsets of both convolutions, conv2's three
 // block shifts, and FC's 3 + 3 steps over its 16 extended diagonals (it
-// was 76 keys, 30.4 MB, while FC walked the 512 square ones).
+// was 76 keys, 30.4 MB, while FC walked the 512 square ones) — and the
+// bytes of the bundle, seeded keys and no relinearization key (it was
+// 11 461 648 B while every key shipped its A and a relinearization key
+// rode along), held to the frame the client really sends.
 func TestLeNetSmKeyFootprint(t *testing.T) {
 	keys, bundleBytes, err := EvaluationKeyFootprint(LeNetSmall())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if keys != 50 || bundleBytes != 11461648 {
-		t.Errorf("LeNet-Sm footprint: %d Galois keys, %d B bundle; want 50 keys, 11461648 B", keys, bundleBytes)
+	if keys != 50 || bundleBytes != 5657964 {
+		t.Errorf("LeNet-Sm footprint: %d Galois keys, %d B bundle; want 50 keys, 5657964 B", keys, bundleBytes)
 	}
 	client, err := NewInferenceClient(LeNetSmall(), [32]byte{9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(client.bundle.Galois); got != keys {
-		t.Errorf("the client generated %d Galois keys, the footprint says %d", got, keys)
+	if got := int64(len(client.keyFrame)); got != bundleBytes {
+		t.Errorf("the client's key frame is %d B, the footprint says %d", got, bundleBytes)
 	}
-	if got := int64(len(protocol.MarshalKeyBundle(client.bundle))); got != bundleBytes {
-		t.Errorf("the marshalled bundle is %d B, the footprint says %d", got, bundleBytes)
+	kb, err := protocol.UnmarshalKeyBundle(client.ctx, client.keyFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(kb.Galois); got != keys || kb.Relin != nil {
+		t.Errorf("the client sends %d Galois keys (relinearization key %v), the footprint says %d and none", got, kb.Relin != nil, keys)
 	}
 }

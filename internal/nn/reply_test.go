@@ -89,7 +89,11 @@ func probeReplies(t *testing.T, net *Network, seed byte, requests int) []replyRo
 		t.Fatal(err)
 	}
 	probe := &replyProbe{t: t, srv: srv, client: client}
-	sess := srv.NewSession(client.bundle).WithExecutor(probe)
+	sess, err := srv.NewSessionFromFrame(client.keyFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess = sess.WithExecutor(probe)
 	clientEnd, serverEnd := protocol.NewPipe()
 	defer clientEnd.Close()
 	var first []replyRow

@@ -26,7 +26,9 @@ type InferenceClient struct {
 	sk     *bfv.SecretKey
 	symEnc *bfv.SymmetricEncryptor
 	dec    *bfv.Decryptor
-	bundle *protocol.KeyBundle
+	// keyFrame is the evaluation-key bundle, marshalled once: the client
+	// keeps the bytes it sends, not the unpacked keys.
+	keyFrame []byte
 
 	convs map[int]*core.Conv2D
 	fcs   map[int]*core.FC
@@ -83,10 +85,10 @@ func rotationStepsFor(net *Network, m *QuantizedModel, rowSize int) ([]int, map[
 
 // EvaluationKeyFootprint reports the one-time client→server setup
 // cost for a network: the number of distinct Galois keys its layers
-// need and the serialized bundle size (public key + relinearization +
-// Galois keys). The paper, like its baselines' "offline" phases,
-// amortizes this over the deployment lifetime; the number matters for
-// real clients, so we account for it.
+// need and the serialized bundle size (public key + seeded Galois keys;
+// no relinearization key, since every layer is linear). The paper, like
+// its baselines' "offline" phases, amortizes this over the deployment
+// lifetime; the number matters for real clients, so we account for it.
 func EvaluationKeyFootprint(net *Network) (galoisKeys int, bundleBytes int64, err error) {
 	params := net.Params
 	rowSize := params.N() / 2
@@ -129,7 +131,7 @@ func EvaluationKeyFootprint(net *Network) (galoisKeys int, bundleBytes int64, er
 	// Distinct Galois elements plus the row-swap key.
 	galoisKeys = len(set) + 1
 
-	bundleBytes = int64(protocol.KeyBundleBytes(params.N(), params.QBits, params.PBits, true, galoisKeys))
+	bundleBytes = int64(protocol.KeyBundleBytes(params.N(), params.QBits, params.PBits, false, galoisKeys))
 	return galoisKeys, bundleBytes, nil
 }
 
@@ -179,7 +181,9 @@ func ExecutableRequestCost(net *Network) (RequestCost, error) {
 }
 
 // NewInferenceClient generates the client's key material for the
-// network architecture.
+// network architecture and marshals the evaluation keys once: a public
+// key and the Galois keys the layers rotate by. The network is linear
+// on the server, so no relinearization key is made.
 func NewInferenceClient(net *Network, seed [32]byte) (*InferenceClient, error) {
 	ctx, err := bfv.NewContext(net.Params)
 	if err != nil {
@@ -191,18 +195,16 @@ func NewInferenceClient(net *Network, seed [32]byte) (*InferenceClient, error) {
 	}
 	kg := bfv.NewKeyGenerator(ctx, seed)
 	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	relin := kg.GenRelinearizationKey(sk)
-	galois := kg.GenRotationKeys(sk, steps...)
+	kb := &protocol.KeyBundle{PK: kg.GenPublicKey(sk), Galois: kg.GenRotationKeys(sk, steps...)}
 	return &InferenceClient{
-		Net:    net,
-		ctx:    ctx,
-		sk:     sk,
-		symEnc: bfv.NewSymmetricEncryptor(ctx, sk, seed),
-		dec:    bfv.NewDecryptor(ctx, sk),
-		bundle: &protocol.KeyBundle{PK: pk, Relin: relin, Galois: galois},
-		convs:  convs,
-		fcs:    fcs,
+		Net:      net,
+		ctx:      ctx,
+		sk:       sk,
+		symEnc:   bfv.NewSymmetricEncryptor(ctx, sk, seed),
+		dec:      bfv.NewDecryptor(ctx, sk),
+		keyFrame: protocol.MarshalKeyBundle(kb),
+		convs:    convs,
+		fcs:      fcs,
 
 		replyDrop: net.Params.ReplyDrop(),
 	}, nil
@@ -214,7 +216,7 @@ func NewInferenceClient(net *Network, seed [32]byte) (*InferenceClient, error) {
 // bundle as first frame: open a session there with SetupSession, which
 // also lets its key registry skip the upload on reconnect.
 func (c *InferenceClient) Setup(t protocol.Transport) error {
-	return t.Send(protocol.MarshalKeyBundle(c.bundle))
+	return t.Send(c.keyFrame)
 }
 
 // ErrServerBusy is returned by SetupSession when the server rejects
@@ -277,7 +279,7 @@ func (c *InferenceClient) SetupSessionTenant(t protocol.Transport, sessionID, te
 	case protocol.AckKeysCached:
 		return true, nil
 	case protocol.AckNeedKeys:
-		if err := t.Send(protocol.MarshalKeyBundle(c.bundle)); err != nil {
+		if err := t.Send(c.keyFrame); err != nil {
 			return false, fmt.Errorf("nn: send key bundle: %w", err)
 		}
 		return false, nil

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"testing"
 
 	"choco/internal/protocol"
@@ -68,16 +69,16 @@ func TestKeyBundleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := protocol.MarshalKeyBundle(client.bundle)
+	data := bytes.Clone(client.keyFrame)
 	back, err := protocol.UnmarshalKeyBundle(client.ctx, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Galois) != len(client.bundle.Galois) {
-		t.Errorf("galois keys %d vs %d", len(back.Galois), len(client.bundle.Galois))
+	if !bytes.Equal(protocol.MarshalKeyBundle(back), data) {
+		t.Error("the decoded bundle does not marshal back to the client's frame")
 	}
-	if back.Relin == nil {
-		t.Error("relin key lost")
+	if len(back.Galois) == 0 || back.Relin != nil {
+		t.Errorf("the bundle carries %d Galois keys and a relinearization key: %v; a linear network needs some and none", len(back.Galois), back.Relin != nil)
 	}
 	// Corruption is detected.
 	if _, err := protocol.UnmarshalKeyBundle(client.ctx, data[:100]); err == nil {

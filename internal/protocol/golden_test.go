@@ -170,7 +170,11 @@ func sha(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
 // output bytes of one rotation, one multiply-relinearise-rescale and one
 // lazy rotation sum, so the key generator, the key-switch core at the top
 // level and one level below it, and the QP accumulator are all held to
-// the bytes they produced when these digests were taken.
+// the bytes they produced when these digests were taken. The three
+// key-switched rows were re-pinned once, when switching keys became
+// seeded: every A now expands from a per-key seed under its own label,
+// so the keys — and what they switch to — changed; the two encryptions
+// did not.
 func TestCKKSGoldenHashes(t *testing.T) {
 	ctx, err := ckks.NewContext(ckks.PresetTest())
 	if err != nil {
@@ -213,11 +217,11 @@ func TestCKKSGoldenHashes(t *testing.T) {
 		{"seeded encryption", SchemeCKKSSeeded, MarshalSeededCKKS(sct),
 			"ccc9407f4017b2b7723797c1456184d71ad72f7e788263a429b4d1c8bb822db4", "2b7489c280b5634c18bd858f9d743c848c9d548259686997bda197ac7979c2ef"},
 		{"RotateLeft", SchemeCKKS, MarshalCKKS(rot),
-			"5af7b6e1677eb72fb8ed5b0ac5fe5aa5a4bd61412d53324302028c7c0339da4b", "b36ae61825b188ef221594db1e379e4d9cee6ee402fed8e4a37d624e8c7c871a"},
+			"1fd27661bf3d2e305c57ec7c1d2ad4d71155d1c683cbb1aed2e301aa59e1eac1", "84d3a4a3da75151ba75dad8c75da435e86483822bce706ea810af72010fe3c12"},
 		{"MulRelin+Rescale", SchemeCKKS, MarshalCKKS(sq),
-			"df31f0e6658b4828eb4a5d78ef6529fd5cb5d47cba6bbb0a82ebbdd62b4355dd", "0520beb0723b9da48f9589a7e4e78f0f1979695da3aa71cbc2dc01c29ffd6803"},
+			"dcab79a04f772a58848849da3a5345a08dc714419f2788c8e00d9078becabb86", "9c02d54711617775682816d9f8c5dedd7fec5af7db32b1775084dcc27d502afb"},
 		{"RotateSumLazy", SchemeCKKS, MarshalCKKS(sum),
-			"be0d16edc10dcfb76b70622796599e8f9cc5f5fd6ddc683318308ef3b78c4306", "6ba864b189293334764ba4ae95d7c4e706d576a6d7f740a54e3920fc9cc3fb50"},
+			"b328103ca95e164d87a8fb1a73abb6a2f2d3e8debfdcc94cf97b9de03199bf08", "9f7e05be8b937e1e1fe187c1aa6853b16b9c6a9f8d87bd75b161199174c3804d"},
 	})
 }
 
@@ -226,7 +230,10 @@ func TestCKKSGoldenHashes(t *testing.T) {
 // label, the gadget term and the bundle layout. Possible only because the
 // Galois keys are written in ascending element order. As for the frames,
 // the bundle's own digest pins the layout and the digest of the decoded
-// keys in version-1 form (words_test.go) pins the keys.
+// keys in version-1 form (words_test.go) pins the keys — B and the A
+// expanded from the seed. Both were re-pinned when switching keys became
+// seeded (bundle version 3): A comes from its own seeded stream, so B's
+// errors moved too.
 func TestKeyBundleGoldenHashes(t *testing.T) {
 	bctx, err := bfv.NewContext(bfv.PresetTest())
 	if err != nil {
@@ -236,12 +243,12 @@ func TestKeyBundleGoldenHashes(t *testing.T) {
 	bsk := bkg.GenSecretKey()
 	bkb := &KeyBundle{PK: bkg.GenPublicKey(bsk), Relin: bkg.GenRelinearizationKey(bsk), Galois: bkg.GenRotationKeys(bsk, 1, -3)}
 	data := MarshalKeyBundle(bkb)
-	if got := sha(data); len(bkb.Galois) != 3 || got != "a05b49f6d78fd34f178d7e75b3f12473a401f99c2b1182c2de51c5d855230a29" {
+	if got := sha(data); len(bkb.Galois) != 3 || got != "d9b1ef6cb38c4aa0f9afefc3bf3d6f3eef953e2202340678443ef23ec7c21691" {
 		t.Errorf("BFV key bundle (%d Galois keys) hash drifted: %s", len(bkb.Galois), got)
 	}
 	if back, err := UnmarshalKeyBundle(bctx, data); err != nil {
 		t.Error(err)
-	} else if got := sha(wordBundle(v1KeyBundleMagic, back)); got != "c2cbc2421b13258d8968d7b17a295c651844ba2b343c0d1eefe836a958839079" {
+	} else if got := sha(wordBundle(v1KeyBundleMagic, back)); got != "8357059c84e6688b64ee34f9af5c359532e996baae1cb9e13f2992baa738d2a6" {
 		t.Errorf("the decoded BFV keys are not the pinned ones: %s", got)
 	}
 
@@ -253,12 +260,12 @@ func TestKeyBundleGoldenHashes(t *testing.T) {
 	csk := ckg.GenSecretKey()
 	ckb := &CKKSKeyBundle{PK: ckg.GenPublicKey(csk), Relin: ckg.GenRelinearizationKey(csk), Galois: ckg.GenRotationKeys(csk, 1, -3)}
 	data = MarshalCKKSKeyBundle(ckb)
-	if got := sha(data); len(ckb.Galois) != 3 || got != "7d2fa283b3cd7654ea038e2ce0db058b13893912fbac8d8fe0841d1e75ffaf4c" {
+	if got := sha(data); len(ckb.Galois) != 3 || got != "1e651e9a0be5202030fe08c9a493cc972b08713c4fe054fbfb59e8288bbcd67c" {
 		t.Errorf("CKKS key bundle (%d Galois keys) hash drifted: %s", len(ckb.Galois), got)
 	}
 	if back, err := UnmarshalCKKSKeyBundle(cctx, data); err != nil {
 		t.Error(err)
-	} else if got := sha(wordBundle(v1CKKSBundleMagic, (*KeyBundle)(back))); got != "66588490a268fd47711223a01eba3284caf6be0a5d7d8573f2c36c7105944170" {
+	} else if got := sha(wordBundle(v1CKKSBundleMagic, (*KeyBundle)(back))); got != "5c524fd5df5b37b88ac79619bf350b7d65b29932ca60eeaccc7d5ba310b20530" {
 		t.Errorf("the decoded CKKS keys are not the pinned ones: %s", got)
 	}
 }

@@ -17,16 +17,31 @@ import (
 // session setup, without the server ever holding secret material. Both
 // schemes' keys are the shared core's (internal/rlwe), so one codec
 // serves both; the bundles differ in their magic word.
-
-// The magics changed with the wire version (packed key rows), so a
-// version-1 bundle is refused as not a bundle, not as a bundle of the
-// wrong length.
+//
+// Switching keys travel seeded: per key the digit count, the 32-byte
+// seed its uniform halves expand from (rlwe.Context.ExpandKeyA), then
+// the B halves — half the bytes of shipping (B, A). A bundle's version
+// is in its magic; earlier versions are refused by name.
 const (
-	keyBundleMagic  = uint32(0x324b4843) // "CHK2" on the wire (little-endian)
-	ckksBundleMagic = uint32(0x32434843) // "CHC2"
+	keyBundleMagic  = uint32(0x334b4843) // "CHK3" on the wire (little-endian)
+	ckksBundleMagic = uint32(0x33434843) // "CHC3"
+	bundleVersion   = 3
 
 	polyHeaderBytes = 12
 )
+
+// retiredBundles names the magics of earlier bundle versions: 1 wrote
+// residues as 8-byte words, 2 packed them but shipped every switching
+// key's A.
+var retiredBundles = map[uint32]struct {
+	name    string
+	version int
+}{
+	0x43484f4b: {"CHOK", 1},
+	0x43484f43: {"CHOC", 1},
+	0x324b4843: {"CHK2", 2},
+	0x32434843: {"CHC2", 2},
+}
 
 // KeyBundle carries everything the server needs to evaluate on a
 // client's ciphertexts.
@@ -73,13 +88,13 @@ func appendPoly(b []byte, p *ring.Poly) []byte {
 	return p.AppendPacked(b)
 }
 
-// appendSwitching writes a switching key: digit count, then (b, a) per
-// digit.
+// appendSwitching writes a switching key: digit count, the seed A
+// expands from, then b per digit.
 func appendSwitching(b []byte, swk *rlwe.SwitchingKey) []byte {
 	b = appendUint32(b, uint32(len(swk.B)))
-	for i := range swk.B {
-		b = appendPoly(b, swk.B[i])
-		b = appendPoly(b, swk.A[i])
+	b = append(b, swk.Seed[:]...)
+	for _, p := range swk.B {
+		b = appendPoly(b, p)
 	}
 	return b
 }
@@ -97,7 +112,7 @@ func KeyBundleBytes(n int, qBits []int, pBits int, relin bool, galois int) int {
 // that pack to qPoly bytes over the data ring and qpPoly over the key
 // ring, and switching keys of digits digits.
 func bundleBytes(qPoly, qpPoly, digits int, relin bool, galois int) int {
-	swk := 4 + digits*2*(polyHeaderBytes+qpPoly)
+	swk := 4 + seedBytes + digits*(polyHeaderBytes+qpPoly)
 	total := 4 + 2*(polyHeaderBytes+qPoly) + 4 + 4 + galois*(8+swk)
 	if relin {
 		total += swk
@@ -108,7 +123,7 @@ func bundleBytes(qPoly, qpPoly, digits int, relin bool, galois int) int {
 // marshalBundle writes a key bundle: magic, the public key, a flag and
 // the relinearization key if there is one, then the Galois keys. The
 // buffer is sized once from the keys themselves: a LeNet-Sm bundle is
-// 11 MB, and growing into it by appending copies five times that.
+// 5.7 MB, and growing into it by appending copies five times that.
 func marshalBundle(magic uint32, kb *KeyBundle) []byte {
 	var anyKey *rlwe.SwitchingKey
 	if kb.Relin != nil {
@@ -194,7 +209,10 @@ func (r *bundleReader) poly(rg *ring.Ring) (*ring.Poly, error) {
 }
 
 // switching reads a switching key, which must have exactly one digit per
-// data prime: the inner product indexes the digits by prime.
+// data prime: the inner product indexes the digits by prime. A is
+// expanded from the seed only once every B row has been read, so the
+// sampling work a bundle can ask for is bounded by the B bytes it
+// actually carries.
 func (r *bundleReader) switching() (*rlwe.SwitchingKey, error) {
 	n, err := r.uint32()
 	if err != nil {
@@ -203,18 +221,17 @@ func (r *bundleReader) switching() (*rlwe.SwitchingKey, error) {
 	if int(n) != len(r.ctx.RingQ.Moduli) {
 		return nil, fmt.Errorf("protocol: switching key has %d digits, context has %d data primes", n, len(r.ctx.RingQ.Moduli))
 	}
-	swk := &rlwe.SwitchingKey{}
-	for i := 0; i < int(n); i++ {
-		b, err := r.poly(r.ctx.RingQP)
-		if err != nil {
-			return nil, err
-		}
-		a, err := r.poly(r.ctx.RingQP)
-		if err != nil {
-			return nil, err
-		}
-		swk.B, swk.A = append(swk.B, b), append(swk.A, a)
+	swk := &rlwe.SwitchingKey{B: make([]*ring.Poly, n)}
+	if r.off+seedBytes > len(r.data) {
+		return nil, fmt.Errorf("protocol: truncated key bundle")
 	}
+	r.off += copy(swk.Seed[:], r.data[r.off:])
+	for i := range swk.B {
+		if swk.B[i], err = r.poly(r.ctx.RingQP); err != nil {
+			return nil, err
+		}
+	}
+	swk.A = r.ctx.ExpandKeyA(swk.Seed, len(swk.B))
 	return swk, nil
 }
 
@@ -223,8 +240,10 @@ func unmarshalBundle(ctx *rlwe.Context, magic uint32, data []byte) (*KeyBundle, 
 	r := &bundleReader{ctx: ctx, data: data}
 	if got, err := r.uint32(); err != nil {
 		return nil, err
+	} else if old, ok := retiredBundles[got]; ok {
+		return nil, fmt.Errorf("protocol: a version-%d key bundle (%s); this side reads version %d", old.version, old.name, bundleVersion)
 	} else if got != magic {
-		return nil, fmt.Errorf("protocol: magic %#x does not open a version-%d key bundle of this scheme", got, HelloVersion)
+		return nil, fmt.Errorf("protocol: magic %#x does not open a version-%d key bundle of this scheme", got, bundleVersion)
 	}
 	kb := &KeyBundle{PK: &rlwe.PublicKey{}}
 	var err error

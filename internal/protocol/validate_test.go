@@ -308,7 +308,7 @@ func TestVersion1PeerIsRefusedByName(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, magic := range []uint32{v1KeyBundleMagic, v1CKKSBundleMagic} {
-			if _, err := fx.decode(wordBundle(magic, kb)); err == nil || !strings.Contains(err.Error(), "version-2 key bundle") {
+			if _, err := fx.decode(wordBundle(magic, kb)); err == nil || !strings.Contains(err.Error(), "version-1 key bundle") {
 				t.Errorf("%s: version-1 bundle %#x: %v", fx.name, magic, err)
 			}
 		}

@@ -128,12 +128,7 @@ func NewSymmetricEncryptor(ctx *Context, sk *SecretKey, seed [32]byte) *Symmetri
 // expands a from it at the given level and draws e. It returns the seed,
 // which is the ciphertext's second component.
 func (enc *SymmetricEncryptor) Sample(level int) (seed [32]byte) {
-	for i := 0; i < 4; i++ {
-		v := enc.src.Uint64()
-		for j := 0; j < 8; j++ {
-			seed[8*i+j] = byte(v >> (8 * j))
-		}
-	}
+	seed = drawSeed(enc.src)
 	enc.aSrc.Reset(seed, enc.aLabel)
 	uniform(enc.aSrc, enc.ctx.RingQ, level, enc.a)
 	enc.ctx.sampleError(enc.src, enc.e)

@@ -29,10 +29,12 @@ type PublicKey struct {
 // SwitchingKey converts a ciphertext component keyed under some s' into
 // one keyed under s. One (b, a) pair per data prime, in NTT domain over
 // the key ring QP (GHS-style hybrid key switching with one special
-// prime).
+// prime). Every a is uniform, so the key is seeded like an upload: A is
+// ExpandKeyA(Seed, len(B)), and the wire carries Seed and B only.
 type SwitchingKey struct {
-	B []*ring.Poly
-	A []*ring.Poly
+	B    []*ring.Poly
+	A    []*ring.Poly
+	Seed [32]byte
 
 	// Lazily-built Shoup companions of B and A for the key-switching
 	// inner product, where the key polynomials are the fixed operands, and
@@ -123,26 +125,49 @@ func uniform(src *sampling.Source, r *ring.Ring, level int, p *ring.Poly) {
 	p.DeclareNTT()
 }
 
+// drawSeed takes the next 32 bytes of src as a public seed.
+func drawSeed(src *sampling.Source) (seed [32]byte) {
+	for i := 0; i < 4; i++ {
+		v := src.Uint64()
+		for j := 0; j < 8; j++ {
+			seed[8*i+j] = byte(v >> (8 * j))
+		}
+	}
+	return seed
+}
+
 // sampleError draws one error polynomial's signed coefficients.
 func (ctx *Context) sampleError(src *sampling.Source, e []int64) {
 	src.GaussianSigned(e, ctx.Sigma)
 }
 
-// encryptZeroNTT returns (-(a·s + e), a) over r in the NTT domain, with a
-// uniform and e Gaussian from src: the body of the public key and of every
+// encryptZeroNTT returns -(a·s + e) over r in the NTT domain for a uniform
+// a, with e Gaussian from src: the body of the public key and of every
 // switching-key digit.
-func (ctx *Context) encryptZeroNTT(src *sampling.Source, r *ring.Ring, s *ring.Poly, eSigned []int64) (b, a *ring.Poly) {
-	a = r.NewPoly()
-	uniform(src, r, r.Level()-1, a)
+func (ctx *Context) encryptZeroNTT(src *sampling.Source, r *ring.Ring, s, a *ring.Poly, eSigned []int64) *ring.Poly {
 	e := r.NewPoly()
 	ctx.sampleError(src, eSigned)
 	r.SetCoeffsInt64(eSigned, e)
 	r.NTT(e)
-	b = r.NewPoly()
+	b := r.NewPoly()
 	r.MulCoeffs(a, s, b) // a·s
 	r.Add(b, e, b)       // a·s + e
 	r.Neg(b, b)          // -(a·s + e)
-	return b, a
+	return b
+}
+
+// ExpandKeyA regenerates the uniform halves of a seeded switching key:
+// digits polynomials over the key ring, NTT domain, drawn in digit order
+// from seed under their own label (the server-side half of seeded keys).
+func (ctx *Context) ExpandKeyA(seed [32]byte, digits int) []*ring.Poly {
+	r := ctx.RingQP
+	src := sampling.NewSource(seed, ctx.label+"-switch-key-a")
+	a := make([]*ring.Poly, digits)
+	for i := range a {
+		a[i] = r.NewPoly()
+		uniform(src, r, r.Level()-1, a[i])
+	}
+	return a
 }
 
 // GenSecretKey samples a ternary secret.
@@ -164,26 +189,27 @@ func (kg *KeyGenerator) GenSecretKey() *SecretKey {
 func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	ctx := kg.ctx
 	src := sampling.NewSource(kg.seed, ctx.label+"-public-key")
-	p0, p1 := ctx.encryptZeroNTT(src, ctx.RingQ, sk.ValueQ, make([]int64, ctx.RingQ.N))
-	return &PublicKey{P0: p0, P1: p1}
+	p1 := ctx.RingQ.NewPoly()
+	uniform(src, ctx.RingQ, ctx.RingQ.Level()-1, p1)
+	return &PublicKey{P0: ctx.encryptZeroNTT(src, ctx.RingQ, sk.ValueQ, p1, make([]int64, ctx.RingQ.N)), P1: p1}
 }
 
 // genSwitchingKey builds a switching key for sPrime → s. sPrime is
-// given in NTT form over the key ring.
+// given in NTT form over the key ring. The key's labelled stream gives
+// its public seed first, then the errors; the uniform halves expand from
+// the seed (ExpandKeyA), so a server can rebuild them from 32 bytes.
 func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, sPrime *ring.Poly, label string) *SwitchingKey {
 	ctx := kg.ctx
 	rQP := ctx.RingQP
 	nData := len(ctx.RingQ.Moduli)
 	src := sampling.NewSource(kg.seed, ctx.label+"-switch-key-"+label)
 
-	swk := &SwitchingKey{
-		B: make([]*ring.Poly, nData),
-		A: make([]*ring.Poly, nData),
-	}
+	swk := &SwitchingKey{B: make([]*ring.Poly, nData), Seed: drawSeed(src)}
+	swk.A = ctx.ExpandKeyA(swk.Seed, nData)
 	eSigned := make([]int64, rQP.N)
 	gadget := rQP.NewPoly()
 	for i := 0; i < nData; i++ {
-		swk.B[i], swk.A[i] = ctx.encryptZeroNTT(src, rQP, sk.ValueQP, eSigned)
+		swk.B[i] = ctx.encryptZeroNTT(src, rQP, sk.ValueQP, swk.A[i], eSigned)
 
 		// + P·qTilde_i·s' (the gadget term). P·qTilde_i is a fixed
 		// integer; fold it in residue-wise.

@@ -16,6 +16,7 @@ package sampling
 
 import (
 	"math"
+	"math/bits"
 
 	"choco/internal/blake3"
 )
@@ -83,7 +84,8 @@ func (s *Source) Uint64() uint64 {
 // one-word-per-trial reference draw for draw.
 func (s *Source) UniformMod(out []uint64, q uint64) {
 	// Rejection threshold: largest multiple of q that fits in 64 bits.
-	bound := q * (math.MaxUint64 / q)
+	m := math.MaxUint64 / q
+	bound := q * m
 	i := 0
 	for i < len(out) {
 		if s.pos == sourceBufWords {
@@ -92,7 +94,7 @@ func (s *Source) UniformMod(out []uint64, q uint64) {
 		for _, v := range s.buf[s.pos:] {
 			s.pos++
 			if v < bound {
-				out[i] = v % q
+				out[i] = barrettRem(v, q, m)
 				i++
 				if i == len(out) {
 					return
@@ -100,6 +102,18 @@ func (s *Source) UniformMod(out []uint64, q uint64) {
 			}
 		}
 	}
+}
+
+// barrettRem returns v mod q given m = ⌊(2⁶⁴−1)/q⌋, without a division:
+// ⌊v·m/2⁶⁴⌋ is ⌊v/q⌋ or one below it, so one multiply-high and one
+// conditional subtract are exact for every q ≥ 1 and every v.
+func barrettRem(v, q, m uint64) uint64 {
+	hi, _ := bits.Mul64(v, m)
+	r := v - hi*q
+	if r >= q {
+		r -= q
+	}
+	return r
 }
 
 // Ternary fills out with values drawn uniformly from {-1, 0, 1},

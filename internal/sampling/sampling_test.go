@@ -267,6 +267,26 @@ func TestUniformModMatchesUnbufferedReference(t *testing.T) {
 	}
 }
 
+// TestBarrettRemIsExact holds UniformMod's remainder to v % q at the
+// edges where a one-off quotient estimate would show: q of one bit, of
+// 36 bits, around 2⁶³ and at 2⁶⁴−1, and v at 0, at multiples of q and
+// one either side of them, and at the top of the word.
+func TestBarrettRemIsExact(t *testing.T) {
+	const maxU = ^uint64(0)
+	for _, q := range []uint64{1, 2, 3, 65537, 1<<36 - 5, 0x3ffffffff000001, 1<<63 - 1, 1 << 63, 1<<63 + 1, maxU - 1, maxU} {
+		m := maxU / q
+		vs := []uint64{0, 1, q - 1, maxU, maxU - 1, q * m, q*m - 1}
+		for k := uint64(1); k < 1<<20 && k <= m; k = k*3 + 1 {
+			vs = append(vs, k*q-1, k*q, k*q+1)
+		}
+		for _, v := range vs {
+			if got := barrettRem(v, q, m); got != v%q {
+				t.Fatalf("q=%d v=%d: barrettRem %d, v %% q = %d", q, v, got, v%q)
+			}
+		}
+	}
+}
+
 // refXOF draws one word at a time straight off the XOF — the
 // pre-batching Source behavior — for reference-equivalence tests.
 type refXOF struct{ x *blake3.XOF }
