@@ -173,9 +173,10 @@ func TestCKKSPageRankMatchesPlain(t *testing.T) {
 // from a fresh runner, so the encryptor's stream starts where a caller's
 // would. The digests are of seeded uploads (UpBytes 119 024 / 59 512 under
 // BFV, 133 360 / 66 680 under CKKS, half the public-key frames' bytes).
-// The CKKS digests were re-pinned when switching keys became seeded: the
-// keys changed, and CKKS ranks carry the key-switching error in their
-// low bits. BFV ranks are exact and kept their digests.
+// The CKKS digests were re-pinned when switching keys became seeded, and
+// again when the error sampler became the table sampler: CKKS ranks
+// carry the encryption and key-switching errors in their low bits. BFV
+// ranks are exact and kept their digests both times.
 func TestRunGolden(t *testing.T) {
 	g := testGraph(t, 16)
 	type runner interface {
@@ -191,8 +192,8 @@ func TestRunGolden(t *testing.T) {
 	}{
 		{"BFV/set1", 1, newBFV, "54ee8671fadb061f38774a72c574a0bb57e69273d76e3f251520d6d042c020a4"},
 		{"BFV/set2", 2, newBFV, "c8a19bed7fef679636303c19b97c14dac144ce90a31e8d1f7afa1169ab64c8ec"},
-		{"CKKS/set1", 1, newCKKS, "0d56f760940bf6dd780f0a580276f0ca0bfc15d9e1512947a51d4d21fb129623"},
-		{"CKKS/set2", 2, newCKKS, "9e13bf0182aa20afba610351f27804983b424fdb81578bddf7b5698f3ad6cef9"},
+		{"CKKS/set1", 1, newCKKS, "250e481761d9fdb629b82e622a4212533ad3db17ddffc6555f505dc08403cc71"},
+		{"CKKS/set2", 2, newCKKS, "a6f7a7c698e5d4c39276fe74b4514367d601bcf71a2313a20b6e11e1afe377ec"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, err := tc.runner()

@@ -160,9 +160,11 @@ func (f *FC) applyHoisted(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertex
 // output), a single output (no rotation at all), Out > In, and square
 // layers, whose oracle bytes are pinned to what the square-diagonal
 // schedule produced before the extended diagonals (golden hashes taken
-// at 47b6bf0). Every digest of a layer that rotates was re-pinned once,
-// when switching keys became seeded: their A halves now expand from a
-// per-key seed, so the keys — and every key-switched output — changed.
+// at 47b6bf0). Every digest of a layer that rotates was re-pinned when
+// switching keys became seeded: their A halves now expand from a per-key
+// seed, so the keys — and every key-switched output — changed. Every
+// digest was re-pinned when the error sampler became the table sampler,
+// which changed the input's encryption error and the keys' errors.
 func TestFCApplyLevelsByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -172,25 +174,25 @@ func TestFCApplyLevelsByteIdentical(t *testing.T) {
 		apply   string // hashV1Frame of Apply's output
 	}{
 		{"PresetTest/20x13", bfv.PresetTest(), 20, 13, "",
-			"a9e54a91cef869ed8120edc6289db44cbceb10ba211195de9ba54910aa2cdcb4"},
+			"0b0f5b6297d41f9b46d941713bbd49870a57e24ce9ea484ab7a79208a8815c5c"},
 		{"PresetA/20x13", bfv.PresetA(), 20, 13, "",
-			"f834a82f3dc704703ea8e19f7f4450365968f618b2d46d01d6e1b766a1d22717"},
+			"ed2abf9e74f9de678eae47a08231dd517e620ebae46af28106c2326738a3bed5"},
 		{"PresetB/20x13", bfv.PresetB(), 20, 13, "",
-			"01911b30265a76b9de925e871dbece2008453f295c491e71a0c4089c188b176e"},
+			"296612c3c93caf0f7e0db2a2453d9029d05c8da1f6b0836966d67d88adb869af"},
 		{"PresetB/294x10", bfv.PresetB(), 294, 10, "",
-			"e35bb6d149fd8db6c0bfd39b763a053a529d006f7cca7bb900e1f294c6be9f06"},
+			"b53a86cafb39d5fe1056fb4e9016d902e88701623730de7b1588ec3ef1267eb8"},
 		{"PresetB/2048x10", bfv.PresetB(), 2048, 10, "",
-			"bca63f2c8c149570871e9900a9641e5f7f72a8134a135e07188f4197ab22fc1d"},
+			"0ae3e9b9c2fa641a5cc771e8817797c0ea0f35504d4909ffd41e6309efec890d"},
 		{"PresetTest/64x4", bfv.PresetTest(), 64, 4, "",
-			"ecb209f01adff414b3fa0c3479048a76e2e2f064ffaf4032766e5faefbd978b3"},
+			"024e77a8eb9fd8915f5903818eef5cab116efbfa56813379d3fa9b2e7b098ac7"},
 		{"PresetTest/24x1", bfv.PresetTest(), 24, 1, "",
-			"f64b800c6001fafde034c2f070e2add134378fa49f3d038eac7149a27d8a9251"},
+			"50c397ed8330773f25f5ce980c5220f4f7fd07a1c0bc256e9c4a4bc3cec12c68"},
 		{"PresetTest/5x12", bfv.PresetTest(), 5, 12, "",
-			"a1b2af8b705f6d1a1cb09490bc3a8d3eb48a21ef4b8892d936c0b0d382b8da8b"},
-		{"PresetTest/64x64", bfv.PresetTest(), 64, 64, "21dd42bc029d58abdfca5732f269eaff06a8e83a7f06571bb99495e7d5b05742",
-			"b2ec76c4ea3c8c63ef9bf24d70d261efa307b8c989ef485622a9613ab449a21b"},
-		{"PresetB/64x64", bfv.PresetB(), 64, 64, "2648ab882d3f1c1c7ea6a49c91495da49dd548c1af8f4cfe0ad215e9b6f70cc0",
-			"476a5cc1fcbe45c5e0310f5fa9b18b3bc00b628687ac968801cadea88d4b14a2"},
+			"54d0465962abb884321092de3eaa72314f39f695e43a74bef124b076bd98b8f6"},
+		{"PresetTest/64x64", bfv.PresetTest(), 64, 64, "0d882934ca6390c6e448441ff336192e0573a638928933515ecc0ba97d990bb1",
+			"365570887b565b5dbcab1de532c161233cb467a948ced97002679b5f1d8ab8b0"},
+		{"PresetB/64x64", bfv.PresetB(), 64, 64, "6b00f1a3cad0882a60cc7d5dd4516cec1846ebafa1310b9e5e0cd0139936484f",
+			"e116609bc43ef356e3862c7c0bf994f377a6f4e2132bbca629a0f3ce5debeaa7"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := sampling.NewSource([32]byte{23}, "fc-levels/"+tc.name)

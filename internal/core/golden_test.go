@@ -14,9 +14,10 @@ import (
 // one encrypted input. The digests are the hashV1Frame of every output
 // ciphertext: a change to the executor or to the conv packing that moves
 // one bit of a reply fails here. The four rows that rotate were re-pinned
-// once, when switching keys became seeded (their A halves expand from a
+// when switching keys became seeded (their A halves expand from a
 // per-key seed, so the keys changed); fc24x1 rotates nothing and kept
-// its digest.
+// its digest then. All five were re-pinned when the error sampler became
+// the table sampler: the input's encryption error changed.
 func TestRequestPathGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -27,19 +28,19 @@ func TestRequestPathGolden(t *testing.T) {
 		ops     OpCounts
 	}{
 		{"bfv-B/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 0, []string{
-			"d3cedb7eb5853be80575b8c0c4e6f246a184684b39b76a66dc30f10838a06352",
+			"85bac544bbc3fdcc7186c23a9dccdba026d36a22d8db41947459596154d749b5",
 		}, OpCounts{Rotations: 24, PlainMults: 25, Adds: 24}},
 		{"bfv-B/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 0, 0, []string{
-			"a243573268626d95940fbe769bda0444aae797a8c5674777e35de3b9c50a2b2a",
+			"ce8bd7a3a06a15e5669fb6198e181290f16ec683647373a77722747a8f05193e",
 		}, OpCounts{Rotations: 27, PlainMults: 100, Adds: 99}},
 		{"bfv-B/fc294x10", bfv.PresetB(), ConvSpec{}, 294, 10, []string{
-			"d8a5bab806e0106bf0e5974c97767a1f933b9ad86da3405670b29fd4f6ced557",
+			"8f14df24a2dea75fc44f2bc731bb53b138434fa8e6604446ec0623074ec08540",
 		}, OpCounts{Rotations: 6, PlainMults: 16, Adds: 15}},
 		{"Test/fc24x1", bfv.PresetTest(), ConvSpec{}, 24, 1, []string{
-			"de3040753afd5c480b81e7690c6f45ba86463c7c2a61b485793ec6054f4fc3ca",
+			"f40a4a6c8774ff1c0338220b5c507c3aa975abae9fc619df4333f004066790bd",
 		}, OpCounts{PlainMults: 1}},
 		{"Test/fc64x64", bfv.PresetTest(), ConvSpec{}, 64, 64, []string{
-			"86ad51a74db450f2a872ac978cb2b08671980cde9438274ecc9208ea7be92dc5",
+			"f2d0a92b4dfbb5b08878e2fd5d697531aeff80d91842329fd7a739cd7008600b",
 		}, OpCounts{Rotations: 14, PlainMults: 64, Adds: 63}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

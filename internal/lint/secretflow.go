@@ -24,7 +24,8 @@ import (
 //   - [32]byte identifiers whose name contains "seed" (the module's
 //     key/PRF seeds are all this shape);
 //   - out-slices filled by sampling.Source.Ternary / TernarySigned
-//     (freshly sampled ternary secrets).
+//     (freshly sampled ternary secrets) and Gaussian / GaussianSigned
+//     (encryption errors: an error and its ciphertext's c0 give a·s).
 //
 // Sanitizers — calls whose results are public by construction:
 //   - KeyGenerator.Gen* except GenSecretKey (public, relinearization,
@@ -237,12 +238,12 @@ func (sf *secretFlow) visitCalls(atom ast.Node, f taintFact, report bool) {
 			}
 		}
 
-		// Side effect on the fact: Ternary(out, q) / TernarySigned(out)
+		// Side effect on the fact: the ternary and Gaussian samplers
 		// fill their out-slice with fresh secret coefficients. (Unknown
 		// callees get no argument side effects — tainting pointer args
 		// of every call that sees secret material poisons constructor
 		// idioms like NewDecryptor(ctx, sk) through the shared ctx.)
-		if isTernarySource(fn) && len(call.Args) > 0 {
+		if isSecretSampler(fn) && len(call.Args) > 0 {
 			if o := objOf(sf.info, identOf(call.Args[0])); o != nil {
 				f[o] = true
 			}
@@ -446,13 +447,18 @@ func isSanitizer(fn *types.Func) bool {
 		strings.HasPrefix(name, "Decode")
 }
 
-// isTernarySource reports sampling.Source.Ternary/TernarySigned, which
-// fill their first argument with fresh ternary secret coefficients.
-func isTernarySource(fn *types.Func) bool {
+// isSecretSampler reports the sampling.Source methods that fill their
+// first argument with secret coefficients: Ternary/TernarySigned
+// (secrets) and Gaussian/GaussianSigned (errors).
+func isSecretSampler(fn *types.Func) bool {
 	if fn == nil || fn.Pkg() == nil || !pkgPathHasSuffix(fn.Pkg().Path(), "internal/sampling") {
 		return false
 	}
-	return fn.Name() == "Ternary" || fn.Name() == "TernarySigned"
+	switch fn.Name() {
+	case "Ternary", "TernarySigned", "Gaussian", "GaussianSigned":
+		return true
+	}
+	return false
 }
 
 // callReceiver returns the receiver expression of a method call, or

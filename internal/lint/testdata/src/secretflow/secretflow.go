@@ -1,8 +1,9 @@
 // Fixture for the secretflow taint analyzer: secret key material
-// (SecretKey polys, KeyGenerator, seeds, fresh ternary samples) must
-// never reach a wire or log sink, while the legitimate client paths —
-// encrypting data, publishing evaluation keys — stay silent. This is
-// the paper's core threat-model invariant made checkable.
+// (SecretKey polys, KeyGenerator, seeds, fresh ternary and Gaussian
+// samples) must never reach a wire or log sink, while the legitimate
+// client paths — encrypting data, publishing evaluation keys — stay
+// silent. This is the paper's core threat-model invariant made
+// checkable.
 package secretflow
 
 import (
@@ -65,6 +66,14 @@ func leakTernarySample(t *protocol.Conn, src *sampling.Source, n int) error {
 		b = append(b, byte(c))
 	}
 	return t.Send(b) // want `secret material reaches wire sink .*Conn\.Send`
+}
+
+// An encryption's error is as secret as the key: with the ciphertext's
+// c0 it gives a·s. The Gaussian sampler's out-slice is tainted too.
+func leakGaussianError(src *sampling.Source, n int) {
+	e := make([]int64, n)
+	src.GaussianSigned(e, 3.2)
+	log.Printf("error: %v", e) // want `secret material reaches log sink log\.Printf`
 }
 
 // Taint must survive a loop join: assigned on one iteration path, the

@@ -127,7 +127,9 @@ func checkGoldenFrames(t *testing.T, ctx *rlwe.Context, frames []goldenFrame) {
 // samplers, and every future client-kernel change must reproduce these
 // polynomials exactly: randomness derivation, sampling stream order and
 // RNS arithmetic are pinned by the words digests, the wire layout by the
-// frame digests.
+// frame digests. Every digest was re-pinned once, when the Gaussian error
+// sampler became the constant-time table sampler: the errors changed,
+// the frame lengths did not.
 func TestBFVCiphertextGoldenHashes(t *testing.T) {
 	ctx, err := bfv.NewContext(bfv.PresetTest())
 	if err != nil {
@@ -155,11 +157,11 @@ func TestBFVCiphertextGoldenHashes(t *testing.T) {
 	ct2 := enc.EncryptZero()
 	checkGoldenFrames(t, ctx.Context, []goldenFrame{
 		{"public encryption", SchemeBFV, MarshalBFV(ct),
-			"75798eb51b5dceec29c4e1552fee6bac991747f5350ae782b399d0df301a47ef", "a0246c63ffb2b93c1c251365aff2ffda4bf840639ed7ca0f41e2e53159d09195"},
+			"3f2b0cbfe13bb1cafe4f469f15e2ee43c3d1b9daf1872c43d9a512593638cf29", "bf3cefa82b7fcffb581ed481cbe5ca2e65e0760869d7ebb7775b18adfdd3c298"},
 		{"seeded encryption", SchemeBFVSeeded, MarshalSeededBFV(sct),
-			"8ee722d257809a1506fa6d7b689b3c5f2579981c4ef59200254553c58e2fafd6", "e09a81f99bccb067a684673039e331bd984a72dd740c5e32a36db9844bfdcd90"},
+			"e8a547f5450a39c915c6d95e2bba197c127d8422ce128d94489313b9c2f52f7c", "cfa31dfa31553a0d773882219c19a1c13626d0a0c4a07581374885c12ce086d6"},
 		{"second public encryption", SchemeBFV, MarshalBFV(ct2),
-			"b296964974677c90c84a264e2aeb0ccffb15b8828afe006c7755b558c4d445cb", "5d613f67a909de05a62c0604788204da4901c776369212ca23f4def40d78a2ea"},
+			"0969803b77f3c776dd14c3fd80eb5e28cced767c99bf9c5322b6b1b222256c85", "cfa30f003650ac4415b1ca320096c5c9c23a6550da9fd8598649562c1968162d"},
 	})
 }
 
@@ -174,7 +176,8 @@ func sha(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
 // key-switched rows were re-pinned once, when switching keys became
 // seeded: every A now expands from a per-key seed under its own label,
 // so the keys — and what they switch to — changed; the two encryptions
-// did not.
+// did not. All five were re-pinned when the error sampler became the
+// table sampler, which draws every encryption and key error.
 func TestCKKSGoldenHashes(t *testing.T) {
 	ctx, err := ckks.NewContext(ckks.PresetTest())
 	if err != nil {
@@ -213,15 +216,15 @@ func TestCKKSGoldenHashes(t *testing.T) {
 	}
 	checkGoldenFrames(t, ctx.Context, []goldenFrame{
 		{"public encryption", SchemeCKKS, MarshalCKKS(ct),
-			"0295c4b01e73b2543a0c2388be678bcf99f7a494ac288547f39b65ef5b00e52c", "14b5a75353b3c41dc3d37dfcfc9abf062062e90790b7860e6e69e2a14334579f"},
+			"591a0e1ddf45a53843fff1284ecb611defe4e91067f3a783581d112ce89158f8", "81a051f2ad60945a6b583abb798525d6e78a7db0c041ed8940395df1c642935b"},
 		{"seeded encryption", SchemeCKKSSeeded, MarshalSeededCKKS(sct),
-			"ccc9407f4017b2b7723797c1456184d71ad72f7e788263a429b4d1c8bb822db4", "2b7489c280b5634c18bd858f9d743c848c9d548259686997bda197ac7979c2ef"},
+			"fc0fb5a29b59c1cd87a059d612dc2af005879574148a67e0c831d21421e28623", "832f80feb93484ed72d5858c9c250b83a1f9f7b3be10adab4e809b32ef9d0e9e"},
 		{"RotateLeft", SchemeCKKS, MarshalCKKS(rot),
-			"1fd27661bf3d2e305c57ec7c1d2ad4d71155d1c683cbb1aed2e301aa59e1eac1", "84d3a4a3da75151ba75dad8c75da435e86483822bce706ea810af72010fe3c12"},
+			"3730ad1cc98120cd176720562388bbaf4537ac3febb2438a41cdc2c4853dd630", "bd675154bfa4a146d946f109d8bcc4d1a38cb40fb647f96bd7d2548bfb3bf5de"},
 		{"MulRelin+Rescale", SchemeCKKS, MarshalCKKS(sq),
-			"dcab79a04f772a58848849da3a5345a08dc714419f2788c8e00d9078becabb86", "9c02d54711617775682816d9f8c5dedd7fec5af7db32b1775084dcc27d502afb"},
+			"16a9f167d4a3c05d4a17289c713cf295733c998f000aa452a592b8a79dbae76d", "55359d440d983e956d8e98e5f6f64afd8d6a72986530bcc2c2c6a658e3eb2042"},
 		{"RotateSumLazy", SchemeCKKS, MarshalCKKS(sum),
-			"b328103ca95e164d87a8fb1a73abb6a2f2d3e8debfdcc94cf97b9de03199bf08", "9f7e05be8b937e1e1fe187c1aa6853b16b9c6a9f8d87bd75b161199174c3804d"},
+			"43f4e20dc196156f41efb0e84ba7da4b09d466666b1ba81f77a3e8a4afea4b9c", "cbf6e12a1b8bf2a987f506d9272cf424f9b0f247fdbfb9d4dbbebe85a3acaae2"},
 	})
 }
 
@@ -233,7 +236,8 @@ func TestCKKSGoldenHashes(t *testing.T) {
 // keys in version-1 form (words_test.go) pins the keys — B and the A
 // expanded from the seed. Both were re-pinned when switching keys became
 // seeded (bundle version 3): A comes from its own seeded stream, so B's
-// errors moved too.
+// errors moved too; and again when the error sampler became the table
+// sampler, which changed every B's error.
 func TestKeyBundleGoldenHashes(t *testing.T) {
 	bctx, err := bfv.NewContext(bfv.PresetTest())
 	if err != nil {
@@ -243,12 +247,12 @@ func TestKeyBundleGoldenHashes(t *testing.T) {
 	bsk := bkg.GenSecretKey()
 	bkb := &KeyBundle{PK: bkg.GenPublicKey(bsk), Relin: bkg.GenRelinearizationKey(bsk), Galois: bkg.GenRotationKeys(bsk, 1, -3)}
 	data := MarshalKeyBundle(bkb)
-	if got := sha(data); len(bkb.Galois) != 3 || got != "d9b1ef6cb38c4aa0f9afefc3bf3d6f3eef953e2202340678443ef23ec7c21691" {
+	if got := sha(data); len(bkb.Galois) != 3 || got != "2be2694fd713cda8f9881843a0bccf19c50446ca0f509e3340b31c4bd476fa07" {
 		t.Errorf("BFV key bundle (%d Galois keys) hash drifted: %s", len(bkb.Galois), got)
 	}
 	if back, err := UnmarshalKeyBundle(bctx, data); err != nil {
 		t.Error(err)
-	} else if got := sha(wordBundle(v1KeyBundleMagic, back)); got != "8357059c84e6688b64ee34f9af5c359532e996baae1cb9e13f2992baa738d2a6" {
+	} else if got := sha(wordBundle(v1KeyBundleMagic, back)); got != "c0c4123525bb1731400a2da4158b806862cda122cf45548a6e1b2caa52e621eb" {
 		t.Errorf("the decoded BFV keys are not the pinned ones: %s", got)
 	}
 
@@ -260,12 +264,12 @@ func TestKeyBundleGoldenHashes(t *testing.T) {
 	csk := ckg.GenSecretKey()
 	ckb := &CKKSKeyBundle{PK: ckg.GenPublicKey(csk), Relin: ckg.GenRelinearizationKey(csk), Galois: ckg.GenRotationKeys(csk, 1, -3)}
 	data = MarshalCKKSKeyBundle(ckb)
-	if got := sha(data); len(ckb.Galois) != 3 || got != "1e651e9a0be5202030fe08c9a493cc972b08713c4fe054fbfb59e8288bbcd67c" {
+	if got := sha(data); len(ckb.Galois) != 3 || got != "1db8b5e1edd9b3a0051b412d7a815945cf494c5668c010f2d282884185fb62c4" {
 		t.Errorf("CKKS key bundle (%d Galois keys) hash drifted: %s", len(ckb.Galois), got)
 	}
 	if back, err := UnmarshalCKKSKeyBundle(cctx, data); err != nil {
 		t.Error(err)
-	} else if got := sha(wordBundle(v1CKKSBundleMagic, (*KeyBundle)(back))); got != "5c524fd5df5b37b88ac79619bf350b7d65b29932ca60eeaccc7d5ba310b20530" {
+	} else if got := sha(wordBundle(v1CKKSBundleMagic, (*KeyBundle)(back))); got != "bafbf1dcbd69a81cb2d04e696ce48429017bf653c55c2fb030215b0047e55d90" {
 		t.Errorf("the decoded CKKS keys are not the pinned ones: %s", got)
 	}
 }

@@ -1,7 +1,6 @@
 package rlwe
 
 import (
-	"choco/internal/nt"
 	"choco/internal/par"
 	"choco/internal/ring"
 	"choco/internal/sampling"
@@ -17,13 +16,12 @@ import (
 // hot. Rows never share state, so the result is byte-identical to serial
 // execution regardless of worker count.
 
-// reduceSigned maps a signed coefficient into [0, q), matching
-// ring.SetCoeffsInt64 bit for bit.
-func reduceSigned(m nt.Modulus, v int64) uint64 {
-	if v >= 0 {
-		return m.Reduce(uint64(v))
-	}
-	return m.Neg(m.Reduce(uint64(-v)))
+// reduceSigned maps a signed coefficient with |v| < q into [0, q),
+// matching ring.SetCoeffsInt64 bit for bit on those values. The
+// encryptor's u and e are secret and their signs are coin flips, so it
+// adds q under the sign mask instead of branching on the sign.
+func reduceSigned(q uint64, v int64) uint64 {
+	return uint64(v) + q&uint64(v>>63)
 }
 
 // zeroRow is the one encrypt-zero row: dst = INTT(key ⊙ u) + e on residue
@@ -36,7 +34,7 @@ func zeroRow(r *ring.Ring, i int, key, u []uint64, e []int64, dst []uint64) {
 	}
 	r.NTTInverseRow(i, dst)
 	for j := range dst {
-		dst[j] = m.Add(dst[j], reduceSigned(m, e[j]))
+		dst[j] = m.Add(dst[j], reduceSigned(m.Value, e[j]))
 	}
 }
 
@@ -80,7 +78,7 @@ func (enc *Encryptor) ZeroRow(i int, c0, c1 []uint64) {
 	r := enc.ctx.RingQ
 	m, ur := r.Moduli[i], enc.u.Coeffs[i]
 	for j, v := range enc.uSigned {
-		ur[j] = reduceSigned(m, v)
+		ur[j] = reduceSigned(m.Value, v)
 	}
 	r.NTTForwardRow(i, ur)
 	zeroRow(r, i, enc.pk.P0.Coeffs[i], ur, enc.e1, c0)

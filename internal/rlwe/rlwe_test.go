@@ -58,6 +58,31 @@ func TestEmbedDigitCopyMatchesReduce(t *testing.T) {
 	}
 }
 
+// TestReduceSignedMatchesSetCoeffs holds the encryptor's branch-free
+// reduction to ring.SetCoeffsInt64 over every value a ternary u or a
+// Gaussian error takes, and at the ends of its |v| < q range.
+func TestReduceSignedMatchesSetCoeffs(t *testing.T) {
+	r := testContext(t).RingQP
+	var vs []int64
+	for v := int64(-20); v <= 20; v++ {
+		vs = append(vs, v)
+	}
+	qMin := r.Moduli[0].Value
+	for _, m := range r.Moduli {
+		qMin = min(qMin, m.Value)
+	}
+	vs = append(vs, int64(qMin-1), -int64(qMin-1))
+	p := r.NewPoly()
+	r.SetCoeffsInt64(vs, p)
+	for i, m := range r.Moduli {
+		for j, v := range vs {
+			if got, want := reduceSigned(m.Value, v), p.Coeffs[i][j]; got != want {
+				t.Fatalf("q=%d v=%d: %d, SetCoeffsInt64 %d", m.Value, v, got, want)
+			}
+		}
+	}
+}
+
 // TestZeroEncryptionPhaseIsSmall is the core's own round trip: the phase
 // of a fresh encryption of zero is the encryption noise, a few bits wide,
 // at the top level and with the top residue dropped.

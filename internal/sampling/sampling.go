@@ -1,9 +1,11 @@
 // Package sampling provides the random polynomial samplers required by
-// RLWE encryption: uniform residues, ternary secrets, and centered
-// discrete Gaussian errors. All randomness derives from the BLAKE3 XOF
-// (the same PRNG the CHOCO-TACO hardware implements), so keygen and
-// encryption are deterministic given a seed — which keeps every test,
-// table, and figure in this repository reproducible.
+// RLWE encryption: uniform residues, ternary secrets, and the error
+// distribution, a discrete Gaussian of parameter σ truncated at ⌈6σ⌉
+// and drawn from a cumulative distribution table in constant time. All
+// randomness derives from the BLAKE3 XOF (the same PRNG the CHOCO-TACO
+// hardware implements), so keygen and encryption are deterministic
+// given a seed — which keeps every test, table, and figure in this
+// repository reproducible.
 //
 // Draws are block-batched: the Source keeps a word buffer refilled
 // through the XOF's bulk FillUint64 path (whole 64-byte compress blocks
@@ -16,7 +18,9 @@ package sampling
 
 import (
 	"math"
+	"math/big"
 	"math/bits"
+	"sync"
 
 	"choco/internal/blake3"
 )
@@ -24,10 +28,6 @@ import (
 // DefaultSigma is the standard deviation of the error distribution used
 // throughout (SEAL's default is 3.2).
 const DefaultSigma = 3.2
-
-// ErrorBound is the high-probability bound on error magnitude used by
-// the analytic noise model: 6σ truncation, matching SEAL.
-const ErrorBound = 6 * DefaultSigma
 
 // sourceBufWords is the prefetch size: 256 words = 2 KiB = 32 BLAKE3
 // output blocks per refill — four full passes of the 8-wide vector
@@ -178,45 +178,139 @@ func (s *Source) TernarySigned(out []int64) {
 	}
 }
 
-// GaussianSigned fills out with integers from a centered discrete
-// Gaussian of standard deviation sigma, truncated at ±6σ (as in SEAL).
-// Sampling uses the Box-Muller transform on XOF-derived uniforms
-// followed by rounding; at σ=3.2 the statistical distance from the
-// ideal discrete Gaussian is negligible for noise-growth purposes.
+// GaussianSigned fills out with integers from the discrete Gaussian
+// of parameter sigma, P(x) ∝ exp(−x²/2σ²), on |x| ≤ ⌈6σ⌉ (SEAL's
+// truncation). Each coefficient consumes exactly one stream word: its
+// top 63 bits are compared against every threshold of the folded
+// table of |x| (cdtTable) and its low bit is the sign. The loop has no
+// floating point, no rejection and no branch on the word, so its time
+// does not depend on the error it draws.
 func (s *Source) GaussianSigned(out []int64, sigma float64) {
-	bound := int64(math.Ceil(6 * sigma))
-	i := 0
-	for i < len(out) {
-		// Two uniforms in (0,1].
-		u1 := float64(s.Uint64()>>11)/float64(1<<53) + math.SmallestNonzeroFloat64
-		u2 := float64(s.Uint64()>>11) / float64(1<<53)
-		r := sigma * math.Sqrt(-2*math.Log(u1))
-		z0 := r * math.Cos(2*math.Pi*u2)
-		z1 := r * math.Sin(2*math.Pi*u2)
-		for _, z := range [2]float64{z0, z1} {
-			if i >= len(out) {
-				break
-			}
-			v := int64(math.Round(z))
-			if v > bound || v < -bound {
-				continue
-			}
-			out[i] = v
-			i++
+	t := cdtFor(sigma)
+	for len(out) > 0 {
+		if s.pos == sourceBufWords {
+			s.refill()
 		}
+		n := min(sourceBufWords-s.pos, len(out))
+		cdtSample(out[:n], s.buf[s.pos:s.pos+n], t)
+		s.pos += n
+		out = out[n:]
 	}
 }
 
-// Gaussian fills out with centered Gaussian samples reduced mod q.
-func (s *Source) Gaussian(out []uint64, q uint64, sigma float64) {
-	signed := make([]int64, len(out))
-	s.GaussianSigned(signed, sigma)
-	for i, v := range signed {
-		if v >= 0 {
-			out[i] = uint64(v)
-		} else {
-			out[i] = q - uint64(-v)
+// cdtSample maps each word to a signed error: the magnitude is the
+// number of thresholds in t at or below the word's top 63 bits, and the
+// low bit is the sign. It counts the thresholds above instead, as the
+// borrows of v − tk, which math/bits computes in constant time and the
+// compiler chains into add-with-carry; two sums halve the carry chain.
+func cdtSample(dst []int64, words, t []uint64) {
+	size := uint64(len(t))
+	for i, w := range words[:len(dst)] {
+		v := w >> 1
+		var a0, a1 uint64
+		for j := 0; j < len(t); j += 4 {
+			t4 := t[j : j+4 : j+4]
+			_, b := bits.Sub64(v, t4[0], 0)
+			a0, _ = bits.Add64(a0, 0, b)
+			_, b = bits.Sub64(v, t4[1], 0)
+			a1, _ = bits.Add64(a1, 0, b)
+			_, b = bits.Sub64(v, t4[2], 0)
+			a0, _ = bits.Add64(a0, 0, b)
+			_, b = bits.Sub64(v, t4[3], 0)
+			a1, _ = bits.Add64(a1, 0, b)
 		}
+		mag, neg := size-a0-a1, -(w & 1)
+		dst[i] = int64((mag ^ neg) - neg)
+	}
+}
+
+// cdtTables memoizes cdtTable per σ (keyed by its bits): the table is
+// a pure function of σ, and the σ in use is a handful of constants.
+var cdtTables sync.Map
+
+func cdtFor(sigma float64) []uint64 {
+	key := math.Float64bits(sigma)
+	if t, ok := cdtTables.Load(key); ok {
+		return t.([]uint64)
+	}
+	t, _ := cdtTables.LoadOrStore(key, cdtTable(sigma))
+	return t.([]uint64)
+}
+
+// cdtPrec is the working precision of cdtTable, well past the 63 bits
+// each threshold keeps.
+const cdtPrec = 192
+
+// cdtTable returns the ⌈6σ⌉ sorted thresholds of the folded
+// distribution of |x|: with ρ(x) = exp(−x²/2σ²), S = Σ_{|x|≤⌈6σ⌉} ρ(x),
+// P(0) = ρ(0)/S and P(k) = 2ρ(k)/S, entry k is round(2⁶³·(P(0)+…+P(k))).
+// The magnitude of a 63-bit word v is the number of entries it reaches,
+// which is k with probability P(k) to within 2⁻⁶³. Entries of 2⁶³,
+// which no v reaches, pad the table to a multiple of four for the
+// unrolled loop. It is computed in math/big, not float64, so the
+// thresholds — and every key and ciphertext drawn from them — are the
+// same bits on every platform.
+func cdtTable(sigma float64) []uint64 {
+	if !(sigma > 0) || math.IsInf(sigma, 1) {
+		panic("sampling: sigma must be positive and finite")
+	}
+	bound := int(math.Ceil(6 * sigma))
+	f := func(x float64) *big.Float { return new(big.Float).SetPrec(cdtPrec).SetFloat64(x) }
+	// q = exp(−1/2σ²), so ρ(k) = q^(k²) = ρ(k−1)·q^(2k−1).
+	sg := f(sigma)
+	x := f(1)
+	x.Quo(x, f(2).Mul(f(2), sg.Mul(sg, sg)))
+	q := f(1)
+	q.Quo(q, bigExp(x))
+	q2 := f(0).Mul(q, q)
+	weight := make([]*big.Float, bound+1) // ρ(0), 2ρ(1), …, 2ρ(bound)
+	weight[0] = f(1)
+	sum := f(1)
+	rho, step := f(1), f(0).Set(q)
+	for k := 1; k <= bound; k++ {
+		rho.Mul(rho, step)
+		step.Mul(step, q2)
+		weight[k] = f(2).Mul(f(2), rho)
+		sum.Add(sum, weight[k])
+	}
+	t := make([]uint64, (bound+3)&^3)
+	for k := bound; k < len(t); k++ {
+		t[k] = 1 << 63
+	}
+	cum := f(0)
+	for k := range bound {
+		cum.Add(cum, weight[k])
+		v := f(0).Quo(cum, sum)
+		v.SetMantExp(v, 63).Add(v, f(0.5))
+		t[k], _ = v.Uint64()
+	}
+	return t
+}
+
+// bigExp returns e^x for x ≥ 0 at cdtPrec bits by its Taylor series.
+func bigExp(x *big.Float) *big.Float {
+	sum := new(big.Float).SetPrec(cdtPrec).SetInt64(1)
+	term := new(big.Float).SetPrec(cdtPrec).SetInt64(1)
+	n := new(big.Float).SetPrec(cdtPrec)
+	for i := int64(1); term.Sign() > 0 && term.MantExp(nil) > sum.MantExp(nil)-cdtPrec-2; i++ {
+		term.Mul(term, x)
+		term.Quo(term, n.SetInt64(i))
+		sum.Add(sum, term)
+	}
+	return sum
+}
+
+// Gaussian fills out with GaussianSigned's errors reduced mod q,
+// drawing them a buffer's worth at a time through the stack.
+func (s *Source) Gaussian(out []uint64, q uint64, sigma float64) {
+	var signed [sourceBufWords]int64
+	for len(out) > 0 {
+		n := min(len(out), len(signed))
+		s.GaussianSigned(signed[:n], sigma)
+		for i, v := range signed[:n] {
+			out[i] = uint64(v) + q&uint64(v>>63)
+		}
+		out = out[n:]
 	}
 }
 
