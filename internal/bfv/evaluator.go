@@ -97,26 +97,6 @@ func (ev *Evaluator) MulScalar(ct *Ciphertext, c uint64) *Ciphertext {
 	return out
 }
 
-// AddMany sums a batch of ciphertexts with a balanced tree, keeping
-// the additive noise growth logarithmic in the operand count.
-func (ev *Evaluator) AddMany(cts []*Ciphertext) (*Ciphertext, error) {
-	if len(cts) == 0 {
-		return nil, fmt.Errorf("bfv: AddMany of zero ciphertexts")
-	}
-	layer := append([]*Ciphertext(nil), cts...)
-	for len(layer) > 1 {
-		var next []*Ciphertext
-		for i := 0; i+1 < len(layer); i += 2 {
-			next = append(next, ev.Add(layer[i], layer[i+1]))
-		}
-		if len(layer)%2 == 1 {
-			next = append(next, layer[len(layer)-1])
-		}
-		layer = next
-	}
-	return layer[0], nil
-}
-
 // PlaintextMul is a plaintext operand lifted to the key ring QP and
 // pre-transformed to the NTT domain, ready for repeated use (e.g. fixed
 // model weights): MulPlainAcc multiplies QP-resident ciphertexts by all of

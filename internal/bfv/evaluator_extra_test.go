@@ -35,32 +35,3 @@ func TestMulScalarZeroAnnihilates(t *testing.T) {
 		}
 	}
 }
-
-func TestAddManyTreeSum(t *testing.T) {
-	kit := newTestKit(t, PresetTest())
-	var cts []*Ciphertext
-	for i := 1; i <= 9; i++ {
-		ct, err := kit.enc.EncryptUints([]uint64{uint64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cts = append(cts, ct)
-	}
-	sum, err := kit.ev.AddMany(cts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := kit.dec.DecryptUints(sum)[0]; got != 45 {
-		t.Errorf("tree sum = %d, want 45", got)
-	}
-	if _, err := kit.ev.AddMany(nil); err == nil {
-		t.Error("expected error for empty AddMany")
-	}
-	one, err := kit.ev.AddMany(cts[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := kit.dec.DecryptUints(one)[0]; got != 1 {
-		t.Errorf("singleton AddMany = %d", got)
-	}
-}

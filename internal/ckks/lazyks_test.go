@@ -64,58 +64,17 @@ func TestRotateSumLazyMatchesSerialFold(t *testing.T) {
 				if !ctsIdentical(kit.ctx.RingAtLevel(c.Level), serial, lazy) {
 					t.Errorf("level %d: lazy rotation sum differs from serial fold", c.Level)
 				}
+				if lazy.Level != c.Level || lazy.Scale != c.Scale {
+					t.Errorf("level %d: lazy rotation sum at level %d, scale %g; want the input's %d, %g",
+						c.Level, lazy.Level, lazy.Scale, c.Level, c.Scale)
+				}
 			}
 		})
 	}
 }
 
-// TestQPAccumulatorMergeCKKS pins that worker-partitioned accumulators
-// merged out of order finalize to the serial bytes.
-func TestQPAccumulatorMergeCKKS(t *testing.T) {
-	steps := []int{0, 1, 2, 5}
-	kit := newTestKit(t, PresetTest(), 1, 2, 5)
-	ct, err := kit.enc.EncryptFloats(rampFloats(kit.ctx.Params.Slots()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := kit.ev.RotateSumLazy(ct, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dc, err := kit.ev.Decompose(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dc.Release()
-	qaA, err := kit.ev.NewQPAccumulator(ct.Level)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qaB, err := kit.ev.NewQPAccumulator(ct.Level)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range steps {
-		dst := qaA
-		if i%2 == 1 {
-			dst = qaB
-		}
-		if err := kit.ev.AccumulateQP(dst, dc, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := qaB.Merge(qaA); err != nil {
-		t.Fatal(err)
-	}
-	merged := kit.ev.FinalizeModDown(qaB)
-	if !ctsIdentical(kit.ctx.RingAtLevel(ct.Level), serial, merged) {
-		t.Error("merged worker accumulators differ from serial lazy sum")
-	}
-}
-
-// TestLazyErrorPathsCKKS pins the missing-key, level-mismatch, and
-// scale-mismatch error paths of the lazy APIs.
+// TestLazyErrorPathsCKKS pins the missing-key and empty-step-list error
+// paths of RotateSumLazy.
 func TestLazyErrorPathsCKKS(t *testing.T) {
 	kit := newTestKit(t, PresetTest(), 1)
 	ct, err := kit.enc.EncryptFloats(rampFloats(kit.ctx.Params.Slots()))
@@ -129,37 +88,5 @@ func TestLazyErrorPathsCKKS(t *testing.T) {
 	}
 	if _, err := kit.ev.RotateSumLazy(ct, nil); err == nil {
 		t.Fatal("expected error for empty step list")
-	}
-
-	qa, err := kit.ev.NewQPAccumulator(ct.Level)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer qa.Release()
-	sq, err := kit.ev.MulRelin(ct, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	low, err := kit.ev.Rescale(sq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := kit.ev.AddLazy(qa, low); err == nil {
-		t.Fatal("expected level-mismatch error from AddLazy")
-	} else if !strings.Contains(err.Error(), "level mismatch") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if err := kit.ev.AddLazy(qa, ct); err != nil {
-		t.Fatal(err)
-	}
-	scaled := &Ciphertext{Value: ct.Value, Level: ct.Level, Scale: ct.Scale * 2}
-	if err := kit.ev.AddLazy(qa, scaled); err == nil {
-		t.Fatal("expected scale-mismatch error from AddLazy")
-	} else if !strings.Contains(err.Error(), "scale mismatch") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-
-	if _, err := kit.ev.NewQPAccumulator(-1); err == nil {
-		t.Fatal("expected out-of-range error for negative level")
 	}
 }

@@ -13,13 +13,19 @@
 //   - polypool:     GetPoly scratch returned with PutPoly, wide
 //     accumulators reduced or put back, and bfv resident ciphertexts and
 //     accumulators recycled or closed with FromNTT, on every exit
-//   - lockednet:    mutexes held across network I/O or channel ops
+//   - lockednet:    mutexes held across network I/O or channel ops in
+//     the serving, fabric and protocol packages
 //   - uncheckederr: dropped protocol frame-write and Close errors
 //   - bigintloop:   per-iteration math/big arithmetic in hot-path loops,
 //     and hot-path calls into functions that hold such loops
 //   - secretflow:   secret key material reaching wire or log sinks
 //   - goroleak:     serving-tier goroutines that can block forever on an
 //     unselected channel operation
+//
+// An analyzer belongs here only while it reports some defect that the
+// tests, go vet, the race detector and the chocodebug assertions all
+// miss; EXPERIMENTS.md records the seeded mutants that show it for
+// each audited analyzer.
 //
 // Findings can be suppressed, one line at a time, with a trailing or
 // preceding comment of the form

@@ -32,12 +32,12 @@ var blockingIONames = map[string]bool{
 	"Dial":     true,
 }
 
-// LockedNet flags code in internal/serve and internal/protocol that
-// performs blocking I/O — a protocol Send/Recv, a net read/write, or a
-// channel operation — while a sync.Mutex/RWMutex is held. Tracking is
-// linear per function: a lock is "held" from mu.Lock() until mu.Unlock()
-// in source order, and a `defer mu.Unlock()` marks the lock held for
-// the rest of the body.
+// LockedNet flags code in internal/serve, internal/fabric and
+// internal/protocol that performs blocking I/O — a protocol Send/Recv,
+// a net read/write, or a channel operation — while a sync.Mutex/RWMutex
+// is held. Tracking is linear per function: a lock is "held" from
+// mu.Lock() until mu.Unlock() in source order, and a `defer mu.Unlock()`
+// marks the lock held for the rest of the body.
 var LockedNet = &Analyzer{
 	Name: "lockednet",
 	Doc:  "flags blocking network I/O or channel ops performed while a mutex is held",
