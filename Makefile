@@ -6,7 +6,8 @@
 #   make lint    — chocolint static analyzers only (see internal/lint)
 #   make race    — race-enabled, shuffled tests; reruns the parallel
 #                  execution-layer packages (including the rlwe key-switch
-#                  core and the bfv/ckks hoisted-rotation fan-outs), the
+#                  core, the bfv/ckks hoisted-rotation fan-outs and the
+#                  CKKS users of the linear-transform executor), the
 #                  serving tier with its shared weight-plaintext
 #                  cache, and the fabric routing tier with
 #                  GOMAXPROCS=4 so the par fan-out
@@ -92,7 +93,7 @@ vet:
 
 race:
 	$(GO) test -race -shuffle=on ./...
-	GOMAXPROCS=4 $(GO) test -race -shuffle=on ./internal/par ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core ./internal/apps/distance ./internal/serve ./internal/fabric
+	GOMAXPROCS=4 $(GO) test -race -shuffle=on ./internal/par ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core ./internal/apps/distance ./internal/apps/pagerank ./internal/serve ./internal/fabric
 	$(GO) test -race -count=50 -timeout 60m ./internal/serve ./internal/fabric
 	$(GO) test -race -count=10 -run 'TestRotateRowsLazyNTTMatchesMaterialized' ./internal/bfv
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestConvResidentMatchesMaterialized|TestParallelPipelineDeterminism|TestRequestPathGolden' ./internal/core

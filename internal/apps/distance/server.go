@@ -299,9 +299,11 @@ func (s *Server) pointMajor(q *ckks.Ciphertext, v Variant, ops *core.OpCounts) (
 // them. Collapsed, it then moves point i's to slot i and masks everything
 // else away. Rotation commutes with masking (φ(mask ⊙ x) =
 // φ(mask) ⊙ φ(x), and a one-hot mask encodes identically at either slot
-// position), so the server rotates first: every repositioning then acts
-// on the same reduced ciphertext, and the group's whole rotation set
-// shares one hoisted decomposition.
+// position), so the server rotates first: the collapse is a one-output
+// linear transform with no giants on core's executor — the repositionings
+// (collapseStep) its babies, off one decomposition of the reduced
+// ciphertext and resident in the key ring, the one-hot masks at maskScale
+// its plaintexts, and one rounding for the group's whole sum.
 func (s *Server) group(q *ckks.Ciphertext, v Variant, g int, ops *core.OpCounts) (*ckks.Ciphertext, error) {
 	sq, err := s.squaredDiff(q, v, g, ops)
 	if err != nil {
@@ -315,38 +317,18 @@ func (s *Server) group(q *ckks.Ciphertext, v Variant, g int, ops *core.OpCounts)
 		return red, err
 	}
 	first := g * s.perCt(v)
-	steps := make([]int, min(s.perCt(v), s.m-first))
-	for b := range steps {
-		steps[b] = s.collapseStep(first + b)
-		if steps[b] != 0 {
-			ops.Rotations++
-		}
+	pl := core.BSGSPlan[float64]{Outputs: 1, Giants: []int{0}, Diag: func(_, _, b int) []float64 {
+		mask := make([]float64, s.slots)
+		mask[first+b] = 1
+		return mask
+	}}
+	for i := first; i < min(first+s.perCt(v), s.m); i++ {
+		pl.Babies = append(pl.Babies, s.collapseStep(i))
 	}
-	rots, err := s.ev.RotateLeftHoisted(red, steps)
+	outs, o, err := core.ApplyCKKS(s.ev, s.ecd, red, nil, pl, s.maskScale)
 	if err != nil {
 		return nil, err
 	}
-	var acc *ckks.Ciphertext
-	for b, pos := range rots {
-		mask := make([]float64, s.slots)
-		mask[first+b] = 1
-		mpt, err := s.ecd.EncodeFloats(mask, pos.Level, s.maskScale)
-		if err != nil {
-			return nil, err
-		}
-		masked, err := s.ev.MulPlain(pos, mpt)
-		if err != nil {
-			return nil, err
-		}
-		ops.PlainMults++
-		if acc == nil {
-			acc = masked
-			continue
-		}
-		if acc, err = s.ev.Add(acc, masked); err != nil {
-			return nil, err
-		}
-		ops.Adds++
-	}
-	return acc, nil
+	ops.Add(o)
+	return outs[0], nil
 }

@@ -9,20 +9,24 @@ import (
 )
 
 // CKKSRunner executes client-aided encrypted PageRank under CKKS: one
-// matrix-vector product (diagonal method over a replicated packing)
-// per iteration, one rescale per iteration, so the level chain bounds
-// the encrypted set size — CKKS's analogue of BFV's plaintext-modulus
-// bound, and the reason Fig 13's CKKS curves reach the same set sizes
-// with smaller parameters.
+// matrix-vector product per iteration — the diagonal method over a
+// replicated packing, run on core's one linear-transform executor on the
+// baby-step/giant-step schedule — and one rescale per iteration, so the
+// level chain bounds the encrypted set size: CKKS's analogue of BFV's
+// plaintext-modulus bound, and the reason Fig 13's CKKS curves reach the
+// same set sizes with smaller parameters.
 type CKKSRunner struct {
 	Graph *Graph
 
-	ctx *ckks.Context
-	enc *ckks.SymmetricEncryptor
-	dec *ckks.Decryptor
-	ecd *ckks.Encoder
-	ev  *ckks.Evaluator
-	p   int // padded dimension
+	ctx  *ckks.Context
+	enc  *ckks.SymmetricEncryptor
+	dec  *ckks.Decryptor
+	ecd  *ckks.Encoder
+	ev   *ckks.Evaluator
+	p    int // padded dimension
+	plan core.BSGSPlan[float64]
+	// plains keeps each diagonal encoded once per level.
+	plains *core.PlainCache
 }
 
 // NewCKKSRunner compiles the graph against the parameter set.
@@ -31,30 +35,47 @@ func NewCKKSRunner(g *Graph, params ckks.Parameters, seed [32]byte) (*CKKSRunner
 	if err != nil {
 		return nil, err
 	}
-	p := 1
-	for p < g.N {
-		p <<= 1
+	// The product has a square FC layer's geometry: P and B as it
+	// derives them, its dimension bounded by the slot count.
+	fc, err := core.NewFCSpecOnly(g.N, g.N, ctx.Params.Slots())
+	if err != nil {
+		return nil, fmt.Errorf("pagerank: %w", err)
 	}
-	if p > ctx.Params.Slots() {
-		return nil, fmt.Errorf("pagerank: %d nodes exceed %d slots", g.N, ctx.Params.Slots())
-	}
+	r := &CKKSRunner{Graph: g, ctx: ctx, ecd: ckks.NewEncoder(ctx), p: fc.P, plains: core.NewPlainCache(0)}
+	r.plan = r.bsgs(fc.B)
 	kg := ckks.NewKeyGenerator(ctx, seed)
 	sk := kg.GenSecretKey()
-	relin := kg.GenRelinearizationKey(sk)
-	steps := make([]int, 0, p-1)
-	for d := 1; d < p; d++ {
-		steps = append(steps, d)
+	r.enc = ckks.NewSymmetricEncryptor(ctx, sk, seed)
+	r.dec = ckks.NewDecryptor(ctx, sk)
+	r.ev = ckks.NewEvaluator(ctx, nil, kg.GenRotationKeys(sk, r.plan.RotationSteps()...))
+	return r, nil
+}
+
+// bsgs lays the matrix-vector product out as core.FC does a square
+// layer: babies 0..B−1, giants i·B, and the term of giant i·B and baby j
+// diagonal i·B + j pre-rotated by −i·B: slot k holds
+// G[(k−i·B) mod P][(k+j) mod P], replicated.
+func (r *CKKSRunner) bsgs(b int) core.BSGSPlan[float64] {
+	pl := core.BSGSPlan[float64]{Op: r, Outputs: 1}
+	for d := 0; d < r.p; d++ {
+		if d < b {
+			pl.Babies = append(pl.Babies, d)
+		}
+		if d%b == 0 {
+			pl.Giants = append(pl.Giants, d)
+		}
 	}
-	galois := kg.GenRotationKeys(sk, steps...)
-	return &CKKSRunner{
-		Graph: g,
-		ctx:   ctx,
-		enc:   ckks.NewSymmetricEncryptor(ctx, sk, seed),
-		dec:   ckks.NewDecryptor(ctx, sk),
-		ecd:   ckks.NewEncoder(ctx),
-		ev:    ckks.NewEvaluator(ctx, relin, galois),
-		p:     p,
-	}, nil
+	pl.Diag = func(_, gi, bi int) []float64 {
+		v := make([]float64, r.p)
+		for k := range v {
+			row, col := (k-pl.Giants[gi]+r.p)%r.p, (k+bi)%r.p
+			if row < r.Graph.N && col < r.Graph.N {
+				v[k] = r.Graph.G[row][col]
+			}
+		}
+		return r.replicate(v)
+	}
+	return pl
 }
 
 // MaxSetSize returns the encrypted iterations per upload: one level
@@ -72,64 +93,15 @@ func (r *CKKSRunner) replicate(v []float64) []float64 {
 	return out
 }
 
-// diag returns diagonal d of the padded matrix, replicated.
-func (r *CKKSRunner) diag(d int) []float64 {
-	v := make([]float64, r.p)
-	for j := 0; j < r.p; j++ {
-		i := (j + d) % r.p
-		if j < r.Graph.N && i < r.Graph.N {
-			v[j] = r.Graph.G[j][i]
-		}
-	}
-	return r.replicate(v)
-}
-
-// iterate applies one encrypted PageRank iteration (diagonal-method
-// matrix-vector product plus rescale).
+// iterate applies one encrypted PageRank iteration: the matrix-vector
+// product at the default scale, then a rescale.
 func (r *CKKSRunner) iterate(ct *ckks.Ciphertext, ops *core.OpCounts) (*ckks.Ciphertext, error) {
-	scale := r.ctx.Params.DefaultScale()
-	var acc *ckks.Ciphertext
-	for d := 0; d < r.p; d++ {
-		dv := r.diag(d)
-		allZero := true
-		for _, x := range dv {
-			if x != 0 {
-				allZero = false
-				break
-			}
-		}
-		if allZero {
-			continue
-		}
-		x := ct
-		if d != 0 {
-			rot, err := r.ev.RotateLeft(ct, d)
-			if err != nil {
-				return nil, err
-			}
-			ops.Rotations++
-			x = rot
-		}
-		pt, err := r.ecd.EncodeFloats(dv, x.Level, scale)
-		if err != nil {
-			return nil, err
-		}
-		term, err := r.ev.MulPlain(x, pt)
-		if err != nil {
-			return nil, err
-		}
-		ops.PlainMults++
-		if acc == nil {
-			acc = term
-		} else {
-			acc, err = r.ev.Add(acc, term)
-			if err != nil {
-				return nil, err
-			}
-			ops.Adds++
-		}
+	outs, o, err := core.ApplyCKKS(r.ev, r.ecd, ct, r.plains, r.plan, r.ctx.Params.DefaultScale())
+	if err != nil {
+		return nil, err
 	}
-	return r.ev.Rescale(acc)
+	ops.Add(o)
+	return r.ev.Rescale(outs[0])
 }
 
 // Run executes totalIters iterations in encrypted sets of setSize with

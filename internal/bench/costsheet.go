@@ -10,6 +10,7 @@ import (
 	"choco/internal/bfv"
 	"choco/internal/core"
 	"choco/internal/par"
+	"choco/internal/ring"
 )
 
 // LayerCost is one LeNet-Sm layer on the cost sheet: the measured warm
@@ -153,12 +154,13 @@ func CostSheet() (string, []LayerCost, error) {
 	}
 	innerSum := func(terms int) func() error {
 		return func() error {
-			acc := ev.NewNTTAccumulator()
+			acc := ctx.NewNTTAccumulator(ctx.MaxLevel())
 			for k := 0; k < terms; k++ {
 				turn++
-				ev.MulPlainAcc(acc, xs[turn%len(xs)], pms[turn%len(pms)])
+				ctx.MulPlainAcc(acc, xs[turn%len(xs)].Value, pms[turn%len(pms)].NTT)
 			}
-			ctx.RecycleCt(ev.FromNTT(acc))
+			c0, c1 := ctx.FromNTT(acc)
+			ctx.RecycleCt(&bfv.Ciphertext{Value: []*ring.Poly{c0, c1}})
 			return nil
 		}
 	}

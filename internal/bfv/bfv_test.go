@@ -92,11 +92,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := kit.ctx.RingT.CopyPoly(pt.Poly)
 	got := kit.ecd.DecodeUints(pt)
 	for i := range values {
 		if got[i] != values[i] {
 			t.Fatalf("slot %d: got %d want %d", i, got[i], values[i])
 		}
+	}
+	if !kit.ctx.RingT.Equal(pt.Poly, before) {
+		t.Error("DecodeUints modified the plaintext it decoded")
 	}
 }
 

@@ -99,8 +99,8 @@ func (ev *Evaluator) MulScalar(ct *Ciphertext, c uint64) *Ciphertext {
 
 // PlaintextMul is a plaintext operand lifted to the key ring QP and
 // pre-transformed to the NTT domain, ready for repeated use (e.g. fixed
-// model weights): MulPlainAcc multiplies QP-resident ciphertexts by all of
-// its rows, MulPlain reads the data rows.
+// model weights): rlwe.Context.MulPlainAcc multiplies QP-resident
+// ciphertexts by all of its rows, MulPlain reads the data rows.
 type PlaintextMul struct {
 	NTT *ring.Poly
 	q   *ring.Poly // the data rows of NTT as a polynomial of RingQ
@@ -239,34 +239,41 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 
 // RotateRows rotates the two batched rows left by steps slots
 // (negative steps rotate right). Requires the corresponding Galois key.
+// It is the hoisted path with a decomposition used once, so a serial
+// RotateRows loop and a hoisted batch are byte-identical by construction.
 func (ev *Evaluator) RotateRows(ct *Ciphertext, steps int) (*Ciphertext, error) {
 	if steps == 0 {
 		return ev.ctx.CopyCt(ct), nil
-	}
-	g := ev.ctx.RingQ.GaloisElementForRotation(steps)
-	return ev.applyGalois(ct, g)
-}
-
-// RotateColumns swaps the two rows of the batching matrix.
-func (ev *Evaluator) RotateColumns(ct *Ciphertext) (*Ciphertext, error) {
-	return ev.applyGalois(ct, ev.ctx.RingQ.GaloisElementRowSwap())
-}
-
-// applyGalois is the single-element rotation path, built on the same
-// hoisted machinery as the batch API (a decomposition used exactly
-// once). Routing both through applyGaloisDecomposed is what makes a
-// serial RotateRows loop and a hoisted batch byte-identical by
-// construction.
-func (ev *Evaluator) applyGalois(ct *Ciphertext, g uint64) (*Ciphertext, error) {
-	if rlwe.DebugEnabled {
-		ev.ctx.debugCheckCt("applyGalois", ct)
 	}
 	dc, err := ev.Decompose(ct)
 	if err != nil {
 		return nil, err
 	}
 	defer dc.Release()
-	return ev.applyGaloisDecomposed(dc, g)
+	return ev.RotateRowsDecomposed(dc, steps)
+}
+
+// RotationKey returns the Galois key of a row rotation by steps, for
+// every rotation path and internal/core's executor.
+func (ev *Evaluator) RotationKey(steps int) (*GaloisKey, error) {
+	return ev.ctx.GaloisKey(ev.galois, ev.ctx.RingQ.GaloisElementForRotation(steps))
+}
+
+// Context returns the parameter context the evaluator computes in.
+func (ev *Evaluator) Context() *Context { return ev.ctx }
+
+// RotateColumns swaps the two rows of the batching matrix.
+func (ev *Evaluator) RotateColumns(ct *Ciphertext) (*Ciphertext, error) {
+	gk, err := ev.ctx.GaloisKey(ev.galois, ev.ctx.RingQ.GaloisElementRowSwap())
+	if err != nil {
+		return nil, err
+	}
+	dc, err := ev.Decompose(ct)
+	if err != nil {
+		return nil, err
+	}
+	defer dc.Release()
+	return ev.applyGaloisDecomposed(dc, gk), nil
 }
 
 // ModSwitchDown divides the ciphertext by its last data prime with

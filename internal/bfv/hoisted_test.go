@@ -23,7 +23,8 @@ func ctsIdentical(r *ring.Ring, a, b *Ciphertext) bool {
 // paper's parameter presets: for every Galois element the evaluator
 // holds a key for (all rotation steps plus the row swap), the hoisted
 // batch produces ciphertexts byte-identical to the serial
-// RotateRows/applyGalois path, with matching noise budgets.
+// RotateRows path, with matching noise budgets; and a decomposition
+// shared by every element gives what a fresh one per element gives.
 func TestHoistedMatchesSerialAllPresets(t *testing.T) {
 	steps := []int{1, 2, 3, 5, -1, -4}
 	for _, tc := range []struct {
@@ -67,17 +68,16 @@ func TestHoistedMatchesSerialAllPresets(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer dc.Release()
-			for g := range kit.ev.galois {
-				viaHoist, err := kit.ev.applyGaloisDecomposed(dc, g)
+			for g, gk := range kit.ev.galois {
+				viaHoist := kit.ev.applyGaloisDecomposed(dc, gk)
+				fresh, err := kit.ev.Decompose(ct)
 				if err != nil {
 					t.Fatal(err)
 				}
-				viaSerial, err := kit.ev.applyGalois(ct, g)
-				if err != nil {
-					t.Fatal(err)
-				}
+				viaSerial := kit.ev.applyGaloisDecomposed(fresh, gk)
+				fresh.Release()
 				if !ctsIdentical(rQ, viaSerial, viaHoist) {
-					t.Errorf("galois=%d: decomposed result differs from applyGalois", g)
+					t.Errorf("galois=%d: shared decomposition differs from a fresh one", g)
 				}
 			}
 		})

@@ -11,13 +11,12 @@ import (
 // §13), whose machinery — the QP accumulator with its drained rounding
 // corrections, the QP-resident rotation — and exactness argument live in
 // internal/rlwe (accumulator.go, keyswitch.go). BFV runs all of it at the
-// top level and adds the resident ciphertext form and the lazy
-// accumulator its plaintext multiply-accumulate chains consume.
+// top level and adds the resident ciphertext form its rotations arrive in.
 
 // NTTCiphertext is a degree-1 ciphertext resident in the key ring QP, in
-// the NTT domain, scaled by P: the operand form of a multiply-accumulate
-// chain (MulPlainAcc). A rotation arrives in it without having paid its
-// divide-by-P (RotateRowsLazyNTT); an unrotated ciphertext is lifted into
+// the NTT domain, scaled by P: the operand of an inner sum
+// (rlwe.Context.MulPlainAcc). A rotation arrives in it without having paid
+// its divide-by-P (RotateRowsLazyNTT); an unrotated ciphertext is lifted into
 // it with a zero special-prime row (ToNTT). Its polynomials come from the
 // scratch pool of the ring it records.
 type NTTCiphertext struct {
@@ -41,56 +40,6 @@ func (ev *Evaluator) ToNTT(ct *Ciphertext) *NTTCiphertext {
 		out.Value[i] = ev.ctx.LiftNTT(ev.ctx.MaxLevel(), p)
 	}
 	return out
-}
-
-// NTTAccumulator is the running sum of a MulPlainAcc chain: per component
-// and coefficient, the unreduced 128-bit sum of the products so far over
-// QP (ring.WideAcc, which reduces by itself before it could overflow).
-// Obtain with NewNTTAccumulator; close with FromNTT or discard with
-// RecycleNTTAccumulator.
-type NTTAccumulator struct {
-	acc [2]*ring.WideAcc
-}
-
-// NewNTTAccumulator returns an empty accumulator for MulPlainAcc chains,
-// its word planes drawn from the key ring's scratch pool.
-func (ev *Evaluator) NewNTTAccumulator() *NTTAccumulator {
-	rQP := ev.ctx.RingQP
-	return &NTTAccumulator{acc: [2]*ring.WideAcc{rQP.GetWideAcc(), rQP.GetWideAcc()}}
-}
-
-// MulPlainAcc accumulates acc += x ⊙ pm over QP without reducing.
-func (ev *Evaluator) MulPlainAcc(acc *NTTAccumulator, x *NTTCiphertext, pm *PlaintextMul) {
-	rQP := ev.ctx.RingQP
-	if rlwe.DebugEnabled {
-		if x.ring != rQP {
-			panic("bfv: chocodebug: MulPlainAcc ciphertext operand is not resident in the key ring QP")
-		}
-		if len(pm.NTT.Coeffs) != len(rQP.Moduli) {
-			panic(fmt.Sprintf("bfv: chocodebug: MulPlainAcc plaintext has %d residue rows, the key ring QP %d", len(pm.NTT.Coeffs), len(rQP.Moduli)))
-		}
-	}
-	for i, a := range acc.acc {
-		rQP.MulCoeffsAddWide(x.Value[i], pm.NTT, a)
-	}
-}
-
-// FromNTT closes the chain: one reduction of the accumulated sum, one
-// inverse NTT per row and one divide-by-P with rounding — the only
-// rounding the whole inner sum pays. The result is a regular
-// coefficient-domain ciphertext mod Q; acc is consumed.
-func (ev *Evaluator) FromNTT(acc *NTTAccumulator) *Ciphertext {
-	rQP := ev.ctx.RingQP
-	c0, c1 := ev.ctx.ModDownPair(ev.ctx.MaxLevel(), rQP.ReduceWideAcc(acc.acc[0]), rQP.ReduceWideAcc(acc.acc[1]))
-	return &Ciphertext{Value: []*ring.Poly{c0, c1}}
-}
-
-// RecycleNTTAccumulator returns an accumulator's buffers to the scratch
-// pool without closing it.
-func (ev *Evaluator) RecycleNTTAccumulator(acc *NTTAccumulator) {
-	for _, a := range acc.acc {
-		ev.ctx.RingQP.PutWideAcc(a)
-	}
 }
 
 // Recycle returns an NTT ciphertext's buffers to the scratch pool they
@@ -130,7 +79,7 @@ func (ev *Evaluator) RotateRowsLazyNTT(dc *DecomposedCiphertext, steps int) (*NT
 	if steps == 0 {
 		return ev.ToNTT(dc.ct), nil
 	}
-	gk, err := ev.ctx.GaloisKey(ev.galois, ev.ctx.RingQ.GaloisElementForRotation(steps))
+	gk, err := ev.RotationKey(steps)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +122,7 @@ func (ev *Evaluator) AccumulateQP(qa *QPAccumulator, dc *DecomposedCiphertext, s
 	if steps == 0 {
 		return ev.AddLazy(qa, dc.ct)
 	}
-	gk, err := ev.ctx.GaloisKey(ev.galois, ev.ctx.RingQ.GaloisElementForRotation(steps))
+	gk, err := ev.RotationKey(steps)
 	if err != nil {
 		return err
 	}

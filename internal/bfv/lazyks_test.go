@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"choco/internal/par"
+	"choco/internal/ring"
 )
 
 // TestQPAccumulatorMatchesSerialFold pins the tentpole guarantee of the
@@ -94,9 +95,10 @@ func closeNTT(kit *testKit, x *NTTCiphertext) *Ciphertext {
 	if err != nil {
 		panic(err)
 	}
-	acc := kit.ev.NewNTTAccumulator()
-	kit.ev.MulPlainAcc(acc, x, kit.ev.PrepareMul(pt))
-	return kit.ev.FromNTT(acc)
+	acc := kit.ctx.NewNTTAccumulator(kit.ctx.MaxLevel())
+	kit.ctx.MulPlainAcc(acc, x.Value, kit.ev.PrepareMul(pt).NTT)
+	c0, c1 := kit.ctx.FromNTT(acc)
+	return &Ciphertext{Value: []*ring.Poly{c0, c1}}
 }
 
 // TestRotateRowsLazyNTTMatchesMaterialized pins the QP-resident rotation
@@ -165,127 +167,6 @@ func TestRotateRowsLazyNTTMatchesMaterialized(t *testing.T) {
 				kit.ctx.RecycleCt(got)
 			}
 		})
-	}
-}
-
-// TestMulPlainAccMatchesMulPlainChain pins the lazy inner sum on lifted
-// operands, on every preset: ToNTT's P·NTT(c) has a zero special-prime
-// row, so the divide-by-P that closes the chain is exact and the result is
-// the MulPlain + Add chain on the materialized operands, byte for byte.
-// That is the level-2 rung of the hoisting ladder.
-func TestMulPlainAccMatchesMulPlainChain(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		params Parameters
-	}{
-		{"PresetTest", PresetTest()},
-		{"PresetA", PresetA()},
-		{"PresetB", PresetB()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			kit := newTestKit(t, tc.params, 1, 2)
-			n := kit.ctx.Params.N()
-			ct, err := kit.enc.EncryptUints(rampUints(n, kit.ctx.T.Value))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rots, err := kit.ev.RotateRowsHoisted(ct, []int{1, 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			terms := []*Ciphertext{ct, rots[0], rots[1]}
-			pms := make([]*PlaintextMul, len(terms))
-			for i := range pms {
-				vals := make([]int64, n)
-				for j := range vals {
-					vals[j] = int64((i*37+j)%11) - 5
-				}
-				pt, err := kit.ecd.EncodeInts(vals)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pms[i] = kit.ev.PrepareMul(pt)
-			}
-
-			var serial *Ciphertext
-			for i, x := range terms {
-				term := kit.ev.MulPlain(x, pms[i])
-				if serial == nil {
-					serial = term
-				} else {
-					serial = kit.ev.Add(serial, term)
-				}
-			}
-
-			acc := kit.ev.NewNTTAccumulator()
-			for i, x := range terms {
-				nx := kit.ev.ToNTT(x)
-				kit.ev.MulPlainAcc(acc, nx, pms[i])
-				nx.Recycle()
-			}
-			lazy := kit.ev.FromNTT(acc)
-			if !ctsIdentical(kit.ctx.RingQ, serial, lazy) {
-				t.Error("lazy multiply-accumulate over lifted operands differs from the MulPlain+Add chain")
-			}
-		})
-	}
-}
-
-// TestMulPlainAccOneRounding is the point of keeping the babies in QP: an
-// inner sum of resident rotations decrypts to what the same sum of
-// materialized rotations decrypts to, and has paid one rounding for the
-// whole sum where the materialized one paid one per rotation, each scaled
-// by its plaintext — so its noise budget is no smaller.
-func TestMulPlainAccOneRounding(t *testing.T) {
-	steps := []int{0, 1, 2, 5, -1, 3, -3, 7}
-	kit := newTestKit(t, PresetB(), steps[1:]...)
-	n := kit.ctx.Params.N()
-	ct, err := kit.enc.EncryptUints(rampUints(n, kit.ctx.T.Value))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc, err := kit.ev.Decompose(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dc.Release()
-	var serial *Ciphertext
-	acc := kit.ev.NewNTTAccumulator()
-	for i, s := range steps {
-		vals := make([]int64, n)
-		for j := range vals {
-			vals[j] = int64((i*37+j)%15) - 7
-		}
-		pt, err := kit.ecd.EncodeInts(vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pm := kit.ev.PrepareMul(pt)
-		mat, err := kit.ev.RotateRowsDecomposed(dc, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if term := kit.ev.MulPlain(mat, pm); serial == nil {
-			serial = term
-		} else {
-			serial = kit.ev.Add(serial, term)
-		}
-		x, err := kit.ev.RotateRowsLazyNTT(dc, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kit.ev.MulPlainAcc(acc, x, pm)
-		kit.ev.RecycleNTT(x)
-	}
-	lazy := kit.ev.FromNTT(acc)
-	want, got := kit.dec.Decrypt(serial), kit.dec.Decrypt(lazy)
-	if !kit.ctx.RingT.Equal(want.Poly, got.Poly) {
-		t.Fatal("the resident inner sum decrypts differently from the materialized one")
-	}
-	was, now := NoiseBudgetBits(kit.ctx, kit.sk, serial), NoiseBudgetBits(kit.ctx, kit.sk, lazy)
-	t.Logf("inner sum of %d rotations at bfv-B: a rounding per rotation leaves %.2f bits, one per sum %.2f", len(steps), was, now)
-	if now < was-0.05 {
-		t.Errorf("one rounding per inner sum leaves %.2f bits, one per rotation %.2f: the resident sum may not cost noise", now, was)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
+
+	"choco/internal/ring"
 )
 
 type testKit struct {
@@ -170,6 +172,9 @@ func TestAddScaleMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestMulPlain multiplies by a plaintext the one way CKKS does: the
+// ciphertext lifted into the key ring beside a plaintext encoded over it
+// (EncodeFloatsQP), one multiply-accumulate and one divide-by-P.
 func TestMulPlain(t *testing.T) {
 	kit := newTestKit(t, PresetTest())
 	a := rampFloats(32)
@@ -178,11 +183,15 @@ func TestMulPlain(t *testing.T) {
 		w[i] = 0.1 * float64(i+1)
 	}
 	ct, _ := kit.enc.EncryptFloats(a)
-	pt, _ := kit.ecd.EncodeFloats(w, ct.Level, kit.ctx.Params.DefaultScale())
-	prod, err := kit.ev.MulPlain(ct, pt)
+	scale := kit.ctx.Params.DefaultScale()
+	pt, err := kit.ecd.EncodeFloatsQP(w, ct.Level, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
+	acc := kit.ctx.NewNTTAccumulator(ct.Level)
+	kit.ctx.MulPlainAcc(acc, []*ring.Poly{kit.ctx.LiftNTT(ct.Level, ct.Value[0]), kit.ctx.LiftNTT(ct.Level, ct.Value[1])}, pt)
+	c0, c1 := kit.ctx.FromNTT(acc)
+	prod := &Ciphertext{Value: []*ring.Poly{c0, c1}, Level: ct.Level, Scale: ct.Scale * scale}
 	want := make([]float64, 32)
 	for i := range want {
 		want[i] = a[i] * w[i]
@@ -226,6 +235,26 @@ func TestMulScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertClose(t, kit.dec.DecryptFloats(out)[:3], []float64{-1.5, 3, -0.75}, 1e-3, "mulscalar")
+
+	// A degree-2 tensor is scaled in all three components: decrypted
+	// under 1, s and s², the scaled tensor is the scaled product. The
+	// chain holds the product's 2^120 scale.
+	deep := newTestKit(t, Parameters{LogN: 11, QBits: []int{50, 40, 40, 40}, PBits: 51, LogScale: 40, Sigma: 3.2})
+	b := []float64{2, 0.25, -4}
+	x, _ := deep.enc.EncryptFloats(a)
+	y, _ := deep.enc.EncryptFloats(b)
+	tensor, err := deep.ev.Mul(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled, err := deep.ev.MulScalar(tensor, -1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scaled.Value) != 3 {
+		t.Fatalf("MulScalar of a degree-2 ciphertext has %d components", len(scaled.Value))
+	}
+	assertClose(t, deep.dec.DecryptFloats(scaled)[:3], []float64{-3, 0.75, 3}, 1e-3, "mulscalar degree 2")
 }
 
 func TestRotateLeft(t *testing.T) {

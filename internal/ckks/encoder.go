@@ -255,11 +255,28 @@ func (e *Encoder) EncodeComplex(values []complex128, level int, scale float64) (
 	buf := e.ctx.codec.slots.Get().(*[]complex128)
 	defer e.ctx.codec.slots.Put(buf)
 	clear((*buf)[copy(*buf, values):])
-	return e.encode(*buf, len(values), level, scale)
+	return e.encode(*buf, len(values), level, scale, false)
 }
 
 // EncodeFloats encodes real values; see EncodeComplex.
 func (e *Encoder) EncodeFloats(values []float64, level int, scale float64) (*Plaintext, error) {
+	return e.encodeFloats(values, level, scale, false)
+}
+
+// EncodeFloatsQP is EncodeFloats over the key ring (q0..ql, p) of the
+// level, its ⌊Q_ℓ/2⌋ refusal included, then one forward NTT: the
+// plaintext operand of rlwe.Context.MulPlainAcc.
+func (e *Encoder) EncodeFloatsQP(values []float64, level int, scale float64) (*ring.Poly, error) {
+	pt, err := e.encodeFloats(values, level, scale, true)
+	if err != nil {
+		return nil, err
+	}
+	e.ctx.KeyRingAtLevel(level).NTT(pt.Poly)
+	return pt.Poly, nil
+}
+
+// encodeFloats is EncodeFloats, lifted or not (see encode).
+func (e *Encoder) encodeFloats(values []float64, level int, scale float64, lifted bool) (*Plaintext, error) {
 	if err := e.checkEncode(len(values), level, scale); err != nil {
 		return nil, err
 	}
@@ -270,16 +287,17 @@ func (e *Encoder) EncodeFloats(values []float64, level int, scale float64) (*Pla
 		s[i] = complex(v, 0)
 	}
 	clear(s[len(values):])
-	return e.encode(s, len(values), level, scale)
+	return e.encode(s, len(values), level, scale, lifted)
 }
 
 // encode transforms the slot vector buf (n values, then zeros) in place
-// and rounds its coefficients scale·x into a new plaintext. A coefficient
-// v rounds half away from zero (math.Round). When |round(v)| < 2^63 it is
-// one signed word reduced per residue; beyond that, which only a Q_ℓ
-// above 2^64 admits, round(v) = v is an exact integer mant·2^e and its
-// residue is (mant mod q)·(2^e mod q).
-func (e *Encoder) encode(buf []complex128, n, level int, scale float64) (*Plaintext, error) {
+// and rounds its coefficients scale·x into a new plaintext, whose
+// polynomial has the residue rows of the level or, lifted, of its key
+// ring (q0..ql, p). A coefficient v rounds half away from zero
+// (math.Round). When |round(v)| < 2^63 it is one signed word reduced per
+// residue; beyond that, which only a Q_ℓ above 2^64 admits, round(v) = v
+// is an exact integer mant·2^e and its residue is (mant mod q)·(2^e mod q).
+func (e *Encoder) encode(buf []complex128, n, level int, scale float64, lifted bool) (*Plaintext, error) {
 	// An overflow names the slot with the largest part, peak.
 	peak, peakAbs := 0, 0.0
 	for i, v := range buf[:n] {
@@ -293,6 +311,9 @@ func (e *Encoder) encode(buf []complex128, n, level int, scale float64) (*Plaint
 	top := buf[peak]
 	e.embedInv(buf)
 	r := e.ctx.RingAtLevel(level)
+	if lifted {
+		r = e.ctx.KeyRingAtLevel(level)
+	}
 	pt := &Plaintext{Poly: r.NewPoly(), Level: level, Scale: scale}
 	limit := e.ctx.codec.coeffLimit[level]
 	rows, moduli := pt.Poly.Coeffs, r.Moduli

@@ -81,32 +81,6 @@ func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
 	return out
 }
 
-// MulPlain returns ct ⊙ pt; the result scale is the product of scales.
-func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
-	if rlwe.DebugEnabled {
-		ev.ctx.debugCheckCt("MulPlain", ct)
-	}
-	if ct.Level != pt.Level {
-		return nil, fmt.Errorf("ckks: level mismatch %d vs %d", ct.Level, pt.Level)
-	}
-	r := ev.ctx.RingAtLevel(ct.Level)
-	ptNTT := r.CopyPoly(pt.Poly)
-	r.NTT(ptNTT)
-	out := &Ciphertext{
-		Value: make([]*ring.Poly, len(ct.Value)),
-		Level: ct.Level,
-		Scale: ct.Scale * pt.Scale,
-	}
-	for i, p := range ct.Value {
-		tmp := r.CopyPoly(p)
-		r.NTT(tmp)
-		r.MulCoeffs(tmp, ptNTT, tmp)
-		r.INTT(tmp)
-		out.Value[i] = tmp
-	}
-	return out, nil
-}
-
 // MulScalar multiplies every slot by a real constant, encoding the
 // constant at the default scale (result scale = ct.Scale · 2^LogScale).
 func (ev *Evaluator) MulScalar(ct *Ciphertext, c float64) (*Ciphertext, error) {
@@ -242,28 +216,40 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) (*Ciphertext, error) {
 }
 
 // RotateLeft rotates slots left by steps (negative = right). Requires
-// the matching Galois key.
+// the matching Galois key. It is the hoisted path with a decomposition
+// used once, so a serial RotateLeft loop and a hoisted batch are
+// byte-identical by construction.
 func (ev *Evaluator) RotateLeft(ct *Ciphertext, steps int) (*Ciphertext, error) {
 	if steps == 0 {
 		return ev.ctx.CopyCt(ct), nil
 	}
-	return ev.applyGalois(ct, ev.ctx.GaloisElementForRotation(steps))
-}
-
-// Conjugate conjugates every slot.
-func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
-	return ev.applyGalois(ct, ev.ctx.GaloisElementConjugate())
-}
-
-// applyGalois is the single-element rotation path, built on the same
-// hoisted machinery as the batch API (a decomposition used exactly
-// once), so a serial RotateLeft loop and a hoisted batch are
-// byte-identical by construction.
-func (ev *Evaluator) applyGalois(ct *Ciphertext, g uint64) (*Ciphertext, error) {
 	dc, err := ev.Decompose(ct)
 	if err != nil {
 		return nil, err
 	}
 	defer dc.Release()
-	return ev.applyGaloisDecomposed(dc, g)
+	return ev.RotateLeftDecomposed(dc, steps)
+}
+
+// RotationKey returns the Galois key of a left rotation by steps, for
+// every rotation path and internal/core's executor.
+func (ev *Evaluator) RotationKey(steps int) (*GaloisKey, error) {
+	return ev.ctx.GaloisKey(ev.galois, ev.ctx.GaloisElementForRotation(steps))
+}
+
+// Context returns the parameter context the evaluator computes in.
+func (ev *Evaluator) Context() *Context { return ev.ctx }
+
+// Conjugate conjugates every slot.
+func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
+	gk, err := ev.ctx.GaloisKey(ev.galois, ev.ctx.GaloisElementConjugate())
+	if err != nil {
+		return nil, err
+	}
+	dc, err := ev.Decompose(ct)
+	if err != nil {
+		return nil, err
+	}
+	defer dc.Release()
+	return ev.applyGaloisDecomposed(dc, gk), nil
 }

@@ -41,7 +41,11 @@ func (ev *Evaluator) RotateLeftDecomposed(dc *DecomposedCiphertext, steps int) (
 	if steps == 0 {
 		return ev.ctx.CopyCt(dc.ct), nil
 	}
-	return ev.applyGaloisDecomposed(dc, ev.ctx.GaloisElementForRotation(steps))
+	gk, err := ev.RotationKey(steps)
+	if err != nil {
+		return nil, err
+	}
+	return ev.applyGaloisDecomposed(dc, gk), nil
 }
 
 // RotateLeftHoisted rotates one ciphertext by every step in steps,
@@ -67,14 +71,10 @@ func (ev *Evaluator) RotateLeftHoisted(ct *Ciphertext, steps []int) ([]*Cipherte
 	return outs, nil
 }
 
-// applyGaloisDecomposed runs one Galois element over the hoisted digits
+// applyGaloisDecomposed runs one Galois key over the hoisted digits
 // (rlwe.Decomposed.Rotate). The output polynomials are drawn from the
 // level ring's scratch pool.
-func (ev *Evaluator) applyGaloisDecomposed(dc *DecomposedCiphertext, g uint64) (*Ciphertext, error) {
-	gk, err := ev.ctx.GaloisKey(ev.galois, g)
-	if err != nil {
-		return nil, err
-	}
+func (ev *Evaluator) applyGaloisDecomposed(dc *DecomposedCiphertext, gk *GaloisKey) *Ciphertext {
 	c0, c1 := dc.Rotate(gk)
-	return &Ciphertext{Value: []*ring.Poly{c0, c1}, Level: dc.ct.Level, Scale: dc.ct.Scale}, nil
+	return &Ciphertext{Value: []*ring.Poly{c0, c1}, Level: dc.ct.Level, Scale: dc.ct.Scale}
 }

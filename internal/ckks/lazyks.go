@@ -34,7 +34,7 @@ func (ev *Evaluator) RotateSumLazy(ct *Ciphertext, steps []int) (*Ciphertext, er
 			qa.Add(ct.Value)
 			continue
 		}
-		gk, err := ev.ctx.GaloisKey(ev.galois, ev.ctx.GaloisElementForRotation(s))
+		gk, err := ev.RotationKey(s)
 		if err != nil {
 			qa.Release()
 			return nil, err

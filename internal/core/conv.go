@@ -16,9 +16,6 @@ type ConvSpec struct {
 	OutC          int
 }
 
-// OutSize returns the spatial output size (same padding).
-func (s ConvSpec) OutSize() (int, int) { return s.InH, s.InW }
-
 // MACs returns the multiply-accumulate count of the layer.
 func (s ConvSpec) MACs() int64 {
 	return int64(s.InH) * int64(s.InW) * int64(s.InC) * int64(s.OutC) * int64(s.KH) * int64(s.KW)
@@ -37,7 +34,7 @@ func (s ConvSpec) MACs() int64 {
 // (output group, channel-block shift, kernel offset) alignment and every
 // one of them fills both rows — the paper's "optimal multiplication
 // efficiency". The alignment step(d, δ) = d·Stride + δ is
-// additive, so the layer runs on the BSGS schedule (applyBSGS): the
+// additive, so the layer runs on the BSGS schedule (BSGSPlan): the
 // kernel offsets are baby rotations of the input shared by every output
 // group, and each group folds its shifted inner sums with one giant
 // rotation per block shift — KH·KW − 1 + Groups·(shifts − 1) key
@@ -173,31 +170,31 @@ func (c *Conv2D) shiftLive(g, d int) bool {
 	return false
 }
 
-// bsgs lays the layer out for applyBSGS: babies are the kernel offsets,
-// giants the block shifts some group can reach.
-func (c *Conv2D) bsgs(slots int) bsgsPlan {
-	pl := bsgsPlan{op: c, outputs: c.Groups()}
+// bsgs lays the layer out for the executor: babies are the kernel
+// offsets, giants the block shifts some group can reach.
+func (c *Conv2D) bsgs(slots int) BSGSPlan[int64] {
+	pl := BSGSPlan[int64]{Op: c, Outputs: c.Groups()}
 	for _, delta := range c.kernelOffsets() {
-		pl.babies = append(pl.babies, c.step(0, delta))
+		pl.Babies = append(pl.Babies, c.step(0, delta))
 	}
 	var shifts []int
 	for d := 0; d < c.shifts(); d++ {
-		for g := 0; g < pl.outputs; g++ {
+		for g := 0; g < pl.Outputs; g++ {
 			if c.shiftLive(g, d) {
 				shifts = append(shifts, d)
-				pl.giants = append(pl.giants, c.step(d, 0))
+				pl.Giants = append(pl.Giants, c.step(d, 0))
 				break
 			}
 		}
 	}
-	pl.diag = func(g, gi, ki int) []int64 { return c.weightDiag(g, shifts[gi], ki, slots) }
+	pl.Diag = func(g, gi, ki int) []int64 { return c.weightDiag(g, shifts[gi], ki, slots) }
 	return pl
 }
 
 // RotationSteps lists every rotation amount Apply uses, each once: the
 // kernel offsets and the reachable block shifts. Generate Galois keys
 // for exactly these.
-func (c *Conv2D) RotationSteps() []int { return c.bsgs(0).rotationSteps() }
+func (c *Conv2D) RotationSteps() []int { return c.bsgs(0).RotationSteps() }
 
 // Plan reports the physical key-switching work of one Apply on the same
 // sheet as FC.Plan (level 3 is the only conv schedule).
@@ -257,7 +254,7 @@ func (c *Conv2D) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, 
 	if c.Weights == nil {
 		return nil, OpCounts{}, fmt.Errorf("core: Apply on a spec-only convolution (no weights)")
 	}
-	return applyBSGS(ev, ecd, ct, c.plains, c.bsgs(slots))
+	return applyBFV(ev, ecd, ct, c.plains, c.bsgs(slots))
 }
 
 // weightDiag builds the block-diagonal weight plaintext for output

@@ -21,11 +21,11 @@ import (
 // one divide-by-P; each rotated inner sum pays its own full key switch
 // (RotateRows) and the output folds them with Add in giant order. It shares
 // only the geometry (the plan) with the engine under test.
-func applyUnfused(k *kit, pl bsgsPlan, ct *bfv.Ciphertext) ([]*bfv.Ciphertext, OpCounts, error) {
+func applyUnfused(k *kit, pl BSGSPlan[int64], ct *bfv.Ciphertext) ([]*bfv.Ciphertext, OpCounts, error) {
 	var ops OpCounts
 	ev, rQP := k.ev, k.ctx.RingQP
-	babies := make([]*bfv.NTTCiphertext, len(pl.babies))
-	for bi, s := range pl.babies {
+	babies := make([]*bfv.NTTCiphertext, len(pl.Babies))
+	for bi, s := range pl.Babies {
 		dc, err := ev.Decompose(ct)
 		if err != nil {
 			return nil, ops, err
@@ -40,12 +40,12 @@ func applyUnfused(k *kit, pl bsgsPlan, ct *bfv.Ciphertext) ([]*bfv.Ciphertext, O
 		}
 	}
 
-	outs := make([]*bfv.Ciphertext, pl.outputs)
+	outs := make([]*bfv.Ciphertext, pl.Outputs)
 	for o := range outs {
-		for gi, giant := range pl.giants {
+		for gi, giant := range pl.Giants {
 			var acc [2]*ring.Poly
 			for bi, baby := range babies {
-				diag := pl.diag(o, gi, bi)
+				diag := pl.Diag(o, gi, bi)
 				if diag == nil {
 					continue
 				}

@@ -5,30 +5,35 @@ import (
 	"sync"
 
 	"choco/internal/bfv"
+	"choco/internal/ckks"
 	"choco/internal/par"
+	"choco/internal/ring"
+	"choco/internal/rlwe"
 )
 
-// The linear-layer engine. Conv2D and FC both evaluate a diagonal
-// linear transform on the baby-step/giant-step schedule (bsgsPlan): baby
-// rotations of one input, a fixed weight plaintext per term, an inner sum
-// per (output, giant) and a giant fold per output. Both run it
-// NTT-resident over one input ciphertext (applyBSGS):
+// The linear-transform engine of both schemes. Conv2D and FC (BFV),
+// PageRank and the distance collapse (CKKS) evaluate a diagonal linear
+// transform on the baby-step/giant-step schedule (BSGSPlan): baby
+// rotations of one input, a fixed plaintext per term, an inner sum per
+// (output, giant) and a giant fold per output. All run it NTT-resident
+// over one input ciphertext at its level, on rlwe's types (applyBSGS;
+// applyBFV and ApplyCKKS wrap it):
 //
 //   - the input pays one hoisted decomposition, and every baby stays
-//     resident in the key ring QP, NTT domain, its divide-by-P still owed
-//     (nttRotations) — the coefficient-domain rotation is never
-//     materialized;
-//   - each inner sum accumulates its terms over QP as unreduced 128-bit
-//     sums and pays one reduction, one inverse NTT and one divide-by-P
-//     (innerSum): one rounding per inner sum where a mod-down per baby
-//     rounds once per term and scales each rounding by its weight
-//     (DESIGN.md §13);
-//   - the weight-side plaintext pipeline (EncodeInts of each diagonal +
-//     PrepareMul's lift and forward NTT) depends only on the layer's
-//     weights and the parameter preset, never on the session, so one
-//     prepared plaintext serves every session and every later request — a
-//     PlainCache carries it: the serving tier's shared one, or the
-//     operator's own when the caller passes none.
+//     resident in the key ring (q0..ql, p), NTT domain, its divide-by-P
+//     still owed (nttRotations) — the coefficient-domain rotation is
+//     never materialized;
+//   - each inner sum accumulates its terms over that ring as unreduced
+//     128-bit sums and pays one reduction, one inverse NTT and one
+//     divide-by-P (innerSum): one rounding per inner sum where a mod-down
+//     per baby rounds once per term and scales each rounding by its
+//     weight (DESIGN.md §13);
+//   - the plaintext side (each diagonal encoded, lifted over the key ring
+//     and forward-NTT'd) depends only on the transform and the level,
+//     never on the session, so one prepared plaintext serves every
+//     session and every later request — a PlainCache carries it: the
+//     serving tier's shared one, or the operator's own when the caller
+//     passes none.
 //
 // Terms run in a fixed order per output, and every intermediate is
 // exact modular arithmetic, so outputs are byte-identical for any worker
@@ -44,9 +49,9 @@ type BatchInput struct {
 	Ct *bfv.Ciphertext
 }
 
-// PlainCache retains prepared weight plaintexts (the PrepareMul'd form
-// MulPlain consumes) keyed by operator identity and term index, shared
-// across sessions and requests. Entries are immutable once built —
+// PlainCache retains prepared plaintexts (the lifted form
+// rlwe.Context.MulPlainAcc consumes) keyed by transform identity, level
+// and term index, shared across sessions and requests. Entries are immutable once built —
 // weights are fixed at model compile time — so the cache never
 // invalidates; it only stops inserting when the byte budget is
 // reached (the working set is the model's diagonal count, so for a
@@ -63,14 +68,14 @@ type PlainCache struct {
 }
 
 type plainKey struct {
-	op  any
-	idx int
+	op         any
+	level, idx int
 }
 
 // plainEntry is one key's plaintext, or the build of it in flight.
 type plainEntry struct {
-	pm    *bfv.PlaintextMul
-	done  bool          // pm is built and stays; guarded by PlainCache.mu
+	pt    *ring.Poly
+	done  bool          // pt is built and stays; guarded by PlainCache.mu
 	ready chan struct{} // closed when the build is over, whichever way
 }
 
@@ -109,30 +114,31 @@ func (pc *PlainCache) Stats() PlainCacheStats {
 	}
 }
 
-func pmBytes(pm *bfv.PlaintextMul) int64 {
-	if pm == nil {
+func polyBytes(p *ring.Poly) int64 {
+	if p == nil {
 		return 0
 	}
 	var n int64
-	for _, row := range pm.NTT.Coeffs {
+	for _, row := range p.Coeffs {
 		n += int64(len(row)) * 8
 	}
 	return n
 }
 
-// getOrBuild returns the prepared plaintext for (op, idx). On a miss the
-// first caller builds it outside the lock and everyone else who asks for
-// that key meanwhile waits for that one build: sessions that hit a cold
-// server together prepare each weight plaintext once between them, not
-// once each. A nil value is cached too: it records an all-zero diagonal
-// whose term Apply skips, so the zero check is not repaid every batch. A
-// build that fails, panics or finds the budget spent caches nothing, and
-// its waiters build for themselves.
-func (pc *PlainCache) getOrBuild(op any, idx int, build func() (*bfv.PlaintextMul, error)) (*bfv.PlaintextMul, error) {
+// getOrBuild returns the prepared plaintext of term idx of op at level.
+// On a miss the first caller builds it outside the lock and everyone
+// else who asks for that key meanwhile waits for that one build:
+// sessions that hit a cold server together prepare each weight plaintext
+// once between them, not once each. A nil value is cached too: it
+// records an all-zero diagonal whose term the executor skips, so the
+// zero check is not repaid every batch. A build that fails, panics or
+// finds the budget spent caches nothing, and its waiters build for
+// themselves.
+func (pc *PlainCache) getOrBuild(op any, level, idx int, build func() (*ring.Poly, error)) (*ring.Poly, error) {
 	if pc == nil {
 		return build()
 	}
-	k := plainKey{op: op, idx: idx}
+	k := plainKey{op: op, level: level, idx: idx}
 	for {
 		pc.mu.Lock()
 		e := pc.m[k]
@@ -146,7 +152,7 @@ func (pc *PlainCache) getOrBuild(op any, idx int, build func() (*bfv.PlaintextMu
 		if e.done {
 			pc.hits++
 			pc.mu.Unlock()
-			return e.pm, nil
+			return e.pt, nil
 		}
 		pc.mu.Unlock()
 		<-e.ready
@@ -155,138 +161,127 @@ func (pc *PlainCache) getOrBuild(op any, idx int, build func() (*bfv.PlaintextMu
 
 // fill runs the one build of entry e, which its caller has just put in
 // the map under k, and takes it out again unless the value is to stay.
-func (pc *PlainCache) fill(k plainKey, e *plainEntry, build func() (*bfv.PlaintextMul, error)) (pm *bfv.PlaintextMul, err error) {
+func (pc *PlainCache) fill(k plainKey, e *plainEntry, build func() (*ring.Poly, error)) (pt *ring.Poly, err error) {
 	built := false
 	defer func() {
 		pc.mu.Lock()
-		switch size := pmBytes(pm); {
+		switch size := polyBytes(pt); {
 		case !built:
 			delete(pc.m, k)
 		case pc.bytes+size > pc.budget:
 			delete(pc.m, k)
 			pc.rejected++
 		default:
-			e.pm, e.done = pm, true
+			e.pt, e.done = pt, true
 			pc.bytes += size
 		}
 		pc.mu.Unlock()
 		close(e.ready)
 	}()
-	pm, err = build()
+	pt, err = build()
 	built = err == nil
-	return pm, err
+	return pt, err
 }
 
-// prepared returns the PrepareMul'd form of the weight vector diag()
-// for term (op, idx), built and cached on a miss; a nil vector (an
-// all-zero diagonal) yields a nil plaintext.
-func (pc *PlainCache) prepared(op any, idx int, ev *bfv.Evaluator, ecd *bfv.Encoder, diag func() []int64) (*bfv.PlaintextMul, error) {
-	return pc.getOrBuild(op, idx, func() (*bfv.PlaintextMul, error) {
-		v := diag()
-		if v == nil {
-			return nil, nil
-		}
-		pt, err := ecd.EncodeInts(v)
-		if err != nil {
-			return nil, err
-		}
-		return ev.PrepareMul(pt), nil
-	})
+// operand is an input ciphertext as the executor sees it, whichever
+// scheme made it: (c0, c1) at a level, and its rotation keys by step.
+type operand struct {
+	ctx   *rlwe.Context
+	level int
+	value []*ring.Poly
+	key   func(steps int) (*rlwe.GaloisKey, error)
 }
 
 // nttRotations returns the input rotated by each of steps, resident in
-// QP in the NTT domain (a zero step is the input itself, lifted), off
-// one hoisted decomposition, the key switches in one dispatch. On error
-// nothing is left outstanding; on success the caller owns the result
-// (recycleRotations).
-func nttRotations(ev *bfv.Evaluator, ct *bfv.Ciphertext, steps []int) ([]*bfv.NTTCiphertext, error) {
-	// The decomposition also rejects a malformed input before ToNTT
-	// (which panics on one) sees it.
-	dc, err := ev.Decompose(ct)
-	if err != nil {
-		return nil, err
-	}
-	defer dc.Release()
-	rots := make([]*bfv.NTTCiphertext, len(steps))
-	errs := make([]error, len(steps))
-	par.For(len(steps), func(j int) {
-		rots[j], errs[j] = ev.RotateRowsLazyNTT(dc, steps[j])
-	})
-	for _, e := range errs {
-		if e != nil {
-			recycleRotations(rots)
-			return nil, e
+// the key ring (q0..ql, p) in the NTT domain (a zero step is the input
+// itself, lifted), off one hoisted decomposition, the key switches in one
+// dispatch; a missing key fails before any work. The caller owns the
+// result, polynomials of the key ring's scratch pool.
+func nttRotations(x operand, steps []int) ([][]*ring.Poly, error) {
+	gks := make([]*rlwe.GaloisKey, len(steps))
+	for j, s := range steps {
+		var err error
+		if s != 0 {
+			if gks[j], err = x.key(s); err != nil {
+				return nil, err
+			}
 		}
 	}
+	var dc rlwe.Decomposed
+	x.ctx.Decompose(&dc, x.value, x.level)
+	defer dc.Release()
+	rots := make([][]*ring.Poly, len(steps))
+	par.For(len(steps), func(j int) {
+		if gks[j] == nil {
+			rots[j] = []*ring.Poly{x.ctx.LiftNTT(x.level, x.value[0]), x.ctx.LiftNTT(x.level, x.value[1])}
+			return
+		}
+		c0, c1 := dc.RotateNTT(gks[j])
+		rots[j] = []*ring.Poly{c0, c1}
+	})
 	return rots, nil
 }
 
-// recycleRotations returns every rotation of nttRotations' result to
-// the scratch pool.
-func recycleRotations(rots []*bfv.NTTCiphertext) {
-	for _, r := range rots {
-		if r != nil {
-			r.Recycle()
-		}
-	}
-}
-
-// innerSum accumulates one output's n terms in order over QP, in the NTT
-// domain, and pays a single reduction, inverse NTT and divide-by-P for
-// the sum. term(k) yields the rotated input and prepared weight plaintext
-// of term k; a nil plaintext marks an all-zero diagonal, skipped without
-// counting. Returns a nil ciphertext when every term is zero.
-func innerSum(ev *bfv.Evaluator, n int, term func(k int) (*bfv.NTTCiphertext, *bfv.PlaintextMul, error)) (*bfv.Ciphertext, OpCounts, error) {
+// innerSum accumulates one output's n terms in order over the key ring,
+// in the NTT domain, and pays a single reduction, inverse NTT and
+// divide-by-P for the sum. term(k) yields the rotated input and prepared
+// plaintext of term k; a nil plaintext marks an all-zero diagonal,
+// skipped without counting. Returns nil (c0, c1) when every term is zero.
+func innerSum(x operand, n int, term func(k int) ([]*ring.Poly, *ring.Poly, error)) ([]*ring.Poly, OpCounts, error) {
 	var ops OpCounts
-	var acc *bfv.NTTAccumulator
+	var acc *rlwe.NTTAccumulator
 	for k := 0; k < n; k++ {
-		x, pm, err := term(k)
+		rot, pt, err := term(k)
 		if err != nil {
 			if acc != nil {
-				ev.RecycleNTTAccumulator(acc)
+				x.ctx.RecycleNTTAccumulator(acc)
 			}
 			return nil, ops, err
 		}
-		if pm == nil {
+		if pt == nil {
 			continue
 		}
 		if acc == nil {
-			acc = ev.NewNTTAccumulator()
+			acc = x.ctx.NewNTTAccumulator(x.level)
 		} else {
 			ops.Adds++
 		}
-		ev.MulPlainAcc(acc, x, pm)
+		x.ctx.MulPlainAcc(acc, rot, pt)
 		ops.PlainMults++
 	}
 	if acc == nil {
 		return nil, ops, nil
 	}
-	return ev.FromNTT(acc), ops, nil
+	c0, c1 := x.ctx.FromNTT(acc)
+	return []*ring.Poly{c0, c1}, ops, nil
 }
 
-// bsgsPlan is a linear layer as the executor sees it: outputs × giants ×
-// babies. Output o is Σ_gi rot_giants[gi]( Σ_bi diag(o, gi, bi) ⊙
-// rot_babies[bi](x) ) — for FC one output with giants i·B over babies
-// 0..B−1, for Conv2D one output per group with the channel-block shifts
-// d·Stride as giants over the kernel offsets as babies.
-type bsgsPlan struct {
-	op      any // the layer: identity of its terms in a PlainCache
-	outputs int
-	// babies rotate the input (a zero step is the input itself); giants
-	// rotate inner sums, and giants[0] is always the unrotated one.
-	babies, giants []int
-	// diag returns the weight vector of one term, already rotated by
-	// −giants[gi] so the giant rotation restores its alignment; nil
-	// when it is all zero.
-	diag func(o, gi, bi int) []int64
+// BSGSPlan is a linear transform as the executor sees it, over slots of
+// type T: Outputs × Giants × Babies. Output o is Σ_gi rot_Giants[gi](
+// Σ_bi Diag(o, gi, bi) ⊙ rot_Babies[bi](x) ) — for FC (and PageRank) one
+// output with giants i·B over babies 0..B−1, for Conv2D one output per
+// group with the channel-block shifts d·Stride as giants over the kernel
+// offsets as babies, for the distance collapse one output, no giants.
+type BSGSPlan[T int64 | float64] struct {
+	// Op identifies the terms in a PlainCache, per level: whatever else
+	// changes a term's plaintext (weights, a CKKS scale) needs a new Op.
+	Op      any
+	Outputs int
+	// Babies rotate the input (a zero step is the input itself); Giants
+	// rotate inner sums, and Giants[0] is always the unrotated one.
+	Babies, Giants []int
+	// Diag returns the slot vector of one term, already rotated by
+	// −Giants[gi] so the giant rotation restores its alignment; nil when
+	// it is all zero.
+	Diag func(o, gi, bi int) []T
 }
 
-// rotationSteps lists the non-zero steps of the plan: the Galois keys a
+// RotationSteps lists the non-zero steps of the plan: the Galois keys a
 // session must hold, and nothing else. The first babySteps of them are
 // the babies.
-func (pl bsgsPlan) rotationSteps() []int {
+func (pl BSGSPlan[T]) RotationSteps() []int {
 	var steps []int
-	for _, s := range append(append([]int{}, pl.babies...), pl.giants...) {
+	for _, s := range append(append([]int{}, pl.Babies...), pl.Giants...) {
 		if s != 0 {
 			steps = append(steps, s)
 		}
@@ -294,40 +289,56 @@ func (pl bsgsPlan) rotationSteps() []int {
 	return steps
 }
 
-func (pl bsgsPlan) babySteps() int { return len(pl.rotationSteps()) - (len(pl.giants) - 1) }
+func (pl BSGSPlan[T]) babySteps() int { return len(pl.RotationSteps()) - (len(pl.Giants) - 1) }
 
-// applyBSGS is the one executor behind Conv2D and FC. Babies share one
-// decomposition of the input and stay resident in QP, where the inner
-// products consume them. One task per (output, giant) accumulates its
-// inner sum over QP — one divide-by-P and one inverse NTT per giant
-// instead of one per term — and, when the plan has rotated giants, folds
-// it at once into its worker's QP accumulator for that output; the
-// per-worker accumulators merge in worker order, so each output pays a
-// single full mod-down. A plan with no rotated giant (Conv2D with one
-// channel block, FC with one output, FC's flat plan) skips the fold: its
-// inner sum is the output. Terms run in (giant, baby) order and every
-// accumulator field is a plain modular sum, so the outputs are
-// byte-identical for any worker count, split or cache state. The error
-// returned is the first in (output, giant) order.
-func applyBSGS(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, cache *PlainCache, pl bsgsPlan) ([]*bfv.Ciphertext, OpCounts, error) {
-	babies, err := nttRotations(ev, ct, pl.babies)
+// applyBSGS is the one executor behind Conv2D, FC and ApplyCKKS. Babies
+// share one decomposition of the input and stay resident in the key
+// ring, where the inner products consume them. One task per (output,
+// giant) accumulates its inner sum there — one divide-by-P and one
+// inverse NTT per giant instead of one per term — and, when the plan has
+// rotated giants, folds it at once into its worker's QP accumulator for
+// that output; the per-worker accumulators merge in worker order, so each
+// output pays a single full mod-down. A plan with no rotated giant
+// (Conv2D with one channel block, FC with one output, FC's flat plan, the
+// distance collapse) skips the fold: its inner sum is the output. A
+// term's plaintext is prepare of its diagonal, through cache. Terms run
+// in (giant, baby) order and every accumulator field is a plain modular
+// sum, so the outputs (c0, c1) are byte-identical for any worker count,
+// split or cache state. The error returned is the first in (output,
+// giant) order.
+func applyBSGS[T int64 | float64](x operand, cache *PlainCache, pl BSGSPlan[T], prepare func([]T) (*ring.Poly, error)) ([][]*ring.Poly, OpCounts, error) {
+	if rlwe.DebugEnabled {
+		x.ctx.DebugCheck("applyBSGS", 0, x.value, x.level)
+	}
+	babies, err := nttRotations(x, pl.Babies)
 	if err != nil {
 		return nil, OpCounts{}, err
 	}
-	defer recycleRotations(babies)
+	defer func() {
+		for _, b := range babies {
+			x.ctx.KeyRingAtLevel(x.level).PutPoly(b[0])
+			x.ctx.KeyRingAtLevel(x.level).PutPoly(b[1])
+		}
+	}()
 
-	nB, nG := len(pl.babies), len(pl.giants)
-	n := pl.outputs * nG
+	nB, nG := len(pl.Babies), len(pl.Giants)
+	n := pl.Outputs * nG
 	nw := par.MaxWorkers(n)
-	outs := make([]*bfv.Ciphertext, pl.outputs) // the inner sums, when nG == 1
-	qas := make([]*bfv.QPAccumulator, pl.outputs*nw)
+	outs := make([][]*ring.Poly, pl.Outputs) // the inner sums, when nG == 1
+	qas := make([]*rlwe.QPAccumulator, pl.Outputs*nw)
 	innerOps := make([]OpCounts, n)
 	errs := make([]error, n)
+	rQl := x.ctx.RingAtLevel(x.level)
 	par.ForWorker(n, func(w, p int) {
 		o, gi := p/nG, p%nG
-		in, ops, err := innerSum(ev, nB, func(bi int) (*bfv.NTTCiphertext, *bfv.PlaintextMul, error) {
-			pm, err := cache.prepared(pl.op, p*nB+bi, ev, ecd, func() []int64 { return pl.diag(o, gi, bi) })
-			return babies[bi], pm, err
+		in, ops, err := innerSum(x, nB, func(bi int) ([]*ring.Poly, *ring.Poly, error) {
+			pt, err := cache.getOrBuild(pl.Op, x.level, p*nB+bi, func() (*ring.Poly, error) {
+				if v := pl.Diag(o, gi, bi); v != nil {
+					return prepare(v)
+				}
+				return nil, nil
+			})
+			return babies[bi], pt, err
 		})
 		innerOps[p], errs[p] = ops, err
 		if in == nil {
@@ -339,17 +350,20 @@ func applyBSGS(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, cache *P
 		}
 		qa := &qas[o*nw+w]
 		if *qa == nil {
-			*qa = ev.NewQPAccumulator()
+			*qa = x.ctx.NewQPAccumulator(x.level)
 		}
 		if gi == 0 {
-			errs[p] = ev.AddLazy(*qa, in)
-		} else if dc, err := ev.Decompose(in); err != nil {
+			(*qa).Add(in)
+		} else if gk, err := x.key(pl.Giants[gi]); err != nil {
 			errs[p] = err
 		} else {
-			errs[p] = ev.AccumulateQP(*qa, dc, pl.giants[gi])
+			var dc rlwe.Decomposed
+			x.ctx.Decompose(&dc, in, x.level)
+			(*qa).Rotate(&dc, gk)
 			dc.Release()
 		}
-		ev.RecycleCt(in)
+		rQl.PutPoly(in[0])
+		rQl.PutPoly(in[1])
 	})
 	for _, e := range errs {
 		if e != nil {
@@ -360,7 +374,7 @@ func applyBSGS(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, cache *P
 
 	ops := OpCounts{Rotations: pl.babySteps()}
 	for o := range outs {
-		var qa *bfv.QPAccumulator
+		var qa *rlwe.QPAccumulator
 		for _, q := range qas[o*nw : (o+1)*nw] {
 			switch {
 			case q == nil:
@@ -393,18 +407,60 @@ func applyBSGS(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, cache *P
 		case contributed == 0:
 			err = fmt.Errorf("core: output %d has no contributing weights", o)
 		case nG > 1:
-			outs[o] = ev.FinalizeModDown(qa)
+			c0, c1 := qa.FinalizeModDown()
+			outs[o] = []*ring.Poly{c0, c1}
 		}
 	}
 	if err != nil {
 		for _, out := range outs {
-			if out != nil {
-				ev.RecycleCt(out)
+			for _, p := range out {
+				rQl.PutPoly(p)
 			}
 		}
 		return nil, OpCounts{}, err
 	}
 	return outs, ops, nil
+}
+
+// applyBFV runs plan pl over a BFV ciphertext, each weight diagonal
+// encoded and lifted the way BFV multiplies plaintexts
+// (bfv.Evaluator.PrepareMul).
+func applyBFV(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, cache *PlainCache, pl BSGSPlan[int64]) ([]*bfv.Ciphertext, OpCounts, error) {
+	if len(ct.Value) != 2 || ct.Drop != 0 {
+		return nil, OpCounts{}, fmt.Errorf("core: a linear layer requires a degree-1 full-modulus ciphertext")
+	}
+	ctx := ev.Context()
+	outs, ops, err := applyBSGS(operand{ctx.Context, ctx.MaxLevel(), ct.Value, ev.RotationKey}, cache, pl, func(v []int64) (*ring.Poly, error) {
+		pt, err := ecd.EncodeInts(v)
+		if err != nil {
+			return nil, err
+		}
+		return ev.PrepareMul(pt).NTT, nil
+	})
+	cts := make([]*bfv.Ciphertext, len(outs))
+	for i, v := range outs {
+		cts[i] = &bfv.Ciphertext{Value: v}
+	}
+	return cts, ops, err
+}
+
+// ApplyCKKS runs plan pl over a CKKS ciphertext, each diagonal encoded at
+// scale over the key ring of the input's level (ckks.Encoder.
+// EncodeFloatsQP) and so prepared once per (term, level) in cache. The
+// outputs stay at the input's level with scale ct.Scale·scale:
+// rescaling is the caller's.
+func ApplyCKKS(ev *ckks.Evaluator, ecd *ckks.Encoder, ct *ckks.Ciphertext, cache *PlainCache, pl BSGSPlan[float64], scale float64) ([]*ckks.Ciphertext, OpCounts, error) {
+	if len(ct.Value) != 2 {
+		return nil, OpCounts{}, fmt.Errorf("core: a linear transform requires a degree-1 ciphertext")
+	}
+	outs, ops, err := applyBSGS(operand{ev.Context().Context, ct.Level, ct.Value, ev.RotationKey}, cache, pl, func(v []float64) (*ring.Poly, error) {
+		return ecd.EncodeFloatsQP(v, ct.Level, scale)
+	})
+	cts := make([]*ckks.Ciphertext, len(outs))
+	for i, v := range outs {
+		cts[i] = &ckks.Ciphertext{Value: v, Level: ct.Level, Scale: ct.Scale * scale}
+	}
+	return cts, ops, err
 }
 
 // ApplyBatch evaluates the convolution over several sessions' packed
@@ -425,7 +481,7 @@ func (c *Conv2D) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cac
 	ops := make([]OpCounts, len(items))
 	for i, it := range items {
 		var err error
-		if outs[i], ops[i], err = applyBSGS(it.Ev, ecd, it.Ct, cache, pl); err != nil {
+		if outs[i], ops[i], err = applyBFV(it.Ev, ecd, it.Ct, cache, pl); err != nil {
 			return nil, nil, err
 		}
 	}

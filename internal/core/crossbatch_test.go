@@ -274,9 +274,9 @@ func TestPlainCacheBudget(t *testing.T) {
 	cache := NewPlainCache(8) // far below one poly's footprint
 	builds := 0
 	for i := 0; i < 3; i++ {
-		pm, err := cache.getOrBuild("op", 0, func() (*bfv.PlaintextMul, error) {
+		pm, err := cache.getOrBuild("op", 0, 0, func() (*ring.Poly, error) {
 			builds++
-			return k.ev.PrepareMul(pt), nil
+			return k.ev.PrepareMul(pt).NTT, nil
 		})
 		if err != nil || pm == nil {
 			t.Fatalf("getOrBuild: pm=%v err=%v", pm, err)
@@ -305,23 +305,23 @@ func TestPlainCacheSingleFlight(t *testing.T) {
 	const callers, keys, zeroKey = 8, 6, 4
 	cache := NewPlainCache(0)
 	var builds atomic.Int64
-	got := make([][]*bfv.PlaintextMul, callers)
+	got := make([][]*ring.Poly, callers)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for c := range got {
-		got[c] = make([]*bfv.PlaintextMul, keys)
+		got[c] = make([]*ring.Poly, keys)
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			<-start
 			for idx := 0; idx < keys; idx++ {
-				pm, err := cache.getOrBuild("op", idx, func() (*bfv.PlaintextMul, error) {
+				pm, err := cache.getOrBuild("op", 0, idx, func() (*ring.Poly, error) {
 					builds.Add(1)
 					runtime.Gosched() // let the other callers reach the key mid-build
 					if idx == zeroKey {
 						return nil, nil
 					}
-					return k.ev.PrepareMul(pt), nil
+					return k.ev.PrepareMul(pt).NTT, nil
 				})
 				if err != nil {
 					t.Errorf("caller %d key %d: %v", c, idx, err)
@@ -349,19 +349,19 @@ func TestPlainCacheSingleFlight(t *testing.T) {
 	cache, boom := NewPlainCache(0), errors.New("boom")
 	builds.Store(0)
 	var failed atomic.Int64
-	shared := make([]*bfv.PlaintextMul, callers)
+	shared := make([]*ring.Poly, callers)
 	start = make(chan struct{})
 	for c := 0; c < callers; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			<-start
-			pm, err := cache.getOrBuild("op", 0, func() (*bfv.PlaintextMul, error) {
+			pm, err := cache.getOrBuild("op", 0, 0, func() (*ring.Poly, error) {
 				runtime.Gosched()
 				if builds.Add(1) == 1 {
 					return nil, boom
 				}
-				return k.ev.PrepareMul(pt), nil
+				return k.ev.PrepareMul(pt).NTT, nil
 			})
 			if err != nil {
 				failed.Add(1)
@@ -375,7 +375,7 @@ func TestPlainCacheSingleFlight(t *testing.T) {
 	if failed.Load() != 1 || builds.Load() != 2 || st.Misses != 2 || st.Entries != 1 {
 		t.Errorf("%d callers failed, %d builds, stats %+v: want 1 failure, 2 builds, 2 misses, 1 entry", failed.Load(), builds.Load(), st)
 	}
-	var one *bfv.PlaintextMul
+	var one *ring.Poly
 	for c, pm := range shared {
 		if pm == nil {
 			continue // the caller whose build failed
@@ -395,9 +395,9 @@ func TestPlainCacheSingleFlight(t *testing.T) {
 				t.Error("the build's panic did not reach its caller")
 			}
 		}()
-		_, _ = cache.getOrBuild("op", 1, func() (*bfv.PlaintextMul, error) { panic("kernel") })
+		_, _ = cache.getOrBuild("op", 0, 1, func() (*ring.Poly, error) { panic("kernel") })
 	}()
-	if pm, err := cache.getOrBuild("op", 1, func() (*bfv.PlaintextMul, error) { return k.ev.PrepareMul(pt), nil }); err != nil || pm == nil {
+	if pm, err := cache.getOrBuild("op", 0, 1, func() (*ring.Poly, error) { return k.ev.PrepareMul(pt).NTT, nil }); err != nil || pm == nil {
 		t.Errorf("after a panicked build: pm=%v err=%v", pm, err)
 	}
 	if st := cache.Stats(); st.Entries != 2 {

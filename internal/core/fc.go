@@ -88,10 +88,10 @@ func (f *FC) live() []int {
 	return ds
 }
 
-// bsgs lays the layer out for applyBSGS: one output, baby steps j < B,
-// giant steps i·B, keeping only the steps some live diagonal i·B + j < Po
-// needs.
-func (f *FC) bsgs(slots int) bsgsPlan {
+// bsgs lays the layer out for the executor: one output, baby steps
+// j < B, giant steps i·B, keeping only the steps some live diagonal
+// i·B + j < Po needs.
+func (f *FC) bsgs(slots int) BSGSPlan[int64] {
 	liveBaby, liveGiant := make([]bool, f.B), make([]bool, f.G)
 	for _, d := range f.live() {
 		liveBaby[d%f.B], liveGiant[d/f.B] = true, true
@@ -107,21 +107,21 @@ func (f *FC) bsgs(slots int) bsgsPlan {
 			giants = append(giants, i*f.B)
 		}
 	}
-	return bsgsPlan{op: f, outputs: 1, babies: babies, giants: giants,
-		diag: func(_, gi, bi int) []int64 { return f.diag(giants[gi], babies[bi], slots) }}
+	return BSGSPlan[int64]{Op: f, Outputs: 1, Babies: babies, Giants: giants,
+		Diag: func(_, gi, bi int) []int64 { return f.diag(giants[gi], babies[bi], slots) }}
 }
 
 // flat is the textbook diagonal method as a plan: every live diagonal a
 // baby rotation of the input, no giants.
-func (f *FC) flat(slots int) bsgsPlan {
+func (f *FC) flat(slots int) BSGSPlan[int64] {
 	babies := f.live()
-	return bsgsPlan{op: f, outputs: 1, babies: babies, giants: []int{0},
-		diag: func(_, _, bi int) []int64 { return f.diag(0, babies[bi], slots) }}
+	return BSGSPlan[int64]{Op: f, Outputs: 1, Babies: babies, Giants: []int{0},
+		Diag: func(_, _, bi int) []int64 { return f.diag(0, babies[bi], slots) }}
 }
 
 // RotationSteps lists the rotation amounts Apply uses: the baby steps
 // below B and the giant steps i·B that some diagonal reaches.
-func (f *FC) RotationSteps() []int { return f.bsgs(0).rotationSteps() }
+func (f *FC) RotationSteps() []int { return f.bsgs(0).RotationSteps() }
 
 // PackInput replicates the zero-padded input vector across both
 // batching rows so rotations by any amount < P act as windowed
@@ -180,11 +180,11 @@ func (f *FC) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slot
 }
 
 // apply runs plan pl, whose one output is y, over cache.
-func (f *FC) apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, cache *PlainCache, pl bsgsPlan) (*bfv.Ciphertext, OpCounts, error) {
+func (f *FC) apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, cache *PlainCache, pl BSGSPlan[int64]) (*bfv.Ciphertext, OpCounts, error) {
 	if f.Weights == nil {
 		return nil, OpCounts{}, fmt.Errorf("core: Apply on a spec-only FC layer (no weights)")
 	}
-	outs, ops, err := applyBSGS(ev, ecd, ct, cache, pl)
+	outs, ops, err := applyBFV(ev, ecd, ct, cache, pl)
 	if err != nil {
 		return nil, OpCounts{}, err
 	}
@@ -202,7 +202,7 @@ func (f *FC) ApplyNaive(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext,
 }
 
 // NaiveRotationSteps lists the rotation amounts ApplyNaive uses.
-func (f *FC) NaiveRotationSteps() []int { return f.flat(0).rotationSteps() }
+func (f *FC) NaiveRotationSteps() []int { return f.flat(0).RotationSteps() }
 
 // ExtractOutput reads the Out result values from a decoded slot vector:
 // output r is the sum of its P/Po partial sums at slots r, r+Po, …,
@@ -291,7 +291,7 @@ type RotationPlan struct {
 // compare it against.
 func (f *FC) Plan(level int) RotationPlan {
 	pl := f.bsgs(0)
-	rp := pl.sheet(level, len(pl.giants)-1)
+	rp := pl.sheet(level, len(pl.Giants)-1)
 	rp.PlainMults = len(f.live())
 	return rp
 }
@@ -300,7 +300,7 @@ func (f *FC) Plan(level int) RotationPlan {
 // all, at level 1 (every Galois application a full key switch, babies
 // sharing a decomposition when there are any) or on the executor's
 // schedule (any other level).
-func (pl bsgsPlan) sheet(level, giantSteps int) RotationPlan {
+func (pl BSGSPlan[T]) sheet(level, giantSteps int) RotationPlan {
 	nb, ng := pl.babySteps(), giantSteps
 	rp := RotationPlan{Level: level, BabySteps: nb, GiantSteps: ng, Decompositions: ng}
 	if level == 1 {
@@ -313,9 +313,9 @@ func (pl bsgsPlan) sheet(level, giantSteps int) RotationPlan {
 	}
 	rp.Decompositions++ // the executor decomposes every input
 	rp.LazyProducts = nb + ng
-	rp.NTTModDowns = ng + pl.outputs // one per inner sum
+	rp.NTTModDowns = ng + pl.Outputs // one per inner sum
 	if ng > 0 {
-		rp.ModDowns = pl.outputs // each output's giant fold shares one mod-down
+		rp.ModDowns = pl.Outputs // each output's giant fold shares one mod-down
 	}
 	return rp
 }

@@ -87,8 +87,8 @@ func (f *FC) applyHoisted(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertex
 	// Baby rotations all act on the same input ciphertext, so they
 	// share one hoisted decomposition (the batch fans out internally).
 	babies := []*bfv.Ciphertext{ct}
-	if len(pl.babies) > 1 {
-		rots, err := ev.RotateRowsHoisted(ct, pl.babies[1:])
+	if len(pl.Babies) > 1 {
+		rots, err := ev.RotateRowsHoisted(ct, pl.Babies[1:])
 		if err != nil {
 			return nil, ops, err
 		}
@@ -100,10 +100,10 @@ func (f *FC) applyHoisted(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertex
 	// rotates it with its own full key switch; the final fold runs in
 	// giant order.
 	var total *bfv.Ciphertext
-	for gi, giant := range pl.giants {
+	for gi, giant := range pl.Giants {
 		var inner *bfv.Ciphertext
 		for bi, baby := range babies {
-			diag := pl.diag(0, gi, bi)
+			diag := pl.Diag(0, gi, bi)
 			if diag == nil {
 				continue
 			}

@@ -87,7 +87,7 @@ func TestDeadPeerHintFallsBackFast(t *testing.T) {
 	c.SetReadTimeout(30 * time.Second)
 	c.SetWriteTimeout(30 * time.Second)
 
-	hello, err := protocol.MarshalShardHello("dead-hint-1", deadPeer)
+	hello, err := protocol.MarshalShardHelloTenant("dead-hint-1", deadPeer, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestDeadPeerHintFallsBackFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	st, err := protocol.UnmarshalHelloAck(raw)
+	st, _, err := protocol.ParseHelloAck(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,8 @@
 //   - polycopy:     by-value ring.Poly copies and illegal aliasing
 //   - polypool:     GetPoly scratch returned with PutPoly, wide
 //     accumulators reduced or put back, and bfv resident ciphertexts and
-//     accumulators recycled or closed with FromNTT, on every exit
+//     rlwe inner-sum accumulators recycled or closed with FromNTT, on
+//     every exit
 //   - lockednet:    mutexes held across network I/O or channel ops in
 //     the serving, fabric and protocol packages
 //   - uncheckederr: dropped protocol frame-write and Close errors

@@ -184,9 +184,10 @@ func TestSuiteCleanOnTree(t *testing.T) {
 // this test asks the real tree, not a fixture's stand-in: what
 // bfv.NewKeyGenerator(...).GenSecretKey() returns must be secret to
 // secretflow, the generator itself too, its public Gen* methods must stay
-// sanitizers, and a RotateRowsLazyNTT result leaked in a package named
-// internal/core must still be a polypool finding when the evaluator is the
-// real one.
+// sanitizers, and a RotateRowsLazyNTT result and an inner-sum
+// accumulator leaked in a package named internal/core must still be
+// polypool findings when the evaluator and the accumulator are the real
+// ones.
 func TestAnalyzersFollowSharedCore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks internal/bfv and its dependencies from source")
@@ -231,11 +232,16 @@ func TestAnalyzersFollowSharedCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
+	found := map[string]bool{}
 	for _, d := range diags {
-		found = found || strings.Contains(d.Message, "x does not reach RecycleNTT or FromNTT")
+		for _, v := range []string{"x", "acc"} {
+			found[v] = found[v] || strings.Contains(d.Message, v+" does not reach RecycleNTT or FromNTT")
+		}
 	}
-	if !found {
+	if !found["x"] {
 		t.Errorf("polypool no longer reports the leaked RotateRowsLazyNTT result; got %v", diags)
+	}
+	if !found["acc"] {
+		t.Errorf("polypool no longer reports the dropped rlwe inner-sum accumulator; got %v", diags)
 	}
 }

@@ -22,9 +22,9 @@ var poolPackages = []string{
 // the acquiring function; the ring's lazy multiply-accumulators
 // (GetWideAcc: two pool polys each) that reach neither ReduceWideAcc nor
 // PutWideAcc; and — the same discipline one level up — the resident
-// ciphertexts and accumulators of the bfv evaluator (ToNTT,
-// RotateRowsLazyNTT, NewNTTAccumulator) that do not reach RecycleNTT,
-// RecycleNTTAccumulator or FromNTT.
+// ciphertexts of the bfv evaluator (ToNTT, RotateRowsLazyNTT) and the
+// inner-sum accumulators of rlwe (NewNTTAccumulator) that do not reach
+// RecycleNTT, RecycleNTTAccumulator or FromNTT.
 //
 // An acquired value has exactly two legal fates:
 //
@@ -46,7 +46,7 @@ var poolPackages = []string{
 // acquisition is not an exit the value must cover: it is nil there.
 var PolyPool = &Analyzer{
 	Name: "polypool",
-	Doc:  "flags pool scratch (GetPoly polys, bfv NTT ciphertexts) not released on every exit path in the HE hot-path packages",
+	Doc:  "flags pool scratch (GetPoly polys, bfv NTT ciphertexts, rlwe inner-sum accumulators) not released on every exit path in the HE hot-path packages",
 	Run:  runPolyPool,
 }
 
@@ -105,18 +105,19 @@ var poolKinds = []poolKind{
 		never:    "%s is a wide accumulator from the poly pool that never reaches ReduceWideAcc or PutWideAcc (and never escapes)",
 		leakyFmt: "%s does not reach ReduceWideAcc or PutWideAcc on every exit path (leaky exit at line %d)",
 	},
-	{ // bfv resident ciphertexts and accumulators
+	{ // bfv resident ciphertexts and rlwe inner-sum accumulators
 		role: func(info *types.Info, call *ast.CallExpr) poolRole {
 			fn := calleeFunc(info, call)
-			if fn == nil || fn.Pkg() == nil || !pkgPathHasSuffix(fn.Pkg().Path(), "internal/bfv") {
+			if fn == nil || fn.Pkg() == nil {
 				return poolUnknown
 			}
-			switch fn.Name() {
-			case "ToNTT", "RotateRowsLazyNTT", "NewNTTAccumulator":
+			bfv, rlwe, name := pkgPathHasSuffix(fn.Pkg().Path(), "internal/bfv"), pkgPathHasSuffix(fn.Pkg().Path(), "internal/rlwe"), fn.Name()
+			switch {
+			case bfv && (name == "ToNTT" || name == "RotateRowsLazyNTT"), rlwe && name == "NewNTTAccumulator":
 				return poolAcquire
-			case "RecycleNTT", "RecycleNTTAccumulator", "FromNTT":
+			case bfv && name == "RecycleNTT", rlwe && (name == "RecycleNTTAccumulator" || name == "FromNTT"):
 				return poolRelease
-			case "MulPlainAcc":
+			case rlwe && name == "MulPlainAcc":
 				return poolBorrow
 			}
 			return poolUnknown

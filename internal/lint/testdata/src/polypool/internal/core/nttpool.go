@@ -1,88 +1,91 @@
-// Fixture for the polypool analyzer's bfv resource: the resident
-// ciphertexts and accumulators handed out by the evaluator hold pool polys
-// and must reach RecycleNTT, RecycleNTTAccumulator or FromNTT on every
-// exit path, or escape to an owner the analyzer can't see.
+// Fixture for the polypool analyzer's resident resource: bfv's resident
+// ciphertexts and rlwe's inner-sum accumulators hold pool polys and must
+// reach RecycleNTT, RecycleNTTAccumulator or FromNTT on every exit path,
+// or escape to an owner the analyzer can't see.
 package core
 
 import (
 	"errors"
 
 	"choco/internal/bfv"
+	"choco/internal/ring"
 )
 
 // Leak: lifted into the NTT domain, multiplied, never handed back.
-func neverRecycled(ev *bfv.Evaluator, ct *bfv.Ciphertext, pm *bfv.PlaintextMul) *bfv.Ciphertext {
+func neverRecycled(ctx *bfv.Context, ev *bfv.Evaluator, ct *bfv.Ciphertext, pm *bfv.PlaintextMul) (c0, c1 *ring.Poly) {
 	x := ev.ToNTT(ct) // want `never reaches RecycleNTT or FromNTT`
-	acc := ev.NewNTTAccumulator()
-	ev.MulPlainAcc(acc, x, pm)
-	return ev.FromNTT(acc)
+	acc := ctx.NewNTTAccumulator(ctx.MaxLevel())
+	ctx.MulPlainAcc(acc, x.Value, pm.NTT)
+	return ctx.FromNTT(acc)
 }
 
 // Leak on one path: a later failure returns past the rotation.
-func errorPathSkipsRecycle(ev *bfv.Evaluator, dc *bfv.DecomposedCiphertext, pm *bfv.PlaintextMul, fail bool) (*bfv.Ciphertext, error) {
+func errorPathSkipsRecycle(ctx *bfv.Context, ev *bfv.Evaluator, dc *bfv.DecomposedCiphertext, pm *bfv.PlaintextMul, fail bool) (c0, c1 *ring.Poly, err error) {
 	x, err := ev.RotateRowsLazyNTT(dc, 1) // want `does not reach RecycleNTT or FromNTT on every exit path`
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if fail {
-		return nil, errors.New("bail")
+		return nil, nil, errors.New("bail")
 	}
-	acc := ev.NewNTTAccumulator()
-	ev.MulPlainAcc(acc, x, pm)
+	acc := ctx.NewNTTAccumulator(ctx.MaxLevel())
+	ctx.MulPlainAcc(acc, x.Value, pm.NTT)
 	ev.RecycleNTT(x)
-	return ev.FromNTT(acc), nil
+	c0, c1 = ctx.FromNTT(acc)
+	return c0, c1, nil
 }
 
 // Leak: the accumulator is abandoned when the product is not wanted.
-func accumulatorDropped(ev *bfv.Evaluator, ct *bfv.Ciphertext, pm *bfv.PlaintextMul, want bool) *bfv.Ciphertext {
+func accumulatorDropped(ctx *bfv.Context, ev *bfv.Evaluator, ct *bfv.Ciphertext, pm *bfv.PlaintextMul, want bool) (c0, c1 *ring.Poly) {
 	x := ev.ToNTT(ct)
 	defer ev.RecycleNTT(x)
-	acc := ev.NewNTTAccumulator() // want `does not reach RecycleNTT or FromNTT on every exit path`
-	ev.MulPlainAcc(acc, x, pm)
+	acc := ctx.NewNTTAccumulator(ctx.MaxLevel()) // want `does not reach RecycleNTT or FromNTT on every exit path`
+	ctx.MulPlainAcc(acc, x.Value, pm.NTT)
 	if !want {
-		return nil
+		return nil, nil
 	}
-	out := ev.FromNTT(acc)
-	return out
+	c0, c1 = ctx.FromNTT(acc)
+	return c0, c1
 }
 
 // The unwanted accumulator goes back unclosed.
-func accumulatorRecycled(ev *bfv.Evaluator, ct *bfv.Ciphertext, pm *bfv.PlaintextMul, want bool) *bfv.Ciphertext {
+func accumulatorRecycled(ctx *bfv.Context, ev *bfv.Evaluator, ct *bfv.Ciphertext, pm *bfv.PlaintextMul, want bool) (c0, c1 *ring.Poly) {
 	x := ev.ToNTT(ct)
 	defer ev.RecycleNTT(x)
-	acc := ev.NewNTTAccumulator()
-	ev.MulPlainAcc(acc, x, pm)
+	acc := ctx.NewNTTAccumulator(ctx.MaxLevel())
+	ctx.MulPlainAcc(acc, x.Value, pm.NTT)
 	if !want {
-		ev.RecycleNTTAccumulator(acc)
-		return nil
+		ctx.RecycleNTTAccumulator(acc)
+		return nil, nil
 	}
-	return ev.FromNTT(acc)
+	return ctx.FromNTT(acc)
 }
 
 // The failed acquisition's own error return owes nothing (x is nil
 // there); every later exit is covered by the deferred recycle.
-func fallibleThenDeferred(ev *bfv.Evaluator, dc *bfv.DecomposedCiphertext, pm *bfv.PlaintextMul, fail bool) (*bfv.Ciphertext, error) {
+func fallibleThenDeferred(ctx *bfv.Context, ev *bfv.Evaluator, dc *bfv.DecomposedCiphertext, pm *bfv.PlaintextMul, fail bool) (c0, c1 *ring.Poly, err error) {
 	x, err := ev.RotateRowsLazyNTT(dc, 1)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer ev.RecycleNTT(x)
 	if fail {
-		return nil, errors.New("bail")
+		return nil, nil, errors.New("bail")
 	}
-	acc := ev.NewNTTAccumulator()
-	ev.MulPlainAcc(acc, x, pm)
-	return ev.FromNTT(acc), nil
+	acc := ctx.NewNTTAccumulator(ctx.MaxLevel())
+	ctx.MulPlainAcc(acc, x.Value, pm.NTT)
+	c0, c1 = ctx.FromNTT(acc)
+	return c0, c1, nil
 }
 
 // FromNTT consumes the accumulator: its polys move into the result.
-func consumedByFromNTT(ev *bfv.Evaluator, ct *bfv.Ciphertext, pm *bfv.PlaintextMul) *bfv.Ciphertext {
+func consumedByFromNTT(ctx *bfv.Context, ev *bfv.Evaluator, ct *bfv.Ciphertext, pm *bfv.PlaintextMul) (c0, c1 *ring.Poly) {
 	x := ev.ToNTT(ct)
-	acc := ev.NewNTTAccumulator()
-	ev.MulPlainAcc(acc, x, pm)
+	acc := ctx.NewNTTAccumulator(ctx.MaxLevel())
+	ctx.MulPlainAcc(acc, x.Value, pm.NTT)
 	ev.RecycleNTT(x)
-	out := ev.FromNTT(acc)
-	return out
+	c0, c1 = ctx.FromNTT(acc)
+	return c0, c1
 }
 
 // Escape by storage: the rotation table's owner recycles it later.

@@ -12,8 +12,8 @@ import (
 // whether its evaluation keys are already installed (a reconnect hit
 // in the server's key registry) or must be uploaded — the one-time
 // setup cost of §3.3/Table 3 that the registry amortizes across
-// reconnects. Legacy clients may still open with a raw key bundle;
-// servers sniff the first frame's magic to tell the two apart.
+// reconnects. A session that opens with anything but a Hello — a raw key
+// bundle included — is refused.
 
 const (
 	helloMagic    = uint32(0x4f4c4843) // "CHLO" on the wire (little-endian)
@@ -52,14 +52,10 @@ const (
 	AckBusy HelloAckStatus = 2
 )
 
-// MarshalHello builds a session-open frame for the given session ID.
-func MarshalHello(sessionID string) ([]byte, error) {
-	return MarshalHelloTenant(sessionID, "")
-}
-
-// MarshalHelloTenant builds a session-open frame carrying an optional
-// tenant identifier for per-tenant quota admission. An empty tenant
-// yields a frame byte-identical to MarshalHello's.
+// MarshalHelloTenant builds a session-open frame for the given session
+// ID, carrying an optional tenant identifier for per-tenant quota
+// admission. An empty tenant yields the tenantless frame: no flag, no
+// tenant section.
 func MarshalHelloTenant(sessionID, tenant string) ([]byte, error) {
 	if sessionID == "" {
 		return nil, fmt.Errorf("protocol: empty session ID")
@@ -92,13 +88,6 @@ func MarshalHelloTenant(sessionID, tenant string) ([]byte, error) {
 // IsHello reports whether a frame is a session-open Hello.
 func IsHello(data []byte) bool {
 	return len(data) >= 4 && binary.LittleEndian.Uint32(data) == helloMagic
-}
-
-// UnmarshalHello decodes a Hello frame and returns the session ID,
-// accepting both tenantless and tenant-tagged frames.
-func UnmarshalHello(data []byte) (string, error) {
-	h, err := ParseHello(data)
-	return h.SessionID, err
 }
 
 // HelloInfo is the decoded content of a session-open Hello frame.
@@ -182,13 +171,6 @@ func MarshalHelloAckRetry(st HelloAckStatus, retryAfter time.Duration) []byte {
 	binary.LittleEndian.PutUint32(buf[4:], uint32(st))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(ms))
 	return buf
-}
-
-// UnmarshalHelloAck decodes the server's handshake response, accepting
-// both the compact and the retry-after forms.
-func UnmarshalHelloAck(data []byte) (HelloAckStatus, error) {
-	st, _, err := ParseHelloAck(data)
-	return st, err
 }
 
 // ParseHelloAck decodes the server's handshake response including the

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
@@ -9,58 +10,58 @@ import (
 )
 
 func TestHelloRoundTrip(t *testing.T) {
-	frame, err := MarshalHello("client-42")
+	frame, err := MarshalHelloTenant("client-42", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !IsHello(frame) {
 		t.Fatal("IsHello rejected a hello frame")
 	}
-	id, err := UnmarshalHello(frame)
+	h, err := ParseHello(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != "client-42" {
-		t.Fatalf("session ID %q", id)
+	if h.SessionID != "client-42" {
+		t.Fatalf("session ID %q", h.SessionID)
 	}
 }
 
 func TestHelloValidation(t *testing.T) {
-	if _, err := MarshalHello(""); err == nil {
+	if _, err := MarshalHelloTenant("", ""); err == nil {
 		t.Error("empty session ID accepted")
 	}
-	if _, err := MarshalHello(strings.Repeat("x", MaxSessionIDLen+1)); err == nil {
+	if _, err := MarshalHelloTenant(strings.Repeat("x", MaxSessionIDLen+1), ""); err == nil {
 		t.Error("oversized session ID accepted")
 	}
-	frame, _ := MarshalHello("ok")
-	if _, err := UnmarshalHello(frame[:10]); err == nil {
+	frame, _ := MarshalHelloTenant("ok", "")
+	if _, err := ParseHello(frame[:10]); err == nil {
 		t.Error("truncated hello accepted")
 	}
-	if _, err := UnmarshalHello(append(frame, 'x')); err == nil {
+	if _, err := ParseHello(append(frame, 'x')); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 	bad := make([]byte, len(frame))
 	copy(bad, frame)
 	bad[0] ^= 0xFF
-	if _, err := UnmarshalHello(bad); err == nil {
+	if _, err := ParseHello(bad); err == nil {
 		t.Error("wrong magic accepted")
 	}
 }
 
 func TestHelloAckRoundTrip(t *testing.T) {
 	for _, st := range []HelloAckStatus{AckNeedKeys, AckKeysCached, AckBusy} {
-		back, err := UnmarshalHelloAck(MarshalHelloAck(st))
+		back, retry, err := ParseHelloAck(MarshalHelloAck(st))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back != st {
-			t.Fatalf("status %d round-tripped to %d", st, back)
+		if back != st || retry != 0 {
+			t.Fatalf("status %d round-tripped to (%d, %v)", st, back, retry)
 		}
 	}
-	if _, err := UnmarshalHelloAck([]byte{1, 2, 3}); err == nil {
+	if _, _, err := ParseHelloAck([]byte{1, 2, 3}); err == nil {
 		t.Error("short ack accepted")
 	}
-	if _, err := UnmarshalHelloAck(MarshalHelloAck(HelloAckStatus(9))); err == nil {
+	if _, _, err := ParseHelloAck(MarshalHelloAck(HelloAckStatus(9))); err == nil {
 		t.Error("unknown status accepted")
 	}
 }
@@ -69,7 +70,7 @@ func TestHelloAckRoundTrip(t *testing.T) {
 // opening frame: hello, key bundle, and ciphertext tags are mutually
 // exclusive.
 func TestFirstFrameSniffing(t *testing.T) {
-	hello, _ := MarshalHello("s")
+	hello, _ := MarshalHelloTenant("s", "")
 	if !IsHello(hello) {
 		t.Error("hello frame misclassified")
 	}
@@ -95,30 +96,17 @@ func TestHelloTenantRoundTrip(t *testing.T) {
 	if h.SessionID != "client-42" || h.Tenant != "tenant-a" {
 		t.Fatalf("parsed %+v", h)
 	}
-	// The legacy decoder still accepts the tagged frame (it only wants
-	// the session ID).
-	id, err := UnmarshalHello(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != "client-42" {
-		t.Fatalf("legacy decode of tagged hello: %q", id)
-	}
 }
 
 func TestHelloTenantlessBytesUnchanged(t *testing.T) {
 	// Backward compatibility hinges on tenantless frames staying
-	// byte-identical to version-1 encodings.
-	a, err := MarshalHello("client-42")
+	// byte-identical to version-1 encodings: no flags, no tenant section.
+	a, err := MarshalHelloTenant("client-42", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MarshalHelloTenant("client-42", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatal("tenantless MarshalHelloTenant differs from MarshalHello")
+	if len(a) != 16+len("client-42") || binary.LittleEndian.Uint32(a[8:]) != 0 {
+		t.Fatalf("tenantless hello is %d B with flags %#x, want %d B and none", len(a), binary.LittleEndian.Uint32(a[8:]), 16+len("client-42"))
 	}
 	h, err := ParseHello(a)
 	if err != nil {
@@ -160,10 +148,6 @@ func TestHelloAckRetryAfter(t *testing.T) {
 	}
 	if st != AckBusy || retry != 250*time.Millisecond {
 		t.Fatalf("parsed (%d, %v)", st, retry)
-	}
-	// The status-only decoder accepts the extended frame too.
-	if st, err := UnmarshalHelloAck(frame); err != nil || st != AckBusy {
-		t.Fatalf("legacy decode of retry ack: (%d, %v)", st, err)
 	}
 	// A zero hint falls back to the compact 8-byte form.
 	if got := MarshalHelloAckRetry(AckBusy, 0); len(got) != 8 {

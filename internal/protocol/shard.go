@@ -36,18 +36,12 @@ const (
 // ShardHello.
 const MaxPeerAddrLen = 256
 
-// MarshalShardHello builds the router→shard session-open frame: the
-// client's session ID plus an optional peer address of the shard that
-// last held this session's evaluation keys (empty = no hint).
-func MarshalShardHello(sessionID, prevOwnerPeer string) ([]byte, error) {
-	return MarshalShardHelloTenant(sessionID, prevOwnerPeer, "")
-}
-
-// MarshalShardHelloTenant additionally forwards the client's tenant
-// identifier (from a tenant-tagged Hello) as a trailing section
-// ([1-byte length][tenant]); an empty tenant yields a frame
-// byte-identical to MarshalShardHello's, so tenantless traffic is
-// unchanged on the wire.
+// MarshalShardHelloTenant builds the router→shard session-open frame:
+// the client's session ID, an optional peer address of the shard that
+// last held this session's evaluation keys (empty = no hint), and the
+// client's tenant identifier (from a tenant-tagged Hello) as a trailing
+// section ([1-byte length][tenant]). An empty tenant yields no trailer,
+// so tenantless traffic keeps the original layout on the wire.
 func MarshalShardHelloTenant(sessionID, prevOwnerPeer, tenant string) ([]byte, error) {
 	if sessionID == "" {
 		return nil, fmt.Errorf("protocol: empty session ID")
@@ -83,14 +77,6 @@ func MarshalShardHelloTenant(sessionID, prevOwnerPeer, tenant string) ([]byte, e
 // IsShardHello reports whether a frame is a router-authored ShardHello.
 func IsShardHello(data []byte) bool {
 	return len(data) >= 4 && binary.LittleEndian.Uint32(data) == shardHelloMagic
-}
-
-// UnmarshalShardHello decodes a ShardHello into the session ID and the
-// (possibly empty) previous-owner peer address, accepting frames with
-// or without a tenant trailer.
-func UnmarshalShardHello(data []byte) (sessionID, prevOwnerPeer string, err error) {
-	h, err := ParseShardHello(data)
-	return h.SessionID, h.PrevOwnerPeer, err
 }
 
 // ShardHelloInfo is the decoded content of a router-authored

@@ -13,7 +13,7 @@ func TestShardHelloRoundTrip(t *testing.T) {
 		{strings.Repeat("x", MaxSessionIDLen), strings.Repeat("p", MaxPeerAddrLen)},
 	}
 	for _, c := range cases {
-		raw, err := MarshalShardHello(c.id, c.hint)
+		raw, err := MarshalShardHelloTenant(c.id, c.hint, "")
 		if err != nil {
 			t.Fatalf("marshal (%q,%q): %v", c.id, c.hint, err)
 		}
@@ -23,21 +23,21 @@ func TestShardHelloRoundTrip(t *testing.T) {
 		if IsHello(raw) || IsKeyFetch(raw) {
 			t.Fatalf("shard hello misidentified as another frame family")
 		}
-		id, hint, err := UnmarshalShardHello(raw)
+		h, err := ParseShardHello(raw)
 		if err != nil {
 			t.Fatalf("unmarshal: %v", err)
 		}
-		if id != c.id || hint != c.hint {
-			t.Fatalf("round trip (%q,%q) != (%q,%q)", id, hint, c.id, c.hint)
+		if h.SessionID != c.id || h.PrevOwnerPeer != c.hint || h.Tenant != "" {
+			t.Fatalf("round trip %+v != (%q,%q)", h, c.id, c.hint)
 		}
 	}
-	if _, err := MarshalShardHello("", ""); err == nil {
+	if _, err := MarshalShardHelloTenant("", "", ""); err == nil {
 		t.Error("empty session ID accepted")
 	}
-	if _, err := MarshalShardHello("x", strings.Repeat("p", MaxPeerAddrLen+1)); err == nil {
+	if _, err := MarshalShardHelloTenant("x", strings.Repeat("p", MaxPeerAddrLen+1), ""); err == nil {
 		t.Error("oversized hint accepted")
 	}
-	if _, _, err := UnmarshalShardHello([]byte("short")); err == nil {
+	if _, err := ParseShardHello([]byte("short")); err == nil {
 		t.Error("truncated shard hello accepted")
 	}
 }
@@ -103,16 +103,9 @@ func TestShardHelloTenantRoundTrip(t *testing.T) {
 	if h.SessionID != "sess-1" || h.PrevOwnerPeer != "127.0.0.1:7501" || h.Tenant != "tenant-b" {
 		t.Fatalf("parsed %+v", h)
 	}
-	// Legacy decoder tolerates the trailer.
-	id, hint, err := UnmarshalShardHello(frame)
-	if err != nil || id != "sess-1" || hint != "127.0.0.1:7501" {
-		t.Fatalf("legacy decode: (%q, %q, %v)", id, hint, err)
-	}
-	// Tenantless encodings are byte-identical to the original layout.
-	a, _ := MarshalShardHello("sess-1", "peer")
-	b, _ := MarshalShardHelloTenant("sess-1", "peer", "")
-	if string(a) != string(b) {
-		t.Fatal("tenantless MarshalShardHelloTenant differs from MarshalShardHello")
+	// Tenantless encodings keep the original layout: no trailer.
+	if a, _ := MarshalShardHelloTenant("sess-1", "peer", ""); len(a) != 16+len("sess-1")+len("peer") {
+		t.Fatalf("tenantless shard hello is %d B, want %d", len(a), 16+len("sess-1")+len("peer"))
 	}
 	if _, err := ParseShardHello(frame[:len(frame)-1]); err == nil {
 		t.Error("truncated tenant trailer accepted")

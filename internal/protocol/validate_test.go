@@ -281,7 +281,7 @@ func TestVersion1PeerIsRefusedByName(t *testing.T) {
 	if _, err := ParseHello(mutated(hello, setU32(4, 1))); err == nil || !strings.Contains(err.Error(), "version 1") {
 		t.Errorf("version-1 hello: %v", err)
 	}
-	shard, err := MarshalShardHello("old-client", "127.0.0.1:7501")
+	shard, err := MarshalShardHelloTenant("old-client", "127.0.0.1:7501", "")
 	if err != nil {
 		t.Fatal(err)
 	}

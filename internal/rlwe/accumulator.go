@@ -1,6 +1,10 @@
 package rlwe
 
-import "choco/internal/ring"
+import (
+	"fmt"
+
+	"choco/internal/ring"
+)
 
 // Triple-hoisted key switching (DESIGN.md §13). The classic hoisted
 // rotation path (Decomposed.Rotate) shares one digit decomposition across
@@ -168,4 +172,50 @@ func (qa *QPAccumulator) FinalizeModDown() (c0, c1 *ring.Poly) {
 	}
 	qa.Release()
 	return out[0], out[1]
+}
+
+// NTTAccumulator is the running sum of an inner sum at one level: per
+// component and coefficient, the unreduced 128-bit sum over (q0..ql, p)
+// of resident ciphertexts (RotateNTT, LiftNTT) times plaintexts lifted
+// over the same ring (ring.WideAcc). Close with FromNTT or discard with
+// RecycleNTTAccumulator.
+type NTTAccumulator struct {
+	level int
+	acc   [2]*ring.WideAcc
+}
+
+// NewNTTAccumulator returns an empty accumulator from the key ring's pool.
+func (ctx *Context) NewNTTAccumulator(level int) *NTTAccumulator {
+	r := ctx.ringQlP[level]
+	return &NTTAccumulator{level: level, acc: [2]*ring.WideAcc{r.GetWideAcc(), r.GetWideAcc()}}
+}
+
+// MulPlainAcc accumulates acc += x ⊙ pt without reducing: x resident at
+// acc's level, pt lifted over its key ring (bfv.PlaintextMul.NTT,
+// ckks.Encoder.EncodeFloatsQP). An operand without the special-prime
+// row fails by name under chocodebug.
+func (ctx *Context) MulPlainAcc(acc *NTTAccumulator, x []*ring.Poly, pt *ring.Poly) {
+	r := ctx.ringQlP[acc.level]
+	if rows := len(r.Moduli); DebugEnabled && (len(x[0].Coeffs) != rows || len(x[1].Coeffs) != rows || len(pt.Coeffs) != rows) {
+		panic(fmt.Sprintf("%s: chocodebug: MulPlainAcc ciphertext has %d residue rows and plaintext %d: not both resident in the key ring of level %d (%d rows)",
+			ctx.label, len(x[0].Coeffs), len(pt.Coeffs), acc.level, rows))
+	}
+	for h, a := range acc.acc {
+		r.MulCoeffsAddWide(x[h], pt, a)
+	}
+}
+
+// FromNTT closes the inner sum, consuming acc: one reduction, one inverse
+// NTT per row and one divide-by-P with rounding — the only rounding the
+// whole sum pays — into (c0, c1) mod Ql from the level ring's pool.
+func (ctx *Context) FromNTT(acc *NTTAccumulator) (c0, c1 *ring.Poly) {
+	r := ctx.ringQlP[acc.level]
+	return ctx.ModDownPair(acc.level, r.ReduceWideAcc(acc.acc[0]), r.ReduceWideAcc(acc.acc[1]))
+}
+
+// RecycleNTTAccumulator returns acc to the pool without closing it.
+func (ctx *Context) RecycleNTTAccumulator(acc *NTTAccumulator) {
+	for _, a := range acc.acc {
+		ctx.ringQlP[acc.level].PutWideAcc(a)
+	}
 }

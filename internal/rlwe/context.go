@@ -164,6 +164,10 @@ func (ctx *Context) MaxLevel() int { return len(ctx.ringQl) - 1 }
 // RingAtLevel returns the data ring truncated to the given level.
 func (ctx *Context) RingAtLevel(level int) *ring.Ring { return ctx.ringQl[level] }
 
+// KeyRingAtLevel returns the key-switching ring (q0..ql, p) of the given
+// level: where resident rotations and their lifted plaintexts live.
+func (ctx *Context) KeyRingAtLevel(level int) *ring.Ring { return ctx.ringQlP[level] }
+
 // special returns the key-switching prime.
 func (ctx *Context) special() uint64 { return ctx.RingQP.Moduli[len(ctx.ringQl)].Value }
 

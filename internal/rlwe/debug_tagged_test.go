@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"choco/internal/ring"
 )
 
 func mustPanic(t *testing.T, f func()) (msg string) {
@@ -48,5 +50,33 @@ func TestChocodebugAccumulatorResiduePanics(t *testing.T) {
 	msg := mustPanic(t, func() { qa.Merge(other) })
 	if !strings.Contains(msg, "chocodebug") || !strings.Contains(msg, "out of range") {
 		t.Fatalf("unexpected panic message: %q", msg)
+	}
+}
+
+// TestChocodebugMulPlainAccResidencyPanics mixes rings in an inner sum,
+// at the top level and one below it: a ciphertext resident in Ql alone
+// against a plaintext over the key ring (q0..ql, p), and a resident
+// ciphertext against a plaintext with the data rows only. Both must fail
+// by name, not index past the shorter operand or silently use a prefix
+// of the longer.
+func TestChocodebugMulPlainAccResidencyPanics(t *testing.T) {
+	ctx := testContext(t)
+	for level := ctx.MaxLevel(); level >= 0; level-- {
+		rQl, rQlP := ctx.RingAtLevel(level), ctx.KeyRingAtLevel(level)
+		inQ := []*ring.Poly{rQl.NewPoly(), rQl.NewPoly()}
+		resident := []*ring.Poly{rQlP.NewPoly(), rQlP.NewPoly()}
+		pt, ptQ := rQlP.NewPoly(), rQl.NewPoly()
+		for _, p := range append(append(inQ, resident...), pt, ptQ) {
+			p.DeclareNTT()
+		}
+
+		msg := mustPanic(t, func() { ctx.MulPlainAcc(ctx.NewNTTAccumulator(level), inQ, pt) })
+		if !strings.Contains(msg, "chocodebug") || !strings.Contains(msg, fmt.Sprintf("ciphertext has %d residue rows and plaintext %d", level+1, level+2)) {
+			t.Fatalf("level %d: unexpected panic message: %q", level, msg)
+		}
+		msg = mustPanic(t, func() { ctx.MulPlainAcc(ctx.NewNTTAccumulator(level), resident, ptQ) })
+		if !strings.Contains(msg, "chocodebug") || !strings.Contains(msg, fmt.Sprintf("ciphertext has %d residue rows and plaintext %d", level+2, level+1)) {
+			t.Fatalf("level %d: unexpected panic message: %q", level, msg)
+		}
 	}
 }

@@ -486,7 +486,9 @@ func TestGoldenStream(t *testing.T) {
 // that span many prefetch refills.
 func TestUniformModMatchesUnbufferedReference(t *testing.T) {
 	seed := [32]byte{31}
-	for _, q := range []uint64{65537, 0x3ffffffff000001, 1<<61 - 1} {
+	// 2⁶³+1 rejects almost half the words: the buffered loop must skip
+	// them exactly as the reference does.
+	for _, q := range []uint64{65537, 0x3ffffffff000001, 1<<61 - 1, 1<<63 + 1} {
 		s := NewSource(seed, "ref-uniform")
 		got := make([]uint64, 4096)
 		s.UniformMod(got, q)
@@ -506,6 +508,30 @@ func TestUniformModMatchesUnbufferedReference(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("q=%d index %d: got %d want %d", q, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestIntnMatchesUnbufferedReference holds Intn to one Uint64 per trial
+// straight off the XOF, rejected at the largest multiple of the bound:
+// with a small bound, where rejection almost never happens, and with
+// MaxInt/2 + 2 (2⁶²+1 where int has 64 bits), where it rejects a quarter
+// of the words.
+func TestIntnMatchesUnbufferedReference(t *testing.T) {
+	seed := [32]byte{32}
+	for _, n := range []int{7, math.MaxInt/2 + 2} {
+		s := NewSource(seed, "ref-intn")
+		x := newRefXOF(seed, "ref-intn")
+		q := uint64(n)
+		bound := q * (^uint64(0) / q)
+		for i := 0; i < 4096; i++ {
+			v := x.Uint64()
+			for v >= bound {
+				v = x.Uint64()
+			}
+			if got := s.Intn(n); got != int(v%q) {
+				t.Fatalf("n=%d draw %d: got %d want %d", n, i, got, v%q)
 			}
 		}
 	}

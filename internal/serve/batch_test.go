@@ -284,7 +284,7 @@ func TestEvictedKeysReplicateFromPeer(t *testing.T) {
 		clientEnd, serverEnd := protocol.NewPipe()
 		done := make(chan error, 1)
 		go func() { done <- srvB.ServeTransport(context.Background(), serverEnd) }()
-		hello, err := protocol.MarshalShardHello(sessionID, "peer-a")
+		hello, err := protocol.MarshalShardHelloTenant(sessionID, "peer-a", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +295,7 @@ func TestEvictedKeysReplicateFromPeer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := protocol.UnmarshalHelloAck(raw)
+		st, _, err := protocol.ParseHelloAck(raw)
 		if err != nil {
 			t.Fatal(err)
 		}

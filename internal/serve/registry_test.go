@@ -146,7 +146,7 @@ func TestShardHelloReplication(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srvB.ServeTransport(context.Background(), serverEnd) }()
 
-	hello, err := protocol.MarshalShardHello("mig-1", "peer-of-A")
+	hello, err := protocol.MarshalShardHelloTenant("mig-1", "peer-of-A", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestShardHelloReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := protocol.UnmarshalHelloAck(raw)
+	st, _, err := protocol.ParseHelloAck(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@
 //     up to QueueTimeout for a slot and are then rejected with a
 //     busy ack instead of silently queueing forever;
 //   - an evaluation-key registry: clients open sessions under a
-//     client-chosen ID (protocol.MarshalHello), and a reconnecting
+//     client-chosen ID (protocol.MarshalHelloTenant), and a reconnecting
 //     client whose keys are still cached skips the multi-megabyte
 //     key upload — the §3.3 one-time setup cost — entirely;
 //   - per-session and server-wide accounting: sessions, inferences,
