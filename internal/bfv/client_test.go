@@ -90,3 +90,44 @@ func TestEncryptDecryptIntoAllocs(t *testing.T) {
 
 // seededSink keeps the measured allocations from being optimized away.
 var seededSink *SeededCiphertext
+
+// TestEncodeDecodeModSwitchAllocs holds the client's slot encode and
+// decode and the reply's ModSwitchDown to the objects they return plus a
+// fixed few: nothing per slot or per coefficient. At preset B, N = 8192
+// slots and two 8192-coefficient components, so a per-coefficient object
+// shows as thousands.
+func TestEncodeDecodeModSwitchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	old := par.Parallelism()
+	par.SetParallelism(1)
+	defer par.SetParallelism(old)
+	kit := newTestKit(t, PresetB())
+	values := rampUints(kit.ctx.Params.N(), kit.ctx.T.Value)
+	pt, err := kit.ecd.EncodeUints(values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := kit.enc.Encrypt(pt)
+	for i := 0; i < 4; i++ { // warm the ring scratch pools
+		kit.ecd.EncodeUints(values)
+		kit.ecd.DecodeInts(pt)
+		kit.ev.ModSwitchDown(ct)
+	}
+	for _, c := range []struct {
+		name  string
+		limit float64
+		run   func()
+	}{
+		{"EncodeUints", 8, func() { kit.ecd.EncodeUints(values) }},
+		{"DecodeInts", 8, func() { kit.ecd.DecodeInts(pt) }},
+		{"ModSwitchDown", 16, func() { kit.ev.ModSwitchDown(ct) }},
+	} {
+		a := testing.AllocsPerRun(16, c.run)
+		t.Logf("%s: %.1f objects/op", c.name, a)
+		if a > c.limit {
+			t.Errorf("%s allocates %.1f objects/op, want at most %.0f", c.name, a, c.limit)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package protocol
 import (
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -133,5 +134,38 @@ func TestInterruptUnblocksRecv(t *testing.T) {
 	}
 	if _, err := tr.Recv(); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("post-interrupt Recv: %v, want ErrInterrupted", err)
+	}
+}
+
+// TestInterruptUnblocksSend is the twin of TestInterruptUnblocksRecv: a
+// Send parked on a peer that never reads its payload must return once
+// Interrupt is called, and Interrupt itself must not wait behind it.
+func TestInterruptUnblocksSend(t *testing.T) {
+	peer, ours := net.Pipe()
+	defer peer.Close()
+	defer ours.Close()
+
+	tr := NewConn(ours)
+	errCh := make(chan error, 1)
+	go func() { errCh <- tr.Send(make([]byte, 1<<10)) }()
+	// net.Pipe writes block until read: taking the length prefix leaves
+	// the Send parked in its payload write.
+	var prefix [4]byte
+	if _, err := io.ReadFull(peer, prefix[:]); err != nil {
+		t.Fatal(err)
+	}
+	if !returnsWithin(tr.Interrupt) {
+		t.Fatalf("Interrupt blocked past %v behind a parked Send", stallBound)
+	}
+	select {
+	case err := <-errCh:
+		if err == nil {
+			t.Fatal("Send returned nil after Interrupt")
+		}
+	case <-time.After(stallBound):
+		t.Fatal("Interrupt did not unblock Send")
+	}
+	if err := tr.Send([]byte("x")); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("post-interrupt Send: %v, want ErrInterrupted", err)
 	}
 }

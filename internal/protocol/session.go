@@ -34,8 +34,7 @@ const MaxTenantLen = 64
 
 // helloFlagTenant marks a Hello frame that carries a trailing tenant
 // section ([1-byte length][tenant]) after the session ID. A frame
-// without the flag is byte-identical to a version-1 frame, so tenantless
-// clients interoperate with servers on either side of the change.
+// without the flag ends at the session ID.
 const helloFlagTenant = uint32(1)
 
 // HelloAckStatus is the server's admission decision for a session.
@@ -94,7 +93,7 @@ func IsHello(data []byte) bool {
 type HelloInfo struct {
 	SessionID string
 	// Tenant is the client's self-declared tenant identifier for quota
-	// admission; empty on version-1 frames.
+	// admission; empty when the frame has no tenant section.
 	Tenant string
 }
 
@@ -154,7 +153,7 @@ func MarshalHelloAck(st HelloAckStatus) []byte {
 // ~49 days). Servers send it with AckBusy when quota admission — not
 // permanent saturation — rejected the session, so a well-behaved client
 // backs off for the hinted duration instead of hammering. A zero hint
-// marshals the compact 8-byte form, which legacy decoders also accept.
+// marshals the compact 8-byte form of MarshalHelloAck.
 func MarshalHelloAckRetry(st HelloAckStatus, retryAfter time.Duration) []byte {
 	if retryAfter <= 0 {
 		return MarshalHelloAck(st)

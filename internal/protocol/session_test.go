@@ -99,8 +99,8 @@ func TestHelloTenantRoundTrip(t *testing.T) {
 }
 
 func TestHelloTenantlessBytesUnchanged(t *testing.T) {
-	// Backward compatibility hinges on tenantless frames staying
-	// byte-identical to version-1 encodings: no flags, no tenant section.
+	// A tenantless hello has no flags and no tenant section: the frame
+	// ends at the session ID.
 	a, err := MarshalHelloTenant("client-42", "")
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestHelloTenantlessBytesUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	if h.Tenant != "" {
-		t.Fatalf("v1 frame parsed with tenant %q", h.Tenant)
+		t.Fatalf("tenantless frame parsed with tenant %q", h.Tenant)
 	}
 }
 

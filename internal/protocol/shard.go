@@ -40,8 +40,8 @@ const MaxPeerAddrLen = 256
 // the client's session ID, an optional peer address of the shard that
 // last held this session's evaluation keys (empty = no hint), and the
 // client's tenant identifier (from a tenant-tagged Hello) as a trailing
-// section ([1-byte length][tenant]). An empty tenant yields no trailer,
-// so tenantless traffic keeps the original layout on the wire.
+// section ([1-byte length][tenant]). An empty tenant yields no trailer:
+// the frame ends at the hint.
 func MarshalShardHelloTenant(sessionID, prevOwnerPeer, tenant string) ([]byte, error) {
 	if sessionID == "" {
 		return nil, fmt.Errorf("protocol: empty session ID")

@@ -103,7 +103,7 @@ func TestShardHelloTenantRoundTrip(t *testing.T) {
 	if h.SessionID != "sess-1" || h.PrevOwnerPeer != "127.0.0.1:7501" || h.Tenant != "tenant-b" {
 		t.Fatalf("parsed %+v", h)
 	}
-	// Tenantless encodings keep the original layout: no trailer.
+	// A tenantless encoding has no trailer.
 	if a, _ := MarshalShardHelloTenant("sess-1", "peer", ""); len(a) != 16+len("sess-1")+len("peer") {
 		t.Fatalf("tenantless shard hello is %d B, want %d", len(a), 16+len("sess-1")+len("peer"))
 	}

@@ -3,6 +3,7 @@ package protocol
 import (
 	"net"
 	"testing"
+	"time"
 
 	"choco/internal/bfv"
 	"choco/internal/ckks"
@@ -280,5 +281,117 @@ func TestSeededCKKSWireRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalCKKS(ctx, data); err == nil {
 		t.Error("seeded frame accepted as regular ciphertext")
+	}
+}
+
+// stallBound is how long a call on one end of a transport may take while
+// another call on that end is parked on a peer that does not answer.
+const stallBound = 2 * time.Second
+
+// returnsWithin runs f on its own goroutine and reports whether it
+// returned within stallBound. A call that does not is left parked; the
+// caller's cleanup must release it.
+func returnsWithin(f func()) bool {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+		return true
+	case <-time.After(stallBound):
+		return false
+	}
+}
+
+// TestPipeStalledSendHoldsNoLock: with nobody reading, the 1 025th Send
+// parks on the full buffer. SentBytes and Close on the same end must
+// still return, and Close releases the parked Send with an error.
+func TestPipeStalledSendHoldsNoLock(t *testing.T) {
+	a, _ := NewPipe()
+	defer a.Close()
+	for i := 0; i < cap(a.out); i++ {
+		if err := a.Send([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parked := make(chan error, 1)
+	go func() { parked <- a.Send([]byte("one too many")) }()
+
+	// Ask for a while, so the asking overlaps the parked Send.
+	want := int64(cap(a.out)) * 5
+	for until := time.Now().Add(50 * time.Millisecond); time.Now().Before(until); {
+		var got int64
+		if !returnsWithin(func() { got = a.SentBytes() }) {
+			t.Fatalf("SentBytes blocked past %v behind a Send parked on a full pipe", stallBound)
+		}
+		if got != want {
+			t.Fatalf("SentBytes = %d with a Send parked, want the %d B already queued", got, want)
+		}
+	}
+	select {
+	case err := <-parked:
+		t.Fatalf("Send on a full pipe with no reader returned %v", err)
+	default:
+	}
+	if !returnsWithin(a.Close) {
+		t.Fatalf("Close blocked past %v behind a parked Send", stallBound)
+	}
+	select {
+	case err := <-parked:
+		if err == nil {
+			t.Error("the parked Send reported success after Close")
+		}
+	case <-time.After(stallBound):
+		t.Fatalf("Close did not release the parked Send within %v", stallBound)
+	}
+}
+
+// TestPipeParkedRecvHoldsNoLock: a Recv parked on an empty pipe must not
+// stop Send or SentBytes on the same end.
+func TestPipeParkedRecvHoldsNoLock(t *testing.T) {
+	a, b := NewPipe()
+	defer a.Close()
+	got := make(chan []byte, 1)
+	go func() {
+		msg, _ := a.Recv()
+		got <- msg
+	}()
+
+	// Send for a while, so the sending overlaps the parked Recv.
+	const sent = 32
+	for i := int64(0); i < sent; i++ {
+		time.Sleep(time.Millisecond)
+		var err error
+		if !returnsWithin(func() { err = a.Send([]byte{byte(i)}) }) {
+			t.Fatalf("Send blocked past %v behind a Recv parked on the same end", stallBound)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		if !returnsWithin(func() { n = a.SentBytes() }) {
+			t.Fatalf("SentBytes blocked past %v behind a Recv parked on the same end", stallBound)
+		}
+		if n != 5*(i+1) {
+			t.Fatalf("SentBytes = %d after %d one-byte frames, want %d", n, i+1, 5*(i+1))
+		}
+	}
+	for i := int64(0); i < sent; i++ {
+		if msg, err := b.Recv(); err != nil || len(msg) != 1 || msg[0] != byte(i) {
+			t.Fatalf("frame %d arrived as %v, %v", i, msg, err)
+		}
+	}
+	if err := b.Send([]byte("wake")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case msg := <-got:
+		if string(msg) != "wake" {
+			t.Errorf("the parked Recv returned %q, want \"wake\"", msg)
+		}
+	case <-time.After(stallBound):
+		t.Fatal("the parked Recv missed the frame sent to it")
 	}
 }
