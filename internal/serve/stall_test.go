@@ -265,7 +265,12 @@ func TestStalledSessionBlocksNoOne(t *testing.T) {
 			defer conn.Close()
 			tcp := protocol.NewConn(conn)
 			start := time.Now()
-			sendHello(t, tcp, "tcp-client", "")
+			// At saturation the busy ack goes out before the server reads
+			// a frame, and it hangs up after it: a hello could meet a
+			// closed socket, so the client only listens.
+			if tc.queued || tc.ack != protocol.AckBusy {
+				sendHello(t, tcp, "tcp-client", "")
+			}
 			if tc.queued {
 				if !connRegistered(srv, start.Add(stallBound)) {
 					t.Errorf("the TCP client was not queued within %v of a stalled session", stallBound)
