@@ -8,16 +8,26 @@
 #                  execution-layer packages (including the rlwe key-switch
 #                  core, the bfv/ckks hoisted-rotation fan-outs and the
 #                  CKKS users of the linear-transform executor), the
+#                  transports of internal/protocol, the
 #                  serving tier with its shared weight-plaintext
 #                  cache, and the fabric routing tier with
 #                  GOMAXPROCS=4 so the par fan-out
 #                  paths, sessions running their layers side by side
 #                  over the one plaintext cache,
 #                  and the router's splice/health/membership
-#                  concurrency are exercised even on 1-core CI; then
+#                  concurrency are exercised even on 1-core CI; the
+#                  stall tests ride along there: a peer that stops
+#                  answering must hold up no one else for more than 2 s
+#                  (protocol's TestPipeStalledSendHoldsNoLock,
+#                  TestPipeParkedRecvHoldsNoLock and
+#                  TestInterruptUnblocksSend, serve's
+#                  TestStalledSessionBlocksNoOne, fabric's
+#                  TestFleetStatsSilentPeerBlocksNoRouting and
+#                  TestStalledReaderBlocksNoRouting); then
 #                  the serving and fabric suites 50 times over (their
 #                  counters must already hold every inference a client
-#                  has seen the reply to — the TestFabricFleet race),
+#                  has seen the reply to — the TestFabricFleet race —
+#                  and every stall test must meet its bound each time),
 #                  the concurrent first use of a decomposition's
 #                  hoisted lift of c0 10 times, and the layer executor's
 #                  byte-identity tests 3 times at GOMAXPROCS=4 (its one
@@ -93,7 +103,7 @@ vet:
 
 race:
 	$(GO) test -race -shuffle=on ./...
-	GOMAXPROCS=4 $(GO) test -race -shuffle=on ./internal/par ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core ./internal/apps/distance ./internal/apps/pagerank ./internal/serve ./internal/fabric
+	GOMAXPROCS=4 $(GO) test -race -shuffle=on ./internal/par ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core ./internal/apps/distance ./internal/apps/pagerank ./internal/protocol ./internal/serve ./internal/fabric
 	$(GO) test -race -count=50 -timeout 60m ./internal/serve ./internal/fabric
 	$(GO) test -race -count=10 -run 'TestRotateRowsLazyNTTMatchesMaterialized' ./internal/bfv
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestConvResidentMatchesMaterialized|TestParallelPipelineDeterminism|TestRequestPathGolden' ./internal/core

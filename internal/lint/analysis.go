@@ -8,14 +8,10 @@
 // The analyzers encode invariants the Go type system cannot see:
 //
 //   - nttdomain:    ring.Poly domain (IsNTT) discipline
-//   - insecurerand: math/rand banned from crypto packages
-//   - polycopy:     by-value ring.Poly copies and illegal aliasing
 //   - polypool:     GetPoly scratch returned with PutPoly, wide
 //     accumulators reduced or put back, and bfv resident ciphertexts and
 //     rlwe inner-sum accumulators recycled or closed with FromNTT, on
 //     every exit
-//   - lockednet:    mutexes held across network I/O or channel ops in
-//     the serving, fabric and protocol packages
 //   - uncheckederr: dropped protocol frame-write and Close errors
 //   - bigintloop:   per-iteration math/big arithmetic in hot-path loops,
 //     and hot-path calls into functions that hold such loops
@@ -25,8 +21,8 @@
 //
 // An analyzer belongs here only while it reports some defect that the
 // tests, go vet, the race detector and the chocodebug assertions all
-// miss; EXPERIMENTS.md records the seeded mutants that show it for
-// each audited analyzer.
+// miss (DESIGN.md §6's keep rule); EXPERIMENTS.md records the seeded
+// mutants that show it for each audited analyzer.
 //
 // Findings can be suppressed, one line at a time, with a trailing or
 // preceding comment of the form
@@ -95,10 +91,7 @@ func (d Diagnostic) String() string {
 func All() []*Analyzer {
 	return []*Analyzer{
 		NTTDomain,
-		InsecureRand,
-		PolyCopy,
 		PolyPool,
-		LockedNet,
 		UncheckedErr,
 		BigIntLoop,
 		SecretFlow,

@@ -85,17 +85,9 @@ func collectWants(t *testing.T, fset *token.FileSet, pkg *Package) map[string][]
 }
 
 func TestNTTDomainFixture(t *testing.T) { runFixture(t, NTTDomain, "nttdomain") }
-func TestInsecureRandFixture(t *testing.T) {
-	runFixture(t, InsecureRand, "insecurerand/internal/sampling")
-}
-func TestPolyCopyFixture(t *testing.T) { runFixture(t, PolyCopy, "polycopy") }
-func TestPolyPoolFixture(t *testing.T) { runFixture(t, PolyPool, "polypool/internal/bfv") }
+func TestPolyPoolFixture(t *testing.T)  { runFixture(t, PolyPool, "polypool/internal/bfv") }
 func TestPolyPoolNTTFixture(t *testing.T) {
 	runFixture(t, PolyPool, "polypool/internal/core")
-}
-func TestLockedNetFixture(t *testing.T) { runFixture(t, LockedNet, "lockednet/internal/serve") }
-func TestLockedNetFabricFixture(t *testing.T) {
-	runFixture(t, LockedNet, "lockednet/internal/fabric")
 }
 func TestUncheckedErrFixture(t *testing.T) {
 	runFixture(t, UncheckedErr, "uncheckederr/internal/protocol")
@@ -129,7 +121,7 @@ func f() {
 	g()
 	//lint:ignore-choco nosuchanalyzer because reasons
 	g()
-	//lint:ignore-choco lockednet benchmark holds the lock deliberately
+	//lint:ignore-choco goroleak shutdown closes the channel it waits on
 	g()
 }
 
@@ -156,8 +148,8 @@ func g() {}
 		t.Errorf("second malformed message = %q, want unknown-analyzer complaint", malformed[1].Message)
 	}
 	// The one well-formed suppression must be recorded for its line.
-	if !sups.covers(Diagnostic{Analyzer: "lockednet", Pos: token.Position{Filename: "p.go", Line: 9}}) {
-		t.Error("well-formed lockednet suppression not recorded for the following line")
+	if !sups.covers(Diagnostic{Analyzer: "goroleak", Pos: token.Position{Filename: "p.go", Line: 9}}) {
+		t.Error("well-formed goroleak suppression not recorded for the following line")
 	}
 }
 

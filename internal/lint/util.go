@@ -43,18 +43,6 @@ func isRingPoly(t types.Type) bool {
 	return t != nil && namedFrom(t, "internal/ring", "Poly")
 }
 
-// isRingPolyValue reports whether t is the bare (non-pointer) value
-// type ring.Poly.
-func isRingPolyValue(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if _, ptr := t.(*types.Pointer); ptr {
-		return false
-	}
-	return namedFrom(t, "internal/ring", "Poly")
-}
-
 // calleeFunc resolves the *types.Func a call expression invokes:
 // package functions, methods (value and interface), and generic
 // instantiations. Calls through function-typed variables return nil.
