@@ -234,10 +234,11 @@ func TestStalledSessionBlocksNoOne(t *testing.T) {
 				stallCancel()
 				clientEnd.Close()
 				cancel()
-				for _, done := range []chan error{stallDone, serveDone} {
-					if done == serveDone && served {
-						break
-					}
+				waits := []chan error{stallDone}
+				if !served {
+					waits = append(waits, serveDone)
+				}
+				for _, done := range waits {
 					select {
 					case <-done:
 					case <-time.After(30 * time.Second):
