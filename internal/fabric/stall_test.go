@@ -75,8 +75,8 @@ func startFakeShard(t *testing.T, flood string, floodBytes int) *fakeShard {
 	return fs
 }
 
-// helloAckWithin dials the router, says hello as id and reports how the
-// ack came back: the client must have it within stallBound.
+// helloAckWithin dials the router, says hello as id and checks that an
+// AckNeedKeys comes back within stallBound.
 func helloAckWithin(t *testing.T, routerAddr, id string) {
 	t.Helper()
 	conn, err := net.Dial("tcp", routerAddr)
@@ -276,24 +276,7 @@ func TestTruncatedKeyFetchFallsBackToUpload(t *testing.T) {
 		t.Fatal("the shard acked without asking the hinted peer")
 	}
 
-	if err := client.Setup(c); err != nil {
-		t.Fatal(err)
-	}
-	_, model := testBackend(t)
-	img := nn.SynthesizeImage(fabricNet(), 4, [32]byte{keySeed, 1})
-	want, err := nn.PlainInference(model, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := client.Infer(img, c)
-	if err != nil {
-		t.Fatalf("inference after the truncated key fetch: %v", err)
-	}
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("logit %d: got %d want %d", j, got[j], want[j])
-		}
-	}
+	uploadAndInfer(t, client, c, keySeed)
 	if n := sh.shard.Server.Stats().KeyReplications; n != 0 {
 		t.Errorf("key replications = %d after a truncated fetch, want 0", n)
 	}

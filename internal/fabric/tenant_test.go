@@ -118,15 +118,26 @@ func TestDeadPeerHintFallsBackFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	uploadAndInfer(t, client, c, 44)
+}
+
+// uploadAndInfer finishes a session the shard acked with AckNeedKeys:
+// the client uploads its keys, and one inference must return the
+// plaintext reference's logits exactly.
+func uploadAndInfer(t *testing.T, client *nn.InferenceClient, c *protocol.Conn, imgSeed byte) {
+	t.Helper()
 	if err := client.Setup(c); err != nil {
 		t.Fatal(err)
 	}
 	_, model := testBackend(t)
-	img := nn.SynthesizeImage(fabricNet(), 4, [32]byte{44, 1})
-	want, _ := nn.PlainInference(model, img)
+	img := nn.SynthesizeImage(fabricNet(), 4, [32]byte{imgSeed, 1})
+	want, err := nn.PlainInference(model, img)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, _, err := client.Infer(img, c)
 	if err != nil {
-		t.Fatalf("inference after dead-peer fallback: %v", err)
+		t.Fatalf("inference after the key fallback: %v", err)
 	}
 	for j := range want {
 		if got[j] != want[j] {

@@ -440,32 +440,10 @@ func TestSessionPanicIsContained(t *testing.T) {
 		logged = append(logged, fmt.Sprintf(format, args...))
 		logMu.Unlock()
 	}})
-	ctx, err := bfv.NewContext(tinyNetwork().Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	// The hostile session is installed by hand, so the test keeps a
 	// handle on the key map its evaluator reads.
 	const hostileID, requests = "panic-hostile", 3
-	hostile, err := nn.NewInferenceClient(tinyNetwork(), [32]byte{50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keyOut, keyIn := protocol.NewPipe()
-	if err := hostile.Setup(keyOut); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := keyIn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	keyOut.Close()
-	kb, err := protocol.UnmarshalKeyBundle(ctx, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.reg.store(hostileID, backend.NewSession(kb), raw)
+	hostile, kb := installHandKeys(t, srv, backend, 50, hostileID)
 
 	// A mate reports its first reply (and its exit, so the hostile session
 	// never waits for a mate that has already failed the test).

@@ -91,17 +91,17 @@ func sendHello(t *testing.T, tr protocol.Transport, id, tenant string) {
 	}
 }
 
-// panickingSession installs keys for id whose rotation keys the test
-// then swaps for nil ones (TestSessionPanicIsContained's swap), and
-// returns the client that owns them: its first request panics the
-// server's kernels.
-func panickingSession(t *testing.T, srv *Server, backend *nn.InferenceServer, id string) *nn.InferenceClient {
+// installHandKeys builds a tinyNetwork client from keySeed and installs
+// its keys for id by hand, returning the client and the key bundle the
+// session's evaluator reads: swapping its rotation keys for nil ones
+// makes the next request panic the server's kernels.
+func installHandKeys(t *testing.T, srv *Server, backend *nn.InferenceServer, keySeed byte, id string) (*nn.InferenceClient, *protocol.KeyBundle) {
 	t.Helper()
 	ctx, err := bfv.NewContext(tinyNetwork().Params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := nn.NewInferenceClient(tinyNetwork(), [32]byte{55})
+	client, err := nn.NewInferenceClient(tinyNetwork(), [32]byte{keySeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,8 @@ func panickingSession(t *testing.T, srv *Server, backend *nn.InferenceServer, id
 	if err != nil {
 		t.Fatal(err)
 	}
-	for g := range kb.Galois {
-		kb.Galois[g] = nil
-	}
 	srv.reg.store(id, backend.NewSession(kb), raw)
-	return client
+	return client, kb
 }
 
 // TestStalledSessionBlocksNoOne parks one session at a point where the
@@ -189,7 +186,10 @@ func TestStalledSessionBlocksNoOne(t *testing.T) {
 			},
 			open: func(t *testing.T, srv *Server, client *protocol.Pipe) {
 				const id = "stall-panic"
-				hostile := panickingSession(t, srv, backend, id)
+				hostile, kb := installHandKeys(t, srv, backend, 55, id)
+				for g := range kb.Galois {
+					kb.Galois[g] = nil
+				}
 				go func() {
 					if _, err := hostile.SetupSession(client, id); err != nil {
 						return
