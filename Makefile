@@ -37,8 +37,11 @@
 #                  (ring, the shared rlwe core with its QP accumulator
 #                  invariants, both schemes' entry-point checks, the
 #                  core operators that drive them: the FC and the conv
-#                  giant fold, and nn, whose reply path runs the
-#                  ModSwitchDown entry check on real layer outputs); then
+#                  giant fold, nn, whose reply path runs the
+#                  ModSwitchDown entry check on real layer outputs, and
+#                  apps/distance, whose two-level collapse plan runs the
+#                  executor's CKKS path, giants included, under the rlwe
+#                  and ckks checks); then
 #                  the two schemes and rlwe once more without -race,
 #                  because the allocation-count tests skip themselves
 #                  under the race detector and the assertion layer must
@@ -109,7 +112,7 @@ race:
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestConvResidentMatchesMaterialized|TestParallelPipelineDeterminism|TestRequestPathGolden' ./internal/core
 
 debug:
-	$(GO) test -race -shuffle=on -tags chocodebug ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core ./internal/nn
+	$(GO) test -race -shuffle=on -tags chocodebug ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core ./internal/nn ./internal/apps/distance
 	$(GO) test -shuffle=on -tags chocodebug ./internal/bfv ./internal/ckks ./internal/rlwe
 
 purego:

@@ -23,8 +23,8 @@ type Client struct {
 }
 
 // NewClient generates key material for querying a server with the
-// given geometry (published by the server out of band): exactly the
-// rotation keys the five variants need.
+// given geometry (published by the server out of band): a Galois key for
+// each step the server's plans rotate by, and no other.
 func NewClient(params ckks.Parameters, m, rawD int, seed [32]byte) (*Client, error) {
 	ctx, err := ckks.NewContext(params)
 	if err != nil {
@@ -36,11 +36,15 @@ func NewClient(params ckks.Parameters, m, rawD int, seed [32]byte) (*Client, err
 	}
 	kg := ckks.NewKeyGenerator(ctx, seed)
 	sk := kg.GenSecretKey()
+	var elements []uint64
+	for _, s := range g.rotationSteps() {
+		elements = append(elements, ctx.GaloisElementForRotation(s))
+	}
 	// CKKSKeyBundle's format carries a public key; the server never uses it.
 	kb := &protocol.CKKSKeyBundle{
 		PK:     kg.GenPublicKey(sk),
 		Relin:  kg.GenRelinearizationKey(sk),
-		Galois: kg.GenRotationKeys(sk, g.rotationSteps()...),
+		Galois: kg.GenGaloisKeys(sk, elements),
 	}
 	return &Client{
 		geometry: g,
@@ -118,12 +122,21 @@ func (c *Client) Query(q []float64, variant Variant, t protocol.Transport) ([]fl
 		}
 		decoded := c.dec.DecryptFloats(res)
 		stats.Decryptions++
-		if variant.dense() {
+		switch variant {
+		case PointMajor, StackedPointMajor:
+			for b := 0; b < perCt && g*perCt+b < c.m; b++ {
+				out[g*perCt+b] = decoded[b*c.d]
+			}
+		case StackedDimMajor:
+			// The client folds the real dimensions' blocks (§5.4).
+			bm := nextPow2(c.m)
+			for k := 0; k < c.rawD; k++ {
+				for i := range out {
+					out[i] += decoded[k*bm+i]
+				}
+			}
+		default:
 			copy(out, decoded[:c.m])
-			continue
-		}
-		for b := 0; b < perCt && g*perCt+b < c.m; b++ {
-			out[g*perCt+b] = decoded[b*c.d]
 		}
 	}
 	return out, stats, nil

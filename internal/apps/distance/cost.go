@@ -43,22 +43,22 @@ func AnalyzeCost(variant Variant, m, d, slots int) Cost {
 		c.DownCts = groupsStacked
 		c.Server = core.OpCounts{CtMults: groupsStacked, Rotations: groupsStacked * log2(d), Adds: groupsStacked * log2(d)}
 	case StackedDimMajor:
-		// All dimensions in one ciphertext when m·d ≤ slots; otherwise
-		// split across ceil(m·d/slots) ciphertexts.
+		// All dimensions in one ciphertext when m·d ≤ slots, else in
+		// ceil(m·d/slots); the client adds a reply's blocks: no rotation.
 		cts := (m*d + slots - 1) / slots
 		c.UpCts = cts
 		c.DownCts = cts
-		c.Server = core.OpCounts{CtMults: cts, Rotations: cts * log2(d), Adds: cts * log2(d)}
+		c.Server = core.OpCounts{CtMults: cts}
 	case CollapsedPointMajor:
-		// Stacked computation plus the per-point mask/rotate/add
-		// collapse — extra server work for a single dense download.
+		// Stacked computation plus the two-level collapse plan, a masked
+		// term per point — extra server work for a single dense download.
 		c.UpCts = 1
 		c.DownCts = 1
 		c.Server = core.OpCounts{
 			CtMults:    groupsStacked,
-			Rotations:  groupsStacked*log2(d) + m,
+			Rotations:  groupsStacked*log2(d) + len(geometry{m: m, d: d, slots: slots}.collapsePlan().RotationSteps()),
 			PlainMults: m,
-			Adds:       groupsStacked*log2(d) + m,
+			Adds:       groupsStacked*log2(d) + m - 1,
 		}
 	}
 	return c

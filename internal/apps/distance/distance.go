@@ -16,8 +16,11 @@ package distance
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"choco/internal/ckks"
+	"choco/internal/core"
 )
 
 // Variant selects the Fig 9 packing.
@@ -53,14 +56,9 @@ func Variants() []Variant {
 	return []Variant{PointMajor, DimensionMajor, StackedPointMajor, StackedDimMajor, CollapsedPointMajor}
 }
 
-// dense reports whether a reply carries point i's distance in slot i.
-// Point-major replies that are not collapsed keep it at the head of the
-// point's block instead.
-func (v Variant) dense() bool { return v != PointMajor && v != StackedPointMajor }
-
 // replyLevel is the level the variant's replies leave the server at, on a
 // chain whose top level is maxLevel: the server rescales every squared
-// distance once, before it rotates it, and a collapsed reply once more
+// distance once, before any rotation, and a collapsed reply once more
 // after its masks. The client refuses a reply at any other level.
 func (v Variant) replyLevel(maxLevel int) int {
 	if v == CollapsedPointMajor {
@@ -170,31 +168,47 @@ func (g geometry) layout(v Variant, j int, at func(i int) []float64) []float64 {
 	return vec
 }
 
-// collapseStep is the left rotation that carries point i's distance from
-// the head of its block to slot i of the dense reply.
-func (g geometry) collapseStep(i int) int {
-	b := i % (g.slots / g.d)
-	return ((b*g.d-i)%g.slots + g.slots) % g.slots
+// collapsePlan moves point i's distance from the head of its block, slot
+// i·d, left by i(d−1) to slot i and masks everything else away, two
+// levels deep: i = k + jB takes the baby k(d−1) and the giant jB(d−1),
+// B = ⌈√m⌉. Rotation commutes with masking (φ(mask ⊙ x) = φ(mask) ⊙ φ(x),
+// and a one-hot mask encodes identically at either slot position), so
+// term (j, k) is a one-hot mask at the slot the baby leaves point i in,
+// i + Giants[j] — rotated by −Giants[j] as BSGSPlan.Diag requires.
+// newGeometry keeps m·d within the slots, so one plan covers every point.
+func (g geometry) collapsePlan() core.BSGSPlan[float64] {
+	b := int(math.Ceil(math.Sqrt(float64(g.m))))
+	if g.d == 1 {
+		b = g.m // every step is zero: one giant
+	}
+	pl := core.BSGSPlan[float64]{Outputs: 1}
+	for k := 0; k < b; k++ {
+		pl.Babies = append(pl.Babies, k*(g.d-1))
+	}
+	for j := 0; j*b < g.m; j++ {
+		pl.Giants = append(pl.Giants, j*b*(g.d-1))
+	}
+	pl.Diag = func(_, j, k int) []float64 {
+		if k+j*b >= g.m {
+			return nil
+		}
+		mask := make([]float64, g.slots)
+		mask[k+j*b+pl.Giants[j]] = 1
+		return mask
+	}
+	return pl
 }
 
-// rotationSteps lists the rotations the five variants need keys for:
-// every power of two (in-block and cross-block reductions) and the
-// collapse repositionings.
+// rotationSteps lists, once each, the steps the served variants rotate
+// by: the in-block reduction's 1…d/2 and the collapse plan's.
 func (g geometry) rotationSteps() []int {
-	stepSet := map[int]bool{}
-	for s := 1; s < g.slots; s <<= 1 {
-		stepSet[s] = true
-	}
-	for i := 0; i < g.m; i++ {
-		if s := g.collapseStep(i); s != 0 {
-			stepSet[s] = true
-		}
-	}
-	steps := make([]int, 0, len(stepSet))
-	for s := range stepSet {
+	var steps []int
+	for s := 1; s < g.d; s <<= 1 {
 		steps = append(steps, s)
 	}
-	return steps
+	steps = append(steps, g.collapsePlan().RotationSteps()...)
+	slices.Sort(steps)
+	return slices.Compact(steps)
 }
 
 // PlainDistances is the cleartext reference.

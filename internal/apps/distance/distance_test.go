@@ -183,23 +183,26 @@ func TestVariantTrafficShape(t *testing.T) {
 }
 
 func TestAnalyzeCostAgainstMeasured(t *testing.T) {
-	// The analytic model must reproduce the measured ciphertext counts
-	// and multiplication counts on the live split form.
-	m, d := 8, 4
-	client, server, _ := testPair(t, m, d)
-	q := []float64{0.1, 0.2, 0.3, 0.4}
-	for _, v := range Variants() {
-		_, stats := queryOnce(t, client, server, q, v)
-		c := AnalyzeCost(v, m, d, client.slots)
-		if c.UpCts != stats.UpCiphertexts || c.DownCts != stats.DownCiphertexts {
-			t.Errorf("%v: model (%d,%d) vs measured (%d,%d)",
-				v, c.UpCts, c.DownCts, stats.UpCiphertexts, stats.DownCiphertexts)
-		}
-		if c.Server.CtMults != stats.Server.CtMults {
-			t.Errorf("%v: model ctmults %d vs measured %d", v, c.Server.CtMults, stats.Server.CtMults)
-		}
-		if c.Server.PlainMults != stats.Server.PlainMults {
-			t.Errorf("%v: model plainmults %d vs measured %d", v, c.Server.PlainMults, stats.Server.PlainMults)
+	// The analytic model must reproduce the live split form's ciphertext
+	// counts and every server operation count, for every variant: 8×4
+	// fills its blocks, 5×3 pads both ways and leaves the collapse plan's
+	// last giant short, and with one dimension every collapse step is zero.
+	for _, geom := range []struct{ m, d int }{{8, 4}, {5, 3}, {6, 1}} {
+		client, server, _ := testPair(t, geom.m, geom.d)
+		q := []float64{0.1, 0.2, 0.3, 0.4}[:geom.d]
+		for _, v := range Variants() {
+			_, stats := queryOnce(t, client, server, q, v)
+			c, err := client.cost(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.UpCts != stats.UpCiphertexts || c.DownCts != stats.DownCiphertexts {
+				t.Errorf("%d×%d %v: model (%d,%d) vs measured (%d,%d)", geom.m, geom.d,
+					v, c.UpCts, c.DownCts, stats.UpCiphertexts, stats.DownCiphertexts)
+			}
+			if c.Server != stats.Server {
+				t.Errorf("%d×%d %v: model ops %+v vs measured %+v", geom.m, geom.d, v, c.Server, stats.Server)
+			}
 		}
 	}
 }

@@ -204,18 +204,18 @@ func (s *Server) squaredDiff(q *ckks.Ciphertext, v Variant, j int, ops *core.OpC
 	return s.ev.MulRelin(diff, diff)
 }
 
-// reduce sums groups of span slots that lie stride apart via
-// rotate-and-add; the first slot of each group ends up holding its sum.
-// Its callers rescale first, so on PresetDistance every rotation
-// key-switches at level 1: two digits over three rows, where the top
-// level would take three over four. The tree stays serial on purpose: every rotation acts on the
+// reduce sums each point's D-slot block via rotate-and-add; the first
+// slot of each block ends up holding its sum. Its callers rescale first,
+// so on PresetDistance every rotation key-switches at level 1: two
+// digits over three rows, where the top level would take three over
+// four. The tree stays serial on purpose: every rotation acts on the
 // freshly accumulated sum, so there is never more than one rotation per
-// operand to hoist — and flattening to span-1 hoisted rotations of the
-// input loses to the log₂(span)-deep tree for every realistic span.
-func (s *Server) reduce(ct *ckks.Ciphertext, span, stride int, ops *core.OpCounts) (*ckks.Ciphertext, error) {
+// operand to hoist — and flattening to D−1 hoisted rotations of the
+// input loses to the log₂(D)-deep tree for every realistic D.
+func (s *Server) reduce(ct *ckks.Ciphertext, ops *core.OpCounts) (*ckks.Ciphertext, error) {
 	acc := ct
-	for step := span / 2; step >= 1; step /= 2 {
-		rot, err := s.ev.RotateLeft(acc, step*stride)
+	for step := s.d / 2; step >= 1; step /= 2 {
+		rot, err := s.ev.RotateLeft(acc, step)
 		if err != nil {
 			return nil, err
 		}
@@ -229,11 +229,10 @@ func (s *Server) reduce(ct *ckks.Ciphertext, span, stride int, ops *core.OpCount
 }
 
 // dimensionMajor sums the squared differences of the uploads — one per
-// dimension, which takes no rotation at all, or, stacked, a single one
-// holding every dimension as a block, which is then reduced across
-// blocks. The sum is rescaled once, whatever the dimension count, before
-// any rotation. Both leave one dense result ciphertext a level below the
-// uploads ("dimension-major inputs produce point-major outputs").
+// dimension, or, stacked, one holding every dimension as a block — and
+// rescales the sum once. It rotates nothing: the client adds a stacked
+// reply's blocks after it decrypts (§5.4). Both leave one result
+// ciphertext a level below the uploads.
 func (s *Server) dimensionMajor(qs []*ckks.Ciphertext, v Variant, ops *core.OpCounts) (*ckks.Ciphertext, error) {
 	var acc *ckks.Ciphertext
 	for j, q := range qs {
@@ -250,21 +249,16 @@ func (s *Server) dimensionMajor(qs []*ckks.Ciphertext, v Variant, ops *core.OpCo
 		}
 		ops.Adds++
 	}
-	acc, err := s.ev.Rescale(acc)
-	if err != nil || v != StackedDimMajor {
-		return acc, err
-	}
-	return s.reduce(acc, s.d, nextPow2(s.m), ops)
+	return s.ev.Rescale(acc)
 }
 
 // pointMajor answers the one uploaded query — replicated into every
 // block, it serves all groups — with one ciphertext per group of perCt
 // points (one point per group for plain point-major, slots/D stacked),
-// or, collapsed, with the groups folded into a single dense ciphertext
-// at extra server cost (§5.4's client-optimal choice). Groups are
-// independent and fan out across the worker pool; the fold runs serially
-// in group order (ciphertext addition is exact modular arithmetic, so
-// any schedule of the same adds is bit-identical).
+// or, collapsed, with a single dense ciphertext at extra server cost
+// (§5.4's client-optimal choice): newGeometry keeps m·d within the slots,
+// so collapsed is always one group. Groups are independent and fan out
+// across the worker pool.
 func (s *Server) pointMajor(q *ckks.Ciphertext, v Variant, ops *core.OpCounts) ([]*ckks.Ciphertext, error) {
 	perCt := s.perCt(v)
 	outs := make([]*ckks.Ciphertext, (s.m+perCt-1)/perCt)
@@ -279,31 +273,16 @@ func (s *Server) pointMajor(q *ckks.Ciphertext, v Variant, ops *core.OpCounts) (
 		}
 		ops.Add(groupOps[g])
 	}
-	if v != CollapsedPointMajor {
-		return outs, nil
-	}
-	acc := outs[0]
-	for _, o := range outs[1:] {
-		var err error
-		if acc, err = s.ev.Add(acc, o); err != nil {
-			return nil, err
-		}
-		ops.Adds++
-	}
-	final, err := s.ev.Rescale(acc)
-	return []*ckks.Ciphertext{final}, err
+	return outs, nil
 }
 
 // group computes group g's squared distances, each at the head of its
 // point's block; they are rescaled before the in-block reduction rotates
-// them. Collapsed, it then moves point i's to slot i and masks everything
-// else away. Rotation commutes with masking (φ(mask ⊙ x) =
-// φ(mask) ⊙ φ(x), and a one-hot mask encodes identically at either slot
-// position), so the server rotates first: the collapse is a one-output
-// linear transform with no giants on core's executor — the repositionings
-// (collapseStep) its babies, off one decomposition of the reduced
-// ciphertext and resident in the key ring, the one-hot masks at maskScale
-// its plaintexts, and one rounding for the group's whole sum.
+// them. Collapsed, the one group then runs collapsePlan on core's
+// executor — its babies off one decomposition of the reduced ciphertext
+// and resident in the key ring, one rounding per inner sum, the giants
+// folded under one mod-down, the one-hot masks at maskScale its
+// plaintexts — and rescales the masked sum.
 func (s *Server) group(q *ckks.Ciphertext, v Variant, g int, ops *core.OpCounts) (*ckks.Ciphertext, error) {
 	sq, err := s.squaredDiff(q, v, g, ops)
 	if err != nil {
@@ -312,23 +291,14 @@ func (s *Server) group(q *ckks.Ciphertext, v Variant, g int, ops *core.OpCounts)
 	if sq, err = s.ev.Rescale(sq); err != nil {
 		return nil, err
 	}
-	red, err := s.reduce(sq, s.d, 1, ops)
+	red, err := s.reduce(sq, ops)
 	if err != nil || v != CollapsedPointMajor {
 		return red, err
 	}
-	first := g * s.perCt(v)
-	pl := core.BSGSPlan[float64]{Outputs: 1, Giants: []int{0}, Diag: func(_, _, b int) []float64 {
-		mask := make([]float64, s.slots)
-		mask[first+b] = 1
-		return mask
-	}}
-	for i := first; i < min(first+s.perCt(v), s.m); i++ {
-		pl.Babies = append(pl.Babies, s.collapseStep(i))
-	}
-	outs, o, err := core.ApplyCKKS(s.ev, s.ecd, red, nil, pl, s.maskScale)
+	outs, o, err := core.ApplyCKKS(s.ev, s.ecd, red, nil, s.collapsePlan(), s.maskScale)
 	if err != nil {
 		return nil, err
 	}
 	ops.Add(o)
-	return outs[0], nil
+	return s.ev.Rescale(outs[0])
 }

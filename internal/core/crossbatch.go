@@ -261,7 +261,8 @@ func innerSum(x operand, n int, term func(k int) ([]*ring.Poly, *ring.Poly, erro
 // Σ_bi Diag(o, gi, bi) ⊙ rot_Babies[bi](x) ) — for FC (and PageRank) one
 // output with giants i·B over babies 0..B−1, for Conv2D one output per
 // group with the channel-block shifts d·Stride as giants over the kernel
-// offsets as babies, for the distance collapse one output, no giants.
+// offsets as babies, for the distance collapse one output with giants
+// jB(d−1) over babies k(d−1).
 type BSGSPlan[T int64 | float64] struct {
 	// Op identifies the terms in a PlainCache, per level: whatever else
 	// changes a term's plaintext (weights, a CKKS scale) needs a new Op.
@@ -299,8 +300,8 @@ func (pl BSGSPlan[T]) babySteps() int { return len(pl.RotationSteps()) - (len(pl
 // rotated giants, folds it at once into its worker's QP accumulator for
 // that output; the per-worker accumulators merge in worker order, so each
 // output pays a single full mod-down. A plan with no rotated giant
-// (Conv2D with one channel block, FC with one output, FC's flat plan, the
-// distance collapse) skips the fold: its inner sum is the output. A
+// (Conv2D with one channel block, FC with one output, FC's flat plan)
+// skips the fold: its inner sum is the output. A
 // term's plaintext is prepare of its diagonal, through cache. Terms run
 // in (giant, baby) order and every accumulator field is a plain modular
 // sum, so the outputs (c0, c1) are byte-identical for any worker count,
