@@ -29,7 +29,10 @@
 #                  has seen the reply to — the TestFabricFleet race —
 #                  and every stall test must meet its bound each time),
 #                  the concurrent first use of a decomposition's
-#                  hoisted lift of c0 10 times, and the layer executor's
+#                  hoisted lift of c0 10 times, the distance server's
+#                  kept point plaintexts 10 times at GOMAXPROCS=4 (the
+#                  point-major fan-out fills and reads its (2p, p²)
+#                  pairs from par workers), and the layer executor's
 #                  byte-identity tests 3 times at GOMAXPROCS=4 (its one
 #                  pass merges per-worker giant-fold accumulators, and
 #                  which worker folds which inner sum varies run to run)
@@ -109,6 +112,7 @@ race:
 	GOMAXPROCS=4 $(GO) test -race -shuffle=on ./internal/par ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core ./internal/apps/distance ./internal/apps/pagerank ./internal/protocol ./internal/serve ./internal/fabric
 	$(GO) test -race -count=50 -timeout 60m ./internal/serve ./internal/fabric
 	$(GO) test -race -count=10 -run 'TestRotateRowsLazyNTTMatchesMaterialized' ./internal/bfv
+	GOMAXPROCS=4 $(GO) test -race -count=10 -run 'TestServerKeepsPointPlaintexts|TestAllVariantsMatchPlainDistances' ./internal/apps/distance
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestConvResidentMatchesMaterialized|TestParallelPipelineDeterminism|TestRequestPathGolden' ./internal/core
 
 debug:

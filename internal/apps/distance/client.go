@@ -24,7 +24,8 @@ type Client struct {
 
 // NewClient generates key material for querying a server with the
 // given geometry (published by the server out of band): a Galois key for
-// each step the server's plans rotate by, and no other.
+// each step the server's plans rotate by, and no other. The server
+// multiplies no two ciphertexts, so the bundle has no relinearization key.
 func NewClient(params ckks.Parameters, m, rawD int, seed [32]byte) (*Client, error) {
 	ctx, err := ckks.NewContext(params)
 	if err != nil {
@@ -43,7 +44,6 @@ func NewClient(params ckks.Parameters, m, rawD int, seed [32]byte) (*Client, err
 	// CKKSKeyBundle's format carries a public key; the server never uses it.
 	kb := &protocol.CKKSKeyBundle{
 		PK:     kg.GenPublicKey(sk),
-		Relin:  kg.GenRelinearizationKey(sk),
 		Galois: kg.GenGaloisKeys(sk, elements),
 	}
 	return &Client{
@@ -138,6 +138,15 @@ func (c *Client) Query(q []float64, variant Variant, t protocol.Transport) ([]fl
 		default:
 			copy(out, decoded[:c.m])
 		}
+	}
+	// The server answered 2⟨p, q⟩ − ‖p‖² (Server.expandedSquare); the
+	// client, which holds q, finishes ‖q − p‖² = ‖q‖² − that.
+	var qq float64
+	for _, x := range q {
+		qq += x * x
+	}
+	for i := range out {
+		out[i] = qq - out[i]
 	}
 	return out, stats, nil
 }

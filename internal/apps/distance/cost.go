@@ -14,7 +14,8 @@ type Cost struct {
 }
 
 // AnalyzeCost computes the cost model for m points of (padded)
-// dimension d with the given slot count.
+// dimension d with the given slot count. Each expanded square is one
+// plaintext multiply: no variant multiplies two ciphertexts.
 func AnalyzeCost(variant Variant, m, d, slots int) Cost {
 	log2 := func(v int) int {
 		n := 0
@@ -28,36 +29,36 @@ func AnalyzeCost(variant Variant, m, d, slots int) Cost {
 	c := Cost{Variant: variant}
 	switch variant {
 	case PointMajor:
-		// One point per ciphertext: M server squarings and in-block
-		// reductions, M sparse result ciphertexts.
+		// One point per ciphertext: M expanded squares (a plaintext
+		// multiply each) and in-block reductions, M sparse result
+		// ciphertexts.
 		c.UpCts = 1
 		c.DownCts = m
-		c.Server = core.OpCounts{CtMults: m, Rotations: m * log2(d), Adds: m * log2(d)}
+		c.Server = core.OpCounts{PlainMults: m, Rotations: m * log2(d), Adds: m * log2(d)}
 	case DimensionMajor:
 		// One ciphertext per dimension; no rotations at all.
 		c.UpCts = d
 		c.DownCts = 1
-		c.Server = core.OpCounts{CtMults: d, Adds: d - 1}
+		c.Server = core.OpCounts{PlainMults: d, Adds: d - 1}
 	case StackedPointMajor:
 		c.UpCts = 1
 		c.DownCts = groupsStacked
-		c.Server = core.OpCounts{CtMults: groupsStacked, Rotations: groupsStacked * log2(d), Adds: groupsStacked * log2(d)}
+		c.Server = core.OpCounts{PlainMults: groupsStacked, Rotations: groupsStacked * log2(d), Adds: groupsStacked * log2(d)}
 	case StackedDimMajor:
 		// All dimensions in one ciphertext when m·d ≤ slots, else in
 		// ceil(m·d/slots); the client adds a reply's blocks: no rotation.
 		cts := (m*d + slots - 1) / slots
 		c.UpCts = cts
 		c.DownCts = cts
-		c.Server = core.OpCounts{CtMults: cts}
+		c.Server = core.OpCounts{PlainMults: cts}
 	case CollapsedPointMajor:
 		// Stacked computation plus the two-level collapse plan, a masked
 		// term per point — extra server work for a single dense download.
 		c.UpCts = 1
 		c.DownCts = 1
 		c.Server = core.OpCounts{
-			CtMults:    groupsStacked,
 			Rotations:  groupsStacked*log2(d) + len(geometry{m: m, d: d, slots: slots}.collapsePlan().RotationSteps()),
-			PlainMults: m,
+			PlainMults: groupsStacked + m,
 			Adds:       groupsStacked*log2(d) + m - 1,
 		}
 	}

@@ -57,8 +57,8 @@ func Variants() []Variant {
 }
 
 // replyLevel is the level the variant's replies leave the server at, on a
-// chain whose top level is maxLevel: the server rescales every squared
-// distance once, before any rotation, and a collapsed reply once more
+// chain whose top level is maxLevel: the server rescales every expanded
+// square once, before any rotation, and a collapsed reply once more
 // after its masks. The client refuses a reply at any other level.
 func (v Variant) replyLevel(maxLevel int) int {
 	if v == CollapsedPointMajor {
@@ -69,12 +69,14 @@ func (v Variant) replyLevel(maxLevel int) int {
 
 // PresetDistance returns the production parameter set for the distance
 // kernels, within 128-bit security at N = 8192: a three-prime data chain
-// whose top 40-bit prime the server spends rescaling each squared
-// distance before it rotates it, and whose second the collapsed variant
-// spends rescaling its masked product (the masks encode at 2^30). The
-// other variants' replies stay at two primes: at scale 2^40 the 50-bit q0
-// alone would leave 2^9 of headroom, and a larger distance would wrap
-// silently.
+// whose top 40-bit prime the server spends rescaling each expanded square
+// q² − (q − p)² before it rotates it, and whose second the collapsed
+// variant spends rescaling its masked product (the masks encode at 2^30).
+// The other variants' replies stay at two primes: at scale 2^40 they
+// leave 2^49 of headroom where the 50-bit q0 alone would leave 2^9, and a
+// larger value would wrap silently. A reply value is ‖q‖² − d², and
+// |‖q‖² − d²| ≤ max(‖q‖², d²): the headroom holds whenever both the
+// query's squared norm and its squared distances stay under it.
 func PresetDistance() ckks.Parameters {
 	return ckks.Parameters{LogN: 13, QBits: []int{50, 40, 40}, PBits: 51, LogScale: 40, Sigma: 3.2}
 }

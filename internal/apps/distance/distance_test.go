@@ -301,7 +301,7 @@ func TestQuickCostModelMonotone(t *testing.T) {
 			if b.TotalCts() < a.TotalCts() {
 				return false
 			}
-			if b.Server.CtMults < a.Server.CtMults {
+			if b.Server.PlainMults < a.Server.PlainMults {
 				return false
 			}
 		}

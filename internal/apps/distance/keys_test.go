@@ -13,10 +13,11 @@ import (
 
 // TestDistanceKeysGeneratedAreKeysUsed: the client's bundle holds a
 // Galois key for each rotation the server's plans run and for nothing
-// else. A bundle built by hand from the client's seed is the client's
-// own, byte for byte; with all of it every variant is served, and with
-// any one Galois key dropped some variant is not — the server names the
-// missing key. At the benchmark's shape (PresetDistance, 64 points × 16
+// else — no relinearization key, as the server multiplies no two
+// ciphertexts. A bundle built by hand from the client's seed is the
+// client's own, byte for byte; with all of it every variant is served,
+// and with any one Galois key dropped some variant is not — the server
+// names the missing key. At the benchmark's shape (PresetDistance, 64 points × 16
 // dims) the bundle's key count and bytes are pinned.
 func TestDistanceKeysGeneratedAreKeysUsed(t *testing.T) {
 	for _, geom := range []struct{ m, d int }{{8, 4}, {5, 3}} {
@@ -26,7 +27,7 @@ func TestDistanceKeysGeneratedAreKeysUsed(t *testing.T) {
 
 		kg := ckks.NewKeyGenerator(client.ctx, seed)
 		sk := kg.GenSecretKey()
-		kb := &protocol.CKKSKeyBundle{PK: kg.GenPublicKey(sk), Relin: kg.GenRelinearizationKey(sk)}
+		kb := &protocol.CKKSKeyBundle{PK: kg.GenPublicKey(sk)}
 		var elements []uint64
 		for _, s := range client.rotationSteps() {
 			elements = append(elements, client.ctx.GaloisElementForRotation(s))
@@ -88,9 +89,12 @@ func TestDistanceKeysGeneratedAreKeysUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if kb.Relin != nil {
+		t.Error("the 64×16 bundle carries a relinearization key")
+	}
 	// The in-block reduction's 1, 2, 4, 8 and the collapse plan's seven
 	// babies 15k and seven giants 120j.
-	if len(kb.Galois) != 18 || len(client.keyFrame) != 10832396 {
-		t.Errorf("the 64×16 bundle holds %d Galois keys in %d B, pinned 18 in 10 832 396 B", len(kb.Galois), len(client.keyFrame))
+	if len(kb.Galois) != 18 || len(client.keyFrame) != 10276292 {
+		t.Errorf("the 64×16 bundle holds %d Galois keys in %d B, pinned 18 in 10 276 292 B", len(kb.Galois), len(client.keyFrame))
 	}
 }

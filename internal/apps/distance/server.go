@@ -28,16 +28,18 @@ type Server struct {
 	ecd    *ckks.Encoder
 	ev     *ckks.Evaluator
 	points [][]float64
-	// pointPts[v][j] is ciphertext j of variant v's point layout, encoded
-	// at a fresh upload's level and the preset's default scale on first
-	// use (pointPlain). A server runs one session at a time and a query
-	// touches each (v, j) from one goroutine, so the slots need no lock.
-	pointPts [][]*ckks.Plaintext
+	// pointPts[v][j] is ciphertext j of variant v's point layout as the
+	// pair expandedSquare needs, encoded for a fresh upload's level and
+	// scale on first use (pointPlain). A server runs one session at a time
+	// and a query touches each (v, j) from one goroutine, so the slots
+	// need no lock.
+	pointPts [][]pointPair
 	// maskScale is the low encoding scale of collapse masks. A mask
-	// multiplies a squared distance already rescaled to level 1 at
+	// multiplies a reply value ‖q‖² − d² already rescaled to level 1 at
 	// scale ≈ 2^40, so the masked product, at ≈ 2^70, fits q0·q1 ≈ 2^90
-	// for any distance under 2^19, and the final rescale leaves it at
-	// ≈ 2^30 on the 50-bit q0 alone.
+	// for any value under 2^19 — any query whose ‖q‖² and d² both stay
+	// under it, as |‖q‖² − d²| ≤ max(‖q‖², d²) — and the final rescale
+	// leaves it at ≈ 2^30 on the 50-bit q0 alone.
 	maskScale float64
 }
 
@@ -71,13 +73,13 @@ func NewServer(params ckks.Parameters, points [][]float64) (*Server, error) {
 		ctx:       ctx,
 		ecd:       ckks.NewEncoder(ctx),
 		points:    points,
-		pointPts:  make([][]*ckks.Plaintext, len(Variants())),
+		pointPts:  make([][]pointPair, len(Variants())),
 		maskScale: math.Ldexp(1, 30),
 	}
 	// No variant lays its points out over more ciphertexts than one per
 	// point (point-major) or one per dimension (dimension-major).
 	for v := range s.pointPts {
-		s.pointPts[v] = make([]*ckks.Plaintext, max(g.m, g.rawD))
+		s.pointPts[v] = make([]pointPair, max(g.m, g.rawD))
 	}
 	return s, nil
 }
@@ -172,36 +174,62 @@ func (s *Server) ServeOne(t protocol.Transport) (core.OpCounts, error) {
 	return ops, nil
 }
 
-// pointPlain is ciphertext j of the variant's point layout as a plaintext
-// at (level, scale). The points are the server's own constants, so the
-// encoding an honest client's fresh upload needs is kept; the client
-// chooses its uploads' level and scale, and any other pair is encoded for
-// that query alone — no client can make the server hold more than its
-// point set once per variant.
-func (s *Server) pointPlain(v Variant, j, level int, scale float64) (*ckks.Plaintext, error) {
-	keep := level == s.ctx.Params.MaxLevel() && scale == s.ctx.Params.DefaultScale()
-	if keep && s.pointPts[v][j] != nil {
+// pointPair is ciphertext j of a variant's point layout as the two
+// plaintexts of the expanded square: 2p, in the NTT domain at the
+// preset's default scale, and p² at the scale of q ⊙ 2p.
+type pointPair struct{ twoP, sq *ckks.Plaintext }
+
+// pointPlain is the pair of ciphertext j of the variant's point layout
+// for an upload at (level, scale). The points are the server's own
+// constants, so the pair an honest client's fresh upload needs is kept;
+// the client chooses its uploads' level and scale, and any other pair is
+// encoded for that query alone — no client can make the server hold more
+// than its point set once per variant.
+func (s *Server) pointPlain(v Variant, j, level int, scale float64) (pointPair, error) {
+	def := s.ctx.Params.DefaultScale()
+	keep := level == s.ctx.Params.MaxLevel() && scale == def
+	if keep && s.pointPts[v][j].twoP != nil {
 		return s.pointPts[v][j], nil
 	}
-	pt, err := s.ecd.EncodeFloats(s.layout(v, j, func(i int) []float64 { return s.points[i] }), level, scale)
-	if err == nil && keep {
-		s.pointPts[v][j] = pt
+	twoP := s.layout(v, j, func(i int) []float64 { return s.points[i] })
+	sq := make([]float64, len(twoP))
+	for k, x := range twoP {
+		twoP[k], sq[k] = 2*x, x*x
 	}
-	return pt, err
+	var pp pointPair
+	var err error
+	if pp.twoP, err = s.ecd.EncodeFloats(twoP, level, def); err != nil {
+		return pp, err
+	}
+	s.ctx.RingAtLevel(level).NTT(pp.twoP.Poly)
+	if pp.sq, err = s.ecd.EncodeFloats(sq, level, scale*def); err != nil {
+		return pp, err
+	}
+	if keep {
+		s.pointPts[v][j] = pp
+	}
+	return pp, nil
 }
 
-// squaredDiff is (q − ciphertext j of the variant's point layout)².
-func (s *Server) squaredDiff(q *ckks.Ciphertext, v Variant, j int, ops *core.OpCounts) (*ckks.Ciphertext, error) {
-	pt, err := s.pointPlain(v, j, q.Level, q.Scale)
+// expandedSquare is q² − (q − p)² = 2pq − p² slotwise, p ciphertext j of
+// the variant's point layout: a plaintext multiply and a plaintext
+// subtraction, no ciphertext product and no relinearization. The client
+// holds q and adds ‖q‖² back (Client.Query). Every later step — the
+// rescale, reduce's rotate-and-add, the collapse — is linear, so a reply
+// slot, partial sums included, is q's squared norm over the slot's
+// dimensions less the squared distance it stood for. A client that knows
+// q can turn either into the other, so it learns nothing it did not.
+func (s *Server) expandedSquare(q *ckks.Ciphertext, v Variant, j int, ops *core.OpCounts) (*ckks.Ciphertext, error) {
+	pp, err := s.pointPlain(v, j, q.Level, q.Scale)
 	if err != nil {
 		return nil, err
 	}
-	diff, err := s.ev.SubPlain(q, pt)
+	prod, err := s.ev.MulPlain(q, pp.twoP)
 	if err != nil {
 		return nil, err
 	}
-	ops.CtMults++
-	return s.ev.MulRelin(diff, diff)
+	ops.PlainMults++
+	return s.ev.SubPlain(prod, pp.sq)
 }
 
 // reduce sums each point's D-slot block via rotate-and-add; the first
@@ -228,7 +256,7 @@ func (s *Server) reduce(ct *ckks.Ciphertext, ops *core.OpCounts) (*ckks.Cipherte
 	return acc, nil
 }
 
-// dimensionMajor sums the squared differences of the uploads — one per
+// dimensionMajor sums the expanded squares of the uploads — one per
 // dimension, or, stacked, one holding every dimension as a block — and
 // rescales the sum once. It rotates nothing: the client adds a stacked
 // reply's blocks after it decrypts (§5.4). Both leave one result
@@ -236,7 +264,7 @@ func (s *Server) reduce(ct *ckks.Ciphertext, ops *core.OpCounts) (*ckks.Cipherte
 func (s *Server) dimensionMajor(qs []*ckks.Ciphertext, v Variant, ops *core.OpCounts) (*ckks.Ciphertext, error) {
 	var acc *ckks.Ciphertext
 	for j, q := range qs {
-		sq, err := s.squaredDiff(q, v, j, ops)
+		sq, err := s.expandedSquare(q, v, j, ops)
 		if err != nil {
 			return nil, err
 		}
@@ -276,15 +304,15 @@ func (s *Server) pointMajor(q *ckks.Ciphertext, v Variant, ops *core.OpCounts) (
 	return outs, nil
 }
 
-// group computes group g's squared distances, each at the head of its
-// point's block; they are rescaled before the in-block reduction rotates
+// group computes group g's expanded squares, each point's sum at the head
+// of its block; they are rescaled before the in-block reduction rotates
 // them. Collapsed, the one group then runs collapsePlan on core's
 // executor — its babies off one decomposition of the reduced ciphertext
 // and resident in the key ring, one rounding per inner sum, the giants
 // folded under one mod-down, the one-hot masks at maskScale its
 // plaintexts — and rescales the masked sum.
 func (s *Server) group(q *ckks.Ciphertext, v Variant, g int, ops *core.OpCounts) (*ckks.Ciphertext, error) {
-	sq, err := s.squaredDiff(q, v, g, ops)
+	sq, err := s.expandedSquare(q, v, g, ops)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -270,24 +271,31 @@ func exchange(t *testing.T, server *Server, v Variant, uploads [][]byte, downs i
 
 // TestServerKeepsPointPlaintexts: the server encodes its points once per
 // (variant, ciphertext index) for the level and scale of a fresh upload —
-// the second query reuses the first one's plaintexts and answers with the
-// bytes a server that has never seen a query sends — and a query at any
-// other scale, which the client is free to send, is answered and leaves
-// nothing behind. The hand-built query's first upload is a full
-// public-key frame, the rest seeded: the server reads either.
+// both plaintexts of the pair, 2p and p² — and the second query reuses
+// the first one's pair and answers with the bytes a server that has never
+// seen a query sends. Point-major fills and reads its pairs from the
+// worker pool, one group each. A query at any other scale, which the
+// client is free to send, is answered and leaves nothing behind. The
+// hand-built query's first upload is a full public-key frame, the rest
+// seeded: the server reads either.
 func TestServerKeepsPointPlaintexts(t *testing.T) {
 	client, server, pts := testPair(t, 8, 4)
 	q := []float64{0.5, -0.75, 1.25, 0}
-	got, _ := queryOnce(t, client, server, q, DimensionMajor)
-	for i, want := range PlainDistances(pts, q) {
-		if math.Abs(got[i]-want) > 0.05 {
-			t.Errorf("point %d: got %v want %v", i, got[i], want)
+	// Dimension-major keeps one pair per dimension, point-major one per point.
+	keptRows := map[Variant]int{DimensionMajor: len(q), PointMajor: len(pts)}
+	kept := map[Variant][]pointPair{}
+	for v, n := range keptRows {
+		got, _ := queryOnce(t, client, server, q, v)
+		for i, want := range PlainDistances(pts, q) {
+			if math.Abs(got[i]-want) > 0.05 {
+				t.Errorf("%v point %d: got %v want %v", v, i, got[i], want)
+			}
 		}
-	}
-	kept := append([]*ckks.Plaintext(nil), server.pointPts[DimensionMajor][:len(q)]...) // one per dimension
-	for j, pt := range kept {
-		if pt == nil {
-			t.Fatalf("the first query left no plaintext for dimension %d", j)
+		kept[v] = slices.Clone(server.pointPts[v][:n])
+		for j, pp := range kept[v] {
+			if pp.twoP == nil || pp.sq == nil {
+				t.Fatalf("the first %v query left plaintext %d incomplete: %+v", v, j, pp)
+			}
 		}
 	}
 
@@ -304,7 +312,7 @@ func TestServerKeepsPointPlaintexts(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkEnc := ckks.NewEncryptor(client.ctx, publicKey(t, client), [32]byte{60})
-	uploads := make([][]byte, len(kept))
+	uploads := make([][]byte, len(q))
 	for j := range uploads {
 		values := client.layout(DimensionMajor, j, func(int) []float64 { return q })
 		if j == 0 {
@@ -325,22 +333,25 @@ func TestServerKeepsPointPlaintexts(t *testing.T) {
 	if !bytes.Equal(warmReply[0], coldReply[0]) {
 		t.Error("the reply over kept plaintexts differs from a cold server's")
 	}
-	for j, pt := range server.pointPts[DimensionMajor][:len(q)] {
-		if pt != kept[j] {
-			t.Errorf("the second query encoded dimension %d again", j)
+	queryOnce(t, client, server, q, PointMajor)
+	for v, row := range kept {
+		for j, pp := range server.pointPts[v][:len(row)] {
+			if pp != row[j] {
+				t.Errorf("the second %v query encoded plaintext %d again", v, j)
+			}
 		}
 	}
 
-	sct, err := client.enc.EncryptFloatsSeeded(client.layout(PointMajor, 0, func(int) []float64 { return q }))
+	sct, err := client.enc.EncryptFloatsSeeded(client.layout(StackedPointMajor, 0, func(int) []float64 { return q }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sct.Scale *= 2
-	exchange(t, server, PointMajor, [][]byte{protocol.MarshalSeededCKKS(sct)}, len(pts))
+	exchange(t, server, StackedPointMajor, [][]byte{protocol.MarshalSeededCKKS(sct)}, 1)
 	for v, row := range server.pointPts {
-		for j, pt := range row {
-			if want := Variant(v) == DimensionMajor && j < len(q); (pt != nil) != want {
-				t.Errorf("after the off-scale query: %v plaintext %d kept = %v", Variant(v), j, pt != nil)
+		for j, pp := range row {
+			if want := j < keptRows[Variant(v)]; (pp != pointPair{}) != want {
+				t.Errorf("after the off-scale query: %v plaintext %d kept = %v", Variant(v), j, pp != pointPair{})
 			}
 		}
 	}

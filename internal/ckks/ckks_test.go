@@ -172,9 +172,10 @@ func TestAddScaleMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestMulPlain multiplies by a plaintext the one way CKKS does: the
-// ciphertext lifted into the key ring beside a plaintext encoded over it
-// (EncodeFloatsQP), one multiply-accumulate and one divide-by-P.
+// TestMulPlain multiplies by a plaintext the way internal/core's executor
+// does: the ciphertext lifted into the key ring beside a plaintext encoded
+// over it (EncodeFloatsQP), one multiply-accumulate and one divide-by-P.
+// Evaluator.MulPlain, over the data primes alone, is TestEvaluatorMulPlain's.
 func TestMulPlain(t *testing.T) {
 	kit := newTestKit(t, PresetTest())
 	a := rampFloats(32)

@@ -35,9 +35,15 @@ func TestChocodebugCorruptCiphertextPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pt, err := kit.ecd.EncodeFloats([]float64{1}, ct.Level, ct.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kit.ctx.RingAtLevel(ct.Level).NTT(pt.Poly)
 	ct.Value[0].Coeffs[1][0] = kit.ctx.RingQ.Moduli[1].Value // >= q_1
 	for name, op := range map[string]func(){
 		"Add":        func() { kit.ev.Add(ct, ct) },
+		"MulPlain":   func() { kit.ev.MulPlain(ct, pt) },
 		"RotateLeft": func() { kit.ev.RotateLeft(ct, 1) },
 		"Rescale":    func() { kit.ev.Rescale(ct) },
 	} {

@@ -1,7 +1,9 @@
 package ckks
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -40,5 +42,64 @@ func TestSubPlainRejectsMismatch(t *testing.T) {
 	pt0, _ := kit.ecd.EncodeFloats([]float64{1}, 0, ct.Scale)
 	if _, err := kit.ev.SubPlain(ct, pt0); err == nil {
 		t.Error("expected level mismatch error")
+	}
+}
+
+// TestEvaluatorMulPlain: MulPlain by an NTT-domain plaintext decrypts to
+// the slotwise product of its operands' decryption and decoding, within
+// 1e-6 of values up to 8 in magnitude, at the top level and one below it;
+// a plaintext at another level, or still in the coefficient domain, is
+// refused with an error.
+func TestEvaluatorMulPlain(t *testing.T) {
+	kit := newTestKit(t, Parameters{LogN: 11, QBits: []int{50, 40, 40}, PBits: 51, LogScale: 40, Sigma: 3.2})
+	a := rampFloats(64)
+	w := make([]float64, 64)
+	for i := range w {
+		w[i] = 0.1*float64(i%9) - 0.4
+	}
+	top, err := kit.enc.EncryptFloats(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	below, err := kit.ev.DropLevel(top, top.Level-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := kit.ctx.Params.DefaultScale()
+	for _, ct := range []*Ciphertext{top, below} {
+		pt, err := kit.ecd.EncodeFloats(w, ct.Level, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kit.ctx.RingAtLevel(ct.Level).NTT(pt.Poly)
+		prod, err := kit.ev.MulPlain(ct, pt)
+		if err != nil {
+			t.Fatalf("level %d: %v", ct.Level, err)
+		}
+		if prod.Level != ct.Level || prod.Scale != ct.Scale*scale {
+			t.Errorf("level %d: product at level %d scale %g, want level %d scale %g", ct.Level, prod.Level, prod.Scale, ct.Level, ct.Scale*scale)
+		}
+		x, y := kit.dec.DecryptFloats(ct), kit.ecd.DecodeFloats(pt)
+		want := make([]float64, len(x))
+		for i := range want {
+			want[i] = x[i] * y[i]
+		}
+		assertClose(t, kit.dec.DecryptFloats(prod), want, 1e-6, fmt.Sprintf("MulPlain at level %d", ct.Level))
+	}
+
+	low, err := kit.ecd.EncodeFloats(w, below.Level, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kit.ctx.RingAtLevel(below.Level).NTT(low.Poly)
+	if _, err := kit.ev.MulPlain(top, low); err == nil || !strings.Contains(err.Error(), "level mismatch") {
+		t.Errorf("a plaintext a level below the ciphertext: error %v, want a level mismatch", err)
+	}
+	coeff, err := kit.ecd.EncodeFloats(w, top.Level, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := kit.ev.MulPlain(top, coeff); err == nil || !strings.Contains(err.Error(), "NTT-domain") {
+		t.Errorf("a coefficient-domain plaintext: error %v, want one asking for the NTT domain", err)
 	}
 }
