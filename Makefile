@@ -2,6 +2,7 @@
 #
 #   make check   — what CI runs: vet + chocolint + race/shuffled tests
 #                  (default, chocodebug-tagged, and purego-tagged builds)
+#                  + the kernel-tier log (see kernels)
 #   make test    — tier-1 verify (build + tests, as in ROADMAP.md)
 #   make lint    — chocolint static analyzers only (see internal/lint)
 #   make race    — race-enabled, shuffled tests; reruns the parallel
@@ -51,11 +52,23 @@
 #                  not cost the hot paths an object
 #   make purego  — tests with the vector kernels compiled out (the
 #                  scalar-only build every non-amd64 target gets)
+#   make kernels — the IFMA-against-scalar equivalence and dispatch
+#                  tests with -v: two loops have an AVX-512 IFMA kernel
+#                  (the gathered key-switch inner product
+#                  AutomorphismNTTMulShoupAdd2 and the 128-bit
+#                  multiply-accumulate MulCoeffsAddWide, on rings whose
+#                  primes are all below 2^51; the NTT and the other
+#                  dyadic loops stay AVX2), and the log names the tier
+#                  the tests ran at, or the CPU feature whose absence
+#                  skipped them
 #   make bench   — the repository's benchmark (see bench-e2e), its
 #                  report recorded under the commit in
 #                  BENCH_trajectory.json, then the Go benchmarks
 #   make fuzz    — 30-second smoke run of the packed-row codec's fuzz
-#                  target (internal/ring), of the CKKS encoder against
+#                  target (internal/ring), of the two IFMA kernels
+#                  against their scalar loops (internal/ring: the
+#                  multiply-accumulate and the gathered inner product;
+#                  skipped on a host without IFMA), of the CKKS encoder against
 #                  its big-integer oracle (internal/ckks: any float64
 #                  bits as slot and scale, same bytes or both refuse),
 #                  and of each internal/protocol
@@ -91,9 +104,9 @@ N ?= 10
 SEED ?= 1
 PAIRS_DIR ?= /tmp/choco-pairs
 
-.PHONY: check build test lint race debug purego vet bench bench-e2e fuzz pairs loc
+.PHONY: check build test lint race debug purego kernels vet bench bench-e2e fuzz pairs loc
 
-check: vet lint race debug purego
+check: vet lint race debug purego kernels
 
 build:
 	$(GO) build ./...
@@ -123,8 +136,13 @@ purego:
 	$(GO) build -tags purego ./...
 	$(GO) test -shuffle=on -tags purego ./...
 
+kernels:
+	$(GO) test -v -count=1 -run 'TestIFMAKernelsMatchScalar|TestIFMADispatch|TestIFMAMatchesCPUInfo' ./internal/cpu ./internal/ring
+
 fuzz:
 	$(GO) test ./internal/ring -run '^$$' -fuzz '^FuzzPackedRow$$' -fuzztime 30s
+	$(GO) test ./internal/ring -run '^$$' -fuzz '^FuzzMulCoeffsAddWide$$' -fuzztime 30s
+	$(GO) test ./internal/ring -run '^$$' -fuzz '^FuzzAutomorphismNTTMulShoupAdd2$$' -fuzztime 30s
 	$(GO) test ./internal/ckks -run '^$$' -fuzz '^FuzzEncodeCKKS$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzHelloFrame$$' -fuzztime 30s

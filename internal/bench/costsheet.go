@@ -124,19 +124,33 @@ func CostSheet() (string, []LayerCost, error) {
 	// The babies and the multiply-accumulates cycle over as many distinct
 	// switching keys and operands as a request does: its 54 rotation keys
 	// are 41 MB, 24 babies and 141 weight plaintexts 19 MB, so a loop over
-	// one of each would time a cache the executor never has.
+	// one of each would time a cache the executor never has. A layer also
+	// holds all its babies until its inner sums have read them, so the
+	// rotations keep that many outputs live and recycle the oldest: an
+	// output recycled at once would be rewritten in the same cached
+	// buffer every time.
+	babySteps := steps[:conv2.Plan().BabySteps]
 	turn := 0
+	var live []*bfv.NTTCiphertext
+	defer func() {
+		for _, nc := range live {
+			ev.RecycleNTT(nc)
+		}
+	}()
 	rotate := func(steps []int) func() error {
 		return func() error {
 			turn++
 			nc, err := ev.RotateRowsLazyNTT(dc, steps[turn%len(steps)])
-			if err == nil {
-				ev.RecycleNTT(nc)
+			if err != nil {
+				return err
 			}
-			return err
+			if live = append(live, nc); len(live) > len(babySteps) {
+				ev.RecycleNTT(live[0])
+				live = live[1:]
+			}
+			return nil
 		}
 	}
-	babySteps := steps[:conv2.Plan().BabySteps]
 	// An inner sum of one term and of a kernel's worth, over real
 	// rotations (a lift's empty special-prime row would flatter the
 	// close's rounding branches): the difference prices a

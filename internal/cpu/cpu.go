@@ -10,6 +10,11 @@ package cpu
 // init on amd64 builds without the purego tag. HasAVX2 is only set when
 // the OS has also enabled YMM state saving (OSXSAVE + XCR0), so a true
 // value means 256-bit kernels are actually safe to execute.
+// HasAVX512IFMA likewise needs the OS to save the opmask and full ZMM
+// state; it reports AVX-512 Foundation plus the 52-bit integer
+// multiply-add (VPMADD52LUQ/HUQ), everything the ring's IFMA kernels
+// execute.
 var X86 struct {
-	HasAVX2 bool
+	HasAVX2       bool
+	HasAVX512IFMA bool
 }

@@ -90,6 +90,36 @@ func TestChocodebugWideAccRowMismatchPanics(t *testing.T) {
 	}
 }
 
+// TestChocodebugUnreducedLaneNeverReachesIFMA plants a lane equal to q
+// in an operand of each IFMA kernel's entry point on a ring that selects
+// the kernels. VPMADD52 multiplies only a lane's low 52 bits, so an
+// unreduced lane would give a wrong product, not a congruent one: the
+// tagged build must panic by name before the kernel runs.
+func TestChocodebugUnreducedLaneNeverReachesIFMA(t *testing.T) {
+	r := testRing(t, 4, []int{51, 36})
+	t.Logf("ring selects IFMA: %v (kernel tier %s)", r.useIFMA(), KernelTier())
+	a := randomPoly(r, 7)
+	b := randomPoly(r, 8)
+	a.DeclareNTT()
+	b.DeclareNTT()
+	bs := r.ShoupPolyPrecomp(b)
+	a.Coeffs[0][5] = r.Moduli[0].Value
+	for name, call := range map[string]func(){
+		"AutomorphismNTTMulShoupAdd2": func() {
+			o0, o1 := r.NewPoly(), r.NewPoly()
+			o0.DeclareNTT()
+			o1.DeclareNTT()
+			r.AutomorphismNTTMulShoupAdd2(a, 3, b, bs, o0, b, bs, o1)
+		},
+		"MulCoeffsAddWide": func() { r.MulCoeffsAddWide(a, b, r.GetWideAcc()) },
+	} {
+		msg := mustPanic(t, call)
+		if !strings.Contains(msg, "chocodebug") || !strings.Contains(msg, name) || !strings.Contains(msg, "out of range") {
+			t.Fatalf("%s: unexpected panic message: %q", name, msg)
+		}
+	}
+}
+
 // TestDomainMismatchStillPanics documents that the domain-consistency
 // invariant is enforced in every build, not only under chocodebug: the
 // runtime checks in MulCoeffs/Add are always on.

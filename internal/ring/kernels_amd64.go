@@ -11,6 +11,11 @@ import (
 // decided once by CPUID at init.
 func vectorAvailable() bool { return cpu.X86.HasAVX2 }
 
+// ifmaAvailable reports hardware support for the AVX-512 IFMA kernels
+// (ifma_amd64.s), decided once by CPUID at init. It also needs AVX2,
+// without which vectorKernels, their run-time switch, stays off.
+func ifmaAvailable() bool { return cpu.X86.HasAVX2 && cpu.X86.HasAVX512IFMA }
+
 //go:noescape
 func nttFwdStageAVX2(p, psi, psiS *uint64, q uint64, m, t int)
 
@@ -39,10 +44,13 @@ func mulModVecAVX2(ro, ra, rb *uint64, q, bHi, bLo uint64, n int)
 func mulModAddVecAVX2(ro, ra, rb *uint64, q, bHi, bLo uint64, n int)
 
 //go:noescape
-func mulShoupAddVecAVX2(ro, ra, rb, rs *uint64, q uint64, n int)
+func mulShoupAdd2VecAVX2(ro0, ro1, ra, rb0, rs0, rb1, rs1 *uint64, q uint64, n int)
 
 //go:noescape
-func mulShoupAdd2VecAVX2(ro0, ro1, ra, rb0, rs0, rb1, rs1 *uint64, q uint64, n int)
+func autoMulShoupAdd2IFMA(ro0, ro1, ra, perm, rb0, rs0, rb1, rs1 *uint64, q uint64, n int)
+
+//go:noescape
+func mulAddWideIFMA(lo, hi, ra, rb *uint64, n int)
 
 // nttForwardVec runs the forward transform through the AVX2 stage
 // kernels. Each stage is the same eager Cooley-Tukey butterfly sweep
@@ -130,18 +138,30 @@ func mulModAddVector(m nt.Modulus, ra, rb, ro []uint64) bool {
 	return true
 }
 
-func mulShoupAddVector(m nt.Modulus, ra, rb, rs, ro []uint64) bool {
-	if !vectorLen(len(ro)) {
-		return false
-	}
-	mulShoupAddVecAVX2(&ro[0], &ra[0], &rb[0], &rs[0], m.Value, len(ro))
-	return true
-}
-
 func mulShoupAdd2Vector(m nt.Modulus, ra, rb0, rs0, ro0, rb1, rs1, ro1 []uint64) bool {
 	if !vectorLen(len(ro0)) {
 		return false
 	}
 	mulShoupAdd2VecAVX2(&ro0[0], &ro1[0], &ra[0], &rb0[0], &rs0[0], &rb1[0], &rs1[0], m.Value, len(ro0))
 	return true
+}
+
+// autoMulShoupAdd2Vector runs one row of AutomorphismNTTMulShoupAdd2
+// through the IFMA kernel. The caller has checked Ring.useIFMA: q <
+// 2^51 and len(ro0) a multiple of 8. Every operand is resliced to the
+// row length so a short row panics here instead of being read past; the
+// gather indices are below N by construction of the permutation.
+func autoMulShoupAdd2Vector(q uint64, ra, perm, rb0, rs0, ro0, rb1, rs1, ro1 []uint64) {
+	n := len(ro0)
+	ra, perm, ro1 = ra[:n], perm[:n], ro1[:n]
+	rb0, rs0, rb1, rs1 = rb0[:n], rs0[:n], rb1[:n], rs1[:n]
+	autoMulShoupAdd2IFMA(&ro0[0], &ro1[0], &ra[0], &perm[0], &rb0[0], &rs0[0], &rb1[0], &rs1[0], q, n)
+}
+
+// mulAddWideVector runs one row of MulCoeffsAddWide through the IFMA
+// kernel, under the same conditions as autoMulShoupAdd2Vector.
+func mulAddWideVector(lo, hi, ra, rb []uint64) {
+	n := len(lo)
+	hi, ra, rb = hi[:n], ra[:n], rb[:n]
+	mulAddWideIFMA(&lo[0], &hi[0], &ra[0], &rb[0], n)
 }

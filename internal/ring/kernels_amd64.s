@@ -457,37 +457,6 @@ mulModAddLoop:
 	VZEROUPPER
 	RET
 
-// func mulShoupAddVecAVX2(ro, ra, rb, rs *uint64, q uint64, n int)
-// ro[j] += ra[j]*rb[j] mod q with rs = ShoupPrecomp(rb), exactly
-// nt.Add(nt.MulShoup). n is a multiple of 4.
-TEXT ·mulShoupAddVecAVX2(SB), NOSPLIT, $0-48
-	MOVQ ro+0(FP), DI
-	MOVQ ra+8(FP), SI
-	MOVQ rb+16(FP), DX
-	MOVQ rs+24(FP), R8
-	VPBROADCASTQ q+32(FP), Y15
-	LOADMASK(Y14)
-	MOVQ n+40(FP), CX
-	SHRQ $2, CX
-
-shoupAddLoop:
-	VMOVDQU (SI), Y0
-	VMOVDQU (DX), Y1
-	VMOVDQU (R8), Y2
-	MULSHOUP(Y0, Y1, Y2, Y15, Y14, Y3, Y4, Y5, Y6, Y7, Y8)
-	VMOVDQU (DI), Y9
-	VPADDQ  Y8, Y9, Y9
-	CSUB(Y9, Y15, Y3, Y4)
-	VMOVDQU Y9, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DX
-	ADDQ $32, R8
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  shoupAddLoop
-	VZEROUPPER
-	RET
-
 // func mulShoupAdd2VecAVX2(ro0, ro1, ra, rb0, rs0, rb1, rs1 *uint64, q uint64, n int)
 // The fused key-switch inner-product shape: ro0[j] += ra[j]*rb0[j],
 // ro1[j] += ra[j]*rb1[j], loading each ra lane once.

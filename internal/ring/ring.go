@@ -89,7 +89,31 @@ type Ring struct {
 	// AtLevel sub-ring: the tables depend only on N, not on the modulus
 	// chain.
 	autos *autoCache
+
+	// ifma records that this ring's rows fit the AVX-512 IFMA kernels:
+	// the host has them, N is a multiple of 8 and every modulus is below
+	// 2^51. Fixed when the ring (or an AtLevel view) is built; useIFMA
+	// adds the run-time vectorKernels switch.
+	ifma bool
 }
+
+// fitsIFMA reports whether the IFMA kernels are exact for r: Shoup's
+// reduction at β = 2^52 leaves a remainder below 2q, which must stay
+// below 2^52.
+func (r *Ring) fitsIFMA() bool {
+	if !ifmaAvailable() || r.N%8 != 0 {
+		return false
+	}
+	for _, m := range r.Moduli {
+		if m.Value >= 1<<51 {
+			return false
+		}
+	}
+	return true
+}
+
+// useIFMA reports whether this call runs the IFMA kernels.
+func (r *Ring) useIFMA() bool { return r.ifma && vectorKernels }
 
 // autoCache memoizes automorphism permutation tables keyed by Galois
 // element. A handful of elements recur thousands of times per kernel
@@ -214,6 +238,7 @@ func NewRing(logN int, moduli []uint64) (*Ring, error) {
 	//lint:ignore-choco bigintloop ring construction: once per ring, at context setup
 	r.precomputeCRT()
 	r.autos = &autoCache{tables: map[uint64]*autoTable{}}
+	r.ifma = r.fitsIFMA()
 	return r, nil
 }
 
@@ -299,6 +324,7 @@ func (r *Ring) AtLevel(level int) *Ring {
 		tables: r.tables[:level+1],
 		autos:  r.autos,
 	}
+	sub.ifma = sub.fitsIFMA()
 	//lint:ignore-choco bigintloop ring construction: rlwe.NewContext builds each level's ring once
 	sub.precomputeCRT()
 	return sub
@@ -674,37 +700,14 @@ func (r *Ring) ShoupPolyPrecomp(p *Poly) [][]uint64 {
 	return out
 }
 
-// MulCoeffsShoupAdd sets out += a ⊙ b, all in NTT domain, where bShoup
-// holds b's companions from ShoupPolyPrecomp. Bit-identical to
-// MulCoeffsAdd (Shoup multiplication is exact), but roughly halves the
-// per-coefficient cost for the fixed operand b.
-func (r *Ring) MulCoeffsShoupAdd(a, b *Poly, bShoup [][]uint64, out *Poly) {
-	if !a.IsNTT || !b.IsNTT || !out.IsNTT {
-		panic("ring: MulCoeffsShoupAdd requires NTT-domain operands")
-	}
-	if debugEnabled {
-		r.debugCheck("MulCoeffsShoupAdd", a, b, out)
-	}
-	r.parRows(len(out.Coeffs), parMinCoeffwise, func(i int) {
-		m := r.Moduli[i]
-		ro := out.Coeffs[i]
-		ra := a.Coeffs[i][:len(ro)]
-		rb := b.Coeffs[i][:len(ro)]
-		rs := bShoup[i][:len(ro)]
-		if mulShoupAddVector(m, ra, rb, rs, ro) {
-			return
-		}
-		for j := range ro {
-			ro[j] = m.Add(ro[j], m.MulShoup(ra[j], rb[j], rs[j]))
-		}
-	})
-}
-
 // MulCoeffsShoupAdd2 fuses two accumulations that share the left
 // operand — out0 += a ⊙ b0, out1 += a ⊙ b1 — into one sweep, loading
 // each coefficient of a once. This is the key-switching inner-product
 // shape: one digit multiplied against both halves (B, A) of a
-// switching key. Bit-identical to two MulCoeffsShoupAdd calls.
+// switching key. Bit-identical to two MulCoeffsAdd calls (Shoup
+// multiplication is exact), at roughly half the per-coefficient cost
+// for the fixed operands b0, b1, whose companions come from
+// ShoupPolyPrecomp.
 func (r *Ring) MulCoeffsShoupAdd2(a, b0 *Poly, b0Shoup [][]uint64, out0 *Poly, b1 *Poly, b1Shoup [][]uint64, out1 *Poly) {
 	if !a.IsNTT || !b0.IsNTT || !b1.IsNTT || !out0.IsNTT || !out1.IsNTT {
 		panic("ring: MulCoeffsShoupAdd2 requires NTT-domain operands")
@@ -740,7 +743,9 @@ func (r *Ring) MulCoeffsShoupAdd2(a, b0 *Poly, b0Shoup [][]uint64, out0 *Poly, b
 // passes and no scratch polynomial. Bit-identical to AutomorphismNTT
 // followed by MulCoeffsShoupAdd2: both compute
 // out[j] += a[perm[j]]·b[j] in the same exact modular arithmetic. g
-// must be odd; a must not alias out0 or out1.
+// must be odd; a must not alias out0 or out1. On rings whose moduli are
+// all below 2^51 it runs the AVX-512 IFMA kernel where the host has one
+// (ifma_amd64.s), with the same canonical result.
 func (r *Ring) AutomorphismNTTMulShoupAdd2(a *Poly, g uint64, b0 *Poly, b0Shoup [][]uint64, out0 *Poly, b1 *Poly, b1Shoup [][]uint64, out1 *Poly) {
 	if !a.IsNTT || !b0.IsNTT || !b1.IsNTT || !out0.IsNTT || !out1.IsNTT {
 		panic("ring: AutomorphismNTTMulShoupAdd2 requires NTT-domain operands")
@@ -750,6 +755,13 @@ func (r *Ring) AutomorphismNTTMulShoupAdd2(a *Poly, g uint64, b0 *Poly, b0Shoup 
 	}
 	tbl := r.automorphismTable(g)
 	perm := tbl.ntt
+	if r.useIFMA() {
+		r.parRows(len(out0.Coeffs), parMinCoeffwise, func(i int) {
+			autoMulShoupAdd2Vector(r.Moduli[i].Value, a.Coeffs[i], perm,
+				b0.Coeffs[i], b0Shoup[i], out0.Coeffs[i], b1.Coeffs[i], b1Shoup[i], out1.Coeffs[i])
+		})
+		return
+	}
 	r.parRows(len(out0.Coeffs), parMinCoeffwise, func(i int) {
 		m := r.Moduli[i]
 		ro0 := out0.Coeffs[i]

@@ -3,10 +3,11 @@ package ring
 import "choco/internal/blake3"
 
 // vectorKernels gates the SIMD ring kernels (NTT stage sweeps, fused
-// dyadic loops) at run time. It starts at whatever the build's
-// architecture detection found and can be forced off; the scalar loops
-// stay in-tree as the byte-exactness oracle, and every vector kernel
-// is bit-identical to its scalar twin by construction.
+// dyadic loops, and the IFMA key-switch and multiply-accumulate loops)
+// at run time. It starts at whatever the build's architecture
+// detection found and can be forced off; the scalar loops stay in-tree
+// as the byte-exactness oracle, and every vector kernel is
+// bit-identical to its scalar twin by construction.
 var vectorKernels = vectorAvailable()
 
 // SetVectorKernels enables or disables the vectorized kernels across
@@ -25,6 +26,20 @@ func SetVectorKernels(on bool) bool {
 // VectorKernelsEnabled reports whether the vector ring kernels are
 // currently selected.
 func VectorKernelsEnabled() bool { return vectorKernels }
+
+// KernelTier names the widest ring kernels this process runs:
+// "avx512ifma" when the AVX-512 IFMA kernels are selected (they serve
+// only rings whose moduli are all below 2^51; others run the AVX2
+// ones), "avx2" when the AVX2 kernels are, "scalar" otherwise.
+func KernelTier() string {
+	switch {
+	case vectorKernels && ifmaAvailable():
+		return "avx512ifma"
+	case vectorKernels:
+		return "avx2"
+	}
+	return "scalar"
+}
 
 // assertRowBound panics if any lane of a is outside [0, bound). Only
 // called under the chocodebug build tag, where the vector NTT drivers

@@ -102,7 +102,7 @@ func TestNTTVectorScalarIdentical(t *testing.T) {
 	}
 }
 
-// TestDyadicVectorScalarIdentical covers the four fused dyadic kernels
+// TestDyadicVectorScalarIdentical covers the three fused dyadic kernels
 // against their scalar twins on every preset shape.
 func TestDyadicVectorScalarIdentical(t *testing.T) {
 	requireVector(t)
@@ -123,7 +123,6 @@ func TestDyadicVectorScalarIdentical(t *testing.T) {
 		variants := []variant{
 			{"MulCoeffs", func(o0, _ *Poly) { r.MulCoeffs(a, b0, o0) }},
 			{"MulCoeffsAdd", func(o0, _ *Poly) { r.MulCoeffsAdd(a, b0, o0) }},
-			{"MulCoeffsShoupAdd", func(o0, _ *Poly) { r.MulCoeffsShoupAdd(a, b0, s0, o0) }},
 			{"MulCoeffsShoupAdd2", func(o0, o1 *Poly) { r.MulCoeffsShoupAdd2(a, b0, s0, o0, b1, s1, o1) }},
 		}
 		for _, v := range variants {

@@ -51,7 +51,12 @@ func (r *Ring) PutWideAcc(acc *WideAcc) {
 }
 
 // MulCoeffsAddWide sets acc += a ⊙ b without reducing: a and b are
-// NTT-domain polynomials of this ring, with exactly its residue rows.
+// NTT-domain polynomials of this ring, with exactly its residue rows. On
+// rings whose moduli are all below 2^51 it runs the AVX-512 IFMA kernel
+// where the host has one (ifma_amd64.s): the same 128-bit sums, built
+// from the product's two 52-bit halves. The chocodebug carry assertion
+// lives in the scalar loop; an IFMA ring's accumulator holds at least
+// 2^26 terms before it folds.
 func (r *Ring) MulCoeffsAddWide(a, b *Poly, acc *WideAcc) {
 	if !a.IsNTT || !b.IsNTT {
 		panic("ring: MulCoeffsAddWide requires NTT-domain operands")
@@ -71,6 +76,12 @@ func (r *Ring) MulCoeffsAddWide(a, b *Poly, acc *WideAcc) {
 		acc.terms = 1
 	}
 	acc.terms++
+	if r.useIFMA() {
+		r.parRows(len(acc.lo.Coeffs), parMinCoeffwise, func(i int) {
+			mulAddWideVector(acc.lo.Coeffs[i], acc.hi.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
+		})
+		return
+	}
 	r.parRows(len(acc.lo.Coeffs), parMinCoeffwise, func(i int) {
 		lo := acc.lo.Coeffs[i]
 		hi := acc.hi.Coeffs[i][:len(lo)]

@@ -119,44 +119,49 @@ func TestWideAccFoldsBeforeOverflow(t *testing.T) {
 }
 
 // FuzzMulCoeffsAddWide drives chains of fuzz-chosen length and operands
-// through the lazy accumulator over 61- and 55-bit primes — long enough to
-// cross the 64-term fold — and asserts byte identity with the per-term
-// reduced chain. Pattern bytes plant boundary residues (0, q−1) among
-// random ones.
+// through the lazy accumulator and asserts byte identity with the
+// per-term reduced chain, with the vector kernels on and off: over 61-
+// and 55-bit primes (the scalar loop; long chains cross the 64-term
+// fold) and over 51- and 36-bit primes (the IFMA kernel where the host
+// has it, with a fold forced after fuzz-chosen term foldAt). Pattern
+// bytes plant boundary residues (0, q−1) among random ones.
 func FuzzMulCoeffsAddWide(f *testing.F) {
 	f.Add(uint64(1), uint8(3), []byte{0, 1, 2, 3})
 	f.Add(uint64(7), uint8(200), []byte{255})
 	f.Add(uint64(99), uint8(65), []byte{})
 	f.Fuzz(func(t *testing.T, seed uint64, terms uint8, pattern []byte) {
-		qs, err := nt.GenerateNTTPrimesVarBits([]int{61, 55}, 4)
-		if err != nil {
-			t.Skip("no primes")
-		}
-		r, err := NewRing(4, qs)
-		if err != nil {
-			t.Skip("no ring")
-		}
-		rng := rand.New(rand.NewSource(int64(seed)))
-		operand := func() *Poly {
-			p := randomVecPoly(r, rng, true)
-			for i, m := range r.Moduli {
-				for j := range p.Coeffs[i] {
-					if len(pattern) == 0 {
-						continue
+		prev := VectorKernelsEnabled()
+		defer SetVectorKernels(prev)
+		for _, bits := range [][]int{{61, 55}, {51, 36}} {
+			qs, err := nt.GenerateNTTPrimesVarBits(bits, 4)
+			if err != nil {
+				t.Skip("no primes")
+			}
+			r, err := NewRing(4, qs)
+			if err != nil {
+				t.Skip("no ring")
+			}
+			rng := rand.New(rand.NewSource(int64(seed)))
+			as, bs := make([]*Poly, terms), make([]*Poly, terms)
+			for k := range as {
+				as[k], bs[k] = fuzzOperand(r, rng, pattern), fuzzOperand(r, rng, pattern)
+			}
+			foldAt := int(seed % (uint64(terms) + 1))
+			_, eager := wideChain(r, int(terms), func(k int) (*Poly, *Poly) { return as[k], bs[k] })
+			for _, vec := range []bool{true, false} {
+				SetVectorKernels(vec)
+				acc := r.GetWideAcc()
+				for k := range as {
+					if k == foldAt && r.wideTerms() > 64 {
+						acc.terms = r.wideTerms() // the next term folds first
 					}
-					switch pattern[(i*r.N+j)%len(pattern)] % 4 {
-					case 0:
-						p.Coeffs[i][j] = m.Value - 1
-					case 1:
-						p.Coeffs[i][j] = 0
-					}
+					r.MulCoeffsAddWide(as[k], bs[k], acc)
+				}
+				if lazy := r.ReduceWideAcc(acc); !r.Equal(lazy, eager) {
+					t.Fatalf("%v-bit primes, %d terms, vector=%v (IFMA %v): lazy accumulation differs from per-term MulCoeffsAdd",
+						bits, terms, vec, r.useIFMA())
 				}
 			}
-			return p
-		}
-		lazy, eager := wideChain(r, int(terms), func(int) (*Poly, *Poly) { return operand(), operand() })
-		if !r.Equal(lazy, eager) {
-			t.Fatalf("%d terms: lazy accumulation differs from per-term MulCoeffsAdd", terms)
 		}
 	})
 }

@@ -166,8 +166,11 @@ type Stats struct {
 
 	// Parallelism is the width of the process-wide par worker pool the
 	// HE hot paths fan out over (shared by all sessions; see
-	// internal/par). Kernels is the tier the ring kernels run at in this
-	// process: "avx2" or "scalar".
+	// internal/par). Kernels is ring.KernelTier(), the widest tier the
+	// ring kernels run at in this process: "avx512ifma", "avx2" or
+	// "scalar". The IFMA kernels (the key-switch inner product and the
+	// plaintext multiply-accumulate) apply only to rings whose primes are
+	// all below 2^51, such as bfv-B's; other rings run the AVX2 tier.
 	Parallelism int
 	Kernels     string
 
@@ -209,7 +212,7 @@ func (s *Server) Stats() Stats {
 		BytesUp:           a.bytesUp.Load(),
 		BytesDown:         a.bytesDown.Load(),
 		Parallelism:       par.Parallelism(),
-		Kernels:           kernelTier(),
+		Kernels:           ring.KernelTier(),
 		ServerOps: core.OpCounts{
 			Rotations:  int(a.rotations.Load()),
 			PlainMults: int(a.plainMults.Load()),
@@ -222,13 +225,6 @@ func (s *Server) Stats() Stats {
 		Layers:           s.exec.layerStats(s.backend.Model.Net),
 		Tenants:          s.tenants.snapshot(),
 	}
-}
-
-func kernelTier() string {
-	if ring.VectorKernelsEnabled() {
-		return "avx2"
-	}
-	return "scalar"
 }
 
 // StatsHandler serves the snapshot as JSON (mount it on the -stats-addr
