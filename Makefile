@@ -53,22 +53,28 @@
 #   make purego  — tests with the vector kernels compiled out (the
 #                  scalar-only build every non-amd64 target gets)
 #   make kernels — the IFMA-against-scalar equivalence and dispatch
-#                  tests with -v: two loops have an AVX-512 IFMA kernel
-#                  (the gathered key-switch inner product
+#                  tests with -v: the NTT and two dyadic loops have
+#                  AVX-512 IFMA kernels (the forward and inverse
+#                  transform stages, per residue row whose prime is
+#                  below 2^51; the gathered key-switch inner product
 #                  AutomorphismNTTMulShoupAdd2 and the 128-bit
 #                  multiply-accumulate MulCoeffsAddWide, on rings whose
-#                  primes are all below 2^51; the NTT and the other
-#                  dyadic loops stay AVX2), and the log names the tier
-#                  the tests ran at, or the CPU feature whose absence
-#                  skipped them
+#                  primes are all below 2^51; the other dyadic loops and
+#                  the NTT of wider primes stay AVX2), and the log names
+#                  the tier the tests ran at and the NTT tiers compared
+#                  per ring, or the CPU feature whose absence skipped
+#                  the IFMA tests
 #   make bench   — the repository's benchmark (see bench-e2e), its
 #                  report recorded under the commit in
 #                  BENCH_trajectory.json, then the Go benchmarks
 #   make fuzz    — 30-second smoke run of the packed-row codec's fuzz
-#                  target (internal/ring), of the two IFMA kernels
-#                  against their scalar loops (internal/ring: the
-#                  multiply-accumulate and the gathered inner product;
-#                  skipped on a host without IFMA), of the CKKS encoder against
+#                  target (internal/ring), of the vector NTT against the
+#                  scalar one (internal/ring: rows at 55-, 51- and
+#                  36-bit primes on every tier the host has), of the two
+#                  IFMA dyadic kernels against their scalar loops
+#                  (internal/ring: the multiply-accumulate and the
+#                  gathered inner product; skipped on a host without
+#                  IFMA), of the CKKS encoder against
 #                  its big-integer oracle (internal/ckks: any float64
 #                  bits as slot and scale, same bytes or both refuse),
 #                  and of each internal/protocol
@@ -137,10 +143,11 @@ purego:
 	$(GO) test -shuffle=on -tags purego ./...
 
 kernels:
-	$(GO) test -v -count=1 -run 'TestIFMAKernelsMatchScalar|TestIFMADispatch|TestIFMAMatchesCPUInfo' ./internal/cpu ./internal/ring
+	$(GO) test -v -count=1 -run 'TestIFMAKernelsMatchScalar|TestIFMADispatch|TestIFMAMatchesCPUInfo|TestNTTVectorScalarIdentical' ./internal/cpu ./internal/ring
 
 fuzz:
 	$(GO) test ./internal/ring -run '^$$' -fuzz '^FuzzPackedRow$$' -fuzztime 30s
+	$(GO) test ./internal/ring -run '^$$' -fuzz '^FuzzNTTRowVector$$' -fuzztime 30s
 	$(GO) test ./internal/ring -run '^$$' -fuzz '^FuzzMulCoeffsAddWide$$' -fuzztime 30s
 	$(GO) test ./internal/ring -run '^$$' -fuzz '^FuzzAutomorphismNTTMulShoupAdd2$$' -fuzztime 30s
 	$(GO) test ./internal/ckks -run '^$$' -fuzz '^FuzzEncodeCKKS$$' -fuzztime 30s

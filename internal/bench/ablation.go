@@ -300,21 +300,31 @@ func applyBatched(ev *bfv.Evaluator, w [][]int64, cts []*bfv.Ciphertext) []*bfv.
 func SetupCosts() (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "One-time client setup: evaluation-key bundles per network\n")
-	fmt.Fprintf(&b, "%-9s %8s %14s %16s %24s\n",
-		"Network", "N", "galois keys", "bundle (MB)", "≈ inferences to amortize*")
+	fmt.Fprintf(&b, "%-9s %8s %14s %16s %24s %11s\n",
+		"Network", "N", "galois keys", "bundle (MB)", "≈ requests to amortize*", "per request")
 	for _, n := range nn.Zoo() {
 		keys, bytes, err := nn.EvaluationKeyFootprint(n)
 		if err != nil {
 			return "", err
 		}
-		per, err := n.CommBytes()
-		if err != nil {
-			return "", err
+		// A network the operators can lay out is priced by what its
+		// requests put on the wire; the others only have the model.
+		per, basis := int64(0), "executed"
+		if rc, err := nn.ExecutableRequestCost(n); err == nil {
+			per = rc.WireBytes
+		} else {
+			basis = "modeled"
+			if per, err = n.CommBytes(); err != nil {
+				return "", err
+			}
 		}
-		fmt.Fprintf(&b, "%-9s %8d %14d %16.1f %24.1f\n",
-			n.Name, n.Params.N(), keys, float64(bytes)/1e6, float64(bytes)/float64(per))
+		fmt.Fprintf(&b, "%-9s %8d %14d %16.1f %24.1f %11s\n",
+			n.Name, n.Params.N(), keys, float64(bytes)/1e6, float64(bytes)/float64(per), basis)
 	}
-	fmt.Fprintf(&b, "*bundle bytes as marshalled (residues at their bit widths) / the model's per-inference\n communication (CommBytes, in the paper's 8-byte words); shipped once per key epoch.\n")
+	fmt.Fprintf(&b, "*bundle bytes as marshalled (residues at their bit widths) / one request's bytes: executed = the\n"+
+		" executable path's wire bytes (ExecutableRequestCost: seeded uploads, replies at their sent level);\n"+
+		" modeled = the model's per-inference communication (CommBytes, in the paper's 8-byte words), for\n"+
+		" networks whose layers the operators cannot lay out. Shipped once per key epoch.\n")
 
 	// What the executable path moves and computes per request, from the
 	// operators' own plans: a packing regression shows here, on the push

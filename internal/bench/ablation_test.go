@@ -60,4 +60,25 @@ func TestSetupCosts(t *testing.T) {
 	if !strings.Contains(out, "VGG16") || !strings.Contains(out, "DemoNet") {
 		t.Error("missing networks")
 	}
+	// LeNet-Sm runs: its 5.7 MB bundle amortizes over the 221 448 wire
+	// bytes a request moves, not over the model's 589 920-byte figure
+	// (≈ 9.6). The networks the operators cannot lay out keep the model.
+	for _, want := range [][]string{
+		{"LeNetSm", "25.5", "executed"},
+		{"LeNetLg", "modeled"},
+		{"VGG16", "modeled"},
+	} {
+		var line string
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, want[0]+" ") {
+				line = l
+				break
+			}
+		}
+		for _, w := range want[1:] {
+			if !strings.Contains(line, w) {
+				t.Errorf("%s setup row %q lacks %q", want[0], line, w)
+			}
+		}
+	}
 }

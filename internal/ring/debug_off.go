@@ -8,3 +8,5 @@ package ring
 const debugEnabled = false
 
 func (r *Ring) debugCheck(op string, ps ...*Poly) {}
+
+func (r *Ring) debugCheckRow(op string, lvl int, row []uint64) {}

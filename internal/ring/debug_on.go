@@ -45,3 +45,19 @@ func (r *Ring) debugCheck(op string, ps ...*Poly) {
 		}
 	}
 }
+
+// debugCheckRow validates one residue row handed to a row transform:
+// N coefficients, each in [0, q_lvl). The IFMA stages multiply only a
+// lane's low 52 bits, so an unreduced lane would come out a wrong
+// residue rather than a congruent one.
+func (r *Ring) debugCheckRow(op string, lvl int, row []uint64) {
+	if len(row) != r.N {
+		panic(fmt.Sprintf("ring: chocodebug: %s row %d has %d coefficients, want N=%d", op, lvl, len(row), r.N))
+	}
+	q := r.Moduli[lvl].Value
+	for j, v := range row {
+		if v >= q {
+			panic(fmt.Sprintf("ring: chocodebug: %s row %d residue [%d] = %d out of range mod %d", op, lvl, j, v, q))
+		}
+	}
+}

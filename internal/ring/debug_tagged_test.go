@@ -92,18 +92,21 @@ func TestChocodebugWideAccRowMismatchPanics(t *testing.T) {
 
 // TestChocodebugUnreducedLaneNeverReachesIFMA plants a lane equal to q
 // in an operand of each IFMA kernel's entry point on a ring that selects
-// the kernels. VPMADD52 multiplies only a lane's low 52 bits, so an
-// unreduced lane would give a wrong product, not a congruent one: the
-// tagged build must panic by name before the kernel runs.
+// the kernels: the two dyadic kernels, both whole-polynomial transforms
+// and both row transforms. VPMADD52 multiplies only a lane's low 52 bits,
+// so an unreduced lane would give a wrong product, not a congruent one:
+// the tagged build must panic by name before the kernel runs.
 func TestChocodebugUnreducedLaneNeverReachesIFMA(t *testing.T) {
 	r := testRing(t, 4, []int{51, 36})
-	t.Logf("ring selects IFMA: %v (kernel tier %s)", r.useIFMA(), KernelTier())
+	t.Logf("ring selects IFMA: %v, NTT rows %v, %v (kernel tier %s)", r.useIFMA(), r.tables[0].useIFMA(), r.tables[1].useIFMA(), KernelTier())
 	a := randomPoly(r, 7)
 	b := randomPoly(r, 8)
 	a.DeclareNTT()
 	b.DeclareNTT()
 	bs := r.ShoupPolyPrecomp(b)
 	a.Coeffs[0][5] = r.Moduli[0].Value
+	coeff := r.CopyPoly(a)
+	coeff.DeclareCoeff()
 	for name, call := range map[string]func(){
 		"AutomorphismNTTMulShoupAdd2": func() {
 			o0, o1 := r.NewPoly(), r.NewPoly()
@@ -112,6 +115,10 @@ func TestChocodebugUnreducedLaneNeverReachesIFMA(t *testing.T) {
 			r.AutomorphismNTTMulShoupAdd2(a, 3, b, bs, o0, b, bs, o1)
 		},
 		"MulCoeffsAddWide": func() { r.MulCoeffsAddWide(a, b, r.GetWideAcc()) },
+		"NTT":              func() { r.NTT(r.CopyPoly(coeff)) },
+		"INTT":             func() { r.INTT(r.CopyPoly(a)) },
+		"NTTForwardRow":    func() { r.NTTForwardRow(0, append([]uint64(nil), a.Coeffs[0]...)) },
+		"NTTInverseRow":    func() { r.NTTInverseRow(0, append([]uint64(nil), a.Coeffs[0]...)) },
 	} {
 		msg := mustPanic(t, call)
 		if !strings.Contains(msg, "chocodebug") || !strings.Contains(msg, name) || !strings.Contains(msg, "out of range") {

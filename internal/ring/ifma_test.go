@@ -131,9 +131,13 @@ func TestIFMAKernelsMatchScalar(t *testing.T) {
 
 // TestIFMADispatch pins which rings take the kernels: bfv-B's
 // {36, 36, 37} key ring and its levels do on an IFMA host, as do the
-// bfv-Test {40, 40, 41} and PresetDistance {50, 40, 40, 51} shapes;
-// bfv-A's {58, 58, 59} and ckks-C's 60-bit primes do not, nor does a
-// ring too short for one 8-lane vector; SetVectorKernels(false) turns
+// bfv-Test {40, 40, 41}, ckks-Test {50, 50, 51} and PresetDistance
+// {50, 40, 40, 51} shapes; bfv-A's {58, 58, 59} and ckks-C's
+// {60, 60, 60} do not, nor does a ring with a 60-bit prime at each end,
+// nor a ring too short for one 8-lane vector. The NTT decides per
+// residue row: every row whose prime is below 2^51 (the 51-bit special
+// primes included) selects the IFMA stages, the 58- to 60-bit rows the
+// AVX2 ones, and a row of N = 4 neither. SetVectorKernels(false) turns
 // the kernels off everywhere.
 func TestIFMADispatch(t *testing.T) {
 	requireIFMA(t)
@@ -145,9 +149,11 @@ func TestIFMADispatch(t *testing.T) {
 	}{
 		{"bfv-B", 12, []int{36, 36, 37}, true},
 		{"bfv-Test", 11, []int{40, 40, 41}, true},
+		{"ckks-Test", 11, []int{50, 50, 51}, true},
 		{"PresetDistance", 13, []int{50, 40, 40, 51}, true},
 		{"bfv-A", 13, []int{58, 58, 59}, false},
-		{"ckks-C", 13, []int{60, 40, 40, 60}, false},
+		{"ckks-C", 13, []int{60, 60, 60}, false},
+		{"60-bit ends", 13, []int{60, 40, 40, 60}, false},
 		{"N=4", 2, []int{36, 37}, false},
 	} {
 		qs, err := nt.GenerateNTTPrimesVarBits(s.bits, s.logN)
@@ -165,9 +171,23 @@ func TestIFMADispatch(t *testing.T) {
 		if s.want && !r.AtLevel(0).useIFMA() {
 			t.Errorf("%s: the level-0 view drops the IFMA kernels", s.name)
 		}
+		var rows []bool
+		for i, tbl := range r.tables {
+			want := s.bits[i] <= 51 && r.N >= 16
+			if tbl.useIFMA() != want {
+				t.Errorf("%s row %d (%d-bit prime): NTT selects IFMA = %v, want %v", s.name, i, s.bits[i], tbl.useIFMA(), want)
+			}
+			rows = append(rows, tbl.useIFMA())
+		}
+		t.Logf("%s (N=%d, %v bits): dyadic IFMA %v, NTT IFMA per row %v", s.name, r.N, s.bits, r.useIFMA(), rows)
 		SetVectorKernels(false)
 		if r.useIFMA() || KernelTier() != "scalar" {
 			t.Errorf("%s: SetVectorKernels(false) leaves IFMA = %v, tier %q", s.name, r.useIFMA(), KernelTier())
+		}
+		for i, tbl := range r.tables {
+			if tbl.useIFMA() {
+				t.Errorf("%s row %d: SetVectorKernels(false) leaves the IFMA NTT selected", s.name, i)
+			}
 		}
 	}
 	// ckks-C's data primes below its 60-bit top one fit: the level views
@@ -186,6 +206,35 @@ func TestIFMADispatch(t *testing.T) {
 	}
 	if KernelTier() != "avx512ifma" {
 		t.Errorf("KernelTier() = %q on an IFMA host with the kernels on", KernelTier())
+	}
+}
+
+// TestIFMANTTRejectsShortRow hands the IFMA row transforms a row shorter
+// than the ring degree: the stages count their steps from the row and
+// would run past its end, so both directions must panic instead.
+func TestIFMANTTRejectsShortRow(t *testing.T) {
+	requireIFMA(t)
+	SetVectorKernels(true)
+	qs, err := nt.GenerateNTTPrimesVarBits([]int{36}, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRing(12, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]func([]uint64){
+		"forward": func(row []uint64) { nttForward(r.tables[0], row) },
+		"inverse": func(row []uint64) { nttInverse(r.tables[0], row) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a 16-word row on an N=4096 IFMA table did not panic", name)
+				}
+			}()
+			f(make([]uint64, 16))
+		}()
 	}
 }
 

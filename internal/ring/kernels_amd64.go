@@ -3,6 +3,8 @@
 package ring
 
 import (
+	"math/bits"
+
 	"choco/internal/cpu"
 	"choco/internal/nt"
 )
@@ -47,21 +49,41 @@ func mulModAddVecAVX2(ro, ra, rb *uint64, q, bHi, bLo uint64, n int)
 func mulShoupAdd2VecAVX2(ro0, ro1, ra, rb0, rs0, rb1, rs1 *uint64, q uint64, n int)
 
 //go:noescape
+func nttFwdStageIFMA(p, psi, psiS *uint64, q uint64, m, t int)
+
+//go:noescape
+func nttInvStageIFMA(p, psi, psiS *uint64, q uint64, h, t int)
+
+//go:noescape
+func nttFwdTailIFMA(p, psi, psiS *uint64, q uint64, steps int, perm *tailPerm, step int)
+
+//go:noescape
+func nttInvTailIFMA(p, psi, psiS *uint64, q uint64, steps int, perm *tailPerm, step int)
+
+//go:noescape
+func nttInvFinalIFMA(p *uint64, q, nInv, nInvS, nInvPsi, nInvPsiS uint64, half int)
+
+//go:noescape
 func autoMulShoupAdd2IFMA(ro0, ro1, ra, perm, rb0, rs0, rb1, rs1 *uint64, q uint64, n int)
 
 //go:noescape
 func mulAddWideIFMA(lo, hi, ra, rb *uint64, n int)
 
-// nttForwardVec runs the forward transform through the AVX2 stage
-// kernels. Each stage is the same eager Cooley-Tukey butterfly sweep
-// as the scalar loop — identical per-element arithmetic, so the result
-// is bit-identical, not merely congruent. Returns false (caller runs
-// scalar) when disabled or when the ring is too small to fill a vector
-// (n < 8).
+// nttForwardVec runs the forward transform through the vector stage
+// kernels: the IFMA ones where the table selected them
+// (nttTable.useIFMA), the AVX2 ones otherwise. Each stage is the same
+// eager Cooley-Tukey butterfly sweep as the scalar loop, every lane
+// canonical after every stage, so the result is bit-identical, not
+// merely congruent. Returns false (caller runs scalar) when disabled or
+// when the ring is too small to fill a vector (n < 8).
 func nttForwardVec(tbl *nttTable, a []uint64) bool {
 	n := len(a)
 	if !vectorKernels || n < 8 {
 		return false
+	}
+	if tbl.useIFMA() {
+		nttForwardIFMA(tbl, a)
+		return true
 	}
 	q := tbl.mod.Value
 	t := n
@@ -82,14 +104,21 @@ func nttForwardVec(tbl *nttTable, a []uint64) bool {
 	return true
 }
 
-// nttInverseVec runs the inverse transform through the AVX2 stage
-// kernels, replicating the scalar loop's Harvey lazy-reduction
-// schedule exactly: lanes live in [0, 2q) between stages and the
-// final folded-scaling half-stage restores canonical [0, q).
+// nttInverseVec runs the inverse transform through the vector stage
+// kernels (IFMA or AVX2, as for nttForwardVec), replicating the scalar
+// loop's Harvey lazy-reduction schedule: lanes live in [0, 2q) between
+// stages and the final folded-scaling half-stage restores canonical
+// [0, q). The lazy lanes of a stage need not equal the scalar loop's
+// (an IFMA quotient estimate may land on the other representative below
+// 2q), but the canonical output is the one residue congruent to both.
 func nttInverseVec(tbl *nttTable, a []uint64) bool {
 	n := len(a)
 	if !vectorKernels || n < 8 {
 		return false
+	}
+	if tbl.useIFMA() {
+		nttInverseIFMA(tbl, a)
+		return true
 	}
 	q := tbl.mod.Value
 	t := 1
@@ -113,6 +142,100 @@ func nttInverseVec(tbl *nttTable, a []uint64) bool {
 		assertRowBound("nttInverseVec final", a, q)
 	}
 	return true
+}
+
+// tailPerm holds the lane indices of an IFMA stage whose butterflies
+// span t < 8 lanes. A step works on 16 words, A = p[0:8] and B =
+// p[8:16]; an index k < 8 names A[k] (or X[k]), 8+k names B[k] (or
+// Y[k]). u and v gather the two halves of the step's 8 butterflies from
+// (A, B), w picks each butterfly's twiddle from the step's 8/t
+// consecutive table entries, and a and b scatter the butterflies'
+// outputs (X, Y) back to A and B. The inverse stages use the same
+// layout: a stage with lane count t reads and writes groups of 2t words.
+type tailPerm struct {
+	u, v, w, a, b [8]uint64
+}
+
+// ifmaTail is indexed by log2 t.
+var ifmaTail = [3]tailPerm{
+	{ // t = 1: pairs [x y]
+		u: [8]uint64{0, 2, 4, 6, 8, 10, 12, 14},
+		v: [8]uint64{1, 3, 5, 7, 9, 11, 13, 15},
+		w: [8]uint64{0, 1, 2, 3, 4, 5, 6, 7},
+		a: [8]uint64{0, 8, 1, 9, 2, 10, 3, 11},
+		b: [8]uint64{4, 12, 5, 13, 6, 14, 7, 15},
+	},
+	{ // t = 2: groups [x0 x1 y0 y1]
+		u: [8]uint64{0, 1, 4, 5, 8, 9, 12, 13},
+		v: [8]uint64{2, 3, 6, 7, 10, 11, 14, 15},
+		w: [8]uint64{0, 0, 1, 1, 2, 2, 3, 3},
+		a: [8]uint64{0, 1, 8, 9, 2, 3, 10, 11},
+		b: [8]uint64{4, 5, 12, 13, 6, 7, 14, 15},
+	},
+	{ // t = 4: groups [x0..x3 y0..y3]
+		u: [8]uint64{0, 1, 2, 3, 8, 9, 10, 11},
+		v: [8]uint64{4, 5, 6, 7, 12, 13, 14, 15},
+		w: [8]uint64{0, 0, 0, 0, 1, 1, 1, 1},
+		a: [8]uint64{0, 1, 2, 3, 8, 9, 10, 11},
+		b: [8]uint64{4, 5, 6, 7, 12, 13, 14, 15},
+	},
+}
+
+// checkIFMARow returns the row length after checking it is the table's
+// degree: the IFMA stages count their steps from it and read twiddles
+// by it, so a shorter row would run them past its end.
+func checkIFMARow(tbl *nttTable, a []uint64) int {
+	if len(a) != len(tbl.psiRev) {
+		panic("ring: NTT row length is not the ring degree")
+	}
+	return len(a)
+}
+
+// nttForwardIFMA is the forward transform on the IFMA kernels: the
+// broadcast-twiddle stage for t >= 8, then the three permute stages.
+// The table selected IFMA, so q < 2^51 and n >= 16. A permute stage's
+// VPERMQ reads 8 twiddles from its step's first one; the last step's
+// read ends inside the table (at psiRev[n-1] for t = 1).
+func nttForwardIFMA(tbl *nttTable, a []uint64) {
+	n := checkIFMARow(tbl, a)
+	q := tbl.mod.Value
+	for m := 1; m < n; m <<= 1 {
+		t := n / (2 * m)
+		if t >= 8 {
+			nttFwdStageIFMA(&a[0], &tbl.psiRev[m], &tbl.psiRevShoup[m], q, m, t)
+		} else {
+			nttFwdTailIFMA(&a[0], &tbl.psiRev[m], &tbl.psiRevShoup[m], q, n/16, &ifmaTail[bits.TrailingZeros(uint(t))], 64/t)
+		}
+		if debugEnabled {
+			assertRowBound("nttForwardIFMA stage", a, q)
+		}
+	}
+}
+
+// nttInverseIFMA is the inverse transform on the IFMA kernels: the
+// permute stages for t = 1, 2, 4, the broadcast-twiddle stages, and the
+// folded-scaling final half-stage, under the same conditions as
+// nttForwardIFMA.
+func nttInverseIFMA(tbl *nttTable, a []uint64) {
+	n := checkIFMARow(tbl, a)
+	q := tbl.mod.Value
+	t := 1
+	for m := n; m > 2; m >>= 1 {
+		h := m >> 1
+		if t >= 8 {
+			nttInvStageIFMA(&a[0], &tbl.psiInvRev[h], &tbl.psiInvRevShoup[h], q, h, t)
+		} else {
+			nttInvTailIFMA(&a[0], &tbl.psiInvRev[h], &tbl.psiInvRevShoup[h], q, n/16, &ifmaTail[bits.TrailingZeros(uint(t))], 64/t)
+		}
+		if debugEnabled {
+			assertRowBound("nttInverseIFMA stage", a, 2*q)
+		}
+		t <<= 1
+	}
+	nttInvFinalIFMA(&a[0], q, tbl.nInv, tbl.nInvShoup, tbl.nInvPsi, tbl.nInvPsiShoup, n>>1)
+	if debugEnabled {
+		assertRowBound("nttInverseIFMA final", a, q)
+	}
 }
 
 // vectorLen reports whether a residue row of length n can go through

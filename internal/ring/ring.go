@@ -97,15 +97,20 @@ type Ring struct {
 	ifma bool
 }
 
-// fitsIFMA reports whether the IFMA kernels are exact for r: Shoup's
-// reduction at β = 2^52 leaves a remainder below 2q, which must stay
-// below 2^52.
+// ifmaFits reports whether the IFMA kernels are exact mod q on this
+// host: Shoup's reduction at β = 2^52 leaves a remainder below 2q, which
+// must stay below 2^52. It is the one rule behind both the ring's
+// dyadic-kernel choice (fitsIFMA) and each NTT table's.
+func ifmaFits(q uint64) bool { return ifmaAvailable() && q < 1<<51 }
+
+// fitsIFMA reports whether the dyadic IFMA kernels serve r: every
+// modulus fits them and N is a multiple of 8, one ZMM register.
 func (r *Ring) fitsIFMA() bool {
-	if !ifmaAvailable() || r.N%8 != 0 {
+	if r.N%8 != 0 {
 		return false
 	}
 	for _, m := range r.Moduli {
-		if m.Value >= 1<<51 {
+		if !ifmaFits(m.Value) {
 			return false
 		}
 	}
@@ -114,6 +119,9 @@ func (r *Ring) fitsIFMA() bool {
 
 // useIFMA reports whether this call runs the IFMA kernels.
 func (r *Ring) useIFMA() bool { return r.ifma && vectorKernels }
+
+// useIFMA reports whether a row transform with t runs the IFMA stages.
+func (t *nttTable) useIFMA() bool { return t.ifma && vectorKernels }
 
 // autoCache memoizes automorphism permutation tables keyed by Galois
 // element. A handful of elements recur thousands of times per kernel
@@ -201,6 +209,12 @@ type nttTable struct {
 	// pass doubles as the scaling pass.
 	nInvPsi      uint64
 	nInvPsiShoup uint64
+	// ifma selects the AVX-512 IFMA stage kernels for this modulus
+	// (ifma_amd64.s), fixed when the table is built: the modulus fits
+	// them (ifmaFits) and the row holds at least 16 words, one step of
+	// the t < 8 permute stages. The run-time vectorKernels switch still
+	// gates them; other tables run the AVX2 stages.
+	ifma bool
 }
 
 // NewRing constructs the ring of degree 2^logN with the given moduli.
@@ -299,6 +313,7 @@ func newNTTTable(m nt.Modulus, logN int) (*nttTable, error) {
 	t.nInvShoup = m.ShoupPrecomp(nInv)
 	t.nInvPsi = m.Mul(nInv, t.psiInvRev[1])
 	t.nInvPsiShoup = m.ShoupPrecomp(t.nInvPsi)
+	t.ifma = ifmaFits(m.Value) && n >= 16
 	return t, nil
 }
 
@@ -491,12 +506,18 @@ func (r *Ring) INTT(p *Poly) {
 // without whole-polynomial domain flips in between. The caller owns the
 // enclosing Poly's IsNTT bookkeeping (DeclareNTT / DeclareCoeff).
 func (r *Ring) NTTForwardRow(lvl int, row []uint64) {
+	if debugEnabled {
+		r.debugCheckRow("NTTForwardRow", lvl, row)
+	}
 	nttForward(r.tables[lvl], row)
 }
 
 // NTTInverseRow transforms a single RNS residue row in place (inverse,
 // evaluation → coefficient). See NTTForwardRow.
 func (r *Ring) NTTInverseRow(lvl int, row []uint64) {
+	if debugEnabled {
+		r.debugCheckRow("NTTInverseRow", lvl, row)
+	}
 	nttInverse(r.tables[lvl], row)
 }
 

@@ -2,8 +2,9 @@ package ring
 
 import "choco/internal/blake3"
 
-// vectorKernels gates the SIMD ring kernels (NTT stage sweeps, fused
-// dyadic loops, and the IFMA key-switch and multiply-accumulate loops)
+// vectorKernels gates the SIMD ring kernels (AVX2 and IFMA NTT stage
+// sweeps, fused dyadic loops, and the IFMA key-switch and
+// multiply-accumulate loops)
 // at run time. It starts at whatever the build's architecture
 // detection found and can be forced off; the scalar loops stay in-tree
 // as the byte-exactness oracle, and every vector kernel is
@@ -28,9 +29,11 @@ func SetVectorKernels(on bool) bool {
 func VectorKernelsEnabled() bool { return vectorKernels }
 
 // KernelTier names the widest ring kernels this process runs:
-// "avx512ifma" when the AVX-512 IFMA kernels are selected (they serve
-// only rings whose moduli are all below 2^51; others run the AVX2
-// ones), "avx2" when the AVX2 kernels are, "scalar" otherwise.
+// "avx512ifma" when the AVX-512 IFMA kernels are selected (the NTT
+// stages serve each residue row whose prime is below 2^51, the
+// key-switch inner product and the multiply-accumulate rings whose
+// primes all are; the rest runs the AVX2 ones), "avx2" when the AVX2
+// kernels are, "scalar" otherwise.
 func KernelTier() string {
 	switch {
 	case vectorKernels && ifmaAvailable():

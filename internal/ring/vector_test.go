@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -67,37 +68,79 @@ func requireVector(t *testing.T) {
 	}
 }
 
-// TestNTTVectorScalarIdentical transforms identical random rows
-// through the vector and scalar paths — both directions, every preset
-// shape, every drop level — and requires bit-identical residues.
+// nttTiers returns the vector NTT tiers a test can compare against the
+// scalar loops on r: "avx2" always, "ifma" when one of r's tables
+// selected the IFMA stages.
+func nttTiers(r *Ring) []string {
+	for _, tbl := range r.tables {
+		if tbl.ifma {
+			return []string{"avx2", "ifma"}
+		}
+	}
+	return []string{"avx2"}
+}
+
+// withNTTTier runs f with the row transforms of r on one tier: "scalar"
+// turns the vector kernels off, "avx2" keeps them on but sends the
+// tables that selected IFMA to the AVX2 stages for the duration, "ifma"
+// runs each table as selected.
+func withNTTTier(r *Ring, tier string, f func()) {
+	SetVectorKernels(tier != "scalar")
+	if tier == "avx2" {
+		var sel []*nttTable
+		for _, tbl := range r.tables {
+			if tbl.ifma {
+				tbl.ifma = false
+				sel = append(sel, tbl)
+			}
+		}
+		defer func() {
+			for _, tbl := range sel {
+				tbl.ifma = true
+			}
+		}()
+	}
+	f()
+}
+
+// TestNTTVectorScalarIdentical transforms identical random rows through
+// each vector tier and the scalar loops — both directions, every preset
+// shape (the {50, 50, 51} ring, whose u + 2q − v reaches 2^53, included),
+// every drop level — and requires bit-identical residues. On an IFMA
+// host the rows below 2^51 are compared on both the IFMA and the AVX2
+// stages; the log names the tier each ring ran.
 func TestNTTVectorScalarIdentical(t *testing.T) {
 	requireVector(t)
+	t.Logf("kernel tier %s", KernelTier())
 	rng := rand.New(rand.NewSource(41))
 	for _, full := range vectorTestRings(t) {
+		var widths []int
+		for _, m := range full.Moduli {
+			widths = append(widths, m.BitLen())
+		}
+		t.Logf("N=%d, %v-bit primes: NTT tiers compared %v", full.N, widths, nttTiers(full))
 		for lvl := full.Level() - 1; lvl >= 0; lvl-- {
 			r := full
 			if lvl < full.Level()-1 {
 				r = full.AtLevel(lvl)
 			}
-			a := randomVecPoly(r, rng, false)
-			b := r.CopyPoly(a)
+			for _, tier := range nttTiers(r) {
+				a := randomVecPoly(r, rng, false)
+				b := r.CopyPoly(a)
 
-			SetVectorKernels(true)
-			r.NTT(a)
-			SetVectorKernels(false)
-			r.NTT(b)
-			if !r.Equal(a, b) {
-				t.Fatalf("N=%d lvl=%d: forward NTT vector != scalar", r.N, lvl)
-			}
+				withNTTTier(r, tier, func() { r.NTT(a) })
+				withNTTTier(r, "scalar", func() { r.NTT(b) })
+				if !r.Equal(a, b) {
+					t.Fatalf("N=%d lvl=%d: forward NTT %s != scalar", r.N, lvl, tier)
+				}
 
-			SetVectorKernels(true)
-			r.INTT(a)
-			SetVectorKernels(false)
-			r.INTT(b)
-			SetVectorKernels(true)
-			if !r.Equal(a, b) {
-				t.Fatalf("N=%d lvl=%d: inverse NTT vector != scalar", r.N, lvl)
+				withNTTTier(r, tier, func() { r.INTT(a) })
+				withNTTTier(r, "scalar", func() { r.INTT(b) })
+				if !r.Equal(a, b) {
+					t.Fatalf("N=%d lvl=%d: inverse NTT %s != scalar", r.N, lvl, tier)
+				}
 			}
+			SetVectorKernels(true)
 		}
 	}
 }
@@ -158,72 +201,101 @@ func TestNTTVectorRoundTrip(t *testing.T) {
 }
 
 // FuzzNTTRowVector feeds arbitrary residue rows through both NTT
-// directions on both paths and asserts byte identity. The row is
-// seeded from fuzz bytes so the corpus explores structured patterns
-// (all-zero, boundary residues) alongside random ones.
+// directions on every vector tier and the scalar loops and asserts byte
+// identity, at N = 64 on a 55-bit prime (AVX2 stages), a 51-bit prime
+// (the widest the IFMA stages take) and a 36-bit one (bfv-B's width). The
+// row is seeded from fuzz bytes so the corpus explores structured
+// patterns alongside random ones: an even byte plants its own value mod
+// q, 0xFE plants q−1 (all-(q−1) rows are the widest inputs a stage sees),
+// an odd byte a random residue.
 func FuzzNTTRowVector(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 2, 3})
 	f.Add(uint64(99), []byte{255})
+	f.Add(uint64(5), []byte{0xFE})
+	f.Add(uint64(6), []byte{0xFE, 0xFE, 0xFE, 1})
+	var rings []*Ring
+	for _, bits := range []int{55, 51, 36} {
+		qs, err := nt.GenerateNTTPrimesVarBits([]int{bits}, 6)
+		if err != nil {
+			f.Fatalf("%d-bit prime: %v", bits, err)
+		}
+		r, err := NewRing(6, qs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		rings = append(rings, r)
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, pattern []byte) {
 		if !vectorAvailable() {
 			t.Skip("scalar-only build")
 		}
 		prev := VectorKernelsEnabled()
 		defer SetVectorKernels(prev)
-		qs, err := nt.GenerateNTTPrimesVarBits([]int{55}, 6)
-		if err != nil {
-			t.Skip("no prime")
-		}
-		r, err := NewRing(6, qs)
-		if err != nil {
-			t.Skip("no ring")
-		}
-		q := r.Moduli[0].Value
 		rng := rand.New(rand.NewSource(int64(seed)))
-		row := make([]uint64, r.N)
-		for j := range row {
-			if len(pattern) > 0 && pattern[j%len(pattern)]&1 == 0 {
-				row[j] = uint64(pattern[j%len(pattern)]) % q
-			} else {
-				row[j] = rng.Uint64() % q
+		for _, r := range rings {
+			q := r.Moduli[0].Value
+			row := make([]uint64, r.N)
+			for j := range row {
+				var p byte = 1
+				if len(pattern) > 0 {
+					p = pattern[j%len(pattern)]
+				}
+				switch {
+				case p == 0xFE:
+					row[j] = q - 1
+				case p&1 == 0:
+					row[j] = uint64(p) % q
+				default:
+					row[j] = rng.Uint64() % q
+				}
 			}
-		}
-		ref := append([]uint64(nil), row...)
-
-		SetVectorKernels(true)
-		r.NTTForwardRow(0, row)
-		SetVectorKernels(false)
-		r.NTTForwardRow(0, ref)
-		for j := range row {
-			if row[j] != ref[j] {
-				t.Fatalf("forward row diverges at %d: %d != %d", j, row[j], ref[j])
-			}
-		}
-		SetVectorKernels(true)
-		r.NTTInverseRow(0, row)
-		SetVectorKernels(false)
-		r.NTTInverseRow(0, ref)
-		for j := range row {
-			if row[j] != ref[j] {
-				t.Fatalf("inverse row diverges at %d: %d != %d", j, row[j], ref[j])
+			for _, tier := range nttTiers(r) {
+				vec := append([]uint64(nil), row...)
+				ref := append([]uint64(nil), row...)
+				withNTTTier(r, tier, func() { r.NTTForwardRow(0, vec) })
+				withNTTTier(r, "scalar", func() { r.NTTForwardRow(0, ref) })
+				for j := range vec {
+					if vec[j] != ref[j] {
+						t.Fatalf("q=%d %s: forward row diverges at %d: %d != %d", q, tier, j, vec[j], ref[j])
+					}
+				}
+				withNTTTier(r, tier, func() { r.NTTInverseRow(0, vec) })
+				withNTTTier(r, "scalar", func() { r.NTTInverseRow(0, ref) })
+				for j := range vec {
+					if vec[j] != ref[j] {
+						t.Fatalf("q=%d %s: inverse row diverges at %d: %d != %d", q, tier, j, vec[j], ref[j])
+					}
+				}
 			}
 		}
 	})
 }
 
-func benchNTTRow(b *testing.B, logN int, vec bool, forward bool) {
+// benchNTTRow times one row transform at a prime of the given width on
+// one of the kernel tiers: "scalar", "avx2" (the AVX2 stages, also on a
+// table that selected IFMA) or "ifma" (skipped where the table did not
+// select it).
+func benchNTTRow(b *testing.B, bits, logN int, tier string, forward bool) {
 	prev := VectorKernelsEnabled()
 	defer SetVectorKernels(prev)
-	if SetVectorKernels(vec) != vec {
+	if SetVectorKernels(tier != "scalar") != (tier != "scalar") {
 		b.Skip("vector kernels unavailable")
 	}
-	qs, err := nt.GenerateNTTPrimesVarBits([]int{60}, logN)
+	qs, err := nt.GenerateNTTPrimesVarBits([]int{bits}, logN)
 	if err != nil {
 		b.Fatal(err)
 	}
 	r, err := NewRing(logN, qs)
 	if err != nil {
 		b.Fatal(err)
+	}
+	switch tier {
+	case "avx2":
+		r.tables[0].ifma = false // this ring's own table, shared with no other
+	case "ifma":
+		if !r.tables[0].ifma {
+			b.Skip("no AVX-512 IFMA NTT for this modulus on this host/build")
+		}
 	}
 	row := make([]uint64, r.N)
 	rng := rand.New(rand.NewSource(7))
@@ -241,7 +313,23 @@ func benchNTTRow(b *testing.B, logN int, vec bool, forward bool) {
 	}
 }
 
-func BenchmarkNTTRowFwdScalar(b *testing.B) { benchNTTRow(b, 13, false, true) }
-func BenchmarkNTTRowFwdVector(b *testing.B) { benchNTTRow(b, 13, true, true) }
-func BenchmarkNTTRowInvScalar(b *testing.B) { benchNTTRow(b, 13, false, false) }
-func BenchmarkNTTRowInvVector(b *testing.B) { benchNTTRow(b, 13, true, false) }
+func BenchmarkNTTRowFwdScalar(b *testing.B) { benchNTTRow(b, 60, 13, "scalar", true) }
+func BenchmarkNTTRowFwdVector(b *testing.B) { benchNTTRow(b, 60, 13, "avx2", true) }
+func BenchmarkNTTRowInvScalar(b *testing.B) { benchNTTRow(b, 60, 13, "scalar", false) }
+func BenchmarkNTTRowInvVector(b *testing.B) { benchNTTRow(b, 60, 13, "avx2", false) }
+
+// BenchmarkNTTRowServed times both directions on every tier at the rows
+// the served presets transform: bfv-B's 36-bit primes at N = 4096 and a
+// 51-bit prime (ckks-Test's and PresetDistance's special prime, the
+// widest the IFMA kernels take) at N = 8192.
+func BenchmarkNTTRowServed(b *testing.B) {
+	for _, s := range []struct{ bits, logN int }{{36, 12}, {51, 13}} {
+		for _, dir := range []string{"fwd", "inv"} {
+			for _, tier := range []string{"scalar", "avx2", "ifma"} {
+				b.Run(fmt.Sprintf("%s/q%d-N%d/%s", dir, s.bits, 1<<s.logN, tier), func(b *testing.B) {
+					benchNTTRow(b, s.bits, s.logN, tier, dir == "fwd")
+				})
+			}
+		}
+	}
+}

@@ -168,9 +168,10 @@ type Stats struct {
 	// HE hot paths fan out over (shared by all sessions; see
 	// internal/par). Kernels is ring.KernelTier(), the widest tier the
 	// ring kernels run at in this process: "avx512ifma", "avx2" or
-	// "scalar". The IFMA kernels (the key-switch inner product and the
-	// plaintext multiply-accumulate) apply only to rings whose primes are
-	// all below 2^51, such as bfv-B's; other rings run the AVX2 tier.
+	// "scalar". The IFMA kernels apply only below 2^51: the NTT stages to
+	// each residue row whose prime is, the key-switch inner product and
+	// the plaintext multiply-accumulate to rings whose primes all are,
+	// such as bfv-B's; the rest runs the AVX2 tier.
 	Parallelism int
 	Kernels     string
 
