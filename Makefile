@@ -4,14 +4,16 @@
 #                  (default, chocodebug-tagged, and purego-tagged builds)
 #                  + the kernel-tier log (see kernels)
 #   make test    — tier-1 verify (build + tests, as in ROADMAP.md)
-#   make lint    — chocolint static analyzers only (see internal/lint)
+#   make lint    — chocolint static analyzers only (see internal/lint:
+#                  nttdomain, polypool, uncheckederr, bigintloop)
 #   make race    — race-enabled, shuffled tests; reruns the parallel
 #                  execution-layer packages (including the rlwe key-switch
 #                  core, the bfv/ckks hoisted-rotation fan-outs and the
 #                  CKKS users of the linear-transform executor), the
 #                  transports of internal/protocol, the
 #                  serving tier with its shared weight-plaintext
-#                  cache, and the fabric routing tier with
+#                  cache, the fabric routing tier and chocoserver's
+#                  session-limit watcher with
 #                  GOMAXPROCS=4 so the par fan-out
 #                  paths, sessions running their layers side by side
 #                  over the one plaintext cache,
@@ -24,11 +26,18 @@
 #                  TestInterruptUnblocksSend, serve's
 #                  TestStalledSessionBlocksNoOne, fabric's
 #                  TestFleetStatsSilentPeerBlocksNoRouting and
-#                  TestStalledReaderBlocksNoRouting); then
-#                  the serving and fabric suites 50 times over (their
-#                  counters must already hold every inference a client
-#                  has seen the reply to — the TestFabricFleet race —
-#                  and every stall test must meet its bound each time),
+#                  TestStalledReaderBlocksNoRouting), and so does the
+#                  goroutine-leak check that every serve, fabric and
+#                  chocoserver test starting a server, router, shard or
+#                  watcher installs (internal/testkit: whatever the test
+#                  started must exit within 2 s of its Close or drain);
+#                  then the serving and fabric suites 50 times over
+#                  (their counters must already hold every inference a
+#                  client has seen the reply to — the TestFabricFleet
+#                  race — every stall test must meet its bound each
+#                  time, and so must the leak check and the transcript
+#                  tests, which search every frame and log line of a
+#                  client's session for its seed and secret key),
 #                  the concurrent first use of a decomposition's
 #                  hoisted lift of c0 10 times, the distance server's
 #                  kept point plaintexts 10 times at GOMAXPROCS=4 (the
@@ -128,7 +137,7 @@ vet:
 
 race:
 	$(GO) test -race -shuffle=on ./...
-	GOMAXPROCS=4 $(GO) test -race -shuffle=on ./internal/par ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core ./internal/apps/distance ./internal/apps/pagerank ./internal/protocol ./internal/serve ./internal/fabric
+	GOMAXPROCS=4 $(GO) test -race -shuffle=on ./internal/par ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core ./internal/apps/distance ./internal/apps/pagerank ./internal/protocol ./internal/serve ./internal/fabric ./cmd/chocoserver
 	$(GO) test -race -count=50 -timeout 60m ./internal/serve ./internal/fabric
 	$(GO) test -race -count=10 -run 'TestRotateRowsLazyNTTMatchesMaterialized' ./internal/bfv
 	GOMAXPROCS=4 $(GO) test -race -count=10 -run 'TestServerKeepsPointPlaintexts|TestAllVariantsMatchPlainDistances' ./internal/apps/distance

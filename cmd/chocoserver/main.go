@@ -124,8 +124,9 @@ type serveOpts struct {
 // watchSessionLimit polls the server's accounting until the configured
 // number of sessions has completed with none in flight, then fires
 // done. It exits when ctx is cancelled, so the watcher cannot outlive
-// the server it is supposed to stop (a goroutine ranging a ticker
-// channel has no such exit — chocolint's goroleak flags that shape).
+// the server it is supposed to stop: a goroutine ranging a ticker
+// channel has no such exit, and TestWatchSessionLimitExitsOnCancel and
+// its goroutine-leak check fail on that shape.
 func watchSessionLimit(ctx context.Context, stats func() serve.Stats, limit int, every time.Duration, done func()) {
 	tick := time.NewTicker(every)
 	defer tick.Stop()

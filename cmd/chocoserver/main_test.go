@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"choco/internal/serve"
+	"choco/internal/testkit"
 )
 
 // Regression for the session-limit watcher goroutine: it used to range
@@ -15,6 +16,7 @@ import (
 // when the limit is reached and must exit on context cancellation.
 
 func TestWatchSessionLimitFiresDone(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -38,6 +40,7 @@ func TestWatchSessionLimitFiresDone(t *testing.T) {
 }
 
 func TestWatchSessionLimitExitsOnCancel(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	ctx, cancel := context.WithCancel(context.Background())
 
 	stats := func() serve.Stats {

@@ -2,6 +2,7 @@ package distance
 
 import (
 	"fmt"
+	"math"
 
 	"choco/internal/ckks"
 	"choco/internal/core"
@@ -66,6 +67,11 @@ func (c *Client) Setup(t protocol.Transport) error {
 // client-optimal packings, §5.4). Every upload is encrypted before the
 // first frame leaves, so a query that fails on the client's side has
 // either sent nothing or lost its transport.
+//
+// A reply value is ‖q‖² − d², which wraps silently past the variant's
+// headroom (headroomBits), so a query whose ‖q‖² reaches it is refused
+// before any frame leaves. The same bound holds for each squared distance
+// d²; that is the caller's to keep, as the client cannot see the points.
 func (c *Client) Query(q []float64, variant Variant, t protocol.Transport) ([]float64, core.Stats, error) {
 	var stats core.Stats
 	if len(q) != c.rawD {
@@ -74,6 +80,13 @@ func (c *Client) Query(q []float64, variant Variant, t protocol.Transport) ([]fl
 	cost, err := c.cost(variant)
 	if err != nil {
 		return nil, stats, err
+	}
+	var qq float64
+	for _, x := range q {
+		qq += x * x
+	}
+	if bits := variant.headroomBits(c.ctx.Params); !(qq < math.Ldexp(1, bits)) {
+		return nil, stats, fmt.Errorf("distance: query's squared norm %g reaches the %v reply headroom 2^%d", qq, variant, bits)
 	}
 	uploads := make([][]byte, cost.UpCts)
 	for j := range uploads {
@@ -141,10 +154,6 @@ func (c *Client) Query(q []float64, variant Variant, t protocol.Transport) ([]fl
 	}
 	// The server answered 2⟨p, q⟩ − ‖p‖² (Server.expandedSquare); the
 	// client, which holds q, finishes ‖q − p‖² = ‖q‖² − that.
-	var qq float64
-	for _, x := range q {
-		qq += x * x
-	}
 	for i := range out {
 		out[i] = qq - out[i]
 	}

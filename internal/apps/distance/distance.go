@@ -67,6 +67,26 @@ func (v Variant) replyLevel(maxLevel int) int {
 	return maxLevel - 1
 }
 
+// maskLogScale is log2 of the encoding scale of the collapse masks
+// (Server.maskScale).
+const maskLogScale = 30
+
+// headroomBits is log2 of the largest reply value the variant's replies
+// carry without wrapping, on the parameter set p: the bits of the primes
+// a reply leaves the server with, less its scale (2^LogScale, or a
+// collapsed reply's mask scale) and a sign bit. PresetDistance gives
+// 2^49 at two primes and 2^19 for a collapsed reply.
+func (v Variant) headroomBits(p ckks.Parameters) int {
+	bits := -p.LogScale - 1
+	if v == CollapsedPointMajor {
+		bits = -maskLogScale - 1
+	}
+	for _, b := range p.QBits[:v.replyLevel(p.MaxLevel())+1] {
+		bits += b
+	}
+	return bits
+}
+
 // PresetDistance returns the production parameter set for the distance
 // kernels, within 128-bit security at N = 8192: a three-prime data chain
 // whose top 40-bit prime the server spends rescaling each expanded square

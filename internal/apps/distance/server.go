@@ -74,7 +74,7 @@ func NewServer(params ckks.Parameters, points [][]float64) (*Server, error) {
 		ecd:       ckks.NewEncoder(ctx),
 		points:    points,
 		pointPts:  make([][]pointPair, len(Variants())),
-		maskScale: math.Ldexp(1, 30),
+		maskScale: math.Ldexp(1, maskLogScale),
 	}
 	// No variant lays its points out over more ciphertexts than one per
 	// point (point-major) or one per dimension (dimension-major).

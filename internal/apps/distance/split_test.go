@@ -368,3 +368,37 @@ func publicKey(t *testing.T, c *Client) *ckks.PublicKey {
 	}
 	return kb.PK
 }
+
+// TestClientRefusesQueryPastHeadroom: a reply value is ‖q‖² − d², so a
+// query whose ‖q‖² reaches its variant's headroom is refused by name
+// before any frame leaves; at the collapsed bound, 2^19, one just under it
+// (whose squared distances stay under it too) is answered right.
+func TestClientRefusesQueryPastHeadroom(t *testing.T) {
+	for v, want := range map[Variant]int{PointMajor: 49, StackedDimMajor: 49, CollapsedPointMajor: 19} {
+		if got := v.headroomBits(PresetDistance()); got != want {
+			t.Errorf("%v headroom at PresetDistance: 2^%d, want 2^%d", v, got, want)
+		}
+	}
+	client, server, pts := testPair(t, 8, 4)
+	clientEnd, _ := protocol.NewPipe()
+	defer clientEnd.Close()
+	_, _, err := client.Query([]float64{512, 512, 0, 0}, CollapsedPointMajor, clientEnd)
+	if err == nil || !strings.Contains(err.Error(), "collapsed point-major reply headroom 2^19") {
+		t.Errorf("a query with ‖q‖² = 2^19: error %v, want a refusal naming the headroom", err)
+	}
+	if n := clientEnd.SentBytes(); n != 0 {
+		t.Errorf("the refused query sent %d B", n)
+	}
+
+	q := []float64{512, 496, 0, 0} // ‖q‖² = 2^19 − 16128; d² < 2^19 for points in [−2, 2)
+	got, _ := queryOnce(t, client, server, q, CollapsedPointMajor)
+	for i, p := range pts {
+		var want float64
+		for k := range p {
+			want += (q[k] - p[k]) * (q[k] - p[k])
+		}
+		if math.Abs(got[i]-want) > 1e-2 {
+			t.Errorf("point %d: got %v, want %v", i, got[i], want)
+		}
+	}
+}

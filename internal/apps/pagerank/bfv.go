@@ -43,9 +43,10 @@ func NewBFVRunner(g *Graph, params bfv.Parameters, rankBits, matBits uint, seed 
 	if err != nil {
 		return nil, err
 	}
+	// The product is linear: the evaluator gets Galois keys and no
+	// relinearization key, and refuses Relinearize.
 	kg := bfv.NewKeyGenerator(ctx, seed)
 	sk := kg.GenSecretKey()
-	relin := kg.GenRelinearizationKey(sk)
 	galois := kg.GenRotationKeys(sk, fc.RotationSteps()...)
 	return &BFVRunner{
 		Graph: g, RankBits: rankBits, MatBits: matBits,
@@ -53,7 +54,7 @@ func NewBFVRunner(g *Graph, params bfv.Parameters, rankBits, matBits uint, seed 
 		enc: bfv.NewSymmetricEncryptor(ctx, sk, seed),
 		dec: bfv.NewDecryptor(ctx, sk),
 		ecd: bfv.NewEncoder(ctx),
-		ev:  bfv.NewEvaluator(ctx, relin, galois),
+		ev:  bfv.NewEvaluator(ctx, nil, galois),
 		fc:  fc,
 	}, nil
 }

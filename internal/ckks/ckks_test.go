@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"choco/internal/par"
 	"choco/internal/ring"
 )
 
@@ -224,6 +225,30 @@ func TestMulRelinAndRescale(t *testing.T) {
 	assertClose(t, kit.dec.DecryptFloats(rs)[:4], want, 1e-3, "rescaled")
 	if _, err := kit.ev.Rescale(rs); err == nil {
 		t.Error("expected error rescaling below level 0")
+	}
+}
+
+// TestMulScalarAllocs pins MulScalar's allocation count at today's: the
+// copy of the ciphertext it scales, and for a negative constant the two
+// negations; an arbitrary-precision rounding of the constant shows.
+func TestMulScalarAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	old := par.Parallelism()
+	par.SetParallelism(1)
+	defer par.SetParallelism(old)
+	kit := newTestKit(t, PresetTest())
+	ct, err := kit.enc.EncryptFloats([]float64{1, -2, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, limit := range map[float64]float64{0.75: 10, -1.5: 12} {
+		a := testing.AllocsPerRun(16, func() { kit.ev.MulScalar(ct, c) })
+		t.Logf("MulScalar by %v: %.1f objects/op", c, a)
+		if a > limit {
+			t.Errorf("MulScalar by %v allocates %.1f objects/op, want at most %.0f", c, a, limit)
+		}
 	}
 }
 

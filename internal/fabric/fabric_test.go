@@ -13,6 +13,7 @@ import (
 	"choco/internal/nn"
 	"choco/internal/protocol"
 	"choco/internal/serve"
+	"choco/internal/testkit"
 )
 
 // fabricNet is a single-FC model: the fabric tests exercise routing,
@@ -59,6 +60,12 @@ type shardProc struct {
 
 func startShard(t *testing.T, id string) *shardProc {
 	t.Helper()
+	return startShardLogf(t, id, t.Logf)
+}
+
+// startShardLogf is startShard with the shard's log going to logf.
+func startShardLogf(t *testing.T, id string, logf func(string, ...any)) *shardProc {
+	t.Helper()
 	backend, _ := testBackend(t)
 	clientLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -68,7 +75,7 @@ func startShard(t *testing.T, id string) *shardProc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := NewShard(id, backend, serve.Config{MaxSessions: 4, Logf: t.Logf})
+	sh := NewShard(id, backend, serve.Config{MaxSessions: 4, Logf: logf})
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &shardProc{
 		shard:    sh,
@@ -215,6 +222,7 @@ func findOwnedID(t *testing.T, r *Router, shard, prefix string) string {
 // and a killed shard is ejected with its ring segment served by the
 // survivors.
 func TestFabricFleet(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	if testing.Short() {
 		t.Skip("multi-shard fabric harness is not short")
 	}

@@ -208,11 +208,16 @@ func (r *Router) Serve(ctx context.Context, ln net.Listener) error {
 		case <-stop:
 		}
 	}()
+	// The probes stop with the accept loop, whichever way it ends: a
+	// listener that fails under a live context must not leave Serve
+	// waiting on them.
+	probeCtx, stopProbes := context.WithCancel(ctx)
+	defer stopProbes()
 	if r.cfg.HealthInterval > 0 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.healthLoop(ctx)
+			r.healthLoop(probeCtx)
 		}()
 	}
 
@@ -233,6 +238,7 @@ func (r *Router) Serve(ctx context.Context, ln net.Listener) error {
 		}()
 	}
 	close(stop)
+	stopProbes()
 	wg.Wait()
 	return acceptErr
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"context"
 	"encoding/binary"
 	"io"
 	"net"
@@ -10,6 +11,7 @@ import (
 
 	"choco/internal/nn"
 	"choco/internal/protocol"
+	"choco/internal/testkit"
 )
 
 // stallBound is how long one stalled peer may make another client of
@@ -109,6 +111,7 @@ func helloAckWithin(t *testing.T, routerAddr, id string) {
 // client routed meanwhile must get its hello ack within stallBound, and
 // FleetStats reports the member unreachable once the peer hangs up.
 func TestFleetStatsSilentPeerBlocksNoRouting(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	shard := startFakeShard(t, "", 0)
 	silent, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -162,6 +165,7 @@ func TestFleetStatsSilentPeerBlocksNoRouting(t *testing.T) {
 // relay of it parks. Another client routed through the same router must
 // still get its hello ack within stallBound.
 func TestStalledReaderBlocksNoRouting(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	const floodBytes = 16 << 20
 	shard := startFakeShard(t, "never-reads", floodBytes)
 	_, routerAddr := startRouter(t, RouterConfig{
@@ -204,6 +208,7 @@ func TestStalledReaderBlocksNoRouting(t *testing.T) {
 // the session must then compute exact logits on the uploaded keys, and
 // no replication is counted.
 func TestTruncatedKeyFetchFallsBackToUpload(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	const id, keySeed = "truncated-fetch-1", 45
 	client, err := nn.NewInferenceClient(fabricNet(), [32]byte{keySeed})
 	if err != nil {
@@ -279,5 +284,52 @@ func TestTruncatedKeyFetchFallsBackToUpload(t *testing.T) {
 	uploadAndInfer(t, client, c, keySeed)
 	if n := sh.shard.Server.Stats().KeyReplications; n != 0 {
 		t.Errorf("key replications = %d after a truncated fetch, want 0", n)
+	}
+}
+
+// TestHealthLoopEjectsAndStops: with probes on, a shard whose peer
+// listener is gone is ejected within a few intervals, and the probe loop
+// ends with the router (the leak check holds it to that).
+func TestHealthLoopEjectsAndStops(t *testing.T) {
+	testkit.CheckGoroutines(t)
+	a, b := startShard(t, "shard-a"), startShard(t, "shard-b")
+	r, _ := startRouter(t, RouterConfig{
+		Members:        []Member{a.member("shard-a"), b.member("shard-b")},
+		HealthInterval: 20 * time.Millisecond,
+		DialTimeout:    time.Second,
+	})
+	b.stop(t)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		alive := map[string]bool{}
+		for _, m := range r.Stats().Members {
+			alive[m.ID] = m.Alive
+		}
+		if alive["shard-a"] && !alive["shard-b"] {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("probes did not eject the stopped shard alone: alive %v", alive)
+		}
+	}
+}
+
+// TestRouterServeReturnsOnListenerClose: Serve also ends when its
+// listener fails under a live context, and leaves nothing running; the
+// context is cancelled only after the leak check.
+func TestRouterServeReturnsOnListenerClose(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	testkit.CheckGoroutines(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- NewRouter(RouterConfig{}).Serve(ctx, ln) }()
+	ln.Close()
+	select {
+	case <-done:
+	case <-time.After(testkit.LeakBound):
+		t.Fatal("Serve did not return after its listener closed")
 	}
 }

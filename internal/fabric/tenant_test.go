@@ -11,6 +11,7 @@ import (
 	"choco/internal/nn"
 	"choco/internal/protocol"
 	"choco/internal/serve"
+	"choco/internal/testkit"
 )
 
 // TestAdoptSessionLRUSurvivesCapPressure pins the owners-map eviction
@@ -19,6 +20,7 @@ import (
 // (The old map-iteration eviction could drop any entry, including the
 // hottest session's replication hint.)
 func TestAdoptSessionLRUSurvivesCapPressure(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	r := NewRouter(RouterConfig{
 		Members: []Member{
 			{ID: "s1", Addr: "127.0.0.1:1", PeerAddr: "127.0.0.1:2"},
@@ -70,6 +72,7 @@ func TestAdoptSessionLRUSurvivesCapPressure(t *testing.T) {
 // pays the upload — instead of parking behind the full peer frame
 // timeout.
 func TestDeadPeerHintFallsBackFast(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	// Shard A owns the session's keys, then dies.
 	shardA := startShard(t, "dead-a")
 	session(t, shardA.addr, 44, "dead-hint-1", 1)
@@ -152,6 +155,7 @@ func uploadAndInfer(t *testing.T, client *nn.InferenceClient, c *protocol.Conn, 
 // retry-after hint while an under-quota tenant completes, and the
 // per-tenant counters surface in router and fleet stats.
 func TestTenantQuotaThroughFabric(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	const retry = 200 * time.Millisecond
 	backend, model := testBackend(t)
 	clientLn, err := net.Listen("tcp", "127.0.0.1:0")
@@ -255,6 +259,7 @@ func TestTenantQuotaThroughFabric(t *testing.T) {
 // dialled, nothing is routed — and the same client is served once it
 // says hello.
 func TestRawKeyBundleOpenerRefused(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	sh := startShard(t, "refuse-shard")
 	router, routerAddr := startRouter(t, RouterConfig{
 		Members:        []Member{sh.member("refuse-shard")},

@@ -15,14 +15,14 @@
 //   - uncheckederr: dropped protocol frame-write and Close errors
 //   - bigintloop:   per-iteration math/big arithmetic in hot-path loops,
 //     and hot-path calls into functions that hold such loops
-//   - secretflow:   secret key material reaching wire or log sinks
-//   - goroleak:     serving-tier goroutines that can block forever on an
-//     unselected channel operation
 //
 // An analyzer belongs here only while it reports some defect that the
 // tests, go vet, the race detector and the chocodebug assertions all
 // miss (DESIGN.md §6's keep rule); EXPERIMENTS.md records the seeded
-// mutants that show it for each audited analyzer.
+// mutants that show it for each audited analyzer. Two properties that
+// once had dataflow analyzers here are tests now (internal/testkit): no
+// secret reaches a client's frames or text, and no serving-tier
+// goroutine outlives its test.
 //
 // Findings can be suppressed, one line at a time, with a trailing or
 // preceding comment of the form
@@ -94,7 +94,5 @@ func All() []*Analyzer {
 		PolyPool,
 		UncheckedErr,
 		BigIntLoop,
-		SecretFlow,
-		GoroLeak,
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"regexp"
 	"strings"
 	"testing"
@@ -105,10 +104,6 @@ func TestBigIntLoopCallFixture(t *testing.T) {
 	runFixture(t, BigIntLoop, "bigintloop/internal/ckks")
 }
 func TestSuppressionFixture(t *testing.T) { runFixture(t, UncheckedErr, "suppress") }
-func TestSecretFlowFixture(t *testing.T)  { runFixture(t, SecretFlow, "secretflow") }
-func TestGoroLeakFixture(t *testing.T) {
-	runFixture(t, GoroLeak, "goroleak/internal/fabric")
-}
 
 // TestMalformedSuppressions exercises the suppression parser directly:
 // an unknown analyzer name or a missing reason turns the suppression
@@ -121,7 +116,7 @@ func f() {
 	g()
 	//lint:ignore-choco nosuchanalyzer because reasons
 	g()
-	//lint:ignore-choco goroleak shutdown closes the channel it waits on
+	//lint:ignore-choco polypool the callee puts the scratch back
 	g()
 }
 
@@ -148,8 +143,8 @@ func g() {}
 		t.Errorf("second malformed message = %q, want unknown-analyzer complaint", malformed[1].Message)
 	}
 	// The one well-formed suppression must be recorded for its line.
-	if !sups.covers(Diagnostic{Analyzer: "goroleak", Pos: token.Position{Filename: "p.go", Line: 9}}) {
-		t.Error("well-formed goroleak suppression not recorded for the following line")
+	if !sups.covers(Diagnostic{Analyzer: "polypool", Pos: token.Position{Filename: "p.go", Line: 9}}) {
+		t.Error("well-formed polypool suppression not recorded for the following line")
 	}
 }
 
@@ -169,17 +164,13 @@ func TestSuiteCleanOnTree(t *testing.T) {
 	}
 }
 
-// TestAnalyzersFollowSharedCore guards the analyzers' scopes against the
-// code moving under them. The key types of bfv and ckks are aliases of
-// internal/rlwe's, and an analyzer that asks "is this bfv.SecretKey?" by
-// package path goes quiet — without failing — the day the type moves. So
-// this test asks the real tree, not a fixture's stand-in: what
-// bfv.NewKeyGenerator(...).GenSecretKey() returns must be secret to
-// secretflow, the generator itself too, its public Gen* methods must stay
-// sanitizers, and a RotateRowsLazyNTT result and an inner-sum
-// accumulator leaked in a package named internal/core must still be
-// polypool findings when the evaluator and the accumulator are the real
-// ones.
+// TestAnalyzersFollowSharedCore guards polypool's scope against the code
+// moving under it. An analyzer that asks "is this a bfv resident
+// ciphertext?" by package path goes quiet — without failing — the day the
+// type moves. So this test asks the real tree, not a fixture's stand-in: a
+// RotateRowsLazyNTT result and an inner-sum accumulator leaked in a
+// package named internal/core must still be polypool findings when the
+// evaluator and the accumulator are the real ones.
 func TestAnalyzersFollowSharedCore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks internal/bfv and its dependencies from source")
@@ -193,31 +184,6 @@ func TestAnalyzersFollowSharedCore(t *testing.T) {
 	bfvPkg := l.pkgs["choco/internal/bfv"]
 	if bfvPkg == nil || strings.Contains(l.Fset().Position(bfvPkg.Files[0].Pos()).Filename, "testdata") {
 		t.Fatal("the polypool/internal/core fixture no longer imports the real internal/bfv")
-	}
-
-	newKG := bfvPkg.Types.Scope().Lookup("NewKeyGenerator").(*types.Func)
-	kg := newKG.Type().(*types.Signature).Results().At(0).Type()
-	if !isSecretType(kg) {
-		t.Errorf("secretflow does not treat %s as secret", kg)
-	}
-	method := func(name string) *types.Func {
-		obj, _, _ := types.LookupFieldOrMethod(kg, true, bfvPkg.Types, name)
-		fn, ok := obj.(*types.Func)
-		if !ok {
-			t.Fatalf("%s has no method %s", kg, name)
-		}
-		return fn
-	}
-	if sk := method("GenSecretKey").Type().(*types.Signature).Results().At(0).Type(); !isSecretType(sk) {
-		t.Errorf("secretflow does not treat %s, the result of GenSecretKey, as secret", sk)
-	}
-	if isSanitizer(method("GenSecretKey")) {
-		t.Error("secretflow treats GenSecretKey as a sanitizer")
-	}
-	for _, name := range []string{"GenPublicKey", "GenRelinearizationKey", "GenRotationKeys"} {
-		if !isSanitizer(method(name)) {
-			t.Errorf("secretflow no longer treats KeyGenerator.%s as a sanitizer", name)
-		}
 	}
 
 	diags, err := RunAnalyzers(l.Fset(), []*Package{leaky}, []*Analyzer{PolyPool})

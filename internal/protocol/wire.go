@@ -266,7 +266,7 @@ type Pipe struct {
 	mu        sync.Mutex
 	sent      int64
 	received  int64
-	closeOnce sync.Once
+	closeOnce *sync.Once // shared by both ends, as closed is
 	closed    chan struct{}
 }
 
@@ -274,9 +274,9 @@ type Pipe struct {
 func NewPipe() (*Pipe, *Pipe) {
 	ab := make(chan []byte, 1024)
 	ba := make(chan []byte, 1024)
-	closed := make(chan struct{})
-	a := &Pipe{out: ab, in: ba, closed: closed}
-	b := &Pipe{out: ba, in: ab, closed: closed}
+	once, closed := new(sync.Once), make(chan struct{})
+	a := &Pipe{out: ab, in: ba, closeOnce: once, closed: closed}
+	b := &Pipe{out: ba, in: ab, closeOnce: once, closed: closed}
 	return a, b
 }
 
@@ -308,7 +308,8 @@ func (p *Pipe) Recv() ([]byte, error) {
 	}
 }
 
-// Close shuts both endpoints down.
+// Close shuts both endpoints down; either end may call it, and more than
+// once.
 func (p *Pipe) Close() {
 	p.closeOnce.Do(func() { close(p.closed) })
 }

@@ -153,6 +153,9 @@ func TestPipeClose(t *testing.T) {
 		// no panic.
 		t.Log("send after close accepted into buffer")
 	}
+	// Both ends may close: a session's client and server each hang up.
+	b.Close()
+	a.Close()
 }
 
 func TestConnTransport(t *testing.T) {

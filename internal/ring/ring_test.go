@@ -498,3 +498,21 @@ func TestAutomorphismNTTMulShoupAdd2MatchesTwoStep(t *testing.T) {
 		}
 	}
 }
+
+// TestSetCoeffsUint64Allocs pins the plaintext lift's allocation count:
+// it reduces each coefficient into each row in place and allocates
+// nothing, so an arbitrary-precision reduction per coefficient shows.
+func TestSetCoeffsUint64Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	r := testRing(t, 12, []int{36, 36, 37})
+	values := make([]uint64, r.N)
+	for j := range values {
+		values[j] = uint64(j) * 0x9e3779b97f4a7c15
+	}
+	p := r.NewPoly()
+	if a := testing.AllocsPerRun(16, func() { r.SetCoeffsUint64(values, p) }); a > 0 {
+		t.Errorf("SetCoeffsUint64 allocates %.1f objects/op, want 0", a)
+	}
+}

@@ -12,6 +12,7 @@ import (
 
 	"choco/internal/nn"
 	"choco/internal/protocol"
+	"choco/internal/testkit"
 )
 
 // TestLayerRunsOnArrival: two sessions are admitted and one of them never
@@ -19,6 +20,7 @@ import (
 // all the same: a layer runs when its input arrives, and nothing on the
 // way waits for a second session to show up.
 func TestLayerRunsOnArrival(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	backend, model := testBackend(t, testNetwork)
 	srv := New(backend, Config{MaxSessions: 2})
 
@@ -78,6 +80,7 @@ func (r *replay) ReceivedBytes() int64 { return 0 }
 // own Apply — sends for the same request frames: the shared cache and
 // whatever overlap the sessions had change nothing a client can see.
 func TestConcurrentSessionsExactLogits(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	backend, model := testBackend(t, testNetwork)
 	const maxSessions, requests, layers = 3, 2, 3
 	clients := make([]*nn.InferenceClient, maxSessions)
@@ -89,7 +92,7 @@ func TestConcurrentSessionsExactLogits(t *testing.T) {
 	}
 	for sessions := 1; sessions <= maxSessions; sessions++ {
 		srv := New(backend, Config{MaxSessions: maxSessions})
-		tapes := make([]*tape, sessions)
+		tapes := make([]*testkit.Recorder, sessions)
 		var wg sync.WaitGroup
 		for i := 0; i < sessions; i++ {
 			wg.Add(1)
@@ -122,17 +125,17 @@ func TestConcurrentSessionsExactLogits(t *testing.T) {
 		// up: hello, key bundle, then the requests; down: hello ack, then
 		// the replies.
 		for i, tp := range tapes {
-			serial, err := backend.NewSessionFromFrame(tp.up[1])
+			serial, err := backend.NewSessionFromFrame(tp.Up()[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			rp := &replay{in: tp.up[2:]}
+			rp := &replay{in: tp.Up()[2:]}
 			for r := 0; r < requests; r++ {
 				if _, err := serial.ServeOne(rp); err != nil {
 					t.Fatalf("serial replay of session %d request %d: %v", i, r, err)
 				}
 			}
-			replies := tp.down[1:]
+			replies := tp.Down()[1:]
 			if len(rp.out) != len(replies) {
 				t.Fatalf("%d session(s), session %d: %d reply frames, the serial path sends %d", sessions, i, len(replies), len(rp.out))
 			}
@@ -151,6 +154,7 @@ func TestConcurrentSessionsExactLogits(t *testing.T) {
 // different tenant is admitted untouched, and the slot frees on
 // session close.
 func TestTenantQuotaBusyAck(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	backend, model := testBackend(t, tinyNetwork)
 	const retry = 123 * time.Millisecond
 	srv := New(backend, Config{
@@ -257,6 +261,7 @@ func runClientSessionTenant(t *testing.T, srv *Server, model *nn.QuantizedModel,
 // re-fetches the bundle from the previous owner — counted as a
 // replication, never as a client upload.
 func TestEvictedKeysReplicateFromPeer(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	backend, model := testBackend(t, tinyNetwork)
 	srvA := New(backend, Config{MaxSessions: 1})
 	runClientSession(t, srvA, tinyNetwork, model, 57, "evict-1", 1)

@@ -10,12 +10,14 @@ import (
 
 	"choco/internal/nn"
 	"choco/internal/protocol"
+	"choco/internal/testkit"
 )
 
 // TestRegistryByteBudget checks the byte-budget cap: entries are
 // evicted LRU once the retained bundle bytes exceed the budget, even
 // when the entry count stays under its own cap.
 func TestRegistryByteBudget(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	r := newRegistry(10, 100)
 	raw := func(n int) []byte { return make([]byte, n) }
 
@@ -58,6 +60,7 @@ func TestRegistryByteBudget(t *testing.T) {
 // TestRegistryByteStatsSurface runs a real session and checks the new
 // registry signals surface in Stats.
 func TestRegistryByteStatsSurface(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	backend, model := testBackend(t, tinyNetwork)
 	srv := New(backend, Config{MaxSessions: 1})
 	runClientSession(t, srv, tinyNetwork, model, 41, "bytes-a", 1)
@@ -88,6 +91,7 @@ func TestRegistryByteStatsSurface(t *testing.T) {
 // TestHealthEndpoint checks the /healthz readiness payload and its
 // routing through StatsHandler.
 func TestHealthEndpoint(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	backend, _ := testBackend(t, tinyNetwork)
 	srv := New(backend, Config{MaxSessions: 3})
 
@@ -121,6 +125,7 @@ func TestHealthEndpoint(t *testing.T) {
 // B via the FetchKeys hook when a ShardHello carries A as the hint —
 // the client is acked AckKeysCached and never re-uploads.
 func TestShardHelloReplication(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	backend, model := testBackend(t, tinyNetwork)
 	srvA := New(backend, Config{MaxSessions: 1})
 	runClientSession(t, srvA, tinyNetwork, model, 63, "mig-1", 1)

@@ -13,6 +13,7 @@ import (
 	"choco/internal/bfv"
 	"choco/internal/nn"
 	"choco/internal/protocol"
+	"choco/internal/testkit"
 )
 
 func testNetwork() *nn.Network {
@@ -83,37 +84,22 @@ func runClientSession(t *testing.T, srv *Server, netFn func() *nn.Network, model
 	if err != nil {
 		t.Fatalf("client: %v", err)
 	}
-	tp, cached := runTapedSession(t, srv, client, model, keySeed, sessionID, n, nil)
-	return tp.SentBytes(), cached
-}
-
-// tape is a client transport that keeps a copy of every frame it moves.
-type tape struct {
-	protocol.Transport
-	up, down [][]byte
-}
-
-func (tp *tape) Send(msg []byte) error {
-	tp.up = append(tp.up, append([]byte(nil), msg...))
-	return tp.Transport.Send(msg)
-}
-
-func (tp *tape) Recv() ([]byte, error) {
-	msg, err := tp.Transport.Recv()
-	if err == nil {
-		tp.down = append(tp.down, append([]byte(nil), msg...))
+	rec, cached := runTapedSession(t, srv, client, model, keySeed, sessionID, n, nil)
+	for _, f := range rec.Up() {
+		sentBytes += int64(len(f)) + 4 // the frame's length prefix
 	}
-	return msg, err
+	return sentBytes, cached
 }
 
 // runTapedSession is runClientSession for a client the caller built,
-// returning the session's frames; before, when set, runs ahead of
+// returning the session's transcript; before, when set, runs ahead of
 // inference i.
-func runTapedSession(t *testing.T, srv *Server, client *nn.InferenceClient, model *nn.QuantizedModel, imgSeed byte, sessionID string, n int, before func(i int)) (*tape, bool) {
+func runTapedSession(t *testing.T, srv *Server, client *nn.InferenceClient, model *nn.QuantizedModel, imgSeed byte, sessionID string, n int, before func(i int)) (*testkit.Recorder, bool) {
 	t.Helper()
 	clientEnd, serverEnd := protocol.NewPipe()
 	defer clientEnd.Close()
-	tp := &tape{Transport: clientEnd}
+	rec := &testkit.Recorder{}
+	tp := rec.Client(clientEnd)
 
 	done := make(chan error, 1)
 	go func() { done <- srv.ServeTransport(context.Background(), serverEnd) }()
@@ -152,13 +138,14 @@ func runTapedSession(t *testing.T, srv *Server, client *nn.InferenceClient, mode
 	if err := <-done; err != nil {
 		t.Fatalf("server session: %v", err)
 	}
-	return tp, cached
+	return rec, cached
 }
 
 // TestConcurrentSessions drives 8 simultaneous in-memory sessions —
 // distinct clients, distinct keys — through one Server and checks
 // every inference against the plaintext reference.
 func TestConcurrentSessions(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	backend, model := testBackend(t, tinyNetwork)
 	srv := New(backend, Config{MaxSessions: 8})
 
@@ -201,6 +188,7 @@ func TestConcurrentSessions(t *testing.T) {
 // second session under the same ID completes an inference without
 // re-uploading evaluation keys, confirmed by bytes-up accounting.
 func TestKeyCacheReconnect(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	backend, model := testBackend(t, testNetwork)
 	srv := New(backend, Config{MaxSessions: 2})
 
@@ -230,6 +218,7 @@ func TestKeyCacheReconnect(t *testing.T) {
 // TestRegistryEviction fills the key cache beyond capacity and checks
 // LRU eviction.
 func TestRegistryEviction(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	backend, model := testBackend(t, tinyNetwork)
 	srv := New(backend, Config{MaxSessions: 1, KeyCacheCap: 2})
 
@@ -251,6 +240,7 @@ func TestRegistryEviction(t *testing.T) {
 // TestBackpressureReject saturates a 1-slot server and checks that the
 // next session is rejected with a busy ack the client can decode.
 func TestBackpressureReject(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	backend, _ := testBackend(t, tinyNetwork)
 	srv := New(backend, Config{MaxSessions: 1})
 
@@ -294,6 +284,7 @@ func TestBackpressureReject(t *testing.T) {
 // loopback TCP complete inferences correctly, then a context cancel
 // shuts the server down gracefully while one client sits idle.
 func TestServeTCP(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	backend, model := testBackend(t, tinyNetwork)
 	srv := New(backend, Config{MaxSessions: 4, IdleTimeout: time.Minute, IOTimeout: 30 * time.Second})
 
@@ -383,6 +374,7 @@ func TestServeTCP(t *testing.T) {
 // between requests is disconnected after IdleTimeout — connections are
 // closed on a deadline, not never.
 func TestIdleTimeoutClosesSession(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	backend, _ := testBackend(t, tinyNetwork)
 	srv := New(backend, Config{MaxSessions: 1, IdleTimeout: 150 * time.Millisecond, IOTimeout: 5 * time.Second})
 
@@ -432,6 +424,7 @@ func TestIdleTimeoutClosesSession(t *testing.T) {
 // every request on a server whose counters still add up and whose worker
 // slots are all free again.
 func TestSessionPanicIsContained(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	backend, model := testBackend(t, tinyNetwork)
 	var logMu sync.Mutex
 	var logged []string
@@ -533,6 +526,7 @@ func TestSessionPanicIsContained(t *testing.T) {
 // slot and no tenant count, and the same client is served once it says
 // hello.
 func TestRawKeyBundleOpenerRefused(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	backend, model := testBackend(t, tinyNetwork)
 	srv := New(backend, Config{MaxSessions: 1, TenantMaxSessions: 1})
 	client, err := nn.NewInferenceClient(tinyNetwork(), [32]byte{61})

@@ -11,6 +11,7 @@ import (
 	"choco/internal/bfv"
 	"choco/internal/nn"
 	"choco/internal/protocol"
+	"choco/internal/testkit"
 )
 
 // stallBound is how long one session's stalled peer may make anyone
@@ -129,6 +130,7 @@ func installHandKeys(t *testing.T, srv *Server, backend *nn.InferenceServer, key
 // queue is long, at least gets queued), and Serve still returns once its
 // context is cancelled. Both within stallBound.
 func TestStalledSessionBlocksNoOne(t *testing.T) {
+	testkit.CheckGoroutines(t)
 	backend, _ := testBackend(t, tinyNetwork)
 	const tenant = "stall-tenant"
 	for _, tc := range []struct {
