@@ -20,9 +20,9 @@ import (
 // frame at the server's end, everything the worker printed to stdout, the
 // standard logger, the server's log and the error of a second worker
 // that cannot dial.
-// None of it may hold the worker's key seed, its secret key or its public
-// key's error, and every frame the worker sent must pass the decoder the
-// server runs.
+// None of it may hold the worker's key seed, its secret key, its public
+// key's error or an encryption's error, and every frame the worker sent
+// must pass the decoder the server runs.
 func TestWorkerTranscriptHoldsNoSecret(t *testing.T) {
 	network := &nn.Network{
 		Name: "ClientTestNet", InH: 4, InW: 4, InC: 1,

@@ -16,8 +16,8 @@ import (
 // recorded pipe: its key upload, a query of each of the five variants,
 // and a query the client refuses. No frame, no line of the standard
 // logger and no error the client returned may hold the client's seed, its
-// secret key or its public key's error, and every frame the client sent
-// must pass the decoder the server runs.
+// secret key, its public key's error or an encryption's error, and every
+// frame the client sent must pass the decoder the server runs.
 func TestTranscriptHoldsNoSecret(t *testing.T) {
 	var rec testkit.Recorder
 	log.SetOutput(&rec)

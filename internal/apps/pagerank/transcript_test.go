@@ -16,8 +16,9 @@ import (
 // TestTranscriptHoldsNoSecret runs both runners over recorded pipes: two
 // refresh rounds each and a schedule the runner refuses. No frame, no
 // line of the standard logger and no error a runner returned may hold the
-// client's seed, its secret key or its public key's error, and every
-// upload must pass the decoder the server half runs.
+// client's seed, its secret key, its public key's error or an
+// encryption's error, and every upload must pass the decoder the server
+// half runs.
 func TestTranscriptHoldsNoSecret(t *testing.T) {
 	defer log.SetOutput(os.Stderr)
 	g := testGraph(t, 8)

@@ -17,9 +17,9 @@ import (
 // its shard twice, the second time to its cached keys, with an image the
 // client refuses on the way. No frame at the client's end, no line of the
 // router's, the shard's or the standard log and no error the client
-// returned may hold the client's seed, its secret key or its public key's
-// error, and every frame the client sent must pass the decoder the shard
-// runs.
+// returned may hold the client's seed, its secret key, its public key's
+// error or an encryption's error, and every frame the client sent must
+// pass the decoder the shard runs.
 func TestRoutedTranscriptHoldsNoSecret(t *testing.T) {
 	testkit.CheckGoroutines(t)
 	var rec testkit.Recorder

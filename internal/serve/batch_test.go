@@ -98,7 +98,7 @@ func TestConcurrentSessionsExactLogits(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				tapes[i], _ = runTapedSession(t, srv, clients[i], model, byte(90+i), fmt.Sprintf("exact-%d", i), requests, nil)
+				tapes[i], _, _ = runTapedSession(t, srv, clients[i], model, byte(90+i), fmt.Sprintf("exact-%d", i), requests, nil)
 			}(i)
 		}
 		wg.Wait()

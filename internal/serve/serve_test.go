@@ -84,21 +84,18 @@ func runClientSession(t *testing.T, srv *Server, netFn func() *nn.Network, model
 	if err != nil {
 		t.Fatalf("client: %v", err)
 	}
-	rec, cached := runTapedSession(t, srv, client, model, keySeed, sessionID, n, nil)
-	for _, f := range rec.Up() {
-		sentBytes += int64(len(f)) + 4 // the frame's length prefix
-	}
+	_, sentBytes, cached = runTapedSession(t, srv, client, model, keySeed, sessionID, n, nil)
 	return sentBytes, cached
 }
 
 // runTapedSession is runClientSession for a client the caller built,
-// returning the session's transcript; before, when set, runs ahead of
-// inference i.
-func runTapedSession(t *testing.T, srv *Server, client *nn.InferenceClient, model *nn.QuantizedModel, imgSeed byte, sessionID string, n int, before func(i int)) (*testkit.Recorder, bool) {
+// returning the session's transcript and the bytes its client end sent;
+// before, when set, runs ahead of inference i.
+func runTapedSession(t *testing.T, srv *Server, client *nn.InferenceClient, model *nn.QuantizedModel, imgSeed byte, sessionID string, n int, before func(i int)) (rec *testkit.Recorder, sentBytes int64, cached bool) {
 	t.Helper()
 	clientEnd, serverEnd := protocol.NewPipe()
 	defer clientEnd.Close()
-	rec := &testkit.Recorder{}
+	rec = &testkit.Recorder{}
 	tp := rec.Client(clientEnd)
 
 	done := make(chan error, 1)
@@ -138,7 +135,7 @@ func runTapedSession(t *testing.T, srv *Server, client *nn.InferenceClient, mode
 	if err := <-done; err != nil {
 		t.Fatalf("server session: %v", err)
 	}
-	return rec, cached
+	return rec, tp.SentBytes(), cached
 }
 
 // TestConcurrentSessions drives 8 simultaneous in-memory sessions —

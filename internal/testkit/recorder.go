@@ -3,9 +3,10 @@
 //
 //   - a transcript: Recorder keeps every frame a wrapped transport moves
 //     and every line of text a run printed, and Check fails a test when
-//     any of it holds a client's secret (Secret: its seed, its key, or the
-//     public key's error, in the forms an encoder could write them) or when
-//     a client-to-server frame does not pass its strict decoder;
+//     any of it holds a client's secret (Secret: its seed, its key, the
+//     public key's error or an encryption's draws, in the forms an encoder
+//     could write them) or when a client-to-server frame does not pass its
+//     strict decoder;
 //   - a goroutine-leak check: CheckGoroutines fails a test when a
 //     goroutine it started outlives the test by more than 2 s.
 //

@@ -1,6 +1,7 @@
 package testkit
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -27,12 +28,26 @@ const minNonzero = 4
 //     residues mod each prime of the key ring, in the coefficient and the
 //     NTT domain; each written as little-endian 64-bit words, as the low
 //     byte of each coefficient, or printed with %v or %d; and the residue
-//     rows packed at their bit width (ring.Poly.AppendPacked).
+//     rows packed at their bit width (ring.Poly.AppendPacked);
+//   - the draws of the client's encryptions in the same forms, over the
+//     data ring: the error of each seeded encryption (Check adds them) and
+//     u, e1 and e2 of each public-key encryption (PublicKeyEncryptions).
+//     A draw is searched for by its aligned 16-coefficient blocks, so a
+//     run of 31 of its coefficients is always found; that registers a
+//     sixteenth of the windows a key does, for up to three polynomials
+//     per encryption.
 //
-// GenSecretKey is a pure function of the seed and the scheme's context, so
-// a test builds the Secret from the seed it gave the client and reads
-// nothing of the client.
+// GenSecretKey is a pure function of the seed and the scheme's context,
+// and so is each encryptor's stream of draws, so a test builds the Secret
+// from the seed it gave the client and reads nothing of the client.
 type Secret struct {
+	ctx  *rlwe.Context
+	seed [32]byte
+	// seeded replays the client's symmetric encryptor; it has made
+	// seededDraws encryptions.
+	seeded      *rlwe.SymmetricEncryptor
+	seededDraws int
+
 	forms []string
 	// bin holds every binary window by length, then by rolling hash;
 	// seen[length] has the bit hash>>(64-seenBits) set for each, so a scan
@@ -52,7 +67,7 @@ type numWindow struct{ form, at int }
 
 // NewSecret rebuilds the secrets of a client keyed by seed on ctx.
 func NewSecret(ctx *rlwe.Context, seed [32]byte) *Secret {
-	s := &Secret{bin: map[int]map[uint64][]binWindow{}, seen: map[int][]uint64{}, nums: map[[window]int64]numWindow{}}
+	s := &Secret{ctx: ctx, seed: seed, bin: map[int]map[uint64][]binWindow{}, seen: map[int][]uint64{}, nums: map[[window]int64]numWindow{}}
 	for name, form := range map[string]string{"seed, raw": string(seed[:]), "seed, printed with %v": fmt.Sprint(seed), "seed, printed with %x": fmt.Sprintf("%x", seed)} {
 		s.addBytes(name, form, len(form), 1)
 	}
@@ -64,23 +79,85 @@ func NewSecret(ctx *rlwe.Context, seed [32]byte) *Secret {
 	key := rQ.NewPoly()
 	rQ.Copy(key, sk.ValueQ)
 	rQ.INTT(key)
-	s.addPoly("secret key", ctx.RingQP, centered(rQ, key))
+	s.addPoly("secret key", ctx.RingQP, centered(rQ, key.Coeffs[0]), 1)
 	// P0 = -(P1·s + e), so e = -(P0 + P1·s).
 	e := rQ.NewPoly()
 	rQ.MulCoeffs(pk.P1, sk.ValueQ, e)
 	rQ.Add(e, pk.P0, e)
 	rQ.Neg(e, e)
 	rQ.INTT(e)
-	s.addPoly("public-key error", ctx.RingQP, centered(rQ, e))
+	s.addPoly("public-key error", ctx.RingQP, centered(rQ, e.Coeffs[0]), 1)
+	// An encryptor under a zero key writes its draws bare: c0 = -e.
+	s.seeded = rlwe.NewSymmetricEncryptor(ctx, &rlwe.SecretKey{ValueQ: rQ.NewPoly()}, seed)
 	return s
 }
 
-// centered reads row 0 of a coefficient-domain polynomial with small
+// spareDraws is how many seeded encryptions past the last one an upload
+// holds the Secret still rebuilds: an encryption the client made but did
+// not send, or one whose public seed a leak overwrote.
+const spareDraws = 2
+
+// addSeededDraws rebuilds the error of each seeded encryption the client
+// uploaded. The symmetric encryptor's stream gives each encryption's
+// public seed, then its error, whatever the level, so the replay draws in
+// that order and goes on while the uploads hold the seeds it draws.
+func (s *Secret) addSeededDraws(up [][]byte) {
+	c0 := make([]uint64, s.ctx.RingQ.N)
+	for missed := 0; missed < spareDraws; s.seededDraws++ {
+		ctSeed := s.seeded.Sample(0)
+		missed++
+		for _, f := range up {
+			if bytes.Contains(f, ctSeed[:]) {
+				missed = 0
+				break
+			}
+		}
+		s.seeded.ZeroRow(0, c0)
+		e := centered(s.ctx.RingQ, c0)
+		for j := range e {
+			e[j] = -e[j]
+		}
+		s.addPoly(fmt.Sprintf("error of seeded encryption %d", s.seededDraws), s.ctx.RingQ, e, window)
+	}
+}
+
+// PublicKeyEncryptions adds the draws of the client's first n encryptions
+// under its public key (rlwe.Encryptor): u, e1 and e2 of each. It returns s.
+func (s *Secret) PublicKeyEncryptions(n int) *Secret {
+	// Under pk = (0, 0) an encryption of zero is (e1, e2); under
+	// pk = (1, 1), NTT domain, it is (u + e1, u + e2).
+	r := s.ctx.RingQ
+	one := r.NewPoly()
+	for i := range one.Coeffs {
+		one.Coeffs[i][0] = 1
+	}
+	r.NTT(one)
+	bare := rlwe.NewEncryptor(s.ctx, &rlwe.PublicKey{P0: r.NewPoly(), P1: r.NewPoly()}, s.seed)
+	plusU := rlwe.NewEncryptor(s.ctx, &rlwe.PublicKey{P0: one, P1: one}, s.seed)
+	e1, e2 := make([]uint64, r.N), make([]uint64, r.N)
+	u1, u2 := make([]uint64, r.N), make([]uint64, r.N)
+	m := r.Moduli[0]
+	for k := 0; k < n; k++ {
+		bare.Sample()
+		plusU.Sample()
+		bare.ZeroRow(0, e1, e2)
+		plusU.ZeroRow(0, u1, u2)
+		for j := range u1 {
+			u1[j] = m.Sub(u1[j], e1[j])
+		}
+		s.addPoly(fmt.Sprintf("u of public-key encryption %d", k), r, centered(r, u1), window)
+		s.addPoly(fmt.Sprintf("e1 of public-key encryption %d", k), r, centered(r, e1), window)
+		s.addPoly(fmt.Sprintf("e2 of public-key encryption %d", k), r, centered(r, e2), window)
+	}
+	return s
+}
+
+// centered reads a row of residues mod r's first prime that are small
 // coefficients as signed values.
-func centered(r *ring.Ring, p *ring.Poly) []int64 {
+func centered(r *ring.Ring, row []uint64) []int64 {
 	q := r.Moduli[0].Value
-	out := make([]int64, r.N)
-	for j, v := range p.Coeffs[0] {
+	out := make([]int64, len(row))
+	for j, v := range row {
 		out[j] = int64(v)
 		if v > q/2 {
 			out[j] -= int64(q)
@@ -90,9 +167,11 @@ func centered(r *ring.Ring, p *ring.Poly) []int64 {
 }
 
 // addPoly registers every form of the signed polynomial v over the rows of
-// r (the key ring: every prime a key or an error is reduced by).
-func (s *Secret) addPoly(name string, r *ring.Ring, v []int64) {
-	s.addSeq(name+", signed", v)
+// r: the key ring for a key or its error, every prime they are reduced by,
+// and the data ring for an encryption's draws. The windows start every
+// stride coefficients.
+func (s *Secret) addPoly(name string, r *ring.Ring, v []int64, stride int) {
+	s.addSeq(name+", signed", v, stride)
 	coeff := r.NewPoly()
 	r.SetCoeffsInt64(v, coeff)
 	ntt := r.NewPoly()
@@ -106,21 +185,21 @@ func (s *Secret) addPoly(name string, r *ring.Ring, v []int64) {
 			for j, x := range row {
 				vals[j] = int64(x)
 			}
-			s.addSeq(fmt.Sprintf("%s, residues mod %d (%s domain)", name, m.Value, domain), vals)
+			s.addSeq(fmt.Sprintf("%s, residues mod %d (%s domain)", name, m.Value, domain), vals, stride)
 			n := ring.PackedBytes(r.N, m.BitLen())
 			s.addBytes(fmt.Sprintf("%s, residues mod %d (%s domain) packed at %d bits", name, m.Value, domain, m.BitLen()),
-				string(packed[:n]), ring.PackedBytes(window, m.BitLen()), 8)
+				string(packed[:n]), ring.PackedBytes(window, m.BitLen()), max(8, ring.PackedBytes(stride, m.BitLen())))
 			packed = packed[n:]
 		}
 	}
 }
 
 // addSeq registers a coefficient sequence printed, as little-endian
-// words and as low bytes.
-func (s *Secret) addSeq(name string, v []int64) {
+// words and as low bytes, by windows starting every stride coefficients.
+func (s *Secret) addSeq(name string, v []int64, stride int) {
 	form := len(s.forms)
 	s.forms = append(s.forms, name+", printed")
-	for j := 0; j+window <= len(v); j++ {
+	for j := 0; j+window <= len(v); j += stride {
 		var w [window]int64
 		copy(w[:], v[j:])
 		if nonzero(w[:]) >= minNonzero {
@@ -133,8 +212,8 @@ func (s *Secret) addSeq(name string, v []int64) {
 		binary.LittleEndian.PutUint64(words[8*j:], uint64(x))
 		low[j] = byte(x)
 	}
-	s.addBytes(name+", little-endian words", string(words), 8*window, 8)
-	s.addBytes(name+", low bytes", string(low), window, 1)
+	s.addBytes(name+", little-endian words", string(words), 8*window, 8*stride)
+	s.addBytes(name+", low bytes", string(low), window, stride)
 }
 
 // addBytes registers every length-byte window of data that starts at a
@@ -258,9 +337,16 @@ func (s *Secret) findNumbers(b []byte) string {
 
 // Check fails tb if any frame or line of text r recorded holds one of the
 // secrets, or if decode, the strict decoder the server would run, refuses
-// a client-to-server frame.
+// a client-to-server frame. Each secret first gains the errors of the
+// seeded encryptions its client uploaded; the replay runs the encryptor,
+// which may write to the standard logger and so to r, so r is not locked
+// for it.
 func (r *Recorder) Check(tb testing.TB, decode func(frame []byte) error, secrets ...*Secret) {
 	tb.Helper()
+	up := r.Up()
+	for _, s := range secrets {
+		s.addSeededDraws(up)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i, f := range r.up {

@@ -10,6 +10,7 @@ import (
 	"choco/internal/bfv"
 	"choco/internal/protocol"
 	"choco/internal/ring"
+	"choco/internal/sampling"
 )
 
 // seed is a high-entropy client seed: a seed of mostly zero bytes would
@@ -70,7 +71,35 @@ func TestSecretFindsEveryForm(t *testing.T) {
 	upload := protocol.MarshalSeededBFV(sct)
 	bundle := protocol.MarshalKeyBundle(&protocol.KeyBundle{PK: pk, Galois: kg.GenRotationKeys(sk, 1, 2)})
 
-	secret := NewSecret(ctx.Context, seed)
+	// The encryptors' draws, straight from their labelled streams: the
+	// seeded encryption's public seed and error, and the first public-key
+	// encryption's u, e1 and e2.
+	r, n := ctx.RingQ, ctx.RingQ.N
+	symSrc := sampling.NewSource(seed, "bfv-symmetric-encryptor")
+	for i := 0; i < 4; i++ {
+		symSrc.Uint64() // the public seed's four words
+	}
+	symE := make([]int64, n)
+	symSrc.GaussianSigned(symE, ctx.Sigma)
+	pkSrc := sampling.NewSource(seed, "bfv-encryptor")
+	u, e1, e2 := make([]int64, n), make([]int64, n), make([]int64, n)
+	pkSrc.TernarySigned(u)
+	pkSrc.GaussianSigned(e1, ctx.Sigma)
+	pkSrc.GaussianSigned(e2, ctx.Sigma)
+	e1Coeff, e2NTT := r.NewPoly(), r.NewPoly()
+	r.SetCoeffsInt64(e1, e1Coeff)
+	r.SetCoeffsInt64(e2, e2NTT)
+	r.NTT(e2NTT)
+	low := func(v []int64) []byte {
+		out := make([]byte, len(v))
+		for j, x := range v {
+			out[j] = byte(x)
+		}
+		return out
+	}
+
+	secret := NewSecret(ctx.Context, seed).PublicKeyEncryptions(1)
+	secret.addSeededDraws([][]byte{upload})
 	for _, clean := range [][]byte{upload, bundle, []byte(fmt.Sprint(ctx.Params))} {
 		if where := secret.find(clean); where != "" {
 			t.Errorf("a clean %d-byte frame holds the %s", len(clean), where)
@@ -89,6 +118,11 @@ func TestSecretFindsEveryForm(t *testing.T) {
 		"NTT words mod special":      words(sk.ValueQP.Coeffs[2][9:40]),
 		"public-key error %v":        fmt.Appendf(nil, "error: %v", e.Coeffs[0][200:230]),
 		"public-key error low bytes": flatten(e)[500:600],
+		"seeded error %d":            fmt.Appendf(nil, "e=%d", symE[101:132]),
+		"seeded error low bytes":     low(symE[n-40:]),
+		"u %v":                       fmt.Appendf(nil, "u: %v", u[7:38]),
+		"e1 residue words":           words(e1Coeff.Coeffs[1][300:340]),
+		"e2 NTT packed":              e2NTT.AppendPacked(nil),
 	}
 	for name, leak := range planted {
 		frame := append(append(append([]byte(nil), upload[:1000]...), leak...), upload[1000:]...)
