@@ -207,22 +207,28 @@ func AblationPackedVsBatched() (string, error) {
 		}
 	}
 
-	// Packed path: one input, 2 ciphertexts on the wire.
+	// Packed path: one input, 2 ciphertexts on the wire. The layer takes
+	// the product packing, so its input is written into coefficients.
 	packed, err := fc.PackInput(batch[0], slots)
 	if err != nil {
 		return "", err
 	}
-	ct, err := enc.EncryptInts(packed)
+	encode, decode := ecd.EncodeInts, dec.DecryptInts
+	if fc.Product() {
+		encode = ecd.EncodeCoeffs
+		decode = func(ct *bfv.Ciphertext) []int64 { return ecd.DecodeCoeffs(dec.Decrypt(ct)) }
+	}
+	pt, err := encode(packed)
 	if err != nil {
 		return "", err
 	}
 	start := time.Now()
-	y, _, err := fc.Apply(ev, ecd, ct, slots)
+	y, _, err := fc.Apply(ev, ecd, enc.Encrypt(pt), slots)
 	if err != nil {
 		return "", err
 	}
 	packedTime := time.Since(start)
-	if got, want := fc.ExtractOutput(dec.DecryptInts(y), ctx.T.Value), core.PlainFC(w, batch[0]); !slices.Equal(got, want) {
+	if got, want := fc.ExtractOutput(decode(y), ctx.T.Value), core.PlainFC(w, batch[0]); !slices.Equal(got, want) {
 		return "", fmt.Errorf("bench: packed output %v, want %v", got, want)
 	}
 

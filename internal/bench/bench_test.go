@@ -318,10 +318,11 @@ func TestFig11Live(t *testing.T) {
 }
 
 // TestCostSheetResidentBytes holds the cost sheet's resident_bytes column
-// to the store it prices: one Apply of each LeNet-Sm layer at bfv-B into
-// an empty PlainCache leaves residentBytes of its plan in it — conv1's 25
-// weight plaintexts (one group), conv2's 100 and the FC's 16, of
-// 98 304 B each.
+// to the store it prices: one Apply of conv2 at bfv-B into an empty
+// PlainCache leaves residentBytes of its plan in it, 100 weight
+// plaintexts of 98 304 B each. conv1 and the FC take the product packing:
+// their one kernel of 65 536 B lives in the operator, and the cache stays
+// empty (it held 25 and 16 plaintexts while they ran on slots).
 func TestCostSheetResidentBytes(t *testing.T) {
 	ctx, err := bfv.NewContext(bfv.PresetB())
 	if err != nil {
@@ -357,11 +358,12 @@ func TestCostSheetResidentBytes(t *testing.T) {
 		name       string
 		plan       core.RotationPlan
 		plaintexts int
+		size       int64 // bytes of one plaintext
 		apply      func(*core.PlainCache) error
 	}{
-		{"conv1", conv1.Plan(), 25, convApply(conv1)},
-		{"conv2", conv2.Plan(), 100, convApply(conv2)},
-		{"fc", fc.Plan(fc.HoistLevel()), 16, func(cache *core.PlainCache) error {
+		{"conv1", conv1.Plan(), 1, 65536, convApply(conv1)},
+		{"conv2", conv2.Plan(), 100, 98304, convApply(conv2)},
+		{"fc", fc.Plan(fc.HoistLevel()), 1, 65536, func(cache *core.PlainCache) error {
 			outs, _, err := fc.ApplyBatch(ecd, items, slots, cache)
 			for _, o := range outs {
 				ctx.RecycleCt(o)
@@ -374,8 +376,14 @@ func TestCostSheetResidentBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		held, want := cache.Stats().Bytes, residentBytes(ctx, tc.plan)
-		if held != want || want != int64(tc.plaintexts)*98304 {
-			t.Errorf("%s: the sheet says resident_bytes %d, the store holds %d B after one Apply; want %d plaintexts of 98304 B", tc.name, want, held, tc.plaintexts)
+		if tc.plan.Level == 0 {
+			held = int64(tc.plan.PlainMults) * tc.size // the operator's kernel, not the cache's
+			if cache.Stats() != (core.PlainCacheStats{}) {
+				t.Errorf("%s: the product packing used the plaintext cache: %+v", tc.name, cache.Stats())
+			}
+		}
+		if held != want || want != int64(tc.plaintexts)*tc.size {
+			t.Errorf("%s: the sheet says resident_bytes %d, the store holds %d B after one Apply; want %d plaintexts of %d B", tc.name, want, held, tc.plaintexts, tc.size)
 		}
 	}
 }

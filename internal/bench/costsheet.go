@@ -24,9 +24,14 @@ type LayerCost struct {
 // residentBytes is what a layer's weight store holds once an Apply has
 // filled it: one prepared plaintext per plaintext multiply of its plan
 // (the cost sheet's weights have no zero), each lifted over QP — N words
-// per data prime and per special prime, 98 304 B at bfv-B.
+// per data prime and per special prime, 98 304 B at bfv-B — or, under the
+// product packing (level 0), its one kernel over Q alone, 65 536 B.
 func residentBytes(ctx *bfv.Context, plan core.RotationPlan) int64 {
-	return int64(plan.PlainMults) * int64(ctx.Params.N()*(len(ctx.Params.QBits)+1)*8)
+	rows := len(ctx.Params.QBits) + 1
+	if plan.Level == 0 {
+		rows--
+	}
+	return int64(plan.PlainMults) * int64(ctx.Params.N()*rows*8)
 }
 
 // lenetLayers builds LeNet-Sm's three linear layers for the given row
@@ -72,10 +77,11 @@ func lenetLayers(rowSize int) (conv1, conv2 *core.Conv2D, fc *core.FC, err error
 
 // CostSheet is the cost sheet as a checked model: LeNet-Sm's three
 // linear layers at PresetB, each RotationPlan priced from the unit costs
-// of everything the executor does — decompositions, QP-resident babies,
-// the lifts of the unrotated input and of the hoisted c0, one
-// multiply-accumulate per term, one close per inner sum, QP giants and the
-// fold's mod-down — all measured in this process on one worker (the width
+// of everything the executor does — on the slot packing (conv2)
+// decompositions, QP-resident babies, the lifts of the unrotated input and
+// of the hoisted c0, one multiply-accumulate per term, one close per inner
+// sum, QP giants and the fold's mod-down; on the product packing (conv1
+// and FC) one plaintext product over Q — all measured in this process on one worker (the width
 // the end-to-end benchmark is pinned to), next to the measured warm Apply
 // and the bytes of its resident weight plaintexts. It returns the report
 // and one record per layer (TestCostSheetPredictsApply holds the two
@@ -97,9 +103,9 @@ func CostSheet() (string, []LayerCost, error) {
 
 	kg := bfv.NewKeyGenerator(ctx, [32]byte{55})
 	sk := kg.GenSecretKey()
+	// conv2 is the one layer on slots: its steps are all a request's.
 	steps := conv2.RotationSteps() // a kernel offset first, a block shift last
-	allSteps := append(append(append([]int{}, steps...), conv1.RotationSteps()...), fc.RotationSteps()...)
-	ev := bfv.NewEvaluator(ctx, nil, kg.GenRotationKeys(sk, allSteps...))
+	ev := bfv.NewEvaluator(ctx, nil, kg.GenRotationKeys(sk, steps...))
 	ecd := bfv.NewEncoder(ctx)
 	vals := make([]int64, slots)
 	for i := range vals {
@@ -122,8 +128,8 @@ func CostSheet() (string, []LayerCost, error) {
 	}
 	defer dc.Release()
 	// The babies and the multiply-accumulates cycle over as many distinct
-	// switching keys and operands as a request does: its 54 rotation keys
-	// are 41 MB, 24 babies and 141 weight plaintexts 19 MB, so a loop over
+	// switching keys and operands as a request does: its 27 rotation keys
+	// are 21 MB, 24 babies and 100 weight plaintexts 14.5 MB, so a loop over
 	// one of each would time a cache the executor never has. A layer also
 	// holds all its babies until its inner sums have read them, so the
 	// rotations keep that many outputs live and recycle the oldest: an
@@ -155,8 +161,7 @@ func CostSheet() (string, []LayerCost, error) {
 	// rotations (a lift's empty special-prime row would flatter the
 	// close's rounding branches): the difference prices a
 	// multiply-accumulate, the rest of the short one the close.
-	plaintexts := conv1.Plan().PlainMults + conv2.Plan().PlainMults + fc.Plan(fc.HoistLevel()).PlainMults
-	xs, pms := make([]*bfv.NTTCiphertext, len(babySteps)), make([]*bfv.PlaintextMul, plaintexts)
+	xs, pms := make([]*bfv.NTTCiphertext, len(babySteps)), make([]*bfv.PlaintextMul, conv2.Plan().PlainMults)
 	for k := range xs {
 		if xs[k], err = ev.RotateRowsLazyNTT(dc, babySteps[k]); err != nil {
 			return "", nil, err
@@ -178,6 +183,7 @@ func CostSheet() (string, []LayerCost, error) {
 			return nil
 		}
 	}
+	kernel := ctx.PrepareMulQ(vals[:len(vals)/2])
 	convApply := func(conv *core.Conv2D) func() error {
 		return func() error {
 			outs, _, err := conv.Apply(ev, ecd, ct, slots)
@@ -193,9 +199,9 @@ func CostSheet() (string, []LayerCost, error) {
 		outputs    int
 		apply      func() error
 	}{
-		{"conv1", fmt.Sprintf("conv1 (28x28, 5x5, 1->4 channels, Cb=%d)", conv1.Cb), conv1.Plan(), conv1.Groups(), convApply(conv1)},
+		{"conv1", "conv1 (28x28, 5x5, 1->4 channels, product packing)", conv1.Plan(), conv1.Groups(), convApply(conv1)},
 		{"conv2", fmt.Sprintf("conv2 (14x14, 5x5, 4->6 channels, Cb=%d)", conv2.Cb), conv2.Plan(), conv2.Groups(), convApply(conv2)},
-		{"fc", fmt.Sprintf("fc (294x10, %d extended diagonals)", fc.Po), fc.Plan(fc.HoistLevel()), 1, func() error {
+		{"fc", "fc (294x10, product packing)", fc.Plan(fc.HoistLevel()), 1, func() error {
 			out, _, err := fc.Apply(ev, ecd, ct, slots)
 			if err == nil {
 				ctx.RecycleCt(out)
@@ -214,7 +220,7 @@ func CostSheet() (string, []LayerCost, error) {
 			}
 			return err
 		},
-		rotate(append(append(append([]int{}, babySteps...), conv1.RotationSteps()...), fc.RotationSteps()...)),
+		rotate(steps),
 		rotate([]int{0}),
 		innerSum(1),
 		innerSum(len(xs)+1),
@@ -232,29 +238,40 @@ func CostSheet() (string, []LayerCost, error) {
 			ctx.RecycleCt(ev.FinalizeModDown(qa))
 			return nil
 		},
+		func() error {
+			ctx.RecycleCt(ev.MulPlainQ(ct, kernel))
+			return nil
+		},
 		layers[0].apply, layers[1].apply, layers[2].apply)
 	if err != nil {
 		return "", nil, err
 	}
-	decompose, baby, lift, short, long, giant, modDown := ms[0], ms[1], ms[2], ms[3], ms[4], ms[5], ms[6]
+	decompose, baby, lift, short, long, giant, modDown, product := ms[0], ms[1], ms[2], ms[3], ms[4], ms[5], ms[6], ms[7]
 	mac := (long - short) / float64(len(xs))
 	closeSum := short - mac
-	fmt.Fprintf(&b, "bfv-B LeNet-Sm layers, warm Apply against the plan priced from unit costs: decompose %.3f ms, QP-resident baby %.3f ms, lift %.3f ms, multiply-accumulate %.4f ms, inner-sum close %.3f ms, QP giant %.3f ms, mod-down %.3f ms\n",
-		decompose, baby, lift, mac, closeSum, giant, modDown)
+	fmt.Fprintf(&b, "bfv-B LeNet-Sm layers, warm Apply against the plan priced from unit costs: decompose %.3f ms, QP-resident baby %.3f ms, lift %.3f ms, multiply-accumulate %.4f ms, inner-sum close %.3f ms, QP giant %.3f ms, mod-down %.3f ms, product over Q %.3f ms\n",
+		decompose, baby, lift, mac, closeSum, giant, modDown, product)
 
 	var recs []LayerCost
 	for i, l := range layers {
-		measured := ms[7+i]
+		measured := ms[8+i]
 		allocs := int64(testing.AllocsPerRun(4, func() { l.apply() }))
+		resident := residentBytes(ctx, l.plan)
+		fmt.Fprintf(&b, "  %s, %d reply ciphertexts, %d key switches, resident_bytes %d (%d weight plaintexts)\n    plan: %s\n",
+			l.desc, l.outputs, l.plan.BabySteps+l.plan.GiantSteps, resident, l.plan.PlainMults, l.plan)
+		if l.plan.Level == 0 {
+			predicted := float64(l.plan.PlainMults) * product
+			recs = append(recs, LayerCost{Layer: l.name, MeasuredMs: measured, PredictedMs: predicted})
+			fmt.Fprintf(&b, "    predicted %.2f ms = %d product over Q; warm Apply measured %.2f ms (%d allocs/op), %+.1f %% off the sheet\n",
+				predicted, l.plan.PlainMults, measured, allocs, 100*(measured/predicted-1))
+			continue
+		}
 		// Two lifts: the unrotated baby, and the c0 every rotated baby
 		// gathers (hoisted with the decomposition, built once).
 		keySwitching := float64(l.plan.Decompositions)*decompose + float64(l.plan.BabySteps)*baby + 2*lift +
 			float64(l.plan.GiantSteps)*giant + float64(l.plan.ModDowns)*modDown
 		innerSums := float64(l.plan.PlainMults)*mac + float64(l.plan.NTTModDowns)*closeSum
-		resident := residentBytes(ctx, l.plan)
 		recs = append(recs, LayerCost{Layer: l.name, MeasuredMs: measured, PredictedMs: keySwitching + innerSums})
-		fmt.Fprintf(&b, "  %s, %d reply ciphertexts, %d key switches, resident_bytes %d (%d weight plaintexts)\n    plan: %s\n",
-			l.desc, l.outputs, l.plan.BabySteps+l.plan.GiantSteps, resident, l.plan.PlainMults, l.plan)
 		fmt.Fprintf(&b, "    predicted %.2f ms = key switching %.2f + %d multiply-accumulates and %d inner-sum closes %.2f; warm Apply measured %.2f ms (%d allocs/op), %+.1f %% off the sheet\n",
 			keySwitching+innerSums, keySwitching, l.plan.PlainMults, l.plan.NTTModDowns, innerSums, measured, allocs, 100*(measured/(keySwitching+innerSums)-1))
 	}
@@ -267,7 +284,11 @@ func CostSheet() (string, []LayerCost, error) {
 // round, so a noisy spell on a shared box falls on the unit costs and on
 // the Applies they are set against alike — a mean, or one fn timed after
 // another, would move them apart. Each fn runs once untimed first (an
-// Apply fills its operator's plaintext store then).
+// Apply fills its operator's plaintext store then), and once untimed ahead
+// of each batch, so a call is timed after calls of its own kind, as a
+// layer runs request after request, and not on the state the previous fn
+// left: conv2's first Apply after the unit loops takes about 1 ms longer
+// at bfv-B than the next.
 func steadyMs(fns ...func() error) ([]float64, error) {
 	batch := func(fn func() error, n int) (time.Duration, error) {
 		start := time.Now()
@@ -293,6 +314,9 @@ func steadyMs(fns ...func() error) ([]float64, error) {
 	per := make([][]float64, len(fns))
 	for r := 0; r < rounds; r++ {
 		for i, fn := range fns {
+			if err := fn(); err != nil {
+				return nil, err
+			}
 			d, err := batch(fn, calls[i])
 			if err != nil {
 				return nil, err

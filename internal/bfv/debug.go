@@ -1,6 +1,10 @@
 package bfv
 
-import "fmt"
+import (
+	"fmt"
+
+	"choco/internal/ring"
+)
 
 // debugCheckCt validates the chocodebug ciphertext invariants on each
 // operand of an evaluator op (called only under rlwe.DebugEnabled): Drop
@@ -16,4 +20,17 @@ func (ctx *Context) debugCheckCt(op string, cts ...*Ciphertext) {
 		}
 		ctx.DebugCheck(op, ci, ct.Value, ctx.MaxLevel()-ct.Drop)
 	}
+}
+
+// debugCheckPlainQ validates the plaintext operand of a product over Q
+// (called only under rlwe.DebugEnabled): it is present, NTT-domain, and a
+// canonical polynomial of the full data ring.
+func (ctx *Context) debugCheckPlainQ(op string, p *ring.Poly) {
+	if p == nil {
+		panic(fmt.Sprintf("bfv: chocodebug: %s plaintext is nil", op))
+	}
+	if !p.IsNTT {
+		panic(fmt.Sprintf("bfv: chocodebug: %s plaintext is in the coefficient domain, want NTT", op))
+	}
+	ctx.DebugCheck(op, 1, []*ring.Poly{p}, ctx.MaxLevel())
 }

@@ -67,3 +67,19 @@ func TestChocodebugLevelMismatchPanics(t *testing.T) {
 		t.Fatalf("unexpected panic message: %q", msg)
 	}
 }
+
+// TestChocodebugMulPlainQCoefficientKernelPanics: a kernel left in the
+// coefficient domain is named at MulPlainQ's entry, before the product.
+func TestChocodebugMulPlainQCoefficientKernelPanics(t *testing.T) {
+	kit := newTestKit(t, PresetTest())
+	ct, err := kit.enc.EncryptUints([]uint64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kit.ctx.PrepareMulQ([]int64{1, -1})
+	kit.ctx.RingQ.INTT(k.NTT)
+	msg := mustPanicBFV(t, func() { kit.ev.MulPlainQ(ct, k) })
+	if !strings.Contains(msg, "chocodebug") || !strings.Contains(msg, "coefficient domain") {
+		t.Fatalf("unexpected panic message: %q", msg)
+	}
+}

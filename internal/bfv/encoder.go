@@ -73,7 +73,31 @@ func (e *Encoder) DecodeUints(pt *Plaintext) []uint64 {
 
 // DecodeInts returns slot values centered into (-t/2, t/2].
 func (e *Encoder) DecodeInts(pt *Plaintext) []int64 {
-	u := e.DecodeUints(pt)
+	return e.centered(e.DecodeUints(pt))
+}
+
+// EncodeCoeffs writes signed values straight into the plaintext's
+// coefficients mod t, with no batching NTT: the input of a
+// coefficient-packed layer, whose plaintext product (MulPlainQ) is a
+// negacyclic polynomial product rather than a slot-wise one. Missing
+// trailing values are zero.
+func (e *Encoder) EncodeCoeffs(values []int64) (*Plaintext, error) {
+	if n := e.ctx.Params.N(); len(values) > n {
+		return nil, fmt.Errorf("bfv: %d values exceed %d coefficients", len(values), n)
+	}
+	pt := &Plaintext{Poly: e.ctx.RingT.NewPoly()}
+	e.ctx.RingT.SetCoeffsInt64(values, pt.Poly)
+	return pt, nil
+}
+
+// DecodeCoeffs returns all N coefficients of the plaintext centered into
+// (-t/2, t/2]: the output side of EncodeCoeffs.
+func (e *Encoder) DecodeCoeffs(pt *Plaintext) []int64 {
+	return e.centered(pt.Poly.Coeffs[0])
+}
+
+// centered maps residues mod t into (-t/2, t/2].
+func (e *Encoder) centered(u []uint64) []int64 {
 	t := e.ctx.T.Value
 	half := t / 2
 	out := make([]int64, len(u))

@@ -118,16 +118,56 @@ func (ev *Evaluator) PrepareMul(pt *Plaintext) *PlaintextMul {
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pm *PlaintextMul) *Ciphertext {
 	if rlwe.DebugEnabled {
 		ev.ctx.debugCheckCt("MulPlain", ct)
+		ev.ctx.debugCheckPlainQ("MulPlain", pm.q)
 	}
+	return ev.mulQ(ct, pm.q)
+}
+
+// PlaintextQ is a plaintext operand held over the data ring Q alone, in
+// the NTT domain: small signed integer coefficients lifted centered, not
+// reduced mod t, so a product with it grows the noise by the operand's
+// ℓ1 norm where a dense batch-encoded plaintext grows it by about N·t.
+// With no special-prime row it never enters a key switch. It is the
+// kernel of a coefficient-packed layer (MulPlainQ).
+type PlaintextQ struct {
+	NTT *ring.Poly
+}
+
+// PrepareMulQ lifts small signed coefficients centered into Q and
+// NTT-transforms them, once per operand.
+func (ctx *Context) PrepareMulQ(coeffs []int64) *PlaintextQ {
+	p := ctx.RingQ.NewPoly()
+	ctx.RingQ.SetCoeffsInt64(coeffs, p)
+	ctx.RingQ.NTT(p)
+	return &PlaintextQ{NTT: p}
+}
+
+// MulPlainQ returns ct·k, the negacyclic polynomial product of a
+// full-modulus ciphertext with a PlaintextQ: it decrypts to m·k mod t,
+// where m is the plaintext's coefficient polynomial and k the operand's
+// integer one. One forward NTT, dyadic product and inverse NTT per
+// component, over Q.
+func (ev *Evaluator) MulPlainQ(ct *Ciphertext, k *PlaintextQ) *Ciphertext {
+	if rlwe.DebugEnabled {
+		ev.ctx.debugCheckCt("MulPlainQ", ct)
+		ev.ctx.debugCheckPlainQ("MulPlainQ", k.NTT)
+	}
+	return ev.mulQ(ct, k.NTT)
+}
+
+// mulQ multiplies each component of ct by the NTT-domain polynomial k of
+// RingQ, results from the ring's scratch pool.
+func (ev *Evaluator) mulQ(ct *Ciphertext, k *ring.Poly) *Ciphertext {
 	if ct.Drop != 0 {
 		panic("bfv: plaintext operations require a full-modulus ciphertext")
 	}
 	r := ev.ctx.RingQ
 	out := &Ciphertext{Value: make([]*ring.Poly, len(ct.Value))}
 	for i, p := range ct.Value {
-		tmp := r.CopyPoly(p)
+		tmp := r.GetPoly()
+		r.Copy(tmp, p)
 		r.NTT(tmp)
-		r.MulCoeffs(tmp, pm.q, tmp)
+		r.MulCoeffs(tmp, k, tmp)
 		r.INTT(tmp)
 		out.Value[i] = tmp
 	}

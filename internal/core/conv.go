@@ -21,7 +21,10 @@ func (s ConvSpec) MACs() int64 {
 	return int64(s.InH) * int64(s.InW) * int64(s.InC) * int64(s.OutC) * int64(s.KH) * int64(s.KW)
 }
 
-// Conv2D is an encrypted convolution operator. Input channels are
+// Conv2D is an encrypted convolution operator. A layer whose outputs
+// all fit one polynomial takes the product packing (product.go): one
+// plaintext product, no rotation. Any other layer takes the slot
+// packing, described here. Input channels are
 // packed into power-of-two-strided blocks of one ciphertext row, the
 // same in both batching rows, each block holding one zero-haloed window
 // and nothing else: the halo is the rotational redundancy, since no
@@ -45,15 +48,20 @@ type Conv2D struct {
 	// Hp, Wp are the zero-padded spatial dimensions; ph, pw the halo.
 	Hp, Wp, ph, pw int
 	// Cb is the number of channel blocks per ciphertext row. An output
-	// ciphertext (group) holds GroupSize() = 2·Cb channels: channel b of a
-	// group sits in row b/Cb, block b mod Cb.
+	// ciphertext (group) of the slot packing holds GroupSize() = 2·Cb
+	// channels: channel b of a group sits in row b/Cb, block b mod Cb.
+	// Layout and Cb are computed for either packing.
 	Cb      int
 	rowSize int
+	// product is set when the layer takes the product packing.
+	product bool
 	// Weights[o][c][k] with k = ky*KW + kx, quantized.
 	Weights [][][]int64
 	// plains holds the operator's own prepared weight plaintexts, used
-	// when ApplyBatch is handed no shared cache.
+	// when ApplyBatch is handed no shared cache; kernel is the product
+	// packing's one weight polynomial instead.
 	plains *PlainCache
+	kernel *kernel
 }
 
 // NewConv2D validates the spec against the ring geometry (rowSize =
@@ -77,7 +85,11 @@ func NewConv2D(spec ConvSpec, weights [][][]int64, rowSize int) (*Conv2D, error)
 		return nil, err
 	}
 	conv.Weights = weights
-	conv.plains = NewPlainCache(0)
+	if conv.product {
+		conv.kernel = newKernel(conv.productKernel)
+	} else {
+		conv.plains = NewPlainCache(0)
+	}
 	return conv, nil
 }
 
@@ -102,16 +114,28 @@ func NewConv2DSpecOnly(spec ConvSpec, rowSize int) (*Conv2D, error) {
 	if spec.InC > cb {
 		return nil, fmt.Errorf("core: %d input channels exceed %d blocks per ciphertext", spec.InC, cb)
 	}
-	return &Conv2D{
+	c := &Conv2D{
 		Spec: spec, Layout: layout,
 		Hp: hp, Wp: wp, ph: ph, pw: pw,
 		Cb: cb, rowSize: rowSize,
-	}, nil
+	}
+	c.product = c.fitsProduct()
+	return c, nil
 }
+
+// Product reports whether the layer takes the product packing: its
+// packed input and decoded output are plaintext coefficients
+// (bfv.Encoder.EncodeCoeffs, DecodeCoeffs), not batching slots.
+func (c *Conv2D) Product() bool { return c.product }
 
 // GroupSize returns the number of output channels one output ciphertext
 // holds: output channel o is in group o / GroupSize().
-func (c *Conv2D) GroupSize() int { return 2 * c.Cb }
+func (c *Conv2D) GroupSize() int {
+	if c.product {
+		return c.Spec.OutC
+	}
+	return 2 * c.Cb
+}
 
 // Groups returns the number of output ciphertexts.
 func (c *Conv2D) Groups() int { return (c.Spec.OutC + c.GroupSize() - 1) / c.GroupSize() }
@@ -192,13 +216,22 @@ func (c *Conv2D) bsgs(slots int) BSGSPlan[int64] {
 }
 
 // RotationSteps lists every rotation amount Apply uses, each once: the
-// kernel offsets and the reachable block shifts. Generate Galois keys
-// for exactly these.
-func (c *Conv2D) RotationSteps() []int { return c.bsgs(0).RotationSteps() }
+// kernel offsets and the reachable block shifts, none under the product
+// packing. Generate Galois keys for exactly these.
+func (c *Conv2D) RotationSteps() []int {
+	if c.product {
+		return nil
+	}
+	return c.bsgs(0).RotationSteps()
+}
 
 // Plan reports the physical key-switching work of one Apply on the same
-// sheet as FC.Plan (level 3 is the only conv schedule).
+// sheet as FC.Plan (level 3 is the only slot schedule; the product
+// packing's plan is level 0, one plaintext product).
 func (c *Conv2D) Plan() RotationPlan {
+	if c.product {
+		return productPlan
+	}
 	giantSteps := 0
 	for g := 0; g < c.Groups(); g++ {
 		for d := 1; d < c.shifts(); d++ {
@@ -214,9 +247,11 @@ func (c *Conv2D) Plan() RotationPlan {
 }
 
 // PackInput lays the image (channel-major, InC×InH×InW, quantized
-// signed values) into a slot vector, each channel's window with its
-// zero halo in every block that holds the channel (blockChannel),
-// duplicated across both batching rows.
+// signed values) out for encryption. Under the product packing it is the
+// coefficient vector, channel c's window at c·Hp·Wp inside its zero
+// halo. Under the slot packing it is a slot vector, each channel's window
+// with its zero halo in every block that holds the channel
+// (blockChannel), duplicated across both batching rows.
 func (c *Conv2D) PackInput(image [][]int64, slots int) ([]int64, error) {
 	if len(image) != c.Spec.InC {
 		return nil, fmt.Errorf("core: image has %d channels, spec %d", len(image), c.Spec.InC)
@@ -230,15 +265,18 @@ func (c *Conv2D) PackInput(image [][]int64, slots int) ([]int64, error) {
 		}
 	}
 	out := make([]int64, slots)
+	if c.product {
+		for ch, img := range image {
+			c.copyWindow(out, ch*c.Hp*c.Wp+c.ph*c.Wp+c.pw, img)
+		}
+		return out, nil
+	}
 	for k := 0; k < c.Cb; k++ {
 		ch := c.blockChannel(k)
 		if ch < 0 {
 			continue
 		}
-		base := k*c.Layout.Stride + c.ph*c.Wp + c.pw
-		for y := 0; y < c.Spec.InH; y++ {
-			copy(out[base+y*c.Wp:], image[ch][y*c.Spec.InW:(y+1)*c.Spec.InW])
-		}
+		c.copyWindow(out, k*c.Layout.Stride+c.ph*c.Wp+c.pw, image[ch])
 	}
 	// Duplicate into the second batching row: a row rotation moves both
 	// rows alike, and each row computes its own output channels.
@@ -246,13 +284,28 @@ func (c *Conv2D) PackInput(image [][]int64, slots int) ([]int64, error) {
 	return out, nil
 }
 
+// copyWindow writes an InH×InW window into out, its first pixel at
+// origin and its rows Wp apart.
+func (c *Conv2D) copyWindow(out []int64, origin int, img []int64) {
+	for y := 0; y < c.Spec.InH; y++ {
+		copy(out[origin+y*c.Wp:], img[y*c.Spec.InW:(y+1)*c.Spec.InW])
+	}
+}
+
 // Apply evaluates the convolution over an encrypted packed input,
 // returning one ciphertext per output group and the operation counts.
-// It runs over the operator's own prepared weight plaintexts, so a
-// repeated Apply on one operator is the warm path.
+// It runs over the operator's own kernel or prepared weight plaintexts,
+// so a repeated Apply on one operator is the warm path.
 func (c *Conv2D) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) ([]*bfv.Ciphertext, OpCounts, error) {
 	if c.Weights == nil {
 		return nil, OpCounts{}, fmt.Errorf("core: Apply on a spec-only convolution (no weights)")
+	}
+	if c.product {
+		out, ops, err := c.kernel.apply(ev, ct, 2*c.rowSize)
+		if err != nil {
+			return nil, OpCounts{}, err
+		}
+		return []*bfv.Ciphertext{out}, ops, nil
 	}
 	return applyBFV(ev, ecd, ct, c.plains, c.bsgs(slots))
 }
@@ -296,16 +349,21 @@ func (c *Conv2D) weightDiag(g, d, ki, slots int) []int64 {
 	return diag
 }
 
-// ExtractOutput pulls output channel o's InH×InW activation map from a
-// decoded slot vector of group o/GroupSize().
+// ExtractOutput pulls output channel o's InH×InW activation map from the
+// decoded vector of group o/GroupSize(): coefficients from base(o) under
+// the product packing, slots of its block's interior under the slot
+// packing.
 func (c *Conv2D) ExtractOutput(decoded []int64, o int) []int64 {
-	b := o % c.GroupSize()
-	base := b/c.Cb*c.rowSize + b%c.Cb*c.Layout.Stride
+	var origin int
+	if c.product {
+		origin = c.productBase(o)
+	} else {
+		b := o % c.GroupSize()
+		origin = b/c.Cb*c.rowSize + b%c.Cb*c.Layout.Stride + c.ph*c.Wp + c.pw
+	}
 	out := make([]int64, c.Spec.InH*c.Spec.InW)
 	for y := 0; y < c.Spec.InH; y++ {
-		for x := 0; x < c.Spec.InW; x++ {
-			out[y*c.Spec.InW+x] = decoded[base+(y+c.ph)*c.Wp+(x+c.pw)]
-		}
+		copy(out[y*c.Spec.InW:(y+1)*c.Spec.InW], decoded[origin+y*c.Wp:])
 	}
 	return out
 }

@@ -370,9 +370,10 @@ func TestWarmApplyAllocs(t *testing.T) {
 	}
 }
 
-// TestConvBSGSEdgeGeometries decrypts the convolution against
-// PlainConv2D where the BSGS split, the two-row layout or the channel
-// replication degenerates: input channels that do not divide the blocks
+// TestConvBSGSEdgeGeometries decrypts the convolution on the slot
+// packing against PlainConv2D where the BSGS split, the two-row layout or
+// the channel replication degenerates (three of the shapes take the
+// product packing as layers; convOnSlots keeps them here): input channels that do not divide the blocks
 // (packed once, so some block shifts are dead and get no key) with so
 // few outputs that row 1 stays empty, or with every shift live; channels
 // repeated across the blocks, where InC shifts reach them all, with an
@@ -427,6 +428,7 @@ func TestConvBSGSEdgeGeometries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			conv = convOnSlots(conv)
 			steps, plan := conv.RotationSteps(), conv.Plan()
 			if conv.Cb != tc.cb || len(steps) != tc.keys || plan.GiantSteps != tc.giants {
 				t.Fatalf("Cb = %d, %d rotation steps, %d giant steps; want %d, %d, %d", conv.Cb, len(steps), plan.GiantSteps, tc.cb, tc.keys, tc.giants)
@@ -511,7 +513,7 @@ func (c *Conv2D) applyFlat(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Cipherte
 	return outs, nil
 }
 
-// TestConvBSGSNoise checks the noise cost of the schedule instead of
+// TestConvBSGSNoise checks the noise cost of the slot schedule instead of
 // assuming it, in fractions of a bit (bfv.NoiseBudgetBits — whole bits
 // put conv2 on an integer edge). The giants add one key-switch noise
 // term after the plaintext multiplies, where the flat schedule paid all
@@ -520,7 +522,9 @@ func (c *Conv2D) applyFlat(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Cipherte
 // the channels of row 0. On LeNet-Sm's conv2 (14×14, 5×5 kernel, 4 → 6
 // channels, 4-bit weights and activations) and conv1 (28×28, 1 → 4) at
 // bfv-B, and on conv2's window with the channel counts a Test-preset row
-// holds, every output group must keep its budget to within 2 bits of the
+// holds, all on the slot packing (conv1 and the Test-preset window take
+// the product packing as layers, whose budgets TestProductNoise pins;
+// convOnSlots keeps them here), every output group must keep its budget to within 2 bits of the
 // flat schedule's (measured: 1.7 on conv2, whose integer reading happened
 // to move by one) and 0.2 bit of the one-row layer's (0.5 at the Test
 // preset, where row 1 adds half as many channels again), with at least
@@ -551,6 +555,7 @@ func TestConvBSGSNoise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			conv = convOnSlots(conv)
 			var flatSteps []int
 			for d := 0; d < conv.shifts(); d++ {
 				for _, delta := range conv.kernelOffsets() {
@@ -583,6 +588,7 @@ func TestConvBSGSNoise(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				oneRow = convOnSlots(oneRow)
 				row0, _, err := oneRow.Apply(k.ev, k.ecd, ct, slots)
 				if err != nil {
 					t.Fatal(err)

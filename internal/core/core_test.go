@@ -11,6 +11,9 @@ type kit struct {
 	ctx *bfv.Context
 	sk  *bfv.SecretKey
 	enc *bfv.Encryptor
+	// sym, when set, encrypts in encrypt's place, seeded under the
+	// secret key as the inference client does.
+	sym *bfv.SymmetricEncryptor
 	dec *bfv.Decryptor
 	ecd *bfv.Encoder
 	ev  *bfv.Evaluator
@@ -35,6 +38,56 @@ func newKit(t testing.TB, rotSteps []int) *kit {
 		ecd: bfv.NewEncoder(ctx),
 		ev:  bfv.NewEvaluator(ctx, relin, galois),
 	}
+}
+
+// encrypt encrypts a packed vector the way its layer reads it: plaintext
+// coefficients under the product packing, batch-encoded slots under the
+// slot packing.
+func (k *kit) encrypt(t testing.TB, packed []int64, coeffs bool) *bfv.Ciphertext {
+	t.Helper()
+	if !coeffs {
+		ct, err := k.enc.EncryptInts(packed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
+	}
+	pt, err := k.ecd.EncodeCoeffs(packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.sym != nil {
+		return k.sym.EncryptSeeded(pt).Expand(k.ctx)
+	}
+	return k.enc.Encrypt(pt)
+}
+
+// decrypt opens a layer output in its packing.
+func (k *kit) decrypt(ct *bfv.Ciphertext, coeffs bool) []int64 {
+	if !coeffs {
+		return k.dec.DecryptInts(ct)
+	}
+	return k.ecd.DecodeCoeffs(k.dec.Decrypt(ct))
+}
+
+// convOnSlots returns the convolution on the slot packing whatever its
+// shape: the slot executor's tests keep the geometries they pin on shapes
+// the product packing now takes.
+func convOnSlots(c *Conv2D) *Conv2D {
+	s := *c
+	s.product, s.kernel, s.plains = false, nil, NewPlainCache(0)
+	return &s
+}
+
+// fcOnSlots is convOnSlots for an FC layer.
+func fcOnSlots(t testing.TB, f *FC) *FC {
+	t.Helper()
+	s := *f
+	s.product, s.kernel, s.plains = false, nil, NewPlainCache(0)
+	if err := s.layoutSlots(); err != nil {
+		t.Fatal(err)
+	}
+	return &s
 }
 
 func synthImage(src *sampling.Source, channels, pixels int, maxAbs int64) [][]int64 {
@@ -86,6 +139,8 @@ func TestConvMACs(t *testing.T) {
 	}
 }
 
+// TestEncryptedConvMatchesPlain runs one layer shape on both packings:
+// the product packing it takes, and the slot packing.
 func TestEncryptedConvMatchesPlain(t *testing.T) {
 	// 8×8 image, 2 input channels, 3 output channels, 3×3 kernel.
 	spec := ConvSpec{InH: 8, InW: 8, InC: 2, KH: 3, KW: 3, OutC: 3}
@@ -98,47 +153,46 @@ func TestEncryptedConvMatchesPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	rowSize := ctxProbe.Params.N() / 2
-	conv, err := NewConv2D(spec, weights, rowSize)
+	product, err := NewConv2D(spec, weights, rowSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := newKit(t, conv.RotationSteps())
+	if !product.Product() {
+		t.Fatal("the layer does not take the product packing")
+	}
+	for _, conv := range []*Conv2D{product, convOnSlots(product)} {
+		k := newKit(t, conv.RotationSteps())
+		packed, err := conv.PackInput(image, k.ctx.Params.Slots())
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs, ops, err := conv.Apply(k.ev, k.ecd, k.encrypt(t, packed, conv.Product()), k.ctx.Params.Slots())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(outs) != conv.Groups() {
+			t.Fatalf("got %d output groups, want %d", len(outs), conv.Groups())
+		}
+		t.Logf("conv ops: %+v product=%v groups=%d Cb=%d stride=%d", ops, conv.Product(), conv.Groups(), conv.Cb, conv.Layout.Stride)
+		if ops.CtMults != 0 {
+			t.Error("convolution must not use ciphertext multiplies")
+		}
 
-	packed, err := conv.PackInput(image, k.ctx.Params.Slots())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := k.enc.EncryptInts(packed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, ops, err := conv.Apply(k.ev, k.ecd, ct, k.ctx.Params.Slots())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != conv.Groups() {
-		t.Fatalf("got %d output groups, want %d", len(outs), conv.Groups())
-	}
-	t.Logf("conv ops: %+v groups=%d Cb=%d stride=%d", ops, conv.Groups(), conv.Cb, conv.Layout.Stride)
-	if ops.CtMults != 0 {
-		t.Error("convolution must not use ciphertext multiplies")
-	}
-
-	want := PlainConv2D(spec, weights, image)
-	for o := 0; o < spec.OutC; o++ {
-		g := o / conv.GroupSize()
-		decoded := k.dec.DecryptInts(outs[g])
-		got := conv.ExtractOutput(decoded, o)
-		for i := range got {
-			if got[i] != want[o][i] {
-				t.Fatalf("channel %d pixel %d: got %d want %d", o, i, got[i], want[o][i])
+		want := PlainConv2D(spec, weights, image)
+		for o := 0; o < spec.OutC; o++ {
+			g := o / conv.GroupSize()
+			got := conv.ExtractOutput(k.decrypt(outs[g], conv.Product()), o)
+			for i := range got {
+				if got[i] != want[o][i] {
+					t.Fatalf("product=%v channel %d pixel %d: got %d want %d", conv.Product(), o, i, got[i], want[o][i])
+				}
 			}
 		}
-	}
-	// Noise budget must survive the layer.
-	for _, out := range outs {
-		if b := bfv.NoiseBudget(k.ctx, k.sk, out); b <= 0 {
-			t.Error("noise budget exhausted by convolution")
+		// Noise budget must survive the layer.
+		for _, out := range outs {
+			if b := bfv.NoiseBudget(k.ctx, k.sk, out); b <= 0 {
+				t.Error("noise budget exhausted by convolution")
+			}
 		}
 	}
 }
@@ -163,6 +217,8 @@ func TestConvRotationSharingAcrossGroups(t *testing.T) {
 	}
 }
 
+// TestEncryptedFCMatchesPlain runs one layer shape on both packings: the
+// product packing it takes, and the slot packing.
 func TestEncryptedFCMatchesPlain(t *testing.T) {
 	in, out := 48, 10
 	src := sampling.NewSource([32]byte{4}, "fc-test")
@@ -180,39 +236,40 @@ func TestEncryptedFCMatchesPlain(t *testing.T) {
 
 	ctxProbe, _ := bfv.NewContext(bfv.PresetTest())
 	rowSize := ctxProbe.Params.N() / 2
-	fc, err := NewFC(in, out, weights, rowSize)
+	product, err := NewFC(in, out, weights, rowSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := newKit(t, fc.RotationSteps())
-	packed, err := fc.PackInput(x, k.ctx.Params.Slots())
-	if err != nil {
-		t.Fatal(err)
+	if !product.Product() {
+		t.Fatal("the layer does not take the product packing")
 	}
-	ct, err := k.enc.EncryptInts(packed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, ops, err := fc.Apply(k.ev, k.ecd, ct, k.ctx.Params.Slots())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("fc ops: %+v (P=%d B=%d G=%d)", ops, fc.P, fc.B, fc.G)
-	got := fc.ExtractOutput(k.dec.DecryptInts(res), k.ctx.T.Value)
-	want := PlainFC(weights, x)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("output %d: got %d want %d", i, got[i], want[i])
+	for _, fc := range []*FC{product, fcOnSlots(t, product)} {
+		k := newKit(t, fc.RotationSteps())
+		packed, err := fc.PackInput(x, k.ctx.Params.Slots())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// BSGS keeps rotations near 2√P rather than P.
-	if ops.Rotations > 2*(fc.B+fc.G) {
-		t.Errorf("BSGS rotations %d too high for P=%d", ops.Rotations, fc.P)
+		res, ops, err := fc.Apply(k.ev, k.ecd, k.encrypt(t, packed, fc.Product()), k.ctx.Params.Slots())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("fc ops: %+v (product=%v P=%d B=%d G=%d)", ops, fc.Product(), fc.P, fc.B, fc.G)
+		got := fc.ExtractOutput(k.decrypt(res, fc.Product()), k.ctx.T.Value)
+		want := PlainFC(weights, x)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("product=%v output %d: got %d want %d", fc.Product(), i, got[i], want[i])
+			}
+		}
+		// BSGS keeps rotations near 2√P rather than P.
+		if ops.Rotations > 2*(fc.B+fc.G) {
+			t.Errorf("BSGS rotations %d too high for P=%d", ops.Rotations, fc.P)
+		}
 	}
 }
 
 // TestFCFoldWrapsModT drives the client fold where it has to do modular
-// work: every slot of a 64×4 layer holds a partial sum over 4 columns of
+// work: every slot of a 64×4 layer on the slot packing holds a partial sum over 4 columns of
 // ±150·150 products, beyond t/2 at the test preset, so the decoded
 // partials are wrapped representatives; the signs alternate by column
 // window so each true output is small. The fold must still equal PlainFC.
@@ -238,6 +295,7 @@ func TestFCFoldWrapsModT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fc = fcOnSlots(t, fc)
 	k := newKit(t, fc.RotationSteps())
 	packed, err := fc.PackInput(x, k.ctx.Params.Slots())
 	if err != nil {

@@ -467,19 +467,29 @@ func ApplyCKKS(ev *ckks.Evaluator, ecd *ckks.Encoder, ct *ckks.Ciphertext, cache
 // ApplyBatch evaluates the convolution over several sessions' packed
 // inputs, one after another on one plan, returning per-item output
 // groups and op counts in item order; a nil cache selects the operator's
-// own plaintext store. It stays for two callers: the benchmark replay
+// own plaintext store, and a product-packed layer reads its kernel and
+// no cache. It stays for two callers: the benchmark replay
 // prices two items in one call, and the serving tier passes its shared
 // PlainCache through it.
 func (c *Conv2D) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache) ([][]*bfv.Ciphertext, []OpCounts, error) {
 	if c.Weights == nil {
 		return nil, nil, fmt.Errorf("core: ApplyBatch on a spec-only convolution (no weights)")
 	}
+	outs := make([][]*bfv.Ciphertext, len(items))
+	ops := make([]OpCounts, len(items))
+	if c.product {
+		for i, it := range items {
+			var err error
+			if outs[i], ops[i], err = c.Apply(it.Ev, ecd, it.Ct, slots); err != nil {
+				return nil, nil, err
+			}
+		}
+		return outs, ops, nil
+	}
 	if cache == nil {
 		cache = c.plains
 	}
 	pl := c.bsgs(slots)
-	outs := make([][]*bfv.Ciphertext, len(items))
-	ops := make([]OpCounts, len(items))
 	for i, it := range items {
 		var err error
 		if outs[i], ops[i], err = applyBFV(it.Ev, ecd, it.Ct, cache, pl); err != nil {
@@ -491,16 +501,26 @@ func (c *Conv2D) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cac
 
 // ApplyBatch evaluates y = W·x for several sessions' inputs, one after
 // another on one plan, returning per-item outputs and op counts in item
-// order; a nil cache selects the operator's own plaintext store. It stays
+// order; a nil cache selects the operator's own plaintext store, and a
+// product-packed layer reads its kernel and no cache. It stays
 // for two callers: the benchmark replay prices two items in one call, and
 // the serving tier passes its shared PlainCache through it.
 func (f *FC) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache) ([]*bfv.Ciphertext, []OpCounts, error) {
+	outs := make([]*bfv.Ciphertext, len(items))
+	ops := make([]OpCounts, len(items))
+	if f.product {
+		for i, it := range items {
+			var err error
+			if outs[i], ops[i], err = f.Apply(it.Ev, ecd, it.Ct, slots); err != nil {
+				return nil, nil, err
+			}
+		}
+		return outs, ops, nil
+	}
 	if cache == nil {
 		cache = f.plains
 	}
 	pl := f.bsgs(slots)
-	outs := make([]*bfv.Ciphertext, len(items))
-	ops := make([]OpCounts, len(items))
 	for i, it := range items {
 		var err error
 		if outs[i], ops[i], err = f.apply(it.Ev, ecd, it.Ct, cache, pl); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -53,7 +54,9 @@ func ctEqual(r *ring.Ring, a, b *bfv.Ciphertext) bool {
 // guarantee at the conv kernel: coalescing three sessions' inputs into
 // one ApplyBatch call yields, per session, ciphertexts byte-identical
 // to the serial Apply path — with and without a shared plaintext cache,
-// and on a second (fully warm) batch.
+// and on a second (fully warm) batch. The layer runs on both packings:
+// the slot packing fills the cache and then hits it, the product packing
+// never looks at it.
 func TestConvApplyBatchMatchesSerial(t *testing.T) {
 	spec := ConvSpec{InH: 8, InW: 8, InC: 2, KH: 3, KW: 3, OutC: 3}
 	src := sampling.NewSource([32]byte{7}, "crossbatch-conv")
@@ -63,78 +66,83 @@ func TestConvApplyBatchMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv, err := NewConv2D(spec, weights, ctxProbe.Params.N()/2)
+	product, err := NewConv2D(spec, weights, ctxProbe.Params.N()/2)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	const sessions = 3
-	kits := make([]*kit, sessions)
-	items := make([]BatchInput, sessions)
-	slots := ctxProbe.Params.Slots()
-	for i := 0; i < sessions; i++ {
-		kits[i] = newSessionKit(t, byte(i), conv.RotationSteps())
-		img := synthImage(src, spec.InC, spec.InH*spec.InW, 7)
-		packed, err := conv.PackInput(img, slots)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct, err := kits[i].enc.EncryptInts(packed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		items[i] = BatchInput{Ev: kits[i].ev, Ct: ct}
-	}
-
-	serialOuts := make([][]*bfv.Ciphertext, sessions)
-	serialOps := make([]OpCounts, sessions)
-	for i := 0; i < sessions; i++ {
-		outs, ops, err := conv.Apply(kits[i].ev, kits[i].ecd, items[i].Ct, slots)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serialOuts[i], serialOps[i] = outs, ops
-	}
-
-	check := func(label string, cache *PlainCache) {
-		outs, ops, err := conv.ApplyBatch(kits[0].ecd, items, slots, cache)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
+	for _, conv := range []*Conv2D{product, convOnSlots(product)} {
+		const sessions = 3
+		kits := make([]*kit, sessions)
+		items := make([]BatchInput, sessions)
+		slots := ctxProbe.Params.Slots()
 		for i := 0; i < sessions; i++ {
-			if ops[i] != serialOps[i] {
-				t.Errorf("%s: session %d op counts %+v, serial %+v", label, i, ops[i], serialOps[i])
+			kits[i] = newSessionKit(t, byte(i), conv.RotationSteps())
+			img := synthImage(src, spec.InC, spec.InH*spec.InW, 7)
+			packed, err := conv.PackInput(img, slots)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(outs[i]) != len(serialOuts[i]) {
-				t.Fatalf("%s: session %d got %d groups, want %d", label, i, len(outs[i]), len(serialOuts[i]))
+			items[i] = BatchInput{Ev: kits[i].ev, Ct: kits[i].encrypt(t, packed, conv.Product())}
+		}
+
+		serialOuts := make([][]*bfv.Ciphertext, sessions)
+		serialOps := make([]OpCounts, sessions)
+		for i := 0; i < sessions; i++ {
+			outs, ops, err := conv.Apply(kits[i].ev, kits[i].ecd, items[i].Ct, slots)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for g := range outs[i] {
-				if !ctEqual(kits[i].ctx.RingQ, outs[i][g], serialOuts[i][g]) {
-					t.Errorf("%s: session %d group %d differs from serial Apply", label, i, g)
+			serialOuts[i], serialOps[i] = outs, ops
+		}
+
+		check := func(label string, cache *PlainCache) {
+			label = fmt.Sprintf("product=%v %s", conv.Product(), label)
+			outs, ops, err := conv.ApplyBatch(kits[0].ecd, items, slots, cache)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for i := 0; i < sessions; i++ {
+				if ops[i] != serialOps[i] {
+					t.Errorf("%s: session %d op counts %+v, serial %+v", label, i, ops[i], serialOps[i])
+				}
+				if len(outs[i]) != len(serialOuts[i]) {
+					t.Fatalf("%s: session %d got %d groups, want %d", label, i, len(outs[i]), len(serialOuts[i]))
+				}
+				for g := range outs[i] {
+					if !ctEqual(kits[i].ctx.RingQ, outs[i][g], serialOuts[i][g]) {
+						t.Errorf("%s: session %d group %d differs from serial Apply", label, i, g)
+					}
 				}
 			}
 		}
-	}
 
-	check("no-cache", nil)
-	cache := NewPlainCache(0)
-	check("cold-cache", cache)
-	st := cache.Stats()
-	if st.Entries == 0 || st.Misses == 0 {
-		t.Fatalf("cold batch populated nothing: %+v", st)
-	}
-	check("warm-cache", cache)
-	warm := cache.Stats()
-	if warm.Hits <= st.Hits {
-		t.Errorf("warm batch recorded no cache hits: cold %+v warm %+v", st, warm)
-	}
-	if warm.Entries != st.Entries {
-		t.Errorf("warm batch grew the cache: %d -> %d entries", st.Entries, warm.Entries)
+		check("no-cache", nil)
+		cache := NewPlainCache(0)
+		check("cold-cache", cache)
+		st := cache.Stats()
+		if conv.Product() {
+			check("second", cache)
+			if st != (PlainCacheStats{}) || cache.Stats() != st {
+				t.Errorf("the product packing used the plaintext cache: %+v, then %+v", st, cache.Stats())
+			}
+			continue
+		}
+		if st.Entries == 0 || st.Misses == 0 {
+			t.Fatalf("cold batch populated nothing: %+v", st)
+		}
+		check("warm-cache", cache)
+		warm := cache.Stats()
+		if warm.Hits <= st.Hits {
+			t.Errorf("warm batch recorded no cache hits: cold %+v warm %+v", st, warm)
+		}
+		if warm.Entries != st.Entries {
+			t.Errorf("warm batch grew the cache: %d -> %d entries", st.Entries, warm.Entries)
+		}
 	}
 }
 
-// TestFCApplyBatchMatchesSerial is the same oracle check for the BSGS
-// fully-connected kernel.
+// TestFCApplyBatchMatchesSerial is the same oracle check for the
+// fully-connected kernel, on both packings.
 func TestFCApplyBatchMatchesSerial(t *testing.T) {
 	const in, out = 16, 8
 	src := sampling.NewSource([32]byte{8}, "crossbatch-fc")
@@ -149,55 +157,55 @@ func TestFCApplyBatchMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := NewFC(in, out, w, ctxProbe.Params.N()/2)
+	product, err := NewFC(in, out, w, ctxProbe.Params.N()/2)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	const sessions = 3
-	kits := make([]*kit, sessions)
-	items := make([]BatchInput, sessions)
-	var slots int
-	for i := 0; i < sessions; i++ {
-		kits[i] = newSessionKit(t, byte(10+i), fc.RotationSteps())
-		slots = kits[i].ctx.Params.Slots()
-		vec := make([]int64, slots)
-		for j := 0; j < in; j++ {
-			vec[j] = int64(src.Intn(15)) - 7
-		}
-		ct, err := kits[i].enc.EncryptInts(vec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		items[i] = BatchInput{Ev: kits[i].ev, Ct: ct}
-	}
-
-	serialOuts := make([]*bfv.Ciphertext, sessions)
-	serialOps := make([]OpCounts, sessions)
-	for i := 0; i < sessions; i++ {
-		outCt, ops, err := fc.Apply(kits[i].ev, kits[i].ecd, items[i].Ct, slots)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serialOuts[i], serialOps[i] = outCt, ops
-	}
-
-	cache := NewPlainCache(0)
-	for pass, label := range []string{"cold", "warm"} {
-		outs, ops, err := fc.ApplyBatch(kits[0].ecd, items, slots, cache)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
+	for _, fc := range []*FC{product, fcOnSlots(t, product)} {
+		const sessions = 3
+		kits := make([]*kit, sessions)
+		items := make([]BatchInput, sessions)
+		var slots int
 		for i := 0; i < sessions; i++ {
-			if ops[i] != serialOps[i] {
-				t.Errorf("%s: session %d op counts %+v, serial %+v", label, i, ops[i], serialOps[i])
+			kits[i] = newSessionKit(t, byte(10+i), fc.RotationSteps())
+			slots = kits[i].ctx.Params.Slots()
+			vec := make([]int64, slots)
+			for j := 0; j < in; j++ {
+				vec[j] = int64(src.Intn(15)) - 7
 			}
-			if !ctEqual(kits[i].ctx.RingQ, outs[i], serialOuts[i]) {
-				t.Errorf("%s: session %d FC output differs from serial Apply", label, i)
-			}
+			items[i] = BatchInput{Ev: kits[i].ev, Ct: kits[i].encrypt(t, vec, fc.Product())}
 		}
-		if pass == 1 && cache.Stats().Hits == 0 {
-			t.Error("warm FC batch recorded no cache hits")
+
+		serialOuts := make([]*bfv.Ciphertext, sessions)
+		serialOps := make([]OpCounts, sessions)
+		for i := 0; i < sessions; i++ {
+			outCt, ops, err := fc.Apply(kits[i].ev, kits[i].ecd, items[i].Ct, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serialOuts[i], serialOps[i] = outCt, ops
+		}
+
+		cache := NewPlainCache(0)
+		for pass, label := range []string{"cold", "warm"} {
+			label = fmt.Sprintf("product=%v %s", fc.Product(), label)
+			outs, ops, err := fc.ApplyBatch(kits[0].ecd, items, slots, cache)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for i := 0; i < sessions; i++ {
+				if ops[i] != serialOps[i] {
+					t.Errorf("%s: session %d op counts %+v, serial %+v", label, i, ops[i], serialOps[i])
+				}
+				if !ctEqual(kits[i].ctx.RingQ, outs[i], serialOuts[i]) {
+					t.Errorf("%s: session %d FC output differs from serial Apply", label, i)
+				}
+			}
+			if st := cache.Stats(); fc.Product() && st != (PlainCacheStats{}) {
+				t.Errorf("%s: the product packing used the plaintext cache: %+v", label, st)
+			} else if !fc.Product() && pass == 1 && st.Hits == 0 {
+				t.Errorf("%s: warm FC batch recorded no cache hits", label)
+			}
 		}
 	}
 }
@@ -240,11 +248,7 @@ func TestBatchedLinearMatchesPlainPerItem(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct, err := k.enc.EncryptInts(packed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		items[b] = BatchInput{Ev: k.ev, Ct: ct}
+		items[b] = BatchInput{Ev: k.ev, Ct: k.encrypt(t, packed, fc.Product())}
 	}
 
 	outs, _, err := fc.ApplyBatch(k.ecd, items, slots, NewPlainCache(0))
@@ -255,7 +259,7 @@ func TestBatchedLinearMatchesPlainPerItem(t *testing.T) {
 		t.Fatalf("got %d outputs for a batch of %d", len(outs), batch)
 	}
 	for b, x := range xs {
-		got := fc.ExtractOutput(k.dec.DecryptInts(outs[b]), k.ctx.T.Value)
+		got := fc.ExtractOutput(k.decrypt(outs[b], fc.Product()), k.ctx.T.Value)
 		if want := PlainFC(w, x); !slices.Equal(got, want) {
 			t.Errorf("item %d: got %v, want %v", b, got, want)
 		}

@@ -6,8 +6,12 @@ import (
 	"choco/internal/bfv"
 )
 
-// FC is an encrypted fully-connected layer evaluated with the
-// baby-step/giant-step diagonal method over a replicated input packing.
+// FC is an encrypted fully-connected layer. A non-square layer whose
+// outputs all fit one polynomial takes the product packing (product.go):
+// one plaintext product, no rotation. Any other layer takes the slot
+// packing, described here: the baby-step/giant-step diagonal method over
+// a replicated input packing. A square layer keeps it because its output
+// is its own input: BFV PageRank iterates it under encryption.
 // Replicating the padded input vector across the ciphertext row is
 // rotational redundancy taken to its limit: every rotation the layer
 // needs becomes a plain cyclic rotation, with zero masking multiplies.
@@ -19,14 +23,19 @@ type FC struct {
 	// giant steps of B baby steps, and leaves slot j holding the partial
 	// sum of output j mod Po over the columns j..j+Po−1 — the client adds
 	// the P/Po partials of each output (ExtractOutput). A square layer
-	// has Po = P: the classic diagonals, nothing to fold.
+	// has Po = P: the classic diagonals, nothing to fold. All four are
+	// zero under the product packing.
 	P, Po, B, G int
 	rowSize     int
+	// product is set when the layer takes the product packing.
+	product bool
 	// Weights[o][i], quantized.
 	Weights [][]int64
 	// plains holds the operator's own prepared weight plaintexts, used
-	// when ApplyBatch is handed no shared cache.
+	// when ApplyBatch is handed no shared cache; kernel is the product
+	// packing's one weight polynomial instead.
 	plains *PlainCache
+	kernel *kernel
 }
 
 // NewFC validates dimensions against the ciphertext row size.
@@ -44,7 +53,11 @@ func NewFC(in, out int, weights [][]int64, rowSize int) (*FC, error) {
 		return nil, err
 	}
 	fc.Weights = weights
-	fc.plains = NewPlainCache(0)
+	if fc.product {
+		fc.kernel = newKernel(fc.productKernel)
+	} else {
+		fc.plains = NewPlainCache(0)
+	}
 	return fc, nil
 }
 
@@ -54,22 +67,35 @@ func NewFCSpecOnly(in, out, rowSize int) (*FC, error) {
 	if in <= 0 || out <= 0 {
 		return nil, fmt.Errorf("core: invalid FC dims %dx%d", in, out)
 	}
+	f := &FC{In: in, Out: out, rowSize: rowSize}
+	if f.product = in != out && f.fitsProduct(); f.product {
+		return f, nil
+	}
+	if err := f.layoutSlots(); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// layoutSlots sets the slot packing's periods and BSGS split.
+func (f *FC) layoutSlots() error {
 	p := 1
-	for p < in || p < out {
+	for p < f.In || p < f.Out {
 		p <<= 1
 	}
-	if p > rowSize {
-		return nil, fmt.Errorf("core: FC dimension %d exceeds row size %d", p, rowSize)
+	if p > f.rowSize {
+		return fmt.Errorf("core: FC dimension %d exceeds row size %d", p, f.rowSize)
 	}
 	po := 1
-	for po < out {
+	for po < f.Out {
 		po <<= 1
 	}
 	b := 1
 	for b*b < po {
 		b <<= 1
 	}
-	return &FC{In: in, Out: out, P: p, Po: po, B: b, G: po / b, rowSize: rowSize}, nil
+	f.P, f.Po, f.B, f.G = p, po, b, po/b
+	return nil
 }
 
 // live lists the extended diagonals that can hold a weight, in order:
@@ -119,13 +145,25 @@ func (f *FC) flat(slots int) BSGSPlan[int64] {
 		Diag: func(_, _, bi int) []int64 { return f.diag(0, babies[bi], slots) }}
 }
 
-// RotationSteps lists the rotation amounts Apply uses: the baby steps
-// below B and the giant steps i·B that some diagonal reaches.
-func (f *FC) RotationSteps() []int { return f.bsgs(0).RotationSteps() }
+// Product reports whether the layer takes the product packing: its
+// packed input and decoded output are plaintext coefficients
+// (bfv.Encoder.EncodeCoeffs, DecodeCoeffs), not batching slots.
+func (f *FC) Product() bool { return f.product }
 
-// PackInput replicates the zero-padded input vector across both
-// batching rows so rotations by any amount < P act as windowed
-// rotations of the logical vector.
+// RotationSteps lists the rotation amounts Apply uses: the baby steps
+// below B and the giant steps i·B that some diagonal reaches, none under
+// the product packing.
+func (f *FC) RotationSteps() []int {
+	if f.product {
+		return nil
+	}
+	return f.bsgs(0).RotationSteps()
+}
+
+// PackInput lays the input vector out for encryption: as the first In
+// coefficients under the product packing; under the slot packing
+// replicated, zero-padded, across both batching rows so rotations by any
+// amount < P act as windowed rotations of the logical vector.
 func (f *FC) PackInput(x []int64, slots int) ([]int64, error) {
 	if len(x) != f.In {
 		return nil, fmt.Errorf("core: input has %d elements, want %d", len(x), f.In)
@@ -134,6 +172,10 @@ func (f *FC) PackInput(x []int64, slots int) ([]int64, error) {
 		return nil, fmt.Errorf("core: need %d slots, have %d", 2*f.rowSize, slots)
 	}
 	out := make([]int64, slots)
+	if f.product {
+		copy(out, x)
+		return out, nil
+	}
 	for rep := 0; rep < f.rowSize/f.P; rep++ {
 		copy(out[rep*f.P:], x)
 	}
@@ -173,9 +215,13 @@ func (f *FC) diag(giant, baby, slots int) []int64 {
 // the tests as the oracle Apply is measured against.
 func (f *FC) HoistLevel() int { return 3 }
 
-// Apply evaluates y = W·x over the encrypted replicated packing on the
+// Apply evaluates y = W·x: one product by the operator's kernel under
+// the product packing, else over the encrypted replicated packing on the
 // BSGS schedule, over the operator's own prepared weight plaintexts.
 func (f *FC) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) (*bfv.Ciphertext, OpCounts, error) {
+	if f.product && f.Weights != nil {
+		return f.kernel.apply(ev, ct, 2*f.rowSize)
+	}
 	return f.apply(ev, ecd, ct, f.plains, f.bsgs(slots))
 }
 
@@ -198,28 +244,38 @@ func (f *FC) apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, cach
 // server (DESIGN.md per-experiment index; requires the rotation keys of
 // NaiveRotationSteps).
 func (f *FC) ApplyNaive(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) (*bfv.Ciphertext, OpCounts, error) {
+	if f.product {
+		return nil, OpCounts{}, fmt.Errorf("core: ApplyNaive on a product-packed FC layer")
+	}
 	return f.apply(ev, ecd, ct, nil, f.flat(slots))
 }
 
 // NaiveRotationSteps lists the rotation amounts ApplyNaive uses.
-func (f *FC) NaiveRotationSteps() []int { return f.flat(0).RotationSteps() }
+func (f *FC) NaiveRotationSteps() []int {
+	if f.product {
+		return nil
+	}
+	return f.flat(0).RotationSteps()
+}
 
-// ExtractOutput reads the Out result values from a decoded slot vector:
-// output r is the sum of its P/Po partial sums at slots r, r+Po, …,
-// reduced mod t into (−t/2, t/2] — the partials are only known mod t, so
-// the sum is exact whenever the true output fits that range, even where
-// a partial alone wrapped.
+// ExtractOutput reads the Out result values from a decoded vector,
+// reduced mod t into (−t/2, t/2]. Under the product packing output r is
+// coefficient r·In + In − 1. Under the slot packing it is the sum of its
+// P/Po partial sums at slots r, r+Po, …: the partials are only known
+// mod t, so the sum is exact whenever the true output fits that range,
+// even where a partial alone wrapped.
 func (f *FC) ExtractOutput(decoded []int64, t uint64) []int64 {
 	out, m := make([]int64, f.Out), int64(t)
 	for r := range out {
+		if f.product {
+			out[r] = centerMod(decoded[r*f.In+f.In-1], m)
+			continue
+		}
 		var acc int64
 		for j := r; j < f.P; j += f.Po {
 			acc += decoded[j]
 		}
-		if acc = (acc%m + m) % m; acc > m/2 {
-			acc -= m
-		}
-		out[r] = acc
+		out[r] = centerMod(acc, m)
 	}
 	return out
 }
@@ -262,6 +318,8 @@ func DiagonalRotations(p int) int { return p - 1 }
 // diagonal the geometry reaches is non-zero (the worst case; zero
 // diagonals only shrink them).
 type RotationPlan struct {
+	// Level is the hoisting level, or 0 for the product packing's one
+	// plaintext product.
 	Level int
 	// BabySteps and GiantSteps are the Galois applications
 	// (BSGSRotations split into its two phases); PlainMults the plaintext
@@ -288,8 +346,12 @@ type RotationPlan struct {
 
 // Plan reports the physical work of one FC apply: at HoistLevel (3) the
 // schedule Apply runs, at level 1 the Halevi–Shoup schedule the tests
-// compare it against.
+// compare it against. Under the product packing every level is the one
+// plaintext product (level 0).
 func (f *FC) Plan(level int) RotationPlan {
+	if f.product {
+		return productPlan
+	}
 	pl := f.bsgs(0)
 	rp := pl.sheet(level, len(pl.Giants)-1)
 	rp.PlainMults = len(f.live())
@@ -322,6 +384,9 @@ func (pl BSGSPlan[T]) sheet(level, giantSteps int) RotationPlan {
 
 // String renders the plan the way the cost sheet prints it.
 func (pl RotationPlan) String() string {
+	if pl == productPlan {
+		return "L0: 1 plaintext product over Q, no key switch"
+	}
 	return fmt.Sprintf("L%d: %d baby + %d giant steps, %d decompositions, %d full key-switches, %d lazy products, %d mod-downs (+%d closing inner sums)",
 		pl.Level, pl.BabySteps, pl.GiantSteps, pl.Decompositions, pl.FullKeySwitches, pl.LazyProducts, pl.ModDowns, pl.NTTModDowns)
 }

@@ -160,7 +160,9 @@ func (f *FC) applyHoisted(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertex
 // output), a single output (no rotation at all), Out > In, and square
 // layers, whose oracle bytes are pinned to what the square-diagonal
 // schedule produced before the extended diagonals (golden hashes taken
-// at 47b6bf0). Every digest of a layer that rotates was re-pinned when
+// at 47b6bf0). All run on the slot packing (fcOnSlots): every
+// non-square shape here but 2048×10 takes the product packing as a
+// layer, and the digests held when it did. Every digest of a layer that rotates was re-pinned when
 // switching keys became seeded: their A halves now expand from a per-key
 // seed, so the keys — and every key-switched output — changed. Every
 // digest was re-pinned when the error sampler became the table sampler,
@@ -202,7 +204,7 @@ func TestFCApplyLevelsByteIdentical(t *testing.T) {
 			}
 			rowSize := ctxProbe.Params.N() / 2
 			slots := ctxProbe.Params.Slots()
-			fc := synthFC(t, src, tc.in, tc.out, rowSize)
+			fc := fcOnSlots(t, synthFC(t, src, tc.in, tc.out, rowSize))
 			k := newFCLevelKit(t, tc.params, 1, fc.RotationSteps())
 
 			x := make([]int64, fc.In)
@@ -328,7 +330,7 @@ func TestFCApplyBatchLevelsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	slots := ctxProbe.Params.Slots()
-	fc := synthFC(t, src, 16, 12, ctxProbe.Params.N()/2)
+	fc := fcOnSlots(t, synthFC(t, src, 16, 12, ctxProbe.Params.N()/2))
 
 	const sessions = 3
 	var ecd *bfv.Encoder
@@ -427,7 +429,8 @@ func TestFCApplyMissingRotationKey(t *testing.T) {
 
 // TestFCRotationPlan pins the physical work the cost sheet prices: Apply
 // (level 3) turns the oracle's (level 1) full key switches into lazy
-// products and its mod-downs into one.
+// products and its mod-downs into one; a product-packed layer, at any
+// level, is one plaintext product (level 0).
 func TestFCRotationPlan(t *testing.T) {
 	fc, err := NewFCSpecOnly(64, 64, 1024)
 	if err != nil {
@@ -465,29 +468,41 @@ func TestFCRotationPlan(t *testing.T) {
 	if p := one.Plan(1); p != (RotationPlan{Level: 1, PlainMults: 1}) {
 		t.Errorf("1x1 oracle plan %+v", p)
 	}
-	// LeNet-Sm's layer: 16 extended diagonals of period 512, not 303 square ones.
+	// LeNet-Sm's layer is one product; on slots it would walk 16
+	// extended diagonals of period 512, not 303 square ones.
 	lenet, err := NewFCSpecOnly(294, 10, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := lenet.Plan(3); lenet.P != 512 || lenet.Po != 16 || p.BabySteps != 3 || p.GiantSteps != 3 || p.PlainMults != 16 || p.ModDowns != 1 || p.NTTModDowns != 4 || p.Decompositions != 4 {
-		t.Errorf("294x10: P=%d Po=%d plan %+v", lenet.P, lenet.Po, p)
+	for _, level := range []int{1, 3} {
+		if p := lenet.Plan(level); !lenet.Product() || p != (RotationPlan{PlainMults: 1}) || len(lenet.RotationSteps()) != 0 {
+			t.Errorf("294x10 product=%v: level-%d plan %+v, %d rotation steps", lenet.Product(), level, p, len(lenet.RotationSteps()))
+		}
 	}
-	// LeNet-Sm's convolutions: one mod-down per inner sum — conv1's one
-	// group is its own inner sum, conv2's one group folds four.
+	slots := fcOnSlots(t, lenet)
+	if p := slots.Plan(3); slots.P != 512 || slots.Po != 16 || p.BabySteps != 3 || p.GiantSteps != 3 || p.PlainMults != 16 || p.ModDowns != 1 || p.NTTModDowns != 4 || p.Decompositions != 4 {
+		t.Errorf("294x10 on slots: P=%d Po=%d plan %+v", slots.P, slots.Po, p)
+	}
+	// LeNet-Sm's convolutions: conv1 is one product; on slots its one
+	// group is its own inner sum. conv2's one group folds four, one
+	// mod-down per inner sum.
 	for _, tc := range []struct {
 		spec                ConvSpec
+		product             bool
 		modDowns, innerSums int
 	}{
-		{ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 1},
-		{ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 1, 4},
+		{ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, true, 0, 1},
+		{ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, false, 1, 4},
 	} {
 		conv, err := NewConv2DSpecOnly(tc.spec, 2048)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p := conv.Plan(); p.ModDowns != tc.modDowns || p.NTTModDowns != tc.innerSums || p.FullKeySwitches != 0 {
-			t.Errorf("conv %+v: plan %+v", tc.spec, p)
+		if conv.Product() != tc.product || tc.product && conv.Plan() != (RotationPlan{PlainMults: 1}) {
+			t.Errorf("conv %+v: product=%v, plan %+v", tc.spec, conv.Product(), conv.Plan())
+		}
+		if p := convOnSlots(conv).Plan(); p.ModDowns != tc.modDowns || p.NTTModDowns != tc.innerSums || p.FullKeySwitches != 0 {
+			t.Errorf("conv %+v on slots: plan %+v", tc.spec, p)
 		}
 	}
 	if BSGSRotations(64) != 14 || DiagonalRotations(64) != 63 {
@@ -509,7 +524,9 @@ func squareFC(f *FC) *FC {
 }
 
 // TestFCNoise measures what the extended diagonals do to the noise
-// budget at bfv-B, in fractions of a bit. LeNet-Sm's 294×10 layer sums 16
+// budget at bfv-B, in fractions of a bit, on the slot packing (LeNet-Sm's
+// 294×10 layer takes the product packing, whose budget TestProductNoise
+// pins; fcOnSlots keeps its slot shape here). The 294×10 shape sums 16
 // terms under encryption where the square schedule summed 303, so it
 // must come out at least 1 bit ahead and with at least 8 bits; a full-row
 // 2048×10 layer, which the square schedule left about 2 bits, must keep
@@ -538,7 +555,7 @@ func TestFCNoise(t *testing.T) {
 				t.Fatal(err)
 			}
 			slots := ctxProbe.Params.Slots()
-			fc := synthFC(t, src, tc.in, tc.out, slots/2)
+			fc := fcOnSlots(t, synthFC(t, src, tc.in, tc.out, slots/2))
 			steps := fc.RotationSteps()
 			var sq *FC
 			if tc.minGain > 0 {

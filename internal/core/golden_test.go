@@ -13,7 +13,9 @@ import (
 // at the Test preset, each under its own keys, synthesized weights and
 // one encrypted input. The digests are the hashV1Frame of every output
 // ciphertext: a change to the executor or to the conv packing that moves
-// one bit of a reply fails here. The four rows that rotate were re-pinned
+// one bit of a reply fails here. conv1, fc294x10 and fc24x1 were re-pinned
+// when their shapes took the product packing: one plaintext product of
+// a coefficient-encoded input, no key. Before that, the four rows that rotated were re-pinned
 // when switching keys became seeded (their A halves expand from a
 // per-key seed, so the keys changed); fc24x1 rotates nothing and kept
 // its digest then. All five were re-pinned when the error sampler became
@@ -28,16 +30,16 @@ func TestRequestPathGolden(t *testing.T) {
 		ops     OpCounts
 	}{
 		{"bfv-B/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 0, []string{
-			"85bac544bbc3fdcc7186c23a9dccdba026d36a22d8db41947459596154d749b5",
-		}, OpCounts{Rotations: 24, PlainMults: 25, Adds: 24}},
+			"e220d6f83b5ba3f2a7e7e153e21df7547729eff7ad8645e78c90330a876c4669",
+		}, OpCounts{PlainMults: 1}},
 		{"bfv-B/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 0, 0, []string{
 			"ce8bd7a3a06a15e5669fb6198e181290f16ec683647373a77722747a8f05193e",
 		}, OpCounts{Rotations: 27, PlainMults: 100, Adds: 99}},
 		{"bfv-B/fc294x10", bfv.PresetB(), ConvSpec{}, 294, 10, []string{
-			"8f14df24a2dea75fc44f2bc731bb53b138434fa8e6604446ec0623074ec08540",
-		}, OpCounts{Rotations: 6, PlainMults: 16, Adds: 15}},
+			"4e5f51e46817d05393c8b56cda82bc47b36dd6ea50cf3e4772ffe5580e67276e",
+		}, OpCounts{PlainMults: 1}},
 		{"Test/fc24x1", bfv.PresetTest(), ConvSpec{}, 24, 1, []string{
-			"f40a4a6c8774ff1c0338220b5c507c3aa975abae9fc619df4333f004066790bd",
+			"a4f9aabee6164289ce0d4e7de5bbbab4aec01fb01b75ecfcfd711bba246cd198",
 		}, OpCounts{PlainMults: 1}},
 		{"Test/fc64x64", bfv.PresetTest(), ConvSpec{}, 64, 64, []string{
 			"f2d0a92b4dfbb5b08878e2fd5d697531aeff80d91842329fd7a739cd7008600b",
@@ -51,16 +53,17 @@ func TestRequestPathGolden(t *testing.T) {
 			}
 			slots := ctxProbe.Params.Slots()
 			var (
-				steps  []int
-				packed []int64
-				apply  func(k *kit, ct *bfv.Ciphertext) ([]*bfv.Ciphertext, OpCounts, error)
+				steps   []int
+				packed  []int64
+				product bool
+				apply   func(k *kit, ct *bfv.Ciphertext) ([]*bfv.Ciphertext, OpCounts, error)
 			)
 			if tc.in == 0 {
 				conv, err := NewConv2D(tc.conv, synthConvWeights(src, tc.conv.OutC, tc.conv.InC, tc.conv.KH*tc.conv.KW, 7), slots/2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				steps = conv.RotationSteps()
+				steps, product = conv.RotationSteps(), conv.Product()
 				if packed, err = conv.PackInput(synthImage(src, tc.conv.InC, tc.conv.InH*tc.conv.InW, 7), slots); err != nil {
 					t.Fatal(err)
 				}
@@ -69,7 +72,7 @@ func TestRequestPathGolden(t *testing.T) {
 				}
 			} else {
 				fc := synthFC(t, src, tc.in, tc.out, slots/2)
-				steps = fc.RotationSteps()
+				steps, product = fc.RotationSteps(), fc.Product()
 				x := make([]int64, fc.In)
 				for i := range x {
 					x[i] = int64(src.Intn(15)) - 7
@@ -83,11 +86,7 @@ func TestRequestPathGolden(t *testing.T) {
 				}
 			}
 			k := newFCLevelKit(t, tc.params, 6, steps)
-			ct, err := k.enc.EncryptInts(packed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			outs, ops, err := apply(k, ct)
+			outs, ops, err := apply(k, k.encrypt(t, packed, product))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -168,6 +168,7 @@ func TestFCApplyNaiveParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fc = fcOnSlots(t, fc) // ApplyNaive is the slot packing's ablation
 	k := newKit(t, fc.NaiveRotationSteps())
 
 	x := make([]int64, in)

@@ -1,0 +1,302 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+
+	"choco/internal/bfv"
+	"choco/internal/sampling"
+)
+
+// keylessKit is a session with no evaluation key at all, whose inputs are
+// seeded symmetric encryptions as the inference client's are: a
+// product-packed layer must run under it.
+func keylessKit(t testing.TB, params bfv.Parameters, seed byte) *kit {
+	t.Helper()
+	ctx, err := bfv.NewContext(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := bfv.NewKeyGenerator(ctx, [32]byte{100 + seed})
+	sk := kg.GenSecretKey()
+	return &kit{
+		ctx: ctx,
+		sk:  sk,
+		enc: bfv.NewEncryptor(ctx, kg.GenPublicKey(sk), [32]byte{110 + seed}),
+		dec: bfv.NewDecryptor(ctx, sk),
+		ecd: bfv.NewEncoder(ctx),
+		sym: bfv.NewSymmetricEncryptor(ctx, sk, [32]byte{120 + seed}),
+		ev:  bfv.NewEvaluator(ctx, nil, nil),
+	}
+}
+
+// productCase is one layer shape: a convolution, or an FC layer in×out
+// when in > 0.
+type productCase struct {
+	name    string
+	params  bfv.Parameters
+	conv    ConvSpec
+	in, out int
+}
+
+// run builds the layer with weights in ±lim and inputs in ±lim, or in
+// [0, 15] when acts is set (4-bit activations, as a network's image and
+// its ReLU outputs are), checks that it takes the packing wantProduct names, runs it encrypted (keyless under
+// the product packing) and compares every output with the plaintext
+// reference. It returns the session and the layer's output ciphertexts.
+func (tc productCase) run(t *testing.T, src *sampling.Source, lim int64, acts, wantProduct bool) (*kit, []*bfv.Ciphertext) {
+	t.Helper()
+	draw := func() int64 { return int64(src.Intn(int(2*lim+1))) - lim }
+	input := draw
+	if acts {
+		input = func() int64 { return int64(src.Intn(16)) }
+	}
+	k := keylessKit(t, tc.params, 1)
+	slots := k.ctx.Params.Slots()
+	if tc.in > 0 {
+		w := make([][]int64, tc.out)
+		for r := range w {
+			w[r] = make([]int64, tc.in)
+			for i := range w[r] {
+				w[r][i] = draw()
+			}
+		}
+		x := make([]int64, tc.in)
+		for i := range x {
+			x[i] = input()
+		}
+		fc, err := NewFC(tc.in, tc.out, w, slots/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fc.Product() != wantProduct {
+			t.Fatalf("%dx%d: product=%v, want %v", tc.in, tc.out, fc.Product(), wantProduct)
+		}
+		if !fc.Product() {
+			k = newFCLevelKit(t, tc.params, 7, fc.RotationSteps())
+		}
+		packed, err := fc.PackInput(x, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, ops, err := fc.Apply(k.ev, k.ecd, k.encrypt(t, packed, fc.Product()), slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fc.Product() && ops != (OpCounts{PlainMults: 1}) {
+			t.Errorf("op counts %+v, want one plaintext product", ops)
+		}
+		if got, want := fc.ExtractOutput(k.decrypt(out, fc.Product()), k.ctx.T.Value), PlainFC(w, x); !slices.Equal(got, want) {
+			t.Fatalf("got %v, PlainFC %v", got, want)
+		}
+		return k, []*bfv.Ciphertext{out}
+	}
+	s := tc.conv
+	w := make([][][]int64, s.OutC)
+	for o := range w {
+		w[o] = make([][]int64, s.InC)
+		for c := range w[o] {
+			w[o][c] = make([]int64, s.KH*s.KW)
+			for i := range w[o][c] {
+				w[o][c][i] = draw()
+			}
+		}
+	}
+	img := make([][]int64, s.InC)
+	for c := range img {
+		img[c] = make([]int64, s.InH*s.InW)
+		for i := range img[c] {
+			img[c][i] = input()
+		}
+	}
+	conv, err := NewConv2D(s, w, slots/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conv.Product() != wantProduct {
+		t.Fatalf("%+v: product=%v, want %v", s, conv.Product(), wantProduct)
+	}
+	if !conv.Product() {
+		k = newFCLevelKit(t, tc.params, 7, conv.RotationSteps())
+	}
+	packed, err := conv.PackInput(img, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, ops, err := conv.Apply(k.ev, k.ecd, k.encrypt(t, packed, conv.Product()), slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conv.Product() && (ops != (OpCounts{PlainMults: 1}) || len(outs) != 1) {
+		t.Errorf("op counts %+v over %d outputs, want one plaintext product", ops, len(outs))
+	}
+	want := PlainConv2D(s, w, img)
+	for o := range want {
+		got := conv.ExtractOutput(k.decrypt(outs[o/conv.GroupSize()], conv.Product()), o)
+		if !slices.Equal(got, want[o]) {
+			t.Fatalf("channel %d: got %v, PlainConv2D %v", o, got, want[o])
+		}
+	}
+	return k, outs
+}
+
+// TestProductPackingMatchesPlain runs the served layers that take the
+// product packing, keyless, against PlainConv2D and PlainFC: LeNet-Sm's
+// conv1 (whose four outputs fill bfv-B's 4 096 coefficients exactly) and
+// FC, DemoNet's FC (392 → 10, whose wrap reaches coefficient 214, clear of
+// row 0's read at 391), and the serve tests' network layers. Weights and
+// activations are 4-bit, as the networks synthesize them.
+func TestProductPackingMatchesPlain(t *testing.T) {
+	for _, tc := range []productCase{
+		{"LeNetSm/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 0},
+		{"LeNetSm/fc", bfv.PresetB(), ConvSpec{}, 294, 10},
+		{"DemoNet/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 0},
+		{"DemoNet/fc", bfv.PresetB(), ConvSpec{}, 392, 10},
+		{"ServeTestNet/conv1", bfv.PresetTest(), ConvSpec{InH: 12, InW: 12, InC: 1, KH: 3, KW: 3, OutC: 4}, 0, 0},
+		{"ServeTestNet/fc", bfv.PresetTest(), ConvSpec{}, 54, 10},
+		{"FabricTestNet/fc", bfv.PresetTest(), ConvSpec{}, 16, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.run(t, sampling.NewSource([32]byte{37}, "product/"+tc.name), 7, true, true)
+		})
+	}
+}
+
+// TestProductPackingFitBoundary draws layer shapes at the Test preset
+// (N = 2 048) whose last read coefficient is as close to N as the shape
+// allows — the largest OutC (Out) that fits — so the negacyclic wrap is
+// as deep as the packing lets it get, with weights and inputs as wide as
+// keeps every output inside ±t/2 (±15 for a conv of at most 75 taps, ±7
+// for an FC of at most 601 columns); every output must equal the
+// plaintext reference. One more output must not fit. Then two shapes one
+// coefficient past the boundary (3 · 683 = N + 1), which must take the
+// slot packing and still compute the layer.
+func TestProductPackingFitBoundary(t *testing.T) {
+	const n = 2048
+	src := sampling.NewSource([32]byte{38}, "product-boundary")
+	for i := 0; i < 6; i++ {
+		k := 2*src.Intn(3) + 1
+		h, w, c := 1+src.Intn(12), 1+src.Intn(12), 1+src.Intn(3)
+		spec := ConvSpec{InH: h, InW: w, InC: c, KH: k, KW: 2*src.Intn(2) + 1}
+		per := c * (h + k - 1) * (w + spec.KW - 1)
+		if spec.OutC = n / per; spec.OutC == 0 {
+			continue
+		}
+		tc := productCase{name: fmt.Sprintf("conv%+v", spec), params: bfv.PresetTest(), conv: spec}
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, src, 15, false, true) })
+		past := spec
+		past.OutC++
+		if probe, err := NewConv2DSpecOnly(past, n/2); err == nil && probe.Product() {
+			t.Errorf("%+v: %d coefficients past N take the product packing", past, past.OutC*per-n)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		in := 2 + src.Intn(600)
+		out := n / in
+		if out == in {
+			out--
+		}
+		tc := productCase{name: fmt.Sprintf("fc%dx%d", in, out), params: bfv.PresetTest(), in: in, out: out}
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, src, 7, false, true) })
+		if probe, err := NewFCSpecOnly(in, out+1, n/2); err == nil && probe.Product() {
+			t.Errorf("%dx%d: %d coefficients past N take the product packing", in, out+1, (out+1)*in-n)
+		}
+	}
+	for _, tc := range []productCase{
+		{"conv-one-past", bfv.PresetTest(), ConvSpec{InH: 1, InW: 683, InC: 1, KH: 1, KW: 1, OutC: 3}, 0, 0},
+		{"fc-one-past", bfv.PresetTest(), ConvSpec{}, 683, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, src, 6, false, false) })
+	}
+}
+
+// TestProductNoise pins the noise budget of the product-packed layers
+// LeNet-Sm and DemoNet serve at bfv-B, before and after the reply switch
+// (bfv.NoiseBudgetBits, 4-bit weights and activations, seeded symmetric
+// inputs). The product grows the noise by the kernel's ℓ1 norm, so a
+// reply arrives at the switch with at least 40 bits (measured 44.0, 41.9
+// and 41.5; the slot schedule handed conv1 8.9 bits and the FC 8.4). The
+// switch to one residue then leaves its own ceiling (measured 11.6, 11.7
+// and 11.8), and every reply must leave it at least 3 bits above the
+// client's 8-bit floor. Negative inputs would cost about 13 bits before
+// the switch (a residue near t scales the kernel by t), and nothing after
+// it; a network's inputs are its image and ReLU outputs.
+func TestProductNoise(t *testing.T) {
+	const floor, margin, minBefore = 8.0, 3.0, 40.0
+	for _, tc := range []productCase{
+		{"LeNetSm/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 0},
+		{"LeNetSm/fc", bfv.PresetB(), ConvSpec{}, 294, 10},
+		{"DemoNet/fc", bfv.PresetB(), ConvSpec{}, 392, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, outs := tc.run(t, sampling.NewSource([32]byte{39}, "product-noise/"+tc.name), 7, true, true)
+			ct := outs[0]
+			before := bfv.NoiseBudgetBits(k.ctx, k.sk, ct)
+			for d := 0; d < k.ctx.Params.ReplyDrop(); d++ {
+				var err error
+				if ct, err = k.ev.ModSwitchDown(ct); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after := bfv.NoiseBudgetBits(k.ctx, k.sk, ct)
+			t.Logf("%s: %.2f bits before the reply switch, %.2f after", tc.name, before, after)
+			if before < minBefore || after < floor+margin {
+				t.Errorf("%.2f bits before the switch, %.2f after; want at least %.0f, and %.0f over the %.0f-bit floor", before, after, minBefore, margin, floor)
+			}
+		})
+	}
+}
+
+// TestProductKernelSharedAcrossSessions: sessions under one context,
+// applying one operator at once, all read the one kernel it lifts (the
+// race detector watches the build) and all decrypt to the layer.
+func TestProductKernelSharedAcrossSessions(t *testing.T) {
+	spec := ConvSpec{InH: 12, InW: 12, InC: 1, KH: 3, KW: 3, OutC: 2}
+	src := sampling.NewSource([32]byte{40}, "product-shared")
+	weights := synthConvWeights(src, spec.OutC, spec.InC, 9, 7)
+	image := synthImage(src, spec.InC, spec.InH*spec.InW, 7)
+	base := keylessKit(t, bfv.PresetTest(), 2)
+	slots := base.ctx.Params.Slots()
+	conv, err := NewConv2D(spec, weights, slots/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := conv.PackInput(image, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := base.encrypt(t, packed, true)
+	want := PlainConv2D(spec, weights, image)
+	const sessions = 4
+	outs := make([]*bfv.Ciphertext, sessions)
+	errs := make([]error, sessions)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ev := bfv.NewEvaluator(base.ctx, nil, nil) // another session's evaluator
+			res, _, err := conv.Apply(ev, base.ecd, ct, slots)
+			if err == nil {
+				outs[i] = res[0]
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i, out := range outs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for o := range want {
+			if got := conv.ExtractOutput(base.decrypt(out, true), o); !slices.Equal(got, want[o]) {
+				t.Fatalf("session %d channel %d: got %v, want %v", i, o, got, want[o])
+			}
+		}
+	}
+	if n := len(conv.kernel.lifted); n != 1 {
+		t.Errorf("%d kernels lifted for one context, want 1", n)
+	}
+}

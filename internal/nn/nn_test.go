@@ -126,15 +126,17 @@ func TestQuantizeSymmetric(t *testing.T) {
 }
 
 // testNet is a small MNIST-like network that fits the fast test
-// parameters end-to-end.
+// parameters end-to-end. Like LeNet-Sm, its conv1 and FC take the product
+// packing and its conv2 (4·6 channels of 10×10 padded windows, past the
+// Test preset's 2 048 coefficients) the slot packing.
 func testNet() *Network {
 	return &Network{
 		Name: "TestNet", InH: 12, InW: 12, InC: 1,
 		Layers: []Layer{
-			{Kind: Conv, KH: 3, KW: 3, OutC: 2},
+			{Kind: Conv, KH: 3, KW: 3, OutC: 4},
 			{Kind: Act, RequantShift: 7},
 			{Kind: Pool},
-			{Kind: Conv, KH: 3, KW: 3, OutC: 4},
+			{Kind: Conv, KH: 5, KW: 5, OutC: 6},
 			{Kind: Act, RequantShift: 7},
 			{Kind: Pool},
 			{Kind: FC, FCOut: 10},
@@ -212,12 +214,14 @@ func TestClientAidedInferenceMatchesPlain(t *testing.T) {
 
 // TestLeNetSmServerOpCounts pins the logical work of one LeNet-Sm
 // request at bfv-B — the counts the benchmark reports as
-// core.*_per_request: 57 rotations, 141 plaintext multiplies, 138
-// additions (24 + 0, 24 + 3 and 3 + 3 key switches; 25, 4·25 and 16
-// multiplies; one add less than multiplies per reply ciphertext). They
-// are a property of the layer shapes and the packing (no weight is zero,
-// so no diagonal is skipped) and must not move when the engine underneath
-// changes schedule.
+// core.*_per_request: 27 rotations, 102 plaintext multiplies, 99
+// additions (conv1 and FC one product each, conv2 24 + 3 key switches
+// and 4·25 multiplies; one add less than multiplies per reply
+// ciphertext). They were 57, 141 and 138 while conv1 and FC ran on slots
+// (24 and 3 + 3 key switches, 25 and 16 multiplies). They are a property
+// of the layer shapes and the packing (no weight is zero, so no diagonal
+// is skipped) and must not move when the engine underneath changes
+// schedule.
 func TestLeNetSmServerOpCounts(t *testing.T) {
 	net := LeNetSmall()
 	m := SynthesizeWeights(net, 4, [32]byte{6})
@@ -261,11 +265,11 @@ func TestLeNetSmServerOpCounts(t *testing.T) {
 				t.Fatalf("%s: logit %d: encrypted %d vs plain %d", label, i, got[i], want[i])
 			}
 		}
-		if wantOps := (core.OpCounts{Rotations: 57, PlainMults: 141, Adds: 138}); stats.Server != wantOps {
+		if wantOps := (core.OpCounts{Rotations: 27, PlainMults: 102, Adds: 99}); stats.Server != wantOps {
 			t.Errorf("%s: server ops %+v, want %+v", label, stats.Server, wantOps)
 		}
 	}
-	if rc, err := ExecutableRequestCost(net); err != nil || rc.Server != (core.OpCounts{Rotations: 57, PlainMults: 141, Adds: 138}) {
+	if rc, err := ExecutableRequestCost(net); err != nil || rc.Server != (core.OpCounts{Rotations: 27, PlainMults: 102, Adds: 99}) {
 		t.Errorf("the operators' plans predict %+v (err %v), not the counts executed", rc.Server, err)
 	}
 }
@@ -349,7 +353,8 @@ func TestActivationCountAndShapeK(t *testing.T) {
 // succeeds under exactly RotationSteps() keys, each step is its own
 // Galois element, and with any one of them removed Apply names the
 // missing key — so no key a client generates, uploads and the server
-// keeps resident is dead weight.
+// keeps resident is dead weight. The product-packed layers (conv1 and FC
+// of both) take no step and run under no key at all.
 func TestGaloisKeysGeneratedAreKeysUsed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -382,14 +387,15 @@ func TestGaloisKeysGeneratedAreKeysUsed(t *testing.T) {
 				steps []int
 				apply func(ev *bfv.Evaluator) error
 			}
+			var product bool
 			if conv, ok := convs[i]; ok {
-				l.steps = conv.RotationSteps()
+				l.steps, product = conv.RotationSteps(), conv.Product()
 				l.apply = func(ev *bfv.Evaluator) error {
 					_, _, err := conv.Apply(ev, ecd, ct, slots)
 					return err
 				}
 			} else if fc, ok := fcs[i]; ok {
-				l.steps = fc.RotationSteps()
+				l.steps, product = fc.RotationSteps(), fc.Product()
 				l.apply = func(ev *bfv.Evaluator) error {
 					_, _, err := fc.Apply(ev, ecd, ct, slots)
 					return err
@@ -397,9 +403,16 @@ func TestGaloisKeysGeneratedAreKeysUsed(t *testing.T) {
 			} else {
 				continue
 			}
-			keys := kg.GenRotationKeys(sk, l.steps...)
-			if len(keys) != len(l.steps)+1 { // + the row-swap key GenRotationKeys always adds
-				t.Errorf("%s layer %d: %d steps share %d Galois elements", net.Name, i, len(l.steps), len(keys)-1)
+			if wantProduct := i == 0 || i == len(net.Layers)-1; product != wantProduct || product && len(l.steps) > 0 {
+				t.Errorf("%s layer %d: product packing %v with %d rotation steps; want product packing %v, and no step under it", net.Name, i, product, len(l.steps), wantProduct)
+			}
+			elements := make([]uint64, len(l.steps))
+			for j, s := range l.steps {
+				elements[j] = ctx.RingQ.GaloisElementForRotation(s)
+			}
+			keys := kg.GenGaloisKeys(sk, elements)
+			if len(keys) != len(l.steps) {
+				t.Errorf("%s layer %d: %d steps share %d Galois elements", net.Name, i, len(l.steps), len(keys))
 			}
 			if err := l.apply(bfv.NewEvaluator(ctx, nil, keys)); err != nil {
 				t.Fatalf("%s layer %d: Apply with exactly RotationSteps() keys: %v", net.Name, i, err)
@@ -421,19 +434,21 @@ func TestGaloisKeysGeneratedAreKeysUsed(t *testing.T) {
 
 // TestLeNetSmKeyFootprint pins the Galois key count of a LeNet-Sm
 // session — what the client generates and uploads once and the server
-// keeps resident: the kernel offsets of both convolutions, conv2's three
-// block shifts, and FC's 3 + 3 steps over its 16 extended diagonals (it
-// was 76 keys, 30.4 MB, while FC walked the 512 square ones) — and the
-// bytes of the bundle, seeded keys and no relinearization key (it was
-// 11 461 648 B while every key shipped its A and a relinearization key
-// rode along), held to the frame the client really sends.
+// keeps resident: conv2's 24 kernel offsets and three block shifts, and
+// nothing else, since conv1 and FC take the product packing and no layer
+// swaps rows (it was 50 keys, 5 657 964 B, while conv1's offsets, FC's
+// 3 + 3 steps over its 16 extended diagonals and the row-swap key rode
+// along; 76 keys, 30.4 MB, while FC walked the 512 square diagonals) —
+// and the bytes of the bundle, seeded keys and no relinearization key (it
+// was 11 461 648 B while every key shipped its A and a relinearization
+// key rode along), held to the frame the client really sends.
 func TestLeNetSmKeyFootprint(t *testing.T) {
 	keys, bundleBytes, err := EvaluationKeyFootprint(LeNetSmall())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if keys != 50 || bundleBytes != 5657964 {
-		t.Errorf("LeNet-Sm footprint: %d Galois keys, %d B bundle; want 50 keys, 5657964 B", keys, bundleBytes)
+	if keys != 27 || bundleBytes != 3089232 {
+		t.Errorf("LeNet-Sm footprint: %d Galois keys, %d B bundle; want 27 keys, 3089232 B", keys, bundleBytes)
 	}
 	client, err := NewInferenceClient(LeNetSmall(), [32]byte{9})
 	if err != nil {

@@ -24,6 +24,7 @@ type InferenceClient struct {
 
 	ctx    *bfv.Context
 	sk     *bfv.SecretKey
+	ecd    *bfv.Encoder
 	symEnc *bfv.SymmetricEncryptor
 	dec    *bfv.Decryptor
 	// keyFrame is the evaluation-key bundle, marshalled once: the client
@@ -86,7 +87,8 @@ func rotationStepsFor(net *Network, m *QuantizedModel, rowSize int) ([]int, map[
 // EvaluationKeyFootprint reports the one-time client→server setup
 // cost for a network: the number of distinct Galois keys its layers
 // need and the serialized bundle size (public key + seeded Galois keys;
-// no relinearization key, since every layer is linear). The paper, like
+// no relinearization key, since every layer is linear, and no row-swap
+// key, since no layer swaps rows). The paper, like
 // its baselines' "offline" phases, amortizes this over the deployment
 // lifetime; the number matters for real clients, so we account for it.
 func EvaluationKeyFootprint(net *Network) (galoisKeys int, bundleBytes int64, err error) {
@@ -128,8 +130,7 @@ func EvaluationKeyFootprint(net *Network) (galoisKeys int, bundleBytes int64, er
 			set[s] = true
 		}
 	}
-	// Distinct Galois elements plus the row-swap key.
-	galoisKeys = len(set) + 1
+	galoisKeys = len(set)
 
 	bundleBytes = int64(protocol.KeyBundleBytes(params.N(), params.QBits, params.PBits, false, galoisKeys))
 	return galoisKeys, bundleBytes, nil
@@ -182,8 +183,8 @@ func ExecutableRequestCost(net *Network) (RequestCost, error) {
 
 // NewInferenceClient generates the client's key material for the
 // network architecture and marshals the evaluation keys once: a public
-// key and the Galois keys the layers rotate by. The network is linear
-// on the server, so no relinearization key is made.
+// key and the Galois keys the layers rotate by, and no other. The
+// network is linear on the server, so no relinearization key is made.
 func NewInferenceClient(net *Network, seed [32]byte) (*InferenceClient, error) {
 	ctx, err := bfv.NewContext(net.Params)
 	if err != nil {
@@ -195,11 +196,16 @@ func NewInferenceClient(net *Network, seed [32]byte) (*InferenceClient, error) {
 	}
 	kg := bfv.NewKeyGenerator(ctx, seed)
 	sk := kg.GenSecretKey()
-	kb := &protocol.KeyBundle{PK: kg.GenPublicKey(sk), Galois: kg.GenRotationKeys(sk, steps...)}
+	elements := make([]uint64, len(steps))
+	for i, s := range steps {
+		elements[i] = ctx.RingQ.GaloisElementForRotation(s)
+	}
+	kb := &protocol.KeyBundle{PK: kg.GenPublicKey(sk), Galois: kg.GenGaloisKeys(sk, elements)}
 	return &InferenceClient{
 		Net:      net,
 		ctx:      ctx,
 		sk:       sk,
+		ecd:      bfv.NewEncoder(ctx),
 		symEnc:   bfv.NewSymmetricEncryptor(ctx, sk, seed),
 		dec:      bfv.NewDecryptor(ctx, sk),
 		keyFrame: protocol.MarshalKeyBundle(kb),
@@ -332,7 +338,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 			if err != nil {
 				return nil, stats, err
 			}
-			ct, err := c.symEnc.EncryptIntsSeeded(packed)
+			ct, err := c.encrypt(packed, conv.Product())
 			if err != nil {
 				return nil, stats, err
 			}
@@ -345,7 +351,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 				if err != nil {
 					return nil, stats, err
 				}
-				decoded := c.dec.DecryptInts(outCt)
+				decoded := c.decrypt(outCt, conv.Product())
 				for o := g * conv.GroupSize(); o < (g+1)*conv.GroupSize() && o < l.OutC; o++ {
 					next[o] = conv.ExtractOutput(decoded, o)
 				}
@@ -357,7 +363,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 			if err != nil {
 				return nil, stats, err
 			}
-			ct, err := c.symEnc.EncryptIntsSeeded(packed)
+			ct, err := c.encrypt(packed, fc.Product())
 			if err != nil {
 				return nil, stats, err
 			}
@@ -368,7 +374,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 			if err != nil {
 				return nil, stats, err
 			}
-			act = [][]int64{fc.ExtractOutput(c.dec.DecryptInts(outCt), c.ctx.T.Value)}
+			act = [][]int64{fc.ExtractOutput(c.decrypt(outCt, fc.Product()), c.ctx.T.Value)}
 			h, w = 1, l.FCOut
 		case Act:
 			for ci := range act {
@@ -386,6 +392,29 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 		}
 	}
 	return flatten(act), stats, nil
+}
+
+// encrypt seals one packed layer input: written straight into the
+// plaintext's coefficients for a product-packed layer, batch-encoded
+// into slots for the others.
+func (c *InferenceClient) encrypt(packed []int64, coeffs bool) (*bfv.SeededCiphertext, error) {
+	if !coeffs {
+		return c.symEnc.EncryptIntsSeeded(packed)
+	}
+	pt, err := c.ecd.EncodeCoeffs(packed)
+	if err != nil {
+		return nil, err
+	}
+	return c.symEnc.EncryptSeeded(pt), nil
+}
+
+// decrypt opens one reply in its layer's packing: centered coefficients
+// of a product-packed layer, centered slots of the others.
+func (c *InferenceClient) decrypt(ct *bfv.Ciphertext, coeffs bool) []int64 {
+	if !coeffs {
+		return c.dec.DecryptInts(ct)
+	}
+	return c.ecd.DecodeCoeffs(c.dec.Decrypt(ct))
 }
 
 // InferenceServer is the untrusted offload side holding the weights.

@@ -33,6 +33,7 @@ func TestSplitClientServerInference(t *testing.T) {
 
 	errCh := make(chan error, 1)
 	go func() {
+		defer serverEnd.Close() // a refused frame fails the client's next Recv instead of hanging it
 		sess, err := server.ReadSession(serverEnd)
 		if err != nil {
 			errCh <- err
@@ -115,6 +116,7 @@ func TestSplitDemoNetworkEndToEnd(t *testing.T) {
 	defer clientEnd.Close()
 	errCh := make(chan error, 1)
 	go func() {
+		defer serverEnd.Close() // a refused frame fails the client's next Recv instead of hanging it
 		sess, err := server.ReadSession(serverEnd)
 		if err != nil {
 			errCh <- err

@@ -295,17 +295,24 @@ func (p *Pipe) Send(msg []byte) error {
 	return nil
 }
 
-// Recv blocks for the next message.
+// Recv blocks for the next message. After Close it still delivers what
+// the peer sent before, as a socket does, and then reports io.EOF: a
+// server that sends a session-error frame and hangs up is heard.
 func (p *Pipe) Recv() ([]byte, error) {
+	var msg []byte
 	select {
-	case msg := <-p.in:
-		p.mu.Lock()
-		p.received += int64(len(msg)) + 4
-		p.mu.Unlock()
-		return msg, nil
+	case msg = <-p.in:
 	case <-p.closed:
-		return nil, io.EOF
+		select {
+		case msg = <-p.in:
+		default:
+			return nil, io.EOF
+		}
 	}
+	p.mu.Lock()
+	p.received += int64(len(msg)) + 4
+	p.mu.Unlock()
+	return msg, nil
 }
 
 // Close shuts both endpoints down; either end may call it, and more than

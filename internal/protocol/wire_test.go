@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -156,6 +157,26 @@ func TestPipeClose(t *testing.T) {
 	// Both ends may close: a session's client and server each hang up.
 	b.Close()
 	a.Close()
+}
+
+// TestPipeDeliversBeforeEOF: frames sent before a Close still arrive, in
+// order, and only then does Recv report EOF, as on a socket.
+func TestPipeDeliversBeforeEOF(t *testing.T) {
+	a, b := NewPipe()
+	for _, m := range []string{"one", "two"} {
+		if err := a.Send([]byte(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Close()
+	for _, want := range []string{"one", "two"} {
+		if got, err := b.Recv(); err != nil || string(got) != want {
+			t.Fatalf("Recv after close: %q, %v; want %q", got, err, want)
+		}
+	}
+	if _, err := b.Recv(); err != io.EOF {
+		t.Fatalf("Recv once drained: %v, want EOF", err)
+	}
 }
 
 func TestConnTransport(t *testing.T) {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -29,8 +28,7 @@ func TestLayerRunsOnArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 	silentEnd, serverEnd := protocol.NewPipe()
-	silentDone := make(chan error, 1)
-	go func() { silentDone <- srv.ServeTransport(context.Background(), serverEnd) }()
+	silentDone := serveEnd(srv, serverEnd)
 	if _, err := silent.SetupSession(silentEnd, "arrival-silent"); err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +161,13 @@ func TestTenantQuotaBusyAck(t *testing.T) {
 		RetryAfter:        retry,
 	})
 
-	open := func(keySeed byte, sessionID, tenant string) (*protocol.Pipe, chan error, error) {
+	open := func(keySeed byte, sessionID, tenant string) (*protocol.Pipe, <-chan error, error) {
 		client, err := nn.NewInferenceClient(tinyNetwork(), [32]byte{keySeed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		clientEnd, serverEnd := protocol.NewPipe()
-		done := make(chan error, 1)
-		go func() { done <- srv.ServeTransport(context.Background(), serverEnd) }()
+		done := serveEnd(srv, serverEnd)
 		_, err = client.SetupSessionTenant(clientEnd, sessionID, tenant)
 		return clientEnd, done, err
 	}
@@ -230,8 +227,7 @@ func runClientSessionTenant(t *testing.T, srv *Server, model *nn.QuantizedModel,
 		t.Fatal(err)
 	}
 	clientEnd, serverEnd := protocol.NewPipe()
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeTransport(context.Background(), serverEnd) }()
+	done := serveEnd(srv, serverEnd)
 	if _, err := client.SetupSessionTenant(clientEnd, sessionID, tenant); err != nil {
 		t.Fatalf("session %s (tenant %s): %v", sessionID, tenant, err)
 	}
@@ -287,8 +283,7 @@ func TestEvictedKeysReplicateFromPeer(t *testing.T) {
 	openShard := func(sessionID string) {
 		t.Helper()
 		clientEnd, serverEnd := protocol.NewPipe()
-		done := make(chan error, 1)
-		go func() { done <- srvB.ServeTransport(context.Background(), serverEnd) }()
+		done := serveEnd(srvB, serverEnd)
 		hello, err := protocol.MarshalShardHelloTenant(sessionID, "peer-a", "")
 		if err != nil {
 			t.Fatal(err)

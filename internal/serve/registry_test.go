@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -148,8 +147,7 @@ func TestShardHelloReplication(t *testing.T) {
 
 	clientEnd, serverEnd := protocol.NewPipe()
 	defer clientEnd.Close()
-	done := make(chan error, 1)
-	go func() { done <- srvB.ServeTransport(context.Background(), serverEnd) }()
+	done := serveEnd(srvB, serverEnd)
 
 	hello, err := protocol.MarshalShardHelloTenant("mig-1", "peer-of-A", "")
 	if err != nil {

@@ -16,14 +16,18 @@ import (
 	"choco/internal/testkit"
 )
 
+// testNetwork has LeNet-Sm's mix of packings at the Test preset: conv1
+// and FC take the product packing, conv2 (past the preset's 2 048
+// coefficients) the slot packing, so sessions rotate and share cached
+// weight plaintexts.
 func testNetwork() *nn.Network {
 	return &nn.Network{
 		Name: "ServeTestNet", InH: 12, InW: 12, InC: 1,
 		Layers: []nn.Layer{
-			{Kind: nn.Conv, KH: 3, KW: 3, OutC: 2},
+			{Kind: nn.Conv, KH: 3, KW: 3, OutC: 4},
 			{Kind: nn.Act, RequantShift: 7},
 			{Kind: nn.Pool},
-			{Kind: nn.Conv, KH: 3, KW: 3, OutC: 4},
+			{Kind: nn.Conv, KH: 5, KW: 5, OutC: 6},
 			{Kind: nn.Act, RequantShift: 7},
 			{Kind: nn.Pool},
 			{Kind: nn.FC, FCOut: 10},
@@ -35,12 +39,14 @@ func testNetwork() *nn.Network {
 // tinyNetwork is a single-FC model for tests that exercise
 // concurrency and admission control rather than layer coverage —
 // client keygen is the dominant per-session cost, and a one-layer
-// network needs far fewer Galois keys.
+// network needs far fewer Galois keys. The layer is square, so it takes
+// the slot packing: its sessions rotate, hold keys and hit the shared
+// plaintext cache.
 func tinyNetwork() *nn.Network {
 	return &nn.Network{
 		Name: "ServeTinyNet", InH: 4, InW: 4, InC: 1,
 		Layers: []nn.Layer{
-			{Kind: nn.FC, FCOut: 8},
+			{Kind: nn.FC, FCOut: 16},
 		},
 		Params: bfv.PresetTest(),
 	}
@@ -74,6 +80,64 @@ func testBackend(t *testing.T, netFn func() *nn.Network) (*nn.InferenceServer, *
 	return backends[name], models[name]
 }
 
+// TestKeyBundleRefusalReachesClient: a key bundle the server cannot
+// decode — a bfv-B client's, at a Test-preset server — ends the session
+// with a session-error frame, so the client's next Infer fails naming the
+// key bundle instead of reading a bare EOF.
+func TestKeyBundleRefusalReachesClient(t *testing.T) {
+	testkit.CheckGoroutines(t)
+	backend, _ := testBackend(t, tinyNetwork)
+	srv := New(backend, Config{})
+	net := tinyNetwork()
+	net.Params = bfv.PresetB()
+	client, err := nn.NewInferenceClient(net, [32]byte{64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientEnd, serverEnd := protocol.NewPipe()
+	defer clientEnd.Close()
+	done := make(chan error, 1) // the end stays open: the error frame waits in it
+	go func() { done <- srv.ServeTransport(context.Background(), serverEnd) }()
+	failed := make(chan error, 1)
+	go func() {
+		if cached, err := client.SetupSession(clientEnd, "wrong-preset"); err != nil || cached {
+			failed <- fmt.Errorf("session open: cached=%v err=%v; want the upload sent", cached, err)
+			return
+		}
+		if err := <-done; err == nil || !strings.Contains(err.Error(), "key bundle") {
+			failed <- fmt.Errorf("the server ended the session with %v; want its key-bundle decode error", err)
+			return
+		}
+		_, _, err := client.Infer(nn.SynthesizeImage(net, 4, [32]byte{64}), clientEnd)
+		if err == nil || !strings.Contains(err.Error(), "the server failed the session") || !strings.Contains(err.Error(), "key bundle") {
+			failed <- fmt.Errorf("Infer after the refused bundle: %v; want the server's error frame naming the key bundle", err)
+			return
+		}
+		failed <- nil
+	}()
+	select {
+	case err := <-failed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the refused session still waits for the server after 10 s") // the deferred Close ends it
+	}
+}
+
+// serveEnd runs srv on one end of a pipe and closes that end when the
+// server half returns, so a client still waiting on it fails at once
+// instead of hanging; the server's error arrives on the channel.
+func serveEnd(srv *Server, end *protocol.Pipe) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		err := srv.ServeTransport(context.Background(), end)
+		end.Close()
+		done <- err
+	}()
+	return done
+}
+
 // runClientSession opens one in-memory session and runs n inferences,
 // verifying each against the plaintext reference and its traffic against
 // the plan — so every reply of every tier test arrived switched down to
@@ -98,8 +162,7 @@ func runTapedSession(t *testing.T, srv *Server, client *nn.InferenceClient, mode
 	rec = &testkit.Recorder{}
 	tp := rec.Client(clientEnd)
 
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeTransport(context.Background(), serverEnd) }()
+	done := serveEnd(srv, serverEnd)
 
 	cached, err := client.SetupSession(tp, sessionID)
 	if err != nil {
@@ -244,8 +307,7 @@ func TestBackpressureReject(t *testing.T) {
 	// Occupy the only slot with a session that never sends anything.
 	holdClient, holdServer := protocol.NewPipe()
 	defer holdClient.Close()
-	holdDone := make(chan error, 1)
-	go func() { holdDone <- srv.ServeTransport(context.Background(), holdServer) }()
+	holdDone := serveEnd(srv, holdServer)
 
 	// Wait until the slot is actually claimed.
 	deadline := time.Now().Add(5 * time.Second)
@@ -262,6 +324,8 @@ func TestBackpressureReject(t *testing.T) {
 	}
 	clientEnd, serverEnd := protocol.NewPipe()
 	defer clientEnd.Close()
+	// The end stays open: the server sends its busy ack before it reads
+	// the hello, so closing on return could refuse the client's hello.
 	done := make(chan error, 1)
 	go func() { done <- srv.ServeTransport(context.Background(), serverEnd) }()
 	if _, err := client.SetupSession(clientEnd, "rejected"); !errors.Is(err, nn.ErrServerBusy) {
@@ -465,8 +529,7 @@ func TestSessionPanicIsContained(t *testing.T) {
 		defer close(hostileOver)
 		clientEnd, serverEnd := protocol.NewPipe()
 		defer clientEnd.Close()
-		done := make(chan error, 1)
-		go func() { done <- srv.ServeTransport(context.Background(), serverEnd) }()
+		done := serveEnd(srv, serverEnd)
 		if cached, err := hostile.SetupSession(clientEnd, hostileID); err != nil || !cached {
 			t.Errorf("hostile session open: cached=%v err=%v", cached, err)
 			return
@@ -484,6 +547,7 @@ func TestSessionPanicIsContained(t *testing.T) {
 		if _, _, err := hostile.Infer(img, clientEnd); err == nil || !strings.Contains(err.Error(), "the server failed the session") {
 			t.Errorf("hostile session, second request: err = %v, want the server's error frame", err)
 		}
+		clientEnd.Close() // the server has failed the session, or must stop waiting for this one
 		var pe *panicError
 		if err := <-done; !errors.As(err, &pe) {
 			t.Errorf("hostile session ended with %v, want the recovered panic", err)

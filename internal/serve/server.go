@@ -410,6 +410,9 @@ func (s *Server) admit(t protocol.Transport, id, hint string) (*nn.ServerSession
 	}
 	sess, err := s.backend.NewSessionFromFrame(kraw)
 	if err != nil {
+		// The client has no ack to wait for after its upload: its next
+		// request reads why the session ended.
+		_ = t.Send(protocol.MarshalSessionError(err.Error()))
 		return nil, fmt.Errorf("session %q: %w", id, err)
 	}
 	s.reg.store(id, sess, kraw)
