@@ -1,11 +1,11 @@
 # Developer workflow for the CHOCO reproduction.
 #
-#   make check   — what CI runs: vet + chocolint + race/shuffled tests
-#                  (default, chocodebug-tagged, and purego-tagged builds)
-#                  + the kernel-tier log (see kernels)
+#   make check   — what CI runs: vet, race, debug, purego, kernels (CI
+#                  adds fuzz): go vet and gofmt, the race/shuffled
+#                  tests (default, chocodebug-tagged and purego-tagged
+#                  builds) and the kernel-tier log (see kernels)
 #   make test    — tier-1 verify (build + tests, as in ROADMAP.md)
-#   make lint    — chocolint static analyzers only (see internal/lint:
-#                  nttdomain, polypool, uncheckederr, bigintloop)
+#   make vet     — go vet, and gofmt -l, which must list no file
 #   make race    — race-enabled, shuffled tests; reruns the parallel
 #                  execution-layer packages (including the rlwe key-switch
 #                  core, the bfv/ckks hoisted-rotation fan-outs and the
@@ -35,9 +35,11 @@
 #                  (their counters must already hold every inference a
 #                  client has seen the reply to — the TestFabricFleet
 #                  race — every stall test must meet its bound each
-#                  time, and so must the leak check and the transcript
+#                  time, and so must the leak check, the transcript
 #                  tests, which search every frame and log line of a
-#                  client's session for its seed and secret key),
+#                  client's session for its seed and secret key, and
+#                  the write-failure tests, which fail a server's frame
+#                  write on a connection that still delivers),
 #                  the concurrent first use of a decomposition's
 #                  hoisted lift of c0 10 times, the distance server's
 #                  kept point plaintexts 10 times at GOMAXPROCS=4 (the
@@ -60,7 +62,9 @@
 #                  under the race detector and the assertion layer must
 #                  not cost the hot paths an object
 #   make purego  — tests with the vector kernels compiled out (the
-#                  scalar-only build every non-amd64 target gets)
+#                  scalar-only build every non-amd64 target gets); the
+#                  first run without -race of ring's MulScalar timing
+#                  gate and of core's allocation tests
 #   make kernels — the IFMA-against-scalar equivalence and dispatch
 #                  tests with -v: the NTT and two dyadic loops have
 #                  AVX-512 IFMA kernels (the forward and inverse
@@ -110,8 +114,8 @@
 #                  else meanwhile. The log stays in PAIRS_DIR.
 #   make loc     — Go lines (wc -l) per directory outside benchmark/,
 #                  non-test and _test.go apart, and their totals: the
-#                  count simplicity PRs and re-anchors quote (analyzer
-#                  fixtures count as non-test lines, one row per
+#                  count simplicity PRs and re-anchors quote (testdata
+#                  Go files count as non-test lines, one row per
 #                  testdata tree)
 
 GO ?= go
@@ -119,9 +123,9 @@ N ?= 10
 SEED ?= 1
 PAIRS_DIR ?= /tmp/choco-pairs
 
-.PHONY: check build test lint race debug purego kernels vet bench bench-e2e fuzz pairs loc
+.PHONY: check build test race debug purego kernels vet bench bench-e2e fuzz pairs loc
 
-check: vet lint race debug purego kernels
+check: vet race debug purego kernels
 
 build:
 	$(GO) build ./...
@@ -129,11 +133,9 @@ build:
 test: build
 	$(GO) test ./...
 
-lint:
-	$(GO) run ./cmd/chocolint ./...
-
 vet:
 	$(GO) vet ./...
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
 
 race:
 	$(GO) test -race -shuffle=on ./...

@@ -29,7 +29,7 @@ func (ctx *Context) debugCheckPlainQ(op string, p *ring.Poly) {
 	if p == nil {
 		panic(fmt.Sprintf("bfv: chocodebug: %s plaintext is nil", op))
 	}
-	if !p.IsNTT {
+	if !p.IsNTT() {
 		panic(fmt.Sprintf("bfv: chocodebug: %s plaintext is in the coefficient domain, want NTT", op))
 	}
 	ctx.DebugCheck(op, 1, []*ring.Poly{p}, ctx.MaxLevel())

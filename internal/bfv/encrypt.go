@@ -167,7 +167,6 @@ func (dec *Decryptor) DecryptOracle(ct *Ciphertext) *Plaintext {
 	x := r.GetPoly()
 	dec.phaseInto(ct, x)
 	out := &Plaintext{Poly: ctx.RingT.NewPoly()}
-	//lint:ignore-choco bigintloop the reference Decrypt is tested against; no request path decrypts with it
 	ctx.scaleOracleInto(r, x, out.Poly.Coeffs[0])
 	r.PutPoly(x)
 	return out

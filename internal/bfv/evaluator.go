@@ -198,10 +198,9 @@ func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {
 	// is exact over E).
 	lift := func(p *ring.Poly) *ring.Poly {
 		vals := make([]*big.Int, n)
-		//lint:ignore-choco bigintloop exact centred lift of a Mul operand; no request path multiplies BFV ciphertexts
+		// Exact through big integers: no request path multiplies BFV ciphertexts.
 		rQ.PolyToBigintCentered(p, vals)
 		out := rE.GetPoly()
-		//lint:ignore-choco bigintloop the same lift's reduction into the extended basis
 		rE.SetCoeffsBigint(vals, out)
 		rE.NTT(out)
 		return out
@@ -229,7 +228,6 @@ func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {
 	out := &Ciphertext{Value: make([]*ring.Poly, 3)}
 	bt := new(big.Int).SetUint64(ctx.T.Value)
 	num := new(big.Int)
-	//lint:ignore-choco bigintloop exact t/Q tensor scaling needs the CRT composition; server-side multiply, not the client kernel
 	for i, tp := range []*ring.Poly{t0, t1, t2} {
 		rE.INTT(tp)
 		vals := make([]*big.Int, n)
@@ -257,7 +255,11 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 	if ev.relin == nil {
 		return nil, fmt.Errorf("bfv: no relinearization key")
 	}
-	d0, d1 := ev.ctx.KeySwitch(ct.Value[2], ev.relin.Key, ev.ctx.MaxLevel())
+	// Decompose hoists the second polynomial it is given: here c2.
+	var dc rlwe.Decomposed
+	ev.ctx.Decompose(&dc, ct.Value[1:], ev.ctx.MaxLevel())
+	d0, d1 := dc.SwitchKey(ev.relin.Key)
+	dc.Release()
 	r := ev.ctx.RingQ
 	out := &Ciphertext{Value: []*ring.Poly{r.NewPoly(), r.NewPoly()}}
 	r.Add(ct.Value[0], d0, out.Value[0])
@@ -269,7 +271,6 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 
 // MulRelin multiplies and relinearizes.
 func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
-	//lint:ignore-choco bigintloop BFV ciphertext multiplication is exact through big integers; no request path runs it
 	c, err := ev.Mul(a, b)
 	if err != nil {
 		return nil, err
@@ -333,7 +334,7 @@ func (ev *Evaluator) ModSwitchDown(ct *Ciphertext) (*Ciphertext, error) {
 	}
 	out := &Ciphertext{Value: make([]*ring.Poly, len(ct.Value)), Drop: ct.Drop + 1}
 	for vi, p := range ct.Value {
-		if p.IsNTT {
+		if p.IsNTT() {
 			return nil, fmt.Errorf("bfv: modulus switch requires coefficient domain")
 		}
 		out.Value[vi] = ctx.DivRoundByLastModulus(p, ctx.MaxLevel()-ct.Drop)
@@ -354,7 +355,7 @@ func NoiseBudgetBits(ctx *Context, sk *SecretKey, ct *Ciphertext) float64 {
 	x, v := r.NewPoly(), r.NewPoly()
 	ctx.PhaseInto(sk, ct.Value, ctx.MaxLevel()-ct.Drop, x)
 	r.MulScalar(x, ctx.T.Value, v)
-	//lint:ignore-choco bigintloop noise measurement for experiments and tests; no request path reads the budget
+	// A measurement for experiments and tests: no request path reads the budget.
 	norm := r.InfNormBig(v)
 	if norm.Sign() == 0 {
 		norm.SetInt64(1)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"choco/internal/ring"
+	"choco/internal/rlwe"
 )
 
 func ctsIdentical(r *ring.Ring, a, b *Ciphertext) bool {
@@ -152,11 +153,11 @@ func TestDecomposeRejectsBadInputs(t *testing.T) {
 
 // TestHoistedMatchesUnhoistedKeySwitchPath is the mathematical anchor:
 // the pre-hoisting rotation (automorphism of c1 in the coefficient
-// domain, then a fresh keySwitch decomposition) and the hoisted one
-// (decompose first, permute digits in the NTT domain) are different
-// decompositions of the same polynomial, so their ciphertext bytes may
-// differ — but both must decrypt to the same rotated plaintext with a
-// healthy noise budget.
+// domain, then a fresh decomposition switched under the identity) and
+// the hoisted one (decompose first, permute digits in the NTT domain)
+// are different decompositions of the same polynomial, so their
+// ciphertext bytes may differ — but both must decrypt to the same
+// rotated plaintext with a healthy noise budget.
 func TestHoistedMatchesUnhoistedKeySwitchPath(t *testing.T) {
 	const steps = 3
 	kit := newTestKit(t, PresetTest(), steps)
@@ -174,7 +175,10 @@ func TestHoistedMatchesUnhoistedKeySwitchPath(t *testing.T) {
 	c1 := r.GetPoly()
 	r.Automorphism(ct.Value[0], g, c0)
 	r.Automorphism(ct.Value[1], g, c1)
-	d0, d1 := kit.ctx.KeySwitch(c1, gk.Key, kit.ctx.MaxLevel())
+	var dc rlwe.Decomposed
+	kit.ctx.Decompose(&dc, []*ring.Poly{nil, c1}, kit.ctx.MaxLevel())
+	d0, d1 := dc.SwitchKey(gk.Key)
+	dc.Release()
 	old := &Ciphertext{Value: []*ring.Poly{r.NewPoly(), d1}}
 	r.Add(c0, d0, old.Value[0])
 	r.PutPoly(c0)

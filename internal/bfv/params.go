@@ -161,7 +161,6 @@ func NewContext(params Parameters) (*Context, error) {
 	// The RNS chain — data primes, special prime, extended basis primes
 	// and the plaintext prime — must all be distinct and NTT-friendly for
 	// degree N.
-	//lint:ignore-choco bigintloop one-time context setup
 	core, err := rlwe.NewContext("bfv", params.LogN, params.QBits, params.PBits, params.Sigma)
 	if err != nil {
 		return nil, err
@@ -204,7 +203,6 @@ func NewContext(params Parameters) (*Context, error) {
 	ctx.Delta = new(big.Int).Div(ctx.BigQ, new(big.Int).SetUint64(tVal))
 	ctx.deltaRNS = make([]uint64, nData)
 	ctx.deltaRNSShoup = make([]uint64, nData)
-	//lint:ignore-choco bigintloop one-time context setup precomputation
 	for i, m := range ctx.RingQ.Moduli {
 		ctx.deltaRNS[i] = new(big.Int).Mod(ctx.Delta, new(big.Int).SetUint64(m.Value)).Uint64()
 		ctx.deltaRNSShoup[i] = m.ShoupPrecomp(ctx.deltaRNS[i])
@@ -223,7 +221,7 @@ func NewContext(params Parameters) (*Context, error) {
 	}
 
 	ctx.indexMap = buildIndexMap(params.LogN)
-	ctx.scalers = buildRNSScalers(ctx) //lint:ignore-choco bigintloop one-time context setup
+	ctx.scalers = buildRNSScalers(ctx)
 	return ctx, nil
 }
 

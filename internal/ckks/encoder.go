@@ -385,7 +385,7 @@ func (e *Encoder) DecodeFloats(pt *Plaintext) []float64 {
 func (e *Encoder) decode(pt *Plaintext, vals []complex128) {
 	r := e.ctx.RingAtLevel(pt.Level)
 	p := pt.Poly
-	if p.IsNTT {
+	if p.IsNTT() {
 		q := r.GetPoly()
 		defer r.PutPoly(q)
 		r.Copy(q, r.Prefix(p))

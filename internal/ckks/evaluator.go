@@ -93,7 +93,7 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 	if ct.Level != pt.Level {
 		return nil, fmt.Errorf("ckks: level mismatch %d vs %d", ct.Level, pt.Level)
 	}
-	if !pt.Poly.IsNTT {
+	if !pt.Poly.IsNTT() {
 		return nil, fmt.Errorf("ckks: MulPlain needs an NTT-domain plaintext")
 	}
 	r := ev.ctx.RingAtLevel(ct.Level)
@@ -185,7 +185,11 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 	if ev.relin == nil {
 		return nil, fmt.Errorf("ckks: no relinearization key")
 	}
-	d0, d1 := ev.ctx.KeySwitch(ct.Value[2], ev.relin.Key, ct.Level)
+	// Decompose hoists the second polynomial it is given: here c2.
+	var dc rlwe.Decomposed
+	ev.ctx.Decompose(&dc, ct.Value[1:], ct.Level)
+	d0, d1 := dc.SwitchKey(ev.relin.Key)
+	dc.Release()
 	r := ev.ctx.RingAtLevel(ct.Level)
 	out := &Ciphertext{
 		Value: []*ring.Poly{r.NewPoly(), r.NewPoly()},

@@ -149,7 +149,7 @@ func encodeOracle(ctx *Context, values []complex128, level int, scale float64) (
 func oracleCoeffs(ctx *Context, pt *Plaintext) []*big.Int {
 	r := ctx.RingAtLevel(pt.Level)
 	p := pt.Poly
-	if p.IsNTT {
+	if p.IsNTT() {
 		p = r.CopyPoly(p)
 		r.INTT(p)
 	}

@@ -82,7 +82,6 @@ func NewContext(params Parameters) (*Context, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	//lint:ignore-choco bigintloop one-time context setup
 	core, err := rlwe.NewContext("ckks", params.LogN, params.QBits, params.PBits, params.Sigma)
 	if err != nil {
 		return nil, err

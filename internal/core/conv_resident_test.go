@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -305,6 +306,51 @@ func TestConvMissingGaloisKey(t *testing.T) {
 	polyBytes := float64(len(ct.Value[0].Coeffs) * ctxProbe.Params.N() * 8)
 	if got := allocBytesPerRun(16, failing); got > polyBytes/2 {
 		t.Errorf("a failing Apply allocates %.0f B/call, want < %.0f (half a polynomial): the scratch pools are not balanced", got, polyBytes/2)
+	}
+}
+
+// TestInnerSumFailureBalancesPools fails an inner sum's second term,
+// after the first has opened the wide accumulator. The sum must hand the
+// accumulator's planes back to the key ring's pool, so a failing sum
+// reuses the same buffers call after call; a dropped accumulator makes
+// each call allocate four key-ring planes afresh.
+func TestInnerSumFailureBalancesPools(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	k := newFCLevelKit(t, bfv.PresetB(), 35, nil)
+	ctx := k.ev.Context()
+	vals := make([]int64, ctx.Params.Slots())
+	for i := range vals {
+		vals[i] = int64(i%15) - 7
+	}
+	ct, err := k.enc.EncryptInts(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := k.ecd.EncodeInts(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	level := ctx.MaxLevel()
+	x := operand{ctx.Context, level, ct.Value, k.ev.RotationKey}
+	rot := []*ring.Poly{ctx.LiftNTT(level, ct.Value[0]), ctx.LiftNTT(level, ct.Value[1])}
+	pm := k.ev.PrepareMul(pt).NTT
+	errTerm := errors.New("the second term fails")
+	failing := func() {
+		_, _, err := innerSum(x, 2, func(i int) ([]*ring.Poly, *ring.Poly, error) {
+			if i == 1 {
+				return nil, nil, errTerm
+			}
+			return rot, pm, nil
+		})
+		if !errors.Is(err, errTerm) {
+			t.Fatalf("innerSum with a failing term: %v", err)
+		}
+	}
+	polyBytes := float64(len(ct.Value[0].Coeffs) * ctx.Params.N() * 8)
+	if got := allocBytesPerRun(16, failing); got > polyBytes/2 {
+		t.Errorf("a failing inner sum allocates %.0f B/call, want < %.0f (half a polynomial): the accumulator is not handed back", got, polyBytes/2)
 	}
 }
 

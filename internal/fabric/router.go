@@ -122,6 +122,10 @@ type Router struct {
 	tenants  map[string]int64         // tenant → routed sessions
 	conns    map[*serve.TimedTransport]struct{}
 
+	// dial opens a connection to a shard's client port: net.DialTimeout
+	// over TCP, or a test's stand-in.
+	dial func(addr string, timeout time.Duration) (net.Conn, error)
+
 	acct routerAcct
 }
 
@@ -147,6 +151,9 @@ func NewRouter(cfg RouterConfig) *Router {
 		ownerLRU: list.New(),
 		tenants:  map[string]int64{},
 		conns:    map[*serve.TimedTransport]struct{}{},
+		dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, timeout)
+		},
 	}
 	for _, m := range cfg.Members {
 		r.AddMember(m)
@@ -376,7 +383,7 @@ func (r *Router) splice(ctx context.Context, client, shard *serve.TimedTransport
 func (r *Router) connectShard(sessionID string) (*memberState, net.Conn) {
 	for attempt := 0; attempt < 2; attempt++ {
 		for _, ms := range r.candidates(sessionID) {
-			conn, err := net.DialTimeout("tcp", ms.m.Addr, r.cfg.DialTimeout)
+			conn, err := r.dial(ms.m.Addr, r.cfg.DialTimeout)
 			if err == nil {
 				return ms, conn
 			}

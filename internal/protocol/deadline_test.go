@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 )
@@ -135,6 +136,57 @@ func TestInterruptUnblocksRecv(t *testing.T) {
 	if _, err := tr.Recv(); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("post-interrupt Recv: %v, want ErrInterrupted", err)
 	}
+}
+
+// armRaceConn runs Interrupt inside the first SetReadDeadline a Recv
+// arms, and gives it up to 100 ms before applying the deadline: the
+// interleaving in which an interrupt lands between a Recv's check of the
+// flag and its deadline.
+type armRaceConn struct {
+	net.Conn
+	tr          *Conn
+	once        sync.Once
+	interrupted chan struct{}
+}
+
+func (c *armRaceConn) SetReadDeadline(d time.Time) error {
+	c.once.Do(func() {
+		go func() {
+			c.tr.Interrupt()
+			close(c.interrupted)
+		}()
+		select {
+		case <-c.interrupted:
+		case <-time.After(100 * time.Millisecond): // Interrupt waits for the arming
+		}
+	})
+	return c.Conn.SetReadDeadline(d)
+}
+
+// TestInterruptDuringArmUnblocksRecv: an Interrupt that lands while a
+// Recv arms its read deadline must still unblock that Recv, not leave
+// it parked for the whole read timeout.
+func TestInterruptDuringArmUnblocksRecv(t *testing.T) {
+	peer, ours := net.Pipe()
+	defer peer.Close()
+	rc := &armRaceConn{Conn: ours, interrupted: make(chan struct{})}
+	tr := NewConn(rc)
+	rc.tr = tr
+	tr.SetReadTimeout(time.Minute)
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := tr.Recv()
+		errCh <- err
+	}()
+	select {
+	case err := <-errCh:
+		if err == nil {
+			t.Fatal("Recv returned nil after Interrupt")
+		}
+	case <-time.After(stallBound):
+		t.Fatalf("Recv still blocked %v after an Interrupt that raced its arming", stallBound)
+	}
+	<-rc.interrupted
 }
 
 // TestInterruptUnblocksSend is the twin of TestInterruptUnblocksRecv: a

@@ -80,7 +80,7 @@ func appendUint32(b []byte, v uint32) []byte { return binary.LittleEndian.Append
 func appendPoly(b []byte, p *ring.Poly) []byte {
 	b = appendUint32(b, uint32(len(p.Coeffs)))
 	b = appendUint32(b, uint32(len(p.Coeffs[0])))
-	if p.IsNTT {
+	if p.IsNTT() {
 		b = appendUint32(b, 1)
 	} else {
 		b = appendUint32(b, 0)

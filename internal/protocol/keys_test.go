@@ -208,10 +208,10 @@ func TestDecodedKeysAreTheGeneratedKeys(t *testing.T) {
 				t.Fatalf("%s %s: seed or digit count differs", c.name, what)
 			}
 			for i := range want.B {
-				if !rQP.Equal(got.B[i], want.B[i]) || got.B[i].IsNTT != want.B[i].IsNTT {
+				if !rQP.Equal(got.B[i], want.B[i]) || got.B[i].IsNTT() != want.B[i].IsNTT() {
 					t.Errorf("%s %s digit %d: B differs", c.name, what, i)
 				}
-				if !rQP.Equal(got.A[i], want.A[i]) || got.A[i].IsNTT != want.A[i].IsNTT {
+				if !rQP.Equal(got.A[i], want.A[i]) || got.A[i].IsNTT() != want.A[i].IsNTT() {
 					t.Errorf("%s %s digit %d: the expanded A is not the generated one", c.name, what, i)
 				}
 			}
@@ -312,7 +312,7 @@ func checkBundle(t *testing.T, core *rlwe.Context, kb *KeyBundle) {
 		}
 		for i := range swk.B {
 			for _, p := range []*ring.Poly{swk.B[i], swk.A[i]} {
-				if !p.IsNTT {
+				if !p.IsNTT() {
 					t.Fatal("decoded a coefficient-domain key polynomial")
 				}
 				checkRows(t, core.RingQP, p)
@@ -320,7 +320,7 @@ func checkBundle(t *testing.T, core *rlwe.Context, kb *KeyBundle) {
 		}
 	}
 	for _, p := range []*ring.Poly{kb.PK.P0, kb.PK.P1} {
-		if !p.IsNTT {
+		if !p.IsNTT() {
 			t.Fatal("decoded a coefficient-domain public key")
 		}
 		checkRows(t, core.RingQ, p)

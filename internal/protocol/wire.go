@@ -359,9 +359,9 @@ func NewConn(c net.Conn) *Conn { return &Conn{c: c} }
 // disables the bound. Safe to adjust between frames.
 func (t *Conn) SetReadTimeout(d time.Duration) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.readTimeout = d
-	t.mu.Unlock()
-	if d <= 0 {
+	if d <= 0 && !t.interrupted {
 		t.c.SetReadDeadline(time.Time{})
 	}
 }
@@ -369,19 +369,22 @@ func (t *Conn) SetReadTimeout(d time.Duration) {
 // SetWriteTimeout bounds each subsequent Send the same way.
 func (t *Conn) SetWriteTimeout(d time.Duration) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.writeTimeout = d
-	t.mu.Unlock()
-	if d <= 0 {
+	if d <= 0 && !t.interrupted {
 		t.c.SetWriteDeadline(time.Time{})
 	}
 }
 
 // Interrupt unblocks any Send or Recv in flight and fails all future
 // ones. Used to tear idle connections down during server shutdown.
+// Deadlines are set under t.mu, here and where a Send or Recv arms
+// one, so an arming that raced the interrupt cannot push the past
+// deadline back out.
 func (t *Conn) Interrupt() {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.interrupted = true
-	t.mu.Unlock()
 	t.c.SetDeadline(time.Now())
 }
 
@@ -389,26 +392,24 @@ func (t *Conn) Interrupt() {
 // the connection has been interrupted.
 func (t *Conn) armRead() bool {
 	t.mu.Lock()
-	d, stop := t.readTimeout, t.interrupted
-	t.mu.Unlock()
-	if stop {
+	defer t.mu.Unlock()
+	if t.interrupted {
 		return false
 	}
-	if d > 0 {
-		t.c.SetReadDeadline(time.Now().Add(d))
+	if t.readTimeout > 0 {
+		t.c.SetReadDeadline(time.Now().Add(t.readTimeout))
 	}
 	return true
 }
 
 func (t *Conn) armWrite() bool {
 	t.mu.Lock()
-	d, stop := t.writeTimeout, t.interrupted
-	t.mu.Unlock()
-	if stop {
+	defer t.mu.Unlock()
+	if t.interrupted {
 		return false
 	}
-	if d > 0 {
-		t.c.SetWriteDeadline(time.Now().Add(d))
+	if t.writeTimeout > 0 {
+		t.c.SetWriteDeadline(time.Now().Add(t.writeTimeout))
 	}
 	return true
 }

@@ -113,7 +113,7 @@ func TestPolyPackedRoundTrip(t *testing.T) {
 		if err := back.Unpack(buf[3:]); err != nil {
 			t.Fatal(err)
 		}
-		back.IsNTT = p.IsNTT
+		back.isNTT = p.isNTT
 		if !r.Equal(back, p) {
 			t.Fatalf("%v: polynomial changed across the wire", bits)
 		}

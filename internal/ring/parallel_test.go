@@ -84,14 +84,14 @@ func TestParallelOpsMatchSerial(t *testing.T) {
 func TestGetPutPoly(t *testing.T) {
 	r := testRing(t, 6, []int{30, 30})
 	p := r.GetPoly()
-	if p.IsNTT {
+	if p.isNTT {
 		t.Fatal("GetPoly returned an NTT-domain poly")
 	}
 	p.Coeffs[0][0] = 42
 	p.DeclareNTT()
 	r.PutPoly(p)
 	q := r.GetPoly()
-	if q.IsNTT || q.Coeffs[0][0] != 0 {
+	if q.isNTT || q.Coeffs[0][0] != 0 {
 		t.Fatal("recycled poly was not reset")
 	}
 	if len(q.Coeffs) != 2 || len(q.Coeffs[0]) != r.N {

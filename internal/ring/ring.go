@@ -249,7 +249,6 @@ func NewRing(logN int, moduli []uint64) (*Ring, error) {
 		}
 		r.tables = append(r.tables, tbl)
 	}
-	//lint:ignore-choco bigintloop ring construction: once per ring, at context setup
 	r.precomputeCRT()
 	r.autos = &autoCache{tables: map[uint64]*autoTable{}}
 	r.ifma = r.fitsIFMA()
@@ -258,14 +257,12 @@ func NewRing(logN int, moduli []uint64) (*Ring, error) {
 
 func (r *Ring) precomputeCRT() {
 	r.bigQ = big.NewInt(1)
-	//lint:ignore-choco bigintloop one-time CRT setup precomputation
 	for _, m := range r.Moduli {
 		r.bigQ.Mul(r.bigQ, new(big.Int).SetUint64(m.Value))
 	}
 	r.halfQ = new(big.Int).Rsh(r.bigQ, 1)
 	r.qiHat = make([]*big.Int, len(r.Moduli))
 	r.qiHatInv = make([]uint64, len(r.Moduli))
-	//lint:ignore-choco bigintloop one-time CRT setup precomputation
 	for i, m := range r.Moduli {
 		r.qiHat[i] = new(big.Int).Div(r.bigQ, new(big.Int).SetUint64(m.Value))
 		rem := new(big.Int).Mod(r.qiHat[i], new(big.Int).SetUint64(m.Value)).Uint64()
@@ -340,16 +337,17 @@ func (r *Ring) AtLevel(level int) *Ring {
 		autos:  r.autos,
 	}
 	sub.ifma = sub.fitsIFMA()
-	//lint:ignore-choco bigintloop ring construction: rlwe.NewContext builds each level's ring once
+	// Once per level: rlwe.NewContext builds each level's ring at setup.
 	sub.precomputeCRT()
 	return sub
 }
 
-// Poly is an element of R_q stored as one residue row per modulus. The
-// IsNTT flag records the current domain.
+// Poly is an element of R_q stored as one residue row per modulus. Its
+// domain flag is unexported: outside this package only NTT, INTT,
+// DeclareNTT and DeclareCoeff change it, and IsNTT reads it.
 type Poly struct {
 	Coeffs [][]uint64
-	IsNTT  bool
+	isNTT  bool
 
 	// ring is the ring whose moduli p's rows are residues of. Arithmetic
 	// never reads it — every operation is a method of the ring it runs
@@ -358,18 +356,20 @@ type Poly struct {
 	ring *Ring
 }
 
+// IsNTT reports whether p is in the NTT (evaluation) domain.
+func (p *Poly) IsNTT() bool { return p.isNTT }
+
 // DeclareNTT marks p as NTT-domain without transforming it. It is the
 // sanctioned escape hatch for constructions whose residue rows already
 // hold evaluation-domain values: uniform randomness (identically
 // distributed in either domain) and accumulator buffers about to be
-// overwritten. All other code must change domains through NTT/INTT;
-// the nttdomain analyzer in internal/lint flags direct IsNTT writes
-// outside this package.
-func (p *Poly) DeclareNTT() { p.IsNTT = true }
+// overwritten. All other code changes domains through NTT/INTT; the
+// flag is unexported, so the compiler refuses any other write.
+func (p *Poly) DeclareNTT() { p.isNTT = true }
 
 // DeclareCoeff marks p as coefficient-domain without transforming it.
 // See DeclareNTT for when this is legitimate.
-func (p *Poly) DeclareCoeff() { p.IsNTT = false }
+func (p *Poly) DeclareCoeff() { p.isNTT = false }
 
 // NewPoly allocates a zero polynomial for the ring.
 func (r *Ring) NewPoly() *Poly {
@@ -385,7 +385,13 @@ func (r *Ring) NewPoly() *Poly {
 // of r, which must be a truncation of the chain p lives over (AtLevel, or
 // the data primes under a key ring). The view shares p's storage.
 func (r *Ring) Prefix(p *Poly) *Poly {
-	return &Poly{Coeffs: p.Coeffs[:len(r.Moduli)], IsNTT: p.IsNTT, ring: r}
+	return &Poly{Coeffs: p.Coeffs[:len(r.Moduli)], isNTT: p.isNTT, ring: r}
+}
+
+// RowView returns a polynomial over rows, a selection of p's residue
+// rows, in p's domain. It shares the rows' storage.
+func (p *Poly) RowView(rows [][]uint64) *Poly {
+	return &Poly{Coeffs: rows, isNTT: p.isNTT}
 }
 
 // GetPoly returns a zeroed coefficient-domain polynomial from the
@@ -404,7 +410,7 @@ func (r *Ring) GetPoly() *Poly {
 				row[j] = 0
 			}
 		}
-		p.IsNTT, p.ring = false, r
+		p.isNTT, p.ring = false, r
 		return p
 	}
 	return r.NewPoly()
@@ -432,7 +438,7 @@ func (r *Ring) CopyPoly(p *Poly) *Poly {
 	for i := range p.Coeffs {
 		copy(q.Coeffs[i], p.Coeffs[i])
 	}
-	q.IsNTT = p.IsNTT
+	q.isNTT = p.isNTT
 	return q
 }
 
@@ -441,7 +447,7 @@ func (r *Ring) Copy(dst, src *Poly) {
 	for i := range src.Coeffs {
 		copy(dst.Coeffs[i], src.Coeffs[i])
 	}
-	dst.IsNTT = src.IsNTT
+	dst.isNTT = src.isNTT
 }
 
 // Zero clears p in place.
@@ -452,13 +458,13 @@ func (r *Ring) Zero(p *Poly) {
 			row[j] = 0
 		}
 	}
-	p.IsNTT = false
+	p.isNTT = false
 }
 
 // Equal reports whether a and b are identical (same domain, same
 // residues).
 func (r *Ring) Equal(a, b *Poly) bool {
-	if a.IsNTT != b.IsNTT || len(a.Coeffs) != len(b.Coeffs) {
+	if a.isNTT != b.isNTT || len(a.Coeffs) != len(b.Coeffs) {
 		return false
 	}
 	for i := range a.Coeffs {
@@ -476,13 +482,13 @@ func (r *Ring) NTT(p *Poly) {
 	if debugEnabled {
 		r.debugCheck("NTT", p)
 	}
-	if p.IsNTT {
+	if p.isNTT {
 		panic("ring: NTT on a polynomial already in NTT domain")
 	}
 	r.parRows(len(p.Coeffs), parMinTransform, func(i int) {
 		nttForward(r.tables[i], p.Coeffs[i])
 	})
-	p.IsNTT = true
+	p.isNTT = true
 }
 
 // INTT transforms p in place back to the coefficient domain.
@@ -490,13 +496,13 @@ func (r *Ring) INTT(p *Poly) {
 	if debugEnabled {
 		r.debugCheck("INTT", p)
 	}
-	if !p.IsNTT {
+	if !p.isNTT {
 		panic("ring: INTT on a polynomial already in coefficient domain")
 	}
 	r.parRows(len(p.Coeffs), parMinTransform, func(i int) {
 		nttInverse(r.tables[i], p.Coeffs[i])
 	})
-	p.IsNTT = false
+	p.isNTT = false
 }
 
 // NTTForwardRow transforms a single RNS residue row in place (forward,
@@ -504,7 +510,7 @@ func (r *Ring) INTT(p *Poly) {
 // per-residue pipelines — client encryption fans residue rows across
 // workers, running sample → NTT → dyadic mul-add → INTT on each row
 // without whole-polynomial domain flips in between. The caller owns the
-// enclosing Poly's IsNTT bookkeeping (DeclareNTT / DeclareCoeff).
+// enclosing Poly's domain bookkeeping (DeclareNTT / DeclareCoeff).
 func (r *Ring) NTTForwardRow(lvl int, row []uint64) {
 	if debugEnabled {
 		r.debugCheckRow("NTTForwardRow", lvl, row)
@@ -625,7 +631,7 @@ func (r *Ring) Add(a, b, out *Poly) {
 			ro[j] = m.Add(ra[j], rb[j])
 		}
 	})
-	out.IsNTT = a.IsNTT
+	out.isNTT = a.isNTT
 }
 
 // Sub sets out = a - b.
@@ -641,7 +647,7 @@ func (r *Ring) Sub(a, b, out *Poly) {
 			ro[j] = m.Sub(ra[j], rb[j])
 		}
 	})
-	out.IsNTT = a.IsNTT
+	out.isNTT = a.isNTT
 }
 
 // Neg sets out = -a.
@@ -656,14 +662,14 @@ func (r *Ring) Neg(a, out *Poly) {
 			ro[j] = m.Neg(ra[j])
 		}
 	})
-	out.IsNTT = a.IsNTT
+	out.isNTT = a.isNTT
 }
 
 // MulCoeffs sets out = a ⊙ b (dyadic product). Both operands must be in
 // the NTT domain, where the dyadic product realizes negacyclic
 // convolution.
 func (r *Ring) MulCoeffs(a, b, out *Poly) {
-	if !a.IsNTT || !b.IsNTT {
+	if !a.isNTT || !b.isNTT {
 		panic("ring: MulCoeffs requires NTT-domain operands")
 	}
 	if debugEnabled {
@@ -679,12 +685,12 @@ func (r *Ring) MulCoeffs(a, b, out *Poly) {
 			ro[j] = m.Mul(ra[j], rb[j])
 		}
 	})
-	out.IsNTT = true
+	out.isNTT = true
 }
 
 // MulCoeffsAdd sets out += a ⊙ b, all in NTT domain.
 func (r *Ring) MulCoeffsAdd(a, b, out *Poly) {
-	if !a.IsNTT || !b.IsNTT || !out.IsNTT {
+	if !a.isNTT || !b.isNTT || !out.isNTT {
 		panic("ring: MulCoeffsAdd requires NTT-domain operands")
 	}
 	if debugEnabled {
@@ -730,7 +736,7 @@ func (r *Ring) ShoupPolyPrecomp(p *Poly) [][]uint64 {
 // for the fixed operands b0, b1, whose companions come from
 // ShoupPolyPrecomp.
 func (r *Ring) MulCoeffsShoupAdd2(a, b0 *Poly, b0Shoup [][]uint64, out0 *Poly, b1 *Poly, b1Shoup [][]uint64, out1 *Poly) {
-	if !a.IsNTT || !b0.IsNTT || !b1.IsNTT || !out0.IsNTT || !out1.IsNTT {
+	if !a.isNTT || !b0.isNTT || !b1.isNTT || !out0.isNTT || !out1.isNTT {
 		panic("ring: MulCoeffsShoupAdd2 requires NTT-domain operands")
 	}
 	if debugEnabled {
@@ -768,7 +774,7 @@ func (r *Ring) MulCoeffsShoupAdd2(a, b0 *Poly, b0Shoup [][]uint64, out0 *Poly, b
 // all below 2^51 it runs the AVX-512 IFMA kernel where the host has one
 // (ifma_amd64.s), with the same canonical result.
 func (r *Ring) AutomorphismNTTMulShoupAdd2(a *Poly, g uint64, b0 *Poly, b0Shoup [][]uint64, out0 *Poly, b1 *Poly, b1Shoup [][]uint64, out1 *Poly) {
-	if !a.IsNTT || !b0.IsNTT || !b1.IsNTT || !out0.IsNTT || !out1.IsNTT {
+	if !a.isNTT || !b0.isNTT || !b1.isNTT || !out0.isNTT || !out1.isNTT {
 		panic("ring: AutomorphismNTTMulShoupAdd2 requires NTT-domain operands")
 	}
 	if debugEnabled {
@@ -815,7 +821,7 @@ func (r *Ring) MulScalar(a *Poly, c uint64, out *Poly) {
 			ro[j] = m.MulShoup(ra[j], cc, cs)
 		}
 	})
-	out.IsNTT = a.IsNTT
+	out.isNTT = a.isNTT
 }
 
 // MulScalarBig sets out = a * c for a big scalar, reduced per modulus.
@@ -832,11 +838,11 @@ func (r *Ring) MulScalarBig(a *Poly, c *big.Int, out *Poly) {
 			ro[j] = m.MulShoup(ra[j], cc, cs)
 		}
 	})
-	out.IsNTT = a.IsNTT
+	out.isNTT = a.isNTT
 }
 
 func (r *Ring) requireSameDomain(a, b *Poly) {
-	if a.IsNTT != b.IsNTT {
+	if a.isNTT != b.isNTT {
 		panic("ring: mixed-domain operands")
 	}
 }
@@ -873,7 +879,7 @@ func (r *Ring) GaloisElementRowSwap() uint64 { return uint64(2*r.N - 1) }
 // g must be odd. a and out must not alias. The index/sign permutation is
 // cached per Galois element.
 func (r *Ring) Automorphism(a *Poly, g uint64, out *Poly) {
-	if a.IsNTT {
+	if a.isNTT {
 		panic("ring: Automorphism requires coefficient domain")
 	}
 	if debugEnabled {
@@ -892,7 +898,7 @@ func (r *Ring) Automorphism(a *Poly, g uint64, out *Poly) {
 			}
 		}
 	})
-	out.IsNTT = false
+	out.isNTT = false
 }
 
 // AutomorphismNTT applies X -> X^g to an NTT-domain polynomial by
@@ -901,7 +907,7 @@ func (r *Ring) Automorphism(a *Poly, g uint64, out *Poly) {
 // off — the decomposed digits stay in the evaluation domain across the
 // whole rotation batch. g must be odd. a and out must not alias.
 func (r *Ring) AutomorphismNTT(a *Poly, g uint64, out *Poly) {
-	if !a.IsNTT {
+	if !a.isNTT {
 		panic("ring: AutomorphismNTT requires NTT domain")
 	}
 	if debugEnabled {
@@ -915,21 +921,21 @@ func (r *Ring) AutomorphismNTT(a *Poly, g uint64, out *Poly) {
 			ro[i] = ra[src]
 		}
 	})
-	out.IsNTT = true
+	out.isNTT = true
 }
 
 // PolyToBigintCentered writes the centered CRT composition of each
 // coefficient of p (coefficient domain) into out, which must have
 // length N. Values lie in (-Q/2, Q/2].
 func (r *Ring) PolyToBigintCentered(p *Poly, out []*big.Int) {
-	if p.IsNTT {
+	if p.isNTT {
 		panic("ring: composition requires coefficient domain")
 	}
 	if debugEnabled {
 		r.debugCheck("PolyToBigintCentered", p)
 	}
 	tmp := new(big.Int)
-	//lint:ignore-choco bigintloop exact CRT composition for BFV's tensor lift, the BFV decrypt oracle and noise norms; each caller states its own reason
+	// Off the request path: BFV's tensor lift, the decrypt oracle and noise norms.
 	for j := 0; j < r.N; j++ {
 		acc := out[j]
 		if acc == nil {
@@ -959,12 +965,11 @@ func (r *Ring) PolyToBigintCentered(p *Poly, out []*big.Int) {
 // fallback: only coefficients whose fixed-point fraction lands inside
 // the ambiguity band pay for a big.Int composition.
 func (r *Ring) CoeffBigintCentered(p *Poly, j int, acc *big.Int) {
-	if p.IsNTT {
+	if p.isNTT {
 		panic("ring: composition requires coefficient domain")
 	}
 	tmp := new(big.Int)
 	acc.SetUint64(0)
-	//lint:ignore-choco bigintloop per-coefficient CRT oracle: the RNS fast path calls this only for ambiguous coefficients
 	for i := range p.Coeffs {
 		m := r.Moduli[i]
 		v := m.Mul(p.Coeffs[i][j], r.qiHatInv[i])
@@ -982,7 +987,7 @@ func (r *Ring) CoeffBigintCentered(p *Poly, j int, acc *big.Int) {
 // into the RNS residues of p (coefficient domain).
 func (r *Ring) SetCoeffsBigint(values []*big.Int, p *Poly) {
 	tmp := new(big.Int)
-	//lint:ignore-choco bigintloop arbitrary-precision decomposition for BFV's tensor product (into and out of the extended basis) and tests; each caller states its own reason
+	// Off the request path: BFV's tensor product and tests.
 	for i := range p.Coeffs {
 		m := r.Moduli[i]
 		bq := new(big.Int).SetUint64(m.Value)
@@ -996,7 +1001,7 @@ func (r *Ring) SetCoeffsBigint(values []*big.Int, p *Poly) {
 			}
 		}
 	}
-	p.IsNTT = false
+	p.isNTT = false
 }
 
 // SetCoeffsUint64 sets the polynomial from small unsigned coefficients,
@@ -1013,7 +1018,7 @@ func (r *Ring) SetCoeffsUint64(values []uint64, p *Poly) {
 			}
 		}
 	}
-	p.IsNTT = false
+	p.isNTT = false
 }
 
 // SetCoeffsInt64 sets the polynomial from small signed coefficients.
@@ -1034,17 +1039,16 @@ func (r *Ring) SetCoeffsInt64(values []int64, p *Poly) {
 			}
 		}
 	}
-	p.IsNTT = false
+	p.isNTT = false
 }
 
 // InfNormBig returns the centered infinity norm of p as a big integer.
 func (r *Ring) InfNormBig(p *Poly) *big.Int {
 	vals := make([]*big.Int, r.N)
-	//lint:ignore-choco bigintloop an exact norm needs the exact composition; noise measurement, never a request path
+	// Noise measurement, never a request path.
 	r.PolyToBigintCentered(p, vals)
 	max := new(big.Int)
 	abs := new(big.Int)
-	//lint:ignore-choco bigintloop exact noise-norm diagnostic, not an online path
 	for _, v := range vals {
 		abs.Abs(v)
 		if abs.Cmp(max) > 0 {

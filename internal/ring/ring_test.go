@@ -55,8 +55,8 @@ func TestNTTRoundTrip(t *testing.T) {
 		p := randomPoly(r, byte(logN))
 		orig := r.CopyPoly(p)
 		r.NTT(p)
-		if !p.IsNTT {
-			t.Fatal("IsNTT not set")
+		if !p.isNTT {
+			t.Fatal("NTT did not set the domain flag")
 		}
 		r.INTT(p)
 		if !r.Equal(p, orig) {
@@ -135,7 +135,7 @@ func TestMulCoeffsAdd(t *testing.T) {
 	r.NTT(a)
 	r.NTT(b)
 	acc := r.NewPoly()
-	acc.IsNTT = true
+	acc.isNTT = true
 	r.MulCoeffsAdd(a, b, acc)
 	r.MulCoeffsAdd(a, b, acc)
 	twice := r.NewPoly()

@@ -58,7 +58,7 @@ func (r *Ring) PutWideAcc(acc *WideAcc) {
 // lives in the scalar loop; an IFMA ring's accumulator holds at least
 // 2^26 terms before it folds.
 func (r *Ring) MulCoeffsAddWide(a, b *Poly, acc *WideAcc) {
-	if !a.IsNTT || !b.IsNTT {
+	if !a.isNTT || !b.isNTT {
 		panic("ring: MulCoeffsAddWide requires NTT-domain operands")
 	}
 	if debugEnabled {
@@ -118,7 +118,7 @@ func (r *Ring) foldWide(acc *WideAcc) {
 func (r *Ring) ReduceWideAcc(acc *WideAcc) *Poly {
 	r.foldWide(acc)
 	out := acc.lo
-	out.IsNTT = true
+	out.isNTT = true
 	r.PutPoly(acc.hi)
 	acc.lo, acc.hi = nil, nil
 	return out

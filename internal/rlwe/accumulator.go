@@ -104,7 +104,7 @@ func (qa *QPAccumulator) Add(value []*ring.Poly) {
 // accumulated sum pays those once, in FinalizeModDown.
 func (qa *QPAccumulator) Rotate(dc *Decomposed, gk *GaloisKey) {
 	ctx, rQl, rQlP := qa.ctx, qa.ctx.ringQl[qa.level], qa.ctx.ringQlP[qa.level]
-	dc.innerProduct(gk, qa.acc[0], qa.acc[1])
+	dc.innerProduct(gk.GaloisElement, gk.Key, qa.acc[0], qa.acc[1])
 	// Drain: convert the special-prime row (holding exactly this element's
 	// contribution) to the coefficient domain, fold its centred remainder
 	// mod each data prime into corr, and zero the row so the next element

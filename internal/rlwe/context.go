@@ -142,7 +142,6 @@ func NewContext(label string, logN int, qBits []int, pBits int, sigma float64) (
 	}
 	bigQ := ctx.RingQ.ModulusBig()
 	ctx.qTildeQP = make([][]uint64, nData)
-	//lint:ignore-choco bigintloop one-time context setup precomputation
 	for i := range ctx.qTildeQP {
 		qi := new(big.Int).SetUint64(ctx.RingQ.Moduli[i].Value)
 		hat := new(big.Int).Div(bigQ, qi)

@@ -68,8 +68,8 @@ func (swk *SwitchingKey) at(ctx *Context, level int) *keyView {
 		for l := 0; l < top; l++ {
 			v := &swk.views[l]
 			for i := 0; i <= l; i++ {
-				v.b = append(v.b, &ring.Poly{Coeffs: levelRows(swk.B[i].Coeffs, l), IsNTT: swk.B[i].IsNTT})
-				v.a = append(v.a, &ring.Poly{Coeffs: levelRows(swk.A[i].Coeffs, l), IsNTT: swk.A[i].IsNTT})
+				v.b = append(v.b, swk.B[i].RowView(levelRows(swk.B[i].Coeffs, l)))
+				v.a = append(v.a, swk.A[i].RowView(levelRows(swk.A[i].Coeffs, l)))
 				v.bShoup = append(v.bShoup, levelRows(full.bShoup[i], l))
 				v.aShoup = append(v.aShoup, levelRows(full.aShoup[i], l))
 			}

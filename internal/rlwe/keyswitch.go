@@ -11,8 +11,10 @@ import (
 // Hybrid RNS key switching at a level l: decompose a polynomial mod Ql
 // into its per-prime digits, inner-product the digits with a switching key
 // over (q0..ql, p), and divide by the special prime P with rounding. One
-// implementation serves both schemes: BFV calls it at the top level only,
-// CKKS at whatever level its ciphertext has reached.
+// implementation serves both schemes and every key: a rotation gathers
+// the digits under its Galois element, a relinearization under the
+// identity. BFV runs it at the top level only, CKKS at whatever level its
+// ciphertext has reached.
 
 // embedDigit embeds the i-th residue row of a mod-Ql polynomial (an
 // integer vector in [0, q_i)) into every residue of the (q0..ql, p)
@@ -30,28 +32,6 @@ func (ctx *Context) embedDigit(src []uint64, i, level int, di *ring.Poly) {
 			dst[k] = m.Reduce(src[k])
 		}
 	}
-}
-
-// KeySwitch converts a single polynomial d (coefficient domain, mod Ql)
-// keyed under s' into a pair (δ0, δ1) mod Ql keyed under s: decompose d
-// per data prime, inner-product with the switching key's level view, then
-// divide by the special prime. The results come from the level ring's
-// scratch pool.
-func (ctx *Context) KeySwitch(d *ring.Poly, swk *SwitchingKey, level int) (d0, d1 *ring.Poly) {
-	rQlP := ctx.ringQlP[level]
-	key := swk.at(ctx, level)
-	acc0, acc1 := newAccPair(rQlP)
-	di := rQlP.GetPoly()
-	for i := 0; i <= level; i++ {
-		// d_i: the i-th residue row treated as an integer vector in
-		// [0, q_i), embedded into every residue of the key ring.
-		ctx.embedDigit(d.Coeffs[i], i, level, di)
-		di.DeclareCoeff() // the buffer is reused across digits
-		rQlP.NTT(di)
-		rQlP.MulCoeffsShoupAdd2(di, key.b[i], key.bShoup[i], acc0, key.a[i], key.aShoup[i], acc1)
-	}
-	rQlP.PutPoly(di)
-	return ctx.ModDownPair(level, acc0, acc1)
 }
 
 // newAccPair returns two zeroed inner-product accumulators over r,
@@ -167,8 +147,8 @@ func (ctx *Context) LiftNTT(level int, p *ring.Poly) *ring.Poly {
 // Decomposed is the hoisted (Halevi–Shoup) form of a degree-1 ciphertext
 // at some level: the per-prime RNS digits of c1, embedded into the
 // (q0..ql, p) basis and forward-NTT-transformed once. Every rotation of
-// the same ciphertext normally pays that decomposition again inside
-// KeySwitch; holding it here lets a batch of k rotations pay it once,
+// the same ciphertext would otherwise pay that decomposition again;
+// holding it here lets a batch of k rotations pay it once,
 // with each Galois element applied to the digits directly in the NTT
 // domain (a slot permutation) before the switching-key inner product.
 // Call Release when done — the digit buffers come from the key ring's
@@ -231,18 +211,29 @@ func (dc *Decomposed) liftC0() *ring.Poly {
 	return dc.c0Lift
 }
 
-// innerProduct adds the switching-key inner product of the digits under
-// gk's automorphism into (acc0, acc1): the fused NTT-domain gather of each
-// digit against the key's level view. Decomposition and automorphism are
-// both coefficient-wise, so they commute, and in the evaluation domain the
-// automorphism is a signless gather: permuting the hoisted digits yields
-// exactly the digits of φ_g(c1) the unhoisted path computes (DESIGN.md §7).
-func (dc *Decomposed) innerProduct(gk *GaloisKey, acc0, acc1 *ring.Poly) {
+// innerProduct adds the inner product of the digits under the
+// automorphism g with swk into (acc0, acc1): the fused NTT-domain gather
+// of each digit against the key's level view. Decomposition and
+// automorphism are both coefficient-wise, so they commute, and in the
+// evaluation domain the automorphism is a signless gather: permuting the
+// hoisted digits yields exactly the digits of φ_g(c1) the unhoisted path
+// computes (DESIGN.md §7). Under g = 1 the gather is the identity.
+func (dc *Decomposed) innerProduct(g uint64, swk *SwitchingKey, acc0, acc1 *ring.Poly) {
 	rQlP := dc.ctx.ringQlP[dc.level]
-	key := gk.Key.at(dc.ctx, dc.level)
+	key := swk.at(dc.ctx, dc.level)
 	for i, d := range dc.digits {
-		rQlP.AutomorphismNTTMulShoupAdd2(d, gk.GaloisElement, key.b[i], key.bShoup[i], acc0, key.a[i], key.aShoup[i], acc1)
+		rQlP.AutomorphismNTTMulShoupAdd2(d, g, key.b[i], key.bShoup[i], acc0, key.a[i], key.aShoup[i], acc1)
 	}
+}
+
+// SwitchKey switches the decomposed polynomial from the secret swk was
+// made for to s: the inner product under the identity element, then the
+// divide by P. Relinearization decomposes c2 and switches it with the
+// relinearization key. The results come from the level ring's pool.
+func (dc *Decomposed) SwitchKey(swk *SwitchingKey) (d0, d1 *ring.Poly) {
+	acc0, acc1 := newAccPair(dc.ctx.ringQlP[dc.level])
+	dc.innerProduct(1, swk, acc0, acc1)
+	return dc.ctx.ModDownPair(dc.level, acc0, acc1)
 }
 
 // Rotate runs one Galois element over the hoisted digits: inner product
@@ -256,7 +247,7 @@ func (dc *Decomposed) innerProduct(gk *GaloisKey, acc0, acc1 *ring.Poly) {
 func (dc *Decomposed) Rotate(gk *GaloisKey) (c0, c1 *ring.Poly) {
 	ctx, rQl := dc.ctx, dc.ctx.ringQl[dc.level]
 	acc0, acc1 := newAccPair(ctx.ringQlP[dc.level])
-	dc.innerProduct(gk, acc0, acc1)
+	dc.innerProduct(gk.GaloisElement, gk.Key, acc0, acc1)
 	d0, d1 := ctx.ModDownPair(dc.level, acc0, acc1)
 
 	c0 = rQl.GetPoly()
@@ -284,6 +275,6 @@ func (dc *Decomposed) RotateNTT(gk *GaloisKey) (c0, c1 *ring.Poly) {
 	rQlP := dc.ctx.ringQlP[dc.level]
 	c0, c1 = newAccPair(rQlP)
 	rQlP.AutomorphismNTT(dc.liftC0(), gk.GaloisElement, c0)
-	dc.innerProduct(gk, c0, c1)
+	dc.innerProduct(gk.GaloisElement, gk.Key, c0, c1)
 	return c0, c1
 }

@@ -1,4 +1,4 @@
-// Package testkit holds two run-time checks that the serving-tier and
+// Package testkit holds the run-time checks that the serving-tier and
 // client tests share:
 //
 //   - a transcript: Recorder keeps every frame a wrapped transport moves
@@ -8,7 +8,10 @@
 //     could write them) or when a client-to-server frame does not pass its
 //     strict decoder;
 //   - a goroutine-leak check: CheckGoroutines fails a test when a
-//     goroutine it started outlives the test by more than 2 s.
+//     goroutine it started outlives the test by more than 2 s;
+//   - a failing peer: FailWrites wraps a connection so that its writes
+//     fail after k frames while its reads go on, and counts the reads
+//     made after the failure.
 //
 // Only tests import it.
 package testkit
