@@ -62,21 +62,24 @@
 #                  under the race detector and the assertion layer must
 #                  not cost the hot paths an object
 #   make purego  — tests with the vector kernels compiled out (the
-#                  scalar-only build every non-amd64 target gets); the
+#                  scalar-only build every non-amd64 target gets: no
+#                  AVX2 NTT stages or MulCoeffs product, no IFMA NTT
+#                  stages, inner product or multiply-accumulate); the
 #                  first run without -race of ring's MulScalar timing
 #                  gate and of core's allocation tests
-#   make kernels — the IFMA-against-scalar equivalence and dispatch
-#                  tests with -v: the NTT and two dyadic loops have
-#                  AVX-512 IFMA kernels (the forward and inverse
-#                  transform stages, per residue row whose prime is
-#                  below 2^51; the gathered key-switch inner product
-#                  AutomorphismNTTMulShoupAdd2 and the 128-bit
-#                  multiply-accumulate MulCoeffsAddWide, on rings whose
-#                  primes are all below 2^51; the other dyadic loops and
-#                  the NTT of wider primes stay AVX2), and the log names
-#                  the tier the tests ran at and the NTT tiers compared
-#                  per ring, or the CPU feature whose absence skipped
-#                  the IFMA tests
+#   make kernels — the vector-against-scalar equivalence and dispatch
+#                  tests with -v, covering every vector kernel the
+#                  build has: the AVX-512 IFMA kernels (the forward and
+#                  inverse transform stages, per residue row whose
+#                  prime is below 2^51; the gathered key-switch inner
+#                  product AutomorphismNTTMulShoupAdd2, relinearization's
+#                  g = 1 included, and the 128-bit multiply-accumulate
+#                  MulCoeffsAddWide, on rings whose primes are all below
+#                  2^51) and the AVX2 ones (the NTT stages of wider
+#                  primes and MulCoeffs's dyadic product, the one AVX2
+#                  dyadic kernel); the log names the tier the tests ran
+#                  at and the NTT tiers compared per ring, or the CPU
+#                  feature whose absence skipped the IFMA tests
 #   make bench   — the repository's benchmark (see bench-e2e), its
 #                  report recorded under the commit in
 #                  BENCH_trajectory.json, then the Go benchmarks
@@ -154,7 +157,7 @@ purego:
 	$(GO) test -shuffle=on -tags purego ./...
 
 kernels:
-	$(GO) test -v -count=1 -run 'TestIFMAKernelsMatchScalar|TestIFMADispatch|TestIFMAMatchesCPUInfo|TestNTTVectorScalarIdentical' ./internal/cpu ./internal/ring
+	$(GO) test -v -count=1 -run 'TestIFMAKernelsMatchScalar|TestIFMADispatch|TestIFMAMatchesCPUInfo|TestNTTVectorScalarIdentical|TestDyadicVectorScalarIdentical' ./internal/cpu ./internal/ring
 
 fuzz:
 	$(GO) test ./internal/ring -run '^$$' -fuzz '^FuzzPackedRow$$' -fuzztime 30s

@@ -18,10 +18,10 @@ import (
 // schedule with nothing hoisted and nothing fused. Every baby pays its own
 // decomposition and stays resident in QP; every weight plaintext is
 // rebuilt; each (output, giant) inner sum is one reduced multiply and one
-// modular add per term over QP (ring.MulCoeffsAdd) in baby order, closed by
-// one divide-by-P; each rotated inner sum pays its own full key switch
-// (RotateRows) and the output folds them with Add in giant order. It shares
-// only the geometry (the plan) with the engine under test.
+// modular add per term over QP (ring.MulCoeffs, then ring.Add) in baby
+// order, closed by one divide-by-P; each rotated inner sum pays its own
+// full key switch (RotateRows) and the output folds them with Add in giant
+// order. It shares only the geometry (the plan) with the engine under test.
 func applyUnfused(k *kit, pl BSGSPlan[int64], ct *bfv.Ciphertext) ([]*bfv.Ciphertext, OpCounts, error) {
 	var ops OpCounts
 	ev, rQP := k.ev, k.ctx.RingQP
@@ -41,6 +41,7 @@ func applyUnfused(k *kit, pl BSGSPlan[int64], ct *bfv.Ciphertext) ([]*bfv.Cipher
 		}
 	}
 
+	prod := rQP.NewPoly()
 	outs := make([]*bfv.Ciphertext, pl.Outputs)
 	for o := range outs {
 		for gi, giant := range pl.Giants {
@@ -65,7 +66,8 @@ func applyUnfused(k *kit, pl BSGSPlan[int64], ct *bfv.Ciphertext) ([]*bfv.Cipher
 					ops.Adds++
 				}
 				for h := range acc {
-					rQP.MulCoeffsAdd(baby.Value[h], pm.NTT, acc[h])
+					rQP.MulCoeffs(baby.Value[h], pm.NTT, prod)
+					rQP.Add(acc[h], prod, acc[h])
 				}
 			}
 			if acc[0] == nil {

@@ -26,8 +26,8 @@ type Member struct {
 // RouterConfig tunes the fabric router. Zero values select the
 // documented defaults.
 type RouterConfig struct {
-	// Members is the initial shard set; AddMember/RemoveMember adjust
-	// it at runtime.
+	// Members is the initial shard set; AddMember extends it at
+	// runtime.
 	Members []Member
 	// VirtualNodes per shard on the consistent-hash ring. Default 64.
 	VirtualNodes int
@@ -175,15 +175,6 @@ func (r *Router) AddMember(m Member) {
 	r.ring.Add(m.ID)
 }
 
-// RemoveMember drops a shard from the ring; its segments flow to ring
-// successors on their next session.
-func (r *Router) RemoveMember(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.members, id)
-	r.ring.Remove(id)
-}
-
 // OwnerOf reports which member currently owns a session ID on the
 // ring, ignoring health and load (operational introspection; the live
 // routing decision may fall through to a successor).
@@ -294,12 +285,15 @@ func (r *Router) handleConn(ctx context.Context, conn net.Conn) {
 	}
 	sessionID, tenant := h.SessionID, h.Tenant
 
+	// Best effort: a handshake-aware client learns the tier is
+	// unavailable instead of seeing a bare hangup.
+	refuse := func() {
+		r.acct.routeFailures.Add(1)
+		_ = ct.Send(protocol.MarshalHelloAck(protocol.AckBusy))
+	}
 	target, sconn := r.connectShard(sessionID)
 	if sconn == nil {
-		r.acct.routeFailures.Add(1)
-		// Best effort: a handshake-aware client learns the tier is
-		// unavailable instead of seeing a bare hangup.
-		_ = ct.Send(protocol.MarshalHelloAck(protocol.AckBusy))
+		refuse()
 		return
 	}
 	defer sconn.Close()
@@ -312,6 +306,14 @@ func (r *Router) handleConn(ctx context.Context, conn net.Conn) {
 		r.cfg.Logf("fabric: router: session %q: %v", sessionID, err)
 		return
 	}
+	// The shard side gets the generous idle budget in both states: gaps
+	// between its frames are legitimate HE compute time.
+	st := serve.NewTimedTransport(protocol.NewConn(sconn), r.cfg.IdleTimeout, r.cfg.IdleTimeout)
+	if err := st.Send(opening); err != nil {
+		r.cfg.Logf("fabric: router: forwarding opening frame to %s: %v", target.m.ID, err)
+		refuse()
+		return
+	}
 	if hint != "" {
 		r.acct.replicationHints.Add(1)
 		r.cfg.Logf("fabric: router: session %q moved to %s (keys replicate from %s)", sessionID, target.m.ID, hint)
@@ -321,14 +323,6 @@ func (r *Router) handleConn(ctx context.Context, conn net.Conn) {
 		r.mu.Lock()
 		r.tenants[tenant]++
 		r.mu.Unlock()
-	}
-
-	// The shard side gets the generous idle budget in both states: gaps
-	// between its frames are legitimate HE compute time.
-	st := serve.NewTimedTransport(protocol.NewConn(sconn), r.cfg.IdleTimeout, r.cfg.IdleTimeout)
-	if err := st.Send(opening); err != nil {
-		r.cfg.Logf("fabric: router: forwarding opening frame to %s: %v", target.m.ID, err)
-		return
 	}
 
 	target.active.Add(1)

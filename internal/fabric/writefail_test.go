@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"choco/internal/nn"
 	"choco/internal/protocol"
 	"choco/internal/serve"
 	"choco/internal/testkit"
@@ -16,9 +18,11 @@ import (
 
 // TestFailedOpeningFrameEndsSession fails the router's write of the
 // opening frame to the shard it dialled, on a connection the shard side
-// could still deliver on. The router must end that session, hanging up
-// on its client, and read nothing from that shard connection; the next
-// session through the same router must run as before.
+// could still deliver on. The router must end that session the way it
+// ends one whose dial failed: a busy ack the client's SetupSession
+// reports as ErrServerBusy, then a hang-up, and one more route failure
+// in its stats. It must read nothing from that shard connection, and
+// the next session through the same router must run as before.
 func TestFailedOpeningFrameEndsSession(t *testing.T) {
 	testkit.CheckGoroutines(t)
 	sh := startShard(t, "s1")
@@ -67,15 +71,15 @@ func TestFailedOpeningFrameEndsSession(t *testing.T) {
 	defer conn.Close()
 	c := protocol.NewConn(conn)
 	c.SetReadTimeout(10 * time.Second)
-	hello, err := protocol.MarshalHelloTenant("fail-opening", "")
+	client, err := nn.NewInferenceClient(fabricNet(), [32]byte{80})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Send(hello); err != nil {
-		t.Fatal(err)
+	if _, err := client.SetupSession(c, "fail-opening"); !errors.Is(err, nn.ErrServerBusy) {
+		t.Fatalf("setup whose opening frame the router failed to forward: %v, want %v", err, nn.ErrServerBusy)
 	}
 	if raw, err := c.Recv(); err == nil {
-		t.Fatalf("the client read a %d B frame; want the router to hang up after the opening frame failed", len(raw))
+		t.Fatalf("the client read a %d B frame after the busy ack; want the router to hang up", len(raw))
 	} else if strings.Contains(err.Error(), "timeout") {
 		t.Fatalf("the router still holds the session 10 s after the opening frame failed: %v", err)
 	}
@@ -91,6 +95,9 @@ func TestFailedOpeningFrameEndsSession(t *testing.T) {
 		t.Errorf("router log %q does not name the failed opening frame", logs)
 	}
 	mu.Unlock()
+	if st := r.Stats(); st.RouteFailures != 1 || st.RoutedSessions != 0 {
+		t.Errorf("router stats: %d route failures, %d routed sessions; want 1 and 0", st.RouteFailures, st.RoutedSessions)
+	}
 
 	session(t, ln.Addr().String(), 81, "after-fail-opening", 1)
 }

@@ -67,8 +67,10 @@ func topPoly(r *Ring) *Poly {
 // MulCoeffsAddWide with the kernels on and off (SetVectorKernels(false)
 // is the scalar oracle) on every vectorTestRings shape, a 51-bit ring
 // and a ring with a 52-bit prime, at every level, on random operands and
-// on operands that are all q−1, with a WideAcc forced through a fold in
-// mid-chain; both paths must agree byte for byte.
+// on operands that are all q−1 (the inner product at four Galois
+// elements, relinearization's identity among them), with a WideAcc
+// forced through a fold in mid-chain; both paths must agree byte for
+// byte.
 func TestIFMAKernelsMatchScalar(t *testing.T) {
 	requireIFMA(t)
 	t.Logf("kernel tier %s", KernelTier())
@@ -90,7 +92,7 @@ func TestIFMAKernelsMatchScalar(t *testing.T) {
 				a, b0, b1 := operand(), operand(), operand()
 				acc0, acc1 := operand(), operand()
 				s0, s1 := r.ShoupPolyPrecomp(b0), r.ShoupPolyPrecomp(b1)
-				for _, g := range []uint64{3, r.GaloisElementForRotation(5), r.GaloisElementRowSwap()} {
+				for _, g := range []uint64{1, 3, r.GaloisElementForRotation(5), r.GaloisElementRowSwap()} {
 					var outs [2][2]*Poly
 					for k, vec := range []bool{true, false} {
 						SetVectorKernels(vec)
@@ -122,7 +124,7 @@ func TestIFMAKernelsMatchScalar(t *testing.T) {
 				}
 				_, eager := wideChain(r, terms, func(k int) (*Poly, *Poly) { return as[k], bs[k] })
 				if !r.Equal(sums[0], sums[1]) || !r.Equal(sums[1], eager) {
-					t.Fatalf("N=%d level %d q−1=%v: MulCoeffsAddWide across a fold: kernel, scalar and per-term MulCoeffsAdd differ", r.N, lvl, top)
+					t.Fatalf("N=%d level %d q−1=%v: MulCoeffsAddWide across a fold: kernel, scalar and per-term MulCoeffs + Add differ", r.N, lvl, top)
 				}
 			}
 		}
@@ -247,6 +249,7 @@ func FuzzAutomorphismNTTMulShoupAdd2(f *testing.F) {
 	f.Add(uint64(1), uint16(1), []byte{0, 1, 2, 3})
 	f.Add(uint64(7), uint16(63), []byte{255})
 	f.Add(uint64(99), uint16(2), []byte{})
+	f.Add(uint64(3), uint16(0), []byte{0, 1}) // g = 1, relinearization's element
 	f.Fuzz(func(t *testing.T, seed uint64, gHalf uint16, pattern []byte) {
 		requireIFMA(t)
 		qs, err := nt.GenerateNTTPrimesVarBits([]int{51, 36, 37}, 6)

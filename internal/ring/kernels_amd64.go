@@ -43,12 +43,6 @@ func nttInvFinalAVX2(p *uint64, q, nInv, nInvS, nInvPsi, nInvPsiS uint64, half i
 func mulModVecAVX2(ro, ra, rb *uint64, q, bHi, bLo uint64, n int)
 
 //go:noescape
-func mulModAddVecAVX2(ro, ra, rb *uint64, q, bHi, bLo uint64, n int)
-
-//go:noescape
-func mulShoupAdd2VecAVX2(ro0, ro1, ra, rb0, rs0, rb1, rs1 *uint64, q uint64, n int)
-
-//go:noescape
 func nttFwdStageIFMA(p, psi, psiS *uint64, q uint64, m, t int)
 
 //go:noescape
@@ -238,34 +232,15 @@ func nttInverseIFMA(tbl *nttTable, a []uint64) {
 	}
 }
 
-// vectorLen reports whether a residue row of length n can go through
-// the 4-wide dyadic kernels (N is a power of two, so any ring with
-// N >= 4 qualifies).
-func vectorLen(n int) bool { return vectorKernels && n >= 4 && n%4 == 0 }
-
+// mulModVector runs one row of MulCoeffs through the 4-wide AVX2
+// kernel. A row qualifies when its length is a multiple of 4 (N is a
+// power of two, so any ring with N >= 4 does).
 func mulModVector(m nt.Modulus, ra, rb, ro []uint64) bool {
-	if !vectorLen(len(ro)) {
+	if !vectorKernels || len(ro) < 4 || len(ro)%4 != 0 {
 		return false
 	}
 	bHi, bLo := m.BarrettConstants()
 	mulModVecAVX2(&ro[0], &ra[0], &rb[0], m.Value, bHi, bLo, len(ro))
-	return true
-}
-
-func mulModAddVector(m nt.Modulus, ra, rb, ro []uint64) bool {
-	if !vectorLen(len(ro)) {
-		return false
-	}
-	bHi, bLo := m.BarrettConstants()
-	mulModAddVecAVX2(&ro[0], &ra[0], &rb[0], m.Value, bHi, bLo, len(ro))
-	return true
-}
-
-func mulShoupAdd2Vector(m nt.Modulus, ra, rb0, rs0, ro0, rb1, rs1, ro1 []uint64) bool {
-	if !vectorLen(len(ro0)) {
-		return false
-	}
-	mulShoupAdd2VecAVX2(&ro0[0], &ro1[0], &ra[0], &rb0[0], &rs0[0], &rb1[0], &rs1[0], m.Value, len(ro0))
 	return true
 }
 

@@ -1,8 +1,8 @@
 //go:build amd64 && !purego
 
 // AVX2 kernels for the ring hot loops: NTT butterfly stage sweeps
-// (forward eager, inverse Harvey-lazy) and the fused dyadic
-// multiply-accumulate forms. Every kernel reproduces the scalar
+// (forward eager, inverse Harvey-lazy) and the Barrett dyadic product
+// of MulCoeffs. Every kernel reproduces the scalar
 // arithmetic in internal/nt exactly — same quotient estimates, same
 // conditional-subtraction ladders — so vector and scalar outputs are
 // bit-identical (see kernels_amd64.go for the per-kernel argument).
@@ -422,81 +422,5 @@ mulModLoop:
 	ADDQ $32, DI
 	DECQ CX
 	JNZ  mulModLoop
-	VZEROUPPER
-	RET
-
-// func mulModAddVecAVX2(ro, ra, rb *uint64, q, bHi, bLo uint64, n int)
-// ro[j] = (ro[j] + ra[j]*rb[j] mod q) mod q, exactly nt.Add(nt.Mul).
-TEXT ·mulModAddVecAVX2(SB), NOSPLIT, $0-56
-	MOVQ ro+0(FP), DI
-	MOVQ ra+8(FP), SI
-	MOVQ rb+16(FP), DX
-	VPBROADCASTQ q+24(FP), Y15
-	LOADMASK(Y11)
-	VPBROADCASTQ bHi+32(FP), Y14
-	VPBROADCASTQ bLo+40(FP), Y13
-	MOVQ $0x8000000000000000, AX
-	MOVQ AX, X9
-	VPBROADCASTQ X9, Y9
-	MOVQ n+48(FP), CX
-	SHRQ $2, CX
-
-mulModAddLoop:
-	VMOVDQU (SI), Y0
-	VMOVDQU (DX), Y1
-	BARRETTMUL
-	VMOVDQU (DI), Y0
-	VPADDQ  Y7, Y0, Y0
-	CSUB(Y0, Y15, Y2, Y3)
-	VMOVDQU Y0, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DX
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  mulModAddLoop
-	VZEROUPPER
-	RET
-
-// func mulShoupAdd2VecAVX2(ro0, ro1, ra, rb0, rs0, rb1, rs1 *uint64, q uint64, n int)
-// The fused key-switch inner-product shape: ro0[j] += ra[j]*rb0[j],
-// ro1[j] += ra[j]*rb1[j], loading each ra lane once.
-TEXT ·mulShoupAdd2VecAVX2(SB), NOSPLIT, $0-72
-	MOVQ ro0+0(FP), DI
-	MOVQ ro1+8(FP), R10
-	MOVQ ra+16(FP), SI
-	MOVQ rb0+24(FP), R8
-	MOVQ rs0+32(FP), R9
-	MOVQ rb1+40(FP), R11
-	MOVQ rs1+48(FP), R12
-	VPBROADCASTQ q+56(FP), Y15
-	LOADMASK(Y14)
-	MOVQ n+64(FP), CX
-	SHRQ $2, CX
-
-shoupAdd2Loop:
-	VMOVDQU (SI), Y0
-	VMOVDQU (R8), Y1
-	VMOVDQU (R9), Y2
-	MULSHOUP(Y0, Y1, Y2, Y15, Y14, Y3, Y4, Y5, Y6, Y7, Y8)
-	VMOVDQU (DI), Y9
-	VPADDQ  Y8, Y9, Y9
-	CSUB(Y9, Y15, Y3, Y4)
-	VMOVDQU Y9, (DI)
-	VMOVDQU (R11), Y1
-	VMOVDQU (R12), Y2
-	MULSHOUP(Y0, Y1, Y2, Y15, Y14, Y3, Y4, Y5, Y6, Y7, Y8)
-	VMOVDQU (R10), Y9
-	VPADDQ  Y8, Y9, Y9
-	CSUB(Y9, Y15, Y3, Y4)
-	VMOVDQU Y9, (R10)
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R11
-	ADDQ $32, R12
-	ADDQ $32, DI
-	ADDQ $32, R10
-	DECQ CX
-	JNZ  shoupAdd2Loop
 	VZEROUPPER
 	RET

@@ -10,13 +10,9 @@ import "choco/internal/nt"
 func vectorAvailable() bool { return false }
 func ifmaAvailable() bool   { return false }
 
-func nttForwardVec(tbl *nttTable, a []uint64) bool           { return false }
-func nttInverseVec(tbl *nttTable, a []uint64) bool           { return false }
-func mulModVector(m nt.Modulus, ra, rb, ro []uint64) bool    { return false }
-func mulModAddVector(m nt.Modulus, ra, rb, ro []uint64) bool { return false }
-func mulShoupAdd2Vector(m nt.Modulus, ra, rb0, rs0, ro0, rb1, rs1, ro1 []uint64) bool {
-	return false
-}
+func nttForwardVec(tbl *nttTable, a []uint64) bool        { return false }
+func nttInverseVec(tbl *nttTable, a []uint64) bool        { return false }
+func mulModVector(m nt.Modulus, ra, rb, ro []uint64) bool { return false }
 
 // The IFMA row kernels are never selected here (ifmaAvailable is false).
 func autoMulShoupAdd2Vector(q uint64, ra, perm, rb0, rs0, ro0, rb1, rs1, ro1 []uint64) {

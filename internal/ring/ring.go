@@ -22,14 +22,17 @@ import (
 // Residue-level parallelism thresholds: an operation fans its residue
 // rows out across the par worker pool only when level × N (the total
 // coefficient count it touches) reaches the threshold for its cost
-// class. Measured on amd64: one pool handoff costs ~1-2 µs per helper,
-// an NTT row at N=4096 runs ~150 µs while an Add row runs ~4 µs — so
-// transforms pay off from ~8k coefficients, cheap coefficient-wise
-// loops only from ~32k. Override with SetParallelThresholds for
-// benchmarking or to force the parallel paths in tests.
+// class. One pool handoff costs ~1-2 µs per helper; the thresholds were
+// set when an NTT row at N=4096 was measured at ~150 µs against ~4 µs for
+// an Add row, so transforms paid off from ~8k coefficients and cheap
+// coefficient-wise loops only from ~32k. The vector kernels have since
+// cut the NTT row to ~7 µs (IFMA, 36-bit prime, one core of a 2-vCPU
+// x86-64 VM) and the thresholds were not re-tuned. Override with
+// SetParallelThresholds for benchmarking or to force the parallel paths
+// in tests.
 var (
 	parMinTransform  = 8 << 10  // NTT, INTT, Automorphism
-	parMinCoeffwise  = 16 << 10 // MulCoeffs, MulCoeffsAdd, MulScalar(Big)
+	parMinCoeffwise  = 16 << 10 // MulCoeffs, the Shoup inner product, MulScalar
 	parMinElementary = 32 << 10 // Add, Sub, Neg
 )
 
@@ -688,26 +691,6 @@ func (r *Ring) MulCoeffs(a, b, out *Poly) {
 	out.isNTT = true
 }
 
-// MulCoeffsAdd sets out += a ⊙ b, all in NTT domain.
-func (r *Ring) MulCoeffsAdd(a, b, out *Poly) {
-	if !a.isNTT || !b.isNTT || !out.isNTT {
-		panic("ring: MulCoeffsAdd requires NTT-domain operands")
-	}
-	if debugEnabled {
-		r.debugCheck("MulCoeffsAdd", a, b, out)
-	}
-	r.parRows(len(out.Coeffs), parMinCoeffwise, func(i int) {
-		m := r.Moduli[i]
-		ra, rb, ro := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
-		if mulModAddVector(m, ra, rb, ro) {
-			return
-		}
-		for j := range ro {
-			ro[j] = m.Add(ro[j], m.Mul(ra[j], rb[j]))
-		}
-	})
-}
-
 // ShoupPolyPrecomp returns per-coefficient MulShoup companions for a
 // fixed operand polynomial (one row per residue). Intended for
 // operands that are multiplied many times against varying inputs —
@@ -727,39 +710,14 @@ func (r *Ring) ShoupPolyPrecomp(p *Poly) [][]uint64 {
 	return out
 }
 
-// MulCoeffsShoupAdd2 fuses two accumulations that share the left
-// operand — out0 += a ⊙ b0, out1 += a ⊙ b1 — into one sweep, loading
-// each coefficient of a once. This is the key-switching inner-product
-// shape: one digit multiplied against both halves (B, A) of a
-// switching key. Bit-identical to two MulCoeffsAdd calls (Shoup
-// multiplication is exact), at roughly half the per-coefficient cost
-// for the fixed operands b0, b1, whose companions come from
-// ShoupPolyPrecomp.
+// MulCoeffsShoupAdd2 sets out0 += a ⊙ b0 and out1 += a ⊙ b1: the
+// key-switch inner product at the identity Galois element, run by
+// AutomorphismNTTMulShoupAdd2 with g = 1. b0Shoup and b1Shoup come from
+// ShoupPolyPrecomp. No library code calls it; it stays only for the
+// benchmark's ring.*.shoup_add2_row_us replay row until that row is
+// retired.
 func (r *Ring) MulCoeffsShoupAdd2(a, b0 *Poly, b0Shoup [][]uint64, out0 *Poly, b1 *Poly, b1Shoup [][]uint64, out1 *Poly) {
-	if !a.isNTT || !b0.isNTT || !b1.isNTT || !out0.isNTT || !out1.isNTT {
-		panic("ring: MulCoeffsShoupAdd2 requires NTT-domain operands")
-	}
-	if debugEnabled {
-		r.debugCheck("MulCoeffsShoupAdd2", a, b0, b1, out0, out1)
-	}
-	r.parRows(len(out0.Coeffs), parMinCoeffwise, func(i int) {
-		m := r.Moduli[i]
-		ro0 := out0.Coeffs[i]
-		ro1 := out1.Coeffs[i][:len(ro0)]
-		ra := a.Coeffs[i][:len(ro0)]
-		rb0 := b0.Coeffs[i][:len(ro0)]
-		rs0 := b0Shoup[i][:len(ro0)]
-		rb1 := b1.Coeffs[i][:len(ro0)]
-		rs1 := b1Shoup[i][:len(ro0)]
-		if mulShoupAdd2Vector(m, ra, rb0, rs0, ro0, rb1, rs1, ro1) {
-			return
-		}
-		for j := range ro0 {
-			x := ra[j]
-			ro0[j] = m.Add(ro0[j], m.MulShoup(x, rb0[j], rs0[j]))
-			ro1[j] = m.Add(ro1[j], m.MulShoup(x, rb1[j], rs1[j]))
-		}
-	})
+	r.AutomorphismNTTMulShoupAdd2(a, 1, b0, b0Shoup, out0, b1, b1Shoup, out1)
 }
 
 // AutomorphismNTTMulShoupAdd2 fuses the NTT-domain automorphism of a
@@ -767,10 +725,12 @@ func (r *Ring) MulCoeffsShoupAdd2(a, b0 *Poly, b0Shoup [][]uint64, out0 *Poly, b
 // reading a through the cached slot permutation instead of
 // materializing φ_g(a) first. This is the triple-hoisted key-switch
 // inner product — the per-element automorphism costs zero extra memory
-// passes and no scratch polynomial. Bit-identical to AutomorphismNTT
-// followed by MulCoeffsShoupAdd2: both compute
-// out[j] += a[perm[j]]·b[j] in the same exact modular arithmetic. g
-// must be odd; a must not alias out0 or out1. On rings whose moduli are
+// passes and no scratch polynomial; at g = 1 the permutation is the
+// identity and it is the plain inner product relinearization runs.
+// Bit-identical to AutomorphismNTT followed by a Shoup multiply and a
+// modular add per coefficient: both compute out[j] += a[perm[j]]·b[j]
+// in the same exact modular arithmetic. g must be odd; a must not
+// alias out0 or out1. On rings whose moduli are
 // all below 2^51 it runs the AVX-512 IFMA kernel where the host has one
 // (ifma_amd64.s), with the same canonical result.
 func (r *Ring) AutomorphismNTTMulShoupAdd2(a *Poly, g uint64, b0 *Poly, b0Shoup [][]uint64, out0 *Poly, b1 *Poly, b1Shoup [][]uint64, out1 *Poly) {
@@ -815,23 +775,6 @@ func (r *Ring) MulScalar(a *Poly, c uint64, out *Poly) {
 	r.parRows(len(out.Coeffs), parMinCoeffwise, func(i int) {
 		m := r.Moduli[i]
 		cc := m.Reduce(c)
-		cs := m.ShoupPrecomp(cc)
-		ra, ro := a.Coeffs[i], out.Coeffs[i]
-		for j := range ro {
-			ro[j] = m.MulShoup(ra[j], cc, cs)
-		}
-	})
-	out.isNTT = a.isNTT
-}
-
-// MulScalarBig sets out = a * c for a big scalar, reduced per modulus.
-func (r *Ring) MulScalarBig(a *Poly, c *big.Int, out *Poly) {
-	if debugEnabled {
-		r.debugCheck("MulScalarBig", a)
-	}
-	r.parRows(len(out.Coeffs), parMinCoeffwise, func(i int) {
-		m := r.Moduli[i]
-		cc := new(big.Int).Mod(c, new(big.Int).SetUint64(m.Value)).Uint64()
 		cs := m.ShoupPrecomp(cc)
 		ra, ro := a.Coeffs[i], out.Coeffs[i]
 		for j := range ro {

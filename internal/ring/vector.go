@@ -3,12 +3,11 @@ package ring
 import "choco/internal/blake3"
 
 // vectorKernels gates the SIMD ring kernels (AVX2 and IFMA NTT stage
-// sweeps, fused dyadic loops, and the IFMA key-switch and
-// multiply-accumulate loops)
-// at run time. It starts at whatever the build's architecture
-// detection found and can be forced off; the scalar loops stay in-tree
-// as the byte-exactness oracle, and every vector kernel is
-// bit-identical to its scalar twin by construction.
+// sweeps, the AVX2 dyadic product, and the IFMA key-switch and
+// multiply-accumulate loops) at run time. It starts at whatever the
+// build's architecture detection found and can be forced off; the
+// scalar loops stay in-tree as the byte-exactness oracle, and every
+// vector kernel is bit-identical to its scalar twin by construction.
 var vectorKernels = vectorAvailable()
 
 // SetVectorKernels enables or disables the vectorized kernels across

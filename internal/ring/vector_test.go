@@ -145,8 +145,12 @@ func TestNTTVectorScalarIdentical(t *testing.T) {
 	}
 }
 
-// TestDyadicVectorScalarIdentical covers the three fused dyadic kernels
-// against their scalar twins on every preset shape.
+// TestDyadicVectorScalarIdentical covers the dyadic products against
+// their scalar twins on every preset shape: MulCoeffs's AVX2 kernel,
+// alone and as the reduced multiply-accumulate (mulCoeffsAdd), and the
+// Shoup inner product at the identity element (MulCoeffsShoupAdd2: the
+// IFMA kernel on rings whose primes are all below 2^51, the scalar loop
+// otherwise).
 func TestDyadicVectorScalarIdentical(t *testing.T) {
 	requireVector(t)
 	rng := rand.New(rand.NewSource(43))
@@ -165,7 +169,7 @@ func TestDyadicVectorScalarIdentical(t *testing.T) {
 		}
 		variants := []variant{
 			{"MulCoeffs", func(o0, _ *Poly) { r.MulCoeffs(a, b0, o0) }},
-			{"MulCoeffsAdd", func(o0, _ *Poly) { r.MulCoeffsAdd(a, b0, o0) }},
+			{"MulCoeffs+Add", func(o0, _ *Poly) { mulCoeffsAdd(r, a, b0, o0) }},
 			{"MulCoeffsShoupAdd2", func(o0, o1 *Poly) { r.MulCoeffsShoupAdd2(a, b0, s0, o0, b1, s1, o1) }},
 		}
 		for _, v := range variants {

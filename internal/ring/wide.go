@@ -9,8 +9,8 @@ import (
 // coefficient, the running sum Σ aₖ·bₖ of full 128-bit products, kept
 // unreduced. A chain of n terms pays n multiplies and n two-word adds
 // plus one Barrett reduction at the end (ReduceWideAcc), where a chain of
-// MulCoeffsAdd pays n reductions; the reduced result is the same residue,
-// so the two are byte-identical.
+// reduced MulCoeffs and Add pays n reductions; the reduced result is the
+// same residue, so the two are byte-identical.
 //
 // The accumulator cannot overflow: products of canonical residues of a
 // b-bit prime are below 2^(2b), so 2^(128−2b) of them fit, and

@@ -9,8 +9,8 @@ import (
 )
 
 // wideChain runs the same n-term dyadic multiply-accumulate twice over r —
-// lazily through a WideAcc, and as one reduced MulCoeffsAdd per term — and
-// returns both results. Operand k is term(k).
+// lazily through a WideAcc, and as one reduced product and add per term
+// (mulCoeffsAdd) — and returns both results. Operand k is term(k).
 func wideChain(r *Ring, n int, term func(k int) (a, b *Poly)) (lazy, eager *Poly) {
 	acc := r.GetWideAcc()
 	eager = r.NewPoly()
@@ -18,17 +18,18 @@ func wideChain(r *Ring, n int, term func(k int) (a, b *Poly)) (lazy, eager *Poly
 	for k := 0; k < n; k++ {
 		a, b := term(k)
 		r.MulCoeffsAddWide(a, b, acc)
-		r.MulCoeffsAdd(a, b, eager)
+		mulCoeffsAdd(r, a, b, eager)
 	}
 	return r.ReduceWideAcc(acc), eager
 }
 
 // TestMulCoeffsAddWideMatchesMulCoeffsAdd pins the lazy accumulator to
-// the kernel it replaces in the inner sums: on every preset shape (the
-// key rings of bfv-B, bfv-A and the Test preset among them), a 30-term
-// chain accumulated unreduced and reduced once equals the same chain of
-// per-term MulCoeffsAdd byte for byte — against the AVX2 kernel and
-// against the scalar loop (the only one a purego build has).
+// the reduced multiply-accumulate it replaces in the inner sums: on every
+// preset shape (the key rings of bfv-B, bfv-A and the Test preset among
+// them), a 30-term chain accumulated unreduced and reduced once equals
+// the same chain of per-term MulCoeffs + Add byte for byte — with the
+// vector kernels on and with the scalar loops (the only ones a purego
+// build has).
 func TestMulCoeffsAddWideMatchesMulCoeffsAdd(t *testing.T) {
 	prev := VectorKernelsEnabled()
 	t.Cleanup(func() { SetVectorKernels(prev) })
@@ -48,7 +49,7 @@ func TestMulCoeffsAddWideMatchesMulCoeffsAdd(t *testing.T) {
 			SetVectorKernels(vec)
 			lazy, eager := wideChain(r, terms, func(k int) (*Poly, *Poly) { return as[k], bs[k] })
 			if !r.Equal(lazy, eager) {
-				t.Fatalf("N=%d moduli=%d vector=%v: lazy accumulation differs from per-term MulCoeffsAdd", r.N, r.Level(), vec)
+				t.Fatalf("N=%d moduli=%d vector=%v: lazy accumulation differs from per-term MulCoeffs + Add", r.N, r.Level(), vec)
 			}
 			r.PutPoly(lazy)
 		}
@@ -102,7 +103,7 @@ func TestWideAccFoldsBeforeOverflow(t *testing.T) {
 	}
 	_, eager := wideChain(r, terms, func(int) (*Poly, *Poly) { return top, top })
 	if !r.Equal(got, eager) {
-		t.Fatal("folded accumulation differs from per-term MulCoeffsAdd")
+		t.Fatal("folded accumulation differs from per-term MulCoeffs + Add")
 	}
 
 	// The paper's widest special prime, bfv-A's 59 bits, folds every 1 024.
@@ -158,7 +159,7 @@ func FuzzMulCoeffsAddWide(f *testing.F) {
 					r.MulCoeffsAddWide(as[k], bs[k], acc)
 				}
 				if lazy := r.ReduceWideAcc(acc); !r.Equal(lazy, eager) {
-					t.Fatalf("%v-bit primes, %d terms, vector=%v (IFMA %v): lazy accumulation differs from per-term MulCoeffsAdd",
+					t.Fatalf("%v-bit primes, %d terms, vector=%v (IFMA %v): lazy accumulation differs from per-term MulCoeffs + Add",
 						bits, terms, vec, r.useIFMA())
 				}
 			}
