@@ -96,8 +96,10 @@
 #                  and of each internal/protocol
 #                  one (frame parser, hello-frame round-trip, the shard
 #                  hello, key-fetch, peer-ping and stats-fetch frames of
-#                  the fleet's inner boundary, and the BFV and CKKS
-#                  ciphertext decoders and the key-bundle decoder, whose
+#                  the fleet's inner boundary, the BFV and CKKS
+#                  ciphertext decoders, the read-coefficient reply
+#                  decoder a client runs on product-packed replies, and
+#                  the key-bundle decoder, whose
 #                  40 KB–0.3 MB inputs run with minimization off: the
 #                  engine otherwise spends the whole window shrinking
 #                  one input)
@@ -173,6 +175,7 @@ fuzz:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzStatsFetch$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalBFV$$' -fuzztime 30s -fuzzminimizetime 0
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalCKKS$$' -fuzztime 30s -fuzzminimizetime 0
+	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalBFVRead$$' -fuzztime 30s -fuzzminimizetime 0
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalKeyBundle$$' -fuzztime 30s -fuzzminimizetime 0
 
 bench-e2e:

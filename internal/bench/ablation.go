@@ -336,15 +336,19 @@ func SetupCosts() (string, error) {
 	// operators' own plans: a packing regression shows here, on the push
 	// that made it.
 	fmt.Fprintf(&b, "\nPer request on the executable path (operators' plans, no weight zero; replies leave at k − ReplyDrop residues)\n")
-	fmt.Fprintf(&b, "%-9s %10s %10s %10s %12s %12s %12s\n",
-		"Network", "uploads", "replies", "reply (B)", "wire (B)", "rotations", "plain mults")
+	fmt.Fprintf(&b, "%-9s %10s %10s %12s %12s %12s %12s\n",
+		"Network", "uploads", "replies", "replies (B)", "wire (B)", "rotations", "plain mults")
 	for _, n := range []*nn.Network{nn.LeNetSmall(), nn.DemoNetwork()} {
 		rc, err := nn.ExecutableRequestCost(n)
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&b, "%-9s %10d %10d %10d %12d %12d %12d\n",
-			n.Name, rc.UpCiphertexts, rc.DownCiphertexts, rc.ReplyFrameBytes, rc.WireBytes, rc.Server.Rotations, rc.Server.PlainMults)
+		down := 0
+		for _, r := range rc.ReplyBytes {
+			down += r
+		}
+		fmt.Fprintf(&b, "%-9s %10d %10d %12d %12d %12d %12d\n",
+			n.Name, rc.UpCiphertexts, rc.DownCiphertexts, down, rc.WireBytes, rc.Server.Rotations, rc.Server.PlainMults)
 	}
 	return b.String(), nil
 }

@@ -60,12 +60,13 @@ func TestSetupCosts(t *testing.T) {
 	if !strings.Contains(out, "VGG16") || !strings.Contains(out, "DemoNet") {
 		t.Error("missing networks")
 	}
-	// LeNet-Sm runs: its 3.1 MB bundle (27 keys, conv2's; 5.7 MB and 25.5
-	// requests while conv1 and FC rotated) amortizes over the 221 448 wire
-	// bytes a request moves, not over the model's 589 920-byte figure
-	// (≈ 5.2). The networks the operators cannot lay out keep the model.
+	// LeNet-Sm runs: its 73 764-byte bundle (no Galois key, the public key
+	// alone; 3.1 MB and 14.0 requests while conv2's 27 keys rode along,
+	// 5.7 MB and 25.5 while conv1 and FC rotated too) amortizes over the
+	// 204 068 wire bytes a request moves, not over the model's 589 920-byte
+	// figure. The networks the operators cannot lay out keep the model.
 	for _, want := range [][]string{
-		{"LeNetSm", " 27 ", "14.0", "executed"},
+		{"LeNetSm", " 0 ", " 0.1 ", " 0.4 ", "executed"},
 		{"LeNetLg", "modeled"},
 		{"VGG16", "modeled"},
 	} {

@@ -85,7 +85,7 @@ func (e *Encoder) EncodeCoeffs(values []int64) (*Plaintext, error) {
 	if n := e.ctx.Params.N(); len(values) > n {
 		return nil, fmt.Errorf("bfv: %d values exceed %d coefficients", len(values), n)
 	}
-	pt := &Plaintext{Poly: e.ctx.RingT.NewPoly()}
+	pt := &Plaintext{Poly: e.ctx.RingT.GetPoly()} // a client returns it once encrypted
 	e.ctx.RingT.SetCoeffsInt64(values, pt.Poly)
 	return pt, nil
 }
@@ -96,11 +96,22 @@ func (e *Encoder) DecodeCoeffs(pt *Plaintext) []int64 {
 	return e.centered(pt.Poly.Coeffs[0])
 }
 
+// DecodeCoeffsInto is DecodeCoeffs into out, which must hold N values:
+// a client decoding reply after reply reuses one buffer.
+func (e *Encoder) DecodeCoeffsInto(pt *Plaintext, out []int64) {
+	e.centeredInto(pt.Poly.Coeffs[0], out[:len(pt.Poly.Coeffs[0])])
+}
+
 // centered maps residues mod t into (-t/2, t/2].
 func (e *Encoder) centered(u []uint64) []int64 {
+	out := make([]int64, len(u))
+	e.centeredInto(u, out)
+	return out
+}
+
+func (e *Encoder) centeredInto(u []uint64, out []int64) {
 	t := e.ctx.T.Value
 	half := t / 2
-	out := make([]int64, len(u))
 	for i, v := range u {
 		if v > half {
 			out[i] = -int64(t - v)
@@ -108,7 +119,6 @@ func (e *Encoder) centered(u []uint64) []int64 {
 			out[i] = int64(v)
 		}
 	}
-	return out
 }
 
 // liftToQP embeds the plaintext coefficients (mod t) into the key ring —

@@ -137,7 +137,7 @@ func (dec *Decryptor) phaseInto(ct *Ciphertext, acc *ring.Poly) {
 // The scaling runs RNS-natively (decrypt_rns.go): a flat uint64 pass
 // with no big.Int in the loop; DecryptOracle keeps the reference path.
 func (dec *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
-	out := &Plaintext{Poly: dec.ctx.RingT.NewPoly()}
+	out := &Plaintext{Poly: dec.ctx.RingT.GetPoly()} // a client returns it once decoded
 	dec.DecryptInto(ct, out)
 	return out
 }

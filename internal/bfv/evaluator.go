@@ -120,7 +120,7 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pm *PlaintextMul) *Ciphertext {
 		ev.ctx.debugCheckCt("MulPlain", ct)
 		ev.ctx.debugCheckPlainQ("MulPlain", pm.q)
 	}
-	return ev.mulQ(ct, pm.q)
+	return ev.mulQ(ct, pm.q)[0]
 }
 
 // PlaintextQ is a plaintext operand held over the data ring Q alone, in
@@ -148,30 +148,55 @@ func (ctx *Context) PrepareMulQ(coeffs []int64) *PlaintextQ {
 // integer one. One forward NTT, dyadic product and inverse NTT per
 // component, over Q.
 func (ev *Evaluator) MulPlainQ(ct *Ciphertext, k *PlaintextQ) *Ciphertext {
-	if rlwe.DebugEnabled {
-		ev.ctx.debugCheckCt("MulPlainQ", ct)
-		ev.ctx.debugCheckPlainQ("MulPlainQ", k.NTT)
-	}
-	return ev.mulQ(ct, k.NTT)
+	return ev.MulPlainQTiles(ct, []*PlaintextQ{k})[0]
 }
 
-// mulQ multiplies each component of ct by the NTT-domain polynomial k of
-// RingQ, results from the ring's scratch pool.
-func (ev *Evaluator) mulQ(ct *Ciphertext, k *ring.Poly) *Ciphertext {
+// MulPlainQTiles returns ct·k for every k of ks, in order: one product
+// per tile of a layer whose outputs span several kernel polynomials. The
+// input is transformed once; each tile costs one dyadic product and one
+// inverse NTT per component, and its output is byte for byte the
+// MulPlainQ of the same kernel.
+func (ev *Evaluator) MulPlainQTiles(ct *Ciphertext, ks []*PlaintextQ) []*Ciphertext {
+	polys := make([]*ring.Poly, len(ks))
+	for j, k := range ks {
+		if rlwe.DebugEnabled {
+			ev.ctx.debugCheckPlainQ("MulPlainQ", k.NTT)
+		}
+		polys[j] = k.NTT
+	}
+	if rlwe.DebugEnabled {
+		ev.ctx.debugCheckCt("MulPlainQ", ct)
+	}
+	return ev.mulQ(ct, polys...)
+}
+
+// mulQ multiplies each component of ct by each NTT-domain polynomial of
+// ks of RingQ, one ciphertext per polynomial, results from the ring's
+// scratch pool. Each component is transformed once.
+func (ev *Evaluator) mulQ(ct *Ciphertext, ks ...*ring.Poly) []*Ciphertext {
 	if ct.Drop != 0 {
 		panic("bfv: plaintext operations require a full-modulus ciphertext")
 	}
 	r := ev.ctx.RingQ
-	out := &Ciphertext{Value: make([]*ring.Poly, len(ct.Value))}
-	for i, p := range ct.Value {
-		tmp := r.GetPoly()
-		r.Copy(tmp, p)
-		r.NTT(tmp)
-		r.MulCoeffs(tmp, k, tmp)
-		r.INTT(tmp)
-		out.Value[i] = tmp
+	outs := make([]*Ciphertext, len(ks))
+	for j := range outs {
+		outs[j] = &Ciphertext{Value: make([]*ring.Poly, len(ct.Value))}
 	}
-	return out
+	for i, p := range ct.Value {
+		x := r.GetPoly()
+		r.Copy(x, p)
+		r.NTT(x)
+		for j, k := range ks {
+			tmp := x // the last product overwrites the transformed input
+			if j < len(ks)-1 {
+				tmp = r.GetPoly()
+			}
+			r.MulCoeffs(x, k, tmp)
+			r.INTT(tmp)
+			outs[j].Value[i] = tmp
+		}
+	}
+	return outs
 }
 
 // Mul returns the degree-2 tensor product of two degree-1 ciphertexts,

@@ -103,3 +103,47 @@ func TestMulPlainQRefusesDroppedCiphertext(t *testing.T) {
 	}()
 	kit.ev.MulPlainQ(small, kit.ctx.PrepareMulQ([]int64{1}))
 }
+
+// TestMulPlainQTilesMatchesMulPlainQ: the tiles' products, which share one
+// forward transform of the input, are byte for byte the MulPlainQ of each
+// kernel alone, at one, two and three tiles; the input is left as it was.
+func TestMulPlainQTilesMatchesMulPlainQ(t *testing.T) {
+	kit := newTestKit(t, PresetTest())
+	n := kit.ctx.Params.N()
+	m := make([]int64, n)
+	for i := range m {
+		m[i] = int64(i*5%16) - 8
+	}
+	pt, err := kit.ecd.EncodeCoeffs(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := kit.enc.Encrypt(pt)
+	before := kit.ev.MulPlainQ(ct, kit.ctx.PrepareMulQ([]int64{1}))
+	var ks []*PlaintextQ
+	for tile := 0; tile < 3; tile++ {
+		w := make([]int64, n)
+		for i := tile; i < n; i += 61 + tile {
+			w[i] = int64((i+tile)%15) - 7
+		}
+		ks = append(ks, kit.ctx.PrepareMulQ(w))
+		outs := kit.ev.MulPlainQTiles(ct, ks)
+		if len(outs) != len(ks) {
+			t.Fatalf("%d tiles gave %d outputs", len(ks), len(outs))
+		}
+		for j, k := range ks {
+			want := kit.ev.MulPlainQ(ct, k)
+			for c := range want.Value {
+				if !kit.ctx.RingQ.Equal(outs[j].Value[c], want.Value[c]) {
+					t.Fatalf("%d tiles: tile %d component %d differs from MulPlainQ of its kernel", len(ks), j, c)
+				}
+			}
+		}
+	}
+	after := kit.ev.MulPlainQ(ct, kit.ctx.PrepareMulQ([]int64{1}))
+	for c := range before.Value {
+		if !kit.ctx.RingQ.Equal(before.Value[c], after.Value[c]) {
+			t.Fatalf("component %d of the input changed under MulPlainQTiles", c)
+		}
+	}
+}

@@ -37,7 +37,7 @@ func NewSymmetricEncryptor(ctx *Context, sk *SecretKey, seed [32]byte) *Symmetri
 // ciphertext is its only allocation.
 func (enc *SymmetricEncryptor) EncryptSeeded(pt *Plaintext) *SeededCiphertext {
 	enc.OpCount++
-	sct := &SeededCiphertext{C0: enc.ctx.RingQ.NewPoly(), Seed: enc.zero.Sample(enc.ctx.MaxLevel())}
+	sct := &SeededCiphertext{C0: enc.ctx.RingQ.GetPoly(), Seed: enc.zero.Sample(enc.ctx.MaxLevel())} // a client returns it once marshalled
 	par.ForWorker(enc.ctx.RingQ.Level(), func(_, i int) {
 		enc.zero.ZeroRow(i, sct.C0.Coeffs[i])
 		enc.ctx.addScaledRow(i, pt, sct.C0.Coeffs[i])

@@ -21,10 +21,11 @@ func (s ConvSpec) MACs() int64 {
 	return int64(s.InH) * int64(s.InW) * int64(s.InC) * int64(s.OutC) * int64(s.KH) * int64(s.KW)
 }
 
-// Conv2D is an encrypted convolution operator. A layer whose outputs
-// all fit one polynomial takes the product packing (product.go): one
-// plaintext product, no rotation. Any other layer takes the slot
-// packing, described here. Input channels are
+// Conv2D is an encrypted convolution operator. A layer one of whose
+// output channels fits a polynomial takes the product packing
+// (product.go): one plaintext product per tile of output channels, no
+// rotation. Any other layer takes the slot packing, described here.
+// Input channels are
 // packed into power-of-two-strided blocks of one ciphertext row, the
 // same in both batching rows, each block holding one zero-haloed window
 // and nothing else: the halo is the rotational redundancy, since no
@@ -50,16 +51,19 @@ type Conv2D struct {
 	// Cb is the number of channel blocks per ciphertext row. An output
 	// ciphertext (group) of the slot packing holds GroupSize() = 2·Cb
 	// channels: channel b of a group sits in row b/Cb, block b mod Cb.
-	// Layout and Cb are computed for either packing.
+	// Layout and Cb are zero under the product packing.
 	Cb      int
 	rowSize int
-	// product is set when the layer takes the product packing.
+	// product is set when the layer takes the product packing, and tile
+	// is then how many output channels one kernel polynomial carries: an
+	// output tile is one product and one output group.
 	product bool
+	tile    int
 	// Weights[o][c][k] with k = ky*KW + kx, quantized.
 	Weights [][][]int64
 	// plains holds the operator's own prepared weight plaintexts, used
 	// when ApplyBatch is handed no shared cache; kernel is the product
-	// packing's one weight polynomial instead.
+	// packing's weight polynomials instead, one per tile.
 	plains *PlainCache
 	kernel *kernel
 }
@@ -86,7 +90,7 @@ func NewConv2D(spec ConvSpec, weights [][][]int64, rowSize int) (*Conv2D, error)
 	}
 	conv.Weights = weights
 	if conv.product {
-		conv.kernel = newKernel(conv.productKernel)
+		conv.kernel = newKernel(conv.productKernels)
 	} else {
 		conv.plains = NewPlainCache(0)
 	}
@@ -96,31 +100,77 @@ func NewConv2D(spec ConvSpec, weights [][][]int64, rowSize int) (*Conv2D, error)
 // NewConv2DSpecOnly builds the packing/geometry side of the operator
 // without weights — what the client needs to pack inputs, extract
 // outputs, and derive rotation-key requirements. Apply requires
-// weights and rejects a spec-only operator.
+// weights and rejects a spec-only operator. A layer that takes the
+// product packing needs only Hp, Wp and N: it builds no slot layout.
 func NewConv2DSpecOnly(spec ConvSpec, rowSize int) (*Conv2D, error) {
+	c, err := newConvGeometry(spec, rowSize)
+	if err != nil {
+		return nil, err
+	}
+	if c.product = c.fitsProduct(); c.product {
+		c.tile = min(spec.OutC, 2*rowSize/(spec.InC*c.Hp*c.Wp))
+		return c, nil
+	}
+	if err := c.layoutSlots(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// newConvGeometry validates spec and sets its padded window; the caller
+// picks the packing.
+func newConvGeometry(spec ConvSpec, rowSize int) (*Conv2D, error) {
 	if spec.KH%2 == 0 || spec.KW%2 == 0 {
 		return nil, fmt.Errorf("core: even kernel sizes unsupported (got %dx%d)", spec.KH, spec.KW)
 	}
+	if spec.InH < 1 || spec.InW < 1 || spec.InC < 1 || spec.OutC < 1 {
+		return nil, fmt.Errorf("core: empty convolution %dx%dx%d -> %d", spec.InH, spec.InW, spec.InC, spec.OutC)
+	}
 	ph, pw := (spec.KH-1)/2, (spec.KW-1)/2
-	hp, wp := spec.InH+2*ph, spec.InW+2*pw
-	layout, err := rotred.NewLayout(hp*wp, 0, spec.InC, rowSize)
+	return &Conv2D{
+		Spec: spec,
+		Hp:   spec.InH + 2*ph, Wp: spec.InW + 2*pw, ph: ph, pw: pw,
+		rowSize: rowSize,
+	}, nil
+}
+
+// SlotRotationSteps returns the rotation steps the slot packing of spec
+// takes with its input channels clamped to one ciphertext row's channel
+// blocks — a wider layer splits its channels across ciphertexts and
+// reuses the same steps — whatever packing NewConv2DSpecOnly would pick.
+// It prices the Galois keys of a layer no packing lays out
+// (nn.EvaluationKeyFootprint).
+func SlotRotationSteps(spec ConvSpec, rowSize int) ([]int, error) {
+	c, err := newConvGeometry(spec, rowSize)
 	if err != nil {
-		return nil, fmt.Errorf("core: conv layout: %w", err)
+		return nil, err
 	}
-	cb := rowSize / layout.Stride
+	c.Spec.InC = 1
+	if err := c.layoutSlots(); err != nil {
+		return nil, err
+	}
+	c.Spec.InC = min(spec.InC, c.Cb)
+	if err := c.layoutSlots(); err != nil {
+		return nil, err
+	}
+	return c.bsgs(0).RotationSteps(), nil
+}
+
+// layoutSlots sets the slot packing's channel blocks.
+func (c *Conv2D) layoutSlots() error {
+	layout, err := rotred.NewLayout(c.Hp*c.Wp, 0, c.Spec.InC, c.rowSize)
+	if err != nil {
+		return fmt.Errorf("core: conv layout: %w", err)
+	}
+	cb := c.rowSize / layout.Stride
 	if cb < 1 {
-		return nil, fmt.Errorf("core: channel stride %d exceeds row size %d", layout.Stride, rowSize)
+		return fmt.Errorf("core: channel stride %d exceeds row size %d", layout.Stride, c.rowSize)
 	}
-	if spec.InC > cb {
-		return nil, fmt.Errorf("core: %d input channels exceed %d blocks per ciphertext", spec.InC, cb)
+	if c.Spec.InC > cb {
+		return fmt.Errorf("core: %d input channels exceed %d blocks per ciphertext", c.Spec.InC, cb)
 	}
-	c := &Conv2D{
-		Spec: spec, Layout: layout,
-		Hp: hp, Wp: wp, ph: ph, pw: pw,
-		Cb: cb, rowSize: rowSize,
-	}
-	c.product = c.fitsProduct()
-	return c, nil
+	c.Layout, c.Cb = layout, cb
+	return nil
 }
 
 // Product reports whether the layer takes the product packing: its
@@ -132,7 +182,7 @@ func (c *Conv2D) Product() bool { return c.product }
 // holds: output channel o is in group o / GroupSize().
 func (c *Conv2D) GroupSize() int {
 	if c.product {
-		return c.Spec.OutC
+		return c.tile
 	}
 	return 2 * c.Cb
 }
@@ -227,10 +277,10 @@ func (c *Conv2D) RotationSteps() []int {
 
 // Plan reports the physical key-switching work of one Apply on the same
 // sheet as FC.Plan (level 3 is the only slot schedule; the product
-// packing's plan is level 0, one plaintext product).
+// packing's plan is level 0, one plaintext product per tile).
 func (c *Conv2D) Plan() RotationPlan {
 	if c.product {
-		return productPlan
+		return RotationPlan{PlainMults: c.Groups()}
 	}
 	giantSteps := 0
 	for g := 0; g < c.Groups(); g++ {
@@ -253,23 +303,33 @@ func (c *Conv2D) Plan() RotationPlan {
 // with its zero halo in every block that holds the channel
 // (blockChannel), duplicated across both batching rows.
 func (c *Conv2D) PackInput(image [][]int64, slots int) ([]int64, error) {
-	if len(image) != c.Spec.InC {
-		return nil, fmt.Errorf("core: image has %d channels, spec %d", len(image), c.Spec.InC)
+	out := make([]int64, slots)
+	if err := c.PackInputInto(out, image); err != nil {
+		return nil, err
 	}
-	if slots < 2*c.rowSize {
-		return nil, fmt.Errorf("core: need %d slots, have %d", 2*c.rowSize, slots)
+	return out, nil
+}
+
+// PackInputInto is PackInput into out, len(out) slots, which it clears
+// first: a client packing layer after layer reuses one buffer.
+func (c *Conv2D) PackInputInto(out []int64, image [][]int64) error {
+	if len(image) != c.Spec.InC {
+		return fmt.Errorf("core: image has %d channels, spec %d", len(image), c.Spec.InC)
+	}
+	if len(out) < 2*c.rowSize {
+		return fmt.Errorf("core: need %d slots, have %d", 2*c.rowSize, len(out))
 	}
 	for ch, img := range image {
 		if len(img) != c.Spec.InH*c.Spec.InW {
-			return nil, fmt.Errorf("core: channel %d has %d pixels", ch, len(img))
+			return fmt.Errorf("core: channel %d has %d pixels", ch, len(img))
 		}
 	}
-	out := make([]int64, slots)
+	clear(out)
 	if c.product {
 		for ch, img := range image {
 			c.copyWindow(out, ch*c.Hp*c.Wp+c.ph*c.Wp+c.pw, img)
 		}
-		return out, nil
+		return nil
 	}
 	for k := 0; k < c.Cb; k++ {
 		ch := c.blockChannel(k)
@@ -281,7 +341,7 @@ func (c *Conv2D) PackInput(image [][]int64, slots int) ([]int64, error) {
 	// Duplicate into the second batching row: a row rotation moves both
 	// rows alike, and each row computes its own output channels.
 	copy(out[c.rowSize:2*c.rowSize], out[:c.rowSize])
-	return out, nil
+	return nil
 }
 
 // copyWindow writes an InH×InW window into out, its first pixel at
@@ -301,11 +361,7 @@ func (c *Conv2D) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, 
 		return nil, OpCounts{}, fmt.Errorf("core: Apply on a spec-only convolution (no weights)")
 	}
 	if c.product {
-		out, ops, err := c.kernel.apply(ev, ct, 2*c.rowSize)
-		if err != nil {
-			return nil, OpCounts{}, err
-		}
-		return []*bfv.Ciphertext{out}, ops, nil
+		return c.kernel.apply(ev, ct, 2*c.rowSize)
 	}
 	return applyBFV(ev, ecd, ct, c.plains, c.bsgs(slots))
 }
@@ -350,9 +406,9 @@ func (c *Conv2D) weightDiag(g, d, ki, slots int) []int64 {
 }
 
 // ExtractOutput pulls output channel o's InH×InW activation map from the
-// decoded vector of group o/GroupSize(): coefficients from base(o) under
-// the product packing, slots of its block's interior under the slot
-// packing.
+// decoded vector of group o/GroupSize(): coefficients from base(o) of
+// its tile under the product packing, slots of its block's interior
+// under the slot packing.
 func (c *Conv2D) ExtractOutput(decoded []int64, o int) []int64 {
 	var origin int
 	if c.product {

@@ -141,7 +141,7 @@ func TestConvResidentMatchesMaterialized(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return conv
+				return convOnSlots(t, conv) // the shapes take the product packing as layers
 			}
 			oracle := newConv()
 
@@ -281,6 +281,7 @@ func TestConvMissingGaloisKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	conv = convOnSlots(t, conv)
 	steps := conv.RotationSteps()
 	k := newFCLevelKit(t, tc.params, 30, steps[:len(steps)-1]) // a mid-layer step left out
 	packed, err := conv.PackInput(synthImage(src, tc.spec.InC, tc.spec.InH*tc.spec.InW, 7), slots)
@@ -380,6 +381,7 @@ func TestWarmApplyAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	conv = convOnSlots(t, conv)
 	fc := synthFC(t, src, 64, 10, slots/2)
 	k := newFCLevelKit(t, tc.params, 31, append(conv.RotationSteps(), fc.RotationSteps()...))
 	vals := make([]int64, slots)
@@ -476,7 +478,7 @@ func TestConvBSGSEdgeGeometries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			conv = convOnSlots(conv)
+			conv = convOnSlots(t, conv)
 			steps, plan := conv.RotationSteps(), conv.Plan()
 			if conv.Cb != tc.cb || len(steps) != tc.keys || plan.GiantSteps != tc.giants {
 				t.Fatalf("Cb = %d, %d rotation steps, %d giant steps; want %d, %d, %d", conv.Cb, len(steps), plan.GiantSteps, tc.cb, tc.keys, tc.giants)
@@ -603,7 +605,7 @@ func TestConvBSGSNoise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			conv = convOnSlots(conv)
+			conv = convOnSlots(t, conv)
 			var flatSteps []int
 			for d := 0; d < conv.shifts(); d++ {
 				for _, delta := range conv.kernelOffsets() {
@@ -636,7 +638,7 @@ func TestConvBSGSNoise(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				oneRow = convOnSlots(oneRow)
+				oneRow = convOnSlots(t, oneRow)
 				row0, _, err := oneRow.Apply(k.ev, k.ecd, ct, slots)
 				if err != nil {
 					t.Fatal(err)

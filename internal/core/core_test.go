@@ -73,9 +73,13 @@ func (k *kit) decrypt(ct *bfv.Ciphertext, coeffs bool) []int64 {
 // convOnSlots returns the convolution on the slot packing whatever its
 // shape: the slot executor's tests keep the geometries they pin on shapes
 // the product packing now takes.
-func convOnSlots(c *Conv2D) *Conv2D {
+func convOnSlots(t testing.TB, c *Conv2D) *Conv2D {
+	t.Helper()
 	s := *c
-	s.product, s.kernel, s.plains = false, nil, NewPlainCache(0)
+	s.product, s.tile, s.kernel, s.plains = false, 0, nil, NewPlainCache(0)
+	if err := s.layoutSlots(); err != nil {
+		t.Fatal(err)
+	}
 	return &s
 }
 
@@ -160,7 +164,7 @@ func TestEncryptedConvMatchesPlain(t *testing.T) {
 	if !product.Product() {
 		t.Fatal("the layer does not take the product packing")
 	}
-	for _, conv := range []*Conv2D{product, convOnSlots(product)} {
+	for _, conv := range []*Conv2D{product, convOnSlots(t, product)} {
 		k := newKit(t, conv.RotationSteps())
 		packed, err := conv.PackInput(image, k.ctx.Params.Slots())
 		if err != nil {

@@ -70,7 +70,7 @@ func TestConvApplyBatchMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, conv := range []*Conv2D{product, convOnSlots(product)} {
+	for _, conv := range []*Conv2D{product, convOnSlots(t, product)} {
 		const sessions = 3
 		kits := make([]*kit, sessions)
 		items := make([]BatchInput, sessions)

@@ -54,7 +54,7 @@ func NewFC(in, out int, weights [][]int64, rowSize int) (*FC, error) {
 	}
 	fc.Weights = weights
 	if fc.product {
-		fc.kernel = newKernel(fc.productKernel)
+		fc.kernel = newKernel(fc.productKernels)
 	} else {
 		fc.plains = NewPlainCache(0)
 	}
@@ -165,22 +165,32 @@ func (f *FC) RotationSteps() []int {
 // replicated, zero-padded, across both batching rows so rotations by any
 // amount < P act as windowed rotations of the logical vector.
 func (f *FC) PackInput(x []int64, slots int) ([]int64, error) {
-	if len(x) != f.In {
-		return nil, fmt.Errorf("core: input has %d elements, want %d", len(x), f.In)
-	}
-	if slots < 2*f.rowSize {
-		return nil, fmt.Errorf("core: need %d slots, have %d", 2*f.rowSize, slots)
-	}
 	out := make([]int64, slots)
+	if err := f.PackInputInto(out, x); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// PackInputInto is PackInput into out, len(out) slots, which it clears
+// first: a client packing layer after layer reuses one buffer.
+func (f *FC) PackInputInto(out, x []int64) error {
+	if len(x) != f.In {
+		return fmt.Errorf("core: input has %d elements, want %d", len(x), f.In)
+	}
+	if len(out) < 2*f.rowSize {
+		return fmt.Errorf("core: need %d slots, have %d", 2*f.rowSize, len(out))
+	}
+	clear(out)
 	if f.product {
 		copy(out, x)
-		return out, nil
+		return nil
 	}
 	for rep := 0; rep < f.rowSize/f.P; rep++ {
 		copy(out[rep*f.P:], x)
 	}
 	copy(out[f.rowSize:2*f.rowSize], out[:f.rowSize])
-	return out, nil
+	return nil
 }
 
 // diag returns extended diagonal giant+baby of the padded weight matrix,
@@ -220,7 +230,11 @@ func (f *FC) HoistLevel() int { return 3 }
 // BSGS schedule, over the operator's own prepared weight plaintexts.
 func (f *FC) Apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, slots int) (*bfv.Ciphertext, OpCounts, error) {
 	if f.product && f.Weights != nil {
-		return f.kernel.apply(ev, ct, 2*f.rowSize)
+		outs, ops, err := f.kernel.apply(ev, ct, 2*f.rowSize)
+		if err != nil {
+			return nil, OpCounts{}, err
+		}
+		return outs[0], ops, nil
 	}
 	return f.apply(ev, ecd, ct, f.plains, f.bsgs(slots))
 }
@@ -318,8 +332,8 @@ func DiagonalRotations(p int) int { return p - 1 }
 // diagonal the geometry reaches is non-zero (the worst case; zero
 // diagonals only shrink them).
 type RotationPlan struct {
-	// Level is the hoisting level, or 0 for the product packing's one
-	// plaintext product.
+	// Level is the hoisting level, or 0 for the product packing's
+	// plaintext products, one per output tile.
 	Level int
 	// BabySteps and GiantSteps are the Galois applications
 	// (BSGSRotations split into its two phases); PlainMults the plaintext
@@ -384,8 +398,11 @@ func (pl BSGSPlan[T]) sheet(level, giantSteps int) RotationPlan {
 
 // String renders the plan the way the cost sheet prints it.
 func (pl RotationPlan) String() string {
-	if pl == productPlan {
-		return "L0: 1 plaintext product over Q, no key switch"
+	if pl.Level == 0 {
+		if pl.PlainMults == 1 {
+			return "L0: 1 plaintext product over Q, no key switch"
+		}
+		return fmt.Sprintf("L0: %d plaintext products over Q sharing one forward NTT, no key switch", pl.PlainMults)
 	}
 	return fmt.Sprintf("L%d: %d baby + %d giant steps, %d decompositions, %d full key-switches, %d lazy products, %d mod-downs (+%d closing inner sums)",
 		pl.Level, pl.BabySteps, pl.GiantSteps, pl.Decompositions, pl.FullKeySwitches, pl.LazyProducts, pl.ModDowns, pl.NTTModDowns)

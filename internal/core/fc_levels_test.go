@@ -483,25 +483,25 @@ func TestFCRotationPlan(t *testing.T) {
 	if p := slots.Plan(3); slots.P != 512 || slots.Po != 16 || p.BabySteps != 3 || p.GiantSteps != 3 || p.PlainMults != 16 || p.ModDowns != 1 || p.NTTModDowns != 4 || p.Decompositions != 4 {
 		t.Errorf("294x10 on slots: P=%d Po=%d plan %+v", slots.P, slots.Po, p)
 	}
-	// LeNet-Sm's convolutions: conv1 is one product; on slots its one
-	// group is its own inner sum. conv2's one group folds four, one
-	// mod-down per inner sum.
+	// LeNet-Sm's convolutions: conv1 is one product, conv2 one per tile
+	// of three outputs; on slots conv1's one group is its own inner sum,
+	// and conv2's one group folds four, one mod-down per inner sum.
 	for _, tc := range []struct {
 		spec                ConvSpec
-		product             bool
+		tiles               int
 		modDowns, innerSums int
 	}{
-		{ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, true, 0, 1},
-		{ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, false, 1, 4},
+		{ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 1, 0, 1},
+		{ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 2, 1, 4},
 	} {
 		conv, err := NewConv2DSpecOnly(tc.spec, 2048)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if conv.Product() != tc.product || tc.product && conv.Plan() != (RotationPlan{PlainMults: 1}) {
-			t.Errorf("conv %+v: product=%v, plan %+v", tc.spec, conv.Product(), conv.Plan())
+		if !conv.Product() || conv.Plan() != (RotationPlan{PlainMults: tc.tiles}) || conv.Groups() != tc.tiles {
+			t.Errorf("conv %+v: product=%v, %d groups, plan %+v; want %d tiles", tc.spec, conv.Product(), conv.Groups(), conv.Plan(), tc.tiles)
 		}
-		if p := convOnSlots(conv).Plan(); p.ModDowns != tc.modDowns || p.NTTModDowns != tc.innerSums || p.FullKeySwitches != 0 {
+		if p := convOnSlots(t, conv).Plan(); p.ModDowns != tc.modDowns || p.NTTModDowns != tc.innerSums || p.FullKeySwitches != 0 {
 			t.Errorf("conv %+v on slots: plan %+v", tc.spec, p)
 		}
 	}

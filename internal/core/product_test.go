@@ -129,8 +129,8 @@ func (tc productCase) run(t *testing.T, src *sampling.Source, lim int64, acts, w
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conv.Product() && (ops != (OpCounts{PlainMults: 1}) || len(outs) != 1) {
-		t.Errorf("op counts %+v over %d outputs, want one plaintext product", ops, len(outs))
+	if conv.Product() && (ops != (OpCounts{PlainMults: conv.Groups()}) || len(outs) != conv.Groups()) {
+		t.Errorf("op counts %+v over %d outputs, want one plaintext product per tile (%d)", ops, len(outs), conv.Groups())
 	}
 	want := PlainConv2D(s, w, img)
 	for o := range want {
@@ -144,19 +144,27 @@ func (tc productCase) run(t *testing.T, src *sampling.Source, lim int64, acts, w
 
 // TestProductPackingMatchesPlain runs the served layers that take the
 // product packing, keyless, against PlainConv2D and PlainFC: LeNet-Sm's
-// conv1 (whose four outputs fill bfv-B's 4 096 coefficients exactly) and
-// FC, DemoNet's FC (392 → 10, whose wrap reaches coefficient 214, clear of
-// row 0's read at 391), and the serve tests' network layers. Weights and
-// activations are 4-bit, as the networks synthesize them.
+// conv1 (whose four outputs fill bfv-B's 4 096 coefficients exactly), its
+// conv2 (two tiles of three outputs, 3 888 coefficients each) and FC,
+// DemoNet's conv2 (three tiles) and FC (392 → 10, whose wrap reaches
+// coefficient 214, clear of row 0's read at 391), the serve tests'
+// network layers, and conv2's one-output shape at N = 2 048, which the
+// slot geometry refused ("layout needs 2048 slots") before the product
+// packing stopped building a slot layout. Weights and activations are
+// 4-bit, as the networks synthesize them.
 func TestProductPackingMatchesPlain(t *testing.T) {
 	for _, tc := range []productCase{
 		{"LeNetSm/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 0},
+		{"LeNetSm/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 0, 0},
 		{"LeNetSm/fc", bfv.PresetB(), ConvSpec{}, 294, 10},
 		{"DemoNet/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 0},
+		{"DemoNet/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 8}, 0, 0},
 		{"DemoNet/fc", bfv.PresetB(), ConvSpec{}, 392, 10},
 		{"ServeTestNet/conv1", bfv.PresetTest(), ConvSpec{InH: 12, InW: 12, InC: 1, KH: 3, KW: 3, OutC: 4}, 0, 0},
+		{"ServeTestNet/conv2", bfv.PresetTest(), ConvSpec{InH: 6, InW: 6, InC: 4, KH: 5, KW: 5, OutC: 6}, 0, 0},
 		{"ServeTestNet/fc", bfv.PresetTest(), ConvSpec{}, 54, 10},
 		{"FabricTestNet/fc", bfv.PresetTest(), ConvSpec{}, 16, 8},
+		{"Test/14x14x4to1", bfv.PresetTest(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 1}, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.run(t, sampling.NewSource([32]byte{37}, "product/"+tc.name), 7, true, true)
@@ -164,15 +172,69 @@ func TestProductPackingMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestProductPackingFitBoundary draws layer shapes at the Test preset
-// (N = 2 048) whose last read coefficient is as close to N as the shape
-// allows — the largest OutC (Out) that fits — so the negacyclic wrap is
-// as deep as the packing lets it get, with weights and inputs as wide as
-// keeps every output inside ±t/2 (±15 for a conv of at most 75 taps, ±7
-// for an FC of at most 601 columns); every output must equal the
-// plaintext reference. One more output must not fit. Then two shapes one
-// coefficient past the boundary (3 · 683 = N + 1), which must take the
-// slot packing and still compute the layer.
+// TestConvTilesMatchMulPlainQ: a tiled convolution's Apply, one forward
+// transform of the upload and one dyadic product and inverse transform
+// per tile, is byte for byte MulPlainQ by each tile's kernel alone, at
+// LeNet-Sm's conv2 (two tiles of three outputs) and DemoNet's (three
+// tiles, the last of two outputs); each tile reads 196 coefficients per
+// output, ascending, inside the 3 888 its outputs span.
+func TestConvTilesMatchMulPlainQ(t *testing.T) {
+	for _, tc := range []struct {
+		spec  ConvSpec
+		tiles int
+	}{
+		{ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 2},
+		{ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 8}, 3},
+	} {
+		src := sampling.NewSource([32]byte{41}, fmt.Sprintf("tiles/%d", tc.spec.OutC))
+		k := keylessKit(t, bfv.PresetB(), 3)
+		slots := k.ctx.Params.Slots()
+		conv, err := NewConv2D(tc.spec, synthConvWeights(src, tc.spec.OutC, tc.spec.InC, 25, 7), slots/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if conv.Groups() != tc.tiles || conv.GroupSize() != 3 {
+			t.Fatalf("%+v: %d tiles of %d outputs, want %d of 3", tc.spec, conv.Groups(), conv.GroupSize(), tc.tiles)
+		}
+		packed, err := conv.PackInput(synthImage(src, tc.spec.InC, tc.spec.InH*tc.spec.InW, 7), slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := k.encrypt(t, packed, true)
+		outs, _, err := conv.Apply(k.ev, k.ecd, ct, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g, kc := range conv.productKernels() {
+			want := k.ev.MulPlainQ(ct, k.ctx.PrepareMulQ(kc))
+			if got, w := hashV1Frame(outs[g]), hashV1Frame(want); got != w {
+				t.Errorf("OutC %d tile %d: Apply hashes to %s, MulPlainQ by its kernel to %s", tc.spec.OutC, g, got, w)
+			}
+			idx := conv.ReadIndices(g)
+			outputs := min(3, tc.spec.OutC-3*g)
+			if len(idx) != outputs*196 || !slices.IsSorted(idx) || idx[len(idx)-1] >= 3888 {
+				t.Errorf("OutC %d tile %d reads %d coefficients up to %d, want %d ascending below 3 888", tc.spec.OutC, g, len(idx), idx[len(idx)-1], outputs*196)
+			}
+		}
+	}
+}
+
+// TestProductPackingFitBoundary draws convolution shapes at the Test
+// preset (N = 2 048) whose one tile fills the polynomial as far as the
+// shape allows — the most output channels of C·Hp·Wp coefficients each
+// that fit, ⌊N / (C·Hp·Wp)⌋ — so the negacyclic wrap is as deep as the
+// packing lets it get, and FC shapes whose last read coefficient is as
+// close to N as the shape allows. Weights and inputs are as wide as keeps
+// every output inside ±t/2 (±15 for a conv of at most 75 taps, ±7 for an
+// FC of at most 601 columns); every output must equal the plaintext
+// reference. One more convolution output takes a second tile, full tiles
+// first, and must compute the layer too (the "+tile" subtests, drawn from
+// a source of their own); one more FC output must not fit. Then the
+// shapes one coefficient past one polynomial: conv-one-past (3 · 683 =
+// N + 1) takes two tiles, a convolution whose one output channel takes
+// N + 1 coefficients is refused (no packing lays it out: the slot packing
+// needs a channel block in half a row), and an FC layer 3 · 683 must take
+// the slot packing and still compute the layer.
 func TestProductPackingFitBoundary(t *testing.T) {
 	const n = 2048
 	src := sampling.NewSource([32]byte{38}, "product-boundary")
@@ -186,11 +248,15 @@ func TestProductPackingFitBoundary(t *testing.T) {
 		}
 		tc := productCase{name: fmt.Sprintf("conv%+v", spec), params: bfv.PresetTest(), conv: spec}
 		t.Run(tc.name, func(t *testing.T) { tc.run(t, src, 15, false, true) })
-		past := spec
-		past.OutC++
-		if probe, err := NewConv2DSpecOnly(past, n/2); err == nil && probe.Product() {
-			t.Errorf("%+v: %d coefficients past N take the product packing", past, past.OutC*per-n)
-		}
+		past := tc
+		past.conv.OutC++
+		past.name += "+tile"
+		t.Run(past.name, func(t *testing.T) {
+			k, outs := past.run(t, sampling.NewSource([32]byte{38}, "product-boundary/"+past.name), 15, false, true)
+			if len(outs) != 2 {
+				t.Errorf("%d outputs in %d tiles under ring degree %d", past.conv.OutC, len(outs), k.ctx.Params.N())
+			}
+		})
 	}
 	for i := 0; i < 6; i++ {
 		in := 2 + src.Intn(600)
@@ -204,46 +270,55 @@ func TestProductPackingFitBoundary(t *testing.T) {
 			t.Errorf("%dx%d: %d coefficients past N take the product packing", in, out+1, (out+1)*in-n)
 		}
 	}
-	for _, tc := range []productCase{
-		{"conv-one-past", bfv.PresetTest(), ConvSpec{InH: 1, InW: 683, InC: 1, KH: 1, KW: 1, OutC: 3}, 0, 0},
-		{"fc-one-past", bfv.PresetTest(), ConvSpec{}, 683, 3},
+	if conv, err := NewConv2DSpecOnly(ConvSpec{InH: 1, InW: n + 1, InC: 1, KH: 1, KW: 1, OutC: 3}, n/2); err == nil {
+		t.Errorf("a channel of N + 1 coefficients laid out (product packing %v)", conv.Product())
+	}
+	for _, tc := range []struct {
+		productCase
+		product bool
+	}{
+		{productCase{"conv-one-past", bfv.PresetTest(), ConvSpec{InH: 1, InW: 683, InC: 1, KH: 1, KW: 1, OutC: 3}, 0, 0}, true},
+		{productCase{"fc-one-past", bfv.PresetTest(), ConvSpec{}, 683, 3}, false},
 	} {
-		t.Run(tc.name, func(t *testing.T) { tc.run(t, src, 6, false, false) })
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, src, 6, false, tc.product) })
 	}
 }
 
-// TestProductNoise pins the noise budget of the product-packed layers
-// LeNet-Sm and DemoNet serve at bfv-B, before and after the reply switch
-// (bfv.NoiseBudgetBits, 4-bit weights and activations, seeded symmetric
-// inputs). The product grows the noise by the kernel's ℓ1 norm, so a
-// reply arrives at the switch with at least 40 bits (measured 44.0, 41.9
-// and 41.5; the slot schedule handed conv1 8.9 bits and the FC 8.4). The
-// switch to one residue then leaves its own ceiling (measured 11.6, 11.7
-// and 11.8), and every reply must leave it at least 3 bits above the
-// client's 8-bit floor. Negative inputs would cost about 13 bits before
+// TestProductNoise pins the noise budget of every tile of the
+// product-packed layers LeNet-Sm and DemoNet serve at bfv-B, before and
+// after the reply switch (bfv.NoiseBudgetBits, 4-bit weights and
+// activations, seeded symmetric inputs). The product grows the noise by
+// the kernel's ℓ1 norm, so a reply arrives at the switch with at least 40
+// bits (measured 41.5–44.0 on every tile; the slot schedule handed conv1
+// 8.9 bits, conv2 6.0 and the FC 8.4). The switch to one residue then
+// leaves its own ceiling (measured 11.6–11.8), and every reply must leave
+// it at least 3 bits above the client's 8-bit floor. Negative inputs would cost about 13 bits before
 // the switch (a residue near t scales the kernel by t), and nothing after
 // it; a network's inputs are its image and ReLU outputs.
 func TestProductNoise(t *testing.T) {
 	const floor, margin, minBefore = 8.0, 3.0, 40.0
 	for _, tc := range []productCase{
 		{"LeNetSm/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 0},
+		{"LeNetSm/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 0, 0},
 		{"LeNetSm/fc", bfv.PresetB(), ConvSpec{}, 294, 10},
+		{"DemoNet/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 8}, 0, 0},
 		{"DemoNet/fc", bfv.PresetB(), ConvSpec{}, 392, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k, outs := tc.run(t, sampling.NewSource([32]byte{39}, "product-noise/"+tc.name), 7, true, true)
-			ct := outs[0]
-			before := bfv.NoiseBudgetBits(k.ctx, k.sk, ct)
-			for d := 0; d < k.ctx.Params.ReplyDrop(); d++ {
-				var err error
-				if ct, err = k.ev.ModSwitchDown(ct); err != nil {
-					t.Fatal(err)
+			for g, ct := range outs {
+				before := bfv.NoiseBudgetBits(k.ctx, k.sk, ct)
+				for d := 0; d < k.ctx.Params.ReplyDrop(); d++ {
+					var err error
+					if ct, err = k.ev.ModSwitchDown(ct); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			after := bfv.NoiseBudgetBits(k.ctx, k.sk, ct)
-			t.Logf("%s: %.2f bits before the reply switch, %.2f after", tc.name, before, after)
-			if before < minBefore || after < floor+margin {
-				t.Errorf("%.2f bits before the switch, %.2f after; want at least %.0f, and %.0f over the %.0f-bit floor", before, after, minBefore, margin, floor)
+				after := bfv.NoiseBudgetBits(k.ctx, k.sk, ct)
+				t.Logf("%s tile %d: %.2f bits before the reply switch, %.2f after", tc.name, g, before, after)
+				if before < minBefore || after < floor+margin {
+					t.Errorf("tile %d: %.2f bits before the switch, %.2f after; want at least %.0f, and %.0f over the %.0f-bit floor", g, before, after, minBefore, margin, floor)
+				}
 			}
 		})
 	}

@@ -81,22 +81,6 @@ func (r *Ring) Add(shard string) {
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 }
 
-// Remove deletes a shard's virtual nodes; its ring segments flow to
-// the clockwise successors.
-func (r *Ring) Remove(shard string) {
-	if !r.shards[shard] {
-		return
-	}
-	delete(r.shards, shard)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.shard != shard {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Len reports the number of shards on the ring.
 func (r *Ring) Len() int { return len(r.shards) }
 

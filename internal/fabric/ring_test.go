@@ -6,9 +6,8 @@ import (
 )
 
 // TestRingOwnerStable checks the consistent-hashing contract: adding a
-// shard only moves keys onto the new shard; removing one only moves its
-// own keys. Every other session keeps its owner — and with it, its
-// shard-side cached evaluation keys.
+// shard only moves keys onto the new shard. Every other session keeps
+// its owner — and with it, its shard-side cached evaluation keys.
 func TestRingOwnerStable(t *testing.T) {
 	r := NewRing(64)
 	r.Add("a")
@@ -35,21 +34,6 @@ func TestRingOwnerStable(t *testing.T) {
 	}
 	if moved == 0 || moved > n/2 {
 		t.Errorf("Add(d) moved %d/%d keys; want a roughly ~1/4 share", moved, n)
-	}
-
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("session-%d", i)
-		before[k] = r.Owner(k)
-	}
-	r.Remove("b")
-	for k, was := range before {
-		now := r.Owner(k)
-		if was != "b" && now != was {
-			t.Fatalf("key %q moved %s→%s on Remove(b): only b's keys may move", k, was, now)
-		}
-		if was == "b" && (now == "b" || now == "") {
-			t.Fatalf("key %q still owned by removed shard (now %q)", k, now)
-		}
 	}
 }
 
@@ -107,9 +91,7 @@ func TestRingEmpty(t *testing.T) {
 	if s := r.Sequence("x"); s != nil {
 		t.Errorf("empty ring sequence %v", s)
 	}
-	r.Add("only")
-	r.Remove("only")
 	if r.Len() != 0 || len(r.points) != 0 {
-		t.Errorf("ring not empty after Add/Remove: len=%d points=%d", r.Len(), len(r.points))
+		t.Errorf("empty ring: len=%d points=%d", r.Len(), len(r.points))
 	}
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -203,8 +204,8 @@ func TestClientAidedInferenceMatchesPlain(t *testing.T) {
 	if stats.DownBytes != serverEnd.SentBytes() {
 		t.Errorf("down bytes %d vs pipe %d", stats.DownBytes, serverEnd.SentBytes())
 	}
-	if stats.Server.Rotations == 0 || stats.Server.PlainMults == 0 {
-		t.Error("server op counts missing")
+	if stats.Server.PlainMults == 0 || stats.Server.Rotations != 0 {
+		t.Errorf("server ops %+v; every layer takes the product packing: plaintext products, no rotation", stats.Server)
 	}
 	if stats.Server.CtMults != 0 {
 		t.Error("DNN inference must not use ciphertext multiplies")
@@ -214,14 +215,13 @@ func TestClientAidedInferenceMatchesPlain(t *testing.T) {
 
 // TestLeNetSmServerOpCounts pins the logical work of one LeNet-Sm
 // request at bfv-B — the counts the benchmark reports as
-// core.*_per_request: 27 rotations, 102 plaintext multiplies, 99
-// additions (conv1 and FC one product each, conv2 24 + 3 key switches
-// and 4·25 multiplies; one add less than multiplies per reply
-// ciphertext). They were 57, 141 and 138 while conv1 and FC ran on slots
-// (24 and 3 + 3 key switches, 25 and 16 multiplies). They are a property
-// of the layer shapes and the packing (no weight is zero, so no diagonal
-// is skipped) and must not move when the engine underneath changes
-// schedule.
+// core.*_per_request: 0 rotations, 4 plaintext multiplies, 0 additions
+// (conv1 and FC one product each, conv2 one per tile of three outputs;
+// one add less than multiplies per reply ciphertext). They were 27, 102
+// and 99 while conv2 ran on slots (24 + 3 key switches, 4·25 multiplies),
+// and 57, 141 and 138 while conv1 and FC did too. They are a property of
+// the layer shapes and the packing and must not move when the engine
+// underneath changes schedule.
 func TestLeNetSmServerOpCounts(t *testing.T) {
 	net := LeNetSmall()
 	m := SynthesizeWeights(net, 4, [32]byte{6})
@@ -265,11 +265,11 @@ func TestLeNetSmServerOpCounts(t *testing.T) {
 				t.Fatalf("%s: logit %d: encrypted %d vs plain %d", label, i, got[i], want[i])
 			}
 		}
-		if wantOps := (core.OpCounts{Rotations: 27, PlainMults: 102, Adds: 99}); stats.Server != wantOps {
+		if wantOps := (core.OpCounts{PlainMults: 4}); stats.Server != wantOps {
 			t.Errorf("%s: server ops %+v, want %+v", label, stats.Server, wantOps)
 		}
 	}
-	if rc, err := ExecutableRequestCost(net); err != nil || rc.Server != (core.OpCounts{Rotations: 27, PlainMults: 102, Adds: 99}) {
+	if rc, err := ExecutableRequestCost(net); err != nil || rc.Server != (core.OpCounts{PlainMults: 4}) {
 		t.Errorf("the operators' plans predict %+v (err %v), not the counts executed", rc.Server, err)
 	}
 }
@@ -277,16 +277,29 @@ func TestLeNetSmServerOpCounts(t *testing.T) {
 // TestCommAccountMatchesWire holds the executable's traffic to its
 // operators' own plans and sets the analytic model beside it. One
 // inference of each executable network uploads one seeded ciphertext per
-// linear layer and downloads one ciphertext per conv output group plus
-// one per FC layer, each at the one residue bfv-B's replies are switched
-// down to; the client's byte count is the transport's, and is the
+// linear layer and downloads one ciphertext per conv tile plus one per FC
+// layer, each at the one residue bfv-B's replies are switched down to and
+// carrying c1 whole and c0 at the coefficients the client reads: 28 B of
+// header and length prefix, 18 432 B of c1, 36 bits per read coefficient
+// in whole words — conv1's 3 136 reads 32 572 B, a conv2 tile's 588
+// 21 108 B (DemoNet's last tile, 392 reads, 20 228 B), the FC's 10 reads
+// 18 508 B. LeNet-Sm moves 204 068 B (221 448 B while conv2 ran on slots
+// and every reply carried c0 whole); DemoNet, whose conv2 is three tiles,
+// 224 296 B. The client's byte count is the transport's, and is the
 // wire_bytes_per_request the end-to-end benchmark reports. CommPlan —
 // Table 5's model, which has the server condense every layer's outputs
-// densely but send them full-size — is above it, and counts the same
-// replies: since conv1's four channels fill one group, the operators'
-// packing is as condensed as the model's.
+// densely but send them full-size — is above it, and condenses each
+// layer into one reply where the operators send one per tile.
 func TestCommAccountMatchesWire(t *testing.T) {
-	for _, net := range []*Network{LeNetSmall(), DemoNetwork()} {
+	for _, tc := range []struct {
+		net     *Network
+		wire    int64
+		replies []int
+	}{
+		{LeNetSmall(), 204068, []int{32572, 21108, 21108, 18508}},
+		{DemoNetwork(), 224296, []int{32572, 21108, 21108, 20228, 18508}},
+	} {
+		net := tc.net
 		m := SynthesizeWeights(net, 4, [32]byte{14})
 		runner, err := NewRunner(m, [32]byte{15})
 		if err != nil {
@@ -298,23 +311,24 @@ func TestCommAccountMatchesWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		down := len(runner.client.fcs)
+		down, tiles := len(runner.client.fcs), 0
 		for _, conv := range runner.client.convs {
 			down += conv.Groups()
+			tiles += conv.Groups() - 1
 		}
 		if up := len(runner.client.convs) + len(runner.client.fcs); stats.UpCiphertexts != up || stats.DownCiphertexts != down {
 			t.Errorf("%s: %d up / %d down ciphertexts, the operators plan %d / %d", net.Name, stats.UpCiphertexts, stats.DownCiphertexts, up, down)
 		}
-		if wire := clientEnd.SentBytes() + serverEnd.SentBytes(); stats.TotalBytes() != wire || wire != 221448 {
-			t.Errorf("%s: the client counts %d B, the pipe carried %d B, want 221448 B (3 seeded uploads of two packed 36-bit rows + 3 one-residue replies)", net.Name, stats.TotalBytes(), wire)
+		if wire := clientEnd.SentBytes() + serverEnd.SentBytes(); stats.TotalBytes() != wire || wire != tc.wire {
+			t.Errorf("%s: the client counts %d B, the pipe carried %d B, want %d B (3 seeded uploads of two packed 36-bit rows + one-residue replies of c1 and the read c0)", net.Name, stats.TotalBytes(), wire, tc.wire)
 		}
 		// chocobench setup-costs prints this plan; it must be the wire's.
 		rc, err := ExecutableRequestCost(net)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rc.UpCiphertexts != stats.UpCiphertexts || rc.DownCiphertexts != stats.DownCiphertexts || rc.WireBytes != stats.TotalBytes() {
-			t.Errorf("%s: ExecutableRequestCost plans %+v, the inference moved %+v", net.Name, rc, stats)
+		if rc.UpCiphertexts != stats.UpCiphertexts || rc.DownCiphertexts != stats.DownCiphertexts || rc.WireBytes != stats.TotalBytes() || !slices.Equal(rc.ReplyBytes, tc.replies) {
+			t.Errorf("%s: ExecutableRequestCost plans %+v (replies %v B, want %v), the inference moved %+v", net.Name, rc, rc.ReplyBytes, tc.replies, stats)
 		}
 		model, err := net.CommBytes()
 		if err != nil {
@@ -328,8 +342,8 @@ func TestCommAccountMatchesWire(t *testing.T) {
 		for _, l := range plan {
 			condensed += l.DownCts
 		}
-		if rc.DownCiphertexts != condensed {
-			t.Errorf("%s: the operators reply with %d ciphertexts, the model condenses to %d", net.Name, rc.DownCiphertexts, condensed)
+		if rc.DownCiphertexts != condensed+tiles {
+			t.Errorf("%s: the operators reply with %d ciphertexts, the model condenses to %d and the conv tiles add %d", net.Name, rc.DownCiphertexts, condensed, tiles)
 		}
 		t.Logf("%s: executable %d B (%d down), CommPlan %d B", net.Name, stats.TotalBytes(), stats.DownCiphertexts, model)
 		if model != 589920 || model <= stats.TotalBytes() {
@@ -353,8 +367,8 @@ func TestActivationCountAndShapeK(t *testing.T) {
 // succeeds under exactly RotationSteps() keys, each step is its own
 // Galois element, and with any one of them removed Apply names the
 // missing key — so no key a client generates, uploads and the server
-// keeps resident is dead weight. The product-packed layers (conv1 and FC
-// of both) take no step and run under no key at all.
+// keeps resident is dead weight. Every layer of both takes the product
+// packing (conv2 as tiles), takes no step and runs under no key at all.
 func TestGaloisKeysGeneratedAreKeysUsed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -403,8 +417,8 @@ func TestGaloisKeysGeneratedAreKeysUsed(t *testing.T) {
 			} else {
 				continue
 			}
-			if wantProduct := i == 0 || i == len(net.Layers)-1; product != wantProduct || product && len(l.steps) > 0 {
-				t.Errorf("%s layer %d: product packing %v with %d rotation steps; want product packing %v, and no step under it", net.Name, i, product, len(l.steps), wantProduct)
+			if !product || len(l.steps) > 0 {
+				t.Errorf("%s layer %d: product packing %v with %d rotation steps; want the product packing and no step", net.Name, i, product, len(l.steps))
 			}
 			elements := make([]uint64, len(l.steps))
 			for j, s := range l.steps {
@@ -434,21 +448,19 @@ func TestGaloisKeysGeneratedAreKeysUsed(t *testing.T) {
 
 // TestLeNetSmKeyFootprint pins the Galois key count of a LeNet-Sm
 // session — what the client generates and uploads once and the server
-// keeps resident: conv2's 24 kernel offsets and three block shifts, and
-// nothing else, since conv1 and FC take the product packing and no layer
-// swaps rows (it was 50 keys, 5 657 964 B, while conv1's offsets, FC's
-// 3 + 3 steps over its 16 extended diagonals and the row-swap key rode
-// along; 76 keys, 30.4 MB, while FC walked the 512 square diagonals) —
-// and the bytes of the bundle, seeded keys and no relinearization key (it
-// was 11 461 648 B while every key shipped its A and a relinearization
-// key rode along), held to the frame the client really sends.
+// keeps resident: none, since every layer takes the product packing (it
+// was 27 keys, 3 089 232 B, while conv2's 24 kernel offsets and three
+// block shifts rode along; 50 keys, 5 657 964 B, while conv1's offsets,
+// FC's steps and the row-swap key did too) — and the bytes of the bundle,
+// the public key alone (the benchmark's replay encrypts under it), held
+// to the frame the client really sends.
 func TestLeNetSmKeyFootprint(t *testing.T) {
 	keys, bundleBytes, err := EvaluationKeyFootprint(LeNetSmall())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if keys != 27 || bundleBytes != 3089232 {
-		t.Errorf("LeNet-Sm footprint: %d Galois keys, %d B bundle; want 27 keys, 3089232 B", keys, bundleBytes)
+	if keys != 0 || bundleBytes != 73764 {
+		t.Errorf("LeNet-Sm footprint: %d Galois keys, %d B bundle; want 0 keys, 73764 B", keys, bundleBytes)
 	}
 	client, err := NewInferenceClient(LeNetSmall(), [32]byte{9})
 	if err != nil {
@@ -461,7 +473,7 @@ func TestLeNetSmKeyFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(kb.Galois); got != keys || kb.Relin != nil {
-		t.Errorf("the client sends %d Galois keys (relinearization key %v), the footprint says %d and none", got, kb.Relin != nil, keys)
+	if got := len(kb.Galois); got != keys || kb.Relin != nil || kb.PK == nil {
+		t.Errorf("the client sends %d Galois keys (relinearization key %v, public key %v), the footprint says %d, none and one", got, kb.Relin != nil, kb.PK != nil, keys)
 	}
 }

@@ -22,7 +22,9 @@ type replyRow struct {
 // replyProbe is a KernelExecutor that runs the serial path and, holding
 // the client's secret key, switches a copy of every finished output down
 // to the reply level the way ServeOne is about to: it records the budget on
-// both sides and fails the test unless the two decrypt to the same slots.
+// both sides and fails the test unless the two decrypt to the same slots,
+// and, for a product-packed layer, unless the read-coefficient frame of
+// the switched copy decrypts to its coefficients at every read index.
 type replyProbe struct {
 	t      *testing.T
 	srv    *InferenceServer
@@ -46,6 +48,22 @@ func (p *replyProbe) measure(layer, group int, ev *bfv.Evaluator, full *bfv.Ciph
 	for j := range want {
 		if got[j] != want[j] {
 			p.t.Fatalf("layer %d group %d slot %d: the switched reply decrypts to %d, the full-size one to %d", layer, group, j, got[j], want[j])
+		}
+	}
+	reads := p.srv.reads[layer]
+	if reads == nil {
+		return
+	}
+	idx := reads[group]
+	read, err := protocol.UnmarshalBFVRead(ctx, protocol.MarshalBFVRead(small, idx), idx)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	n := ctx.Params.N()
+	whole, part := p.client.decrypt(small, true, make([]int64, n)), p.client.decrypt(read, true, make([]int64, n))
+	for _, k := range idx {
+		if part[k] != whole[k] {
+			p.t.Fatalf("layer %d group %d coefficient %d: the read-coefficient reply decrypts to %d, the whole one to %d", layer, group, k, part[k], whole[k])
 		}
 	}
 }
@@ -151,7 +169,7 @@ func switchLeavesBits(p bfv.Parameters, k int) float64 {
 
 // TestReplySwitchNoise prices the switch every reply goes through, in
 // hundredths of a bit of bfv.NoiseBudgetBits, on real layer outputs: conv1
-// (its one group), conv2 and FC of LeNet-Sm at bfv-B on the
+// (its one group), conv2's two tiles and FC of LeNet-Sm at bfv-B on the
 // TestCommAccountMatchesWire seeds, a conv layer at bfv-A, the Test
 // preset's network, a three-data-prime set whose second prime the floor
 // protects (two residues leave) and a one-data-prime set (what was
@@ -160,20 +178,15 @@ func switchLeavesBits(p bfv.Parameters, k int) float64 {
 // that arrives with b bits leaves with no less than the two noises added
 // at their worst, −log2(2^−b + 2^−left): one far above the ceiling (every
 // reply at bfv-A's 58-bit q₀) comes down to it, one below keeps what it
-// had. At bfv-B conv2's reply holds 6 bits under a 10.2-bit ceiling and
-// may lose 0.1 bit, and as the request's minimum — 5.98 bits — must keep
-// 5.5. conv1 and FC take the product packing and hand the switch 44.11
-// and 42.00 bits, which it brings down to its ceiling: they must leave it
-// at least 3 bits above the 8-bit floor (they held 8.88 and 8.39 bits, and
-// lost under 0.3 in the switch, on the slot packing). What the layers hand
-// the switch is pinned to within 0.05 bit: 5.98 bits is what conv2 held
-// when every baby rotation paid its own mod-down, and rounding once per
-// inner sum instead may not cost it (it reads the same to the hundredth).
-// conv1's four channels share one reply, which must leave the switch above
-// the floor and with no less than either of the two replies it replaced
-// (7.90 and 7.91 bits).
-// Every switched reply decrypts to the slots of the full-size one
-// (replyProbe).
+// had. Every LeNet-Sm layer takes the product packing and hands the
+// switch 42–44 bits (conv1 44.11, conv2's tiles 43.39 and 43.67, FC 42.00;
+// pinned to within 0.05 bit), which it brings down to its ceiling: every
+// reply, conv2's two tiles included, must leave it at least 3 bits above
+// the 8-bit floor. On the slot packing conv2 handed the switch 5.98 bits
+// and was the request's minimum; conv1 and FC held 8.88 and 8.39.
+// Every switched reply decrypts to the slots of the full-size one, and a
+// product-packed one's read-coefficient frame to its coefficients at the
+// read indices (replyProbe).
 func TestReplySwitchNoise(t *testing.T) {
 	threePrimes := testNet()
 	threePrimes.Name = "TestNet-30-30-30"
@@ -199,8 +212,7 @@ func TestReplySwitchNoise(t *testing.T) {
 			}
 		}
 		rows := probeReplies(t, tc.net, 14, 1)
-		min := 0
-		for i, r := range rows {
+		for _, r := range rows {
 			t.Logf("%s layer %d group %d: %.2f → %.2f bits at %d residue(s)", tc.net.Name, r.layer, r.group, r.before, r.after, r.residues)
 			if r.residues != tc.residues {
 				t.Errorf("%s layer %d group %d leaves at %d residues, want %d", tc.net.Name, r.layer, r.group, r.residues, tc.residues)
@@ -210,29 +222,23 @@ func TestReplySwitchNoise(t *testing.T) {
 					t.Errorf("%s layer %d group %d: %.2f bits left, the rule promises %.2f", tc.net.Name, r.layer, r.group, r.after, bound)
 				}
 			}
-			if r.before < rows[min].before {
-				min = i
-			}
 		}
 		if tc.net.Name != "LeNetSm" {
 			continue
 		}
-		if len(rows) != 3 {
-			t.Fatalf("LeNetSm has %d replies, want 3", len(rows))
-		}
-		if r := rows[0]; r.layer != 0 || r.after < 7.91 || r.after <= 8 {
-			t.Errorf("LeNetSm conv1 (layer %d) leaves the switch with %.2f bits; want at least the two-reply layout's 7.91 and above 8", r.layer, r.after)
+		if len(rows) != 4 {
+			t.Fatalf("LeNetSm has %d replies, want 4", len(rows))
 		}
 		for i, r := range rows {
-			if product := i != 1; product && r.after < 11 {
-				t.Errorf("LeNetSm layer %d group %d (product packing) leaves the switch with %.2f bits, want 3 over the 8-bit floor", r.layer, r.group, r.after)
+			if want := [][2]int{{0, 0}, {3, 0}, {3, 1}, {6, 0}}[i]; r.layer != want[0] || r.group != want[1] {
+				t.Errorf("LeNetSm reply %d is layer %d group %d, want layer %d group %d", i, r.layer, r.group, want[0], want[1])
 			}
-			if pin := []float64{44.11, 5.98, 42.00}[i]; r.before < pin-0.05 {
+			if r.after < 11 {
+				t.Errorf("LeNetSm layer %d group %d leaves the switch with %.2f bits, want 3 over the 8-bit floor", r.layer, r.group, r.after)
+			}
+			if pin := []float64{44.11, 43.39, 43.67, 42.00}[i]; r.before < pin-0.05 {
 				t.Errorf("LeNetSm layer %d group %d holds %.2f bits before the switch, pinned %.2f", r.layer, r.group, r.before, pin)
 			}
-		}
-		if r := rows[min]; r.layer != 3 || r.before-r.after > 0.1 || r.after < 5.5 {
-			t.Errorf("LeNetSm minimum is layer %d: %.2f → %.2f bits; want conv2 (layer 3), ≤ 0.1 lost, ≥ 5.5 left", r.layer, r.before, r.after)
 		}
 	}
 }
@@ -267,5 +273,41 @@ func TestClientRejectsReplyAtWrongLevel(t *testing.T) {
 	want := fmt.Sprintf("layer 0 output group 0 arrived at %d residues, the parameter set's replies have 1", len(net.Params.QBits))
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("Infer over a server that does not switch: %v; want an error saying %q", err, want)
+	}
+}
+
+// TestClientRejectsMisframedReply: a product-packed layer's reply that
+// is not the read-coefficient frame the layer implies — a full reply, or
+// one carrying another read count — fails the request with the layer and
+// group in the error, as a slot layer's reply in that frame would.
+func TestClientRejectsMisframedReply(t *testing.T) {
+	net := testNet()
+	m := SynthesizeWeights(net, 4, [32]byte{3})
+	for _, tc := range []struct {
+		name  string
+		reads func(map[int][][]int) map[int][][]int
+		want  string
+	}{
+		{"full reply", func(map[int][][]int) map[int][][]int { return map[int][][]int{} },
+			"layer 0 output group 0: protocol: frame tag"},
+		{"one read short", func(r map[int][][]int) map[int][][]int {
+			r[3] = [][]int{r[3][0], r[3][1][1:]}
+			return r
+		}, "layer 3 output group 1: protocol: read reply carries"},
+	} {
+		runner, err := NewRunner(m, [32]byte{5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if groups := len(runner.sess.s.reads[3]); groups != 2 {
+			t.Fatalf("TestNet's conv2 replies in %d tiles, want 2", groups)
+		}
+		runner.sess.s.reads = tc.reads(readSets(runner.sess.s.convs, runner.sess.s.fcs))
+		clientEnd, serverEnd := protocol.NewPipe()
+		_, _, err = runner.Infer(SynthesizeImage(net, 4, [32]byte{4}), clientEnd, serverEnd)
+		clientEnd.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Infer says %v; want an error saying %q", tc.name, err, tc.want)
+		}
 	}
 }

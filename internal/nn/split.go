@@ -3,6 +3,7 @@ package nn
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"choco/internal/bfv"
@@ -33,10 +34,24 @@ type InferenceClient struct {
 
 	convs map[int]*core.Conv2D
 	fcs   map[int]*core.FC
+	// reads are the coefficients each product-packed reply carries
+	// (readSets), by layer and output group.
+	reads map[int][][]int
+	// scratch holds the buffers one Infer call reuses from layer to layer
+	// and hands to the next call (inferScratch).
+	scratch sync.Pool
 
 	// replyDrop is the level every reply must arrive at
 	// (bfv.Parameters.ReplyDrop); Infer refuses any other.
 	replyDrop int
+}
+
+// inferScratch is what a request writes and drops again: each layer's
+// packed input, its upload frame, which a transport has copied or
+// written once Send returns, and each reply's decoded coefficients.
+type inferScratch struct {
+	packed, decoded []int64
+	frame           []byte
 }
 
 // rotationStepsFor compiles the network's linear layers against the
@@ -94,10 +109,12 @@ func rotationStepsFor(net *Network, m *QuantizedModel, rowSize int) ([]int, map[
 func EvaluationKeyFootprint(net *Network) (galoisKeys int, bundleBytes int64, err error) {
 	params := net.Params
 	rowSize := params.N() / 2
-	// The step set is the operators' own (RotationSteps). Unlike the
-	// executable path, channel and vector widths clamp to one
-	// ciphertext's capacity — wide layers split across ciphertexts but
-	// reuse the same steps.
+	// The step set is the operators' own (RotationSteps): none for a layer
+	// that takes the product packing. Unlike the executable path, a
+	// convolution no packing lays out is priced on the slot packing with
+	// its channels clamped to one ciphertext's blocks
+	// (core.SlotRotationSteps), and FC widths clamp to one row — wide
+	// layers split across ciphertexts but reuse the same steps.
 	set := map[int]bool{}
 	h, w := net.InH, net.InW
 	for i, l := range net.Layers {
@@ -105,16 +122,12 @@ func EvaluationKeyFootprint(net *Network) (galoisKeys int, bundleBytes int64, er
 		switch l.Kind {
 		case Conv:
 			_, _, c := net.shapeAt(i)
-			spec := core.ConvSpec{InH: h, InW: w, InC: 1, KH: l.KH, KW: l.KW, OutC: l.OutC}
-			conv, err := core.NewConv2DSpecOnly(spec, rowSize)
-			if err == nil && c > 1 {
-				spec.InC = min(c, conv.Cb)
-				conv, err = core.NewConv2DSpecOnly(spec, rowSize)
-			}
-			if err != nil {
+			spec := core.ConvSpec{InH: h, InW: w, InC: c, KH: l.KH, KW: l.KW, OutC: l.OutC}
+			if conv, err := core.NewConv2DSpecOnly(spec, rowSize); err == nil {
+				steps = conv.RotationSteps()
+			} else if steps, err = core.SlotRotationSteps(spec, rowSize); err != nil {
 				return 0, 0, fmt.Errorf("nn: layer %d: %w", i, err)
 			}
-			steps = conv.RotationSteps()
 		case FC:
 			hh, ww, cc := net.shapeAt(i)
 			fc, err := core.NewFCSpecOnly(min(hh*ww*cc, rowSize), min(l.FCOut, rowSize), rowSize)
@@ -141,44 +154,81 @@ func EvaluationKeyFootprint(net *Network) (galoisKeys int, bundleBytes int64, er
 // the client moves, and the server's work when no weight is zero.
 type RequestCost struct {
 	UpCiphertexts, DownCiphertexts int
-	// UpFrameBytes and ReplyFrameBytes are what one frame of each
-	// direction costs on the wire (protocol.FrameBytes): a seeded upload
-	// at every data prime, a two-component reply at the primes left after
-	// the parameter set's ReplyDrop. WireBytes is the request's total.
-	UpFrameBytes, ReplyFrameBytes int
-	WireBytes                     int64
-	Server                        core.OpCounts
+	// UpFrameBytes is what one upload frame costs on the wire
+	// (protocol.FrameBytes): seeded, at every data prime. ReplyBytes
+	// prices every reply in the order the server sends them, at the primes
+	// left after the parameter set's ReplyDrop: a product-packed group's
+	// carries c0 at its read coefficients only (protocol.ReadReplyBytes),
+	// a slot group's both polynomials whole. WireBytes is the request's
+	// total.
+	UpFrameBytes int
+	ReplyBytes   []int
+	WireBytes    int64
+	Server       core.OpCounts
 }
 
 // ExecutableRequestCost plans one inference of a network the split
 // client/server can run. Unlike CommPlan — the analytic model, which
 // assumes densely condensed, full-size downloads — it counts the reply
-// ciphertexts the operators' packing produces, at the level they are sent.
-// On LeNet-Sm the two reply counts agree (3): conv blocks carry no pad
-// slots, so conv1's four channels fill one group.
+// ciphertexts the operators' packing produces, at the level they are sent
+// and with the coefficients they carry: conv2 of LeNet-Sm replies in two
+// tiles where the model condenses its outputs into one ciphertext, and
+// each product-packed reply carries c0 at its read coefficients only.
 func ExecutableRequestCost(net *Network) (RequestCost, error) {
 	var rc RequestCost
 	_, convs, fcs, err := rotationStepsFor(net, nil, net.Params.N()/2)
 	if err != nil {
 		return rc, err
 	}
-	add := func(plan core.RotationPlan, outputs int) {
-		rc.UpCiphertexts++
-		rc.DownCiphertexts += outputs
-		rc.Server.Add(core.OpCounts{Rotations: plan.BabySteps + plan.GiantSteps,
-			PlainMults: plan.PlainMults, Adds: plan.PlainMults - outputs})
-	}
-	for _, conv := range convs {
-		add(conv.Plan(), conv.Groups())
-	}
-	for _, fc := range fcs {
-		add(fc.Plan(fc.HoistLevel()), 1)
-	}
 	n, qBits := net.Params.N(), net.Params.QBits
+	replyBits := qBits[:len(qBits)-net.Params.ReplyDrop()]
 	rc.UpFrameBytes = protocol.FrameBytes(ring.PackedBytes(n, qBits...), 1, true)
-	rc.ReplyFrameBytes = protocol.FrameBytes(ring.PackedBytes(n, qBits[:len(qBits)-net.Params.ReplyDrop()]...), 2, false)
-	rc.WireBytes = int64(rc.UpCiphertexts)*int64(rc.UpFrameBytes) + int64(rc.DownCiphertexts)*int64(rc.ReplyFrameBytes)
+	reads := readSets(convs, fcs)
+	for i := range net.Layers {
+		var plan core.RotationPlan
+		groups := 1
+		if conv, ok := convs[i]; ok {
+			plan, groups = conv.Plan(), conv.Groups()
+		} else if fc, ok := fcs[i]; ok {
+			plan = fc.Plan(fc.HoistLevel())
+		} else {
+			continue
+		}
+		rc.UpCiphertexts++
+		rc.DownCiphertexts += groups
+		rc.Server.Add(core.OpCounts{Rotations: plan.BabySteps + plan.GiantSteps,
+			PlainMults: plan.PlainMults, Adds: plan.PlainMults - groups})
+		for g := 0; g < groups; g++ {
+			reply := protocol.FrameBytes(ring.PackedBytes(n, replyBits...), 2, false)
+			if r := reads[i]; r != nil {
+				reply = protocol.ReadReplyBytes(n, replyBits, len(r[g]))
+			}
+			rc.ReplyBytes = append(rc.ReplyBytes, reply)
+			rc.WireBytes += int64(reply)
+		}
+	}
+	rc.WireBytes += int64(rc.UpCiphertexts) * int64(rc.UpFrameBytes)
 	return rc, nil
+}
+
+// readSets lists, per product-packed layer, the coefficients each output
+// group's reply carries (ReadIndices); a slot layer has none. The client
+// and the server derive them alike, from the shapes.
+func readSets(convs map[int]*core.Conv2D, fcs map[int]*core.FC) map[int][][]int {
+	sets := map[int][][]int{}
+	for i, conv := range convs {
+		if conv.Product() {
+			for g := 0; g < conv.Groups(); g++ {
+				sets[i] = append(sets[i], conv.ReadIndices(g))
+			}
+		}
+	}
+	for i, fc := range fcs {
+		if fc.Product() {
+			sets[i] = [][]int{fc.ReadIndices(0)}
+		}
+	}
+	return sets
 }
 
 // NewInferenceClient generates the client's key material for the
@@ -211,6 +261,7 @@ func NewInferenceClient(net *Network, seed [32]byte) (*InferenceClient, error) {
 		keyFrame: protocol.MarshalKeyBundle(kb),
 		convs:    convs,
 		fcs:      fcs,
+		reads:    readSets(convs, fcs),
 
 		replyDrop: net.Params.ReplyDrop(),
 	}, nil
@@ -301,16 +352,26 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 	h, w := net.InH, net.InW
 	slots := c.ctx.Params.Slots()
 
+	sc, _ := c.scratch.Get().(*inferScratch)
+	if sc == nil {
+		sc = &inferScratch{packed: make([]int64, slots), decoded: make([]int64, c.ctx.Params.N())}
+	}
+	defer c.scratch.Put(sc)
+	packed, decoded := sc.packed, sc.decoded
 	send := func(ct *bfv.SeededCiphertext) error {
-		data := protocol.MarshalSeededBFV(ct)
+		data := protocol.AppendSeededBFV(sc.frame[:0], ct)
+		sc.frame = data
+		c.ctx.RingQ.PutPoly(ct.C0)
 		stats.Encryptions++
 		stats.UpCiphertexts++
 		stats.UpBytes += int64(len(data)) + 4
 		return t.Send(data)
 	}
-	// recv takes output group g of layer i. A reply at any level but the
-	// parameter set's is refused: the plan's byte count is the wire's, and
-	// a server that stops switching fails the request.
+	// recv takes output group g of layer i: a read-coefficient frame for
+	// a product-packed layer, a full one for a slot layer, and an error
+	// naming the layer and group for anything else. A reply at any level
+	// but the parameter set's is refused: the plan's byte count is the
+	// wire's, and a server that stops switching fails the request.
 	recv := func(i, g int) (*bfv.Ciphertext, error) {
 		raw, err := t.Recv()
 		if err != nil {
@@ -322,20 +383,27 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 		stats.Decryptions++
 		stats.DownCiphertexts++
 		stats.DownBytes += int64(len(raw)) + 4
-		ct, err := protocol.UnmarshalBFV(c.ctx, raw)
-		if err == nil && ct.Drop != c.replyDrop {
-			k := len(c.ctx.Params.QBits)
-			err = fmt.Errorf("nn: layer %d output group %d arrived at %d residues, the parameter set's replies have %d", i, g, k-ct.Drop, k-c.replyDrop)
+		var ct *bfv.Ciphertext
+		if reads := c.reads[i]; reads != nil {
+			ct, err = protocol.UnmarshalBFVRead(c.ctx, raw, reads[g])
+		} else {
+			ct, err = protocol.UnmarshalBFV(c.ctx, raw)
 		}
-		return ct, err
+		if err != nil {
+			return nil, fmt.Errorf("nn: layer %d output group %d: %w", i, g, err)
+		}
+		if ct.Drop != c.replyDrop {
+			k := len(c.ctx.Params.QBits)
+			return nil, fmt.Errorf("nn: layer %d output group %d arrived at %d residues, the parameter set's replies have %d", i, g, k-ct.Drop, k-c.replyDrop)
+		}
+		return ct, nil
 	}
 
 	for i, l := range net.Layers {
 		switch l.Kind {
 		case Conv:
 			conv := c.convs[i]
-			packed, err := conv.PackInput(act, slots)
-			if err != nil {
+			if err := conv.PackInputInto(packed, act); err != nil {
 				return nil, stats, err
 			}
 			ct, err := c.encrypt(packed, conv.Product())
@@ -351,7 +419,8 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 				if err != nil {
 					return nil, stats, err
 				}
-				decoded := c.decrypt(outCt, conv.Product())
+				decoded := c.decrypt(outCt, conv.Product(), decoded)
+				c.ctx.RecycleCt(outCt)
 				for o := g * conv.GroupSize(); o < (g+1)*conv.GroupSize() && o < l.OutC; o++ {
 					next[o] = conv.ExtractOutput(decoded, o)
 				}
@@ -359,8 +428,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 			act = next
 		case FC:
 			fc := c.fcs[i]
-			packed, err := fc.PackInput(flatten(act), slots)
-			if err != nil {
+			if err := fc.PackInputInto(packed, flatten(act)); err != nil {
 				return nil, stats, err
 			}
 			ct, err := c.encrypt(packed, fc.Product())
@@ -374,7 +442,8 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 			if err != nil {
 				return nil, stats, err
 			}
-			act = [][]int64{fc.ExtractOutput(c.decrypt(outCt, fc.Product()), c.ctx.T.Value)}
+			act = [][]int64{fc.ExtractOutput(c.decrypt(outCt, fc.Product(), decoded), c.ctx.T.Value)}
+			c.ctx.RecycleCt(outCt)
 			h, w = 1, l.FCOut
 		case Act:
 			for ci := range act {
@@ -405,16 +474,22 @@ func (c *InferenceClient) encrypt(packed []int64, coeffs bool) (*bfv.SeededCiphe
 	if err != nil {
 		return nil, err
 	}
-	return c.symEnc.EncryptSeeded(pt), nil
+	ct := c.symEnc.EncryptSeeded(pt)
+	c.ctx.RingT.PutPoly(pt.Poly)
+	return ct, nil
 }
 
 // decrypt opens one reply in its layer's packing: centered coefficients
-// of a product-packed layer, centered slots of the others.
-func (c *InferenceClient) decrypt(ct *bfv.Ciphertext, coeffs bool) []int64 {
+// of a product-packed layer, written into out and returned, or centered
+// slots of the others.
+func (c *InferenceClient) decrypt(ct *bfv.Ciphertext, coeffs bool, out []int64) []int64 {
 	if !coeffs {
 		return c.dec.DecryptInts(ct)
 	}
-	return c.ecd.DecodeCoeffs(c.dec.Decrypt(ct))
+	pt := c.dec.Decrypt(ct)
+	c.ecd.DecodeCoeffsInto(pt, out)
+	c.ctx.RingT.PutPoly(pt.Poly)
+	return out
 }
 
 // InferenceServer is the untrusted offload side holding the weights.
@@ -431,6 +506,12 @@ type InferenceServer struct {
 	ecd   *bfv.Encoder
 	convs map[int]*core.Conv2D
 	fcs   map[int]*core.FC
+	// reads are the coefficients each product-packed reply carries
+	// (readSets), by layer and output group.
+	reads map[int][][]int
+	// frames holds reply-frame buffers: a request marshals reply after
+	// reply into one, and hands it to the next request.
+	frames sync.Pool
 
 	// replyDrop is how many data primes every finished output sheds
 	// before it is sent (bfv.Parameters.ReplyDrop).
@@ -509,14 +590,22 @@ func NewInferenceServer(m *QuantizedModel) (*InferenceServer, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, conv := range convs {
+		conv.Prepare(ctx)
+	}
+	for _, fc := range fcs {
+		fc.Prepare(ctx)
+	}
 	return &InferenceServer{Model: m, ctx: ctx, ecd: bfv.NewEncoder(ctx), convs: convs, fcs: fcs,
-		replyDrop: ctx.Params.ReplyDrop()}, nil
+		reads: readSets(convs, fcs), replyDrop: ctx.Params.ReplyDrop()}, nil
 }
 
 // ServeOne processes one inference request on this session: for each
 // linear layer it receives the packed input ciphertext, evaluates, and
 // returns the output group ciphertexts, each modulus-switched down to the
-// parameter set's reply level first. The first Recv is the start of
+// parameter set's reply level first; a product-packed group's reply
+// carries c0 at the coefficients the client reads only
+// (protocol.MarshalBFVRead). The first Recv is the start of
 // the request — a server may arm an idle timeout for it and a tighter
 // I/O timeout for the frames that follow. Returns the server-side
 // operation counts. Errors carry the failing layer and frame role.
@@ -542,6 +631,11 @@ func (sess *ServerSession) ServeOneAccounted(t protocol.Transport, account func(
 			last = i
 		}
 	}
+	buf, _ := s.frames.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	defer s.frames.Put(buf)
 	for i, l := range layers {
 		if l.Kind != Conv && l.Kind != FC {
 			continue
@@ -562,6 +656,7 @@ func (sess *ServerSession) ServeOneAccounted(t protocol.Transport, account func(
 		if err != nil {
 			return ops, fmt.Errorf("nn: layer %d (%s) evaluate: %w", i, kind, err)
 		}
+		sess.ev.RecycleCt(ct) // the outputs are ciphertexts of their own
 		ops.Add(layerOps)
 		for g, o := range outs {
 			// A finished output is this request's alone and is only ever
@@ -575,7 +670,13 @@ func (sess *ServerSession) ServeOneAccounted(t protocol.Transport, account func(
 				sess.ev.RecycleCt(o)
 				o = small
 			}
-			frame := protocol.MarshalBFV(o)
+			var frame []byte
+			if reads := s.reads[i]; reads != nil {
+				frame = protocol.AppendBFVRead((*buf)[:0], o, reads[g])
+				*buf = frame // the transport has copied or written it once Send returns
+			} else {
+				frame = protocol.MarshalBFV(o)
+			}
 			sess.ev.RecycleCt(o)
 			if account != nil && i == last && g == len(outs)-1 {
 				account(ops)

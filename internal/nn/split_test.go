@@ -78,8 +78,8 @@ func TestKeyBundleRoundTrip(t *testing.T) {
 	if !bytes.Equal(protocol.MarshalKeyBundle(back), data) {
 		t.Error("the decoded bundle does not marshal back to the client's frame")
 	}
-	if len(back.Galois) == 0 || back.Relin != nil {
-		t.Errorf("the bundle carries %d Galois keys and a relinearization key: %v; a linear network needs some and none", len(back.Galois), back.Relin != nil)
+	if len(back.Galois) != 0 || back.Relin != nil || back.PK == nil {
+		t.Errorf("the bundle carries %d Galois keys, a relinearization key: %v, a public key: %v; a network of product-packed layers needs none, none and one", len(back.Galois), back.Relin != nil, back.PK != nil)
 	}
 	// Corruption is detected.
 	if _, err := protocol.UnmarshalKeyBundle(client.ctx, data[:100]); err == nil {
@@ -148,13 +148,15 @@ func TestSplitDemoNetworkEndToEnd(t *testing.T) {
 		t.Error("demo network produced all-zero logits; requant shifts too aggressive")
 	}
 	// Preset B wire check: a seeded upload carries one polynomial of two
-	// packed 36-bit rows (2 · 18 432 B) plus a 32-byte seed; a download two
-	// polynomials at the one residue replies are switched down to (36 864 B
-	// again); each behind a 24-byte header and the 4-byte length prefix.
+	// packed 36-bit rows (2 · 18 432 B) plus a 32-byte seed; a download c1
+	// at the one residue replies are switched down to (18 432 B) and c0 at
+	// the read coefficients, 36 bits each in whole words (conv1 3 136,
+	// conv2's tiles 588, 588 and 392, FC 10); each behind a 24-byte header
+	// and the 4-byte length prefix.
 	if perUp := stats.UpBytes / int64(stats.UpCiphertexts); perUp != 36924 {
 		t.Errorf("per-ciphertext up bytes %d, want 36924", perUp)
 	}
-	if perDown := stats.DownBytes / int64(stats.DownCiphertexts); perDown != 36892 {
-		t.Errorf("per-ciphertext down bytes %d, want 36892", perDown)
+	if stats.DownCiphertexts != 5 || stats.DownBytes != 113524 {
+		t.Errorf("%d replies of %d B, want 5 of 113524 B", stats.DownCiphertexts, stats.DownBytes)
 	}
 }

@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -280,6 +281,45 @@ func FuzzStatsFetch(f *testing.F) {
 			if !bytes.Equal(MarshalStatsResp(body), data) {
 				t.Fatalf("stats response (%d B body) does not marshal back to its frame", len(body))
 			}
+		}
+	})
+}
+
+// FuzzUnmarshalBFVRead throws arbitrary bytes, seeded from a read-
+// coefficient reply and its near misses, at the decoder a client runs on
+// every product-packed reply: the outcome is an error, or a ciphertext
+// whose residues are all reduced, whose c0 is zero off the read set, and
+// which marshals back to exactly the bytes it came from.
+func FuzzUnmarshalBFVRead(f *testing.F) {
+	w := newWireFrames(f)
+	frame := w.bfvRead
+	f.Add(frame)
+	f.Add(frame[:len(frame)/2])
+	f.Add(frame[:headerBytes])
+	f.Add(mutated(frame, setU64(len(frame)-8, math.MaxUint64)))
+	f.Add(mutated(frame, setU64(16, uint64(len(w.readIdx)-1))))
+	f.Add(mutated(frame, setU32(12, 2)))
+	f.Add(w.bfvDropped)
+	f.Add([]byte{})
+	reads := map[int]bool{}
+	for _, k := range w.readIdx {
+		reads[k] = true
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ct, err := UnmarshalBFVRead(w.bctx, data, w.readIdx)
+		if err != nil {
+			return
+		}
+		checkBFV(t, w.bctx, ct)
+		for i, row := range ct.Value[0].Coeffs {
+			for j, v := range row {
+				if v != 0 && !reads[j] {
+					t.Fatalf("c0 row %d holds %d at %d, off the read set", i, v, j)
+				}
+			}
+		}
+		if !bytes.Equal(MarshalBFVRead(ct, w.readIdx), data) {
+			t.Fatal("an accepted read reply marshals back to different bytes")
 		}
 	})
 }

@@ -29,6 +29,11 @@ type wireFrames struct {
 	bfvDropped           []byte // one residue modulus-switched away
 	ckksFull, ckksSeeded []byte
 	bfvValue, ckksValue  []*ring.Poly // the polynomials inside bfvFull and ckksFull
+	// bfvRead is the dropped reply as a product-packed layer sends it,
+	// c0 at readIdx only: 100 coefficients, seven apart, whose 40-bit
+	// fields end inside a word.
+	bfvRead []byte
+	readIdx []int
 }
 
 func newWireFrames(t testing.TB) wireFrames {
@@ -75,9 +80,14 @@ func newWireFrames(t testing.TB) wireFrames {
 	if err != nil {
 		t.Fatal(err)
 	}
+	readIdx := make([]int, 100)
+	for i := range readIdx {
+		readIdx[i] = 3 + 7*i
+	}
 	return wireFrames{
 		bctx: bctx, cctx: cctx,
 		bfvFull: MarshalBFV(bct), bfvSeeded: MarshalSeededBFV(bsct), bfvDropped: MarshalBFV(dropped),
+		bfvRead: MarshalBFVRead(dropped, readIdx), readIdx: readIdx,
 		ckksFull: MarshalCKKS(cct), ckksSeeded: MarshalSeededCKKS(csct),
 		bfvValue: bct.Value, ckksValue: cct.Value,
 	}
@@ -247,6 +257,104 @@ func TestUnmarshalRejectsHostileCiphertexts(t *testing.T) {
 			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
 				t.Errorf("%s: %s failed with %q, want the %q check to fire", tc.name, d.name, err, tc.want)
 			}
+		}
+	}
+}
+
+// withReadField sets c0's read coefficient j, the packed fields at at of
+// a read-coefficient reply over r, to v.
+func withReadField(r *ring.Ring, at int, idx []int, j int, v uint64) func([]byte) []byte {
+	return func(b []byte) []byte {
+		p := r.NewPoly()
+		if err := p.UnpackAt(b[at:], idx); err != nil {
+			panic(err)
+		}
+		p.Coeffs[0][idx[j]] = v
+		copy(b[at:], p.AppendPackedAt(nil, idx))
+		return b
+	}
+}
+
+// TestUnmarshalReadReplyRejects holds the read-coefficient reply decoder
+// to its contract: the frame a product-packed layer sends decodes to the
+// switched reply with c0 zero off the read set, and a count that
+// disagrees with the layer (in the header, or a layer that reads one
+// coefficient fewer), a residue ≥ q in c1 or among c0's reads, a set
+// padding bit, a truncated or overlong frame, a wrong shape, and the
+// frame arriving where a slot layer's full reply is due are refused by
+// name.
+func TestUnmarshalReadReplyRejects(t *testing.T) {
+	f := newWireFrames(t)
+	idx := f.readIdx
+	r := f.bctx.RingAtDrop(f.bctx.Params.ReplyDrop())
+	q := r.Moduli[0].Value
+	c0At := headerBytes + r.PackedBytes()
+	read := func(idx []int) func([]byte) error {
+		return func(b []byte) error { _, err := UnmarshalBFVRead(f.bctx, b, idx); return err }
+	}
+	setLastBit := func(b []byte) []byte { b[len(b)-1] |= 0x80; return b }
+
+	ct, err := UnmarshalBFVRead(f.bctx, f.bfvRead, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := UnmarshalBFV(f.bctx, f.bfvDropped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := map[int]bool{}
+	for _, k := range idx {
+		reads[k] = true
+	}
+	for j := range whole.Value[0].Coeffs[0] {
+		want := whole.Value[0].Coeffs[0][j]
+		if !reads[j] {
+			want = 0
+		}
+		if ct.Drop != f.bctx.Params.ReplyDrop() || ct.Value[0].Coeffs[0][j] != want || ct.Value[1].Coeffs[0][j] != whole.Value[1].Coeffs[0][j] {
+			t.Fatalf("coefficient %d decodes to c0 %d, c1 %d at drop %d; want c0 %d, c1 %d", j, ct.Value[0].Coeffs[0][j], ct.Value[1].Coeffs[0][j], ct.Drop, want, whole.Value[1].Coeffs[0][j])
+		}
+	}
+	if got := len(f.bfvRead) + lengthPrefixBytes; got != ReadReplyBytes(r.N, []int{r.Moduli[0].BitLen()}, len(idx)) {
+		t.Errorf("the frame is %d B on the wire, ReadReplyBytes says %d", got, ReadReplyBytes(r.N, []int{r.Moduli[0].BitLen()}, len(idx)))
+	}
+
+	for _, tc := range []struct {
+		name   string
+		decode func([]byte) error
+		frame  []byte
+		want   string // substring of the error; "" means the frame is valid
+	}{
+		{"valid", read(idx), f.bfvRead, ""},
+		{"largest read residue q-1", read(idx), mutated(f.bfvRead, withReadField(r, c0At, idx, 99, q-1)), ""},
+		{"header count one more than the layer reads", read(idx), mutated(f.bfvRead, setU64(16, uint64(len(idx)+1))), "the layer reads"},
+		{"header count 2^64-1", read(idx), mutated(f.bfvRead, setU64(16, math.MaxUint64)), "the layer reads"},
+		{"a layer reading one coefficient fewer", read(idx[:len(idx)-1]), f.bfvRead, "the layer reads"},
+		{"c1 residue = q", read(idx), mutated(f.bfvRead, withResidue(r, headerBytes, 0, 5, q)), "not reduced"},
+		{"c1 field of all ones", read(idx), mutated(f.bfvRead, withResidue(r, headerBytes, 0, r.N-1, allOnes(r, 0))), "not reduced"},
+		{"first read residue = q", read(idx), mutated(f.bfvRead, withReadField(r, c0At, idx, 0, q)), "not reduced"},
+		{"last read field of all ones", read(idx), mutated(f.bfvRead, withReadField(r, c0At, idx, 99, allOnes(r, 0))), "not reduced"},
+		{"padding bit set", read(idx), mutated(f.bfvRead, setLastBit), "padding"},
+		{"truncated in the header", read(idx), f.bfvRead[:20], "truncated"},
+		{"truncated in c0", read(idx), f.bfvRead[:len(f.bfvRead)-8], "length"},
+		{"truncated in c1", read(idx), f.bfvRead[:c0At-8], "length"},
+		{"one word long", read(idx), append(bytes.Clone(f.bfvRead), make([]byte, 8)...), "length"},
+		{"k says every residue", read(idx), mutated(f.bfvRead, setU32(12, uint32(len(f.bctx.RingQ.Moduli)))), "length"},
+		{"k = 0", read(idx), mutated(f.bfvRead, setU32(12, 0)), "shape"},
+		{"three components", read(idx), mutated(f.bfvRead, setU32(4, 3)), "shape"},
+		{"N halved", read(idx), mutated(f.bfvRead, setU32(8, uint32(r.N/2))), "shape"},
+		{"a full reply where reads are due", read(idx), f.bfvDropped, "not the expected ciphertext tag"},
+		{"the frame where a slot layer's reply is due", func(b []byte) error { _, err := UnmarshalBFV(f.bctx, b); return err }, f.bfvRead, "not the expected ciphertext tag"},
+		{"the frame as an upload", func(b []byte) error { _, err := UnmarshalAnyBFV(f.bctx, b); return err }, f.bfvRead, "not the expected ciphertext tag"},
+	} {
+		err := tc.decode(tc.frame)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected a valid frame: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted the frame", tc.name)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: failed with %q, want the %q check to fire", tc.name, err, tc.want)
 		}
 	}
 }

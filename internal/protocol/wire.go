@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,6 +46,10 @@ const (
 	// about half the bytes of a regular frame.
 	SchemeBFVSeeded  = HelloVersion<<16 | uint32(3)
 	SchemeCKKSSeeded = HelloVersion<<16 | uint32(4)
+	// SchemeBFVRead tags a product-packed layer's reply: c1 whole, then
+	// c0 at the coefficients the layer reads only, their count in the
+	// header's spare field (MarshalBFVRead).
+	SchemeBFVRead = HelloVersion<<16 | uint32(5)
 )
 
 // frameShape says what a frame family carries besides its residues: a
@@ -70,19 +75,34 @@ func FrameBytes(polyBytes, polys int, seeded bool) int {
 // component count, N, residue count k, scale), the seed of a seeded
 // frame, then the polynomials' packed rows. The level travels as k.
 func marshalFrame(tag uint32, scale float64, seed *[seedBytes]byte, polys ...*ring.Poly) []byte {
+	return appendFrame(nil, tag, scale, seed, polys...)
+}
+
+// appendFrame is marshalFrame appending to dst.
+func appendFrame(dst []byte, tag uint32, scale float64, seed *[seedBytes]byte, polys ...*ring.Poly) []byte {
 	n, k := len(polys[0].Coeffs[0]), len(polys[0].Coeffs)
-	buf := make([]byte, headerBytes, FrameBytes(polys[0].PackedBytes(), len(polys), seed != nil)-lengthPrefixBytes)
-	binary.LittleEndian.PutUint32(buf[0:], tag)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(polys)))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(n))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(k))
-	binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(scale))
+	buf := appendHeader(dst, FrameBytes(polys[0].PackedBytes(), len(polys), seed != nil)-lengthPrefixBytes,
+		tag, len(polys), n, k, math.Float64bits(scale))
 	if seed != nil {
 		buf = append(buf, seed[:]...)
 	}
 	for _, p := range polys {
 		buf = p.AppendPacked(buf)
 	}
+	return buf
+}
+
+// appendHeader appends a 24-byte frame header to dst, growing it to hold
+// a frame of size bytes, and returns it.
+func appendHeader(dst []byte, size int, tag uint32, components, n, k int, spare uint64) []byte {
+	off := len(dst)
+	buf := slices.Grow(dst, size)[:off+headerBytes]
+	h := buf[off:]
+	binary.LittleEndian.PutUint32(h[0:], tag)
+	binary.LittleEndian.PutUint32(h[4:], uint32(components))
+	binary.LittleEndian.PutUint32(h[8:], uint32(n))
+	binary.LittleEndian.PutUint32(h[12:], uint32(k))
+	binary.LittleEndian.PutUint64(h[16:], spare)
 	return buf
 }
 
@@ -101,7 +121,7 @@ func checkTag(data []byte, tag uint32) error {
 		return fmt.Errorf("protocol: truncated ciphertext")
 	}
 	got := binary.LittleEndian.Uint32(data)
-	if family := got & 0xffff; got>>16 != HelloVersion && family >= SchemeBFV&0xffff && family <= SchemeCKKSSeeded&0xffff {
+	if family := got & 0xffff; got>>16 != HelloVersion && family >= SchemeBFV&0xffff && family <= SchemeBFVRead&0xffff {
 		// Version 1 wrote the bare family, before tags carried a version.
 		return fmt.Errorf("protocol: ciphertext frame is wire version %d, this peer speaks version %d (packed residue rows)",
 			max(got>>16, 1), HelloVersion)
@@ -154,7 +174,7 @@ func unmarshalFrame(ctx *rlwe.Context, tag uint32, data []byte) (value []*ring.P
 	copy(seed[:], data[headerBytes:off])
 	value = make([]*ring.Poly, deg)
 	for i := range value {
-		value[i] = r.NewPoly()
+		value[i] = r.GetPoly()
 		if err := value[i].Unpack(data[off : off+polyBytes]); err != nil {
 			return nil, 0, seed, fmt.Errorf("protocol: ciphertext component %d: %w", i, err)
 		}
@@ -177,9 +197,90 @@ func UnmarshalBFV(ctx *bfv.Context, data []byte) (*bfv.Ciphertext, error) {
 	return &bfv.Ciphertext{Value: value, Drop: len(ctx.RingQ.Moduli) - len(value[0].Coeffs)}, nil
 }
 
+// ReadReplyBytes returns what one read-coefficient reply frame costs on
+// the wire, the transport's length prefix included: the header, c1 at
+// every residue of qBits (ring.PackedBytes), and c0's reads coefficients
+// at each residue's bit width (ring.PackedFieldsBytes).
+func ReadReplyBytes(n int, qBits []int, reads int) int {
+	total := lengthPrefixBytes + headerBytes + ring.PackedBytes(n, qBits...)
+	for _, b := range qBits {
+		total += ring.PackedFieldsBytes(reads, b)
+	}
+	return total
+}
+
+// MarshalBFVRead serializes a degree-1 BFV ciphertext for a client that
+// reads only the coefficients idx of its decryption: coefficient k of
+// the decryption is c0[k] + (c1·s)[k], which needs all of c1 and c0[k]
+// alone. The frame is the 24-byte header (tag SchemeBFVRead, 2
+// components, N, residue count k, len(idx) in the spare field), c1's
+// packed rows, then c0's rows at idx as packed fields
+// (ring.Poly.AppendPackedAt). The indices do not travel: both ends
+// derive them from the layer (core.Conv2D.ReadIndices,
+// core.FC.ReadIndices).
+func MarshalBFVRead(ct *bfv.Ciphertext, idx []int) []byte {
+	return AppendBFVRead(nil, ct, idx)
+}
+
+// AppendBFVRead is MarshalBFVRead appending to dst: a server that sends
+// reply after reply reuses one buffer.
+func AppendBFVRead(dst []byte, ct *bfv.Ciphertext, idx []int) []byte {
+	c0, c1 := ct.Value[0], ct.Value[1]
+	buf := appendHeader(dst, headerBytes+c1.PackedBytes()+c0.PackedBytesAt(len(idx)),
+		SchemeBFVRead, 2, len(c1.Coeffs[0]), len(c1.Coeffs), uint64(len(idx)))
+	buf = c1.AppendPacked(buf)
+	return c0.AppendPackedAt(buf, idx)
+}
+
+// UnmarshalBFVRead reads a frame MarshalBFVRead wrote for the reads idx
+// of a layer, strictly: the tag, N and a residue count the context has, 2
+// components, a read count equal to len(idx), the exact length, every
+// residue of c1 and every read residue of c0 below its modulus, and zero
+// padding bits. It returns the full ciphertext the client decrypts, c0
+// zero at every coefficient the layer does not read; the decryption is
+// exact at the read coefficients and meaningless elsewhere.
+func UnmarshalBFVRead(ctx *bfv.Context, data []byte, idx []int) (*bfv.Ciphertext, error) {
+	if err := checkTag(data, SchemeBFVRead); err != nil {
+		return nil, err
+	}
+	if len(data) < headerBytes {
+		return nil, fmt.Errorf("protocol: truncated ciphertext")
+	}
+	deg := int(binary.LittleEndian.Uint32(data[4:]))
+	n := int(binary.LittleEndian.Uint32(data[8:]))
+	k := int(binary.LittleEndian.Uint32(data[12:]))
+	reads := binary.LittleEndian.Uint64(data[16:])
+	if full := len(ctx.RingQ.Moduli); n != ctx.RingQ.N || k < 1 || k > full || deg != 2 {
+		return nil, fmt.Errorf("protocol: read reply shape (N=%d,k=%d, %d components) does not match context (N=%d,k≤%d, 2 components)",
+			n, k, deg, ctx.RingQ.N, full)
+	}
+	if reads != uint64(len(idx)) {
+		return nil, fmt.Errorf("protocol: read reply carries %d coefficients, the layer reads %d", reads, len(idx))
+	}
+	r := ctx.RingAtLevel(k - 1)
+	c1Bytes := r.PackedBytes()
+	if want := headerBytes + c1Bytes + r.PackedBytesAt(len(idx)); len(data) != want {
+		return nil, fmt.Errorf("protocol: read reply length %d, want %d", len(data), want)
+	}
+	c0, c1 := r.GetPoly(), r.GetPoly()
+	if err := c1.Unpack(data[headerBytes : headerBytes+c1Bytes]); err != nil {
+		return nil, fmt.Errorf("protocol: read reply c1: %w", err)
+	}
+	if err := c0.UnpackAt(data[headerBytes+c1Bytes:], idx); err != nil {
+		return nil, fmt.Errorf("protocol: read reply c0: %w", err)
+	}
+	return &bfv.Ciphertext{Value: []*ring.Poly{c0, c1}, Drop: len(ctx.RingQ.Moduli) - k}, nil
+}
+
 // MarshalSeededBFV serializes a seed-compressed ciphertext.
 func MarshalSeededBFV(sct *bfv.SeededCiphertext) []byte {
-	return marshalFrame(SchemeBFVSeeded, 0, &sct.Seed, sct.C0)
+	return AppendSeededBFV(nil, sct)
+}
+
+// AppendSeededBFV is MarshalSeededBFV appending to dst: a client that
+// uploads layer after layer reuses one buffer.
+func AppendSeededBFV(dst []byte, sct *bfv.SeededCiphertext) []byte {
+	return appendFrame(dst, SchemeBFVSeeded, 0, &sct.Seed, sct.C0)
 }
 
 // UnmarshalSeededBFV reconstructs and expands a seed-compressed
@@ -250,6 +351,9 @@ func UnmarshalAnyCKKS(ctx *ckks.Context, data []byte) (*ckks.Ciphertext, error) 
 // server and accounts for every byte, which is the quantity CHOCO
 // optimizes.
 type Transport interface {
+	// Send delivers msg and keeps no reference to it: a sender may
+	// reuse the buffer once Send returns (Pipe copies it, Conn writes
+	// it).
 	Send(msg []byte) error
 	Recv() ([]byte, error)
 	// SentBytes and ReceivedBytes report cumulative traffic from this

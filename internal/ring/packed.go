@@ -11,8 +11,9 @@ import (
 // and not as N 64-bit words — at bfv-B's 36-bit primes 44 % of a flat
 // word dump is zero. This file is the one place that knows the layout;
 // ciphertext frames and key bundles (internal/protocol) are headers
-// around AppendPacked and Unpack, and every byte count anywhere in the
-// tree comes from PackedBytes.
+// around AppendPacked and Unpack (a read-coefficient reply's c0 around
+// AppendPackedAt and UnpackAt, below), and every byte count anywhere in
+// the tree comes from PackedBytes and PackedFieldsBytes.
 //
 // Layout of one row: four interleaved little-endian bitstreams. Stream l
 // carries coefficients l, l+4, l+8, … as consecutive b-bit fields, and
@@ -157,4 +158,116 @@ func unpackRow(row []uint64, src []byte, b uint, q uint64) bool {
 		row[0], row[1], row[2], row[3] = v0, v1, v2, v3
 	}
 	return inRange>>63 != 0
+}
+
+// Packed fields: the wire form of a chosen subset of one residue row, as
+// a product-packed layer's reply carries c0 at the coefficients the client
+// reads. count b-bit values travel as one little-endian bitstream, value i
+// at bits [i·b, (i+1)·b), closed to whole 8-byte words with zero bits.
+
+// PackedFieldsBytes returns the packed size of count values of b bits.
+func PackedFieldsBytes(count, b int) int { return (count*b + 63) / 64 * 8 }
+
+// appendFields appends count values, value(i) for each, b bits each
+// (1 ≤ b ≤ 63), to dst. Every value must be below 2^b.
+func appendFields(dst []byte, count int, b uint, value func(int) uint64) []byte {
+	off, n := len(dst), PackedFieldsBytes(count, int(b))
+	dst = slices.Grow(dst, n)[:off+n]
+	out := dst[off:]
+	var acc uint64
+	var fill uint
+	for i := 0; i < count; i++ {
+		v := value(i)
+		acc |= v << fill
+		if fill += b; fill >= 64 {
+			binary.LittleEndian.PutUint64(out, acc)
+			out = out[8:]
+			fill -= 64
+			acc = v >> (b - fill) // the bits of v the stored word had no room for
+		}
+	}
+	if fill > 0 {
+		binary.LittleEndian.PutUint64(out, acc)
+	}
+	return dst
+}
+
+// unpackFields is appendFields' inverse: it hands value i to set(i, v)
+// for each of count values in src, which must be exactly
+// PackedFieldsBytes(count, b) long, and refuses a value that is not below
+// q or a padding bit that is set, so an accepted stream is the one
+// encoding of its values.
+func unpackFields(src []byte, count int, b uint, q uint64, set func(int, uint64)) error {
+	if want := PackedFieldsBytes(count, int(b)); len(src) != want {
+		return fmt.Errorf("ring: %d packed bytes, %d fields of %d bits take %d", len(src), count, b, want)
+	}
+	mask := uint64(1)<<b - 1
+	var acc uint64 // bits read and not yet handed out
+	var have uint  // how many
+	for i := 0; i < count; i++ {
+		v := acc
+		if have < b {
+			w := binary.LittleEndian.Uint64(src)
+			src = src[8:]
+			v |= w << have
+			used := b - have // 1…b bits of w complete the field
+			acc, have = w>>used, 64-used
+		} else {
+			acc, have = acc>>b, have-b
+		}
+		if v &= mask; v >= q {
+			return fmt.Errorf("ring: packed field %d holds %d, not reduced mod %d", i, v, q)
+		}
+		set(i, v)
+	}
+	if acc != 0 {
+		return fmt.Errorf("ring: packed fields carry set padding bits")
+	}
+	return nil
+}
+
+// PackedBytesAt returns the packed size of count coefficients of each row
+// of a polynomial of r (AppendPackedAt).
+func (r *Ring) PackedBytesAt(count int) int {
+	total := 0
+	for _, m := range r.Moduli {
+		total += PackedFieldsBytes(count, m.BitLen())
+	}
+	return total
+}
+
+// PackedBytesAt returns the packed size of count coefficients of each row
+// of p.
+func (p *Poly) PackedBytesAt(count int) int { return p.wireRing().PackedBytesAt(count) }
+
+// AppendPackedAt appends p's coefficients at idx, row by row, each row's
+// values as packed fields of its modulus' width.
+func (p *Poly) AppendPackedAt(dst []byte, idx []int) []byte {
+	r := p.wireRing()
+	for i, row := range p.Coeffs {
+		dst = appendFields(dst, len(idx), uint(r.Moduli[i].BitLen()), func(j int) uint64 { return row[idx[j]] })
+	}
+	return dst
+}
+
+// UnpackAt is AppendPackedAt's inverse: it sets p's coefficients at idx
+// from src, which must be exactly PackedBytesAt(len(idx)) long, and every
+// other coefficient to zero. A value that is not a residue of its
+// modulus, or a set padding bit, is an error. Do not use p after an
+// error.
+func (p *Poly) UnpackAt(src []byte, idx []int) error {
+	r := p.wireRing()
+	if want := r.PackedBytesAt(len(idx)); len(src) != want {
+		return fmt.Errorf("ring: %d packed bytes, %d coefficients of this ring take %d", len(src), len(idx), want)
+	}
+	for i, row := range p.Coeffs {
+		m := r.Moduli[i]
+		n := PackedFieldsBytes(len(idx), m.BitLen())
+		clear(row)
+		if err := unpackFields(src[:n], len(idx), uint(m.BitLen()), m.Value, func(j int, v uint64) { row[idx[j]] = v }); err != nil {
+			return fmt.Errorf("ring: residue row %d: %w", i, err)
+		}
+		src = src[n:]
+	}
+	return nil
 }

@@ -233,3 +233,69 @@ func BenchmarkPackRow36(b *testing.B)   { benchPackedRow(b, 36, false) }
 func BenchmarkPackRow59(b *testing.B)   { benchPackedRow(b, 59, false) }
 func BenchmarkUnpackRow36(b *testing.B) { benchPackedRow(b, 36, true) }
 func BenchmarkUnpackRow59(b *testing.B) { benchPackedRow(b, 59, true) }
+
+// TestPackedFieldsMatchLayout holds the field codec to its documented
+// layout, one bit at a time, at every width and at counts that end
+// inside a word, on a word boundary and at zero, and its decoder to
+// refusing a value ≥ q, a set padding bit and a wrong length.
+func TestPackedFieldsMatchLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for b := uint(2); b <= 62; b++ {
+		q := modulusOfWidth(rng, b)
+		for _, n := range []int{0, 1, 10, 64, 588, 3136} {
+			vals := make([]uint64, n)
+			if n > 0 {
+				vals = rowBelow(rng, n, q)
+			}
+			got := appendFields([]byte{0xAA}, n, b, func(i int) uint64 { return vals[i] })
+			if got[0] != 0xAA || len(got) != 1+PackedFieldsBytes(n, int(b)) || len(got)%8 != 1 {
+				t.Fatalf("width %d, count %d: appended %d bytes to a 1-byte prefix, want %d whole words", b, n, len(got)-1, PackedFieldsBytes(n, int(b)))
+			}
+			got = got[1:]
+			want := make([]byte, len(got))
+			for i, v := range vals {
+				for k := uint(0); k < b; k++ {
+					if v>>k&1 == 1 {
+						bit := uint(i)*b + k
+						want[bit/8] |= 1 << (bit % 8)
+					}
+				}
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("width %d, count %d: AppendPackedFields does not write the documented layout", b, n)
+			}
+			back := make([]uint64, n)
+			unpack := func(src []byte) error {
+				return unpackFields(src, n, b, q, func(i int, v uint64) { back[i] = v })
+			}
+			if err := unpack(got); err != nil {
+				t.Fatalf("width %d, count %d: %v", b, n, err)
+			}
+			for i := range vals {
+				if back[i] != vals[i] {
+					t.Fatalf("width %d, count %d: field %d came back %d, was %d", b, n, i, back[i], vals[i])
+				}
+			}
+			if n == 0 {
+				continue
+			}
+			if err := unpack(append(got, make([]byte, 8)...)); err == nil {
+				t.Fatalf("width %d, count %d: a stream one word long accepted", b, n)
+			}
+			at := rng.Intn(n)
+			old := vals[at]
+			vals[at] = q
+			if err := unpack(appendFields(nil, n, b, func(i int) uint64 { return vals[i] })); err == nil || !strings.Contains(err.Error(), "not reduced") {
+				t.Fatalf("width %d, count %d: field %d = q accepted (%v)", b, n, at, err)
+			}
+			vals[at] = old
+			if pad := len(got)*8 - n*int(b); pad > 0 {
+				bad := bytes.Clone(got)
+				bad[len(bad)-1] |= 0x80
+				if err := unpack(bad); err == nil || !strings.Contains(err.Error(), "padding") {
+					t.Fatalf("width %d, count %d: a set padding bit accepted (%v)", b, n, err)
+				}
+			}
+		}
+	}
+}

@@ -148,7 +148,7 @@ func (enc *SymmetricEncryptor) ZeroRow(i int, c0 []uint64) {
 // where ciphertexts live (the server-side half of seeded encryption).
 func (ctx *Context) ExpandA(seed [32]byte, level int) *ring.Poly {
 	r := ctx.ringQl[level]
-	a := r.NewPoly()
+	a := r.GetPoly() // a server returns an upload's once the layer has read it
 	uniform(sampling.NewSource(seed, ctx.label+"-seeded-a"), r, level, a)
 	r.INTT(a)
 	return a

@@ -15,7 +15,7 @@ import (
 )
 
 // TestLayerRunsOnArrival: two sessions are admitted and one of them never
-// sends a request. The other's whole inference — three layers — completes
+// sends a request. The other's whole inference — four layers — completes
 // all the same: a layer runs when its input arrives, and nothing on the
 // way waits for a second session to show up.
 func TestLayerRunsOnArrival(t *testing.T) {
@@ -39,8 +39,8 @@ func TestLayerRunsOnArrival(t *testing.T) {
 	if st.SessionsActive != 1 || st.Inferences != 1 {
 		t.Errorf("%d active session(s), %d inference(s): want the silent session still open beside one finished inference", st.SessionsActive, st.Inferences)
 	}
-	if b := st.Batching; b.Items != 3 || b.Rounds != 3 || b.CoalescedItems != 0 || b.SerialRescues != 0 {
-		t.Errorf("executor stats %+v: want three layer calls, one per layer", b)
+	if b := st.Batching; b.Items != 4 || b.Rounds != 4 || b.CoalescedItems != 0 || b.SerialRescues != 0 {
+		t.Errorf("executor stats %+v: want four layer calls, one per layer", b)
 	}
 	silentEnd.Close()
 	if err := <-silentDone; err != nil {
@@ -80,7 +80,7 @@ func (r *replay) ReceivedBytes() int64 { return 0 }
 func TestConcurrentSessionsExactLogits(t *testing.T) {
 	testkit.CheckGoroutines(t)
 	backend, model := testBackend(t, testNetwork)
-	const maxSessions, requests, layers = 3, 2, 3
+	const maxSessions, requests, layers = 3, 2, 4
 	clients := make([]*nn.InferenceClient, maxSessions)
 	for i := range clients {
 		var err error

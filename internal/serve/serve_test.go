@@ -16,13 +16,12 @@ import (
 	"choco/internal/testkit"
 )
 
-// testNetwork has LeNet-Sm's mix of packings at the Test preset: conv1
-// and FC take the product packing, conv2 (past the preset's 2 048
-// coefficients) the slot packing, so sessions rotate and share cached
-// weight plaintexts.
-func testNetwork() *nn.Network {
+// productNetwork is LeNet-Sm's shape at the Test preset: conv1, conv2
+// (two tiles) and FC all take the product packing, so its sessions
+// upload a bundle with no Galois key and never rotate.
+func productNetwork() *nn.Network {
 	return &nn.Network{
-		Name: "ServeTestNet", InH: 12, InW: 12, InC: 1,
+		Name: "ServeProductNet", InH: 12, InW: 12, InC: 1,
 		Layers: []nn.Layer{
 			{Kind: nn.Conv, KH: 3, KW: 3, OutC: 4},
 			{Kind: nn.Act, RequantShift: 7},
@@ -34,6 +33,17 @@ func testNetwork() *nn.Network {
 		},
 		Params: bfv.PresetTest(),
 	}
+}
+
+// testNetwork is productNetwork with a square FC layer before the last
+// one: the square layer takes the slot packing, so its sessions rotate
+// and share cached weight plaintexts beside three product-packed
+// layers.
+func testNetwork() *nn.Network {
+	net := productNetwork()
+	net.Name = "ServeTestNet"
+	net.Layers = append(net.Layers[:6:6], nn.Layer{Kind: nn.FC, FCOut: 54}, nn.Layer{Kind: nn.Act, RequantShift: 7}, net.Layers[6])
+	return net
 }
 
 // tinyNetwork is a single-FC model for tests that exercise
@@ -65,7 +75,7 @@ func testBackend(t *testing.T, netFn func() *nn.Network) (*nn.InferenceServer, *
 	backendOnce.Do(func() {
 		backends = map[string]*nn.InferenceServer{}
 		models = map[string]*nn.QuantizedModel{}
-		for _, fn := range []func() *nn.Network{testNetwork, tinyNetwork} {
+		for _, fn := range []func() *nn.Network{testNetwork, tinyNetwork, productNetwork} {
 			net0 := fn()
 			model := nn.SynthesizeWeights(net0, 4, [32]byte{21})
 			backend, err := nn.NewInferenceServer(model)
@@ -273,6 +283,44 @@ func TestKeyCacheReconnect(t *testing.T) {
 		t.Errorf("key cache entries %d, want 1", st.KeyCacheEntries)
 	}
 	t.Logf("first connect %d B up, cached reconnect %d B up (%.1f%%)", first, second, 100*float64(second)/float64(first))
+}
+
+// TestKeylessSessionServed: a network whose every layer takes the
+// product packing, as LeNet-Sm's now does, uploads a bundle holding the
+// public key and no Galois key. The server admits it, caches it under the
+// session ID, serves it (every logit right, every request the planned
+// bytes, no rotation), and a reconnect under the same ID is served from
+// the cache without an upload.
+func TestKeylessSessionServed(t *testing.T) {
+	testkit.CheckGoroutines(t)
+	backend, model := testBackend(t, productNetwork)
+	srv := New(backend, Config{MaxSessions: 2})
+
+	if _, cached := runClientSession(t, srv, productNetwork, model, 71, "keyless", 2); cached {
+		t.Fatal("first session reported cached keys")
+	}
+	frame, ok := srv.LookupKeyFrame("keyless")
+	if !ok {
+		t.Fatal("the keyless bundle was not cached")
+	}
+	ctx, err := bfv.NewContext(productNetwork().Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := protocol.UnmarshalKeyBundle(ctx, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kb.Galois) != 0 || kb.Relin != nil || kb.PK == nil {
+		t.Fatalf("the bundle holds %d Galois keys, a relinearization key %v, a public key %v; want none, none and one", len(kb.Galois), kb.Relin != nil, kb.PK != nil)
+	}
+	if _, cached := runClientSession(t, srv, productNetwork, model, 71, "keyless", 1); !cached {
+		t.Fatal("the reconnect did not hit the key cache")
+	}
+	st := srv.Stats()
+	if st.Inferences != 3 || st.ServerOps.Rotations != 0 || st.ServerOps.PlainMults != 3*4 || st.KeyCacheHits != 1 {
+		t.Errorf("%d inferences, server ops %+v, %d key-cache hits; want 3, no rotation and 4 products each, 1", st.Inferences, st.ServerOps, st.KeyCacheHits)
+	}
 }
 
 // TestRegistryEviction fills the key cache beyond capacity and checks
