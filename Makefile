@@ -51,8 +51,8 @@
 #   make debug   — tests with the chocodebug assertion layer compiled in
 #                  (ring, the shared rlwe core with its QP accumulator
 #                  invariants, both schemes' entry-point checks, the
-#                  core operators that drive them: the FC and the conv
-#                  giant fold, nn, whose reply path runs the
+#                  core operators that drive them: the FC giant fold,
+#                  nn, whose reply path runs the
 #                  ModSwitchDown entry check on real layer outputs, and
 #                  apps/distance, whose two-level collapse plan runs the
 #                  executor's CKKS path, giants included, under the rlwe
@@ -148,7 +148,7 @@ race:
 	$(GO) test -race -count=50 -timeout 60m ./internal/serve ./internal/fabric
 	$(GO) test -race -count=10 -run 'TestRotateRowsLazyNTTMatchesMaterialized' ./internal/bfv
 	GOMAXPROCS=4 $(GO) test -race -count=10 -run 'TestServerKeepsPointPlaintexts|TestAllVariantsMatchPlainDistances' ./internal/apps/distance
-	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestConvResidentMatchesMaterialized|TestParallelPipelineDeterminism|TestRequestPathGolden' ./internal/core
+	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'TestFCApplyLevelsByteIdentical|TestParallelPipelineDeterminism|TestRequestPathGolden' ./internal/core
 
 debug:
 	$(GO) test -race -shuffle=on -tags chocodebug ./internal/ring ./internal/rlwe ./internal/bfv ./internal/ckks ./internal/core ./internal/nn ./internal/apps/distance

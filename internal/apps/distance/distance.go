@@ -203,14 +203,14 @@ func (g geometry) collapsePlan() core.BSGSPlan[float64] {
 	if g.d == 1 {
 		b = g.m // every step is zero: one giant
 	}
-	pl := core.BSGSPlan[float64]{Outputs: 1}
+	var pl core.BSGSPlan[float64]
 	for k := 0; k < b; k++ {
 		pl.Babies = append(pl.Babies, k*(g.d-1))
 	}
 	for j := 0; j*b < g.m; j++ {
 		pl.Giants = append(pl.Giants, j*b*(g.d-1))
 	}
-	pl.Diag = func(_, j, k int) []float64 {
+	pl.Diag = func(j, k int) []float64 {
 		if k+j*b >= g.m {
 			return nil
 		}

@@ -323,10 +323,10 @@ func (s *Server) group(q *ckks.Ciphertext, v Variant, g int, ops *core.OpCounts)
 	if err != nil || v != CollapsedPointMajor {
 		return red, err
 	}
-	outs, o, err := core.ApplyCKKS(s.ev, s.ecd, red, nil, s.collapsePlan(), s.maskScale)
+	out, o, err := core.ApplyCKKS(s.ev, s.ecd, red, nil, s.collapsePlan(), s.maskScale)
 	if err != nil {
 		return nil, err
 	}
 	ops.Add(o)
-	return s.ev.Rescale(outs[0])
+	return s.ev.Rescale(out)
 }

@@ -56,7 +56,7 @@ func NewCKKSRunner(g *Graph, params ckks.Parameters, seed [32]byte) (*CKKSRunner
 // diagonal i·B + j pre-rotated by −i·B: slot k holds
 // G[(k−i·B) mod P][(k+j) mod P], replicated.
 func (r *CKKSRunner) bsgs(b int) core.BSGSPlan[float64] {
-	pl := core.BSGSPlan[float64]{Op: r, Outputs: 1}
+	pl := core.BSGSPlan[float64]{Op: r}
 	for d := 0; d < r.p; d++ {
 		if d < b {
 			pl.Babies = append(pl.Babies, d)
@@ -65,7 +65,7 @@ func (r *CKKSRunner) bsgs(b int) core.BSGSPlan[float64] {
 			pl.Giants = append(pl.Giants, d)
 		}
 	}
-	pl.Diag = func(_, gi, bi int) []float64 {
+	pl.Diag = func(gi, bi int) []float64 {
 		v := make([]float64, r.p)
 		for k := range v {
 			row, col := (k-pl.Giants[gi]+r.p)%r.p, (k+bi)%r.p
@@ -96,12 +96,12 @@ func (r *CKKSRunner) replicate(v []float64) []float64 {
 // iterate applies one encrypted PageRank iteration: the matrix-vector
 // product at the default scale, then a rescale.
 func (r *CKKSRunner) iterate(ct *ckks.Ciphertext, ops *core.OpCounts) (*ckks.Ciphertext, error) {
-	outs, o, err := core.ApplyCKKS(r.ev, r.ecd, ct, r.plains, r.plan, r.ctx.Params.DefaultScale())
+	out, o, err := core.ApplyCKKS(r.ev, r.ecd, ct, r.plains, r.plan, r.ctx.Params.DefaultScale())
 	if err != nil {
 		return nil, err
 	}
 	ops.Add(o)
-	return r.ev.Rescale(outs[0])
+	return r.ev.Rescale(out)
 }
 
 // Run executes totalIters iterations in encrypted sets of setSize with

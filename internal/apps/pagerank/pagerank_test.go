@@ -403,7 +403,7 @@ func TestCKKSMatVecNoWorseThanUnfused(t *testing.T) {
 			}
 			return e
 		}
-		outs, ops, err := core.ApplyCKKS(r.ev, r.ecd, ct, r.plains, r.plan, r.ctx.Params.DefaultScale())
+		out, ops, err := core.ApplyCKKS(r.ev, r.ecd, ct, r.plains, r.plan, r.ctx.Params.DefaultScale())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,12 +414,12 @@ func TestCKKSMatVecNoWorseThanUnfused(t *testing.T) {
 		if ops.Rotations != 6 || ops.PlainMults != r.p || ops.Adds != r.p-1 {
 			t.Errorf("level %d: op counts %+v, want 6 rotations, %d plaintext multiplies, %d adds", ct.Level, ops, r.p, r.p-1)
 		}
-		e, o := maxErr(outs[0]), maxErr(oracle)
+		e, o := maxErr(out), maxErr(oracle)
 		t.Logf("level %d: max error added: executor 2^%.2f, unfused oracle 2^%.2f", ct.Level, math.Log2(e), math.Log2(o))
 		if e > 2*o {
 			t.Errorf("level %d: the executor adds a max error of %.3g, more than twice the unfused oracle's %.3g", ct.Level, e, o)
 		}
-		if ct, err = r.ev.Rescale(outs[0]); err != nil {
+		if ct, err = r.ev.Rescale(out); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,10 +1,12 @@
 // Package core implements CHOCO's encrypted linear algebra — the
-// server-side operators of the client-aided model. Convolution and
-// fully-connected layers run over BFV ciphertexts packed with
-// rotational redundancy, so every alignment is a single cheap rotation
-// (no masking multiplies, §3.3), and every operator reports exact
-// operation counts for the client/server/communication cost accounting
-// that drives the paper's evaluation figures.
+// server-side operators of the client-aided model. A convolution, and a
+// fully-connected layer whose outputs fit one polynomial, is one
+// plaintext product of a coefficient-packed BFV ciphertext per output
+// tile (product.go); any other fully-connected layer runs over an input
+// packed with rotational redundancy, so every alignment is a single
+// cheap rotation (no masking multiplies, §3.3). Every operator reports
+// exact operation counts for the client/server/communication cost
+// accounting that drives the paper's evaluation figures.
 package core
 
 // OpCounts tallies the homomorphic operations an encrypted operator

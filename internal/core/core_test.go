@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"choco/internal/bfv"
@@ -70,20 +71,9 @@ func (k *kit) decrypt(ct *bfv.Ciphertext, coeffs bool) []int64 {
 	return k.ecd.DecodeCoeffs(k.dec.Decrypt(ct))
 }
 
-// convOnSlots returns the convolution on the slot packing whatever its
-// shape: the slot executor's tests keep the geometries they pin on shapes
-// the product packing now takes.
-func convOnSlots(t testing.TB, c *Conv2D) *Conv2D {
-	t.Helper()
-	s := *c
-	s.product, s.tile, s.kernel, s.plains = false, 0, nil, NewPlainCache(0)
-	if err := s.layoutSlots(); err != nil {
-		t.Fatal(err)
-	}
-	return &s
-}
-
-// fcOnSlots is convOnSlots for an FC layer.
+// fcOnSlots returns the FC layer on the slot packing whatever its shape:
+// the executor's tests keep the geometries they pin on shapes the product
+// packing now takes.
 func fcOnSlots(t testing.TB, f *FC) *FC {
 	t.Helper()
 	s := *f
@@ -127,12 +117,12 @@ func TestConv2DSpecValidation(t *testing.T) {
 	if _, err := NewConv2D(spec, nil, 1024); err == nil {
 		t.Error("expected error for missing weights")
 	}
-	// Too many channels for the row.
+	// Too many channels for one polynomial: 64·10·10 coefficients.
 	src := sampling.NewSource([32]byte{1}, "w")
 	w := synthConvWeights(src, 4, 64, 9, 3)
 	spec = ConvSpec{InH: 8, InW: 8, InC: 64, KH: 3, KW: 3, OutC: 4}
-	if _, err := NewConv2D(spec, w, 1024); err == nil {
-		t.Error("expected error for channel overflow")
+	if _, err := NewConv2D(spec, w, 1024); err == nil || !strings.Contains(err.Error(), "C·Hp·Wp = 64·10·10 = 6400 coefficients, more than N = 2048") {
+		t.Errorf("channel overflow: %v, want the C·Hp·Wp > N refusal", err)
 	}
 }
 
@@ -143,8 +133,8 @@ func TestConvMACs(t *testing.T) {
 	}
 }
 
-// TestEncryptedConvMatchesPlain runs one layer shape on both packings:
-// the product packing it takes, and the slot packing.
+// TestEncryptedConvMatchesPlain runs one layer shape on the product
+// packing.
 func TestEncryptedConvMatchesPlain(t *testing.T) {
 	// 8×8 image, 2 input channels, 3 output channels, 3×3 kernel.
 	spec := ConvSpec{InH: 8, InW: 8, InC: 2, KH: 3, KW: 3, OutC: 3}
@@ -152,72 +142,42 @@ func TestEncryptedConvMatchesPlain(t *testing.T) {
 	weights := synthConvWeights(src, spec.OutC, spec.InC, 9, 3)
 	image := synthImage(src, spec.InC, spec.InH*spec.InW, 7)
 
-	ctxProbe, err := bfv.NewContext(bfv.PresetTest())
+	k := newKit(t, nil)
+	slots := k.ctx.Params.Slots()
+	conv, err := NewConv2D(spec, weights, slots/2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowSize := ctxProbe.Params.N() / 2
-	product, err := NewConv2D(spec, weights, rowSize)
+	packed, err := conv.PackInput(image, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !product.Product() {
-		t.Fatal("the layer does not take the product packing")
+	outs, ops, err := conv.Apply(k.ev, k.ecd, k.encrypt(t, packed, true), slots)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, conv := range []*Conv2D{product, convOnSlots(t, product)} {
-		k := newKit(t, conv.RotationSteps())
-		packed, err := conv.PackInput(image, k.ctx.Params.Slots())
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs, ops, err := conv.Apply(k.ev, k.ecd, k.encrypt(t, packed, conv.Product()), k.ctx.Params.Slots())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(outs) != conv.Groups() {
-			t.Fatalf("got %d output groups, want %d", len(outs), conv.Groups())
-		}
-		t.Logf("conv ops: %+v product=%v groups=%d Cb=%d stride=%d", ops, conv.Product(), conv.Groups(), conv.Cb, conv.Layout.Stride)
-		if ops.CtMults != 0 {
-			t.Error("convolution must not use ciphertext multiplies")
-		}
+	if len(outs) != conv.Groups() {
+		t.Fatalf("got %d output groups, want %d", len(outs), conv.Groups())
+	}
+	t.Logf("conv ops: %+v groups=%d", ops, conv.Groups())
+	if ops.CtMults != 0 {
+		t.Error("convolution must not use ciphertext multiplies")
+	}
 
-		want := PlainConv2D(spec, weights, image)
-		for o := 0; o < spec.OutC; o++ {
-			g := o / conv.GroupSize()
-			got := conv.ExtractOutput(k.decrypt(outs[g], conv.Product()), o)
-			for i := range got {
-				if got[i] != want[o][i] {
-					t.Fatalf("product=%v channel %d pixel %d: got %d want %d", conv.Product(), o, i, got[i], want[o][i])
-				}
-			}
-		}
-		// Noise budget must survive the layer.
-		for _, out := range outs {
-			if b := bfv.NoiseBudget(k.ctx, k.sk, out); b <= 0 {
-				t.Error("noise budget exhausted by convolution")
+	want := PlainConv2D(spec, weights, image)
+	for o := 0; o < spec.OutC; o++ {
+		got := conv.ExtractOutput(k.decrypt(outs[o/conv.GroupSize()], true), o)
+		for i := range got {
+			if got[i] != want[o][i] {
+				t.Fatalf("channel %d pixel %d: got %d want %d", o, i, got[i], want[o][i])
 			}
 		}
 	}
-}
-
-func TestConvRotationSharingAcrossGroups(t *testing.T) {
-	// With OutC spanning multiple groups the rotation count must not
-	// scale with groups (shared rotations are the point of the
-	// algorithm).
-	spec := ConvSpec{InH: 4, InW: 4, InC: 2, KH: 3, KW: 3, OutC: 12}
-	src := sampling.NewSource([32]byte{3}, "share")
-	weights := synthConvWeights(src, spec.OutC, spec.InC, 9, 2)
-	conv, err := NewConv2D(spec, weights, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conv.Groups() < 2 {
-		t.Skip("layout fits in one group; widen OutC")
-	}
-	maxRot := conv.Cb * spec.KH * spec.KW
-	if len(conv.RotationSteps()) > maxRot {
-		t.Errorf("rotation steps %d exceed Cb·K² = %d", len(conv.RotationSteps()), maxRot)
+	// Noise budget must survive the layer.
+	for _, out := range outs {
+		if b := bfv.NoiseBudget(k.ctx, k.sk, out); b <= 0 {
+			t.Error("noise budget exhausted by convolution")
+		}
 	}
 }
 

@@ -11,13 +11,13 @@ import (
 	"choco/internal/rlwe"
 )
 
-// The linear-transform engine of both schemes. Conv2D and FC (BFV),
-// PageRank and the distance collapse (CKKS) evaluate a diagonal linear
-// transform on the baby-step/giant-step schedule (BSGSPlan): baby
+// The linear-transform engine of both schemes. FC on the slot packing
+// (BFV), PageRank and the distance collapse (CKKS) evaluate a diagonal
+// linear transform on the baby-step/giant-step schedule (BSGSPlan): baby
 // rotations of one input, a fixed plaintext per term, an inner sum per
-// (output, giant) and a giant fold per output. All run it NTT-resident
-// over one input ciphertext at its level, on rlwe's types (applyBSGS;
-// applyBFV and ApplyCKKS wrap it):
+// giant and one giant fold. All run it NTT-resident over one input
+// ciphertext at its level, on rlwe's types (applyBSGS; applyBFV and
+// ApplyCKKS wrap it):
 //
 //   - the input pays one hoisted decomposition, and every baby stays
 //     resident in the key ring (q0..ql, p), NTT domain, its divide-by-P
@@ -35,10 +35,10 @@ import (
 //     serving tier's shared one, or the operator's own when the caller
 //     passes none.
 //
-// Terms run in a fixed order per output, and every intermediate is
-// exact modular arithmetic, so outputs are byte-identical for any worker
-// count or cache state — and to the same schedule run unfused, one
-// reduced multiply and add per term (TestConvResidentMatchesMaterialized).
+// Terms run in a fixed order, and every intermediate is exact modular
+// arithmetic, so the output is byte-identical for any worker count or
+// cache state — and to the same schedule run unfused, one reduced
+// multiply and add per term (TestFCApplyLevelsByteIdentical).
 
 // BatchInput is one session's input to ApplyBatch, the form the
 // benchmark replay prices two items in: its packed input ciphertext and
@@ -257,24 +257,21 @@ func innerSum(x operand, n int, term func(k int) ([]*ring.Poly, *ring.Poly, erro
 }
 
 // BSGSPlan is a linear transform as the executor sees it, over slots of
-// type T: Outputs × Giants × Babies. Output o is Σ_gi rot_Giants[gi](
-// Σ_bi Diag(o, gi, bi) ⊙ rot_Babies[bi](x) ) — for FC (and PageRank) one
-// output with giants i·B over babies 0..B−1, for Conv2D one output per
-// group with the channel-block shifts d·Stride as giants over the kernel
-// offsets as babies, for the distance collapse one output with giants
-// jB(d−1) over babies k(d−1).
+// type T: Giants × Babies terms summed into one output,
+// Σ_gi rot_Giants[gi]( Σ_bi Diag(gi, bi) ⊙ rot_Babies[bi](x) ) — for FC
+// (and PageRank) giants i·B over babies 0..B−1, for the distance
+// collapse giants jB(d−1) over babies k(d−1).
 type BSGSPlan[T int64 | float64] struct {
 	// Op identifies the terms in a PlainCache, per level: whatever else
 	// changes a term's plaintext (weights, a CKKS scale) needs a new Op.
-	Op      any
-	Outputs int
+	Op any
 	// Babies rotate the input (a zero step is the input itself); Giants
 	// rotate inner sums, and Giants[0] is always the unrotated one.
 	Babies, Giants []int
 	// Diag returns the slot vector of one term, already rotated by
 	// −Giants[gi] so the giant rotation restores its alignment; nil when
 	// it is all zero.
-	Diag func(o, gi, bi int) []T
+	Diag func(gi, bi int) []T
 }
 
 // RotationSteps lists the non-zero steps of the plan: the Galois keys a
@@ -292,22 +289,20 @@ func (pl BSGSPlan[T]) RotationSteps() []int {
 
 func (pl BSGSPlan[T]) babySteps() int { return len(pl.RotationSteps()) - (len(pl.Giants) - 1) }
 
-// applyBSGS is the one executor behind Conv2D, FC and ApplyCKKS. Babies
-// share one decomposition of the input and stay resident in the key
-// ring, where the inner products consume them. One task per (output,
-// giant) accumulates its inner sum there — one divide-by-P and one
-// inverse NTT per giant instead of one per term — and, when the plan has
-// rotated giants, folds it at once into its worker's QP accumulator for
-// that output; the per-worker accumulators merge in worker order, so each
-// output pays a single full mod-down. A plan with no rotated giant
-// (Conv2D with one channel block, FC with one output, FC's flat plan)
-// skips the fold: its inner sum is the output. A
-// term's plaintext is prepare of its diagonal, through cache. Terms run
-// in (giant, baby) order and every accumulator field is a plain modular
-// sum, so the outputs (c0, c1) are byte-identical for any worker count,
-// split or cache state. The error returned is the first in (output,
-// giant) order.
-func applyBSGS[T int64 | float64](x operand, cache *PlainCache, pl BSGSPlan[T], prepare func([]T) (*ring.Poly, error)) ([][]*ring.Poly, OpCounts, error) {
+// applyBSGS is the one executor behind FC and ApplyCKKS. Babies share
+// one decomposition of the input and stay resident in the key ring,
+// where the inner products consume them. One task per giant accumulates
+// its inner sum there — one divide-by-P and one inverse NTT per giant
+// instead of one per term — and, when the plan has rotated giants, folds
+// it at once into its worker's QP accumulator; the per-worker
+// accumulators merge in worker order, so the output pays a single full
+// mod-down. A plan with no rotated giant (FC with one output, FC's flat
+// plan) skips the fold: its inner sum is the output. A term's plaintext
+// is prepare of its diagonal, through cache. Terms run in (giant, baby)
+// order and every accumulator field is a plain modular sum, so the
+// output (c0, c1) is byte-identical for any worker count, split or cache
+// state. The error returned is the first in giant order.
+func applyBSGS[T int64 | float64](x operand, cache *PlainCache, pl BSGSPlan[T], prepare func([]T) (*ring.Poly, error)) ([]*ring.Poly, OpCounts, error) {
 	if rlwe.DebugEnabled {
 		x.ctx.DebugCheck("applyBSGS", 0, x.value, x.level)
 	}
@@ -323,40 +318,37 @@ func applyBSGS[T int64 | float64](x operand, cache *PlainCache, pl BSGSPlan[T], 
 	}()
 
 	nB, nG := len(pl.Babies), len(pl.Giants)
-	n := pl.Outputs * nG
-	nw := par.MaxWorkers(n)
-	outs := make([][]*ring.Poly, pl.Outputs) // the inner sums, when nG == 1
-	qas := make([]*rlwe.QPAccumulator, pl.Outputs*nw)
-	innerOps := make([]OpCounts, n)
-	errs := make([]error, n)
+	var out []*ring.Poly // the inner sum, when nG == 1
+	qas := make([]*rlwe.QPAccumulator, par.MaxWorkers(nG))
+	innerOps := make([]OpCounts, nG)
+	errs := make([]error, nG)
 	rQl := x.ctx.RingAtLevel(x.level)
-	par.ForWorker(n, func(w, p int) {
-		o, gi := p/nG, p%nG
+	par.ForWorker(nG, func(w, gi int) {
 		in, ops, err := innerSum(x, nB, func(bi int) ([]*ring.Poly, *ring.Poly, error) {
-			pt, err := cache.getOrBuild(pl.Op, x.level, p*nB+bi, func() (*ring.Poly, error) {
-				if v := pl.Diag(o, gi, bi); v != nil {
+			pt, err := cache.getOrBuild(pl.Op, x.level, gi*nB+bi, func() (*ring.Poly, error) {
+				if v := pl.Diag(gi, bi); v != nil {
 					return prepare(v)
 				}
 				return nil, nil
 			})
 			return babies[bi], pt, err
 		})
-		innerOps[p], errs[p] = ops, err
+		innerOps[gi], errs[gi] = ops, err
 		if in == nil {
 			return
 		}
 		if nG == 1 {
-			outs[o] = in
+			out = in
 			return
 		}
-		qa := &qas[o*nw+w]
+		qa := &qas[w]
 		if *qa == nil {
 			*qa = x.ctx.NewQPAccumulator(x.level)
 		}
 		if gi == 0 {
 			(*qa).Add(in)
 		} else if gk, err := x.key(pl.Giants[gi]); err != nil {
-			errs[p] = err
+			errs[gi] = err
 		} else {
 			var dc rlwe.Decomposed
 			x.ctx.Decompose(&dc, in, x.level)
@@ -373,130 +365,83 @@ func applyBSGS[T int64 | float64](x operand, cache *PlainCache, pl BSGSPlan[T], 
 		}
 	}
 
-	ops := OpCounts{Rotations: pl.babySteps()}
-	for o := range outs {
-		var qa *rlwe.QPAccumulator
-		for _, q := range qas[o*nw : (o+1)*nw] {
-			switch {
-			case q == nil:
-			case err != nil:
-				q.Release()
-			case qa == nil:
-				qa = q
-			default:
-				qa.Merge(q)
-			}
-		}
-		if err != nil {
-			continue
-		}
-		contributed := 0
-		for gi, iops := range innerOps[o*nG : (o+1)*nG] {
-			ops.Add(iops)
-			if iops.PlainMults == 0 {
-				continue // an all-zero inner sum
-			}
-			contributed++
-			if gi > 0 {
-				ops.Rotations++
-			}
-			if contributed > 1 {
-				ops.Adds++
-			}
-		}
+	var qa *rlwe.QPAccumulator
+	for _, q := range qas {
 		switch {
-		case contributed == 0:
-			err = fmt.Errorf("core: output %d has no contributing weights", o)
-		case nG > 1:
-			c0, c1 := qa.FinalizeModDown()
-			outs[o] = []*ring.Poly{c0, c1}
+		case q == nil:
+		case err != nil:
+			q.Release()
+		case qa == nil:
+			qa = q
+		default:
+			qa.Merge(q)
 		}
 	}
 	if err != nil {
-		for _, out := range outs {
-			for _, p := range out {
-				rQl.PutPoly(p)
-			}
-		}
 		return nil, OpCounts{}, err
 	}
-	return outs, ops, nil
+	ops := OpCounts{Rotations: pl.babySteps()}
+	contributed := 0
+	for gi, iops := range innerOps {
+		ops.Add(iops)
+		if iops.PlainMults == 0 {
+			continue // an all-zero inner sum
+		}
+		contributed++
+		if gi > 0 {
+			ops.Rotations++
+		}
+		if contributed > 1 {
+			ops.Adds++
+		}
+	}
+	switch {
+	case contributed == 0:
+		return nil, OpCounts{}, fmt.Errorf("core: the transform has no contributing weights")
+	case nG > 1:
+		c0, c1 := qa.FinalizeModDown()
+		out = []*ring.Poly{c0, c1}
+	}
+	return out, ops, nil
 }
 
 // applyBFV runs plan pl over a BFV ciphertext, each weight diagonal
 // encoded and lifted the way BFV multiplies plaintexts
 // (bfv.Evaluator.PrepareMul).
-func applyBFV(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, cache *PlainCache, pl BSGSPlan[int64]) ([]*bfv.Ciphertext, OpCounts, error) {
+func applyBFV(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, cache *PlainCache, pl BSGSPlan[int64]) (*bfv.Ciphertext, OpCounts, error) {
 	if len(ct.Value) != 2 || ct.Drop != 0 {
 		return nil, OpCounts{}, fmt.Errorf("core: a linear layer requires a degree-1 full-modulus ciphertext")
 	}
 	ctx := ev.Context()
-	outs, ops, err := applyBSGS(operand{ctx.Context, ctx.MaxLevel(), ct.Value, ev.RotationKey}, cache, pl, func(v []int64) (*ring.Poly, error) {
+	out, ops, err := applyBSGS(operand{ctx.Context, ctx.MaxLevel(), ct.Value, ev.RotationKey}, cache, pl, func(v []int64) (*ring.Poly, error) {
 		pt, err := ecd.EncodeInts(v)
 		if err != nil {
 			return nil, err
 		}
 		return ev.PrepareMul(pt).NTT, nil
 	})
-	cts := make([]*bfv.Ciphertext, len(outs))
-	for i, v := range outs {
-		cts[i] = &bfv.Ciphertext{Value: v}
+	if err != nil {
+		return nil, OpCounts{}, err
 	}
-	return cts, ops, err
+	return &bfv.Ciphertext{Value: out}, ops, nil
 }
 
 // ApplyCKKS runs plan pl over a CKKS ciphertext, each diagonal encoded at
 // scale over the key ring of the input's level (ckks.Encoder.
 // EncodeFloatsQP) and so prepared once per (term, level) in cache. The
-// outputs stay at the input's level with scale ct.Scale·scale:
+// output stays at the input's level with scale ct.Scale·scale:
 // rescaling is the caller's.
-func ApplyCKKS(ev *ckks.Evaluator, ecd *ckks.Encoder, ct *ckks.Ciphertext, cache *PlainCache, pl BSGSPlan[float64], scale float64) ([]*ckks.Ciphertext, OpCounts, error) {
+func ApplyCKKS(ev *ckks.Evaluator, ecd *ckks.Encoder, ct *ckks.Ciphertext, cache *PlainCache, pl BSGSPlan[float64], scale float64) (*ckks.Ciphertext, OpCounts, error) {
 	if len(ct.Value) != 2 {
 		return nil, OpCounts{}, fmt.Errorf("core: a linear transform requires a degree-1 ciphertext")
 	}
-	outs, ops, err := applyBSGS(operand{ev.Context().Context, ct.Level, ct.Value, ev.RotationKey}, cache, pl, func(v []float64) (*ring.Poly, error) {
+	out, ops, err := applyBSGS(operand{ev.Context().Context, ct.Level, ct.Value, ev.RotationKey}, cache, pl, func(v []float64) (*ring.Poly, error) {
 		return ecd.EncodeFloatsQP(v, ct.Level, scale)
 	})
-	cts := make([]*ckks.Ciphertext, len(outs))
-	for i, v := range outs {
-		cts[i] = &ckks.Ciphertext{Value: v, Level: ct.Level, Scale: ct.Scale * scale}
+	if err != nil {
+		return nil, OpCounts{}, err
 	}
-	return cts, ops, err
-}
-
-// ApplyBatch evaluates the convolution over several sessions' packed
-// inputs, one after another on one plan, returning per-item output
-// groups and op counts in item order; a nil cache selects the operator's
-// own plaintext store, and a product-packed layer reads its kernel and
-// no cache. It stays for two callers: the benchmark replay
-// prices two items in one call, and the serving tier passes its shared
-// PlainCache through it.
-func (c *Conv2D) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache) ([][]*bfv.Ciphertext, []OpCounts, error) {
-	if c.Weights == nil {
-		return nil, nil, fmt.Errorf("core: ApplyBatch on a spec-only convolution (no weights)")
-	}
-	outs := make([][]*bfv.Ciphertext, len(items))
-	ops := make([]OpCounts, len(items))
-	if c.product {
-		for i, it := range items {
-			var err error
-			if outs[i], ops[i], err = c.Apply(it.Ev, ecd, it.Ct, slots); err != nil {
-				return nil, nil, err
-			}
-		}
-		return outs, ops, nil
-	}
-	if cache == nil {
-		cache = c.plains
-	}
-	pl := c.bsgs(slots)
-	for i, it := range items {
-		var err error
-		if outs[i], ops[i], err = applyBFV(it.Ev, ecd, it.Ct, cache, pl); err != nil {
-			return nil, nil, err
-		}
-	}
-	return outs, ops, nil
+	return &ckks.Ciphertext{Value: out, Level: ct.Level, Scale: ct.Scale * scale}, ops, nil
 }
 
 // ApplyBatch evaluates y = W·x for several sessions' inputs, one after

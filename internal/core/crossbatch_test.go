@@ -53,10 +53,8 @@ func ctEqual(r *ring.Ring, a, b *bfv.Ciphertext) bool {
 // TestConvApplyBatchMatchesSerial pins the batching executor's oracle
 // guarantee at the conv kernel: coalescing three sessions' inputs into
 // one ApplyBatch call yields, per session, ciphertexts byte-identical
-// to the serial Apply path — with and without a shared plaintext cache,
-// and on a second (fully warm) batch. The layer runs on both packings:
-// the slot packing fills the cache and then hits it, the product packing
-// never looks at it.
+// to the serial Apply path — with and without a plaintext cache, which
+// a convolution never looks at, and on a second batch.
 func TestConvApplyBatchMatchesSerial(t *testing.T) {
 	spec := ConvSpec{InH: 8, InW: 8, InC: 2, KH: 3, KW: 3, OutC: 3}
 	src := sampling.NewSource([32]byte{7}, "crossbatch-conv")
@@ -66,78 +64,60 @@ func TestConvApplyBatchMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	product, err := NewConv2D(spec, weights, ctxProbe.Params.N()/2)
+	conv, err := NewConv2D(spec, weights, ctxProbe.Params.N()/2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, conv := range []*Conv2D{product, convOnSlots(t, product)} {
-		const sessions = 3
-		kits := make([]*kit, sessions)
-		items := make([]BatchInput, sessions)
-		slots := ctxProbe.Params.Slots()
+	const sessions = 3
+	kits := make([]*kit, sessions)
+	items := make([]BatchInput, sessions)
+	slots := ctxProbe.Params.Slots()
+	for i := 0; i < sessions; i++ {
+		kits[i] = newSessionKit(t, byte(i), nil)
+		img := synthImage(src, spec.InC, spec.InH*spec.InW, 7)
+		packed, err := conv.PackInput(img, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items[i] = BatchInput{Ev: kits[i].ev, Ct: kits[i].encrypt(t, packed, true)}
+	}
+
+	serialOuts := make([][]*bfv.Ciphertext, sessions)
+	serialOps := make([]OpCounts, sessions)
+	for i := 0; i < sessions; i++ {
+		outs, ops, err := conv.Apply(kits[i].ev, kits[i].ecd, items[i].Ct, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serialOuts[i], serialOps[i] = outs, ops
+	}
+
+	check := func(label string, cache *PlainCache) {
+		outs, ops, err := conv.ApplyBatch(kits[0].ecd, items, slots, cache)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
 		for i := 0; i < sessions; i++ {
-			kits[i] = newSessionKit(t, byte(i), conv.RotationSteps())
-			img := synthImage(src, spec.InC, spec.InH*spec.InW, 7)
-			packed, err := conv.PackInput(img, slots)
-			if err != nil {
-				t.Fatal(err)
+			if ops[i] != serialOps[i] {
+				t.Errorf("%s: session %d op counts %+v, serial %+v", label, i, ops[i], serialOps[i])
 			}
-			items[i] = BatchInput{Ev: kits[i].ev, Ct: kits[i].encrypt(t, packed, conv.Product())}
-		}
-
-		serialOuts := make([][]*bfv.Ciphertext, sessions)
-		serialOps := make([]OpCounts, sessions)
-		for i := 0; i < sessions; i++ {
-			outs, ops, err := conv.Apply(kits[i].ev, kits[i].ecd, items[i].Ct, slots)
-			if err != nil {
-				t.Fatal(err)
+			if len(outs[i]) != len(serialOuts[i]) {
+				t.Fatalf("%s: session %d got %d groups, want %d", label, i, len(outs[i]), len(serialOuts[i]))
 			}
-			serialOuts[i], serialOps[i] = outs, ops
-		}
-
-		check := func(label string, cache *PlainCache) {
-			label = fmt.Sprintf("product=%v %s", conv.Product(), label)
-			outs, ops, err := conv.ApplyBatch(kits[0].ecd, items, slots, cache)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			for i := 0; i < sessions; i++ {
-				if ops[i] != serialOps[i] {
-					t.Errorf("%s: session %d op counts %+v, serial %+v", label, i, ops[i], serialOps[i])
-				}
-				if len(outs[i]) != len(serialOuts[i]) {
-					t.Fatalf("%s: session %d got %d groups, want %d", label, i, len(outs[i]), len(serialOuts[i]))
-				}
-				for g := range outs[i] {
-					if !ctEqual(kits[i].ctx.RingQ, outs[i][g], serialOuts[i][g]) {
-						t.Errorf("%s: session %d group %d differs from serial Apply", label, i, g)
-					}
+			for g := range outs[i] {
+				if !ctEqual(kits[i].ctx.RingQ, outs[i][g], serialOuts[i][g]) {
+					t.Errorf("%s: session %d group %d differs from serial Apply", label, i, g)
 				}
 			}
 		}
+	}
 
-		check("no-cache", nil)
-		cache := NewPlainCache(0)
-		check("cold-cache", cache)
-		st := cache.Stats()
-		if conv.Product() {
-			check("second", cache)
-			if st != (PlainCacheStats{}) || cache.Stats() != st {
-				t.Errorf("the product packing used the plaintext cache: %+v, then %+v", st, cache.Stats())
-			}
-			continue
-		}
-		if st.Entries == 0 || st.Misses == 0 {
-			t.Fatalf("cold batch populated nothing: %+v", st)
-		}
-		check("warm-cache", cache)
-		warm := cache.Stats()
-		if warm.Hits <= st.Hits {
-			t.Errorf("warm batch recorded no cache hits: cold %+v warm %+v", st, warm)
-		}
-		if warm.Entries != st.Entries {
-			t.Errorf("warm batch grew the cache: %d -> %d entries", st.Entries, warm.Entries)
-		}
+	check("no-cache", nil)
+	cache := NewPlainCache(0)
+	check("cache", cache)
+	check("second", cache)
+	if st := cache.Stats(); st != (PlainCacheStats{}) {
+		t.Errorf("the convolution used the plaintext cache: %+v", st)
 	}
 }
 

@@ -133,16 +133,16 @@ func (f *FC) bsgs(slots int) BSGSPlan[int64] {
 			giants = append(giants, i*f.B)
 		}
 	}
-	return BSGSPlan[int64]{Op: f, Outputs: 1, Babies: babies, Giants: giants,
-		Diag: func(_, gi, bi int) []int64 { return f.diag(giants[gi], babies[bi], slots) }}
+	return BSGSPlan[int64]{Op: f, Babies: babies, Giants: giants,
+		Diag: func(gi, bi int) []int64 { return f.diag(giants[gi], babies[bi], slots) }}
 }
 
 // flat is the textbook diagonal method as a plan: every live diagonal a
 // baby rotation of the input, no giants.
 func (f *FC) flat(slots int) BSGSPlan[int64] {
 	babies := f.live()
-	return BSGSPlan[int64]{Op: f, Outputs: 1, Babies: babies, Giants: []int{0},
-		Diag: func(_, _, bi int) []int64 { return f.diag(0, babies[bi], slots) }}
+	return BSGSPlan[int64]{Op: f, Babies: babies, Giants: []int{0},
+		Diag: func(_, bi int) []int64 { return f.diag(0, babies[bi], slots) }}
 }
 
 // Product reports whether the layer takes the product packing: its
@@ -244,11 +244,7 @@ func (f *FC) apply(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertext, cach
 	if f.Weights == nil {
 		return nil, OpCounts{}, fmt.Errorf("core: Apply on a spec-only FC layer (no weights)")
 	}
-	outs, ops, err := applyBFV(ev, ecd, ct, cache, pl)
-	if err != nil {
-		return nil, OpCounts{}, err
-	}
-	return outs[0], ops, nil
+	return applyBFV(ev, ecd, ct, cache, pl)
 }
 
 // ApplyNaive evaluates the same product with the textbook diagonal
@@ -351,7 +347,7 @@ type RotationPlan struct {
 	// basis QP, sharing the batched mod-down.
 	LazyProducts int
 	// ModDowns counts the divide-by-P passes of key switches: one per full
-	// key switch, one per output whose giant fold shares it. NTTModDowns
+	// key switch, one for a giant fold, which shares it. NTTModDowns
 	// counts the ones that close an inner sum held over QP in the NTT
 	// domain (one per inner sum, whatever its term count) — the only
 	// mod-downs QP-resident babies cost.
@@ -364,20 +360,18 @@ type RotationPlan struct {
 // plaintext product (level 0).
 func (f *FC) Plan(level int) RotationPlan {
 	if f.product {
-		return productPlan
+		return RotationPlan{PlainMults: 1}
 	}
-	pl := f.bsgs(0)
-	rp := pl.sheet(level, len(pl.Giants)-1)
+	rp := f.bsgs(0).sheet(level)
 	rp.PlainMults = len(f.live())
 	return rp
 }
 
-// sheet itemizes a plan whose outputs rotate giantSteps inner sums in
-// all, at level 1 (every Galois application a full key switch, babies
-// sharing a decomposition when there are any) or on the executor's
-// schedule (any other level).
-func (pl BSGSPlan[T]) sheet(level, giantSteps int) RotationPlan {
-	nb, ng := pl.babySteps(), giantSteps
+// sheet itemizes the plan at level 1 (every Galois application a full
+// key switch, babies sharing a decomposition when there are any) or on
+// the executor's schedule (any other level).
+func (pl BSGSPlan[T]) sheet(level int) RotationPlan {
+	nb, ng := pl.babySteps(), len(pl.Giants)-1
 	rp := RotationPlan{Level: level, BabySteps: nb, GiantSteps: ng, Decompositions: ng}
 	if level == 1 {
 		if nb > 0 {
@@ -389,9 +383,9 @@ func (pl BSGSPlan[T]) sheet(level, giantSteps int) RotationPlan {
 	}
 	rp.Decompositions++ // the executor decomposes every input
 	rp.LazyProducts = nb + ng
-	rp.NTTModDowns = ng + pl.Outputs // one per inner sum
+	rp.NTTModDowns = ng + 1 // one per inner sum
 	if ng > 0 {
-		rp.ModDowns = pl.Outputs // each output's giant fold shares one mod-down
+		rp.ModDowns = 1 // the giant fold shares one mod-down
 	}
 	return rp
 }

@@ -103,7 +103,7 @@ func (f *FC) applyHoisted(ev *bfv.Evaluator, ecd *bfv.Encoder, ct *bfv.Ciphertex
 	for gi, giant := range pl.Giants {
 		var inner *bfv.Ciphertext
 		for bi, baby := range babies {
-			diag := pl.Diag(0, gi, bi)
+			diag := pl.Diag(gi, bi)
 			if diag == nil {
 				continue
 			}
@@ -235,7 +235,7 @@ func TestFCApplyLevelsByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ctEqual(k.ctx.RingQ, unfused[0], got) || unfusedOps != ops {
+			if !ctEqual(k.ctx.RingQ, unfused, got) || unfusedOps != ops {
 				t.Errorf("Apply differs from the unfused schedule (op counts %+v, unfused %+v)", ops, unfusedOps)
 			}
 			if sum := hashV1Frame(got); sum != tc.apply {
@@ -356,7 +356,7 @@ func TestFCApplyBatchLevelsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i], wantOps[i] = unfused[0], ops
+		want[i], wantOps[i] = unfused, ops
 	}
 
 	cache := NewPlainCache(0)
@@ -381,8 +381,17 @@ func TestFCApplyBatchLevelsByteIdentical(t *testing.T) {
 
 // TestFCApplyMissingRotationKey pins the error path: a session whose
 // evaluator lacks a baby-step key, or a giant-step key, must fail with
-// the missing-Galois-key error, serial and batched.
+// the missing-Galois-key error, serial and batched, not panic — and a
+// failing Apply must hand every polynomial it drew back to the ring
+// scratch pools: the rotations that did succeed, the decomposition and
+// its hoisted NTT(c0), the inner sums and the giants' QP accumulators.
+// The pools have no counters, so balance is read from the allocator: a
+// balanced failing Apply reuses the same buffers call after call, a
+// leaking one must allocate a fresh polynomial for each one it lost.
 func TestFCApplyMissingRotationKey(t *testing.T) {
+	old := par.Parallelism()
+	par.SetParallelism(1)
+	defer par.SetParallelism(old)
 	src := sampling.NewSource([32]byte{26}, "fc-levels-missing")
 	ctxProbe, err := bfv.NewContext(bfv.PresetTest())
 	if err != nil {
@@ -423,6 +432,18 @@ func TestFCApplyMissingRotationKey(t *testing.T) {
 		items := []BatchInput{{Ev: k.ev, Ct: ct}, {Ev: k.ev, Ct: ct}}
 		if _, _, err := fc.ApplyBatch(k.ecd, items, slots, nil); err == nil || !strings.Contains(err.Error(), "missing Galois key") {
 			t.Errorf("%s: ApplyBatch returned %v, want the missing-key error", tc.name, err)
+		}
+		if raceEnabled {
+			continue // sync.Pool drops entries at random under the race detector
+		}
+		failing := func() {
+			if _, _, err := fc.Apply(k.ev, k.ecd, ct, slots); err == nil {
+				t.Fatalf("%s: Apply without a needed rotation key succeeded", tc.name)
+			}
+		}
+		polyBytes := float64(len(ct.Value[0].Coeffs) * ctxProbe.Params.N() * 8)
+		if got := allocBytesPerRun(16, failing); got > polyBytes/2 {
+			t.Errorf("%s: a failing Apply allocates %.0f B/call, want < %.0f (half a polynomial): the scratch pools are not balanced", tc.name, got, polyBytes/2)
 		}
 	}
 }
@@ -484,25 +505,20 @@ func TestFCRotationPlan(t *testing.T) {
 		t.Errorf("294x10 on slots: P=%d Po=%d plan %+v", slots.P, slots.Po, p)
 	}
 	// LeNet-Sm's convolutions: conv1 is one product, conv2 one per tile
-	// of three outputs; on slots conv1's one group is its own inner sum,
-	// and conv2's one group folds four, one mod-down per inner sum.
+	// of three outputs.
 	for _, tc := range []struct {
-		spec                ConvSpec
-		tiles               int
-		modDowns, innerSums int
+		spec  ConvSpec
+		tiles int
 	}{
-		{ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 1, 0, 1},
-		{ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 2, 1, 4},
+		{ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 1},
+		{ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 2},
 	} {
 		conv, err := NewConv2DSpecOnly(tc.spec, 2048)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !conv.Product() || conv.Plan() != (RotationPlan{PlainMults: tc.tiles}) || conv.Groups() != tc.tiles {
-			t.Errorf("conv %+v: product=%v, %d groups, plan %+v; want %d tiles", tc.spec, conv.Product(), conv.Groups(), conv.Plan(), tc.tiles)
-		}
-		if p := convOnSlots(t, conv).Plan(); p.ModDowns != tc.modDowns || p.NTTModDowns != tc.innerSums || p.FullKeySwitches != 0 {
-			t.Errorf("conv %+v on slots: plan %+v", tc.spec, p)
+		if conv.Plan() != (RotationPlan{PlainMults: tc.tiles}) || conv.Groups() != tc.tiles {
+			t.Errorf("conv %+v: %d groups, plan %+v; want %d tiles", tc.spec, conv.Groups(), conv.Plan(), tc.tiles)
 		}
 	}
 	if BSGSRotations(64) != 14 || DiagonalRotations(64) != 63 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"choco/internal/bfv"
@@ -17,8 +16,8 @@ import (
 // one bit of a reply fails here. conv1, fc294x10 and fc24x1 were re-pinned
 // when their shapes took the product packing: one plaintext product of
 // a coefficient-encoded input, no key; conv2 when it took it as two
-// tiles, one product each. conv2-slots keeps the digest conv2's slot
-// packing pinned, through convOnSlots, for the executor it still runs. Before that, the four rows that rotated were re-pinned
+// tiles, one product each (its slot-packing digest went with the slot
+// convolution). Before that, the four rows that rotated were re-pinned
 // when switching keys became seeded (their A halves expand from a
 // per-key seed, so the keys changed); fc24x1 rotates nothing and kept
 // its digest then. All five were re-pinned when the error sampler became
@@ -39,9 +38,6 @@ func TestRequestPathGolden(t *testing.T) {
 			"0b919a476a85659a67f48363048cc80cb0f4ddbea50c9500c4346f56697eedc4",
 			"159f7c4360b469e17edf45baa8cb046954d93b75c28ff70b5eb6c3778f873670",
 		}, OpCounts{PlainMults: 2}},
-		{"bfv-B/conv2-slots", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 0, 0, []string{
-			"ce8bd7a3a06a15e5669fb6198e181290f16ec683647373a77722747a8f05193e",
-		}, OpCounts{Rotations: 27, PlainMults: 100, Adds: 99}},
 		{"bfv-B/fc294x10", bfv.PresetB(), ConvSpec{}, 294, 10, []string{
 			"4e5f51e46817d05393c8b56cda82bc47b36dd6ea50cf3e4772ffe5580e67276e",
 		}, OpCounts{PlainMults: 1}},
@@ -53,7 +49,7 @@ func TestRequestPathGolden(t *testing.T) {
 		}, OpCounts{Rotations: 14, PlainMults: 64, Adds: 63}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			src := sampling.NewSource([32]byte{36}, "request-path-golden/"+strings.TrimSuffix(tc.name, "-slots"))
+			src := sampling.NewSource([32]byte{36}, "request-path-golden/"+tc.name)
 			ctxProbe, err := bfv.NewContext(tc.params)
 			if err != nil {
 				t.Fatal(err)
@@ -70,10 +66,7 @@ func TestRequestPathGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if strings.HasSuffix(tc.name, "-slots") {
-					conv = convOnSlots(t, conv)
-				}
-				steps, product = conv.RotationSteps(), conv.Product()
+				product = true
 				if packed, err = conv.PackInput(synthImage(src, tc.conv.InC, tc.conv.InH*tc.conv.InW, 7), slots); err != nil {
 					t.Fatal(err)
 				}

@@ -33,8 +33,7 @@ func TestParallelPipelineDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rotStep = 5
-	steps := append(conv.RotationSteps(), rotStep)
-	k := newKit(t, steps)
+	k := newKit(t, []int{rotStep})
 
 	packed, err := conv.PackInput(image, k.ctx.Params.Slots())
 	if err != nil {

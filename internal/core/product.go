@@ -24,14 +24,15 @@ import (
 //   - FC: input i sits at i, row r's weight i at r·In + In − 1 − i, and
 //     output r is read at r·In + In − 1.
 //
-// A convolution takes it when one output channel fits a polynomial,
-// C·Hp·Wp ≤ N; an FC layer when all its outputs do, Out·In ≤ N. The last
-// read coefficient of a tile, T·C·Hp·Wp − 1 (Out·In − 1 for FC), then lies
-// below N, and the negacyclic wrap lands only below the first read
-// coefficient, so no output reads it: the highest term, the last input
-// pixel times the tile's last output's highest tap, sits at T·C·Hp·Wp − 1
-// − ph·Wp − pw + base(0) (Out·In − 1 + In − 1 for FC), less than N +
-// base(0) (N + In − 1). Every other coefficient of the product holds a
+// A convolution takes it whenever one output channel fits a polynomial,
+// C·Hp·Wp ≤ N, and is refused otherwise; an FC layer takes it when all
+// its outputs do, Out·In ≤ N. The last read coefficient of a tile,
+// T·C·Hp·Wp − 1 (Out·In − 1 for FC), then lies below N, and the
+// negacyclic wrap lands only below the first read coefficient, so no
+// output reads it: the highest term, the last input pixel times the
+// tile's last output's highest tap, sits at T·C·Hp·Wp − 1 − ph·Wp − pw +
+// base(0) (Out·In − 1 + In − 1 for FC), less than N + base(0)
+// (N + In − 1). Every other coefficient of the product holds a
 // partial sum of weights × inputs; the reply carries c0 only at the read
 // coefficients (ReadIndices, protocol.MarshalBFVRead), so the client
 // cannot decrypt those.
@@ -64,17 +65,18 @@ func (k *kernel) in(ctx *bfv.Context) []*bfv.PlaintextQ {
 	return pts
 }
 
-// Prepare lifts a product-packed layer's kernels into ctx's data ring
-// now rather than at its first Apply there: a server that knows its
-// context pays for the lift when it is built, not in its first request.
-// A slot layer has nothing to lift.
+// Prepare lifts a layer's kernels into ctx's data ring now rather than
+// at its first Apply there: a server that knows its context pays for the
+// lift when it is built, not in its first request. A spec-only layer has
+// nothing to lift.
 func (c *Conv2D) Prepare(ctx *bfv.Context) {
 	if c.kernel != nil {
 		c.kernel.in(ctx)
 	}
 }
 
-// Prepare is Conv2D.Prepare for an FC layer.
+// Prepare is Conv2D.Prepare for an FC layer; a slot layer has nothing to
+// lift either.
 func (f *FC) Prepare(ctx *bfv.Context) {
 	if f.kernel != nil {
 		f.kernel.in(ctx)
@@ -96,10 +98,6 @@ func (k *kernel) apply(ev *bfv.Evaluator, ct *bfv.Ciphertext, n int) ([]*bfv.Cip
 	return outs, OpCounts{PlainMults: len(outs)}, nil
 }
 
-// productPlan is the cost-sheet entry of a product-packed FC layer: one
-// plaintext product, no key switch.
-var productPlan = RotationPlan{PlainMults: 1}
-
 // centerMod reduces v mod m into (−m/2, m/2].
 func centerMod(v, m int64) int64 {
 	if v = (v%m + m) % m; v > m/2 {
@@ -113,11 +111,6 @@ func centerMod(v, m int64) int64 {
 func (c *Conv2D) productBase(o int) int {
 	hw := c.Hp * c.Wp
 	return o%c.tile*c.Spec.InC*hw + (c.Spec.InC-1)*hw + (c.Spec.KH-1)*c.Wp + c.Spec.KW - 1
-}
-
-// fitsProduct reports whether one output channel fits a polynomial.
-func (c *Conv2D) fitsProduct() bool {
-	return c.Spec.InC*c.Hp*c.Wp <= 2*c.rowSize
 }
 
 // productKernels lays the weights out as one kernel polynomial per tile.
@@ -142,14 +135,10 @@ func (c *Conv2D) productKernels() [][]int64 {
 }
 
 // ReadIndices returns, ascending, the coefficients of output group g that
-// the client reads under the product packing — output o's InH×InW map at
-// base(o) + i·Wp + j for every channel o of the tile — and nil under the
-// slot packing. Both ends derive it from the operator, so a reply carries
-// c0 at these coefficients without naming them.
+// the client reads — output o's InH×InW map at base(o) + i·Wp + j for
+// every channel o of the tile. Both ends derive it from the operator, so
+// a reply carries c0 at these coefficients without naming them.
 func (c *Conv2D) ReadIndices(g int) []int {
-	if !c.product {
-		return nil
-	}
 	var idx []int
 	for o := g * c.tile; o < (g+1)*c.tile && o < c.Spec.OutC; o++ {
 		base := c.productBase(o)
@@ -179,7 +168,8 @@ func (f *FC) productKernels() [][]int64 {
 
 // ReadIndices returns the coefficients of the one output the client
 // reads under the product packing, r·In + In − 1 for every row r, and nil
-// under the slot packing (see Conv2D.ReadIndices).
+// under the slot packing, whose reply is sent whole (see
+// Conv2D.ReadIndices).
 func (f *FC) ReadIndices(g int) []int {
 	if !f.product || g != 0 {
 		return nil

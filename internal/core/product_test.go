@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -43,9 +44,11 @@ type productCase struct {
 
 // run builds the layer with weights in ±lim and inputs in ±lim, or in
 // [0, 15] when acts is set (4-bit activations, as a network's image and
-// its ReLU outputs are), checks that it takes the packing wantProduct names, runs it encrypted (keyless under
-// the product packing) and compares every output with the plaintext
-// reference. It returns the session and the layer's output ciphertexts.
+// its ReLU outputs are), checks that an FC layer takes the packing
+// wantProduct names (a convolution has only the product packing), runs it
+// encrypted (keyless under the product packing) and compares every output
+// with the plaintext reference. It returns the session and the layer's
+// output ciphertexts.
 func (tc productCase) run(t *testing.T, src *sampling.Source, lim int64, acts, wantProduct bool) (*kit, []*bfv.Ciphertext) {
 	t.Helper()
 	draw := func() int64 { return int64(src.Intn(int(2*lim+1))) - lim }
@@ -115,26 +118,20 @@ func (tc productCase) run(t *testing.T, src *sampling.Source, lim int64, acts, w
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conv.Product() != wantProduct {
-		t.Fatalf("%+v: product=%v, want %v", s, conv.Product(), wantProduct)
-	}
-	if !conv.Product() {
-		k = newFCLevelKit(t, tc.params, 7, conv.RotationSteps())
-	}
 	packed, err := conv.PackInput(img, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, ops, err := conv.Apply(k.ev, k.ecd, k.encrypt(t, packed, conv.Product()), slots)
+	outs, ops, err := conv.Apply(k.ev, k.ecd, k.encrypt(t, packed, true), slots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conv.Product() && (ops != (OpCounts{PlainMults: conv.Groups()}) || len(outs) != conv.Groups()) {
+	if ops != (OpCounts{PlainMults: conv.Groups()}) || len(outs) != conv.Groups() {
 		t.Errorf("op counts %+v over %d outputs, want one plaintext product per tile (%d)", ops, len(outs), conv.Groups())
 	}
 	want := PlainConv2D(s, w, img)
 	for o := range want {
-		got := conv.ExtractOutput(k.decrypt(outs[o/conv.GroupSize()], conv.Product()), o)
+		got := conv.ExtractOutput(k.decrypt(outs[o/conv.GroupSize()], true), o)
 		if !slices.Equal(got, want[o]) {
 			t.Fatalf("channel %d: got %v, PlainConv2D %v", o, got, want[o])
 		}
@@ -232,9 +229,8 @@ func TestConvTilesMatchMulPlainQ(t *testing.T) {
 // a source of their own); one more FC output must not fit. Then the
 // shapes one coefficient past one polynomial: conv-one-past (3 · 683 =
 // N + 1) takes two tiles, a convolution whose one output channel takes
-// N + 1 coefficients is refused (no packing lays it out: the slot packing
-// needs a channel block in half a row), and an FC layer 3 · 683 must take
-// the slot packing and still compute the layer.
+// N + 1 coefficients is refused with C·Hp·Wp and N named, and an FC layer
+// 3 · 683 must take the slot packing and still compute the layer.
 func TestProductPackingFitBoundary(t *testing.T) {
 	const n = 2048
 	src := sampling.NewSource([32]byte{38}, "product-boundary")
@@ -270,8 +266,8 @@ func TestProductPackingFitBoundary(t *testing.T) {
 			t.Errorf("%dx%d: %d coefficients past N take the product packing", in, out+1, (out+1)*in-n)
 		}
 	}
-	if conv, err := NewConv2DSpecOnly(ConvSpec{InH: 1, InW: n + 1, InC: 1, KH: 1, KW: 1, OutC: 3}, n/2); err == nil {
-		t.Errorf("a channel of N + 1 coefficients laid out (product packing %v)", conv.Product())
+	if _, err := NewConv2DSpecOnly(ConvSpec{InH: 1, InW: n + 1, InC: 1, KH: 1, KW: 1, OutC: 3}, n/2); err == nil || !strings.Contains(err.Error(), "C·Hp·Wp = 1·1·2049 = 2049 coefficients, more than N = 2048") {
+		t.Errorf("a channel of N + 1 coefficients: %v, want the C·Hp·Wp > N refusal", err)
 	}
 	for _, tc := range []struct {
 		productCase

@@ -127,9 +127,9 @@ func TestQuantizeSymmetric(t *testing.T) {
 }
 
 // testNet is a small MNIST-like network that fits the fast test
-// parameters end-to-end. Like LeNet-Sm, its conv1 and FC take the product
-// packing and its conv2 (4·6 channels of 10×10 padded windows, past the
-// Test preset's 2 048 coefficients) the slot packing.
+// parameters end-to-end. Like LeNet-Sm, every layer takes the product
+// packing, conv2 (4 channels of 10×10 padded windows, 400 of the Test
+// preset's 2 048 coefficients an output) as two tiles.
 func testNet() *Network {
 	return &Network{
 		Name: "TestNet", InH: 12, InW: 12, InC: 1,
@@ -403,7 +403,7 @@ func TestGaloisKeysGeneratedAreKeysUsed(t *testing.T) {
 			}
 			var product bool
 			if conv, ok := convs[i]; ok {
-				l.steps, product = conv.RotationSteps(), conv.Product()
+				product = true // a convolution takes the product packing or none
 				l.apply = func(ev *bfv.Evaluator) error {
 					_, _, err := conv.Apply(ev, ecd, ct, slots)
 					return err
@@ -475,5 +475,29 @@ func TestLeNetSmKeyFootprint(t *testing.T) {
 	}
 	if got := len(kb.Galois); got != keys || kb.Relin != nil || kb.PK == nil {
 		t.Errorf("the client sends %d Galois keys (relinearization key %v, public key %v), the footprint says %d, none and one", got, kb.Relin != nil, kb.PK != nil, keys)
+	}
+}
+
+// TestModeledKeyFootprints pins the Galois key count and bundle bytes of
+// the networks no packing lays out, which EvaluationKeyFootprint prices
+// on the slot-packing step model (slotSteps) and the FC steps clamped to
+// one row: what SetupCosts prints as 7.4, 8.5 and 42.5 MB.
+func TestModeledKeyFootprints(t *testing.T) {
+	for _, tc := range []struct {
+		net   *Network
+		keys  int
+		bytes int64
+	}{
+		{LeNetLarge(), 66, 7444908},
+		{SqueezeNet(), 23, 8482368},
+		{VGG16(), 118, 42536828},
+	} {
+		keys, bytes, err := EvaluationKeyFootprint(tc.net)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.net.Name, err)
+		}
+		if keys != tc.keys || bytes != tc.bytes {
+			t.Errorf("%s footprint: %d Galois keys, %d B bundle; want %d keys, %d B", tc.net.Name, keys, bytes, tc.keys, tc.bytes)
+		}
 	}
 }

@@ -75,9 +75,6 @@ func rotationStepsFor(net *Network, m *QuantizedModel, rowSize int) ([]int, map[
 			} else {
 				convs[i], err = core.NewConv2DSpecOnly(spec, rowSize)
 			}
-			if err == nil {
-				steps = append(steps, convs[i].RotationSteps()...)
-			}
 		case FC:
 			hh, ww, cc := net.shapeAt(i)
 			if m != nil {
@@ -109,12 +106,10 @@ func rotationStepsFor(net *Network, m *QuantizedModel, rowSize int) ([]int, map[
 func EvaluationKeyFootprint(net *Network) (galoisKeys int, bundleBytes int64, err error) {
 	params := net.Params
 	rowSize := params.N() / 2
-	// The step set is the operators' own (RotationSteps): none for a layer
-	// that takes the product packing. Unlike the executable path, a
-	// convolution no packing lays out is priced on the slot packing with
-	// its channels clamped to one ciphertext's blocks
-	// (core.SlotRotationSteps), and FC widths clamp to one row — wide
-	// layers split across ciphertexts but reuse the same steps.
+	// A layer that takes the product packing needs no step. Unlike the
+	// executable path, a convolution no packing lays out is priced on the
+	// slot packing's step model (slotSteps), and FC widths clamp to one
+	// row — wide layers split across ciphertexts but reuse the same steps.
 	set := map[int]bool{}
 	h, w := net.InH, net.InW
 	for i, l := range net.Layers {
@@ -123,10 +118,10 @@ func EvaluationKeyFootprint(net *Network) (galoisKeys int, bundleBytes int64, er
 		case Conv:
 			_, _, c := net.shapeAt(i)
 			spec := core.ConvSpec{InH: h, InW: w, InC: c, KH: l.KH, KW: l.KW, OutC: l.OutC}
-			if conv, err := core.NewConv2DSpecOnly(spec, rowSize); err == nil {
-				steps = conv.RotationSteps()
-			} else if steps, err = core.SlotRotationSteps(spec, rowSize); err != nil {
-				return 0, 0, fmt.Errorf("nn: layer %d: %w", i, err)
+			if _, err := core.NewConv2DSpecOnly(spec, rowSize); err != nil {
+				if steps, err = slotSteps(spec, rowSize); err != nil {
+					return 0, 0, fmt.Errorf("nn: layer %d: %w", i, err)
+				}
 			}
 		case FC:
 			hh, ww, cc := net.shapeAt(i)
@@ -147,6 +142,52 @@ func EvaluationKeyFootprint(net *Network) (galoisKeys int, bundleBytes int64, er
 
 	bundleBytes = int64(protocol.KeyBundleBytes(params.N(), params.QBits, params.PBits, false, galoisKeys))
 	return galoisKeys, bundleBytes, nil
+}
+
+// slotSteps models the rotation steps of the slot packing convolutions
+// ran on before the product packing replaced it (DESIGN.md §13): each
+// input channel's zero-haloed Hp×Wp window in a block of stride
+// nextPow2(Hp·Wp), Cb = rowSize/stride blocks a row, the channels
+// clamped to Cb (a wider layer splits them across ciphertexts and reuses
+// the steps) and repeated to fill the row when they divide it. Babies
+// are the kernel offsets mod rowSize; giants are d·stride for each block
+// shift d that brings a channel to some output block of the first group
+// of 2·Cb outputs.
+func slotSteps(spec core.ConvSpec, rowSize int) ([]int, error) {
+	if spec.KH%2 == 0 || spec.KW%2 == 0 || spec.InH < 1 || spec.InW < 1 || spec.InC < 1 || spec.OutC < 1 {
+		return nil, fmt.Errorf("nn: convolution %+v has no slot layout", spec)
+	}
+	hp, wp := spec.InH+spec.KH-1, spec.InW+spec.KW-1
+	stride := 1
+	for stride < hp*wp {
+		stride <<= 1
+	}
+	if stride > rowSize {
+		return nil, fmt.Errorf("nn: a %d×%d window needs %d slots, a row has %d", hp, wp, stride, rowSize)
+	}
+	cb := rowSize / stride
+	inC := min(spec.InC, cb)
+	var steps []int
+	for ky := 0; ky < spec.KH; ky++ {
+		for kx := 0; kx < spec.KW; kx++ {
+			if delta := (ky-spec.KH/2)*wp + kx - spec.KW/2; delta != 0 {
+				steps = append(steps, (delta+rowSize)%rowSize)
+			}
+		}
+	}
+	repeat, shifts := cb%inC == 0, cb
+	if repeat {
+		shifts = inC
+	}
+	for d := 1; d < shifts; d++ {
+		for b := 0; b < min(2*cb, spec.OutC); b++ {
+			if repeat || (b+d)%cb < inC {
+				steps = append(steps, d*stride)
+				break
+			}
+		}
+	}
+	return steps, nil
 }
 
 // RequestCost is what one inference costs on the executable path, read
@@ -217,10 +258,8 @@ func ExecutableRequestCost(net *Network) (RequestCost, error) {
 func readSets(convs map[int]*core.Conv2D, fcs map[int]*core.FC) map[int][][]int {
 	sets := map[int][][]int{}
 	for i, conv := range convs {
-		if conv.Product() {
-			for g := 0; g < conv.Groups(); g++ {
-				sets[i] = append(sets[i], conv.ReadIndices(g))
-			}
+		for g := 0; g < conv.Groups(); g++ {
+			sets[i] = append(sets[i], conv.ReadIndices(g))
 		}
 	}
 	for i, fc := range fcs {
@@ -406,7 +445,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 			if err := conv.PackInputInto(packed, act); err != nil {
 				return nil, stats, err
 			}
-			ct, err := c.encrypt(packed, conv.Product())
+			ct, err := c.encrypt(packed, true)
 			if err != nil {
 				return nil, stats, err
 			}
@@ -419,7 +458,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 				if err != nil {
 					return nil, stats, err
 				}
-				decoded := c.decrypt(outCt, conv.Product(), decoded)
+				decoded := c.decrypt(outCt, true, decoded)
 				c.ctx.RecycleCt(outCt)
 				for o := g * conv.GroupSize(); o < (g+1)*conv.GroupSize() && o < l.OutC; o++ {
 					next[o] = conv.ExtractOutput(decoded, o)

@@ -10,10 +10,11 @@ import (
 )
 
 // executor runs a session's linear layer when it arrives, on that
-// session's own goroutine, as a one-item ApplyBatch over the server's one
-// byte-budgeted weight-plaintext cache: the encode + PrepareMul pipeline
-// of a diagonal depends on the model and the preset only, so one prepared
-// plaintext serves every session and every later request. Nothing waits
+// session's own goroutine: a convolution as Apply over its own kernel, an
+// FC layer as a one-item ApplyBatch over the server's one byte-budgeted
+// weight-plaintext cache (the encode + PrepareMul pipeline of a slot
+// diagonal depends on the model and the preset only, so one prepared
+// plaintext serves every session and every later request). Nothing waits
 // for another session (DESIGN.md §12 has the measurements); sessions
 // overlap on a multi-core shard through par's token pool, which all
 // their kernels draw from. A kernel error or panic is raised on the
@@ -38,14 +39,11 @@ func (x *executor) observe(layer int, start time.Time) {
 	x.layers[layer].observe(time.Since(start))
 }
 
-// ExecConv implements nn.KernelExecutor for convolution layers.
+// ExecConv implements nn.KernelExecutor for convolution layers: a
+// convolution reads its kernel, never the plaintext cache.
 func (x *executor) ExecConv(layer int, conv *core.Conv2D, ev *bfv.Evaluator, ct *bfv.Ciphertext, slots int) ([]*bfv.Ciphertext, core.OpCounts, error) {
 	defer x.observe(layer, time.Now())
-	outs, ops, err := conv.ApplyBatch(x.ecd, []core.BatchInput{{Ev: ev, Ct: ct}}, slots, x.cache)
-	if err != nil {
-		return nil, core.OpCounts{}, err
-	}
-	return outs[0], ops[0], nil
+	return conv.Apply(ev, x.ecd, ct, slots)
 }
 
 // ExecFC implements nn.KernelExecutor for fully-connected layers.
@@ -61,7 +59,7 @@ func (x *executor) ExecFC(layer int, fc *core.FC, ev *bfv.Evaluator, ct *bfv.Cip
 // BatchStats is a point-in-time snapshot of the executor.
 type BatchStats struct {
 	// Rounds and Items both count layer calls: every call is its own
-	// one-item ApplyBatch.
+	// kernel call, nothing gathers.
 	Rounds int64
 	Items  int64
 	// CoalescedItems and SerialRescues always read 0: nothing gathers
