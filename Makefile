@@ -97,12 +97,14 @@
 #                  one (frame parser, hello-frame round-trip, the shard
 #                  hello, key-fetch, peer-ping and stats-fetch frames of
 #                  the fleet's inner boundary, the BFV and CKKS
-#                  ciphertext decoders, the read-coefficient reply
-#                  decoder a client runs on product-packed replies, and
-#                  the key-bundle decoder, whose
-#                  40 KB–0.3 MB inputs run with minimization off: the
-#                  engine otherwise spends the whole window shrinking
-#                  one input)
+#                  ciphertext decoders, the c0-only read-coefficient
+#                  reply decoder a client runs on product-packed
+#                  replies, the model-frame decoder it runs on the one
+#                  model frame it fetches, and the key-bundle decoder;
+#                  these run with minimization off (the bundles' inputs
+#                  are 40 KB–0.3 MB, the others' a few KB): the engine
+#                  otherwise spends the whole window shrinking one
+#                  input)
 #   make bench-e2e — the repository's benchmark (benchmark/README.md):
 #                  four workloads end to end through real HE over the
 #                  real protocol, untraced then traced, ~4 min
@@ -176,6 +178,7 @@ fuzz:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalBFV$$' -fuzztime 30s -fuzzminimizetime 0
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalCKKS$$' -fuzztime 30s -fuzzminimizetime 0
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalBFVRead$$' -fuzztime 30s -fuzzminimizetime 0
+	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalModel$$' -fuzztime 30s -fuzzminimizetime 0
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalKeyBundle$$' -fuzztime 30s -fuzzminimizetime 0
 
 bench-e2e:

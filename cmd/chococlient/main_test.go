@@ -84,9 +84,10 @@ func TestWorkerTranscriptHoldsNoSecret(t *testing.T) {
 		t.Fatal("a worker dialling port 0 did not fail")
 	}
 	rec.Logf("%v", bad)
-	// hello, key bundle, upload; after the reconnect, hello, upload.
-	if n := len(rec.Up()); n != 5 {
-		t.Fatalf("the worker sent %d frames, want 5", n)
+	// hello, key bundle, model request, upload; after the reconnect,
+	// hello, upload (the client keeps the model it fetched).
+	if n := len(rec.Up()); n != 6 {
+		t.Fatalf("the worker sent %d frames, want 6", n)
 	}
 
 	// runWorker's key seed: the flag's value in its first two bytes.

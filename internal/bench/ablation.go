@@ -335,9 +335,10 @@ func SetupCosts() (string, error) {
 	// What the executable path moves and computes per request, from the
 	// operators' own plans: a packing regression shows here, on the push
 	// that made it.
-	fmt.Fprintf(&b, "\nPer request on the executable path (operators' plans, no weight zero; replies leave at k − ReplyDrop residues)\n")
-	fmt.Fprintf(&b, "%-9s %10s %10s %12s %12s %12s %12s\n",
-		"Network", "uploads", "replies", "replies (B)", "wire (B)", "rotations", "plain mults")
+	fmt.Fprintf(&b, "\nPer request on the executable path (operators' plans, no weight zero; replies leave at k − ReplyDrop residues;\n"+
+		" model (B): the one-time model exchange before a client's first request)\n")
+	fmt.Fprintf(&b, "%-9s %10s %10s %12s %12s %12s %12s %10s\n",
+		"Network", "uploads", "replies", "replies (B)", "wire (B)", "rotations", "plain mults", "model (B)")
 	for _, n := range []*nn.Network{nn.LeNetSmall(), nn.DemoNetwork()} {
 		rc, err := nn.ExecutableRequestCost(n)
 		if err != nil {
@@ -347,8 +348,8 @@ func SetupCosts() (string, error) {
 		for _, r := range rc.ReplyBytes {
 			down += r
 		}
-		fmt.Fprintf(&b, "%-9s %10d %10d %12d %12d %12d %12d\n",
-			n.Name, rc.UpCiphertexts, rc.DownCiphertexts, down, rc.WireBytes, rc.Server.Rotations, rc.Server.PlainMults)
+		fmt.Fprintf(&b, "%-9s %10d %10d %12d %12d %12d %12d %10d\n",
+			n.Name, rc.UpCiphertexts, rc.DownCiphertexts, down, rc.WireBytes, rc.Server.Rotations, rc.Server.PlainMults, rc.ModelBytes)
 	}
 	return b.String(), nil
 }

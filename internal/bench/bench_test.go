@@ -243,7 +243,7 @@ func TestFig14EnergyShape(t *testing.T) {
 		t.Errorf("MACs-per-MB ordering violated: VGG %.2f, LeNetLg %.2f, Sqz %.2f",
 			vgg.LocalGain, lg.LocalGain, sqz.LocalGain)
 	}
-	if !strings.Contains(out, "LeNetSm-exec") || !strings.Contains(out, "204068 B on the wire, replies at 1 of 2 residues") {
+	if !strings.Contains(out, "LeNetSm-exec") || !strings.Contains(out, "130340 B on the wire, replies at 1 of 2 residues") {
 		t.Error("no executable LeNet-Sm row at the reply level")
 	}
 	// Communication dominates end-to-end time.

@@ -93,9 +93,10 @@ func buildRNSScalers(ctx *Context) []rnsScaler {
 
 // scaleCenteredInto writes m_j = round(t·x_j/Q) mod t for every
 // coefficient of the phase polynomial x (coefficient domain, at the
-// given drop level) into out. Flat uint64 pass; allocation-free
-// outside the near-boundary oracle fallback.
-func (ctx *Context) scaleCenteredInto(x *ring.Poly, drop int, out []uint64) {
+// given drop level) into out, or, when idx is not nil, for the
+// coefficients idx alone, leaving out's others as they were. Flat uint64
+// pass; allocation-free outside the near-boundary oracle fallback.
+func (ctx *Context) scaleCenteredInto(x *ring.Poly, drop int, idx []int, out []uint64) {
 	r := ctx.RingAtDrop(drop)
 	L := len(x.Coeffs)
 	if L > maxScaleResidues {
@@ -106,7 +107,15 @@ func (ctx *Context) scaleCenteredInto(x *ring.Poly, drop int, out []uint64) {
 	sc := &ctx.scalers[drop]
 	t := ctx.T
 	moduli := r.Moduli
-	for j := range out {
+	n := len(out)
+	if idx != nil {
+		n = len(idx)
+	}
+	for k := 0; k < n; k++ {
+		j := k
+		if idx != nil {
+			j = idx[k]
+		}
 		var s0, s1, s2, accT uint64
 		for i := 0; i < L; i++ {
 			m := moduli[i]

@@ -109,7 +109,7 @@ func TestRNSScaleAdversarialBoundaries(t *testing.T) {
 		r.SetCoeffsBigint(vals, x)
 		fast := make([]uint64, r.N)
 		oracle := make([]uint64, r.N)
-		ctx.scaleCenteredInto(x, drop, fast)
+		ctx.scaleCenteredInto(x, drop, nil, fast)
 		ctx.scaleOracleInto(r, x, oracle)
 		for j := range fast {
 			if fast[j] != oracle[j] {
@@ -143,7 +143,7 @@ func TestRNSScaleAmbiguityFallback(t *testing.T) {
 	r.SetCoeffsBigint(vals, x)
 	fast := make([]uint64, r.N)
 	oracle := make([]uint64, r.N)
-	ctx.scaleCenteredInto(x, 0, fast)
+	ctx.scaleCenteredInto(x, 0, nil, fast)
 	ctx.scaleOracleInto(r, x, oracle)
 	for j := range fast {
 		if fast[j] != oracle[j] {
@@ -178,7 +178,7 @@ func FuzzRNSScaleMatchesOracle(f *testing.F) {
 		}
 		fast := make([]uint64, r.N)
 		oracle := make([]uint64, r.N)
-		ctx.scaleCenteredInto(x, drop, fast)
+		ctx.scaleCenteredInto(x, drop, nil, fast)
 		ctx.scaleOracleInto(r, x, oracle)
 		for j := range fast {
 			if fast[j] != oracle[j] {

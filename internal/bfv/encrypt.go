@@ -146,12 +146,21 @@ func (dec *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
 // zero-allocation path for steady-state client loops (serve/nn call it
 // once per linear phase boundary).
 func (dec *Decryptor) DecryptInto(ct *Ciphertext, pt *Plaintext) {
+	dec.DecryptAt(ct, nil, pt)
+}
+
+// DecryptAt is DecryptInto for a reader of the plaintext coefficients idx
+// alone, a product-packed layer's client: the phase is computed whole
+// (its inverse transform needs every coefficient), but only the
+// coefficients idx are scaled, and pt's others are left as they were.
+// A nil idx is every coefficient.
+func (dec *Decryptor) DecryptAt(ct *Ciphertext, idx []int, pt *Plaintext) {
 	ctx := dec.ctx
 	dec.OpCount++
 	r := ctx.RingAtDrop(ct.Drop)
 	x := r.GetPoly()
 	dec.phaseInto(ct, x)
-	ctx.scaleCenteredInto(x, ct.Drop, pt.Poly.Coeffs[0])
+	ctx.scaleCenteredInto(x, ct.Drop, idx, pt.Poly.Coeffs[0])
 	r.PutPoly(x)
 	pt.Poly.DeclareCoeff()
 }

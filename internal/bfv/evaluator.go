@@ -120,7 +120,7 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pm *PlaintextMul) *Ciphertext {
 		ev.ctx.debugCheckCt("MulPlain", ct)
 		ev.ctx.debugCheckPlainQ("MulPlain", pm.q)
 	}
-	return ev.mulQ(ct, pm.q)[0]
+	return ev.mulQ(ct, []*ring.Poly{pm.q}, nil)[0]
 }
 
 // PlaintextQ is a plaintext operand held over the data ring Q alone, in
@@ -128,9 +128,11 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pm *PlaintextMul) *Ciphertext {
 // reduced mod t, so a product with it grows the noise by the operand's
 // ℓ1 norm where a dense batch-encoded plaintext grows it by about N·t.
 // With no special-prime row it never enters a key switch. It is the
-// kernel of a coefficient-packed layer (MulPlainQ).
+// kernel of a coefficient-packed layer (MulPlainQ), and a fixed operand:
+// its Shoup companions make every product with it a Shoup one.
 type PlaintextQ struct {
-	NTT *ring.Poly
+	NTT   *ring.Poly
+	shoup [][]uint64
 }
 
 // PrepareMulQ lifts small signed coefficients centered into Q and
@@ -139,14 +141,16 @@ func (ctx *Context) PrepareMulQ(coeffs []int64) *PlaintextQ {
 	p := ctx.RingQ.NewPoly()
 	ctx.RingQ.SetCoeffsInt64(coeffs, p)
 	ctx.RingQ.NTT(p)
-	return &PlaintextQ{NTT: p}
+	return &PlaintextQ{NTT: p, shoup: ctx.RingQ.ShoupPolyPrecomp(p)}
 }
 
 // MulPlainQ returns ct·k, the negacyclic polynomial product of a
 // full-modulus ciphertext with a PlaintextQ: it decrypts to m·k mod t,
 // where m is the plaintext's coefficient polynomial and k the operand's
 // integer one. One forward NTT, dyadic product and inverse NTT per
-// component, over Q.
+// component, over Q. The product is component-wise, so ct may also be
+// c0 alone — the half a server computes when the client completes c1
+// itself (ProductC1).
 func (ev *Evaluator) MulPlainQ(ct *Ciphertext, k *PlaintextQ) *Ciphertext {
 	return ev.MulPlainQTiles(ct, []*PlaintextQ{k})[0]
 }
@@ -157,23 +161,24 @@ func (ev *Evaluator) MulPlainQ(ct *Ciphertext, k *PlaintextQ) *Ciphertext {
 // inverse NTT per component, and its output is byte for byte the
 // MulPlainQ of the same kernel.
 func (ev *Evaluator) MulPlainQTiles(ct *Ciphertext, ks []*PlaintextQ) []*Ciphertext {
-	polys := make([]*ring.Poly, len(ks))
+	polys, shoups := make([]*ring.Poly, len(ks)), make([][][]uint64, len(ks))
 	for j, k := range ks {
 		if rlwe.DebugEnabled {
 			ev.ctx.debugCheckPlainQ("MulPlainQ", k.NTT)
 		}
-		polys[j] = k.NTT
+		polys[j], shoups[j] = k.NTT, k.shoup
 	}
 	if rlwe.DebugEnabled {
 		ev.ctx.debugCheckCt("MulPlainQ", ct)
 	}
-	return ev.mulQ(ct, polys...)
+	return ev.mulQ(ct, polys, shoups)
 }
 
 // mulQ multiplies each component of ct by each NTT-domain polynomial of
 // ks of RingQ, one ciphertext per polynomial, results from the ring's
-// scratch pool. Each component is transformed once.
-func (ev *Evaluator) mulQ(ct *Ciphertext, ks ...*ring.Poly) []*Ciphertext {
+// scratch pool: a Shoup product by shoups[j] when it is given, a Barrett
+// one otherwise. Each component is transformed once.
+func (ev *Evaluator) mulQ(ct *Ciphertext, ks []*ring.Poly, shoups [][][]uint64) []*Ciphertext {
 	if ct.Drop != 0 {
 		panic("bfv: plaintext operations require a full-modulus ciphertext")
 	}
@@ -191,7 +196,11 @@ func (ev *Evaluator) mulQ(ct *Ciphertext, ks ...*ring.Poly) []*Ciphertext {
 			if j < len(ks)-1 {
 				tmp = r.GetPoly()
 			}
-			r.MulCoeffs(x, k, tmp)
+			if shoups != nil {
+				r.MulCoeffsShoup(x, k, shoups[j], tmp)
+			} else {
+				r.MulCoeffs(x, k, tmp)
+			}
 			r.INTT(tmp)
 			outs[j].Value[i] = tmp
 		}

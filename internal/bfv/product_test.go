@@ -2,8 +2,11 @@ package bfv
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"choco/internal/ring"
 )
 
 // TestEncodeCoeffsRoundTrip: signed values written into coefficients come
@@ -144,6 +147,75 @@ func TestMulPlainQTilesMatchesMulPlainQ(t *testing.T) {
 	for c := range before.Value {
 		if !kit.ctx.RingQ.Equal(before.Value[c], after.Value[c]) {
 			t.Fatalf("component %d of the input changed under MulPlainQTiles", c)
+		}
+	}
+}
+
+// TestProductC1IsTheReplysC1 is the client's half of a product reply, at
+// every level of a three-prime chain: the c1 ProductC1 rebuilds from the
+// seeded upload's a and the kernel is, once transformed back, word for
+// word the c1 of MulPlainQ(upload, k) switched down drop times; the
+// server's c0-alone product switches to that output's c0; the reply
+// completed with the rebuilt c1, left in the NTT domain, decrypts to every
+// coefficient the full one does; and DecryptAt scales only the
+// coefficients asked for, leaving the others as they were.
+func TestProductC1IsTheReplysC1(t *testing.T) {
+	kit := newTestKit(t, Parameters{LogN: 11, QBits: []int{30, 30, 30}, PBits: 31, TBits: 18, Sigma: 3.2})
+	ctx, n := kit.ctx, kit.ctx.Params.N()
+	m, w := make([]int64, n), make([]int64, n)
+	for i := range m {
+		m[i] = int64(i * 5 % 16)
+	}
+	for i := 0; i < n; i += 31 {
+		w[i] = int64(i%15) - 7
+	}
+	pt, err := kit.ecd.EncodeCoeffs(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sym := NewSymmetricEncryptor(ctx, kit.sk, [32]byte{17})
+	sct := sym.EncryptSeeded(pt)
+	half := &Ciphertext{Value: []*ring.Poly{ctx.RingQ.CopyPoly(sct.C0)}}
+	full, k := sct.Expand(ctx), ctx.PrepareMulQ(w)
+	idx := []int{0, 1, 2, 100, n - 1}
+	for drop := 0; drop <= ctx.MaxDrop(); drop++ {
+		small, smallHalf := kit.ev.MulPlainQ(full, k), kit.ev.MulPlainQ(half, k)
+		for d := 0; d < drop; d++ {
+			if small, err = kit.ev.ModSwitchDown(small); err != nil {
+				t.Fatal(err)
+			}
+			if smallHalf, err = kit.ev.ModSwitchDown(smallHalf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := ctx.RingAtDrop(drop)
+		c1 := ctx.ProductC1(sym.A(), k, drop)
+		back := r.CopyPoly(c1)
+		r.INTT(back)
+		if !c1.IsNTT() || !r.Equal(back, small.Value[1]) {
+			t.Fatalf("drop %d: the rebuilt c1 is not the reply's", drop)
+		}
+		if len(smallHalf.Value) != 1 || !r.Equal(smallHalf.Value[0], small.Value[0]) {
+			t.Fatalf("drop %d: the c0-alone product is not the reply's c0", drop)
+		}
+		plain := kit.dec.Decrypt(small)
+		got := kit.dec.Decrypt(&Ciphertext{Value: []*ring.Poly{smallHalf.Value[0], c1}, Drop: drop})
+		if !ctx.RingT.Equal(got.Poly, plain.Poly) {
+			t.Fatalf("drop %d: the reply completed with an NTT-domain c1 decrypts differently", drop)
+		}
+		at := &Plaintext{Poly: ctx.RingT.NewPoly()}
+		for j := range at.Poly.Coeffs[0] {
+			at.Poly.Coeffs[0][j] = 7
+		}
+		kit.dec.DecryptAt(small, idx, at)
+		for j, v := range at.Poly.Coeffs[0] {
+			want := uint64(7)
+			if slices.Contains(idx, j) {
+				want = plain.Poly.Coeffs[0][j]
+			}
+			if v != want {
+				t.Fatalf("drop %d: DecryptAt leaves coefficient %d at %d, want %d", drop, j, v, want)
+			}
 		}
 	}
 }

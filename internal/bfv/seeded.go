@@ -45,6 +45,10 @@ func (enc *SymmetricEncryptor) EncryptSeeded(pt *Plaintext) *SeededCiphertext {
 	return sct
 }
 
+// A returns the NTT-domain a of the latest encryption, the c1 the server
+// would expand from its seed; the next encryption overwrites it.
+func (enc *SymmetricEncryptor) A() *ring.Poly { return enc.zero.A() }
+
 // EncryptUintsSeeded encodes and encrypts in one step.
 func (enc *SymmetricEncryptor) EncryptUintsSeeded(values []uint64) (*SeededCiphertext, error) {
 	pt, err := enc.encoder.EncodeUints(values)
@@ -68,4 +72,26 @@ func (enc *SymmetricEncryptor) EncryptIntsSeeded(values []int64) (*SeededCiphert
 // calls this has just unpacked the polynomial and holds nothing else.
 func (sct *SeededCiphertext) Expand(ctx *Context) *Ciphertext {
 	return &Ciphertext{Value: []*ring.Poly{sct.C0, ctx.ExpandA(sct.Seed, ctx.MaxLevel())}}
+}
+
+// ProductC1 is the c1 of a product-packed reply as the client rebuilds
+// it. The upload was seeded, so its c1 is a, whose NTT-domain form the
+// client's encryptor still holds (SymmetricEncryptor.A), and the reply's
+// c1 is ModSwitchDown^drop(a·k): nothing but a and the layer's kernel k,
+// which the client also has. It runs in the NTT domain — one Shoup
+// product per residue, then per switch an inverse transform of the last
+// residue and a forward one of each lower residue
+// (DivRoundByLastModulusNTT) — and returns c1 there, from the pool of the
+// ring at drop, for a decryption that skips c1's forward transform. Its
+// inverse transform is, word for word, the c1 of MulPlainQ's output
+// switched down drop times.
+func (ctx *Context) ProductC1(a *ring.Poly, k *PlaintextQ, drop int) *ring.Poly {
+	c1 := ctx.RingQ.GetPoly()
+	ctx.RingQ.MulCoeffsShoup(a, k.NTT, k.shoup, c1)
+	for d := 0; d < drop; d++ {
+		next := ctx.DivRoundByLastModulusNTT(c1, ctx.MaxLevel()-d)
+		ctx.RingAtDrop(d).PutPoly(c1)
+		c1 = next
+	}
+	return c1
 }

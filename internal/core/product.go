@@ -34,8 +34,9 @@ import (
 // base(0) (Out·In − 1 + In − 1 for FC), less than N + base(0)
 // (N + In − 1). Every other coefficient of the product holds a
 // partial sum of weights × inputs; the reply carries c0 only at the read
-// coefficients (ReadIndices, protocol.MarshalBFVRead), so the client
-// cannot decrypt those.
+// coefficients (ReadIndices, protocol.AppendBFVReadC0), so the client
+// cannot decrypt those. It carries no c1: that is a·k switched down, and
+// the client holds both a, its upload's, and k (bfv.Context.ProductC1).
 
 // kernel is a product-packed operator's kernel polynomials, one per
 // tile, lifted into the data ring of each context that has asked for
@@ -65,30 +66,35 @@ func (k *kernel) in(ctx *bfv.Context) []*bfv.PlaintextQ {
 	return pts
 }
 
-// Prepare lifts a layer's kernels into ctx's data ring now rather than
-// at its first Apply there: a server that knows its context pays for the
-// lift when it is built, not in its first request. A spec-only layer has
-// nothing to lift.
-func (c *Conv2D) Prepare(ctx *bfv.Context) {
-	if c.kernel != nil {
-		c.kernel.in(ctx)
+// Kernels returns the layer's kernel polynomials lifted into ctx's data
+// ring, one per output group, lifting them on the first call for ctx: a
+// server calls it when it is built, so its first request pays no lift,
+// and a client that completes product replies itself multiplies its
+// uploads' a by them (bfv.Context.ProductC1). A spec-only layer has none.
+func (c *Conv2D) Kernels(ctx *bfv.Context) []*bfv.PlaintextQ {
+	if c.kernel == nil {
+		return nil
 	}
+	return c.kernel.in(ctx)
 }
 
-// Prepare is Conv2D.Prepare for an FC layer; a slot layer has nothing to
-// lift either.
-func (f *FC) Prepare(ctx *bfv.Context) {
-	if f.kernel != nil {
-		f.kernel.in(ctx)
+// Kernels is Conv2D.Kernels for an FC layer; a slot layer has none
+// either.
+func (f *FC) Kernels(ctx *bfv.Context) []*bfv.PlaintextQ {
+	if f.kernel == nil {
+		return nil
 	}
+	return f.kernel.in(ctx)
 }
 
 // apply runs one input through the layer: one Q-only plaintext product
 // per tile, over one forward transform of the input. n is the ring
-// degree the layout was built for.
+// degree the layout was built for. The packing is component-wise, so
+// the input is a full-modulus ciphertext or its c0 alone, the half a
+// server computes when the client rebuilds c1 (bfv.Context.ProductC1).
 func (k *kernel) apply(ev *bfv.Evaluator, ct *bfv.Ciphertext, n int) ([]*bfv.Ciphertext, OpCounts, error) {
-	if len(ct.Value) != 2 || ct.Drop != 0 {
-		return nil, OpCounts{}, fmt.Errorf("core: a linear layer requires a degree-1 full-modulus ciphertext")
+	if len(ct.Value) < 1 || len(ct.Value) > 2 || ct.Drop != 0 {
+		return nil, OpCounts{}, fmt.Errorf("core: a linear layer requires a full-modulus ciphertext of degree 1, or its c0 alone")
 	}
 	ctx := ev.Context()
 	if ctx.Params.N() != n {

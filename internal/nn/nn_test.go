@@ -279,25 +279,32 @@ func TestLeNetSmServerOpCounts(t *testing.T) {
 // inference of each executable network uploads one seeded ciphertext per
 // linear layer and downloads one ciphertext per conv tile plus one per FC
 // layer, each at the one residue bfv-B's replies are switched down to and
-// carrying c1 whole and c0 at the coefficients the client reads: 28 B of
-// header and length prefix, 18 432 B of c1, 36 bits per read coefficient
-// in whole words — conv1's 3 136 reads 32 572 B, a conv2 tile's 588
-// 21 108 B (DemoNet's last tile, 392 reads, 20 228 B), the FC's 10 reads
-// 18 508 B. LeNet-Sm moves 204 068 B (221 448 B while conv2 ran on slots
+// carrying c0 at the coefficients the client reads and nothing else (the
+// client rebuilds c1): 28 B of header and length prefix, 36 bits per read
+// coefficient in whole words — conv1's 3 136 reads 14 140 B, a conv2
+// tile's 588 2 676 B (DemoNet's last tile, 392 reads, 1 796 B), the FC's
+// 10 reads 76 B. LeNet-Sm moves 130 340 B a request (204 068 B while
+// each reply also carried c1 whole, 221 448 B while conv2 ran on slots
 // and every reply carried c0 whole); DemoNet, whose conv2 is three tiles,
-// 224 296 B. The client's byte count is the transport's, and is the
-// wire_bytes_per_request the end-to-end benchmark reports. CommPlan —
-// Table 5's model, which has the server condense every layer's outputs
-// densely but send them full-size — is above it, and condenses each
-// layer into one reply where the operators send one per tile.
+// 132 136 B. The client's first request also sends the 12-byte model
+// request and receives the model frame, LeNet-Sm's 1 892 B with its
+// length prefix (3 640 4-bit weights), DemoNet's 2 484 B (4 820): both
+// counted in that request's stats and by the pipe, and priced as
+// ModelBytes. The client's byte count is the transport's, and is the
+// wire_bytes_per_request the end-to-end benchmark reports (its warm-up
+// request carries the model exchange). CommPlan — Table 5's model, which
+// has the server condense every layer's outputs densely but send them
+// full-size — is above it, and condenses each layer into one reply where
+// the operators send one per tile.
 func TestCommAccountMatchesWire(t *testing.T) {
 	for _, tc := range []struct {
 		net     *Network
 		wire    int64
+		model   int
 		replies []int
 	}{
-		{LeNetSmall(), 204068, []int{32572, 21108, 21108, 18508}},
-		{DemoNetwork(), 224296, []int{32572, 21108, 21108, 20228, 18508}},
+		{LeNetSmall(), 130340, 1904, []int{14140, 2676, 2676, 76}},
+		{DemoNetwork(), 132136, 2496, []int{14140, 2676, 2676, 1796, 76}},
 	} {
 		net := tc.net
 		m := SynthesizeWeights(net, 4, [32]byte{14})
@@ -305,8 +312,25 @@ func TestCommAccountMatchesWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// chocobench setup-costs prints this plan; it must be the wire's.
+		rc, err := ExecutableRequestCost(net)
+		if err != nil {
+			t.Fatal(err)
+		}
 		clientEnd, serverEnd := protocol.NewPipe()
-		_, stats, err := runner.Infer(SynthesizeImage(net, 4, [32]byte{16}), clientEnd, serverEnd)
+		img := SynthesizeImage(net, 4, [32]byte{16})
+		_, first, err := runner.Infer(img, clientEnd, serverEnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if up, down := clientEnd.SentBytes(), serverEnd.SentBytes(); first.UpBytes != up || first.DownBytes != down ||
+			rc.ModelBytes != tc.model || up+down != rc.WireBytes+int64(rc.ModelBytes) ||
+			up != int64(rc.UpCiphertexts*rc.UpFrameBytes+12) {
+			t.Errorf("%s: the first request counts %d B up / %d B down, the pipe carried %d / %d, want the request's %d B, a 12-byte model request and a %d-byte model frame (ModelBytes %d)",
+				net.Name, first.UpBytes, first.DownBytes, up, down, rc.WireBytes, tc.model-12, rc.ModelBytes)
+		}
+		up0, down0 := clientEnd.SentBytes(), serverEnd.SentBytes()
+		_, stats, err := runner.Infer(img, clientEnd, serverEnd)
 		clientEnd.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -319,13 +343,8 @@ func TestCommAccountMatchesWire(t *testing.T) {
 		if up := len(runner.client.convs) + len(runner.client.fcs); stats.UpCiphertexts != up || stats.DownCiphertexts != down {
 			t.Errorf("%s: %d up / %d down ciphertexts, the operators plan %d / %d", net.Name, stats.UpCiphertexts, stats.DownCiphertexts, up, down)
 		}
-		if wire := clientEnd.SentBytes() + serverEnd.SentBytes(); stats.TotalBytes() != wire || wire != tc.wire {
-			t.Errorf("%s: the client counts %d B, the pipe carried %d B, want %d B (3 seeded uploads of two packed 36-bit rows + one-residue replies of c1 and the read c0)", net.Name, stats.TotalBytes(), wire, tc.wire)
-		}
-		// chocobench setup-costs prints this plan; it must be the wire's.
-		rc, err := ExecutableRequestCost(net)
-		if err != nil {
-			t.Fatal(err)
+		if wire := clientEnd.SentBytes() - up0 + serverEnd.SentBytes() - down0; stats.TotalBytes() != wire || wire != tc.wire {
+			t.Errorf("%s: the client counts %d B, the pipe carried %d B, want %d B (3 seeded uploads of two packed 36-bit rows + one-residue replies of the read c0)", net.Name, stats.TotalBytes(), wire, tc.wire)
 		}
 		if rc.UpCiphertexts != stats.UpCiphertexts || rc.DownCiphertexts != stats.DownCiphertexts || rc.WireBytes != stats.TotalBytes() || !slices.Equal(rc.ReplyBytes, tc.replies) {
 			t.Errorf("%s: ExecutableRequestCost plans %+v (replies %v B, want %v), the inference moved %+v", net.Name, rc, rc.ReplyBytes, tc.replies, stats)

@@ -1,14 +1,18 @@
 package nn
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"choco/internal/bfv"
 	"choco/internal/core"
 	"choco/internal/protocol"
+	"choco/internal/ring"
 )
 
 // replyRow is one finished output as replyProbe saw it: the noise budget
@@ -21,73 +25,138 @@ type replyRow struct {
 
 // replyProbe is a KernelExecutor that runs the serial path and, holding
 // the client's secret key, switches a copy of every finished output down
-// to the reply level the way ServeOne is about to: it records the budget on
-// both sides and fails the test unless the two decrypt to the same slots,
-// and, for a product-packed layer, unless the read-coefficient frame of
-// the switched copy decrypts to its coefficients at every read index.
+// to the reply level the way ServeOne is about to. For a product-packed
+// layer, whose upload the server reads as c0 alone, it also runs the
+// layer on the full upload the seed stands for (c0 and the client's a).
+// It fails the test unless the switched full output decrypts to the same
+// slots as the unswitched one, and, for a product-packed layer, unless
+// the server's half switches to that output's c0 word for word, the c1
+// the client rebuilds (bfv.Context.ProductC1) is that output's c1 word
+// for word, and the c0-only frame completed with it decrypts to the full
+// output's coefficients at every read index. With noise set it records
+// the budget on both sides of the switch.
 type replyProbe struct {
 	t      *testing.T
 	srv    *InferenceServer
 	client *InferenceClient
+	noise  bool
 	rows   []replyRow
 }
 
-func (p *replyProbe) measure(layer, group int, ev *bfv.Evaluator, full *bfv.Ciphertext) {
-	p.t.Helper()
-	ctx, sk := p.client.ctx, p.client.sk
-	small := full
-	for d := 0; d < p.srv.replyDrop; d++ {
-		var err error
-		if small, err = ev.ModSwitchDown(small); err != nil {
-			p.t.Fatal(err)
+// run evaluates one layer through apply and measures its outputs. It
+// runs on the server's goroutine, so a failed check is reported with
+// t.Error and fails the request, which the client then sees; t.Fatal
+// there would leave the client waiting for a reply.
+func (p *replyProbe) run(layer int, ev *bfv.Evaluator, ct *bfv.Ciphertext, apply func(*bfv.Ciphertext) ([]*bfv.Ciphertext, core.OpCounts, error)) ([]*bfv.Ciphertext, core.OpCounts, error) {
+	outs, ops, err := apply(ct)
+	if err != nil {
+		return outs, ops, err
+	}
+	full := outs
+	if p.srv.reads[layer] != nil {
+		if len(ct.Value) != 1 {
+			err = fmt.Errorf("layer %d: the server read a product layer's upload as %d components, want c0 alone", layer, len(ct.Value))
+		} else {
+			r := p.client.ctx.RingQ
+			a := r.CopyPoly(p.client.symEnc.A())
+			r.INTT(a)
+			full, _, err = apply(&bfv.Ciphertext{Value: []*ring.Poly{ct.Value[0], a}})
 		}
 	}
-	p.rows = append(p.rows, replyRow{layer, group,
-		bfv.NoiseBudgetBits(ctx, sk, full), bfv.NoiseBudgetBits(ctx, sk, small), len(small.Value[0].Coeffs)})
+	for g := 0; g < len(outs) && err == nil; g++ {
+		err = p.measure(layer, g, ev, full[g], outs[g])
+	}
+	if err != nil {
+		p.t.Error(err)
+		return nil, ops, err
+	}
+	return outs, ops, nil
+}
+
+// switchDown returns ct switched down to the reply level.
+func (p *replyProbe) switchDown(ev *bfv.Evaluator, ct *bfv.Ciphertext) (*bfv.Ciphertext, error) {
+	for d := 0; d < p.srv.replyDrop; d++ {
+		var err error
+		if ct, err = ev.ModSwitchDown(ct); err != nil {
+			return nil, err
+		}
+	}
+	return ct, nil
+}
+
+func (p *replyProbe) measure(layer, group int, ev *bfv.Evaluator, full, half *bfv.Ciphertext) error {
+	ctx, sk := p.client.ctx, p.client.sk
+	small, err := p.switchDown(ev, full)
+	if err != nil {
+		return err
+	}
+	if p.noise {
+		p.rows = append(p.rows, replyRow{layer, group,
+			bfv.NoiseBudgetBits(ctx, sk, full), bfv.NoiseBudgetBits(ctx, sk, small), len(small.Value[0].Coeffs)})
+	}
 	want, got := p.client.dec.DecryptInts(full), p.client.dec.DecryptInts(small)
 	for j := range want {
 		if got[j] != want[j] {
-			p.t.Fatalf("layer %d group %d slot %d: the switched reply decrypts to %d, the full-size one to %d", layer, group, j, got[j], want[j])
+			return fmt.Errorf("layer %d group %d slot %d: the switched reply decrypts to %d, the full-size one to %d", layer, group, j, got[j], want[j])
 		}
 	}
 	reads := p.srv.reads[layer]
 	if reads == nil {
-		return
+		return nil
 	}
 	idx := reads[group]
-	read, err := protocol.UnmarshalBFVRead(ctx, protocol.MarshalBFVRead(small, idx), idx)
+	sent, err := p.switchDown(ev, half)
 	if err != nil {
-		p.t.Fatal(err)
+		return err
 	}
-	n := ctx.Params.N()
-	whole, part := p.client.decrypt(small, true, make([]int64, n)), p.client.decrypt(read, true, make([]int64, n))
-	for _, k := range idx {
-		if part[k] != whole[k] {
-			p.t.Fatalf("layer %d group %d coefficient %d: the read-coefficient reply decrypts to %d, the whole one to %d", layer, group, k, part[k], whole[k])
+	rebuilt := ctx.ProductC1(p.client.symEnc.A(), p.client.kernels[layer][group], p.srv.replyDrop)
+	c1 := ctx.RingAtDrop(small.Drop).CopyPoly(rebuilt)
+	ctx.RingAtDrop(small.Drop).INTT(c1)
+	for i := range small.Value[0].Coeffs {
+		if !slices.Equal(sent.Value[0].Coeffs[i], small.Value[0].Coeffs[i]) {
+			return fmt.Errorf("layer %d group %d residue %d: the server's c0 differs from the full upload's reply", layer, group, i)
+		}
+		if !slices.Equal(c1.Coeffs[i], small.Value[1].Coeffs[i]) {
+			return fmt.Errorf("layer %d group %d residue %d: the client's rebuilt c1 differs from the full upload's reply", layer, group, i)
 		}
 	}
+	read, err := protocol.UnmarshalBFVReadC0(ctx, protocol.AppendBFVReadC0(nil, sent.Value[0], idx), idx)
+	if err != nil {
+		return err
+	}
+	read.Value = append(read.Value, rebuilt)
+	n := ctx.Params.N()
+	whole, part := p.client.decrypt(small, idx, make([]int64, n)), p.client.decrypt(read, idx, make([]int64, n))
+	for _, k := range idx {
+		if part[k] != whole[k] {
+			return fmt.Errorf("layer %d group %d coefficient %d: the c0-only reply decrypts to %d, the whole one to %d", layer, group, k, part[k], whole[k])
+		}
+	}
+	return nil
 }
 
 func (p *replyProbe) ExecConv(layer int, conv *core.Conv2D, ev *bfv.Evaluator, ct *bfv.Ciphertext, slots int) ([]*bfv.Ciphertext, core.OpCounts, error) {
-	outs, ops, err := conv.Apply(ev, p.srv.ecd, ct, slots)
-	for g, o := range outs {
-		p.measure(layer, g, ev, o)
-	}
-	return outs, ops, err
+	return p.run(layer, ev, ct, func(ct *bfv.Ciphertext) ([]*bfv.Ciphertext, core.OpCounts, error) {
+		return conv.Apply(ev, p.srv.ecd, ct, slots)
+	})
 }
 
 func (p *replyProbe) ExecFC(layer int, fc *core.FC, ev *bfv.Evaluator, ct *bfv.Ciphertext, slots int) (*bfv.Ciphertext, core.OpCounts, error) {
-	out, ops, err := fc.Apply(ev, p.srv.ecd, ct, slots)
-	if err == nil {
-		p.measure(layer, 0, ev, out)
+	outs, ops, err := p.run(layer, ev, ct, func(ct *bfv.Ciphertext) ([]*bfv.Ciphertext, core.OpCounts, error) {
+		out, ops, err := fc.Apply(ev, p.srv.ecd, ct, slots)
+		return []*bfv.Ciphertext{out}, ops, err
+	})
+	if err != nil {
+		return nil, ops, err
 	}
-	return out, ops, err
+	return outs[0], ops, nil
 }
 
 // probeReplies runs requests inferences of a seeded model through the two
 // halves with a replyProbe on the server, checks every logit against
-// PlainInference and the wire against the plan, and returns the rows of
-// the first request.
+// PlainInference and the wire against the plan — the first request's
+// with the model exchange — and returns the noise rows of the first
+// request.
 func probeReplies(t *testing.T, net *Network, seed byte, requests int) []replyRow {
 	t.Helper()
 	m := SynthesizeWeights(net, 4, [32]byte{seed})
@@ -106,7 +175,7 @@ func probeReplies(t *testing.T, net *Network, seed byte, requests int) []replyRo
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := &replyProbe{t: t, srv: srv, client: client}
+	probe := &replyProbe{t: t, srv: srv, client: client, noise: true}
 	sess, err := srv.NewSessionFromFrame(client.keyFrame)
 	if err != nil {
 		t.Fatal(err)
@@ -141,11 +210,15 @@ func probeReplies(t *testing.T, net *Network, seed byte, requests int) []replyRo
 				t.Fatalf("%s request %d logit %d: encrypted %d vs plain %d", net.Name, r, i, got[i], want[i])
 			}
 		}
-		if stats.TotalBytes() != rc.WireBytes {
-			t.Fatalf("%s request %d moved %d B, ExecutableRequestCost plans %d B", net.Name, r, stats.TotalBytes(), rc.WireBytes)
+		plan := rc.WireBytes
+		if r == 0 {
+			plan += int64(rc.ModelBytes)
+		}
+		if stats.TotalBytes() != plan {
+			t.Fatalf("%s request %d moved %d B, ExecutableRequestCost plans %d B", net.Name, r, stats.TotalBytes(), plan)
 		}
 		if r == 0 {
-			first = probe.rows
+			first, probe.noise = probe.rows, false
 		}
 	}
 	return first
@@ -243,18 +316,21 @@ func TestReplySwitchNoise(t *testing.T) {
 	}
 }
 
-// TestSwitchedRepliesDecryptIdentically is the decrypt-identity of the
-// reply path over 56 seeded requests: every reply of every request,
-// switched, decrypts slot for slot to what the executor produced
-// (replyProbe), every inference equals PlainInference, and every request
-// moves exactly the planned bytes.
+// TestSwitchedRepliesDecryptIdentically is the byte identity of the reply
+// path over 148 seeded requests (48 of the test network, 50 each of
+// LeNet-Sm and DemoNet): every reply of every request, switched, decrypts
+// slot for slot to what the executor produced; the c0 the server sends
+// is, word for word, the c0 of the full upload's switched output, the
+// c1 the client rebuilds its c1, and the c0-only frame decrypts to its
+// coefficients at every read index (replyProbe); every inference equals
+// PlainInference, and every request moves exactly the planned bytes.
 func TestSwitchedRepliesDecryptIdentically(t *testing.T) {
 	probeReplies(t, testNet(), 40, 48)
 	if testing.Short() {
 		return
 	}
-	probeReplies(t, LeNetSmall(), 50, 4)
-	probeReplies(t, DemoNetwork(), 60, 4)
+	probeReplies(t, LeNetSmall(), 50, 50)
+	probeReplies(t, DemoNetwork(), 60, 50)
 }
 
 // TestClientRejectsReplyAtWrongLevel: a server that stops switching fails
@@ -308,6 +384,82 @@ func TestClientRejectsMisframedReply(t *testing.T) {
 		clientEnd.Close()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Infer says %v; want an error saying %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestModelExchangeIsChecked: a model frame that disagrees with the
+// client's architecture — here one layer more than the network's product
+// layers — fails the client's first request, naming the model frame; a
+// product layer's upload that is not a seeded frame is refused by the
+// server, naming the layer; and a model request anywhere but at the start
+// of a request is an upload the server cannot decode.
+func TestModelExchangeIsChecked(t *testing.T) {
+	net := testNet()
+	m := SynthesizeWeights(net, 4, [32]byte{3})
+	img := SynthesizeImage(net, 4, [32]byte{4})
+
+	runner, err := NewRunner(m, [32]byte{5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := bytes.Clone(runner.sess.s.modelFrame)
+	frame[12]++ // the layer count
+	runner.sess.s.modelFrame = frame
+	clientEnd, serverEnd := protocol.NewPipe()
+	_, _, err = runner.Infer(img, clientEnd, serverEnd)
+	clientEnd.Close()
+	if want := "nn: model frame: protocol: model frame has 4 layers, the network has 3 product layers"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Infer over a server whose model frame has a layer too many: %v; want an error saying %q", err, want)
+	}
+
+	srv, err := NewInferenceServer(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := NewInferenceClient(net, [32]byte{6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := srv.NewSessionFromFrame(client.keyFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := client.ecd.EncodeCoeffs(make([]int64, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload := protocol.MarshalSeededBFV(client.symEnc.EncryptSeeded(pt))
+	whole, err := protocol.UnmarshalSeededBFV(client.ctx, upload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		frames [][]byte
+		want   string
+	}{
+		{"an unseeded upload", [][]byte{protocol.MarshalBFV(whole)}, "layer 0 (conv) decode input"},
+		{"a model request after the first upload", [][]byte{upload, protocol.MarshalModelRequest()}, "layer 3 (conv) decode input"},
+	} {
+		clientEnd, serverEnd := protocol.NewPipe()
+		for _, f := range tc.frames {
+			if err := clientEnd.Send(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		done := make(chan error, 1)
+		go func() { _, err := sess.ServeOne(serverEnd); done <- err }()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(30 * time.Second): // a server that takes the frame waits for one more
+			clientEnd.Close()
+			err = <-done
+		}
+		clientEnd.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "not the expected ciphertext tag") {
+			t.Errorf("%s: ServeOne says %v; want an error saying %q and naming the tag", tc.name, err, tc.want)
 		}
 	}
 }

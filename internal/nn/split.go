@@ -3,6 +3,7 @@ package nn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,7 +18,11 @@ import (
 // *architecture* (it needs layer shapes to pack, unpack, and run the
 // plaintext non-linear layers); the server holds the model weights —
 // the centralized-model advantage of §1 — plus the client's public
-// evaluation keys received once at session setup.
+// evaluation keys received once at session setup. The model is not
+// hidden from the client (DESIGN.md §15): before its first request the
+// client fetches the product layers' weights once (fetchModel), and from
+// then on every product reply carries c0 alone, the client rebuilding c1
+// from its own upload (bfv.Context.ProductC1).
 
 // InferenceClient is the trusted, resource-constrained side.
 type InferenceClient struct {
@@ -37,6 +42,13 @@ type InferenceClient struct {
 	// reads are the coefficients each product-packed reply carries
 	// (readSets), by layer and output group.
 	reads map[int][][]int
+	// model lists the product layers as the model frame carries them
+	// (modelLayers), and kernels holds their kernel polynomials, by layer
+	// and output group, once the first Infer has fetched the model
+	// (fetchModel): a product reply's c1 is the upload's a times one of
+	// them, switched down.
+	model   []protocol.ModelLayer
+	kernels map[int][]*bfv.PlaintextQ
 	// scratch holds the buffers one Infer call reuses from layer to layer
 	// and hands to the next call (inferScratch).
 	scratch sync.Pool
@@ -199,14 +211,24 @@ type RequestCost struct {
 	// (protocol.FrameBytes): seeded, at every data prime. ReplyBytes
 	// prices every reply in the order the server sends them, at the primes
 	// left after the parameter set's ReplyDrop: a product-packed group's
-	// carries c0 at its read coefficients only (protocol.ReadReplyBytes),
-	// a slot group's both polynomials whole. WireBytes is the request's
-	// total.
+	// carries c0 at its read coefficients and nothing else
+	// (protocol.ReadReplyBytes), a slot group's both polynomials whole.
+	// WireBytes is the request's total.
 	UpFrameBytes int
 	ReplyBytes   []int
 	WireBytes    int64
-	Server       core.OpCounts
+	// ModelBytes is what the client's first request moves once, before
+	// its first upload: the model request and the model frame holding the
+	// product layers' weights (protocol.ModelExchangeBytes), priced at
+	// modelWeightBits; 0 for a network with no product layer.
+	ModelBytes int
+	Server     core.OpCounts
 }
+
+// modelWeightBits is the weight width ExecutableRequestCost prices the
+// model frame at: CHOCO's 4-bit quantization (§3.2), the width every
+// network here is synthesized at.
+const modelWeightBits = 4
 
 // ExecutableRequestCost plans one inference of a network the split
 // client/server can run. Unlike CommPlan — the analytic model, which
@@ -215,6 +237,7 @@ type RequestCost struct {
 // and with the coefficients they carry: conv2 of LeNet-Sm replies in two
 // tiles where the model condenses its outputs into one ciphertext, and
 // each product-packed reply carries c0 at its read coefficients only.
+// The one-time model exchange is ModelBytes, outside WireBytes.
 func ExecutableRequestCost(net *Network) (RequestCost, error) {
 	var rc RequestCost
 	_, convs, fcs, err := rotationStepsFor(net, nil, net.Params.N()/2)
@@ -225,6 +248,9 @@ func ExecutableRequestCost(net *Network) (RequestCost, error) {
 	replyBits := qBits[:len(qBits)-net.Params.ReplyDrop()]
 	rc.UpFrameBytes = protocol.FrameBytes(ring.PackedBytes(n, qBits...), 1, true)
 	reads := readSets(convs, fcs)
+	if model := modelLayers(net, convs, fcs); len(model) > 0 {
+		rc.ModelBytes = protocol.ModelExchangeBytes(model, modelWeightBits)
+	}
 	for i := range net.Layers {
 		var plan core.RotationPlan
 		groups := 1
@@ -242,7 +268,7 @@ func ExecutableRequestCost(net *Network) (RequestCost, error) {
 		for g := 0; g < groups; g++ {
 			reply := protocol.FrameBytes(ring.PackedBytes(n, replyBits...), 2, false)
 			if r := reads[i]; r != nil {
-				reply = protocol.ReadReplyBytes(n, replyBits, len(r[g]))
+				reply = protocol.ReadReplyBytes(replyBits, len(r[g]))
 			}
 			rc.ReplyBytes = append(rc.ReplyBytes, reply)
 			rc.WireBytes += int64(reply)
@@ -268,6 +294,21 @@ func readSets(convs map[int]*core.Conv2D, fcs map[int]*core.FC) map[int][][]int 
 		}
 	}
 	return sets
+}
+
+// modelLayers lists the product-packed layers, in network order, as the
+// model frame carries them: a convolution's weights [out][in][tap], an FC
+// layer's [row][column]. The client and the server derive it alike.
+func modelLayers(net *Network, convs map[int]*core.Conv2D, fcs map[int]*core.FC) []protocol.ModelLayer {
+	var out []protocol.ModelLayer
+	for i := range net.Layers {
+		if conv, ok := convs[i]; ok {
+			out = append(out, protocol.ModelLayer{Index: i, Out: conv.Spec.OutC, In: conv.Spec.InC, Taps: conv.Spec.KH * conv.Spec.KW})
+		} else if fc, ok := fcs[i]; ok && fc.Product() {
+			out = append(out, protocol.ModelLayer{Index: i, Out: fc.Out, In: fc.In, Taps: 1})
+		}
+	}
+	return out
 }
 
 // NewInferenceClient generates the client's key material for the
@@ -301,6 +342,7 @@ func NewInferenceClient(net *Network, seed [32]byte) (*InferenceClient, error) {
 		convs:    convs,
 		fcs:      fcs,
 		reads:    readSets(convs, fcs),
+		model:    modelLayers(net, convs, fcs),
 
 		replyDrop: net.Params.ReplyDrop(),
 	}, nil
@@ -397,6 +439,11 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 	}
 	defer c.scratch.Put(sc)
 	packed, decoded := sc.packed, sc.decoded
+	if c.kernels == nil && len(c.model) > 0 {
+		if err := c.fetchModel(t, &stats); err != nil {
+			return nil, stats, err
+		}
+	}
 	send := func(ct *bfv.SeededCiphertext) error {
 		data := protocol.AppendSeededBFV(sc.frame[:0], ct)
 		sc.frame = data
@@ -407,10 +454,12 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 		return t.Send(data)
 	}
 	// recv takes output group g of layer i: a read-coefficient frame for
-	// a product-packed layer, a full one for a slot layer, and an error
-	// naming the layer and group for anything else. A reply at any level
-	// but the parameter set's is refused: the plan's byte count is the
-	// wire's, and a server that stops switching fails the request.
+	// a product-packed layer, completed with the c1 the client rebuilds
+	// from its upload's a (still the encryptor's: no other encryption has
+	// run since) and the group's kernel, a full one for a slot layer, and
+	// an error naming the layer and group for anything else. A reply at
+	// any level but the parameter set's is refused: the plan's byte count
+	// is the wire's, and a server that stops switching fails the request.
 	recv := func(i, g int) (*bfv.Ciphertext, error) {
 		raw, err := t.Recv()
 		if err != nil {
@@ -423,8 +472,9 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 		stats.DownCiphertexts++
 		stats.DownBytes += int64(len(raw)) + 4
 		var ct *bfv.Ciphertext
-		if reads := c.reads[i]; reads != nil {
-			ct, err = protocol.UnmarshalBFVRead(c.ctx, raw, reads[g])
+		reads := c.reads[i]
+		if reads != nil {
+			ct, err = protocol.UnmarshalBFVReadC0(c.ctx, raw, reads[g])
 		} else {
 			ct, err = protocol.UnmarshalBFV(c.ctx, raw)
 		}
@@ -433,7 +483,11 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 		}
 		if ct.Drop != c.replyDrop {
 			k := len(c.ctx.Params.QBits)
+			c.ctx.RecycleCt(ct)
 			return nil, fmt.Errorf("nn: layer %d output group %d arrived at %d residues, the parameter set's replies have %d", i, g, k-ct.Drop, k-c.replyDrop)
+		}
+		if reads != nil {
+			ct.Value = append(ct.Value, c.ctx.ProductC1(c.symEnc.A(), c.kernels[i][g], c.replyDrop))
 		}
 		return ct, nil
 	}
@@ -458,7 +512,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 				if err != nil {
 					return nil, stats, err
 				}
-				decoded := c.decrypt(outCt, true, decoded)
+				decoded := c.decrypt(outCt, c.reads[i][g], decoded)
 				c.ctx.RecycleCt(outCt)
 				for o := g * conv.GroupSize(); o < (g+1)*conv.GroupSize() && o < l.OutC; o++ {
 					next[o] = conv.ExtractOutput(decoded, o)
@@ -481,7 +535,11 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 			if err != nil {
 				return nil, stats, err
 			}
-			act = [][]int64{fc.ExtractOutput(c.decrypt(outCt, fc.Product(), decoded), c.ctx.T.Value)}
+			var reads []int
+			if fc.Product() {
+				reads = c.reads[i][0]
+			}
+			act = [][]int64{fc.ExtractOutput(c.decrypt(outCt, reads, decoded), c.ctx.T.Value)}
 			c.ctx.RecycleCt(outCt)
 			h, w = 1, l.FCOut
 		case Act:
@@ -502,6 +560,63 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 	return flatten(act), stats, nil
 }
 
+// fetchModel asks the server for the product layers' weights and builds
+// their kernels with the operators and the lift the server uses
+// (core.Conv2D.Kernels, bfv.Context.PrepareMulQ). It runs on the first
+// Infer, before the first upload; its two frames count in that request's
+// stats. The frame is checked against the client's own architecture
+// (protocol.UnmarshalModel).
+func (c *InferenceClient) fetchModel(t protocol.Transport, stats *core.Stats) error {
+	req := protocol.MarshalModelRequest()
+	stats.UpBytes += int64(len(req)) + 4
+	if err := t.Send(req); err != nil {
+		return fmt.Errorf("nn: send model request: %w", err)
+	}
+	raw, err := t.Recv()
+	if err != nil {
+		return fmt.Errorf("nn: receive model: %w", err)
+	}
+	stats.DownBytes += int64(len(raw)) + 4
+	if msg, ok := protocol.ParseSessionError(raw); ok {
+		return fmt.Errorf("nn: the server failed the session: %s", msg)
+	}
+	_, weights, err := protocol.UnmarshalModel(raw, c.model)
+	if err != nil {
+		return fmt.Errorf("nn: model frame: %w", err)
+	}
+	rowSize := c.ctx.Params.N() / 2
+	kernels := map[int][]*bfv.PlaintextQ{}
+	for j, l := range c.model {
+		w := weights[j]
+		if conv, ok := c.convs[l.Index]; ok {
+			shaped := make([][][]int64, l.Out)
+			for o := range shaped {
+				shaped[o] = make([][]int64, l.In)
+				for ch := range shaped[o] {
+					shaped[o][ch], w = w[:l.Taps], w[l.Taps:]
+				}
+			}
+			op, err := core.NewConv2D(conv.Spec, shaped, rowSize)
+			if err != nil {
+				return fmt.Errorf("nn: layer %d: %w", l.Index, err)
+			}
+			kernels[l.Index] = op.Kernels(c.ctx)
+			continue
+		}
+		rows := make([][]int64, l.Out)
+		for r := range rows {
+			rows[r], w = w[:l.In], w[l.In:]
+		}
+		op, err := core.NewFC(l.In, l.Out, rows, rowSize)
+		if err != nil {
+			return fmt.Errorf("nn: layer %d: %w", l.Index, err)
+		}
+		kernels[l.Index] = op.Kernels(c.ctx)
+	}
+	c.kernels = kernels
+	return nil
+}
+
 // encrypt seals one packed layer input: written straight into the
 // plaintext's coefficients for a product-packed layer, batch-encoded
 // into slots for the others.
@@ -518,14 +633,16 @@ func (c *InferenceClient) encrypt(packed []int64, coeffs bool) (*bfv.SeededCiphe
 	return ct, nil
 }
 
-// decrypt opens one reply in its layer's packing: centered coefficients
-// of a product-packed layer, written into out and returned, or centered
-// slots of the others.
-func (c *InferenceClient) decrypt(ct *bfv.Ciphertext, coeffs bool, out []int64) []int64 {
-	if !coeffs {
+// decrypt opens one reply in its layer's packing: the centered
+// coefficients reads of a product-packed layer, the only ones its
+// operator extracts, written into out (whose other entries are stale)
+// and returned, or, with reads nil, the centered slots of the others.
+func (c *InferenceClient) decrypt(ct *bfv.Ciphertext, reads []int, out []int64) []int64 {
+	if reads == nil {
 		return c.dec.DecryptInts(ct)
 	}
-	pt := c.dec.Decrypt(ct)
+	pt := &bfv.Plaintext{Poly: c.ctx.RingT.GetPoly()}
+	c.dec.DecryptAt(ct, reads, pt)
 	c.ecd.DecodeCoeffsInto(pt, out)
 	c.ctx.RingT.PutPoly(pt.Poly)
 	return out
@@ -548,6 +665,9 @@ type InferenceServer struct {
 	// reads are the coefficients each product-packed reply carries
 	// (readSets), by layer and output group.
 	reads map[int][][]int
+	// modelFrame is the product layers' weights as a client fetches them
+	// (protocol.MarshalModel), marshalled once.
+	modelFrame []byte
 	// frames holds reply-frame buffers: a request marshals reply after
 	// reply into one, and hands it to the next request.
 	frames sync.Pool
@@ -630,21 +750,39 @@ func NewInferenceServer(m *QuantizedModel) (*InferenceServer, error) {
 		return nil, err
 	}
 	for _, conv := range convs {
-		conv.Prepare(ctx)
+		conv.Kernels(ctx)
 	}
 	for _, fc := range fcs {
-		fc.Prepare(ctx)
+		fc.Kernels(ctx)
+	}
+	model := modelLayers(m.Net, convs, fcs)
+	weights := make([][]int64, len(model))
+	for j, l := range model {
+		if conv, ok := m.ConvW[l.Index]; ok {
+			for _, out := range conv {
+				weights[j] = append(weights[j], slices.Concat(out...)...)
+			}
+		} else {
+			weights[j] = slices.Concat(m.FCW[l.Index]...)
+		}
+	}
+	frame, err := protocol.MarshalModel(model, weights, m.WeightBits)
+	if err != nil {
+		return nil, fmt.Errorf("nn: model frame: %w", err)
 	}
 	return &InferenceServer{Model: m, ctx: ctx, ecd: bfv.NewEncoder(ctx), convs: convs, fcs: fcs,
-		reads: readSets(convs, fcs), replyDrop: ctx.Params.ReplyDrop()}, nil
+		reads: readSets(convs, fcs), modelFrame: frame, replyDrop: ctx.Params.ReplyDrop()}, nil
 }
 
 // ServeOne processes one inference request on this session: for each
 // linear layer it receives the packed input ciphertext, evaluates, and
 // returns the output group ciphertexts, each modulus-switched down to the
-// parameter set's reply level first; a product-packed group's reply
-// carries c0 at the coefficients the client reads only
-// (protocol.MarshalBFVRead). The first Recv is the start of
+// parameter set's reply level first. A product-packed layer's upload is
+// read as its c0 alone, its seed never expanded, and each of its groups'
+// replies is that half's c0 at the coefficients the client reads
+// (protocol.AppendBFVReadC0): the client rebuilds c1. A request that
+// opens with a model request is answered with the model frame first
+// (the client's first request does). The first Recv is the start of
 // the request — a server may arm an idle timeout for it and a tighter
 // I/O timeout for the frames that follow. Returns the server-side
 // operation counts. Errors carry the failing layer and frame role.
@@ -664,9 +802,12 @@ func (sess *ServerSession) ServeOneAccounted(t protocol.Transport, account func(
 	s := sess.s
 	slots := s.ctx.Params.Slots()
 	layers := s.Model.Net.Layers
-	last := -1
+	first, last := -1, -1
 	for i, l := range layers {
 		if l.Kind == Conv || l.Kind == FC {
+			if first < 0 {
+				first = i
+			}
 			last = i
 		}
 	}
@@ -687,7 +828,20 @@ func (sess *ServerSession) ServeOneAccounted(t protocol.Transport, account func(
 		if err != nil {
 			return ops, fmt.Errorf("nn: layer %d (%s) recv input: %w", i, kind, err)
 		}
-		ct, err := protocol.UnmarshalAnyBFV(s.ctx, raw)
+		if i == first && protocol.IsModelRequest(raw) {
+			if err := t.Send(s.modelFrame); err != nil {
+				return ops, fmt.Errorf("nn: send model: %w", err)
+			}
+			if raw, err = t.Recv(); err != nil {
+				return ops, fmt.Errorf("nn: layer %d (%s) recv input: %w", i, kind, err)
+			}
+		}
+		var ct *bfv.Ciphertext
+		if s.reads[i] != nil {
+			ct, err = protocol.UnmarshalSeededBFVC0(s.ctx, raw)
+		} else {
+			ct, err = protocol.UnmarshalAnyBFV(s.ctx, raw)
+		}
 		if err != nil {
 			return ops, fmt.Errorf("nn: layer %d (%s) decode input (%d B): %w", i, kind, len(raw), err)
 		}
@@ -711,7 +865,7 @@ func (sess *ServerSession) ServeOneAccounted(t protocol.Transport, account func(
 			}
 			var frame []byte
 			if reads := s.reads[i]; reads != nil {
-				frame = protocol.AppendBFVRead((*buf)[:0], o, reads[g])
+				frame = protocol.AppendBFVReadC0((*buf)[:0], o.Value[0], reads[g])
 				*buf = frame // the transport has copied or written it once Send returns
 			} else {
 				frame = protocol.MarshalBFV(o)

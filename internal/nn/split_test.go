@@ -148,15 +148,19 @@ func TestSplitDemoNetworkEndToEnd(t *testing.T) {
 		t.Error("demo network produced all-zero logits; requant shifts too aggressive")
 	}
 	// Preset B wire check: a seeded upload carries one polynomial of two
-	// packed 36-bit rows (2 · 18 432 B) plus a 32-byte seed; a download c1
-	// at the one residue replies are switched down to (18 432 B) and c0 at
-	// the read coefficients, 36 bits each in whole words (conv1 3 136,
-	// conv2's tiles 588, 588 and 392, FC 10); each behind a 24-byte header
-	// and the 4-byte length prefix.
-	if perUp := stats.UpBytes / int64(stats.UpCiphertexts); perUp != 36924 {
-		t.Errorf("per-ciphertext up bytes %d, want 36924", perUp)
+	// packed 36-bit rows (2 · 18 432 B) plus a 32-byte seed; a download c0
+	// at the read coefficients alone, at the one residue replies are
+	// switched down to, 36 bits each in whole words (conv1 3 136: 14 112 B,
+	// conv2's tiles 588, 588 and 392: 2 648, 2 648 and 1 768 B, FC 10:
+	// 48 B); each behind a 24-byte header and the 4-byte length prefix. The
+	// client's first request also exchanges the model: an 8-byte request
+	// and a 2 480-byte model frame (16-byte header, 16 bytes for each of
+	// the 3 product layers, 4 820 4-bit weights in whole words), each with
+	// its length prefix.
+	if stats.UpCiphertexts != 3 || stats.UpBytes != 3*36924+12 {
+		t.Errorf("%d uploads, %d B up; want 3 of 36 924 B and the 12-byte model request", stats.UpCiphertexts, stats.UpBytes)
 	}
-	if stats.DownCiphertexts != 5 || stats.DownBytes != 113524 {
-		t.Errorf("%d replies of %d B, want 5 of 113524 B", stats.DownCiphertexts, stats.DownBytes)
+	if stats.DownCiphertexts != 5 || stats.DownBytes != 21364+2484 {
+		t.Errorf("%d replies, %d B down; want 5 of 21 364 B together and the 2 484-byte model frame", stats.DownCiphertexts, stats.DownBytes)
 	}
 }

@@ -2,6 +2,7 @@ package nt
 
 import (
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -131,6 +132,26 @@ func TestMulShoup(t *testing.T) {
 			ws := m.ShoupPrecomp(w)
 			if got, want := m.MulShoup(a, w, ws), m.Mul(a, w); got != want {
 				t.Fatalf("MulShoup(%d,%d) mod %d = %d, want %d", a, w, q, got, want)
+			}
+		}
+	}
+}
+
+// TestShoupPrecompIsTheQuotient holds the Barrett-estimated Shoup
+// companion to its definition, floor(w·2^64/q) by a 128-by-64 division,
+// at moduli from 2 to 61 bits, for random w < q and at 0, 1, q/2 and q−1.
+func TestShoupPrecompIsTheQuotient(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, q := range []uint64{2, 3, 12289, 68719403009, 137438822401, (1 << 58) - 27, 2305843009213693951, 1<<61 - 1} {
+		m := NewModulus(q)
+		ws := []uint64{0, 1, q / 2, q - 1}
+		for i := 0; i < 2000; i++ {
+			ws = append(ws, rng.Uint64()%q)
+		}
+		for _, w := range ws {
+			want, _ := bits.Div64(w, 0, q)
+			if got := m.ShoupPrecomp(w); got != want {
+				t.Fatalf("ShoupPrecomp(%d) mod %d = %d, floor(w·2^64/q) = %d", w, q, got, want)
 			}
 		}
 	}

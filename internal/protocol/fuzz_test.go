@@ -287,9 +287,9 @@ func FuzzStatsFetch(f *testing.F) {
 
 // FuzzUnmarshalBFVRead throws arbitrary bytes, seeded from a read-
 // coefficient reply and its near misses, at the decoder a client runs on
-// every product-packed reply: the outcome is an error, or a ciphertext
-// whose residues are all reduced, whose c0 is zero off the read set, and
-// which marshals back to exactly the bytes it came from.
+// every product-packed reply (UnmarshalBFVReadC0): the outcome is an
+// error, or c0 alone whose residues are all reduced, which is zero off the
+// read set, and which marshals back to exactly the bytes it came from.
 func FuzzUnmarshalBFVRead(f *testing.F) {
 	w := newWireFrames(f)
 	frame := w.bfvRead
@@ -306,20 +306,72 @@ func FuzzUnmarshalBFVRead(f *testing.F) {
 		reads[k] = true
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ct, err := UnmarshalBFVRead(w.bctx, data, w.readIdx)
+		ct, err := UnmarshalBFVReadC0(w.bctx, data, w.readIdx)
 		if err != nil {
 			return
 		}
-		checkBFV(t, w.bctx, ct)
+		if len(ct.Value) != 1 {
+			t.Fatalf("decoded %d components, want c0 alone", len(ct.Value))
+		}
+		r := w.bctx.RingAtDrop(ct.Drop)
 		for i, row := range ct.Value[0].Coeffs {
+			if len(ct.Value[0].Coeffs) != len(r.Moduli) || len(row) != r.N {
+				t.Fatalf("c0 is not a polynomial of the ring at drop %d", ct.Drop)
+			}
 			for j, v := range row {
+				if v >= r.Moduli[i].Value {
+					t.Fatalf("c0 residue [%d][%d] = %d is not reduced", i, j, v)
+				}
 				if v != 0 && !reads[j] {
 					t.Fatalf("c0 row %d holds %d at %d, off the read set", i, v, j)
 				}
 			}
 		}
-		if !bytes.Equal(MarshalBFVRead(ct, w.readIdx), data) {
+		if !bytes.Equal(AppendBFVReadC0(nil, ct.Value[0], w.readIdx), data) {
 			t.Fatal("an accepted read reply marshals back to different bytes")
+		}
+	})
+}
+
+// FuzzUnmarshalModel throws arbitrary bytes, seeded from a model frame and
+// its near misses, at the decoder a client runs on the one model frame it
+// fetches: the outcome is an error, or the client's own layers' weights,
+// each within its width's range, which marshal back to exactly the bytes
+// they came from.
+func FuzzUnmarshalModel(f *testing.F) {
+	layers, weights := testModel()
+	frame, err := MarshalModel(layers, weights, 4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame)
+	f.Add(frame[:len(frame)-1])
+	f.Add(frame[:modelHeaderBytes])
+	f.Add(mutated(frame, setU32(8, 8)))
+	f.Add(mutated(frame, setU32(12, 1)))
+	f.Add(mutated(frame, setU32(modelHeaderBytes+4, 5)))
+	f.Add(mutated(frame, setU64(len(frame)-8, math.MaxUint64)))
+	f.Add(MarshalModelRequest())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bits, got, err := UnmarshalModel(data, layers)
+		if err != nil {
+			return
+		}
+		lim := int64(1)<<(bits-1) - 1
+		for i, l := range layers {
+			if len(got[i]) != l.Out*l.In*l.Taps {
+				t.Fatalf("layer %d decoded %d weights, its shape takes %d", i, len(got[i]), l.Out*l.In*l.Taps)
+			}
+			for _, w := range got[i] {
+				if w < -lim || w > lim {
+					t.Fatalf("layer %d weight %d outside ±%d at %d bits", i, w, lim, bits)
+				}
+			}
+		}
+		back, err := MarshalModel(layers, got, bits)
+		if err != nil || !bytes.Equal(back, data) {
+			t.Fatalf("an accepted model frame marshals back to different bytes (%v)", err)
 		}
 	})
 }

@@ -46,10 +46,11 @@ const (
 	// about half the bytes of a regular frame.
 	SchemeBFVSeeded  = HelloVersion<<16 | uint32(3)
 	SchemeCKKSSeeded = HelloVersion<<16 | uint32(4)
-	// SchemeBFVRead tags a product-packed layer's reply: c1 whole, then
-	// c0 at the coefficients the layer reads only, their count in the
-	// header's spare field (MarshalBFVRead).
-	SchemeBFVRead = HelloVersion<<16 | uint32(5)
+	// SchemeBFVReadC0 tags a product-packed layer's reply: c0 at the
+	// coefficients the layer reads and nothing else, their count in the
+	// header's spare field (AppendBFVReadC0); the client rebuilds c1. Tag
+	// 5 was the layout that also carried c1 whole, and is refused.
+	SchemeBFVReadC0 = HelloVersion<<16 | uint32(6)
 )
 
 // frameShape says what a frame family carries besides its residues: a
@@ -121,7 +122,7 @@ func checkTag(data []byte, tag uint32) error {
 		return fmt.Errorf("protocol: truncated ciphertext")
 	}
 	got := binary.LittleEndian.Uint32(data)
-	if family := got & 0xffff; got>>16 != HelloVersion && family >= SchemeBFV&0xffff && family <= SchemeBFVRead&0xffff {
+	if family := got & 0xffff; got>>16 != HelloVersion && family >= SchemeBFV&0xffff && family <= SchemeBFVReadC0&0xffff {
 		// Version 1 wrote the bare family, before tags carried a version.
 		return fmt.Errorf("protocol: ciphertext frame is wire version %d, this peer speaks version %d (packed residue rows)",
 			max(got>>16, 1), HelloVersion)
@@ -198,49 +199,43 @@ func UnmarshalBFV(ctx *bfv.Context, data []byte) (*bfv.Ciphertext, error) {
 }
 
 // ReadReplyBytes returns what one read-coefficient reply frame costs on
-// the wire, the transport's length prefix included: the header, c1 at
-// every residue of qBits (ring.PackedBytes), and c0's reads coefficients
-// at each residue's bit width (ring.PackedFieldsBytes).
-func ReadReplyBytes(n int, qBits []int, reads int) int {
-	total := lengthPrefixBytes + headerBytes + ring.PackedBytes(n, qBits...)
+// the wire, the transport's length prefix included: the header, then c0's
+// reads coefficients at each residue of qBits, at that residue's bit
+// width (ring.PackedFieldsBytes).
+func ReadReplyBytes(qBits []int, reads int) int {
+	total := lengthPrefixBytes + headerBytes
 	for _, b := range qBits {
 		total += ring.PackedFieldsBytes(reads, b)
 	}
 	return total
 }
 
-// MarshalBFVRead serializes a degree-1 BFV ciphertext for a client that
-// reads only the coefficients idx of its decryption: coefficient k of
-// the decryption is c0[k] + (c1·s)[k], which needs all of c1 and c0[k]
-// alone. The frame is the 24-byte header (tag SchemeBFVRead, 2
-// components, N, residue count k, len(idx) in the spare field), c1's
-// packed rows, then c0's rows at idx as packed fields
-// (ring.Poly.AppendPackedAt). The indices do not travel: both ends
-// derive them from the layer (core.Conv2D.ReadIndices,
-// core.FC.ReadIndices).
-func MarshalBFVRead(ct *bfv.Ciphertext, idx []int) []byte {
-	return AppendBFVRead(nil, ct, idx)
-}
-
-// AppendBFVRead is MarshalBFVRead appending to dst: a server that sends
-// reply after reply reuses one buffer.
-func AppendBFVRead(dst []byte, ct *bfv.Ciphertext, idx []int) []byte {
-	c0, c1 := ct.Value[0], ct.Value[1]
-	buf := appendHeader(dst, headerBytes+c1.PackedBytes()+c0.PackedBytesAt(len(idx)),
-		SchemeBFVRead, 2, len(c1.Coeffs[0]), len(c1.Coeffs), uint64(len(idx)))
-	buf = c1.AppendPacked(buf)
+// AppendBFVReadC0 appends, to dst, the reply of a product-packed layer
+// whose client reads only the coefficients idx of its decryption and
+// rebuilds c1 itself (bfv.Context.ProductC1): coefficient k of the
+// decryption is c0[k] + (c1·s)[k], and the client holds c1 and s, so the
+// frame is the 24-byte header (tag SchemeBFVReadC0, 1 component, N,
+// residue count k, len(idx) in the spare field) and c0's rows at idx as
+// packed fields (ring.Poly.AppendPackedAt). The indices do not travel:
+// both ends derive them from the layer (core.Conv2D.ReadIndices,
+// core.FC.ReadIndices). A server that sends reply after reply reuses
+// one buffer.
+func AppendBFVReadC0(dst []byte, c0 *ring.Poly, idx []int) []byte {
+	buf := appendHeader(dst, headerBytes+c0.PackedBytesAt(len(idx)),
+		SchemeBFVReadC0, 1, len(c0.Coeffs[0]), len(c0.Coeffs), uint64(len(idx)))
 	return c0.AppendPackedAt(buf, idx)
 }
 
-// UnmarshalBFVRead reads a frame MarshalBFVRead wrote for the reads idx
-// of a layer, strictly: the tag, N and a residue count the context has, 2
-// components, a read count equal to len(idx), the exact length, every
-// residue of c1 and every read residue of c0 below its modulus, and zero
-// padding bits. It returns the full ciphertext the client decrypts, c0
-// zero at every coefficient the layer does not read; the decryption is
-// exact at the read coefficients and meaningless elsewhere.
-func UnmarshalBFVRead(ctx *bfv.Context, data []byte, idx []int) (*bfv.Ciphertext, error) {
-	if err := checkTag(data, SchemeBFVRead); err != nil {
+// UnmarshalBFVReadC0 reads a frame AppendBFVReadC0 wrote for the reads
+// idx of a layer, strictly: the tag, N and a residue count the context
+// has, 1 component, a read count equal to len(idx), the exact length,
+// every read residue below its modulus, and zero padding bits. It returns
+// the reply's c0 as a one-component ciphertext at its level, zero at
+// every coefficient the layer does not read; the client appends the c1
+// it rebuilds before it decrypts, and the decryption is exact at the
+// read coefficients and meaningless elsewhere.
+func UnmarshalBFVReadC0(ctx *bfv.Context, data []byte, idx []int) (*bfv.Ciphertext, error) {
+	if err := checkTag(data, SchemeBFVReadC0); err != nil {
 		return nil, err
 	}
 	if len(data) < headerBytes {
@@ -250,26 +245,23 @@ func UnmarshalBFVRead(ctx *bfv.Context, data []byte, idx []int) (*bfv.Ciphertext
 	n := int(binary.LittleEndian.Uint32(data[8:]))
 	k := int(binary.LittleEndian.Uint32(data[12:]))
 	reads := binary.LittleEndian.Uint64(data[16:])
-	if full := len(ctx.RingQ.Moduli); n != ctx.RingQ.N || k < 1 || k > full || deg != 2 {
-		return nil, fmt.Errorf("protocol: read reply shape (N=%d,k=%d, %d components) does not match context (N=%d,k≤%d, 2 components)",
+	if full := len(ctx.RingQ.Moduli); n != ctx.RingQ.N || k < 1 || k > full || deg != 1 {
+		return nil, fmt.Errorf("protocol: read reply shape (N=%d,k=%d, %d components) does not match context (N=%d,k≤%d, 1 component)",
 			n, k, deg, ctx.RingQ.N, full)
 	}
 	if reads != uint64(len(idx)) {
 		return nil, fmt.Errorf("protocol: read reply carries %d coefficients, the layer reads %d", reads, len(idx))
 	}
 	r := ctx.RingAtLevel(k - 1)
-	c1Bytes := r.PackedBytes()
-	if want := headerBytes + c1Bytes + r.PackedBytesAt(len(idx)); len(data) != want {
+	if want := headerBytes + r.PackedBytesAt(len(idx)); len(data) != want {
 		return nil, fmt.Errorf("protocol: read reply length %d, want %d", len(data), want)
 	}
-	c0, c1 := r.GetPoly(), r.GetPoly()
-	if err := c1.Unpack(data[headerBytes : headerBytes+c1Bytes]); err != nil {
-		return nil, fmt.Errorf("protocol: read reply c1: %w", err)
-	}
-	if err := c0.UnpackAt(data[headerBytes+c1Bytes:], idx); err != nil {
+	c0 := r.GetPoly()
+	if err := c0.UnpackAt(data[headerBytes:], idx); err != nil {
+		r.PutPoly(c0)
 		return nil, fmt.Errorf("protocol: read reply c0: %w", err)
 	}
-	return &bfv.Ciphertext{Value: []*ring.Poly{c0, c1}, Drop: len(ctx.RingQ.Moduli) - k}, nil
+	return &bfv.Ciphertext{Value: []*ring.Poly{c0}, Drop: len(ctx.RingQ.Moduli) - k}, nil
 }
 
 // MarshalSeededBFV serializes a seed-compressed ciphertext.
@@ -287,14 +279,36 @@ func AppendSeededBFV(dst []byte, sct *bfv.SeededCiphertext) []byte {
 // ciphertext into a regular two-component one (the server-side step).
 // BFV encrypts at full modulus only.
 func UnmarshalSeededBFV(ctx *bfv.Context, data []byte) (*bfv.Ciphertext, error) {
-	value, _, seed, err := unmarshalFrame(ctx.Context, SchemeBFVSeeded, data)
+	c0, seed, err := unmarshalSeededBFV(ctx, data)
 	if err != nil {
 		return nil, err
 	}
-	if len(value[0].Coeffs) != len(ctx.RingQ.Moduli) {
-		return nil, fmt.Errorf("protocol: seeded ciphertext shape mismatch")
+	return (&bfv.SeededCiphertext{C0: c0, Seed: seed}).Expand(ctx), nil
+}
+
+// UnmarshalSeededBFVC0 reads a seed-compressed ciphertext's c0 alone,
+// as a one-component ciphertext: the server half of a product-packed
+// layer, whose client rebuilds the reply's c1 from its own a
+// (bfv.Context.ProductC1), never expands the seed. The frame is checked
+// as UnmarshalSeededBFV checks it.
+func UnmarshalSeededBFVC0(ctx *bfv.Context, data []byte) (*bfv.Ciphertext, error) {
+	c0, _, err := unmarshalSeededBFV(ctx, data)
+	if err != nil {
+		return nil, err
 	}
-	return (&bfv.SeededCiphertext{C0: value[0], Seed: seed}).Expand(ctx), nil
+	return &bfv.Ciphertext{Value: []*ring.Poly{c0}}, nil
+}
+
+// unmarshalSeededBFV reads a seeded BFV frame's c0 and seed.
+func unmarshalSeededBFV(ctx *bfv.Context, data []byte) (*ring.Poly, [seedBytes]byte, error) {
+	value, _, seed, err := unmarshalFrame(ctx.Context, SchemeBFVSeeded, data)
+	if err != nil {
+		return nil, seed, err
+	}
+	if len(value[0].Coeffs) != len(ctx.RingQ.Moduli) {
+		return nil, seed, fmt.Errorf("protocol: seeded ciphertext shape mismatch")
+	}
+	return value[0], seed, nil
 }
 
 // UnmarshalAnyBFV dispatches on the scheme tag, accepting both regular

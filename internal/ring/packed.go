@@ -162,15 +162,17 @@ func unpackRow(row []uint64, src []byte, b uint, q uint64) bool {
 
 // Packed fields: the wire form of a chosen subset of one residue row, as
 // a product-packed layer's reply carries c0 at the coefficients the client
-// reads. count b-bit values travel as one little-endian bitstream, value i
-// at bits [i·b, (i+1)·b), closed to whole 8-byte words with zero bits.
+// reads, and of any other run of small values (the model frame's offset
+// weights, protocol.MarshalModel). count b-bit values travel as one
+// little-endian bitstream, value i at bits [i·b, (i+1)·b), closed to
+// whole 8-byte words with zero bits.
 
 // PackedFieldsBytes returns the packed size of count values of b bits.
 func PackedFieldsBytes(count, b int) int { return (count*b + 63) / 64 * 8 }
 
-// appendFields appends count values, value(i) for each, b bits each
+// AppendFields appends count values, value(i) for each, b bits each
 // (1 ≤ b ≤ 63), to dst. Every value must be below 2^b.
-func appendFields(dst []byte, count int, b uint, value func(int) uint64) []byte {
+func AppendFields(dst []byte, count int, b uint, value func(int) uint64) []byte {
 	off, n := len(dst), PackedFieldsBytes(count, int(b))
 	dst = slices.Grow(dst, n)[:off+n]
 	out := dst[off:]
@@ -192,12 +194,12 @@ func appendFields(dst []byte, count int, b uint, value func(int) uint64) []byte 
 	return dst
 }
 
-// unpackFields is appendFields' inverse: it hands value i to set(i, v)
+// UnpackFields is AppendFields' inverse: it hands value i to set(i, v)
 // for each of count values in src, which must be exactly
 // PackedFieldsBytes(count, b) long, and refuses a value that is not below
 // q or a padding bit that is set, so an accepted stream is the one
 // encoding of its values.
-func unpackFields(src []byte, count int, b uint, q uint64, set func(int, uint64)) error {
+func UnpackFields(src []byte, count int, b uint, q uint64, set func(int, uint64)) error {
 	if want := PackedFieldsBytes(count, int(b)); len(src) != want {
 		return fmt.Errorf("ring: %d packed bytes, %d fields of %d bits take %d", len(src), count, b, want)
 	}
@@ -245,7 +247,7 @@ func (p *Poly) PackedBytesAt(count int) int { return p.wireRing().PackedBytesAt(
 func (p *Poly) AppendPackedAt(dst []byte, idx []int) []byte {
 	r := p.wireRing()
 	for i, row := range p.Coeffs {
-		dst = appendFields(dst, len(idx), uint(r.Moduli[i].BitLen()), func(j int) uint64 { return row[idx[j]] })
+		dst = AppendFields(dst, len(idx), uint(r.Moduli[i].BitLen()), func(j int) uint64 { return row[idx[j]] })
 	}
 	return dst
 }
@@ -264,7 +266,7 @@ func (p *Poly) UnpackAt(src []byte, idx []int) error {
 		m := r.Moduli[i]
 		n := PackedFieldsBytes(len(idx), m.BitLen())
 		clear(row)
-		if err := unpackFields(src[:n], len(idx), uint(m.BitLen()), m.Value, func(j int, v uint64) { row[idx[j]] = v }); err != nil {
+		if err := UnpackFields(src[:n], len(idx), uint(m.BitLen()), m.Value, func(j int, v uint64) { row[idx[j]] = v }); err != nil {
 			return fmt.Errorf("ring: residue row %d: %w", i, err)
 		}
 		src = src[n:]

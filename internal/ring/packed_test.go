@@ -247,7 +247,7 @@ func TestPackedFieldsMatchLayout(t *testing.T) {
 			if n > 0 {
 				vals = rowBelow(rng, n, q)
 			}
-			got := appendFields([]byte{0xAA}, n, b, func(i int) uint64 { return vals[i] })
+			got := AppendFields([]byte{0xAA}, n, b, func(i int) uint64 { return vals[i] })
 			if got[0] != 0xAA || len(got) != 1+PackedFieldsBytes(n, int(b)) || len(got)%8 != 1 {
 				t.Fatalf("width %d, count %d: appended %d bytes to a 1-byte prefix, want %d whole words", b, n, len(got)-1, PackedFieldsBytes(n, int(b)))
 			}
@@ -266,7 +266,7 @@ func TestPackedFieldsMatchLayout(t *testing.T) {
 			}
 			back := make([]uint64, n)
 			unpack := func(src []byte) error {
-				return unpackFields(src, n, b, q, func(i int, v uint64) { back[i] = v })
+				return UnpackFields(src, n, b, q, func(i int, v uint64) { back[i] = v })
 			}
 			if err := unpack(got); err != nil {
 				t.Fatalf("width %d, count %d: %v", b, n, err)
@@ -285,7 +285,7 @@ func TestPackedFieldsMatchLayout(t *testing.T) {
 			at := rng.Intn(n)
 			old := vals[at]
 			vals[at] = q
-			if err := unpack(appendFields(nil, n, b, func(i int) uint64 { return vals[i] })); err == nil || !strings.Contains(err.Error(), "not reduced") {
+			if err := unpack(AppendFields(nil, n, b, func(i int) uint64 { return vals[i] })); err == nil || !strings.Contains(err.Error(), "not reduced") {
 				t.Fatalf("width %d, count %d: field %d = q accepted (%v)", b, n, at, err)
 			}
 			vals[at] = old

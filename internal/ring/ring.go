@@ -710,6 +710,28 @@ func (r *Ring) ShoupPolyPrecomp(p *Poly) [][]uint64 {
 	return out
 }
 
+// MulCoeffsShoup sets out = a ⊙ b for a fixed operand b whose Shoup
+// companions bShoup come from ShoupPolyPrecomp: one Shoup reduction a
+// coefficient where MulCoeffs runs a Barrett one, the same canonical
+// residues. Both operands must be in the NTT domain.
+func (r *Ring) MulCoeffsShoup(a, b *Poly, bShoup [][]uint64, out *Poly) {
+	if !a.isNTT || !b.isNTT {
+		panic("ring: MulCoeffsShoup requires NTT-domain operands")
+	}
+	if debugEnabled {
+		r.debugCheck("MulCoeffsShoup", a, b)
+	}
+	r.parRows(len(out.Coeffs), parMinCoeffwise, func(i int) {
+		m := r.Moduli[i]
+		ra, rb, rs, ro := a.Coeffs[i], b.Coeffs[i], bShoup[i], out.Coeffs[i]
+		ra, rb, rs = ra[:len(ro)], rb[:len(ro)], rs[:len(ro)]
+		for j := range ro {
+			ro[j] = m.MulShoup(ra[j], rb[j], rs[j])
+		}
+	})
+	out.isNTT = true
+}
+
 // MulCoeffsShoupAdd2 sets out0 += a ⊙ b0 and out1 += a ⊙ b1: the
 // key-switch inner product at the identity Galois element, run by
 // AutomorphismNTTMulShoupAdd2 with g = 1. b0Shoup and b1Shoup come from

@@ -483,6 +483,34 @@ func TestAutomorphismNTTMulShoupAdd2MatchesTwoStep(t *testing.T) {
 	}
 }
 
+// TestMulCoeffsShoupMatchesMulCoeffs: the dyadic product by a fixed
+// operand's Shoup companions is word for word MulCoeffs' Barrett one, on
+// every tier MulCoeffs has (its AVX2 kernel and the scalar loop), at
+// primes of 30 to 61 bits, with the largest residue q − 1 in both
+// operands.
+func TestMulCoeffsShoupMatchesMulCoeffs(t *testing.T) {
+	defer SetVectorKernels(true)
+	for _, bits := range [][]int{{30, 31, 32}, {36, 36}, {55, 58, 61}} {
+		r := testRing(t, 10, bits)
+		a, b := randomPoly(r, 41), randomPoly(r, 42)
+		for i, m := range r.Moduli {
+			a.Coeffs[i][0], b.Coeffs[i][0], b.Coeffs[i][1] = m.Value-1, m.Value-1, m.Value-1
+		}
+		a.DeclareNTT()
+		b.DeclareNTT()
+		got := r.NewPoly()
+		r.MulCoeffsShoup(a, b, r.ShoupPolyPrecomp(b), got)
+		for _, vector := range []bool{true, false} {
+			SetVectorKernels(vector)
+			want := r.NewPoly()
+			r.MulCoeffs(a, b, want)
+			if !r.Equal(got, want) || !got.IsNTT() {
+				t.Fatalf("%v-bit primes, vector kernels %v: MulCoeffsShoup differs from MulCoeffs", bits, vector)
+			}
+		}
+	}
+}
+
 // TestSetCoeffsUint64Allocs pins the plaintext lift's allocation count:
 // it reduces each coefficient into each row in place and allocates
 // nothing, so an arbitrary-precision reduction per coefficient shows.

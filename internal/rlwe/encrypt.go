@@ -26,11 +26,18 @@ func reduceSigned(q uint64, v int64) uint64 {
 
 // zeroRow is the one encrypt-zero row: dst = INTT(key ⊙ u) + e on residue
 // row i of r, with key and u in the NTT domain. The public-key path runs
-// it with (P0, u, e1) and (P1, u, e2), the symmetric path with (a, s, e).
-func zeroRow(r *ring.Ring, i int, key, u []uint64, e []int64, dst []uint64) {
+// it with (P0, u, e1) and (P1, u, e2), the symmetric path with (a, s, e),
+// where s is fixed and uShoup holds its Shoup companions (nil otherwise).
+func zeroRow(r *ring.Ring, i int, key, u, uShoup []uint64, e []int64, dst []uint64) {
 	m := r.Moduli[i]
-	for j := range dst {
-		dst[j] = m.Mul(key[j], u[j])
+	if uShoup != nil {
+		for j := range dst {
+			dst[j] = m.MulShoup(key[j], u[j], uShoup[j])
+		}
+	} else {
+		for j := range dst {
+			dst[j] = m.Mul(key[j], u[j])
+		}
 	}
 	r.NTTInverseRow(i, dst)
 	for j := range dst {
@@ -81,8 +88,8 @@ func (enc *Encryptor) ZeroRow(i int, c0, c1 []uint64) {
 		ur[j] = reduceSigned(m.Value, v)
 	}
 	r.NTTForwardRow(i, ur)
-	zeroRow(r, i, enc.pk.P0.Coeffs[i], ur, enc.e1, c0)
-	zeroRow(r, i, enc.pk.P1.Coeffs[i], ur, enc.e2, c1)
+	zeroRow(r, i, enc.pk.P0.Coeffs[i], ur, nil, enc.e1, c0)
+	zeroRow(r, i, enc.pk.P1.Coeffs[i], ur, nil, enc.e2, c1)
 }
 
 // Seeded symmetric encryption: when the encryptor holds the secret key
@@ -136,12 +143,17 @@ func (enc *SymmetricEncryptor) Sample(level int) (seed [32]byte) {
 // ZeroRow writes residue row i of c0 = -(a·s + e), coefficient domain.
 func (enc *SymmetricEncryptor) ZeroRow(i int, c0 []uint64) {
 	r := enc.ctx.RingQ
-	zeroRow(r, i, enc.a.Coeffs[i], enc.sk.ValueQ.Coeffs[i], enc.e, c0)
+	zeroRow(r, i, enc.a.Coeffs[i], enc.sk.ValueQ.Coeffs[i], enc.sk.shoupQ(r)[i], enc.e, c0)
 	m := r.Moduli[i]
 	for j := range c0 {
 		c0[j] = m.Neg(c0[j])
 	}
 }
+
+// A returns the NTT-domain a of the latest Sample, which the next Sample
+// overwrites: a client that completes a reply's c1 itself (bfv.ProductC1)
+// reads it there instead of expanding the seed again.
+func (enc *SymmetricEncryptor) A() *ring.Poly { return enc.a }
 
 // ExpandA deterministically regenerates a seeded ciphertext's uniform
 // polynomial at the given level and returns it in the coefficient domain,
@@ -164,8 +176,10 @@ func (ctx *Context) ExpandA(seed [32]byte, level int) *ring.Poly {
 // of the encrypt-zero rows): each row independently runs NTT(c_i) → ·s^i →
 // accumulate → inverse NTT → +c0, fanned across internal/par. c0
 // never pays a forward NTT (2 transforms per degree-1 decryption, not
-// 3), and rows share no state, so the result is byte-identical to
-// serial execution.
+// 3), nor does a c1 handed over in the NTT domain (bfv.ProductC1
+// rebuilds one there: 1 transform), and rows share no state, so the
+// result is byte-identical to serial execution. c1⊙s is a Shoup product
+// by the key's companions.
 func (ctx *Context) PhaseInto(sk *SecretKey, value []*ring.Poly, level int, acc *ring.Poly) {
 	r := ctx.ringQl[level]
 	acc.DeclareCoeff()
@@ -175,25 +189,33 @@ func (ctx *Context) PhaseInto(sk *SecretKey, value []*ring.Poly, level int, acc 
 		}
 		return
 	}
-	ci := r.GetPoly()
+	var ci *ring.Poly // c1 and c2, c3, … transformed, row by row
+	if !value[1].IsNTT() || len(value) > 2 {
+		ci = r.GetPoly()
+	}
 	var sPow *ring.Poly // s^i rows, needed only for degree ≥ 2
 	if len(value) > 2 {
 		sPow = r.GetPoly()
 	}
+	skShoup := sk.shoupQ(ctx.RingQ)
 	par.ForWorker(r.Level(), func(_, i int) {
 		m := r.Moduli[i]
-		accr, cir, skr := acc.Coeffs[i][:r.N], ci.Coeffs[i], sk.ValueQ.Coeffs[i]
-		copy(cir, value[1].Coeffs[i])
-		r.NTTForwardRow(i, cir)
+		accr, skr, sks := acc.Coeffs[i][:r.N], sk.ValueQ.Coeffs[i], skShoup[i]
+		c1r := value[1].Coeffs[i]
+		if !value[1].IsNTT() {
+			c1r = ci.Coeffs[i]
+			copy(c1r, value[1].Coeffs[i])
+			r.NTTForwardRow(i, c1r)
+		}
 		for j := range accr {
-			accr[j] = m.Mul(cir[j], skr[j])
+			accr[j] = m.MulShoup(c1r[j], skr[j], sks[j])
 		}
 		if sPow != nil {
-			spr := sPow.Coeffs[i]
+			spr, cir := sPow.Coeffs[i], ci.Coeffs[i]
 			copy(spr, skr)
 			for k := 2; k < len(value); k++ {
 				for j := range spr {
-					spr[j] = m.Mul(spr[j], skr[j]) // s^k
+					spr[j] = m.MulShoup(spr[j], skr[j], sks[j]) // s^k
 				}
 				copy(cir, value[k].Coeffs[i])
 				r.NTTForwardRow(i, cir)

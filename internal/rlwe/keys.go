@@ -17,6 +17,19 @@ type SecretKey struct {
 	// NTT-domain embeddings in the data and key rings.
 	ValueQ  *ring.Poly
 	ValueQP *ring.Poly
+
+	// Lazily-built Shoup companions of ValueQ: s is the fixed operand of
+	// the symmetric encrypt-zero rows (a⊙s) and of the decryption phase
+	// (c1⊙s). Built on first use, like a switching key's, so a key made
+	// by any path picks them up.
+	once        sync.Once
+	valueQShoup [][]uint64
+}
+
+// shoupQ returns ValueQ's Shoup companions over r, the data ring.
+func (sk *SecretKey) shoupQ(r *ring.Ring) [][]uint64 {
+	sk.once.Do(func() { sk.valueQShoup = r.ShoupPolyPrecomp(sk.ValueQ) })
+	return sk.valueQShoup
 }
 
 // PublicKey is an encryption of zero under the secret key:

@@ -62,15 +62,20 @@ func (ctx *Context) ModDownPair(level int, acc0, acc1 *ring.Poly) (d0, d1 *ring.
 // another prime m of the basis it computes dst[k] = src[k] − c[k] mod q,
 // where c is the centred representative of xp[k] mod p reduced mod q:
 // values above p/2 stand for t − p ≡ Reduce(t) − Reduce(p), which shares
-// the canonical-form Reduce with the small case. Subtracting c leaves an
-// exact multiple of p, so the callers only have to multiply by p⁻¹; src
-// and dst may be the same row.
+// the canonical-form Reduce with the small case; when p ≤ q, t is already
+// a residue mod q and needs no Reduce at all (the divide-by-last-prime of
+// a chain whose primes descend). Subtracting c leaves an exact multiple of
+// p, so the callers only have to multiply by p⁻¹; src and dst may be the
+// same row.
 func subCentred(m nt.Modulus, p uint64, xp, src, dst []uint64) {
-	halfP, pModQ := p>>1, m.Reduce(p)
+	halfP, pModQ, reduced := p>>1, m.Reduce(p), p <= m.Value
 	xp, src = xp[:len(dst)], src[:len(dst)]
 	for k := range dst {
 		t := xp[k]
-		c := m.Reduce(t)
+		c := t
+		if !reduced {
+			c = m.Reduce(t)
+		}
 		if t > halfP {
 			c = m.Sub(c, pModQ)
 		}
@@ -81,11 +86,14 @@ func subCentred(m nt.Modulus, p uint64, xp, src, dst []uint64) {
 // divRoundRow is subCentred and the multiplication by p⁻¹ mod q (inv, with
 // its Shoup companion) in one pass over the row: dst = round(x/p) mod q.
 func divRoundRow(m nt.Modulus, p, inv, invShoup uint64, xp, src, dst []uint64) {
-	halfP, pModQ := p>>1, m.Reduce(p)
+	halfP, pModQ, reduced := p>>1, m.Reduce(p), p <= m.Value
 	xp, src = xp[:len(dst)], src[:len(dst)]
 	for k := range dst {
 		t := xp[k]
-		c := m.Reduce(t)
+		c := t
+		if !reduced {
+			c = m.Reduce(t)
+		}
 		if t > halfP {
 			c = m.Sub(c, pModQ)
 		}
@@ -124,6 +132,32 @@ func (ctx *Context) DivRoundByLastModulus(p *ring.Poly, level int) *ring.Poly {
 	for i, m := range rOut.Moduli {
 		divRoundRow(m, qL, ctx.qInvQ[level][i], ctx.qInvQShoup[level][i], p.Coeffs[level], p.Coeffs[i], out.Coeffs[i])
 	}
+	return out
+}
+
+// DivRoundByLastModulusNTT is DivRoundByLastModulus for an NTT-domain p,
+// with an NTT-domain result: only the last row goes back to the
+// coefficient domain, its centred lift is transformed into each lower
+// row, and the divide runs there — round(x/q_l) ≡ (x − c)·q_l⁻¹ row by
+// row, and the transform is linear — so the result is the transform of
+// DivRoundByLastModulus's, word for word. p's last row is left in the
+// coefficient domain.
+func (ctx *Context) DivRoundByLastModulusNTT(p *ring.Poly, level int) *ring.Poly {
+	rOut := ctx.ringQl[level-1]
+	qL := ctx.RingQ.Moduli[level].Value
+	xL := p.Coeffs[level]
+	ctx.RingQ.NTTInverseRow(level, xL)
+	out := rOut.GetPoly() // zero: subCentred leaves −c in each row
+	for i, m := range rOut.Moduli {
+		o, y := out.Coeffs[i], p.Coeffs[i]
+		subCentred(m, qL, xL, o, o)
+		rOut.NTTForwardRow(i, o)
+		inv, invShoup := ctx.qInvQ[level][i], ctx.qInvQShoup[level][i]
+		for k := range o {
+			o[k] = m.MulShoup(m.Add(y[k], o[k]), inv, invShoup)
+		}
+	}
+	out.DeclareNTT()
 	return out
 }
 

@@ -1,9 +1,11 @@
 package rlwe
 
 import (
+	"math/big"
 	"testing"
 
 	"choco/internal/ring"
+	"choco/internal/sampling"
 )
 
 // testContext is the chain of ckks.PresetTest: two 50-bit data primes
@@ -136,6 +138,54 @@ func TestRotateNTTOwesOneModDown(t *testing.T) {
 		back0, back1 := ctx.ModDownPair(level, ctx.LiftNTT(level, low[0]), ctx.LiftNTT(level, low[1]))
 		if !rQl.Equal(back0, low[0]) || !rQl.Equal(back1, low[1]) {
 			t.Errorf("level %d: a lifted polynomial divided by P is not the polynomial", level)
+		}
+	}
+}
+
+// TestDivRoundByLastModulusMatchesBigInt holds the divide by the last
+// prime to its definition, round(x/q_l) = (x − c)/q_l for c the centred
+// residue of x mod q_l, composed in big integers, on a chain whose last
+// prime is the smallest (every lower row skips the Reduce) and on one
+// where it is the largest; and its NTT-domain twin to the transform of its
+// result, word for word, on both chains and at every level.
+func TestDivRoundByLastModulusMatchesBigInt(t *testing.T) {
+	for _, bits := range [][]int{{40, 36, 30}, {30, 36, 40}} {
+		ctx, err := NewContext("rlwe-test", 10, bits, 0, 3.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for level := ctx.MaxLevel(); level >= 1; level-- {
+			r, rOut := ctx.RingAtLevel(level), ctx.RingAtLevel(level-1)
+			p := r.NewPoly()
+			src := sampling.NewSource([32]byte{byte(level)}, "div-round-test")
+			for i, m := range r.Moduli {
+				src.UniformMod(p.Coeffs[i], m.Value)
+				p.Coeffs[i][0], p.Coeffs[i][1] = 0, m.Value-1
+			}
+			got := ctx.DivRoundByLastModulus(p, level)
+
+			qL := new(big.Int).SetUint64(r.Moduli[level].Value)
+			x, c, q := new(big.Int), new(big.Int), new(big.Int)
+			for j := 0; j < r.N; j++ {
+				r.CoeffBigintCentered(p, j, x)
+				c.Mod(x, qL)
+				if c.Cmp(new(big.Int).Rsh(qL, 1)) > 0 {
+					c.Sub(c, qL)
+				}
+				x.Sub(x, c).Quo(x, qL)
+				for i, m := range rOut.Moduli {
+					if want := q.Mod(x, q.SetUint64(m.Value)).Uint64(); got.Coeffs[i][j] != want {
+						t.Fatalf("%v level %d: coefficient %d row %d is %d, round(x/q_l) is %d", bits, level, j, i, got.Coeffs[i][j], want)
+					}
+				}
+			}
+
+			y := r.CopyPoly(p)
+			r.NTT(y)
+			rOut.NTT(got)
+			if ntt := ctx.DivRoundByLastModulusNTT(y, level); !rOut.Equal(ntt, got) || !ntt.IsNTT() {
+				t.Fatalf("%v level %d: the NTT-domain divide is not the transform of the coefficient one", bits, level)
+			}
 		}
 	}
 }

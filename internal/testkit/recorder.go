@@ -108,18 +108,22 @@ func (r *Recorder) Down() [][]byte {
 func Seed(label string) [32]byte { return sha256.Sum256([]byte(label)) }
 
 // NNFrames is the strict decoder of every frame an nn.InferenceClient
-// sends: its hello, its key bundle, or a seeded upload.
+// sends: its hello, its key bundle, its model request, or a seeded
+// upload.
 func NNFrames(ctx *bfv.Context) func([]byte) error {
 	return func(f []byte) error {
 		if protocol.IsHello(f) {
 			_, err := protocol.ParseHello(f)
 			return err
 		}
+		if protocol.IsModelRequest(f) {
+			return nil
+		}
 		if _, err := protocol.UnmarshalSeededBFV(ctx, f); err == nil {
 			return nil
 		}
 		if _, err := protocol.UnmarshalKeyBundle(ctx, f); err != nil {
-			return fmt.Errorf("neither a hello, a seeded upload nor a key bundle: %w", err)
+			return fmt.Errorf("neither a hello, a model request, a seeded upload nor a key bundle: %w", err)
 		}
 		return nil
 	}
