@@ -11,12 +11,11 @@
 #                  core, the bfv/ckks hoisted-rotation fan-outs and the
 #                  CKKS users of the linear-transform executor), the
 #                  transports of internal/protocol, the
-#                  serving tier with its shared weight-plaintext
-#                  cache, the fabric routing tier and chocoserver's
-#                  session-limit watcher with
+#                  serving tier, the fabric routing tier and
+#                  chocoserver's session-limit watcher with
 #                  GOMAXPROCS=4 so the par fan-out
 #                  paths, sessions running their layers side by side
-#                  over the one plaintext cache,
+#                  over one model's shared kernels,
 #                  and the router's splice/health/membership
 #                  concurrency are exercised even on 1-core CI; the
 #                  stall tests ride along there: a peer that stops

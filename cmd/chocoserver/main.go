@@ -8,11 +8,10 @@
 //     internal/serve — bounded worker pool with admission control, an
 //     evaluation-key cache so reconnecting clients skip the key
 //     re-upload, idle and per-frame I/O deadlines. A session's layer
-//     runs when its input arrives; all sessions share one cache of
-//     prepared weight plaintexts (-plain-cache-bytes), and clients
-//     that declare a tenant are subject to the per-tenant session
-//     quota (-tenant-max-sessions), rejected over quota with a busy
-//     ack carrying the -retry-after hint.
+//     runs when its input arrives, as one plaintext product over the
+//     layer's own kernel; clients that declare a tenant are subject
+//     to the per-tenant session quota (-tenant-max-sessions), rejected
+//     over quota with a busy ack carrying the -retry-after hint.
 //   - shard: the same server plus the fabric peer listener
 //     (-peer-addr), which answers key-fetch, health-probe, and stats
 //     requests from the router and sibling shards. Run N of these
@@ -67,7 +66,6 @@ func main() {
 	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "per-frame read/write deadline during an exchange")
 	keyCache := flag.Int("key-cache", 64, "evaluation-key registry capacity (cached sessions for reconnects)")
 	keyCacheBytes := flag.Int64("key-cache-bytes", 1<<30, "evaluation-key registry byte budget (bundles are multi-MB each)")
-	plainCacheBytes := flag.Int64("plain-cache-bytes", 256<<20, "byte budget of the prepared weight-plaintext cache all sessions share")
 	tenantMaxSessions := flag.Int("tenant-max-sessions", 0, "max concurrent sessions per declared tenant (0 = no per-tenant quota)")
 	retryAfter := flag.Duration("retry-after", 250*time.Millisecond, "retry-after hint sent with the busy ack when a tenant is over quota")
 	statsAddr := flag.String("stats-addr", "", "serve accounting over HTTP on this address; empty disables")
@@ -101,7 +99,6 @@ func main() {
 				IOTimeout:         *ioTimeout,
 				KeyCacheCap:       *keyCache,
 				KeyCacheBytes:     *keyCacheBytes,
-				PlainCacheBytes:   *plainCacheBytes,
 				TenantMaxSessions: *tenantMaxSessions,
 				RetryAfter:        *retryAfter,
 				Logf:              log.Printf,
@@ -212,8 +209,7 @@ func runServe(ctx context.Context, cancel context.CancelFunc, o serveOpts) {
 		st.KeyCacheHits, st.KeyCacheMisses, st.KeyReplications)
 	log.Printf("chocoserver: inference latency p50 %v p99 %v max %v over %d request(s)",
 		st.InferenceLatency.P50, st.InferenceLatency.P99, st.InferenceLatency.Max, st.InferenceLatency.Count)
-	log.Printf("chocoserver: %d layer call(s), weight-plaintext cache %d hit(s) / %d miss(es)",
-		st.Batching.Items, st.Batching.PlainCache.Hits, st.Batching.PlainCache.Misses)
+	log.Printf("chocoserver: %d layer call(s)", st.Batching.Items)
 	for _, ts := range st.Tenants {
 		log.Printf("chocoserver: tenant %q: %d session(s) (%d rejected), %d inference(s), %.1f MB up / %.1f MB down",
 			ts.Tenant, ts.SessionsTotal, ts.SessionsRejected, ts.Inferences,

@@ -32,8 +32,7 @@ import (
 //     and forward-NTT'd) depends only on the transform and the level,
 //     never on the session, so one prepared plaintext serves every
 //     session and every later request — a PlainCache carries it: the
-//     serving tier's shared one, or the operator's own when the caller
-//     passes none.
+//     caller's, or the operator's own when the caller passes none.
 //
 // Terms run in a fixed order, and every intermediate is exact modular
 // arithmetic, so the output is byte-identical for any worker count or
@@ -447,9 +446,10 @@ func ApplyCKKS(ev *ckks.Evaluator, ecd *ckks.Encoder, ct *ckks.Ciphertext, cache
 // ApplyBatch evaluates y = W·x for several sessions' inputs, one after
 // another on one plan, returning per-item outputs and op counts in item
 // order; a nil cache selects the operator's own plaintext store, and a
-// product-packed layer reads its kernel and no cache. It stays
-// for two callers: the benchmark replay prices two items in one call, and
-// the serving tier passes its shared PlainCache through it.
+// product-packed layer reads its kernel and no cache. It stays for the
+// benchmark replay, which prices two items in one call; the serving tier
+// calls Apply, since every layer it runs is a product. ROADMAP.md item 1
+// deletes it.
 func (f *FC) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache) ([]*bfv.Ciphertext, []OpCounts, error) {
 	outs := make([]*bfv.Ciphertext, len(items))
 	ops := make([]OpCounts, len(items))

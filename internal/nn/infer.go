@@ -81,7 +81,7 @@ type Runner struct {
 }
 
 // NewRunner compiles the model's linear layers against the network's
-// BFV preset and generates exactly the Galois keys they need.
+// BFV preset and generates the client's key bundle, its public key alone.
 func NewRunner(m *QuantizedModel, seed [32]byte) (*Runner, error) {
 	client, err := NewInferenceClient(m.Net, seed)
 	if err != nil {

@@ -381,90 +381,6 @@ func TestActivationCountAndShapeK(t *testing.T) {
 	}
 }
 
-// TestGaloisKeysGeneratedAreKeysUsed holds every conv and FC layer of
-// the two executable networks to "keys generated = keys used": Apply
-// succeeds under exactly RotationSteps() keys, each step is its own
-// Galois element, and with any one of them removed Apply names the
-// missing key — so no key a client generates, uploads and the server
-// keeps resident is dead weight. Every layer of both takes the product
-// packing (conv2 as tiles), takes no step and runs under no key at all.
-func TestGaloisKeysGeneratedAreKeysUsed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	for _, net := range []*Network{LeNetSmall(), DemoNetwork()} {
-		ctx, err := bfv.NewContext(net.Params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slots := ctx.Params.Slots()
-		_, convs, fcs, err := rotationStepsFor(net, SynthesizeWeights(net, 4, [32]byte{11}), slots/2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kg := bfv.NewKeyGenerator(ctx, [32]byte{12})
-		sk := kg.GenSecretKey()
-		ecd := bfv.NewEncoder(ctx)
-		vals := make([]int64, slots)
-		for i := range vals {
-			vals[i] = int64(i%15) - 7
-		}
-		pt, err := ecd.EncodeInts(vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct := bfv.NewSymmetricEncryptor(ctx, sk, [32]byte{13}).EncryptSeeded(pt).Expand(ctx)
-
-		for i := range net.Layers {
-			var l struct {
-				steps []int
-				apply func(ev *bfv.Evaluator) error
-			}
-			var product bool
-			if conv, ok := convs[i]; ok {
-				product = true // a convolution takes the product packing or none
-				l.apply = func(ev *bfv.Evaluator) error {
-					_, _, err := conv.Apply(ev, ecd, ct, slots)
-					return err
-				}
-			} else if fc, ok := fcs[i]; ok {
-				l.steps, product = fc.RotationSteps(), fc.Product()
-				l.apply = func(ev *bfv.Evaluator) error {
-					_, _, err := fc.Apply(ev, ecd, ct, slots)
-					return err
-				}
-			} else {
-				continue
-			}
-			if !product || len(l.steps) > 0 {
-				t.Errorf("%s layer %d: product packing %v with %d rotation steps; want the product packing and no step", net.Name, i, product, len(l.steps))
-			}
-			elements := make([]uint64, len(l.steps))
-			for j, s := range l.steps {
-				elements[j] = ctx.RingQ.GaloisElementForRotation(s)
-			}
-			keys := kg.GenGaloisKeys(sk, elements)
-			if len(keys) != len(l.steps) {
-				t.Errorf("%s layer %d: %d steps share %d Galois elements", net.Name, i, len(l.steps), len(keys))
-			}
-			if err := l.apply(bfv.NewEvaluator(ctx, nil, keys)); err != nil {
-				t.Fatalf("%s layer %d: Apply with exactly RotationSteps() keys: %v", net.Name, i, err)
-			}
-			for _, s := range l.steps {
-				less := make(map[uint64]*bfv.GaloisKey, len(keys))
-				for g, k := range keys {
-					if g != ctx.RingQ.GaloisElementForRotation(s) {
-						less[g] = k
-					}
-				}
-				if err := l.apply(bfv.NewEvaluator(ctx, nil, less)); err == nil || !strings.Contains(err.Error(), "missing Galois key") {
-					t.Errorf("%s layer %d: Apply without the key for step %d: err = %v, want a missing Galois key", net.Name, i, s, err)
-				}
-			}
-		}
-	}
-}
-
 // TestLeNetSmKeyFootprint pins the Galois key count of a LeNet-Sm
 // session — what the client generates and uploads once and the server
 // keeps resident: none, since every layer takes the product packing (it
@@ -498,18 +414,28 @@ func TestLeNetSmKeyFootprint(t *testing.T) {
 }
 
 // TestModeledKeyFootprints pins the Galois key count and bundle bytes of
-// the networks no packing lays out, which EvaluationKeyFootprint prices
-// on the slot-packing step model (slotSteps) and the FC steps clamped to
-// one row: what SetupCosts prints as 7.4, 8.5 and 42.5 MB.
+// the networks no product packing lays out, which EvaluationKeyFootprint
+// prices on the slot-packing step model (slotSteps) and the FC steps
+// clamped to one row: what SetupCosts prints as 7.4, 8.5 and 42.5 MB.
+// The split client and server serve the product packing only: they
+// refuse a square FC layer and one whose Out·In coefficients exceed N,
+// naming the layer, its shape and N, as they refuse a convolution too
+// wide for a polynomial.
 func TestModeledKeyFootprints(t *testing.T) {
+	fcNet := func(name string, inH, inW, inC, out int) *Network {
+		return &Network{Name: name, InH: inH, InW: inW, InC: inC, Layers: []Layer{{Kind: FC, FCOut: out}}, Params: bfv.PresetB()}
+	}
 	for _, tc := range []struct {
-		net   *Network
-		keys  int
-		bytes int64
+		net     *Network
+		keys    int
+		bytes   int64
+		refused string
 	}{
-		{LeNetLarge(), 66, 7444908},
-		{SqueezeNet(), 23, 8482368},
-		{VGG16(), 118, 42536828},
+		{LeNetLarge(), 66, 7444908, ""},
+		{SqueezeNet(), 23, 8482368, ""},
+		{VGG16(), 118, 42536828, ""},
+		{fcNet("Square", 4, 4, 1, 16), 6, 743868, "nn: layer 0: an FC layer of 16×16 takes no product packing at N = 4096"},
+		{fcNet("TooWide", 64, 64, 4, 10), 6, 743868, "nn: layer 0: an FC layer of 16384×10 takes no product packing at N = 4096"},
 	} {
 		keys, bytes, err := EvaluationKeyFootprint(tc.net)
 		if err != nil {
@@ -517,6 +443,15 @@ func TestModeledKeyFootprints(t *testing.T) {
 		}
 		if keys != tc.keys || bytes != tc.bytes {
 			t.Errorf("%s footprint: %d Galois keys, %d B bundle; want %d keys, %d B", tc.net.Name, keys, bytes, tc.keys, tc.bytes)
+		}
+		if tc.refused == "" {
+			continue
+		}
+		if _, err := NewInferenceClient(tc.net, [32]byte{17}); err == nil || !strings.Contains(err.Error(), tc.refused) {
+			t.Errorf("%s: NewInferenceClient says %v; want an error saying %q", tc.net.Name, err, tc.refused)
+		}
+		if _, err := NewInferenceServer(SynthesizeWeights(tc.net, 4, [32]byte{18})); err == nil || !strings.Contains(err.Error(), tc.refused) {
+			t.Errorf("%s: NewInferenceServer says %v; want an error saying %q", tc.net.Name, err, tc.refused)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -25,12 +26,11 @@ type replyRow struct {
 
 // replyProbe is a KernelExecutor that runs the serial path and, holding
 // the client's secret key, switches a copy of every finished output down
-// to the reply level the way ServeOne is about to. For a product-packed
-// layer, whose upload the server reads as c0 alone, it also runs the
-// layer on the full upload the seed stands for (c0 and the client's a).
-// It fails the test unless the switched full output decrypts to the same
-// slots as the unswitched one, and, for a product-packed layer, unless
-// the server's half switches to that output's c0 word for word, the c1
+// to the reply level the way ServeOne is about to. The server reads an
+// upload as c0 alone, so the probe also runs the layer on the full upload
+// the seed stands for (c0 and the client's a). It fails the test unless
+// the switched full output decrypts to the same slots as the unswitched
+// one, the server's half switches to that output's c0 word for word, the c1
 // the client rebuilds (bfv.Context.ProductC1) is that output's c1 word
 // for word, and the c0-only frame completed with it decrypts to the full
 // output's coefficients at every read index. With noise set it records
@@ -52,16 +52,14 @@ func (p *replyProbe) run(layer int, ev *bfv.Evaluator, ct *bfv.Ciphertext, apply
 	if err != nil {
 		return outs, ops, err
 	}
-	full := outs
-	if p.srv.reads[layer] != nil {
-		if len(ct.Value) != 1 {
-			err = fmt.Errorf("layer %d: the server read a product layer's upload as %d components, want c0 alone", layer, len(ct.Value))
-		} else {
-			r := p.client.ctx.RingQ
-			a := r.CopyPoly(p.client.symEnc.A())
-			r.INTT(a)
-			full, _, err = apply(&bfv.Ciphertext{Value: []*ring.Poly{ct.Value[0], a}})
-		}
+	var full []*bfv.Ciphertext
+	if len(ct.Value) != 1 {
+		err = fmt.Errorf("layer %d: the server read the upload as %d components, want c0 alone", layer, len(ct.Value))
+	} else {
+		r := p.client.ctx.RingQ
+		a := r.CopyPoly(p.client.symEnc.A())
+		r.INTT(a)
+		full, _, err = apply(&bfv.Ciphertext{Value: []*ring.Poly{ct.Value[0], a}})
 	}
 	for g := 0; g < len(outs) && err == nil; g++ {
 		err = p.measure(layer, g, ev, full[g], outs[g])
@@ -100,11 +98,7 @@ func (p *replyProbe) measure(layer, group int, ev *bfv.Evaluator, full, half *bf
 			return fmt.Errorf("layer %d group %d slot %d: the switched reply decrypts to %d, the full-size one to %d", layer, group, j, got[j], want[j])
 		}
 	}
-	reads := p.srv.reads[layer]
-	if reads == nil {
-		return nil
-	}
-	idx := reads[group]
+	idx := p.srv.reads[layer][group]
 	sent, err := p.switchDown(ev, half)
 	if err != nil {
 		return err
@@ -352,21 +346,33 @@ func TestClientRejectsReplyAtWrongLevel(t *testing.T) {
 	}
 }
 
-// TestClientRejectsMisframedReply: a product-packed layer's reply that
-// is not the read-coefficient frame the layer implies — a full reply, or
-// one carrying another read count — fails the request with the layer and
-// group in the error, as a slot layer's reply in that frame would.
+// fullTag is a server end that sends every read-coefficient reply under
+// the tag of a full BFV reply, which no layer sends.
+type fullTag struct{ *protocol.Pipe }
+
+func (f fullTag) Send(msg []byte) error {
+	if len(msg) >= 4 && binary.LittleEndian.Uint32(msg) == protocol.SchemeBFVReadC0 {
+		msg = bytes.Clone(msg)
+		binary.LittleEndian.PutUint32(msg, protocol.SchemeBFV)
+	}
+	return f.Pipe.Send(msg)
+}
+
+// TestClientRejectsMisframedReply: a reply that is not the
+// read-coefficient frame its layer implies — one under a full reply's
+// tag, or one carrying another read count — fails the request with the
+// layer and group in the error.
 func TestClientRejectsMisframedReply(t *testing.T) {
 	net := testNet()
 	m := SynthesizeWeights(net, 4, [32]byte{3})
 	for _, tc := range []struct {
-		name  string
-		reads func(map[int][][]int) map[int][][]int
-		want  string
+		name    string
+		retag   bool
+		mangled func(map[int][][]int) map[int][][]int
+		want    string
 	}{
-		{"full reply", func(map[int][][]int) map[int][][]int { return map[int][][]int{} },
-			"layer 0 output group 0: protocol: frame tag"},
-		{"one read short", func(r map[int][][]int) map[int][][]int {
+		{"a full reply's tag", true, nil, "layer 0 output group 0: protocol: frame tag"},
+		{"one read short", false, func(r map[int][][]int) map[int][][]int {
 			r[3] = [][]int{r[3][0], r[3][1][1:]}
 			return r
 		}, "layer 3 output group 1: protocol: read reply carries"},
@@ -378,9 +384,15 @@ func TestClientRejectsMisframedReply(t *testing.T) {
 		if groups := len(runner.sess.s.reads[3]); groups != 2 {
 			t.Fatalf("TestNet's conv2 replies in %d tiles, want 2", groups)
 		}
-		runner.sess.s.reads = tc.reads(readSets(runner.sess.s.convs, runner.sess.s.fcs))
+		if tc.mangled != nil {
+			runner.sess.s.reads = tc.mangled(readSets(runner.sess.s.convs, runner.sess.s.fcs))
+		}
 		clientEnd, serverEnd := protocol.NewPipe()
-		_, _, err = runner.Infer(SynthesizeImage(net, 4, [32]byte{4}), clientEnd, serverEnd)
+		var end protocol.Transport = serverEnd
+		if tc.retag {
+			end = fullTag{serverEnd}
+		}
+		_, _, err = runner.Infer(SynthesizeImage(net, 4, [32]byte{4}), clientEnd, end)
 		clientEnd.Close()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Infer says %v; want an error saying %q", tc.name, err, tc.want)

@@ -17,12 +17,14 @@ import (
 // real transport: the client holds the secret key and the network
 // *architecture* (it needs layer shapes to pack, unpack, and run the
 // plaintext non-linear layers); the server holds the model weights —
-// the centralized-model advantage of §1 — plus the client's public
-// evaluation keys received once at session setup. The model is not
-// hidden from the client (DESIGN.md §15): before its first request the
-// client fetches the product layers' weights once (fetchModel), and from
-// then on every product reply carries c0 alone, the client rebuilding c1
-// from its own upload (bfv.Context.ProductC1).
+// the centralized-model advantage of §1 — plus the client's key bundle
+// (its public key) received once at session setup. Every linear layer is
+// one plaintext product (compileLayers), so the server rotates nothing
+// and holds no Galois key. The model is not hidden from the client
+// (DESIGN.md §15): before its first request the client fetches the
+// layers' weights once (fetchModel), and from then on every reply
+// carries c0 alone, the client rebuilding c1 from its own upload
+// (bfv.Context.ProductC1).
 
 // InferenceClient is the trusted, resource-constrained side.
 type InferenceClient struct {
@@ -33,20 +35,20 @@ type InferenceClient struct {
 	ecd    *bfv.Encoder
 	symEnc *bfv.SymmetricEncryptor
 	dec    *bfv.Decryptor
-	// keyFrame is the evaluation-key bundle, marshalled once: the client
-	// keeps the bytes it sends, not the unpacked keys.
+	// keyFrame is the key bundle, marshalled once: the client keeps the
+	// bytes it sends, not the unpacked key.
 	keyFrame []byte
 
 	convs map[int]*core.Conv2D
 	fcs   map[int]*core.FC
-	// reads are the coefficients each product-packed reply carries
-	// (readSets), by layer and output group.
+	// reads are the coefficients each reply carries (readSets), by layer
+	// and output group.
 	reads map[int][][]int
-	// model lists the product layers as the model frame carries them
+	// model lists the linear layers as the model frame carries them
 	// (modelLayers), and kernels holds their kernel polynomials, by layer
 	// and output group, once the first Infer has fetched the model
-	// (fetchModel): a product reply's c1 is the upload's a times one of
-	// them, switched down.
+	// (fetchModel): a reply's c1 is the upload's a times one of them,
+	// switched down.
 	model   []protocol.ModelLayer
 	kernels map[int][]*bfv.PlaintextQ
 	// scratch holds the buffers one Infer call reuses from layer to layer
@@ -66,13 +68,16 @@ type inferScratch struct {
 	frame           []byte
 }
 
-// rotationStepsFor compiles the network's linear layers against the
-// ring's row size and derives every rotation they need — identical on
-// both sides because it depends only on shapes. With a model the
-// operators carry its weights (the evaluating side); with nil they are
-// spec-only (the client's packing and key-generation half).
-func rotationStepsFor(net *Network, m *QuantizedModel, rowSize int) ([]int, map[int]*core.Conv2D, map[int]*core.FC, error) {
-	var steps []int
+// compileLayers compiles the network's linear layers against the ring's
+// row size, identically on both sides because it depends only on shapes.
+// Every layer takes the product packing (DESIGN.md §15): one plaintext
+// product, no rotation and no key. A layer no product lays out is
+// refused: a convolution whose one output channel does not fit a
+// polynomial, and an FC layer that is square or whose Out·In
+// coefficients exceed N. With a model the operators carry its weights
+// (the evaluating side); with nil they are spec-only (the client's
+// packing half).
+func compileLayers(net *Network, m *QuantizedModel, rowSize int) (map[int]*core.Conv2D, map[int]*core.FC, error) {
 	convs := map[int]*core.Conv2D{}
 	fcs := map[int]*core.FC{}
 	h, w := net.InH, net.InW
@@ -89,23 +94,23 @@ func rotationStepsFor(net *Network, m *QuantizedModel, rowSize int) ([]int, map[
 			}
 		case FC:
 			hh, ww, cc := net.shapeAt(i)
-			if m != nil {
-				fcs[i], err = core.NewFC(hh*ww*cc, l.FCOut, m.FCW[i], rowSize)
-			} else {
-				fcs[i], err = core.NewFCSpecOnly(hh*ww*cc, l.FCOut, rowSize)
+			in := hh * ww * cc
+			fcs[i], err = core.NewFCSpecOnly(in, l.FCOut, rowSize)
+			if err != nil || !fcs[i].Product() {
+				return nil, nil, fmt.Errorf("nn: layer %d: an FC layer of %d×%d takes no product packing at N = %d: it is square, or Out·In > N", i, in, l.FCOut, 2*rowSize)
 			}
-			if err == nil {
-				steps = append(steps, fcs[i].RotationSteps()...)
+			if m != nil {
+				fcs[i], err = core.NewFC(in, l.FCOut, m.FCW[i], rowSize)
 			}
 			h, w = 1, l.FCOut
 		case Pool:
 			h, w = h/2, w/2
 		}
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("nn: layer %d: %w", i, err)
+			return nil, nil, fmt.Errorf("nn: layer %d: %w", i, err)
 		}
 	}
-	return steps, convs, fcs, nil
+	return convs, fcs, nil
 }
 
 // EvaluationKeyFootprint reports the one-time client→server setup
@@ -210,17 +215,16 @@ type RequestCost struct {
 	// UpFrameBytes is what one upload frame costs on the wire
 	// (protocol.FrameBytes): seeded, at every data prime. ReplyBytes
 	// prices every reply in the order the server sends them, at the primes
-	// left after the parameter set's ReplyDrop: a product-packed group's
-	// carries c0 at its read coefficients and nothing else
-	// (protocol.ReadReplyBytes), a slot group's both polynomials whole.
+	// left after the parameter set's ReplyDrop: each carries c0 at its
+	// group's read coefficients and nothing else (protocol.ReadReplyBytes).
 	// WireBytes is the request's total.
 	UpFrameBytes int
 	ReplyBytes   []int
 	WireBytes    int64
 	// ModelBytes is what the client's first request moves once, before
 	// its first upload: the model request and the model frame holding the
-	// product layers' weights (protocol.ModelExchangeBytes), priced at
-	// modelWeightBits; 0 for a network with no product layer.
+	// linear layers' weights (protocol.ModelExchangeBytes), priced at
+	// modelWeightBits; 0 for a network with no linear layer.
 	ModelBytes int
 	Server     core.OpCounts
 }
@@ -236,11 +240,11 @@ const modelWeightBits = 4
 // ciphertexts the operators' packing produces, at the level they are sent
 // and with the coefficients they carry: conv2 of LeNet-Sm replies in two
 // tiles where the model condenses its outputs into one ciphertext, and
-// each product-packed reply carries c0 at its read coefficients only.
+// each reply carries c0 at its read coefficients only.
 // The one-time model exchange is ModelBytes, outside WireBytes.
 func ExecutableRequestCost(net *Network) (RequestCost, error) {
 	var rc RequestCost
-	_, convs, fcs, err := rotationStepsFor(net, nil, net.Params.N()/2)
+	convs, fcs, err := compileLayers(net, nil, net.Params.N()/2)
 	if err != nil {
 		return rc, err
 	}
@@ -266,10 +270,7 @@ func ExecutableRequestCost(net *Network) (RequestCost, error) {
 		rc.Server.Add(core.OpCounts{Rotations: plan.BabySteps + plan.GiantSteps,
 			PlainMults: plan.PlainMults, Adds: plan.PlainMults - groups})
 		for g := 0; g < groups; g++ {
-			reply := protocol.FrameBytes(ring.PackedBytes(n, replyBits...), 2, false)
-			if r := reads[i]; r != nil {
-				reply = protocol.ReadReplyBytes(replyBits, len(r[g]))
-			}
+			reply := protocol.ReadReplyBytes(replyBits, len(reads[i][g]))
 			rc.ReplyBytes = append(rc.ReplyBytes, reply)
 			rc.WireBytes += int64(reply)
 		}
@@ -278,9 +279,9 @@ func ExecutableRequestCost(net *Network) (RequestCost, error) {
 	return rc, nil
 }
 
-// readSets lists, per product-packed layer, the coefficients each output
-// group's reply carries (ReadIndices); a slot layer has none. The client
-// and the server derive them alike, from the shapes.
+// readSets lists, per linear layer, the coefficients each output group's
+// reply carries (ReadIndices). The client and the server derive them
+// alike, from the shapes.
 func readSets(convs map[int]*core.Conv2D, fcs map[int]*core.FC) map[int][][]int {
 	sets := map[int][][]int{}
 	for i, conv := range convs {
@@ -289,22 +290,20 @@ func readSets(convs map[int]*core.Conv2D, fcs map[int]*core.FC) map[int][][]int 
 		}
 	}
 	for i, fc := range fcs {
-		if fc.Product() {
-			sets[i] = [][]int{fc.ReadIndices(0)}
-		}
+		sets[i] = [][]int{fc.ReadIndices(0)}
 	}
 	return sets
 }
 
-// modelLayers lists the product-packed layers, in network order, as the
-// model frame carries them: a convolution's weights [out][in][tap], an FC
+// modelLayers lists the linear layers, in network order, as the model
+// frame carries them: a convolution's weights [out][in][tap], an FC
 // layer's [row][column]. The client and the server derive it alike.
 func modelLayers(net *Network, convs map[int]*core.Conv2D, fcs map[int]*core.FC) []protocol.ModelLayer {
 	var out []protocol.ModelLayer
 	for i := range net.Layers {
 		if conv, ok := convs[i]; ok {
 			out = append(out, protocol.ModelLayer{Index: i, Out: conv.Spec.OutC, In: conv.Spec.InC, Taps: conv.Spec.KH * conv.Spec.KW})
-		} else if fc, ok := fcs[i]; ok && fc.Product() {
+		} else if fc, ok := fcs[i]; ok {
 			out = append(out, protocol.ModelLayer{Index: i, Out: fc.Out, In: fc.In, Taps: 1})
 		}
 	}
@@ -312,25 +311,21 @@ func modelLayers(net *Network, convs map[int]*core.Conv2D, fcs map[int]*core.FC)
 }
 
 // NewInferenceClient generates the client's key material for the
-// network architecture and marshals the evaluation keys once: a public
-// key and the Galois keys the layers rotate by, and no other. The
-// network is linear on the server, so no relinearization key is made.
+// network architecture and marshals the key bundle once: the public key
+// and no other. Every layer is one plaintext product on the server
+// (compileLayers), so no Galois or relinearization key is made.
 func NewInferenceClient(net *Network, seed [32]byte) (*InferenceClient, error) {
 	ctx, err := bfv.NewContext(net.Params)
 	if err != nil {
 		return nil, err
 	}
-	steps, convs, fcs, err := rotationStepsFor(net, nil, ctx.Params.N()/2)
+	convs, fcs, err := compileLayers(net, nil, ctx.Params.N()/2)
 	if err != nil {
 		return nil, err
 	}
 	kg := bfv.NewKeyGenerator(ctx, seed)
 	sk := kg.GenSecretKey()
-	elements := make([]uint64, len(steps))
-	for i, s := range steps {
-		elements[i] = ctx.RingQ.GaloisElementForRotation(s)
-	}
-	kb := &protocol.KeyBundle{PK: kg.GenPublicKey(sk), Galois: kg.GenGaloisKeys(sk, elements)}
+	kb := &protocol.KeyBundle{PK: kg.GenPublicKey(sk)}
 	return &InferenceClient{
 		Net:      net,
 		ctx:      ctx,
@@ -453,13 +448,13 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 		stats.UpBytes += int64(len(data)) + 4
 		return t.Send(data)
 	}
-	// recv takes output group g of layer i: a read-coefficient frame for
-	// a product-packed layer, completed with the c1 the client rebuilds
-	// from its upload's a (still the encryptor's: no other encryption has
-	// run since) and the group's kernel, a full one for a slot layer, and
-	// an error naming the layer and group for anything else. A reply at
-	// any level but the parameter set's is refused: the plan's byte count
-	// is the wire's, and a server that stops switching fails the request.
+	// recv takes output group g of layer i: a read-coefficient frame,
+	// completed with the c1 the client rebuilds from its upload's a (still
+	// the encryptor's: no other encryption has run since) and the group's
+	// kernel, and an error naming the layer and group for anything else. A
+	// reply at any level but the parameter set's is refused: the plan's
+	// byte count is the wire's, and a server that stops switching fails
+	// the request.
 	recv := func(i, g int) (*bfv.Ciphertext, error) {
 		raw, err := t.Recv()
 		if err != nil {
@@ -471,13 +466,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 		stats.Decryptions++
 		stats.DownCiphertexts++
 		stats.DownBytes += int64(len(raw)) + 4
-		var ct *bfv.Ciphertext
-		reads := c.reads[i]
-		if reads != nil {
-			ct, err = protocol.UnmarshalBFVReadC0(c.ctx, raw, reads[g])
-		} else {
-			ct, err = protocol.UnmarshalBFV(c.ctx, raw)
-		}
+		ct, err := protocol.UnmarshalBFVReadC0(c.ctx, raw, c.reads[i][g])
 		if err != nil {
 			return nil, fmt.Errorf("nn: layer %d output group %d: %w", i, g, err)
 		}
@@ -486,9 +475,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 			c.ctx.RecycleCt(ct)
 			return nil, fmt.Errorf("nn: layer %d output group %d arrived at %d residues, the parameter set's replies have %d", i, g, k-ct.Drop, k-c.replyDrop)
 		}
-		if reads != nil {
-			ct.Value = append(ct.Value, c.ctx.ProductC1(c.symEnc.A(), c.kernels[i][g], c.replyDrop))
-		}
+		ct.Value = append(ct.Value, c.ctx.ProductC1(c.symEnc.A(), c.kernels[i][g], c.replyDrop))
 		return ct, nil
 	}
 
@@ -499,7 +486,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 			if err := conv.PackInputInto(packed, act); err != nil {
 				return nil, stats, err
 			}
-			ct, err := c.encrypt(packed, true)
+			ct, err := c.encrypt(packed)
 			if err != nil {
 				return nil, stats, err
 			}
@@ -524,7 +511,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 			if err := fc.PackInputInto(packed, flatten(act)); err != nil {
 				return nil, stats, err
 			}
-			ct, err := c.encrypt(packed, fc.Product())
+			ct, err := c.encrypt(packed)
 			if err != nil {
 				return nil, stats, err
 			}
@@ -535,11 +522,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 			if err != nil {
 				return nil, stats, err
 			}
-			var reads []int
-			if fc.Product() {
-				reads = c.reads[i][0]
-			}
-			act = [][]int64{fc.ExtractOutput(c.decrypt(outCt, reads, decoded), c.ctx.T.Value)}
+			act = [][]int64{fc.ExtractOutput(c.decrypt(outCt, c.reads[i][0], decoded), c.ctx.T.Value)}
 			c.ctx.RecycleCt(outCt)
 			h, w = 1, l.FCOut
 		case Act:
@@ -560,7 +543,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 	return flatten(act), stats, nil
 }
 
-// fetchModel asks the server for the product layers' weights and builds
+// fetchModel asks the server for the linear layers' weights and builds
 // their kernels with the operators and the lift the server uses
 // (core.Conv2D.Kernels, bfv.Context.PrepareMulQ). It runs on the first
 // Infer, before the first upload; its two frames count in that request's
@@ -617,13 +600,9 @@ func (c *InferenceClient) fetchModel(t protocol.Transport, stats *core.Stats) er
 	return nil
 }
 
-// encrypt seals one packed layer input: written straight into the
-// plaintext's coefficients for a product-packed layer, batch-encoded
-// into slots for the others.
-func (c *InferenceClient) encrypt(packed []int64, coeffs bool) (*bfv.SeededCiphertext, error) {
-	if !coeffs {
-		return c.symEnc.EncryptIntsSeeded(packed)
-	}
+// encrypt seals one packed layer input, written straight into the
+// plaintext's coefficients.
+func (c *InferenceClient) encrypt(packed []int64) (*bfv.SeededCiphertext, error) {
 	pt, err := c.ecd.EncodeCoeffs(packed)
 	if err != nil {
 		return nil, err
@@ -633,14 +612,10 @@ func (c *InferenceClient) encrypt(packed []int64, coeffs bool) (*bfv.SeededCiphe
 	return ct, nil
 }
 
-// decrypt opens one reply in its layer's packing: the centered
-// coefficients reads of a product-packed layer, the only ones its
-// operator extracts, written into out (whose other entries are stale)
-// and returned, or, with reads nil, the centered slots of the others.
+// decrypt opens one reply: the centered coefficients reads, the only
+// ones its layer's operator extracts, written into out (whose other
+// entries are stale) and returned.
 func (c *InferenceClient) decrypt(ct *bfv.Ciphertext, reads []int, out []int64) []int64 {
-	if reads == nil {
-		return c.dec.DecryptInts(ct)
-	}
 	pt := &bfv.Plaintext{Poly: c.ctx.RingT.GetPoly()}
 	c.dec.DecryptAt(ct, reads, pt)
 	c.ecd.DecodeCoeffsInto(pt, out)
@@ -662,10 +637,10 @@ type InferenceServer struct {
 	ecd   *bfv.Encoder
 	convs map[int]*core.Conv2D
 	fcs   map[int]*core.FC
-	// reads are the coefficients each product-packed reply carries
-	// (readSets), by layer and output group.
+	// reads are the coefficients each reply carries (readSets), by layer
+	// and output group.
 	reads map[int][][]int
-	// modelFrame is the product layers' weights as a client fetches them
+	// modelFrame is the linear layers' weights as a client fetches them
 	// (protocol.MarshalModel), marshalled once.
 	modelFrame []byte
 	// frames holds reply-frame buffers: a request marshals reply after
@@ -690,12 +665,10 @@ type ServerSession struct {
 }
 
 // KernelExecutor intercepts a session's linear-layer evaluations. The
-// serving tier installs one (via WithExecutor) to time each layer call
-// and to run every session's layers over one shared weight-plaintext
-// cache (core.ApplyBatch with its PlainCache); a nil executor means the
-// direct Apply path over the operator's own plaintexts. Implementations
-// must return results byte-identical to Apply — ServeOne treats the two
-// as interchangeable.
+// serving tier installs one (via WithExecutor) to time each layer call;
+// a nil executor means the direct Apply path over the operator's own
+// kernel. Implementations must return results byte-identical to Apply —
+// ServeOne treats the two as interchangeable.
 type KernelExecutor interface {
 	ExecConv(layer int, conv *core.Conv2D, ev *bfv.Evaluator, ct *bfv.Ciphertext, slots int) ([]*bfv.Ciphertext, core.OpCounts, error)
 	ExecFC(layer int, fc *core.FC, ev *bfv.Evaluator, ct *bfv.Ciphertext, slots int) (*bfv.Ciphertext, core.OpCounts, error)
@@ -709,8 +682,8 @@ func (sess *ServerSession) WithExecutor(x KernelExecutor) *ServerSession {
 	return &ServerSession{s: sess.s, ev: sess.ev, exec: x}
 }
 
-// Encoder exposes the server's shared plaintext encoder — executors
-// need it to prepare weight plaintexts on the session's behalf.
+// Encoder exposes the server's shared plaintext encoder, which an
+// executor hands to the layers' Apply.
 func (s *InferenceServer) Encoder() *bfv.Encoder { return s.ecd }
 
 // NewSession installs a client's evaluation keys as a new session.
@@ -745,7 +718,7 @@ func NewInferenceServer(m *QuantizedModel) (*InferenceServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, convs, fcs, err := rotationStepsFor(m.Net, m, ctx.Params.N()/2)
+	convs, fcs, err := compileLayers(m.Net, m, ctx.Params.N()/2)
 	if err != nil {
 		return nil, err
 	}
@@ -777,9 +750,9 @@ func NewInferenceServer(m *QuantizedModel) (*InferenceServer, error) {
 // ServeOne processes one inference request on this session: for each
 // linear layer it receives the packed input ciphertext, evaluates, and
 // returns the output group ciphertexts, each modulus-switched down to the
-// parameter set's reply level first. A product-packed layer's upload is
-// read as its c0 alone, its seed never expanded, and each of its groups'
-// replies is that half's c0 at the coefficients the client reads
+// parameter set's reply level first. A layer's upload is read as its c0
+// alone, its seed never expanded, and each of its groups' replies is
+// that half's c0 at the coefficients the client reads
 // (protocol.AppendBFVReadC0): the client rebuilds c1. A request that
 // opens with a model request is answered with the model frame first
 // (the client's first request does). The first Recv is the start of
@@ -836,12 +809,7 @@ func (sess *ServerSession) ServeOneAccounted(t protocol.Transport, account func(
 				return ops, fmt.Errorf("nn: layer %d (%s) recv input: %w", i, kind, err)
 			}
 		}
-		var ct *bfv.Ciphertext
-		if s.reads[i] != nil {
-			ct, err = protocol.UnmarshalSeededBFVC0(s.ctx, raw)
-		} else {
-			ct, err = protocol.UnmarshalAnyBFV(s.ctx, raw)
-		}
+		ct, err := protocol.UnmarshalSeededBFVC0(s.ctx, raw)
 		if err != nil {
 			return ops, fmt.Errorf("nn: layer %d (%s) decode input (%d B): %w", i, kind, len(raw), err)
 		}
@@ -863,13 +831,8 @@ func (sess *ServerSession) ServeOneAccounted(t protocol.Transport, account func(
 				sess.ev.RecycleCt(o)
 				o = small
 			}
-			var frame []byte
-			if reads := s.reads[i]; reads != nil {
-				frame = protocol.AppendBFVReadC0((*buf)[:0], o.Value[0], reads[g])
-				*buf = frame // the transport has copied or written it once Send returns
-			} else {
-				frame = protocol.MarshalBFV(o)
-			}
+			frame := protocol.AppendBFVReadC0((*buf)[:0], o.Value[0], s.reads[i][g])
+			*buf = frame // the transport has copied or written it once Send returns
 			sess.ev.RecycleCt(o)
 			if account != nil && i == last && g == len(outs)-1 {
 				account(ops)

@@ -10,27 +10,22 @@ import (
 )
 
 // executor runs a session's linear layer when it arrives, on that
-// session's own goroutine: a convolution as Apply over its own kernel, an
-// FC layer as a one-item ApplyBatch over the server's one byte-budgeted
-// weight-plaintext cache (the encode + PrepareMul pipeline of a slot
-// diagonal depends on the model and the preset only, so one prepared
-// plaintext serves every session and every later request). Nothing waits
-// for another session (DESIGN.md §12 has the measurements); sessions
-// overlap on a multi-core shard through par's token pool, which all
-// their kernels draw from. A kernel error or panic is raised on the
+// session's own goroutine, as the operator's Apply over its own kernel
+// (every layer is one plaintext product), and times the call. Nothing
+// waits for another session (DESIGN.md §12 has the measurements);
+// sessions overlap on a multi-core shard through par's token pool, which
+// all their kernels draw from. A kernel error or panic is raised on the
 // guilty session's goroutine and ends that session alone (serveOne).
 type executor struct {
-	ecd   *bfv.Encoder
-	cache *core.PlainCache
+	ecd *bfv.Encoder
 	// layers[i] times the calls of layer i of the network; only conv and
 	// FC indices are ever observed.
 	layers []histogram
 }
 
-func newExecutor(backend *nn.InferenceServer, cacheBytes int64) *executor {
+func newExecutor(backend *nn.InferenceServer) *executor {
 	return &executor{
 		ecd:    backend.Encoder(),
-		cache:  core.NewPlainCache(cacheBytes),
 		layers: make([]histogram, len(backend.Model.Net.Layers)),
 	}
 }
@@ -39,8 +34,7 @@ func (x *executor) observe(layer int, start time.Time) {
 	x.layers[layer].observe(time.Since(start))
 }
 
-// ExecConv implements nn.KernelExecutor for convolution layers: a
-// convolution reads its kernel, never the plaintext cache.
+// ExecConv implements nn.KernelExecutor for convolution layers.
 func (x *executor) ExecConv(layer int, conv *core.Conv2D, ev *bfv.Evaluator, ct *bfv.Ciphertext, slots int) ([]*bfv.Ciphertext, core.OpCounts, error) {
 	defer x.observe(layer, time.Now())
 	return conv.Apply(ev, x.ecd, ct, slots)
@@ -49,11 +43,7 @@ func (x *executor) ExecConv(layer int, conv *core.Conv2D, ev *bfv.Evaluator, ct 
 // ExecFC implements nn.KernelExecutor for fully-connected layers.
 func (x *executor) ExecFC(layer int, fc *core.FC, ev *bfv.Evaluator, ct *bfv.Ciphertext, slots int) (*bfv.Ciphertext, core.OpCounts, error) {
 	defer x.observe(layer, time.Now())
-	outs, ops, err := fc.ApplyBatch(x.ecd, []core.BatchInput{{Ev: ev, Ct: ct}}, slots, x.cache)
-	if err != nil {
-		return nil, core.OpCounts{}, err
-	}
-	return outs[0], ops[0], nil
+	return fc.Apply(ev, x.ecd, ct, slots)
 }
 
 // BatchStats is a point-in-time snapshot of the executor.
@@ -63,13 +53,13 @@ type BatchStats struct {
 	Rounds int64
 	Items  int64
 	// CoalescedItems and SerialRescues always read 0: nothing gathers
-	// any more. They stay until the benchmark stops reading them
-	// (ROADMAP), then go.
+	// any more. PlainCache always reads zero too: no served layer
+	// prepares a weight plaintext, each multiplies by its own kernel. All
+	// three stay until the benchmark stops reading them (ROADMAP), then
+	// go.
 	CoalescedItems int64
 	SerialRescues  int64
-	// PlainCache reports the shared prepared-weight-plaintext cache:
-	// every hit is one skipped encode+lift+NTT pipeline.
-	PlainCache core.PlainCacheStats
+	PlainCache     core.PlainCacheStats
 }
 
 // LayerStats is the compute time of one linear layer of the model as the
@@ -86,7 +76,7 @@ func (x *executor) stats() BatchStats {
 	for i := range x.layers {
 		n += x.layers[i].count.Load()
 	}
-	return BatchStats{Rounds: n, Items: n, PlainCache: x.cache.Stats()}
+	return BatchStats{Rounds: n, Items: n}
 }
 
 func (x *executor) layerStats(net *nn.Network) []LayerStats {

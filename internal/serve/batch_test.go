@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,15 +17,15 @@ import (
 )
 
 // TestLayerRunsOnArrival: two sessions are admitted and one of them never
-// sends a request. The other's whole inference — four layers — completes
+// sends a request. The other's whole inference — three layers — completes
 // all the same: a layer runs when its input arrives, and nothing on the
 // way waits for a second session to show up.
 func TestLayerRunsOnArrival(t *testing.T) {
 	testkit.CheckGoroutines(t)
-	backend, model := testBackend(t, testNetwork)
+	backend, model := testBackend(t, productNetwork)
 	srv := New(backend, Config{MaxSessions: 2})
 
-	silent, err := nn.NewInferenceClient(testNetwork(), [32]byte{88})
+	silent, err := nn.NewInferenceClient(productNetwork(), [32]byte{88})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,14 +35,14 @@ func TestLayerRunsOnArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runClientSession(t, srv, testNetwork, model, 89, "arrival-busy", 1)
+	runClientSession(t, srv, productNetwork, model, 89, "arrival-busy", 1)
 
 	st := srv.Stats()
 	if st.SessionsActive != 1 || st.Inferences != 1 {
 		t.Errorf("%d active session(s), %d inference(s): want the silent session still open beside one finished inference", st.SessionsActive, st.Inferences)
 	}
-	if b := st.Batching; b.Items != 4 || b.Rounds != 4 || b.CoalescedItems != 0 || b.SerialRescues != 0 {
-		t.Errorf("executor stats %+v: want four layer calls, one per layer", b)
+	if b := st.Batching; b.Items != 3 || b.Rounds != 3 || b.CoalescedItems != 0 || b.SerialRescues != 0 {
+		t.Errorf("executor stats %+v: want three layer calls, one per layer", b)
 	}
 	silentEnd.Close()
 	if err := <-silentDone; err != nil {
@@ -75,16 +77,16 @@ func (r *replay) ReceivedBytes() int64 { return 0 }
 // end-to-end sessions through the server. Every logit equals the
 // plaintext reference, and every reply frame is the bytes the serial path
 // — the same session with no executor, its layers through the operators'
-// own Apply — sends for the same request frames: the shared cache and
-// whatever overlap the sessions had change nothing a client can see.
+// own Apply — sends for the same request frames: whatever overlap the
+// sessions had changes nothing a client can see.
 func TestConcurrentSessionsExactLogits(t *testing.T) {
 	testkit.CheckGoroutines(t)
-	backend, model := testBackend(t, testNetwork)
-	const maxSessions, requests, layers = 3, 2, 4
+	backend, model := testBackend(t, productNetwork)
+	const maxSessions, requests, layers = 3, 2, 3
 	clients := make([]*nn.InferenceClient, maxSessions)
 	for i := range clients {
 		var err error
-		if clients[i], err = nn.NewInferenceClient(testNetwork(), [32]byte{byte(90 + i)}); err != nil {
+		if clients[i], err = nn.NewInferenceClient(productNetwork(), [32]byte{byte(90 + i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,9 +109,6 @@ func TestConcurrentSessionsExactLogits(t *testing.T) {
 		st := srv.Stats()
 		if b, want := st.Batching, int64(sessions*requests*layers); b.Items != want || b.Rounds != b.Items {
 			t.Errorf("%d session(s): executor stats %+v, want %d layer calls", sessions, b, want)
-		}
-		if pc := st.Batching.PlainCache; pc.Hits == 0 || pc.Misses != int64(pc.Entries) {
-			t.Errorf("%d session(s): plaintext cache %+v: want hits, and each entry built once", sessions, pc)
 		}
 		for _, ls := range st.Layers {
 			if ls.Compute.Count != int64(sessions*requests) {
@@ -150,15 +149,23 @@ func TestConcurrentSessionsExactLogits(t *testing.T) {
 // tenant quota, the tenant's second concurrent session is rejected
 // with a busy ack carrying the configured retry-after hint, a
 // different tenant is admitted untouched, and the slot frees on
-// session close.
+// session close. The rejected session's close line still names it and
+// its tenant.
 func TestTenantQuotaBusyAck(t *testing.T) {
 	testkit.CheckGoroutines(t)
 	backend, model := testBackend(t, tinyNetwork)
 	const retry = 123 * time.Millisecond
+	var logMu sync.Mutex
+	var logged []string
 	srv := New(backend, Config{
 		MaxSessions:       4,
 		TenantMaxSessions: 1,
 		RetryAfter:        retry,
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		},
 	})
 
 	open := func(keySeed byte, sessionID, tenant string) (*protocol.Pipe, <-chan error, error) {
@@ -189,6 +196,12 @@ func TestTenantQuotaBusyAck(t *testing.T) {
 	}
 	connB.Close()
 	<-doneB
+	logMu.Lock()
+	const closed = `serve: session "quota-b" (tenant "acme"): closed after`
+	if !slices.ContainsFunc(logged, func(line string) bool { return strings.HasPrefix(line, closed) }) {
+		t.Errorf("no log line opens with %q: %q", closed, logged)
+	}
+	logMu.Unlock()
 
 	// …while another tenant is admitted and completes an inference.
 	runClientSessionTenant(t, srv, model, 53, "quota-c", "globex")

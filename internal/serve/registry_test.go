@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -74,16 +73,6 @@ func TestRegistryByteStatsSurface(t *testing.T) {
 	raw, ok := srv.LookupKeyFrame("bytes-a")
 	if !ok || int64(len(raw)) != st.KeyCacheBytes {
 		t.Errorf("LookupKeyFrame: ok=%v len=%d, want KeyCacheBytes=%d", ok, len(raw), st.KeyCacheBytes)
-	}
-
-	// The retained frame round-trips through InstallKeyFrame on a fresh
-	// server — the replication write path.
-	srv2 := New(backend, Config{MaxSessions: 1})
-	if err := srv2.InstallKeyFrame("bytes-a", raw); err != nil {
-		t.Fatalf("InstallKeyFrame: %v", err)
-	}
-	if got, ok := srv2.LookupKeyFrame("bytes-a"); !ok || !bytes.Equal(got, raw) {
-		t.Error("installed frame does not round-trip")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -35,28 +36,14 @@ func productNetwork() *nn.Network {
 	}
 }
 
-// testNetwork is productNetwork with a square FC layer before the last
-// one: the square layer takes the slot packing, so its sessions rotate
-// and share cached weight plaintexts beside three product-packed
-// layers.
-func testNetwork() *nn.Network {
-	net := productNetwork()
-	net.Name = "ServeTestNet"
-	net.Layers = append(net.Layers[:6:6], nn.Layer{Kind: nn.FC, FCOut: 54}, nn.Layer{Kind: nn.Act, RequantShift: 7}, net.Layers[6])
-	return net
-}
-
 // tinyNetwork is a single-FC model for tests that exercise
-// concurrency and admission control rather than layer coverage —
-// client keygen is the dominant per-session cost, and a one-layer
-// network needs far fewer Galois keys. The layer is square, so it takes
-// the slot packing: its sessions rotate, hold keys and hit the shared
-// plaintext cache.
+// concurrency and admission control rather than layer coverage: one
+// plaintext product a request, like every layer the server runs.
 func tinyNetwork() *nn.Network {
 	return &nn.Network{
 		Name: "ServeTinyNet", InH: 4, InW: 4, InC: 1,
 		Layers: []nn.Layer{
-			{Kind: nn.FC, FCOut: 16},
+			{Kind: nn.FC, FCOut: 8},
 		},
 		Params: bfv.PresetTest(),
 	}
@@ -75,7 +62,7 @@ func testBackend(t *testing.T, netFn func() *nn.Network) (*nn.InferenceServer, *
 	backendOnce.Do(func() {
 		backends = map[string]*nn.InferenceServer{}
 		models = map[string]*nn.QuantizedModel{}
-		for _, fn := range []func() *nn.Network{testNetwork, tinyNetwork, productNetwork} {
+		for _, fn := range []func() *nn.Network{tinyNetwork, productNetwork} {
 			net0 := fn()
 			model := nn.SynthesizeWeights(net0, 4, [32]byte{21})
 			backend, err := nn.NewInferenceServer(model)
@@ -138,7 +125,10 @@ func TestKeyBundleRefusalReachesClient(t *testing.T) {
 // serveEnd runs srv on one end of a pipe and closes that end when the
 // server half returns, so a client still waiting on it fails at once
 // instead of hanging; the server's error arrives on the channel.
-func serveEnd(srv *Server, end *protocol.Pipe) <-chan error {
+func serveEnd(srv *Server, end interface {
+	protocol.Transport
+	Close()
+}) <-chan error {
 	done := make(chan error, 1)
 	go func() {
 		err := srv.ServeTransport(context.Background(), end)
@@ -250,8 +240,8 @@ func TestConcurrentSessions(t *testing.T) {
 	if st.InferenceLatency.Count != sessions*2 || st.InferenceLatency.P99 == 0 {
 		t.Errorf("inference latency summary %+v", st.InferenceLatency)
 	}
-	if st.ServerOps.Rotations == 0 || st.ServerOps.PlainMults == 0 {
-		t.Errorf("server ops not accounted: %+v", st.ServerOps)
+	if st.ServerOps.Rotations != 0 || st.ServerOps.PlainMults != sessions*2 {
+		t.Errorf("server ops %+v, want no rotation and one product a request", st.ServerOps)
 	}
 	if st.BytesUp == 0 || st.BytesDown == 0 {
 		t.Errorf("traffic not accounted: up %d down %d", st.BytesUp, st.BytesDown)
@@ -263,21 +253,21 @@ func TestConcurrentSessions(t *testing.T) {
 // re-uploading evaluation keys, confirmed by bytes-up accounting.
 func TestKeyCacheReconnect(t *testing.T) {
 	testkit.CheckGoroutines(t)
-	backend, model := testBackend(t, testNetwork)
+	backend, model := testBackend(t, productNetwork)
 	srv := New(backend, Config{MaxSessions: 2})
 
-	first, cached := runClientSession(t, srv, testNetwork, model, 77, "reconnect-me", 1)
+	first, cached := runClientSession(t, srv, productNetwork, model, 77, "reconnect-me", 1)
 	if cached {
 		t.Fatal("first session reported cached keys")
 	}
-	second, cached := runClientSession(t, srv, testNetwork, model, 77, "reconnect-me", 1)
+	second, cached := runClientSession(t, srv, productNetwork, model, 77, "reconnect-me", 1)
 	if !cached {
 		t.Fatal("second session did not hit the key cache")
 	}
-	// The key bundle dominates first-session upload; without it the
-	// reconnect's bytes-up must collapse to hello + input ciphertexts.
-	if second >= first/2 {
-		t.Errorf("reconnect sent %d B, first connect %d B — key upload not skipped", second, first)
+	// The reconnect sends everything the first connect did but the key
+	// bundle: the same hello, model request and uploads.
+	if bundle, ok := srv.LookupKeyFrame("reconnect-me"); !ok || first-second != int64(len(bundle))+4 {
+		t.Errorf("reconnect sent %d B, first connect %d B: want the %d-byte key bundle frame skipped", second, first, len(bundle)+4)
 	}
 	st := srv.Stats()
 	if st.KeyCacheHits != 1 || st.KeyCacheMisses != 1 {
@@ -485,11 +475,19 @@ func TestServeTCP(t *testing.T) {
 
 // TestIdleTimeoutClosesSession checks that a client which goes silent
 // between requests is disconnected after IdleTimeout — connections are
-// closed on a deadline, not never.
+// closed on a deadline, not never — and that the server's idle-timeout
+// and session-closed log lines name the session and its tenant.
 func TestIdleTimeoutClosesSession(t *testing.T) {
 	testkit.CheckGoroutines(t)
 	backend, _ := testBackend(t, tinyNetwork)
-	srv := New(backend, Config{MaxSessions: 1, IdleTimeout: 150 * time.Millisecond, IOTimeout: 5 * time.Second})
+	var logMu sync.Mutex
+	var logged []string
+	srv := New(backend, Config{MaxSessions: 1, IdleTimeout: 150 * time.Millisecond, IOTimeout: 5 * time.Second,
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		}})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -510,7 +508,7 @@ func TestIdleTimeoutClosesSession(t *testing.T) {
 	}
 	defer conn.Close()
 	tr := protocol.NewConn(conn)
-	if _, err := client.SetupSession(tr, "idler"); err != nil {
+	if _, err := client.SetupSessionTenant(tr, "idler", "idle-tenant"); err != nil {
 		t.Fatal(err)
 	}
 	// Send nothing; the server must hang up. The subsequent read on
@@ -525,17 +523,28 @@ func TestIdleTimeoutClosesSession(t *testing.T) {
 	}
 	cancel()
 	<-serveDone
+	logMu.Lock()
+	defer logMu.Unlock()
+	for _, want := range []string{
+		`serve: session "idler" (tenant "idle-tenant"): idle timeout`,
+		`serve: session "idler" (tenant "idle-tenant"): closed after`,
+	} {
+		if !slices.ContainsFunc(logged, func(line string) bool { return strings.HasPrefix(line, want) }) {
+			t.Errorf("no log line opens with %q: %q", want, logged)
+		}
+	}
 }
 
 // TestSessionPanicIsContained runs three concurrent sessions through a
-// server whose kernels panic on the second request of one of them (its
-// rotation keys are swapped for nil ones after the first reply, and not
-// before both other sessions have had a layer run: the panicking session
-// is not the first to submit). That session alone fails — told so by an
-// error frame, its stack in the log under its session ID — while the
-// other two, which send their last request only after the panic, finish
-// every request on a server whose counters still add up and whose worker
-// slots are all free again.
+// server that panics on the second request of one of them: its server
+// end is armed, after the first reply and not before both other sessions
+// have had a layer run, to panic on the next frame it reads, inside the
+// request as a kernel fault would be (the panicking session is not the
+// first to submit). That session alone fails — told so by an error
+// frame, its stack in the log under its session ID — while the other
+// two, which send their last request only after the panic, finish every
+// request on a server whose counters still add up and whose worker slots
+// are all free again.
 func TestSessionPanicIsContained(t *testing.T) {
 	testkit.CheckGoroutines(t)
 	backend, model := testBackend(t, tinyNetwork)
@@ -546,10 +555,11 @@ func TestSessionPanicIsContained(t *testing.T) {
 		logged = append(logged, fmt.Sprintf(format, args...))
 		logMu.Unlock()
 	}})
-	// The hostile session is installed by hand, so the test keeps a
-	// handle on the key map its evaluator reads.
 	const hostileID, requests = "panic-hostile", 3
-	hostile, kb := installHandKeys(t, srv, backend, 50, hostileID)
+	hostile, err := nn.NewInferenceClient(tinyNetwork(), [32]byte{50})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// A mate reports its first reply (and its exit, so the hostile session
 	// never waits for a mate that has already failed the test).
@@ -581,9 +591,10 @@ func TestSessionPanicIsContained(t *testing.T) {
 		defer close(hostileOver)
 		clientEnd, serverEnd := protocol.NewPipe()
 		defer clientEnd.Close()
-		done := serveEnd(srv, serverEnd)
-		if cached, err := hostile.SetupSession(clientEnd, hostileID); err != nil || !cached {
-			t.Errorf("hostile session open: cached=%v err=%v", cached, err)
+		hostileEnd := &stallTransport{Pipe: serverEnd}
+		done := serveEnd(srv, hostileEnd)
+		if _, err := hostile.SetupSession(clientEnd, hostileID); err != nil {
+			t.Errorf("hostile session open: %v", err)
 			return
 		}
 		img := nn.SynthesizeImage(tinyNetwork(), 4, [32]byte{50})
@@ -593,9 +604,7 @@ func TestSessionPanicIsContained(t *testing.T) {
 		}
 		<-mateReplied
 		<-mateReplied
-		for g := range kb.Galois {
-			kb.Galois[g] = nil // the next rotation dereferences it
-		}
+		hostileEnd.panicRecv.Store(true)
 		if _, _, err := hostile.Infer(img, clientEnd); err == nil || !strings.Contains(err.Error(), "the server failed the session") {
 			t.Errorf("hostile session, second request: err = %v, want the server's error frame", err)
 		}

@@ -60,9 +60,6 @@ type Config struct {
 	// alone is not a memory bound). LRU entries are evicted beyond it;
 	// the newest entry is always kept. Default 1 GiB.
 	KeyCacheBytes int64
-	// PlainCacheBytes bounds the prepared-weight-plaintext cache all
-	// sessions share (see batch.go). Default 256 MiB.
-	PlainCacheBytes int64
 	// TenantMaxSessions caps concurrently running sessions per declared
 	// tenant; a tenant at its cap gets a busy ack with a retry-after
 	// hint instead of consuming worker slots. Default 0: no per-tenant
@@ -136,7 +133,7 @@ func New(backend *nn.InferenceServer, cfg Config) *Server {
 		cfg:     cfg,
 		reg:     newRegistry(cfg.KeyCacheCap, cfg.KeyCacheBytes),
 		slots:   make(chan struct{}, cfg.MaxSessions),
-		exec:    newExecutor(backend, cfg.PlainCacheBytes),
+		exec:    newExecutor(backend),
 		conns:   map[*TimedTransport]struct{}{},
 	}
 }
@@ -156,18 +153,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // shard serves its cached bundle to a peer instead of the client
 // re-uploading it.
 func (s *Server) LookupKeyFrame(id string) ([]byte, bool) { return s.reg.lookupFrame(id) }
-
-// InstallKeyFrame parses a serialized key bundle and caches it under a
-// session ID — the fabric replication write path (and a warm-up hook:
-// pre-seeding a shard's registry before cutting traffic over).
-func (s *Server) InstallKeyFrame(id string, raw []byte) error {
-	sess, err := s.backend.NewSessionFromFrame(raw)
-	if err != nil {
-		return fmt.Errorf("serve: install keys for session %q: %w", id, err)
-	}
-	s.reg.store(id, sess, raw)
-	return nil
-}
 
 // Serve accepts connections on ln until ctx is cancelled, then stops
 // accepting, interrupts idle connections, and drains sessions that are
@@ -261,12 +246,13 @@ func (s *Server) ServeTransport(ctx context.Context, t protocol.Transport) error
 	s.acct.sessionsActive.Add(1)
 	start := time.Now()
 	var inferences int64
+	var id, tenant string // set by the handshake, read by the close line
 	defer func() {
 		s.acct.sessionsActive.Add(-1)
 		s.acct.bytesUp.Add(t.ReceivedBytes())
 		s.acct.bytesDown.Add(t.SentBytes())
-		s.cfg.Logf("serve: session closed after %v: %d inference(s), %d B up / %d B down",
-			time.Since(start).Round(time.Millisecond), inferences, t.ReceivedBytes(), t.SentBytes())
+		s.cfg.Logf("serve: session %q (tenant %q): closed after %v: %d inference(s), %d B up / %d B down",
+			id, tenant, time.Since(start).Round(time.Millisecond), inferences, t.ReceivedBytes(), t.SentBytes())
 	}()
 
 	sess, id, tenant, err := s.handshake(t)
@@ -301,7 +287,7 @@ func (s *Server) ServeTransport(ctx context.Context, t protocol.Transport) error
 			s.acct.inferLat.observe(time.Since(reqStart))
 		})
 		if err != nil {
-			if s.sessionOver(t, err) {
+			if s.sessionOver(t, err, id, tenant) {
 				return nil
 			}
 			var pe *panicError
@@ -342,8 +328,9 @@ func serveOne(sess *nn.ServerSession, t protocol.Transport, account func(nn.Serv
 // exchange: an over-quota tenant gets a busy ack with a retry-after
 // hint, so its sessions back off instead of consuming worker slots
 // other tenants could use. On success with a non-empty tenant, the
-// caller owns releasing the tenant's session slot. The session ID comes
-// back for the caller's diagnostics.
+// caller owns releasing the tenant's session slot. The session ID and
+// tenant come back for the caller's diagnostics, also when a parsed
+// hello is refused.
 func (s *Server) handshake(t protocol.Transport) (sess *nn.ServerSession, id, tenant string, err error) {
 	raw, err := t.Recv()
 	if err != nil {
@@ -369,13 +356,13 @@ func (s *Server) handshake(t protocol.Transport) (sess *nn.ServerSession, id, te
 	if tenant != "" && !s.tenants.admit(tenant, s.cfg.TenantMaxSessions) {
 		s.acct.sessionsRejected.Add(1)
 		_ = t.Send(protocol.MarshalHelloAckRetry(protocol.AckBusy, s.cfg.RetryAfter))
-		return nil, "", "", fmt.Errorf("session %q: tenant %q: %w", id, tenant, ErrTenantOverQuota)
+		return nil, id, tenant, fmt.Errorf("session %q: tenant %q: %w", id, tenant, ErrTenantOverQuota)
 	}
 	if sess, err = s.admit(t, id, hint); err != nil {
 		if tenant != "" {
 			s.tenants.release(tenant, 0, 0)
 		}
-		return nil, "", "", err
+		return nil, id, tenant, err
 	}
 	return sess, id, tenant, nil
 }
@@ -444,8 +431,9 @@ func (s *Server) replicate(id, hint string) (*nn.ServerSession, bool) {
 
 // sessionOver classifies a ServeOne error as a normal end of session:
 // the client disconnected, or the idle timeout expired while waiting
-// for the next request's first frame.
-func (s *Server) sessionOver(t protocol.Transport, err error) bool {
+// for the next request's first frame. id and tenant name the session in
+// the log.
+func (s *Server) sessionOver(t protocol.Transport, err error, id, tenant string) bool {
 	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, protocol.ErrInterrupted) {
 		return true
 	}
@@ -455,7 +443,7 @@ func (s *Server) sessionOver(t protocol.Transport, err error) bool {
 	}
 	var nerr net.Error
 	if m.isAwaitingRequest() && errors.As(err, &nerr) && nerr.Timeout() {
-		s.cfg.Logf("serve: idle timeout, closing session")
+		s.cfg.Logf("serve: session %q (tenant %q): idle timeout, closing session", id, tenant)
 		return true
 	}
 	return false

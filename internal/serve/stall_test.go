@@ -5,10 +5,10 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"choco/internal/bfv"
 	"choco/internal/nn"
 	"choco/internal/protocol"
 	"choco/internal/testkit"
@@ -24,11 +24,14 @@ var errStallReleased = errors.New("stalled peer released")
 // stallTransport is the server end of a pipe whose peer stops answering
 // at one chosen point: the first Send of a frame that stallSend matches,
 // or Recv number stallRecv. The call parks there, and parked is closed,
-// until release is closed.
+// until release is closed. Once panicRecv is set, the next Recv to return
+// a frame panics instead, as a kernel fault would on the session's
+// goroutine.
 type stallTransport struct {
 	*protocol.Pipe
 	stallSend func(frame []byte) bool
 	stallRecv int
+	panicRecv atomic.Bool
 
 	recvs           int
 	parkOnce        sync.Once
@@ -53,7 +56,11 @@ func (st *stallTransport) Recv() ([]byte, error) {
 	if st.recvs == st.stallRecv {
 		return nil, st.park()
 	}
-	return st.Pipe.Recv()
+	msg, err := st.Pipe.Recv()
+	if st.panicRecv.CompareAndSwap(true, false) {
+		panic("serve test: Recv armed to panic")
+	}
+	return msg, err
 }
 
 // queuedCtx reports, by closing asked, the first call of Done:
@@ -92,37 +99,6 @@ func sendHello(t *testing.T, tr protocol.Transport, id, tenant string) {
 	}
 }
 
-// installHandKeys builds a tinyNetwork client from keySeed and installs
-// its keys for id by hand, returning the client and the key bundle the
-// session's evaluator reads: swapping its rotation keys for nil ones
-// makes the next request panic the server's kernels.
-func installHandKeys(t *testing.T, srv *Server, backend *nn.InferenceServer, keySeed byte, id string) (*nn.InferenceClient, *protocol.KeyBundle) {
-	t.Helper()
-	ctx, err := bfv.NewContext(tinyNetwork().Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := nn.NewInferenceClient(tinyNetwork(), [32]byte{keySeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keyOut, keyIn := protocol.NewPipe()
-	defer keyOut.Close()
-	if err := client.Setup(keyOut); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := keyIn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := protocol.UnmarshalKeyBundle(ctx, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.reg.store(id, backend.NewSession(kb), raw)
-	return client, kb
-}
-
 // TestStalledSessionBlocksNoOne parks one session at a point where the
 // server writes to or reads from its peer, and checks that nobody else
 // waits on it: a TCP client through Serve still gets the hello ack its
@@ -139,7 +115,7 @@ func TestStalledSessionBlocksNoOne(t *testing.T) {
 		// prepare runs before the stalled session starts and configures it.
 		prepare func(t *testing.T, srv *Server, st *stallTransport)
 		// open drives the stalled session's client side.
-		open func(t *testing.T, srv *Server, client *protocol.Pipe)
+		open func(t *testing.T, st *stallTransport, client *protocol.Pipe)
 		// queued: every slot is taken and QueueTimeout is long, so the
 		// stalled session waits in acquireSlot and the TCP client queues
 		// behind it instead of getting an ack.
@@ -162,42 +138,52 @@ func TestStalledSessionBlocksNoOne(t *testing.T) {
 				srv.tenants.admit(tenant, 1)
 				st.stallSend = isAck(protocol.AckBusy)
 			},
-			open: func(t *testing.T, _ *Server, client *protocol.Pipe) { sendHello(t, client, "stall-quota", tenant) },
-			ack:  protocol.AckNeedKeys,
+			open: func(t *testing.T, _ *stallTransport, client *protocol.Pipe) {
+				sendHello(t, client, "stall-quota", tenant)
+			},
+			ack: protocol.AckNeedKeys,
 		},
 		{
 			name: "need-keys ack",
 			prepare: func(t *testing.T, _ *Server, st *stallTransport) {
 				st.stallSend = isAck(protocol.AckNeedKeys)
 			},
-			open: func(t *testing.T, _ *Server, client *protocol.Pipe) { sendHello(t, client, "stall-need-keys", "") },
-			ack:  protocol.AckNeedKeys,
+			open: func(t *testing.T, _ *stallTransport, client *protocol.Pipe) {
+				sendHello(t, client, "stall-need-keys", "")
+			},
+			ack: protocol.AckNeedKeys,
 		},
 		{
 			name: "key bundle never comes",
 			prepare: func(t *testing.T, _ *Server, st *stallTransport) {
 				st.stallRecv = 2
 			},
-			open: func(t *testing.T, _ *Server, client *protocol.Pipe) { sendHello(t, client, "stall-no-keys", "") },
-			ack:  protocol.AckNeedKeys,
+			open: func(t *testing.T, _ *stallTransport, client *protocol.Pipe) {
+				sendHello(t, client, "stall-no-keys", "")
+			},
+			ack: protocol.AckNeedKeys,
 		},
 		{
 			name: "session error after a kernel panic",
 			prepare: func(t *testing.T, _ *Server, st *stallTransport) {
 				st.stallSend = isSessionError
 			},
-			open: func(t *testing.T, srv *Server, client *protocol.Pipe) {
-				const id = "stall-panic"
-				hostile, kb := installHandKeys(t, srv, backend, 55, id)
-				for g := range kb.Galois {
-					kb.Galois[g] = nil
+			open: func(t *testing.T, st *stallTransport, client *protocol.Pipe) {
+				hostile, err := nn.NewInferenceClient(tinyNetwork(), [32]byte{55})
+				if err != nil {
+					t.Fatal(err)
 				}
 				go func() {
-					if _, err := hostile.SetupSession(client, id); err != nil {
+					img := nn.SynthesizeImage(tinyNetwork(), 4, [32]byte{55})
+					if _, err := hostile.SetupSession(client, "stall-panic"); err != nil {
 						return
 					}
+					if _, _, err := hostile.Infer(img, client); err != nil {
+						return
+					}
+					st.panicRecv.Store(true)
 					// The reply never comes; the pipe's close ends the wait.
-					_, _, _ = hostile.Infer(nn.SynthesizeImage(tinyNetwork(), 4, [32]byte{55}), client)
+					_, _, _ = hostile.Infer(img, client)
 				}()
 			},
 			ack: protocol.AckNeedKeys,
@@ -249,7 +235,7 @@ func TestStalledSessionBlocksNoOne(t *testing.T) {
 				}
 			}()
 			if tc.open != nil {
-				tc.open(t, srv, clientEnd)
+				tc.open(t, st, clientEnd)
 			}
 			parked := st.parked
 			if tc.queued {

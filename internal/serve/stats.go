@@ -180,10 +180,9 @@ type Stats struct {
 	SetupLatency     LatencySummary // hello + key install (or cache hit)
 	InferenceLatency LatencySummary // one ServeOne exchange, up to the hand-off of its last reply frame
 
-	// Batching reports the layer executor: calls and the shared
-	// weight-plaintext cache. Layers is its compute time per linear
-	// layer; every request adds one observation to each before its last
-	// reply frame leaves.
+	// Batching reports the layer executor's calls. Layers is its compute
+	// time per linear layer; every request adds one observation to each
+	// before its last reply frame leaves.
 	Batching BatchStats
 	Layers   []LayerStats
 	// Tenants lists per-tenant counters for sessions that declared a

@@ -46,7 +46,11 @@ func TestFailedAckEndsSession(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.cached {
-				installHandKeys(t, srv, backend, 71, tc.id)
+				sess, err := backend.NewSessionFromFrame(bundle)
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv.reg.store(tc.id, sess, bundle)
 			}
 			hello, err := protocol.MarshalHelloTenant(tc.id, "")
 			if err != nil {
