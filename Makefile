@@ -72,13 +72,21 @@
 #                  inverse transform stages, per residue row whose
 #                  prime is below 2^51; the gathered key-switch inner
 #                  product AutomorphismNTTMulShoupAdd2, relinearization's
-#                  g = 1 included, and the 128-bit multiply-accumulate
-#                  MulCoeffsAddWide, on rings whose primes are all below
-#                  2^51) and the AVX2 ones (the NTT stages of wider
-#                  primes and MulCoeffs's dyadic product, the one AVX2
-#                  dyadic kernel); the log names the tier the tests ran
-#                  at and the NTT tiers compared per ring, or the CPU
-#                  feature whose absence skipped the IFMA tests
+#                  g = 1 included, the 128-bit multiply-accumulate
+#                  MulCoeffsAddWide and the Shoup product
+#                  MulCoeffsShoup, at every level of every preset, on
+#                  rings whose primes are all below 2^51), the AVX2 ones
+#                  (the NTT stages of wider primes and MulCoeffs's
+#                  dyadic product, the one AVX2 dyadic kernel), and the
+#                  client's randomness: the BLAKE3 XOF squeeze at each
+#                  width the host has (16-wide AVX-512 where the IFMA
+#                  tier is, 8-wide AVX2), across the counter's 2^32
+#                  carry, and the 4-lane AVX2 CDT Gaussian on every edge
+#                  word of each σ table at lengths 0–300; and that
+#                  ring.SetVectorKernels(false) turns them all off. The
+#                  log names the tier the tests ran at, the squeeze
+#                  widths and the NTT tiers compared per ring, or the
+#                  CPU feature whose absence skipped the IFMA tests
 #   make bench   — the repository's benchmark (see bench-e2e), its
 #                  report recorded under the commit in
 #                  BENCH_trajectory.json, then the Go benchmarks
@@ -89,7 +97,10 @@
 #                  IFMA dyadic kernels against their scalar loops
 #                  (internal/ring: the multiply-accumulate and the
 #                  gathered inner product; skipped on a host without
-#                  IFMA), of the CKKS encoder against
+#                  IFMA), of the vector XOF squeeze against the scalar
+#                  stream (internal/blake3: any seed, length and
+#                  head) and of the vector CDT Gaussian against
+#                  cdtSample (internal/sampling: any words), of the CKKS encoder against
 #                  its big-integer oracle (internal/ckks: any float64
 #                  bits as slot and scale, same bytes or both refuse),
 #                  and of each internal/protocol
@@ -160,13 +171,16 @@ purego:
 	$(GO) test -shuffle=on -tags purego ./...
 
 kernels:
-	$(GO) test -v -count=1 -run 'TestIFMAKernelsMatchScalar|TestIFMADispatch|TestIFMAMatchesCPUInfo|TestNTTVectorScalarIdentical|TestDyadicVectorScalarIdentical' ./internal/cpu ./internal/ring
+	$(GO) test -v -count=1 -run 'TestIFMAKernelsMatchScalar|TestIFMADispatch|TestIFMAMatchesCPUInfo|TestNTTVectorScalarIdentical|TestDyadicVectorScalarIdentical|TestMulCoeffsShoupPresetsMatchScalar' ./internal/cpu ./internal/ring
+	$(GO) test -v -count=1 -run 'TestSqueezeWidthsMatchScalar|TestSqueezeCounterCarry|TestCDTVectorMatchesScalar|TestCDTEdgeMagnitudes|TestSetVectorKernelsDropsClientKernels' ./internal/blake3 ./internal/sampling
 
 fuzz:
 	$(GO) test ./internal/ring -run '^$$' -fuzz '^FuzzPackedRow$$' -fuzztime 30s
 	$(GO) test ./internal/ring -run '^$$' -fuzz '^FuzzNTTRowVector$$' -fuzztime 30s
 	$(GO) test ./internal/ring -run '^$$' -fuzz '^FuzzMulCoeffsAddWide$$' -fuzztime 30s
 	$(GO) test ./internal/ring -run '^$$' -fuzz '^FuzzAutomorphismNTTMulShoupAdd2$$' -fuzztime 30s
+	$(GO) test ./internal/blake3 -run '^$$' -fuzz '^FuzzXOFFillVector$$' -fuzztime 30s
+	$(GO) test ./internal/sampling -run '^$$' -fuzz '^FuzzCDTVector$$' -fuzztime 30s
 	$(GO) test ./internal/ckks -run '^$$' -fuzz '^FuzzEncodeCKKS$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzHelloFrame$$' -fuzztime 30s

@@ -175,8 +175,9 @@ func (s *Server) ServeOne(t protocol.Transport) (core.OpCounts, error) {
 }
 
 // pointPair is ciphertext j of a variant's point layout as the two
-// plaintexts of the expanded square: 2p, in the NTT domain at the
-// preset's default scale, and p² at the scale of q ⊙ 2p.
+// plaintexts of the expanded square: 2p, readied for MulPlain (in the
+// NTT domain, with Shoup companions) at the preset's default scale, and
+// p² at the scale of q ⊙ 2p.
 type pointPair struct{ twoP, sq *ckks.Plaintext }
 
 // pointPlain is the pair of ciphertext j of the variant's point layout
@@ -201,7 +202,7 @@ func (s *Server) pointPlain(v Variant, j, level int, scale float64) (pointPair, 
 	if pp.twoP, err = s.ecd.EncodeFloats(twoP, level, def); err != nil {
 		return pp, err
 	}
-	s.ctx.RingAtLevel(level).NTT(pp.twoP.Poly)
+	s.ctx.PrepareMulPlain(pp.twoP)
 	if pp.sq, err = s.ecd.EncodeFloats(sq, level, scale*def); err != nil {
 		return pp, err
 	}

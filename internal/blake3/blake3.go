@@ -297,7 +297,7 @@ type XOF struct {
 	bufUsed int // bytes of buf already consumed (64 = empty)
 	counter uint64
 	// sched caches the pre-permuted 7-round message schedule for the
-	// vector squeeze kernels; built lazily on first bulk fill (the root
+	// vector squeeze kernels (8- and 16-wide); built lazily on first bulk fill (the root
 	// block never changes until the next Reset). Unused on scalar-only
 	// builds.
 	sched   [112]uint32
@@ -347,11 +347,12 @@ func (x *XOF) Fill(p []byte) {
 		x.bufUsed += n
 		p = p[n:]
 	}
-	// Vectorized body: eight counters squeezed per kernel call. The
-	// kernel writes the identical byte stream (it is the same
-	// compression at counters c..c+7, serialized little-endian), so
-	// falling through to the scalar loop for the remainder is seamless.
-	p = p[x.fillBlocks8(p):]
+	// Vectorized body: sixteen counters squeezed per AVX-512 kernel call,
+	// then eight per AVX2 one. The kernels write the identical byte
+	// stream (the same compression at counters c, c+1, …, serialized
+	// little-endian), so falling through to the narrower kernel and then
+	// the scalar loop for the remainder is seamless.
+	p = p[x.fillBlocks(p):]
 	// Whole blocks: compress directly into the caller's buffer.
 	for len(p) >= 64 {
 		words := compress(&x.out.cv, &x.out.block, x.counter, x.out.blockLen, x.out.flags|flagRoot)
@@ -395,9 +396,10 @@ func (x *XOF) FillUint64(out []uint64) {
 		out[0] = x.Uint64()
 		out = out[1:]
 	}
-	// Vectorized body: 64 words (eight blocks) per kernel call, byte
-	// stream decoded in place on little-endian hardware.
-	out = out[x.fillWords8(out):]
+	// Vectorized body: 128 words (sixteen blocks) per AVX-512 kernel
+	// call, then 64 (eight) per AVX2 one, byte stream decoded in place
+	// on little-endian hardware.
+	out = out[x.fillWords(out):]
 	// Aligned body: decode whole blocks directly from compress output.
 	for len(out) >= 8 {
 		words := compress(&x.out.cv, &x.out.block, x.counter, x.out.blockLen, x.out.flags|flagRoot)

@@ -3,7 +3,8 @@ package blake3
 // vectorKernels gates the SIMD XOF squeeze path at run time. It starts
 // at whatever the build's architecture detection found
 // (vectorAvailable: AVX2 on amd64 builds without the purego tag, false
-// everywhere else) and can be forced off — the scalar compression
+// everywhere else; the 16-wide AVX-512 kernel also runs where the host
+// has the ring's IFMA tier) and can be forced off — the scalar compression
 // function stays in-tree as the byte-exactness oracle, same pattern as
 // the ring package's scalar kernels.
 var vectorKernels = vectorAvailable()

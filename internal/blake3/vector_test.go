@@ -2,6 +2,7 @@ package blake3
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -133,6 +134,131 @@ func TestFillUint64VectorScalarIdentical(t *testing.T) {
 	}
 }
 
+// squeezeWidths lists the vector squeeze widths this host runs, widest
+// first, each with the wide16 setting that selects it; it is empty on a
+// scalar-only host or build.
+func squeezeWidths() []struct {
+	name   string
+	wide16 bool
+} {
+	type width = struct {
+		name   string
+		wide16 bool
+	}
+	if !vectorAvailable() {
+		return nil
+	}
+	ws := []width{{"8-wide AVX2", false}}
+	if wide16 {
+		ws = append([]width{{"16-wide AVX-512", true}}, ws...)
+	}
+	return ws
+}
+
+// atWidth runs f with the vector squeeze on at one width, restoring the
+// switch and the width selector afterwards.
+func atWidth(t *testing.T, wide bool, f func()) {
+	t.Helper()
+	prevOn, prevWide := VectorKernelsEnabled(), wide16
+	defer func() { SetVectorKernels(prevOn); wide16 = prevWide }()
+	SetVectorKernels(true)
+	wide16 = wide
+	f()
+}
+
+// TestSqueezeWidthsMatchScalar holds every squeeze width the host has
+// to the scalar stream, through Fill and FillUint64, at lengths around
+// each kernel's group (1 024 and 512 bytes) and after an odd head, and
+// logs the widths it compared.
+func TestSqueezeWidthsMatchScalar(t *testing.T) {
+	widths := squeezeWidths()
+	if len(widths) == 0 {
+		t.Skip("no vector squeeze on this host/build")
+	}
+	sizes := []int{511, 512, 1023, 1024, 1025, 1536, 1600, 2048 + 512 + 64 + 3, 16384}
+	for _, w := range widths {
+		t.Logf("comparing the %s squeeze with the scalar stream", w.name)
+		for _, head := range []int{0, 5, 64} {
+			for _, size := range sizes {
+				ref, _ := xofPair()
+				prev := SetVectorKernels(false)
+				want := make([]byte, head+size)
+				ref.Fill(want[:head])
+				ref.Fill(want[head:])
+				SetVectorKernels(prev)
+
+				got := make([]byte, head+size)
+				atWidth(t, w.wide16, func() {
+					vec, _ := xofPair()
+					vec.Fill(got[:head])
+					vec.Fill(got[head:])
+				})
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: head %d size %d: Fill diverges from the scalar stream", w.name, head, size)
+				}
+
+				words := size / 8
+				ref, _ = xofPair()
+				prev = SetVectorKernels(false)
+				wantW := make([]uint64, words)
+				ref.Fill(make([]byte, head))
+				ref.FillUint64(wantW)
+				SetVectorKernels(prev)
+				gotW := make([]uint64, words)
+				atWidth(t, w.wide16, func() {
+					vec, _ := xofPair()
+					vec.Fill(make([]byte, head))
+					vec.FillUint64(gotW)
+				})
+				for i := range gotW {
+					if gotW[i] != wantW[i] {
+						t.Fatalf("%s: head %d, %d words: word %d is %#x, scalar %#x", w.name, head, words, i, gotW[i], wantW[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSqueezeCounterCarry starts each width's groups a few blocks below
+// 2^32, so one kernel call holds lanes on both sides of the carry from
+// the counter's low word into its high word.
+func TestSqueezeCounterCarry(t *testing.T) {
+	widths := squeezeWidths()
+	if len(widths) == 0 {
+		t.Skip("no vector squeeze on this host/build")
+	}
+	for _, w := range widths {
+		for _, start := range []uint64{1<<32 - 16, 1<<32 - 5, 1<<32 - 1, 1 << 32, 2<<32 - 9} {
+			ref, _ := xofPair()
+			ref.counter = start
+			prev := SetVectorKernels(false)
+			want := make([]uint64, 3*128)
+			ref.FillUint64(want)
+			SetVectorKernels(prev)
+
+			got := make([]uint64, len(want))
+			gotB := make([]byte, 8*len(want))
+			atWidth(t, w.wide16, func() {
+				vec, _ := xofPair()
+				vec.counter = start
+				vec.FillUint64(got)
+				vec, _ = xofPair()
+				vec.counter = start
+				vec.Fill(gotB)
+			})
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s: counter from %#x: word %d is %#x, scalar %#x", w.name, start, i, got[i], want[i])
+				}
+				if b := binary.LittleEndian.Uint64(gotB[8*i:]); b != want[i] {
+					t.Fatalf("%s: counter from %#x: Fill word %d is %#x, scalar %#x", w.name, start, i, b, want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestSetVectorKernelsReporting pins the kill-switch contract: off is
 // always honored, on is clamped to hardware support.
 func TestSetVectorKernelsReporting(t *testing.T) {
@@ -180,5 +306,33 @@ func FuzzXOFFillVector(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("vector Fill diverges from scalar (seed=%x size=%d head=%d)", seed, n, h)
 		}
+	})
+}
+
+// BenchmarkXOFFillUint64Widths is BenchmarkXOFFillUint64 at each
+// squeeze width the host has, and scalar.
+func BenchmarkXOFFillUint64Widths(b *testing.B) {
+	run := func(b *testing.B) {
+		var key [32]byte
+		x := NewXOF(key, []byte("bench"))
+		buf := make([]uint64, 512)
+		b.SetBytes(8 * 512)
+		for i := 0; i < b.N; i++ {
+			x.FillUint64(buf)
+		}
+	}
+	for _, w := range squeezeWidths() {
+		b.Run(w.name, func(b *testing.B) {
+			prevOn, prevWide := VectorKernelsEnabled(), wide16
+			defer func() { SetVectorKernels(prevOn); wide16 = prevWide }()
+			SetVectorKernels(true)
+			wide16 = w.wide16
+			run(b)
+		})
+	}
+	b.Run("scalar", func(b *testing.B) {
+		defer SetVectorKernels(VectorKernelsEnabled())
+		SetVectorKernels(false)
+		run(b)
 	})
 }

@@ -39,7 +39,7 @@ func TestChocodebugCorruptCiphertextPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kit.ctx.RingAtLevel(ct.Level).NTT(pt.Poly)
+	kit.ctx.PrepareMulPlain(pt)
 	ct.Value[0].Coeffs[1][0] = kit.ctx.RingQ.Moduli[1].Value // >= q_1
 	for name, op := range map[string]func(){
 		"Add":        func() { kit.ev.Add(ct, ct) },

@@ -17,6 +17,23 @@ type Plaintext struct {
 	Poly  *ring.Poly
 	Level int
 	Scale float64
+	// shoup holds the Shoup companions of Poly's NTT-domain rows once
+	// PrepareMulPlain attached them, for MulPlain; nil before.
+	shoup [][]uint64
+}
+
+// PrepareMulPlain readies pt for MulPlain: it moves Poly to the NTT
+// domain, if it is not there yet, and attaches the Shoup companions of
+// its rows, so that each MulPlain by pt is a Shoup product (the same
+// canonical residues as MulCoeffs' Barrett one, in fewer operations).
+// The companions cost one more polynomial of memory (N·(Level+1)
+// words). Poly must not change afterwards.
+func (ctx *Context) PrepareMulPlain(pt *Plaintext) {
+	r := ctx.RingAtLevel(pt.Level)
+	if !pt.Poly.IsNTT() {
+		r.NTT(pt.Poly)
+	}
+	pt.shoup = r.ShoupPolyPrecomp(pt.Poly)
 }
 
 // Encoder maps vectors of complex values to ring elements through the

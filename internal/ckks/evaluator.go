@@ -81,11 +81,11 @@ func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
 	return out
 }
 
-// MulPlain returns ct ⊙ pt for a plaintext whose polynomial is already in
-// the NTT domain, so a plaintext used many times is transformed once, by
-// its owner: each ciphertext component is transformed at ct.Level,
-// multiplied and transformed back. The result scale is the product of
-// scales.
+// MulPlain returns ct ⊙ pt for a plaintext PrepareMulPlain readied, so a
+// plaintext used many times is transformed, and its Shoup companions
+// computed, once, by its owner: each ciphertext component is
+// transformed at ct.Level, multiplied by a Shoup product and transformed
+// back. The result scale is the product of scales.
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
 	if rlwe.DebugEnabled {
 		ev.ctx.debugCheckCt("MulPlain", ct)
@@ -93,15 +93,15 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 	if ct.Level != pt.Level {
 		return nil, fmt.Errorf("ckks: level mismatch %d vs %d", ct.Level, pt.Level)
 	}
-	if !pt.Poly.IsNTT() {
-		return nil, fmt.Errorf("ckks: MulPlain needs an NTT-domain plaintext")
+	if pt.shoup == nil {
+		return nil, fmt.Errorf("ckks: MulPlain needs a plaintext PrepareMulPlain readied")
 	}
 	r := ev.ctx.RingAtLevel(ct.Level)
 	out := &Ciphertext{Value: make([]*ring.Poly, len(ct.Value)), Level: ct.Level, Scale: ct.Scale * pt.Scale}
 	for i, p := range ct.Value {
 		q := r.CopyPoly(p)
 		r.NTT(q)
-		r.MulCoeffs(q, pt.Poly, q)
+		r.MulCoeffsShoup(q, pt.Poly, pt.shoup, q)
 		r.INTT(q)
 		out.Value[i] = q
 	}

@@ -45,11 +45,12 @@ func TestSubPlainRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestEvaluatorMulPlain: MulPlain by an NTT-domain plaintext decrypts to
-// the slotwise product of its operands' decryption and decoding, within
-// 1e-6 of values up to 8 in magnitude, at the top level and one below it;
-// a plaintext at another level, or still in the coefficient domain, is
-// refused with an error.
+// TestEvaluatorMulPlain: MulPlain by a plaintext PrepareMulPlain readied
+// decrypts to the slotwise product of its operands' decryption and
+// decoding, within 1e-6 of values up to 8 in magnitude, at the top level
+// and one below it, and its Shoup product is, word for word, the Barrett
+// product (MulCoeffs) of the same transforms; a plaintext at another
+// level, or one not readied, is refused with an error.
 func TestEvaluatorMulPlain(t *testing.T) {
 	kit := newTestKit(t, Parameters{LogN: 11, QBits: []int{50, 40, 40}, PBits: 51, LogScale: 40, Sigma: 3.2})
 	a := rampFloats(64)
@@ -71,7 +72,7 @@ func TestEvaluatorMulPlain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kit.ctx.RingAtLevel(ct.Level).NTT(pt.Poly)
+		kit.ctx.PrepareMulPlain(pt)
 		prod, err := kit.ev.MulPlain(ct, pt)
 		if err != nil {
 			t.Fatalf("level %d: %v", ct.Level, err)
@@ -85,13 +86,23 @@ func TestEvaluatorMulPlain(t *testing.T) {
 			want[i] = x[i] * y[i]
 		}
 		assertClose(t, kit.dec.DecryptFloats(prod), want, 1e-6, fmt.Sprintf("MulPlain at level %d", ct.Level))
+		r := kit.ctx.RingAtLevel(ct.Level)
+		for k, c := range ct.Value {
+			barrett := r.CopyPoly(c)
+			r.NTT(barrett)
+			r.MulCoeffs(barrett, pt.Poly, barrett)
+			r.INTT(barrett)
+			if !r.Equal(prod.Value[k], barrett) {
+				t.Fatalf("level %d: MulPlain's Shoup product differs from the Barrett product in component %d", ct.Level, k)
+			}
+		}
 	}
 
 	low, err := kit.ecd.EncodeFloats(w, below.Level, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kit.ctx.RingAtLevel(below.Level).NTT(low.Poly)
+	kit.ctx.PrepareMulPlain(low)
 	if _, err := kit.ev.MulPlain(top, low); err == nil || !strings.Contains(err.Error(), "level mismatch") {
 		t.Errorf("a plaintext a level below the ciphertext: error %v, want a level mismatch", err)
 	}
@@ -99,7 +110,11 @@ func TestEvaluatorMulPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := kit.ev.MulPlain(top, coeff); err == nil || !strings.Contains(err.Error(), "NTT-domain") {
-		t.Errorf("a coefficient-domain plaintext: error %v, want one asking for the NTT domain", err)
+	if _, err := kit.ev.MulPlain(top, coeff); err == nil || !strings.Contains(err.Error(), "PrepareMulPlain") {
+		t.Errorf("a coefficient-domain plaintext: error %v, want one asking for PrepareMulPlain", err)
+	}
+	kit.ctx.RingAtLevel(top.Level).NTT(coeff.Poly)
+	if _, err := kit.ev.MulPlain(top, coeff); err == nil || !strings.Contains(err.Error(), "PrepareMulPlain") {
+		t.Errorf("an NTT-domain plaintext without companions: error %v, want one asking for PrepareMulPlain", err)
 	}
 }

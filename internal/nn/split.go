@@ -686,19 +686,25 @@ func (sess *ServerSession) WithExecutor(x KernelExecutor) *ServerSession {
 // executor hands to the layers' Apply.
 func (s *InferenceServer) Encoder() *bfv.Encoder { return s.ecd }
 
-// NewSession installs a client's evaluation keys as a new session.
-func (s *InferenceServer) NewSession(kb *protocol.KeyBundle) *ServerSession {
-	return &ServerSession{s: s, ev: bfv.NewEvaluator(s.ctx, kb.Relin, kb.Galois)}
-}
-
 // NewSessionFromFrame decodes an already-received key-bundle frame
-// into a session, wrapping decode errors with frame context.
+// into a new session, wrapping decode errors with frame context. Every
+// layer the server runs is a plaintext product, which neither rotates
+// nor relinearizes, so it refuses a bundle that carries any Galois or
+// relinearization key, saying how many: a session holds the public key
+// and nothing else.
 func (s *InferenceServer) NewSessionFromFrame(raw []byte) (*ServerSession, error) {
 	kb, err := protocol.UnmarshalKeyBundle(s.ctx, raw)
 	if err != nil {
 		return nil, fmt.Errorf("nn: decode key bundle frame (%d B): %w", len(raw), err)
 	}
-	return s.NewSession(kb), nil
+	if len(kb.Galois) != 0 || kb.Relin != nil {
+		relin := 0
+		if kb.Relin != nil {
+			relin = 1
+		}
+		return nil, fmt.Errorf("nn: key bundle frame (%d B) carries %d Galois and %d relinearization key(s); the served layers are products and take none", len(raw), len(kb.Galois), relin)
+	}
+	return &ServerSession{s: s, ev: bfv.NewEvaluator(s.ctx, nil, nil)}, nil
 }
 
 // ReadSession receives the client's key-bundle frame from the
@@ -712,7 +718,7 @@ func (s *InferenceServer) ReadSession(t protocol.Transport) (*ServerSession, err
 }
 
 // NewInferenceServer compiles the weighted model; evaluation keys
-// arrive from the client as sessions (ReadSession, NewSession).
+// arrive from the client as sessions (ReadSession, NewSessionFromFrame).
 func NewInferenceServer(m *QuantizedModel) (*InferenceServer, error) {
 	ctx, err := bfv.NewContext(m.Net.Params)
 	if err != nil {

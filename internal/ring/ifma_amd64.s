@@ -391,3 +391,37 @@ wideLoop:
 	JNZ  wideLoop
 	VZEROUPPER
 	RET
+
+// func mulShoupIFMA(ro, ra, rb, rs *uint64, q uint64, n int)
+// ro[j] = ra[j]·rb[j] mod q, canonical, by rb's Shoup companions rs —
+// exactly nt.MulShoup of the scalar loop. ro may alias ra. n is a
+// multiple of 8.
+TEXT ·mulShoupIFMA(SB), NOSPLIT, $0-48
+	MOVQ ro+0(FP), DI
+	MOVQ ra+8(FP), SI
+	MOVQ rb+16(FP), R8
+	MOVQ rs+24(FP), R9
+	MOVQ q+32(FP), AX
+	VPBROADCASTQ AX, Z31
+	MOVQ $0x10000000000000, DX
+	SUBQ AX, DX
+	VPBROADCASTQ DX, Z30
+	MOVQ $0xfffffffffffff, DX
+	VPBROADCASTQ DX, Z29
+	MOVQ n+40(FP), CX
+	SHRQ $3, CX
+
+mulShoupLoop:
+	VMOVDQU64 (SI), Z0
+	VMOVDQU64 (R8), Z1
+	VMOVDQU64 (R9), Z2
+	MULSHOUP52(Z0, Z1, Z2, Z31, Z30, Z29, Z3, Z4)
+	VMOVDQU64 Z4, (DI)
+	ADDQ $64, SI
+	ADDQ $64, R8
+	ADDQ $64, R9
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  mulShoupLoop
+	VZEROUPPER
+	RET

@@ -63,6 +63,9 @@ func autoMulShoupAdd2IFMA(ro0, ro1, ra, perm, rb0, rs0, rb1, rs1 *uint64, q uint
 //go:noescape
 func mulAddWideIFMA(lo, hi, ra, rb *uint64, n int)
 
+//go:noescape
+func mulShoupIFMA(ro, ra, rb, rs *uint64, q uint64, n int)
+
 // nttForwardVec runs the forward transform through the vector stage
 // kernels: the IFMA ones where the table selected them
 // (nttTable.useIFMA), the AVX2 ones otherwise. Each stage is the same
@@ -262,4 +265,12 @@ func mulAddWideVector(lo, hi, ra, rb []uint64) {
 	n := len(lo)
 	hi, ra, rb = hi[:n], ra[:n], rb[:n]
 	mulAddWideIFMA(&lo[0], &hi[0], &ra[0], &rb[0], n)
+}
+
+// mulShoupVector runs one row of MulCoeffsShoupRow through the IFMA
+// kernel, under the same conditions as autoMulShoupAdd2Vector.
+func mulShoupVector(q uint64, ra, rb, rs, ro []uint64) {
+	n := len(ro)
+	ra, rb, rs = ra[:n], rb[:n], rs[:n]
+	mulShoupIFMA(&ro[0], &ra[0], &rb[0], &rs[0], q, n)
 }

@@ -19,3 +19,6 @@ func autoMulShoupAdd2Vector(q uint64, ra, perm, rb0, rs0, ro0, rb1, rs1, ro1 []u
 	panic("ring: no IFMA kernels in this build")
 }
 func mulAddWideVector(lo, hi, ra, rb []uint64) { panic("ring: no IFMA kernels in this build") }
+func mulShoupVector(q uint64, ra, rb, rs, ro []uint64) {
+	panic("ring: no IFMA kernels in this build")
+}

@@ -713,7 +713,8 @@ func (r *Ring) ShoupPolyPrecomp(p *Poly) [][]uint64 {
 // MulCoeffsShoup sets out = a ⊙ b for a fixed operand b whose Shoup
 // companions bShoup come from ShoupPolyPrecomp: one Shoup reduction a
 // coefficient where MulCoeffs runs a Barrett one, the same canonical
-// residues. Both operands must be in the NTT domain.
+// residues. Both operands must be in the NTT domain. Each row runs
+// MulCoeffsShoupRow.
 func (r *Ring) MulCoeffsShoup(a, b *Poly, bShoup [][]uint64, out *Poly) {
 	if !a.isNTT || !b.isNTT {
 		panic("ring: MulCoeffsShoup requires NTT-domain operands")
@@ -722,14 +723,30 @@ func (r *Ring) MulCoeffsShoup(a, b *Poly, bShoup [][]uint64, out *Poly) {
 		r.debugCheck("MulCoeffsShoup", a, b)
 	}
 	r.parRows(len(out.Coeffs), parMinCoeffwise, func(i int) {
-		m := r.Moduli[i]
-		ra, rb, rs, ro := a.Coeffs[i], b.Coeffs[i], bShoup[i], out.Coeffs[i]
-		ra, rb, rs = ra[:len(ro)], rb[:len(ro)], rs[:len(ro)]
-		for j := range ro {
-			ro[j] = m.MulShoup(ra[j], rb[j], rs[j])
-		}
+		r.MulCoeffsShoupRow(i, a.Coeffs[i], b.Coeffs[i], bShoup[i], out.Coeffs[i])
 	})
 	out.isNTT = true
+}
+
+// MulCoeffsShoupRow sets out[j] = a[j]·b[j] mod q_i for j < len(out),
+// for residue row i of a fixed operand b with Shoup companions bShoup
+// and a below q_i: MulCoeffsShoup's row, for callers that fuse it into
+// a per-residue pipeline (the client's encrypt-zero and decryption
+// rows). out may be a. On rings whose moduli are all below 2^51 it runs
+// the AVX-512 IFMA kernel where the host has one, with the same
+// canonical result.
+func (r *Ring) MulCoeffsShoupRow(i int, a, b, bShoup, out []uint64) {
+	m := r.Moduli[i]
+	k := 0 // the kernel takes whole registers of 8; the loop the rest
+	if r.useIFMA() {
+		if k = len(out) &^ 7; k > 0 {
+			mulShoupVector(m.Value, a, b, bShoup, out[:k])
+		}
+	}
+	a, b, bShoup = a[:len(out)], b[:len(out)], bShoup[:len(out)]
+	for j := k; j < len(out); j++ {
+		out[j] = m.MulShoup(a[j], b[j], bShoup[j])
+	}
 }
 
 // MulCoeffsShoupAdd2 sets out0 += a ⊙ b0 and out1 += a ⊙ b1: the

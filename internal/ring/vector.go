@@ -3,16 +3,17 @@ package ring
 import "choco/internal/blake3"
 
 // vectorKernels gates the SIMD ring kernels (AVX2 and IFMA NTT stage
-// sweeps, the AVX2 dyadic product, and the IFMA key-switch and
-// multiply-accumulate loops) at run time. It starts at whatever the
+// sweeps, the AVX2 dyadic product, and the IFMA key-switch,
+// multiply-accumulate and Shoup-product loops) at run time. It starts at whatever the
 // build's architecture detection found and can be forced off; the
 // scalar loops stay in-tree as the byte-exactness oracle, and every
 // vector kernel is bit-identical to its scalar twin by construction.
 var vectorKernels = vectorAvailable()
 
 // SetVectorKernels enables or disables the vectorized kernels across
-// the compute stack — this package's NTT/dyadic kernels and the BLAKE3
-// XOF squeeze the samplers draw from. Enabling is a no-op on builds or
+// the compute stack — this package's NTT/dyadic kernels, the BLAKE3
+// XOF squeeze the samplers draw from, and the CDT Gaussian sampler,
+// which follows the squeeze's switch. Enabling is a no-op on builds or
 // hosts without vector support. It returns the resulting ring-kernel
 // state. Not safe to call concurrently with in-flight ring operations;
 // it exists for tests, scalar-vs-vector benchmarks, and as an
@@ -27,12 +28,15 @@ func SetVectorKernels(on bool) bool {
 // currently selected.
 func VectorKernelsEnabled() bool { return vectorKernels }
 
-// KernelTier names the widest ring kernels this process runs:
+// KernelTier names the widest vector kernels this process runs:
 // "avx512ifma" when the AVX-512 IFMA kernels are selected (the NTT
 // stages serve each residue row whose prime is below 2^51, the
-// key-switch inner product and the multiply-accumulate rings whose
-// primes all are; the rest runs the AVX2 ones), "avx2" when the AVX2
-// kernels are, "scalar" otherwise.
+// key-switch inner product, the multiply-accumulate and the Shoup
+// product rings whose primes all are; the rest runs the AVX2 ones) —
+// the BLAKE3 XOF squeeze then runs 16 wide on AVX-512 too, as it is
+// gated on the same CPU decision; "avx2" when the AVX2 kernels are (the
+// 8-wide squeeze among them); "scalar" otherwise. The CDT Gaussian
+// sampler runs on AVX2 at either vector tier.
 func KernelTier() string {
 	switch {
 	case vectorKernels && ifmaAvailable():

@@ -27,13 +27,12 @@ func reduceSigned(q uint64, v int64) uint64 {
 // zeroRow is the one encrypt-zero row: dst = INTT(key ⊙ u) + e on residue
 // row i of r, with key and u in the NTT domain. The public-key path runs
 // it with (P0, u, e1) and (P1, u, e2), the symmetric path with (a, s, e),
-// where s is fixed and uShoup holds its Shoup companions (nil otherwise).
+// where s is fixed and uShoup holds its Shoup companions (nil otherwise):
+// key ⊙ s is then ring.MulCoeffsShoupRow, on IFMA where the ring takes it.
 func zeroRow(r *ring.Ring, i int, key, u, uShoup []uint64, e []int64, dst []uint64) {
 	m := r.Moduli[i]
 	if uShoup != nil {
-		for j := range dst {
-			dst[j] = m.MulShoup(key[j], u[j], uShoup[j])
-		}
+		r.MulCoeffsShoupRow(i, key, u, uShoup, dst)
 	} else {
 		for j := range dst {
 			dst[j] = m.Mul(key[j], u[j])
@@ -179,7 +178,8 @@ func (ctx *Context) ExpandA(seed [32]byte, level int) *ring.Poly {
 // 3), nor does a c1 handed over in the NTT domain (bfv.ProductC1
 // rebuilds one there: 1 transform), and rows share no state, so the
 // result is byte-identical to serial execution. c1⊙s is a Shoup product
-// by the key's companions.
+// by the key's companions (ring.MulCoeffsShoupRow, on IFMA where the
+// ring takes it).
 func (ctx *Context) PhaseInto(sk *SecretKey, value []*ring.Poly, level int, acc *ring.Poly) {
 	r := ctx.ringQl[level]
 	acc.DeclareCoeff()
@@ -207,9 +207,7 @@ func (ctx *Context) PhaseInto(sk *SecretKey, value []*ring.Poly, level int, acc 
 			copy(c1r, value[1].Coeffs[i])
 			r.NTTForwardRow(i, c1r)
 		}
-		for j := range accr {
-			accr[j] = m.MulShoup(c1r[j], skr[j], sks[j])
-		}
+		r.MulCoeffsShoupRow(i, c1r, skr, sks, accr)
 		if sPow != nil {
 			spr, cir := sPow.Coeffs[i], ci.Coeffs[i]
 			copy(spr, skr)

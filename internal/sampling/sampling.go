@@ -30,11 +30,11 @@ import (
 const DefaultSigma = 3.2
 
 // sourceBufWords is the prefetch size: 256 words = 2 KiB = 32 BLAKE3
-// output blocks per refill — four full passes of the 8-wide vector
-// squeeze — enough to amortize the bulk-path entry cost while keeping
-// a Source's buffer a small, cache-resident constant. The XOF stream
-// is position-addressed, so the refill granularity never changes the
-// sampled values.
+// output blocks per refill — two passes of the 16-wide vector squeeze
+// or four of the 8-wide one — enough to amortize the bulk-path entry
+// cost while keeping a Source's buffer a small, cache-resident
+// constant. The XOF stream is position-addressed, so the refill
+// granularity never changes the sampled values.
 const sourceBufWords = 256
 
 // Source is a deterministic randomness source for polynomial sampling.
@@ -184,7 +184,10 @@ func (s *Source) TernarySigned(out []int64) {
 // top 63 bits are compared against every threshold of the folded
 // table of |x| (cdtTable) and its low bit is the sign. The loop has no
 // floating point, no rejection and no branch on the word, so its time
-// does not depend on the error it draws.
+// does not depend on the error it draws. On an AVX2 host with the
+// vector kernels on, four coefficients a register go through the same
+// comparisons (cdt_amd64.s); cdtSample, the scalar loop, takes the rest
+// and is the kernel's oracle.
 func (s *Source) GaussianSigned(out []int64, sigma float64) {
 	t := cdtFor(sigma)
 	for len(out) > 0 {
@@ -192,10 +195,17 @@ func (s *Source) GaussianSigned(out []int64, sigma float64) {
 			s.refill()
 		}
 		n := min(sourceBufWords-s.pos, len(out))
-		cdtSample(out[:n], s.buf[s.pos:s.pos+n], t)
+		cdtMap(out[:n], s.buf[s.pos:s.pos+n], t)
 		s.pos += n
 		out = out[n:]
 	}
+}
+
+// cdtMap maps words[:len(dst)] to signed errors: the vector kernel takes
+// the longest multiple-of-4 prefix where it runs, cdtSample the rest.
+func cdtMap(dst []int64, words, t []uint64) {
+	k := cdtSampleVector(dst, words, t)
+	cdtSample(dst[k:], words[k:len(dst)], t)
 }
 
 // cdtSample maps each word to a signed error: the magnitude is the

@@ -150,7 +150,7 @@ func TestConcurrentSessionsExactLogits(t *testing.T) {
 // with a busy ack carrying the configured retry-after hint, a
 // different tenant is admitted untouched, and the slot frees on
 // session close. The rejected session's close line still names it and
-// its tenant.
+// its tenant, and so do the key-install lines of the admitted ones.
 func TestTenantQuotaBusyAck(t *testing.T) {
 	testkit.CheckGoroutines(t)
 	backend, model := testBackend(t, tinyNetwork)
@@ -210,6 +210,18 @@ func TestTenantQuotaBusyAck(t *testing.T) {
 	connA.Close()
 	<-doneA
 	runClientSessionTenant(t, srv, model, 51, "quota-a", "acme")
+	// The key-install lines name the tenant as the close line does: the
+	// first session uploaded its bundle, the reconnect found it cached.
+	logMu.Lock()
+	for _, want := range []string{
+		`serve: session "quota-a" (tenant "acme"): evaluation keys installed`,
+		`serve: session "quota-a" (tenant "acme"): evaluation keys cached`,
+	} {
+		if !slices.ContainsFunc(logged, func(line string) bool { return strings.HasPrefix(line, want) }) {
+			t.Errorf("no log line opens with %q: %q", want, logged)
+		}
+	}
+	logMu.Unlock()
 
 	var acme, globex TenantStats
 	for _, ts := range srv.Stats().Tenants {
@@ -268,7 +280,8 @@ func runClientSessionTenant(t *testing.T, srv *Server, model *nn.QuantizedModel,
 // registry byte budget and fabric replication: when the byte budget
 // evicts a session's keys, a reconnect carrying a replication hint
 // re-fetches the bundle from the previous owner — counted as a
-// replication, never as a client upload.
+// replication, never as a client upload — and its log line names the
+// session and its tenant.
 func TestEvictedKeysReplicateFromPeer(t *testing.T) {
 	testkit.CheckGoroutines(t)
 	backend, model := testBackend(t, tinyNetwork)
@@ -281,9 +294,16 @@ func TestEvictedKeysReplicateFromPeer(t *testing.T) {
 	}
 	// A byte budget that holds exactly one bundle: every store evicts
 	// the previous tenant of the cache.
+	var logMu sync.Mutex
+	var logged []string
 	srvB := New(backend, Config{
 		MaxSessions:   1,
 		KeyCacheBytes: int64(len(bundle)),
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		},
 		FetchKeys: func(id, peer string) ([]byte, error) {
 			raw, ok := srvA.LookupKeyFrame(id)
 			if !ok {
@@ -297,7 +317,7 @@ func TestEvictedKeysReplicateFromPeer(t *testing.T) {
 		t.Helper()
 		clientEnd, serverEnd := protocol.NewPipe()
 		done := serveEnd(srvB, serverEnd)
-		hello, err := protocol.MarshalShardHelloTenant(sessionID, "peer-a", "")
+		hello, err := protocol.MarshalShardHelloTenant(sessionID, "peer-a", "replica-tenant")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,6 +350,13 @@ func TestEvictedKeysReplicateFromPeer(t *testing.T) {
 	}
 	// …so its reconnect must replicate again rather than ask the client.
 	openShard("evict-1")
+
+	logMu.Lock()
+	const replicated = `serve: session "evict-1" (tenant "replica-tenant"): evaluation keys replicated from peer peer-a`
+	if !slices.ContainsFunc(logged, func(line string) bool { return strings.HasPrefix(line, replicated) }) {
+		t.Errorf("no log line opens with %q: %q", replicated, logged)
+	}
+	logMu.Unlock()
 
 	st := srvB.Stats()
 	if st.KeyReplications != 2 {

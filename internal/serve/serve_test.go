@@ -77,48 +77,97 @@ func testBackend(t *testing.T, netFn func() *nn.Network) (*nn.InferenceServer, *
 	return backends[name], models[name]
 }
 
-// TestKeyBundleRefusalReachesClient: a key bundle the server cannot
-// decode — a bfv-B client's, at a Test-preset server — ends the session
-// with a session-error frame, so the client's next Infer fails naming the
-// key bundle instead of reading a bare EOF.
+// TestKeyBundleRefusalReachesClient: a key bundle the server refuses
+// ends the session with a session-error frame, so the client's next
+// Infer fails naming the reason instead of reading a bare EOF. The
+// refusals: a bundle it cannot decode (a bfv-B client's, at a
+// Test-preset server), and a bundle that carries a Galois key, which no
+// served layer uses.
 func TestKeyBundleRefusalReachesClient(t *testing.T) {
 	testkit.CheckGoroutines(t)
 	backend, _ := testBackend(t, tinyNetwork)
 	srv := New(backend, Config{})
-	net := tinyNetwork()
-	net.Params = bfv.PresetB()
-	client, err := nn.NewInferenceClient(net, [32]byte{64})
+	wrongNet := tinyNetwork()
+	wrongNet.Params = bfv.PresetB()
+	wrong, err := nn.NewInferenceClient(wrongNet, [32]byte{64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientEnd, serverEnd := protocol.NewPipe()
-	defer clientEnd.Close()
-	done := make(chan error, 1) // the end stays open: the error frame waits in it
-	go func() { done <- srv.ServeTransport(context.Background(), serverEnd) }()
-	failed := make(chan error, 1)
-	go func() {
-		if cached, err := client.SetupSession(clientEnd, "wrong-preset"); err != nil || cached {
-			failed <- fmt.Errorf("session open: cached=%v err=%v; want the upload sent", cached, err)
-			return
+	right, err := nn.NewInferenceClient(tinyNetwork(), [32]byte{65})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := bfv.NewContext(bfv.PresetTest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := bfv.NewKeyGenerator(ctx, [32]byte{65})
+	sk := kg.GenSecretKey()
+	galoisFrame := protocol.MarshalKeyBundle(&protocol.KeyBundle{PK: kg.GenPublicKey(sk), Galois: kg.GenGaloisKeys(sk, []uint64{ctx.RingQ.GaloisElementForRotation(1)})})
+
+	for _, c := range []struct {
+		name   string
+		client *nn.InferenceClient
+		// open says hello as session id and uploads the bundle.
+		open func(tr protocol.Transport, id string) error
+		want string // in the server's error and the client's
+	}{
+		{"another preset", wrong, func(tr protocol.Transport, id string) error {
+			if cached, err := wrong.SetupSession(tr, id); err != nil || cached {
+				return fmt.Errorf("session open: cached=%v err=%v; want the upload sent", cached, err)
+			}
+			return nil
+		}, "key bundle"},
+		{"one Galois key", right, func(tr protocol.Transport, id string) error {
+			hello, err := protocol.MarshalHelloTenant(id, "")
+			if err != nil {
+				return err
+			}
+			if err := tr.Send(hello); err != nil {
+				return err
+			}
+			raw, err := tr.Recv()
+			if err != nil {
+				return err
+			}
+			if st, _, err := protocol.ParseHelloAck(raw); err != nil || st != protocol.AckNeedKeys {
+				return fmt.Errorf("hello ack %d, %v; want need-keys", st, err)
+			}
+			return tr.Send(galoisFrame)
+		}, "carries 1 Galois and 0 relinearization key(s)"},
+	} {
+		clientEnd, serverEnd := protocol.NewPipe()
+		done := make(chan error, 1) // the end stays open: the error frame waits in it
+		go func() { done <- srv.ServeTransport(context.Background(), serverEnd) }()
+		failed := make(chan error, 1)
+		go func() {
+			if err := c.open(clientEnd, "refused-"+c.name); err != nil {
+				failed <- err
+				return
+			}
+			if err := <-done; err == nil || !strings.Contains(err.Error(), c.want) {
+				failed <- fmt.Errorf("the server ended the session with %v; want an error naming %q", err, c.want)
+				return
+			}
+			_, _, err := c.client.Infer(nn.SynthesizeImage(c.client.Net, 4, [32]byte{64}), clientEnd)
+			if err == nil || !strings.Contains(err.Error(), "the server failed the session") || !strings.Contains(err.Error(), c.want) {
+				failed <- fmt.Errorf("Infer after the refused bundle: %v; want the server's error frame naming %q", err, c.want)
+				return
+			}
+			failed <- nil
+		}()
+		select {
+		case err := <-failed:
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s: the refused session still waits for the server after 10 s", c.name)
 		}
-		if err := <-done; err == nil || !strings.Contains(err.Error(), "key bundle") {
-			failed <- fmt.Errorf("the server ended the session with %v; want its key-bundle decode error", err)
-			return
-		}
-		_, _, err := client.Infer(nn.SynthesizeImage(net, 4, [32]byte{64}), clientEnd)
-		if err == nil || !strings.Contains(err.Error(), "the server failed the session") || !strings.Contains(err.Error(), "key bundle") {
-			failed <- fmt.Errorf("Infer after the refused bundle: %v; want the server's error frame naming the key bundle", err)
-			return
-		}
-		failed <- nil
-	}()
-	select {
-	case err := <-failed:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the refused session still waits for the server after 10 s") // the deferred Close ends it
+		clientEnd.Close()
+	}
+	if st := srv.Stats(); st.KeyCacheEntries != 0 {
+		t.Errorf("the refused bundles left %d registry entries", st.KeyCacheEntries)
 	}
 }
 

@@ -56,9 +56,12 @@ type Config struct {
 	// entries are evicted beyond it. Default 64.
 	KeyCacheCap int
 	// KeyCacheBytes bounds the total serialized key-bundle bytes the
-	// registry retains (eval keys are multi-MB each, so the entry cap
-	// alone is not a memory bound). LRU entries are evicted beyond it;
-	// the newest entry is always kept. Default 1 GiB.
+	// registry retains. A served bundle is the session's public key
+	// alone (73 764 B at bfv-B: sessions with Galois or relinearization
+	// keys are refused), so the entry cap binds first at the defaults;
+	// this bound is for a registry of many sessions or a small budget.
+	// LRU entries are evicted beyond it; the newest entry is always
+	// kept. Default 1 GiB.
 	KeyCacheBytes int64
 	// TenantMaxSessions caps concurrently running sessions per declared
 	// tenant; a tenant at its cap gets a busy ack with a retry-after
@@ -358,7 +361,7 @@ func (s *Server) handshake(t protocol.Transport) (sess *nn.ServerSession, id, te
 		_ = t.Send(protocol.MarshalHelloAckRetry(protocol.AckBusy, s.cfg.RetryAfter))
 		return nil, id, tenant, fmt.Errorf("session %q: tenant %q: %w", id, tenant, ErrTenantOverQuota)
 	}
-	if sess, err = s.admit(t, id, hint); err != nil {
+	if sess, err = s.admit(t, id, tenant, hint); err != nil {
 		if tenant != "" {
 			s.tenants.release(tenant, 0, 0)
 		}
@@ -367,20 +370,21 @@ func (s *Server) handshake(t protocol.Transport) (sess *nn.ServerSession, id, te
 	return sess, id, tenant, nil
 }
 
-// admit completes the hello exchange for session id. Key resolution
-// order: local registry hit, then peer replication when a hint names
-// the shard that last owned the session, then upload from the client.
-func (s *Server) admit(t protocol.Transport, id, hint string) (*nn.ServerSession, error) {
+// admit completes the hello exchange for session id of tenant. Key
+// resolution order: local registry hit, then peer replication when a
+// hint names the shard that last owned the session, then upload from
+// the client.
+func (s *Server) admit(t protocol.Transport, id, tenant, hint string) (*nn.ServerSession, error) {
 	if sess := s.reg.lookup(id); sess != nil {
 		s.acct.keyCacheHits.Add(1)
 		if err := t.Send(protocol.MarshalHelloAck(protocol.AckKeysCached)); err != nil {
 			return nil, fmt.Errorf("session %q: send cached ack: %w", id, err)
 		}
-		s.cfg.Logf("serve: session %q: evaluation keys cached, upload skipped", id)
+		s.cfg.Logf("serve: session %q (tenant %q): evaluation keys cached, upload skipped", id, tenant)
 		return sess, nil
 	}
 	if hint != "" && s.cfg.FetchKeys != nil {
-		if sess, ok := s.replicate(id, hint); ok {
+		if sess, ok := s.replicate(id, tenant, hint); ok {
 			if err := t.Send(protocol.MarshalHelloAck(protocol.AckKeysCached)); err != nil {
 				return nil, fmt.Errorf("session %q: send cached ack: %w", id, err)
 			}
@@ -403,15 +407,15 @@ func (s *Server) admit(t protocol.Transport, id, hint string) (*nn.ServerSession
 		return nil, fmt.Errorf("session %q: %w", id, err)
 	}
 	s.reg.store(id, sess, kraw)
-	s.cfg.Logf("serve: session %q: evaluation keys installed (%d B)", id, len(kraw))
+	s.cfg.Logf("serve: session %q (tenant %q): evaluation keys installed (%d B)", id, tenant, len(kraw))
 	return sess, nil
 }
 
-// replicate tries to pull session id's key bundle from the peer shard
-// named by hint and install it locally. Any failure is logged and
+// replicate tries to pull the key bundle of session id (of tenant) from
+// the peer shard named by hint and install it locally. Any failure is logged and
 // reported as a miss: the handshake then falls back to a client
 // upload, so replication can only save bytes, never lose a session.
-func (s *Server) replicate(id, hint string) (*nn.ServerSession, bool) {
+func (s *Server) replicate(id, tenant, hint string) (*nn.ServerSession, bool) {
 	kraw, err := s.cfg.FetchKeys(id, hint)
 	if err != nil {
 		s.cfg.Logf("serve: session %q: key replication from %s failed: %v", id, hint, err)
@@ -425,7 +429,7 @@ func (s *Server) replicate(id, hint string) (*nn.ServerSession, bool) {
 	s.reg.store(id, sess, kraw)
 	s.acct.keyCacheHits.Add(1)
 	s.acct.keyReplications.Add(1)
-	s.cfg.Logf("serve: session %q: evaluation keys replicated from peer %s (%d B), client upload skipped", id, hint, len(kraw))
+	s.cfg.Logf("serve: session %q (tenant %q): evaluation keys replicated from peer %s (%d B), client upload skipped", id, tenant, hint, len(kraw))
 	return sess, true
 }
 
