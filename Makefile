@@ -107,9 +107,10 @@
 #                  one (frame parser, hello-frame round-trip, the shard
 #                  hello, key-fetch, peer-ping and stats-fetch frames of
 #                  the fleet's inner boundary, the BFV and CKKS
-#                  ciphertext decoders, the c0-only read-coefficient
-#                  reply decoder a client runs on product-packed
-#                  replies, the model-frame decoder it runs on the one
+#                  ciphertext decoders, the rounded read-reply decoder
+#                  a client runs on product-packed replies and the
+#                  rounded-upload decoder a server runs on product
+#                  layers' uploads, the model-frame decoder it runs on the one
 #                  model frame it fetches, and the key-bundle decoder;
 #                  these run with minimization off (the bundles' inputs
 #                  are 40 KB–0.3 MB, the others' a few KB): the engine
@@ -191,6 +192,7 @@ fuzz:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalBFV$$' -fuzztime 30s -fuzzminimizetime 0
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalCKKS$$' -fuzztime 30s -fuzzminimizetime 0
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalBFVRead$$' -fuzztime 30s -fuzzminimizetime 0
+	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalRoundedUpload$$' -fuzztime 30s -fuzzminimizetime 0
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalModel$$' -fuzztime 30s -fuzzminimizetime 0
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalKeyBundle$$' -fuzztime 30s -fuzzminimizetime 0
 

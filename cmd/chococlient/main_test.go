@@ -97,5 +97,9 @@ func TestWorkerTranscriptHoldsNoSecret(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Check(t, testkit.NNFrames(bctx), testkit.NewSecret(bctx.Context, seed))
+	cost, err := nn.ExecutableRequestCost(network)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Check(t, testkit.NNFrames(bctx, cost.UploadBytes), testkit.NewSecret(bctx.Context, seed))
 }

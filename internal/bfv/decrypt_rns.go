@@ -55,6 +55,11 @@ type rnsScaler struct {
 	omegaT      []uint64 // ω_i = floor(t·Ĥ_i/Q) ∈ [0, t)
 	thetaHi     []uint64 // Θ_i = floor(frac(t·Ĥ_i/Q)·2^128), high word
 	thetaLo     []uint64 // Θ_i low word
+	// oneWord is ⌊(2^64−1)/q₀⌋ at one residue with t·q₀ < 2^63, where
+	// scaleOneWord runs, and 0 elsewhere.
+	oneWord uint64
+	// rounded holds the rounded wire's constants (rounded.go).
+	rounded roundedConsts
 }
 
 // buildRNSScalers precomputes one rnsScaler per drop level. Setup-time
@@ -87,6 +92,10 @@ func buildRNSScalers(ctx *Context) []rnsScaler {
 			sc.thetaLo[i] = theta.Uint64()
 			sc.thetaHi[i] = theta.Rsh(theta, 64).Uint64()
 		}
+		if q := r.Moduli[0].Value; L == 1 && new(big.Int).Mul(bigT, bigQ).BitLen() < 63 {
+			sc.oneWord = ^uint64(0) / q
+		}
+		sc.rounded = buildRoundedConsts(r, sc.hatInv)
 	}
 	return scalers
 }
@@ -105,6 +114,10 @@ func (ctx *Context) scaleCenteredInto(x *ring.Poly, drop int, idx []int, out []u
 		return
 	}
 	sc := &ctx.scalers[drop]
+	if sc.oneWord != 0 {
+		ctx.scaleOneWord(x.Coeffs[0], sc.oneWord, idx, out)
+		return
+	}
 	t := ctx.T
 	moduli := r.Moduli
 	n := len(out)
@@ -142,6 +155,33 @@ func (ctx *Context) scaleCenteredInto(x *ring.Poly, drop int, idx []int, out []u
 		}
 		_ = s0 // participates only through its carry into s1
 		out[j] = t.Add(accT, t.Reduce(s2))
+	}
+}
+
+// scaleOneWord is scaleCenteredInto at one residue q₀ with t·q₀ < 2^63,
+// the level every served reply is decrypted at: round(t·x/q₀) =
+// ⌊(t·x + (q₀−1)/2)/q₀⌋ (q₀ is odd, so no quotient is a half-integer) is
+// one word below 2^64 divided by a constant. The multiply-high by
+// oneWord = ⌊(2^64−1)/q₀⌋ is the quotient or one below it, and one
+// compare-mask step corrects it; the quotient lies in [0, t], and t is 0
+// mod t.
+func (ctx *Context) scaleOneWord(row []uint64, oneWord uint64, idx []int, out []uint64) {
+	q := ctx.RingQ.Moduli[0].Value
+	t, h := ctx.T.Value, (q-1)/2
+	n := len(out)
+	if idx != nil {
+		n = len(idx)
+	}
+	for k := 0; k < n; k++ {
+		j := k
+		if idx != nil {
+			j = idx[k]
+		}
+		y := t*row[j] + h
+		quo, _ := bits.Mul64(y, oneWord)
+		quo += uint64(int64(q-1-(y-quo*q))>>63) & 1 // one more when the remainder is ≥ q
+		d := quo - t
+		out[j] = d + t&uint64(int64(d)>>63)
 	}
 }
 

@@ -90,6 +90,64 @@ func (p Parameters) ReplyDrop() int {
 	return drop
 }
 
+// Rounded wire widths. A product layer's upload and reply carry c0
+// rounded to d bits a coefficient (Context.AppendRounded), and each
+// rounding adds to c0 an error uniform within ±q/2^(d+1) at the modulus q
+// it is rounded from, independent from coefficient to coefficient. Both
+// widths hold that error's standard deviation, carried to the modulus q_r
+// a reply is sent at, to half the standard deviation
+// σ = sqrt((N+1)/12) of the switch's own noise (ReplyDrop): the three
+// noises then add to at most sqrt(1.5)·σ, 0.3 bit of budget. Both ends
+// compute the widths from the parameter set and the layer, so nothing on
+// the wire but the frame's header says so.
+//   - The reply's error is one rounding at q_r, of deviation
+//     q_r/(2^d′·√12): d′ = ⌈log2 q_r + 1 − ½·log2(N+1)⌉ (ReplyBits), 31 at
+//     bfv-B's 36-bit q₀.
+//   - The upload's error is a rounding at Q, multiplied by the layer's
+//     kernel polynomial k and divided by Q/q_r in the switch: of
+//     deviation at most ‖k‖₂·q_r/(2^d·√12), so d is d′'s bound plus
+//     log2 ‖k‖₂ (UploadBits): 38 bits for LeNet-Sm's convolutions at
+//     bfv-B, 40 for its FC.
+//
+// log2 q_r is read as the primes' bit widths, which bound it from above.
+// A width is capped so that 2^d stays below the modulus rounded from (a
+// lifted value then rounds back to its field, so a frame has one
+// encoding) and at 63 bits, the widest packed field.
+
+// roundedBase returns ⌊log2 q_r⌋ + 1 − ½·log2(N+1), the reply width's
+// bound and the upload width's at ‖k‖₂ = 1.
+func (p Parameters) roundedBase() float64 {
+	return float64(p.replyModulusBits()) + 1 - math.Log2(float64(p.N()+1))/2
+}
+
+// replyModulusBits returns the bit widths summed over the data primes a
+// reply keeps: log2 q_r read from above, not the reply's width d′.
+func (p Parameters) replyModulusBits() int {
+	bits := 0
+	for _, b := range p.QBits[:len(p.QBits)-p.ReplyDrop()] {
+		bits += b
+	}
+	return bits
+}
+
+// roundedWidth rounds a width's bound up and caps it below the
+// modulusBits of k primes: k primes of those widths exceed
+// 2^(modulusBits−k).
+func roundedWidth(bound float64, modulusBits, k int) int {
+	return max(1, min(int(math.Ceil(bound)), modulusBits-k, 63))
+}
+
+// ReplyBits returns d′, the width of a product reply's rounded c0.
+func (p Parameters) ReplyBits() int {
+	return roundedWidth(p.roundedBase(), p.replyModulusBits(), len(p.QBits)-p.ReplyDrop())
+}
+
+// UploadBits returns d, the width of a rounded upload to a product whose
+// kernel polynomial has ℓ2 norm at most kernelNorm.
+func (p Parameters) UploadBits(kernelNorm float64) int {
+	return roundedWidth(p.roundedBase()+math.Log2(max(kernelNorm, 1)), p.LogQ(), len(p.QBits))
+}
+
 // LogQ returns the total data-modulus width in bits.
 func (p Parameters) LogQ() int {
 	s := 0

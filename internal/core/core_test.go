@@ -15,9 +15,12 @@ type kit struct {
 	// sym, when set, encrypts in encrypt's place, seeded under the
 	// secret key as the inference client does.
 	sym *bfv.SymmetricEncryptor
-	dec *bfv.Decryptor
-	ecd *bfv.Encoder
-	ev  *bfv.Evaluator
+	// uploadBits, when set, rounds sym's c0 to that many bits and lifts it
+	// back, as a product layer's upload travels (roundTrip).
+	uploadBits int
+	dec        *bfv.Decryptor
+	ecd        *bfv.Encoder
+	ev         *bfv.Evaluator
 }
 
 func newKit(t testing.TB, rotSteps []int) *kit {
@@ -58,7 +61,11 @@ func (k *kit) encrypt(t testing.TB, packed []int64, coeffs bool) *bfv.Ciphertext
 		t.Fatal(err)
 	}
 	if k.sym != nil {
-		return k.sym.EncryptSeeded(pt).Expand(k.ctx)
+		sct := k.sym.EncryptSeeded(pt)
+		if k.uploadBits > 0 {
+			roundTrip(t, k.ctx, sct.C0, k.uploadBits)
+		}
+		return sct.Expand(k.ctx)
 	}
 	return k.enc.Encrypt(pt)
 }

@@ -34,7 +34,7 @@ import (
 // base(0) (Out·In − 1 + In − 1 for FC), less than N + base(0)
 // (N + In − 1). Every other coefficient of the product holds a
 // partial sum of weights × inputs; the reply carries c0 only at the read
-// coefficients (ReadIndices, protocol.AppendBFVReadC0), so the client
+// coefficients (ReadIndices, protocol.AppendRoundedRead), so the client
 // cannot decrypt those. It carries no c1: that is a·k switched down, and
 // the client holds both a, its upload's, and k (bfv.Context.ProductC1).
 

@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"choco/internal/bfv"
+	"choco/internal/ring"
 	"choco/internal/sampling"
 )
 
@@ -34,12 +36,42 @@ func keylessKit(t testing.TB, params bfv.Parameters, seed byte) *kit {
 }
 
 // productCase is one layer shape: a convolution, or an FC layer in×out
-// when in > 0.
+// when in > 0. With rounded set, run rounds the layer's upload as the
+// wire does, to the width the rule gives its kernel (roundedWidth).
 type productCase struct {
 	name    string
 	params  bfv.Parameters
 	conv    ConvSpec
 	in, out int
+	rounded bool
+}
+
+// roundTrip replaces p, a coefficient-domain polynomial at some level of
+// ctx's data ring, by what the peer of a rounded frame reads: p rounded
+// to d bits at every coefficient and lifted back
+// (bfv.Context.AppendRounded, LiftRounded).
+func roundTrip(t testing.TB, ctx *bfv.Context, p *ring.Poly, d int) {
+	t.Helper()
+	n := len(p.Coeffs[0])
+	if err := ring.UnpackFields(ctx.AppendRounded(nil, p, d, nil), n, uint(d), math.MaxUint64,
+		func(j int, v uint64) { p.Coeffs[0][j] = v }); err != nil {
+		t.Fatal(err)
+	}
+	ctx.LiftRounded(p, d, nil)
+}
+
+// kernelNorm is the bound on the ℓ2 norm of the layer's kernel
+// polynomial that the upload width rule reads (nn's kernelNorms):
+// √w·lim for the w weights, each within ±lim, of its largest output
+// group — a convolution tile's ⌊N / (C·Hp·Wp)⌋ channels, an FC layer's
+// every weight.
+func (tc productCase) kernelNorm(lim int64) float64 {
+	w := tc.in * tc.out
+	if s := tc.conv; tc.in == 0 {
+		tile := tc.params.N() / (s.InC * (s.InH + s.KH - 1) * (s.InW + s.KW - 1))
+		w = min(tile, s.OutC) * s.InC * s.KH * s.KW
+	}
+	return math.Sqrt(float64(w)) * float64(lim)
 }
 
 // run builds the layer with weights in ±lim and inputs in ±lim, or in
@@ -80,6 +112,9 @@ func (tc productCase) run(t *testing.T, src *sampling.Source, lim int64, acts, w
 		if !fc.Product() {
 			k = newFCLevelKit(t, tc.params, 7, fc.RotationSteps())
 		}
+		if tc.rounded {
+			k.uploadBits = tc.params.UploadBits(tc.kernelNorm(lim))
+		}
 		packed, err := fc.PackInput(x, slots)
 		if err != nil {
 			t.Fatal(err)
@@ -118,6 +153,9 @@ func (tc productCase) run(t *testing.T, src *sampling.Source, lim int64, acts, w
 	if err != nil {
 		t.Fatal(err)
 	}
+	if tc.rounded {
+		k.uploadBits = tc.params.UploadBits(tc.kernelNorm(lim))
+	}
 	packed, err := conv.PackInput(img, slots)
 	if err != nil {
 		t.Fatal(err)
@@ -148,20 +186,21 @@ func (tc productCase) run(t *testing.T, src *sampling.Source, lim int64, acts, w
 // network layers, and conv2's one-output shape at N = 2 048, which the
 // slot geometry refused ("layout needs 2048 slots") before the product
 // packing stopped building a slot layout. Weights and activations are
-// 4-bit, as the networks synthesize them.
+// 4-bit, as the networks synthesize them, and every upload is rounded as
+// the wire rounds it.
 func TestProductPackingMatchesPlain(t *testing.T) {
 	for _, tc := range []productCase{
-		{"LeNetSm/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 0},
-		{"LeNetSm/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 0, 0},
-		{"LeNetSm/fc", bfv.PresetB(), ConvSpec{}, 294, 10},
-		{"DemoNet/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 0},
-		{"DemoNet/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 8}, 0, 0},
-		{"DemoNet/fc", bfv.PresetB(), ConvSpec{}, 392, 10},
-		{"ServeTestNet/conv1", bfv.PresetTest(), ConvSpec{InH: 12, InW: 12, InC: 1, KH: 3, KW: 3, OutC: 4}, 0, 0},
-		{"ServeTestNet/conv2", bfv.PresetTest(), ConvSpec{InH: 6, InW: 6, InC: 4, KH: 5, KW: 5, OutC: 6}, 0, 0},
-		{"ServeTestNet/fc", bfv.PresetTest(), ConvSpec{}, 54, 10},
-		{"FabricTestNet/fc", bfv.PresetTest(), ConvSpec{}, 16, 8},
-		{"Test/14x14x4to1", bfv.PresetTest(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 1}, 0, 0},
+		{"LeNetSm/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 0, true},
+		{"LeNetSm/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 0, 0, true},
+		{"LeNetSm/fc", bfv.PresetB(), ConvSpec{}, 294, 10, true},
+		{"DemoNet/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 0, true},
+		{"DemoNet/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 8}, 0, 0, true},
+		{"DemoNet/fc", bfv.PresetB(), ConvSpec{}, 392, 10, true},
+		{"ServeTestNet/conv1", bfv.PresetTest(), ConvSpec{InH: 12, InW: 12, InC: 1, KH: 3, KW: 3, OutC: 4}, 0, 0, true},
+		{"ServeTestNet/conv2", bfv.PresetTest(), ConvSpec{InH: 6, InW: 6, InC: 4, KH: 5, KW: 5, OutC: 6}, 0, 0, true},
+		{"ServeTestNet/fc", bfv.PresetTest(), ConvSpec{}, 54, 10, true},
+		{"FabricTestNet/fc", bfv.PresetTest(), ConvSpec{}, 16, 8, true},
+		{"Test/14x14x4to1", bfv.PresetTest(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 1}, 0, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.run(t, sampling.NewSource([32]byte{37}, "product/"+tc.name), 7, true, true)
@@ -273,35 +312,42 @@ func TestProductPackingFitBoundary(t *testing.T) {
 		productCase
 		product bool
 	}{
-		{productCase{"conv-one-past", bfv.PresetTest(), ConvSpec{InH: 1, InW: 683, InC: 1, KH: 1, KW: 1, OutC: 3}, 0, 0}, true},
-		{productCase{"fc-one-past", bfv.PresetTest(), ConvSpec{}, 683, 3}, false},
+		{productCase{"conv-one-past", bfv.PresetTest(), ConvSpec{InH: 1, InW: 683, InC: 1, KH: 1, KW: 1, OutC: 3}, 0, 0, false}, true},
+		{productCase{"fc-one-past", bfv.PresetTest(), ConvSpec{}, 683, 3, false}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) { tc.run(t, src, 6, false, tc.product) })
 	}
 }
 
 // TestProductNoise pins the noise budget of every tile of the
-// product-packed layers LeNet-Sm and DemoNet serve at bfv-B, before and
-// after the reply switch (bfv.NoiseBudgetBits, 4-bit weights and
-// activations, seeded symmetric inputs). The product grows the noise by
-// the kernel's ℓ1 norm, so a reply arrives at the switch with at least 40
-// bits (measured 41.5–44.0 on every tile; the slot schedule handed conv1
-// 8.9 bits, conv2 6.0 and the FC 8.4). The switch to one residue then
-// leaves its own ceiling (measured 11.6–11.8), and every reply must leave
-// it at least 3 bits above the client's 8-bit floor. Negative inputs would cost about 13 bits before
-// the switch (a residue near t scales the kernel by t), and nothing after
-// it; a network's inputs are its image and ReLU outputs.
+// product-packed layers LeNet-Sm and DemoNet serve at bfv-B, on the wire
+// they are served over: the upload rounded to the layer's width
+// (bfv.Parameters.UploadBits), the reply switched down and its c0
+// rounded to ReplyBits (bfv.NoiseBudgetBits, 4-bit weights and
+// activations, seeded symmetric inputs). The upload's rounding spends the
+// budget before the switch that the switch discards by design: the
+// product multiplies the rounding error by the kernel, so a tile reaches
+// the switch with at least what the width rule predicts, d − TBits − 1 −
+// log2(√3·‖k‖₂) at the rule's kernel bound (measured 13.1–14.1 over
+// predictions of 11.3–12.1; 41.5–44.0 while uploads were full-width).
+// The switch to one residue then leaves its own ceiling (measured
+// 11.5–11.8), and every reply must leave it, and the reply's rounding,
+// at least 3 bits above the client's 8-bit floor (measured 11.4–11.5). Negative inputs would cost
+// about 13 bits before the switch (a residue near t scales the kernel by
+// t); a network's inputs are its image and ReLU outputs.
 func TestProductNoise(t *testing.T) {
-	const floor, margin, minBefore = 8.0, 3.0, 40.0
+	const floor, margin, lim = 8.0, 3.0, 7
 	for _, tc := range []productCase{
-		{"LeNetSm/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 0},
-		{"LeNetSm/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 0, 0},
-		{"LeNetSm/fc", bfv.PresetB(), ConvSpec{}, 294, 10},
-		{"DemoNet/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 8}, 0, 0},
-		{"DemoNet/fc", bfv.PresetB(), ConvSpec{}, 392, 10},
+		{"LeNetSm/conv1", bfv.PresetB(), ConvSpec{InH: 28, InW: 28, InC: 1, KH: 5, KW: 5, OutC: 4}, 0, 0, true},
+		{"LeNetSm/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 6}, 0, 0, true},
+		{"LeNetSm/fc", bfv.PresetB(), ConvSpec{}, 294, 10, true},
+		{"DemoNet/conv2", bfv.PresetB(), ConvSpec{InH: 14, InW: 14, InC: 4, KH: 5, KW: 5, OutC: 8}, 0, 0, true},
+		{"DemoNet/fc", bfv.PresetB(), ConvSpec{}, 392, 10, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			k, outs := tc.run(t, sampling.NewSource([32]byte{39}, "product-noise/"+tc.name), 7, true, true)
+			k, outs := tc.run(t, sampling.NewSource([32]byte{39}, "product-noise/"+tc.name), lim, true, true)
+			d := k.uploadBits
+			predicted := float64(d-tc.params.TBits-1) - math.Log2(math.Sqrt(3)*tc.kernelNorm(lim))
 			for g, ct := range outs {
 				before := bfv.NoiseBudgetBits(k.ctx, k.sk, ct)
 				for d := 0; d < k.ctx.Params.ReplyDrop(); d++ {
@@ -311,9 +357,12 @@ func TestProductNoise(t *testing.T) {
 					}
 				}
 				after := bfv.NoiseBudgetBits(k.ctx, k.sk, ct)
-				t.Logf("%s tile %d: %.2f bits before the reply switch, %.2f after", tc.name, g, before, after)
-				if before < minBefore || after < floor+margin {
-					t.Errorf("tile %d: %.2f bits before the switch, %.2f after; want at least %.0f, and %.0f over the %.0f-bit floor", g, before, after, minBefore, margin, floor)
+				roundTrip(t, k.ctx, ct.Value[0], k.ctx.Params.ReplyBits())
+				rounded := bfv.NoiseBudgetBits(k.ctx, k.sk, ct)
+				t.Logf("%s tile %d: %.2f bits before the reply switch (a %d-bit upload; the rule predicts %.2f), %.2f after, %.2f rounded to %d bits",
+					tc.name, g, before, d, predicted, after, rounded, k.ctx.Params.ReplyBits())
+				if before < predicted || after < floor+margin || rounded < floor+margin {
+					t.Errorf("tile %d: %.2f bits before the switch, %.2f after, %.2f rounded; want at least %.2f, and %.0f over the %.0f-bit floor", g, before, after, rounded, predicted, margin, floor)
 				}
 			}
 		})

@@ -54,5 +54,9 @@ func TestRoutedTranscriptHoldsNoSecret(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Check(t, testkit.NNFrames(ctx), testkit.NewSecret(ctx.Context, seed))
+	cost, err := nn.ExecutableRequestCost(fabricNet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Check(t, testkit.NNFrames(ctx, cost.UploadBytes), testkit.NewSecret(ctx.Context, seed))
 }

@@ -276,17 +276,21 @@ func TestLeNetSmServerOpCounts(t *testing.T) {
 
 // TestCommAccountMatchesWire holds the executable's traffic to its
 // operators' own plans and sets the analytic model beside it. One
-// inference of each executable network uploads one seeded ciphertext per
-// linear layer and downloads one ciphertext per conv tile plus one per FC
-// layer, each at the one residue bfv-B's replies are switched down to and
-// carrying c0 at the coefficients the client reads and nothing else (the
-// client rebuilds c1): 28 B of header and length prefix, 36 bits per read
-// coefficient in whole words — conv1's 3 136 reads 14 140 B, a conv2
-// tile's 588 2 676 B (DemoNet's last tile, 392 reads, 1 796 B), the FC's
-// 10 reads 76 B. LeNet-Sm moves 130 340 B a request (204 068 B while
-// each reply also carried c1 whole, 221 448 B while conv2 ran on slots
-// and every reply carried c0 whole); DemoNet, whose conv2 is three tiles,
-// 132 136 B. The client's first request also sends the 12-byte model
+// inference of each executable network uploads one rounded c0 per linear
+// layer and downloads one reply per conv tile plus one per FC layer, each
+// at the one residue bfv-B's replies are switched down to and carrying c0
+// rounded to 31 bits at the coefficients the client reads and nothing
+// else (the client rebuilds c1): 28 B of header and length prefix, then
+// the fields in whole words — conv1's 3 136 reads 12 180 B, a conv2
+// tile's 588 2 308 B (DemoNet's last tile, 392 reads, 1 548 B), the FC's
+// 10 reads 68 B. An upload carries every coefficient at its layer's width
+// and no seed: 19 484 B for the convolutions' 38 bits, 20 508 B for the
+// FC's 40. LeNet-Sm moves 76 340 B a request (130 340 B while uploads
+// and replies carried full-width residues and the upload its seed,
+// 204 068 B while each reply also carried c1 whole, 221 448 B while
+// conv2 ran on slots and every reply carried c0 whole); DemoNet, whose
+// conv2 is three tiles, 77 888 B. The client's first request also sends
+// the 12-byte model
 // request and receives the model frame, LeNet-Sm's 1 892 B with its
 // length prefix (3 640 4-bit weights), DemoNet's 2 484 B (4 820): both
 // counted in that request's stats and by the pipe, and priced as
@@ -303,8 +307,8 @@ func TestCommAccountMatchesWire(t *testing.T) {
 		model   int
 		replies []int
 	}{
-		{LeNetSmall(), 130340, 1904, []int{14140, 2676, 2676, 76}},
-		{DemoNetwork(), 132136, 2496, []int{14140, 2676, 2676, 1796, 76}},
+		{LeNetSmall(), 76340, 1904, []int{12180, 2308, 2308, 68}},
+		{DemoNetwork(), 77888, 2496, []int{12180, 2308, 2308, 1548, 68}},
 	} {
 		net := tc.net
 		m := SynthesizeWeights(net, 4, [32]byte{14})
@@ -325,7 +329,7 @@ func TestCommAccountMatchesWire(t *testing.T) {
 		}
 		if up, down := clientEnd.SentBytes(), serverEnd.SentBytes(); first.UpBytes != up || first.DownBytes != down ||
 			rc.ModelBytes != tc.model || up+down != rc.WireBytes+int64(rc.ModelBytes) ||
-			up != int64(rc.UpCiphertexts*rc.UpFrameBytes+12) {
+			up != int64(sumInts(rc.UploadBytes)+12) {
 			t.Errorf("%s: the first request counts %d B up / %d B down, the pipe carried %d / %d, want the request's %d B, a 12-byte model request and a %d-byte model frame (ModelBytes %d)",
 				net.Name, first.UpBytes, first.DownBytes, up, down, rc.WireBytes, tc.model-12, rc.ModelBytes)
 		}
@@ -344,7 +348,7 @@ func TestCommAccountMatchesWire(t *testing.T) {
 			t.Errorf("%s: %d up / %d down ciphertexts, the operators plan %d / %d", net.Name, stats.UpCiphertexts, stats.DownCiphertexts, up, down)
 		}
 		if wire := clientEnd.SentBytes() - up0 + serverEnd.SentBytes() - down0; stats.TotalBytes() != wire || wire != tc.wire {
-			t.Errorf("%s: the client counts %d B, the pipe carried %d B, want %d B (3 seeded uploads of two packed 36-bit rows + one-residue replies of the read c0)", net.Name, stats.TotalBytes(), wire, tc.wire)
+			t.Errorf("%s: the client counts %d B, the pipe carried %d B, want %d B (3 rounded uploads + one-residue replies of the read c0, rounded)", net.Name, stats.TotalBytes(), wire, tc.wire)
 		}
 		if rc.UpCiphertexts != stats.UpCiphertexts || rc.DownCiphertexts != stats.DownCiphertexts || rc.WireBytes != stats.TotalBytes() || !slices.Equal(rc.ReplyBytes, tc.replies) {
 			t.Errorf("%s: ExecutableRequestCost plans %+v (replies %v B, want %v), the inference moved %+v", net.Name, rc, rc.ReplyBytes, tc.replies, stats)
@@ -454,4 +458,12 @@ func TestModeledKeyFootprints(t *testing.T) {
 			t.Errorf("%s: NewInferenceServer says %v; want an error saying %q", tc.net.Name, err, tc.refused)
 		}
 	}
+}
+
+func sumInts(v []int) int {
+	total := 0
+	for _, x := range v {
+		total += x
+	}
+	return total
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -17,11 +18,12 @@ import (
 )
 
 // replyRow is one finished output as replyProbe saw it: the noise budget
-// before and after the switch down to the reply level.
+// before and after the switch down to the reply level, and after its c0
+// is rounded to the reply's width at every coefficient and lifted back.
 type replyRow struct {
-	layer, group  int
-	before, after float64
-	residues      int
+	layer, group           int
+	before, after, rounded float64
+	residues               int
 }
 
 // replyProbe is a KernelExecutor that runs the serial path and, holding
@@ -32,9 +34,10 @@ type replyRow struct {
 // the switched full output decrypts to the same slots as the unswitched
 // one, the server's half switches to that output's c0 word for word, the c1
 // the client rebuilds (bfv.Context.ProductC1) is that output's c1 word
-// for word, and the c0-only frame completed with it decrypts to the full
-// output's coefficients at every read index. With noise set it records
-// the budget on both sides of the switch.
+// for word, and the rounded c0-only frame completed with it decrypts to
+// the full output's coefficients at every read index. With noise set it
+// records the budget on both sides of the switch and after the reply's
+// rounding.
 type replyProbe struct {
 	t      *testing.T
 	srv    *InferenceServer
@@ -89,8 +92,16 @@ func (p *replyProbe) measure(layer, group int, ev *bfv.Evaluator, full, half *bf
 		return err
 	}
 	if p.noise {
-		p.rows = append(p.rows, replyRow{layer, group,
-			bfv.NoiseBudgetBits(ctx, sk, full), bfv.NoiseBudgetBits(ctx, sk, small), len(small.Value[0].Coeffs)})
+		r := ctx.RingAtDrop(small.Drop)
+		c0 := r.NewPoly()
+		if err := ring.UnpackFields(ctx.AppendRounded(nil, small.Value[0], p.srv.replyBits, nil), r.N, uint(p.srv.replyBits), math.MaxUint64,
+			func(j int, v uint64) { c0.Coeffs[0][j] = v }); err != nil {
+			return err
+		}
+		ctx.LiftRounded(c0, p.srv.replyBits, nil)
+		rounded := &bfv.Ciphertext{Value: []*ring.Poly{c0, small.Value[1]}, Drop: small.Drop}
+		p.rows = append(p.rows, replyRow{layer, group, bfv.NoiseBudgetBits(ctx, sk, full), bfv.NoiseBudgetBits(ctx, sk, small),
+			bfv.NoiseBudgetBits(ctx, sk, rounded), len(small.Value[0].Coeffs)})
 	}
 	want, got := p.client.dec.DecryptInts(full), p.client.dec.DecryptInts(small)
 	for j := range want {
@@ -114,7 +125,8 @@ func (p *replyProbe) measure(layer, group int, ev *bfv.Evaluator, full, half *bf
 			return fmt.Errorf("layer %d group %d residue %d: the client's rebuilt c1 differs from the full upload's reply", layer, group, i)
 		}
 	}
-	read, err := protocol.UnmarshalBFVReadC0(ctx, protocol.AppendBFVReadC0(nil, sent.Value[0], idx), idx)
+	d := p.srv.replyBits
+	read, err := protocol.UnmarshalRoundedRead(ctx, protocol.AppendRoundedRead(nil, ctx, sent.Value[0], idx, d), idx, d)
 	if err != nil {
 		return err
 	}
@@ -123,7 +135,7 @@ func (p *replyProbe) measure(layer, group int, ev *bfv.Evaluator, full, half *bf
 	whole, part := p.client.decrypt(small, idx, make([]int64, n)), p.client.decrypt(read, idx, make([]int64, n))
 	for _, k := range idx {
 		if part[k] != whole[k] {
-			return fmt.Errorf("layer %d group %d coefficient %d: the c0-only reply decrypts to %d, the whole one to %d", layer, group, k, part[k], whole[k])
+			return fmt.Errorf("layer %d group %d coefficient %d: the rounded c0-only reply decrypts to %d, the whole one to %d", layer, group, k, part[k], whole[k])
 		}
 	}
 	return nil
@@ -164,6 +176,9 @@ func probeReplies(t *testing.T, net *Network, seed byte, requests int) []replyRo
 	}
 	if want := net.Params.ReplyDrop(); srv.replyDrop != want || client.replyDrop != want {
 		t.Fatalf("%s: server switches %d primes away, client expects %d, the rule says %d", net.Name, srv.replyDrop, client.replyDrop, want)
+	}
+	if want := net.Params.ReplyBits(); srv.replyBits != want || client.replyBits != want {
+		t.Fatalf("%s: server rounds replies to %d bits, client expects %d, the rule says %d", net.Name, srv.replyBits, client.replyBits, want)
 	}
 	rc, err := ExecutableRequestCost(net)
 	if err != nil {
@@ -213,6 +228,9 @@ func probeReplies(t *testing.T, net *Network, seed byte, requests int) []replyRo
 		}
 		if r == 0 {
 			first, probe.noise = probe.rows, false
+			if !maps.Equal(client.uploadBits, srv.uploadBits) {
+				t.Fatalf("%s: the client rounds uploads to %v bits by layer, the server reads them at %v", net.Name, client.uploadBits, srv.uploadBits)
+			}
 		}
 	}
 	return first
@@ -245,15 +263,18 @@ func switchLeavesBits(p bfv.Parameters, k int) float64 {
 // that arrives with b bits leaves with no less than the two noises added
 // at their worst, −log2(2^−b + 2^−left): one far above the ceiling (every
 // reply at bfv-A's 58-bit q₀) comes down to it, one below keeps what it
-// had. Every LeNet-Sm layer takes the product packing and hands the
-// switch 42–44 bits (conv1 44.11, conv2's tiles 43.39 and 43.67, FC 42.00;
-// pinned to within 0.05 bit), which it brings down to its ceiling: every
-// reply, conv2's two tiles included, must leave it at least 3 bits above
-// the 8-bit floor. On the slot packing conv2 handed the switch 5.98 bits
-// and was the request's minimum; conv1 and FC held 8.88 and 8.39.
-// Every switched reply decrypts to the slots of the full-size one, and a
-// product-packed one's read-coefficient frame to its coefficients at the
-// read indices (replyProbe).
+// had. Every upload is rounded (uploadWidths), which spends, by design,
+// the budget the switch would discard: each LeNet-Sm reply reaches the
+// switch with at least what the width rule predicts, d − TBits − 1 −
+// log2(√3·‖k‖₂) at the rule's kernel bound (44.11, 43.39, 43.67 and
+// 42.00 bits while uploads were full-width), and the switch brings it
+// down to its ceiling. Every reply, conv2's two tiles included, must
+// leave the switch, and then the rounding of its c0 to the reply's
+// width, at least 3 bits above the 8-bit floor. On the slot packing
+// conv2 handed the switch 5.98 bits and was the request's minimum; conv1
+// and FC held 8.88 and 8.39. Every switched reply decrypts to the slots
+// of the full-size one, and a product-packed one's rounded read frame to
+// its coefficients at the read indices (replyProbe).
 func TestReplySwitchNoise(t *testing.T) {
 	threePrimes := testNet()
 	threePrimes.Name = "TestNet-30-30-30"
@@ -280,7 +301,7 @@ func TestReplySwitchNoise(t *testing.T) {
 		}
 		rows := probeReplies(t, tc.net, 14, 1)
 		for _, r := range rows {
-			t.Logf("%s layer %d group %d: %.2f → %.2f bits at %d residue(s)", tc.net.Name, r.layer, r.group, r.before, r.after, r.residues)
+			t.Logf("%s layer %d group %d: %.2f → %.2f bits at %d residue(s), %.2f rounded", tc.net.Name, r.layer, r.group, r.before, r.after, r.residues, r.rounded)
 			if r.residues != tc.residues {
 				t.Errorf("%s layer %d group %d leaves at %d residues, want %d", tc.net.Name, r.layer, r.group, r.residues, tc.residues)
 			}
@@ -296,15 +317,20 @@ func TestReplySwitchNoise(t *testing.T) {
 		if len(rows) != 4 {
 			t.Fatalf("LeNetSm has %d replies, want 4", len(rows))
 		}
+		convs, fcs, err := compileLayers(tc.net, nil, p.N()/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		norms, widths := kernelNorms(convs, fcs, 4), uploadWidths(p, convs, fcs, 4)
 		for i, r := range rows {
 			if want := [][2]int{{0, 0}, {3, 0}, {3, 1}, {6, 0}}[i]; r.layer != want[0] || r.group != want[1] {
 				t.Errorf("LeNetSm reply %d is layer %d group %d, want layer %d group %d", i, r.layer, r.group, want[0], want[1])
 			}
-			if r.after < 11 {
-				t.Errorf("LeNetSm layer %d group %d leaves the switch with %.2f bits, want 3 over the 8-bit floor", r.layer, r.group, r.after)
+			if r.after < 11 || r.rounded < 11 {
+				t.Errorf("LeNetSm layer %d group %d leaves the switch with %.2f bits and the reply's rounding with %.2f, want 3 over the 8-bit floor", r.layer, r.group, r.after, r.rounded)
 			}
-			if pin := []float64{44.11, 43.39, 43.67, 42.00}[i]; r.before < pin-0.05 {
-				t.Errorf("LeNetSm layer %d group %d holds %.2f bits before the switch, pinned %.2f", r.layer, r.group, r.before, pin)
+			if predicted := float64(widths[r.layer]-p.TBits-1) - math.Log2(math.Sqrt(3)*norms[r.layer]); r.before < predicted {
+				t.Errorf("LeNetSm layer %d group %d holds %.2f bits before the switch, the %d-bit upload's rule predicts %.2f", r.layer, r.group, r.before, widths[r.layer], predicted)
 			}
 		}
 	}
@@ -346,12 +372,12 @@ func TestClientRejectsReplyAtWrongLevel(t *testing.T) {
 	}
 }
 
-// fullTag is a server end that sends every read-coefficient reply under
-// the tag of a full BFV reply, which no layer sends.
+// fullTag is a server end that sends every rounded read reply under the
+// tag of a full BFV reply, which no layer sends.
 type fullTag struct{ *protocol.Pipe }
 
 func (f fullTag) Send(msg []byte) error {
-	if len(msg) >= 4 && binary.LittleEndian.Uint32(msg) == protocol.SchemeBFVReadC0 {
+	if len(msg) >= 4 && binary.LittleEndian.Uint32(msg) == protocol.SchemeBFVRoundedRead {
 		msg = bytes.Clone(msg)
 		binary.LittleEndian.PutUint32(msg, protocol.SchemeBFV)
 	}
@@ -359,7 +385,7 @@ func (f fullTag) Send(msg []byte) error {
 }
 
 // TestClientRejectsMisframedReply: a reply that is not the
-// read-coefficient frame its layer implies — one under a full reply's
+// rounded read frame its layer implies — one under a full reply's
 // tag, or one carrying another read count — fails the request with the
 // layer and group in the error.
 func TestClientRejectsMisframedReply(t *testing.T) {
@@ -403,9 +429,11 @@ func TestClientRejectsMisframedReply(t *testing.T) {
 // TestModelExchangeIsChecked: a model frame that disagrees with the
 // client's architecture — here one layer more than the network's product
 // layers — fails the client's first request, naming the model frame; a
-// product layer's upload that is not a seeded frame is refused by the
-// server, naming the layer; and a model request anywhere but at the start
-// of a request is an upload the server cannot decode.
+// product layer's upload that is not a rounded upload — a full
+// ciphertext, or a seeded one, whose seed the server would not read — is
+// refused by the server, naming the layer and the tag; and a model
+// request anywhere but at the start of a request is an upload the server
+// cannot decode.
 func TestModelExchangeIsChecked(t *testing.T) {
 	net := testNet()
 	m := SynthesizeWeights(net, 4, [32]byte{3})
@@ -441,17 +469,20 @@ func TestModelExchangeIsChecked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	upload := protocol.MarshalSeededBFV(client.symEnc.EncryptSeeded(pt))
-	whole, err := protocol.UnmarshalSeededBFV(client.ctx, upload)
+	sct := client.symEnc.EncryptSeeded(pt)
+	seeded := protocol.MarshalSeededBFV(sct)
+	whole, err := protocol.UnmarshalSeededBFV(client.ctx, seeded)
 	if err != nil {
 		t.Fatal(err)
 	}
+	upload := protocol.AppendRoundedUpload(nil, client.ctx, sct.C0, srv.uploadBits[0])
 	for _, tc := range []struct {
 		name   string
 		frames [][]byte
 		want   string
 	}{
 		{"an unseeded upload", [][]byte{protocol.MarshalBFV(whole)}, "layer 0 (conv) decode input"},
+		{"a seeded upload", [][]byte{seeded}, "layer 0 (conv) decode input"},
 		{"a model request after the first upload", [][]byte{upload, protocol.MarshalModelRequest()}, "layer 3 (conv) decode input"},
 	} {
 		clientEnd, serverEnd := protocol.NewPipe()

@@ -3,6 +3,7 @@ package nn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -10,7 +11,6 @@ import (
 	"choco/internal/bfv"
 	"choco/internal/core"
 	"choco/internal/protocol"
-	"choco/internal/ring"
 )
 
 // The split client/server API deploys client-aided inference across a
@@ -24,7 +24,10 @@ import (
 // (DESIGN.md §15): before its first request the client fetches the
 // layers' weights once (fetchModel), and from then on every reply
 // carries c0 alone, the client rebuilding c1 from its own upload
-// (bfv.Context.ProductC1).
+// (bfv.Context.ProductC1). Both directions carry c0 rounded to the bits
+// the noise needs (protocol.AppendRoundedUpload, AppendRoundedRead), at
+// widths both ends derive from the parameter set and the layer
+// (uploadWidths, bfv.Parameters.ReplyBits); an upload carries no seed.
 
 // InferenceClient is the trusted, resource-constrained side.
 type InferenceClient struct {
@@ -56,8 +59,11 @@ type InferenceClient struct {
 	scratch sync.Pool
 
 	// replyDrop is the level every reply must arrive at
-	// (bfv.Parameters.ReplyDrop); Infer refuses any other.
-	replyDrop int
+	// (bfv.Parameters.ReplyDrop); Infer refuses any other. replyBits is
+	// the width its c0 is rounded to, and uploadBits, by layer, the width
+	// of each upload (uploadWidths, set with the kernels).
+	replyDrop, replyBits int
+	uploadBits           map[int]int
 }
 
 // inferScratch is what a request writes and drops again: each layer's
@@ -207,20 +213,52 @@ func slotSteps(spec core.ConvSpec, rowSize int) ([]int, error) {
 	return steps, nil
 }
 
+// uploadWidths returns, by layer, the width each product layer's upload
+// is rounded to (bfv.Parameters.UploadBits) under weights of weightBits
+// bits (kernelNorms). The client and the server derive it alike, the
+// client with the width its model frame names.
+func uploadWidths(p bfv.Parameters, convs map[int]*core.Conv2D, fcs map[int]*core.FC, weightBits int) map[int]int {
+	widths := map[int]int{}
+	for i, norm := range kernelNorms(convs, fcs, weightBits) {
+		widths[i] = p.UploadBits(norm)
+	}
+	return widths
+}
+
+// kernelNorms returns, by layer, the bound on the ℓ2 norm of a product
+// layer's kernel polynomial that the upload width rule reads:
+// √w·(2^(b−1) − 1) for the w weights of one output group's kernel — a
+// convolution tile's GroupSize channels, an FC layer's every weight —
+// each within the symmetric quantization's ±(2^(b−1) − 1)
+// (protocol.MarshalModel refuses any other).
+func kernelNorms(convs map[int]*core.Conv2D, fcs map[int]*core.FC, weightBits int) map[int]float64 {
+	maxWeight := float64(int64(1)<<(weightBits-1) - 1)
+	norms := map[int]float64{}
+	for i, conv := range convs {
+		s := conv.Spec
+		norms[i] = math.Sqrt(float64(min(conv.GroupSize(), s.OutC)*s.InC*s.KH*s.KW)) * maxWeight
+	}
+	for i, fc := range fcs {
+		norms[i] = math.Sqrt(float64(fc.Out*fc.In)) * maxWeight
+	}
+	return norms
+}
+
 // RequestCost is what one inference costs on the executable path, read
 // from the compiled operators' own plans — no keys, no ciphertexts: what
 // the client moves, and the server's work when no weight is zero.
 type RequestCost struct {
 	UpCiphertexts, DownCiphertexts int
-	// UpFrameBytes is what one upload frame costs on the wire
-	// (protocol.FrameBytes): seeded, at every data prime. ReplyBytes
-	// prices every reply in the order the server sends them, at the primes
-	// left after the parameter set's ReplyDrop: each carries c0 at its
-	// group's read coefficients and nothing else (protocol.ReadReplyBytes).
+	// UploadBytes prices every upload in the order the client sends them:
+	// c0 rounded to its layer's width (uploadWidths,
+	// protocol.RoundedFrameBytes). ReplyBytes prices every reply in the
+	// order the server sends them, at the primes left after the parameter
+	// set's ReplyDrop: each carries c0 rounded to ReplyBits at its group's
+	// read coefficients and nothing else.
 	// WireBytes is the request's total.
-	UpFrameBytes int
-	ReplyBytes   []int
-	WireBytes    int64
+	UploadBytes []int
+	ReplyBytes  []int
+	WireBytes   int64
 	// ModelBytes is what the client's first request moves once, before
 	// its first upload: the model request and the model frame holding the
 	// linear layers' weights (protocol.ModelExchangeBytes), priced at
@@ -235,12 +273,13 @@ type RequestCost struct {
 const modelWeightBits = 4
 
 // ExecutableRequestCost plans one inference of a network the split
-// client/server can run. Unlike CommPlan — the analytic model, which
-// assumes densely condensed, full-size downloads — it counts the reply
-// ciphertexts the operators' packing produces, at the level they are sent
-// and with the coefficients they carry: conv2 of LeNet-Sm replies in two
-// tiles where the model condenses its outputs into one ciphertext, and
-// each reply carries c0 at its read coefficients only.
+// client/server can run, its weights at modelWeightBits. Unlike CommPlan
+// — the analytic model, which assumes densely condensed, full-size
+// downloads — it counts the reply ciphertexts the operators' packing
+// produces, at the level they are sent and with the coefficients they
+// carry: conv2 of LeNet-Sm replies in two tiles where the model condenses
+// its outputs into one ciphertext, and each reply carries c0 at its read
+// coefficients only, both directions at their rounded widths.
 // The one-time model exchange is ModelBytes, outside WireBytes.
 func ExecutableRequestCost(net *Network) (RequestCost, error) {
 	var rc RequestCost
@@ -248,9 +287,8 @@ func ExecutableRequestCost(net *Network) (RequestCost, error) {
 	if err != nil {
 		return rc, err
 	}
-	n, qBits := net.Params.N(), net.Params.QBits
-	replyBits := qBits[:len(qBits)-net.Params.ReplyDrop()]
-	rc.UpFrameBytes = protocol.FrameBytes(ring.PackedBytes(n, qBits...), 1, true)
+	n, replyBits := net.Params.N(), net.Params.ReplyBits()
+	uploadBits := uploadWidths(net.Params, convs, fcs, modelWeightBits)
 	reads := readSets(convs, fcs)
 	if model := modelLayers(net, convs, fcs); len(model) > 0 {
 		rc.ModelBytes = protocol.ModelExchangeBytes(model, modelWeightBits)
@@ -266,16 +304,18 @@ func ExecutableRequestCost(net *Network) (RequestCost, error) {
 			continue
 		}
 		rc.UpCiphertexts++
+		upload := protocol.RoundedFrameBytes(n, uploadBits[i])
+		rc.UploadBytes = append(rc.UploadBytes, upload)
+		rc.WireBytes += int64(upload)
 		rc.DownCiphertexts += groups
 		rc.Server.Add(core.OpCounts{Rotations: plan.BabySteps + plan.GiantSteps,
 			PlainMults: plan.PlainMults, Adds: plan.PlainMults - groups})
 		for g := 0; g < groups; g++ {
-			reply := protocol.ReadReplyBytes(replyBits, len(reads[i][g]))
+			reply := protocol.RoundedFrameBytes(len(reads[i][g]), replyBits)
 			rc.ReplyBytes = append(rc.ReplyBytes, reply)
 			rc.WireBytes += int64(reply)
 		}
 	}
-	rc.WireBytes += int64(rc.UpCiphertexts) * int64(rc.UpFrameBytes)
 	return rc, nil
 }
 
@@ -340,6 +380,7 @@ func NewInferenceClient(net *Network, seed [32]byte) (*InferenceClient, error) {
 		model:    modelLayers(net, convs, fcs),
 
 		replyDrop: net.Params.ReplyDrop(),
+		replyBits: net.Params.ReplyBits(),
 	}, nil
 }
 
@@ -439,8 +480,10 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 			return nil, stats, err
 		}
 	}
-	send := func(ct *bfv.SeededCiphertext) error {
-		data := protocol.AppendSeededBFV(sc.frame[:0], ct)
+	// send uploads layer i's input: c0 rounded to the layer's width, no
+	// seed; the encryptor keeps a, which recv needs.
+	send := func(i int, ct *bfv.SeededCiphertext) error {
+		data := protocol.AppendRoundedUpload(sc.frame[:0], c.ctx, ct.C0, c.uploadBits[i])
 		sc.frame = data
 		c.ctx.RingQ.PutPoly(ct.C0)
 		stats.Encryptions++
@@ -448,13 +491,13 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 		stats.UpBytes += int64(len(data)) + 4
 		return t.Send(data)
 	}
-	// recv takes output group g of layer i: a read-coefficient frame,
-	// completed with the c1 the client rebuilds from its upload's a (still
-	// the encryptor's: no other encryption has run since) and the group's
-	// kernel, and an error naming the layer and group for anything else. A
-	// reply at any level but the parameter set's is refused: the plan's
-	// byte count is the wire's, and a server that stops switching fails
-	// the request.
+	// recv takes output group g of layer i: a rounded read reply, lifted
+	// and completed with the c1 the client rebuilds from its upload's a
+	// (still the encryptor's: no other encryption has run since) and the
+	// group's kernel, and an error naming the layer and group for anything
+	// else. A reply at any level but the parameter set's is refused: the
+	// plan's byte count is the wire's, and a server that stops switching
+	// fails the request.
 	recv := func(i, g int) (*bfv.Ciphertext, error) {
 		raw, err := t.Recv()
 		if err != nil {
@@ -466,7 +509,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 		stats.Decryptions++
 		stats.DownCiphertexts++
 		stats.DownBytes += int64(len(raw)) + 4
-		ct, err := protocol.UnmarshalBFVReadC0(c.ctx, raw, c.reads[i][g])
+		ct, err := protocol.UnmarshalRoundedRead(c.ctx, raw, c.reads[i][g], c.replyBits)
 		if err != nil {
 			return nil, fmt.Errorf("nn: layer %d output group %d: %w", i, g, err)
 		}
@@ -490,7 +533,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 			if err != nil {
 				return nil, stats, err
 			}
-			if err := send(ct); err != nil {
+			if err := send(i, ct); err != nil {
 				return nil, stats, err
 			}
 			next := make([][]int64, l.OutC)
@@ -515,7 +558,7 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 			if err != nil {
 				return nil, stats, err
 			}
-			if err := send(ct); err != nil {
+			if err := send(i, ct); err != nil {
 				return nil, stats, err
 			}
 			outCt, err := recv(i, 0)
@@ -545,7 +588,8 @@ func (c *InferenceClient) Infer(image [][]int64, t protocol.Transport) ([]int64,
 
 // fetchModel asks the server for the linear layers' weights and builds
 // their kernels with the operators and the lift the server uses
-// (core.Conv2D.Kernels, bfv.Context.PrepareMulQ). It runs on the first
+// (core.Conv2D.Kernels, bfv.Context.PrepareMulQ), and the uploads'
+// widths from the weights' (uploadWidths). It runs on the first
 // Infer, before the first upload; its two frames count in that request's
 // stats. The frame is checked against the client's own architecture
 // (protocol.UnmarshalModel).
@@ -563,7 +607,7 @@ func (c *InferenceClient) fetchModel(t protocol.Transport, stats *core.Stats) er
 	if msg, ok := protocol.ParseSessionError(raw); ok {
 		return fmt.Errorf("nn: the server failed the session: %s", msg)
 	}
-	_, weights, err := protocol.UnmarshalModel(raw, c.model)
+	bits, weights, err := protocol.UnmarshalModel(raw, c.model)
 	if err != nil {
 		return fmt.Errorf("nn: model frame: %w", err)
 	}
@@ -597,6 +641,7 @@ func (c *InferenceClient) fetchModel(t protocol.Transport, stats *core.Stats) er
 		kernels[l.Index] = op.Kernels(c.ctx)
 	}
 	c.kernels = kernels
+	c.uploadBits = uploadWidths(c.ctx.Params, c.convs, c.fcs, bits)
 	return nil
 }
 
@@ -648,8 +693,11 @@ type InferenceServer struct {
 	frames sync.Pool
 
 	// replyDrop is how many data primes every finished output sheds
-	// before it is sent (bfv.Parameters.ReplyDrop).
-	replyDrop int
+	// before it is sent (bfv.Parameters.ReplyDrop), and replyBits the width
+	// its c0 is rounded to; uploadBits holds each layer's upload width
+	// (uploadWidths).
+	replyDrop, replyBits int
+	uploadBits           map[int]int
 }
 
 // ServerSession binds one client's evaluation keys to the shared
@@ -750,16 +798,17 @@ func NewInferenceServer(m *QuantizedModel) (*InferenceServer, error) {
 		return nil, fmt.Errorf("nn: model frame: %w", err)
 	}
 	return &InferenceServer{Model: m, ctx: ctx, ecd: bfv.NewEncoder(ctx), convs: convs, fcs: fcs,
-		reads: readSets(convs, fcs), modelFrame: frame, replyDrop: ctx.Params.ReplyDrop()}, nil
+		reads: readSets(convs, fcs), modelFrame: frame, replyDrop: ctx.Params.ReplyDrop(),
+		replyBits: ctx.Params.ReplyBits(), uploadBits: uploadWidths(ctx.Params, convs, fcs, m.WeightBits)}, nil
 }
 
 // ServeOne processes one inference request on this session: for each
 // linear layer it receives the packed input ciphertext, evaluates, and
 // returns the output group ciphertexts, each modulus-switched down to the
-// parameter set's reply level first. A layer's upload is read as its c0
-// alone, its seed never expanded, and each of its groups' replies is
-// that half's c0 at the coefficients the client reads
-// (protocol.AppendBFVReadC0): the client rebuilds c1. A request that
+// parameter set's reply level first. A layer's upload is its c0 alone,
+// rounded (protocol.UnmarshalRoundedUpload), and each of its groups'
+// replies is that half's c0, rounded, at the coefficients the client
+// reads (protocol.AppendRoundedRead): the client rebuilds c1. A request that
 // opens with a model request is answered with the model frame first
 // (the client's first request does). The first Recv is the start of
 // the request — a server may arm an idle timeout for it and a tighter
@@ -815,7 +864,7 @@ func (sess *ServerSession) ServeOneAccounted(t protocol.Transport, account func(
 				return ops, fmt.Errorf("nn: layer %d (%s) recv input: %w", i, kind, err)
 			}
 		}
-		ct, err := protocol.UnmarshalSeededBFVC0(s.ctx, raw)
+		ct, err := protocol.UnmarshalRoundedUpload(s.ctx, raw, s.uploadBits[i])
 		if err != nil {
 			return ops, fmt.Errorf("nn: layer %d (%s) decode input (%d B): %w", i, kind, len(raw), err)
 		}
@@ -837,7 +886,7 @@ func (sess *ServerSession) ServeOneAccounted(t protocol.Transport, account func(
 				sess.ev.RecycleCt(o)
 				o = small
 			}
-			frame := protocol.AppendBFVReadC0((*buf)[:0], o.Value[0], s.reads[i][g])
+			frame := protocol.AppendRoundedRead((*buf)[:0], s.ctx, o.Value[0], s.reads[i][g], s.replyBits)
 			*buf = frame // the transport has copied or written it once Send returns
 			sess.ev.RecycleCt(o)
 			if account != nil && i == last && g == len(outs)-1 {

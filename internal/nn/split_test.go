@@ -147,20 +147,21 @@ func TestSplitDemoNetworkEndToEnd(t *testing.T) {
 	if !nonzero {
 		t.Error("demo network produced all-zero logits; requant shifts too aggressive")
 	}
-	// Preset B wire check: a seeded upload carries one polynomial of two
-	// packed 36-bit rows (2 · 18 432 B) plus a 32-byte seed; a download c0
+	// Preset B wire check: an upload carries c0 rounded to its layer's
+	// width at every coefficient, no seed (conv1 and conv2 at 38 bits:
+	// 19 456 B; the FC at 40: 20 480 B); a download c0 rounded to 31 bits
 	// at the read coefficients alone, at the one residue replies are
-	// switched down to, 36 bits each in whole words (conv1 3 136: 14 112 B,
-	// conv2's tiles 588, 588 and 392: 2 648, 2 648 and 1 768 B, FC 10:
-	// 48 B); each behind a 24-byte header and the 4-byte length prefix. The
-	// client's first request also exchanges the model: an 8-byte request
-	// and a 2 480-byte model frame (16-byte header, 16 bytes for each of
-	// the 3 product layers, 4 820 4-bit weights in whole words), each with
-	// its length prefix.
-	if stats.UpCiphertexts != 3 || stats.UpBytes != 3*36924+12 {
-		t.Errorf("%d uploads, %d B up; want 3 of 36 924 B and the 12-byte model request", stats.UpCiphertexts, stats.UpBytes)
+	// switched down to, in whole words (conv1 3 136: 12 152 B, conv2's
+	// tiles 588, 588 and 392: 2 280, 2 280 and 1 520 B, FC 10: 40 B); each
+	// behind a 24-byte header and the 4-byte length prefix. The client's
+	// first request also exchanges the model: an 8-byte request and a
+	// 2 480-byte model frame (16-byte header, 16 bytes for each of the 3
+	// product layers, 4 820 4-bit weights in whole words), each with its
+	// length prefix.
+	if stats.UpCiphertexts != 3 || stats.UpBytes != 2*19484+20508+12 {
+		t.Errorf("%d uploads, %d B up; want 19 484, 19 484 and 20 508 B and the 12-byte model request", stats.UpCiphertexts, stats.UpBytes)
 	}
-	if stats.DownCiphertexts != 5 || stats.DownBytes != 21364+2484 {
-		t.Errorf("%d replies, %d B down; want 5 of 21 364 B together and the 2 484-byte model frame", stats.DownCiphertexts, stats.DownBytes)
+	if stats.DownCiphertexts != 5 || stats.DownBytes != 18412+2484 {
+		t.Errorf("%d replies, %d B down; want 5 of 18 412 B together and the 2 484-byte model frame", stats.DownCiphertexts, stats.DownBytes)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"choco/internal/ring"
 )
 
 // The fabric router parses frames from unauthenticated TCP clients
@@ -285,11 +287,11 @@ func FuzzStatsFetch(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalBFVRead throws arbitrary bytes, seeded from a read-
-// coefficient reply and its near misses, at the decoder a client runs on
-// every product-packed reply (UnmarshalBFVReadC0): the outcome is an
-// error, or c0 alone whose residues are all reduced, which is zero off the
-// read set, and which marshals back to exactly the bytes it came from.
+// FuzzUnmarshalBFVRead throws arbitrary bytes, seeded from a rounded
+// read reply and its near misses, at the decoder a client runs on every
+// product-packed reply (UnmarshalRoundedRead): the outcome is an error, or
+// c0 alone whose residues are all reduced, which is zero off the read
+// set, and which rounds back to exactly the bytes it came from.
 func FuzzUnmarshalBFVRead(f *testing.F) {
 	w := newWireFrames(f)
 	frame := w.bfvRead
@@ -297,8 +299,9 @@ func FuzzUnmarshalBFVRead(f *testing.F) {
 	f.Add(frame[:len(frame)/2])
 	f.Add(frame[:headerBytes])
 	f.Add(mutated(frame, setU64(len(frame)-8, math.MaxUint64)))
-	f.Add(mutated(frame, setU64(16, uint64(len(w.readIdx)-1))))
+	f.Add(mutated(frame, setU64(16, uint64(w.readWidth)<<32|uint64(len(w.readIdx)-1))))
 	f.Add(mutated(frame, setU32(12, 2)))
+	f.Add(mutated(frame, setU32(0, HelloVersion<<16|6)))
 	f.Add(w.bfvDropped)
 	f.Add([]byte{})
 	reads := map[int]bool{}
@@ -306,31 +309,71 @@ func FuzzUnmarshalBFVRead(f *testing.F) {
 		reads[k] = true
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ct, err := UnmarshalBFVReadC0(w.bctx, data, w.readIdx)
+		ct, err := UnmarshalRoundedRead(w.bctx, data, w.readIdx, w.readWidth)
 		if err != nil {
 			return
 		}
 		if len(ct.Value) != 1 {
 			t.Fatalf("decoded %d components, want c0 alone", len(ct.Value))
 		}
-		r := w.bctx.RingAtDrop(ct.Drop)
-		for i, row := range ct.Value[0].Coeffs {
-			if len(ct.Value[0].Coeffs) != len(r.Moduli) || len(row) != r.N {
-				t.Fatalf("c0 is not a polynomial of the ring at drop %d", ct.Drop)
-			}
-			for j, v := range row {
-				if v >= r.Moduli[i].Value {
-					t.Fatalf("c0 residue [%d][%d] = %d is not reduced", i, j, v)
-				}
-				if v != 0 && !reads[j] {
-					t.Fatalf("c0 row %d holds %d at %d, off the read set", i, v, j)
-				}
-			}
-		}
-		if !bytes.Equal(AppendBFVReadC0(nil, ct.Value[0], w.readIdx), data) {
-			t.Fatal("an accepted read reply marshals back to different bytes")
+		checkFuzzedC0(t, w.bctx.RingAtDrop(ct.Drop), ct.Value[0], reads)
+		if !bytes.Equal(AppendRoundedRead(nil, w.bctx, ct.Value[0], w.readIdx, w.readWidth), data) {
+			t.Fatal("an accepted read reply rounds back to different bytes")
 		}
 	})
+}
+
+// FuzzUnmarshalRoundedUpload throws arbitrary bytes, seeded from a
+// rounded upload and its near misses, at the decoder a server runs on
+// every product layer's upload (UnmarshalRoundedUpload): the outcome is
+// an error, or c0 alone at the full data modulus whose residues are all
+// reduced, and which rounds back to exactly the bytes it came from.
+func FuzzUnmarshalRoundedUpload(f *testing.F) {
+	w := newWireFrames(f)
+	frame := w.bfvUpload
+	f.Add(frame)
+	f.Add(frame[:len(frame)/2])
+	f.Add(frame[:headerBytes])
+	f.Add(mutated(frame, setU64(len(frame)-8, math.MaxUint64)))
+	f.Add(mutated(frame, setU64(16, uint64(w.uploadWidth-1)<<32)))
+	f.Add(mutated(frame, setU32(12, 1)))
+	f.Add(w.bfvSeeded)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ct, err := UnmarshalRoundedUpload(w.bctx, data, w.uploadWidth)
+		if err != nil {
+			return
+		}
+		if len(ct.Value) != 1 || ct.Drop != 0 {
+			t.Fatalf("decoded %d components at drop %d, want c0 alone at drop 0", len(ct.Value), ct.Drop)
+		}
+		checkFuzzedC0(t, w.bctx.RingQ, ct.Value[0], nil)
+		if !bytes.Equal(AppendRoundedUpload(nil, w.bctx, ct.Value[0], w.uploadWidth), data) {
+			t.Fatal("an accepted upload rounds back to different bytes")
+		}
+	})
+}
+
+// checkFuzzedC0 fails t unless c0 is a polynomial of r whose residues are
+// reduced and, when reads is not nil, zero off the read set.
+func checkFuzzedC0(t *testing.T, r *ring.Ring, c0 *ring.Poly, reads map[int]bool) {
+	t.Helper()
+	if len(c0.Coeffs) != len(r.Moduli) {
+		t.Fatalf("c0 has %d residue rows, the ring %d", len(c0.Coeffs), len(r.Moduli))
+	}
+	for i, row := range c0.Coeffs {
+		if len(row) != r.N {
+			t.Fatalf("c0 row %d has %d coefficients, want %d", i, len(row), r.N)
+		}
+		for j, v := range row {
+			if v >= r.Moduli[i].Value {
+				t.Fatalf("c0 residue [%d][%d] = %d is not reduced", i, j, v)
+			}
+			if v != 0 && reads != nil && !reads[j] {
+				t.Fatalf("c0 row %d holds %d at %d, off the read set", i, v, j)
+			}
+		}
+	}
 }
 
 // FuzzUnmarshalModel throws arbitrary bytes, seeded from a model frame and

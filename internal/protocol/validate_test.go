@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/big"
 	"strings"
 	"testing"
 
@@ -30,10 +31,14 @@ type wireFrames struct {
 	ckksFull, ckksSeeded []byte
 	bfvValue, ckksValue  []*ring.Poly // the polynomials inside bfvFull and ckksFull
 	// bfvRead is the dropped reply as a product-packed layer sends it,
-	// c0 at readIdx and nothing else: 100 coefficients, seven apart, whose
-	// 40-bit fields end inside a word.
-	bfvRead []byte
-	readIdx []int
+	// c0 rounded to readWidth bits at readIdx and nothing else: 100
+	// coefficients, seven apart, whose fields end inside a word. bfvUpload
+	// is the seeded encryption's c0 as a product layer's upload, rounded
+	// to uploadWidth bits.
+	bfvRead, bfvUpload     []byte
+	readIdx                []int
+	readWidth, uploadWidth int
+	droppedC0, uploadC0    *ring.Poly
 }
 
 func newWireFrames(t testing.TB) wireFrames {
@@ -84,10 +89,13 @@ func newWireFrames(t testing.TB) wireFrames {
 	for i := range readIdx {
 		readIdx[i] = 3 + 7*i
 	}
+	readWidth, uploadWidth := bctx.Params.ReplyBits(), bctx.Params.UploadBits(70)
 	return wireFrames{
 		bctx: bctx, cctx: cctx,
 		bfvFull: MarshalBFV(bct), bfvSeeded: MarshalSeededBFV(bsct), bfvDropped: MarshalBFV(dropped),
-		bfvRead: AppendBFVReadC0(nil, dropped.Value[0], readIdx), readIdx: readIdx,
+		bfvRead: AppendRoundedRead(nil, bctx, dropped.Value[0], readIdx, readWidth), readIdx: readIdx,
+		bfvUpload: AppendRoundedUpload(nil, bctx, bsct.C0, uploadWidth),
+		readWidth: readWidth, uploadWidth: uploadWidth, droppedC0: dropped.Value[0], uploadC0: bsct.C0,
 		ckksFull: MarshalCKKS(cct), ckksSeeded: MarshalSeededCKKS(csct),
 		bfvValue: bct.Value, ckksValue: cct.Value,
 	}
@@ -261,64 +269,85 @@ func TestUnmarshalRejectsHostileCiphertexts(t *testing.T) {
 	}
 }
 
-// withReadField sets c0's read coefficient j, the packed fields at at of
-// a read-coefficient reply over r, to v.
-func withReadField(r *ring.Ring, at int, idx []int, j int, v uint64) func([]byte) []byte {
+// withField sets field i of the d-bit fields at at to v.
+func withField(at, d, i int, v uint64) func([]byte) []byte {
 	return func(b []byte) []byte {
-		p := r.NewPoly()
-		if err := p.UnpackAt(b[at:], idx); err != nil {
-			panic(err)
+		for k := 0; k < d; k++ {
+			bit := at*8 + i*d + k
+			b[bit/8] = b[bit/8]&^(1<<(bit%8)) | byte(v>>k&1)<<(bit%8)
 		}
-		p.Coeffs[0][idx[j]] = v
-		copy(b[at:], p.AppendPackedAt(nil, idx))
 		return b
 	}
 }
 
-// TestUnmarshalReadReplyRejects holds the read-coefficient reply decoder
-// to its contract: the frame a product-packed layer sends decodes to the
-// switched reply's c0, zero off the read set, as a one-component
-// ciphertext, and a count that disagrees with the layer (in the header,
-// or a layer that reads one coefficient fewer), a residue ≥ q among c0's
-// reads, a set padding bit, a truncated or overlong frame, a wrong shape,
-// the layout that also carried c1 whole (tag 5), and the frame arriving
-// where a slot layer's full reply is due are refused by name.
+// checkRoundedC0 holds a decoded rounded c0 to the polynomial it was
+// rounded from: at each coefficient of idx (all when nil) within
+// q/2^(d+1) + 1 of it at the level's modulus q, read as the centered
+// distance at each residue's scale, and zero elsewhere.
+func checkRoundedC0(t *testing.T, ctx *bfv.Context, got, want *ring.Poly, d int, idx []int) {
+	t.Helper()
+	r := ctx.RingAtDrop(len(ctx.RingQ.Moduli) - len(want.Coeffs))
+	if len(got.Coeffs) != len(r.Moduli) {
+		t.Fatalf("decoded %d residues, want %d", len(got.Coeffs), len(r.Moduli))
+	}
+	diff := r.NewPoly()
+	r.Sub(got, want, diff)
+	vals := make([]*big.Int, r.N)
+	r.PolyToBigintCentered(diff, vals)
+	bound := new(big.Int).Rsh(r.ModulusBig(), uint(d+1))
+	bound.Add(bound, big.NewInt(1))
+	read := map[int]bool{}
+	for _, j := range idx {
+		read[j] = true
+	}
+	for j, v := range vals {
+		if idx == nil || read[j] {
+			if v.CmpAbs(bound) > 0 {
+				t.Fatalf("coefficient %d decodes %v away from c0, more than the rounding's %v", j, v, bound)
+			}
+			continue
+		}
+		for i := range got.Coeffs {
+			if got.Coeffs[i][j] != 0 {
+				t.Fatalf("coefficient %d, off the read set, decodes to %d", j, got.Coeffs[i][j])
+			}
+		}
+	}
+}
+
+// TestUnmarshalReadReplyRejects holds the rounded read reply decoder to
+// its contract: the frame a product-packed layer sends decodes to the
+// switched reply's c0 within its rounding at the read set, zero off it,
+// as a one-component ciphertext, and marshals back to itself; a frame
+// whose read count or width disagrees with the layer's (in the header, or
+// a layer that reads one coefficient fewer), a set padding bit, a
+// truncated or overlong frame, a wrong shape, the retired full-width
+// layouts (tags 5 and 6), a full reply, and the frame arriving where a
+// slot layer's full reply or an upload is due are refused by name.
 func TestUnmarshalReadReplyRejects(t *testing.T) {
 	f := newWireFrames(t)
-	idx := f.readIdx
-	r := f.bctx.RingAtDrop(f.bctx.Params.ReplyDrop())
-	q := r.Moduli[0].Value
-	read := func(idx []int) func([]byte) error {
-		return func(b []byte) error { _, err := UnmarshalBFVReadC0(f.bctx, b, idx); return err }
+	idx, d := f.readIdx, f.readWidth
+	read := func(idx []int, d int) func([]byte) error {
+		return func(b []byte) error { _, err := UnmarshalRoundedRead(f.bctx, b, idx, d); return err }
 	}
 	setLastBit := func(b []byte) []byte { b[len(b)-1] |= 0x80; return b }
 
-	ct, err := UnmarshalBFVReadC0(f.bctx, f.bfvRead, idx)
+	ct, err := UnmarshalRoundedRead(f.bctx, f.bfvRead, idx, d)
 	if err != nil {
 		t.Fatal(err)
-	}
-	whole, err := UnmarshalBFV(f.bctx, f.bfvDropped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reads := map[int]bool{}
-	for _, k := range idx {
-		reads[k] = true
 	}
 	if len(ct.Value) != 1 || ct.Drop != f.bctx.Params.ReplyDrop() {
 		t.Fatalf("decoded %d components at drop %d, want c0 alone at drop %d", len(ct.Value), ct.Drop, f.bctx.Params.ReplyDrop())
 	}
-	for j := range whole.Value[0].Coeffs[0] {
-		want := whole.Value[0].Coeffs[0][j]
-		if !reads[j] {
-			want = 0
-		}
-		if ct.Value[0].Coeffs[0][j] != want {
-			t.Fatalf("coefficient %d decodes to c0 %d, want %d", j, ct.Value[0].Coeffs[0][j], want)
-		}
+	checkRoundedC0(t, f.bctx, ct.Value[0], f.droppedC0, d, idx)
+	if !bytes.Equal(AppendRoundedRead(nil, f.bctx, ct.Value[0], idx, d), f.bfvRead) {
+		t.Error("the decoded c0 rounds back to another frame")
 	}
-	if got := len(f.bfvRead) + lengthPrefixBytes; got != ReadReplyBytes([]int{r.Moduli[0].BitLen()}, len(idx)) {
-		t.Errorf("the frame is %d B on the wire, ReadReplyBytes says %d", got, ReadReplyBytes([]int{r.Moduli[0].BitLen()}, len(idx)))
+	if got := len(f.bfvRead) + lengthPrefixBytes; got != RoundedFrameBytes(len(idx), d) {
+		t.Errorf("the frame is %d B on the wire, RoundedFrameBytes says %d", got, RoundedFrameBytes(len(idx), d))
+	}
+	if whole, err := UnmarshalRoundedRead(f.bctx, mutated(f.bfvRead, setU32(12, uint32(len(f.bctx.RingQ.Moduli)))), idx, d); err != nil || whole.Drop != 0 {
+		t.Errorf("a reply rounded from every residue: %v; want it read at drop 0, for the client to refuse by its level", err)
 	}
 
 	for _, tc := range []struct {
@@ -327,36 +356,99 @@ func TestUnmarshalReadReplyRejects(t *testing.T) {
 		frame  []byte
 		want   string // substring of the error; "" means the frame is valid
 	}{
-		{"valid", read(idx), f.bfvRead, ""},
-		{"largest read residue q-1", read(idx), mutated(f.bfvRead, withReadField(r, headerBytes, idx, 99, q-1)), ""},
-		{"header count one more than the layer reads", read(idx), mutated(f.bfvRead, setU64(16, uint64(len(idx)+1))), "the layer reads"},
-		{"header count 2^64-1", read(idx), mutated(f.bfvRead, setU64(16, math.MaxUint64)), "the layer reads"},
-		{"a layer reading one coefficient fewer", read(idx[:len(idx)-1]), f.bfvRead, "the layer reads"},
-		{"first read residue = q", read(idx), mutated(f.bfvRead, withReadField(r, headerBytes, idx, 0, q)), "not reduced"},
-		{"last read field of all ones", read(idx), mutated(f.bfvRead, withReadField(r, headerBytes, idx, 99, allOnes(r, 0))), "not reduced"},
-		{"padding bit set", read(idx), mutated(f.bfvRead, setLastBit), "padding"},
-		{"truncated in the header", read(idx), f.bfvRead[:20], "truncated"},
-		{"truncated in c0", read(idx), f.bfvRead[:len(f.bfvRead)-8], "length"},
-		{"header alone", read(idx), f.bfvRead[:headerBytes], "length"},
-		{"one word long", read(idx), append(bytes.Clone(f.bfvRead), make([]byte, 8)...), "length"},
-		{"k says every residue", read(idx), mutated(f.bfvRead, setU32(12, uint32(len(f.bctx.RingQ.Moduli)))), "length"},
-		{"k = 0", read(idx), mutated(f.bfvRead, setU32(12, 0)), "shape"},
-		{"two components", read(idx), mutated(f.bfvRead, setU32(4, 2)), "shape"},
-		{"N halved", read(idx), mutated(f.bfvRead, setU32(8, uint32(r.N/2))), "shape"},
-		{"the layout that carried c1 whole", read(idx), mutated(f.bfvRead, setU32(0, HelloVersion<<16|5)), "not the expected ciphertext tag"},
-		{"a full reply where reads are due", read(idx), f.bfvDropped, "not the expected ciphertext tag"},
+		{"valid", read(idx, d), f.bfvRead, ""},
+		{"largest field 2^d-1", read(idx, d), mutated(f.bfvRead, withField(headerBytes, d, 99, 1<<d-1)), ""},
+		{"header count one more than the layer reads", read(idx, d), mutated(f.bfvRead, setU64(16, uint64(d)<<32|uint64(len(idx)+1))), "the layer reads"},
+		{"header count 2^32-1", read(idx, d), mutated(f.bfvRead, setU64(16, uint64(d)<<32|(1<<32-1))), "the layer reads"},
+		{"a layer reading one coefficient fewer", read(idx[:len(idx)-1], d), f.bfvRead, "the layer reads"},
+		{"header width one more", read(idx, d), mutated(f.bfvRead, setU64(16, uint64(d+1)<<32|uint64(len(idx)))), "the layer's width"},
+		{"header width 2^32-1", read(idx, d), mutated(f.bfvRead, setU64(16, math.MaxUint64)), "the layer's width"},
+		{"a layer rounding one bit wider", read(idx, d+1), f.bfvRead, "the layer's width"},
+		{"padding bit set", read(idx, d), mutated(f.bfvRead, setLastBit), "padding"},
+		{"truncated in the header", read(idx, d), f.bfvRead[:20], "truncated"},
+		{"truncated in c0", read(idx, d), f.bfvRead[:len(f.bfvRead)-8], "length"},
+		{"header alone", read(idx, d), f.bfvRead[:headerBytes], "length"},
+		{"one word long", read(idx, d), append(bytes.Clone(f.bfvRead), make([]byte, 8)...), "length"},
+		{"k = 0", read(idx, d), mutated(f.bfvRead, setU32(12, 0)), "shape"},
+		{"k one past the context", read(idx, d), mutated(f.bfvRead, setU32(12, uint32(len(f.bctx.RingQ.Moduli)+1))), "shape"},
+		{"two components", read(idx, d), mutated(f.bfvRead, setU32(4, 2)), "shape"},
+		{"N halved", read(idx, d), mutated(f.bfvRead, setU32(8, uint32(f.bctx.RingQ.N/2))), "shape"},
+		{"the layout that carried c1 whole (tag 5)", read(idx, d), mutated(f.bfvRead, setU32(0, HelloVersion<<16|5)), "retired read reply carrying c1 whole"},
+		{"the full-width c0 read reply (tag 6)", read(idx, d), mutated(f.bfvRead, setU32(0, HelloVersion<<16|6)), "retired full-width c0 read reply"},
+		{"a full reply where reads are due", read(idx, d), f.bfvDropped, "not the expected ciphertext tag"},
 		{"the frame where a slot layer's reply is due", func(b []byte) error { _, err := UnmarshalBFV(f.bctx, b); return err }, f.bfvRead, "not the expected ciphertext tag"},
-		{"the frame as an upload", func(b []byte) error { _, err := UnmarshalAnyBFV(f.bctx, b); return err }, f.bfvRead, "not the expected ciphertext tag"},
+		{"the frame as a seeded upload", func(b []byte) error { _, err := UnmarshalAnyBFV(f.bctx, b); return err }, f.bfvRead, "not the expected ciphertext tag"},
+		{"the frame as a rounded upload", func(b []byte) error { _, err := UnmarshalRoundedUpload(f.bctx, b, d); return err }, f.bfvRead, "rounded product read reply"},
 	} {
-		err := tc.decode(tc.frame)
-		switch {
-		case tc.want == "" && err != nil:
-			t.Errorf("%s: rejected a valid frame: %v", tc.name, err)
-		case tc.want != "" && err == nil:
-			t.Errorf("%s: accepted the frame", tc.name)
-		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
-			t.Errorf("%s: failed with %q, want the %q check to fire", tc.name, err, tc.want)
-		}
+		checkRefusal(t, tc.name, tc.decode(tc.frame), tc.want)
+	}
+}
+
+// TestUnmarshalRoundedUploadRejects holds the rounded upload decoder to
+// its contract: a product layer's upload decodes to its c0 within the
+// rounding at every coefficient, at every residue, as a one-component
+// full-modulus ciphertext, and marshals back to itself; a width that is
+// not the layer's, a read count, a level below the top, a truncated or
+// overlong frame, a wrong shape, and a seeded upload — whose seed no
+// server reads — or a read reply in its place are refused by name.
+func TestUnmarshalRoundedUploadRejects(t *testing.T) {
+	f := newWireFrames(t)
+	d := f.uploadWidth
+	up := func(d int) func([]byte) error {
+		return func(b []byte) error { _, err := UnmarshalRoundedUpload(f.bctx, b, d); return err }
+	}
+	ct, err := UnmarshalRoundedUpload(f.bctx, f.bfvUpload, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ct.Value) != 1 || ct.Drop != 0 {
+		t.Fatalf("decoded %d components at drop %d, want c0 alone at drop 0", len(ct.Value), ct.Drop)
+	}
+	checkRoundedC0(t, f.bctx, ct.Value[0], f.uploadC0, d, nil)
+	if !bytes.Equal(AppendRoundedUpload(nil, f.bctx, ct.Value[0], d), f.bfvUpload) {
+		t.Error("the decoded c0 rounds back to another frame")
+	}
+	if got := len(f.bfvUpload) + lengthPrefixBytes; got != RoundedFrameBytes(f.bctx.RingQ.N, d) {
+		t.Errorf("the frame is %d B on the wire, RoundedFrameBytes says %d", got, RoundedFrameBytes(f.bctx.RingQ.N, d))
+	}
+	full := uint32(len(f.bctx.RingQ.Moduli))
+	for _, tc := range []struct {
+		name   string
+		decode func([]byte) error
+		frame  []byte
+		want   string
+	}{
+		{"valid", up(d), f.bfvUpload, ""},
+		{"largest field 2^d-1", up(d), mutated(f.bfvUpload, withField(headerBytes, d, 0, 1<<d-1)), ""},
+		{"header width one less", up(d), mutated(f.bfvUpload, setU64(16, uint64(d-1)<<32)), "the layer's width"},
+		{"a layer rounding one bit narrower", up(d - 1), f.bfvUpload, "the layer's width"},
+		{"a read count", up(d), mutated(f.bfvUpload, setU64(16, uint64(d)<<32|1)), "carries every coefficient"},
+		{"rounded from one residue", up(d), mutated(f.bfvUpload, setU32(12, full-1)), "rounded from all"},
+		{"k = 0", up(d), mutated(f.bfvUpload, setU32(12, 0)), "shape"},
+		{"two components", up(d), mutated(f.bfvUpload, setU32(4, 2)), "shape"},
+		{"N halved", up(d), mutated(f.bfvUpload, setU32(8, uint32(f.bctx.RingQ.N/2))), "shape"},
+		{"truncated in the header", up(d), f.bfvUpload[:20], "truncated"},
+		{"one word short", up(d), f.bfvUpload[:len(f.bfvUpload)-8], "length"},
+		{"one word long", up(d), append(bytes.Clone(f.bfvUpload), make([]byte, 8)...), "length"},
+		{"a seeded upload", up(d), f.bfvSeeded, "seeded BFV ciphertext"},
+		{"a read reply", up(d), f.bfvRead, "rounded product read reply"},
+		{"the frame as a seeded upload", func(b []byte) error { _, err := UnmarshalAnyBFV(f.bctx, b); return err }, f.bfvUpload, "rounded product upload"},
+	} {
+		checkRefusal(t, tc.name, tc.decode(tc.frame), tc.want)
+	}
+}
+
+// checkRefusal fails t unless err is nil where want is "" and otherwise
+// holds want.
+func checkRefusal(t *testing.T, name string, err error, want string) {
+	t.Helper()
+	switch {
+	case want == "" && err != nil:
+		t.Errorf("%s: rejected a valid frame: %v", name, err)
+	case want != "" && err == nil:
+		t.Errorf("%s: accepted the frame", name)
+	case want != "" && !strings.Contains(err.Error(), want):
+		t.Errorf("%s: failed with %q, want the %q check to fire", name, err, want)
 	}
 }
 

@@ -46,12 +46,29 @@ const (
 	// about half the bytes of a regular frame.
 	SchemeBFVSeeded  = HelloVersion<<16 | uint32(3)
 	SchemeCKKSSeeded = HelloVersion<<16 | uint32(4)
-	// SchemeBFVReadC0 tags a product-packed layer's reply: c0 at the
-	// coefficients the layer reads and nothing else, their count in the
-	// header's spare field (AppendBFVReadC0); the client rebuilds c1. Tag
-	// 5 was the layout that also carried c1 whole, and is refused.
-	SchemeBFVReadC0 = HelloVersion<<16 | uint32(6)
+	// SchemeBFVRounded tags a product layer's upload: c0 rounded to d bits
+	// a coefficient and no seed (AppendRoundedUpload). SchemeBFVRoundedRead
+	// tags its reply: the switched c0 rounded to d′ bits at the
+	// coefficients the layer reads (AppendRoundedRead); the client rebuilds
+	// c1. Tags 5 and 6 were full-width read replies and are refused by
+	// name (tagNames).
+	SchemeBFVRounded     = HelloVersion<<16 | uint32(7)
+	SchemeBFVRoundedRead = HelloVersion<<16 | uint32(8)
 )
+
+// tagNames names every ciphertext tag a peer of this version may meet,
+// the retired ones included, for the error that refuses one where another
+// is due.
+var tagNames = map[uint32]string{
+	SchemeBFV:                    "full BFV ciphertext",
+	SchemeCKKS:                   "full CKKS ciphertext",
+	SchemeBFVSeeded:              "seeded BFV ciphertext",
+	SchemeCKKSSeeded:             "seeded CKKS ciphertext",
+	HelloVersion<<16 | uint32(5): "retired read reply carrying c1 whole",
+	HelloVersion<<16 | uint32(6): "retired full-width c0 read reply",
+	SchemeBFVRounded:             "rounded product upload",
+	SchemeBFVRoundedRead:         "rounded product read reply",
+}
 
 // frameShape says what a frame family carries besides its residues: a
 // seed in place of c1, and a CKKS scale in the header's spare field
@@ -122,12 +139,16 @@ func checkTag(data []byte, tag uint32) error {
 		return fmt.Errorf("protocol: truncated ciphertext")
 	}
 	got := binary.LittleEndian.Uint32(data)
-	if family := got & 0xffff; got>>16 != HelloVersion && family >= SchemeBFV&0xffff && family <= SchemeBFVReadC0&0xffff {
+	if family := got & 0xffff; got>>16 != HelloVersion && family >= SchemeBFV&0xffff && family <= SchemeBFVRoundedRead&0xffff {
 		// Version 1 wrote the bare family, before tags carried a version.
 		return fmt.Errorf("protocol: ciphertext frame is wire version %d, this peer speaks version %d (packed residue rows)",
 			max(got>>16, 1), HelloVersion)
 	}
-	return fmt.Errorf("protocol: frame tag %#x is not the expected ciphertext tag %#x", got, tag)
+	name := tagNames[got]
+	if name == "" {
+		name = "unknown"
+	}
+	return fmt.Errorf("protocol: frame tag %#x (%s) is not the expected ciphertext tag %#x (%s)", got, name, tag, tagNames[tag])
 }
 
 // unmarshalFrame reads every ciphertext frame of the family tag under
@@ -198,44 +219,88 @@ func UnmarshalBFV(ctx *bfv.Context, data []byte) (*bfv.Ciphertext, error) {
 	return &bfv.Ciphertext{Value: value, Drop: len(ctx.RingQ.Moduli) - len(value[0].Coeffs)}, nil
 }
 
-// ReadReplyBytes returns what one read-coefficient reply frame costs on
-// the wire, the transport's length prefix included: the header, then c0's
-// reads coefficients at each residue of qBits, at that residue's bit
-// width (ring.PackedFieldsBytes).
-func ReadReplyBytes(qBits []int, reads int) int {
-	total := lengthPrefixBytes + headerBytes
-	for _, b := range qBits {
-		total += ring.PackedFieldsBytes(reads, b)
+// Rounded frames: a product layer's upload and reply carry c0 as d-bit
+// fields r = round(c0·2^d/Q) mod 2^d (bfv.Context.AppendRounded, one pass
+// that rounds and packs), in ring.AppendFields' layout behind the 24-byte
+// header: tag, 1 component, N, the residue count k of the level c0 was
+// rounded from, and the width d in the spare field's high half — the low
+// half holds a reply's read count, and 0 in an upload, which carries every
+// coefficient. Both ends derive d from the parameter set and the layer
+// (bfv.Parameters.UploadBits, ReplyBits); a frame whose width is not the
+// rule's is refused. An upload carries no seed: the server computes c0
+// alone, and the client rebuilds the reply's c1 from its own a.
+
+// RoundedFrameBytes returns what a rounded frame of fields d-bit fields
+// costs on the wire, the transport's length prefix included: an upload
+// carries N fields, a read reply one per read coefficient.
+func RoundedFrameBytes(fields, d int) int {
+	return lengthPrefixBytes + headerBytes + ring.PackedFieldsBytes(fields, d)
+}
+
+// AppendRoundedUpload appends to dst the upload of a product layer: c0, a
+// fresh encryption's at the full data modulus, rounded to d bits at every
+// coefficient. A client that uploads layer after layer reuses one buffer.
+func AppendRoundedUpload(dst []byte, ctx *bfv.Context, c0 *ring.Poly, d int) []byte {
+	n := len(c0.Coeffs[0])
+	buf := appendHeader(dst, headerBytes+ring.PackedFieldsBytes(n, d), SchemeBFVRounded, 1, n, len(c0.Coeffs), uint64(d)<<32)
+	return ctx.AppendRounded(buf, c0, d, nil)
+}
+
+// UnmarshalRoundedUpload reads the upload AppendRoundedUpload wrote at
+// width d, strictly: the tag (a seeded upload, which carries a seed no
+// server reads, is refused by name), N, 1 component, every data residue,
+// the width against d, the exact length, and zero padding bits; a d-bit
+// field is below 2^d by its width. It returns c0 lifted back to every
+// residue (bfv.Context.LiftRounded) as a one-component ciphertext, the
+// server half of a product layer.
+func UnmarshalRoundedUpload(ctx *bfv.Context, data []byte, d int) (*bfv.Ciphertext, error) {
+	c0, err := unmarshalRounded(ctx, data, SchemeBFVRounded, d, nil)
+	if err != nil {
+		return nil, err
 	}
-	return total
+	return &bfv.Ciphertext{Value: []*ring.Poly{c0}}, nil
 }
 
-// AppendBFVReadC0 appends, to dst, the reply of a product-packed layer
-// whose client reads only the coefficients idx of its decryption and
-// rebuilds c1 itself (bfv.Context.ProductC1): coefficient k of the
-// decryption is c0[k] + (c1·s)[k], and the client holds c1 and s, so the
-// frame is the 24-byte header (tag SchemeBFVReadC0, 1 component, N,
-// residue count k, len(idx) in the spare field) and c0's rows at idx as
-// packed fields (ring.Poly.AppendPackedAt). The indices do not travel:
-// both ends derive them from the layer (core.Conv2D.ReadIndices,
-// core.FC.ReadIndices). A server that sends reply after reply reuses
-// one buffer.
-func AppendBFVReadC0(dst []byte, c0 *ring.Poly, idx []int) []byte {
-	buf := appendHeader(dst, headerBytes+c0.PackedBytesAt(len(idx)),
-		SchemeBFVReadC0, 1, len(c0.Coeffs[0]), len(c0.Coeffs), uint64(len(idx)))
-	return c0.AppendPackedAt(buf, idx)
+// AppendRoundedRead appends to dst the reply of a product layer whose
+// client reads only the coefficients idx of its decryption: coefficient k
+// of the decryption is c0[k] + (c1·s)[k], and the client holds c1 and s,
+// so the frame carries c0 — the switched output's, at its level — rounded
+// to d bits at idx and nothing else. The indices do not travel: both ends
+// derive them from the layer (core.Conv2D.ReadIndices,
+// core.FC.ReadIndices). A server that sends reply after reply reuses one
+// buffer.
+func AppendRoundedRead(dst []byte, ctx *bfv.Context, c0 *ring.Poly, idx []int, d int) []byte {
+	buf := appendHeader(dst, headerBytes+ring.PackedFieldsBytes(len(idx), d),
+		SchemeBFVRoundedRead, 1, len(c0.Coeffs[0]), len(c0.Coeffs), uint64(d)<<32|uint64(len(idx)))
+	return ctx.AppendRounded(buf, c0, d, idx)
 }
 
-// UnmarshalBFVReadC0 reads a frame AppendBFVReadC0 wrote for the reads
-// idx of a layer, strictly: the tag, N and a residue count the context
-// has, 1 component, a read count equal to len(idx), the exact length,
-// every read residue below its modulus, and zero padding bits. It returns
-// the reply's c0 as a one-component ciphertext at its level, zero at
-// every coefficient the layer does not read; the client appends the c1
-// it rebuilds before it decrypts, and the decryption is exact at the
-// read coefficients and meaningless elsewhere.
-func UnmarshalBFVReadC0(ctx *bfv.Context, data []byte, idx []int) (*bfv.Ciphertext, error) {
-	if err := checkTag(data, SchemeBFVReadC0); err != nil {
+// UnmarshalRoundedRead reads a frame AppendRoundedRead wrote for the reads
+// idx of a layer at width d, strictly: the tag (the retired full-width
+// replies are refused by name), N, 1 component, a residue count the
+// context has, the width against d and the read count against len(idx),
+// the exact length, and zero padding bits. It returns the reply's c0
+// lifted back at its level (bfv.Context.LiftRounded) as a one-component
+// ciphertext, zero at every coefficient the layer does not read; the
+// client appends the c1 it rebuilds before it decrypts, and the
+// decryption is exact at the read coefficients and meaningless elsewhere.
+func UnmarshalRoundedRead(ctx *bfv.Context, data []byte, idx []int, d int) (*bfv.Ciphertext, error) {
+	c0, err := unmarshalRounded(ctx, data, SchemeBFVRoundedRead, d, idx)
+	if err != nil {
+		return nil, err
+	}
+	return &bfv.Ciphertext{Value: []*ring.Poly{c0}, Drop: len(ctx.RingQ.Moduli) - len(c0.Coeffs)}, nil
+}
+
+// unmarshalRounded checks a rounded frame of the family tag — an upload
+// when idx is nil, a read reply of len(idx) fields otherwise — and lifts
+// its fields into a polynomial of its level.
+func unmarshalRounded(ctx *bfv.Context, data []byte, tag uint32, d int, idx []int) (*ring.Poly, error) {
+	kind := "rounded upload"
+	if idx != nil {
+		kind = "read reply"
+	}
+	if err := checkTag(data, tag); err != nil {
 		return nil, err
 	}
 	if len(data) < headerBytes {
@@ -244,24 +309,43 @@ func UnmarshalBFVReadC0(ctx *bfv.Context, data []byte, idx []int) (*bfv.Cipherte
 	deg := int(binary.LittleEndian.Uint32(data[4:]))
 	n := int(binary.LittleEndian.Uint32(data[8:]))
 	k := int(binary.LittleEndian.Uint32(data[12:]))
-	reads := binary.LittleEndian.Uint64(data[16:])
+	spare := binary.LittleEndian.Uint64(data[16:])
 	if full := len(ctx.RingQ.Moduli); n != ctx.RingQ.N || k < 1 || k > full || deg != 1 {
-		return nil, fmt.Errorf("protocol: read reply shape (N=%d,k=%d, %d components) does not match context (N=%d,k≤%d, 1 component)",
-			n, k, deg, ctx.RingQ.N, full)
+		return nil, fmt.Errorf("protocol: %s shape (N=%d,k=%d, %d components) does not match context (N=%d,k≤%d, 1 component)",
+			kind, n, k, deg, ctx.RingQ.N, full)
+	} else if idx == nil && k != full {
+		return nil, fmt.Errorf("protocol: rounded upload from %d residues, an upload is rounded from all %d", k, full)
 	}
-	if reads != uint64(len(idx)) {
-		return nil, fmt.Errorf("protocol: read reply carries %d coefficients, the layer reads %d", reads, len(idx))
+	if width := spare >> 32; width != uint64(d) {
+		return nil, fmt.Errorf("protocol: %s rounded to %d bits, the layer's width is %d", kind, width, d)
 	}
-	r := ctx.RingAtLevel(k - 1)
-	if want := headerBytes + r.PackedBytesAt(len(idx)); len(data) != want {
-		return nil, fmt.Errorf("protocol: read reply length %d, want %d", len(data), want)
+	fields := n
+	if idx != nil {
+		fields = len(idx)
+		if reads := spare & (1<<32 - 1); reads != uint64(len(idx)) {
+			return nil, fmt.Errorf("protocol: read reply carries %d coefficients, the layer reads %d", reads, len(idx))
+		}
+	} else if spare&(1<<32-1) != 0 {
+		return nil, fmt.Errorf("protocol: rounded upload names %d reads, an upload carries every coefficient", spare&(1<<32-1))
 	}
+	if want := headerBytes + ring.PackedFieldsBytes(fields, d); len(data) != want {
+		return nil, fmt.Errorf("protocol: %s length %d, want %d", kind, len(data), want)
+	}
+	r := ctx.RingAtDrop(len(ctx.RingQ.Moduli) - k)
 	c0 := r.GetPoly()
-	if err := c0.UnpackAt(data[headerBytes:], idx); err != nil {
-		r.PutPoly(c0)
-		return nil, fmt.Errorf("protocol: read reply c0: %w", err)
+	row := c0.Coeffs[0]
+	var err error
+	if idx == nil {
+		err = ring.UnpackFieldRun(data[headerBytes:], row, uint(d))
+	} else {
+		err = ring.UnpackFields(data[headerBytes:], len(idx), uint(d), math.MaxUint64, func(k int, v uint64) { row[idx[k]] = v })
 	}
-	return &bfv.Ciphertext{Value: []*ring.Poly{c0}, Drop: len(ctx.RingQ.Moduli) - k}, nil
+	if err != nil {
+		r.PutPoly(c0)
+		return nil, fmt.Errorf("protocol: %s c0: %w", kind, err)
+	}
+	ctx.LiftRounded(c0, d, idx)
+	return c0, nil
 }
 
 // MarshalSeededBFV serializes a seed-compressed ciphertext.
@@ -284,19 +368,6 @@ func UnmarshalSeededBFV(ctx *bfv.Context, data []byte) (*bfv.Ciphertext, error) 
 		return nil, err
 	}
 	return (&bfv.SeededCiphertext{C0: c0, Seed: seed}).Expand(ctx), nil
-}
-
-// UnmarshalSeededBFVC0 reads a seed-compressed ciphertext's c0 alone,
-// as a one-component ciphertext: the server half of a product-packed
-// layer, whose client rebuilds the reply's c1 from its own a
-// (bfv.Context.ProductC1), never expands the seed. The frame is checked
-// as UnmarshalSeededBFV checks it.
-func UnmarshalSeededBFVC0(ctx *bfv.Context, data []byte) (*bfv.Ciphertext, error) {
-	c0, _, err := unmarshalSeededBFV(ctx, data)
-	if err != nil {
-		return nil, err
-	}
-	return &bfv.Ciphertext{Value: []*ring.Poly{c0}}, nil
 }
 
 // unmarshalSeededBFV reads a seeded BFV frame's c0 and seed.

@@ -11,9 +11,9 @@ import (
 // and not as N 64-bit words — at bfv-B's 36-bit primes 44 % of a flat
 // word dump is zero. This file is the one place that knows the layout;
 // ciphertext frames and key bundles (internal/protocol) are headers
-// around AppendPacked and Unpack (a read-coefficient reply's c0 around
-// AppendPackedAt and UnpackAt, below), and every byte count anywhere in
-// the tree comes from PackedBytes and PackedFieldsBytes.
+// around AppendPacked and Unpack (a product layer's rounded c0 around
+// the packed fields below), and every byte count anywhere in the tree
+// comes from PackedBytes and PackedFieldsBytes.
 //
 // Layout of one row: four interleaved little-endian bitstreams. Stream l
 // carries coefficients l, l+4, l+8, … as consecutive b-bit fields, and
@@ -160,12 +160,12 @@ func unpackRow(row []uint64, src []byte, b uint, q uint64) bool {
 	return inRange>>63 != 0
 }
 
-// Packed fields: the wire form of a chosen subset of one residue row, as
-// a product-packed layer's reply carries c0 at the coefficients the client
-// reads, and of any other run of small values (the model frame's offset
-// weights, protocol.MarshalModel). count b-bit values travel as one
-// little-endian bitstream, value i at bits [i·b, (i+1)·b), closed to
-// whole 8-byte words with zero bits.
+// Packed fields: the wire form of a run of values of one width — a
+// product layer's c0 rounded to d bits (bfv.Context.AppendRounded), at
+// every coefficient or at the ones the client reads, and the model
+// frame's offset weights (protocol.MarshalModel). count b-bit values
+// travel as one little-endian bitstream, value i at bits [i·b, (i+1)·b),
+// closed to whole 8-byte words with zero bits.
 
 // PackedFieldsBytes returns the packed size of count values of b bits.
 func PackedFieldsBytes(count, b int) int { return (count*b + 63) / 64 * 8 }
@@ -173,19 +173,36 @@ func PackedFieldsBytes(count, b int) int { return (count*b + 63) / 64 * 8 }
 // AppendFields appends count values, value(i) for each, b bits each
 // (1 ≤ b ≤ 63), to dst. Every value must be below 2^b.
 func AppendFields(dst []byte, count int, b uint, value func(int) uint64) []byte {
-	off, n := len(dst), PackedFieldsBytes(count, int(b))
+	var run [256]uint64
+	for i := 0; i < count; i += len(run) {
+		n := min(len(run), count-i)
+		for k := range run[:n] {
+			run[k] = value(i + k)
+		}
+		dst = AppendFieldRun(dst, run[:n], b)
+	}
+	return dst
+}
+
+// AppendFieldRun appends values, b bits each (1 ≤ b ≤ 63), to dst as one
+// packed-field stream closed to a whole word. A run of a multiple of 64
+// values ends on a word boundary, so such runs appended one after another
+// are one stream: a producer that computes its values in a pass of its
+// own packs them as it goes, a block at a time (bfv.Context.AppendRounded).
+// Every value must be below 2^b.
+func AppendFieldRun(dst []byte, values []uint64, b uint) []byte {
+	off, n := len(dst), PackedFieldsBytes(len(values), int(b))
 	dst = slices.Grow(dst, n)[:off+n]
 	out := dst[off:]
 	var acc uint64
 	var fill uint
-	for i := 0; i < count; i++ {
-		v := value(i)
-		acc |= v << fill
+	for _, v := range values {
+		acc |= v << (fill & 63) // the masks tell the compiler the counts are below 64
 		if fill += b; fill >= 64 {
 			binary.LittleEndian.PutUint64(out, acc)
 			out = out[8:]
 			fill -= 64
-			acc = v >> (b - fill) // the bits of v the stored word had no room for
+			acc = v >> ((b - fill) & 63) // the bits of v the stored word had no room for
 		}
 	}
 	if fill > 0 {
@@ -203,73 +220,49 @@ func UnpackFields(src []byte, count int, b uint, q uint64, set func(int, uint64)
 	if want := PackedFieldsBytes(count, int(b)); len(src) != want {
 		return fmt.Errorf("ring: %d packed bytes, %d fields of %d bits take %d", len(src), count, b, want)
 	}
-	mask := uint64(1)<<b - 1
-	var acc uint64 // bits read and not yet handed out
-	var have uint  // how many
-	for i := 0; i < count; i++ {
-		v := acc
-		if have < b {
-			w := binary.LittleEndian.Uint64(src)
-			src = src[8:]
-			v |= w << have
-			used := b - have // 1…b bits of w complete the field
-			acc, have = w>>used, 64-used
-		} else {
-			acc, have = acc>>b, have-b
+	var run [256]uint64
+	for i := 0; i < count; i += len(run) {
+		n := min(len(run), count-i)
+		size := PackedFieldsBytes(n, int(b))
+		if err := UnpackFieldRun(src[:size], run[:n], b); err != nil {
+			return err
 		}
-		if v &= mask; v >= q {
-			return fmt.Errorf("ring: packed field %d holds %d, not reduced mod %d", i, v, q)
+		src = src[size:]
+		for k, v := range run[:n] {
+			if v >= q {
+				return fmt.Errorf("ring: packed field %d holds %d, not reduced mod %d", i+k, v, q)
+			}
+			set(i+k, v)
 		}
-		set(i, v)
-	}
-	if acc != 0 {
-		return fmt.Errorf("ring: packed fields carry set padding bits")
 	}
 	return nil
 }
 
-// PackedBytesAt returns the packed size of count coefficients of each row
-// of a polynomial of r (AppendPackedAt).
-func (r *Ring) PackedBytesAt(count int) int {
-	total := 0
-	for _, m := range r.Moduli {
-		total += PackedFieldsBytes(count, m.BitLen())
+// UnpackFieldRun is AppendFieldRun's inverse: it fills values from src,
+// which must be exactly PackedFieldsBytes(len(values), b) long, and
+// refuses a set padding bit. A value of b bits needs no other check.
+func UnpackFieldRun(src []byte, values []uint64, b uint) error {
+	if want := PackedFieldsBytes(len(values), int(b)); len(src) != want {
+		return fmt.Errorf("ring: %d packed bytes, %d fields of %d bits take %d", len(src), len(values), b, want)
 	}
-	return total
-}
-
-// PackedBytesAt returns the packed size of count coefficients of each row
-// of p.
-func (p *Poly) PackedBytesAt(count int) int { return p.wireRing().PackedBytesAt(count) }
-
-// AppendPackedAt appends p's coefficients at idx, row by row, each row's
-// values as packed fields of its modulus' width.
-func (p *Poly) AppendPackedAt(dst []byte, idx []int) []byte {
-	r := p.wireRing()
-	for i, row := range p.Coeffs {
-		dst = AppendFields(dst, len(idx), uint(r.Moduli[i].BitLen()), func(j int) uint64 { return row[idx[j]] })
-	}
-	return dst
-}
-
-// UnpackAt is AppendPackedAt's inverse: it sets p's coefficients at idx
-// from src, which must be exactly PackedBytesAt(len(idx)) long, and every
-// other coefficient to zero. A value that is not a residue of its
-// modulus, or a set padding bit, is an error. Do not use p after an
-// error.
-func (p *Poly) UnpackAt(src []byte, idx []int) error {
-	r := p.wireRing()
-	if want := r.PackedBytesAt(len(idx)); len(src) != want {
-		return fmt.Errorf("ring: %d packed bytes, %d coefficients of this ring take %d", len(src), len(idx), want)
-	}
-	for i, row := range p.Coeffs {
-		m := r.Moduli[i]
-		n := PackedFieldsBytes(len(idx), m.BitLen())
-		clear(row)
-		if err := UnpackFields(src[:n], len(idx), uint(m.BitLen()), m.Value, func(j int, v uint64) { row[idx[j]] = v }); err != nil {
-			return fmt.Errorf("ring: residue row %d: %w", i, err)
+	mask := uint64(1)<<b - 1
+	var acc uint64 // bits read and not yet handed out
+	var have uint  // how many
+	for i := range values {
+		v := acc
+		if have < b {
+			w := binary.LittleEndian.Uint64(src)
+			src = src[8:]
+			v |= w << (have & 63) // the masks tell the compiler the counts are below 64
+			used := b - have      // 1…b bits of w complete the field
+			acc, have = w>>(used&63), 64-used
+		} else {
+			acc, have = acc>>(b&63), have-b
 		}
-		src = src[n:]
+		values[i] = v & mask
+	}
+	if acc != 0 {
+		return fmt.Errorf("ring: packed fields carry set padding bits")
 	}
 	return nil
 }

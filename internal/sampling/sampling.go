@@ -119,62 +119,33 @@ func barrettRem(v, q, m uint64) uint64 {
 // Ternary fills out with values drawn uniformly from {-1, 0, 1},
 // represented mod q (so -1 becomes q-1). This is the distribution of
 // RLWE secrets and of the encryption randomness u.
-func (s *Source) Ternary(out []uint64, q uint64) {
-	// Draw 2 random bits per trial; the pair 0b11 is rejected so the
-	// three remaining outcomes are equiprobable. Leftover bits are
-	// discarded at the end of the call (as the pre-batched sampler
-	// did), so the word consumption count is shape-determined.
-	var buf uint64
-	var bitsLeft int
-	for i := range out {
-		for {
-			if bitsLeft < 2 {
-				buf = s.Uint64()
-				bitsLeft = 64
-			}
-			v := buf & 3
-			buf >>= 2
-			bitsLeft -= 2
-			switch v {
-			case 0:
-				out[i] = 0
-			case 1:
-				out[i] = 1
-			case 2:
-				out[i] = q - 1
-			default:
-				continue
-			}
-			break
-		}
-	}
-}
+func (s *Source) Ternary(out []uint64, q uint64) { ternary(s, out, q-1) }
 
-// TernarySigned fills out with values in {-1, 0, 1} as signed integers.
-func (s *Source) TernarySigned(out []int64) {
+// TernarySigned fills out with values in {-1, 0, 1} as signed integers,
+// drawn as Ternary draws them.
+func (s *Source) TernarySigned(out []int64) { ternary(s, out, -1) }
+
+// ternary is Ternary with −1 written as minusOne. Each trial takes the
+// next 2 random bits and the pair 0b11 is rejected, so the three
+// remaining outcomes are equiprobable. Leftover bits are discarded at the
+// end of the call, so the word consumption count is shape-determined.
+// No branch reads a draw: every trial writes its value, 1 for 0b01 and
+// minusOne for 0b10, at the output index, and the index advances by
+// (v ≠ 3), so a rejected draw is overwritten by the next. The loop's own
+// count of trials is the only thing a draw moves.
+func ternary[T uint64 | int64](s *Source, out []T, minusOne T) {
 	var buf uint64
 	var bitsLeft int
-	for i := range out {
-		for {
-			if bitsLeft < 2 {
-				buf = s.Uint64()
-				bitsLeft = 64
-			}
-			v := buf & 3
-			buf >>= 2
-			bitsLeft -= 2
-			switch v {
-			case 0:
-				out[i] = 0
-			case 1:
-				out[i] = 1
-			case 2:
-				out[i] = -1
-			default:
-				continue
-			}
-			break
+	for i := 0; i < len(out); {
+		if bitsLeft < 2 {
+			buf = s.Uint64()
+			bitsLeft = 64
 		}
+		v := buf & 3
+		buf >>= 2
+		bitsLeft -= 2
+		out[i] = T(v&1) + minusOne*T(v>>1&1)
+		i += int(1 - (v+1)>>2) // v + 1 reaches 4 only for the rejected 0b11
 	}
 }
 

@@ -566,3 +566,84 @@ func newRefXOF(seed [32]byte, label string) *refXOF {
 }
 
 func (r *refXOF) Uint64() uint64 { return r.x.Uint64() }
+
+// ternaryBranching is the ternary loop as it was before the branch-free
+// one: a switch on each draw, a rejected one retried in place. It is the
+// oracle of TestTernaryMatchesBranchingLoop.
+func ternaryBranching(s *Source, out []uint64, q uint64) {
+	var buf uint64
+	var bitsLeft int
+	for i := range out {
+		for {
+			if bitsLeft < 2 {
+				buf = s.Uint64()
+				bitsLeft = 64
+			}
+			v := buf & 3
+			buf >>= 2
+			bitsLeft -= 2
+			switch v {
+			case 0:
+				out[i] = 0
+			case 1:
+				out[i] = 1
+			case 2:
+				out[i] = q - 1
+			default:
+				continue
+			}
+			break
+		}
+	}
+}
+
+// TestTernaryMatchesBranchingLoop: the branch-free Ternary and
+// TernarySigned write, word for word, what the branching loop wrote, at
+// lengths from 0 to past several stream refills, and leave the stream
+// where it left it (the next words drawn agree).
+func TestTernaryMatchesBranchingLoop(t *testing.T) {
+	const q = 0xffffffff00000001
+	for _, n := range []int{0, 1, 31, 32, 33, 1000, 4096, 8192, 3 * sourceBufWords} {
+		label := fmt.Sprintf("ternary-golden-%d", n)
+		want, got := make([]uint64, n), make([]uint64, n)
+		signed := make([]int64, n)
+		a, b, c := src(label), src(label), src(label)
+		ternaryBranching(a, want, q)
+		b.Ternary(got, q)
+		c.TernarySigned(signed)
+		for i := range want {
+			ws := int64(want[i])
+			if want[i] == q-1 {
+				ws = -1
+			}
+			if got[i] != want[i] || signed[i] != ws {
+				t.Fatalf("n = %d, coefficient %d: branch-free %d / %d signed, the branching loop %d", n, i, got[i], signed[i], want[i])
+			}
+		}
+		if x, y, z := a.Uint64(), b.Uint64(), c.Uint64(); x != y || x != z {
+			t.Fatalf("n = %d: the stream continues at %#x / %#x, the branching loop's at %#x", n, y, z, x)
+		}
+	}
+}
+
+// BenchmarkTernary times the branch-free sampler against the branching
+// loop it replaced at n = 4 096 and 8 192.
+func BenchmarkTernary(b *testing.B) {
+	for _, n := range []int{4096, 8192} {
+		out := make([]uint64, n)
+		for _, tc := range []struct {
+			name string
+			fill func(*Source)
+		}{
+			{"branchfree", func(s *Source) { s.Ternary(out, 97) }},
+			{"branching", func(s *Source) { ternaryBranching(s, out, 97) }},
+		} {
+			b.Run(fmt.Sprintf("%s/n=%d", tc.name, n), func(b *testing.B) {
+				s := src("ternary-bench")
+				for i := 0; i < b.N; i++ {
+					tc.fill(s)
+				}
+			})
+		}
+	}
+}

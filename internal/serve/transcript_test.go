@@ -93,6 +93,10 @@ func TestTranscriptHoldsNoSecret(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs[i].Check(t, testkit.NNFrames(ctx), testkit.NewSecret(ctx.Context, testkit.Seed("serve transcript "+net.Name)))
+		cost, err := nn.ExecutableRequestCost(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[i].Check(t, testkit.NNFrames(ctx, cost.UploadBytes), testkit.NewSecret(ctx.Context, testkit.Seed("serve transcript "+net.Name)))
 	}
 }

@@ -19,6 +19,7 @@ package testkit
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sync"
 
 	"choco/internal/bfv"
@@ -108,9 +109,17 @@ func (r *Recorder) Down() [][]byte {
 func Seed(label string) [32]byte { return sha256.Sum256([]byte(label)) }
 
 // NNFrames is the strict decoder of every frame an nn.InferenceClient
-// sends: its hello, its key bundle, its model request, or a seeded
-// upload.
-func NNFrames(ctx *bfv.Context) func([]byte) error {
+// sends: its hello, its key bundle, its model request, or a rounded upload
+// at a width whose frame is one of uploadBytes long (the client's
+// nn.RequestCost.UploadBytes, which prices each upload at its layer's
+// width).
+func NNFrames(ctx *bfv.Context, uploadBytes []int) func([]byte) error {
+	var widths []int
+	for d := 1; d <= 63; d++ {
+		if slices.Contains(uploadBytes, protocol.RoundedFrameBytes(ctx.Params.N(), d)) {
+			widths = append(widths, d)
+		}
+	}
 	return func(f []byte) error {
 		if protocol.IsHello(f) {
 			_, err := protocol.ParseHello(f)
@@ -119,11 +128,13 @@ func NNFrames(ctx *bfv.Context) func([]byte) error {
 		if protocol.IsModelRequest(f) {
 			return nil
 		}
-		if _, err := protocol.UnmarshalSeededBFV(ctx, f); err == nil {
-			return nil
+		for _, d := range widths {
+			if _, err := protocol.UnmarshalRoundedUpload(ctx, f, d); err == nil {
+				return nil
+			}
 		}
 		if _, err := protocol.UnmarshalKeyBundle(ctx, f); err != nil {
-			return fmt.Errorf("neither a hello, a model request, a seeded upload nor a key bundle: %w", err)
+			return fmt.Errorf("neither a hello, a model request, a rounded upload nor a key bundle: %w", err)
 		}
 		return nil
 	}

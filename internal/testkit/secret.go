@@ -1,7 +1,6 @@
 package testkit
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -92,26 +91,20 @@ func NewSecret(ctx *rlwe.Context, seed [32]byte) *Secret {
 	return s
 }
 
-// spareDraws is how many seeded encryptions past the last one an upload
-// holds the Secret still rebuilds: an encryption the client made but did
-// not send, or one whose public seed a leak overwrote.
+// spareDraws is how many seeded encryptions past the uploads the Secret
+// rebuilds: an encryption the client made but did not send.
 const spareDraws = 2
 
 // addSeededDraws rebuilds the error of each seeded encryption the client
-// uploaded. The symmetric encryptor's stream gives each encryption's
-// public seed, then its error, whatever the level, so the replay draws in
-// that order and goes on while the uploads hold the seeds it draws.
+// may have uploaded. A product layer's upload carries no seed to say which
+// encryption it holds, so the replay makes one draw for each frame the
+// client sent, plus spareDraws: the symmetric encryptor's stream gives
+// each encryption's public seed, then its error, whatever the level, and
+// a client sends at most one encryption a frame.
 func (s *Secret) addSeededDraws(up [][]byte) {
 	c0 := make([]uint64, s.ctx.RingQ.N)
-	for missed := 0; missed < spareDraws; s.seededDraws++ {
-		ctSeed := s.seeded.Sample(0)
-		missed++
-		for _, f := range up {
-			if bytes.Contains(f, ctSeed[:]) {
-				missed = 0
-				break
-			}
-		}
+	for ; s.seededDraws < len(up)+spareDraws; s.seededDraws++ {
+		s.seeded.Sample(0)
 		s.seeded.ZeroRow(0, c0)
 		e := centered(s.ctx.RingQ, c0)
 		for j := range e {
