@@ -103,10 +103,13 @@
 #                  cdtSample (internal/sampling: any words), of the CKKS encoder against
 #                  its big-integer oracle (internal/ckks: any float64
 #                  bits as slot and scale, same bytes or both refuse),
+#                  of the BFV decryption's RNS scaler against its
+#                  big-integer oracle (internal/bfv: any seed's phase
+#                  polynomial at any drop level),
 #                  and of each internal/protocol
-#                  one (frame parser, hello-frame round-trip, the shard
-#                  hello, key-fetch, peer-ping and stats-fetch frames of
-#                  the fleet's inner boundary, the BFV and CKKS
+#                  one (frame parser, hello-frame round-trip, the
+#                  peer-ping and stats-fetch frames of the fleet's
+#                  inner boundary, the BFV and CKKS
 #                  ciphertext decoders, the rounded read-reply decoder
 #                  a client runs on product-packed replies and the
 #                  rounded-upload decoder a server runs on product
@@ -183,10 +186,9 @@ fuzz:
 	$(GO) test ./internal/blake3 -run '^$$' -fuzz '^FuzzXOFFillVector$$' -fuzztime 30s
 	$(GO) test ./internal/sampling -run '^$$' -fuzz '^FuzzCDTVector$$' -fuzztime 30s
 	$(GO) test ./internal/ckks -run '^$$' -fuzz '^FuzzEncodeCKKS$$' -fuzztime 30s
+	$(GO) test ./internal/bfv -run '^$$' -fuzz '^FuzzRNSScaleMatchesOracle$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzHelloFrame$$' -fuzztime 30s
-	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzShardHello$$' -fuzztime 30s
-	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzKeyFetch$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzPeerPing$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzStatsFetch$$' -fuzztime 30s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzUnmarshalBFV$$' -fuzztime 30s -fuzzminimizetime 0

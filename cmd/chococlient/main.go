@@ -6,8 +6,8 @@
 //
 // Sessions open under a client-chosen session ID, so a reconnecting
 // client whose evaluation keys are still cached server-side skips the
-// multi-megabyte key upload (-reconnect demonstrates this and reports
-// the bytes saved). Sessions may also declare a tenant (-tenant): a
+// key upload, 73 764 B for the demo network (-reconnect demonstrates
+// this and reports the bytes saved). Sessions may also declare a tenant (-tenant): a
 // server enforcing per-tenant quotas answers over-quota opens with a
 // busy ack carrying a retry-after hint, which workers honor for up to
 // -busy-retries attempts before failing.
@@ -142,8 +142,8 @@ func main() {
 
 // printFleetStats fetches the fabric router's aggregated fleet view and
 // prints the signals a load-gen run cares about: how the sessions
-// spread over the shards and how many key uploads the fabric absorbed
-// via shard-to-shard replication.
+// spread over the shards and how many key uploads each shard's
+// registry spared.
 func printFleetStats(url string) error {
 	c := &http.Client{Timeout: 10 * time.Second}
 	resp, err := c.Get(url)
@@ -162,11 +162,11 @@ func printFleetStats(url string) error {
 	fmt.Printf("sessions %d (%d active, %d rejected) | inferences %d | worst shard p99 %v\n",
 		fs.Fleet.SessionsTotal, fs.Fleet.SessionsActive, fs.Fleet.SessionsRejected,
 		fs.Fleet.Inferences, fs.Fleet.InferenceP99Max)
-	fmt.Printf("key cache: %d entr(ies), %.1f MB | %d hit(s) / %d miss(es) | %d replication(s) (uploads absorbed shard-to-shard)\n",
+	fmt.Printf("key cache: %d entr(ies), %.1f MB | %d hit(s) (uploads skipped) / %d miss(es)\n",
 		fs.Fleet.KeyCacheEntries, float64(fs.Fleet.KeyCacheBytes)/(1<<20),
-		fs.Fleet.KeyCacheHits, fs.Fleet.KeyCacheMisses, fs.Fleet.KeyReplications)
-	fmt.Printf("router: %d session(s) routed, %d replication hint(s), %d ejection(s)\n",
-		fs.Router.RoutedSessions, fs.Router.ReplicationHints, fs.Router.Ejections)
+		fs.Fleet.KeyCacheHits, fs.Fleet.KeyCacheMisses)
+	fmt.Printf("router: %d session(s) routed, %d route failure(s), %d ejection(s)\n",
+		fs.Router.RoutedSessions, fs.Router.RouteFailures, fs.Router.Ejections)
 	for _, m := range fs.Router.Members {
 		snap := fs.Shards[m.ID]
 		state := "alive"

@@ -13,14 +13,16 @@
 //     to the per-tenant session quota (-tenant-max-sessions), rejected
 //     over quota with a busy ack carrying the -retry-after hint.
 //   - shard: the same server plus the fabric peer listener
-//     (-peer-addr), which answers key-fetch, health-probe, and stats
-//     requests from the router and sibling shards. Run N of these
-//     behind one router to scale the tier horizontally.
+//     (-peer-addr), which answers the router's health-probe and stats
+//     requests. Run N of these behind one router to scale the tier
+//     horizontally.
 //   - router: the fabric front door. Terminates client connections,
 //     consistent-hashes session IDs onto the shards listed in -shards,
-//     splices frames, replicates cached evaluation keys shard-to-shard
-//     when membership changes move a session, ejects unhealthy shards,
-//     and serves the aggregated fleet view on -stats-addr.
+//     forwards each client's hello to its shard and splices frames,
+//     ejects unhealthy shards, and serves the aggregated fleet view on
+//     -stats-addr. Ring placement keeps a reconnect on the shard that
+//     cached its keys; a session that membership changes move uploads
+//     its keys (the public key alone) to its new shard once.
 //
 // Every mode exposes accounting on an optional HTTP endpoint
 // (-stats-addr): /stats (JSON snapshot), /healthz (readiness; 503 while
@@ -55,7 +57,7 @@ import (
 func main() {
 	mode := flag.String("mode", "serve", "serve (standalone), shard (serve + fabric peer listener), or router (fabric front door)")
 	addr := flag.String("addr", "127.0.0.1:7312", "listen address for client sessions")
-	peerAddr := flag.String("peer-addr", "", "shard mode: listen address for the fabric peer protocol (key fetch, health, stats)")
+	peerAddr := flag.String("peer-addr", "", "shard mode: listen address for the fabric peer protocol (health, stats)")
 	shardsFlag := flag.String("shards", "", "router mode: comma-separated members, each id=clientAddr/peerAddr (peerAddr optional)")
 	shardID := flag.String("shard-id", "", "shard mode: this shard's name on the router's ring (default: the listen address)")
 	weightSeed := flag.Int("weight-seed", 7, "deterministic weight seed (server-only; clients never see weights)")
@@ -65,7 +67,7 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "max gap between a client's requests before the session is closed")
 	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "per-frame read/write deadline during an exchange")
 	keyCache := flag.Int("key-cache", 64, "evaluation-key registry capacity (cached sessions for reconnects)")
-	keyCacheBytes := flag.Int64("key-cache-bytes", 1<<30, "evaluation-key registry byte budget (bundles are multi-MB each)")
+	keyCacheBytes := flag.Int64("key-cache-bytes", 1<<30, "evaluation-key registry byte budget (the demo network's bundle is 73 764 B)")
 	tenantMaxSessions := flag.Int("tenant-max-sessions", 0, "max concurrent sessions per declared tenant (0 = no per-tenant quota)")
 	retryAfter := flag.Duration("retry-after", 250*time.Millisecond, "retry-after hint sent with the busy ack when a tenant is over quota")
 	statsAddr := flag.String("stats-addr", "", "serve accounting over HTTP on this address; empty disables")
@@ -203,10 +205,10 @@ func runServe(ctx context.Context, cancel context.CancelFunc, o serveOpts) {
 	}
 
 	st := srv.Stats()
-	log.Printf("chocoserver: done: %d session(s) (%d rejected), %d inference(s), %.1f MB up / %.1f MB down, key cache %d hit(s) / %d miss(es) / %d replication(s)",
+	log.Printf("chocoserver: done: %d session(s) (%d rejected), %d inference(s), %.1f MB up / %.1f MB down, key cache %d hit(s) / %d miss(es)",
 		st.SessionsTotal, st.SessionsRejected, st.Inferences,
 		float64(st.BytesUp)/(1<<20), float64(st.BytesDown)/(1<<20),
-		st.KeyCacheHits, st.KeyCacheMisses, st.KeyReplications)
+		st.KeyCacheHits, st.KeyCacheMisses)
 	log.Printf("chocoserver: inference latency p50 %v p99 %v max %v over %d request(s)",
 		st.InferenceLatency.P50, st.InferenceLatency.P99, st.InferenceLatency.Max, st.InferenceLatency.Count)
 	log.Printf("chocoserver: %d layer call(s)", st.Batching.Items)
@@ -219,7 +221,7 @@ func runServe(ctx context.Context, cancel context.CancelFunc, o serveOpts) {
 
 // parseMembers parses the -shards flag: comma-separated
 // id=clientAddr/peerAddr entries (the peer address optional but needed
-// for key replication, health probes, and fleet stats).
+// for health probes and fleet stats).
 func parseMembers(s string) ([]fabric.Member, error) {
 	var out []fabric.Member
 	for _, entry := range strings.Split(s, ",") {
@@ -280,7 +282,7 @@ func runRouter(ctx context.Context, addr, shardsFlag, statsAddr string, healthEv
 		log.Fatalf("router: %v", err)
 	}
 	rs := router.Stats()
-	log.Printf("chocoserver[router]: done: %d connection(s), %d session(s) routed, %d replication hint(s), %d route failure(s), %d ejection(s), %.1f MB up / %.1f MB down",
-		rs.Connections, rs.RoutedSessions, rs.ReplicationHints, rs.RouteFailures, rs.Ejections,
+	log.Printf("chocoserver[router]: done: %d connection(s), %d session(s) routed, %d route failure(s), %d ejection(s), %.1f MB up / %.1f MB down",
+		rs.Connections, rs.RoutedSessions, rs.RouteFailures, rs.Ejections,
 		float64(rs.BytesUp)/(1<<20), float64(rs.BytesDown)/(1<<20))
 }

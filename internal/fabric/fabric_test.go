@@ -17,7 +17,7 @@ import (
 )
 
 // fabricNet is a single-FC model: the fabric tests exercise routing,
-// replication, and membership, not layer coverage, and a one-layer
+// placement, and membership, not layer coverage, and a one-layer
 // network keeps per-session keygen cheap.
 func fabricNet() *nn.Network {
 	return &nn.Network{
@@ -60,11 +60,11 @@ type shardProc struct {
 
 func startShard(t *testing.T, id string) *shardProc {
 	t.Helper()
-	return startShardLogf(t, id, t.Logf)
+	return startShardConfig(t, id, serve.Config{MaxSessions: 4, Logf: t.Logf})
 }
 
-// startShardLogf is startShard with the shard's log going to logf.
-func startShardLogf(t *testing.T, id string, logf func(string, ...any)) *shardProc {
+// startShardConfig is startShard with the shard's serve.Config given.
+func startShardConfig(t *testing.T, id string, cfg serve.Config) *shardProc {
 	t.Helper()
 	backend, _ := testBackend(t)
 	clientLn, err := net.Listen("tcp", "127.0.0.1:0")
@@ -75,7 +75,7 @@ func startShardLogf(t *testing.T, id string, logf func(string, ...any)) *shardPr
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := NewShard(id, backend, serve.Config{MaxSessions: 4, Logf: logf})
+	sh := NewShard(id, backend, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &shardProc{
 		shard:    sh,
@@ -201,6 +201,25 @@ func findRemappedID(vnodes int, oldMembers []string, newShard string) string {
 	panic("no remapped session ID found")
 }
 
+// waitSplicesDone waits until the router has torn down every splice of
+// the sessions that already ended, so bounded-load placement sees no
+// stale load and the next session goes to its ring owner.
+func waitSplicesDone(t *testing.T, r *Router) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		busy := int64(0)
+		for _, m := range r.Stats().Members {
+			busy += m.ActiveSplices
+		}
+		if busy == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d splice(s) still active 10 s after their clients hung up", busy)
+		}
+	}
+}
+
 // findOwnedID searches session IDs for one owned by shard on the
 // router's current ring.
 func findOwnedID(t *testing.T, r *Router, shard, prefix string) string {
@@ -216,11 +235,11 @@ func findOwnedID(t *testing.T, r *Router, shard, prefix string) string {
 }
 
 // TestFabricFleet drives the full three-shard fabric end to end:
-// routed inference matches direct serving byte for byte; a membership
-// change migrates a session's evaluation keys shard-to-shard instead of
-// re-uploading from the client; fleet stats aggregate across members;
-// and a killed shard is ejected with its ring segment served by the
-// survivors.
+// routed inference matches direct serving byte for byte; a session a
+// membership change moves uploads its key bundle to its new shard once
+// and is served from that shard's registry after; fleet stats aggregate
+// across members; and a killed shard is ejected with its ring segment
+// served by the survivors.
 func TestFabricFleet(t *testing.T) {
 	testkit.CheckGoroutines(t)
 	if testing.Short() {
@@ -258,15 +277,14 @@ func TestFabricFleet(t *testing.T) {
 		}
 	}
 
-	// Phase 2: key replication on ring re-flow. Pick a session that
-	// adding shard-c migrates, upload its keys while the fleet is
-	// {a, b}, grow the fleet, reconnect: the router hints the previous
-	// owner, shard-c pulls the bundle over the peer protocol, and the
-	// client's second setup is orders of magnitude cheaper.
+	// Phase 2: ring re-flow. Pick a session that adding shard-c moves,
+	// set it up while the fleet is {a, b}, grow the fleet and reconnect
+	// through the router. Shard-c has never seen the session, so the
+	// client uploads its bundle there once — the public key alone — and
+	// gets exact logits; its next reconnect hits shard-c's registry.
 	migID := findRemappedID(vnodes, []string{"shard-a", "shard-b"}, "shard-c")
 	prevOwner := router.OwnerOf(migID)
-	upBytes, cached, _ := session(t, addr, 77, migID, 1)
-	if cached {
+	if _, cached, _ := session(t, addr, 77, migID, 1); cached {
 		t.Fatalf("first connect of %s reported cached keys", migID)
 	}
 
@@ -275,36 +293,42 @@ func TestFabricFleet(t *testing.T) {
 		t.Fatalf("session %s owned by %s after adding shard-c, want shard-c", migID, got)
 	}
 
-	reBytes, cached, _ := session(t, addr, 77, migID, 1)
-	if !cached {
-		t.Fatal("reconnect after remap was not served from replicated keys")
+	waitSplicesDone(t, router)
+	movedBytes, cached, _ := session(t, addr, 77, migID, 1)
+	if cached {
+		t.Fatal("the moved session reported cached keys on a shard that never saw it")
 	}
-	if reBytes*10 >= upBytes {
-		t.Errorf("reconnect uplink %d B vs first upload %d B — key upload was not skipped", reBytes, upBytes)
+	waitSplicesDone(t, router)
+	againBytes, cached, _ := session(t, addr, 77, migID, 1)
+	if !cached {
+		t.Fatal("the moved session's next reconnect was not served from shard-c's registry")
+	}
+	params := fabricNet().Params
+	bundle := protocol.KeyBundleBytes(params.N(), params.QBits, params.PBits, false, 0)
+	// The two setups differ by the bundle frame alone: its bytes and
+	// the 4-byte length prefix.
+	if got := movedBytes - againBytes; got != int64(bundle)+4 {
+		t.Errorf("the moved session uploaded %d B more than its cached reconnect, want the %d B bundle frame", got, bundle+4)
+	}
+	if frame, ok := shards["shard-c"].shard.Server.LookupKeyFrame(migID); !ok || len(frame) != bundle {
+		t.Errorf("shard-c holds a %d B bundle for %s (cached %v), want %d B", len(frame), migID, ok, bundle)
 	}
 	stC := shards["shard-c"].shard.Server.Stats()
-	if stC.KeyReplications != 1 {
-		t.Errorf("shard-c replications = %d, want 1", stC.KeyReplications)
+	if stC.KeyCacheHits != 1 || stC.KeyCacheMisses != 1 {
+		t.Errorf("shard-c cache hits/misses = %d/%d, want 1/1", stC.KeyCacheHits, stC.KeyCacheMisses)
 	}
-	if stC.KeyCacheHits != 1 || stC.KeyCacheMisses != 0 {
-		t.Errorf("shard-c cache hits/misses = %d/%d, want 1/0", stC.KeyCacheHits, stC.KeyCacheMisses)
-	}
-	if rs := router.Stats(); rs.ReplicationHints < 1 {
-		t.Errorf("router replication hints = %d, want ≥ 1", rs.ReplicationHints)
-	}
-	_ = prevOwner // recorded for the log line below
-	t.Logf("replication: %s moved %s→shard-c, upload %d B, reconnect %d B", migID, prevOwner, upBytes, reBytes)
+	t.Logf("re-flow: %s moved %s→shard-c, setup %d B up, cached reconnect %d B up", migID, prevOwner, movedBytes, againBytes)
 
 	// Phase 3: fleet stats aggregate across the members.
 	fs := router.FleetStats()
 	if fs.Fleet.ShardsReachable != 3 || fs.Fleet.ShardsTotal != 3 {
 		t.Errorf("fleet reachability %d/%d, want 3/3", fs.Fleet.ShardsReachable, fs.Fleet.ShardsTotal)
 	}
-	if fs.Fleet.Inferences < 4 {
-		t.Errorf("fleet inferences = %d, want ≥ 4", fs.Fleet.Inferences)
+	if fs.Fleet.Inferences != 5 {
+		t.Errorf("fleet inferences = %d, want 5", fs.Fleet.Inferences)
 	}
-	if fs.Fleet.KeyReplications != 1 {
-		t.Errorf("fleet replications = %d, want 1", fs.Fleet.KeyReplications)
+	if fs.Fleet.KeyCacheHits != 1 {
+		t.Errorf("fleet key cache hits = %d, want 1 (the moved session's second reconnect)", fs.Fleet.KeyCacheHits)
 	}
 	// Every client here has its reply, so every layer call of every
 	// inference is already in the per-layer rows: one FC per request.

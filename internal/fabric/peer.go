@@ -13,35 +13,29 @@ import (
 	"choco/internal/serve"
 )
 
-// The shard-to-shard peer protocol: each shard runs a tiny framed
-// request/response listener next to its client port. It carries three
-// request kinds, all answered with a single frame:
+// The router-to-shard peer protocol: each shard runs a tiny framed
+// request/response listener next to its client port. It carries two
+// request kinds, both answered with a single frame:
 //
-//   - KeyFetch: a peer shard asks for a session's cached evaluation-key
-//     bundle (the replication path — the client's multi-MB upload moves
-//     shard-to-shard over the datacenter network instead of repaying
-//     the client uplink);
 //   - PeerPing: the router's health probe, answered with drain state
 //     and worker-slot occupancy;
 //   - StatsFetch: the router's fleet-stats collection, answered with a
 //     JSON serve.Stats snapshot.
 //
-// Evaluation keys are public material, so serving them to an
-// unauthenticated peer does not extend the trust model (DESIGN.md §3);
-// the listener should still bind an internal interface in real
+// Shards never talk to one another, and no key material crosses this
+// listener. It should still bind an internal interface in real
 // deployments, like any stats or debug port.
 
-// peerIOTimeout bounds every peer-protocol frame. Key bundles are tens
-// of MB at large presets, so this is looser than a ping needs but
-// tight enough that a wedged peer cannot park a handshake forever.
+// peerIOTimeout bounds every frame a peer server reads or writes. A
+// stats answer is a few KB, so this is loose; it only has to stop a
+// wedged router connection from parking a peer goroutine forever.
 const peerIOTimeout = 30 * time.Second
 
 // peerDialTimeout bounds only the TCP dial of a peer request,
-// independently of the frame budget. A replication hint can point at a
-// dead or unreachable shard; with the dial capped, the key fetch fails
-// within a second and the handshake falls back to the client upload,
-// instead of parking the client behind the full frame timeout (the
-// fallback can only ever cost bytes, never the session).
+// independently of the frame budget the caller passes. A probe of a
+// dead or unreachable shard then fails within a second and counts
+// toward its ejection, instead of holding the probe round for the
+// router's whole DialTimeout.
 const peerDialTimeout = time.Second
 
 // peerServer answers peer-protocol requests against one shard's Server.
@@ -94,14 +88,6 @@ func (p *peerServer) serveConn(c *protocol.Conn) {
 		}
 		var resp []byte
 		switch {
-		case protocol.IsKeyFetch(raw):
-			id, err := protocol.UnmarshalKeyFetch(raw)
-			if err != nil {
-				p.logf("fabric: peer: bad key fetch: %v", err)
-				return
-			}
-			bundle, ok := p.srv.LookupKeyFrame(id)
-			resp = protocol.MarshalKeyFetchResp(ok, bundle)
 		case protocol.IsPeerPing(raw):
 			h := p.srv.Health()
 			resp = protocol.MarshalPeerPong(protocol.PeerHealth{
@@ -149,28 +135,6 @@ func peerRequest(addr string, req []byte, timeout time.Duration) ([]byte, error)
 		return nil, fmt.Errorf("fabric: peer %s: recv: %w", addr, err)
 	}
 	return resp, nil
-}
-
-// FetchPeerKeys asks the shard peering at addr for session id's cached
-// evaluation-key bundle — the serve.Config.FetchKeys implementation
-// fabric shards are wired with.
-func FetchPeerKeys(addr, id string) ([]byte, error) {
-	req, err := protocol.MarshalKeyFetch(id)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := peerRequest(addr, req, peerIOTimeout)
-	if err != nil {
-		return nil, err
-	}
-	found, bundle, err := protocol.UnmarshalKeyFetchResp(resp)
-	if err != nil {
-		return nil, err
-	}
-	if !found {
-		return nil, fmt.Errorf("fabric: peer %s has no cached keys for session %q", addr, id)
-	}
-	return bundle, nil
 }
 
 // pingPeer probes a shard's peer listener and returns its health.

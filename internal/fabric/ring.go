@@ -1,11 +1,9 @@
 // Package fabric is the distributed serving tier in front of
 // internal/serve: a front router that terminates client TCP
-// connections, consistent-hashes session IDs onto backend shards, and
-// splices frames bidirectionally; an eval-key replication path so a
-// reconnect routed to a shard that never saw the session fetches the
-// cached bundle from the owning shard instead of re-uploading from the
-// client; health/drain-aware membership; and fleet-wide stats
-// aggregation. It is the first step from the single-process worker
+// connections, consistent-hashes session IDs onto backend shards,
+// forwards each client's hello and splices frames bidirectionally, so
+// a reconnect lands on the shard whose key registry holds its session;
+// health/drain-aware membership; and fleet-wide stats aggregation. It is the first step from the single-process worker
 // pool of internal/serve to a tier that can absorb fleet traffic —
 // the deployment the paper's offloading model assumes (§1: many small
 // clients, one shared compute tier).

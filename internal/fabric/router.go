@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"math"
@@ -16,7 +15,7 @@ import (
 
 // Member describes one backend shard from the router's point of view:
 // where clients' frames are spliced to (Addr) and where the peer
-// protocol answers key-fetch/health/stats requests (PeerAddr).
+// protocol answers health-probe and stats requests (PeerAddr).
 type Member struct {
 	ID       string
 	Addr     string
@@ -82,20 +81,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	return c
 }
 
-// ownersCap bounds the session→owner map the replication hints come
-// from. Beyond it, the least-recently-adopted entries are dropped: a
-// lost hint only costs a key re-upload, never correctness — but LRU
-// order matters, because the hint most likely to be consulted next
-// belongs to a recently-routed session, not to one idle since the map
-// started filling.
-const ownersCap = 1 << 16
-
-// ownerEntry is one session's routing record in the owners LRU.
-type ownerEntry struct {
-	sessionID string
-	owner     string
-}
-
 type memberState struct {
 	m        Member
 	alive    bool
@@ -106,21 +91,19 @@ type memberState struct {
 
 // Router terminates client connections, peeks the session-ID hello
 // frame, consistent-hashes it onto a backend shard (bounded-load ring
-// walk over healthy, non-draining members), and splices frames
-// bidirectionally. It remembers which shard last owned each session
-// and passes that as a replication hint, so a session the ring re-flows
-// onto a new shard migrates its cached evaluation keys shard-to-shard
-// instead of repaying the client upload.
+// walk over healthy, non-draining members), forwards the hello to that
+// shard unchanged and splices frames bidirectionally. Ring placement
+// keeps a reconnect on the shard whose registry holds the session's
+// keys; a session the ring re-flows onto another shard uploads its
+// keys there once.
 type Router struct {
 	cfg RouterConfig
 
-	mu       sync.Mutex
-	ring     *Ring
-	members  map[string]*memberState
-	owners   map[string]*list.Element // sessionID → *ownerEntry element
-	ownerLRU *list.List               // front = most recently adopted
-	tenants  map[string]int64         // tenant → routed sessions
-	conns    map[*serve.TimedTransport]struct{}
+	mu      sync.Mutex
+	ring    *Ring
+	members map[string]*memberState
+	tenants map[string]int64 // tenant → routed sessions
+	conns   map[*serve.TimedTransport]struct{}
 
 	// dial opens a connection to a shard's client port: net.DialTimeout
 	// over TCP, or a test's stand-in.
@@ -130,13 +113,12 @@ type Router struct {
 }
 
 type routerAcct struct {
-	connections      atomic.Int64
-	routedSessions   atomic.Int64
-	replicationHints atomic.Int64
-	routeFailures    atomic.Int64
-	ejections        atomic.Int64
-	bytesUp          atomic.Int64
-	bytesDown        atomic.Int64
+	connections    atomic.Int64
+	routedSessions atomic.Int64
+	routeFailures  atomic.Int64
+	ejections      atomic.Int64
+	bytesUp        atomic.Int64
+	bytesDown      atomic.Int64
 }
 
 // NewRouter builds a router over the configured members (all initially
@@ -144,13 +126,11 @@ type routerAcct struct {
 func NewRouter(cfg RouterConfig) *Router {
 	cfg = cfg.withDefaults()
 	r := &Router{
-		cfg:      cfg,
-		ring:     NewRing(cfg.VirtualNodes),
-		members:  map[string]*memberState{},
-		owners:   map[string]*list.Element{},
-		ownerLRU: list.New(),
-		tenants:  map[string]int64{},
-		conns:    map[*serve.TimedTransport]struct{}{},
+		cfg:     cfg,
+		ring:    NewRing(cfg.VirtualNodes),
+		members: map[string]*memberState{},
+		tenants: map[string]int64{},
+		conns:   map[*serve.TimedTransport]struct{}{},
 		dial: func(addr string, timeout time.Duration) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		},
@@ -163,8 +143,8 @@ func NewRouter(cfg RouterConfig) *Router {
 
 // AddMember inserts a shard into the ring. Only sessions that hash
 // between an existing owner and the new shard's virtual nodes move;
-// their first reconnect carries a replication hint back to the old
-// owner, so even the moved sessions skip the client key re-upload.
+// each uploads its key bundle to the new shard on its first reconnect
+// there, and is served from that shard's registry after.
 func (r *Router) AddMember(m Member) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -276,8 +256,9 @@ func (r *Router) handleConn(ctx context.Context, conn net.Conn) {
 		return // never sent a frame; nothing to route
 	}
 	// Only a hello opens a session: it carries the ID the ring places
-	// and the tenant the shard meters. Anything else — a raw key bundle
-	// included — is refused here, before a shard is dialled.
+	// and the tenant the shard meters, and the shard gets it verbatim.
+	// Anything else — a raw key bundle included — is refused here,
+	// before a shard is dialled.
 	h, err := protocol.ParseHello(first)
 	if err != nil {
 		r.cfg.Logf("fabric: router: %s: session open: unrecognized first frame (%d B): %v", conn.RemoteAddr(), len(first), err)
@@ -298,25 +279,13 @@ func (r *Router) handleConn(ctx context.Context, conn net.Conn) {
 	}
 	defer sconn.Close()
 
-	// The shard-side opening frame is the hello rewritten to a ShardHello
-	// carrying the replication hint.
-	hint := r.adoptSession(sessionID, target)
-	opening, err := protocol.MarshalShardHelloTenant(sessionID, hint, tenant)
-	if err != nil {
-		r.cfg.Logf("fabric: router: session %q: %v", sessionID, err)
-		return
-	}
 	// The shard side gets the generous idle budget in both states: gaps
 	// between its frames are legitimate HE compute time.
 	st := serve.NewTimedTransport(protocol.NewConn(sconn), r.cfg.IdleTimeout, r.cfg.IdleTimeout)
-	if err := st.Send(opening); err != nil {
+	if err := st.Send(first); err != nil {
 		r.cfg.Logf("fabric: router: forwarding opening frame to %s: %v", target.m.ID, err)
 		refuse()
 		return
-	}
-	if hint != "" {
-		r.acct.replicationHints.Add(1)
-		r.cfg.Logf("fabric: router: session %q moved to %s (keys replicate from %s)", sessionID, target.m.ID, hint)
 	}
 	r.acct.routedSessions.Add(1)
 	if tenant != "" {
@@ -381,7 +350,7 @@ func (r *Router) connectShard(sessionID string) (*memberState, net.Conn) {
 			if err == nil {
 				return ms, conn
 			}
-			r.noteFailure(ms, err)
+			r.noteProbe(ms, protocol.PeerHealth{}, err)
 		}
 		// Every candidate failed; one more pass picks up members the
 		// failure notes just reordered or revived state for.
@@ -423,53 +392,34 @@ func (r *Router) candidates(sessionID string) []*memberState {
 	return append(under, over...)
 }
 
-// adoptSession records target as the session's owner and returns the
-// replication hint: the previous owner's peer address when the session
-// moved between live members. The owners table is LRU-bounded: every
-// adoption refreshes the session's recency, and cap pressure evicts the
-// session that has gone longest without routing — never a hot one.
-func (r *Router) adoptSession(sessionID string, target *memberState) (hint string) {
+// noteProbe records one probe or dial result for ms. A failure counts
+// toward ejection: the HealthFailures-th in a row takes the member out
+// of routing. A probe's answer revives the member and adopts the drain
+// state it reports.
+func (r *Router) noteProbe(ms *memberState, h protocol.PeerHealth, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if el, ok := r.owners[sessionID]; ok {
-		e := el.Value.(*ownerEntry)
-		if e.owner != target.m.ID {
-			if pms, live := r.members[e.owner]; live && pms.alive && pms.m.PeerAddr != "" {
-				hint = pms.m.PeerAddr
-			}
+	if err != nil {
+		ms.failures++
+		if ms.alive && ms.failures >= r.cfg.HealthFailures {
+			ms.alive = false
+			r.acct.ejections.Add(1)
+			r.cfg.Logf("fabric: router: ejecting shard %s after %d failure(s): %v", ms.m.ID, ms.failures, err)
 		}
-		e.owner = target.m.ID
-		r.ownerLRU.MoveToFront(el)
-		return hint
+		return
 	}
-	for len(r.owners) >= ownersCap {
-		back := r.ownerLRU.Back()
-		if back == nil {
-			break
-		}
-		delete(r.owners, back.Value.(*ownerEntry).sessionID)
-		r.ownerLRU.Remove(back)
+	if !ms.alive {
+		r.cfg.Logf("fabric: router: shard %s recovered", ms.m.ID)
 	}
-	r.owners[sessionID] = r.ownerLRU.PushFront(&ownerEntry{sessionID: sessionID, owner: target.m.ID})
-	return hint
+	ms.alive = true
+	ms.failures = 0
+	if h.Draining != ms.draining {
+		r.cfg.Logf("fabric: router: shard %s draining=%v", ms.m.ID, h.Draining)
+	}
+	ms.draining = h.Draining
 }
 
-// noteFailure records a dial/probe failure and ejects the member once
-// the consecutive-failure threshold is reached.
-func (r *Router) noteFailure(ms *memberState, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ms.failures++
-	if ms.alive && ms.failures >= r.cfg.HealthFailures {
-		ms.alive = false
-		r.acct.ejections.Add(1)
-		r.cfg.Logf("fabric: router: ejecting shard %s after %d failure(s): %v", ms.m.ID, ms.failures, err)
-	}
-}
-
-// healthLoop probes every member's peer listener each interval,
-// reviving recovered members, adopting reported drain state, and
-// ejecting the unresponsive.
+// healthLoop runs a probe round each interval until ctx ends.
 func (r *Router) healthLoop(ctx context.Context) {
 	tick := time.NewTicker(r.cfg.HealthInterval)
 	defer tick.Stop()
@@ -478,51 +428,15 @@ func (r *Router) healthLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
+			r.CheckNow()
 		}
-		r.mu.Lock()
-		snapshot := make([]*memberState, 0, len(r.members))
-		for _, ms := range r.members {
-			snapshot = append(snapshot, ms)
-		}
-		r.mu.Unlock()
-
-		var wg sync.WaitGroup
-		for _, ms := range snapshot {
-			if ms.m.PeerAddr == "" {
-				continue // no probe surface; dial failures still eject
-			}
-			wg.Add(1)
-			go func(ms *memberState) {
-				defer wg.Done()
-				h, err := pingPeer(ms.m.PeerAddr, r.cfg.DialTimeout)
-				r.mu.Lock()
-				defer r.mu.Unlock()
-				if err != nil {
-					ms.failures++
-					if ms.alive && ms.failures >= r.cfg.HealthFailures {
-						ms.alive = false
-						r.acct.ejections.Add(1)
-						r.cfg.Logf("fabric: router: ejecting shard %s after %d failed probe(s): %v", ms.m.ID, ms.failures, err)
-					}
-					return
-				}
-				if !ms.alive {
-					r.cfg.Logf("fabric: router: shard %s recovered", ms.m.ID)
-				}
-				ms.alive = true
-				ms.failures = 0
-				if h.Draining != ms.draining {
-					r.cfg.Logf("fabric: router: shard %s draining=%v", ms.m.ID, h.Draining)
-				}
-				ms.draining = h.Draining
-			}(ms)
-		}
-		wg.Wait()
 	}
 }
 
-// CheckNow runs one synchronous health probe round (tests and
-// operational tooling; the background loop does this each interval).
+// CheckNow runs one synchronous health-probe round: every member with
+// a peer listener is pinged at once, and each answer or failure is
+// recorded before CheckNow returns. Members without a peer address are
+// ejected by dial failures alone.
 func (r *Router) CheckNow() {
 	r.mu.Lock()
 	snapshot := make([]*memberState, 0, len(r.members))
@@ -530,24 +444,18 @@ func (r *Router) CheckNow() {
 		snapshot = append(snapshot, ms)
 	}
 	r.mu.Unlock()
+
+	var wg sync.WaitGroup
 	for _, ms := range snapshot {
 		if ms.m.PeerAddr == "" {
 			continue
 		}
-		h, err := pingPeer(ms.m.PeerAddr, r.cfg.DialTimeout)
-		r.mu.Lock()
-		if err != nil {
-			ms.failures++
-			if ms.alive && ms.failures >= r.cfg.HealthFailures {
-				ms.alive = false
-				r.acct.ejections.Add(1)
-				r.cfg.Logf("fabric: router: ejecting shard %s after %d failed probe(s): %v", ms.m.ID, ms.failures, err)
-			}
-		} else {
-			ms.alive = true
-			ms.failures = 0
-			ms.draining = h.Draining
-		}
-		r.mu.Unlock()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h, err := pingPeer(ms.m.PeerAddr, r.cfg.DialTimeout)
+			r.noteProbe(ms, h, err)
+		}()
 	}
+	wg.Wait()
 }

@@ -11,29 +11,20 @@ import (
 )
 
 // Shard is one backend serving instance of the fabric: a serve.Server
-// for client sessions plus the peer listener that answers key-fetch,
-// health-probe, and stats requests from the router and sibling shards.
+// for client sessions plus the peer listener that answers the router's
+// health-probe and stats requests.
 type Shard struct {
 	// ID names the shard on the router's ring.
 	ID string
-	// Server is the underlying session server; its Stats and key
-	// registry are what the peer protocol exposes.
+	// Server is the underlying session server; its Health and Stats
+	// are what the peer protocol exposes.
 	Server *serve.Server
 
 	peer peerServer
 }
 
-// NewShard builds a shard around a compiled inference backend. The
-// serve config's FetchKeys hook is wired to the peer protocol (unless
-// the caller supplied its own), so a ShardHello replication hint makes
-// this shard pull cached evaluation keys from the named sibling
-// instead of asking the client to re-upload.
+// NewShard builds a shard around a compiled inference backend.
 func NewShard(id string, backend *nn.InferenceServer, cfg serve.Config) *Shard {
-	if cfg.FetchKeys == nil {
-		cfg.FetchKeys = func(sessionID, peerAddr string) ([]byte, error) {
-			return FetchPeerKeys(peerAddr, sessionID)
-		}
-	}
 	s := &Shard{ID: id, Server: serve.New(backend, cfg)}
 	s.peer.srv = s.Server
 	s.peer.logf = func(format string, args ...any) {}

@@ -2,14 +2,12 @@ package fabric
 
 import (
 	"context"
-	"encoding/binary"
 	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
-	"choco/internal/nn"
 	"choco/internal/protocol"
 	"choco/internal/testkit"
 )
@@ -18,8 +16,8 @@ import (
 // the router wait for its hello ack.
 const stallBound = 2 * time.Second
 
-// fakeShard is a member's client port that answers every ShardHello
-// with AckNeedKeys, except that a session named by flood gets
+// fakeShard is a member's client port that answers every hello the
+// router forwards with AckNeedKeys, except that a session named by flood gets
 // floodBytes of one frame instead. flooded is closed once that frame is
 // written to the router's socket.
 type fakeShard struct {
@@ -58,7 +56,7 @@ func startFakeShard(t *testing.T, flood string, floodBytes int) *fakeShard {
 				if err != nil {
 					return
 				}
-				h, err := protocol.ParseShardHello(raw)
+				h, err := protocol.ParseHello(raw)
 				if err != nil {
 					t.Errorf("fake shard: %v", err)
 					return
@@ -200,91 +198,6 @@ func TestStalledReaderBlocksNoRouting(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 
 	helloAckWithin(t, routerAddr, "routed-past-a-stalled-reader")
-}
-
-// TestTruncatedKeyFetchFallsBackToUpload: a replication hint names a
-// peer that answers the KeyFetch with a frame cut off mid-bundle and
-// hangs up. The shard must ask the client for its keys (AckNeedKeys),
-// the session must then compute exact logits on the uploaded keys, and
-// no replication is counted.
-func TestTruncatedKeyFetchFallsBackToUpload(t *testing.T) {
-	testkit.CheckGoroutines(t)
-	const id, keySeed = "truncated-fetch-1", 45
-	client, err := nn.NewInferenceClient(fabricNet(), [32]byte{keySeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keyOut, keyIn := protocol.NewPipe()
-	if err := client.Setup(keyOut); err != nil {
-		t.Fatal(err)
-	}
-	bundle, err := keyIn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	keyOut.Close()
-	resp := protocol.MarshalKeyFetchResp(true, bundle)
-
-	peer, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Close()
-	fetched := make(chan string, 1)
-	go func() {
-		conn, err := peer.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		raw, err := protocol.NewConn(conn).Recv()
-		if err != nil || !protocol.IsKeyFetch(raw) {
-			return
-		}
-		got, _ := protocol.UnmarshalKeyFetch(raw)
-		fetched <- got
-		var prefix [4]byte
-		binary.LittleEndian.PutUint32(prefix[:], uint32(len(resp)))
-		_, _ = conn.Write(prefix[:])
-		_, _ = conn.Write(resp[:len(resp)/2])
-	}()
-
-	sh := startShard(t, "truncated-b")
-	conn, err := net.Dial("tcp", sh.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	c := protocol.NewConn(conn)
-	c.SetReadTimeout(30 * time.Second)
-	c.SetWriteTimeout(30 * time.Second)
-	hello, err := protocol.MarshalShardHelloTenant(id, peer.Addr().String(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Send(hello); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := c.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, _, err := protocol.ParseHelloAck(raw); err != nil || st != protocol.AckNeedKeys {
-		t.Fatalf("ack %d, err %v; want AckNeedKeys after a truncated key fetch", st, err)
-	}
-	select {
-	case got := <-fetched:
-		if got != id {
-			t.Errorf("the shard fetched keys for %q, want %q", got, id)
-		}
-	default:
-		t.Fatal("the shard acked without asking the hinted peer")
-	}
-
-	uploadAndInfer(t, client, c, keySeed)
-	if n := sh.shard.Server.Stats().KeyReplications; n != 0 {
-		t.Errorf("key replications = %d after a truncated fetch, want 0", n)
-	}
 }
 
 // TestHealthLoopEjectsAndStops: with probes on, a shard whose peer

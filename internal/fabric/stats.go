@@ -14,13 +14,12 @@ import (
 // RouterStats is the router's own accounting: connection and routing
 // counters plus per-member status.
 type RouterStats struct {
-	Connections      int64 `json:"connections"`
-	RoutedSessions   int64 `json:"routed_sessions"`
-	ReplicationHints int64 `json:"replication_hints"`
-	RouteFailures    int64 `json:"route_failures"`
-	Ejections        int64 `json:"ejections"`
-	BytesUp          int64 `json:"bytes_up"`
-	BytesDown        int64 `json:"bytes_down"`
+	Connections    int64 `json:"connections"`
+	RoutedSessions int64 `json:"routed_sessions"`
+	RouteFailures  int64 `json:"route_failures"`
+	Ejections      int64 `json:"ejections"`
+	BytesUp        int64 `json:"bytes_up"`
+	BytesDown      int64 `json:"bytes_down"`
 
 	// TenantSessions counts routed sessions per declared tenant (the
 	// router's view; shard-side admission and rejection counters live in
@@ -62,7 +61,6 @@ type FleetTotals struct {
 	KeyCacheHits      int64         `json:"key_cache_hits"`
 	KeyCacheMisses    int64         `json:"key_cache_misses"`
 	KeyCacheEvictions int64         `json:"key_cache_evictions"`
-	KeyReplications   int64         `json:"key_replications"`
 	KeyCacheEntries   int           `json:"key_cache_entries"`
 	KeyCacheBytes     int64         `json:"key_cache_bytes"`
 	BytesUp           int64         `json:"bytes_up"`
@@ -101,13 +99,12 @@ type FleetStats struct {
 // I/O; safe on any hot path).
 func (r *Router) Stats() RouterStats {
 	st := RouterStats{
-		Connections:      r.acct.connections.Load(),
-		RoutedSessions:   r.acct.routedSessions.Load(),
-		ReplicationHints: r.acct.replicationHints.Load(),
-		RouteFailures:    r.acct.routeFailures.Load(),
-		Ejections:        r.acct.ejections.Load(),
-		BytesUp:          r.acct.bytesUp.Load(),
-		BytesDown:        r.acct.bytesDown.Load(),
+		Connections:    r.acct.connections.Load(),
+		RoutedSessions: r.acct.routedSessions.Load(),
+		RouteFailures:  r.acct.routeFailures.Load(),
+		Ejections:      r.acct.ejections.Load(),
+		BytesUp:        r.acct.bytesUp.Load(),
+		BytesDown:      r.acct.bytesDown.Load(),
 	}
 	r.mu.Lock()
 	if len(r.tenants) > 0 {
@@ -183,7 +180,6 @@ func (r *Router) FleetStats() FleetStats {
 		f.KeyCacheHits += st.KeyCacheHits
 		f.KeyCacheMisses += st.KeyCacheMisses
 		f.KeyCacheEvictions += st.KeyCacheEvictions
-		f.KeyReplications += st.KeyReplications
 		f.KeyCacheEntries += st.KeyCacheEntries
 		f.KeyCacheBytes += st.KeyCacheBytes
 		if p99 := st.InferenceLatency.P99; p99 > f.InferenceP99Max {

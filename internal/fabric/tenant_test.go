@@ -1,10 +1,12 @@
 package fabric
 
 import (
-	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,178 +16,23 @@ import (
 	"choco/internal/testkit"
 )
 
-// TestAdoptSessionLRUSurvivesCapPressure pins the owners-map eviction
-// order: a recently-adopted session must survive cap pressure, and the
-// evicted entry must be the one that has gone longest without routing.
-// (The old map-iteration eviction could drop any entry, including the
-// hottest session's replication hint.)
-func TestAdoptSessionLRUSurvivesCapPressure(t *testing.T) {
-	testkit.CheckGoroutines(t)
-	r := NewRouter(RouterConfig{
-		Members: []Member{
-			{ID: "s1", Addr: "127.0.0.1:1", PeerAddr: "127.0.0.1:2"},
-			{ID: "s2", Addr: "127.0.0.1:3", PeerAddr: "127.0.0.1:4"},
-		},
-		HealthInterval: -1,
-	})
-	s1 := r.members["s1"]
-	s2 := r.members["s2"]
-
-	// The hot session routes first, then ownersCap-1 fillers push the
-	// table exactly to cap (hot is now the LRU tail).
-	r.adoptSession("hot", s1)
-	for i := 0; i < ownersCap-1; i++ {
-		r.adoptSession(fmt.Sprintf("filler-%d", i), s1)
-	}
-	if n := len(r.owners); n != ownersCap {
-		t.Fatalf("owners table has %d entries, want cap %d", n, ownersCap)
-	}
-
-	// Routing hot again refreshes its recency without growing the table;
-	// the next insert at cap must evict filler-0, the true LRU.
-	r.adoptSession("hot", s1)
-	r.adoptSession("one-more", s1)
-	if n := len(r.owners); n != ownersCap {
-		t.Fatalf("owners table has %d entries after eviction, want %d", n, ownersCap)
-	}
-	if _, ok := r.owners["filler-0"]; ok {
-		t.Error("filler-0 (LRU) survived cap pressure")
-	}
-	if _, ok := r.owners["hot"]; !ok {
-		t.Fatal("recently-adopted session evicted under cap pressure")
-	}
-
-	// The surviving record still yields its replication hint when the
-	// session moves shards — the point of keeping the hot entries.
-	if hint := r.adoptSession("hot", s2); hint != s1.m.PeerAddr {
-		t.Errorf("hot session hint %q, want previous owner %q", hint, s1.m.PeerAddr)
-	}
-	// The evicted session moved too, but its history is gone: no hint.
-	if hint := r.adoptSession("filler-0", s2); hint != "" {
-		t.Errorf("evicted session produced a stale hint %q", hint)
-	}
-}
-
-// TestDeadPeerHintFallsBackFast is the dead-previous-owner regression
-// test: a replication hint pointing at a killed shard must fail fast to
-// the client-upload fallback — the session completes, the client just
-// pays the upload — instead of parking behind the full peer frame
-// timeout.
-func TestDeadPeerHintFallsBackFast(t *testing.T) {
-	testkit.CheckGoroutines(t)
-	// Shard A owns the session's keys, then dies.
-	shardA := startShard(t, "dead-a")
-	session(t, shardA.addr, 44, "dead-hint-1", 1)
-	deadPeer := shardA.peerAddr
-	shardA.stop(t)
-
-	shardB := startShard(t, "dead-b")
-
-	conn, err := net.Dial("tcp", shardB.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	c := protocol.NewConn(conn)
-	c.SetReadTimeout(30 * time.Second)
-	c.SetWriteTimeout(30 * time.Second)
-
-	hello, err := protocol.MarshalShardHelloTenant("dead-hint-1", deadPeer, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if err := c.Send(hello); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := c.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	st, _, err := protocol.ParseHelloAck(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != protocol.AckNeedKeys {
-		t.Fatalf("ack %d, want AckNeedKeys (fallback to client upload)", st)
-	}
-	// The dial to the dead peer must be bounded well below the 30s peer
-	// frame budget the old code burned per request.
-	if limit := peerDialTimeout + 4*time.Second; elapsed > limit {
-		t.Errorf("dead-peer fallback took %v, want < %v", elapsed, limit)
-	}
-
-	// The fallback session is fully functional once the client uploads.
-	client, err := nn.NewInferenceClient(fabricNet(), [32]byte{44})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uploadAndInfer(t, client, c, 44)
-}
-
-// uploadAndInfer finishes a session the shard acked with AckNeedKeys:
-// the client uploads its keys, and one inference must return the
-// plaintext reference's logits exactly.
-func uploadAndInfer(t *testing.T, client *nn.InferenceClient, c *protocol.Conn, imgSeed byte) {
-	t.Helper()
-	if err := client.Setup(c); err != nil {
-		t.Fatal(err)
-	}
-	_, model := testBackend(t)
-	img := nn.SynthesizeImage(fabricNet(), 4, [32]byte{imgSeed, 1})
-	want, err := nn.PlainInference(model, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := client.Infer(img, c)
-	if err != nil {
-		t.Fatalf("inference after the key fallback: %v", err)
-	}
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("logit %d: got %d want %d", j, got[j], want[j])
-		}
-	}
-}
-
 // TestTenantQuotaThroughFabric drives quota admission end to end
-// through the router: the tenant field crosses the router's ShardHello
-// rewrite, an over-quota tenant's session is rejected with the shard's
+// through the router: the tenant field reaches the shard in the hello
+// the router forwards, an over-quota tenant's session is rejected with the shard's
 // retry-after hint while an under-quota tenant completes, and the
 // per-tenant counters surface in router and fleet stats.
 func TestTenantQuotaThroughFabric(t *testing.T) {
 	testkit.CheckGoroutines(t)
 	const retry = 200 * time.Millisecond
-	backend, model := testBackend(t)
-	clientLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	peerLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := NewShard("quota-shard", backend, serve.Config{
+	_, model := testBackend(t)
+	sh := startShardConfig(t, "quota-shard", serve.Config{
 		MaxSessions:       4,
 		TenantMaxSessions: 1,
 		RetryAfter:        retry,
 		Logf:              t.Logf,
 	})
-	shCtx, shCancel := context.WithCancel(context.Background())
-	shDone := make(chan error, 1)
-	go func() { shDone <- sh.Run(shCtx, clientLn, peerLn) }()
-	t.Cleanup(func() {
-		shCancel()
-		select {
-		case <-shDone:
-		case <-time.After(10 * time.Second):
-			t.Error("quota shard did not stop")
-		}
-	})
-
 	router, routerAddr := startRouter(t, RouterConfig{
-		Members:        []Member{{ID: "quota-shard", Addr: clientLn.Addr().String(), PeerAddr: peerLn.Addr().String()}},
+		Members:        []Member{sh.member("quota-shard")},
 		HealthInterval: -1,
 		Logf:           t.Logf,
 	})
@@ -244,7 +91,7 @@ func TestTenantQuotaThroughFabric(t *testing.T) {
 		t.Errorf("router tenant counters %v, want acme=2 globex=1", rs.TenantSessions)
 	}
 	var acme serve.TenantStats
-	for _, ts := range sh.Server.Stats().Tenants {
+	for _, ts := range sh.shard.Server.Stats().Tenants {
 		if ts.Tenant == "acme" {
 			acme = ts
 		}
@@ -293,4 +140,76 @@ func TestRawKeyBundleOpenerRefused(t *testing.T) {
 	if rs := router.Stats(); rs.RoutedSessions != 1 {
 		t.Errorf("%d session(s) routed after the hello, want 1", rs.RoutedSessions)
 	}
+}
+
+// TestRetiredShardHelloRefused: older fleets opened a shard session with
+// a router-authored "CSHL" frame whose hint field named a peer address
+// the shard would dial for keys. A shard now refuses that frame like any
+// other first frame that is not a hello: it names it in the log, dials
+// nothing — not even the listening decoy the hint names — and frees the
+// worker slot, so the next client is served.
+func TestRetiredShardHelloRefused(t *testing.T) {
+	testkit.CheckGoroutines(t)
+	var mu sync.Mutex
+	var logs []string
+	sh := startShardConfig(t, "cshl-shard", serve.Config{
+		MaxSessions: 1,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		},
+	})
+	decoy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer decoy.Close()
+
+	// The retired layout: magic, hello version, session ID length, hint
+	// length, then the session ID and the hint.
+	const id = "cshl-1"
+	hint := decoy.Addr().String()
+	frame := binary.LittleEndian.AppendUint32(nil, 0x4c485343) // "CSHL"
+	frame = binary.LittleEndian.AppendUint32(frame, protocol.HelloVersion)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(id)))
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(hint)))
+	frame = append(append(frame, id...), hint...)
+
+	conn, err := net.Dial("tcp", sh.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	c := protocol.NewConn(conn)
+	c.SetReadTimeout(10 * time.Second)
+	if err := c.Send(frame); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := c.Recv(); err == nil {
+		t.Fatalf("the shard answered a retired shard hello with a %d B frame, want a hangup", len(raw))
+	} else if strings.Contains(err.Error(), "timeout") {
+		t.Fatalf("the shard still holds the connection 10 s after a retired shard hello: %v", err)
+	}
+
+	// Had the shard dialled the hint, that connection would be waiting in
+	// the decoy's accept queue by now.
+	if err := decoy.(*net.TCPListener).SetDeadline(time.Now().Add(200 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if peer, err := decoy.Accept(); err == nil {
+		peer.Close()
+		t.Fatal("the shard dialled the address a retired shard hello named")
+	}
+	mu.Lock()
+	if joined := strings.Join(logs, "\n"); !strings.Contains(joined, "unrecognized first frame") {
+		t.Errorf("shard log %q does not name the unrecognized first frame", joined)
+	}
+	mu.Unlock()
+	if st := sh.shard.Server.Stats(); st.SessionsActive != 0 || st.KeyCacheMisses != 0 || st.KeyCacheEntries != 0 {
+		t.Errorf("after the refusal: %d active session(s), %d key miss(es), %d cached bundle(s); want none", st.SessionsActive, st.KeyCacheMisses, st.KeyCacheEntries)
+	}
+	// The shard has one worker slot: this session runs only if the
+	// refused connection gave it back.
+	session(t, sh.addr, 49, "after-cshl", 1)
 }

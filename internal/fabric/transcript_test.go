@@ -10,6 +10,7 @@ import (
 	"choco/internal/bfv"
 	"choco/internal/nn"
 	"choco/internal/protocol"
+	"choco/internal/serve"
 	"choco/internal/testkit"
 )
 
@@ -25,7 +26,7 @@ func TestRoutedTranscriptHoldsNoSecret(t *testing.T) {
 	var rec testkit.Recorder
 	log.SetOutput(&rec)
 	defer log.SetOutput(os.Stderr)
-	shard := startShardLogf(t, "shard-a", rec.Logf)
+	shard := startShardConfig(t, "shard-a", serve.Config{MaxSessions: 4, Logf: rec.Logf})
 	_, addr := startRouter(t, RouterConfig{Members: []Member{shard.member("shard-a")}, HealthInterval: -1, Logf: rec.Logf})
 
 	seed := testkit.Seed("fabric transcript")

@@ -66,21 +66,46 @@ func TestHelloAckRoundTrip(t *testing.T) {
 	}
 }
 
+// retiredShardHello builds the session-open frame older fleets' routers
+// sent a shard in place of the client's hello: the "CSHL" magic, the
+// hello version, the session ID and peer-address lengths, both strings,
+// and an optional [1-byte length][tenant] trailer. The peer address
+// named the shard that last held the session's keys.
+func retiredShardHello(id, peer, tenant string) []byte {
+	b := appendUint32(nil, 0x4c485343)
+	b = appendUint32(b, HelloVersion)
+	b = appendUint32(b, uint32(len(id)))
+	b = appendUint32(b, uint32(len(peer)))
+	b = append(append(b, id...), peer...)
+	if tenant != "" {
+		b = append(append(b, byte(len(tenant))), tenant...)
+	}
+	return b
+}
+
 // TestFirstFrameSniffing pins down the dispatch a server does on the
-// opening frame: hello, key bundle, and ciphertext tags are mutually
-// exclusive.
+// opening frame: only a hello opens a session. A key bundle, an ack and
+// the retired shard hello are not hellos, and ParseHello refuses each
+// of them.
 func TestFirstFrameSniffing(t *testing.T) {
 	hello, _ := MarshalHelloTenant("s", "")
 	if !IsHello(hello) {
 		t.Error("hello frame misclassified")
 	}
-	bundleHeader := appendUint32(nil, keyBundleMagic)
-	if IsHello(bundleHeader) || IsShardHello(bundleHeader) {
-		t.Error("key bundle header misclassified")
+	if _, err := ParseHello(hello); err != nil {
+		t.Errorf("hello frame refused: %v", err)
 	}
-	ack := MarshalHelloAck(AckBusy)
-	if IsHello(ack) || IsShardHello(ack) {
-		t.Error("ack frame misclassified")
+	for name, frame := range map[string][]byte{
+		"key bundle header":   appendUint32(nil, keyBundleMagic),
+		"ack":                 MarshalHelloAck(AckBusy),
+		"retired shard hello": retiredShardHello("s", "127.0.0.1:7501", "t"),
+	} {
+		if IsHello(frame) {
+			t.Errorf("%s misclassified as a hello", name)
+		}
+		if _, err := ParseHello(frame); err == nil {
+			t.Errorf("%s parsed as a hello", name)
+		}
 	}
 }
 

@@ -482,13 +482,6 @@ func TestVersion1PeerIsRefusedByName(t *testing.T) {
 	if _, err := ParseHello(mutated(hello, setU32(4, 1))); err == nil || !strings.Contains(err.Error(), "version 1") {
 		t.Errorf("version-1 hello: %v", err)
 	}
-	shard, err := MarshalShardHelloTenant("old-client", "127.0.0.1:7501", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseShardHello(mutated(shard, setU32(4, 1))); err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Errorf("version-1 shard hello: %v", err)
-	}
 
 	seed := [seedBytes]byte{1}
 	for name, err := range map[string]error{

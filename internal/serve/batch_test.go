@@ -275,99 +275,3 @@ func runClientSessionTenant(t *testing.T, srv *Server, model *nn.QuantizedModel,
 		t.Fatalf("server session: %v", err)
 	}
 }
-
-// TestEvictedKeysReplicateFromPeer pins the interaction between the
-// registry byte budget and fabric replication: when the byte budget
-// evicts a session's keys, a reconnect carrying a replication hint
-// re-fetches the bundle from the previous owner — counted as a
-// replication, never as a client upload — and its log line names the
-// session and its tenant.
-func TestEvictedKeysReplicateFromPeer(t *testing.T) {
-	testkit.CheckGoroutines(t)
-	backend, model := testBackend(t, tinyNetwork)
-	srvA := New(backend, Config{MaxSessions: 1})
-	runClientSession(t, srvA, tinyNetwork, model, 57, "evict-1", 1)
-
-	bundle, ok := srvA.LookupKeyFrame("evict-1")
-	if !ok {
-		t.Fatal("owner shard lost the uploaded bundle")
-	}
-	// A byte budget that holds exactly one bundle: every store evicts
-	// the previous tenant of the cache.
-	var logMu sync.Mutex
-	var logged []string
-	srvB := New(backend, Config{
-		MaxSessions:   1,
-		KeyCacheBytes: int64(len(bundle)),
-		Logf: func(format string, args ...any) {
-			logMu.Lock()
-			logged = append(logged, fmt.Sprintf(format, args...))
-			logMu.Unlock()
-		},
-		FetchKeys: func(id, peer string) ([]byte, error) {
-			raw, ok := srvA.LookupKeyFrame(id)
-			if !ok {
-				return nil, errors.New("peer miss")
-			}
-			return raw, nil
-		},
-	})
-
-	openShard := func(sessionID string) {
-		t.Helper()
-		clientEnd, serverEnd := protocol.NewPipe()
-		done := serveEnd(srvB, serverEnd)
-		hello, err := protocol.MarshalShardHelloTenant(sessionID, "peer-a", "replica-tenant")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := clientEnd.Send(hello); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := clientEnd.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, _, err := protocol.ParseHelloAck(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st != protocol.AckKeysCached {
-			t.Fatalf("session %s acked %d, want AckKeysCached (client must not re-upload)", sessionID, st)
-		}
-		clientEnd.Close()
-		if err := <-done; err != nil {
-			t.Fatalf("server session: %v", err)
-		}
-	}
-
-	// First visit replicates evict-1 from the peer.
-	openShard("evict-1")
-	// A second session's store blows the byte budget and evicts evict-1…
-	runClientSession(t, srvB, tinyNetwork, model, 58, "evict-2", 1)
-	if _, ok := srvB.LookupKeyFrame("evict-1"); ok {
-		t.Fatal("evict-1 survived a byte budget sized for one bundle")
-	}
-	// …so its reconnect must replicate again rather than ask the client.
-	openShard("evict-1")
-
-	logMu.Lock()
-	const replicated = `serve: session "evict-1" (tenant "replica-tenant"): evaluation keys replicated from peer peer-a`
-	if !slices.ContainsFunc(logged, func(line string) bool { return strings.HasPrefix(line, replicated) }) {
-		t.Errorf("no log line opens with %q: %q", replicated, logged)
-	}
-	logMu.Unlock()
-
-	st := srvB.Stats()
-	if st.KeyReplications != 2 {
-		t.Errorf("KeyReplications = %d, want 2 (initial + post-eviction re-fetch)", st.KeyReplications)
-	}
-	if st.KeyCacheEvictions == 0 {
-		t.Error("byte budget recorded no evictions")
-	}
-	// The uploads: exactly one, from evict-2's own client. evict-1 was
-	// admitted twice without ever re-uploading.
-	if st.KeyCacheMisses != 1 {
-		t.Errorf("KeyCacheMisses = %d, want 1 (only evict-2's upload)", st.KeyCacheMisses)
-	}
-}

@@ -9,16 +9,17 @@ import (
 
 // registry caches installed evaluation-key sessions by client-chosen
 // session ID, so a reconnecting client skips re-uploading its key
-// bundle — the dominant one-time setup cost the paper calls out in
-// §3.3/Table 3 (tens of MB per client at realistic parameters). The
-// raw serialized bundle is retained alongside the parsed session so a
-// fabric peer shard can replicate it without a round trip through the
-// client (see internal/fabric).
+// bundle — the one-time setup cost the paper calls out in §3.3/Table 3.
+// A served session's bundle is its public key alone (73 764 B for
+// LeNet-Sm at bfv-B), since a bundle with Galois or relinearization
+// keys is refused. The raw serialized bundle is retained alongside the
+// parsed session: it is what the byte budget counts, and
+// Server.LookupKeyFrame returns it.
 //
 // Capacity is bounded two ways: an entry count and a byte budget over
-// the retained bundles (eval keys are multi-MB, so a count cap alone
-// would let 64 large-preset sessions pin gigabytes). Least-recently-
-// used entries are evicted beyond either bound; the newest entry is
+// the retained bundles (a count cap alone would let a registry of
+// large-preset bundles grow with the preset). Least-recently-used
+// entries are evicted beyond either bound; the newest entry is
 // always kept, even if it alone exceeds the byte budget — availability
 // over strictness, since refusing to cache would re-incur the upload
 // on every reconnect. Evaluation keys are public material, so caching
@@ -36,7 +37,7 @@ type registry struct {
 
 type regEntry struct {
 	sess     *nn.ServerSession
-	raw      []byte // serialized key bundle, as uploaded (for replication)
+	raw      []byte // serialized key bundle, as uploaded
 	lastUsed time.Time
 }
 
@@ -56,10 +57,9 @@ func (r *registry) lookup(id string) *nn.ServerSession {
 	return e.sess
 }
 
-// lookupFrame returns the raw serialized key bundle for id (the fabric
-// replication read path). It does not refresh the LRU stamp: a peer
-// fetching keys for migration is not evidence the owning shard will
-// see this session again.
+// lookupFrame returns the raw serialized key bundle for id. It does not
+// refresh the LRU stamp: reading the bundle is not evidence the
+// session will reconnect.
 func (r *registry) lookupFrame(id string) ([]byte, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

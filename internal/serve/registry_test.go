@@ -2,12 +2,9 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http/httptest"
 	"testing"
 
-	"choco/internal/nn"
-	"choco/internal/protocol"
 	"choco/internal/testkit"
 )
 
@@ -105,85 +102,5 @@ func TestHealthEndpoint(t *testing.T) {
 	}
 	if !srv.Stats().Draining {
 		t.Error("Stats.Draining not surfaced")
-	}
-}
-
-// TestShardHelloReplication drives the serve-level replication path
-// directly: session keys uploaded to server A are installed on server
-// B via the FetchKeys hook when a ShardHello carries A as the hint —
-// the client is acked AckKeysCached and never re-uploads.
-func TestShardHelloReplication(t *testing.T) {
-	testkit.CheckGoroutines(t)
-	backend, model := testBackend(t, tinyNetwork)
-	srvA := New(backend, Config{MaxSessions: 1})
-	runClientSession(t, srvA, tinyNetwork, model, 63, "mig-1", 1)
-
-	fetches := 0
-	srvB := New(backend, Config{
-		MaxSessions: 1,
-		FetchKeys: func(id, peer string) ([]byte, error) {
-			fetches++
-			if peer != "peer-of-A" {
-				t.Errorf("hint %q, want peer-of-A", peer)
-			}
-			raw, ok := srvA.LookupKeyFrame(id)
-			if !ok {
-				return nil, fmt.Errorf("no cached keys for %q", id)
-			}
-			return raw, nil
-		},
-	})
-
-	clientEnd, serverEnd := protocol.NewPipe()
-	defer clientEnd.Close()
-	done := serveEnd(srvB, serverEnd)
-
-	hello, err := protocol.MarshalShardHelloTenant("mig-1", "peer-of-A", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := clientEnd.Send(hello); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := clientEnd.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, _, err := protocol.ParseHelloAck(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != protocol.AckKeysCached {
-		t.Fatalf("ack %d, want AckKeysCached — replication did not spare the upload", st)
-	}
-
-	// The replicated session is live: run a real inference through it.
-	client, err := nn.NewInferenceClient(tinyNetwork(), [32]byte{63})
-	if err != nil {
-		t.Fatal(err)
-	}
-	img := nn.SynthesizeImage(tinyNetwork(), 4, [32]byte{63, 9})
-	want, _ := nn.PlainInference(model, img)
-	got, _, err := client.Infer(img, clientEnd)
-	if err != nil {
-		t.Fatalf("inference over replicated keys: %v", err)
-	}
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("logit %d: got %d want %d", j, got[j], want[j])
-		}
-	}
-	clientEnd.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("server session: %v", err)
-	}
-
-	if fetches != 1 {
-		t.Errorf("FetchKeys called %d times, want 1", fetches)
-	}
-	stB := srvB.Stats()
-	if stB.KeyReplications != 1 || stB.KeyCacheHits != 1 || stB.KeyCacheMisses != 0 {
-		t.Errorf("replication accounting: repl=%d hits=%d misses=%d, want 1/1/0",
-			stB.KeyReplications, stB.KeyCacheHits, stB.KeyCacheMisses)
 	}
 }

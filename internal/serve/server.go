@@ -11,8 +11,9 @@
 //     busy ack instead of silently queueing forever;
 //   - an evaluation-key registry: clients open sessions under a
 //     client-chosen ID (protocol.MarshalHelloTenant), and a reconnecting
-//     client whose keys are still cached skips the multi-megabyte
-//     key upload — the §3.3 one-time setup cost — entirely;
+//     client whose keys are still cached skips the key upload — the
+//     §3.3 one-time setup cost, 73 764 B (the public key alone) for a
+//     LeNet-Sm session at bfv-B — entirely;
 //   - per-session and server-wide accounting: sessions, inferences,
 //     traffic, homomorphic op counts, and per-phase latency
 //     histograms, exposed as a Stats snapshot and a JSON handler;
@@ -71,13 +72,6 @@ type Config struct {
 	// RetryAfter is the back-off hint attached to quota busy acks.
 	// Default 250ms.
 	RetryAfter time.Duration
-	// FetchKeys, when set, is consulted on a key-cache miss for a
-	// session opened with a replication hint (a fabric ShardHello
-	// naming the peer that last owned the session): it returns the raw
-	// serialized key bundle fetched from that peer, letting the shard
-	// install keys without the client re-uploading them. Errors fall
-	// back to asking the client for the bundle.
-	FetchKeys func(sessionID, peerAddr string) ([]byte, error)
 	// Logf receives server diagnostics; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -152,9 +146,7 @@ func (s *Server) MaxSessions() int { return cap(s.slots) }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // LookupKeyFrame returns the cached serialized evaluation-key bundle
-// for a session ID — the fabric replication read path: the owning
-// shard serves its cached bundle to a peer instead of the client
-// re-uploading it.
+// for a session ID, exactly as the client uploaded it.
 func (s *Server) LookupKeyFrame(id string) ([]byte, bool) { return s.reg.lookupFrame(id) }
 
 // Serve accepts connections on ln until ctx is cancelled, then stops
@@ -321,12 +313,12 @@ func serveOne(sess *nn.ServerSession, t protocol.Transport, account func(nn.Serv
 	return err
 }
 
-// handshake admits the session: the hello exchange (with the eval-key
-// registry short-circuiting re-uploads), a router-authored shard hello
-// (same exchange, plus a replication hint consulted before asking the
-// client for keys). Nothing else opens a session: a raw key bundle as
-// first frame would skip tenant quota, the registry and the session ID,
-// and is refused like any other unrecognized frame.
+// handshake admits the session: the hello exchange, with the eval-key
+// registry short-circuiting re-uploads. A fabric router forwards the
+// client's hello unchanged, so a shard sees the same first frame a
+// standalone server does. Nothing else opens a session: a raw key
+// bundle as first frame would skip tenant quota, the registry and the
+// session ID, and is refused like any other unrecognized frame.
 // Sessions declaring a tenant pass quota admission before any key
 // exchange: an over-quota tenant gets a busy ack with a retry-after
 // hint, so its sessions back off instead of consuming worker slots
@@ -339,29 +331,20 @@ func (s *Server) handshake(t protocol.Transport) (sess *nn.ServerSession, id, te
 	if err != nil {
 		return nil, "", "", fmt.Errorf("session open: recv first frame: %w", err)
 	}
-	var hint string
-	switch {
-	case protocol.IsHello(raw):
-		h, err := protocol.ParseHello(raw)
-		if err != nil {
-			return nil, "", "", fmt.Errorf("session open: %w", err)
-		}
-		id, tenant = h.SessionID, h.Tenant
-	case protocol.IsShardHello(raw):
-		h, err := protocol.ParseShardHello(raw)
-		if err != nil {
-			return nil, "", "", fmt.Errorf("session open: %w", err)
-		}
-		id, hint, tenant = h.SessionID, h.PrevOwnerPeer, h.Tenant
-	default:
+	if !protocol.IsHello(raw) {
 		return nil, "", "", fmt.Errorf("session open: unrecognized first frame (%d B)", len(raw))
 	}
+	h, err := protocol.ParseHello(raw)
+	if err != nil {
+		return nil, "", "", fmt.Errorf("session open: %w", err)
+	}
+	id, tenant = h.SessionID, h.Tenant
 	if tenant != "" && !s.tenants.admit(tenant, s.cfg.TenantMaxSessions) {
 		s.acct.sessionsRejected.Add(1)
 		_ = t.Send(protocol.MarshalHelloAckRetry(protocol.AckBusy, s.cfg.RetryAfter))
 		return nil, id, tenant, fmt.Errorf("session %q: tenant %q: %w", id, tenant, ErrTenantOverQuota)
 	}
-	if sess, err = s.admit(t, id, tenant, hint); err != nil {
+	if sess, err = s.admit(t, id, tenant); err != nil {
 		if tenant != "" {
 			s.tenants.release(tenant, 0, 0)
 		}
@@ -370,11 +353,9 @@ func (s *Server) handshake(t protocol.Transport) (sess *nn.ServerSession, id, te
 	return sess, id, tenant, nil
 }
 
-// admit completes the hello exchange for session id of tenant. Key
-// resolution order: local registry hit, then peer replication when a
-// hint names the shard that last owned the session, then upload from
-// the client.
-func (s *Server) admit(t protocol.Transport, id, tenant, hint string) (*nn.ServerSession, error) {
+// admit completes the hello exchange for session id of tenant: a
+// registry hit skips the upload, a miss asks the client for its keys.
+func (s *Server) admit(t protocol.Transport, id, tenant string) (*nn.ServerSession, error) {
 	if sess := s.reg.lookup(id); sess != nil {
 		s.acct.keyCacheHits.Add(1)
 		if err := t.Send(protocol.MarshalHelloAck(protocol.AckKeysCached)); err != nil {
@@ -382,14 +363,6 @@ func (s *Server) admit(t protocol.Transport, id, tenant, hint string) (*nn.Serve
 		}
 		s.cfg.Logf("serve: session %q (tenant %q): evaluation keys cached, upload skipped", id, tenant)
 		return sess, nil
-	}
-	if hint != "" && s.cfg.FetchKeys != nil {
-		if sess, ok := s.replicate(id, tenant, hint); ok {
-			if err := t.Send(protocol.MarshalHelloAck(protocol.AckKeysCached)); err != nil {
-				return nil, fmt.Errorf("session %q: send cached ack: %w", id, err)
-			}
-			return sess, nil
-		}
 	}
 	s.acct.keyCacheMisses.Add(1)
 	if err := t.Send(protocol.MarshalHelloAck(protocol.AckNeedKeys)); err != nil {
@@ -409,28 +382,6 @@ func (s *Server) admit(t protocol.Transport, id, tenant, hint string) (*nn.Serve
 	s.reg.store(id, sess, kraw)
 	s.cfg.Logf("serve: session %q (tenant %q): evaluation keys installed (%d B)", id, tenant, len(kraw))
 	return sess, nil
-}
-
-// replicate tries to pull the key bundle of session id (of tenant) from
-// the peer shard named by hint and install it locally. Any failure is logged and
-// reported as a miss: the handshake then falls back to a client
-// upload, so replication can only save bytes, never lose a session.
-func (s *Server) replicate(id, tenant, hint string) (*nn.ServerSession, bool) {
-	kraw, err := s.cfg.FetchKeys(id, hint)
-	if err != nil {
-		s.cfg.Logf("serve: session %q: key replication from %s failed: %v", id, hint, err)
-		return nil, false
-	}
-	sess, err := s.backend.NewSessionFromFrame(kraw)
-	if err != nil {
-		s.cfg.Logf("serve: session %q: replicated key bundle from %s invalid: %v", id, hint, err)
-		return nil, false
-	}
-	s.reg.store(id, sess, kraw)
-	s.acct.keyCacheHits.Add(1)
-	s.acct.keyReplications.Add(1)
-	s.cfg.Logf("serve: session %q (tenant %q): evaluation keys replicated from peer %s (%d B), client upload skipped", id, tenant, hint, len(kraw))
-	return sess, true
 }
 
 // sessionOver classifies a ServeOne error as a normal end of session:

@@ -22,9 +22,8 @@ type accounting struct {
 	sessionPanics    atomic.Int64
 	inferences       atomic.Int64
 
-	keyCacheHits    atomic.Int64
-	keyCacheMisses  atomic.Int64
-	keyReplications atomic.Int64
+	keyCacheHits   atomic.Int64
+	keyCacheMisses atomic.Int64
 
 	bytesUp   atomic.Int64 // client→server, as observed by the server transport
 	bytesDown atomic.Int64 // server→client
@@ -146,16 +145,9 @@ type Stats struct {
 	KeyCacheEntries int
 	// KeyCacheBytes is the serialized key-bundle bytes currently
 	// retained; KeyCacheEvictions counts LRU entries dropped to stay
-	// within the entry and byte budgets. The fabric router reads these
-	// to judge how likely a peer fetch is to hit before steering a
-	// migrated session at a shard.
+	// within the entry and byte budgets.
 	KeyCacheBytes     int64
 	KeyCacheEvictions int64
-	// KeyReplications counts cache misses resolved by fetching the
-	// bundle from a peer shard instead of the client (fabric key
-	// migration; these also count as KeyCacheHits since the client
-	// skipped its upload).
-	KeyReplications int64
 
 	// Draining reports graceful shutdown in progress: finish in-flight
 	// work, route no new sessions here.
@@ -207,7 +199,6 @@ func (s *Server) Stats() Stats {
 		KeyCacheEntries:   s.reg.len(),
 		KeyCacheBytes:     regBytes,
 		KeyCacheEvictions: regEvictions,
-		KeyReplications:   a.keyReplications.Load(),
 		Draining:          s.draining.Load(),
 		BytesUp:           a.bytesUp.Load(),
 		BytesDown:         a.bytesDown.Load(),
